@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 GATE_TOL ?= 0.05
 
-.PHONY: all build test race vet doc bench bench-kernels bench-obs trace cover fuzz perfgate baseline plan kernelgate serve soak ci
+.PHONY: all build test race vet doc bench bench-kernels bench-smoke bench-obs trace cover fuzz perfgate baseline plan kernelgate serve soak ci
 
 # all: the tier-1 gate (build + test), the default target.
 all: build test
@@ -123,18 +123,32 @@ kernelgate:
 	$(GO) run ./cmd/spgemm-bench -kernelgate -scale tiny
 
 # bench-kernels: regenerate BENCH_kernels.json — the recorded thread sweep
-# of the unsorted-hash local multiply and the heap/hash/hybrid crossover
-# measurements on this runner. Wall-clock numbers; informational (the
-# checked-in snapshot documents the runner the defaults were sanity-checked
-# on), not a regression gate.
+# of the unsorted-hash local multiply, the heap/hash/hybrid crossover
+# measurements, the sorted hash merge on the Merge-Fiber and hypersparse
+# shapes, and the format-generic multiply on a DCSC operand, on this runner,
+# with the runner's NumCPU, GOMAXPROCS and Go version beside them (a thread
+# sweep means nothing without the core count). Wall-clock numbers;
+# informational (the checked-in snapshot documents the runner the defaults
+# were sanity-checked on), not a regression gate.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover' -benchtime=0.5s ./internal/localmm \
-	| awk 'BEGIN{n=0} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
-	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); vals[n]=sprintf("    \"%s\": %s",name,$$3); n++} \
-	  END{print "{"; printf "  \"cpu\": \"%s\",\n  \"goos\": \"%s\",\n  \"unit\": \"ns/op\",\n  \"regenerate\": \"make bench-kernels\",\n  \"ns_per_op\": {\n", cpu, goos; \
+	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MulMatGeneric' -benchtime=1s ./internal/localmm \
+	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
+	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
+	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \
+	    if (match(name,/-[0-9]+$$/)) {procs=substr(name,RSTART+1); name=substr(name,1,RSTART-1)} \
+	    vals[n]=sprintf("    \"%s\": %s",name,$$3); n++} \
+	  END{print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"unit\": \"ns/op\",\n  \"regenerate\": \"make bench-kernels\",\n  \"ns_per_op\": {\n", cpu, numcpu, procs, gover, goos; \
 	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}' \
 	> BENCH_kernels.json
 	@cat BENCH_kernels.json
+
+# bench-smoke: the end-to-end wall-clock benchmark (bench/, BENCHMARK.json)
+# at toy sizes, then its own vet and tests — which include the replay
+# identity check: the per-layer replay's flops, unmerged and output nonzeros
+# must equal the engine's. The nightly workflow runs this so a change that
+# breaks the benchmark or the identity shows before a perf claim leans on it.
+bench-smoke:
+	bash bench/run.sh -scale smoke -seconds 0.2 && cd bench && $(GO) vet . && $(GO) test .
 
 # trace: record one pinned gate shape (the overlapped Friendster fig-6
 # analogue) with the span recorder on and write the per-rank Chrome

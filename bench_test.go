@@ -82,7 +82,7 @@ func BenchmarkKernelHashSorted(b *testing.B)   { benchKernel(b, localmm.KernelHa
 func BenchmarkKernelHeap(b *testing.B)         { benchKernel(b, localmm.KernelHeap) }
 func BenchmarkKernelHybrid(b *testing.B)       { benchKernel(b, localmm.KernelHybrid) }
 
-// --- Ablation 1b: thread sweep of the two-phase parallel hash kernel
+// --- Ablation 1b: thread sweep of the one-pass parallel hash kernel
 // (Sec. IV-D runs 16 threads per process; on a multi-core runner threads=8
 // should beat threads=1 by well over 1.5x on this workload). ---
 

@@ -41,7 +41,7 @@
 //     accounting differs.
 //
 // Options.Threads additionally parallelizes each rank's local multiply,
-// merge, and symbolic kernels (localmm's two-phase plan) inside the rank's
+// merge, and symbolic kernels (localmm's one-pass plan) inside the rank's
 // compute-measurement token, mirroring the paper's 16-threads-per-process
 // configuration.
 //

@@ -153,9 +153,9 @@ func (p *Proc) pickMerger(entries, scanCols int64) localmm.Merger {
 }
 
 // kernelAs returns the local-multiply function for kernel k, generic over the
-// storage format (localmm.MulMat dispatches to the CSC fast path when both
-// operands are CSC). Opts.Threads > 1 runs the two-phase parallel kernel;
-// the workers execute inside the caller's MeasureCompute token, so the
+// storage format (localmm.MulMat reads either format through one column
+// view). Opts.Threads > 1 splits the one-pass plan over that many workers;
+// they execute inside the caller's MeasureCompute token, so the
 // single-token gate still serializes ranks and intra-rank speedup shows up
 // as shorter measured compute time.
 func (p *Proc) kernelAs(k localmm.Kernel) func(a, b spmat.Matrix) spmat.Matrix {

@@ -30,49 +30,54 @@
 //
 // # Symbolic kernels
 //
-// SymbolicSpGEMM (and its threaded form ParallelSymbolicSpGEMM) is the
+// SymbolicSpGEMM (and its threaded, format-generic form SymbolicMat) is the
 // LOCALSYMBOLIC routine of Alg 3: it counts nnz(A·B) without touching
 // values, using a generation-stamped dense array when the row space permits
 // and a hash set otherwise. The distributed symbolic step builds the batch
 // count decision from these counts, so they must be exact, not estimates —
 // Flops, ColFlops, and CompressionFactor supply the companion statistics.
 //
-// # Multithreading
+// # One plan
 //
-// Every kernel and merger also has a multithreaded form (ParallelSpGEMM,
-// ParallelMerge, ParallelSymbolicSpGEMM, and the threads argument of
-// Kernel.Func and Merger.Merge), mirroring the paper's
-// 16-threads-per-process Cori-KNL configuration. The parallel plan is
-// two-phase: a parallel symbolic pass computes the exact nonzero count of
-// every output column, the output is allocated once from the prefix sum of
-// those counts, and a parallel numeric pass fills each column in place.
-// Workers own contiguous column ranges balanced by flop count (not column
-// count), reuse pooled accumulator state across columns and calls, and
-// never synchronize during the numeric pass because every column lands in a
-// disjoint slice of the shared output.
+// Every kernel, merger, storage format and thread count runs the one-pass
+// accumulate-then-place plan of parallel.go (MulMat and MergeMat; the CSC
+// and serial entry points — ParallelSpGEMM, ParallelMerge, HashSpGEMM,
+// HeapMerge and the rest — are that plan with CSC operands or one thread).
+// The output columns are cut into contiguous ranges balanced by flop count
+// (not column count); each worker hashes or heap-merges its range exactly
+// once, appending finished columns to its own reusable scratch; the output
+// is then allocated once at its exact size, and each worker's chunk lands
+// with one copy. No column is hashed twice — the multiply and the merge
+// need no symbolic pass to size their output — and worker scratch
+// (accumulator, chunk, sort buffers) lives on a free list that survives
+// garbage collection, so a warm call allocates the output and a fixed
+// handful of small objects. Sorted output is sorted per column by
+// spmat.PairSorter, the repo's one pair sort.
 //
-// threads <= 1 runs the serial kernels unchanged, which is the default for
-// all metered experiments: rank goroutines are already concurrent, and the
-// mpi compute-token gate means parallel workers — when enabled — run inside
-// a rank's measured compute section, shortening measured time without
-// perturbing the communication model. Results are independent of the thread
-// count: each output column is computed by one worker in serial operand
-// order, so even float64 accumulation is bit-identical to the serial kernel
-// (entry order within unsorted columns aside).
+// The caller's goroutine executes one range itself: threads <= 1 — the
+// default for all metered experiments, where rank goroutines are already
+// concurrent — starts no goroutine. The mpi compute-token gate means
+// parallel workers, when enabled, run inside a rank's measured compute
+// section (the paper's 16-threads-per-process Cori-KNL configuration),
+// shortening measured time without perturbing the communication model.
+// Results are independent of the thread count: each output column is
+// computed by one worker in serial operand order and drained in
+// hash-insertion order, so float64 values and the entry order inside
+// unsorted columns are bit-identical to the one-thread run.
 //
-// # Storage-format-generic kernels
+// # Storage formats
 //
-// MulMat, SymbolicMat, MergeMat, and MatFlops run the same algorithms over
-// the spmat.Matrix storage interface. All-CSC operand sets dispatch to the
-// specialized CSC kernels above; any doubly-compressed (DCSC) operand takes
-// the hypersparse path, which iterates only the stored columns of the
-// B-side operand (or the union of stored columns, for merges) so symbolic
-// and numeric work on a hypersparse block is O(flops + nnz) with no O(cols)
+// The kernels read operands through a positional column view over the
+// spmat.Matrix storage interface: every column of a CSC is a slot, only the
+// stored columns of a doubly-compressed (DCSC) operand are (for a merge of
+// DCSC operands, the union of their stored columns), so symbolic and
+// numeric work on a hypersparse block is O(flops + nnz) with no O(cols)
 // scan or allocation anywhere. Output format follows B — the stored columns
-// of A·B are a subset of B's — and values are bit-identical to the CSC
-// kernels for every format combination, thread count, and merger, because
-// columns are visited in the same order and entries accumulate in the same
-// operand order.
+// of A·B are a subset of B's — and a merge emits DCSC when every operand is
+// DCSC. Values are bit-identical for every format combination, thread
+// count, and merger, because columns are visited in the same order and
+// entries accumulate in the same operand order. SymbolicMat and MatFlops
+// are the symbolic step and the flop count over the same interface.
 //
 // # Sparse×dense kernels
 //

@@ -2,6 +2,8 @@ package localmm
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/semiring"
 	"repro/internal/spmat"
@@ -9,7 +11,9 @@ import (
 
 // hashAccum is an open-addressing (linear probing) row→value accumulator with
 // power-of-two capacity. The occupied slot list makes draining O(distinct)
-// instead of O(capacity).
+// instead of O(capacity). A reused accumulator probes only the leading
+// mask+1 slots of its arrays — the capacity the current column needs — so a
+// short column after a long one still works in a table that fits the cache.
 type hashAccum struct {
 	rows     []int32
 	vals     []float64
@@ -19,46 +23,46 @@ type hashAccum struct {
 
 const emptySlot = int32(-1)
 
-// newHashAccum returns an accumulator able to hold at least want distinct
-// rows with load factor ≤ 0.5.
-func newHashAccum(want int64) *hashAccum {
-	cap := int32(8)
-	for int64(cap) < 2*want {
-		cap <<= 1
+// maxTableCap is the largest table an int32 slot index can address.
+const maxTableCap = 1 << 30
+
+// tableCap returns the power-of-two capacity that holds the distinct rows of
+// one column at load factor <= 0.5. want is the column's contribution count
+// (flops or input entries), an upper bound that can exceed the row dimension
+// by orders of magnitude; a column cannot hold more distinct rows than the
+// operand has, so the bound is clamped by rows. A column that still needs
+// more slots than int32 addresses is a bug upstream, not a table to build.
+func tableCap(want int64, rows int32) int {
+	if want > int64(rows) {
+		want = int64(rows)
 	}
-	h := &hashAccum{
-		rows: make([]int32, cap),
-		vals: make([]float64, cap),
-		mask: cap - 1,
+	if 2*want > maxTableCap {
+		panic(fmt.Sprintf("localmm: column of %d distinct rows exceeds the accumulator's %d slots", want, maxTableCap))
 	}
-	for i := range h.rows {
-		h.rows[i] = emptySlot
+	if want <= 4 {
+		return 8
 	}
-	return h
+	return 1 << bits.Len64(uint64(2*want-1))
 }
 
-// reset clears the accumulator for reuse without reallocating.
-func (h *hashAccum) reset() {
-	for _, s := range h.occupied {
-		h.rows[s] = emptySlot
+// sizeFor empties the accumulator and sizes it for the distinct rows of a
+// column with want contributions into a rows-tall operand. The arrays are
+// reallocated only when that exceeds the capacity they have; otherwise the
+// column probes their leading tableCap slots.
+func (h *hashAccum) sizeFor(want int64, rows int32) {
+	c := tableCap(want, rows)
+	if c > len(h.rows) {
+		h.rows, h.vals, h.occupied = make([]int32, c), make([]float64, c), make([]int32, 0, c/2)
+		for i := range h.rows {
+			h.rows[i] = emptySlot
+		}
+	} else {
+		for _, s := range h.occupied {
+			h.rows[s] = emptySlot
+		}
+		h.occupied = h.occupied[:0]
 	}
-	h.occupied = h.occupied[:0]
-}
-
-// grow doubles capacity, rehashing the occupied entries.
-func (h *hashAccum) grow() {
-	oldRows, oldVals, oldOcc := h.rows, h.vals, h.occupied
-	cap := int32(len(oldRows)) * 2
-	h.rows = make([]int32, cap)
-	h.vals = make([]float64, cap)
-	h.mask = cap - 1
-	h.occupied = make([]int32, 0, len(oldOcc))
-	for i := range h.rows {
-		h.rows[i] = emptySlot
-	}
-	for _, s := range oldOcc {
-		h.insertRaw(oldRows[s], oldVals[s])
-	}
+	h.mask = int32(c - 1)
 }
 
 // hash scrambles the row index; the multiplier is the 32-bit Fibonacci
@@ -67,23 +71,19 @@ func (h *hashAccum) hash(r int32) int32 {
 	return int32(uint32(r)*2654435769) & h.mask
 }
 
-// insertRaw stores (r, v) assuming r is not present.
-func (h *hashAccum) insertRaw(r int32, v float64) {
-	s := h.hash(r)
-	for h.rows[s] != emptySlot {
-		s = (s + 1) & h.mask
-	}
-	h.rows[s] = r
-	h.vals[s] = v
-	h.occupied = append(h.occupied, s)
+// overfilled panics when a new row arrives at a table already holding the
+// distinct rows it was sized for. Callers size the table with tableCap, so
+// the load factor never passes 0.5 and every probe sequence ends at an empty
+// slot; a fuller table would make a later probe spin, so the insert paths
+// check on the new-row branch only — once per distinct row, never per
+// contribution — and fail here.
+func (h *hashAccum) overfilled() {
+	panic(fmt.Sprintf("localmm: accumulator sized for %d distinct rows overfilled", (h.mask+1)/2))
 }
 
 // addPlus accumulates v into row r with ordinary +. Fast path for the
 // arithmetic semiring.
 func (h *hashAccum) addPlus(r int32, v float64) {
-	if 2*int32(len(h.occupied)) >= int32(len(h.rows)) {
-		h.grow()
-	}
 	s := h.hash(r)
 	for {
 		switch h.rows[s] {
@@ -91,6 +91,9 @@ func (h *hashAccum) addPlus(r int32, v float64) {
 			h.vals[s] += v
 			return
 		case emptySlot:
+			if 2*int32(len(h.occupied)) > h.mask {
+				h.overfilled()
+			}
 			h.rows[s] = r
 			h.vals[s] = v
 			h.occupied = append(h.occupied, s)
@@ -102,9 +105,6 @@ func (h *hashAccum) addPlus(r int32, v float64) {
 
 // add accumulates v into row r with the semiring's Add.
 func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
-	if 2*int32(len(h.occupied)) >= int32(len(h.rows)) {
-		h.grow()
-	}
 	s := h.hash(r)
 	for {
 		switch h.rows[s] {
@@ -112,6 +112,9 @@ func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
 			h.vals[s] = addFn(h.vals[s], v)
 			return
 		case emptySlot:
+			if 2*int32(len(h.occupied)) > h.mask {
+				h.overfilled()
+			}
 			h.rows[s] = r
 			h.vals[s] = v
 			h.occupied = append(h.occupied, s)
@@ -124,23 +127,14 @@ func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
 // drainInto appends the accumulated (row, value) pairs to the output slices
 // in insertion order (unsorted) and returns the extended slices.
 func (h *hashAccum) drainInto(rows []int32, vals []float64) ([]int32, []float64) {
-	for _, s := range h.occupied {
-		rows = append(rows, h.rows[s])
-		vals = append(vals, h.vals[s])
+	n, m := len(rows), len(h.occupied)
+	rows = slices.Grow(rows, m)[:n+m]
+	vals = slices.Grow(vals, m)[:n+m]
+	for i, s := range h.occupied {
+		rows[n+i] = h.rows[s]
+		vals[n+i] = h.vals[s]
 	}
 	return rows, vals
-}
-
-// drainAt writes the accumulated pairs, in insertion order, into destination
-// slices that were pre-sized by a symbolic pass.
-func (h *hashAccum) drainAt(rows []int32, vals []float64) {
-	if len(h.occupied) != len(rows) {
-		panic(fmt.Sprintf("localmm: symbolic count %d disagrees with numeric hash output %d", len(rows), len(h.occupied)))
-	}
-	for i, s := range h.occupied {
-		rows[i] = h.rows[s]
-		vals[i] = h.vals[s]
-	}
 }
 
 // checkMulShapes panics when the operand shapes are incompatible; shape
@@ -155,55 +149,21 @@ func checkMulShapes(a, b *spmat.CSC) {
 // ("unsorted-hash"). Neither operand needs sorted columns and the result's
 // columns are unsorted. This is the paper's new Local-Multiply kernel.
 func HashSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	return hashSpGEMM(a, b, sr, false)
+	return ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1)
 }
 
 // HashSpGEMMSorted is HashSpGEMM followed by sorting each output column. It
 // matches how hash kernels were used before the sort-free observation.
 func HashSpGEMMSorted(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	return hashSpGEMM(a, b, sr, true)
+	return ParallelSpGEMM(KernelHashSorted, a, b, sr, 1)
 }
 
-func hashSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring, sortCols bool) *spmat.CSC {
-	checkMulShapes(a, b)
-	c := &spmat.CSC{
-		Rows:       a.Rows,
-		Cols:       b.Cols,
-		ColPtr:     make([]int64, b.Cols+1),
-		SortedCols: false,
-	}
-	plusTimes := sr.IsPlusTimes()
-	var acc *hashAccum
-	for j := int32(0); j < b.Cols; j++ {
-		// Upper bound on distinct output rows in this column: its flops.
-		var colFlops int64
-		bRows, bVals := b.Column(j)
-		for _, i := range bRows {
-			colFlops += a.ColNNZ(i)
-		}
-		if colFlops == 0 {
-			c.ColPtr[j+1] = int64(len(c.RowIdx))
-			continue
-		}
-		if acc == nil || 2*colFlops > int64(len(acc.rows)) {
-			acc = newHashAccum(colFlops)
-		} else {
-			acc.reset()
-		}
-		hashAccumulateColumn(acc, a, bRows, bVals, sr, plusTimes)
-		c.RowIdx, c.Val = acc.drainInto(c.RowIdx, c.Val)
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
-	}
-	if sortCols {
-		c.SortColumns()
-	}
-	return c
-}
-
-// hashAccumulateColumn feeds one output column's products into acc: the
-// shared inner loop of hashSpGEMM, HybridSpGEMM's hash branch, and the
-// parallel hash kernels.
-func hashAccumulateColumn(acc *hashAccum, a *spmat.CSC, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
+// hashAccumulateColumn feeds one output column's products into acc, in B
+// entry order and then A entry order — the accumulation order every kernel
+// shares. The A side is read through the caller's positional cursor, so the
+// per-entry lookup is O(1) for CSC and amortized O(1) on sorted B columns
+// for DCSC.
+func hashAccumulateColumn(acc *hashAccum, a *aCursor, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
 	if plusTimes {
 		for p := range bRows {
 			i, bv := bRows[p], bVals[p]
@@ -218,6 +178,22 @@ func hashAccumulateColumn(acc *hashAccum, a *spmat.CSC, bRows []int32, bVals []f
 			aRows, aVals := a.Column(i)
 			for q := range aRows {
 				acc.add(aRows[q], sr.Mul(aVals[q], bv), sr.Add)
+			}
+		}
+	}
+}
+
+// hashAccumulateParts feeds one merged column's operand contributions into
+// acc in operand order, which fixes the floating-point result.
+func hashAccumulateParts(acc *hashAccum, parts []colPart, sr *semiring.Semiring, plusTimes bool) {
+	for _, part := range parts {
+		if plusTimes {
+			for p := range part.rows {
+				acc.addPlus(part.rows[p], part.vals[p])
+			}
+		} else {
+			for p := range part.rows {
+				acc.add(part.rows[p], part.vals[p], sr.Add)
 			}
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"repro/internal/spmat"
 )
 
-// heapEntry tracks one contributing column of A during the multiway merge:
-// the current row index, which list (entry of B's column) it belongs to, and
-// the cursor into that A column.
+// heapEntry tracks one contributing list during a multiway merge (a column
+// of A in a multiply, an operand's column in a merge): the current row
+// index, which list it is, and the position inside that list.
 type heapEntry struct {
 	row  int32
 	list int32
@@ -70,30 +70,96 @@ func (h *rowHeap) pop() heapEntry {
 }
 
 // HeapSpGEMM multiplies A·B with the heap-based column kernel used by the
-// previous 3D SUMMA work [13]. It requires A to have sorted columns and
-// always produces sorted output columns — the sortedness the paper's new
-// kernels deliberately give up.
+// previous 3D SUMMA work [13]. It requires A to have sorted columns — the
+// previous framework kept all matrices sorted, so an unsorted operand is
+// sorted on a copy first and that cost is charged to this kernel, just as it
+// would be in the original code — and always produces sorted output columns,
+// the sortedness the paper's new kernels deliberately give up.
 func HeapSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	checkMulShapes(a, b)
-	if !a.SortedCols {
-		// The previous framework kept all matrices sorted; when handed an
-		// unsorted operand we must restore that invariant first, and the cost
-		// is charged to this kernel just as it would be in the original code.
-		a = a.Clone()
-		a.SortColumns()
+	return ParallelSpGEMM(KernelHeap, a, b, sr, 1)
+}
+
+// heapMulColumn computes one output column with the multiway heap merge
+// (ascending rows), appending it to w.rows/w.vals. The views of the A
+// columns the B entries select are fetched once, through the caller's
+// positional cursor, into the worker's scratch and cursored by index — no
+// per-column allocation.
+func (w *mmWorker) heapMulColumn(a *aCursor, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
+	parts := w.parts[:0]
+	h := w.heap[:0]
+	for li, i := range bRows {
+		r, v := a.Column(i)
+		parts = append(parts, colPart{rows: r, vals: v})
+		if len(r) > 0 {
+			h.push(heapEntry{row: r[0], list: int32(li), ptr: 0})
+		}
 	}
-	c := &spmat.CSC{
-		Rows:       a.Rows,
-		Cols:       b.Cols,
-		ColPtr:     make([]int64, b.Cols+1),
-		SortedCols: true,
+	for len(h) > 0 {
+		e := h.pop()
+		row := e.row
+		var acc float64
+		first := true
+		for {
+			part := parts[e.list]
+			var prod float64
+			if plusTimes {
+				prod = part.vals[e.ptr] * bVals[e.list]
+			} else {
+				prod = sr.Mul(part.vals[e.ptr], bVals[e.list])
+			}
+			if first {
+				acc, first = prod, false
+			} else if plusTimes {
+				acc += prod
+			} else {
+				acc = sr.Add(acc, prod)
+			}
+			if next := e.ptr + 1; next < int64(len(part.rows)) {
+				h.push(heapEntry{row: part.rows[next], list: e.list, ptr: next})
+			}
+			if len(h) == 0 || h[0].row != row {
+				break
+			}
+			e = h.pop()
+		}
+		w.rows = append(w.rows, row)
+		w.vals = append(w.vals, acc)
 	}
-	plusTimes := sr.IsPlusTimes()
-	var h rowHeap
-	for j := int32(0); j < b.Cols; j++ {
-		bRows, bVals := b.Column(j)
-		c.RowIdx, c.Val = heapMulColumn(&h, a, bRows, bVals, sr, plusTimes, c.RowIdx, c.Val)
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
+	w.parts, w.heap = parts, h
+}
+
+// heapMergeColumn k-way-merges one column's (sorted) operand contributions,
+// appending the merged column to w.rows/w.vals.
+func (w *mmWorker) heapMergeColumn(parts []colPart, sr *semiring.Semiring, plusTimes bool) {
+	h := w.heap[:0]
+	for pi := range parts {
+		h.push(heapEntry{row: parts[pi].rows[0], list: int32(pi), ptr: 0})
 	}
-	return c
+	for len(h) > 0 {
+		e := h.pop()
+		row := e.row
+		var acc float64
+		first := true
+		for {
+			part := parts[e.list]
+			v := part.vals[e.ptr]
+			if first {
+				acc, first = v, false
+			} else if plusTimes {
+				acc += v
+			} else {
+				acc = sr.Add(acc, v)
+			}
+			if next := e.ptr + 1; next < int64(len(part.rows)) {
+				h.push(heapEntry{row: part.rows[next], list: e.list, ptr: next})
+			}
+			if len(h) == 0 || h[0].row != row {
+				break
+			}
+			e = h.pop()
+		}
+		w.rows = append(w.rows, row)
+		w.vals = append(w.vals, acc)
+	}
+	w.heap = h
 }

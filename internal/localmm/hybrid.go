@@ -16,47 +16,5 @@ const hybridHeapThreshold = 64
 // the "previous hybrid" baseline the paper's unsorted-hash kernel is measured
 // against (Sec. IV-D reports unsorted-hash 30–50% faster).
 func HybridSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	checkMulShapes(a, b)
-	if !a.SortedCols {
-		a = a.Clone()
-		a.SortColumns()
-	}
-	c := &spmat.CSC{
-		Rows:       a.Rows,
-		Cols:       b.Cols,
-		ColPtr:     make([]int64, b.Cols+1),
-		SortedCols: true,
-	}
-	plusTimes := sr.IsPlusTimes()
-	var h rowHeap
-	var acc *hashAccum
-	for j := int32(0); j < b.Cols; j++ {
-		bRows, bVals := b.Column(j)
-		var colFlops int64
-		for _, i := range bRows {
-			colFlops += a.ColNNZ(i)
-		}
-		if colFlops == 0 {
-			c.ColPtr[j+1] = int64(len(c.RowIdx))
-			continue
-		}
-		if colFlops <= hybridHeapThreshold {
-			// Heap path: multiway merge, output already sorted.
-			c.RowIdx, c.Val = heapMulColumn(&h, a, bRows, bVals, sr, plusTimes, c.RowIdx, c.Val)
-		} else {
-			// Hash path, followed by the per-column sort the hybrid kernel
-			// always performed.
-			if acc == nil || 2*colFlops > int64(len(acc.rows)) {
-				acc = newHashAccum(colFlops)
-			} else {
-				acc.reset()
-			}
-			hashAccumulateColumn(acc, a, bRows, bVals, sr, plusTimes)
-			lo := int64(len(c.RowIdx))
-			c.RowIdx, c.Val = acc.drainInto(c.RowIdx, c.Val)
-			sortColumnSlices(c.RowIdx[lo:], c.Val[lo:])
-		}
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
-	}
-	return c
+	return ParallelSpGEMM(KernelHybrid, a, b, sr, 1)
 }

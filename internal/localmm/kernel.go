@@ -38,27 +38,11 @@ func (k Kernel) String() string {
 }
 
 // Func returns the kernel entry point. The returned function multiplies with
-// threads worker goroutines via the two-phase plan of ParallelSpGEMM;
-// threads <= 1 is exactly the serial kernel.
+// threads worker goroutines via the one-pass plan of parallel.go; threads
+// <= 1 runs it on the caller's goroutine, which is the serial kernel.
 func (k Kernel) Func() func(a, b *spmat.CSC, sr *semiring.Semiring, threads int) *spmat.CSC {
 	return func(a, b *spmat.CSC, sr *semiring.Semiring, threads int) *spmat.CSC {
 		return ParallelSpGEMM(k, a, b, sr, threads)
-	}
-}
-
-// serial returns the single-threaded kernel implementation.
-func (k Kernel) serial() func(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	switch k {
-	case KernelHashUnsorted:
-		return HashSpGEMM
-	case KernelHashSorted:
-		return HashSpGEMMSorted
-	case KernelHeap:
-		return HeapSpGEMM
-	case KernelHybrid:
-		return HybridSpGEMM
-	default:
-		panic("localmm: unknown kernel " + k.String())
 	}
 }
 
@@ -106,20 +90,6 @@ func (m Merger) String() string {
 // merge always emits sorted columns.
 func (m Merger) Merge(mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool, threads int) *spmat.CSC {
 	return ParallelMerge(m, mats, sr, sortOutput, threads)
-}
-
-// serial returns the single-threaded merge implementation.
-func (m Merger) serial() func(mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool) *spmat.CSC {
-	switch m {
-	case MergerHash:
-		return HashMerge
-	case MergerHeap:
-		return func(mats []*spmat.CSC, sr *semiring.Semiring, _ bool) *spmat.CSC {
-			return HeapMerge(mats, sr)
-		}
-	default:
-		panic("localmm: unknown merger " + m.String())
-	}
 }
 
 // ParseMerger parses a -merger flag value ("auto" is not a merger — callers

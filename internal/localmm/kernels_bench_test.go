@@ -79,3 +79,60 @@ func BenchmarkKernelCrossover(b *testing.B) {
 		}
 	}
 }
+
+// hyperDCSC builds a hypersparse doubly-compressed matrix: every stride-th
+// column is stored and holds two distinct random rows.
+func hyperDCSC(rows, stored, stride int32, seed int64) *spmat.DCSC {
+	rng := rand.New(rand.NewSource(seed))
+	d := &spmat.DCSC{Rows: rows, Cols: stored * stride, CP: []int64{0}}
+	for p := int32(0); p < stored; p++ {
+		r := rng.Int31n(rows)
+		d.JC = append(d.JC, p*stride)
+		d.IR = append(d.IR, r, (r+1+rng.Int31n(rows-1))%rows)
+		d.Num = append(d.Num, rng.Float64()+0.5, rng.Float64()+0.5)
+		d.CP = append(d.CP, int64(len(d.IR)))
+	}
+	return d
+}
+
+// BenchmarkMergeSortedOutput measures the sorted hash merge — the final
+// Merge-Fiber, the one place the sort-free pipeline sorts — on two shapes:
+// four unsorted CSC operands of 77 entries per column over 1024 rows, which
+// merge to ≈270 entries per column (the protein-batched Merge-Fiber shape of
+// bench/), and four hypersparse DCSC operands of 2 entries per stored
+// column, one column in eight stored.
+func BenchmarkMergeSortedOutput(b *testing.B) {
+	sr := semiring.PlusTimes()
+	protein := make([]spmat.Matrix, 4)
+	hyper := make([]spmat.Matrix, 4)
+	for i := range protein {
+		protein[i] = scrambleColumns(uniformMat(b, 1024, 128, 77, 94+int64(i)), 95)
+		hyper[i] = hyperDCSC(1<<20, 2048, 8, 98+int64(i))
+	}
+	for _, sh := range []struct {
+		name string
+		mats []spmat.Matrix
+	}{{"protein-270-per-col", protein}, {"hypersparse-2-per-col", hyper}} {
+		b.Run(sh.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MergeMat(MergerHash, sh.mats, sr, true, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkMulMatGeneric measures the format-generic multiply with a
+// hypersparse DCSC B (2 entries per stored column, one column in eight
+// stored) against a CSC A, at one and two threads.
+func BenchmarkMulMatGeneric(b *testing.B) {
+	sr := semiring.PlusTimes()
+	a := uniformMat(b, 8192, 8192, 4, 96)
+	bm := hyperDCSC(8192, 8192, 8, 97)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("dcsc-B/threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MulMat(KernelHashUnsorted, a, bm, sr, threads)
+			}
+		})
+	}
+}

@@ -2,45 +2,70 @@ package localmm
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
 
-// This file is the format-generic layer of the local kernels: SpGEMM,
-// symbolic SpGEMM, and merge over the spmat.Matrix storage interface. When
-// every operand is CSC it dispatches to the specialized CSC kernels (the
-// historical code paths, bit-identical and allocation-tuned); otherwise it
-// runs a hypersparse-aware implementation that iterates only the *stored*
-// columns of the B-side operand, so symbolic and numeric work on a
-// doubly-compressed block is O(flops + nnz) — never O(cols). That is the
-// in-memory counterpart of the hypersparse wire encoding: at the paper's
-// scale the local blocks have far more columns than nonzeros (Rice-kmers,
-// ~2 nnz/col), and a per-column scan would dominate every stage.
+// This file holds the kernels themselves — SpGEMM, symbolic SpGEMM and merge
+// over the spmat.Matrix storage interface — written once for every format
+// combination. An operand is read through a colView, a positional view of
+// its stored columns: for CSC every column is a slot, for DCSC only the
+// stored ones are, so symbolic and numeric work on a doubly-compressed block
+// is O(flops + nnz) — never O(cols). That is the in-memory counterpart of
+// the hypersparse wire encoding: at the paper's scale the local blocks have
+// far more columns than nonzeros (Rice-kmers, ~2 nnz/col), and a per-column
+// scan would dominate every stage.
 //
 // Output format follows B: the stored columns of A·B are a subset of B's,
 // so a DCSC B yields a DCSC product (a batch piece stays compressed through
 // multiply → merge), while a CSC B keeps the dense-pointer output whose
-// column metadata already exists. Values are bit-identical to the CSC
-// kernels for any format combination: columns are visited in the same
-// ascending order, entries accumulate in the same operand order, and the
-// hash accumulators drain in the same insertion order.
+// column metadata already exists. Values and entry order are bit-identical
+// for any format combination: columns are visited in the same ascending
+// order, entries accumulate in the same operand order, and the hash
+// accumulators drain in the same insertion order.
 
-// colRef is one stored column of a Matrix: its logical index and views of
-// its entries.
-type colRef struct {
-	j    int32
+// colPart is a view of one column's entries.
+type colPart struct {
 	rows []int32
 	vals []float64
 }
 
-// colRefs collects the stored columns of m in ascending column order.
-func colRefs(m spmat.Matrix) []colRef {
-	refs := make([]colRef, 0, m.NonEmptyCols())
-	m.EnumCols(func(j int32, rows []int32, vals []float64) {
-		refs = append(refs, colRef{j: j, rows: rows, vals: vals})
-	})
-	return refs
+// colView is a positional, read-only view of a matrix's columns. Slot p is
+// column p of a CSC, and the p-th stored column — column jc[p] — of a DCSC
+// (compressed set).
+type colView struct {
+	n          int32
+	compressed bool
+	jc         []int32
+	ptr        []int64
+	rows       []int32
+	vals       []float64
+}
+
+// viewOf returns the view of m's storage.
+func viewOf(m spmat.Matrix) colView {
+	if c, ok := m.(*spmat.CSC); ok {
+		return colView{n: c.Cols, ptr: c.ColPtr, rows: c.RowIdx, vals: c.Val}
+	}
+	d := m.ToDCSC()
+	return colView{n: int32(len(d.JC)), compressed: true, jc: d.JC, ptr: d.CP, rows: d.IR, vals: d.Num}
+}
+
+// col returns the entries of slot p.
+func (v *colView) col(p int32) ([]int32, []float64) {
+	lo, hi := v.ptr[p], v.ptr[p+1]
+	return v.rows[lo:hi], v.vals[lo:hi]
+}
+
+// index returns the logical column of slot p.
+func (v *colView) index(p int32) int32 {
+	if v.compressed {
+		return v.jc[p]
+	}
+	return p
 }
 
 // checkMulShapesMat panics on inner-dimension mismatch.
@@ -108,13 +133,14 @@ func MatFlops(a, b spmat.Matrix) int64 {
 	return total
 }
 
-// matColFlops returns the flop count of every stored output column.
-func matColFlops(a spmat.Matrix, bRefs []colRef) []int64 {
+// matColFlops returns the flop count of every slot of B.
+func matColFlops(a spmat.Matrix, bv *colView) []int64 {
 	cur := cursorFor(a)
-	out := make([]int64, len(bRefs))
-	for p, ref := range bRefs {
+	out := make([]int64, bv.n)
+	for p := range out {
+		rows, _ := bv.col(int32(p))
 		var f int64
-		for _, i := range ref.rows {
+		for _, i := range rows {
 			f += cur.ColNNZ(i)
 		}
 		out[p] = f
@@ -122,309 +148,173 @@ func matColFlops(a spmat.Matrix, bRefs []colRef) []int64 {
 	return out
 }
 
-// matColNNZ is the symbolic pass of the generic kernels: exact distinct-row
-// counts for every stored output column, computed by pooled workers over
-// flop-balanced ranges of stored-column positions.
-func matColNNZ(a spmat.Matrix, bRefs []colRef, colFlops []int64, bounds []int32) []int64 {
-	colNNZ := make([]int64, len(bRefs))
-	runWorkers(bounds, func(w *mmWorker, lo, hi int32) {
+// SymbolicMat computes nnz(A·B) without forming the product — LOCALSYMBOLIC
+// of Alg 3 — over any format combination, with threads worker goroutines
+// counting distinct output rows per column over flop-balanced ranges of B's
+// slots. Work on a doubly-compressed B is O(flops + nnz(B)). Serial CSC
+// operands take SymbolicSpGEMM's dense stamp array instead; the count is the
+// same for every format and thread count.
+func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
+	bv := viewOf(b)
+	threads = clampThreads(threads, bv.n)
+	if ac, ok := a.(*spmat.CSC); ok && threads == 1 {
+		if bc, ok := b.(*spmat.CSC); ok {
+			return SymbolicSpGEMM(ac, bc)
+		}
+	}
+	checkMulShapesMat(a, b)
+	aRows, _ := a.Dims()
+	colFlops := matColFlops(a, &bv)
+	var total atomic.Int64
+	runWorkers(flopBounds(colFlops, threads), func(w *mmWorker, lo, hi int32) {
 		cur := cursorFor(a)
+		var n int64
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue
 			}
-			set := w.setFor(colFlops[p])
-			for _, i := range bRefs[p].rows {
+			w.set.sizeFor(colFlops[p], aRows)
+			bRows, _ := bv.col(p)
+			for _, i := range bRows {
 				rws, _ := cur.Column(i)
 				for _, r := range rws {
-					set.insert(r)
+					w.set.insert(r)
 				}
 			}
-			colNNZ[p] = int64(len(set.occupied))
+			n += int64(len(w.set.occupied))
 		}
+		total.Add(n)
 	})
-	return colNNZ
+	return total.Load()
 }
 
-// matThreads bounds the worker count by the stored-column count, keeping at
-// least one.
-func matThreads(threads, stored int) int {
-	if threads > stored {
-		threads = stored
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	return threads
+// ParallelSymbolicSpGEMM is SymbolicMat over CSC operands.
+func ParallelSymbolicSpGEMM(a, b *spmat.CSC, threads int) int64 {
+	return SymbolicMat(a, b, threads)
 }
 
-// SymbolicMat computes nnz(A·B) without forming the product, over any format
-// combination. Work on a doubly-compressed B is O(flops + nnz(B)).
-func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
-	if ac, ok := a.(*spmat.CSC); ok {
-		if bc, ok := b.(*spmat.CSC); ok {
-			return ParallelSymbolicSpGEMM(ac, bc, threads)
-		}
-	}
-	checkMulShapesMat(a, b)
-	bRefs := colRefs(b)
-	colFlops := matColFlops(a, bRefs)
-	threads = matThreads(threads, len(bRefs))
-	var total int64
-	for _, n := range matColNNZ(a, bRefs, colFlops, flopBounds(colFlops, threads)) {
-		total += n
-	}
-	return total
-}
-
-// MulMat computes A·B with the selected kernel over any format combination,
-// with threads worker goroutines (threads <= 1 is effectively serial: one
-// flop-balanced range). Both-CSC operands dispatch to ParallelSpGEMM; the
-// generic path uses the same two-phase exact-allocation plan driven by B's
-// stored columns only.
+// MulMat computes A·B with the selected kernel over any format combination
+// by the one-pass plan of parallel.go, with threads worker goroutines
+// (threads <= 1 runs on the caller's goroutine) over flop-balanced ranges of
+// B's slots.
 func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Matrix {
-	if ac, ok := a.(*spmat.CSC); ok {
-		if bc, ok := b.(*spmat.CSC); ok {
-			return ParallelSpGEMM(k, ac, bc, sr, threads)
-		}
-	}
 	checkMulShapesMat(a, b)
 	if (k == KernelHeap || k == KernelHybrid) && !a.Sorted() {
-		// The heap-based kernels require sorted A columns; restore once,
-		// shared read-only by all workers (same policy as the CSC kernels).
+		// The heap-based kernels require sorted A columns; restore once, on
+		// a copy shared read-only by all workers.
 		a = a.CloneMat()
 		a.SortColumns()
 	}
 	aRows, _ := a.Dims()
 	_, bCols := b.Dims()
-	bRefs := colRefs(b)
-	colFlops := matColFlops(a, bRefs)
-	threads = matThreads(threads, len(bRefs))
-	bounds := flopBounds(colFlops, threads)
-
-	// Phase 1: exact per-column output sizes.
-	colNNZ := matColNNZ(a, bRefs, colFlops, bounds)
-
-	// Exact single allocation; stored output columns are the stored B
-	// columns with nonzero flops.
+	bv := viewOf(b)
+	colFlops := matColFlops(a, &bv)
+	counts := make([]int64, bv.n)
 	sortedOut := k != KernelHashUnsorted
-	dst := newMatBuilder(b.Format(), aRows, bCols, bRefs, colNNZ, sortedOut)
-
-	// Phase 2: numeric fill, each column written at its final offset.
 	plusTimes := sr.IsPlusTimes()
-	runWorkers(bounds, func(w *mmWorker, lo, hi int32) {
+	var out spmat.Matrix
+	onePass(flopBounds(colFlops, clampThreads(threads, bv.n)), func(w *mmWorker, lo, hi int32) {
 		cur := cursorFor(a)
 		for p := lo; p < hi; p++ {
-			if colNNZ[p] == 0 {
+			if colFlops[p] == 0 {
 				continue
 			}
-			dstRows, dstVals := dst.column(p)
-			switch {
-			case k == KernelHeap,
-				k == KernelHybrid && colFlops[p] <= hybridHeapThreshold:
-				outRows, _ := heapMulColumnMat(w, &cur, bRefs[p].rows, bRefs[p].vals, sr, plusTimes,
-					dstRows[:0:len(dstRows)], dstVals[:0:len(dstVals)])
-				checkColumnFill(outRows, int64(len(dstRows)))
-			default:
-				acc := w.accFor(colFlops[p])
-				hashAccumulateColumnMat(acc, &cur, bRefs[p].rows, bRefs[p].vals, sr, plusTimes)
-				acc.drainAt(dstRows, dstVals)
-				if sortedOut {
-					sortColumnSlices(dstRows, dstVals)
-				}
+			start := len(w.rows)
+			bRows, bVals := bv.col(p)
+			if k == KernelHeap || k == KernelHybrid && colFlops[p] <= hybridHeapThreshold {
+				w.heapMulColumn(&cur, bRows, bVals, sr, plusTimes)
+			} else {
+				w.acc.sizeFor(colFlops[p], aRows)
+				hashAccumulateColumn(&w.acc, &cur, bRows, bVals, sr, plusTimes)
+				w.drain(sortedOut)
 			}
+			counts[p] = int64(len(w.rows) - start)
 		}
+	}, func() (ir []int32, num []float64) {
+		out, ir, num = newOutput(aRows, bCols, bv.jc, bv.compressed, counts, sortedOut)
+		return ir, num
 	})
-	return dst.finish()
+	return out
 }
 
-// matBuilder assembles the exactly-sized output of the generic two-phase
-// kernels in either format. For DCSC output only the nonzero-count columns
-// get JC/CP entries — no O(cols) array exists at any point; for CSC output
-// the dense ColPtr is scattered from the stored counts.
-type matBuilder struct {
-	csc  *spmat.CSC
-	dcsc *spmat.DCSC
-	// colPtr parallels the refs list: colPtr[p] : colPtr[p+1] is stored
-	// column p's range in the entry arrays, with repeated offsets for
-	// zero-count columns. It is NOT dcsc.CP, which skips those columns and
-	// has one entry per JC entry only.
-	colPtr []int64
-	ir     []int32
-	num    []float64
+// ParallelSpGEMM is MulMat over CSC operands: the selected kernel with
+// threads worker goroutines, CSC in and CSC out.
+func ParallelSpGEMM(k Kernel, a, b *spmat.CSC, sr *semiring.Semiring, threads int) *spmat.CSC {
+	return MulMat(k, a, b, sr, threads).(*spmat.CSC)
 }
 
-// newMatBuilder sizes the output arrays from the symbolic counts.
-func newMatBuilder(f spmat.Format, rows, cols int32, refs []colRef, colNNZ []int64, sorted bool) *matBuilder {
-	b := &matBuilder{}
-	if f == spmat.FormatDCSC {
-		d := &spmat.DCSC{Rows: rows, Cols: cols, CP: make([]int64, 1, len(refs)+1), SortedCols: sorted}
-		var nnz int64
-		b.colPtr = make([]int64, 0, len(refs)+1)
-		b.colPtr = append(b.colPtr, 0)
-		for p := range refs {
-			if colNNZ[p] == 0 {
-				// Absent from the output; repeat the offset so column p's
-				// range is empty.
-				b.colPtr = append(b.colPtr, nnz)
-				continue
-			}
-			nnz += colNNZ[p]
-			d.JC = append(d.JC, refs[p].j)
-			d.CP = append(d.CP, nnz)
-			b.colPtr = append(b.colPtr, nnz)
-		}
-		d.IR = make([]int32, nnz)
-		d.Num = make([]float64, nnz)
-		b.dcsc, b.ir, b.num = d, d.IR, d.Num
-		return b
+// drain appends the accumulator's column to the worker's chunk in insertion
+// order, sorting it in place when the output is to be sorted.
+func (w *mmWorker) drain(sorted bool) {
+	start := len(w.rows)
+	w.rows, w.vals = w.acc.drainInto(w.rows, w.vals)
+	if sorted {
+		w.sorter.Sort(w.rows[start:], w.vals[start:])
 	}
-	c := &spmat.CSC{Rows: rows, Cols: cols, ColPtr: make([]int64, cols+1), SortedCols: sorted}
-	b.colPtr = make([]int64, len(refs)+1)
+}
+
+// newOutput allocates the exactly-sized output of the one-pass plan from the
+// per-slot entry counts and returns it with its entry arrays. A CSC output's
+// slots are its columns; slot p of a DCSC output is column jc[p], and only
+// the slots that received entries get JC/CP entries — no O(cols) array
+// exists at any point.
+func newOutput(rows, cols int32, jc []int32, dcsc bool, counts []int64, sorted bool) (spmat.Matrix, []int32, []float64) {
+	if !dcsc {
+		c := &spmat.CSC{Rows: rows, Cols: cols, ColPtr: make([]int64, cols+1), SortedCols: sorted}
+		nnz := prefixToColPtr(counts, c.ColPtr)
+		c.RowIdx, c.Val = make([]int32, nnz), make([]float64, nnz)
+		return c, c.RowIdx, c.Val
+	}
+	stored := 0
+	for _, n := range counts {
+		if n > 0 {
+			stored++
+		}
+	}
+	d := &spmat.DCSC{Rows: rows, Cols: cols, JC: make([]int32, 0, stored), CP: make([]int64, 1, stored+1), SortedCols: sorted}
 	var nnz int64
-	for p := range refs {
-		b.colPtr[p] = nnz
-		nnz += colNNZ[p]
-		c.ColPtr[refs[p].j+1] = colNNZ[p]
-	}
-	b.colPtr[len(refs)] = nnz
-	for j := int32(0); j < cols; j++ {
-		c.ColPtr[j+1] += c.ColPtr[j]
-	}
-	c.RowIdx = make([]int32, nnz)
-	c.Val = make([]float64, nnz)
-	b.csc, b.ir, b.num = c, c.RowIdx, c.Val
-	return b
-}
-
-// column returns the destination slices of stored column p.
-func (b *matBuilder) column(p int32) ([]int32, []float64) {
-	lo, hi := b.colPtr[p], b.colPtr[p+1]
-	return b.ir[lo:hi], b.num[lo:hi]
-}
-
-// finish returns the built matrix.
-func (b *matBuilder) finish() spmat.Matrix {
-	if b.dcsc != nil {
-		return b.dcsc
-	}
-	return b.csc
-}
-
-// hashAccumulateColumnMat is hashAccumulateColumn over the storage
-// interface: one output column's products fed into acc, in the same operand
-// order as the CSC kernels. The A side is accessed through the caller's
-// positional cursor, so the per-entry lookup is amortized O(1) on sorted B
-// columns instead of the O(log nzc) binary search of Matrix.Column.
-func hashAccumulateColumnMat(acc *hashAccum, a *aCursor, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
-	if plusTimes {
-		for p := range bRows {
-			i, bv := bRows[p], bVals[p]
-			aRows, aVals := a.Column(i)
-			for q := range aRows {
-				acc.addPlus(aRows[q], aVals[q]*bv)
-			}
-		}
-	} else {
-		for p := range bRows {
-			i, bv := bRows[p], bVals[p]
-			aRows, aVals := a.Column(i)
-			for q := range aRows {
-				acc.add(aRows[q], sr.Mul(aVals[q], bv), sr.Add)
-			}
+	for p, n := range counts {
+		if n > 0 {
+			nnz += n
+			d.JC = append(d.JC, jc[p])
+			d.CP = append(d.CP, nnz)
 		}
 	}
+	d.IR, d.Num = make([]int32, nnz), make([]float64, nnz)
+	return d, d.IR, d.Num
 }
 
-// heapMulColumnMat is heapMulColumn over the storage interface: the column
-// views of A are fetched once per contributing entry (through the caller's
-// positional cursor) into the worker's pooled scratch and cursored by index
-// — no per-column allocation, like the CSC kernel. Push order and tie
-// handling match the CSC version exactly, so the output is bit-identical.
-func heapMulColumnMat(w *mmWorker, a *aCursor, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool, rows []int32, vals []float64) ([]int32, []float64) {
-	if cap(w.aRowsV) < len(bRows) {
-		w.aRowsV = make([][]int32, len(bRows))
-		w.aValsV = make([][]float64, len(bRows))
+// checkMergeShapes verifies all operands share one shape and returns it.
+func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
+	if len(mats) == 0 {
+		panic("localmm: merge of zero matrices")
 	}
-	aRowsV := w.aRowsV[:len(bRows)]
-	aValsV := w.aValsV[:len(bRows)]
-	h := w.heap[:0]
-	for li, i := range bRows {
-		r, v := a.Column(i)
-		aRowsV[li], aValsV[li] = r, v
-		if len(r) > 0 {
-			h.push(heapEntry{row: r[0], list: int32(li), ptr: 0})
+	rows, cols = mats[0].Dims()
+	for _, m := range mats {
+		if r, c := m.Dims(); r != rows || c != cols {
+			panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
 		}
 	}
-	for len(h) > 0 {
-		e := h.pop()
-		row := e.row
-		var acc float64
-		first := true
-		for {
-			var prod float64
-			if plusTimes {
-				prod = aValsV[e.list][e.ptr] * bVals[e.list]
-			} else {
-				prod = sr.Mul(aValsV[e.list][e.ptr], bVals[e.list])
-			}
-			if first {
-				acc, first = prod, false
-			} else if plusTimes {
-				acc += prod
-			} else {
-				acc = sr.Add(acc, prod)
-			}
-			if next := e.ptr + 1; next < int64(len(aRowsV[e.list])) {
-				h.push(heapEntry{row: aRowsV[e.list][next], list: e.list, ptr: next})
-			}
-			if len(h) == 0 || h[0].row != row {
-				break
-			}
-			e = h.pop()
-		}
-		rows = append(rows, row)
-		vals = append(vals, acc)
-	}
-	w.heap = h
-	return rows, vals
+	return rows, cols
 }
 
 // MergeMat adds same-shaped matrices entry-wise with the selected merger
 // over any format combination (operands may even mix formats, as Merge-Fiber
-// sees under the auto heuristic). All-CSC operands dispatch to
-// ParallelMerge; the generic path walks the union of stored columns — a
-// k-way merge over the operands' ascending column lists, O(Σ nzc) — and
-// runs the same two-phase exact-allocation plan as MulMat. Output is DCSC
-// when every operand is DCSC, CSC otherwise.
+// sees under the auto heuristic) by the one-pass plan of parallel.go, with
+// threads worker goroutines over ranges balanced by input entries. When
+// every operand is DCSC the slots are the union of their stored columns — a
+// k-way merge of the ascending column lists, O(Σ nzc) — and the output is
+// DCSC; otherwise the slots are the columns and the output is CSC.
+// sortOutput only affects MergerHash; the heap merge needs sorted operands
+// (unsorted ones are sorted on copies) and always emits sorted columns.
+//
+// A sorted input can still contain duplicate row indices within a column
+// (e.g. the concatenated outputs of independent SUMMA stages). Both mergers
+// accumulate those duplicates, so the output of a real merge is
+// duplicate-free; a single operand under MergerHash is only copied.
 func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) spmat.Matrix {
-	if len(mats) == 0 {
-		panic("localmm: merge of zero matrices")
-	}
-	allCSC := true
-	allDCSC := true
-	for _, m := range mats {
-		if m.Format() == spmat.FormatCSC {
-			allDCSC = false
-		} else {
-			allCSC = false
-		}
-	}
-	if allCSC {
-		cs := make([]*spmat.CSC, len(mats))
-		for i, m := range mats {
-			cs[i] = m.ToCSC()
-		}
-		return ParallelMerge(mg, cs, sr, sortOutput, threads)
-	}
-	rows, cols := mats[0].Dims()
-	for _, m := range mats {
-		r, c := m.Dims()
-		if r != rows || c != cols {
-			panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
-		}
-	}
-	if len(mats) == 1 {
+	rows, cols := checkMergeShapes(mats)
+	if len(mats) == 1 && mg == MergerHash {
 		out := mats[0].CloneMat()
 		if sortOutput {
 			out.SortColumns()
@@ -432,167 +322,132 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 		return out
 	}
 	if mg == MergerHeap {
-		// The heap merge needs sorted operands and always emits sorted
-		// columns; restore the invariant once, on copies.
 		sortOutput = true
 		sorted := make([]spmat.Matrix, len(mats))
 		for i, m := range mats {
-			if m.Sorted() {
-				sorted[i] = m
-			} else {
-				cp := m.CloneMat()
-				cp.SortColumns()
-				sorted[i] = cp
+			if !m.Sorted() {
+				m = m.CloneMat()
+				m.SortColumns()
 			}
+			sorted[i] = m
 		}
 		mats = sorted
 	}
-
-	union := unionCols(mats)
-	colIn := make([]int64, len(union))
-	for u, uc := range union {
-		var n int64
-		for _, part := range uc.parts {
-			n += int64(len(part.rows))
-		}
-		colIn[u] = n
+	views := make([]colView, len(mats))
+	allDCSC := true
+	for i, m := range mats {
+		views[i] = viewOf(m)
+		allDCSC = allDCSC && views[i].compressed
 	}
-	threads = matThreads(threads, len(union))
-	bounds := flopBounds(colIn, threads)
-
-	// Phase 1: exact merged sizes (a stored input column has at least one
-	// entry, so every union column stays non-empty).
-	colNNZ := make([]int64, len(union))
-	runWorkers(bounds, func(w *mmWorker, lo, hi int32) {
-		for u := lo; u < hi; u++ {
-			set := w.setFor(colIn[u])
-			for _, part := range union[u].parts {
-				for _, r := range part.rows {
-					set.insert(r)
-				}
-			}
-			colNNZ[u] = int64(len(set.occupied))
-		}
-	})
-
-	outFmt := spmat.FormatCSC
+	// The output's slots and the input entries of each: the union of the
+	// stored columns when the output is DCSC, every column otherwise.
+	slots := colView{n: cols}
+	var colIn []int64
 	if allDCSC {
-		outFmt = spmat.FormatDCSC
+		slots.compressed = true
+		slots.jc, colIn = unionCols(views)
+		slots.n = int32(len(colIn))
+	} else {
+		colIn = make([]int64, cols)
+		for i := range views {
+			v := &views[i]
+			for p := int32(0); p < v.n; p++ {
+				colIn[v.index(p)] += v.ptr[p+1] - v.ptr[p]
+			}
+		}
 	}
-	refs := make([]colRef, len(union))
-	for u := range union {
-		refs[u] = colRef{j: union[u].j}
-	}
-	dst := newMatBuilder(outFmt, rows, cols, refs, colNNZ, sortOutput)
-
-	// Phase 2: numeric fill.
+	counts := make([]int64, slots.n)
 	plusTimes := sr.IsPlusTimes()
-	runWorkers(bounds, func(w *mmWorker, lo, hi int32) {
-		for u := lo; u < hi; u++ {
-			dstRows, dstVals := dst.column(u)
-			if mg == MergerHeap {
-				outRows, _ := heapMergeColumnMat(&w.heap, union[u].parts, sr, plusTimes,
-					dstRows[:0:len(dstRows)], dstVals[:0:len(dstVals)])
-				checkColumnFill(outRows, int64(len(dstRows)))
+	var out spmat.Matrix
+	onePass(flopBounds(colIn, clampThreads(threads, slots.n)), func(w *mmWorker, lo, hi int32) {
+		w.seek(views, slots.index(lo))
+		for p := lo; p < hi; p++ {
+			if colIn[p] == 0 {
 				continue
 			}
-			acc := w.accFor(colIn[u])
-			for _, part := range union[u].parts {
-				if plusTimes {
-					for p := range part.rows {
-						acc.addPlus(part.rows[p], part.vals[p])
-					}
-				} else {
-					for p := range part.rows {
-						acc.add(part.rows[p], part.vals[p], sr.Add)
-					}
-				}
+			start := len(w.rows)
+			parts := w.gather(views, slots.index(p))
+			if mg == MergerHeap {
+				w.heapMergeColumn(parts, sr, plusTimes)
+			} else {
+				w.acc.sizeFor(colIn[p], rows)
+				hashAccumulateParts(&w.acc, parts, sr, plusTimes)
+				w.drain(sortOutput)
 			}
-			acc.drainAt(dstRows, dstVals)
-			if sortOutput {
-				sortColumnSlices(dstRows, dstVals)
-			}
+			counts[p] = int64(len(w.rows) - start)
 		}
+	}, func() (ir []int32, num []float64) {
+		out, ir, num = newOutput(rows, cols, slots.jc, allDCSC, counts, sortOutput)
+		return ir, num
 	})
-	return dst.finish()
+	return out
 }
 
-// unionCol is one column of the merged output: its logical index and the
-// contributing operands' column views, in operand order (the order the CSC
-// merge accumulates in, which fixes the floating-point result).
-type unionCol struct {
-	j     int32
-	parts []colRef
-}
-
-// unionCols k-way-merges the operands' stored-column lists into the
-// ascending union, gathering each column's contributions.
-func unionCols(mats []spmat.Matrix) []unionCol {
-	refs := make([][]colRef, len(mats))
+// unionCols k-way-merges the stored-column lists of doubly-compressed
+// operands into their ascending union, with each union column's total entry
+// count.
+func unionCols(views []colView) (union []int32, colIn []int64) {
 	total := 0
-	for i, m := range mats {
-		refs[i] = colRefs(m)
-		total += len(refs[i])
+	for i := range views {
+		total += int(views[i].n)
 	}
-	idx := make([]int, len(mats))
-	out := make([]unionCol, 0, total)
+	union, colIn = make([]int32, 0, total), make([]int64, 0, total)
+	idx := make([]int32, len(views))
 	for {
 		minJ := int32(-1)
-		for i := range mats {
-			if idx[i] < len(refs[i]) {
-				if j := refs[i][idx[i]].j; minJ < 0 || j < minJ {
+		for i := range views {
+			if idx[i] < views[i].n {
+				if j := views[i].jc[idx[i]]; minJ < 0 || j < minJ {
 					minJ = j
 				}
 			}
 		}
 		if minJ < 0 {
-			return out
+			return union, colIn
 		}
-		uc := unionCol{j: minJ}
-		for i := range mats {
-			if idx[i] < len(refs[i]) && refs[i][idx[i]].j == minJ {
-				uc.parts = append(uc.parts, refs[i][idx[i]])
+		var n int64
+		for i := range views {
+			if v := &views[i]; idx[i] < v.n && v.jc[idx[i]] == minJ {
+				n += v.ptr[idx[i]+1] - v.ptr[idx[i]]
 				idx[i]++
 			}
 		}
-		out = append(out, uc)
+		union = append(union, minJ)
+		colIn = append(colIn, n)
 	}
 }
 
-// heapMergeColumnMat k-way-merges one column's (sorted) contributions,
-// matching heapMergeColumn's push order and tie handling.
-func heapMergeColumnMat(hp *rowHeap, parts []colRef, sr *semiring.Semiring, plusTimes bool, rows []int32, vals []float64) ([]int32, []float64) {
-	h := (*hp)[:0]
-	for pi := range parts {
-		if len(parts[pi].rows) > 0 {
-			h.push(heapEntry{row: parts[pi].rows[0], list: int32(pi), ptr: 0})
+// seek positions the worker's per-operand cursors at the first stored column
+// >= j of every doubly-compressed operand. A worker visits the columns of
+// its range in ascending order, so from here gather only steps forward.
+func (w *mmWorker) seek(views []colView, j int32) {
+	w.pos = append(w.pos[:0], make([]int, len(views))...)
+	for i := range views {
+		if v := &views[i]; v.compressed {
+			w.pos[i], _ = slices.BinarySearch(v.jc, j)
 		}
 	}
-	for len(h) > 0 {
-		e := h.pop()
-		row := e.row
-		var acc float64
-		first := true
-		for {
-			v := parts[e.list].vals[e.ptr]
-			if first {
-				acc, first = v, false
-			} else if plusTimes {
-				acc += v
-			} else {
-				acc = sr.Add(acc, v)
+}
+
+// gather collects the operands' non-empty contributions to column j into the
+// worker's scratch, in operand order (the order every merger accumulates in,
+// which fixes the floating-point result), advancing the cursors past j.
+func (w *mmWorker) gather(views []colView, j int32) []colPart {
+	parts := w.parts[:0]
+	for i := range views {
+		v := &views[i]
+		p := j
+		if v.compressed {
+			if w.pos[i] == int(v.n) || v.jc[w.pos[i]] != j {
+				continue
 			}
-			if next := e.ptr + 1; next < int64(len(parts[e.list].rows)) {
-				h.push(heapEntry{row: parts[e.list].rows[next], list: e.list, ptr: next})
-			}
-			if len(h) == 0 || h[0].row != row {
-				break
-			}
-			e = h.pop()
+			p = int32(w.pos[i])
+			w.pos[i]++
 		}
-		rows = append(rows, row)
-		vals = append(vals, acc)
+		if rows, vals := v.col(p); len(rows) > 0 {
+			parts = append(parts, colPart{rows: rows, vals: vals})
+		}
 	}
-	*hp = h
-	return rows, vals
+	w.parts = parts
+	return parts
 }

@@ -1,25 +1,9 @@
 package localmm
 
 import (
-	"fmt"
-
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
-
-// checkMergeShapes verifies all operands share one shape and returns it.
-func checkMergeShapes(mats []*spmat.CSC) (rows, cols int32) {
-	if len(mats) == 0 {
-		panic("localmm: merge of zero matrices")
-	}
-	rows, cols = mats[0].Rows, mats[0].Cols
-	for _, m := range mats {
-		if m.Rows != rows || m.Cols != cols {
-			panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
-		}
-	}
-	return rows, cols
-}
 
 // HashMerge adds a collection of same-shaped matrices entry-wise using a hash
 // accumulator per column. It accepts unsorted inputs and produces unsorted
@@ -27,63 +11,7 @@ func checkMergeShapes(mats []*spmat.CSC) (rows, cols int32) {
 // does not). This is the paper's new "unsorted-hash-merge" (Sec. IV-D),
 // reported an order of magnitude faster than heap merging.
 func HashMerge(mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool) *spmat.CSC {
-	rows, cols := checkMergeShapes(mats)
-	if len(mats) == 1 {
-		out := mats[0].Clone()
-		if sortOutput {
-			out.SortColumns()
-		}
-		return out
-	}
-	c := &spmat.CSC{
-		Rows:       rows,
-		Cols:       cols,
-		ColPtr:     make([]int64, cols+1),
-		SortedCols: false,
-	}
-	plusTimes := sr.IsPlusTimes()
-	var acc *hashAccum
-	for j := int32(0); j < cols; j++ {
-		var colNNZ int64
-		for _, m := range mats {
-			colNNZ += m.ColNNZ(j)
-		}
-		if colNNZ == 0 {
-			c.ColPtr[j+1] = int64(len(c.RowIdx))
-			continue
-		}
-		if acc == nil || 2*colNNZ > int64(len(acc.rows)) {
-			acc = newHashAccum(colNNZ)
-		} else {
-			acc.reset()
-		}
-		hashAccumulateMergeColumn(acc, mats, j, sr, plusTimes)
-		lo := int64(len(c.RowIdx))
-		c.RowIdx, c.Val = acc.drainInto(c.RowIdx, c.Val)
-		if sortOutput {
-			sortColumnSlices(c.RowIdx[lo:], c.Val[lo:])
-		}
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
-	}
-	c.SortedCols = sortOutput
-	return c
-}
-
-// hashAccumulateMergeColumn feeds column j of every operand into acc: the
-// shared inner loop of HashMerge and the parallel hash merge.
-func hashAccumulateMergeColumn(acc *hashAccum, mats []*spmat.CSC, j int32, sr *semiring.Semiring, plusTimes bool) {
-	for _, m := range mats {
-		rws, vls := m.Column(j)
-		if plusTimes {
-			for p := range rws {
-				acc.addPlus(rws[p], vls[p])
-			}
-		} else {
-			for p := range rws {
-				acc.add(rws[p], vls[p], sr.Add)
-			}
-		}
-	}
+	return ParallelMerge(MergerHash, mats, sr, sortOutput, 1)
 }
 
 // HeapMerge adds a collection of same-shaped matrices entry-wise with a
@@ -92,30 +20,17 @@ func hashAccumulateMergeColumn(acc *hashAccum, mats []*spmat.CSC, j int32, sr *s
 // are sorted first and that cost is charged here, exactly the overhead the
 // sort-free pipeline avoids. Output columns are sorted.
 func HeapMerge(mats []*spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	rows, cols := checkMergeShapes(mats)
-	sorted := make([]*spmat.CSC, len(mats))
+	return ParallelMerge(MergerHeap, mats, sr, true, 1)
+}
+
+// ParallelMerge is MergeMat over CSC operands: the selected merger with
+// threads worker goroutines, CSC in and CSC out.
+func ParallelMerge(mg Merger, mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool, threads int) *spmat.CSC {
+	ms := make([]spmat.Matrix, len(mats))
 	for i, m := range mats {
-		if m.SortedCols {
-			sorted[i] = m
-		} else {
-			cp := m.Clone()
-			cp.SortColumns()
-			sorted[i] = cp
-		}
+		ms[i] = m
 	}
-	c := &spmat.CSC{
-		Rows:       rows,
-		Cols:       cols,
-		ColPtr:     make([]int64, cols+1),
-		SortedCols: true,
-	}
-	plusTimes := sr.IsPlusTimes()
-	var h rowHeap
-	for j := int32(0); j < cols; j++ {
-		c.RowIdx, c.Val = heapMergeColumn(&h, sorted, j, sr, plusTimes, c.RowIdx, c.Val)
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
-	}
-	return c
+	return MergeMat(mg, ms, sr, sortOutput, threads).(*spmat.CSC)
 }
 
 // Note: a sorted input can still contain duplicate row indices within a

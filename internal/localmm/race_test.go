@@ -58,9 +58,10 @@ func TestParallelKernelsRace(t *testing.T) {
 }
 
 // TestDCSCParallelKernelsRace is the doubly-compressed counterpart of
-// TestParallelKernelsRace: the generic two-phase kernels and merges at high
-// thread counts over hypersparse DCSC operands (shared read-only views,
-// pooled workers, exact-offset shared output arrays), plus concurrent
+// TestParallelKernelsRace: the one-pass kernels and merges at high thread
+// counts over hypersparse DCSC operands (shared read-only views, free-listed
+// workers, chunks copied into disjoint ranges of the shared output), plus
+// concurrent
 // multiplies the way SUMMA ranks race. Run under `go test -race`.
 func TestDCSCParallelKernelsRace(t *testing.T) {
 	if testing.Short() {

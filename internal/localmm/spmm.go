@@ -8,11 +8,12 @@ import (
 
 // This file holds the local sparse×dense kernels of the SpMM engine: SpMM
 // (C = A·B with A sparse and B a row-major dense panel) and SDDMM (sampled
-// dense-dense, C = S ∘ (U·Vᵀ)). Both follow the two-phase plan of the SpGEMM
-// kernels — sizes are exact before any value is written, the output is
-// allocated once, and flop-balanced workers fill disjoint ranges in place —
-// but the symbolic phase is trivial: a dense output's shape *is* its size,
-// and an SDDMM output's pattern is its sampling matrix's.
+// dense-dense, C = S ∘ (U·Vᵀ)). Both share the SpGEMM kernels' work split
+// (parallel.go: flop-balanced contiguous column ranges, one on the caller's
+// goroutine) but need none of its accumulate-then-place machinery: a dense
+// output's shape *is* its size and an SDDMM output's pattern is its sampling
+// matrix's, so the output exists before any value is computed and workers
+// write disjoint ranges of it in place.
 //
 // SpMM is format-generic over the A operand through spmat.Matrix: stored
 // columns are visited in ascending order whatever the storage, so CSC and
@@ -111,28 +112,24 @@ func SDDMM(s spmat.Matrix, u, v *spmat.DenseMat, threads int) spmat.Matrix {
 		panic(fmt.Sprintf("localmm: SDDMM shapes S=%v U=%v V=%v", s, u, v))
 	}
 	out := s.CloneMat()
-	refs := colRefs(out)
+	sv := viewOf(out)
 	k := int64(u.Cols)
-	colWork := make([]int64, len(refs))
-	for p, ref := range refs {
-		colWork[p] = int64(len(ref.rows)) * k
+	colWork := make([]int64, sv.n)
+	for p := range colWork {
+		colWork[p] = (sv.ptr[p+1] - sv.ptr[p]) * k
 	}
-	threads = clampThreads(threads, int32(len(refs)))
-	if threads < 1 {
-		threads = 1
-	}
-	bounds := flopBounds(colWork, threads)
+	bounds := flopBounds(colWork, clampThreads(threads, sv.n))
 	runWorkers(bounds, func(_ *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
-			ref := refs[p]
-			vrow := v.RowSlice(ref.j)
-			for e, i := range ref.rows {
+			rows, vals := sv.col(p)
+			vrow := v.RowSlice(sv.index(p))
+			for e, i := range rows {
 				urow := u.RowSlice(i)
 				var dot float64
 				for x := range urow {
 					dot += urow[x] * vrow[x]
 				}
-				ref.vals[e] *= dot
+				vals[e] *= dot
 			}
 		}
 	})

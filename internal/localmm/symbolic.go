@@ -1,6 +1,10 @@
 package localmm
 
-import "repro/internal/spmat"
+import (
+	"fmt"
+
+	"repro/internal/spmat"
+)
 
 // Flops returns the number of multiplications needed to compute A·B
 // (the paper's "flops" quantity): Σ_j Σ_{i:B(i,j)≠0} nnz(A(:,i)).
@@ -67,28 +71,8 @@ func SymbolicSpGEMM(a, b *spmat.CSC) int64 {
 // symbolicHashed is the hash-set fallback for enormous row spaces.
 func symbolicHashed(a, b *spmat.CSC) int64 {
 	var total int64
-	var set *rowSet
-	for j := int32(0); j < b.Cols; j++ {
-		bRows, _ := b.Column(j)
-		var colFlops int64
-		for _, i := range bRows {
-			colFlops += a.ColNNZ(i)
-		}
-		if colFlops == 0 {
-			continue
-		}
-		if set == nil || 2*colFlops > int64(len(set.rows)) {
-			set = newRowSet(colFlops)
-		} else {
-			set.reset()
-		}
-		for _, i := range bRows {
-			aRows, _ := a.Column(i)
-			for _, r := range aRows {
-				set.insert(r)
-			}
-		}
-		total += int64(len(set.occupied))
+	for _, n := range SymbolicColNNZ(a, b) {
+		total += n
 	}
 	return total
 }
@@ -97,7 +81,7 @@ func symbolicHashed(a, b *spmat.CSC) int64 {
 func SymbolicColNNZ(a, b *spmat.CSC) []int64 {
 	checkMulShapes(a, b)
 	out := make([]int64, b.Cols)
-	var set *rowSet
+	var set rowSet
 	for j := int32(0); j < b.Cols; j++ {
 		bRows, _ := b.Column(j)
 		var colFlops int64
@@ -107,11 +91,7 @@ func SymbolicColNNZ(a, b *spmat.CSC) []int64 {
 		if colFlops == 0 {
 			continue
 		}
-		if set == nil || 2*colFlops > int64(len(set.rows)) {
-			set = newRowSet(colFlops)
-		} else {
-			set.reset()
-		}
+		set.sizeFor(colFlops, a.Rows)
 		for _, i := range bRows {
 			aRows, _ := a.Column(i)
 			for _, r := range aRows {
@@ -133,68 +113,47 @@ func CompressionFactor(a, b *spmat.CSC) float64 {
 	return float64(Flops(a, b)) / float64(nnz)
 }
 
-// rowSet is an open-addressing set of row indices.
+// rowSet is an open-addressing set of row indices, sized like hashAccum
+// (tableCap) and used by the symbolic entry points only.
 type rowSet struct {
 	rows     []int32
 	mask     int32
 	occupied []int32
 }
 
-func newRowSet(want int64) *rowSet {
-	cap := int32(8)
-	for int64(cap) < 2*want {
-		cap <<= 1
+// sizeFor empties the set and sizes it like hashAccum.sizeFor.
+func (s *rowSet) sizeFor(want int64, rows int32) {
+	c := tableCap(want, rows)
+	if c > len(s.rows) {
+		s.rows, s.occupied = make([]int32, c), make([]int32, 0, c/2)
+		for i := range s.rows {
+			s.rows[i] = emptySlot
+		}
+	} else {
+		for _, i := range s.occupied {
+			s.rows[i] = emptySlot
+		}
+		s.occupied = s.occupied[:0]
 	}
-	s := &rowSet{rows: make([]int32, cap), mask: cap - 1}
-	for i := range s.rows {
-		s.rows[i] = emptySlot
-	}
-	return s
+	s.mask = int32(c - 1)
 }
 
-func (s *rowSet) reset() {
-	for _, i := range s.occupied {
-		s.rows[i] = emptySlot
-	}
-	s.occupied = s.occupied[:0]
-}
-
+// insert adds r to the set; overfilling panics for the reason
+// hashAccum.overfilled gives.
 func (s *rowSet) insert(r int32) {
-	if 2*int32(len(s.occupied)) >= int32(len(s.rows)) {
-		s.grow()
-	}
 	i := int32(uint32(r)*2654435769) & s.mask
 	for {
 		switch s.rows[i] {
 		case r:
 			return
 		case emptySlot:
+			if 2*int32(len(s.occupied)) > s.mask {
+				panic(fmt.Sprintf("localmm: row set sized for %d distinct rows overfilled", (s.mask+1)/2))
+			}
 			s.rows[i] = r
 			s.occupied = append(s.occupied, i)
 			return
 		}
 		i = (i + 1) & s.mask
-	}
-}
-
-func (s *rowSet) grow() {
-	old := make([]int32, 0, len(s.occupied))
-	for _, i := range s.occupied {
-		old = append(old, s.rows[i])
-	}
-	cap := int32(len(s.rows)) * 2
-	s.rows = make([]int32, cap)
-	s.mask = cap - 1
-	s.occupied = s.occupied[:0]
-	for i := range s.rows {
-		s.rows[i] = emptySlot
-	}
-	for _, r := range old {
-		i := int32(uint32(r)*2654435769) & s.mask
-		for s.rows[i] != emptySlot {
-			i = (i + 1) & s.mask
-		}
-		s.rows[i] = r
-		s.occupied = append(s.occupied, i)
 	}
 }

@@ -2,6 +2,7 @@ package localmm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -85,19 +86,37 @@ func TestSymbolicIdentityProduct(t *testing.T) {
 	}
 }
 
-func TestRowSetGrowth(t *testing.T) {
-	s := newRowSet(2)
+// TestRowSetSized: a set sized by tableCap holds its promised distinct rows
+// at load factor <= 0.5, duplicate inserts are idempotent, and overfilling
+// panics instead of letting a later probe spin on a full table.
+func TestRowSetSized(t *testing.T) {
+	var s rowSet
+	s.sizeFor(1000, math.MaxInt32)
 	for r := int32(0); r < 1000; r++ {
 		s.insert(r)
-		s.insert(r) // duplicate inserts must be idempotent
+		s.insert(r)
 	}
 	if len(s.occupied) != 1000 {
 		t.Errorf("set has %d elements, want 1000", len(s.occupied))
 	}
+	if 2*len(s.occupied) > len(s.rows) {
+		t.Errorf("load factor above 0.5: %d rows in %d slots", len(s.occupied), len(s.rows))
+	}
+	var small rowSet
+	small.sizeFor(2, math.MaxInt32)
+	defer func() {
+		if recover() == nil {
+			t.Error("overfilled row set did not panic")
+		}
+	}()
+	for r := int32(0); r < 100; r++ {
+		small.insert(r)
+	}
 }
 
-func TestHashAccumGrowth(t *testing.T) {
-	h := newHashAccum(2)
+func TestHashAccumSized(t *testing.T) {
+	var h hashAccum
+	h.sizeFor(100, math.MaxInt32)
 	for r := int32(0); r < 500; r++ {
 		h.addPlus(r%100, 1) // 100 distinct keys, 5 inserts each
 	}
@@ -110,19 +129,86 @@ func TestHashAccumGrowth(t *testing.T) {
 			t.Errorf("row %d accumulated %v, want 5", rows[i], vals[i])
 		}
 	}
+	var small hashAccum
+	small.sizeFor(2, math.MaxInt32)
+	defer func() {
+		if recover() == nil {
+			t.Error("overfilled accumulator did not panic")
+		}
+	}()
+	for r := int32(0); r < 100; r++ {
+		small.add(r, 1, func(a, b float64) float64 { return a + b })
+	}
 }
 
+// TestTableCapClampsAndFailsLoudly is the regression test for the sizing
+// loop that doubled an int32 until it covered 2*want: from want = 2^30 on it
+// overflowed to a negative, then to 0, and never terminated. A column cannot
+// hold more distinct rows than the operand has, so the request is clamped by
+// the row count; one that still exceeds the slot index range panics at once.
+func TestTableCapClampsAndFailsLoudly(t *testing.T) {
+	for _, c := range []struct {
+		want int64
+		rows int32
+		cap  int
+	}{
+		{0, 10, 8}, {4, 10, 8}, {5, 10, 16}, {8, 100, 16}, {9, 100, 32},
+		{1 << 30, 1000, 2048}, // the overflow case, clamped by rows
+		{1 << 40, 1024, 2048}, // flops far beyond the row count
+		{math.MaxInt64, 1 << 20, 1 << 21},
+		{1 << 29, math.MaxInt32, 1 << 30}, // the largest table there is
+	} {
+		if got := tableCap(c.want, c.rows); got != c.cap {
+			t.Errorf("tableCap(%d, %d) = %d, want %d", c.want, c.rows, got, c.cap)
+		}
+	}
+	// The clamped request builds and works.
+	var acc hashAccum
+	acc.sizeFor(1<<30, 1000)
+	for r := int32(0); r < 1000; r++ {
+		acc.addPlus(r, 1)
+	}
+	if len(acc.occupied) != 1000 {
+		t.Errorf("clamped accumulator holds %d rows, want 1000", len(acc.occupied))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a column of 2^30 distinct rows did not panic")
+		}
+	}()
+	tableCap(1<<30, math.MaxInt32)
+}
+
+// TestHashAccumReset: a re-sized accumulator is empty, and one sized for a
+// smaller column than it was made for probes only that prefix of its
+// table — a short column after a long one stays cache-sized — while holding
+// the same contents it would in a table made at that size.
 func TestHashAccumReset(t *testing.T) {
-	h := newHashAccum(10)
-	h.addPlus(3, 1)
-	h.addPlus(7, 2)
-	h.reset()
+	var h hashAccum
+	h.sizeFor(1000, math.MaxInt32)
+	for r := int32(0); r < 1000; r++ {
+		h.addPlus(r*7919, 1)
+	}
+	h.sizeFor(10, math.MaxInt32)
 	if len(h.occupied) != 0 {
 		t.Fatal("reset did not clear")
 	}
-	h.addPlus(3, 5)
+	var small hashAccum
+	small.sizeFor(10, math.MaxInt32)
+	for r := int32(0); r < 10; r++ {
+		h.addPlus(r*7919, 5)
+		small.addPlus(r*7919, 5)
+	}
+	for i, s := range h.occupied {
+		if int(s) >= len(small.rows) {
+			t.Errorf("slot %d lies outside the %d-slot prefix the column was sized for", s, len(small.rows))
+		}
+		if s != small.occupied[i] {
+			t.Errorf("entry %d sits in slot %d, a fresh table of the same size uses %d", i, s, small.occupied[i])
+		}
+	}
 	rows, vals := h.drainInto(nil, nil)
-	if len(rows) != 1 || vals[0] != 5 {
+	if len(rows) != 10 || vals[0] != 5 {
 		t.Errorf("stale state after reset: %v %v", rows, vals)
 	}
 }

@@ -181,35 +181,12 @@ func (m *CSC) SortColumns() {
 	if m.SortedCols {
 		return
 	}
+	var s PairSorter
 	for j := int32(0); j < m.Cols; j++ {
 		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		sortColumn(m.RowIdx[lo:hi], m.Val[lo:hi])
+		s.Sort(m.RowIdx[lo:hi], m.Val[lo:hi])
 	}
 	m.SortedCols = true
-}
-
-// sortColumn sorts parallel (rows, vals) by row index.
-func sortColumn(rows []int32, vals []float64) {
-	if len(rows) < 2 {
-		return
-	}
-	if sort.SliceIsSorted(rows, func(a, b int) bool { return rows[a] < rows[b] }) {
-		return
-	}
-	s := &colSorter{rows: rows, vals: vals}
-	sort.Sort(s)
-}
-
-type colSorter struct {
-	rows []int32
-	vals []float64
-}
-
-func (s *colSorter) Len() int           { return len(s.rows) }
-func (s *colSorter) Less(i, j int) bool { return s.rows[i] < s.rows[j] }
-func (s *colSorter) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }
 
 // Compact merges duplicate row indices within each column by summing their

@@ -178,9 +178,10 @@ func (d *DCSC) SortColumns() {
 	if d.SortedCols {
 		return
 	}
+	var s PairSorter
 	for p := range d.JC {
 		lo, hi := d.CP[p], d.CP[p+1]
-		sortColumn(d.IR[lo:hi], d.Num[lo:hi])
+		s.Sort(d.IR[lo:hi], d.Num[lo:hi])
 	}
 	d.SortedCols = true
 }

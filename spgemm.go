@@ -8,8 +8,8 @@
 //   - sparse matrices (CSC) with construction, I/O, and manipulation;
 //   - serial and multithreaded SpGEMM kernels over arbitrary semirings (the
 //     paper's sort-free hash kernels and the previous heap/hybrid
-//     generation; Options.Threads and MultiplyParallel select the two-phase
-//     parallel implementation, matching the paper's 16 threads per process);
+//     generation; Options.Threads and MultiplyParallel run them on several
+//     worker goroutines, matching the paper's 16 threads per process);
 //   - Cluster, a simulated distributed machine on which BatchedSUMMA3D — the
 //     paper's integrated communication-avoiding, memory-constrained
 //     algorithm — executes with per-step metering; Options.Pipeline runs the
@@ -220,11 +220,11 @@ func MultiplySerial(a, b *Matrix, sr *Semiring) *Matrix {
 }
 
 // MultiplyParallel computes A·B on the host with the paper's multithreaded
-// sort-free hash kernel (Sec. IV-D): a parallel symbolic pass sizes every
-// output column exactly, then flop-balanced workers fill the columns in
-// place. threads <= 1 is identical to MultiplySerial; results are equal for
-// any thread count (bit-identical after canonical column sorting). A nil
-// semiring means plus-times.
+// sort-free hash kernel (Sec. IV-D): flop-balanced workers each hash their
+// range of output columns once, and the chunks land in an output allocated
+// once at its exact size. threads <= 1 is identical to MultiplySerial;
+// results are bit-identical for any thread count. A nil semiring means
+// plus-times.
 func MultiplyParallel(a, b *Matrix, sr *Semiring, threads int) *Matrix {
 	if sr == nil {
 		sr = semiring.PlusTimes()
@@ -233,7 +233,7 @@ func MultiplyParallel(a, b *Matrix, sr *Semiring, threads int) *Matrix {
 }
 
 // MultiplyDenseSerial computes A·B for a dense panel B on the host with the
-// serial two-phase SpMM kernel — the reference the distributed schedules are
+// serial SpMM kernel — the reference the distributed schedules are
 // bit-identical to.
 func MultiplyDenseSerial(a *Matrix, b *DenseMatrix) *DenseMatrix {
 	return localmm.SpMMSerial(a, b)
