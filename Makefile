@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 GATE_TOL ?= 0.05
 
-.PHONY: all build test race vet doc bench bench-kernels bench-smoke bench-obs trace cover fuzz perfgate baseline plan kernelgate serve soak ci
+.PHONY: all build test race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline plan kernelgate serve soak ci
 
 # all: the tier-1 gate (build + test), the default target.
 all: build test
@@ -24,14 +24,16 @@ test:
 
 # race: the packages that run goroutines (simulated ranks in mpi/core,
 # worker threads in localmm, concurrent jobs in service, the shared
-# kernel-table recalibration in costmodel) under the race detector, race
-# workouts included — the multithreaded kernels, the Pipeline=true broadcast
-# prefetch paths (TestPipelinedSUMMARace), the service concurrency workout
-# (N clients racing the plan cache and the admission scheduler), and the
-# concurrent Observe/Predict/Marshal workout on one kernel cost table are
-# exercised here.
+# kernel-table recalibration in costmodel) or hold state goroutines share
+# (spmat: a block's lazily built column index, reached by every rank the
+# block was broadcast to) under the race detector, race workouts included —
+# the multithreaded kernels, the Pipeline=true broadcast prefetch paths
+# (TestPipelinedSUMMARace), the service concurrency workout (N clients racing
+# the plan cache and the admission scheduler), the concurrent
+# Observe/Predict/Marshal workout on one kernel cost table, and concurrent
+# first lookups on one shared DCSC block are exercised here.
 race:
-	$(GO) test -race ./internal/localmm ./internal/core ./internal/mpi ./internal/service ./internal/costmodel
+	$(GO) test -race ./internal/spmat ./internal/localmm ./internal/core ./internal/mpi ./internal/service ./internal/costmodel
 
 # vet: static analysis over every package.
 vet:
@@ -141,6 +143,40 @@ bench-kernels:
 	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}' \
 	> BENCH_kernels.json
 	@cat BENCH_kernels.json
+
+# bench-engine: regenerate BENCH_engine.json — one whole distributed multiply
+# (host split, 64 or 16 simulated ranks, kernels, merges, assembly or a
+# discarding hook) on the shapes of two bench/ workloads, `kmer-hyper` and
+# `protein-batched` (BenchmarkEngineShapes in bench_test.go; parameters copied
+# from bench/README.md): ns, bytes and allocations per multiply, with the
+# runner's NumCPU, GOMAXPROCS and Go version beside them. Each shape's
+# product is first held to a serial multiply of the unsplit operands by shape
+# and nonzero count, so the target doubles as a smoke test; the nightly
+# workflow runs it as one (ENGINE_BENCHTIME=3x). Wall-clock, informational —
+# the numbers a change is judged on come from bench/ — and the way to see a
+# workload's shape from the root module without touching bench/.
+ENGINE_BENCHTIME ?= 20x
+bench-engine:
+	$(GO) test -run='^$$' -bench='EngineShapes' -benchtime=$(ENGINE_BENCHTIME) . \
+	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
+	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} /^(FAIL|---|panic)/{bad=1} {print > "/dev/stderr"} \
+	  /^Benchmark/{name=$$1; sub(/^BenchmarkEngineShapes\//,"",name); \
+	    if (match(name,/-[0-9]+$$/)) {procs=substr(name,RSTART+1); name=substr(name,1,RSTART-1)} \
+	    for (i=3; i<NF; i+=2) if ($$(i+1)=="ns/op") ns=$$i; else if ($$(i+1)=="B/op") by=$$i; else if ($$(i+1)=="allocs/op") al=$$i; else if ($$(i+1)=="flops/op") fl=$$i; \
+	    vals[n]=sprintf("    \"%s\": {\"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"flops_per_op\": %s}",name,$$2,ns,by,al,fl); n++} \
+	  END{if (bad || n==0) exit 1; print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"regenerate\": \"make bench-engine\",\n  \"shapes\": {\n", cpu, numcpu, procs, gover, goos; \
+	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}' \
+	> BENCH_engine.json
+	@cat BENCH_engine.json
+
+# profile-engine: CPU and allocation profiles of one engine shape, e.g.
+# `make profile-engine SHAPE=protein-batched`, written to cpu.pprof and
+# mem.pprof beside the test binary they were taken from (repro.test); read
+# them with `go tool pprof -top repro.test cpu.pprof` or
+# `go tool pprof -sample_index=alloc_space -top repro.test mem.pprof`.
+SHAPE ?= kmer-hyper
+profile-engine:
+	$(GO) test -run='^$$' -bench='EngineShapes/$(SHAPE)$$' -benchtime=100x -o repro.test -cpuprofile cpu.pprof -memprofile mem.pprof .
 
 # bench-smoke: the end-to-end wall-clock benchmark (bench/, BENCHMARK.json)
 # at toy sizes, then its own vet and tests — which include the replay

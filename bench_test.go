@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	spgemm "repro"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
 	"repro/internal/genmat"
@@ -272,6 +273,89 @@ func benchPipeline(b *testing.B, pipeline bool) {
 
 func BenchmarkSUMMAStaged(b *testing.B)    { benchPipeline(b, false) }
 func BenchmarkSUMMAPipelined(b *testing.B) { benchPipeline(b, true) }
+
+// --- Engine shapes: one distributed multiply with the generator parameters,
+// grid and options of two bench/ workloads (copied from bench/README.md), so a
+// workload's shape can be timed, allocation-counted and profiled from the root
+// module (`make bench-engine`, `make profile-engine SHAPE=kmer-hyper`)
+// without touching bench/. kmer-hyper is the shape where the engine around
+// the kernels is the operation; protein-batched is the one where the kernels
+// are. Before it is timed, each shape's product is held to the serial
+// localmm.MulMat of the unsplit operands by shape and nonzero count — two
+// untimed runs that also fill the kernels' scratch free list. ---
+
+func BenchmarkEngineShapes(b *testing.B) {
+	shapes := []struct {
+		name          string
+		operands      func() (a, bm *spmat.CSC)
+		p, l, threads int
+		// budgeted: MemBytes = 24·(2·nnz(A)+nnz(C))/3, so the symbolic step
+		// must batch, and batches are consumed by a hook and dropped
+		// (core.MultiplyDiscard). Otherwise one batch, assembled.
+		budgeted bool
+	}{
+		{"kmer-hyper", func() (a, bm *spmat.CSC) {
+			a = genmat.Kmer(genmat.KmerConfig{Reads: 4096, Kmers: 262144, KmersPerRead: 24, Overlap: 0.08, Seed: 1})
+			return a, spmat.Transpose(a)
+		}, 64, 16, 1, false},
+		{"protein-batched", func() (a, bm *spmat.CSC) {
+			a = genmat.SymmetricPermute(genmat.ProteinSimilarity(11, 12, 1), 1)
+			return a, a
+		}, 16, 4, 2, true},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			a, bm := sh.operands()
+			want := localmm.MulMat(localmm.KernelHashUnsorted, a, bm, semiring.PlusTimes(), 1)
+			rc := core.RunConfig{P: sh.p, L: sh.l, Cost: costmodel.CoriKNL().Cost(), Opts: core.Options{Threads: sh.threads}}
+			if sh.budgeted {
+				rc.Opts.MemBytes = 24 * (2*a.NNZ() + want.NNZ()) / 3
+			} else {
+				rc.Opts.ForceBatches = 1
+			}
+			// run returns the product's nonzero count: of the assembled C, or
+			// summed by the per-rank hooks over the batches they were shown.
+			run := func() int64 {
+				if !sh.budgeted {
+					c, _, _, err := core.Multiply(a, bm, rc, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if wr, wc := want.Dims(); c.Rows != wr || c.Cols != wc {
+						b.Fatalf("product is %v, serial multiply gives %dx%d", c, wr, wc)
+					}
+					return c.NNZ()
+				}
+				seen := make([]int64, rc.P)
+				_, _, err := core.MultiplyDiscard(a, bm, rc, func(rank int) core.BatchHook {
+					return func(_ int, _ []int32, c *spmat.CSC) *spmat.CSC {
+						seen[rank] += c.NNZ()
+						return nil
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var nnz int64
+				for _, n := range seen {
+					nnz += n
+				}
+				return nnz
+			}
+			for warm := 0; warm < 2; warm++ {
+				if got := run(); got != want.NNZ() {
+					b.Fatalf("product has %d nonzeros, serial multiply gives %d", got, want.NNZ())
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(localmm.Flops(a, bm)), "flops/op")
+		})
+	}
+}
 
 // --- End-to-end application benchmarks. ---
 

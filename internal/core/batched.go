@@ -87,12 +87,15 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 		// the pipelined schedule hoists it into batch t-1's stage loop.
 		tr.SetBatch(t)
 		meter.SetCategory(StepExtract)
-		cols := p.bt.BatchCols(t)
-		var piece spmat.Matrix
+		// A single batch is the whole block column: the stages broadcast
+		// LocalB itself (blocks are shared read-only) and nothing is copied.
+		piece := p.LocalB
 		sec := p.measure(func() {
-			piece = spmat.MatColSelect(p.LocalB, cols)
+			if b > 1 {
+				piece = spmat.MatColSelect(p.LocalB, p.bt.BatchCols(t))
+			}
 		})
-		meter.AddComputeWork(sec, piece.NNZ()+int64(len(cols))+1)
+		meter.AddComputeWork(sec, piece.NNZ()+int64(p.bt.BatchWidth(t))+1)
 		return piece
 	}
 	pieces := make([]spmat.Matrix, 0, b)

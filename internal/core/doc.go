@@ -11,13 +11,23 @@
 //
 // # Execution structure
 //
-// A distributed multiply is launched from the host by Multiply (or
-// MultiplyDiscard) with a RunConfig; each simulated rank builds its grid
-// coordinates (grid.New), extracts its operand pieces (Setup), and calls
-// BatchedSUMMA3D collectively. Inside, Symbolic3D picks the batch count b
-// from the memory budget, and each batch runs the per-layer stage loop
-// (forEachStage → summa2D), the fiber AllToAll, and the fiber merge
-// (summa3DBatch).
+// A distributed multiply is launched from the host by Multiply,
+// MultiplyDiscard or MultiplyRanks with a RunConfig. They are one run
+// (launch): the host deals both operands out to all p ranks in one sweep
+// each (distmat's Split — the only time the engine copies the operands),
+// each simulated rank builds its grid coordinates (grid.New), is handed its
+// pieces (SetupLocal), and calls BatchedSUMMA3D collectively. MultiplyRanks
+// returns the ranks' results as they are, C still distributed; Multiply adds
+// the assembly of the global product (AssembleResults: count, allocate once,
+// place), MultiplyDiscard a hook that empties every batch once the caller's
+// hook has seen it. Setup is the per-rank alternative to the host split — a
+// rank that holds the global operands cuts its own pieces out — for callers
+// already inside a rank (tests, tools); p ranks doing that walk A q times and
+// B q·l times between them, so the host entry points do not. Inside,
+// Symbolic3D picks the
+// batch count b from the memory budget, and each batch runs the per-layer
+// stage loop (forEachStage → summa2D), the fiber AllToAll, and the fiber
+// merge (summa3DBatch).
 //
 // # Schedules
 //

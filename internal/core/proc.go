@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/costmodel"
 	"repro/internal/distmat"
@@ -37,23 +38,22 @@ type Proc struct {
 	sc sparseComm
 }
 
-// Setup distributes the global operands onto the grid: each rank extracts
-// its own piece (the simulated equivalent of reading a pre-distributed
-// matrix). A is rows×inner, B is inner×cols.
+// Setup wires a Proc on one rank that holds the global operands: the rank
+// cuts its own two pieces out (distmat's LocalMat, one pass over the piece's
+// columns). A is rows×inner, B is inner×cols. It is the self-contained form
+// for a caller already inside a rank; the host entry points (Multiply,
+// MultiplyDiscard, SymbolicBatches) instead split both operands once for all
+// ranks and hand each its pieces through SetupLocal: ranks that share a
+// column range would each walk it, A q times and B q·l times in all.
 func Setup(g *grid.Grid3D, a, b *spmat.CSC, opts Options) (*Proc, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("core: inner dimension mismatch: A is %v, B is %v", a, b)
 	}
-	opts = opts.withDefaults()
-	p := &Proc{
-		G:    g,
-		Opts: opts,
-		DA:   distmat.NewADist(a.Rows, a.Cols, g.Q, g.L),
-		DB:   distmat.NewBDist(b.Rows, b.Cols, g.Q, g.L),
-	}
-	p.LocalA = p.DA.LocalMat(a, g.I, g.J, g.K, opts.Format)
-	p.LocalB = p.DB.LocalMat(b, g.I, g.J, g.K, opts.Format)
-	return p, nil
+	da := distmat.NewADist(a.Rows, a.Cols, g.Q, g.L)
+	db := distmat.NewBDist(b.Rows, b.Cols, g.Q, g.L)
+	return SetupLocal(g, da, db,
+		da.LocalMat(a, g.I, g.J, g.K, opts.Format),
+		db.LocalMat(b, g.I, g.J, g.K, opts.Format), opts), nil
 }
 
 // SetupLocal wires a Proc from already-local pieces (used when a pipeline
@@ -103,23 +103,53 @@ type Result struct {
 // hook to prune or stream out batches (HipMCL, Sec. V-C).
 type BatchHook func(batch int, globalCols []int32, c *spmat.CSC) *spmat.CSC
 
-// AssembleResults reconstructs the global C from every rank's Result. Test
-// and verification helper (a real application consumes batches in place).
+// AssembleResults reconstructs the global C from every rank's Result by
+// counting and placing: one pass over the ranks' column pointers sizes every
+// global column, C is allocated once, and each rank column lands with one
+// copy plus its row offset. A global column is shared by the q ranks of one
+// process column, whose row blocks are disjoint and ascend with the process
+// row, so placing them in row-offset order leaves every column sorted
+// without a sort. Nil results (ranks that produced nothing) are skipped.
 func AssembleResults(results []*Result, rows, cols int32) (*spmat.CSC, error) {
-	var ts []spmat.Triple
+	ranks := make([]*Result, 0, len(results))
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		for x := int32(0); x < r.C.Cols; x++ {
-			rws, vls := r.C.Column(x)
-			gc := r.GlobalCols[x]
-			for q := range rws {
-				ts = append(ts, spmat.Triple{Row: rws[q] + r.RowOffset, Col: gc, Val: vls[q]})
-			}
+		if r != nil {
+			ranks = append(ranks, r)
 		}
 	}
-	return spmat.FromTriples(rows, cols, ts, nil)
+	sort.SliceStable(ranks, func(x, y int) bool { return ranks[x].RowOffset < ranks[y].RowOffset })
+	out := &spmat.CSC{Rows: rows, Cols: cols, ColPtr: make([]int64, cols+1), SortedCols: true}
+	for _, r := range ranks {
+		if r.RowOffset < 0 || r.RowOffset+r.C.Rows > rows {
+			return nil, fmt.Errorf("core: result rows [%d,%d) out of range for %dx%d", r.RowOffset, r.RowOffset+r.C.Rows, rows, cols)
+		}
+		out.SortedCols = out.SortedCols && r.C.SortedCols
+		for x, gc := range r.GlobalCols {
+			if gc < 0 || gc >= cols {
+				return nil, fmt.Errorf("core: result column %d out of range for %dx%d", gc, rows, cols)
+			}
+			out.ColPtr[gc+1] += r.C.ColNNZ(int32(x))
+		}
+	}
+	for j := int32(0); j < cols; j++ {
+		out.ColPtr[j+1] += out.ColPtr[j]
+	}
+	out.RowIdx, out.Val = make([]int32, out.ColPtr[cols]), make([]float64, out.ColPtr[cols])
+	next := append([]int64(nil), out.ColPtr[:cols]...)
+	for _, r := range ranks {
+		for x, gc := range r.GlobalCols {
+			rws, vls := r.C.Column(int32(x))
+			at := next[gc]
+			for q, row := range rws {
+				out.RowIdx[at+int64(q)] = row + r.RowOffset
+			}
+			copy(out.Val[at:], vls)
+			next[gc] = at + int64(len(rws))
+		}
+	}
+	// Only a hook that hands back unsorted pieces leaves anything to do here.
+	out.SortColumns()
+	return out, nil
 }
 
 // stageKernel returns the Local-Multiply kernel for one stage. With
@@ -152,22 +182,11 @@ func (p *Proc) pickMerger(entries, scanCols int64) localmm.Merger {
 	return localmm.MergerHash
 }
 
-// kernelAs returns the local-multiply function for kernel k, generic over the
-// storage format (localmm.MulMat reads either format through one column
-// view). Opts.Threads > 1 splits the one-pass plan over that many workers;
-// they execute inside the caller's MeasureCompute token, so the
-// single-token gate still serializes ranks and intra-rank speedup shows up
-// as shorter measured compute time.
-func (p *Proc) kernelAs(k localmm.Kernel) func(a, b spmat.Matrix) spmat.Matrix {
-	sr, threads := p.Opts.Semiring, p.Opts.Threads
-	return func(a, b spmat.Matrix) spmat.Matrix {
-		return localmm.MulMat(k, a, b, sr, threads)
-	}
-}
-
-// mergeAs returns the merge function for merger mg, parallelized the same way
-// as kernelAs when Opts.Threads > 1 and format-generic like it (Merge-Fiber
-// can see mixed formats under the auto heuristic).
+// mergeAs returns the merge function for merger mg, format-generic (Merge-Fiber
+// can see mixed formats under the auto heuristic). Opts.Threads > 1 splits the
+// one-pass plan over that many workers; they execute inside the caller's
+// MeasureCompute token, so the single-token gate still serializes ranks and
+// intra-rank speedup shows up as shorter measured compute time.
 func (p *Proc) mergeAs(mg localmm.Merger) func(mats []spmat.Matrix, sorted bool) spmat.Matrix {
 	sr, threads := p.Opts.Semiring, p.Opts.Threads
 	return func(mats []spmat.Matrix, sorted bool) spmat.Matrix {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/distmat"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -55,113 +55,102 @@ func RowOffsetFor(rows int32, p, l, rank int) int32 {
 	return spmat.PartBounds(rows, q)[i]
 }
 
-// Multiply runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster and
-// returns the assembled global product, the per-rank results, and the step
-// metering summary.
-func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*Result, *mpi.Summary, error) {
-	if rc.Opts.AutoTune {
-		var err error
-		if rc, _, err = AutoTuneConfig(a, b, rc); err != nil {
-			return nil, nil, nil, err
-		}
+// launch is the one rank-launch body behind every host entry point: it
+// validates the grid, deals both operands out to all p ranks in one sweep
+// each on the host (distmat's Split — the simulated equivalent of reading a
+// pre-distributed matrix, and the only time the engine copies the operands),
+// starts a fresh world, and runs body on every rank's wired Proc. The first
+// rank error is returned, wrapped with its rank.
+func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
+	if a.Cols != b.Rows {
+		return nil, fmt.Errorf("core: inner dimension mismatch: A is %v, B is %v", a, b)
 	}
-	if err := rc.Validate(); err != nil {
-		return nil, nil, nil, err
+	q, err := grid.SideFor(rc.P, rc.L)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]*Result, rc.P)
+	da := distmat.NewADist(a.Rows, a.Cols, q, rc.L)
+	db := distmat.NewBDist(b.Rows, b.Cols, q, rc.L)
+	blocksA := da.Split(a, rc.Opts.Format)
+	blocksB := db.Split(b, rc.Opts.Format)
 	errs := make([]error, rc.P)
-	var mu sync.Mutex
 	meters := mpi.RunTraced(rc.P, rc.Cost, rc.Trace, func(c *mpi.Comm) {
+		r := c.Rank()
 		g, err := grid.New(c, rc.L)
-		if err != nil {
-			mu.Lock()
-			errs[c.Rank()] = err
-			mu.Unlock()
-			return
+		if err == nil {
+			localA, localB := blocksA[da.Index(g.I, g.J, g.K)], blocksB[db.Index(g.I, g.J, g.K)]
+			err = body(r, SetupLocal(g, da, db, localA, localB, rc.Opts))
 		}
-		proc, err := Setup(g, a, b, rc.Opts)
-		if err != nil {
-			mu.Lock()
-			errs[c.Rank()] = err
-			mu.Unlock()
-			return
-		}
-		var hook BatchHook
-		if hooks != nil {
-			hook = hooks(c.Rank())
-		}
-		res, err := proc.BatchedSUMMA3D(hook)
-		mu.Lock()
-		results[c.Rank()] = res
-		errs[c.Rank()] = err
-		mu.Unlock()
+		errs[r] = err
 	})
 	for r, err := range errs {
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: rank %d: %w", r, err)
+			return nil, fmt.Errorf("core: rank %d: %w", r, err)
 		}
 	}
-	assembled, err := AssembleResults(results, a.Rows, b.Cols)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return assembled, results, mpi.Summarize(meters), nil
+	return meters, nil
 }
 
-// MultiplyDiscard is Multiply for workloads that consume batches through the
-// hook and never need the assembled product (the memory-constrained usage
-// the paper targets). It skips assembly and returns only results and metering.
-func MultiplyDiscard(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
+// MultiplyRanks runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster
+// and returns what the ranks hold when it ends — the per-rank results, C
+// still distributed, and the step metering summary — assembling nothing.
+// Multiply and MultiplyDiscard are this run plus, respectively, the assembly
+// of the global product and a hook that drops every batch once consumed.
+func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
 	if rc.Opts.AutoTune {
 		var err error
 		if rc, _, err = AutoTuneConfig(a, b, rc); err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := rc.Validate(); err != nil {
+	results := make([]*Result, rc.P)
+	meters, err := launch(a, b, rc, func(rank int, p *Proc) error {
+		var hook BatchHook
+		if hooks != nil {
+			hook = hooks(rank)
+		}
+		res, err := p.BatchedSUMMA3D(hook)
+		results[rank] = res
+		return err
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	results := make([]*Result, rc.P)
-	errs := make([]error, rc.P)
-	var mu sync.Mutex
-	discard := func(batch int, cols []int32, c *spmat.CSC) *spmat.CSC {
-		return spmat.New(c.Rows, c.Cols)
+	return results, mpi.Summarize(meters), nil
+}
+
+// Multiply runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster and
+// returns the assembled global product, the per-rank results, and the step
+// metering summary.
+func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*Result, *mpi.Summary, error) {
+	results, summary, err := MultiplyRanks(a, b, rc, hooks)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	meters := mpi.RunTraced(rc.P, rc.Cost, rc.Trace, func(c *mpi.Comm) {
-		g, err := grid.New(c, rc.L)
-		if err == nil {
-			var proc *Proc
-			proc, err = Setup(g, a, b, rc.Opts)
-			if err == nil {
-				var res *Result
-				userHook := BatchHook(nil)
-				if hooks != nil {
-					userHook = hooks(c.Rank())
-				}
-				hook := func(batch int, cols []int32, m *spmat.CSC) *spmat.CSC {
-					if userHook != nil {
-						if pruned := userHook(batch, cols, m); pruned != nil {
-							m = pruned
-						}
-					}
-					return discard(batch, cols, m)
-				}
-				res, err = proc.BatchedSUMMA3D(hook)
-				mu.Lock()
-				results[c.Rank()] = res
-				mu.Unlock()
-			}
+	assembled, err := AssembleResults(results, a.Rows, b.Cols)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return assembled, results, summary, nil
+}
+
+// MultiplyDiscard is Multiply for workloads that consume batches through the
+// hook and never need the assembled product (the memory-constrained usage
+// the paper targets): every batch is replaced by an empty piece once the
+// user's hook has seen it, so no rank ever holds more than one batch of C.
+func MultiplyDiscard(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
+	return MultiplyRanks(a, b, rc, func(rank int) BatchHook {
+		var userHook BatchHook
+		if hooks != nil {
+			userHook = hooks(rank)
 		}
-		if err != nil {
-			mu.Lock()
-			errs[c.Rank()] = err
-			mu.Unlock()
+		return func(batch int, cols []int32, m *spmat.CSC) *spmat.CSC {
+			if userHook != nil {
+				if pruned := userHook(batch, cols, m); pruned != nil {
+					m = pruned
+				}
+			}
+			return spmat.New(m.Rows, m.Cols)
 		}
 	})
-	for r, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: rank %d: %w", r, err)
-		}
-	}
-	return results, mpi.Summarize(meters), nil
 }

@@ -124,32 +124,37 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 			}
 		}
 
-		stageFlops := localmm.MatFlops(aRecv, bRecv)
-		res.LocalFlops += stageFlops
-
-		// Local multiply (Alg 1 line 7). The kernel is chosen per stage from
-		// the exact flops and scanned columns of this block pair when
-		// Opts.AutoKernel is set (stageKernel), and the measured seconds feed
-		// the recalibration table either way. Work units = flops plus the
-		// operand traversal cost, so empty products still carry their
-		// column-scan work — the dense column count for CSC operands, only
-		// the stored columns for DCSC (the O(n)-per-block term the compressed
-		// format removes from the modeled critical path); the unit accounting
-		// is deliberately kernel-independent so the modeled critical path
-		// never moves with the kernel knob. With Opts.Threads > 1 the
-		// kernel's workers all run inside this rank's MeasureCompute token:
-		// the single-token gate still serializes ranks, so intra-rank
-		// parallelism appears as shorter measured compute, exactly the
-		// paper's 16-threads-per-process configuration.
+		// Local multiply (Alg 1 line 7). One pass over the B block counts the
+		// stage's flops column by column (localmm.PlanMul) and everything
+		// that needs them reads that one vector: Result.LocalFlops, the work
+		// units below, the kernel choice — per stage from the exact flops
+		// and scanned columns of this block pair when Opts.AutoKernel is set
+		// (stageKernel) — and, inside the kernel, the worker balance and the
+		// hash-table sizes. The measured seconds feed the recalibration table
+		// either way. Work units = flops plus the operand traversal cost, so
+		// empty products still carry their column-scan work — the dense
+		// column count for CSC operands, only the stored columns for DCSC
+		// (the O(n)-per-block term the compressed format removes from the
+		// modeled critical path); the unit accounting is deliberately
+		// kernel-independent so the modeled critical path never moves with
+		// the kernel knob. With Opts.Threads > 1 the kernel's workers all run
+		// inside this rank's MeasureCompute token: the single-token gate
+		// still serializes ranks, so intra-rank parallelism appears as
+		// shorter measured compute, exactly the paper's
+		// 16-threads-per-process configuration.
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
-		kern := p.stageKernel(stageFlops, scanCols)
+		var plan *localmm.Plan
+		var kern localmm.Kernel
 		var prod spmat.Matrix
 		sec := p.measure(func() {
-			prod = p.kernelAs(kern)(aRecv, bRecv)
+			plan = localmm.PlanMul(aRecv, bRecv)
+			kern = p.stageKernel(plan.Flops, scanCols)
+			prod = plan.Mul(kern, p.Opts.Semiring, p.Opts.Threads)
 		})
-		p.Opts.Kernels.Observe(kern.String(), stageFlops, scanCols, sec)
-		meter.AddComputeWork(sec, stageFlops+bRecv.NNZ()+scanCols+1)
+		res.LocalFlops += plan.Flops
+		p.Opts.Kernels.Observe(kern.String(), plan.Flops, scanCols, sec)
+		meter.AddComputeWork(sec, plan.Flops+bRecv.NNZ()+scanCols+1)
 		consume(prod)
 	}
 	tr.SetStage(-1)

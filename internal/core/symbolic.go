@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/grid"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
@@ -56,13 +54,15 @@ func (p *Proc) Symbolic3D() (b int, maxNNZC int64, err error) {
 		// sparse A path's stage-s column subset; capture it for free.
 		p.recordSupport(s, bRecv)
 
-		symFlops := localmm.MatFlops(aRecv, bRecv)
+		var plan *localmm.Plan
 		symSec := p.measure(func() {
 			// LOCALSYMBOLIC (Alg 3 line 7), threaded like the numeric
-			// kernels when Opts.Threads > 1.
-			localNNZ += localmm.SymbolicMat(aRecv, bRecv, p.Opts.Threads)
+			// kernels when Opts.Threads > 1, from the same one-pass flop
+			// count the work units below charge.
+			plan = localmm.PlanMul(aRecv, bRecv)
+			localNNZ += plan.Symbolic(p.Opts.Threads)
 		})
-		meter.AddComputeWork(symSec, symFlops+bRecv.NNZ()+colScanWork(bRecv)+1)
+		meter.AddComputeWork(symSec, plan.Flops+bRecv.NNZ()+colScanWork(bRecv)+1)
 	}
 	tr.SetStage(-1)
 
@@ -111,30 +111,14 @@ func batchesFor(maxNNZC, maxMemA, maxMemB int64, opts Options, p int) (int, erro
 // entry point for studying the batch decision (e.g. CSC-vs-DCSC footprint
 // ablations) without paying for the numeric phases.
 func SymbolicBatches(a, b *spmat.CSC, rc RunConfig) (int, error) {
-	if err := rc.Validate(); err != nil {
-		return 0, err
-	}
+	rc.Trace = nil // a symbolic-only study records no spans
 	bs := make([]int, rc.P)
-	errs := make([]error, rc.P)
-	var mu sync.Mutex
-	mpi.Run(rc.P, rc.Cost, func(c *mpi.Comm) {
-		g, err := grid.New(c, rc.L)
-		var nb int
-		if err == nil {
-			var proc *Proc
-			proc, err = Setup(g, a, b, rc.Opts)
-			if err == nil {
-				nb, _, err = proc.Symbolic3D()
-			}
-		}
-		mu.Lock()
-		bs[c.Rank()], errs[c.Rank()] = nb, err
-		mu.Unlock()
+	_, err := launch(a, b, rc, func(rank int, p *Proc) (err error) {
+		bs[rank], _, err = p.Symbolic3D()
+		return err
 	})
-	for r, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("core: rank %d: %w", r, err)
-		}
+	if err != nil {
+		return 0, err
 	}
 	return bs[0], nil
 }

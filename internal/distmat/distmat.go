@@ -18,6 +18,24 @@
 // (g div b) mod l. With b = 1 this degenerates to the contiguous layer slices
 // of the A distribution, which is what keeps C "distributed similar to A"
 // when no batching is needed.
+//
+// # Who copies what
+//
+// Distribution is the first of the few places the engine copies a nonzero
+// (ARCHITECTURE.md, "Data path"). ADist.Split and BDist.Split deal a whole
+// operand out to all p ranks in one count-then-place sweep on the host
+// (spmat.SplitGrid): every entry is visited twice and copied once, and every
+// block is allocated at its exact size directly in its resolved storage
+// format. Local/LocalMat cut a single block out with the same routine over
+// that block's own column range, for callers that want one block (tools,
+// the benchmark's replay, a rank calling core.Setup): each call is
+// self-contained, but ranks that share a column range each walk it, so p of
+// them walk an A-style operand q times and a B-style one q·l times. Inside a
+// batch nothing is gathered that need not be: a (batch, layer) pair owns one
+// contiguous chunk of the block column, so BatchCols and BatchLayerCols are
+// arithmetic, and SplitByLayerMat cuts a merged batch into its l fiber
+// pieces as views over the merged entries (spmat.MatColRanges) — with l = 1
+// the piece is the batch itself.
 package distmat
 
 import (
@@ -58,22 +76,49 @@ func (d *ADist) ColSliceOf(j, k int) (int32, int32) {
 // Local extracts the piece of the global matrix owned by (i, j, k), with
 // local (0-based) indices.
 func (d *ADist) Local(global *spmat.CSC, i, j, k int) *spmat.CSC {
-	d.check(global)
-	r0, r1 := d.RowRangeOf(i)
-	c0, c1 := d.ColSliceOf(j, k)
-	return spmat.RowRange(spmat.ColRange(global, c0, c1), r0, r1)
+	return d.LocalMat(global, i, j, k, spmat.FormatCSC).(*spmat.CSC)
 }
 
 // LocalMat extracts the piece owned by (i, j, k) and stores it per f —
 // a doubly-compressed block when the auto heuristic fires (the q·l-way
 // column split is exactly what drives local blocks hypersparse at scale).
+// Only the block's own columns are visited, and the block is built once, in
+// its final format.
 func (d *ADist) LocalMat(global *spmat.CSC, i, j, k int, f spmat.Format) spmat.Matrix {
-	return spmat.WithFormat(d.Local(global, i, j, k), f)
+	checkLayout(global, d.Rows, d.Cols)
+	r0, r1 := d.RowRangeOf(i)
+	c0, c1 := d.ColSliceOf(j, k)
+	return spmat.SplitGrid(global, []int32{r0, r1}, []int32{c0, c1}, f)[0]
 }
 
-func (d *ADist) check(global *spmat.CSC) {
-	if global.Rows != d.Rows || global.Cols != d.Cols {
-		panic(fmt.Sprintf("distmat: matrix %v does not match layout %dx%d", global, d.Rows, d.Cols))
+// Split deals the global matrix out to every rank at once: one sweep over
+// the global matrix, where p LocalMat calls walk it q times between them.
+// The piece LocalMat returns for (i, j, k) is element Index(i, j, k) of the
+// result.
+func (d *ADist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
+	checkLayout(global, d.Rows, d.Cols)
+	return spmat.SplitGrid(global, d.RowB, sliceBounds(d.ColB, d.L), f)
+}
+
+// Index is where Split puts the piece of (i, j, k).
+func (d *ADist) Index(i, j, k int) int { return (i*d.Q+j)*d.L + k }
+
+// sliceBounds refines q block bounds into the q·l+1 bounds of their layer
+// slices: block b's slice k is [out[b·l+k], out[b·l+k+1]).
+func sliceBounds(blockB []int32, l int) []int32 {
+	out := make([]int32, 0, (len(blockB)-1)*l+1)
+	for b := 0; b+1 < len(blockB); b++ {
+		sb := spmat.PartBounds(blockB[b+1]-blockB[b], l)
+		for _, o := range sb[:l] {
+			out = append(out, blockB[b]+o)
+		}
+	}
+	return append(out, blockB[len(blockB)-1])
+}
+
+func checkLayout(global *spmat.CSC, rows, cols int32) {
+	if global.Rows != rows || global.Cols != cols {
+		panic(fmt.Sprintf("distmat: matrix %v does not match layout %dx%d", global, rows, cols))
 	}
 }
 
@@ -129,19 +174,28 @@ func (d *BDist) ColRangeOf(j int) (int32, int32) { return d.ColB[j], d.ColB[j+1]
 
 // Local extracts the piece of the global matrix owned by (i, j, k).
 func (d *BDist) Local(global *spmat.CSC, i, j, k int) *spmat.CSC {
-	if global.Rows != d.Rows || global.Cols != d.Cols {
-		panic(fmt.Sprintf("distmat: matrix %v does not match layout %dx%d", global, d.Rows, d.Cols))
-	}
-	r0, r1 := d.RowSliceOf(i, k)
-	c0, c1 := d.ColRangeOf(j)
-	return spmat.RowRange(spmat.ColRange(global, c0, c1), r0, r1)
+	return d.LocalMat(global, i, j, k, spmat.FormatCSC).(*spmat.CSC)
 }
 
 // LocalMat extracts the piece owned by (i, j, k) and stores it per f (see
 // ADist.LocalMat).
 func (d *BDist) LocalMat(global *spmat.CSC, i, j, k int, f spmat.Format) spmat.Matrix {
-	return spmat.WithFormat(d.Local(global, i, j, k), f)
+	checkLayout(global, d.Rows, d.Cols)
+	r0, r1 := d.RowSliceOf(i, k)
+	c0, c1 := d.ColRangeOf(j)
+	return spmat.SplitGrid(global, []int32{r0, r1}, []int32{c0, c1}, f)[0]
 }
+
+// Split deals the global matrix out to every rank at once — one sweep where
+// p LocalMat calls walk the matrix q·l times between them; the piece of
+// (i, j, k) is element Index(i, j, k) of the result.
+func (d *BDist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
+	checkLayout(global, d.Rows, d.Cols)
+	return spmat.SplitGrid(global, sliceBounds(d.RowB, d.L), d.ColB, f)
+}
+
+// Index is where Split puts the piece of (i, j, k).
+func (d *BDist) Index(i, j, k int) int { return (i*d.L+k)*d.Q + j }
 
 // Assemble reconstructs the global matrix from per-coordinate local pieces.
 func (d *BDist) Assemble(pieces map[[3]int]*spmat.CSC) *spmat.CSC {
@@ -188,11 +242,33 @@ func (bt Batching) BatchOf(o int32) int { return int(o/bt.Blk) % bt.B }
 // LayerOf returns the layer owning local column offset o (within its batch).
 func (bt Batching) LayerOf(o int32) int { return int(o/bt.Blk) / bt.B % bt.L }
 
-// BatchCols returns the local column offsets of batch t, ascending.
+// chunk returns the offset range [lo, hi) of the chunk (batch t, layer k)
+// owns. There is exactly one: Blk·B·L ≥ Width, so the block column holds at
+// most B·L chunks and chunk g = k·B + t is the only one with g mod B = t and
+// g div B = k. The range is empty when the block column ends before it.
+func (bt Batching) chunk(t, k int) (lo, hi int32) {
+	w, blk := int64(bt.Width), int64(bt.Blk)
+	l := min((int64(k)*int64(bt.B)+int64(t))*blk, w)
+	return int32(l), int32(min(l+blk, w))
+}
+
+// BatchWidth returns the number of columns in batch t.
+func (bt Batching) BatchWidth(t int) int32 {
+	var n int32
+	for k := 0; k < bt.L; k++ {
+		lo, hi := bt.chunk(t, k)
+		n += hi - lo
+	}
+	return n
+}
+
+// BatchCols returns the local column offsets of batch t, ascending: its l
+// chunks, in layer order.
 func (bt Batching) BatchCols(t int) []int32 {
-	var out []int32
-	for o := int32(0); o < bt.Width; o++ {
-		if bt.BatchOf(o) == t {
+	out := make([]int32, 0, bt.BatchWidth(t))
+	for k := 0; k < bt.L; k++ {
+		lo, hi := bt.chunk(t, k)
+		for o := lo; o < hi; o++ {
 			out = append(out, o)
 		}
 	}
@@ -202,11 +278,10 @@ func (bt Batching) BatchCols(t int) []int32 {
 // BatchLayerCols returns the local column offsets owned by (batch t, layer k),
 // ascending.
 func (bt Batching) BatchLayerCols(t, k int) []int32 {
-	var out []int32
-	for o := int32(0); o < bt.Width; o++ {
-		if bt.BatchOf(o) == t && bt.LayerOf(o) == k {
-			out = append(out, o)
-		}
+	lo, hi := bt.chunk(t, k)
+	out := make([]int32, hi-lo)
+	for x := range out {
+		out[x] = lo + int32(x)
 	}
 	return out
 }
@@ -226,25 +301,21 @@ func (bt Batching) SplitByLayer(m *spmat.CSC, t int) ([]*spmat.CSC, [][]int32) {
 // SplitByLayerMat partitions the columns of a batch-local matrix (whose
 // column x corresponds to BatchCols(t)[x]) into l pieces by owning layer,
 // returning the pieces and, for bookkeeping, the local offsets each piece
-// covers. Each piece keeps m's concrete format, so a doubly-compressed
-// Merge-Layer output is split for the fiber AllToAll without inflating
-// dense column metadata.
+// covers. Layer k's columns are one chunk, so the pieces are consecutive
+// column ranges of m and come back as views over its entries
+// (spmat.MatColRanges) — no entry is copied, and with l = 1 the piece is m
+// itself. Each piece keeps m's concrete format, so a doubly-compressed
+// Merge-Layer output is split for the fiber AllToAll without inflating dense
+// column metadata.
 func (bt Batching) SplitByLayerMat(m spmat.Matrix, t int) ([]spmat.Matrix, [][]int32) {
-	cols := bt.BatchCols(t)
-	_, mc := m.Dims()
-	if int32(len(cols)) != mc {
-		panic(fmt.Sprintf("distmat: batch matrix has %d cols, batching expects %d", mc, len(cols)))
-	}
-	lists := make([][]int32, bt.L)   // indices into m's columns
-	offsets := make([][]int32, bt.L) // block-column offsets
-	for x, o := range cols {
-		k := bt.LayerOf(o)
-		lists[k] = append(lists[k], int32(x))
-		offsets[k] = append(offsets[k], o)
-	}
-	pieces := make([]spmat.Matrix, bt.L)
+	bounds := make([]int32, bt.L+1)
+	offsets := make([][]int32, bt.L)
 	for k := 0; k < bt.L; k++ {
-		pieces[k] = spmat.MatColSelect(m, lists[k])
+		offsets[k] = bt.BatchLayerCols(t, k)
+		bounds[k+1] = bounds[k] + int32(len(offsets[k]))
 	}
-	return pieces, offsets
+	if _, mc := m.Dims(); bounds[bt.L] != mc {
+		panic(fmt.Sprintf("distmat: batch matrix has %d cols, batching expects %d", mc, bounds[bt.L]))
+	}
+	return spmat.MatColRanges(m, bounds), offsets
 }

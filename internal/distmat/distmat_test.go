@@ -1,7 +1,10 @@
 package distmat
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +319,180 @@ func TestDistributionRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// rangeOracle is the distribution this package used to be — the row range of
+// the column range of the global matrix, converted to the requested format
+// afterwards. It shares no code with spmat.SplitGrid, which is what Local,
+// LocalMat and Split run on now.
+func rangeOracle(global *spmat.CSC, r0, r1, c0, c1 int32, f spmat.Format) spmat.Matrix {
+	return spmat.WithFormat(spmat.RowRange(spmat.ColRange(global, c0, c1), r0, r1), f)
+}
+
+// sameBlock reports how got differs from want: the same concrete format, the
+// same wire bytes (shape, sortedness flag, every column's entries in order),
+// valid, and — Validate cross-checks the memo — the right occupied-column
+// count seeded.
+func sameBlock(got, want spmat.Matrix) error {
+	if got.Format() != want.Format() {
+		return fmt.Errorf("stored %v, want %v", got.Format(), want.Format())
+	}
+	if !bytes.Equal(got.Serialize(), want.Serialize()) {
+		return fmt.Errorf("got %v, want %v", got, want)
+	}
+	if got.NonEmptyCols() != want.NonEmptyCols() {
+		return fmt.Errorf("%d occupied columns, want %d", got.NonEmptyCols(), want.NonEmptyCols())
+	}
+	if c, ok := got.(*spmat.CSC); ok {
+		return c.Validate()
+	}
+	return got.(*spmat.DCSC).Validate()
+}
+
+// unsorted returns m with every column's entries reversed and the flag down.
+func unsorted(m *spmat.CSC) *spmat.CSC {
+	u := m.Clone()
+	for j := int32(0); j < u.Cols; j++ {
+		rows, vals := u.Column(j)
+		slices.Reverse(rows)
+		slices.Reverse(vals)
+	}
+	u.SortedCols = false
+	return u
+}
+
+// TestSplitAndLocalMatchRangeOracle holds the one-sweep Split and the fused
+// Local/LocalMat, for both distributions, to the old per-rank range
+// extraction: block by block the same format, bytes and metadata, over grids
+// that do and do not divide the dimensions (down to slices with no rows or
+// columns at all), sparse and dense-ish fill, sorted and unsorted globals,
+// and every format request. Assemble of the split is the global matrix.
+func TestSplitAndLocalMatchRangeOracle(t *testing.T) {
+	globals := []*spmat.CSC{
+		randomMat(t, 37, 53, 60, 1),   // most rows and columns empty
+		randomMat(t, 53, 37, 900, 2),  // dense-ish
+		randomMat(t, 5, 7, 12, 3),     // fewer rows and columns than slices
+		randomMat(t, 48, 48, 300, 4),  // divisible by every grid below
+		spmat.New(19, 23),             // empty
+		randomMat(t, 8, 2000, 150, 5), // hypersparse
+	}
+	for _, sorted := range globals[:len(globals):len(globals)] {
+		globals = append(globals, unsorted(sorted))
+	}
+	for gi, m := range globals {
+		for _, q := range []int{1, 2, 3} {
+			for _, l := range []int{1, 2, 4} {
+				da := NewADist(m.Rows, m.Cols, q, l)
+				db := NewBDist(m.Rows, m.Cols, q, l)
+				piecesA, piecesB := map[[3]int]*spmat.CSC{}, map[[3]int]*spmat.CSC{}
+				for _, f := range []spmat.Format{spmat.FormatAuto, spmat.FormatCSC, spmat.FormatDCSC} {
+					splitA, splitB := da.Split(m, f), db.Split(m, f)
+					if len(splitA) != q*q*l || len(splitB) != q*q*l {
+						t.Fatalf("global %d q=%d l=%d: split into %d and %d blocks", gi, q, l, len(splitA), len(splitB))
+					}
+					for i := 0; i < q; i++ {
+						for j := 0; j < q; j++ {
+							for k := 0; k < l; k++ {
+								ar0, ar1 := da.RowRangeOf(i)
+								ac0, ac1 := da.ColSliceOf(j, k)
+								br0, br1 := db.RowSliceOf(i, k)
+								bc0, bc1 := db.ColRangeOf(j)
+								for _, c := range []struct {
+									name      string
+									got, want spmat.Matrix
+								}{
+									{"ADist.Split", splitA[da.Index(i, j, k)], rangeOracle(m, ar0, ar1, ac0, ac1, f)},
+									{"ADist.LocalMat", da.LocalMat(m, i, j, k, f), rangeOracle(m, ar0, ar1, ac0, ac1, f)},
+									{"ADist.Local", da.Local(m, i, j, k), rangeOracle(m, ar0, ar1, ac0, ac1, spmat.FormatCSC)},
+									{"BDist.Split", splitB[db.Index(i, j, k)], rangeOracle(m, br0, br1, bc0, bc1, f)},
+									{"BDist.LocalMat", db.LocalMat(m, i, j, k, f), rangeOracle(m, br0, br1, bc0, bc1, f)},
+									{"BDist.Local", db.Local(m, i, j, k), rangeOracle(m, br0, br1, bc0, bc1, spmat.FormatCSC)},
+								} {
+									if err := sameBlock(c.got, c.want); err != nil {
+										t.Fatalf("global %d q=%d l=%d format %v: %s(%d,%d,%d): %v", gi, q, l, f, c.name, i, j, k, err)
+									}
+								}
+								piecesA[[3]int{i, j, k}] = splitA[da.Index(i, j, k)].ToCSC()
+								piecesB[[3]int{i, j, k}] = splitB[db.Index(i, j, k)].ToCSC()
+							}
+						}
+					}
+					if !spmat.Equal(da.Assemble(piecesA), m) || !spmat.Equal(db.Assemble(piecesB), m) {
+						t.Fatalf("global %d q=%d l=%d format %v: Assemble(Split) is not the global matrix", gi, q, l, f)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchingArithmeticMatchesDefinition holds the arithmetic BatchCols,
+// BatchLayerCols and BatchWidth to the definition they replace — every
+// offset filtered through BatchOf and LayerOf — including block columns
+// narrower than b·l, and checks the lists are allocated at their exact size.
+func TestBatchingArithmeticMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 400; trial++ {
+		width := int32(rng.Intn(300))
+		b, l := rng.Intn(9)+1, rng.Intn(9)+1
+		bt := NewBatching(width, b, l)
+		for t2 := 0; t2 < b; t2++ {
+			var batch []int32
+			perLayer := make([][]int32, l)
+			for o := int32(0); o < width; o++ {
+				if bt.BatchOf(o) == t2 {
+					batch = append(batch, o)
+					perLayer[bt.LayerOf(o)] = append(perLayer[bt.LayerOf(o)], o)
+				}
+			}
+			got := bt.BatchCols(t2)
+			if !slices.Equal(got, batch) || cap(got) != len(batch) || bt.BatchWidth(t2) != int32(len(batch)) {
+				t.Fatalf("%+v batch %d: BatchCols %v (cap %d, width %d), definition gives %v", bt, t2, got, cap(got), bt.BatchWidth(t2), batch)
+			}
+			for k := 0; k < l; k++ {
+				if got := bt.BatchLayerCols(t2, k); !slices.Equal(got, perLayer[k]) || cap(got) != len(perLayer[k]) {
+					t.Fatalf("%+v batch %d layer %d: BatchLayerCols %v (cap %d), definition gives %v", bt, t2, k, got, cap(got), perLayer[k])
+				}
+			}
+		}
+	}
+}
+
+// TestSplitByLayerMatMatchesGather holds the fiber split — consecutive column
+// ranges, returned as views — to the gather it replaces: one MatColSelect per
+// layer over the batch columns LayerOf assigns to it, in both formats. With a
+// single layer the piece is the operand itself.
+func TestSplitByLayerMatMatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 120; trial++ {
+		width := int32(rng.Intn(120) + 1)
+		b, l := rng.Intn(4)+1, rng.Intn(5)+1
+		bt := NewBatching(width, b, l)
+		for t2 := 0; t2 < b; t2++ {
+			cols := bt.BatchCols(t2)
+			csc := randomMat(t, 9, int32(len(cols))+1, rng.Intn(3*len(cols)+1), int64(trial))
+			csc = spmat.ColRange(csc, 0, int32(len(cols))) // batches can be empty; randomMat cannot
+			for _, m := range []spmat.Matrix{csc, csc.ToDCSC()} {
+				pieces, offsets := bt.SplitByLayerMat(m, t2)
+				if l == 1 && pieces[0] != m {
+					t.Fatalf("%+v: single-layer split copied the batch", bt)
+				}
+				for k := 0; k < l; k++ {
+					var idx []int32
+					for x, o := range cols {
+						if bt.LayerOf(o) == k {
+							idx = append(idx, int32(x))
+						}
+					}
+					if err := sameBlock(pieces[k], spmat.MatColSelect(m, idx)); err != nil {
+						t.Fatalf("%+v batch %d layer %d (%v): %v", bt, t2, k, m.Format(), err)
+					}
+					if !slices.Equal(offsets[k], bt.BatchLayerCols(t2, k)) {
+						t.Fatalf("%+v batch %d layer %d: offsets %v", bt, t2, k, offsets[k])
+					}
+				}
+			}
+		}
 	}
 }

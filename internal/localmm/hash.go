@@ -160,10 +160,9 @@ func HashSpGEMMSorted(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 
 // hashAccumulateColumn feeds one output column's products into acc, in B
 // entry order and then A entry order — the accumulation order every kernel
-// shares. The A side is read through the caller's positional cursor, so the
-// per-entry lookup is O(1) for CSC and amortized O(1) on sorted B columns
-// for DCSC.
-func hashAccumulateColumn(acc *hashAccum, a *aCursor, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
+// shares. The A side is read through aCols, so the per-entry lookup is O(1)
+// for either format.
+func hashAccumulateColumn(acc *hashAccum, a *aCols, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
 	if plusTimes {
 		for p := range bRows {
 			i, bv := bRows[p], bVals[p]

@@ -81,10 +81,9 @@ func HeapSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 
 // heapMulColumn computes one output column with the multiway heap merge
 // (ascending rows), appending it to w.rows/w.vals. The views of the A
-// columns the B entries select are fetched once, through the caller's
-// positional cursor, into the worker's scratch and cursored by index — no
-// per-column allocation.
-func (w *mmWorker) heapMulColumn(a *aCursor, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
+// columns the B entries select are fetched once into the worker's scratch
+// and walked by index — no per-column allocation.
+func (w *mmWorker) heapMulColumn(a *aCols, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
 	parts := w.parts[:0]
 	h := w.heap[:0]
 	for li, i := range bRows {

@@ -77,97 +77,121 @@ func checkMulShapesMat(a, b spmat.Matrix) {
 	}
 }
 
-// aCursor is the A-side column access of the generic kernels: direct O(1)
-// indexing when A is CSC, a positional DCSC cursor otherwise. The inner loop
-// looks A's columns up by the row indices of one B column, which are
-// ascending whenever B is sorted (every distributed operand is), so the
-// cursor turns the former per-lookup O(log nzc) binary search into an
-// amortized O(1) forward gallop; unsorted operands fall back to the cursor's
-// binary-search path and are never worse than before. A cursor is mutable
-// single-goroutine state: every worker takes its own with cursorFor.
-type aCursor struct {
-	csc *spmat.CSC
-	dc  spmat.DCSCCursor
+// aCols is the A-side column access of the generic kernels: the inner loop
+// looks A's columns up by the row indices of one B column, O(1) either way —
+// direct indexing when A is CSC, the AUX chunk index when it is DCSC
+// (spmat.DCSC). It holds no position, so every worker reads through the same
+// value.
+type aCols struct {
+	csc  *spmat.CSC
+	dcsc *spmat.DCSC
 }
 
-// cursorFor returns a fresh cursor over a.
-func cursorFor(a spmat.Matrix) aCursor {
+// colsOf returns the column access of a.
+func colsOf(a spmat.Matrix) aCols {
 	if c, ok := a.(*spmat.CSC); ok {
-		return aCursor{csc: c}
+		return aCols{csc: c}
 	}
-	return aCursor{dc: a.ToDCSC().Cursor()}
+	return aCols{dcsc: a.ToDCSC()}
 }
 
 // Column returns views of column j's rows and values.
-func (c *aCursor) Column(j int32) ([]int32, []float64) {
+func (c *aCols) Column(j int32) ([]int32, []float64) {
 	if c.csc != nil {
 		return c.csc.Column(j)
 	}
-	return c.dc.Column(j)
+	return c.dcsc.Column(j)
 }
 
 // ColNNZ returns the entry count of column j.
-func (c *aCursor) ColNNZ(j int32) int64 {
+func (c *aCols) ColNNZ(j int32) int64 {
 	if c.csc != nil {
 		return c.csc.ColNNZ(j)
 	}
-	return c.dc.ColNNZ(j)
+	return c.dcsc.ColNNZ(j)
 }
 
-// MatFlops returns the multiplication count of A·B (Flops generalized to the
-// storage interface); O(nnz(B) · lookup) with no dense column scan.
+// Plan is what one pass over B's entries learns about the product A·B before
+// anything is multiplied: the multiplication count of every slot of B — the
+// quantity a stage of the distributed multiply reports (Flops), picks its
+// kernel by, balances its workers by and sizes its hash tables by. It is
+// counted once per block pair; Mul and Symbolic then run from it, any number
+// of times, with any kernel.
+type Plan struct {
+	// Flops is the multiplication count of A·B (Flops generalized to the
+	// storage interface).
+	Flops int64
+
+	a, b     spmat.Matrix
+	bv       colView
+	colFlops []int64
+}
+
+// PlanMul counts the flops of A·B slot by slot; O(nnz(B)) lookups with no
+// dense column scan.
+func PlanMul(a, b spmat.Matrix) *Plan {
+	checkMulShapesMat(a, b)
+	pl := &Plan{a: a, b: b, bv: viewOf(b)}
+	ac := colsOf(a)
+	pl.colFlops = make([]int64, pl.bv.n)
+	for p := range pl.colFlops {
+		rows, _ := pl.bv.col(int32(p))
+		var f int64
+		for _, i := range rows {
+			f += ac.ColNNZ(i)
+		}
+		pl.colFlops[p] = f
+		pl.Flops += f
+	}
+	return pl
+}
+
+// MatFlops returns the multiplication count of A·B over any format
+// combination.
 func MatFlops(a, b spmat.Matrix) int64 {
 	if ac, ok := a.(*spmat.CSC); ok {
 		if bc, ok := b.(*spmat.CSC); ok {
 			return Flops(ac, bc)
 		}
 	}
-	checkMulShapesMat(a, b)
-	cur := cursorFor(a)
-	var total int64
-	b.EnumCols(func(_ int32, rows []int32, _ []float64) {
-		for _, i := range rows {
-			total += cur.ColNNZ(i)
-		}
-	})
-	return total
-}
-
-// matColFlops returns the flop count of every slot of B.
-func matColFlops(a spmat.Matrix, bv *colView) []int64 {
-	cur := cursorFor(a)
-	out := make([]int64, bv.n)
-	for p := range out {
-		rows, _ := bv.col(int32(p))
-		var f int64
-		for _, i := range rows {
-			f += cur.ColNNZ(i)
-		}
-		out[p] = f
-	}
-	return out
+	return PlanMul(a, b).Flops
 }
 
 // SymbolicMat computes nnz(A·B) without forming the product — LOCALSYMBOLIC
 // of Alg 3 — over any format combination, with threads worker goroutines
 // counting distinct output rows per column over flop-balanced ranges of B's
 // slots. Work on a doubly-compressed B is O(flops + nnz(B)). Serial CSC
-// operands take SymbolicSpGEMM's dense stamp array instead; the count is the
-// same for every format and thread count.
+// operands take SymbolicSpGEMM's dense stamp array instead, which needs no
+// flop counts; the count is the same for every format and thread count.
 func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
-	bv := viewOf(b)
-	threads = clampThreads(threads, bv.n)
-	if ac, ok := a.(*spmat.CSC); ok && threads == 1 {
-		if bc, ok := b.(*spmat.CSC); ok {
-			return SymbolicSpGEMM(ac, bc)
-		}
+	if n, ok := symbolicSerialCSC(a, b, threads); ok {
+		return n
 	}
-	checkMulShapesMat(a, b)
+	return PlanMul(a, b).Symbolic(threads)
+}
+
+// symbolicSerialCSC runs SymbolicSpGEMM when the operands are CSC and one
+// worker would run.
+func symbolicSerialCSC(a, b spmat.Matrix, threads int) (int64, bool) {
+	ac, okA := a.(*spmat.CSC)
+	bc, okB := b.(*spmat.CSC)
+	if !okA || !okB || clampThreads(threads, bc.Cols) != 1 {
+		return 0, false
+	}
+	return SymbolicSpGEMM(ac, bc), true
+}
+
+// Symbolic is SymbolicMat on the planned pair.
+func (pl *Plan) Symbolic(threads int) int64 {
+	if n, ok := symbolicSerialCSC(pl.a, pl.b, threads); ok {
+		return n
+	}
+	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
+	threads = clampThreads(threads, bv.n)
 	aRows, _ := a.Dims()
-	colFlops := matColFlops(a, &bv)
+	ac := colsOf(a)
 	var total atomic.Int64
 	runWorkers(flopBounds(colFlops, threads), func(w *mmWorker, lo, hi int32) {
-		cur := cursorFor(a)
 		var n int64
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
@@ -176,7 +200,7 @@ func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
 			w.set.sizeFor(colFlops[p], aRows)
 			bRows, _ := bv.col(p)
 			for _, i := range bRows {
-				rws, _ := cur.Column(i)
+				rws, _ := ac.Column(i)
 				for _, r := range rws {
 					w.set.insert(r)
 				}
@@ -198,7 +222,12 @@ func ParallelSymbolicSpGEMM(a, b *spmat.CSC, threads int) int64 {
 // (threads <= 1 runs on the caller's goroutine) over flop-balanced ranges of
 // B's slots.
 func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Matrix {
-	checkMulShapesMat(a, b)
+	return PlanMul(a, b).Mul(k, sr, threads)
+}
+
+// Mul is MulMat on the planned pair.
+func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, threads int) spmat.Matrix {
+	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
 	if (k == KernelHeap || k == KernelHybrid) && !a.Sorted() {
 		// The heap-based kernels require sorted A columns; restore once, on
 		// a copy shared read-only by all workers.
@@ -206,15 +235,13 @@ func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spm
 		a.SortColumns()
 	}
 	aRows, _ := a.Dims()
-	_, bCols := b.Dims()
-	bv := viewOf(b)
-	colFlops := matColFlops(a, &bv)
+	_, bCols := pl.b.Dims()
+	ac := colsOf(a)
 	counts := make([]int64, bv.n)
 	sortedOut := k != KernelHashUnsorted
 	plusTimes := sr.IsPlusTimes()
 	var out spmat.Matrix
 	onePass(flopBounds(colFlops, clampThreads(threads, bv.n)), func(w *mmWorker, lo, hi int32) {
-		cur := cursorFor(a)
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue
@@ -222,10 +249,10 @@ func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spm
 			start := len(w.rows)
 			bRows, bVals := bv.col(p)
 			if k == KernelHeap || k == KernelHybrid && colFlops[p] <= hybridHeapThreshold {
-				w.heapMulColumn(&cur, bRows, bVals, sr, plusTimes)
+				w.heapMulColumn(&ac, bRows, bVals, sr, plusTimes)
 			} else {
 				w.acc.sizeFor(colFlops[p], aRows)
-				hashAccumulateColumn(&w.acc, &cur, bRows, bVals, sr, plusTimes)
+				hashAccumulateColumn(&w.acc, &ac, bRows, bVals, sr, plusTimes)
 				w.drain(sortedOut)
 			}
 			counts[p] = int64(len(w.rows) - start)

@@ -121,6 +121,70 @@ func TestSymbolicAndFlopsMatAgree(t *testing.T) {
 	}
 }
 
+// TestPlanServesEveryConsumer: one PlanMul pass must serve every consumer of
+// the flop counts — the total the distributed stage reports, each kernel at
+// each thread count (balancing and table sizes come from the plan's vector),
+// and the symbolic count — and give exactly what the one-shot entry points
+// give, for every format combination, however often it is reused.
+func TestPlanServesEveryConsumer(t *testing.T) {
+	sr := semiring.PlusTimes()
+	a := hyperMat(t, 32, 800, 250, 7)
+	b := hyperMat(t, 800, 900, 260, 8)
+	var wantF int64
+	for _, f := range ColFlops(a, b) {
+		wantF += f
+	}
+	wantS := SymbolicSpGEMM(a, b)
+	for _, aD := range []bool{false, true} {
+		for _, bD := range []bool{false, true} {
+			am, bm := asFormat(a, aD), asFormat(b, bD)
+			pl := PlanMul(am, bm)
+			if pl.Flops != wantF || MatFlops(am, bm) != wantF {
+				t.Fatalf("aD=%v bD=%v: plan counts %d flops, MatFlops %d, column sum %d", aD, bD, pl.Flops, MatFlops(am, bm), wantF)
+			}
+			for _, threads := range []int{1, 4} {
+				if got := pl.Symbolic(threads); got != wantS {
+					t.Fatalf("aD=%v bD=%v t=%d: plan symbolic %d, want %d", aD, bD, threads, got, wantS)
+				}
+				for _, k := range []Kernel{KernelHashUnsorted, KernelHashSorted, KernelHeap, KernelHybrid} {
+					got, want := pl.Mul(k, sr, threads), MulMat(k, am, bm, sr, 1)
+					if got.Format() != want.Format() || string(got.Serialize()) != string(want.Serialize()) {
+						t.Fatalf("aD=%v bD=%v t=%d %v: planned multiply differs from MulMat", aD, bD, threads, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOutputColumnLookupsMatchScan: the doubly-compressed outputs of the
+// kernels and mergers are built without a column index; the first lookups on
+// them must find what a linear scan of JC finds, for every column.
+func TestOutputColumnLookupsMatchScan(t *testing.T) {
+	sr := semiring.PlusTimes()
+	a := hyperMat(t, 30, 64, 200, 31)
+	b := hyperMat(t, 64, 2048, 500, 32)
+	prod := MulMat(KernelHashUnsorted, a, b.ToDCSC(), sr, 2)
+	other := MulMat(KernelHashSorted, hyperMat(t, 30, 64, 150, 33), b.ToDCSC(), sr, 1)
+	merged := MergeMat(MergerHash, []spmat.Matrix{prod, other}, sr, true, 2)
+	for _, m := range []spmat.Matrix{prod, other, merged} {
+		d := m.(*spmat.DCSC)
+		for j := int32(-1); j <= d.Cols; j++ {
+			var wantRows []int32
+			for p, c := range d.JC {
+				if c == j {
+					wantRows = d.IR[d.CP[p]:d.CP[p+1]]
+				}
+			}
+			rows, vals := d.Column(j)
+			if len(rows) != len(wantRows) || len(vals) != len(wantRows) || d.ColNNZ(j) != int64(len(wantRows)) ||
+				len(rows) > 0 && &rows[0] != &wantRows[0] {
+				t.Fatalf("%v: lookup of column %d disagrees with a scan of JC", d, j)
+			}
+		}
+	}
+}
+
 // TestMergeMatDifferential: both mergers over uniform and mixed format
 // operand sets must reproduce the CSC merges exactly.
 func TestMergeMatDifferential(t *testing.T) {

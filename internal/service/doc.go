@@ -24,7 +24,10 @@
 //     instead of OOMing; a job too large for the whole budget runs alone.
 //
 // Service ties them together and executes admitted jobs on the simulated
-// cluster via core.Multiply. Every job runs a fresh mpi.Run world with its
+// cluster via core.MultiplyRanks, assembling the global product
+// (core.AssembleResults) only for a request that set return_result — the
+// shape and nonzero count every response reports come from the operands and
+// the per-rank results. Every job runs a fresh mpi.Run world with its
 // own compute-measurement gate, so concurrent jobs never share mutable
 // engine state and outputs are bit-identical to one-shot runs.
 //

@@ -272,13 +272,22 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		s.queuedJobs.Add(1)
 	}
 
-	c, results, summary, err := core.Multiply(ra.mat, rb.mat, rc, nil)
+	// The ranks' results carry everything the response reports; the global
+	// product is assembled only for a request that asked to get it back.
+	results, summary, err := core.MultiplyRanks(ra.mat, rb.mat, rc, nil)
+	var c *spmat.CSC
+	if err == nil && req.ReturnResult {
+		c, err = core.AssembleResults(results, ra.mat.Rows, rb.mat.Cols)
+	}
 	if err != nil {
 		return nil, s.jobFailed(jobID, req, err)
 	}
 	s.multiplies.Add(1)
 
 	res := &MultiplyResult{
+		C:            c,
+		Rows:         ra.mat.Rows,
+		Cols:         rb.mat.Cols,
 		Plan:         plan,
 		Batches:      results[0].Batches,
 		Queued:       queued,
@@ -290,6 +299,7 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		if r.PeakMemBytes > res.PeakMemBytesPerRank {
 			res.PeakMemBytesPerRank = r.PeakMemBytes
 		}
+		res.NNZ += r.C.NNZ()
 	}
 	m := s.cfg.Machine
 	for _, st := range summary.Steps {
@@ -297,11 +307,6 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		res.ComputeSeconds += st.ComputeSeconds * m.ComputeScale
 	}
 	res.ModelSeconds = res.CommSeconds + res.ComputeSeconds
-	res.Rows, res.Cols = c.Dims()
-	res.NNZ = c.NNZ()
-	if req.ReturnResult {
-		res.C = c
-	}
 
 	duration := time.Since(jobStart).Seconds()
 	s.met.observeJob(duration, wait)

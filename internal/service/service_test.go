@@ -50,6 +50,46 @@ func oneShot(t *testing.T, a, b *spmat.CSC, cfg Config) *spmat.CSC {
 	return c
 }
 
+// A request that does not ask for the result back gets no assembled matrix —
+// the job never builds one — and the same shape, nonzero count, batch count
+// and counters as the request that does: they come from the ranks' results.
+func TestMultiplyWithoutResultReportsTheSame(t *testing.T) {
+	a := genmat.RMAT(genmat.RMATConfig{Scale: 6, EdgeFactor: 8, Seed: 1, Weighted: true})
+	rect := genmat.Hypersparse(64, 700, 2, 9)
+	s, err := New(testConfig(t, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*spmat.CSC{"a": a, "rect": rect, "rectT": spmat.Transpose(rect)} {
+		if _, _, err := s.Load(name, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pair := range [][2]string{{"a", "a"}, {"a", "rect"}, {"rectT", "a"}} {
+		with, err := s.Multiply(MultiplyRequest{A: pair[0], B: pair[1], ReturnResult: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := s.Multiply(MultiplyRequest{A: pair[0], B: pair[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if without.C != nil {
+			t.Fatalf("%v: a result nobody asked for was assembled", pair)
+		}
+		if r, c := with.C.Dims(); with.Rows != r || with.Cols != c || with.NNZ != with.C.NNZ() {
+			t.Fatalf("%v: response says %dx%d nnz %d, the result is %v", pair, with.Rows, with.Cols, with.NNZ, with.C)
+		}
+		if without.Rows != with.Rows || without.Cols != with.Cols || without.NNZ != with.NNZ ||
+			without.Batches != with.Batches || without.PeakMemBytesPerRank != with.PeakMemBytesPerRank {
+			t.Fatalf("%v: response without the result differs: %+v vs %+v", pair, without, with)
+		}
+	}
+	if st := s.Stats(); st.Multiplies != 6 || st.JobFailures != 0 {
+		t.Fatalf("6 jobs ran; stats count %d done, %d failed", st.Multiplies, st.JobFailures)
+	}
+}
+
 // A repeated multiply on resident matrices must perform zero probe work
 // after the first request: the second request is a pure plan-cache hit.
 func TestRepeatMultiplyZeroProbeWork(t *testing.T) {

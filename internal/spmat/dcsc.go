@@ -2,7 +2,8 @@ package spmat
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"sync/atomic"
 )
 
 // DCSC is a sparse matrix in doubly-compressed sparse column format
@@ -18,6 +19,20 @@ import (
 // Column p of the compressed arrays is column JC[p] of the logical matrix;
 // columns not listed in JC are empty. SortedCols means what it means for
 // CSC: every stored column has strictly ascending rows.
+//
+// Looking a column up by index goes through Buluç & Gilbert's AUX array
+// (colIndex): the column range is cut into between nzc and 2·nzc equal
+// power-of-two chunks and AUX holds the JC position each chunk starts at, so
+// a lookup is a shift, two loads and a search among the handful of stored
+// columns that share the chunk — O(1) expected, where a search over JC is
+// O(log nzc) per A-side access of every flop. AUX is 4 bytes per chunk, built
+// in one O(nzc) walk by the first lookup on the block and kept for its life.
+// It depends on JC and Cols only, which nothing changes once a block is
+// built (SortColumns permutes entries inside columns). It is not part of the
+// matrix: the wire format, CommBytes and the modeled footprint
+// (BlockMemBytes) do not know it exists — like the kernels' hash tables and
+// worker scratch it is an accelerator the receiving side builds for itself,
+// and the paper's r-bytes-per-nonzero model counts none of those.
 type DCSC struct {
 	Rows, Cols int32
 	JC         []int32
@@ -25,6 +40,43 @@ type DCSC struct {
 	IR         []int32
 	Num        []float64
 	SortedCols bool
+
+	// aux is the lazily built column index. Blocks are shared by reference
+	// across rank goroutines, so the first lookups can race: each racer
+	// builds the same index and the stores are atomic, whichever lands last.
+	aux atomic.Pointer[colIndex]
+}
+
+// colIndex is the AUX array of one block: chunk c covers columns
+// [c<<shift, (c+1)<<shift) and its stored columns are JC[start[c]:start[c+1]].
+type colIndex struct {
+	shift uint
+	start []int32
+}
+
+// index returns the AUX array of a block with at least one stored column,
+// building it on first use.
+func (d *DCSC) index() *colIndex {
+	if ix := d.aux.Load(); ix != nil {
+		return ix
+	}
+	// The smallest chunk width that needs at most 2·nzc chunks: at least one
+	// stored column per two chunks keeps AUX within 8 bytes per stored
+	// column, and at most two expected per chunk keeps the search short.
+	shift := uint(bits.Len64(uint64(d.Cols-1) / uint64(2*len(d.JC))))
+	chunks := int((d.Cols-1)>>shift) + 1
+	ix := &colIndex{shift: shift, start: make([]int32, chunks+1)}
+	c := 0
+	for p, j := range d.JC {
+		for ; c <= int(j>>shift); c++ {
+			ix.start[c] = int32(p)
+		}
+	}
+	for ; c <= chunks; c++ {
+		ix.start[c] = int32(len(d.JC))
+	}
+	d.aux.Store(ix)
+	return ix
 }
 
 // NewDCSC returns an empty rows×cols matrix in doubly-compressed form.
@@ -50,17 +102,35 @@ func (d *DCSC) NNZ() int64 {
 // keeps explicit, O(1) by construction.
 func (d *DCSC) NonEmptyCols() int64 { return int64(len(d.JC)) }
 
-// find returns the position of column j in JC, or -1 when j is empty.
+// find returns the position of column j in JC, or -1 when j is empty (or
+// outside the matrix): the chunk of j from the AUX array, then a search among
+// the chunk's stored columns — halving while the chunk is long (every stored
+// column can share one chunk), a scan once it is short.
 func (d *DCSC) find(j int32) int {
-	p := sort.Search(len(d.JC), func(i int) bool { return d.JC[i] >= j })
-	if p < len(d.JC) && d.JC[p] == j {
-		return p
+	if uint32(j) >= uint32(d.Cols) || len(d.JC) == 0 {
+		return -1
+	}
+	ix := d.index()
+	c := j >> ix.shift
+	lo, hi := int(ix.start[c]), int(ix.start[c+1])
+	for hi-lo > 8 {
+		if mid := int(uint(lo+hi) >> 1); d.JC[mid] < j {
+			lo = mid + 1
+		} else {
+			hi = mid + 1
+		}
+	}
+	for lo < hi && d.JC[lo] < j {
+		lo++
+	}
+	if lo < hi && d.JC[lo] == j {
+		return lo
 	}
 	return -1
 }
 
-// ColNNZ returns the entry count of column j (0 for absent columns);
-// O(log nzc).
+// ColNNZ returns the entry count of column j (0 for absent columns); O(1)
+// expected.
 func (d *DCSC) ColNNZ(j int32) int64 {
 	p := d.find(j)
 	if p < 0 {
@@ -70,7 +140,7 @@ func (d *DCSC) ColNNZ(j int32) int64 {
 }
 
 // Column returns views of column j's rows and values (empty slices for
-// absent columns); O(log nzc).
+// absent columns); O(1) expected.
 func (d *DCSC) Column(j int32) ([]int32, []float64) {
 	p := d.find(j)
 	if p < 0 {
@@ -86,80 +156,6 @@ func (d *DCSC) Column(j int32) ([]int32, []float64) {
 func (d *DCSC) ColumnAt(p int) (j int32, rows []int32, vals []float64) {
 	lo, hi := d.CP[p], d.CP[p+1]
 	return d.JC[p], d.IR[lo:hi], d.Num[lo:hi]
-}
-
-// DCSCCursor is a positional column cursor: a stateful alternative to the
-// per-call binary search of Column/ColNNZ for access patterns that are
-// mostly ascending — exactly the A-side lookups of the generic SpGEMM inner
-// loop, which walk a (sorted) B column's row indices in order. Consecutive
-// ascending lookups cost amortized O(1) per stored column passed (a gallop
-// from the previous position); a backward jump falls back to binary search
-// over the prefix, so no pattern is ever worse than the O(log nzc) the
-// cursor replaces. A cursor is single-goroutine state; concurrent workers
-// each take their own with Cursor().
-type DCSCCursor struct {
-	d   *DCSC
-	pos int
-}
-
-// Cursor returns a fresh cursor positioned before the first stored column.
-func (d *DCSC) Cursor() DCSCCursor { return DCSCCursor{d: d} }
-
-// find locates column j like DCSC.find but starting from the cursor
-// position: a hit at pos is O(1), a forward miss gallops, a backward miss
-// binary-searches the prefix. The cursor always lands on the first stored
-// column ≥ j, so an ascending scan never revisits ground already passed.
-func (c *DCSCCursor) find(j int32) int {
-	jc := c.d.JC
-	n := len(jc)
-	lo, hi := 0, n
-	if c.pos < n {
-		switch {
-		case jc[c.pos] == j:
-			return c.pos
-		case jc[c.pos] < j:
-			// Gallop: double the step until it overshoots, then search the
-			// last window. The window start stays unverified (Search copes).
-			lo = c.pos + 1
-			step := 1
-			for lo+step < n && jc[lo+step] < j {
-				lo += step
-				step <<= 1
-			}
-			if w := lo + step + 1; w < hi {
-				hi = w
-			}
-		default: // jc[c.pos] > j: the target is in the prefix.
-			hi = c.pos
-		}
-	}
-	p := lo + sort.Search(hi-lo, func(i int) bool { return jc[lo+i] >= j })
-	c.pos = p
-	if p < n && jc[p] == j {
-		return p
-	}
-	return -1
-}
-
-// ColNNZ returns the entry count of column j (0 for absent columns),
-// advancing the cursor.
-func (c *DCSCCursor) ColNNZ(j int32) int64 {
-	p := c.find(j)
-	if p < 0 {
-		return 0
-	}
-	return c.d.CP[p+1] - c.d.CP[p]
-}
-
-// Column returns views of column j's rows and values (empty for absent
-// columns), advancing the cursor.
-func (c *DCSCCursor) Column(j int32) ([]int32, []float64) {
-	p := c.find(j)
-	if p < 0 {
-		return nil, nil
-	}
-	lo, hi := c.d.CP[p], c.d.CP[p+1]
-	return c.d.IR[lo:hi], c.d.Num[lo:hi]
 }
 
 // EnumCols calls fn for every non-empty column in ascending order.
@@ -338,59 +334,93 @@ func (m *CSC) ToDCSC() *DCSC {
 	return d
 }
 
-// MatColSelect gathers the listed columns (ascending order required for
-// DCSC inputs) into a new matrix of the same concrete format — the
-// format-preserving ColSelect used by batch extraction and the fiber split.
-// For DCSC the cost is O(nzc + len(cols) + nnz selected): one merged walk
-// over JC and the selection, never a per-column binary search.
+// MatColSelect gathers the listed columns, in the given order, into a new
+// matrix of the same concrete format — the format-preserving ColSelect used
+// by batch extraction. Both formats size the output exactly before copying;
+// for DCSC the cost is O(len(cols) + nnz selected), one AUX lookup per listed
+// column.
 func MatColSelect(m Matrix, cols []int32) Matrix {
 	if c, ok := m.(*CSC); ok {
 		return ColSelect(c, cols)
 	}
 	d := m.ToDCSC()
+	var ne int
+	var nnz int64
+	for _, j := range cols {
+		if n := d.ColNNZ(j); n > 0 {
+			ne++
+			nnz += n
+		}
+	}
 	out := &DCSC{
 		Rows: d.Rows, Cols: int32(len(cols)),
-		CP:         make([]int64, 1, len(cols)+1),
+		JC:         make([]int32, 0, ne),
+		CP:         make([]int64, 1, ne+1),
+		IR:         make([]int32, 0, nnz),
+		Num:        make([]float64, 0, nnz),
 		SortedCols: d.SortedCols,
 	}
-	p := 0
 	for k, j := range cols {
-		if k > 0 && cols[k-1] >= j {
-			// Fall back for non-ascending selections (no current caller).
-			return matColSelectUnordered(d, cols)
+		if p := d.find(j); p >= 0 {
+			lo, hi := d.CP[p], d.CP[p+1]
+			out.JC = append(out.JC, int32(k))
+			out.IR = append(out.IR, d.IR[lo:hi]...)
+			out.Num = append(out.Num, d.Num[lo:hi]...)
+			out.CP = append(out.CP, hi-lo+out.CP[len(out.CP)-1])
 		}
-		for p < len(d.JC) && d.JC[p] < j {
-			p++
-		}
-		if p == len(d.JC) || d.JC[p] != j {
-			continue
-		}
-		lo, hi := d.CP[p], d.CP[p+1]
-		out.JC = append(out.JC, int32(k))
-		out.IR = append(out.IR, d.IR[lo:hi]...)
-		out.Num = append(out.Num, d.Num[lo:hi]...)
-		out.CP = append(out.CP, int64(len(out.IR)))
 	}
 	return out
 }
 
-// matColSelectUnordered handles arbitrary selection order with per-column
-// lookups.
-func matColSelectUnordered(d *DCSC, cols []int32) Matrix {
-	out := &DCSC{
-		Rows: d.Rows, Cols: int32(len(cols)),
-		CP:         make([]int64, 1, len(cols)+1),
-		SortedCols: d.SortedCols,
+// MatColRanges cuts m's columns at the ascending bounds into len(bounds)-1
+// contiguous pieces of m's concrete format — piece k is columns
+// [bounds[k], bounds[k+1]) under local indices — in one pass over the stored
+// columns. The pieces are views: each owns its column metadata and shares
+// m's entry arrays (capacity-capped, so appending to a piece can never run
+// into its neighbour), and a piece that covers every column is m itself.
+// That is what the fiber split wants — the pieces of a merged product are
+// only ever read, by the ranks they are sent to — and nothing that goes on
+// to mutate entries in place should be built from them.
+func MatColRanges(m Matrix, bounds []int32) []Matrix {
+	_, cols := m.Dims()
+	out := make([]Matrix, len(bounds)-1)
+	c, isCSC := m.(*CSC)
+	var d *DCSC
+	if !isCSC {
+		d = m.ToDCSC()
 	}
-	for k, j := range cols {
-		rows, vals := d.Column(j)
-		if len(rows) == 0 {
-			continue
+	p := 0 // DCSC: first stored column not yet handed to a piece
+	for k := range out {
+		b0, b1 := bounds[k], bounds[k+1]
+		if b0 < 0 || b1 < b0 || b1 > cols {
+			panic(fmt.Sprintf("spmat: MatColRanges bounds %v out of range for %d columns", bounds, cols))
 		}
-		out.JC = append(out.JC, int32(k))
-		out.IR = append(out.IR, rows...)
-		out.Num = append(out.Num, vals...)
-		out.CP = append(out.CP, int64(len(out.IR)))
+		switch {
+		case b0 == 0 && b1 == cols:
+			out[k] = m
+		case isCSC:
+			lo, hi := c.ColPtr[b0], c.ColPtr[b1]
+			ptr := make([]int64, b1-b0+1)
+			for x := range ptr {
+				ptr[x] = c.ColPtr[b0+int32(x)] - lo
+			}
+			out[k] = &CSC{Rows: c.Rows, Cols: b1 - b0, ColPtr: ptr, RowIdx: c.RowIdx[lo:hi:hi], Val: c.Val[lo:hi:hi], SortedCols: c.SortedCols}
+		default:
+			for p < len(d.JC) && d.JC[p] < b0 {
+				p++
+			}
+			p0 := p
+			for p < len(d.JC) && d.JC[p] < b1 {
+				p++
+			}
+			lo, hi := d.CP[p0], d.CP[p]
+			jc, cp := make([]int32, p-p0), make([]int64, p-p0+1)
+			for x := range jc {
+				jc[x] = d.JC[p0+x] - b0
+				cp[x+1] = d.CP[p0+x+1] - lo
+			}
+			out[k] = &DCSC{Rows: d.Rows, Cols: b1 - b0, JC: jc, CP: cp, IR: d.IR[lo:hi:hi], Num: d.Num[lo:hi:hi], SortedCols: d.SortedCols}
+		}
 	}
 	return out
 }

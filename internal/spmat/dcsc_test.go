@@ -2,6 +2,7 @@ package spmat
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -149,10 +150,62 @@ func TestMatColSelectMatchesColSelect(t *testing.T) {
 	if gotCSC := MatColSelect(m, cols); !Equal(want, gotCSC.ToCSC()) {
 		t.Fatal("MatColSelect(csc) differs from ColSelect")
 	}
-	// Unordered selections fall back to per-column lookups.
+	// Selections need not ascend.
 	shuffled := []int32{42, 3, 399, 17}
 	if !Equal(ColSelect(m, shuffled), MatColSelect(d, shuffled).ToCSC()) {
 		t.Fatal("unordered MatColSelect differs from ColSelect")
+	}
+}
+
+// TestMatColRangesMatchColRange holds the view-returning column cut to the
+// copying ColRange in both formats — empty ranges, ranges that do not start
+// at 0 or end at the last column — and pins what "view" means: entry storage
+// shared with the operand, capacity capped at the piece's end, and the
+// operand itself for a range that covers it.
+func TestMatColRangesMatchColRange(t *testing.T) {
+	m := randomNNZCSC(t, 24, 400, 300, 13)
+	bounds := []int32{5, 5, 40, 41, 399, 399}
+	for _, src := range []Matrix{m, m.ToDCSC()} {
+		for k, piece := range MatColRanges(src, bounds) {
+			want := ColRange(m, bounds[k], bounds[k+1])
+			if piece.Format() != src.Format() || !Equal(piece.ToCSC(), want) || piece.Sorted() != want.Sorted() {
+				t.Fatalf("%v piece %d [%d,%d): got %v, want %v", src.Format(), k, bounds[k], bounds[k+1], piece, want)
+			}
+			// Both formats lay the entries out alike, so the piece must start
+			// at the same offset of its operand's row array.
+			rows, from := piece.ToDCSC().IR, src.ToDCSC().IR
+			if c, ok := piece.(*CSC); ok {
+				rows, from = c.RowIdx, m.RowIdx
+			}
+			if len(rows) > 0 && (&rows[0] != &from[m.ColPtr[bounds[k]]] || cap(rows) != len(rows)) {
+				t.Fatalf("%v piece %d is not a capped view of the operand's entries", src.Format(), k)
+			}
+		}
+		if whole := MatColRanges(src, []int32{0, 400}); whole[0] != src {
+			t.Fatalf("%v: a range covering every column copied the operand", src.Format())
+		}
+	}
+}
+
+// TestSplitGridMatchesRanges cuts windows and grids that do not cover the
+// matrix and holds every block to RowRange(ColRange(m)): entries outside the
+// bounds are dropped, everything else lands once.
+func TestSplitGridMatchesRanges(t *testing.T) {
+	for _, m := range []*CSC{randomNNZCSC(t, 40, 300, 500, 3), randomNNZCSC(t, 300, 40, 500, 4), New(6, 6)} {
+		rowB := []int32{m.Rows / 5, m.Rows / 5, m.Rows / 2, m.Rows - 1}
+		colB := []int32{1, m.Cols / 3, m.Cols / 3, m.Cols}
+		for _, f := range []Format{FormatAuto, FormatCSC, FormatDCSC} {
+			blocks := SplitGrid(m, rowB, colB, f)
+			for r := 0; r+1 < len(rowB); r++ {
+				for c := 0; c+1 < len(colB); c++ {
+					got := blocks[r*(len(colB)-1)+c]
+					want := WithFormat(RowRange(ColRange(m, colB[c], colB[c+1]), rowB[r], rowB[r+1]), f)
+					if got.Format() != want.Format() || !Equal(got.ToCSC(), want.ToCSC()) || got.NonEmptyCols() != want.NonEmptyCols() {
+						t.Fatalf("%v format %v block (%d,%d): got %v, want %v", m, f, r, c, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -218,59 +271,177 @@ func TestDCSCMemBytesSmallerWhenHypersparse(t *testing.T) {
 	}
 }
 
-// TestDCSCCursorMatchesFind drives a cursor through ascending, backward, and
-// random access patterns and checks every lookup against the stateless
-// binary-search accessors.
-func TestDCSCCursorMatchesFind(t *testing.T) {
-	d := randomNNZCSC(t, 32, 2048, 300, 77).ToDCSC()
-	check := func(cur *DCSCCursor, j int32) {
-		t.Helper()
-		wantRows, wantVals := d.Column(j)
-		gotRows, gotVals := cur.Column(j)
-		if len(gotRows) != len(wantRows) || len(gotVals) != len(wantVals) {
-			t.Fatalf("column %d: cursor returned %d entries, want %d", j, len(gotRows), len(wantRows))
-		}
-		for p := range wantRows {
-			if gotRows[p] != wantRows[p] || gotVals[p] != wantVals[p] {
-				t.Fatalf("column %d entry %d differs", j, p)
-			}
-		}
-		if got, want := cur.ColNNZ(j), d.ColNNZ(j); got != want {
-			t.Fatalf("column %d: cursor ColNNZ %d, want %d", j, got, want)
+// scanFind is the oracle for column lookup: a linear scan of JC that shares
+// nothing with the AUX chunk index.
+func scanFind(d *DCSC, j int32) int {
+	for p, c := range d.JC {
+		if c == j {
+			return p
 		}
 	}
-
-	// Ascending full scan (the access pattern the cursor optimizes): every
-	// column, stored or absent.
-	cur := d.Cursor()
-	for j := int32(0); j < d.Cols; j++ {
-		check(&cur, j)
-	}
-	// Descending scan (worst case for a positional cursor — must still be
-	// correct via the binary-search fallback).
-	cur = d.Cursor()
-	for j := d.Cols - 1; j >= 0; j-- {
-		check(&cur, j)
-	}
-	// Random jumps, including repeats and out-of-range-ish extremes.
-	rng := rand.New(rand.NewSource(99))
-	cur = d.Cursor()
-	for i := 0; i < 2000; i++ {
-		check(&cur, int32(rng.Intn(int(d.Cols))))
-	}
-	check(&cur, 0)
-	check(&cur, d.Cols-1)
+	return -1
 }
 
-// TestDCSCCursorEmpty pins the degenerate cases.
-func TestDCSCCursorEmpty(t *testing.T) {
-	d := NewDCSC(4, 4)
-	cur := d.Cursor()
-	if n := cur.ColNNZ(2); n != 0 {
-		t.Fatalf("empty matrix ColNNZ = %d", n)
+// checkLookup holds find, Column and ColNNZ of column j to the scan oracle.
+func checkLookup(t *testing.T, d *DCSC, j int32) {
+	t.Helper()
+	want := scanFind(d, j)
+	if got := d.find(j); got != want {
+		t.Fatalf("%v: find(%d) = %d, scan says %d", d, j, got, want)
 	}
-	if rows, vals := cur.Column(0); len(rows) != 0 || len(vals) != 0 {
-		t.Fatal("empty matrix returned entries")
+	rows, vals := d.Column(j)
+	if want < 0 {
+		if len(rows) != 0 || len(vals) != 0 || d.ColNNZ(j) != 0 {
+			t.Fatalf("%v: absent column %d returned entries", d, j)
+		}
+		return
+	}
+	lo, hi := d.CP[want], d.CP[want+1]
+	if d.ColNNZ(j) != hi-lo || int64(len(rows)) != hi-lo || int64(len(vals)) != hi-lo ||
+		&rows[0] != &d.IR[lo] || &vals[0] != &d.Num[lo] {
+		t.Fatalf("%v: column %d is not a view of entries [%d,%d)", d, j, lo, hi)
+	}
+}
+
+// checkEveryLookup checks every column index of a block whose width allows
+// it, and otherwise every stored column, its two neighbours, both ends, one
+// past each end, and a random sample.
+func checkEveryLookup(t *testing.T, d *DCSC) {
+	t.Helper()
+	if d.Cols <= 1<<16 {
+		for j := int32(-1); j <= d.Cols; j++ {
+			checkLookup(t, d, j)
+		}
+		return
+	}
+	for _, c := range d.JC {
+		for _, j := range []int32{c - 1, c, c + 1} {
+			checkLookup(t, d, j)
+		}
+	}
+	rng := rand.New(rand.NewSource(int64(d.Cols)))
+	for i := 0; i < 4096; i++ {
+		checkLookup(t, d, int32(rng.Intn(int(d.Cols))))
+	}
+	for _, j := range []int32{-1, 0, d.Cols - 1, d.Cols} {
+		checkLookup(t, d, j)
+	}
+}
+
+// dcscWithCols builds a block whose stored columns are exactly jc, two
+// entries each.
+func dcscWithCols(cols int32, jc []int32) *DCSC {
+	d := &DCSC{Rows: 4, Cols: cols, JC: jc, CP: make([]int64, len(jc)+1), SortedCols: true}
+	for p := range jc {
+		d.CP[p+1] = d.CP[p] + 2
+		d.IR = append(d.IR, 1, 3)
+		d.Num = append(d.Num, float64(p), float64(-p))
+	}
+	return d
+}
+
+// TestDCSCAuxMatchesLinearScan holds the AUX chunk index behind
+// find/Column/ColNNZ to a linear scan of JC, on the shapes that stress its
+// chunking: no stored column, one, every column, all stored columns inside
+// one chunk (the search inside a chunk is then over all of JC), and widths up
+// to 2^30 with a handful stored.
+func TestDCSCAuxMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	every := make([]int32, 300)
+	for j := range every {
+		every[j] = int32(j)
+	}
+	clustered := make([]int32, 200) // 200 neighbours in a 2^20-wide block
+	for j := range clustered {
+		clustered[j] = 700000 + int32(j)
+	}
+	for _, d := range []*DCSC{
+		NewDCSC(4, 4),
+		NewDCSC(4, 0),
+		dcscWithCols(1, []int32{0}),
+		dcscWithCols(1000, []int32{0}),
+		dcscWithCols(1000, []int32{999}),
+		dcscWithCols(1<<30, []int32{1<<30 - 1}),
+		dcscWithCols(300, every),
+		dcscWithCols(1<<20, clustered),
+		dcscWithCols(1<<30, []int32{0, 5, 1 << 20, 1<<29 - 1, 1 << 29, 1<<30 - 2, 1<<30 - 1}),
+		dcscWithCols(1<<31-1, []int32{7, 1 << 30, 1<<31 - 2}),
+	} {
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkEveryLookup(t, d)
+	}
+	for trial := 0; trial < 60; trial++ {
+		cols := int32(1 + rng.Intn(5000))
+		nnz := rng.Intn(3 * int(cols))
+		checkEveryLookup(t, randomNNZCSC(t, 16, cols, nnz, int64(trial)).ToDCSC())
+	}
+}
+
+// TestDCSCAuxOnEveryConstructor looks every column up on blocks as each
+// constructor leaves them — none of them builds the index, so each of these
+// is a first lookup on a block that never had one.
+func TestDCSCAuxOnEveryConstructor(t *testing.T) {
+	m := randomNNZCSC(t, 32, 4096, 500, 77)
+	d := m.ToDCSC()
+	checkEveryLookup(t, d)
+	checkEveryLookup(t, d.Clone())
+
+	sel := MatColSelect(d, []int32{3, 17, 40, 41, 42, 100, 2000, 4095}).(*DCSC)
+	checkEveryLookup(t, sel)
+	checkEveryLookup(t, MatColSelect(d, CyclicCols(d.Cols, 3, 50)[1]).(*DCSC))
+
+	for _, piece := range MatColRanges(d, []int32{0, 1000, 1000, 3000, 4096}) {
+		checkEveryLookup(t, piece.(*DCSC))
+	}
+	checkEveryLookup(t, HCatMat([]Matrix{sel, d, NewDCSC(32, 9), sel}).(*DCSC))
+
+	for _, blk := range SplitGrid(m, PartBounds(m.Rows, 3), PartBounds(m.Cols, 5), FormatDCSC) {
+		checkEveryLookup(t, blk.(*DCSC))
+	}
+
+	// One arena decodes block after block into the same DCSC header: every
+	// decode must start without the previous block's index.
+	var ar Arena
+	for _, src := range []*DCSC{d, sel, dcscWithCols(1<<20, []int32{9, 1 << 19})} {
+		got, err := DeserializeMatrixInto(src.Serialize(), &ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEveryLookup(t, got.(*DCSC))
+	}
+	fresh, err := DeserializeMatrix(d.Serialize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEveryLookup(t, fresh.(*DCSC))
+}
+
+// TestDCSCAuxConcurrentFirstLookups has many goroutines make the first
+// lookups on one shared block at once, as the ranks a broadcast block is
+// shared with do. Meaningful under -race (make race).
+func TestDCSCAuxConcurrentFirstLookups(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		d := randomNNZCSC(t, 16, 1<<14, 900, int64(trial)).ToDCSC()
+		want := make([]int, d.Cols)
+		for j := range want {
+			want[j] = scanFind(d, int32(j))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for j := int32(g); j < d.Cols; j += 3 {
+					if got := d.find(j); got != want[j] {
+						t.Errorf("goroutine %d: find(%d) = %d, want %d", g, j, got, want[j])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 

@@ -15,10 +15,19 @@
 // CSC keeps a dense (cols+1)-entry column-pointer array — O(1) column
 // lookup, O(cols) metadata. DCSC (Buluç & Gilbert) keeps metadata only for
 // the non-empty columns (JC/CP index arrays over shared IR/Num entry
-// arrays) — O(log nzc) lookup, O(nzc) metadata — which is what hypersparse
-// blocks need: a 3D grid's q·l-way column split leaves far more columns
-// than nonzeros per block at scale (the paper's Rice-kmers regime, ~2 nnz
-// per column). The Matrix interface (EnumCols, Column, MemBytes, the wire
+// arrays) — O(nzc) metadata — which is what hypersparse blocks need: a 3D
+// grid's q·l-way column split leaves far more columns than nonzeros per
+// block at scale (the paper's Rice-kmers regime, ~2 nnz per column). Lookup
+// by column index is O(1) expected there too, through the format's AUX
+// array: between nzc and 2·nzc equal chunks of the column range, each
+// knowing where its stored columns start in JC, so a lookup searches only
+// the handful of stored columns that share its chunk. AUX costs 4 bytes per
+// chunk and one O(nzc) walk, paid by the first lookup on a block and never
+// again; it is not part of the matrix — not serialized, not in CommBytes,
+// not in the modeled footprint BlockMemBytes — because it is an accelerator
+// the receiving side builds for itself, like the kernels' hash tables and
+// worker scratch, which the paper's r-bytes-per-nonzero model does not count
+// either (see the DCSC type). The Matrix interface (EnumCols, Column, MemBytes, the wire
 // methods) lets kernels and the distributed core treat both uniformly;
 // Format/WithFormat/AutoFormat select per block, compressing exactly when
 // fewer than half the columns are occupied — the same threshold the wire
@@ -40,9 +49,14 @@
 //
 // # Distribution primitives
 //
-// PartBounds, ColRange/RowRange, ColSelect (and its format-preserving
-// MatColSelect), HCat/VCat, and the cyclic split helpers carve matrices into
-// the block rows, block columns, layer slices, and block-cyclic batches of
+// SplitGrid deals a matrix out over a grid of row ranges × column ranges —
+// a whole operand over a process grid, or one block's window of it — by
+// counting and placing: every entry is copied once, into a block allocated
+// at its exact size in its resolved format. PartBounds, ColRange/RowRange,
+// ColSelect (and its format-preserving MatColSelect), MatColRanges (a
+// matrix's consecutive column ranges as views over its entries — the fiber
+// split), HCat/VCat, and the cyclic split helpers carve matrices into the
+// block rows, block columns, layer slices, and block-cyclic batches of
 // Fig 1, and reassemble piece outputs; CommBytes makes both formats
 // mpi.Payloads so pieces can ride the simulated collectives with exact
 // wire-size accounting (memoized per block, so the batched schedule's

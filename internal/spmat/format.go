@@ -62,9 +62,8 @@ func ParseFormat(s string) (Format, error) {
 //
 //   - EnumCols iterates only the non-empty columns, in ascending order, so
 //     symbolic and numeric passes do work proportional to nnz/flops;
-//   - Column/ColNNZ look one column up (O(1) for CSC, O(log nzc) for DCSC;
-//     DCSC.Cursor gives the amortized-O(1) positional form the generic
-//     kernels use for the A-side accesses of SpGEMM);
+//   - Column/ColNNZ look one column up (O(1) for CSC, O(1) expected for
+//     DCSC through its AUX chunk index) — the A-side access of SpGEMM;
 //   - MemBytes is the per-format modeled footprint driving the
 //     memory-constrained batch decision;
 //   - CommBytes/Serialize speak the shared wire format, which chooses its
