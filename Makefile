@@ -31,9 +31,14 @@ test:
 # (TestPipelinedSUMMARace), the service concurrency workout (N clients racing
 # the plan cache and the admission scheduler), the concurrent
 # Observe/Predict/Marshal workout on one kernel cost table, and concurrent
-# first lookups on one shared DCSC block are exercised here.
+# first lookups on one shared DCSC block are exercised here. The three
+# packages that run ranks go twice, at -cpu 1 and -cpu 4: the compute gate
+# deals out GOMAXPROCS cores, so one core is the strict-turns path and four
+# is ranks computing side by side and taking idle cores for workers — on a
+# two-core runner neither is what a bare `go test` would cover.
 race:
-	$(GO) test -race ./internal/spmat ./internal/localmm ./internal/core ./internal/mpi ./internal/service ./internal/costmodel
+	$(GO) test -race ./internal/spmat ./internal/localmm ./internal/costmodel
+	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service
 
 # vet: static analysis over every package.
 vet:
@@ -127,13 +132,15 @@ kernelgate:
 # bench-kernels: regenerate BENCH_kernels.json — the recorded thread sweep
 # of the unsorted-hash local multiply, the heap/hash/hybrid crossover
 # measurements, the sorted hash merge on the Merge-Fiber and hypersparse
-# shapes, and the format-generic multiply on a DCSC operand, on this runner,
+# shapes, the format-generic multiply on a DCSC operand, and the one-vs-two
+# worker sweep the kernels' worker floor is set from
+# (localmm.workPerExtraWorker), on this runner,
 # with the runner's NumCPU, GOMAXPROCS and Go version beside them (a thread
 # sweep means nothing without the core count). Wall-clock numbers;
 # informational (the checked-in snapshot documents the runner the defaults
 # were sanity-checked on), not a regression gate.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MulMatGeneric' -benchtime=1s ./internal/localmm \
+	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MulMatGeneric|WorkerSpawnCrossover' -benchtime=1s ./internal/localmm \
 	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
 	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
 	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \
@@ -149,22 +156,27 @@ bench-kernels:
 # discarding hook) on the shapes of two bench/ workloads, `kmer-hyper` and
 # `protein-batched` (BenchmarkEngineShapes in bench_test.go; parameters copied
 # from bench/README.md): ns, bytes and allocations per multiply, with the
-# runner's NumCPU, GOMAXPROCS and Go version beside them. Each shape's
+# runner's NumCPU and Go version beside them. Every shape is recorded once
+# per entry of ENGINE_CPUS — by default on one core, where the compute gate
+# makes ranks take turns, and on all of the runner's — as `shape@cores`, so
+# the file shows what the cores bought. Each shape's
 # product is first held to a serial multiply of the unsplit operands by shape
 # and nonzero count, so the target doubles as a smoke test; the nightly
 # workflow runs it as one (ENGINE_BENCHTIME=3x). Wall-clock, informational —
 # the numbers a change is judged on come from bench/ — and the way to see a
 # workload's shape from the root module without touching bench/.
 ENGINE_BENCHTIME ?= 20x
+ENGINE_CPUS ?= 1,$$(getconf _NPROCESSORS_ONLN)
 bench-engine:
-	$(GO) test -run='^$$' -bench='EngineShapes' -benchtime=$(ENGINE_BENCHTIME) . \
+	$(GO) test -run='^$$' -bench='EngineShapes' -benchtime=$(ENGINE_BENCHTIME) -cpu $(ENGINE_CPUS) . \
 	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
-	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} /^(FAIL|---|panic)/{bad=1} {print > "/dev/stderr"} \
-	  /^Benchmark/{name=$$1; sub(/^BenchmarkEngineShapes\//,"",name); \
+	  'BEGIN{n=0} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} /^(FAIL|---|panic)/{bad=1} {print > "/dev/stderr"} \
+	  /^Benchmark/{name=$$1; sub(/^BenchmarkEngineShapes\//,"",name); procs=1; \
 	    if (match(name,/-[0-9]+$$/)) {procs=substr(name,RSTART+1); name=substr(name,1,RSTART-1)} \
+	    key=name "@" procs; if (!(key in at)) {at[key]=n; n++} \
 	    for (i=3; i<NF; i+=2) if ($$(i+1)=="ns/op") ns=$$i; else if ($$(i+1)=="B/op") by=$$i; else if ($$(i+1)=="allocs/op") al=$$i; else if ($$(i+1)=="flops/op") fl=$$i; \
-	    vals[n]=sprintf("    \"%s\": {\"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"flops_per_op\": %s}",name,$$2,ns,by,al,fl); n++} \
-	  END{if (bad || n==0) exit 1; print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"regenerate\": \"make bench-engine\",\n  \"shapes\": {\n", cpu, numcpu, procs, gover, goos; \
+	    vals[at[key]]=sprintf("    \"%s\": {\"gomaxprocs\": %s, \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"flops_per_op\": %s}",key,procs,$$2,ns,by,al,fl)} \
+	  END{if (bad || n==0) exit 1; print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"regenerate\": \"make bench-engine\",\n  \"shapes\": {\n", cpu, numcpu, gover, goos; \
 	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}' \
 	> BENCH_engine.json
 	@cat BENCH_engine.json

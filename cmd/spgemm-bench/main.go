@@ -69,7 +69,7 @@ func main() {
 		exp      = flag.String("exp", "list", "experiment id (fig3..fig15, table2..table7, pipeline), 'all', or 'list'")
 		scale    = flag.String("scale", "small", "workload scale: tiny | small | large")
 		machine  = flag.String("machine", "knl", "machine model: knl | haswell | knl-ht | local")
-		threads  = flag.Int("threads", 1, "worker goroutines per rank in local multiply/merge kernels (1 = serial, the published figure shapes)")
+		threads  = flag.Int("threads", 1, "most worker goroutines per rank in local multiply/merge kernels (1 = serial, the published figure shapes); extra workers run only on cores no rank is waiting for")
 		pipeline = flag.Bool("pipeline", false, "fully-overlapped schedule: prefetch stage broadcasts within and across batches and hide the fiber AllToAll behind Merge-Layer (off = the paper's staged schedule)")
 		format   = flag.String("format", "auto", "in-memory block storage: csc | dcsc | auto (auto compresses a block to DCSC when fewer than half its columns are occupied)")
 		sparse   = flag.String("sparsecomm", "off", "column-subset A-broadcast: off | auto | on (off reproduces the published figure shapes byte-identically; auto picks subsets per stage when the α–β model prices them cheaper)")

@@ -62,7 +62,7 @@ func main() {
 		p         = flag.Int("p", 16, "rank count every job runs on")
 		machine   = flag.String("machine", "knl", "machine model: knl | haswell | knl-ht | local")
 		memStr    = flag.String("mem", "", "aggregate memory budget shared by concurrent jobs, with optional suffix: 4GB, 512MB, 1e9 (empty = unconstrained)")
-		threads   = flag.Int("threads", 1, "worker goroutines per rank in local kernels")
+		threads   = flag.Int("threads", 1, "most worker goroutines per rank in local kernels (cores go to ranks first)")
 		kernels   = flag.String("kernels", "", "kernel/merger cost-table file: loaded at boot when present, saved on SIGINT/SIGTERM (empty = in-memory only, recalibration lost on exit)")
 		traceDir  = flag.String("tracedir", "", "directory for per-job span traces (job-<id>.json, Chrome trace-event format); created if missing (empty = no capture)")
 		pprofFlag = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -50,10 +50,21 @@
 //     paper's steps. Outputs are bit-identical in both schedules; only the
 //     accounting differs.
 //
-// Options.Threads additionally parallelizes each rank's local multiply,
-// merge, and symbolic kernels (localmm's one-pass plan) inside the rank's
-// compute-measurement token, mirroring the paper's 16-threads-per-process
-// configuration.
+// # Who computes when
+//
+// Every piece of local work — kernels, packing, extraction, concatenation —
+// runs as a compute section (Proc.measure → mpi.Comm.MeasureCompute), and
+// the world's compute gate deals the host's cores (GOMAXPROCS) out to the
+// sections: each waits for one core, so up to GOMAXPROCS ranks compute side
+// by side and a job's wall-clock follows its critical path, not the sum of
+// its ranks. Options.Threads is the most workers a rank's multiply, merge
+// and symbolic kernels (localmm's one-pass plan) may use, mirroring the
+// paper's 16-threads-per-process configuration: once a kernel knows its
+// work, and if that work pays for more than one worker, its section takes
+// further cores — only idle ones, none while a rank is waiting — and the
+// kernel runs one worker per core held (Proc.workers). Outputs, work units
+// and every modeled number are independent of the grant; with GOMAXPROCS=1
+// ranks take strict turns.
 //
 // # Sparse×dense: the 1.5D schedules
 //

@@ -171,8 +171,13 @@ type Options struct {
 	// when ForceBatches is set. When ForceBatches == 0 the symbolic step
 	// always runs, since b must be computed.
 	RunSymbolic bool
-	// Threads is the intra-rank thread count for local kernels (the paper
-	// uses 16 per process on KNL). Default 1: ranks are already concurrent.
+	// Threads is the most worker goroutines one rank's local kernel may run
+	// (the paper uses 16 per process on KNL). It is a ceiling, not a demand:
+	// a kernel call runs no more workers than its work pays for
+	// (localmm.Workers) and one per host core its compute section holds
+	// (mpi.Comm.Workers — cores go to waiting ranks first, to a rank's extra
+	// workers only when otherwise idle). Outputs, work units and modeled
+	// numbers do not depend on the count. Default 1.
 	Threads int
 	// MaxBatches caps the symbolic decision (0 = no cap beyond the number of
 	// columns).

@@ -2,6 +2,8 @@ package core
 
 import (
 	"sort"
+
+	"repro/internal/localmm"
 )
 
 // overlapLedger is the per-rank accounting that decides how much modeled
@@ -178,12 +180,22 @@ type pipeState struct {
 	hasNext bool
 }
 
-// measure runs fn under this run's compute token and advances the overlap
-// ledger by its wall time, so split collectives posted before fn can claim it
-// as hiding credit. In the staged schedule the ledger advance is inert: posts
-// and waits are adjacent, so no request ever has a nonzero window.
+// measure runs fn as one compute section — on one of the host's cores, for
+// which it waits (mpi.Comm.MeasureCompute) — and advances the overlap ledger
+// by its wall time, so split collectives posted before fn can claim it as
+// hiding credit. In the staged schedule the ledger advance is inert: posts and
+// waits are adjacent, so no request ever has a nonzero window.
 func (p *Proc) measure(fn func()) float64 {
 	sec := p.G.World.MeasureCompute(fn)
 	p.pipe.ledger.advance(sec)
 	return sec
+}
+
+// workers returns the worker count for a kernel call of the given work
+// (flops, or merge input entries) inside the running compute section:
+// Opts.Threads at most, no more than the work pays for (localmm.Workers), and
+// no more than the cores the section holds once it has taken what is idle
+// (mpi.Comm.Workers — ranks waiting for a core come first).
+func (p *Proc) workers(work int64) int {
+	return p.G.World.Workers(localmm.Workers(p.Opts.Threads, work))
 }

@@ -182,24 +182,6 @@ func (p *Proc) pickMerger(entries, scanCols int64) localmm.Merger {
 	return localmm.MergerHash
 }
 
-// mergeAs returns the merge function for merger mg, format-generic (Merge-Fiber
-// can see mixed formats under the auto heuristic). Opts.Threads > 1 splits the
-// one-pass plan over that many workers; they execute inside the caller's
-// MeasureCompute token, so the single-token gate still serializes ranks and
-// intra-rank speedup shows up as shorter measured compute time.
-func (p *Proc) mergeAs(mg localmm.Merger) func(mats []spmat.Matrix, sorted bool) spmat.Matrix {
-	sr, threads := p.Opts.Semiring, p.Opts.Threads
-	return func(mats []spmat.Matrix, sorted bool) spmat.Matrix {
-		return localmm.MergeMat(mg, mats, sr, sorted, threads)
-	}
-}
-
-// mergeFn returns the merge function of the statically configured merger
-// (call sites that pick per merge use pickMerger + mergeAs).
-func (p *Proc) mergeFn() func(mats []spmat.Matrix, sorted bool) spmat.Matrix {
-	return p.mergeAs(p.Opts.Merger)
-}
-
 // colScanWork is the column-metadata share of a block's modeled work: the
 // dense column count for CSC, the stored-column count for DCSC. This is the
 // O(n)-per-block term the doubly-compressed path removes from the modeled

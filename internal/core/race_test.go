@@ -9,10 +9,13 @@ import (
 )
 
 // TestBatchedSUMMA3DWithThreadsRace runs a small end-to-end BatchedSUMMA3D
-// with multithreaded local kernels so `go test -race ./internal/core`
-// exercises rank concurrency and intra-rank worker concurrency together —
-// every combination of kernel parallelism inside the MeasureCompute token.
-// Guarded by -short so the default suite stays fast.
+// with Threads > 1 so `go test -race -cpu 1,4 ./internal/core` (make race)
+// exercises ranks computing side by side under the compute gate, each
+// allowed extra workers. These operands are far below localmm's worker
+// floor, so no section takes a second core or starts a worker;
+// TestLoneRankRunsItsWorkers and TestHostCoresChangeOnlyWallClock carry
+// stages heavy enough that idle cores become running workers. Guarded by
+// -short so the default suite stays fast.
 func TestBatchedSUMMA3DWithThreadsRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race workout skipped in -short mode")
@@ -43,9 +46,10 @@ func TestBatchedSUMMA3DWithThreadsRace(t *testing.T) {
 }
 
 // TestPipelinedSUMMARace layers the broadcast/compute pipeline on top of
-// rank concurrency and intra-rank worker threads, with the symbolic step
-// (and its parallel LOCALSYMBOLIC) in the loop — the full concurrency stack
-// under the race detector. Guarded by -short like the other workout.
+// ranks computing side by side with Threads > 1, with the symbolic step in
+// the loop — the schedule's full concurrency under the race detector (the
+// workers themselves need heavier stages; see above). Guarded by -short like
+// the other workout.
 func TestPipelinedSUMMARace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race workout skipped in -short mode")

@@ -66,12 +66,17 @@ type denseProc struct {
 	res  *DenseResult
 }
 
-// measure times fn as local compute and advances the overlap ledger so
-// in-flight shifts accumulate credit.
+// measure times fn as one compute section (see Proc.measure) and advances the
+// overlap ledger so in-flight shifts accumulate credit.
 func (p *denseProc) measure(fn func()) float64 {
 	sec := p.g.World.MeasureCompute(fn)
 	p.led.advance(sec)
 	return sec
+}
+
+// workers is Proc.workers for the dense schedules.
+func (p *denseProc) workers(flops int64) int {
+	return p.g.World.Workers(localmm.Workers(p.opts.Threads, flops))
 }
 
 // trackPeak records a high-water candidate for the modeled memory footprint.
@@ -281,7 +286,7 @@ func (p *denseProc) runColA(a *spmat.CSC, b *spmat.DenseMat) error {
 			}
 			bView := spmat.DenseRowView(bPanel, aBounds[blk], aBounds[blk+1])
 			flops := localmm.SpMMFlops(cur, acc.Cols)
-			sec := p.measure(func() { localmm.SpMMInto(acc, cur, bView, opts.Threads) })
+			sec := p.measure(func() { localmm.SpMMInto(acc, cur, bView, p.workers(flops)) })
 			m.SetCategory(StepLocalMult)
 			m.AddComputeWork(sec, flops+1)
 			p.res.LocalFlops += flops
@@ -376,7 +381,7 @@ func (p *denseProc) runInnerABC(a *spmat.CSC, b *spmat.DenseMat) error {
 			}
 			flops := localmm.SpMMFlops(aParts[blk], acc.Cols)
 			curOp := cur
-			sec := p.measure(func() { localmm.SpMMInto(acc, aParts[blk], curOp, opts.Threads) })
+			sec := p.measure(func() { localmm.SpMMInto(acc, aParts[blk], curOp, p.workers(flops)) })
 			m.SetCategory(StepLocalMult)
 			m.AddComputeWork(sec, flops+1)
 			p.res.LocalFlops += flops

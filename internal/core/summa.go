@@ -76,8 +76,9 @@ func (p *Proc) waitStageBcasts(sb stageBcasts, aCat, aHidden, bCat, bHidden stri
 
 // forEachStage runs the q broadcast+multiply stages of Alg 1 over bBatch,
 // invoking consume with every stage's partial product. Merges inside consume
-// run through Proc.measure, so their time joins the multiply time as overlap
-// credit in the ledger.
+// run through Proc.measure — compute sections of their own, dealt cores like
+// the multiply's — so their time joins the multiply time as overlap credit in
+// the ledger.
 //
 // With Opts.Pipeline the loop prefetches in two directions. Within the
 // batch, stage s+1's broadcasts are posted before stage s's multiply starts,
@@ -137,11 +138,13 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 		// (the O(n)-per-block term the compressed format removes from the
 		// modeled critical path); the unit accounting is deliberately
 		// kernel-independent so the modeled critical path never moves with
-		// the kernel knob. With Opts.Threads > 1 the kernel's workers all run
-		// inside this rank's MeasureCompute token: the single-token gate
-		// still serializes ranks, so intra-rank parallelism appears as
-		// shorter measured compute, exactly the paper's
-		// 16-threads-per-process configuration.
+		// the kernel knob. The kernel runs one worker per core the section
+		// holds once the flops are known (Proc.workers) — Opts.Threads at
+		// most, fewer whenever other ranks need the cores or the stage is
+		// too small to pay for a worker — so intra-rank parallelism appears
+		// as shorter measured compute, the paper's 16-threads-per-process
+		// configuration, and never as more runnable goroutines than the host
+		// has cores.
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
 		var plan *localmm.Plan
@@ -150,7 +153,7 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 		sec := p.measure(func() {
 			plan = localmm.PlanMul(aRecv, bRecv)
 			kern = p.stageKernel(plan.Flops, scanCols)
-			prod = plan.Mul(kern, p.Opts.Semiring, p.Opts.Threads)
+			prod = plan.Mul(kern, p.Opts.Semiring, p.workers(plan.Flops))
 		})
 		res.LocalFlops += plan.Flops
 		p.Opts.Kernels.Observe(kern.String(), plan.Flops, scanCols, sec)
@@ -202,7 +205,7 @@ func (p *Proc) summa2D(bBatch, bNextBatch spmat.Matrix, res *Result) spmat.Matri
 	mg := p.pickMerger(unmerged, colScanWork(bBatch))
 	var d spmat.Matrix
 	mergeSec := p.measure(func() {
-		d = p.mergeAs(mg)(partial, false)
+		d = localmm.MergeMat(mg, partial, p.Opts.Semiring, false, p.workers(unmerged))
 	})
 	p.Opts.Kernels.Observe(mg.String(), unmerged, colScanWork(bBatch), mergeSec)
 	meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
@@ -234,7 +237,7 @@ func (p *Proc) summa2DIncremental(bBatch, bNextBatch spmat.Matrix, res *Result) 
 		mg := p.pickMerger(work, colScanWork(acc))
 		var merged spmat.Matrix
 		sec := p.measure(func() {
-			merged = p.mergeAs(mg)(pair, false)
+			merged = localmm.MergeMat(mg, pair, p.Opts.Semiring, false, p.workers(work))
 		})
 		p.Opts.Kernels.Observe(mg.String(), work, colScanWork(acc), sec)
 		meter.AddComputeWork(sec, work+1)
@@ -358,7 +361,7 @@ func (p *Proc) summa3DBatchOverlapped(t int, bBatch, bNextBatch spmat.Matrix, re
 		mg := p.pickMerger(in, colScanWork(perDest[m][0]))
 		var out spmat.Matrix
 		sec := p.measure(func() {
-			out = p.mergeAs(mg)(perDest[m], false)
+			out = localmm.MergeMat(mg, perDest[m], p.Opts.Semiring, false, p.workers(in))
 		})
 		p.Opts.Kernels.Observe(mg.String(), in, colScanWork(out), sec)
 		meter.AddComputeWork(sec, in+colScanWork(out)+1)
@@ -433,7 +436,7 @@ func (p *Proc) mergeFiber(t int, rows int32, recv []mpi.Payload, res *Result) (s
 		if len(mats) == 0 {
 			c = spmat.New(rows, 0)
 		} else {
-			c = p.mergeAs(mg)(mats, true)
+			c = localmm.MergeMat(mg, mats, p.Opts.Semiring, true, p.workers(recvNNZ))
 		}
 	})
 	if len(mats) > 0 {

@@ -57,10 +57,10 @@ func (p *Proc) Symbolic3D() (b int, maxNNZC int64, err error) {
 		var plan *localmm.Plan
 		symSec := p.measure(func() {
 			// LOCALSYMBOLIC (Alg 3 line 7), threaded like the numeric
-			// kernels when Opts.Threads > 1, from the same one-pass flop
-			// count the work units below charge.
+			// kernels (Proc.workers), from the same one-pass flop count the
+			// work units below charge.
 			plan = localmm.PlanMul(aRecv, bRecv)
-			localNNZ += plan.Symbolic(p.Opts.Threads)
+			localNNZ += plan.Symbolic(p.workers(plan.Flops))
 		})
 		meter.AddComputeWork(symSec, plan.Flops+bRecv.NNZ()+colScanWork(bRecv)+1)
 	}

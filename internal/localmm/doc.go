@@ -54,13 +54,20 @@
 // handful of small objects. Sorted output is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.
 //
-// The caller's goroutine executes one range itself: threads <= 1 — the
+// The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already
-// concurrent — starts no goroutine. The mpi compute-token gate means
-// parallel workers, when enabled, run inside a rank's measured compute
-// section (the paper's 16-threads-per-process Cori-KNL configuration),
-// shortening measured time without perturbing the communication model.
-// Results are independent of the thread count: each output column is
+// concurrent — starts no goroutine. The threads argument of every entry
+// point is a ceiling. A call runs fewer workers than allowed when it has
+// fewer column slots or less than workPerExtraWorker of work — flops, or
+// merge input entries — per extra worker (Workers): below that floor,
+// measured by BenchmarkWorkerSpawnCrossover, waking a second worker costs
+// more than half the work saves. Inside the distributed multiply the
+// argument is the number of host cores the rank's compute section holds
+// (mpi's compute gate, asked only for what Workers says the call can use;
+// the paper's 16-threads-per-process Cori-KNL configuration is
+// Options.Threads = 16 on a host with cores to spare). Workers shorten
+// measured time without perturbing the communication model. Results are
+// independent of the thread count: each output column is
 // computed by one worker in serial operand order and drained in
 // hash-insertion order, so float64 values and the entry order inside
 // unsorted columns are bit-identical to the one-thread run.

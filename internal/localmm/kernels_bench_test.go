@@ -136,3 +136,41 @@ func BenchmarkMulMatGeneric(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWorkerSpawnCrossover is the measurement workPerExtraWorker is set
+// from: the unsorted-hash multiply at one worker and at two — through
+// Plan.mul, which runs exactly the worker count it is given, so the floor
+// under test does not hide the losing side — over products of 0.5 k to 256 k
+// flops, with B stored CSC and hypersparse DCSC (one column in eight stored).
+// A is 1024×256 with 10 entries per column and B has 4 per stored column, so
+// every B column costs 40 flops and the column count sets the work. The loop
+// is hot — workers, scratch and operands stay cached between iterations — so
+// the second worker's wake-up is as cheap here as it gets: the crossover read
+// off this table is a lower bound on where a worker pays in the engine.
+func BenchmarkWorkerSpawnCrossover(b *testing.B) {
+	sr := semiring.PlusTimes()
+	a := uniformMat(b, 1024, 256, 10, 101)
+	for _, dcsc := range []bool{false, true} {
+		for work := 512; work <= 256<<10; work *= 2 {
+			cols := int32((work + 39) / 40)
+			csc := uniformMat(b, 256, cols, 4, 102)
+			var bm spmat.Matrix = csc
+			format := "csc-B"
+			if dcsc {
+				d := &spmat.DCSC{Rows: csc.Rows, Cols: cols * 8, CP: csc.ColPtr, IR: csc.RowIdx, Num: csc.Val, SortedCols: csc.SortedCols}
+				for p := int32(0); p < cols; p++ {
+					d.JC = append(d.JC, p*8)
+				}
+				bm, format = d, "dcsc-B"
+			}
+			pl := PlanMul(a, bm)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/flops=%d/workers=%d", format, pl.Flops, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pl.mul(KernelHashUnsorted, sr, workers)
+					}
+				})
+			}
+		}
+	}
+}

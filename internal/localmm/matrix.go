@@ -158,24 +158,27 @@ func MatFlops(a, b spmat.Matrix) int64 {
 }
 
 // SymbolicMat computes nnz(A·B) without forming the product — LOCALSYMBOLIC
-// of Alg 3 — over any format combination, with threads worker goroutines
-// counting distinct output rows per column over flop-balanced ranges of B's
-// slots. Work on a doubly-compressed B is O(flops + nnz(B)). Serial CSC
-// operands take SymbolicSpGEMM's dense stamp array instead, which needs no
-// flop counts; the count is the same for every format and thread count.
+// of Alg 3 — over any format combination, with at most threads worker
+// goroutines (clampThreads) counting distinct output rows per column over
+// flop-balanced ranges of B's slots. Work on a doubly-compressed B is
+// O(flops + nnz(B)). Serial CSC operands take SymbolicSpGEMM's dense stamp
+// array instead, which needs no flop counts; the count is the same for every
+// format and thread count.
 func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
-	if n, ok := symbolicSerialCSC(a, b, threads); ok {
-		return n
+	if threads <= 1 {
+		if n, ok := symbolicSerialCSC(a, b); ok {
+			return n
+		}
 	}
 	return PlanMul(a, b).Symbolic(threads)
 }
 
-// symbolicSerialCSC runs SymbolicSpGEMM when the operands are CSC and one
-// worker would run.
-func symbolicSerialCSC(a, b spmat.Matrix, threads int) (int64, bool) {
+// symbolicSerialCSC runs SymbolicSpGEMM when both operands are CSC; callers
+// take it when one worker would run.
+func symbolicSerialCSC(a, b spmat.Matrix) (int64, bool) {
 	ac, okA := a.(*spmat.CSC)
 	bc, okB := b.(*spmat.CSC)
-	if !okA || !okB || clampThreads(threads, bc.Cols) != 1 {
+	if !okA || !okB {
 		return 0, false
 	}
 	return SymbolicSpGEMM(ac, bc), true
@@ -183,11 +186,13 @@ func symbolicSerialCSC(a, b spmat.Matrix, threads int) (int64, bool) {
 
 // Symbolic is SymbolicMat on the planned pair.
 func (pl *Plan) Symbolic(threads int) int64 {
-	if n, ok := symbolicSerialCSC(pl.a, pl.b, threads); ok {
-		return n
+	threads = clampThreads(threads, pl.bv.n, pl.Flops)
+	if threads == 1 {
+		if n, ok := symbolicSerialCSC(pl.a, pl.b); ok {
+			return n
+		}
 	}
 	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
-	threads = clampThreads(threads, bv.n)
 	aRows, _ := a.Dims()
 	ac := colsOf(a)
 	var total atomic.Int64
@@ -218,15 +223,22 @@ func ParallelSymbolicSpGEMM(a, b *spmat.CSC, threads int) int64 {
 }
 
 // MulMat computes A·B with the selected kernel over any format combination
-// by the one-pass plan of parallel.go, with threads worker goroutines
-// (threads <= 1 runs on the caller's goroutine) over flop-balanced ranges of
-// B's slots.
+// by the one-pass plan of parallel.go, with at most threads workers — fewer
+// when the product is too small to pay for them (clampThreads); one worker
+// runs on the caller's goroutine — over flop-balanced ranges of B's slots.
 func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Matrix {
 	return PlanMul(a, b).Mul(k, sr, threads)
 }
 
 // Mul is MulMat on the planned pair.
 func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, threads int) spmat.Matrix {
+	return pl.mul(k, sr, clampThreads(threads, pl.bv.n, pl.Flops))
+}
+
+// mul runs the multiply on exactly workers ranges of B's slots (some may be
+// empty). Mul decides the count; BenchmarkWorkerSpawnCrossover, which sets
+// the floor Mul decides by, calls this directly.
+func (pl *Plan) mul(k Kernel, sr *semiring.Semiring, workers int) spmat.Matrix {
 	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
 	if (k == KernelHeap || k == KernelHybrid) && !a.Sorted() {
 		// The heap-based kernels require sorted A columns; restore once, on
@@ -241,7 +253,7 @@ func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, threads int) spmat.Matrix {
 	sortedOut := k != KernelHashUnsorted
 	plusTimes := sr.IsPlusTimes()
 	var out spmat.Matrix
-	onePass(flopBounds(colFlops, clampThreads(threads, bv.n)), func(w *mmWorker, lo, hi int32) {
+	onePass(flopBounds(colFlops, workers), func(w *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue
@@ -327,11 +339,12 @@ func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
 
 // MergeMat adds same-shaped matrices entry-wise with the selected merger
 // over any format combination (operands may even mix formats, as Merge-Fiber
-// sees under the auto heuristic) by the one-pass plan of parallel.go, with
-// threads worker goroutines over ranges balanced by input entries. When
-// every operand is DCSC the slots are the union of their stored columns — a
-// k-way merge of the ascending column lists, O(Σ nzc) — and the output is
-// DCSC; otherwise the slots are the columns and the output is CSC.
+// sees under the auto heuristic) by the one-pass plan of parallel.go, with at
+// most threads workers (clampThreads, by input entries) over ranges balanced
+// by input entries. When every operand is DCSC the slots are the union of
+// their stored columns — a k-way merge of the ascending column lists,
+// O(Σ nzc) — and the output is DCSC; otherwise the slots are the columns and
+// the output is CSC.
 // sortOutput only affects MergerHash; the heap merge needs sorted operands
 // (unsorted ones are sorted on copies) and always emits sorted columns.
 //
@@ -383,10 +396,14 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 			}
 		}
 	}
+	var entries int64
+	for _, m := range mats {
+		entries += m.NNZ()
+	}
 	counts := make([]int64, slots.n)
 	plusTimes := sr.IsPlusTimes()
 	var out spmat.Matrix
-	onePass(flopBounds(colIn, clampThreads(threads, slots.n)), func(w *mmWorker, lo, hi int32) {
+	onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, lo, hi int32) {
 		w.seek(views, slots.index(lo))
 		for p := lo; p < hi; p++ {
 			if colIn[p] == 0 {

@@ -28,9 +28,12 @@ import (
 // of the accumulation itself, so the multiply and the merge carry no
 // symbolic pass of their own (Alg 3's LOCALSYMBOLIC remains a separate entry
 // point, SymbolicMat). The caller's goroutine executes one range itself, so
-// threads <= 1 starts no goroutine at all; further ranges run on their own
+// one worker starts no goroutine at all; further ranges run on their own
 // goroutines, which wait for the allocation and then place their chunk in
-// parallel.
+// parallel. The thread count a caller passes is the most workers it allows
+// (in the distributed multiply: the cores its compute section holds); a call
+// runs fewer when it has fewer column slots or too little work to pay for
+// them (clampThreads).
 //
 // Every output column is computed by one worker in serial operand order and
 // drained in hash-insertion order, so values and the entry order inside
@@ -133,16 +136,45 @@ func flopBounds(colWork []int64, parts int) []int32 {
 	return bounds
 }
 
-// clampThreads bounds the worker count by the number of column slots,
-// keeping at least one.
-func clampThreads(threads int, slots int32) int {
-	if int64(threads) > int64(slots) {
-		threads = int(slots)
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	return threads
+// workPerExtraWorker is the work — flops of a multiply or a symbolic pass,
+// input entries of a merge — a call must carry for every worker beyond the
+// caller's own goroutine. Below it a second worker costs more than it saves:
+// its wake-up, its cold scratch and the wait at the allocation barrier are
+// fixed, the work it takes over is not. BenchmarkWorkerSpawnCrossover (make
+// bench-kernels), unsorted hash at 40 flops per column on a two-core 2.1 GHz
+// Xeon, best of three, one worker → two:
+//
+//	flops     CSC B (µs)       DCSC B (µs)
+//	  4 k       58 →   62        53 →   59
+//	  8 k      118 →  132       106 →  126
+//	 16 k      238 →  279       241 →  266
+//	 32 k      540 →  495       413 →  422
+//	 64 k      968 → 1034       954 →  948
+//	128 k     1926 → 1695      1950 → 1901
+//	256 k     3646 → 2850      4135 → 3417
+//
+// A second worker loses 5–19 % up to 16 k, is level from 32 k to 64 k and
+// wins from 128 k on. That loop is hot, which flatters the wake-up; a stage
+// of the distributed multiply finds its second core cold. Hence 64 k: the
+// smallest size at which the worker is no longer a loss. (The stages of
+// bench/'s protein-batched workload carry about 9 k flops each; spawning
+// there made Threads=2 6 % slower than Threads=1.)
+const workPerExtraWorker = 1 << 16
+
+// Workers returns the most workers a call carrying work (flops of a multiply
+// or a symbolic pass, input entries of a merge) starts when its caller allows
+// threads: one extra worker per workPerExtraWorker of work, at least one. A
+// caller that must reserve a core per worker (core's compute sections) asks
+// this before it reserves, so a small call reserves nothing.
+func Workers(threads int, work int64) int {
+	return max(1, min(threads, 1+int(work/workPerExtraWorker)))
+}
+
+// clampThreads turns the thread count a caller allows into the worker count
+// a call runs: what its work pays for (Workers), and at most one worker per
+// column slot.
+func clampThreads(threads int, slots int32, work int64) int {
+	return max(1, min(Workers(threads, work), int(slots)))
 }
 
 // runWorkers executes fn once per non-empty column range, each with its own

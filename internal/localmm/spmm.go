@@ -59,7 +59,7 @@ func SpMMInto(c *spmat.DenseMat, a spmat.Matrix, b *spmat.DenseMat, threads int)
 		panic(fmt.Sprintf("localmm: SpMMInto accumulator is %v, want %dx%d", c, rows, b.Cols))
 	}
 	d := b.Cols
-	threads = clampThreads(threads, d)
+	threads = clampThreads(threads, d, SpMMFlops(a, d))
 	if threads <= 1 || d < 2 {
 		spmmRange(c, a, b, 0, d)
 		return
@@ -118,7 +118,7 @@ func SDDMM(s spmat.Matrix, u, v *spmat.DenseMat, threads int) spmat.Matrix {
 	for p := range colWork {
 		colWork[p] = (sv.ptr[p+1] - sv.ptr[p]) * k
 	}
-	bounds := flopBounds(colWork, clampThreads(threads, sv.n))
+	bounds := flopBounds(colWork, clampThreads(threads, sv.n, out.NNZ()*k))
 	runWorkers(bounds, func(_ *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
 			rows, vals := sv.col(p)

@@ -16,12 +16,19 @@
 //
 // Each rank owns a Meter that accumulates, per caller-chosen category (the
 // paper's step names), modeled communication seconds, exact payload bytes
-// and message counts, and measured compute seconds. MeasureCompute is a
-// global single-token gate: the rank holding it computes effectively alone
-// on the host, so its wall time is clean even with hundreds of rank
-// goroutines; intra-rank worker threads run inside the token. Summarize
-// aggregates per-rank meters into the critical-path numbers the paper plots
-// (per-step maxima over ranks, work-smoothed compute).
+// and message counts, and measured compute seconds. Comm.MeasureCompute
+// times one compute section under the world's compute gate, which holds one
+// token per host core (GOMAXPROCS when the Run starts): a section waits for
+// one core, and a kernel in it about to start worker goroutines is told by
+// Comm.Workers how many the section can hold — it takes idle cores, never
+// waits for one: ranks first, a rank's extra workers second, never more
+// goroutines runnable than cores. No computing goroutine is
+// time-shared, so its wall time is its own even with hundreds of rank
+// goroutines, and as many ranks compute at once as the host has cores.
+// Summarize aggregates per-rank meters into the critical-path numbers the
+// paper plots (per-step maxima over ranks, work-smoothed compute) and the
+// plain sum of compute seconds (Summary.RankComputeSeconds: over the run's
+// wall time, the cores the job kept busy).
 //
 // # Non-blocking collectives
 //

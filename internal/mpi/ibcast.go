@@ -1,5 +1,7 @@
 package mpi
 
+import "fmt"
+
 // This file implements the split (non-blocking) broadcast the pipelined SUMMA
 // schedule needs: IbcastStart posts the collective and performs the data
 // movement, Wait/WaitOverlap complete it and charge the meter. The split
@@ -43,7 +45,7 @@ func (r *BcastRequest) Subset() bool { return r.subset }
 // them.
 func (c *Comm) IbcastStart(root int, msg Payload) *BcastRequest {
 	if root < 0 || root >= c.size {
-		panic("mpi: IbcastStart root out of range")
+		panic(fmt.Sprintf("mpi: broadcast root %d out of range [0,%d)", root, c.size))
 	}
 	if c.rank == root {
 		c.core.slots[root] = msg

@@ -1,53 +1,105 @@
 package mpi
 
 import (
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// computeGate serializes timed kernel execution across the ranks of one
-// Run. Without it, hundreds of goroutine ranks time-share a few host cores
-// and every measured kernel time is inflated by scheduler contention, which
-// would destroy the strong-scaling shapes (per-rank compute must shrink as p
-// grows). Capacity is deliberately 1, not NumCPU: while one rank computes,
-// every other rank of its world is parked (in a barrier or on this gate), so
-// the token holder is effectively alone on the machine and its wall time is
-// clean. Queue wait is excluded from the measured time. The per-thread CPU
-// clock would be the ideal measurement, but its resolution is the scheduler
-// tick (10 ms on typical VMs) — far too coarse for microsecond kernels.
+// computeGate deals the host's cores out to the compute sections of one Run.
 //
-// The gate is deliberately per-world, not package-global: a long-running
-// service executes independent multiply jobs concurrently, and a shared
-// token would falsely serialize unrelated jobs against each other (and make
-// one job's measured times depend on another job's schedule). Each Run
-// creates its own gate; Split children share their world's.
-type computeGate chan struct{}
-
-func newComputeGate() computeGate { return make(computeGate, 1) }
-
-func (g computeGate) measure(fn func()) float64 {
-	g <- struct{}{}
-	defer func() { <-g }()
-	t0 := time.Now()
-	fn()
-	return time.Since(t0).Seconds()
+// What the tokens are. The gate holds runtime.GOMAXPROCS(0) cores, read when
+// the Run starts: one per goroutine the Go scheduler can execute at once. A
+// compute section (Comm.MeasureCompute) holds one core per goroutine it runs
+// on, so at most GOMAXPROCS compute goroutines of a world are ever runnable
+// and none of them is time-shared with another. That is the property the gate
+// exists for: hundreds of rank goroutines time-sharing a few cores would
+// inflate every measured kernel time by scheduler contention and destroy the
+// strong-scaling shapes (per-rank compute must shrink as p grows). Waiting for
+// a core is excluded from the measured time. The per-thread CPU clock would be
+// the ideal measurement, but its resolution is the scheduler tick (10 ms on
+// typical VMs) — far too coarse for microsecond kernels. Ranks computing side
+// by side still share the memory system, so a measured second on a busy host
+// is somewhat longer than on an idle one; under GOMAXPROCS=1 the gate holds
+// one core and ranks take strict turns.
+//
+// Ranks first. A section blocks for its first core only. A kernel inside it
+// that could use more workers (Options.Threads in core) asks when it is about
+// to start them (Comm.Workers) and takes further cores only if they are free
+// at that moment and no rank is blocked for its first — never waiting for
+// one. So cores go to ranks before they go to a rank's extra workers, and a
+// job with more ranks than cores — every job at the paper's scale — runs one
+// goroutine per section.
+//
+// A grant, not a demand, taken late. The kernel is told how many cores the
+// section holds and runs that many workers, so the thread count a caller
+// configures is a ceiling. Blocking for the full count instead would idle
+// cores while the last holder finishes (and deadlock outright when the count
+// exceeds the capacity); running the configured workers regardless would
+// oversubscribe the host and void the property above. And the cores are taken
+// when the kernel knows its work, not when the section starts: the first rank
+// out of a barrier finds every core idle, and one that took them on entry
+// would hold them through a call too small to start a worker while the next
+// rank waits (measured: 5 % of a 16-rank job on two cores). Outputs, work
+// units and every modeled number are independent of the worker count, so the
+// grant changes wall-clock only.
+//
+// Per world, not package-global: a long-running service executes independent
+// multiply jobs concurrently, and a shared gate would make one job's measured
+// times depend on another job's schedule. Each Run creates its own gate;
+// Split children share their world's.
+type computeGate struct {
+	mu sync.Mutex
+	// freed is signalled once per core returned.
+	freed sync.Cond
+	// free counts the cores no section holds; waiting, the sections blocked
+	// for their first.
+	free, waiting int
 }
 
-// standaloneGate serves the package-level MeasureCompute, for callers timing
-// kernels outside any Run (benchmarks, host-side reference multiplies).
-var standaloneGate = newComputeGate()
+func newComputeGate() *computeGate {
+	g := &computeGate{free: runtime.GOMAXPROCS(0)}
+	g.freed.L = &g.mu
+	return g
+}
 
-// MeasureCompute runs fn while holding the process-wide standalone compute
-// token and returns fn's wall time (excluding the wait for the token). fn
-// must not perform collectives: a rank blocked in a barrier while holding
-// the token would starve the ranks it is waiting for. Code running inside a
-// Run must use Comm.MeasureCompute instead, which holds the run's own token
-// so concurrent Runs (independent service jobs) never serialize against
-// each other.
-func MeasureCompute(fn func()) float64 {
-	return standaloneGate.measure(fn)
+// acquire blocks until the caller holds one core.
+func (g *computeGate) acquire() {
+	g.mu.Lock()
+	g.waiting++
+	for g.free == 0 {
+		g.freed.Wait()
+	}
+	g.waiting--
+	g.free--
+	g.mu.Unlock()
+}
+
+// tryAcquire takes up to n further cores for a section that holds one — as
+// many as are free, none while a rank waits for its first — and returns how
+// many it took. It never blocks.
+func (g *computeGate) tryAcquire(n int) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.waiting > 0 {
+		return 0
+	}
+	n = min(n, g.free)
+	g.free -= n
+	return n
+}
+
+// release returns n cores.
+func (g *computeGate) release(n int) {
+	g.mu.Lock()
+	g.free += n
+	g.mu.Unlock()
+	for ; n > 0; n-- {
+		g.freed.Signal()
+	}
 }
 
 // Meter accumulates, per rank, the communication volume and modeled time of
@@ -246,6 +298,12 @@ type Summary struct {
 	CriticalPathSeconds float64
 	// Ranks is the number of meters aggregated.
 	Ranks int
+	// RankComputeSeconds is the sum over ranks and steps of compute seconds
+	// as metered, neither smoothed nor reduced to a maximum. Divided by the
+	// run's wall time it is the mean number of ranks computing at once — the
+	// cores the job kept busy, short of the extra workers a section was
+	// granted.
+	RankComputeSeconds float64
 }
 
 // Summarize combines per-rank meters into a Summary.
@@ -273,6 +331,7 @@ func Summarize(meters []*Meter) *Summary {
 			}
 			g.sec += s.ComputeSeconds
 			g.work += s.WorkUnits
+			sum.RankComputeSeconds += s.ComputeSeconds
 		}
 	}
 	smoothed := func(cat string, s *StepStats) float64 {

@@ -86,35 +86,32 @@ func TestSummarizeCriticalPathUsesSmoothedTimes(t *testing.T) {
 }
 
 func TestMeasureComputeReturnsPositive(t *testing.T) {
-	sec := MeasureCompute(func() {
-		s := 0.0
-		for i := 0; i < 100000; i++ {
-			s += float64(i)
+	Run(1, testCM, func(c *Comm) {
+		sec := c.MeasureCompute(func() {
+			s := 0.0
+			for i := 0; i < 100000; i++ {
+				s += float64(i)
+			}
+			_ = s
+		})
+		if sec <= 0 {
+			t.Error("MeasureCompute returned nonpositive time")
 		}
-		_ = s
 	})
-	if sec <= 0 {
-		t.Error("MeasureCompute returned nonpositive time")
-	}
 }
 
 func TestMeasureComputeConcurrent(t *testing.T) {
-	// Many goroutines racing the gate must all complete and measure > 0.
-	done := make(chan float64, 32)
-	for i := 0; i < 32; i++ {
-		go func() {
-			done <- MeasureCompute(func() {
-				s := 0
-				for j := 0; j < 10000; j++ {
-					s += j
-				}
-				_ = s
-			})
-		}()
-	}
-	for i := 0; i < 32; i++ {
-		if sec := <-done; sec < 0 {
+	// Many ranks racing the gate must all complete and measure >= 0.
+	Run(32, testCM, func(c *Comm) {
+		sec := c.MeasureCompute(func() {
+			s := 0
+			for j := 0; j < 10000; j++ {
+				s += j
+			}
+			_ = s
+		})
+		if sec < 0 {
 			t.Error("negative measurement")
 		}
-	}
+	})
 }

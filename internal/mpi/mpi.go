@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -175,21 +176,49 @@ type Comm struct {
 	// pool recycles request structs, receive slices, and wire buffers; one
 	// per Comm handle, touched only by the owning rank's goroutine.
 	pool *commPool
-	// gate is the per-world compute-measurement token (see meter.go). All
-	// communicators derived from one Run share their world's gate, so timed
-	// kernels serialize within a run without coupling concurrent runs.
-	gate computeGate
+	// gate deals the host's cores to this world's compute sections (see
+	// meter.go). All communicators derived from one Run share their world's
+	// gate; concurrent runs are not coupled. cores is how many this rank's
+	// running section holds (0 outside one), shared by every communicator the
+	// rank derives via Split.
+	gate  *computeGate
+	cores *int
 }
 
-// MeasureCompute runs fn while holding this run's compute token and returns
-// fn's wall time (excluding the wait for the token). fn must not perform
-// collectives: a rank blocked in a barrier while holding the token would
-// starve the ranks it is waiting for. The token is scoped to the world this
-// communicator descends from, so concurrent Runs never serialize against
-// each other and one run's measured times do not depend on another's
-// schedule.
+// MeasureCompute runs fn as one compute section of this run and returns fn's
+// wall time. The section waits for one of the host's cores (see computeGate);
+// the wait is excluded from the returned time. Kernels in fn that can run
+// several workers ask Workers for the cores to run them on. Every core the
+// section holds is returned when fn ends, by panic included. fn must not
+// perform collectives: a rank blocked in a barrier while holding cores would
+// starve the ranks it is waiting for. The cores belong to the world this
+// communicator descends from, so one run's measured times do not depend on
+// another's schedule.
 func (c *Comm) MeasureCompute(fn func()) float64 {
-	return c.gate.measure(fn)
+	c.gate.acquire()
+	*c.cores = 1
+	defer func() {
+		c.gate.release(*c.cores)
+		*c.cores = 0
+	}()
+	t0 := time.Now()
+	fn()
+	return time.Since(t0).Seconds()
+}
+
+// Workers is called inside a compute section by a kernel about to start want
+// worker goroutines, and returns how many it may start: the section takes the
+// cores it is short of, as many as are idle at that moment and none while a
+// rank waits for its first, and never blocks for them. The result is at least
+// 1 — the core the section runs on — and at most want.
+func (c *Comm) Workers(want int) int {
+	if *c.cores == 0 {
+		panic("mpi: Workers called outside a compute section")
+	}
+	if want > *c.cores {
+		*c.cores += c.gate.tryAcquire(want - *c.cores)
+	}
+	return max(1, min(want, *c.cores))
 }
 
 // Rank returns this rank's id within the communicator (0-based).
@@ -206,23 +235,10 @@ func (c *Comm) Barrier() { c.core.bar.await() }
 
 // Bcast broadcasts root's payload to every rank and returns it. All ranks
 // (including root) receive the same object; treat it as read-only. The
-// modeled cost α·lg(size) + β·bytes is charged to every rank.
+// modeled cost α·lg(size) + β·bytes is charged to every rank. It is exactly
+// the split broadcast completed immediately.
 func (c *Comm) Bcast(root int, msg Payload) Payload {
-	if root < 0 || root >= c.size {
-		panic(fmt.Sprintf("mpi: Bcast root %d out of range [0,%d)", root, c.size))
-	}
-	if c.rank == root {
-		c.core.slots[root] = msg
-	}
-	c.Barrier()
-	out := c.core.slots[root].(Payload)
-	c.Barrier()
-	var n int64
-	if out != nil {
-		n = out.CommBytes()
-	}
-	c.meter.addComm(1, n, c.cost.BcastCost(c.size, n))
-	return out
+	return c.IbcastStart(root, msg).Wait()
 }
 
 // Allgather collects one payload from every rank; the result is indexed by
@@ -233,7 +249,7 @@ func (c *Comm) Allgather(msg Payload) []Payload {
 	out := make([]Payload, c.size)
 	var total int64
 	for i := range out {
-		out[i] = c.core.slots[i].(Payload)
+		out[i], _ = c.core.slots[i].(Payload)
 		if out[i] != nil {
 			total += out[i].CommBytes()
 		}
@@ -376,6 +392,7 @@ func RunTraced(p int, cm CostModel, rec *obs.Recorder, fn func(c *Comm)) []*Mete
 	meters := make([]*Meter, p)
 	errs := make([]any, p)
 	pendings := make([]int64, p)
+	cores := make([]int, p)
 	gate := newComputeGate()
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -392,7 +409,7 @@ func RunTraced(p int, cm CostModel, rec *obs.Recorder, fn func(c *Comm)) []*Mete
 			}()
 			fn(&Comm{
 				rank: r, size: p, core: core, cost: cm, meter: meters[r],
-				pending: &pendings[r], pool: &commPool{}, gate: gate,
+				pending: &pendings[r], pool: &commPool{}, gate: gate, cores: &cores[r],
 			})
 		}(r)
 	}

@@ -61,6 +61,44 @@ func TestBcastMetersEveryRank(t *testing.T) {
 	}
 }
 
+// TestNilPayloadCollectives: a root that contributes nothing is a legal
+// broadcast of nothing — every rank gets nil back and is charged one message
+// of zero bytes — through Bcast, the split form, and Allgather alike. Bcast
+// and IbcastStart+Wait must leave field-identical meters, and Run's audit
+// (which panics on a request never waited) must stay quiet.
+func TestNilPayloadCollectives(t *testing.T) {
+	const p = 4
+	forms := []struct {
+		name string
+		call func(c *Comm) []Payload
+		cost float64
+	}{
+		{"Bcast", func(c *Comm) []Payload { return []Payload{c.Bcast(1, nil)} }, testCM.BcastCost(p, 0)},
+		{"IbcastStart+Wait", func(c *Comm) []Payload { return []Payload{c.IbcastStart(1, nil).Wait()} }, testCM.BcastCost(p, 0)},
+		{"Allgather", func(c *Comm) []Payload { return c.Allgather(nil) }, testCM.AllreduceCost(p, 0)},
+	}
+	steps := make([]StepStats, len(forms))
+	for i, f := range forms {
+		meters := Run(p, testCM, func(c *Comm) {
+			c.Meter().SetCategory("step")
+			for _, got := range f.call(c) {
+				if got != nil {
+					t.Errorf("%s: rank %d received %v, want nil", f.name, c.Rank(), got)
+				}
+			}
+		})
+		steps[i] = meters[0].Step("step")
+		for r, m := range meters {
+			if s := m.Step("step"); s != steps[i] || s.Messages != 1 || s.Bytes != 0 || s.CommSeconds != f.cost {
+				t.Errorf("%s: rank %d metered %+v, want one message of 0 bytes costing %v", f.name, r, s, f.cost)
+			}
+		}
+	}
+	if steps[0] != steps[1] {
+		t.Errorf("Bcast metered %+v, IbcastStart+Wait %+v", steps[0], steps[1])
+	}
+}
+
 func TestAllgather(t *testing.T) {
 	Run(5, testCM, func(c *Comm) {
 		got := c.Allgather(Bytes(c.Rank() * 10))

@@ -64,13 +64,17 @@ var jobBuckets = []float64{
 
 // jobMetrics aggregates per-job wall timings: end-to-end duration (plan +
 // admission wait + run) and admission queue wait, as histograms plus the
-// total/max the Stats snapshot reports.
+// total/max the Stats snapshot reports, and the two totals that say how many
+// cores the jobs used — wall seconds inside the engine and the compute
+// seconds the ranks measured there.
 type jobMetrics struct {
 	mu             sync.Mutex
 	duration       histogram
 	queueWait      histogram
 	queueWaitTotal float64
 	queueWaitMax   float64
+	engineTotal    float64
+	rankCompute    float64
 	failures       int64
 }
 
@@ -81,12 +85,15 @@ func newJobMetrics() *jobMetrics {
 	}
 }
 
-// observeJob records one completed job's end-to-end duration and queue wait.
-func (jm *jobMetrics) observeJob(duration, wait float64) {
+// observeJob records one completed job's end-to-end duration, queue wait,
+// engine wall time and summed rank compute seconds.
+func (jm *jobMetrics) observeJob(duration, wait, engine, rankCompute float64) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	jm.duration.observe(duration)
 	jm.queueWait.observe(wait)
+	jm.engineTotal += engine
+	jm.rankCompute += rankCompute
 	jm.queueWaitTotal += wait
 	if wait > jm.queueWaitMax {
 		jm.queueWaitMax = wait
@@ -101,10 +108,10 @@ func (jm *jobMetrics) observeFailure() {
 }
 
 // snapshot returns the scalar aggregates Stats() reports.
-func (jm *jobMetrics) snapshot() (waitTotal, waitMax float64, failures int64) {
+func (jm *jobMetrics) snapshot() (waitTotal, waitMax, engine, rankCompute float64, failures int64) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	return jm.queueWaitTotal, jm.queueWaitMax, jm.failures
+	return jm.queueWaitTotal, jm.queueWaitMax, jm.engineTotal, jm.rankCompute, jm.failures
 }
 
 // endpointNames fixes the counter set (and its /metrics label order); the
@@ -143,6 +150,8 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_jobs_queued_total", "Jobs that waited for admission.", float64(st.QueuedJobs))
 	counter("spgemmd_queue_wait_seconds_total", "Total admission queue wait.", st.QueueWaitSeconds)
 	gauge("spgemmd_queue_wait_max_seconds", "Longest single admission wait.", st.QueueWaitMaxSeconds)
+	counter("spgemmd_engine_seconds_total", "Wall time completed jobs spent inside the distributed multiply.", st.EngineSeconds)
+	counter("spgemmd_rank_compute_seconds_total", "Compute seconds measured by the ranks of completed jobs; its rate over spgemmd_engine_seconds_total's is the mean busy cores.", st.RankComputeSeconds)
 	gauge("spgemmd_admission_queue_depth", "Jobs currently waiting for admission.", float64(st.QueueDepth))
 	gauge("spgemmd_admission_queue_peak", "Deepest the admission queue has been.", float64(st.PeakQueued))
 	gauge("spgemmd_admission_reserved_bytes", "Sum of admitted jobs' reservations.", float64(st.ReservedBytes))

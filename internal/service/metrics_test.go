@@ -2,14 +2,19 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/genmat"
@@ -83,23 +88,81 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
+// jobLog collects the service's JSON log lines; the HTTP handler goroutines
+// write it, the test reads it.
+type jobLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *jobLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// done returns the decoded `job done` lines.
+func (l *jobLog) done(t *testing.T) []map[string]any {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(l.buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["msg"] == "job done" {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
 // TestMetricsEndpointMatchesStats: /metrics must parse as Prometheus text
 // and agree with the Stats snapshot — they render the same counters, so any
 // drift is a bug.
 func TestMetricsEndpointMatchesStats(t *testing.T) {
 	a := genmat.RMAT(genmat.RMATConfig{Scale: 5, EdgeFactor: 8, Seed: 31, Weighted: true})
-	cl, s := startServer(t, testConfig(t, a))
+	cfg := testConfig(t, a)
+	var logs jobLog
+	cfg.Logger = slog.New(slog.NewJSONHandler(&logs, nil))
+	cl, s := startServer(t, cfg)
 	if _, err := cl.Load("a", a); err != nil {
 		t.Fatal(err)
 	}
+	var engine float64
+	var jobs []MultiplyResponse
 	for i := 0; i < 3; i++ {
-		if _, _, err := cl.Multiply(MultiplyRequest{A: "a", B: "a"}); err != nil {
+		res, _, err := cl.Multiply(MultiplyRequest{A: "a", B: "a"})
+		if err != nil {
 			t.Fatal(err)
+		}
+		// Every job reports its own engine time and the cores it kept busy:
+		// at least some compute happened, and no more ranks computed at once
+		// than the gate has cores.
+		if res.EngineSeconds <= 0 || res.BusyCores <= 0 || res.BusyCores > float64(runtime.GOMAXPROCS(0)) {
+			t.Errorf("job %d: engine_s %g, busy_cores %g on %d cores", i, res.EngineSeconds, res.BusyCores, runtime.GOMAXPROCS(0))
+		}
+		engine += res.EngineSeconds
+		jobs = append(jobs, res)
+	}
+	// The same two numbers are on each job's log line.
+	lines := logs.done(t)
+	if len(lines) != len(jobs) {
+		t.Fatalf("%d `job done` log lines for %d jobs", len(lines), len(jobs))
+	}
+	for i, line := range lines {
+		if line["engine_s"] != jobs[i].EngineSeconds || line["busy_cores"] != jobs[i].BusyCores {
+			t.Errorf("job %d logged engine_s=%v busy_cores=%v, responded %g and %g", i, line["engine_s"], line["busy_cores"], jobs[i].EngineSeconds, jobs[i].BusyCores)
 		}
 	}
 
 	m := scrapeMetrics(t, cl.Base)
 	st := s.Stats()
+	if math.Abs(st.EngineSeconds-engine) > 1e-9*engine || st.RankComputeSeconds <= 0 || st.RankComputeSeconds > engine*float64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("stats total %g engine and %g rank compute seconds; the jobs reported %g engine seconds", st.EngineSeconds, st.RankComputeSeconds, engine)
+	}
 
 	checks := []struct {
 		metric string
@@ -110,6 +173,8 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		{"spgemmd_jobs_queued_total", float64(st.QueuedJobs)},
 		{"spgemmd_queue_wait_seconds_total", st.QueueWaitSeconds},
 		{"spgemmd_queue_wait_max_seconds", st.QueueWaitMaxSeconds},
+		{"spgemmd_engine_seconds_total", st.EngineSeconds},
+		{"spgemmd_rank_compute_seconds_total", st.RankComputeSeconds},
 		{"spgemmd_plan_cache_entries", float64(st.Plans)},
 		{"spgemmd_plan_cache_hits_total", float64(st.PlanHits)},
 		{"spgemmd_plan_cache_misses_total", float64(st.PlanMisses)},

@@ -166,6 +166,8 @@ type MultiplyResponse struct {
 	ComputeSeconds      float64    `json:"compute_seconds"`
 	Queued              bool       `json:"queued"`
 	QueueSeconds        float64    `json:"queue_seconds"`
+	EngineSeconds       float64    `json:"engine_s"`
+	BusyCores           float64    `json:"busy_cores"`
 	JobID               int64      `json:"job_id"`
 	Result              string     `json:"result,omitempty"`
 	// Trace is the job's Chrome trace-event document, present when the
@@ -243,6 +245,8 @@ func Handler(s *Service) http.Handler {
 			ComputeSeconds:      res.ComputeSeconds,
 			Queued:              res.Queued,
 			QueueSeconds:        res.QueueSeconds,
+			EngineSeconds:       res.EngineSeconds,
+			BusyCores:           res.BusyCores,
 			JobID:               res.JobID,
 		}
 		if res.C != nil {

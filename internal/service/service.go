@@ -220,6 +220,14 @@ type MultiplyResult struct {
 	// long (wall time of this process, not modeled time).
 	Queued       bool
 	QueueSeconds float64
+	// EngineSeconds is the wall time of the distributed multiply itself (host
+	// split, ranks, no planning, queueing or assembly); BusyCores is the
+	// ranks' summed measured compute seconds over that time — the mean number
+	// of ranks computing at once, which approaches the host's core count when
+	// the compute gate keeps every core dealt out and sits near 1 when
+	// something serial (the host split, one overloaded rank) dominates.
+	EngineSeconds float64
+	BusyCores     float64
 	// JobID identifies this job in the daemon's structured logs and trace
 	// filenames (jobs number from 1 in arrival order).
 	JobID int64
@@ -274,7 +282,9 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 
 	// The ranks' results carry everything the response reports; the global
 	// product is assembled only for a request that asked to get it back.
+	engineStart := time.Now()
 	results, summary, err := core.MultiplyRanks(ra.mat, rb.mat, rc, nil)
+	engineSec := time.Since(engineStart).Seconds()
 	var c *spmat.CSC
 	if err == nil && req.ReturnResult {
 		c, err = core.AssembleResults(results, ra.mat.Rows, rb.mat.Cols)
@@ -283,17 +293,23 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		return nil, s.jobFailed(jobID, req, err)
 	}
 	s.multiplies.Add(1)
+	busyCores := 0.0
+	if engineSec > 0 { // a clock too coarse for a tiny job must not put +Inf in the JSON
+		busyCores = summary.RankComputeSeconds / engineSec
+	}
 
 	res := &MultiplyResult{
-		C:            c,
-		Rows:         ra.mat.Rows,
-		Cols:         rb.mat.Cols,
-		Plan:         plan,
-		Batches:      results[0].Batches,
-		Queued:       queued,
-		QueueSeconds: wait,
-		JobID:        jobID,
-		Trace:        rc.Trace,
+		C:             c,
+		Rows:          ra.mat.Rows,
+		Cols:          rb.mat.Cols,
+		Plan:          plan,
+		Batches:       results[0].Batches,
+		Queued:        queued,
+		QueueSeconds:  wait,
+		EngineSeconds: engineSec,
+		BusyCores:     busyCores,
+		JobID:         jobID,
+		Trace:         rc.Trace,
 	}
 	for _, r := range results {
 		if r.PeakMemBytes > res.PeakMemBytesPerRank {
@@ -309,7 +325,7 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 	res.ModelSeconds = res.CommSeconds + res.ComputeSeconds
 
 	duration := time.Since(jobStart).Seconds()
-	s.met.observeJob(duration, wait)
+	s.met.observeJob(duration, wait, engineSec, summary.RankComputeSeconds)
 	tracePath := ""
 	if rc.Trace != nil {
 		s.traces.Add(1)
@@ -330,6 +346,7 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		"cache_hit", plan.CacheHit,
 		"queued", queued, "queue_s", wait,
 		"duration_s", duration,
+		"engine_s", engineSec, "busy_cores", res.BusyCores,
 		"batches", res.Batches,
 		"nnz", res.NNZ,
 		"model_s", res.ModelSeconds,
@@ -374,6 +391,12 @@ type Stats struct {
 	QueueWaitMaxSeconds float64 `json:"queue_wait_max_seconds"`
 	QueueDepth          int     `json:"queue_depth"`
 	ReservedBytes       int64   `json:"reserved_bytes"`
+	// EngineSeconds totals the wall time completed jobs spent inside the
+	// distributed multiply; RankComputeSeconds the compute seconds their
+	// ranks measured in it. Their ratio over any window is the mean number of
+	// cores the jobs of that window kept busy.
+	EngineSeconds      float64 `json:"engine_seconds"`
+	RankComputeSeconds float64 `json:"rank_compute_seconds"`
 	// Requests counts served HTTP requests per endpoint — the same counters
 	// /metrics renders, so the two views cannot drift.
 	Requests map[string]int64 `json:"requests"`
@@ -393,7 +416,7 @@ type Stats struct {
 // Stats returns a consistent-enough snapshot for monitoring (counters are
 // read individually, not under one lock).
 func (s *Service) Stats() Stats {
-	waitTotal, waitMax, failures := s.met.snapshot()
+	waitTotal, waitMax, engine, rankCompute, failures := s.met.snapshot()
 	reqs := make(map[string]int64, len(endpointNames))
 	for i, name := range endpointNames {
 		reqs[name] = s.requests[i].Load()
@@ -413,6 +436,8 @@ func (s *Service) Stats() Stats {
 		QueueWaitMaxSeconds: waitMax,
 		QueueDepth:          s.sched.Queued(),
 		ReservedBytes:       s.sched.UsedBytes(),
+		EngineSeconds:       engine,
+		RankComputeSeconds:  rankCompute,
 		Requests:            reqs,
 		TracesCaptured:      s.traces.Load(),
 

@@ -8,8 +8,9 @@
 //   - sparse matrices (CSC) with construction, I/O, and manipulation;
 //   - serial and multithreaded SpGEMM kernels over arbitrary semirings (the
 //     paper's sort-free hash kernels and the previous heap/hybrid
-//     generation; Options.Threads and MultiplyParallel run them on several
-//     worker goroutines, matching the paper's 16 threads per process);
+//     generation; MultiplyParallel runs them on several worker goroutines
+//     and Options.Threads lets each simulated rank do so — at most that many,
+//     matching the paper's 16 threads per process);
 //   - Cluster, a simulated distributed machine on which BatchedSUMMA3D — the
 //     paper's integrated communication-avoiding, memory-constrained
 //     algorithm — executes with per-step metering; Options.Pipeline runs the
@@ -222,9 +223,10 @@ func MultiplySerial(a, b *Matrix, sr *Semiring) *Matrix {
 // MultiplyParallel computes A·B on the host with the paper's multithreaded
 // sort-free hash kernel (Sec. IV-D): flop-balanced workers each hash their
 // range of output columns once, and the chunks land in an output allocated
-// once at its exact size. threads <= 1 is identical to MultiplySerial;
-// results are bit-identical for any thread count. A nil semiring means
-// plus-times.
+// once at its exact size. threads is the most workers the call may start — a
+// product too small to pay for a second worker runs on one — and
+// threads <= 1 is identical to MultiplySerial; results are bit-identical for
+// any thread count. A nil semiring means plus-times.
 func MultiplyParallel(a, b *Matrix, sr *Semiring, threads int) *Matrix {
 	if sr == nil {
 		sr = semiring.PlusTimes()
@@ -283,12 +285,16 @@ type Options struct {
 	// MeasureSymbolic runs (and meters) the symbolic step even when Batches
 	// is forced.
 	MeasureSymbolic bool
-	// Threads is the number of worker goroutines each rank uses inside its
-	// local multiply and merge kernels (the paper runs 16 per process on
-	// Cori-KNL). 0 or 1 keeps the local kernels serial — the default, so
-	// metered experiment shapes are unchanged. Workers run inside the rank's
-	// compute-measurement token, so intra-rank parallelism shortens measured
-	// compute time without perturbing the communication model.
+	// Threads is the most worker goroutines each rank may use inside its
+	// local multiply, merge and symbolic kernels (the paper runs 16 per
+	// process on Cori-KNL). 0 or 1 keeps the local kernels serial — the
+	// default. It is a ceiling: the simulator deals the host's cores
+	// (GOMAXPROCS) to ranks first and gives a rank extra workers only from
+	// cores no rank is waiting for, so on a job with more ranks than cores a
+	// kernel call usually runs one worker whatever Threads says, and no call
+	// starts a worker its work does not pay for. Results, work units and the
+	// communication model do not depend on it; only measured compute time
+	// does.
 	Threads int
 	// Pipeline overlaps communication with computation across the whole
 	// schedule: each SUMMA stage's broadcasts are posted before the previous
