@@ -68,11 +68,13 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 	$(GO) tool cover -html=cover.out -o cover.html
 
-# fuzz: bounded fuzz passes over the three untrusted-input parsers — the
-# Matrix Market reader, the sparse wire-format deserializer, and the dense
+# fuzz: bounded fuzz passes over the untrusted-input parsers — the
+# Matrix Market reader, the sparse wire-format deserializer, the dense
 # panel wire-format deserializer (seed corpora in
 # internal/spmat/testdata/fuzz plus in-code seeds for the historical
-# header-overflow and row-out-of-range bugs). The Go fuzzer takes one
+# header-overflow and row-out-of-range bugs), and the daemon's binary /load
+# body under a 1 MB budget (in-code seeds: both wire encodings, truncations,
+# and the 21-byte matrix whose CSC form is 16 GiB). The Go fuzzer takes one
 # -fuzz pattern per invocation, hence one line per target. Override
 # FUZZTIME for longer local runs, e.g. `make fuzz FUZZTIME=5m`; the
 # default 30s bound per target is what `make ci` runs.
@@ -80,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMatrixMarket -fuzztime=$(FUZZTIME) ./internal/spmat
 	$(GO) test -run='^$$' -fuzz=FuzzDeserializeMatrix -fuzztime=$(FUZZTIME) ./internal/spmat
 	$(GO) test -run='^$$' -fuzz=FuzzDeserializeDense -fuzztime=$(FUZZTIME) ./internal/spmat
+	$(GO) test -run='^$$' -fuzz=FuzzLoadBody -fuzztime=$(FUZZTIME) ./internal/service
 
 # perfgate: the performance-regression gate the nightly workflow enforces.
 # Runs pinned fig-6/8 and sparse×dense (spmm) shapes, emits BENCH_pr3.json,
@@ -154,9 +157,11 @@ bench-kernels:
 # bench-engine: regenerate BENCH_engine.json — one whole distributed multiply
 # (host split, 64 or 16 simulated ranks, kernels, merges, assembly or a
 # discarding hook) on the shapes of two bench/ workloads, `kmer-hyper` and
-# `protein-batched` (BenchmarkEngineShapes in bench_test.go; parameters copied
-# from bench/README.md): ns, bytes and allocations per multiply, with the
-# runner's NumCPU and Go version beside them. Every shape is recorded once
+# `protein-batched`, plus one Markov-clustering expansion through the daemon
+# as a client runs it — upload, cold plan, multiply, download over httptest —
+# on the shape of a third, `mcl-service` (BenchmarkEngineShapes in
+# bench_test.go; parameters copied from bench/README.md): ns, bytes and
+# allocations per multiply, with the runner's NumCPU and Go version beside them. Every shape is recorded once
 # per entry of ENGINE_CPUS — by default on one core, where the compute gate
 # makes ranks take turns, and on all of the runner's — as `shape@cores`, so
 # the file shows what the cores bought. Each shape's
@@ -182,7 +187,8 @@ bench-engine:
 	@cat BENCH_engine.json
 
 # profile-engine: CPU and allocation profiles of one engine shape, e.g.
-# `make profile-engine SHAPE=protein-batched`, written to cpu.pprof and
+# `make profile-engine SHAPE=protein-batched` (or SHAPE=mcl-service for the
+# daemon's request path around the engine), written to cpu.pprof and
 # mem.pprof beside the test binary they were taken from (repro.test); read
 # them with `go tool pprof -top repro.test cpu.pprof` or
 # `go tool pprof -sample_index=alloc_space -top repro.test mem.pprof`.

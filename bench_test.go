@@ -10,6 +10,8 @@ package spgemm_test
 import (
 	"fmt"
 	"io"
+	"math"
+	"net/http/httptest"
 	"testing"
 
 	spgemm "repro"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/genmat"
 	"repro/internal/localmm"
 	"repro/internal/semiring"
+	"repro/internal/service"
 	"repro/internal/spmat"
 )
 
@@ -282,7 +285,11 @@ func BenchmarkSUMMAPipelined(b *testing.B) { benchPipeline(b, true) }
 // the kernels is the operation; protein-batched is the one where the kernels
 // are. Before it is timed, each shape's product is held to the serial
 // localmm.MulMat of the unsplit operands by shape and nonzero count — two
-// untimed runs that also fill the kernels' scratch free list. ---
+// untimed runs that also fill the kernels' scratch free list. The third entry,
+// mcl-service, is the shape of the bench/ workload of that name where the
+// engine is not the operation: one Markov-clustering expansion A·A as a client
+// of the daemon runs it (service.Client.MultiplyMatrices against
+// service.Handler behind httptest) — upload, cold plan, multiply, download. ---
 
 func BenchmarkEngineShapes(b *testing.B) {
 	shapes := []struct {
@@ -355,6 +362,47 @@ func BenchmarkEngineShapes(b *testing.B) {
 			b.ReportMetric(float64(localmm.Flops(a, bm)), "flops/op")
 		})
 	}
+
+	// mcl-service: 16 ranks, one thread, a budget of 24·flops/4 as in bench/.
+	// Every iteration changes one value, so the operand has a content name
+	// the daemon has not seen: it is uploaded and its plan is cold, as each
+	// expansion of a clustering is.
+	b.Run("mcl-service", func(b *testing.B) {
+		a := genmat.SymmetricPermute(genmat.ProteinSimilarity(10, 8, 1), 1)
+		want := localmm.MulMat(localmm.KernelHashUnsorted, a, a, semiring.PlusTimes(), 1)
+		flops := localmm.Flops(a, a)
+		svc, err := service.New(service.Config{P: 16, Threads: 1, MemBytes: 24 * flops / 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := httptest.NewServer(service.Handler(svc))
+		defer srv.Close()
+		cl := &service.Client{Base: srv.URL, HTTP: srv.Client()}
+		run := func() *spmat.CSC {
+			a.Val[0] = math.Nextafter(a.Val[0], math.Inf(1))
+			c, err := cl.MultiplyMatrices(a, a, "plus-times")
+			if err != nil {
+				b.Fatal(err)
+			}
+			return c
+		}
+		for warm := 0; warm < 2; warm++ {
+			wr, wc := want.Dims()
+			if c := run(); c.Rows != wr || c.Cols != wc || c.NNZ() != want.NNZ() {
+				b.Fatalf("product is %v, serial multiply gives %dx%d with %d nonzeros", c, wr, wc, want.NNZ())
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		b.StopTimer()
+		if st := svc.Stats(); st.Probes != int64(b.N)+2 || st.Requests["load"] != int64(b.N)+2 {
+			b.Fatalf("%d probes and %d loads over %d expansions: the plan was not cold or the operand not sent once", st.Probes, st.Requests["load"], b.N+2)
+		}
+		b.ReportMetric(float64(flops), "flops/op")
+	})
 }
 
 // --- End-to-end application benchmarks. ---

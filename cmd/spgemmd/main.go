@@ -1,13 +1,17 @@
 // Command spgemmd is the multiply-as-a-service daemon: it holds distributed
 // matrices resident across requests, caches planner decisions so repeat
 // multiplies skip probe work, and admits concurrent jobs under a shared
-// memory budget. The JSON-over-HTTP API (documented in SERVICE.md) exposes:
+// memory budget. The HTTP API (documented in SERVICE.md; JSON, with matrices
+// crossing as their binary wire bytes) exposes:
 //
-//	POST /load      make a matrix resident (wire bytes, Matrix Market text,
-//	                or a server-side deterministic generator)
+//	POST /load      make a matrix resident (wire bytes as the body of
+//	                /load?name=…, or JSON: Matrix Market text or a
+//	                server-side deterministic generator); -mem bounds what
+//	                an uploaded body may make the daemon allocate
 //	POST /plan      the (cached) planner decision for a resident pair
 //	POST /multiply  plan, admit, and execute one job (?trace=1 returns the
-//	                job's per-rank Chrome/Perfetto trace)
+//	                job's per-rank Chrome/Perfetto trace; return_result
+//	                appends the product's wire bytes to the JSON line)
 //	GET  /stats     plan-cache, probe, admission, and job counters (JSON)
 //	GET  /matrices  resident matrices and their fingerprints
 //	GET  /metrics   the same telemetry in Prometheus text format

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/spmat"
@@ -88,27 +89,48 @@ func ProbePair(a, b *spmat.CSC, sample int) (*Probe, error) {
 	})
 
 	// Sampled symbolic probe: exact per-column flops and distinct output
-	// rows for a deterministic stride of columns.
-	var scratch []int32
+	// rows for a deterministic stride of columns. A column's rows pass
+	// through an open-addressed set sized for that column — 2·min(flops,
+	// rows) slots rounded up to a power of two, a slot holding row+1 and 0
+	// when empty — so only the distinct ones are sorted. That is O(flops) a
+	// column, and no buffer is sized by A's row count alone, which an
+	// uploaded header can claim without a byte to back it.
+	var scratch, slots []int32
 	var sumNNZ int64
 	var occupied int64
 	for k := 0; k < sample; k++ {
 		j := int32(int64(k) * int64(cols) / int64(sample))
 		bRows, _ := b.Column(j)
 		var f int64
+		for _, r := range bRows {
+			f += a.ColNNZ(r)
+		}
+		size := 8
+		for int64(size) < 2*min(f, int64(a.Rows)) {
+			size *= 2
+		}
+		if size > len(slots) {
+			slots = make([]int32, size)
+		}
+		set, mask := slots[:size], uint32(size-1)
+		clear(set)
 		scratch = scratch[:0]
 		for _, r := range bRows {
 			aRows, _ := a.Column(r)
-			f += int64(len(aRows))
-			scratch = append(scratch, aRows...)
-		}
-		sort.Slice(scratch, func(x, y int) bool { return scratch[x] < scratch[y] })
-		distinct := make([]int32, 0, len(scratch))
-		for x := range scratch {
-			if x == 0 || scratch[x] != scratch[x-1] {
-				distinct = append(distinct, scratch[x])
+			for _, i := range aRows {
+				h := uint32(i) * 2654435769 & mask
+				for set[h] != 0 && set[h] != i+1 {
+					h = (h + 1) & mask
+				}
+				if set[h] == 0 {
+					set[h] = i + 1
+					scratch = append(scratch, i)
+				}
 			}
 		}
+		slices.Sort(scratch)
+		distinct := make([]int32, len(scratch))
+		copy(distinct, scratch)
 		c := int64(len(distinct))
 		pr.sampleFlops = append(pr.sampleFlops, f)
 		pr.sampleNNZ = append(pr.sampleNNZ, c)

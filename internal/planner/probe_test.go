@@ -1,0 +1,116 @@
+package planner
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/genmat"
+	"repro/internal/spmat"
+)
+
+// sampleOracle is the symbolic sample as ProbePair first computed it: gather
+// every A row a sampled B column reaches, sort all of them, drop the
+// duplicates — through sort.Slice's reflective swapper, which is what made it
+// slow. Kept here as the reference for the sample's exact contents.
+func sampleOracle(a, b *spmat.CSC, sample int) (flops, nnz []int64, colID []int32, rows [][]int32) {
+	cols := int(b.Cols)
+	var scratch []int32
+	for k := 0; k < sample; k++ {
+		j := int32(int64(k) * int64(cols) / int64(sample))
+		bRows, _ := b.Column(j)
+		var f int64
+		scratch = scratch[:0]
+		for _, r := range bRows {
+			aRows, _ := a.Column(r)
+			f += int64(len(aRows))
+			scratch = append(scratch, aRows...)
+		}
+		sort.Slice(scratch, func(x, y int) bool { return scratch[x] < scratch[y] })
+		distinct := make([]int32, 0, len(scratch))
+		for x := range scratch {
+			if x == 0 || scratch[x] != scratch[x-1] {
+				distinct = append(distinct, scratch[x])
+			}
+		}
+		flops = append(flops, f)
+		nnz = append(nnz, int64(len(distinct)))
+		colID = append(colID, j)
+		rows = append(rows, distinct)
+	}
+	return flops, nnz, colID, rows
+}
+
+// Every plan pick and plan-cache key derives from the probe's sample, so
+// ProbePair must reproduce the first implementation's exactly: on the
+// planner tests' two fixtures, a hypersparse pair, an A far taller than it has
+// entries, an operand with unsorted columns, and empty operands.
+func TestProbeSampleMatchesSortOracle(t *testing.T) {
+	friendster := genmat.SymmetricPermute(genmat.RMAT(genmat.RMATConfig{
+		Scale: 8, EdgeFactor: 10, Symmetrize: true, Seed: 102,
+	}), 202)
+	kmers := genmat.Kmer(genmat.KmerConfig{
+		Reads: 128, Kmers: 128 * 64, KmersPerRead: 24, Overlap: 0.08, Seed: 106,
+	})
+	hyper := genmat.Hypersparse(4096, 4096, 2, 7)
+	unsorted := genmat.ER(96, 6, 3)
+	for j := int32(0); j < unsorted.Cols; j++ {
+		lo, hi := unsorted.ColPtr[j], unsorted.ColPtr[j+1]
+		for x, y := lo, hi-1; x < y; x, y = x+1, y-1 {
+			unsorted.RowIdx[x], unsorted.RowIdx[y] = unsorted.RowIdx[y], unsorted.RowIdx[x]
+			unsorted.Val[x], unsorted.Val[y] = unsorted.Val[y], unsorted.Val[x]
+		}
+	}
+	unsorted.SortedCols = false
+	cases := []struct {
+		name   string
+		a, b   *spmat.CSC
+		sample int
+	}{
+		{"friendster", friendster, friendster, 0},
+		{"friendster-all-columns", friendster, friendster, int(friendster.Cols)},
+		{"kmers-AAt", kmers, spmat.Transpose(kmers), 0},
+		{"kmers-AtA", spmat.Transpose(kmers), kmers, 0},
+		{"hypersparse", hyper, hyper, 0},
+		{"tall-hypersparse", genmat.Hypersparse(1<<20, 96, 3, 11), unsorted, 0},
+		{"unsorted-columns", unsorted, unsorted, 0},
+		{"empty", spmat.New(64, 64), spmat.New(64, 64), 0},
+		{"empty-times-full", spmat.New(96, 96), unsorted, 0},
+		{"zero-by-zero", spmat.New(0, 0), spmat.New(0, 0), 0},
+		{"no-columns", spmat.New(5, 7), spmat.New(7, 0), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr, err := ProbePair(tc.a, tc.b, tc.sample)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flops, nnz, colID, rows := sampleOracle(tc.a, tc.b, pr.SampledCols)
+			if !reflect.DeepEqual(pr.sampleFlops, flops) {
+				t.Errorf("sampleFlops differ from the oracle")
+			}
+			if !reflect.DeepEqual(pr.sampleNNZ, nnz) {
+				t.Errorf("sampleNNZ differ from the oracle")
+			}
+			if !reflect.DeepEqual(pr.sampleColID, colID) {
+				t.Errorf("sampleColID differ from the oracle")
+			}
+			if !reflect.DeepEqual(pr.sampleRows, rows) {
+				t.Errorf("sampleRows differ from the oracle")
+			}
+			var sum, occupied int64
+			for _, c := range nnz {
+				sum += c
+				if c > 0 {
+					occupied++
+				}
+			}
+			if want := int64(pr.scale * float64(sum)); pr.NnzCEst != want {
+				t.Errorf("NnzCEst %d, oracle %d", pr.NnzCEst, want)
+			}
+			if want := int64(pr.scale * float64(occupied)); pr.NzcCEst != want {
+				t.Errorf("NzcCEst %d, oracle %d", pr.NzcCEst, want)
+			}
+		})
+	}
+}

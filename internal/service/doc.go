@@ -31,8 +31,16 @@
 // own compute-measurement gate, so concurrent jobs never share mutable
 // engine state and outputs are bit-identical to one-shot runs.
 //
-// Server exposes the whole thing over JSON HTTP (/load, /plan, /multiply,
-// /stats, /matrices; see SERVICE.md for the wire contract), and Client is
+// Handler exposes the whole thing over HTTP (/load, /plan, /multiply, /stats,
+// /matrices, /metrics; see SERVICE.md for the wire contract), and Client is
 // the matching Go client whose MultiplyFunc adapter lets the example apps
 // (MCL, BFS, triangle counting) run their inner products against a server.
+// Everything is JSON except the matrices: an upload is the spmat.Serialize
+// bytes as the body of POST /load?name=…, a returned product those bytes after
+// the one-line JSON document of its /multiply response, and the client
+// serializes each operand once and sends it once when it is both sides of a
+// product (see "Who serializes what, once" in ARCHITECTURE.md). The only bound on what an uploaded body may make the
+// daemon allocate is Config.MemBytes: a body, or the CSC form of the matrix it
+// describes, beyond the budget is refused with 413 before it is allocated,
+// and a service without a budget has declared memory unconstrained.
 package service

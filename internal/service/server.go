@@ -1,25 +1,36 @@
 package service
 
 import (
-	"encoding/base64"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"mime"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/genmat"
 	"repro/internal/spmat"
 )
 
-// The JSON-over-HTTP surface. SERVICE.md is the wire-contract reference;
-// handlers here stay thin: decode, call the Service method, encode.
+// The HTTP surface. SERVICE.md is the wire-contract reference; handlers here
+// stay thin: decode, call the Service method, encode. Requests and responses
+// are JSON except where a matrix crosses: an uploaded matrix is the body of
+// POST /load?name=… and a returned product follows the JSON document of its
+// /multiply response, both as the engine's own wire bytes
+// (application/octet-stream) — never text inside the JSON.
 //
 // Every error response is the envelope {"error": {"code", "message"}} with
 // the matching HTTP status:
 //
-//	bad_request   400  malformed JSON, missing fields, bad knob spellings
+//	bad_request   400  malformed JSON or matrix bytes, missing fields, bad
+//	                   knob spellings
 //	not_found     404  operand name not resident
 //	conflict      409  name already loaded with different content
+//	too_large     413  uploaded matrix (its body, or its in-memory form)
+//	                   exceeds the daemon's memory budget
 //	unprocessable 422  loadable request that can't run (dimension mismatch,
 //	                   no feasible plan under the budget)
 //	internal      500  engine failure
@@ -128,12 +139,13 @@ func (g GeneratorSpec) Generate() (*spmat.CSC, error) {
 	return nil, fmt.Errorf("service: unknown generator %q (want rmat, er, hypersparse, or tallskinny)", g.Kind)
 }
 
-// LoadRequest carries a matrix into the registry by exactly one of three
-// routes: Wire (base64 of the engine's exact binary format — what Client
-// sends), Mtx (Matrix Market text), or Generator.
+// LoadRequest is the JSON body of /load: it carries a matrix into the
+// registry as Matrix Market text (Mtx) or as a Generator spec, exactly one of
+// the two. A matrix in the engine's binary format does not travel in JSON: it
+// is the whole body of POST /load?name=<name> with Content-Type
+// application/octet-stream (what Client.Load sends).
 type LoadRequest struct {
 	Name      string         `json:"name"`
-	Wire      string         `json:"wire,omitempty"`
 	Mtx       string         `json:"mtx,omitempty"`
 	Generator *GeneratorSpec `json:"generator,omitempty"`
 }
@@ -151,9 +163,10 @@ type PlanRequest struct {
 	B string `json:"b"`
 }
 
-// MultiplyResponse is MultiplyResult on the wire; the output matrix, when
-// requested, rides along base64-encoded in the engine's exact binary format
-// so values survive bit-for-bit.
+// MultiplyResponse is MultiplyResult on the wire. The output matrix, when
+// requested, is not a field: the response is then application/octet-stream,
+// this document on one newline-terminated line followed by the matrix in the
+// engine's exact binary format, so values survive bit-for-bit.
 type MultiplyResponse struct {
 	Rows                int32      `json:"rows"`
 	Cols                int32      `json:"cols"`
@@ -169,7 +182,6 @@ type MultiplyResponse struct {
 	EngineSeconds       float64    `json:"engine_s"`
 	BusyCores           float64    `json:"busy_cores"`
 	JobID               int64      `json:"job_id"`
-	Result              string     `json:"result,omitempty"`
 	// Trace is the job's Chrome trace-event document, present when the
 	// request asked for it (body field or ?trace=1).
 	Trace json.RawMessage `json:"trace,omitempty"`
@@ -177,9 +189,10 @@ type MultiplyResponse struct {
 
 // Handler returns the service's HTTP mux:
 //
-//	POST /load      LoadRequest      → LoadResponse
+//	POST /load      LoadRequest, or matrix bytes with ?name=  → LoadResponse
 //	POST /plan      PlanRequest      → PlanResult
-//	POST /multiply  MultiplyRequest  → MultiplyResponse (?trace=1 adds the trace)
+//	POST /multiply  MultiplyRequest  → MultiplyResponse (?trace=1 adds the
+//	                                   trace; return_result appends the matrix)
 //	GET  /stats                      → Stats
 //	GET  /matrices                   → []MatrixInfo
 //	GET  /metrics                    → Prometheus text exposition
@@ -187,23 +200,22 @@ func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /load", func(w http.ResponseWriter, r *http.Request) {
 		s.requests[epLoad].Add(1)
-		var req LoadRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-		m, err := decodeLoad(req)
+		name, m, err := decodeLoad(w, r, s.cfg.MemBytes)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", err)
+			if errors.Is(err, errOverBudget) {
+				writeErr(w, http.StatusRequestEntityTooLarge, "too_large", err)
+			} else {
+				writeErr(w, http.StatusBadRequest, "bad_request", err)
+			}
 			return
 		}
-		fp, already, err := s.Load(req.Name, m)
+		fp, already, err := s.Load(name, m)
 		if err != nil {
 			st, code := classify(err)
 			writeErr(w, st, code, err)
 			return
 		}
-		writeJSON(w, LoadResponse{Name: req.Name, Fingerprint: fp, AlreadyLoaded: already})
+		writeJSON(w, LoadResponse{Name: name, Fingerprint: fp, AlreadyLoaded: already})
 	})
 	mux.HandleFunc("POST /plan", func(w http.ResponseWriter, r *http.Request) {
 		s.requests[epPlan].Add(1)
@@ -249,15 +261,23 @@ func Handler(s *Service) http.Handler {
 			BusyCores:           res.BusyCores,
 			JobID:               res.JobID,
 		}
-		if res.C != nil {
-			resp.Result = base64.StdEncoding.EncodeToString(res.C.Serialize())
-		}
 		if req.Trace && res.Trace != nil {
 			if buf, err := res.Trace.TraceJSON(); err == nil {
 				resp.Trace = buf
 			}
 		}
-		writeJSON(w, resp)
+		if res.C == nil {
+			writeJSON(w, resp)
+			return
+		}
+		// The document on its one line (json.Encoder ends it with the only
+		// raw newline it writes), then the product's wire bytes.
+		var head bytes.Buffer
+		_ = json.NewEncoder(&head).Encode(resp) // the same fields writeJSON encodes; a bytes.Buffer write cannot fail
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.FormatInt(int64(head.Len())+res.C.CommBytes(), 10))
+		_, _ = w.Write(head.Bytes())
+		_, _ = w.Write(res.C.Serialize()) // a client that went away is its own problem
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		s.requests[epStats].Add(1)
@@ -275,31 +295,85 @@ func Handler(s *Service) http.Handler {
 	return mux
 }
 
-// decodeLoad materializes the request's matrix from whichever route it used.
-func decodeLoad(req LoadRequest) (*spmat.CSC, error) {
-	n := 0
-	if req.Wire != "" {
-		n++
-	}
-	if req.Mtx != "" {
-		n++
-	}
-	if req.Generator != nil {
-		n++
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("service: /load needs exactly one of wire, mtx, or generator")
-	}
-	switch {
-	case req.Wire != "":
-		buf, err := base64.StdEncoding.DecodeString(req.Wire)
-		if err != nil {
-			return nil, fmt.Errorf("service: wire payload: %w", err)
+// errOverBudget marks a /load refused because the matrix — its body, or the
+// CSC form the registry would hold — exceeds the service's MemBytes.
+var errOverBudget = errors.New("matrix exceeds the memory budget")
+
+// decodeLoad materializes the request's name and matrix from whichever route
+// it used: the engine's wire bytes as an application/octet-stream body with
+// the name in the query, or a JSON LoadRequest (any other Content-Type, so a
+// bare `curl -d '{…}'` works). budget is the service's MemBytes, the only
+// bound the operator has given; 0 declares memory unconstrained.
+func decodeLoad(w http.ResponseWriter, r *http.Request, budget int64) (string, *spmat.CSC, error) {
+	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct != "application/octet-stream" {
+		var req LoadRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			return "", nil, err
 		}
-		return spmat.Deserialize(buf)
-	case req.Mtx != "":
-		return spmat.ReadMatrixMarket(strings.NewReader(req.Mtx))
-	default:
-		return req.Generator.Generate()
+		var m *spmat.CSC
+		var err error
+		switch {
+		case (req.Mtx != "") == (req.Generator != nil):
+			err = fmt.Errorf("service: a JSON /load needs exactly one of mtx or generator; a matrix in the binary wire format is the application/octet-stream body of POST /load?name=<name>")
+		case req.Mtx != "":
+			m, err = spmat.ReadMatrixMarket(strings.NewReader(req.Mtx))
+		default:
+			m, err = req.Generator.Generate()
+		}
+		return req.Name, m, err
 	}
+
+	name := r.URL.Query().Get("name")
+	if name == "" {
+		return "", nil, fmt.Errorf("service: a binary /load needs the matrix name in the query: POST /load?name=<name>")
+	}
+	buf, err := readBody(w, r, budget)
+	if err != nil {
+		return "", nil, err
+	}
+	// Decode in the wire's own encoding first: that allocates no more than a
+	// constant times the body, whereas the CSC form of a hypersparse-encoded
+	// matrix is 8·(cols+1) bytes whatever the body's size — a 21-byte body can
+	// claim 2³¹−1 empty columns. An operand that alone exceeds the aggregate
+	// budget could not be multiplied under it anyway.
+	wm, err := spmat.DeserializeMatrix(buf)
+	if err != nil {
+		return "", nil, err
+	}
+	_, cols := wm.Dims()
+	if need := 8*(int64(cols)+1) + 12*wm.NNZ(); budget > 0 && need > budget {
+		return "", nil, fmt.Errorf("service: %q needs %d bytes resident, the memory budget is %d: %w", name, need, budget, errOverBudget)
+	}
+	return name, wm.ToCSC(), nil
+}
+
+// firstRead is the most a binary /load allocates before any of the body has
+// arrived.
+const firstRead = 256 << 10
+
+// readBody reads a binary /load body whole. Content-Length is the sender's
+// claim: one over the budget is refused unread, and no buffer is sized by it
+// beyond firstRead — from there the buffer doubles only as bytes actually
+// arrive, up to the budget when there is one.
+func readBody(w http.ResponseWriter, r *http.Request, budget int64) ([]byte, error) {
+	body, claimed := io.Reader(r.Body), r.ContentLength
+	if budget > 0 {
+		if claimed > budget {
+			return nil, fmt.Errorf("service: /load body of %d bytes, the memory budget is %d: %w", claimed, budget, errOverBudget)
+		}
+		body = http.MaxBytesReader(w, r.Body, budget)
+	}
+	var buf bytes.Buffer
+	if claimed > 0 {
+		buf.Grow(int(min(claimed, firstRead)) + bytes.MinRead) // an honest body up to firstRead is read without regrowing
+	}
+	_, err := buf.ReadFrom(body)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, fmt.Errorf("service: /load body exceeds the %d-byte memory budget: %w", budget, errOverBudget)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: reading /load body: %w", err)
+	}
+	return buf.Bytes(), nil
 }

@@ -30,15 +30,22 @@ type Fingerprint struct {
 // the canonical wire encoding, so it is O(nnz) work and one transient buffer;
 // callers that hold a matrix resident should compute it once and keep it.
 func FingerprintOf(m Matrix) Fingerprint {
-	sum := sha256.Sum256(m.Serialize())
 	r, c := m.Dims()
 	return Fingerprint{
 		Rows: r,
 		Cols: c,
 		NNZ:  m.NNZ(),
 		Fmt:  m.Format().String(),
-		Hash: hex.EncodeToString(sum[:]),
+		Hash: WireHash(m.Serialize()),
 	}
+}
+
+// WireHash is the Hash of the fingerprint of the matrix whose Serialize
+// output is wire, for a caller that holds those bytes already (the service
+// client names an upload by it and then sends the same bytes).
+func WireHash(wire []byte) string {
+	sum := sha256.Sum256(wire)
+	return hex.EncodeToString(sum[:])
 }
 
 // Key renders the fingerprint as a stable, human-readable string suitable
