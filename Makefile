@@ -137,13 +137,19 @@ kernelgate:
 # measurements, the sorted hash merge on the Merge-Fiber and hypersparse
 # shapes, the format-generic multiply on a DCSC operand, and the one-vs-two
 # worker sweep the kernels' worker floor is set from
-# (localmm.workPerExtraWorker), on this runner,
+# (localmm.workPerExtraWorker), and the direct-table versus hash-table sweep
+# the accumulator's regime bound is set from (localmm.directTableBytes:
+# BenchmarkAccumulatorCrossover, multiply and merge over 2¹⁰–2²⁰ rows at 1 to
+# 144 contributions a column), on this runner,
 # with the runner's NumCPU, GOMAXPROCS and Go version beside them (a thread
 # sweep means nothing without the core count). Wall-clock numbers;
 # informational (the checked-in snapshot documents the runner the defaults
-# were sanity-checked on), not a regression gate.
+# were sanity-checked on), not a regression gate. The nightly workflow repeats
+# it at KERNELS_BENCHTIME=200ms and uploads the file, so the constants sit
+# beside a measurement the runner keeps taking.
+KERNELS_BENCHTIME ?= 1s
 bench-kernels:
-	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MulMatGeneric|WorkerSpawnCrossover' -benchtime=1s ./internal/localmm \
+	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MulMatGeneric|WorkerSpawnCrossover|AccumulatorCrossover' -benchtime=$(KERNELS_BENCHTIME) ./internal/localmm \
 	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
 	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
 	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \
@@ -159,7 +165,9 @@ bench-kernels:
 # discarding hook) on the shapes of two bench/ workloads, `kmer-hyper` and
 # `protein-batched`, plus one Markov-clustering expansion through the daemon
 # as a client runs it — upload, cold plan, multiply, download over httptest —
-# on the shape of a third, `mcl-service` (BenchmarkEngineShapes in
+# on the shape of a third, `mcl-service`, and one round of the fourth,
+# `resident-warm` — two concurrent clients, four warm-plan products each over
+# operands the daemon generated, in process (BenchmarkEngineShapes in
 # bench_test.go; parameters copied from bench/README.md): ns, bytes and
 # allocations per multiply, with the runner's NumCPU and Go version beside them. Every shape is recorded once
 # per entry of ENGINE_CPUS — by default on one core, where the compute gate
@@ -188,7 +196,8 @@ bench-engine:
 
 # profile-engine: CPU and allocation profiles of one engine shape, e.g.
 # `make profile-engine SHAPE=protein-batched` (or SHAPE=mcl-service for the
-# daemon's request path around the engine), written to cpu.pprof and
+# daemon's request path around the engine, SHAPE=resident-warm for its warm
+# read path under two clients), written to cpu.pprof and
 # mem.pprof beside the test binary they were taken from (repro.test); read
 # them with `go tool pprof -top repro.test cpu.pprof` or
 # `go tool pprof -sample_index=alloc_space -top repro.test mem.pprof`.

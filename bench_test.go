@@ -8,6 +8,7 @@
 package spgemm_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -289,7 +290,10 @@ func BenchmarkSUMMAPipelined(b *testing.B) { benchPipeline(b, true) }
 // mcl-service, is the shape of the bench/ workload of that name where the
 // engine is not the operation: one Markov-clustering expansion A·A as a client
 // of the daemon runs it (service.Client.MultiplyMatrices against
-// service.Handler behind httptest) — upload, cold plan, multiply, download. ---
+// service.Handler behind httptest) — upload, cold plan, multiply, download.
+// The fourth, resident-warm, is the daemon's read path as that workload loads
+// it: two concurrent clients, four warm-plan products each over resident
+// operands, in process (service.Service.Multiply). ---
 
 func BenchmarkEngineShapes(b *testing.B) {
 	shapes := []struct {
@@ -402,6 +406,82 @@ func BenchmarkEngineShapes(b *testing.B) {
 			b.Fatalf("%d probes and %d loads over %d expansions: the plan was not cold or the operand not sent once", st.Probes, st.Requests["load"], b.N+2)
 		}
 		b.ReportMetric(float64(flops), "flops/op")
+	})
+
+	// resident-warm: 16 ranks, one thread, three operands the daemon
+	// generated itself, a budget of 4·24·flops(rmat, rmat) shared by two
+	// closed-loop clients that each ask for the four products, starting on
+	// different pairs — as in bench/. No HTTP: the read path's engine share
+	// is the point here, and Service.Multiply is what a request runs.
+	b.Run("resident-warm", func(b *testing.B) {
+		specs := map[string]service.GeneratorSpec{
+			"rmat":  {Kind: "rmat", Scale: 11, EdgeFactor: 8, Seed: 1},
+			"er":    {Kind: "er", N: 2048, EdgeFactor: 8, Seed: 2},
+			"hyper": {Kind: "hypersparse", N: 16384, Cols: 16384, NnzPerCol: 2, Seed: 3},
+		}
+		mats := map[string]*spmat.CSC{}
+		for name, g := range specs {
+			m, err := g.Generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			mats[name] = m
+		}
+		svc, err := service.New(service.Config{P: 16, Threads: 1, MemBytes: 4 * 24 * localmm.Flops(mats["rmat"], mats["rmat"])})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for name, m := range mats {
+			if _, _, err := svc.Load(name, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pairs := [4][2]string{{"rmat", "rmat"}, {"er", "er"}, {"hyper", "hyper"}, {"rmat", "er"}}
+		var wantNNZ [4]int64
+		var flops int64
+		for x, pr := range pairs {
+			wantNNZ[x] = localmm.MulMat(localmm.KernelHashUnsorted, mats[pr[0]], mats[pr[1]], semiring.PlusTimes(), 1).NNZ()
+			flops += localmm.Flops(mats[pr[0]], mats[pr[1]])
+		}
+		// round is one operation of each client; the first failure is kept.
+		round := func() error {
+			errs := make(chan error, 2)
+			for client := 0; client < 2; client++ {
+				go func() {
+					for x := range pairs {
+						at := (2*client + x) % len(pairs)
+						res, err := svc.Multiply(service.MultiplyRequest{A: pairs[at][0], B: pairs[at][1]})
+						if err == nil && res.NNZ != wantNNZ[at] {
+							err = fmt.Errorf("%s*%s has %d nonzeros, serial multiply gives %d", pairs[at][0], pairs[at][1], res.NNZ, wantNNZ[at])
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			return errors.Join(<-errs, <-errs)
+		}
+		for warm := 0; warm < 2; warm++ { // the first round plans the four pairs
+			if err := round(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		probes := svc.Stats().Probes
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := round(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if st := svc.Stats(); st.Probes != probes || st.JobFailures != 0 {
+			b.Fatalf("%d probes and %d failed jobs in the timed rounds: the plan cache was not warm", st.Probes-probes, st.JobFailures)
+		}
+		b.ReportMetric(float64(2*flops), "flops/op")
 	})
 }
 

@@ -28,13 +28,40 @@
 // block at run time via core.Options.AutoKernel/AutoMerger, with measured
 // times fed back into the table (online recalibration).
 //
+// # One accumulator, two regimes
+//
+// Every hash kernel and merger folds one output column's contributions into
+// a hashAccum, which has two slot functions chosen per column from the
+// operand's row count — never from a setting. When a table of one slot per
+// row fits directTableBytes (384 KiB: 2¹⁵ rows at the accumulator's 12
+// bytes a row) the slot is the row: no hash, no probe, no overfill, and a
+// row the operand cannot have is an index panic. Otherwise — the paper's own
+// blocks of 10⁶–10⁷ rows, where a table per worker sized by the row range is
+// not one anyone can keep — it is the open-addressing table of Sec. IV-D,
+// sized by the column. The bound is measured, not guessed:
+// BenchmarkAccumulatorCrossover reaches each regime by the declared row
+// count and its table sits in the directTableBytes comment.
+//
+// Both regimes keep the same arrays and bookkeeping (the row held in each
+// slot, the slots in insertion order, clearing through that list), so a
+// worker alternates between them column by column, and the unsorted drain
+// emits the same entries in the same order under either: contributions
+// arrive in the same order, so rows are first seen in the same order. Under
+// plus-times the insert is written out in the column loops of both regimes;
+// other semirings call hashAccum.add. A sorted drain of a direct table walks
+// a bitmap of the occupied rows instead of sorting, unless the column is a
+// handful of entries in a tall table.
+//
 // # Symbolic kernels
 //
-// SymbolicSpGEMM (and its threaded, format-generic form SymbolicMat) is the
-// LOCALSYMBOLIC routine of Alg 3: it counts nnz(A·B) without touching
-// values, using a generation-stamped dense array when the row space permits
-// and a hash set otherwise. The distributed symbolic step builds the batch
-// count decision from these counts, so they must be exact, not estimates —
+// SymbolicMat — Plan.Symbolic on a counted pair; SymbolicSpGEMM is the same
+// loop over CSC operands on one worker — is the LOCALSYMBOLIC routine of
+// Alg 3: it counts nnz(A·B) without touching values. Distinct rows are
+// counted in the worker's rowSet under the same byte budget at 4 bytes a
+// row: a generation stamp per row when that fits (nothing cleared between
+// columns), a hash set sized by the column otherwise. No call allocates by
+// the row count. The distributed symbolic step builds the batch count
+// decision from these counts, so they must be exact, not estimates —
 // Flops, ColFlops, and CompressionFactor supply the companion statistics.
 //
 // # One plan
@@ -51,8 +78,10 @@
 // need no symbolic pass to size their output — and worker scratch
 // (accumulator, chunk, sort buffers) lives on a free list that survives
 // garbage collection, so a warm call allocates the output and a fixed
-// handful of small objects. Sorted output is sorted per column by
-// spmat.PairSorter, the repo's one pair sort.
+// handful of small objects; a worker returns to the list with no table above
+// maxKeptEntries entries, whichever of its tables grew. Sorted output that
+// is not walked off a direct table is sorted per column by spmat.PairSorter,
+// the repo's one pair sort.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already

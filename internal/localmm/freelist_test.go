@@ -1,0 +1,52 @@
+//go:build !race
+
+package localmm
+
+import (
+	"testing"
+
+	"repro/internal/semiring"
+	"repro/internal/spmat"
+)
+
+// TestFreeListDropsOversizedTables: the free list keeps no table above
+// maxKeptEntries, whichever of a worker's tables grew — the accumulator and
+// the row set as much as the chunk. The symbolic count and the multiply of
+// one column with more than maxKeptEntries/2 distinct rows need hash tables
+// beyond the cap; afterwards every idle worker's scratch is back under it.
+// The tables come to ~200 MB for a moment, which the race detector's shadow
+// memory would multiply: the file is built without it.
+func TestFreeListDropsOversizedTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates ~200 MB of tables")
+	}
+	const n = maxKeptEntries/2 + 1
+	a := &spmat.CSC{Rows: 2 * n, Cols: 1, ColPtr: []int64{0, n}, RowIdx: make([]int32, n), Val: make([]float64, n), SortedCols: true}
+	for i := range a.RowIdx {
+		a.RowIdx[i], a.Val[i] = int32(2*i), 1
+	}
+	b := spmat.Dense(1, 1, []float64{1})
+	if tableCap(n, a.Rows) <= maxKeptEntries {
+		t.Fatalf("a column of %d rows fits a table of %d slots: not beyond the cap", n, tableCap(n, a.Rows))
+	}
+	if got := SymbolicSpGEMM(a, b); got != n {
+		t.Fatalf("symbolic count %d, want %d", got, n)
+	}
+	if got := MulMat(KernelHashUnsorted, a, b, semiring.PlusTimes(), 1).NNZ(); got != n {
+		t.Fatalf("product has %d nonzeros, want %d", got, n)
+	}
+	idleWorkers.Lock()
+	defer idleWorkers.Unlock()
+	for i, w := range idleWorkers.ws {
+		for name, c := range map[string]int{
+			"chunk rows": cap(w.rows), "chunk vals": cap(w.vals),
+			"accumulator rows": cap(w.acc.rows), "accumulator vals": cap(w.acc.vals), "accumulator occupied": cap(w.acc.occupied),
+			"row set": cap(w.set.rows), "row set occupied": cap(w.set.occupied), "stamps": cap(w.set.stamps),
+			"heap": cap(w.heap), "parts": cap(w.parts),
+		} {
+			if c > maxKeptEntries {
+				t.Errorf("idle worker %d keeps %s of %d entries, above the cap of %d", i, name, c, maxKeptEntries)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package localmm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/semiring"
@@ -169,6 +170,78 @@ func BenchmarkWorkerSpawnCrossover(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						pl.mul(KernelHashUnsorted, sr, workers)
 					}
+				})
+			}
+		}
+	}
+}
+
+// tallMat is uniformMat for row counts too large to permute per column:
+// perCol distinct rows of every column are drawn by rejection.
+func tallMat(rows, cols int32, perCol int, seed int64) *spmat.CSC {
+	rng := rand.New(rand.NewSource(seed))
+	m := &spmat.CSC{Rows: rows, Cols: cols, ColPtr: make([]int64, 1, cols+1)}
+	for j := int32(0); j < cols; j++ {
+		start := len(m.RowIdx)
+		for len(m.RowIdx) < start+perCol {
+			if r := rng.Int31n(rows); !slices.Contains(m.RowIdx[start:], r) {
+				m.RowIdx = append(m.RowIdx, r)
+				m.Val = append(m.Val, rng.Float64()+0.5)
+			}
+		}
+		m.ColPtr = append(m.ColPtr, int64(len(m.RowIdx)))
+	}
+	return m
+}
+
+// BenchmarkAccumulatorCrossover is the measurement directTableBytes is set
+// from: the unsorted-hash multiply and the unsorted hash merge of four
+// operands, one worker, over output columns of 1, 4, 16 and 144
+// contributions whose rows are spread over 2¹⁰ … 2²⁰ — in the direct regime
+// (the operand declares the rows it spans) and in the hash regime (the same
+// entries under a declared row count past the bound). Each regime is reached
+// the way the kernels reach it, by the row count, so a span the bound rules
+// out has no direct line: to size the constant, raise it and run again. Every
+// case does 2¹⁷ contributions per iteration and reports ns per contribution.
+func BenchmarkAccumulatorCrossover(b *testing.B) {
+	const work = 1 << 17
+	sr := semiring.PlusTimes()
+	for _, lg := range []int{10, 12, 14, 15, 16, 18, 20} {
+		span := int32(1) << lg
+		for _, sh := range []struct{ flops, dA, dB int }{{1, 1, 1}, {4, 2, 2}, {16, 4, 4}, {144, 12, 12}} {
+			cols := int32(work / sh.flops)
+			a := tallMat(span, 1024, sh.dA, 401)
+			bm := tallMat(1024, cols, sh.dB, 402)
+			parts := make([]*spmat.CSC, 4)
+			for i := range parts {
+				parts[i] = tallMat(span, cols, (sh.flops+3-i)/4, 403+int64(i))
+			}
+			for _, regime := range []string{"direct", "hash"} {
+				declared := span
+				if regime == "hash" {
+					declared = max(span, directAccumRows+1)
+				} else if span > directAccumRows {
+					continue
+				}
+				name := fmt.Sprintf("rows=2^%d/flops=%d/%s", lg, sh.flops, regime)
+				pl := PlanMul(withRows(a, declared), bm)
+				b.Run("mul/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pl.mul(KernelHashUnsorted, sr, 1)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pl.Flops), "ns/flop")
+				})
+				mats := make([]spmat.Matrix, len(parts))
+				var entries int64
+				for i, m := range parts {
+					mats[i] = withRows(m, declared)
+					entries += m.NNZ()
+				}
+				b.Run("merge/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						MergeMat(MergerHash, mats, sr, false, 1)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/flop")
 				})
 			}
 		}

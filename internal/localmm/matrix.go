@@ -161,56 +161,28 @@ func MatFlops(a, b spmat.Matrix) int64 {
 // of Alg 3 — over any format combination, with at most threads worker
 // goroutines (clampThreads) counting distinct output rows per column over
 // flop-balanced ranges of B's slots. Work on a doubly-compressed B is
-// O(flops + nnz(B)). Serial CSC operands take SymbolicSpGEMM's dense stamp
-// array instead, which needs no flop counts; the count is the same for every
-// format and thread count.
+// O(flops + nnz(B)); the count is the same for every format and thread
+// count.
 func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
-	if threads <= 1 {
-		if n, ok := symbolicSerialCSC(a, b); ok {
-			return n
-		}
-	}
 	return PlanMul(a, b).Symbolic(threads)
 }
 
-// symbolicSerialCSC runs SymbolicSpGEMM when both operands are CSC; callers
-// take it when one worker would run.
-func symbolicSerialCSC(a, b spmat.Matrix) (int64, bool) {
-	ac, okA := a.(*spmat.CSC)
-	bc, okB := b.(*spmat.CSC)
-	if !okA || !okB {
-		return 0, false
-	}
-	return SymbolicSpGEMM(ac, bc), true
-}
-
-// Symbolic is SymbolicMat on the planned pair.
+// Symbolic is SymbolicMat on the planned pair: the one symbolic loop. Each
+// worker counts in its own row set — generation stamps when a stamp per row
+// of A fits directTableBytes, a hash set sized by the column otherwise — so
+// no call allocates by the row count.
 func (pl *Plan) Symbolic(threads int) int64 {
-	threads = clampThreads(threads, pl.bv.n, pl.Flops)
-	if threads == 1 {
-		if n, ok := symbolicSerialCSC(pl.a, pl.b); ok {
-			return n
-		}
-	}
 	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
 	aRows, _ := a.Dims()
 	ac := colsOf(a)
 	var total atomic.Int64
-	runWorkers(flopBounds(colFlops, threads), func(w *mmWorker, lo, hi int32) {
+	runWorkers(flopBounds(colFlops, clampThreads(threads, bv.n, pl.Flops)), func(w *mmWorker, lo, hi int32) {
 		var n int64
 		for p := lo; p < hi; p++ {
-			if colFlops[p] == 0 {
-				continue
+			if colFlops[p] != 0 {
+				bRows, _ := bv.col(p)
+				n += w.set.countColumn(&ac, bRows, colFlops[p], aRows)
 			}
-			w.set.sizeFor(colFlops[p], aRows)
-			bRows, _ := bv.col(p)
-			for _, i := range bRows {
-				rws, _ := ac.Column(i)
-				for _, r := range rws {
-					w.set.insert(r)
-				}
-			}
-			n += int64(len(w.set.occupied))
 		}
 		total.Add(n)
 	})
@@ -282,9 +254,15 @@ func ParallelSpGEMM(k Kernel, a, b *spmat.CSC, sr *semiring.Semiring, threads in
 	return MulMat(k, a, b, sr, threads).(*spmat.CSC)
 }
 
-// drain appends the accumulator's column to the worker's chunk in insertion
-// order, sorting it in place when the output is to be sorted.
+// drain appends the accumulator's column to the worker's chunk: in insertion
+// order, or ascending when the output is to be sorted — by a walk of the
+// table when it is direct and small for the column (hashAccum.walks), else
+// by sorting the drained column in place.
 func (w *mmWorker) drain(sorted bool) {
+	if sorted && w.acc.walks() {
+		w.rows, w.vals = w.acc.drainAscendingInto(w.rows, w.vals)
+		return
+	}
 	start := len(w.rows)
 	w.rows, w.vals = w.acc.drainInto(w.rows, w.vals)
 	if sorted {

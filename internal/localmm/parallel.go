@@ -72,10 +72,11 @@ var idleWorkers struct {
 	ws []*mmWorker
 }
 
-// The free list keeps at most maxIdleWorkers workers, and a worker keeps a
-// chunk of at most maxKeptEntries entries (12 bytes each): a burst of
-// concurrent callers or one huge product pays for its scratch again next
-// time instead of pinning it for the life of the process.
+// The free list keeps at most maxIdleWorkers workers, and a worker keeps no
+// table of more than maxKeptEntries entries — chunk, accumulator, row set,
+// heap, column views: a burst of concurrent callers or one huge product pays
+// for its scratch again next time instead of pinning it for the life of the
+// process. (The direct tables are bounded by directTableBytes already.)
 const (
 	maxIdleWorkers = 64
 	maxKeptEntries = 1 << 22
@@ -95,11 +96,25 @@ func getWorker() *mmWorker {
 
 // putWorker returns scratch to the free list. The column views are dropped
 // first: the other fields own their memory, but a retained view would keep a
-// whole operand matrix reachable across unrelated work.
+// whole operand matrix reachable across unrelated work. Then every table
+// that grew past maxKeptEntries is dropped; the sorter's buffers are sized
+// by the longest column the chunk held, so they go with the chunk.
 func putWorker(w *mmWorker) {
 	clear(w.parts[:cap(w.parts)])
+	if cap(w.parts) > maxKeptEntries {
+		w.parts = nil
+	}
 	if cap(w.rows) > maxKeptEntries {
-		w.rows, w.vals = nil, nil
+		w.rows, w.vals, w.sorter = nil, nil, spmat.PairSorter{}
+	}
+	if cap(w.acc.rows) > maxKeptEntries {
+		w.acc = hashAccum{}
+	}
+	if cap(w.set.rows) > maxKeptEntries {
+		w.set = rowSet{}
+	}
+	if cap(w.heap) > maxKeptEntries {
+		w.heap = nil
 	}
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
@@ -142,21 +157,23 @@ func flopBounds(colWork []int64, parts int) []int32 {
 // its wake-up, its cold scratch and the wait at the allocation barrier are
 // fixed, the work it takes over is not. BenchmarkWorkerSpawnCrossover (make
 // bench-kernels), unsorted hash at 40 flops per column on a two-core 2.1 GHz
-// Xeon, best of three, one worker → two:
+// Xeon, one worker → two, re-taken with the direct-indexed accumulator
+// (ISSUE 21; both columns about twice as fast as before it, the crossover
+// where it was):
 //
 //	flops     CSC B (µs)       DCSC B (µs)
-//	  4 k       58 →   62        53 →   59
-//	  8 k      118 →  132       106 →  126
-//	 16 k      238 →  279       241 →  266
-//	 32 k      540 →  495       413 →  422
-//	 64 k      968 → 1034       954 →  948
-//	128 k     1926 → 1695      1950 → 1901
-//	256 k     3646 → 2850      4135 → 3417
+//	  4 k       23 →   32        25 →   32
+//	  8 k       49 →   62        47 →   56
+//	 16 k       98 →  116        97 →  120
+//	 32 k      199 →  250       214 →  207
+//	 64 k      415 →  369       400 →  324
+//	128 k      752 →  634       752 →  622
+//	256 k     2024 → 1374      1533 → 1139
 //
-// A second worker loses 5–19 % up to 16 k, is level from 32 k to 64 k and
-// wins from 128 k on. That loop is hot, which flatters the wake-up; a stage
-// of the distributed multiply finds its second core cold. Hence 64 k: the
-// smallest size at which the worker is no longer a loss. (The stages of
+// A second worker loses 18–40 % up to 16 k, is level or still losing at 32 k
+// and wins from 64 k on. That loop is hot, which flatters the wake-up; a
+// stage of the distributed multiply finds its second core cold. Hence 64 k:
+// the smallest size at which the worker is no longer a loss. (The stages of
 // bench/'s protein-batched workload carry about 9 k flops each; spawning
 // there made Threads=2 6 % slower than Threads=1.)
 const workPerExtraWorker = 1 << 16

@@ -2,6 +2,7 @@ package localmm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/spmat"
 )
@@ -33,74 +34,12 @@ func ColFlops(a, b *spmat.CSC) []int64 {
 	return out
 }
 
-// symbolicStampLimit bounds the dense stamp array the symbolic kernel keeps
-// (one int32 per output row). Local SUMMA blocks are far below it; gigantic
-// row spaces fall back to the hash set.
-const symbolicStampLimit = 1 << 24
-
 // SymbolicSpGEMM computes nnz(A·B) without forming the product — the
-// LocalSymbolic routine of Alg 3. It is much cheaper than LocalMultiply: no
-// values are touched, and row de-duplication uses a generation-stamped dense
-// array (O(1) insert, no collisions, no per-column clearing) instead of a
-// hash table whenever the row dimension permits.
+// LocalSymbolic routine of Alg 3 — on one worker. It is much cheaper than
+// LocalMultiply: no values are touched, and distinct rows are counted in
+// the worker's row set (Plan.Symbolic, the one symbolic loop).
 func SymbolicSpGEMM(a, b *spmat.CSC) int64 {
-	checkMulShapes(a, b)
-	if a.Rows > symbolicStampLimit {
-		return symbolicHashed(a, b)
-	}
-	stamps := make([]int32, a.Rows)
-	for i := range stamps {
-		stamps[i] = -1
-	}
-	var total int64
-	for j := int32(0); j < b.Cols; j++ {
-		bRows, _ := b.Column(j)
-		for _, i := range bRows {
-			aRows := a.RowIdx[a.ColPtr[i]:a.ColPtr[i+1]]
-			for _, r := range aRows {
-				if stamps[r] != j {
-					stamps[r] = j
-					total++
-				}
-			}
-		}
-	}
-	return total
-}
-
-// symbolicHashed is the hash-set fallback for enormous row spaces.
-func symbolicHashed(a, b *spmat.CSC) int64 {
-	var total int64
-	for _, n := range SymbolicColNNZ(a, b) {
-		total += n
-	}
-	return total
-}
-
-// SymbolicColNNZ returns the per-column nnz of A·B.
-func SymbolicColNNZ(a, b *spmat.CSC) []int64 {
-	checkMulShapes(a, b)
-	out := make([]int64, b.Cols)
-	var set rowSet
-	for j := int32(0); j < b.Cols; j++ {
-		bRows, _ := b.Column(j)
-		var colFlops int64
-		for _, i := range bRows {
-			colFlops += a.ColNNZ(i)
-		}
-		if colFlops == 0 {
-			continue
-		}
-		set.sizeFor(colFlops, a.Rows)
-		for _, i := range bRows {
-			aRows, _ := a.Column(i)
-			for _, r := range aRows {
-				set.insert(r)
-			}
-		}
-		out[j] = int64(len(set.occupied))
-	}
-	return out
+	return PlanMul(a, b).Symbolic(1)
 }
 
 // CompressionFactor returns flops / nnz(A·B), the paper's cf statistic
@@ -113,15 +52,70 @@ func CompressionFactor(a, b *spmat.CSC) float64 {
 	return float64(Flops(a, b)) / float64(nnz)
 }
 
-// rowSet is an open-addressing set of row indices, sized like hashAccum
-// (tableCap) and used by the symbolic entry points only.
+// rowSet counts the distinct rows of one output column for the symbolic
+// pass, in the two regimes of hashAccum under the same byte budget.
+//
+// Direct regime (directRows at stampBytes a row): one generation stamp per
+// row. nextColumn starts a column by taking a new generation, so nothing is
+// cleared between columns — a row is new to the column when its stamp is
+// not the column's generation — and the table is cleared only when the
+// generation counter wraps.
+//
+// Hash regime: an open-addressing set sized like hashAccum (tableCap), for
+// operands whose row count no stamp table should be sized by.
 type rowSet struct {
 	rows     []int32
 	mask     int32
 	occupied []int32
+
+	stamps []int32
+	gen    int32
 }
 
-// sizeFor empties the set and sizes it like hashAccum.sizeFor.
+// nextColumn returns the stamp table of a rows-tall operand and the
+// generation that marks membership in the column now starting.
+func (s *rowSet) nextColumn(rows int32) ([]int32, int32) {
+	if int(rows) > len(s.stamps) {
+		s.stamps, s.gen = make([]int32, rows), 0
+	}
+	if s.gen == math.MaxInt32 {
+		clear(s.stamps)
+		s.gen = 0
+	}
+	s.gen++
+	return s.stamps[:rows], s.gen
+}
+
+// countColumn returns the number of distinct rows of one output column of
+// A·B — the rows of the A columns that bRows selects — where the column
+// costs want flops and A is rows tall.
+func (s *rowSet) countColumn(a *aCols, bRows []int32, want int64, rows int32) int64 {
+	if directRows(rows, stampBytes) {
+		var n int64
+		stamps, gen := s.nextColumn(rows)
+		for _, i := range bRows {
+			aRows, _ := a.Column(i)
+			for _, r := range aRows {
+				if stamps[r] != gen {
+					stamps[r] = gen
+					n++
+				}
+			}
+		}
+		return n
+	}
+	s.sizeFor(want, rows)
+	for _, i := range bRows {
+		aRows, _ := a.Column(i)
+		for _, r := range aRows {
+			s.insert(r)
+		}
+	}
+	return int64(len(s.occupied))
+}
+
+// sizeFor empties the hash set and sizes it like hashAccum.sizeFor does a
+// hash table.
 func (s *rowSet) sizeFor(want int64, rows int32) {
 	c := tableCap(want, rows)
 	if c > len(s.rows) {
@@ -138,7 +132,7 @@ func (s *rowSet) sizeFor(want int64, rows int32) {
 	s.mask = int32(c - 1)
 }
 
-// insert adds r to the set; overfilling panics for the reason
+// insert adds r to the hash set; overfilling panics for the reason
 // hashAccum.overfilled gives.
 func (s *rowSet) insert(r int32) {
 	i := int32(uint32(r)*2654435769) & s.mask

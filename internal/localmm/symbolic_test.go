@@ -34,16 +34,16 @@ func TestSymbolicMatchesActualNNZ(t *testing.T) {
 	if got, want := SymbolicSpGEMM(a, b), c.NNZ(); got != want {
 		t.Errorf("SymbolicSpGEMM=%d, actual nnz=%d", got, want)
 	}
-	cols := SymbolicColNNZ(a, b)
-	var total int64
+	// Column by column, under both regimes of the row set.
+	tall := withRows(a, directStampRows+1)
 	for j := int32(0); j < c.Cols; j++ {
-		if cols[j] != c.ColNNZ(j) {
-			t.Errorf("column %d: symbolic %d actual %d", j, cols[j], c.ColNNZ(j))
+		bj := spmat.ColRange(b, j, j+1)
+		if got := SymbolicSpGEMM(a, bj); got != c.ColNNZ(j) {
+			t.Errorf("column %d: symbolic %d actual %d", j, got, c.ColNNZ(j))
 		}
-		total += cols[j]
-	}
-	if total != c.NNZ() {
-		t.Errorf("per-column sum %d != total %d", total, c.NNZ())
+		if got := SymbolicSpGEMM(tall, bj); got != c.ColNNZ(j) {
+			t.Errorf("column %d: hash-set symbolic %d actual %d", j, got, c.ColNNZ(j))
+		}
 	}
 }
 
@@ -118,7 +118,7 @@ func TestHashAccumSized(t *testing.T) {
 	var h hashAccum
 	h.sizeFor(100, math.MaxInt32)
 	for r := int32(0); r < 500; r++ {
-		h.addPlus(r%100, 1) // 100 distinct keys, 5 inserts each
+		addPlus(&h, r%100, 1) // 100 distinct keys, 5 inserts each
 	}
 	if len(h.occupied) != 100 {
 		t.Fatalf("accumulator has %d keys, want 100", len(h.occupied))
@@ -166,7 +166,7 @@ func TestTableCapClampsAndFailsLoudly(t *testing.T) {
 	var acc hashAccum
 	acc.sizeFor(1<<30, 1000)
 	for r := int32(0); r < 1000; r++ {
-		acc.addPlus(r, 1)
+		addPlus(&acc, r, 1)
 	}
 	if len(acc.occupied) != 1000 {
 		t.Errorf("clamped accumulator holds %d rows, want 1000", len(acc.occupied))
@@ -187,7 +187,7 @@ func TestHashAccumReset(t *testing.T) {
 	var h hashAccum
 	h.sizeFor(1000, math.MaxInt32)
 	for r := int32(0); r < 1000; r++ {
-		h.addPlus(r*7919, 1)
+		addPlus(&h, r*7919, 1)
 	}
 	h.sizeFor(10, math.MaxInt32)
 	if len(h.occupied) != 0 {
@@ -196,8 +196,8 @@ func TestHashAccumReset(t *testing.T) {
 	var small hashAccum
 	small.sizeFor(10, math.MaxInt32)
 	for r := int32(0); r < 10; r++ {
-		h.addPlus(r*7919, 5)
-		small.addPlus(r*7919, 5)
+		addPlus(&h, r*7919, 5)
+		addPlus(&small, r*7919, 5)
 	}
 	for i, s := range h.occupied {
 		if int(s) >= len(small.rows) {
@@ -213,11 +213,28 @@ func TestHashAccumReset(t *testing.T) {
 	}
 }
 
+// TestSymbolicStampMatchesHashFallback: the same entries under a declared
+// row count on either side of the stamp table's bound take the two regimes
+// of the row set, and both must count what a map per column counts.
 func TestSymbolicStampMatchesHashFallback(t *testing.T) {
 	a := randomMat(t, 60, 60, 400, 34)
 	b := randomMat(t, 60, 60, 350, 35)
-	if got, want := SymbolicSpGEMM(a, b), symbolicHashed(a, b); got != want {
-		t.Errorf("stamp kernel %d, hash kernel %d", got, want)
+	var want int64
+	for j := int32(0); j < b.Cols; j++ {
+		seen := map[int32]bool{}
+		bRows, _ := b.Column(j)
+		for _, i := range bRows {
+			aRows, _ := a.Column(i)
+			for _, r := range aRows {
+				seen[r] = true
+			}
+		}
+		want += int64(len(seen))
+	}
+	for _, rows := range []int32{a.Rows, directStampRows, directStampRows + 1, math.MaxInt32} {
+		if got := SymbolicSpGEMM(withRows(a, rows), b); got != want {
+			t.Errorf("A declared %d rows tall: symbolic count %d, a map per column counts %d", rows, got, want)
+		}
 	}
 }
 
@@ -239,9 +256,10 @@ func BenchmarkSymbolicStamp(b *testing.B) {
 
 func BenchmarkSymbolicHashSet(b *testing.B) {
 	a := randomMat(b, 2048, 2048, 40000, 37)
+	tall := withRows(a, directStampRows+1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		symbolicHashed(a, a)
+		SymbolicSpGEMM(tall, a)
 	}
 }
 
