@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 GATE_TOL ?= 0.05
 
-.PHONY: all build test race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline plan kernelgate serve soak ci
+.PHONY: all build test race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline plan serve soak ci
 
 # all: the tier-1 gate (build + test), the default target.
 all: build test
@@ -23,21 +23,19 @@ test:
 	$(GO) test ./...
 
 # race: the packages that run goroutines (simulated ranks in mpi/core,
-# worker threads in localmm, concurrent jobs in service, the shared
-# kernel-table recalibration in costmodel) or hold state goroutines share
-# (spmat: a block's lazily built column index, reached by every rank the
-# block was broadcast to) under the race detector, race workouts included —
-# the multithreaded kernels, the Pipeline=true broadcast prefetch paths
-# (TestPipelinedSUMMARace), the service concurrency workout (N clients racing
-# the plan cache and the admission scheduler), the concurrent
-# Observe/Predict/Marshal workout on one kernel cost table, and concurrent
+# worker threads in localmm, concurrent jobs in service) or hold state
+# goroutines share (spmat: a block's lazily built column index, reached by
+# every rank the block was broadcast to) under the race detector, race
+# workouts included — the multithreaded kernels, the Pipeline=true broadcast
+# prefetch paths (TestPipelinedSUMMARace), the service concurrency workout (N
+# clients racing the plan cache and the admission scheduler) and concurrent
 # first lookups on one shared DCSC block are exercised here. The three
 # packages that run ranks go twice, at -cpu 1 and -cpu 4: the compute gate
 # deals out GOMAXPROCS cores, so one core is the strict-turns path and four
 # is ranks computing side by side and taking idle cores for workers — on a
 # two-core runner neither is what a bare `go test` would cover.
 race:
-	$(GO) test -race ./internal/spmat ./internal/localmm ./internal/costmodel
+	$(GO) test -race ./internal/spmat ./internal/localmm
 	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service
 
 # vet: static analysis over every package.
@@ -122,20 +120,12 @@ soak:
 plan:
 	$(GO) run ./cmd/spgemm-bench -plangate -scale tiny
 
-# kernelgate: the kernel/merger-selection gate the nightly workflow
-# enforces. For every planner-gate shape, the planner's kernel and merger
-# picks are priced against an exhaustive option sweep over the *measured*
-# work aggregates of a real staged run (inverted from the meters, so the
-# oracle prices what actually happened, not a prediction of it), and the
-# target fails when a pick lands more than 10% above the sweep's best or a
-# pick-vs-defaults differential run is not bit-identical per rank.
-kernelgate:
-	$(GO) run ./cmd/spgemm-bench -kernelgate -scale tiny
-
 # bench-kernels: regenerate BENCH_kernels.json — the recorded thread sweep
 # of the unsorted-hash local multiply, the heap/hash/hybrid crossover
 # measurements, the sorted hash merge on the Merge-Fiber and hypersparse
-# shapes, the format-generic multiply on a DCSC operand, and the one-vs-two
+# shapes and a one-layer grid's two merges with the sort in the drain against
+# the copy-and-sort it replaced, the format-generic multiply on a DCSC
+# operand, and the one-vs-two
 # worker sweep the kernels' worker floor is set from
 # (localmm.workPerExtraWorker), and the direct-table versus hash-table sweep
 # the accumulator's regime bound is set from (localmm.directTableBytes:
@@ -228,13 +218,17 @@ trace:
 # number is the tax every simulation pays for the observability hooks
 # (target: zero allocations, nanoseconds); the on number is what a traced
 # run pays per charge. Informational snapshot in the BENCH_kernels.json
-# style, not a gate — the hard zero-alloc requirement is enforced by
+# style — the runner's NumCPU, GOMAXPROCS and Go version beside the numbers —
+# not a gate: the hard zero-alloc requirement is enforced by
 # TestTracingDisabledAddsZeroAllocations in `make test`.
 bench-obs:
 	$(GO) test -run='^$$' -bench='TraceOverhead' -benchtime=500000x ./internal/mpi \
-	| awk 'BEGIN{n=0} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
-	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); vals[n]=sprintf("    \"%s\": %s",name,$$3); n++} \
-	  END{print "{"; printf "  \"cpu\": \"%s\",\n  \"goos\": \"%s\",\n  \"unit\": \"ns/op\",\n  \"regenerate\": \"make bench-obs\",\n  \"ns_per_op\": {\n", cpu, goos; \
+	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
+	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
+	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \
+	    if (match(name,/-[0-9]+$$/)) {procs=substr(name,RSTART+1); name=substr(name,1,RSTART-1)} \
+	    vals[n]=sprintf("    \"%s\": %s",name,$$3); n++} \
+	  END{print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"unit\": \"ns/op\",\n  \"regenerate\": \"make bench-obs\",\n  \"ns_per_op\": {\n", cpu, numcpu, procs, gover, goos; \
 	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}' \
 	> BENCH_obs.json
 	@cat BENCH_obs.json

@@ -18,9 +18,7 @@
 //	spgemm-bench -exp spmm                    # sparse×dense: SUMMA vs 1.5D
 //	spgemm-bench -exp spmm -algo cola -replication 2   # restrict the sweep
 //	spgemm-bench -exp fig6 -kernel heap       # pin the local-multiply kernel
-//	spgemm-bench -exp fig6 -kernel auto -merger auto   # per-block table picks
 //	spgemm-bench -exp fig6 -pipeline -channels 2       # k outstanding overlaps
-//	spgemm-bench -exp kernelsel               # kernel/merger pick vs option sweep
 //
 //	spgemm-bench -gate -json BENCH_pr3.json                            # emit the stats dump
 //	spgemm-bench -gate -json BENCH_pr3.json -baseline BENCH_baseline.json
@@ -31,10 +29,6 @@
 //	    # ranked configurations + why, run the pick, show predicted-vs-measured
 //	spgemm-bench -plangate                 # planner-vs-oracle CI gate: exit 1
 //	    # when any pick is >10% (-tol) above the exhaustive sweep's best
-//	spgemm-bench -kernelgate               # kernel/merger-selection CI gate:
-//	    # exit 1 when the planner's kernel or merger pick prices >10% (-tol)
-//	    # above the exhaustive option sweep on measured aggregates, or when a
-//	    # pick-vs-defaults differential run is not bit-identical
 //
 //	spgemm-bench -server http://127.0.0.1:8347 -exp service -scale tiny
 //	    # spgemmd-client mode: drive a running spgemmd daemon with the
@@ -73,15 +67,14 @@ func main() {
 		pipeline = flag.Bool("pipeline", false, "fully-overlapped schedule: prefetch stage broadcasts within and across batches and hide the fiber AllToAll behind Merge-Layer (off = the paper's staged schedule)")
 		format   = flag.String("format", "auto", "in-memory block storage: csc | dcsc | auto (auto compresses a block to DCSC when fewer than half its columns are occupied)")
 		sparse   = flag.String("sparsecomm", "off", "column-subset A-broadcast: off | auto | on (off reproduces the published figure shapes byte-identically; auto picks subsets per stage when the α–β model prices them cheaper)")
-		kernel   = flag.String("kernel", "", "local-multiply kernel: hash | sorted-hash | heap | hybrid | auto (empty = unsorted hash, the paper's default; auto consults the kernel cost table per block; output values are identical for every choice)")
-		merger   = flag.String("merger", "", "layer/fiber merge strategy: hash | heap | auto (empty = hash merge, the default; auto consults the kernel cost table)")
+		kernel   = flag.String("kernel", "", "pin the local-multiply kernel: hash | sorted-hash | heap | hybrid (empty = unsorted hash, the paper's kernel and what every plan runs; output values are identical for every choice)")
+		merger   = flag.String("merger", "", "pin the layer/fiber merge strategy: hash | heap (empty = hash merge, the paper's merger and what every plan runs)")
 		channels = flag.Int("channels", 0, "outstanding overlap channels the pipelined schedule may hide behind (0 = 1; only meaningful with -pipeline)")
 		algo     = flag.String("algo", "", "restrict the spmm experiment's sparse×dense sweep to one algorithm family: summa | cola | innerabc (empty sweeps all three)")
 		replic   = flag.Int("replication", 0, "restrict the spmm experiment's 1.5D replication sweep to one factor c (c² must divide p; 0 sweeps every valid c)")
 		gate     = flag.Bool("gate", false, "run the deterministic perf-regression gate on pinned fig-6/8 shapes instead of an experiment")
 		autotune = flag.Bool("autotune", false, "plan the gate shapes with the analytical autotuner, print each ranked plan, run the chosen configuration, and show the predicted-vs-measured per-step breakdown")
 		plangate = flag.Bool("plangate", false, "planner-vs-oracle gate: exit 1 when the planner's pick is more than -tol above the exhaustive sweep's best modeled critical path")
-		kerngate = flag.Bool("kernelgate", false, "kernel/merger-selection gate: exit 1 when the planner's kernel or merger pick prices more than -tol above the exhaustive option sweep on measured aggregates, or a differential run is not bit-identical")
 		server   = flag.String("server", "", "spgemmd-client mode: base URL of a running spgemmd (e.g. http://127.0.0.1:8347); drives the remote daemon with the service soak instead of running in-process")
 		traceOut = flag.String("trace", "", "re-run one pinned gate shape with span recording on and write its per-rank Chrome trace-event JSON to this path (loadable in chrome://tracing / Perfetto)")
 		trShape  = flag.String("traceshape", "fig6-friendster-overlapped", "with -trace: which pinned gate shape to record")
@@ -123,7 +116,7 @@ func main() {
 		return
 	}
 
-	if *autotune || *plangate || *kerngate {
+	if *autotune || *plangate {
 		sc, err := experiments.ParseScale(*scale)
 		if err != nil {
 			fatal(err)
@@ -139,13 +132,6 @@ func main() {
 				planTol = experiments.PlanGateTolerance
 			}
 			runPlanGate(sc, planTol)
-		}
-		if *kerngate {
-			kernTol := *tol
-			if !tolSet {
-				kernTol = experiments.KernelSelTolerance
-			}
-			runKernelGate(sc, kernTol)
 		}
 		return
 	}
@@ -185,27 +171,15 @@ func main() {
 	if *channels < 0 {
 		fatal(fmt.Errorf("-channels must be >= 0, got %d", *channels))
 	}
-	var kernKnob localmm.Kernel
-	autoKern := false
-	if *kernel == "auto" {
-		autoKern = true
-	} else {
-		var err error
-		if kernKnob, err = localmm.ParseKernel(*kernel); err != nil {
-			fatal(err)
-		}
+	kernKnob, err := localmm.ParseKernel(*kernel)
+	if err != nil {
+		fatal(err)
 	}
-	var mergeKnob localmm.Merger
-	autoMerge := false
-	if *merger == "auto" {
-		autoMerge = true
-	} else {
-		var err error
-		if mergeKnob, err = localmm.ParseMerger(*merger); err != nil {
-			fatal(err)
-		}
+	mergeKnob, err := localmm.ParseMerger(*merger)
+	if err != nil {
+		fatal(err)
 	}
-	opts := experiments.RunOpts{Scale: sc, Machine: m, Threads: *threads, Pipeline: *pipeline, Format: fmtKnob, SparseComm: sparseKnob, Kernel: kernKnob, Merger: mergeKnob, AutoKernel: autoKern, AutoMerger: autoMerge, Channels: *channels, Algo: *algo, Replication: *replic, Verbose: *verbose}
+	opts := experiments.RunOpts{Scale: sc, Machine: m, Threads: *threads, Pipeline: *pipeline, Format: fmtKnob, SparseComm: sparseKnob, Kernel: kernKnob, Merger: mergeKnob, Channels: *channels, Algo: *algo, Replication: *replic, Verbose: *verbose}
 
 	var list []*experiments.Experiment
 	if *exp == "all" {
@@ -333,26 +307,6 @@ func runPlanGate(sc experiments.Scale, tol float64) {
 		os.Exit(1)
 	}
 	fmt.Printf("planner gate passed: every pick within %.0f%% of the oracle sweep's best (%v)\n",
-		tol*100, time.Since(start).Round(time.Millisecond))
-}
-
-// runKernelGate runs the kernel/merger-selection comparison on every
-// planner-gate shape: the planner's picks must price within tol of the
-// exhaustive option sweep over measured aggregates, and a pick-vs-defaults
-// differential run must be bit-identical per rank.
-func runKernelGate(sc experiments.Scale, tol float64) {
-	start := time.Now()
-	bad, err := experiments.KernelSelGate(sc, tol)
-	if err != nil {
-		fatal(err)
-	}
-	if len(bad) != 0 {
-		for _, msg := range bad {
-			fmt.Fprintln(os.Stderr, "spgemm-bench: KERNEL SELECTION REGRESSION:", msg)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("kernel gate passed: every kernel/merger pick within %.0f%% of the option sweep on measured aggregates, outputs bit-identical (%v)\n",
 		tol*100, time.Since(start).Round(time.Millisecond))
 }
 

@@ -21,9 +21,6 @@
 //	spgemmd                                   # 16 ranks, Cori-KNL, :8347
 //	spgemmd -p 64 -mem 64MB -machine haswell  # bigger cluster, tight budget
 //	spgemmd -addr 127.0.0.1:9000 -threads 4
-//	spgemmd -kernels kernels.json             # persist the recalibrated
-//	    # kernel/merger cost table: loaded at boot if the file exists, saved
-//	    # on SIGINT/SIGTERM, so measured-speed calibration survives restarts
 //	spgemmd -tracedir traces                  # write every job's span trace
 //	    # to traces/job-<id>.json
 //	spgemmd -pprof                            # mount net/http/pprof under
@@ -38,19 +35,14 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"repro/internal/costmodel"
 	"repro/internal/service"
@@ -67,7 +59,6 @@ func main() {
 		machine   = flag.String("machine", "knl", "machine model: knl | haswell | knl-ht | local")
 		memStr    = flag.String("mem", "", "aggregate memory budget shared by concurrent jobs, with optional suffix: 4GB, 512MB, 1e9 (empty = unconstrained)")
 		threads   = flag.Int("threads", 1, "most worker goroutines per rank in local kernels (cores go to ranks first)")
-		kernels   = flag.String("kernels", "", "kernel/merger cost-table file: loaded at boot when present, saved on SIGINT/SIGTERM (empty = in-memory only, recalibration lost on exit)")
 		traceDir  = flag.String("tracedir", "", "directory for per-job span traces (job-<id>.json, Chrome trace-event format); created if missing (empty = no capture)")
 		pprofFlag = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
@@ -81,36 +72,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kt, err := loadKernels(*kernels)
-	if err != nil {
-		fatal(err)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatal(fmt.Errorf("-tracedir: %w", err))
 		}
 	}
 	svc, err := service.New(service.Config{
-		P: *p, Machine: m, MemBytes: mem, Threads: *threads, Kernels: kt,
+		P: *p, Machine: m, MemBytes: mem, Threads: *threads,
 		Logger: logger, TraceDir: *traceDir,
 	})
 	if err != nil {
 		fatal(err)
-	}
-
-	if *kernels != "" {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			if err := saveKernels(*kernels, svc.Kernels()); err != nil {
-				logger.Error("saving kernel table failed", "path", *kernels, "error", err)
-				os.Exit(1)
-			}
-			logger.Info("kernel table saved", "path", *kernels,
-				"observations", svc.Kernels().Observations())
-			os.Exit(0)
-		}()
 	}
 
 	handler := service.Handler(svc)
@@ -130,42 +102,6 @@ func main() {
 	if err := http.ListenAndServe(*addr, handler); err != nil {
 		fatal(err)
 	}
-}
-
-// loadKernels reads a persisted cost table; a missing file or empty path
-// yields a fresh default table (first boot).
-func loadKernels(path string) (*costmodel.KernelTable, error) {
-	kt := costmodel.DefaultKernelTable()
-	if path == "" {
-		return kt, nil
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return kt, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("-kernels: %w", err)
-	}
-	if err := json.Unmarshal(data, kt); err != nil {
-		return nil, fmt.Errorf("-kernels %s: %w", path, err)
-	}
-	logger.Info("kernel table loaded", "path", path,
-		"observations", kt.Observations(), "fingerprint", kt.Fingerprint())
-	return kt, nil
-}
-
-// saveKernels writes the table atomically (temp file + rename) so a crash
-// mid-write never corrupts the previous calibration.
-func saveKernels(path string, kt *costmodel.KernelTable) error {
-	data, err := json.MarshalIndent(kt, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // parseBytes parses a byte count with an optional decimal suffix (KB, MB,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
-	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/planner"
 	"repro/internal/spmat"
@@ -79,9 +78,6 @@ func PlanInput(rc RunConfig, m costmodel.Machine) planner.Input {
 		// adds hiding capacity beyond what two independent broadcast
 		// streams can use, so k=2 saturates the model.
 		Channels: []int{1, 2},
-		// Price kernel picks against the run's (possibly recalibrated)
-		// table; nil falls back to the built-in coefficients.
-		Kernels: opts.Kernels,
 	}
 }
 
@@ -90,7 +86,9 @@ func PlanInput(rc RunConfig, m costmodel.Machine) planner.Input {
 // cached Choice. The batch count is handled by authority, exactly like a
 // fresh autotune: under a memory budget ForceBatches stays unset so the
 // distributed symbolic step makes the real decision; without one the
-// choice's induced b (always 1) is pinned.
+// choice's induced b (always 1) is pinned. The local kernel and merger are
+// not part of a choice: rc's stay as they are (the sort-free hash pair unless
+// the caller pinned others).
 func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 	cfg, err := ch.Config()
 	if err != nil {
@@ -108,29 +106,6 @@ func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 	rc.Opts.Pipeline = cfg.Pipeline
 	rc.Opts.SparseComm = cfg.SparseComm
 	rc.Opts.Channels = cfg.Channels
-	// Execute the plan-time kernel/merger picks when the choice carries
-	// them (older serialized choices don't — the configured defaults
-	// stay). A hybrid pick parses to localmm's per-column dispatch kernel,
-	// the execution of the planner's mixed-regime estimate. Explicit
-	// static picks turn the runtime auto selection off: the plan already
-	// decided, and re-deciding per stage would blur what the kernelsel
-	// gate audits.
-	if ch.Kernel != "" {
-		k, err := localmm.ParseKernel(ch.Kernel)
-		if err != nil {
-			return rc, fmt.Errorf("core: choice kernel: %w", err)
-		}
-		rc.Opts.Kernel = k
-		rc.Opts.AutoKernel = false
-	}
-	if ch.Merger != "" {
-		mg, err := localmm.ParseMerger(ch.Merger)
-		if err != nil {
-			return rc, fmt.Errorf("core: choice merger: %w", err)
-		}
-		rc.Opts.Merger = mg
-		rc.Opts.AutoMerger = false
-	}
 	return rc, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/localmm"
 	"repro/internal/spmat"
 )
@@ -158,34 +157,6 @@ func TestKernelFormatMergerScheduleDifferential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAutoKernelSelectionBitIdenticalAndRecalibrates: the runtime auto
-// selection (AutoKernel/AutoMerger consulting a kernel table) must also be
-// bit-identical to the defaults, must leave the metered work units exactly
-// where the fixed kernels put them (the gate numbers never move with the
-// speed knob), and must feed every measured multiply and merge back into the
-// table.
-func TestAutoKernelSelectionBitIdenticalAndRecalibrates(t *testing.T) {
-	a := randomRealMat(t, 48, 48, 700, 85)
-	b := randomRealMat(t, 48, 48, 700, 86)
-	ref, _, refSum := runDistributed(t, 8, 2, a, b, Options{ForceBatches: 2}, nil)
-
-	table := costmodel.DefaultKernelTable()
-	got, _, gotSum := runDistributed(t, 8, 2, a, b, Options{
-		ForceBatches: 2, AutoKernel: true, AutoMerger: true, Kernels: table,
-	}, nil)
-	if !spmat.Equal(ref, got) {
-		t.Error("auto kernel/merger selection changed output values")
-	}
-	for _, step := range []string{StepLocalMult, StepMergeLayer, StepMergeFiber} {
-		if rw, gw := refSum.Step(step).WorkUnits, gotSum.Step(step).WorkUnits; rw != gw {
-			t.Errorf("%s: work units moved with the kernel knob: %d vs %d", step, rw, gw)
-		}
-	}
-	if n := table.Observations(); n == 0 {
-		t.Error("auto run recorded no kernel-table observations")
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/costmodel"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/semiring"
@@ -128,28 +127,16 @@ func ParseAlgo(s string) (Algo, error) {
 type Options struct {
 	// Semiring defaults to plus-times.
 	Semiring *semiring.Semiring
-	// Kernel is the Local-Multiply implementation (default: the paper's
-	// sort-free unsorted-hash kernel). Ignored when AutoKernel is set.
+	// Kernel is the Local-Multiply implementation. The zero value is the
+	// paper's sort-free unsorted-hash kernel, which every planned run
+	// executes; the other three are explicit pins for the Table 7 / Fig. 15
+	// ablations and the differentials. Every kernel produces bit-identical
+	// values and the same metered work units.
 	Kernel localmm.Kernel
-	// Merger is the Merge-Layer / Merge-Fiber implementation (default: the
-	// paper's sort-free hash merge). Ignored when AutoMerger is set.
+	// Merger is the Merge-Layer / Merge-Fiber implementation: the paper's
+	// sort-free hash merge (the zero value, what every planned run executes)
+	// or the heap merge, pinned the same way.
 	Merger localmm.Merger
-	// AutoKernel selects the Local-Multiply kernel per (block, stage) at run
-	// time: each stage's exact flops and scanned columns are priced by the
-	// kernel cost table (Kernels, or the built-in defaults) and the cheaper
-	// of the heap and hash regimes runs. Every kernel produces bit-identical
-	// values, so the knob changes speed attribution only.
-	AutoKernel bool
-	// AutoMerger selects the merge strategy per merge the same way, from the
-	// merged-entry and scanned-column counts of each Merge-Layer/Merge-Fiber
-	// call.
-	AutoMerger bool
-	// Kernels is the kernel/merger cost table consulted by AutoKernel and
-	// AutoMerger and fed by every measured Local-Multiply and merge
-	// (costmodel.KernelTable.Observe — online recalibration). Nil uses the
-	// default coefficients and records nothing, keeping one-shot runs
-	// deterministic; spgemmd shares one table across jobs and persists it.
-	Kernels *costmodel.KernelTable
 	// Channels is k, the number of modeled NIC channels the overlap ledger
 	// may hide split collectives behind: each measured compute second can
 	// hide up to k outstanding requests' communication. 0 or 1 is the

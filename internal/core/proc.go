@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/costmodel"
 	"repro/internal/distmat"
 	"repro/internal/grid"
-	"repro/internal/localmm"
 	"repro/internal/spmat"
 )
 
@@ -150,36 +148,6 @@ func AssembleResults(results []*Result, rows, cols int32) (*spmat.CSC, error) {
 	// Only a hook that hands back unsorted pieces leaves anything to do here.
 	out.SortColumns()
 	return out, nil
-}
-
-// stageKernel returns the Local-Multiply kernel for one stage. With
-// Opts.AutoKernel the kernel cost table prices the stage's exact flops and
-// scanned-column count and the cheaper of the heap and hash regimes runs
-// (per block and stage, as Azad et al. do per column bucket); otherwise the
-// configured kernel runs everywhere. Every kernel produces bit-identical
-// values, so the choice is a speed decision only.
-func (p *Proc) stageKernel(flops, scanCols int64) localmm.Kernel {
-	if !p.Opts.AutoKernel {
-		return p.Opts.Kernel
-	}
-	name, _ := p.Opts.Kernels.PickKernel(flops, scanCols)
-	if name == costmodel.KernelNameHeap {
-		return localmm.KernelHeap
-	}
-	return localmm.KernelHashUnsorted
-}
-
-// pickMerger returns the merge strategy for one merge of entries stored
-// nonzeros over scanCols scanned columns, per Opts.AutoMerger.
-func (p *Proc) pickMerger(entries, scanCols int64) localmm.Merger {
-	if !p.Opts.AutoMerger {
-		return p.Opts.Merger
-	}
-	name, _ := p.Opts.Kernels.PickMerger(entries, scanCols)
-	if name == costmodel.MergerNameHeap {
-		return localmm.MergerHeap
-	}
-	return localmm.MergerHash
 }
 
 // colScanWork is the column-metadata share of a block's modeled work: the

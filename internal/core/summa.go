@@ -128,13 +128,10 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 		// Local multiply (Alg 1 line 7). One pass over the B block counts the
 		// stage's flops column by column (localmm.PlanMul) and everything
 		// that needs them reads that one vector: Result.LocalFlops, the work
-		// units below, the kernel choice — per stage from the exact flops
-		// and scanned columns of this block pair when Opts.AutoKernel is set
-		// (stageKernel) — and, inside the kernel, the worker balance and the
-		// hash-table sizes. The measured seconds feed the recalibration table
-		// either way. Work units = flops plus the operand traversal cost, so
-		// empty products still carry their column-scan work — the dense
-		// column count for CSC operands, only the stored columns for DCSC
+		// units below and, inside the kernel, the worker balance and the
+		// hash-table sizes. Work units = flops plus the operand traversal
+		// cost, so empty products still carry their column-scan work — the
+		// dense column count for CSC operands, only the stored columns for DCSC
 		// (the O(n)-per-block term the compressed format removes from the
 		// modeled critical path); the unit accounting is deliberately
 		// kernel-independent so the modeled critical path never moves with
@@ -148,15 +145,12 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
 		var plan *localmm.Plan
-		var kern localmm.Kernel
 		var prod spmat.Matrix
 		sec := p.measure(func() {
 			plan = localmm.PlanMul(aRecv, bRecv)
-			kern = p.stageKernel(plan.Flops, scanCols)
-			prod = plan.Mul(kern, p.Opts.Semiring, p.workers(plan.Flops))
+			prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, p.workers(plan.Flops))
 		})
 		res.LocalFlops += plan.Flops
-		p.Opts.Kernels.Observe(kern.String(), plan.Flops, scanCols, sec)
 		meter.AddComputeWork(sec, plan.Flops+bRecv.NNZ()+scanCols+1)
 		consume(prod)
 	}
@@ -197,17 +191,11 @@ func (p *Proc) summa2D(bBatch, bNextBatch spmat.Matrix, res *Result) spmat.Matri
 	partial, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
-	// Merge-Fiber output must be sorted (Sec. IV-D). The strategy is chosen
-	// per merge from the entry and scanned-column counts when Opts.AutoMerger
-	// is set, and the measured seconds recalibrate the table.
+	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is
+	// the last to hold the entries in a table (lastTable).
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeLayer)
-	mg := p.pickMerger(unmerged, colScanWork(bBatch))
-	var d spmat.Matrix
-	mergeSec := p.measure(func() {
-		d = localmm.MergeMat(mg, partial, p.Opts.Semiring, false, p.workers(unmerged))
-	})
-	p.Opts.Kernels.Observe(mg.String(), unmerged, colScanWork(bBatch), mergeSec)
+	d, mergeSec := p.merge(partial, p.lastTable(), unmerged)
 	meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 	res.MergedLayerNNZ += d.NNZ()
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged+d.NNZ())
@@ -233,13 +221,7 @@ func (p *Proc) summa2DIncremental(bBatch, bNextBatch spmat.Matrix, res *Result) 
 		meter.SetCategory(StepMergeLayer)
 		work := acc.NNZ() + prod.NNZ()
 		p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+work)
-		pair := []spmat.Matrix{acc, prod}
-		mg := p.pickMerger(work, colScanWork(acc))
-		var merged spmat.Matrix
-		sec := p.measure(func() {
-			merged = localmm.MergeMat(mg, pair, p.Opts.Semiring, false, p.workers(work))
-		})
-		p.Opts.Kernels.Observe(mg.String(), work, colScanWork(acc), sec)
+		merged, sec := p.merge([]spmat.Matrix{acc, prod}, false, work)
 		meter.AddComputeWork(sec, work+1)
 		acc = merged
 	})
@@ -358,12 +340,7 @@ func (p *Proc) summa3DBatchOverlapped(t int, bBatch, bNextBatch spmat.Matrix, re
 		for _, piece := range perDest[m] {
 			in += piece.NNZ()
 		}
-		mg := p.pickMerger(in, colScanWork(perDest[m][0]))
-		var out spmat.Matrix
-		sec := p.measure(func() {
-			out = localmm.MergeMat(mg, perDest[m], p.Opts.Semiring, false, p.workers(in))
-		})
-		p.Opts.Kernels.Observe(mg.String(), in, colScanWork(out), sec)
+		out, sec := p.merge(perDest[m], p.lastTable(), in)
 		meter.AddComputeWork(sec, in+colScanWork(out)+1)
 		return out
 	}
@@ -423,28 +400,43 @@ func (p *Proc) mergeFiber(t int, rows int32, recv []mpi.Payload, res *Result) (s
 		mats = append(mats, m)
 		recvNNZ += m.NNZ()
 	}
-	mg := p.Opts.Merger
-	if len(mats) > 0 {
-		var scan int64
-		for _, m := range mats {
-			scan += colScanWork(m)
-		}
-		mg = p.pickMerger(recvNNZ, scan)
-	}
 	var c spmat.Matrix
-	fiberSec := p.measure(func() {
-		if len(mats) == 0 {
-			c = spmat.New(rows, 0)
-		} else {
-			c = localmm.MergeMat(mg, mats, p.Opts.Semiring, true, p.workers(recvNNZ))
-		}
-	})
-	if len(mats) > 0 {
-		p.Opts.Kernels.Observe(mg.String(), recvNNZ, colScanWork(c), fiberSec)
+	var fiberSec float64
+	if len(mats) == 0 {
+		fiberSec = p.measure(func() { c = spmat.New(rows, 0) })
+	} else {
+		c, fiberSec = p.merge(mats, true, recvNNZ)
 	}
 	meter.AddComputeWork(fiberSec, recvNNZ+colScanWork(c)+1)
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+recvNNZ+c.NNZ())
 	return c, p.bt.BatchLayerCols(t, g.K)
+}
+
+// lastTable reports whether Merge-Layer is the last merge to hold a batch's
+// entries in an accumulator. On a one-layer grid it is: Merge-Fiber then has
+// the one operand Merge-Layer made, so Merge-Layer drains its table in
+// ascending order — the sort happens while the entries are still in the table
+// — and Merge-Fiber's sorted operand passes through (localmm.MergeMat). With
+// more layers the fiber merge accumulates l pieces and sorts as it drains.
+// Either way every output entry is sorted once; the meters charge both merges
+// their schedule's work units regardless.
+func (p *Proc) lastTable() bool { return p.G.L == 1 }
+
+// merge is the engine's one call into localmm.MergeMat: Opts.Merger over mats
+// on the workers entries input entries pay for, as one compute section whose
+// wall seconds it returns. sorted asks for ascending columns. A lone unsorted
+// operand of a sorted merge on a one-layer grid is a matrix this rank just
+// produced and nobody else holds — p = 1's only stage product, the
+// incremental accumulator — so it is sorted where it lies instead of on the
+// copy MergeMat would make.
+func (p *Proc) merge(mats []spmat.Matrix, sorted bool, entries int64) (out spmat.Matrix, sec float64) {
+	sec = p.measure(func() {
+		if sorted && len(mats) == 1 && p.G.L == 1 {
+			mats[0].SortColumns()
+		}
+		out = localmm.MergeMat(p.Opts.Merger, mats, p.Opts.Semiring, sorted, p.workers(entries))
+	})
+	return out, sec
 }
 
 // trackPeak records a modeled memory checkpoint of live nonzeros.

@@ -1,38 +1,27 @@
 package costmodel
 
-import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"sort"
-	"sync"
-)
-
-// Kernel and merger cost table: the per-(block, stage) selection model of the
-// plan-time kernel chooser. Each local-multiply kernel and merge strategy is
-// priced as a linear model over the two quantities the planner's symbolic
-// probe knows exactly — useful work (flops for kernels, merged entries for
+// Kernel and merger cost table: a wall-second prior for every local-multiply
+// kernel and merge strategy, as a linear model over the two quantities the
+// meters count exactly — useful work (flops for kernels, merged entries for
 // mergers) and scanned columns (the per-column setup each algorithm pays):
 //
 //	T(kernel) = SecPerUnit·units + SecPerCol·cols
 //
-// The default constants encode the regimes of Azad et al. (arXiv 1510.00844):
-// hash kernels pay a large per-column setup (table init/reset) but stream
-// flops near memory speed, heap kernels pay almost nothing per column but
-// log-factor work per flop. Their ratio puts the heap↔hash crossover at
-// (200−8)/(4−1) = 64 flops per column — deliberately the same constant as the
-// hybrid kernel's per-column threshold (localmm.hybridHeapThreshold), so the
-// table and the kernel agree on where the regimes meet.
-//
-// The constants are only a prior: Observe feeds measured seconds from real
-// runs into per-name normal-equation moments and refits the two coefficients
-// once enough observations accumulate, so a long-running daemon converges the
-// table to its actual machine. All methods are safe on a nil *KernelTable
-// (predictions fall back to the defaults, observations are dropped), so call
-// sites need no nil plumbing.
+// The constants encode the regimes of Azad et al. (arXiv 1510.00844): hash
+// kernels pay a large per-column setup (table init/reset) but stream flops
+// near memory speed, heap kernels pay almost nothing per column but
+// log-factor work per flop; their ratio puts the heap↔hash crossover at
+// (200−8)/(4−1) = 64 flops per column, the hybrid kernel's per-column
+// threshold (localmm.hybridHeapThreshold). Nothing executes by these numbers:
+// every plan runs the unsorted-hash multiply and the hash merge, which beat
+// heap and hybrid in every measured regime (BENCH_kernels.json). The table is
+// what the benchmark's replay reports its multiply and merge residuals
+// against (bench/: costmodel.multiply_residual, costmodel.merge_residual);
+// refitting the coefficients from that replay data is the open work (ROADMAP
+// item 3).
 
 // Kernel and merger names priced by the table. They match the localmm
-// String() spellings so measured observations and predictions key identically.
+// String() spellings, so a run's kernel prices by its own name.
 const (
 	KernelNameHash       = "unsorted-hash"
 	KernelNameHashSorted = "sorted-hash"
@@ -46,20 +35,19 @@ const (
 type KernelCoeffs struct {
 	// SecPerUnit is the marginal cost of one unit of useful work: a flop
 	// for multiply kernels, a merged entry for mergers.
-	SecPerUnit float64 `json:"sec_per_unit"`
+	SecPerUnit float64
 	// SecPerCol is the per-scanned-column setup cost.
-	SecPerCol float64 `json:"sec_per_col"`
+	SecPerCol float64
 }
 
-// HybridDispatchSecPerCol is the per-column regime-dispatch overhead added to
+// hybridDispatchSecPerCol is the per-column regime-dispatch overhead added to
 // the hybrid kernel's prediction on top of the per-column best of heap and
 // hash. It keeps the hybrid from dominating trivially: on a block whose
 // columns all sit in one regime, the single-regime kernel wins by exactly
 // this margin.
-const HybridDispatchSecPerCol = 0.2e-9
+const hybridDispatchSecPerCol = 0.2e-9
 
-// defaultKernelCoeffs is the prior the table starts from (and the model used
-// when no table is configured).
+// defaultKernelCoeffs is the prior.
 var defaultKernelCoeffs = map[string]KernelCoeffs{
 	KernelNameHash:       {SecPerUnit: 1.0e-9, SecPerCol: 200e-9},
 	KernelNameHashSorted: {SecPerUnit: 1.6e-9, SecPerCol: 200e-9},
@@ -68,270 +56,23 @@ var defaultKernelCoeffs = map[string]KernelCoeffs{
 	MergerNameHeap:       {SecPerUnit: 3.0e-9, SecPerCol: 10e-9},
 }
 
-// kernelMoments accumulates the normal-equation moments of observed
-// (units, cols, seconds) triples for one kernel name.
-type kernelMoments struct {
-	N   int64   `json:"n"`
-	Suu float64 `json:"suu"` // Σ units²
-	Suc float64 `json:"suc"` // Σ units·cols
-	Scc float64 `json:"scc"` // Σ cols²
-	Sut float64 `json:"sut"` // Σ units·sec
-	Sct float64 `json:"sct"` // Σ cols·sec
-}
+// KernelTable prices a kernel or merger by name from the prior. It holds
+// nothing of its own — a nil table predicts the same — and is the handle a
+// refit table would fill.
+type KernelTable struct{}
 
-// refitAfter is the observation count at which a name's coefficients are
-// refit from its accumulated moments.
-const refitAfter = 16
-
-// KernelTable is the thread-safe kernel/merger cost table with online
-// recalibration. The zero value is NOT ready; use DefaultKernelTable. A nil
-// table predicts from the default coefficients and ignores observations.
-type KernelTable struct {
-	mu      sync.Mutex
-	coeffs  map[string]KernelCoeffs
-	moments map[string]*kernelMoments
-	total   int64
-}
-
-// DefaultKernelTable returns a fresh table seeded with the default
-// coefficients.
-func DefaultKernelTable() *KernelTable {
-	t := &KernelTable{
-		coeffs:  make(map[string]KernelCoeffs, len(defaultKernelCoeffs)),
-		moments: make(map[string]*kernelMoments),
-	}
-	for name, c := range defaultKernelCoeffs {
-		t.coeffs[name] = c
-	}
-	return t
-}
-
-// coeffsOf returns the current coefficients for name (defaults when the table
-// is nil or the name unknown). Callers must hold t.mu when t is non-nil.
-func (t *KernelTable) coeffsOf(name string) KernelCoeffs {
-	if t != nil {
-		if c, ok := t.coeffs[name]; ok {
-			return c
-		}
-	}
-	return defaultKernelCoeffs[name]
-}
-
-// predictLocked prices name without taking the lock. The hybrid kernel is
-// derived: the better of heap and hash plus the dispatch overhead — its
-// true advantage (per-column regime mixing) is only visible to the planner's
-// sampled per-column estimate, never to block-level aggregates.
-func (t *KernelTable) predictLocked(name string, units, cols int64) float64 {
-	if name == KernelNameHybrid {
-		heap := t.predictLocked(KernelNameHeap, units, cols)
-		hash := t.predictLocked(KernelNameHash, units, cols)
-		best := heap
-		if hash < best {
-			best = hash
-		}
-		return best + HybridDispatchSecPerCol*float64(cols)
-	}
-	c := t.coeffsOf(name)
-	return c.SecPerUnit*float64(units) + c.SecPerCol*float64(cols)
-}
+// DefaultKernelTable returns the table of the default coefficients.
+func DefaultKernelTable() *KernelTable { return &KernelTable{} }
 
 // Predict returns the modeled seconds for running name over units of work
-// and cols scanned columns.
+// and cols scanned columns. The hybrid kernel is derived: the better of heap
+// and hash plus the dispatch overhead — its true advantage (per-column
+// regime mixing) is invisible to block-level aggregates.
 func (t *KernelTable) Predict(name string, units, cols int64) float64 {
-	if t == nil {
-		return (*KernelTable)(nil).predictLocked(name, units, cols)
+	if name == KernelNameHybrid {
+		best := min(t.Predict(KernelNameHeap, units, cols), t.Predict(KernelNameHash, units, cols))
+		return best + hybridDispatchSecPerCol*float64(cols)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.predictLocked(name, units, cols)
-}
-
-// Clone returns an independent snapshot: same coefficients, moments, and
-// observation count, sharing no state with the original. A nil table clones
-// to a fresh default table. The service plans against a boot-time clone so
-// plan-cache keys stay stable while the live table keeps recalibrating.
-func (t *KernelTable) Clone() *KernelTable {
-	out := DefaultKernelTable()
-	if t == nil {
-		return out
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for name, c := range t.coeffs {
-		out.coeffs[name] = c
-	}
-	for name, m := range t.moments {
-		mc := *m
-		out.moments[name] = &mc
-	}
-	out.total = t.total
-	return out
-}
-
-// Coeffs returns the current coefficients for name.
-func (t *KernelTable) Coeffs(name string) KernelCoeffs {
-	if t == nil {
-		return defaultKernelCoeffs[name]
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.coeffsOf(name)
-}
-
-// Observations returns the total number of measurements fed to Observe.
-func (t *KernelTable) Observations() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Observe records one measured execution of name (units of work, cols
-// scanned columns, sec wall seconds) and refits name's coefficients from the
-// accumulated moments once refitAfter observations exist. Observations for
-// unknown names (including the derived hybrid) and degenerate measurements
-// are dropped.
-func (t *KernelTable) Observe(name string, units, cols int64, sec float64) {
-	if t == nil || sec <= 0 || units < 0 || cols < 0 || units+cols == 0 {
-		return
-	}
-	if _, ok := defaultKernelCoeffs[name]; !ok {
-		return
-	}
-	u, c := float64(units), float64(cols)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := t.moments[name]
-	if m == nil {
-		m = &kernelMoments{}
-		t.moments[name] = m
-	}
-	m.N++
-	m.Suu += u * u
-	m.Suc += u * c
-	m.Scc += c * c
-	m.Sut += u * sec
-	m.Sct += c * sec
-	t.total++
-	if m.N >= refitAfter {
-		t.refitLocked(name, m)
-	}
-}
-
-// refitLocked solves the 2×2 normal equations for name's coefficients. When
-// the moment matrix is near-singular (all observations share one units:cols
-// ratio) it falls back to uniformly rescaling the default coefficients so the
-// predicted total over the observed mix matches the measured total.
-func (t *KernelTable) refitLocked(name string, m *kernelMoments) {
-	det := m.Suu*m.Scc - m.Suc*m.Suc
-	if det > 1e-6*m.Suu*m.Scc {
-		a := (m.Sut*m.Scc - m.Sct*m.Suc) / det
-		b := (m.Sct*m.Suu - m.Sut*m.Suc) / det
-		if a > 0 && b > 0 {
-			t.coeffs[name] = KernelCoeffs{SecPerUnit: a, SecPerCol: b}
-			return
-		}
-	}
-	d := defaultKernelCoeffs[name]
-	predicted := d.SecPerUnit*m.Suu + d.SecPerCol*m.Suc
-	measured := m.Sut
-	if predicted <= 0 {
-		predicted = d.SecPerUnit*m.Suc + d.SecPerCol*m.Scc
-		measured = m.Sct
-	}
-	if predicted > 0 && measured > 0 {
-		s := measured / predicted
-		t.coeffs[name] = KernelCoeffs{SecPerUnit: d.SecPerUnit * s, SecPerCol: d.SecPerCol * s}
-	}
-}
-
-// PickKernel returns the cheapest multiply kernel for a block-stage with the
-// given flops and scanned columns, with its predicted seconds. Only the two
-// pure-regime kernels compete at block level: the hybrid's dispatch overhead
-// means it can never beat both on an aggregate (its win — mixed per-column
-// regimes — is the planner's sampled decision, not a runtime one).
-func (t *KernelTable) PickKernel(flops, cols int64) (string, float64) {
-	hash := t.Predict(KernelNameHash, flops, cols)
-	heap := t.Predict(KernelNameHeap, flops, cols)
-	if heap < hash {
-		return KernelNameHeap, heap
-	}
-	return KernelNameHash, hash
-}
-
-// PickMerger returns the cheapest merge strategy for entries merged entries
-// over cols scanned columns, with its predicted seconds.
-func (t *KernelTable) PickMerger(entries, cols int64) (string, float64) {
-	hash := t.Predict(MergerNameHash, entries, cols)
-	heap := t.Predict(MergerNameHeap, entries, cols)
-	if heap < hash {
-		return MergerNameHeap, heap
-	}
-	return MergerNameHash, hash
-}
-
-// kernelTableJSON is the serialized form (spgemmd persists it alongside the
-// plan cache so recalibration survives restarts).
-type kernelTableJSON struct {
-	Coeffs  map[string]KernelCoeffs   `json:"coeffs"`
-	Moments map[string]*kernelMoments `json:"moments,omitempty"`
-	Total   int64                     `json:"observations"`
-}
-
-// MarshalJSON serializes the coefficients and recalibration moments.
-func (t *KernelTable) MarshalJSON() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return json.Marshal(kernelTableJSON{Coeffs: t.coeffs, Moments: t.moments, Total: t.total})
-}
-
-// UnmarshalJSON restores a serialized table. Missing names keep their
-// defaults, so tables saved by older builds stay loadable.
-func (t *KernelTable) UnmarshalJSON(data []byte) error {
-	var j kernelTableJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.coeffs == nil {
-		t.coeffs = make(map[string]KernelCoeffs, len(defaultKernelCoeffs))
-		for name, c := range defaultKernelCoeffs {
-			t.coeffs[name] = c
-		}
-	}
-	for name, c := range j.Coeffs {
-		if _, ok := defaultKernelCoeffs[name]; ok && c.SecPerUnit > 0 && c.SecPerCol > 0 {
-			t.coeffs[name] = c
-		}
-	}
-	if t.moments == nil {
-		t.moments = make(map[string]*kernelMoments)
-	}
-	for name, m := range j.Moments {
-		if _, ok := defaultKernelCoeffs[name]; ok && m != nil {
-			t.moments[name] = m
-		}
-	}
-	t.total = j.Total
-	return nil
-}
-
-// Fingerprint returns a short stable hash of the current coefficients, used
-// to key cached plans: a recalibrated table must not serve picks cached under
-// the old constants.
-func (t *KernelTable) Fingerprint() string {
-	names := make([]string, 0, len(defaultKernelCoeffs))
-	for name := range defaultKernelCoeffs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := fnv.New64a()
-	for _, name := range names {
-		c := t.Coeffs(name)
-		fmt.Fprintf(h, "%s=%.6g,%.6g;", name, c.SecPerUnit, c.SecPerCol)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	c := defaultKernelCoeffs[name]
+	return c.SecPerUnit*float64(units) + c.SecPerCol*float64(cols)
 }

@@ -1,46 +1,38 @@
 package costmodel
 
 import (
-	"encoding/json"
 	"math"
-	"sync"
 	"testing"
 )
 
-// TestKernelTableNilSafe: every method must work on a nil table — predictions
-// fall back to the defaults, observations are dropped.
+// TestKernelTableNilSafe: a nil table predicts from the defaults, exactly as
+// DefaultKernelTable's does, for every name the benchmark's replay prices.
 func TestKernelTableNilSafe(t *testing.T) {
 	var nilT *KernelTable
 	want := defaultKernelCoeffs[KernelNameHash]
 	if got := nilT.Predict(KernelNameHash, 1000, 10); got != want.SecPerUnit*1000+want.SecPerCol*10 {
 		t.Errorf("nil Predict = %v", got)
 	}
-	nilT.Observe(KernelNameHash, 1000, 10, 1e-6)
-	if n := nilT.Observations(); n != 0 {
-		t.Errorf("nil table recorded %d observations", n)
-	}
-	if c := nilT.Coeffs(KernelNameHeap); c != defaultKernelCoeffs[KernelNameHeap] {
-		t.Errorf("nil Coeffs = %+v", c)
-	}
-	if nilT.Fingerprint() != DefaultKernelTable().Fingerprint() {
-		t.Error("nil fingerprint differs from default table's")
-	}
-	if name, _ := nilT.PickKernel(100, 1000); name != KernelNameHeap {
-		t.Errorf("sparse columns picked %s, want heap", name)
+	def := DefaultKernelTable()
+	for _, name := range []string{KernelNameHash, KernelNameHashSorted, KernelNameHeap, KernelNameHybrid, MergerNameHash, MergerNameHeap} {
+		got, want := nilT.Predict(name, 5000, 70), def.Predict(name, 5000, 70)
+		if got != want || got <= 0 {
+			t.Errorf("%s: nil table predicts %v, default table %v", name, got, want)
+		}
 	}
 }
 
-// TestKernelCrossover pins the default regime boundary: the heap and hash
+// TestKernelCrossover pins the prior's regime boundary: the heap and hash
 // models meet at (200−8)/(4−1) = 64 flops per column, the same constant as
 // the hybrid kernel's per-column threshold.
 func TestKernelCrossover(t *testing.T) {
-	var kt *KernelTable
+	kt := DefaultKernelTable()
 	const cols = 1000
-	if name, _ := kt.PickKernel(63*cols, cols); name != KernelNameHeap {
-		t.Errorf("below crossover picked %s, want heap", name)
+	if heap, hash := kt.Predict(KernelNameHeap, 63*cols, cols), kt.Predict(KernelNameHash, 63*cols, cols); heap >= hash {
+		t.Errorf("below crossover heap %v is not under hash %v", heap, hash)
 	}
-	if name, _ := kt.PickKernel(65*cols, cols); name != KernelNameHash {
-		t.Errorf("above crossover picked %s, want hash", name)
+	if heap, hash := kt.Predict(KernelNameHeap, 65*cols, cols), kt.Predict(KernelNameHash, 65*cols, cols); hash >= heap {
+		t.Errorf("above crossover hash %v is not under heap %v", hash, heap)
 	}
 	// The hybrid can never beat both pure kernels on an aggregate: it carries
 	// the better one's price plus the dispatch overhead.
@@ -49,149 +41,5 @@ func TestKernelCrossover(t *testing.T) {
 	best := math.Min(kt.Predict(KernelNameHash, units, c), kt.Predict(KernelNameHeap, units, c))
 	if hy <= best {
 		t.Errorf("hybrid %v undercut the best pure kernel %v", hy, best)
-	}
-}
-
-// TestKernelTableConverges: feeding varied observations drawn from a
-// synthetic linear ground truth must refit the coefficients to it within a
-// few percent — the online recalibration a long-running daemon relies on.
-func TestKernelTableConverges(t *testing.T) {
-	const wantUnit, wantCol = 2.5e-9, 80e-9
-	kt := DefaultKernelTable()
-	// Varied (units, cols) mixes so the normal equations are well-conditioned.
-	for i := 1; i <= 32; i++ {
-		units := int64(1000 * i)
-		cols := int64(10 * ((i % 7) + 1) * i)
-		sec := wantUnit*float64(units) + wantCol*float64(cols)
-		kt.Observe(KernelNameHash, units, cols, sec)
-	}
-	got := kt.Coeffs(KernelNameHash)
-	if math.Abs(got.SecPerUnit-wantUnit) > 0.05*wantUnit {
-		t.Errorf("SecPerUnit = %v, want ≈%v", got.SecPerUnit, wantUnit)
-	}
-	if math.Abs(got.SecPerCol-wantCol) > 0.05*wantCol {
-		t.Errorf("SecPerCol = %v, want ≈%v", got.SecPerCol, wantCol)
-	}
-	// Other names keep their defaults.
-	if c := kt.Coeffs(KernelNameHeap); c != defaultKernelCoeffs[KernelNameHeap] {
-		t.Errorf("heap coefficients moved: %+v", c)
-	}
-}
-
-// TestKernelTableDegenerateFallback: when every observation shares one
-// units:cols ratio the normal equations are singular; the refit must fall
-// back to uniformly rescaling the defaults so the predicted total matches
-// the measured total, never emit wild coefficients.
-func TestKernelTableDegenerateFallback(t *testing.T) {
-	kt := DefaultKernelTable()
-	d := defaultKernelCoeffs[KernelNameHeap]
-	// All observations at cols = units/10, measured 3× the default model.
-	for i := 1; i <= 20; i++ {
-		units := int64(1000 * i)
-		cols := units / 10
-		sec := 3 * (d.SecPerUnit*float64(units) + d.SecPerCol*float64(cols))
-		kt.Observe(KernelNameHeap, units, cols, sec)
-	}
-	got := kt.Coeffs(KernelNameHeap)
-	if got.SecPerUnit <= 0 || got.SecPerCol <= 0 {
-		t.Fatalf("degenerate refit produced non-positive coefficients: %+v", got)
-	}
-	if r := got.SecPerUnit / d.SecPerUnit; math.Abs(r-3) > 0.5 {
-		t.Errorf("uniform rescale factor %v, want ≈3", r)
-	}
-	if ru, rc := got.SecPerUnit/d.SecPerUnit, got.SecPerCol/d.SecPerCol; math.Abs(ru-rc) > 1e-9 {
-		t.Errorf("fallback did not rescale uniformly: %v vs %v", ru, rc)
-	}
-}
-
-// TestKernelTableJSONRoundTrip: persistence must survive a marshal/unmarshal
-// cycle — coefficients, moments, and the observation count — and reject
-// corrupt coefficient entries while keeping defaults for missing names.
-func TestKernelTableJSONRoundTrip(t *testing.T) {
-	kt := DefaultKernelTable()
-	for i := 1; i <= 20; i++ {
-		kt.Observe(MergerNameHash, int64(500*i), int64(20*((i%5)+1)*i), float64(i)*1e-6)
-	}
-	data, err := json.Marshal(kt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := DefaultKernelTable()
-	if err := json.Unmarshal(data, back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Observations() != kt.Observations() {
-		t.Errorf("observations %d, want %d", back.Observations(), kt.Observations())
-	}
-	if back.Coeffs(MergerNameHash) != kt.Coeffs(MergerNameHash) {
-		t.Errorf("coefficients did not round-trip: %+v vs %+v",
-			back.Coeffs(MergerNameHash), kt.Coeffs(MergerNameHash))
-	}
-	if back.Fingerprint() != kt.Fingerprint() {
-		t.Error("fingerprint did not round-trip")
-	}
-	// A hostile entry (non-positive coefficient, unknown name) is dropped.
-	bad := []byte(`{"coeffs":{"unsorted-hash":{"sec_per_unit":-1,"sec_per_col":0},"no-such":{"sec_per_unit":1,"sec_per_col":1}},"observations":0}`)
-	fresh := DefaultKernelTable()
-	if err := json.Unmarshal(bad, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if c := fresh.Coeffs(KernelNameHash); c != defaultKernelCoeffs[KernelNameHash] {
-		t.Errorf("corrupt coefficients accepted: %+v", c)
-	}
-}
-
-// TestKernelTableFingerprintTracksRecalibration: the fingerprint keys cached
-// plans, so it must move when recalibration moves the coefficients.
-func TestKernelTableFingerprintTracksRecalibration(t *testing.T) {
-	kt := DefaultKernelTable()
-	before := kt.Fingerprint()
-	for i := 1; i <= 20; i++ {
-		units := int64(1000 * i)
-		cols := int64(10 * ((i % 7) + 1) * i)
-		kt.Observe(KernelNameHash, units, cols, 10e-9*float64(units))
-	}
-	if kt.Fingerprint() == before {
-		t.Error("fingerprint unchanged after recalibration moved the coefficients")
-	}
-}
-
-// TestKernelTableConcurrentObserve is the recalibration race workout: many
-// goroutines observing, predicting, picking, and marshaling one shared table
-// concurrently — the daemon's steady state — must neither race (run under
-// -race) nor corrupt the observation count.
-func TestKernelTableConcurrentObserve(t *testing.T) {
-	kt := DefaultKernelTable()
-	const workers, each = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 1; i <= each; i++ {
-				name := KernelNameHash
-				switch (w + i) % 3 {
-				case 1:
-					name = KernelNameHeap
-				case 2:
-					name = MergerNameHash
-				}
-				units := int64(100 * i)
-				cols := int64(7 * ((i % 5) + 1))
-				kt.Observe(name, units, cols, 5e-9*float64(units)+100e-9*float64(cols))
-				kt.Predict(name, units, cols)
-				kt.PickKernel(units, cols)
-				if i%50 == 0 {
-					if _, err := json.Marshal(kt); err != nil {
-						t.Error(err)
-					}
-					kt.Fingerprint()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := kt.Observations(); got != workers*each {
-		t.Errorf("observations %d, want %d", got, workers*each)
 	}
 }

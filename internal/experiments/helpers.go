@@ -39,12 +39,6 @@ func (o RunOpts) coreOpts(c core.Options) core.Options {
 	if c.Merger == localmm.MergerHash {
 		c.Merger = o.Merger
 	}
-	if o.AutoKernel {
-		c.AutoKernel = true
-	}
-	if o.AutoMerger {
-		c.AutoMerger = true
-	}
 	if c.Channels == 0 {
 		c.Channels = o.Channels
 	}

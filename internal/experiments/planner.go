@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/grid"
-	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/planner"
 	"repro/internal/service"
@@ -642,19 +641,10 @@ func RunAutotune(opts RunOpts, w io.Writer) error {
 			return fmt.Errorf("%s: no feasible configuration to run", sh.name)
 		}
 
-		fmt.Fprintf(w, "\nrunning the chosen configuration (%s, kernel=%s merger=%s)…\n",
-			pick.Config, pick.Kernel, pick.Merger)
-		kern, err := localmm.ParseKernel(pick.Kernel)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sh.name, err)
-		}
-		merger, err := localmm.ParseMerger(pick.Merger)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sh.name, err)
-		}
+		fmt.Fprintf(w, "\nrunning the chosen configuration (%s)…\n", pick.Config)
 		rr := runMul(a, b, sh.p, pick.L, machine, 0, pick.B,
 			core.Options{RunSymbolic: true, Format: pick.Format, Pipeline: pick.Pipeline,
-				SparseComm: pick.SparseComm, Channels: pick.Channels, Kernel: kern, Merger: merger})
+				SparseComm: pick.SparseComm, Channels: pick.Channels})
 		if rr.Err != nil {
 			return fmt.Errorf("%s: %w", sh.name, rr.Err)
 		}

@@ -63,16 +63,11 @@ type RunOpts struct {
 	// keeps the published figure shapes byte-identical.
 	SparseComm mpi.SparseMode
 	// Kernel pins the local-multiply kernel (core.Options.Kernel). The zero
-	// value is the unsorted-hash default; AutoKernel overrides it with the
-	// plan-time table pick. Output values are identical for every kernel.
+	// value is the unsorted-hash default. Output values are identical for
+	// every kernel.
 	Kernel localmm.Kernel
 	// Merger pins the layer/fiber merge strategy (core.Options.Merger).
 	Merger localmm.Merger
-	// AutoKernel / AutoMerger let each rank consult the kernel cost table
-	// per block instead of a fixed kernel (core.Options.AutoKernel /
-	// AutoMerger); measured times feed back into the table.
-	AutoKernel bool
-	AutoMerger bool
 	// Channels is the number of outstanding overlap channels the pipelined
 	// schedule may hide behind (core.Options.Channels); 0 means 1.
 	Channels int

@@ -11,22 +11,28 @@
 // All kernels are column-Gustavson: C(:,j) = Σ_{i : B(i,j)≠0} A(:,i)·B(i,j),
 // and all accept an arbitrary semiring.
 //
-// # Kernel and merger selection
+// # Kernels and mergers
 //
 // The Kernel and Merger enums name every generation for callers
 // (ParseKernel/ParseMerger accept the CLI spellings; Kernel.Func and
-// Merger.Merge dispatch). Selection is speed attribution only: every
+// Merger.Merge dispatch). Which one runs is speed attribution only: every
 // kernel × merger combination produces bit-identical output, including
 // float64 values. That guarantee is engineered, not incidental — the hash
 // paths accumulate each output entry in operand order, and the heap paths
 // order rowHeap by (row, operand list) so same-row contributions pop in
-// exactly that order; differential suites here, in core, and in the
-// kernelsel experiment hold every combination to exact equality through
-// full distributed runs. Which option is *fastest* for a block is the
-// costmodel.KernelTable's call (heap below ~64 flops/column, hash above,
-// hybrid on mixed columns), made at plan time by planner.Choice or per
-// block at run time via core.Options.AutoKernel/AutoMerger, with measured
-// times fed back into the table (online recalibration).
+// exactly that order; differential suites here and in core hold every
+// combination to exact equality through full distributed runs, and because
+// the heap pair shares no accumulator code with the hash pair, each is an
+// oracle for the other. Nothing chooses among them: the zero values — the
+// sort-free unsorted-hash kernel and hash merge — are what every planned run
+// executes, having won every measured regime (BENCH_kernels.json,
+// BenchmarkKernelCrossover); the others are explicit pins
+// (core.Options.Kernel/Merger) for the paper's Table 7 / Fig. 15 ablations.
+//
+// A merge of one operand under the hash merger is that operand: MergeMat
+// returns it, uncopied, unless it is asked to sort an unsorted one. A sorted
+// merge of several drains its accumulator in ascending order, so the sort
+// happens while the entries are still in the table.
 //
 // # One accumulator, two regimes
 //

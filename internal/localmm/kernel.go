@@ -46,8 +46,7 @@ func (k Kernel) Func() func(a, b *spmat.CSC, sr *semiring.Semiring, threads int)
 	}
 }
 
-// ParseKernel parses a -kernel flag value ("auto" is not a kernel — callers
-// map it to the per-stage selection knob before parsing).
+// ParseKernel parses a -kernel flag value.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "hash", "unsorted-hash", "":
@@ -92,8 +91,7 @@ func (m Merger) Merge(mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool,
 	return ParallelMerge(m, mats, sr, sortOutput, threads)
 }
 
-// ParseMerger parses a -merger flag value ("auto" is not a merger — callers
-// map it to the per-merge selection knob before parsing).
+// ParseMerger parses a -merger flag value.
 func ParseMerger(s string) (Merger, error) {
 	switch s {
 	case "hash", "hash-merge", "":

@@ -49,11 +49,11 @@ func BenchmarkHashSpGEMMParallel(b *testing.B) {
 // BenchmarkKernelCrossover measures heap vs hash vs hybrid on both sides of
 // the *modeled* regime boundary (64 flops per column, costmodel.KernelTable
 // defaults, taken from the Azad et al. measurements the table encodes as its
-// prior). Where the real crossover sits on a given host depends on its
-// memory system — that gap is exactly what the table's online recalibration
-// absorbs — so this benchmark records the measured regime picture that
-// BENCH_kernels.json snapshots for the runner. Column degrees are uniform,
-// making flops/col = dA·dB exact.
+// prior). On every host measured so far there is no crossover — unsorted-hash
+// wins all four regimes — which is why nothing selects a kernel any more;
+// this benchmark keeps that claim re-measurable, and BENCH_kernels.json
+// snapshots it for the runner. Column degrees are uniform, making
+// flops/col = dA·dB exact.
 func BenchmarkKernelCrossover(b *testing.B) {
 	sr := semiring.PlusTimes()
 	shapes := []struct {
@@ -101,7 +101,12 @@ func hyperDCSC(rows, stored, stride int32, seed int64) *spmat.DCSC {
 // four unsorted CSC operands of 77 entries per column over 1024 rows, which
 // merge to ≈270 entries per column (the protein-batched Merge-Fiber shape of
 // bench/), and four hypersparse DCSC operands of 2 entries per stored
-// column, one column in eight stored.
+// column, one column in eight stored. The one-layer rows are a batch's two
+// merges on a grid with l = 1, where Merge-Fiber has the single operand
+// Merge-Layer made, on the protein shape: drain-sorted is what the engine
+// runs — Merge-Layer drains its table in ascending order and the one-operand
+// Merge-Fiber hands that back — and clone-sort what it ran before: an
+// unsorted Merge-Layer, then a copy of its output sorted column by column.
 func BenchmarkMergeSortedOutput(b *testing.B) {
 	sr := semiring.PlusTimes()
 	protein := make([]spmat.Matrix, 4)
@@ -120,6 +125,18 @@ func BenchmarkMergeSortedOutput(b *testing.B) {
 			}
 		})
 	}
+	b.Run("one-layer/drain-sorted", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d := MergeMat(MergerHash, protein, sr, true, 1)
+			MergeMat(MergerHash, []spmat.Matrix{d}, sr, true, 1)
+		}
+	})
+	b.Run("one-layer/clone-sort", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c := MergeMat(MergerHash, protein, sr, false, 1).CloneMat()
+			c.SortColumns()
+		}
+	})
 }
 
 // BenchmarkMulMatGeneric measures the format-generic multiply with a

@@ -329,14 +329,18 @@ func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
 // A sorted input can still contain duplicate row indices within a column
 // (e.g. the concatenated outputs of independent SUMMA stages). Both mergers
 // accumulate those duplicates, so the output of a real merge is
-// duplicate-free; a single operand under MergerHash is only copied.
+// duplicate-free. A single operand under MergerHash is its own sum and is
+// returned as it is — the operand, not a copy of it, so the caller must treat
+// the result as shared with whoever holds the operand — unless sorted output
+// is asked of an unsorted one, which is sorted on a copy.
 func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) spmat.Matrix {
 	rows, cols := checkMergeShapes(mats)
 	if len(mats) == 1 && mg == MergerHash {
-		out := mats[0].CloneMat()
-		if sortOutput {
-			out.SortColumns()
+		if !sortOutput || mats[0].Sorted() {
+			return mats[0]
 		}
+		out := mats[0].CloneMat()
+		out.SortColumns()
 		return out
 	}
 	if mg == MergerHeap {

@@ -165,3 +165,87 @@ func TestMergeMinPlus(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeOneOperandIsTheOperand: under the hash merger the sum of one
+// matrix is that matrix, and MergeMat hands it back — the same object, no
+// allocation — whenever no sort is asked for or none is needed. Only a sorted
+// result asked of an unsorted operand is made, on a copy: the operand may be
+// a block other ranks hold.
+func TestMergeOneOperandIsTheOperand(t *testing.T) {
+	sr := semiring.PlusTimes()
+	a, b := randomMat(t, 30, 30, 150, 21), randomMat(t, 30, 30, 150, 22)
+	unsorted := HashSpGEMM(a, b, sr)
+	if unsorted.SortedCols {
+		t.Fatal("the unsorted-hash product is marked sorted; the test needs an unsorted operand")
+	}
+	sorted := unsorted.CloneMat()
+	sorted.SortColumns()
+	for _, c := range []struct {
+		name       string
+		operand    spmat.Matrix
+		sortOutput bool
+	}{
+		{"unsorted CSC, no sort asked", unsorted, false},
+		{"unsorted DCSC, no sort asked", unsorted.ToDCSC(), false},
+		{"sorted CSC, no sort asked", sorted, false},
+		{"sorted CSC, sort asked", sorted, true},
+		{"sorted DCSC, sort asked", sorted.ToDCSC(), true},
+	} {
+		mats := []spmat.Matrix{c.operand}
+		if got := MergeMat(MergerHash, mats, sr, c.sortOutput, 4); got != c.operand {
+			t.Errorf("%s: got a different matrix back", c.name)
+		}
+		if n := testing.AllocsPerRun(10, func() { MergeMat(MergerHash, mats, sr, c.sortOutput, 4) }); n != 0 {
+			t.Errorf("%s: %v allocations to return the operand", c.name, n)
+		}
+	}
+
+	before := unsorted.CloneMat()
+	got := MergeMat(MergerHash, []spmat.Matrix{unsorted}, sr, true, 1)
+	if got == spmat.Matrix(unsorted) || !got.Sorted() {
+		t.Error("a sorted result asked of an unsorted operand must be a sorted copy")
+	}
+	sameEntries(t, "the operand after a sorted one-operand merge", unsorted, before)
+	if !spmat.Equal(got.ToCSC(), sorted.ToCSC()) {
+		t.Error("the sorted copy does not hold the operand's entries")
+	}
+}
+
+// TestSortedMergeColumnsStrictlyAscending: a sorted hash merge — what
+// Merge-Layer runs on a one-layer grid, where it is the last merge to hold
+// the entries in a table — leaves every column strictly ascending: in row
+// order and with every duplicate summed, whether the order comes from the
+// direct table's bitmap walk or from sorting the drained column (one row past
+// the direct bound), for either format and worker count.
+func TestSortedMergeColumnsStrictlyAscending(t *testing.T) {
+	sr := semiring.PlusTimes()
+	parts := make([]*spmat.CSC, 4)
+	for i := range parts {
+		parts[i] = scrambleColumns(uniformMat(t, 256, 512, 64, 31+int64(i)), int64(7+i))
+	}
+	for _, rows := range []int32{256, directAccumRows + 1} {
+		for _, dcsc := range []bool{false, true} {
+			for _, threads := range []int{1, 2} {
+				mats := make([]spmat.Matrix, len(parts))
+				for i, m := range parts {
+					mats[i] = asFormat(withRows(m, rows), dcsc)
+				}
+				got := MergeMat(MergerHash, mats, sr, true, threads).ToCSC()
+				if !got.SortedCols {
+					t.Errorf("rows=%d dcsc=%v t=%d: result not marked sorted", rows, dcsc, threads)
+				}
+				for j := int32(0); j < got.Cols; j++ {
+					rws, _ := got.Column(j)
+					for q := 1; q < len(rws); q++ {
+						if rws[q-1] >= rws[q] {
+							t.Fatalf("rows=%d dcsc=%v t=%d: column %d holds row %d before row %d", rows, dcsc, threads, j, rws[q-1], rws[q])
+						}
+					}
+				}
+				if !spmat.Equal(got, withRows(sumAll(parts), rows)) {
+					t.Errorf("rows=%d dcsc=%v t=%d: sorted merge differs from the entry-wise sum", rows, dcsc, threads)
+				}
+			}
+		}
+	}
+}

@@ -64,11 +64,6 @@ type Input struct {
 	// configurations (nil = single-channel only, so pre-knob plans are
 	// unchanged). Staged configurations ignore the axis.
 	Channels []int
-	// Kernels is the kernel cost table the plan-time kernel/merger
-	// selection prices against. Nil uses the built-in default
-	// coefficients; a daemon passes its shared recalibrated table so
-	// picks track the measured machine.
-	Kernels *costmodel.KernelTable
 }
 
 func (in Input) withDefaults() Input {

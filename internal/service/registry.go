@@ -31,6 +31,29 @@ type Registry struct {
 	byName map[string]*resident
 }
 
+// maxResidentBytes caps the CSC form — 8 bytes a column pointer, 12 an entry —
+// of one resident matrix on a service started without a memory budget. A
+// budget is the operator's bound and replaces it; without one this constant is
+// the only thing between a 21-byte upload declaring 2³¹−1 empty columns and a
+// 16 GiB allocation. 1 GiB holds some 80 million entries, past anything the
+// simulated cluster multiplies on one host.
+const maxResidentBytes = 1 << 30
+
+// checkResident refuses, as errOverBudget, a matrix of cols columns and nnz
+// entries whose CSC form exceeds what one resident matrix may take: the
+// service's budget, or maxResidentBytes when it has none. Every /load route
+// calls it before that form is allocated.
+func checkResident(name string, cols int32, nnz, budget int64) error {
+	limit, what := budget, "the memory budget"
+	if budget <= 0 {
+		limit, what = maxResidentBytes, "the cap on a resident matrix without one"
+	}
+	if need := 8*(int64(cols)+1) + 12*nnz; need > limit {
+		return fmt.Errorf("service: %q needs %d bytes resident, %s is %d: %w", name, need, what, limit, errOverBudget)
+	}
+	return nil
+}
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*resident)}

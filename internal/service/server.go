@@ -296,14 +296,16 @@ func Handler(s *Service) http.Handler {
 }
 
 // errOverBudget marks a /load refused because the matrix — its body, or the
-// CSC form the registry would hold — exceeds the service's MemBytes.
+// CSC form the registry would hold — exceeds the service's MemBytes, or that
+// form exceeds maxResidentBytes on a service without a budget.
 var errOverBudget = errors.New("matrix exceeds the memory budget")
 
 // decodeLoad materializes the request's name and matrix from whichever route
 // it used: the engine's wire bytes as an application/octet-stream body with
 // the name in the query, or a JSON LoadRequest (any other Content-Type, so a
-// bare `curl -d '{…}'` works). budget is the service's MemBytes, the only
-// bound the operator has given; 0 declares memory unconstrained.
+// bare `curl -d '{…}'` works). budget is the service's MemBytes, the bound the
+// operator has given; with 0 a body is read whatever its length, and only the
+// CSC form of what it describes is bounded (checkResident).
 func decodeLoad(w http.ResponseWriter, r *http.Request, budget int64) (string, *spmat.CSC, error) {
 	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct != "application/octet-stream" {
 		var req LoadRequest
@@ -316,7 +318,11 @@ func decodeLoad(w http.ResponseWriter, r *http.Request, budget int64) (string, *
 		case (req.Mtx != "") == (req.Generator != nil):
 			err = fmt.Errorf("service: a JSON /load needs exactly one of mtx or generator; a matrix in the binary wire format is the application/octet-stream body of POST /load?name=<name>")
 		case req.Mtx != "":
-			m, err = spmat.ReadMatrixMarket(strings.NewReader(req.Mtx))
+			// The reader builds the CSC form, 8 bytes a declared column
+			// whatever the text's length.
+			if err = checkResident(req.Name, mtxCols(req.Mtx), 0, budget); err == nil {
+				m, err = spmat.ReadMatrixMarket(strings.NewReader(req.Mtx))
+			}
 		default:
 			m, err = req.Generator.Generate()
 		}
@@ -341,10 +347,32 @@ func decodeLoad(w http.ResponseWriter, r *http.Request, budget int64) (string, *
 		return "", nil, err
 	}
 	_, cols := wm.Dims()
-	if need := 8*(int64(cols)+1) + 12*wm.NNZ(); budget > 0 && need > budget {
-		return "", nil, fmt.Errorf("service: %q needs %d bytes resident, the memory budget is %d: %w", name, need, budget, errOverBudget)
+	if err := checkResident(name, cols, wm.NNZ(), budget); err != nil {
+		return "", nil, err
 	}
 	return name, wm.ToCSC(), nil
+}
+
+// mtxCols returns the column count Matrix Market text declares: the second
+// field of its size line, the first line after the banner that is neither
+// blank nor a comment. Text without one reads as 0 columns and is left to the
+// reader to refuse.
+func mtxCols(text string) int32 {
+	_, rest, _ := strings.Cut(text, "\n")
+	for rest != "" {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if line = strings.TrimSpace(line); line == "" || line[0] == '%' {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			break
+		}
+		cols, _ := strconv.ParseInt(f[1], 10, 32) // out of range parses to the nearest bound
+		return int32(max(cols, 0))
+	}
+	return 0
 }
 
 // firstRead is the most a binary /load allocates before any of the body has

@@ -507,6 +507,34 @@ func TestHostileLoadIsBoundedAndHarmless(t *testing.T) {
 	// ends after ten bytes and that is the error.
 	roomy, _ := startServer(t, Config{P: 4, MemBytes: 1 << 32})
 	unbudgeted, _ := startServer(t, Config{P: 4})
+
+	// A daemon without a budget has a cap of its own on what one matrix may
+	// inflate to, and the Matrix Market route — whose reader builds the CSC
+	// form, 8 bytes a declared column — is held to the same bound as the
+	// binary one, budget or cap.
+	wideMtx, err := json.Marshal(LoadRequest{Name: "wide", Mtx: "%%MatrixMarket matrix coordinate real general\n1 2147483647 0\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what        string
+		to          *Client
+		contentType string
+		payload     []byte
+	}{
+		{"21-byte matrix, no budget", unbudgeted, "application/octet-stream", hostileHeader(math.MaxInt32)},
+		{"wide mtx, no budget", unbudgeted, "application/json", wideMtx},
+		{"wide mtx, budgeted", cl, "application/json", wideMtx},
+	} {
+		grew := allocatedBy(func() {
+			st, ct, body = postRaw(t, c.to, "/load?name=wide", c.contentType, c.payload)
+		})
+		wantEnvelope(t, c.what, st, ct, body, http.StatusRequestEntityTooLarge, "too_large")
+		if grew >= 1<<20 {
+			t.Fatalf("%s: the process allocated %d bytes refusing it", c.what, grew)
+		}
+	}
+
 	for _, c := range []struct {
 		what     string
 		base     string

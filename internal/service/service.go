@@ -32,15 +32,6 @@ type Config struct {
 	MemBytes int64
 	// Threads is the intra-rank worker count for local kernels (0 = 1).
 	Threads int
-	// Kernels is the shared kernel/merger cost table every job feeds its
-	// measured multiply and merge times back into (online recalibration).
-	// nil = a fresh default table. Planning prices against a boot-time
-	// snapshot of this table — the table's fingerprint is part of every
-	// plan-cache key, so a live, continuously-refitting table would churn
-	// the keys and re-probe pairs the daemon promises are cache hits.
-	// Recalibration instead takes effect at the next boot, via spgemmd's
-	// -kernels persistence.
-	Kernels *costmodel.KernelTable
 	// Logger receives the structured job logs (one line per completed or
 	// failed job, carrying job ID, operand fingerprints, plan-cache outcome,
 	// queue wait, and duration). nil discards them — the embedder's choice,
@@ -59,9 +50,6 @@ type Service struct {
 	reg   *Registry
 	plans *PlanCache
 	sched *Scheduler
-	// planKT is the boot-time snapshot of cfg.Kernels that planning and
-	// cache keys use; cfg.Kernels is the live table jobs observe into.
-	planKT *costmodel.KernelTable
 
 	probes     atomic.Int64 // planner probe+sweep executions (cache misses)
 	multiplies atomic.Int64 // completed multiply jobs
@@ -85,21 +73,17 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Machine.Name == "" {
 		cfg.Machine = costmodel.CoriKNL()
 	}
-	if cfg.Kernels == nil {
-		cfg.Kernels = costmodel.DefaultKernelTable()
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return &Service{
-		cfg:    cfg,
-		reg:    NewRegistry(),
-		plans:  NewPlanCache(),
-		sched:  NewScheduler(cfg.MemBytes),
-		planKT: cfg.Kernels.Clone(),
-		met:    newJobMetrics(),
-		log:    logger,
+		cfg:   cfg,
+		reg:   NewRegistry(),
+		plans: NewPlanCache(),
+		sched: NewScheduler(cfg.MemBytes),
+		met:   newJobMetrics(),
+		log:   logger,
 	}, nil
 }
 
@@ -120,14 +104,9 @@ func (s *Service) runConfig() core.RunConfig {
 		Opts: core.Options{
 			MemBytes: s.cfg.MemBytes,
 			Threads:  s.cfg.Threads,
-			Kernels:  s.cfg.Kernels,
 		},
 	}
 }
-
-// Kernels exposes the shared cost table (for persistence: the daemon saves
-// it on shutdown and reloads it at boot, so recalibration survives restarts).
-func (s *Service) Kernels() *costmodel.KernelTable { return s.cfg.Kernels }
 
 // PlanResult is a planning decision plus its cache provenance.
 type PlanResult struct {
@@ -158,11 +137,7 @@ func (s *Service) Plan(aName, bName string) (PlanResult, error) {
 	if ac != br {
 		return PlanResult{}, fmt.Errorf("service: dimension mismatch: %q is %dx%d, %q is %dx%d", aName, ar, ac, bName, br, bc)
 	}
-	rc := s.runConfig()
-	in := core.PlanInput(rc, s.cfg.Machine)
-	// Price (and key) against the boot-time snapshot: stable coefficients
-	// keep repeat pairs pure cache hits while the live table recalibrates.
-	in.Kernels = s.planKT
+	in := core.PlanInput(s.runConfig(), s.cfg.Machine)
 	key := planner.CacheKey(ra.fp.Key(), rb.fp.Key(), in)
 	choice, hit, err := s.plans.PlanThrough(key, func() (planner.Choice, error) {
 		s.probes.Add(1)
@@ -402,11 +377,6 @@ type Stats struct {
 	Requests map[string]int64 `json:"requests"`
 	// TracesCaptured counts per-job span traces captured.
 	TracesCaptured int64 `json:"traces_captured"`
-	// KernelObservations counts measured multiply/merge times fed into the
-	// shared cost table; KernelFingerprint identifies its current
-	// coefficients (it moves when recalibration refits them).
-	KernelObservations int64  `json:"kernel_observations"`
-	KernelFingerprint  string `json:"kernel_fingerprint"`
 	// MemBytes echoes the shared budget; P and Machine the cluster shape.
 	MemBytes int64  `json:"mem_bytes"`
 	P        int    `json:"p"`
@@ -440,9 +410,6 @@ func (s *Service) Stats() Stats {
 		RankComputeSeconds:  rankCompute,
 		Requests:            reqs,
 		TracesCaptured:      s.traces.Load(),
-
-		KernelObservations: s.cfg.Kernels.Observations(),
-		KernelFingerprint:  s.cfg.Kernels.Fingerprint(),
 
 		MemBytes: s.cfg.MemBytes,
 		P:        s.cfg.P,

@@ -90,6 +90,7 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		capHint = 1 << 20
 	}
 	ts := make([]Triple, 0, capHint)
+	var entries int64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -118,6 +119,7 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 			}
 		}
 		i, j := int32(i64-1), int32(j64-1)
+		entries++
 		ts = append(ts, Triple{Row: i, Col: j, Val: v})
 		if symmetry == "symmetric" && i != j {
 			ts = append(ts, Triple{Row: j, Col: i, Val: v})
@@ -125,6 +127,14 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	// Everything so far was sized by the bytes that arrived; the matrix is
+	// sized by the size line (8 bytes a declared column). A size line that
+	// declares entries the input does not hold is a truncated or hostile file
+	// — "0 222222222 2" and nothing else asks for 1.8 GB of column pointers —
+	// and is refused before that allocation.
+	if entries < nnz {
+		return nil, fmt.Errorf("spmat: size line declares %d entries, the input holds %d", nnz, entries)
 	}
 	return FromTriples(rows, cols, ts, nil)
 }

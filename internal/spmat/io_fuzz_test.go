@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// shortMtx is the input that killed a fuzz worker: its size line declares two
+// entries, none follow, and the 222 million columns it also declares are 1.8 GB
+// of column pointers. The reader must refuse it before allocating them.
+const shortMtx = "%%MatrixMarket matrix coordinate real general\n0 222222222 2\n"
+
 // FuzzReadMatrixMarket asserts the reader never panics, that every accepted
 // parse satisfies the CSC invariants, and that accepted matrices survive a
 // write → read round trip with shape and nonzero count intact. Seeds cover
@@ -27,9 +32,13 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n9 9 1\n",             // out of range
 		"%%MatrixMarket matrix coordinate real general\n2 2 9999999999999\n1 1 1\n", // lying nnz
 		"",
+		shortMtx,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
+	}
+	if _, err := ReadMatrixMarket(bytes.NewReader([]byte(shortMtx))); err == nil {
+		f.Fatal("a size line declaring entries the input does not hold was accepted")
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadMatrixMarket(bytes.NewReader(data))
