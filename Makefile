@@ -72,7 +72,11 @@ cover:
 # internal/spmat/testdata/fuzz plus in-code seeds for the historical
 # header-overflow and row-out-of-range bugs), and the daemon's binary /load
 # body under a 1 MB budget (in-code seeds: both wire encodings, truncations,
-# and the 21-byte matrix whose CSC form is 16 GiB). The Go fuzzer takes one
+# and the 21-byte matrix whose CSC form is 16 GiB) — and one over the local
+# kernels' accumulator: arbitrary (row, value bits) sequences through the
+# plus-times insert of both regimes (the direct one takes no jump on
+# hit-or-new), multiply, merge and symbolic count, against a map with the
+# branch in it. The Go fuzzer takes one
 # -fuzz pattern per invocation, hence one line per target. Override
 # FUZZTIME for longer local runs, e.g. `make fuzz FUZZTIME=5m`; the
 # default 30s bound per target is what `make ci` runs.
@@ -81,6 +85,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeserializeMatrix -fuzztime=$(FUZZTIME) ./internal/spmat
 	$(GO) test -run='^$$' -fuzz=FuzzDeserializeDense -fuzztime=$(FUZZTIME) ./internal/spmat
 	$(GO) test -run='^$$' -fuzz=FuzzLoadBody -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzAccumulatorInsert -fuzztime=$(FUZZTIME) ./internal/localmm
 
 # perfgate: the performance-regression gate the nightly workflow enforces.
 # Runs pinned fig-6/8 and sparse×dense (spmm) shapes, emits BENCH_pr3.json,
@@ -130,7 +135,12 @@ plan:
 # (localmm.workPerExtraWorker), and the direct-table versus hash-table sweep
 # the accumulator's regime bound is set from (localmm.directTableBytes:
 # BenchmarkAccumulatorCrossover, multiply and merge over 2¹⁰–2²⁰ rows at 1 to
-# 144 contributions a column), on this runner,
+# 144 contributions a column — 88 cells of rows that almost never meet — plus
+# 36 hits= cells: multiply, merge and the symbolic count at 2¹⁰ and 2¹⁵ rows
+# where 0, 50 or 90 % of a column's contributions land on a row already in
+# the table, the axis on which an insert that branches on hit-or-new shows;
+# 186 benchmark cells in the target all told, 150 before that axis), on this
+# runner,
 # with the runner's NumCPU, GOMAXPROCS and Go version beside them (a thread
 # sweep means nothing without the core count). Wall-clock numbers;
 # informational (the checked-in snapshot documents the runner the defaults

@@ -2,6 +2,7 @@ package localmm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -53,51 +54,76 @@ const maxTableCap = 1 << 30
 // the hash regime otherwise. It is read off BenchmarkAccumulatorCrossover
 // (make bench-kernels, BENCH_kernels.json), which reaches each regime the way
 // the kernels do, by the declared row count, and runs the same inlined loop
-// shape in both. Two-core 2.1 GHz Xeon shared with other tenants (±15 % run
-// to run), 2 MiB of L2 a core, one worker, ns per contribution, hash →
-// direct, the run checked in as BENCH_kernels.json:
+// shape in both. Re-taken with the jump-free insert in the direct regime
+// (ISSUE 23; the hash regime's insert is unchanged and branches on
+// hit-or-new). Two-core 2.1 GHz Xeon shared with other tenants (±15 % run to
+// run), 2 MiB of L2 a core, one worker, ns per contribution, hash → direct,
+// the run checked in as BENCH_kernels.json. Rows drawn over the whole span,
+// which almost never meet:
 //
 //	rows   contributions   multiply        merge
 //	       per column
-//	2¹⁰         1          31.5 → 28.8     53.9 → 49.0
-//	            4          17.3 → 11.8     28.5 → 21.4
-//	           16          15.4 →  7.0     16.9 →  9.4
-//	          144           8.3 →  6.3      9.1 →  5.9
-//	2¹²         1          34.2 → 32.8     55.6 → 56.0
-//	            4          18.6 → 13.1     26.6 → 24.6
-//	           16          14.1 →  8.3     15.9 → 10.6
-//	          144           9.2 →  7.1      9.2 →  6.9
-//	2¹⁴         1          33.1 → 29.4     57.7 → 47.8
-//	            4          17.3 → 11.5     29.7 → 24.2
-//	           16          15.0 → 10.0     16.7 → 12.1
-//	          144          11.1 →  8.6     10.2 →  8.0
-//	2¹⁵         1          33.9 → 30.8     66.8 → 55.0
-//	            4          18.3 → 15.4     28.8 → 27.5
-//	           16          16.4 → 10.2     16.1 → 11.7
-//	          144          10.8 →  9.3      9.9 →  9.9
+//	2¹⁰         1          32.7 → 30.5     55.5 → 48.4
+//	            4          18.7 → 14.9     25.9 → 22.9
+//	           16          15.6 →  9.1     16.0 → 10.1
+//	          144           9.8 →  6.7      9.4 →  6.3
+//	2¹²         1          32.7 → 31.5     53.6 → 49.5
+//	            4          18.6 → 14.1     26.7 → 23.5
+//	           16          18.2 → 10.1     17.8 → 12.1
+//	          144          11.0 →  7.2      9.8 →  6.9
+//	2¹⁴         1          34.8 → 29.8     52.1 → 46.4
+//	            4          20.1 → 14.7     29.1 → 22.4
+//	           16          15.5 → 13.1     17.1 → 11.9
+//	          144          10.3 →  7.5      9.7 →  6.8
+//	2¹⁵         1          33.9 → 31.7     52.6 → 51.7
+//	            4          20.0 → 16.9     28.7 → 26.6
+//	           16          17.4 → 11.8     18.2 → 14.7
+//	          144          10.9 →  9.7     10.2 →  8.7
+//
+// Columns of 144 contributions of which a share land on a row already in the
+// table (the hits= cells; count is the symbolic pass, whose direct table is
+// the stamps). Here the two sides differ by more than the table: the hash
+// side's insert mispredicts at 50 %, the direct side's takes no jump:
+//
+//	rows   hits    multiply        merge           count
+//	2¹⁰     0 %     8.7 →  6.5     10.5 →  8.5      5.5 → 1.3
+//	       50 %    11.9 →  4.5     13.9 →  6.8     10.1 → 1.2
+//	       90 %     3.2 →  3.2      5.5 →  4.8      3.6 → 1.3
+//	2¹⁵     0 %    11.1 →  8.0     11.2 → 11.3      7.1 → 1.5
+//	       50 %    12.2 →  4.9     15.5 →  7.7     11.7 → 1.4
+//	       90 %     3.6 →  3.8      5.9 →  5.2      3.3 → 1.2
 //
 // Past the bound the rule gives a row count no direct line, so the constant
-// was raised to 16 MiB for one sizing run (hash figures from a full run
-// minutes earlier, where the hash side read 8.5–8.9 at 144 for every row
-// count):
+// was raised to 16 MiB for one sizing run (both sides from that run, taken
+// minutes after the one above):
 //
-//	2¹⁶         1          28.7 → 29.5     47.3 → 56.7
-//	            4          15.6 → 12.7     23.3 → 21.2
-//	           16          13.6 → 11.0     14.9 → 10.6
-//	          144           8.9 →  8.7      8.7 →  8.9
-//	2¹⁸         1          27.3 → 25.8     44.7 → 72.4
-//	            4          15.7 → 13.0     23.3 → 32.3
-//	           16          13.0 → 10.4     14.3 → 17.1
-//	          144           8.7 → 11.9      8.3 → 17.4
+//	2¹⁶         1          39.7 → 44.6     64.0 →  87.3
+//	            4          22.5 → 27.2     31.7 →  37.2
+//	           16          19.8 → 16.5     19.4 →  17.1
+//	          144          12.7 → 11.4     13.4 →  11.0
+//	        0 % hits       11.8 → 10.5     14.1 →  12.4
+//	       50 % hits       13.5 →  8.8     15.7 →   9.1
+//	       90 % hits        4.1 →  5.5      6.4 →   7.5
+//	2¹⁸         1          39.5 → 36.9     61.2 → 106.9
+//	            4          19.3 → 19.3     33.9 →  42.7
+//	           16          18.4 → 15.3     20.3 →  23.4
+//	          144          11.2 → 12.2     11.6 →  13.1
+//	        0 % hits       12.3 → 15.7     13.7 →  16.0
+//	       50 % hits       13.0 → 11.2     15.5 →  11.4
+//	       90 % hits        4.6 →  5.4      6.3 →   7.2
 //
 // The hash side is flat in the row count, as a table sized by the column
 // should be. The direct side wins or is level through 2¹⁵ rows (384 KiB) in
-// every cell — columns of one contribution included, where 25–50 ns of fixed
+// every cell — columns of one contribution included, where 30–50 ns of fixed
 // cost per column drown either table, so the rule needs no floor on the
-// column's work — thins out at 2¹⁶ and loses from 2¹⁸ on, the merge first
-// (its table is all it touches; the multiply also streams A). 384 KiB leaves
-// the operands room beside the table in a 512 KiB L2, the smallest on
-// current server parts.
+// column's work. At 2¹⁶ (768 KiB) it loses the thin columns and the ones that
+// only hit and wins the heavy ones; at 2¹⁸ (3 MiB, past this host's L2) it
+// loses everywhere a predictor can learn the hash side's branch, the merge
+// first (its table is all it touches; the multiply also streams A), and is
+// ahead only on half-hit columns — by the mispredict the hash insert still
+// pays, not by its table. So the bound stays: 384 KiB leaves the operands
+// room beside the table in a 512 KiB L2, the smallest on current server
+// parts.
 const directTableBytes = 384 << 10
 
 // Bytes per row of the two direct tables.
@@ -136,16 +162,20 @@ func tableCap(want int64, rows int32) int {
 // directTableBytes, tableCap slots otherwise. The arrays are reallocated
 // only when that exceeds the capacity they have; otherwise rows and vals are
 // resliced to the leading slots the column uses (every slot past them is
-// empty, and stays so).
+// empty, and stays so). In the direct regime occupied gets room for rows + 1
+// entries, one more than the table can hold, whichever regime sized the
+// arrays last: the plus-times inserts store the row at occupied[n] before
+// they know whether n advances, so a contribution that hits a full table
+// still writes one past its last entry.
 func (h *hashAccum) sizeFor(want int64, rows int32) {
 	h.direct = directRows(rows, accumSlotBytes)
-	c, distinct := int(rows), int(rows)
+	c, distinct := int(rows), int(rows)+1
 	if !h.direct {
 		c = tableCap(want, rows)
 		distinct = c / 2
 	}
 	if c > cap(h.rows) {
-		h.rows, h.vals, h.occupied = make([]int32, c), make([]float64, c), make([]int32, 0, distinct)
+		h.rows, h.vals = make([]int32, c), make([]float64, c)
 		for i := range h.rows {
 			h.rows[i] = emptySlot
 		}
@@ -153,7 +183,11 @@ func (h *hashAccum) sizeFor(want int64, rows int32) {
 		for _, s := range h.occupied {
 			h.rows[s] = emptySlot
 		}
-		h.rows, h.vals, h.occupied = h.rows[:c], h.vals[:c], h.occupied[:0]
+		h.rows, h.vals = h.rows[:c], h.vals[:c]
+	}
+	h.occupied = h.occupied[:0]
+	if distinct > cap(h.occupied) {
+		h.occupied = make([]int32, 0, distinct)
 	}
 	h.mask = int32(c - 1)
 }
@@ -257,6 +291,23 @@ func (h *hashAccum) drainAscendingInto(rows []int32, vals []float64) ([]int32, [
 	return rows, vals
 }
 
+// selectValue returns fresh when isNew is 1 and sum when it is 0, picked on
+// the bit patterns with a mask: no jump, and either float comes back exactly
+// as it went in, whatever it encodes (−0.0, an infinity, a signalling NaN).
+func selectValue(isNew int, fresh, sum float64) float64 {
+	m := -uint64(isNew)
+	return math.Float64frombits(math.Float64bits(sum)&^m | math.Float64bits(fresh)&m)
+}
+
+// b2i is 1 for true and 0 for false; inlined, it compiles to a flag set, not
+// a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // checkMulShapes panics when the operand shapes are incompatible; shape
 // errors here are programmer errors in the distribution logic.
 func checkMulShapes(a, b *spmat.CSC) {
@@ -284,6 +335,24 @@ func HashSpGEMMSorted(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 // for either format. Under plus-times the regime is picked once for the
 // column and the insert is written out in the loop, on locals: a call per
 // contribution costs more than the contribution.
+//
+// In the direct regime, whether a contribution meets its row in the table or
+// brings a new one is a coin toss on real blocks (35–60 % meet), so the insert
+// must compile without a jump that depends on it: the row and occupied[n] are
+// stored either way, n advances by the 0-or-1 outcome, and the value is
+// selectValue's pick between v and vals[r]+v. The sum is computed from
+// whatever the slot holds, a stale value in an empty slot included, and
+// thrown away when the row is new, so every stored value is bit for bit what
+// `if present { += } else { = }` stores — but for which payload survives a
+// NaN met by a NaN, which is the compiler's operand order in either form —
+// and the rows reach occupied in the same order. The jumps left in that loop
+// body are the bounds checks, never taken except for a row the operand cannot
+// have. Checked once with `go tool objdump -s hashAccumulateColumn` on the
+// test binary, go1.24: amd64 sets the outcome with SETNE and masks with
+// NEG/AND/OR, arm64 with CSET and NEG/BIC/AND/ORR; written as an `if` that
+// assigns the bits, the compiler sinks the float-to-integer move into the
+// branch and the jump is back. The hash regime keeps its branches: its probe
+// is a data-dependent loop anyway and no bench/ workload measures it.
 func hashAccumulateColumn(acc *hashAccum, a *aCols, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
 	if !plusTimes {
 		for p := range bRows {
@@ -298,20 +367,18 @@ func hashAccumulateColumn(acc *hashAccum, a *aCols, bRows []int32, bVals []float
 	rows, vals, occupied, mask := acc.rows, acc.vals, acc.occupied, acc.mask
 	vals = vals[:len(rows)]
 	if acc.direct {
+		n, occupied := len(occupied), occupied[:cap(occupied)]
 		for p := range bRows {
 			i, bv := bRows[p], bVals[p]
 			aRows, aVals := a.Column(i)
 			aVals = aVals[:len(aRows)]
 			for q, r := range aRows {
-				if v := aVals[q] * bv; rows[r] == r {
-					vals[r] += v
-				} else {
-					rows[r], vals[r] = r, v
-					occupied = append(occupied, r)
-				}
+				v, isNew := aVals[q]*bv, b2i(rows[r] != r)
+				rows[r], vals[r], occupied[n] = r, selectValue(isNew, v, vals[r]+v), r
+				n += isNew
 			}
 		}
-		acc.occupied = occupied
+		acc.occupied = occupied[:n]
 		return
 	}
 	for p := range bRows {
@@ -353,18 +420,16 @@ func hashAccumulateParts(acc *hashAccum, parts []colPart, sr *semiring.Semiring,
 	rows, vals, occupied, mask := acc.rows, acc.vals, acc.occupied, acc.mask
 	vals = vals[:len(rows)]
 	if acc.direct {
+		n, occupied := len(occupied), occupied[:cap(occupied)]
 		for _, part := range parts {
 			pVals := part.vals[:len(part.rows)]
 			for q, r := range part.rows {
-				if rows[r] == r {
-					vals[r] += pVals[q]
-				} else {
-					rows[r], vals[r] = r, pVals[q]
-					occupied = append(occupied, r)
-				}
+				v, isNew := pVals[q], b2i(rows[r] != r)
+				rows[r], vals[r], occupied[n] = r, selectValue(isNew, v, vals[r]+v), r
+				n += isNew
 			}
 		}
-		acc.occupied = occupied
+		acc.occupied = occupied[:n]
 		return
 	}
 	for _, part := range parts {

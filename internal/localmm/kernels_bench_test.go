@@ -211,6 +211,57 @@ func tallMat(rows, cols int32, perCol int, seed int64) *spmat.CSC {
 	return m
 }
 
+// hitMat builds a rows × cols·groups matrix whose columns come in runs of
+// groups — one run per output column of the multiply or merge fed from it —
+// so that share of a run's contributions land on a row an earlier column of
+// the run already holds. Every column has per distinct rows; a hit draws
+// uniformly among the run's rows the column does not hold yet, anything else a
+// row new to the run, and the draws are independent, so the hit-or-new
+// sequence an accumulator sees has no period. The first column of a run
+// cannot hit, so the later ones hit that much more often (groups must leave
+// room: share ≤ 1 − 1/groups).
+func hitMat(rows, cols int32, groups, per int, share float64, seed int64) *spmat.CSC {
+	rng := rand.New(rand.NewSource(seed))
+	m := &spmat.CSC{Rows: rows, Cols: cols * int32(groups), ColPtr: make([]int64, 1, cols*int32(groups)+1)}
+	p := share * float64(groups) / float64(groups-1)
+	inRun := make([]int32, rows) // run number + 1 of the last run that used the row
+	var seen, avail []int32
+	for j := int32(0); j < cols; j++ {
+		seen = seen[:0]
+		for g := 0; g < groups; g++ {
+			avail = append(avail[:0], seen...)
+			for k := 0; k < per; k++ {
+				var r int32
+				if len(avail) > 0 && rng.Float64() < p {
+					i := rng.Intn(len(avail))
+					r, avail[i] = avail[i], avail[len(avail)-1]
+					avail = avail[:len(avail)-1]
+				} else {
+					for r = rng.Int31n(rows); inRun[r] == j+1; r = rng.Int31n(rows) {
+					}
+					inRun[r] = j + 1
+					seen = append(seen, r)
+				}
+				m.RowIdx = append(m.RowIdx, r)
+				m.Val = append(m.Val, rng.Float64()+0.5)
+			}
+			m.ColPtr = append(m.ColPtr, int64(len(m.RowIdx)))
+		}
+	}
+	return m
+}
+
+// everyNth returns columns i, i+n, i+2n, … of m as a matrix of their own.
+func everyNth(m *spmat.CSC, i, n int32) *spmat.CSC {
+	out := &spmat.CSC{Rows: m.Rows, Cols: m.Cols / n, ColPtr: []int64{0}}
+	for j := i; j < m.Cols; j += n {
+		rows, vals := m.Column(j)
+		out.RowIdx, out.Val = append(out.RowIdx, rows...), append(out.Val, vals...)
+		out.ColPtr = append(out.ColPtr, int64(len(out.RowIdx)))
+	}
+	return out
+}
+
 // BenchmarkAccumulatorCrossover is the measurement directTableBytes is set
 // from: the unsorted-hash multiply and the unsorted hash merge of four
 // operands, one worker, over output columns of 1, 4, 16 and 144
@@ -220,9 +271,22 @@ func tallMat(rows, cols int32, perCol int, seed int64) *spmat.CSC {
 // the way the kernels reach it, by the row count, so a span the bound rules
 // out has no direct line: to size the constant, raise it and run again. Every
 // case does 2¹⁷ contributions per iteration and reports ns per contribution.
+//
+// Rows drawn at random over the span almost never meet, so in those cells
+// nearly every contribution is a new row — a sequence a branch predictor
+// learns at once. The hits cells are the other axis: columns of 144
+// contributions of which 0, 50 or 90 % land on a row already in the table
+// (hitMat), as a multiply (12 A columns of 12 entries), a merge (16 operands
+// of 9 entries a column — four cannot hit 90 %) and the symbolic count of
+// that multiply (kind count: rowSet.countColumn, whose direct bound is
+// directStampRows). Real blocks hit 35–60 % of the time; an insert that
+// branches on hit-or-new shows here and nowhere above.
 func BenchmarkAccumulatorCrossover(b *testing.B) {
 	const work = 1 << 17
 	sr := semiring.PlusTimes()
+	perFlop := func(b *testing.B, flops int64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flops), "ns/flop")
+	}
 	for _, lg := range []int{10, 12, 14, 15, 16, 18, 20} {
 		span := int32(1) << lg
 		for _, sh := range []struct{ flops, dA, dB int }{{1, 1, 1}, {4, 2, 2}, {16, 4, 4}, {144, 12, 12}} {
@@ -246,7 +310,7 @@ func BenchmarkAccumulatorCrossover(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						pl.mul(KernelHashUnsorted, sr, 1)
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pl.Flops), "ns/flop")
+					perFlop(b, pl.Flops)
 				})
 				mats := make([]spmat.Matrix, len(parts))
 				var entries int64
@@ -258,7 +322,53 @@ func BenchmarkAccumulatorCrossover(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						MergeMat(MergerHash, mats, sr, false, 1)
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/flop")
+					perFlop(b, entries)
+				})
+			}
+		}
+	}
+
+	const cols, dA, dB, operands = work / 144, 12, 12, 16
+	// B column j selects A columns j·dB … j·dB+dB−1, one run of hitMat's.
+	bm := &spmat.CSC{Rows: cols * dB, Cols: cols, ColPtr: make([]int64, cols+1), RowIdx: make([]int32, cols*dB), Val: make([]float64, cols*dB)}
+	for p := range bm.RowIdx {
+		bm.RowIdx[p], bm.Val[p] = int32(p), 1.5
+		bm.ColPtr[p/dB+1] = int64(p + 1)
+	}
+	for _, lg := range []int{10, 15} {
+		span := int32(1) << lg
+		for _, hits := range []int{0, 50, 90} {
+			a := hitMat(span, cols, dB, dA, float64(hits)/100, 411)
+			wide := hitMat(span, cols, operands, dA*dB/operands, float64(hits)/100, 412)
+			for _, regime := range []string{"direct", "hash"} {
+				accRows, stampRows := span, span
+				if regime == "hash" {
+					accRows, stampRows = directAccumRows+1, directStampRows+1
+				}
+				name := fmt.Sprintf("rows=2^%d/flops=144/hits=%d/%s", lg, hits, regime)
+				pl := PlanMul(withRows(a, accRows), bm)
+				b.Run("mul/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pl.mul(KernelHashUnsorted, sr, 1)
+					}
+					perFlop(b, pl.Flops)
+				})
+				mats := make([]spmat.Matrix, operands)
+				for i := range mats {
+					mats[i] = withRows(everyNth(wide, int32(i), operands), accRows)
+				}
+				b.Run("merge/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						MergeMat(MergerHash, mats, sr, false, 1)
+					}
+					perFlop(b, wide.NNZ())
+				})
+				sym := PlanMul(withRows(a, stampRows), bm)
+				b.Run("count/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						sym.Symbolic(1)
+					}
+					perFlop(b, sym.Flops)
 				})
 			}
 		}

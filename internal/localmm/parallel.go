@@ -157,25 +157,28 @@ func flopBounds(colWork []int64, parts int) []int32 {
 // its wake-up, its cold scratch and the wait at the allocation barrier are
 // fixed, the work it takes over is not. BenchmarkWorkerSpawnCrossover (make
 // bench-kernels), unsorted hash at 40 flops per column on a two-core 2.1 GHz
-// Xeon, one worker → two, re-taken with the direct-indexed accumulator
-// (ISSUE 21; both columns about twice as fast as before it, the crossover
-// where it was):
+// Xeon, one worker → two, re-taken with the direct regime's jump-free insert
+// (ISSUE 23; these columns almost never hit a present row, so a worker's work
+// costs what it did and the crossover is where the table this replaces had
+// it), the run checked in as BENCH_kernels.json:
 //
 //	flops     CSC B (µs)       DCSC B (µs)
-//	  4 k       23 →   32        25 →   32
-//	  8 k       49 →   62        47 →   56
-//	 16 k       98 →  116        97 →  120
-//	 32 k      199 →  250       214 →  207
-//	 64 k      415 →  369       400 →  324
-//	128 k      752 →  634       752 →  622
-//	256 k     2024 → 1374      1533 → 1139
+//	  4 k       36 →   54        29 →   38
+//	  8 k       68 →  104        60 →   97
+//	 16 k      152 →  157       118 →  176
+//	 32 k      313 →  283       258 →  337
+//	 64 k      523 →  456       510 →  416
+//	128 k      969 →  953       916 →  713
+//	256 k     2170 → 1716      1907 → 1319
 //
-// A second worker loses 18–40 % up to 16 k, is level or still losing at 32 k
-// and wins from 64 k on. That loop is hot, which flatters the wake-up; a
-// stage of the distributed multiply finds its second core cold. Hence 64 k:
-// the smallest size at which the worker is no longer a loss. (The stages of
-// bench/'s protein-batched workload carry about 9 k flops each; spawning
-// there made Threads=2 6 % slower than Threads=1.)
+// A second worker loses 30–60 % up to 8 k, is level or loses 50 % at 16 k,
+// wins one column and loses the other at 32 k and wins 13–18 % at 64 k; above
+// that it wins by up to 31 % or is level with a neighbour's load on the
+// second core. That loop is hot, which flatters the wake-up; a stage of the
+// distributed multiply finds its second core cold. Hence 64 k: the smallest
+// size at which the worker is no longer a loss. (The stages of bench/'s
+// protein-batched workload carry about 9 k flops each; spawning there made
+// Threads=2 6 % slower than Threads=1.)
 const workPerExtraWorker = 1 << 16
 
 // Workers returns the most workers a call carrying work (flops of a multiply

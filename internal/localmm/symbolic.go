@@ -96,10 +96,9 @@ func (s *rowSet) countColumn(a *aCols, bRows []int32, want int64, rows int32) in
 		for _, i := range bRows {
 			aRows, _ := a.Column(i)
 			for _, r := range aRows {
-				if stamps[r] != gen {
-					stamps[r] = gen
-					n++
-				}
+				isNew := b2i(stamps[r] != gen)
+				stamps[r] = gen
+				n += int64(isNew)
 			}
 		}
 		return n

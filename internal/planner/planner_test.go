@@ -2,6 +2,7 @@ package planner_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -307,6 +308,34 @@ func TestPlanDeterministic(t *testing.T) {
 		if c1.Config != c2.Config || c1.ModelSeconds != c2.ModelSeconds ||
 			c1.WorkUnits != c2.WorkUnits || c1.CommSeconds != c2.CommSeconds {
 			t.Fatalf("candidate %d differs between runs: %+v vs %+v", i, c1.Config, c2.Config)
+		}
+	}
+}
+
+// TestMemoizedPredictionsUnchanged: predict reads the two sampled-output
+// passes (output imbalance, occupied fiber cells) off the grid, where the
+// slice model left them for every candidate of that grid side; every
+// candidate of a plan — steps, seconds, peak, position — must equal the one
+// predicted from the probe's own answers for the candidate's (p, l), on both
+// fixtures and a larger k-mer pair, with every axis of the space open. A memo
+// filled for the wrong side, or read from the wrong grid, fails it.
+func TestMemoizedPredictionsUnchanged(t *testing.T) {
+	kmers := genmat.Kmer(genmat.KmerConfig{Reads: 512, Kmers: 32768, KmersPerRead: 24, Overlap: 0.08, Seed: 7})
+	for name, m := range map[string]*spmat.CSC{"friendster": friendsterTiny(), "kmers": kmersTiny(), "kmers-512": kmers} {
+		a, b := pairFor(m)
+		for _, mem := range []int64{0, 8 << 20} {
+			pl, err := planner.New(a, b, planner.Input{
+				P: 64, Machine: testMachine(), Symbolic: true, MemBytes: mem,
+				SparseComms: []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto}, Channels: []int{1, 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range pl.Candidates {
+				if ref := pl.PredictUnmemoized(c); !reflect.DeepEqual(c, ref) {
+					t.Fatalf("%s, budget %d: candidate %d (%+v) differs from its unmemoized prediction\n got %+v\nwant %+v", name, mem, i, c.Config, c, ref)
+				}
+			}
 		}
 	}
 }

@@ -328,7 +328,7 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 	// block (the sampled output imbalance).
 	var fiberComm float64
 	if l > 1 {
-		perRankBatch := pr.outputImbalance(q) * maxLayerL / float64(int64(q*q)*b64)
+		perRankBatch := gs.outImbalance * maxLayerL / float64(int64(q*q)*b64)
 		pieceNNZ := int64(perRankBatch / float64(l))
 		pieceCols := int32(int64(pr.ColsB) / (q64 * b64 * l64))
 		if pieceCols < 1 {
@@ -376,7 +376,7 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 		}
 	}
 	if dcscFiberCols > 0 && pr.ColsB > 0 {
-		fiberScan += int64(pr.fiberOccupied(q) * dcscFiberCols / float64(pr.ColsB))
+		fiberScan += int64(gs.fiberCells * dcscFiberCols / float64(pr.ColsB))
 	}
 	steps = append(steps, StepCost{Step: StepMergeFiber, WorkUnits: int64(unmergedL) + fiberScan + p64*b64})
 

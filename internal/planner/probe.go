@@ -329,11 +329,15 @@ type gridStat struct {
 
 	// Memoized slice-model outputs (format-independent, so the per-format
 	// prediction loop computes them once per grid): the unmerged totals and
-	// per-slice breakdowns for the q·l stage slices and the l layer slices.
+	// per-slice breakdowns for the q·l stage slices and the l layer slices,
+	// and the two passes over the sampled output structure that depend on q
+	// alone, Probe.outputImbalance and Probe.fiberOccupied.
 	sliceModelDone        bool
 	uQL, uL               float64
 	perSliceQL, perLayerL []float64
 	maxLayerQL, maxLayerL float64
+	outImbalance          float64
+	fiberCells            float64
 
 	// Sparse-comm statistics (Plan.subsetStat, computed lazily — only
 	// candidates with SparseComm != off pay for them): for A block (i, s, k)
@@ -366,6 +370,7 @@ func (gs *gridStat) sliceModel(pr *Probe) {
 			gs.maxLayerL = gs.perLayerL[k]
 		}
 	}
+	gs.outImbalance, gs.fiberCells = pr.outputImbalance(gs.q), pr.fiberOccupied(gs.q)
 	gs.sliceModelDone = true
 }
 

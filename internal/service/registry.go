@@ -43,12 +43,12 @@ const maxResidentBytes = 1 << 30
 // entries whose CSC form exceeds what one resident matrix may take: the
 // service's budget, or maxResidentBytes when it has none. Every /load route
 // calls it before that form is allocated.
-func checkResident(name string, cols int32, nnz, budget int64) error {
+func checkResident(name string, cols, nnz, budget int64) error {
 	limit, what := budget, "the memory budget"
 	if budget <= 0 {
 		limit, what = maxResidentBytes, "the cap on a resident matrix without one"
 	}
-	if need := 8*(int64(cols)+1) + 12*nnz; need > limit {
+	if need := 8*(cols+1) + 12*nnz; need > limit {
 		return fmt.Errorf("service: %q needs %d bytes resident, %s is %d: %w", name, need, what, limit, errOverBudget)
 	}
 	return nil

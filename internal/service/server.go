@@ -96,47 +96,80 @@ type GeneratorSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Generate runs the named generator.
-func (g GeneratorSpec) Generate() (*spmat.CSC, error) {
+// withDefaults checks the fields the spec's kind requires and fills in the
+// optional ones it left out.
+func (g GeneratorSpec) withDefaults() (GeneratorSpec, error) {
 	switch g.Kind {
 	case "rmat":
 		if g.Scale <= 0 {
-			return nil, fmt.Errorf("service: rmat generator needs scale > 0")
+			return g, fmt.Errorf("service: rmat generator needs scale > 0")
 		}
-		ef := g.EdgeFactor
-		if ef <= 0 {
-			ef = 8
-		}
-		return genmat.RMAT(genmat.RMATConfig{Scale: g.Scale, EdgeFactor: ef, Seed: g.Seed, Weighted: true}), nil
 	case "er":
 		if g.N <= 0 {
-			return nil, fmt.Errorf("service: er generator needs n > 0")
+			return g, fmt.Errorf("service: er generator needs n > 0")
 		}
-		ef := g.EdgeFactor
-		if ef <= 0 {
-			ef = 8
-		}
-		return genmat.ER(g.N, ef, g.Seed), nil
-	case "hypersparse":
+	case "hypersparse", "tallskinny":
 		if g.N <= 0 || g.Cols <= 0 {
-			return nil, fmt.Errorf("service: hypersparse generator needs n and cols > 0")
+			return g, fmt.Errorf("service: %s generator needs n and cols > 0", g.Kind)
 		}
-		npc := g.NnzPerCol
-		if npc <= 0 {
-			npc = 2
-		}
-		return genmat.Hypersparse(g.N, g.Cols, npc, g.Seed), nil
-	case "tallskinny":
-		if g.N <= 0 || g.Cols <= 0 {
-			return nil, fmt.Errorf("service: tallskinny generator needs n and cols > 0")
-		}
-		fill := g.Fill
-		if fill <= 0 {
-			fill = 0.05
-		}
-		return genmat.TallSkinny(g.N, g.Cols, fill, g.Seed), nil
+	default:
+		return g, fmt.Errorf("service: unknown generator %q (want rmat, er, hypersparse, or tallskinny)", g.Kind)
 	}
-	return nil, fmt.Errorf("service: unknown generator %q (want rmat, er, hypersparse, or tallskinny)", g.Kind)
+	if g.EdgeFactor <= 0 {
+		g.EdgeFactor = 8
+	}
+	if g.NnzPerCol <= 0 {
+		g.NnzPerCol = 2
+	}
+	if g.Fill <= 0 {
+		g.Fill = 0.05
+	}
+	return g, nil
+}
+
+// maxPricedSize is where footprint saturates: far past any budget, and small
+// enough that checkResident's bytes-per-column and bytes-per-entry factors
+// cannot overflow on it.
+const maxPricedSize = 1 << 50
+
+// footprint returns the column count and the expected entry count of the
+// matrix the spec describes, from its fields alone — a 60-byte request can
+// ask for 2⁴⁰ columns, so the load is priced before anything is generated.
+// Both saturate at maxPricedSize.
+func (g GeneratorSpec) footprint() (cols, nnz int64, err error) {
+	if g, err = g.withDefaults(); err != nil {
+		return 0, 0, err
+	}
+	perCol := float64(g.EdgeFactor)
+	switch g.Kind {
+	case "rmat":
+		cols = 1 << min(g.Scale, 50)
+	case "er":
+		cols = int64(g.N)
+	case "hypersparse":
+		cols, perCol = int64(g.Cols), float64(g.NnzPerCol)
+	case "tallskinny":
+		cols, perCol = int64(g.Cols), g.Fill*float64(g.N)
+	}
+	return cols, int64(min(perCol*float64(cols), maxPricedSize)), nil
+}
+
+// Generate runs the named generator.
+func (g GeneratorSpec) Generate() (*spmat.CSC, error) {
+	g, err := g.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	switch g.Kind {
+	case "rmat":
+		return genmat.RMAT(genmat.RMATConfig{Scale: g.Scale, EdgeFactor: g.EdgeFactor, Seed: g.Seed, Weighted: true}), nil
+	case "er":
+		return genmat.ER(g.N, g.EdgeFactor, g.Seed), nil
+	case "hypersparse":
+		return genmat.Hypersparse(g.N, g.Cols, g.NnzPerCol, g.Seed), nil
+	default:
+		return genmat.TallSkinny(g.N, g.Cols, g.Fill, g.Seed), nil
+	}
 }
 
 // LoadRequest is the JSON body of /load: it carries a matrix into the
@@ -320,11 +353,16 @@ func decodeLoad(w http.ResponseWriter, r *http.Request, budget int64) (string, *
 		case req.Mtx != "":
 			// The reader builds the CSC form, 8 bytes a declared column
 			// whatever the text's length.
-			if err = checkResident(req.Name, mtxCols(req.Mtx), 0, budget); err == nil {
+			if err = checkResident(req.Name, int64(mtxCols(req.Mtx)), 0, budget); err == nil {
 				m, err = spmat.ReadMatrixMarket(strings.NewReader(req.Mtx))
 			}
 		default:
-			m, err = req.Generator.Generate()
+			var cols, nnz int64
+			if cols, nnz, err = req.Generator.footprint(); err == nil {
+				if err = checkResident(req.Name, cols, nnz, budget); err == nil {
+					m, err = req.Generator.Generate()
+				}
+			}
 		}
 		return req.Name, m, err
 	}
@@ -347,7 +385,7 @@ func decodeLoad(w http.ResponseWriter, r *http.Request, budget int64) (string, *
 		return "", nil, err
 	}
 	_, cols := wm.Dims()
-	if err := checkResident(name, cols, wm.NNZ(), budget); err != nil {
+	if err := checkResident(name, int64(cols), wm.NNZ(), budget); err != nil {
 		return "", nil, err
 	}
 	return name, wm.ToCSC(), nil

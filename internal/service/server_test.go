@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/genmat"
+	"repro/internal/localmm"
 	"repro/internal/spmat"
 )
 
@@ -516,16 +517,33 @@ func TestHostileLoadIsBoundedAndHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
+	type hostile struct {
 		what        string
 		to          *Client
 		contentType string
 		payload     []byte
-	}{
+	}
+	cases := []hostile{
 		{"21-byte matrix, no budget", unbudgeted, "application/octet-stream", hostileHeader(math.MaxInt32)},
 		{"wide mtx, no budget", unbudgeted, "application/json", wideMtx},
 		{"wide mtx, budgeted", cl, "application/json", wideMtx},
+	}
+	// The generator route is sized by the spec's own fields, a few dozen bytes
+	// of JSON: it is priced from them before anything is generated.
+	for what, spec := range map[string]string{
+		"rmat scale 40":           `{"kind":"rmat","scale":40}`,
+		"rmat scale 2^62":         `{"kind":"rmat","scale":4611686018427387904}`,
+		"rmat edge factor 2^62":   `{"kind":"rmat","scale":4,"edge_factor":4611686018427387904}`,
+		"er n 2e9":                `{"kind":"er","n":2000000000}`,
+		"hypersparse 2^31-1 cols": `{"kind":"hypersparse","n":16,"cols":2147483647}`,
+		"tallskinny 2^31-1 cols":  `{"kind":"tallskinny","n":2147483647,"cols":2147483647,"fill":1}`,
 	} {
+		payload := []byte(`{"name":"wide","generator":` + spec + `}`)
+		cases = append(cases,
+			hostile{what + ", budgeted", cl, "application/json", payload},
+			hostile{what + ", no budget", unbudgeted, "application/json", payload})
+	}
+	for _, c := range cases {
 		grew := allocatedBy(func() {
 			st, ct, body = postRaw(t, c.to, "/load?name=wide", c.contentType, c.payload)
 		})
@@ -583,6 +601,46 @@ func TestHostileLoadIsBoundedAndHarmless(t *testing.T) {
 	}
 	if grew >= 1<<20 {
 		t.Fatalf("planning a matrix of 2^24 empty rows allocated %d bytes", grew)
+	}
+}
+
+// TestGeneratedLoadsArePricedNotRefused: the price a generator spec is given
+// before it runs — columns exactly, entries never fewer than it makes — lets
+// the benchmark's resident-warm operands, full size, through the budget that
+// workload runs under, and the daemon holds what Generate returns.
+func TestGeneratedLoadsArePricedNotRefused(t *testing.T) {
+	specs := map[string]GeneratorSpec{
+		"rmat":       {Kind: "rmat", Scale: 11, EdgeFactor: 8, Seed: 1},
+		"er":         {Kind: "er", N: 2048, EdgeFactor: 8, Seed: 2},
+		"hyper":      {Kind: "hypersparse", N: 16384, Cols: 16384, NnzPerCol: 2, Seed: 3},
+		"defaults":   {Kind: "rmat", Scale: 6},
+		"tallskinny": {Kind: "tallskinny", N: 4096, Cols: 16, Fill: 0.05, Seed: 4},
+	}
+	mats := map[string]*spmat.CSC{}
+	for name, g := range specs {
+		m, err := g.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mats[name] = m
+		cols, nnz, err := g.footprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cols != int64(m.Cols) || name != "tallskinny" && nnz < m.NNZ() || nnz > 4*m.NNZ() {
+			t.Errorf("%s: priced at %d columns and %d entries, generated %d and %d", name, cols, nnz, m.Cols, m.NNZ())
+		}
+	}
+	cl, s := startServer(t, Config{P: 16, MemBytes: 4 * 24 * localmm.Flops(mats["rmat"], mats["rmat"])})
+	for name, g := range specs {
+		if _, err := cl.LoadGenerated(name, g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		held, err := s.reg.get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, name, held.mat, mats[name])
 	}
 }
 
