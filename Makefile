@@ -33,7 +33,12 @@ test:
 # packages that run ranks go twice, at -cpu 1 and -cpu 4: the compute gate
 # deals out GOMAXPROCS cores, so one core is the strict-turns path and four
 # is ranks computing side by side and taking idle cores for workers — on a
-# two-core runner neither is what a bare `go test` would cover.
+# two-core runner neither is what a bare `go test` would cover. core's tests
+# all run with returned chunks poisoned (TestMain), so -cpu 1,4 also covers
+# the poison differential (TestLentProductsNeverEscape: every schedule × grid
+# × format × thread count against the run that lends no stage product) both
+# where every stage product is a single-range loan and, on four cores, where
+# a stage granted a second worker falls back to an owned product.
 race:
 	$(GO) test -race ./internal/spmat ./internal/localmm
 	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service

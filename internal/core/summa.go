@@ -90,7 +90,18 @@ func (p *Proc) waitStageBcasts(sb stageBcasts, aCat, aHidden, bCat, bHidden stri
 // exchange. Without Pipeline, each stage posts and immediately waits,
 // metering exactly the paper's staged schedule (an IbcastStart + Wait pair
 // charges identically to the blocking Bcast).
-func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consume func(prod spmat.Matrix)) {
+//
+// A stage product is read by the Merge-Layer that follows and by nothing
+// else, so wherever that merge is sure to accumulate it into arrays of its
+// own the product is only lent (localmm.Plan.MulLent): its entries stay in
+// the kernel worker's chunk, and consume's caller returns the loan once the
+// last merge that reads the product is done. That is every stage when the
+// stages' products are merged together (q > 1), and every stage but the first
+// under IncrementalMerge — the first product becomes the accumulator. With
+// q = 1 the one product is the Merge-Layer output (a one-operand merge
+// returns its operand) and goes on to the fiber exchange or out of the batch,
+// so it is an owned copy, as is any product more than one worker made.
+func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consume func(prod spmat.Matrix, loan localmm.Loan)) {
 	g := p.G
 	meter := g.World.Meter()
 	stages := g.Q
@@ -146,29 +157,47 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 		scanCols := colScanWork(bRecv)
 		var plan *localmm.Plan
 		var prod spmat.Matrix
+		var loan localmm.Loan
 		sec := p.measure(func() {
 			plan = localmm.PlanMul(aRecv, bRecv)
-			prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, p.workers(plan.Flops))
+			if lendStageProducts && (s > 0 || stages > 1 && !p.Opts.IncrementalMerge) {
+				prod, loan = plan.MulLent(p.Opts.Kernel, p.Opts.Semiring, p.workers(plan.Flops))
+			} else {
+				prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, p.workers(plan.Flops))
+			}
 		})
 		res.LocalFlops += plan.Flops
 		meter.AddComputeWork(sec, plan.Flops+bRecv.NNZ()+scanCols+1)
-		consume(prod)
+		consume(prod, loan)
 	}
 	tr.SetStage(-1)
 }
 
+// lendStageProducts is off only in core's own tests, for the reference a
+// lending run must reproduce bit for bit: every stage product an owned copy.
+var lendStageProducts = true
+
 // stageProducts runs the stage loop and collects every stage's partial
-// product (the non-incremental merge strategy's input).
-func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, unmerged int64) {
-	partial = make([]spmat.Matrix, 0, p.G.Q)
-	p.forEachStage(bBatch, bNextBatch, res, func(prod spmat.Matrix) {
-		partial = append(partial, prod)
+// product (the non-incremental merge strategy's input) and the loans behind
+// them, which the caller returns when its merges have read the products.
+func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, unmerged int64) {
+	partial, loans = make([]spmat.Matrix, 0, p.G.Q), make([]localmm.Loan, 0, p.G.Q)
+	p.forEachStage(bBatch, bNextBatch, res, func(prod spmat.Matrix, loan localmm.Loan) {
+		partial, loans = append(partial, prod), append(loans, loan)
 		unmerged += prod.NNZ()
 	})
 	res.UnmergedNNZ += unmerged
 	// Peak: inputs plus all unmerged stage products live simultaneously.
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged)
-	return partial, unmerged
+	return partial, loans, unmerged
+}
+
+// returnLoans hands the stage products' chunks back to the kernels' free
+// list; the products must not be read after it.
+func returnLoans(loans []localmm.Loan) {
+	for i := range loans {
+		loans[i].Return()
+	}
 }
 
 // emptyLike returns an empty rows×cols matrix in m's concrete format.
@@ -188,7 +217,7 @@ func (p *Proc) summa2D(bBatch, bNextBatch spmat.Matrix, res *Result) spmat.Matri
 	if p.Opts.IncrementalMerge {
 		return p.summa2DIncremental(bBatch, bNextBatch, res)
 	}
-	partial, unmerged := p.stageProducts(bBatch, bNextBatch, res)
+	partial, loans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
 	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is
@@ -196,6 +225,7 @@ func (p *Proc) summa2D(bBatch, bNextBatch spmat.Matrix, res *Result) spmat.Matri
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeLayer)
 	d, mergeSec := p.merge(partial, p.lastTable(), unmerged)
+	returnLoans(loans)
 	meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 	res.MergedLayerNNZ += d.NNZ()
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged+d.NNZ())
@@ -211,7 +241,7 @@ func (p *Proc) summa2DIncremental(bBatch, bNextBatch spmat.Matrix, res *Result) 
 	g := p.G
 	meter := g.World.Meter()
 	var acc spmat.Matrix
-	p.forEachStage(bBatch, bNextBatch, res, func(prod spmat.Matrix) {
+	p.forEachStage(bBatch, bNextBatch, res, func(prod spmat.Matrix, loan localmm.Loan) {
 		res.UnmergedNNZ += prod.NNZ()
 		if acc == nil {
 			acc = prod
@@ -222,6 +252,7 @@ func (p *Proc) summa2DIncremental(bBatch, bNextBatch spmat.Matrix, res *Result) 
 		work := acc.NNZ() + prod.NNZ()
 		p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+work)
 		merged, sec := p.merge([]spmat.Matrix{acc, prod}, false, work)
+		loan.Return()
 		meter.AddComputeWork(sec, work+1)
 		acc = merged
 	})
@@ -315,14 +346,16 @@ func (p *Proc) summa3DBatchOverlapped(t int, bBatch, bNextBatch spmat.Matrix, re
 		return p.mergeFiber(t, accRows, recv, res)
 	}
 
-	partial, unmerged := p.stageProducts(bBatch, bNextBatch, res)
+	partial, loans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Destination-partitioned Merge-Layer: split every stage product by
 	// owning layer first (the ColSplit packing of Alg 2 line 4, charged as
 	// Merge-Layer compute like in the staged schedule), then merge each
 	// destination's stage pieces separately. Merging is column-independent,
 	// so each merged piece is bit-identical to the corresponding column
-	// selection of the staged schedule's single Merge-Layer output.
+	// selection of the staged schedule's single Merge-Layer output. The
+	// pieces are views of the stage products, lent chunks included, so the
+	// loans end with the last destination's merge.
 	meter.SetCategory(StepMergeLayer)
 	perDest := make([][]spmat.Matrix, g.L)
 	packSec := p.measure(func() {
@@ -361,6 +394,7 @@ func (p *Proc) summa3DBatchOverlapped(t int, bBatch, bNextBatch spmat.Matrix, re
 
 	// The own-layer share of Merge-Layer overlaps the in-flight exchange.
 	own := mergeDest(g.K)
+	returnLoans(loans)
 	mergedNNZ += own.NNZ()
 	res.MergedLayerNNZ += mergedNNZ
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged+mergedNNZ)

@@ -48,15 +48,20 @@
 // BenchmarkAccumulatorCrossover reaches each regime by the declared row
 // count and its table sits in the directTableBytes comment.
 //
-// Both regimes keep the same arrays and bookkeeping (the row held in each
-// slot, the slots in insertion order, clearing through that list), so a
-// worker alternates between them column by column, and the unsorted drain
-// emits the same entries in the same order under either: contributions
-// arrive in the same order, so rows are first seen in the same order. Under
+// Both regimes keep the values and the slots in insertion order the same
+// way, so a worker alternates between them column by column, and the unsorted
+// drain emits the same entries in the same order under either: contributions
+// arrive in the same order, so rows are first seen in the same order. They
+// differ in how a slot says it is taken. A hash slot holds its row and is
+// emptied as the drain reads it. A direct slot is stamped, never cleared: row
+// r is in the column when stamps[r] is the column's generation (stampTable,
+// the symbolic pass's too), a new column takes the next generation, and the
+// drain copies the insertion-order list as the rows and gathers the values —
+// nothing is written to the table between columns. Under
 // plus-times the insert is written out in the column loops of both regimes;
 // other semirings call hashAccum.add. The direct regime's insert takes no
 // jump on what the table holds — real blocks hit a present row 35–60 % of the
-// time, which no predictor learns: the row and occupied[n] are stored
+// time, which no predictor learns: the stamp and occupied[n] are stored
 // unconditionally, n advances by the 0-or-1 outcome, and the value is picked
 // between v and vals[r]+v on their bit patterns (selectValue). Every stored
 // value and the drain order are those of the branch it replaced (only which
@@ -87,16 +92,29 @@
 // HeapMerge and the rest — are that plan with CSC operands or one thread).
 // The output columns are cut into contiguous ranges balanced by flop count
 // (not column count); each worker hashes or heap-merges its range exactly
-// once, appending finished columns to its own reusable scratch; the output
-// is then allocated once at its exact size, and each worker's chunk lands
-// with one copy. No column is hashed twice — the multiply and the merge
-// need no symbolic pass to size their output — and worker scratch
+// once, appending finished columns to its own reusable chunk and leaving
+// each column's entry count in the output's column pointers, which are
+// prefix-summed in place. No column is hashed twice — the multiply and the
+// merge need no symbolic pass to size their output — and worker scratch
 // (accumulator, chunk, sort buffers) lives on a free list that survives
-// garbage collection, so a warm call allocates the output and a fixed
-// handful of small objects; a worker returns to the list with no table above
-// maxKeptEntries entries, whichever of its tables grew. Sorted output that
-// is not walked off a direct table is sorted per column by spmat.PairSorter,
-// the repo's one pair sort.
+// garbage collection, so a warm call allocates the output and a fixed handful
+// of small objects; a worker returns to the list with no table above
+// maxKeptEntries entries, whichever of its tables grew, and the chunks that
+// come back from loans wait beside it, maxIdleChunkBytes of them at most,
+// for the workers that lent theirs. Sorted
+// output that is not walked off a direct table is sorted per column by
+// spmat.PairSorter, the repo's one pair sort.
+//
+// Who owns an output's entry arrays: the caller, always, with one exception.
+// A call that ran several ranges allocates the arrays at their exact size and
+// the workers place their chunks in parallel; a call that ran one range — any
+// call too small for a second worker — returns an exactly-sized, unzeroed
+// copy of its chunk. That is MulMat, Plan.Mul, MergeMat and every entry point
+// built on them. The exception is Plan.MulLent, for a product that is read
+// once and dropped (a SUMMA stage product on its way into Merge-Layer): its
+// single-range output is the chunk itself, on loan until Loan.Return, and the
+// worker goes back to the free list without it; a multi-range call through
+// MulLent returns an owned product and an empty Loan. Nothing else lends.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already

@@ -37,6 +37,11 @@ func TestFreeListDropsOversizedTables(t *testing.T) {
 	}
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
+	for i, c := range idleWorkers.chunks {
+		if max(cap(c.rows), cap(c.vals)) > maxKeptEntries {
+			t.Errorf("idle chunk %d holds %d rows and %d values, above the cap of %d", i, cap(c.rows), cap(c.vals), maxKeptEntries)
+		}
+	}
 	for i, w := range idleWorkers.ws {
 		for name, c := range map[string]int{
 			"chunk rows": cap(w.rows), "chunk vals": cap(w.vals),
@@ -48,5 +53,49 @@ func TestFreeListDropsOversizedTables(t *testing.T) {
 				t.Errorf("idle worker %d keeps %s of %d entries, above the cap of %d", i, name, c, maxKeptEntries)
 			}
 		}
+	}
+}
+
+// TestFreeListBoundsChunkBytes: lent chunks are out p·q at a time, not one a
+// core, so what the free list keeps of them is bounded in bytes, all chunks
+// together. Twenty stage products of about 5 MB each are held on loan at
+// once — more than maxIdleChunkBytes between them — and returned; the list
+// must then hold no more than the bound (and account for what it holds), and
+// the products' arrays it turned away must be nobody's but the collector's.
+func TestFreeListBoundsChunkBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("holds ~120 MB of stage products")
+	}
+	sr := semiring.PlusTimes()
+	a := uniformMat(t, 1024, 64, 512, 421)
+	b := uniformMat(t, 64, 400, 8, 422)
+	pl := PlanMul(a, b)
+	var loans []Loan
+	var lentBytes int64
+	for range 20 {
+		_, loan := pl.MulLent(KernelHashUnsorted, sr, 1)
+		lentBytes += loan.c.bytes()
+		loans = append(loans, loan)
+	}
+	if lentBytes <= maxIdleChunkBytes {
+		t.Fatalf("the loans hold %d bytes, not beyond the bound of %d", lentBytes, maxIdleChunkBytes)
+	}
+	for i := range loans {
+		loans[i].Return()
+	}
+	idleWorkers.Lock()
+	defer idleWorkers.Unlock()
+	var held int64
+	for _, c := range idleWorkers.chunks {
+		held += c.bytes()
+	}
+	if held != idleWorkers.chunkBytes {
+		t.Errorf("the list accounts for %d bytes of chunks and holds %d", idleWorkers.chunkBytes, held)
+	}
+	if held > maxIdleChunkBytes {
+		t.Errorf("the list holds %d bytes of chunks, above the bound of %d", held, maxIdleChunkBytes)
+	}
+	if held < maxIdleChunkBytes/2 {
+		t.Errorf("the list holds %d bytes of chunks: it kept almost nothing of %d returned", held, lentBytes)
 	}
 }

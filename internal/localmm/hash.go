@@ -26,21 +26,30 @@ import (
 // directTableBytes — the dense accumulator of Buluç & Gilbert, which is the
 // wrong tool only when the row dimension dwarfs the work.
 //
-// Both regimes keep the same arrays and the same bookkeeping: rows[s] holds
-// the row stored in slot s (in the direct regime rows[r] == r marks
-// presence), occupied records the slots in insertion order, and the next
-// sizeFor clears through occupied. A worker can therefore alternate regimes
-// column by column with nothing stale, and the unsorted drain — occupied
-// order — emits the same entries in the same order whichever regime
-// accumulated them: contributions arrive in the same order, so rows are
-// first seen in the same order.
+// The regimes share the value array and occupied, the slots in insertion
+// order, and differ in how a slot says it is taken. The hash regime keeps the
+// row in rows[s], emptySlot elsewhere, and empties the slots it used as it
+// drains them, so its table is all empty between columns. The direct regime
+// keeps a generation stamp per row (stampTable, as the symbolic pass's rowSet
+// does): row r is in the column when stamps[r] is the column's generation, a
+// new column takes a new generation, and nothing is cleared — not the stamps,
+// and not the values, which are read only where the stamp says they were
+// written in this column. A worker can therefore alternate regimes column by
+// column with nothing stale, and the unsorted drain — occupied order — emits
+// the same entries in the same order whichever regime accumulated them:
+// contributions arrive in the same order, so rows are first seen in the same
+// order.
 type hashAccum struct {
-	rows     []int32
+	rows     []int32 // hash regime: the row in each slot
 	vals     []float64
-	mask     int32 // len(rows) − 1: the probe mask of the hash regime
+	mask     int32 // hash regime: len(rows) − 1, the probe mask
 	direct   bool
 	occupied []int32  // slot indices in insertion order
 	present  []uint64 // direct regime: drainAscendingInto's row bitmap
+
+	stamped stampTable
+	stamps  []int32 // direct regime: the column's view of stamped, one stamp a row
+	gen     int32   // direct regime: the stamp of a row the column holds
 }
 
 const emptySlot = int32(-1)
@@ -50,85 +59,81 @@ const maxTableCap = 1 << 30
 
 // directTableBytes is the largest direct-indexed table a worker keeps: an
 // operand takes the direct regime when one slot per row fits it (12 bytes a
-// row for the accumulator: 2¹⁵ rows; 4 for the symbolic row set: 3·2¹⁵) and
-// the hash regime otherwise. It is read off BenchmarkAccumulatorCrossover
-// (make bench-kernels, BENCH_kernels.json), which reaches each regime the way
-// the kernels do, by the declared row count, and runs the same inlined loop
-// shape in both. Re-taken with the jump-free insert in the direct regime
-// (ISSUE 23; the hash regime's insert is unchanged and branches on
-// hit-or-new). Two-core 2.1 GHz Xeon shared with other tenants (±15 % run to
-// run), 2 MiB of L2 a core, one worker, ns per contribution, hash → direct,
-// the run checked in as BENCH_kernels.json. Rows drawn over the whole span,
-// which almost never meet:
+// row for the accumulator — a 4-byte stamp and an 8-byte value: 2¹⁵ rows; 4
+// for the symbolic row set: 3·2¹⁵) and the hash regime otherwise. It is read
+// off BenchmarkAccumulatorCrossover (make bench-kernels, BENCH_kernels.json),
+// which reaches each regime the way the kernels do, by the declared row
+// count, and runs the same inlined loop shape in both. Re-taken with the
+// direct table stamped instead of cleared (ISSUE 24; the direct insert takes
+// no jump since ISSUE 23, the hash regime's insert is unchanged and branches
+// on hit-or-new, and its table is now emptied by its own drain). Two-core
+// 2.1 GHz Xeon shared with other tenants (±15 % run to run), 2 MiB of L2 a
+// core, one worker, ns per contribution, hash → direct, the run checked in as
+// BENCH_kernels.json. Rows drawn over the whole span, which almost never
+// meet:
 //
 //	rows   contributions   multiply        merge
 //	       per column
-//	2¹⁰         1          32.7 → 30.5     55.5 → 48.4
-//	            4          18.7 → 14.9     25.9 → 22.9
-//	           16          15.6 →  9.1     16.0 → 10.1
-//	          144           9.8 →  6.7      9.4 →  6.3
-//	2¹²         1          32.7 → 31.5     53.6 → 49.5
-//	            4          18.6 → 14.1     26.7 → 23.5
-//	           16          18.2 → 10.1     17.8 → 12.1
-//	          144          11.0 →  7.2      9.8 →  6.9
-//	2¹⁴         1          34.8 → 29.8     52.1 → 46.4
-//	            4          20.1 → 14.7     29.1 → 22.4
-//	           16          15.5 → 13.1     17.1 → 11.9
-//	          144          10.3 →  7.5      9.7 →  6.8
-//	2¹⁵         1          33.9 → 31.7     52.6 → 51.7
-//	            4          20.0 → 16.9     28.7 → 26.6
-//	           16          17.4 → 11.8     18.2 → 14.7
-//	          144          10.9 →  9.7     10.2 →  8.7
+//	2¹⁰         1          30.2 → 31.3     46.6 → 46.9
+//	            4          16.3 → 13.4     29.3 → 25.3
+//	           16          13.1 →  7.6     15.7 →  8.8
+//	          144           7.7 →  5.2      7.9 →  4.8
+//	2¹²         1          33.3 → 32.7     49.1 → 47.2
+//	            4          18.2 → 15.1     27.8 → 26.2
+//	           16          15.4 →  7.8     17.2 →  9.1
+//	          144           8.8 →  6.3      8.5 →  5.6
+//	2¹⁴         1          30.1 → 31.0     47.9 → 48.9
+//	            4          16.2 → 13.9     26.3 → 23.0
+//	           16          13.4 →  8.3     15.8 →  9.0
+//	          144           8.6 →  6.3      8.6 →  5.6
+//	2¹⁵         1          32.0 → 32.0     46.9 → 52.3
+//	            4          15.8 → 14.4     27.0 → 24.2
+//	           16          13.0 →  8.4     14.9 →  9.5
+//	          144           9.0 →  6.2      8.2 →  5.7
 //
 // Columns of 144 contributions of which a share land on a row already in the
 // table (the hits= cells; count is the symbolic pass, whose direct table is
-// the stamps). Here the two sides differ by more than the table: the hash
-// side's insert mispredicts at 50 %, the direct side's takes no jump:
+// the stamps alone). Here the two sides differ by more than the table: the
+// hash side's insert mispredicts at 50 %, the direct side's takes no jump:
 //
 //	rows   hits    multiply        merge           count
-//	2¹⁰     0 %     8.7 →  6.5     10.5 →  8.5      5.5 → 1.3
-//	       50 %    11.9 →  4.5     13.9 →  6.8     10.1 → 1.2
-//	       90 %     3.2 →  3.2      5.5 →  4.8      3.6 → 1.3
-//	2¹⁵     0 %    11.1 →  8.0     11.2 → 11.3      7.1 → 1.5
-//	       50 %    12.2 →  4.9     15.5 →  7.7     11.7 → 1.4
-//	       90 %     3.6 →  3.8      5.9 →  5.2      3.3 → 1.2
+//	2¹⁰     0 %     6.6 →  4.5      8.6 →  6.1      4.8 → 1.1
+//	       50 %    10.2 →  3.7     12.5 →  5.3      9.6 → 1.1
+//	       90 %     2.7 →  3.1      5.3 →  4.5      3.0 → 1.1
+//	2¹⁵     0 %     8.1 →  5.7     10.3 →  7.3      6.5 → 1.3
+//	       50 %    10.5 →  4.2     13.2 →  5.9      9.6 → 1.2
+//	       90 %     2.9 →  3.2      4.9 →  4.8      2.9 → 1.1
 //
 // Past the bound the rule gives a row count no direct line, so the constant
 // was raised to 16 MiB for one sizing run (both sides from that run, taken
-// minutes after the one above):
+// minutes after the one above; the benchmark has no hits= cells there):
 //
-//	2¹⁶         1          39.7 → 44.6     64.0 →  87.3
-//	            4          22.5 → 27.2     31.7 →  37.2
-//	           16          19.8 → 16.5     19.4 →  17.1
-//	          144          12.7 → 11.4     13.4 →  11.0
-//	        0 % hits       11.8 → 10.5     14.1 →  12.4
-//	       50 % hits       13.5 →  8.8     15.7 →   9.1
-//	       90 % hits        4.1 →  5.5      6.4 →   7.5
-//	2¹⁸         1          39.5 → 36.9     61.2 → 106.9
-//	            4          19.3 → 19.3     33.9 →  42.7
-//	           16          18.4 → 15.3     20.3 →  23.4
-//	          144          11.2 → 12.2     11.6 →  13.1
-//	        0 % hits       12.3 → 15.7     13.7 →  16.0
-//	       50 % hits       13.0 → 11.2     15.5 →  11.4
-//	       90 % hits        4.6 →  5.4      6.3 →   7.2
+//	2¹⁶         1          29.7 → 32.5     47.4 → 55.7
+//	            4          16.5 → 15.1     27.7 → 28.9
+//	           16          14.6 → 10.3     17.5 → 12.6
+//	          144          10.3 →  7.7     10.2 →  7.9
+//	2¹⁸         1          28.8 → 31.9     46.0 → 78.3
+//	            4          19.0 → 17.4     28.8 → 37.1
+//	           16          17.0 → 13.5     18.5 → 19.2
+//	          144          11.2 →  9.5     11.5 → 12.5
 //
 // The hash side is flat in the row count, as a table sized by the column
 // should be. The direct side wins or is level through 2¹⁵ rows (384 KiB) in
-// every cell — columns of one contribution included, where 30–50 ns of fixed
-// cost per column drown either table, so the rule needs no floor on the
-// column's work. At 2¹⁶ (768 KiB) it loses the thin columns and the ones that
-// only hit and wins the heavy ones; at 2¹⁸ (3 MiB, past this host's L2) it
-// loses everywhere a predictor can learn the hash side's branch, the merge
-// first (its table is all it touches; the multiply also streams A), and is
-// ahead only on half-hit columns — by the mispredict the hash insert still
-// pays, not by its table. So the bound stays: 384 KiB leaves the operands
-// room beside the table in a 512 KiB L2, the smallest on current server
-// parts.
+// every cell but the ones that only hit, where the two are within 0.5 ns —
+// columns of one contribution included, where 30–50 ns of fixed cost per
+// column drown either table, so the rule needs no floor on the column's work.
+// Stamping moved the far side less than the near one: at 2¹⁶ (768 KiB) the
+// direct table still loses the columns of one contribution (the merge's by
+// 18 %) and wins the heavy ones; at 2¹⁸ (3 MiB, past this host's L2) the
+// merge, whose table is all it touches, loses in every cell — by 70 % on thin
+// columns — while the multiply, which also streams A, is 8–20 % ahead on all
+// but the thinnest. So the bound stays: 384 KiB leaves the operands room
+// beside the table in a 512 KiB L2, the smallest on current server parts.
 const directTableBytes = 384 << 10
 
 // Bytes per row of the two direct tables.
 const (
-	accumSlotBytes = 12 // int32 row + float64 value
+	accumSlotBytes = 12 // int32 generation stamp + float64 value
 	stampBytes     = 4  // int32 generation stamp
 )
 
@@ -159,37 +164,46 @@ func tableCap(want int64, rows int32) int {
 
 // sizeFor empties the accumulator and sizes it for a column with want
 // contributions into a rows-tall operand: one slot per row when that fits
-// directTableBytes, tableCap slots otherwise. The arrays are reallocated
-// only when that exceeds the capacity they have; otherwise rows and vals are
-// resliced to the leading slots the column uses (every slot past them is
-// empty, and stays so). In the direct regime occupied gets room for rows + 1
-// entries, one more than the table can hold, whichever regime sized the
-// arrays last: the plus-times inserts store the row at occupied[n] before
+// directTableBytes, tableCap slots otherwise. Arrays are reallocated only
+// when that exceeds the capacity they have; otherwise they are resliced to
+// the leading slots the column uses (every hash slot past them is empty, and
+// stays so). Emptying costs nothing: a direct column takes the next
+// generation of stamps, and a hash column finds the table its predecessor
+// drained — the loop below runs only for a hash column that was sized and
+// then abandoned undrained. In the direct regime occupied gets room for
+// rows + 1 entries, one more than the table can hold, whichever regime sized
+// the arrays last: the plus-times inserts store the row at occupied[n] before
 // they know whether n advances, so a contribution that hits a full table
 // still writes one past its last entry.
 func (h *hashAccum) sizeFor(want int64, rows int32) {
-	h.direct = directRows(rows, accumSlotBytes)
-	c, distinct := int(rows), int(rows)+1
 	if !h.direct {
-		c = tableCap(want, rows)
-		distinct = c / 2
-	}
-	if c > cap(h.rows) {
-		h.rows, h.vals = make([]int32, c), make([]float64, c)
-		for i := range h.rows {
-			h.rows[i] = emptySlot
-		}
-	} else {
 		for _, s := range h.occupied {
 			h.rows[s] = emptySlot
 		}
-		h.rows, h.vals = h.rows[:c], h.vals[:c]
 	}
 	h.occupied = h.occupied[:0]
+	h.direct = directRows(rows, accumSlotBytes)
+	c, distinct := int(rows), int(rows)+1
+	if h.direct {
+		h.stamps, h.gen = h.stamped.nextColumn(rows)
+	} else {
+		c = tableCap(want, rows)
+		distinct = c / 2
+		if c > cap(h.rows) {
+			h.rows = make([]int32, c)
+			for i := range h.rows {
+				h.rows[i] = emptySlot
+			}
+		}
+		h.rows, h.mask = h.rows[:c], int32(c-1)
+	}
+	if c > cap(h.vals) {
+		h.vals = make([]float64, c)
+	}
+	h.vals = h.vals[:c]
 	if distinct > cap(h.occupied) {
 		h.occupied = make([]int32, 0, distinct)
 	}
-	h.mask = int32(c - 1)
 }
 
 // overfilled panics when a new row arrives at a hash table already holding
@@ -203,14 +217,10 @@ func (h *hashAccum) overfilled() {
 	panic(fmt.Sprintf("localmm: accumulator sized for %d distinct rows overfilled", (h.mask+1)/2))
 }
 
-// slot returns where row r lives: the slot holding it, or the empty slot it
-// is to take. In the hash regime the multiplier is the 32-bit Fibonacci
-// constant. The plus-times loops below inline this; everything else calls
-// it.
-func (h *hashAccum) slot(r int32) int32 {
-	if h.direct {
-		return r
-	}
+// probe returns where row r lives in the hash table: the slot holding it, or
+// the empty slot it is to take. The multiplier is the 32-bit Fibonacci
+// constant. The plus-times loops below inline this; add calls it.
+func (h *hashAccum) probe(r int32) int32 {
 	s := int32(uint32(r)*2654435769) & h.mask
 	for h.rows[s] != r {
 		if h.rows[s] == emptySlot {
@@ -226,7 +236,16 @@ func (h *hashAccum) slot(r int32) int32 {
 
 // add accumulates v into row r with the semiring's Add.
 func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
-	s := h.slot(r)
+	if h.direct {
+		if h.stamps[r] == h.gen {
+			h.vals[r] = addFn(h.vals[r], v)
+			return
+		}
+		h.stamps[r], h.vals[r] = h.gen, v
+		h.occupied = append(h.occupied, r)
+		return
+	}
+	s := h.probe(r)
 	if h.rows[s] == r {
 		h.vals[s] = addFn(h.vals[s], v)
 		return
@@ -236,15 +255,27 @@ func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
 }
 
 // drainInto appends the accumulated (row, value) pairs to the output slices
-// in insertion order (unsorted) and returns the extended slices.
+// in insertion order (unsorted) and returns the extended slices. A direct
+// table's slots are its rows, so occupied is the row list as it stands and
+// only the values are gathered; a hash table is read slot by slot and left
+// empty behind.
 func (h *hashAccum) drainInto(rows []int32, vals []float64) ([]int32, []float64) {
 	n, m := len(rows), len(h.occupied)
 	rows = slices.Grow(rows, m)[:n+m]
 	vals = slices.Grow(vals, m)[:n+m]
+	if h.direct {
+		copy(rows[n:], h.occupied)
+		for i, r := range h.occupied {
+			vals[n+i] = h.vals[r]
+		}
+		return rows, vals
+	}
 	for i, s := range h.occupied {
 		rows[n+i] = h.rows[s]
 		vals[n+i] = h.vals[s]
+		h.rows[s] = emptySlot
 	}
+	h.occupied = h.occupied[:0]
 	return rows, vals
 }
 
@@ -262,14 +293,14 @@ const walkRowsPerEntry = 512
 // the drained column: the accumulator is direct and its table is at most
 // walkRowsPerEntry rows per entry.
 func (h *hashAccum) walks() bool {
-	return h.direct && len(h.rows) <= walkRowsPerEntry*len(h.occupied)
+	return h.direct && len(h.vals) <= walkRowsPerEntry*len(h.occupied)
 }
 
 // drainAscendingInto appends a direct table's column in ascending row order
 // without sorting it: the occupied rows are marked in a bitmap, and the
 // bitmap is walked and left all zero.
 func (h *hashAccum) drainAscendingInto(rows []int32, vals []float64) ([]int32, []float64) {
-	m, words := len(h.occupied), (len(h.rows)+63)>>6
+	m, words := len(h.occupied), (len(h.vals)+63)>>6
 	if len(h.present) < words {
 		h.present = make([]uint64, words)
 	}
@@ -338,8 +369,8 @@ func HashSpGEMMSorted(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 //
 // In the direct regime, whether a contribution meets its row in the table or
 // brings a new one is a coin toss on real blocks (35–60 % meet), so the insert
-// must compile without a jump that depends on it: the row and occupied[n] are
-// stored either way, n advances by the 0-or-1 outcome, and the value is
+// must compile without a jump that depends on it: the stamp and occupied[n]
+// are stored either way, n advances by the 0-or-1 outcome, and the value is
 // selectValue's pick between v and vals[r]+v. The sum is computed from
 // whatever the slot holds, a stale value in an empty slot included, and
 // thrown away when the row is new, so every stored value is bit for bit what
@@ -364,23 +395,24 @@ func hashAccumulateColumn(acc *hashAccum, a *aCols, bRows []int32, bVals []float
 		}
 		return
 	}
-	rows, vals, occupied, mask := acc.rows, acc.vals, acc.occupied, acc.mask
-	vals = vals[:len(rows)]
 	if acc.direct {
-		n, occupied := len(occupied), occupied[:cap(occupied)]
+		stamps, gen := acc.stamps, acc.gen
+		vals, n, occupied := acc.vals[:len(stamps)], len(acc.occupied), acc.occupied[:cap(acc.occupied)]
 		for p := range bRows {
 			i, bv := bRows[p], bVals[p]
 			aRows, aVals := a.Column(i)
 			aVals = aVals[:len(aRows)]
 			for q, r := range aRows {
-				v, isNew := aVals[q]*bv, b2i(rows[r] != r)
-				rows[r], vals[r], occupied[n] = r, selectValue(isNew, v, vals[r]+v), r
+				v, isNew := aVals[q]*bv, b2i(stamps[r] != gen)
+				stamps[r], vals[r], occupied[n] = gen, selectValue(isNew, v, vals[r]+v), r
 				n += isNew
 			}
 		}
 		acc.occupied = occupied[:n]
 		return
 	}
+	rows, vals, occupied, mask := acc.rows, acc.vals, acc.occupied, acc.mask
+	vals = vals[:len(rows)]
 	for p := range bRows {
 		i, bv := bRows[p], bVals[p]
 		aRows, aVals := a.Column(i)
@@ -417,21 +449,22 @@ func hashAccumulateParts(acc *hashAccum, parts []colPart, sr *semiring.Semiring,
 		}
 		return
 	}
-	rows, vals, occupied, mask := acc.rows, acc.vals, acc.occupied, acc.mask
-	vals = vals[:len(rows)]
 	if acc.direct {
-		n, occupied := len(occupied), occupied[:cap(occupied)]
+		stamps, gen := acc.stamps, acc.gen
+		vals, n, occupied := acc.vals[:len(stamps)], len(acc.occupied), acc.occupied[:cap(acc.occupied)]
 		for _, part := range parts {
 			pVals := part.vals[:len(part.rows)]
 			for q, r := range part.rows {
-				v, isNew := pVals[q], b2i(rows[r] != r)
-				rows[r], vals[r], occupied[n] = r, selectValue(isNew, v, vals[r]+v), r
+				v, isNew := pVals[q], b2i(stamps[r] != gen)
+				stamps[r], vals[r], occupied[n] = gen, selectValue(isNew, v, vals[r]+v), r
 				n += isNew
 			}
 		}
 		acc.occupied = occupied[:n]
 		return
 	}
+	rows, vals, occupied, mask := acc.rows, acc.vals, acc.occupied, acc.mask
+	vals = vals[:len(rows)]
 	for _, part := range parts {
 		pVals := part.vals[:len(part.rows)]
 		for q, r := range part.rows {

@@ -82,57 +82,26 @@ func HeapSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 // heapMulColumn computes one output column with the multiway heap merge
 // (ascending rows), appending it to w.rows/w.vals. The views of the A
 // columns the B entries select are fetched once into the worker's scratch
-// and walked by index — no per-column allocation.
+// and merged scaled by those entries — no per-column allocation.
 func (w *mmWorker) heapMulColumn(a *aCols, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
 	parts := w.parts[:0]
-	h := w.heap[:0]
-	for li, i := range bRows {
+	for _, i := range bRows {
 		r, v := a.Column(i)
 		parts = append(parts, colPart{rows: r, vals: v})
-		if len(r) > 0 {
-			h.push(heapEntry{row: r[0], list: int32(li), ptr: 0})
-		}
 	}
-	for len(h) > 0 {
-		e := h.pop()
-		row := e.row
-		var acc float64
-		first := true
-		for {
-			part := parts[e.list]
-			var prod float64
-			if plusTimes {
-				prod = part.vals[e.ptr] * bVals[e.list]
-			} else {
-				prod = sr.Mul(part.vals[e.ptr], bVals[e.list])
-			}
-			if first {
-				acc, first = prod, false
-			} else if plusTimes {
-				acc += prod
-			} else {
-				acc = sr.Add(acc, prod)
-			}
-			if next := e.ptr + 1; next < int64(len(part.rows)) {
-				h.push(heapEntry{row: part.rows[next], list: e.list, ptr: next})
-			}
-			if len(h) == 0 || h[0].row != row {
-				break
-			}
-			e = h.pop()
-		}
-		w.rows = append(w.rows, row)
-		w.vals = append(w.vals, acc)
-	}
-	w.parts, w.heap = parts, h
+	w.parts = parts
+	w.heapColumn(parts, bVals, sr, plusTimes)
 }
 
-// heapMergeColumn k-way-merges one column's (sorted) operand contributions,
-// appending the merged column to w.rows/w.vals.
-func (w *mmWorker) heapMergeColumn(parts []colPart, sr *semiring.Semiring, plusTimes bool) {
+// heapColumn k-way-merges the (sorted) lists of one column, appending the
+// merged column to w.rows/w.vals: the operands' contributions of a merge
+// (scale nil), or the A columns of a multiply, list i scaled by scale[i].
+func (w *mmWorker) heapColumn(parts []colPart, scale []float64, sr *semiring.Semiring, plusTimes bool) {
 	h := w.heap[:0]
-	for pi := range parts {
-		h.push(heapEntry{row: parts[pi].rows[0], list: int32(pi), ptr: 0})
+	for li := range parts {
+		if len(parts[li].rows) > 0 {
+			h.push(heapEntry{row: parts[li].rows[0], list: int32(li), ptr: 0})
+		}
 	}
 	for len(h) > 0 {
 		e := h.pop()
@@ -142,6 +111,11 @@ func (w *mmWorker) heapMergeColumn(parts []colPart, sr *semiring.Semiring, plusT
 		for {
 			part := parts[e.list]
 			v := part.vals[e.ptr]
+			if scale != nil && plusTimes {
+				v *= scale[e.list]
+			} else if scale != nil {
+				v = sr.Mul(v, scale[e.list])
+			}
 			if first {
 				acc, first = v, false
 			} else if plusTimes {

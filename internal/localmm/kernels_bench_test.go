@@ -157,7 +157,7 @@ func BenchmarkMulMatGeneric(b *testing.B) {
 
 // BenchmarkWorkerSpawnCrossover is the measurement workPerExtraWorker is set
 // from: the unsorted-hash multiply at one worker and at two — through
-// Plan.mul, which runs exactly the worker count it is given, so the floor
+// Plan.multiply, which runs exactly the worker count it is given, so the floor
 // under test does not hide the losing side — over products of 0.5 k to 256 k
 // flops, with B stored CSC and hypersparse DCSC (one column in eight stored).
 // A is 1024×256 with 10 entries per column and B has 4 per stored column, so
@@ -185,7 +185,7 @@ func BenchmarkWorkerSpawnCrossover(b *testing.B) {
 			for _, workers := range []int{1, 2} {
 				b.Run(fmt.Sprintf("%s/flops=%d/workers=%d", format, pl.Flops, workers), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						pl.mul(KernelHashUnsorted, sr, workers)
+						pl.multiply(KernelHashUnsorted, sr, workers, ownedOutput)
 					}
 				})
 			}
@@ -308,7 +308,7 @@ func BenchmarkAccumulatorCrossover(b *testing.B) {
 				pl := PlanMul(withRows(a, declared), bm)
 				b.Run("mul/"+name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						pl.mul(KernelHashUnsorted, sr, 1)
+						pl.multiply(KernelHashUnsorted, sr, 1, ownedOutput)
 					}
 					perFlop(b, pl.Flops)
 				})
@@ -349,7 +349,7 @@ func BenchmarkAccumulatorCrossover(b *testing.B) {
 				pl := PlanMul(withRows(a, accRows), bm)
 				b.Run("mul/"+name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						pl.mul(KernelHashUnsorted, sr, 1)
+						pl.multiply(KernelHashUnsorted, sr, 1, ownedOutput)
 					}
 					perFlop(b, pl.Flops)
 				})

@@ -1,0 +1,113 @@
+package localmm
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/semiring"
+)
+
+// TestMulLentLendsOnlyTheSingleRangeChunk pins what MulLent shares and what
+// it does not. A product one range made is the worker's chunk: equal to
+// Mul's entry for entry while the loan lasts, and — the poison shows whose
+// memory it is — all −1 and NaN once it is returned. A product two ranges
+// made is placed into arrays of its own, its Loan holds nothing, and it reads
+// the same after Return. Mul's product is never anybody's but the caller's:
+// later calls, which refill the returned chunks, leave it alone.
+func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
+	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	sr := semiring.PlusTimes()
+	light := scrambleColumns(uniformMat(t, 200, 200, 6, 401), 1)
+	heavy := scrambleColumns(uniformMat(t, 256, 256, 16, 402), 2)
+	for _, k := range allKernels {
+		for _, dcsc := range []bool{false, true} {
+			label := fmt.Sprintf("%v/dcsc=%v", k, dcsc)
+			pl := PlanMul(light, asFormat(light, dcsc))
+			owned := pl.Mul(k, sr, 4)
+			lent, loan := pl.MulLent(k, sr, 4)
+			if loan.c.bytes() == 0 {
+				t.Fatalf("%s: a single-range product was not lent", label)
+			}
+			sameEntries(t, label+": lent vs owned", lent, owned)
+			loan.Return()
+			loan.Return() // returning twice is returning once
+			v := viewOf(lent)
+			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
+				t.Errorf("%s: the lent product outlived its loan: its arrays are not the returned chunk", label)
+			}
+			sameEntries(t, label+": owned product after later calls", owned, pl.Mul(k, sr, 1))
+
+			pl = PlanMul(heavy, asFormat(heavy, dcsc))
+			if clampThreads(2, pl.bv.n, pl.Flops) != 2 {
+				t.Fatalf("multiply of %d flops is below the worker floor", pl.Flops)
+			}
+			placed, loan := pl.MulLent(k, sr, 2)
+			if loan.c.bytes() != 0 {
+				t.Errorf("%s: a two-range product came with a loan", label)
+			}
+			loan.Return()
+			sameEntries(t, label+": two-range product after Return", placed, pl.Mul(k, sr, 1))
+		}
+	}
+}
+
+// TestStampGenerationWrapsInAccumulator drives one worker's direct table
+// across the generation wrap: three columns leave stamps 1, 2 and 3 behind,
+// the counter is set to MaxInt32 − 2, and the next columns take MaxInt32 − 1,
+// MaxInt32 and — the table cleared — 1, 2, 3 again. Through the multiply's
+// and the merge's accumulation, drained unsorted, by the bitmap walk and by
+// the sort, every column must come out as from scratch nobody has used: a
+// stamp that survived the wrap would pass for a row already in the column.
+func TestStampGenerationWrapsInAccumulator(t *testing.T) {
+	sr := semiring.PlusTimes()
+	a := scrambleColumns(uniformMat(t, 300, 12, 40, 411), 1)
+	b := uniformMat(t, 12, 9, 5, 412)
+	flops := ColFlops(a, b)
+	ac := colsOf(a)
+	// column computes output column j as a multiply or as the merge of the A
+	// columns the multiply scales, drained sorted or not, with A declared rows
+	// tall: 300 rows walk the bitmap, the tallest direct table sorts.
+	column := func(w *mmWorker, j int32, merge, sorted bool, rows int32) ([]int32, []float64) {
+		bRows, bVals := b.Column(j)
+		w.rows, w.vals = w.rows[:0], w.vals[:0]
+		w.acc.sizeFor(flops[j], rows)
+		if merge {
+			parts := make([]colPart, len(bRows))
+			for x, i := range bRows {
+				parts[x].rows, parts[x].vals = a.Column(i)
+			}
+			hashAccumulateParts(&w.acc, parts, sr, true)
+		} else {
+			hashAccumulateColumn(&w.acc, &ac, bRows, bVals, sr, true)
+		}
+		w.drain(sorted)
+		return slices.Clone(w.rows), slices.Clone(w.vals)
+	}
+	for _, merge := range []bool{false, true} {
+		for _, sorted := range []bool{false, true} {
+			for _, rows := range []int32{a.Rows, directAccumRows} {
+				var used mmWorker
+				for j := int32(0); j < 3; j++ {
+					column(&used, j, merge, sorted, rows)
+				}
+				if used.acc.gen != 3 {
+					t.Fatalf("three columns took generation %d", used.acc.gen)
+				}
+				used.acc.stamped.gen = math.MaxInt32 - 2
+				for j := int32(3); j < b.Cols; j++ {
+					gotR, gotV := column(&used, j, merge, sorted, rows)
+					wantR, wantV := column(new(mmWorker), j, merge, sorted, rows)
+					if !slices.Equal(gotR, wantR) || !slices.Equal(gotV, wantV) {
+						t.Fatalf("merge=%v sorted=%v rows=%d: column %d at generation %d differs from a fresh worker's",
+							merge, sorted, rows, j, used.acc.gen)
+					}
+				}
+				if used.acc.gen != b.Cols-5 {
+					t.Fatalf("merge=%v sorted=%v rows=%d: generation %d after the wrap, want %d", merge, sorted, rows, used.acc.gen, b.Cols-5)
+				}
+			}
+		}
+	}
+}

@@ -202,15 +202,31 @@ func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spm
 	return PlanMul(a, b).Mul(k, sr, threads)
 }
 
-// Mul is MulMat on the planned pair.
+// Mul is MulMat on the planned pair. The product is the caller's.
 func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, threads int) spmat.Matrix {
-	return pl.mul(k, sr, clampThreads(threads, pl.bv.n, pl.Flops))
+	out, _ := pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), ownedOutput)
+	return out
 }
 
-// mul runs the multiply on exactly workers ranges of B's slots (some may be
-// empty). Mul decides the count; BenchmarkWorkerSpawnCrossover, which sets
-// the floor Mul decides by, calls this directly.
-func (pl *Plan) mul(k Kernel, sr *semiring.Semiring, workers int) spmat.Matrix {
+// MulLent is Mul for a product that is read once and dropped — a stage
+// product on its way into a Merge-Layer that accumulates it with others. When
+// the call ran one range (every call too small for a second worker), the
+// product's entry arrays are the worker's chunk itself: nothing is copied and
+// nothing allocated but the column metadata. The caller must then be done
+// reading the product, and everything that shares its arrays (column-range
+// views), before it hands the chunk back with Loan.Return, and must not let
+// either escape: no merge of one operand, which returns the operand, and
+// nothing that keeps the product. A call that ran several ranges returns an
+// owned product, as Mul does, and a Loan that holds nothing.
+func (pl *Plan) MulLent(k Kernel, sr *semiring.Semiring, threads int) (spmat.Matrix, Loan) {
+	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), lentOutput)
+}
+
+// multiply runs the multiply on exactly workers ranges of B's slots (some
+// may be empty). Mul and MulLent decide the count;
+// BenchmarkWorkerSpawnCrossover, which sets the floor they decide by, calls
+// this directly.
+func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode passOutput) (spmat.Matrix, Loan) {
 	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
 	if (k == KernelHeap || k == KernelHybrid) && !a.Sorted() {
 		// The heap-based kernels require sorted A columns; restore once, on
@@ -221,11 +237,10 @@ func (pl *Plan) mul(k Kernel, sr *semiring.Semiring, workers int) spmat.Matrix {
 	aRows, _ := a.Dims()
 	_, bCols := pl.b.Dims()
 	ac := colsOf(a)
-	counts := make([]int64, bv.n)
+	ptr := make([]int64, bv.n+1)
 	sortedOut := k != KernelHashUnsorted
 	plusTimes := sr.IsPlusTimes()
-	var out spmat.Matrix
-	onePass(flopBounds(colFlops, workers), func(w *mmWorker, lo, hi int32) {
+	ir, num, loan := onePass(flopBounds(colFlops, workers), func(w *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue
@@ -239,13 +254,12 @@ func (pl *Plan) mul(k Kernel, sr *semiring.Semiring, workers int) spmat.Matrix {
 				hashAccumulateColumn(&w.acc, &ac, bRows, bVals, sr, plusTimes)
 				w.drain(sortedOut)
 			}
-			counts[p] = int64(len(w.rows) - start)
+			ptr[p+1] = int64(len(w.rows) - start)
 		}
-	}, func() (ir []int32, num []float64) {
-		out, ir, num = newOutput(aRows, bCols, bv.jc, bv.compressed, counts, sortedOut)
-		return ir, num
-	})
-	return out
+	}, mode)
+	// A doubly-compressed product lists its columns in an array of its own,
+	// compacted in place below: B's is B's.
+	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, sortedOut), loan
 }
 
 // ParallelSpGEMM is MulMat over CSC operands: the selected kernel with
@@ -270,35 +284,36 @@ func (w *mmWorker) drain(sorted bool) {
 	}
 }
 
-// newOutput allocates the exactly-sized output of the one-pass plan from the
-// per-slot entry counts and returns it with its entry arrays. A CSC output's
-// slots are its columns; slot p of a DCSC output is column jc[p], and only
-// the slots that received entries get JC/CP entries — no O(cols) array
+// newOutput wraps the entry arrays of a one-pass output in its column
+// metadata. ptr arrives holding the slots' entry counts, slot p's in
+// ptr[p+1], as the ranges left them, and becomes the column pointers by a
+// prefix sum in place. A CSC output's slots are its columns. Slot p of a DCSC
+// output is column jc[p], and only the slots that received entries keep a
+// JC/CP entry: jc and ptr are compacted where they lie — no O(cols) array
 // exists at any point.
-func newOutput(rows, cols int32, jc []int32, dcsc bool, counts []int64, sorted bool) (spmat.Matrix, []int32, []float64) {
+func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32, num []float64, sorted bool) spmat.Matrix {
+	stored := len(ptr) - 1
 	if !dcsc {
-		c := &spmat.CSC{Rows: rows, Cols: cols, ColPtr: make([]int64, cols+1), SortedCols: sorted}
-		nnz := prefixToColPtr(counts, c.ColPtr)
-		c.RowIdx, c.Val = make([]int32, nnz), make([]float64, nnz)
-		return c, c.RowIdx, c.Val
-	}
-	stored := 0
-	for _, n := range counts {
-		if n > 0 {
-			stored++
+		for p := range stored {
+			ptr[p+1] += ptr[p]
+		}
+	} else {
+		stored = 0
+		for p, n := range ptr[1:] {
+			if n > 0 {
+				jc[stored] = jc[p]
+				ptr[stored+1] = ptr[stored] + n
+				stored++
+			}
 		}
 	}
-	d := &spmat.DCSC{Rows: rows, Cols: cols, JC: make([]int32, 0, stored), CP: make([]int64, 1, stored+1), SortedCols: sorted}
-	var nnz int64
-	for p, n := range counts {
-		if n > 0 {
-			nnz += n
-			d.JC = append(d.JC, jc[p])
-			d.CP = append(d.CP, nnz)
-		}
+	if nnz := ptr[stored]; nnz != int64(len(ir)) || nnz != int64(len(num)) {
+		panic(fmt.Sprintf("localmm: columns count %d entries, the ranges filled %d", nnz, len(ir)))
 	}
-	d.IR, d.Num = make([]int32, nnz), make([]float64, nnz)
-	return d, d.IR, d.Num
+	if !dcsc {
+		return &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
+	}
+	return &spmat.DCSC{Rows: rows, Cols: cols, JC: jc[:stored], CP: ptr[:stored+1], IR: ir, Num: num, SortedCols: sorted}
 }
 
 // checkMergeShapes verifies all operands share one shape and returns it.
@@ -382,10 +397,9 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 	for _, m := range mats {
 		entries += m.NNZ()
 	}
-	counts := make([]int64, slots.n)
+	ptr := make([]int64, slots.n+1)
 	plusTimes := sr.IsPlusTimes()
-	var out spmat.Matrix
-	onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, lo, hi int32) {
+	ir, num, _ := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, lo, hi int32) {
 		w.seek(views, slots.index(lo))
 		for p := lo; p < hi; p++ {
 			if colIn[p] == 0 {
@@ -394,19 +408,16 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 			start := len(w.rows)
 			parts := w.gather(views, slots.index(p))
 			if mg == MergerHeap {
-				w.heapMergeColumn(parts, sr, plusTimes)
+				w.heapColumn(parts, nil, sr, plusTimes)
 			} else {
 				w.acc.sizeFor(colIn[p], rows)
 				hashAccumulateParts(&w.acc, parts, sr, plusTimes)
 				w.drain(sortOutput)
 			}
-			counts[p] = int64(len(w.rows) - start)
+			ptr[p+1] = int64(len(w.rows) - start)
 		}
-	}, func() (ir []int32, num []float64) {
-		out, ir, num = newOutput(rows, cols, slots.jc, allDCSC, counts, sortOutput)
-		return ir, num
-	})
-	return out
+	}, ownedOutput)
+	return newOutput(rows, cols, slots.jc, allDCSC, ptr, ir, num, sortOutput)
 }
 
 // unionCols k-way-merges the stored-column lists of doubly-compressed

@@ -269,7 +269,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 		t.Errorf("allocations depend on the column count: multiply %v vs %v, merge %v vs %v",
 			mulSmall, mulLarge, mergeSmall, mergeLarge)
 	}
-	const metadata = 24
+	const metadata = 20
 	if mulLarge > metadata || mergeLarge > metadata {
 		t.Errorf("steady-state calls allocate %v (multiply) and %v (merge) objects, want at most %d",
 			mulLarge, mergeLarge, metadata)

@@ -68,13 +68,20 @@ type rowSet struct {
 	mask     int32
 	occupied []int32
 
+	stampTable
+}
+
+// stampTable is presence by generation, the direct regime's membership test
+// for the row set and for hashAccum alike: one int32 stamp per row, and a row
+// belongs to the current column when its stamp is the current generation.
+type stampTable struct {
 	stamps []int32
 	gen    int32
 }
 
 // nextColumn returns the stamp table of a rows-tall operand and the
 // generation that marks membership in the column now starting.
-func (s *rowSet) nextColumn(rows int32) ([]int32, int32) {
+func (s *stampTable) nextColumn(rows int32) ([]int32, int32) {
 	if int(rows) > len(s.stamps) {
 		s.stamps, s.gen = make([]int32, rows), 0
 	}

@@ -40,7 +40,7 @@ func TestClampThreads(t *testing.T) {
 }
 
 // TestMulOnExactWorkerCounts runs the multiply on exactly 2, 3 and 7 ranges
-// (Plan.mul) over shapes far below the worker floor, where Mul itself now
+// (Plan.multiply) over shapes far below the worker floor, where Mul itself now
 // runs one: hypersparse blocks, fewer stored columns than workers, heavy
 // columns, unsorted and empty operands. The split must not show in the
 // output — same columns, same entry order as the serial kernel.
@@ -63,10 +63,10 @@ func TestMulOnExactWorkerCounts(t *testing.T) {
 				if pl.Flops >= workPerExtraWorker {
 					t.Fatalf("%s: %d flops is not below the floor", sh.name, pl.Flops)
 				}
-				want := pl.mul(k, sr, 1)
+				want, _ := pl.multiply(k, sr, 1, ownedOutput)
 				for _, workers := range []int{2, 3, 7} {
 					label := fmt.Sprintf("%s/%v/bDCSC=%v/workers=%d", sh.name, k, bD, workers)
-					got := pl.mul(k, sr, max(1, min(workers, int(pl.bv.n))))
+					got, _ := pl.multiply(k, sr, max(1, min(workers, int(pl.bv.n))), ownedOutput)
 					if got.Format() != want.Format() || got.Sorted() != want.Sorted() {
 						t.Fatalf("%s: output is %v sorted=%v, one worker gives %v sorted=%v", label, got.Format(), got.Sorted(), want.Format(), want.Sorted())
 					}
