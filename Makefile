@@ -38,10 +38,13 @@ test:
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
 # × format × thread count against the run that lends no stage product) both
 # where every stage product is a single-range loan and, on four cores, where
-# a stage granted a second worker falls back to an owned product.
+# a stage granted a second worker falls back to an owned product. The planner
+# goes at -cpu 1,4 too: the daemon plans concurrent requests over the same
+# resident operands, so nothing a cold plan does may write what it reads
+# (service's panicking-plan test covers the plan cache around it).
 race:
 	$(GO) test -race ./internal/spmat ./internal/localmm
-	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service
+	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service ./internal/planner
 
 # vet: static analysis over every package.
 vet:

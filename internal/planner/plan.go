@@ -149,24 +149,38 @@ func New(a, b *spmat.CSC, in Input) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("planner: layer count %d: %w", l, err)
 		}
-		pl.qOf[l] = q
 		gs := computeGridStat(a, b, q, l)
-		pl.stats[l] = gs
-		for _, f := range in.Formats {
-			for _, sm := range in.SparseComms {
-				staged := pl.predict(gs, f, 0, sm)
-				for _, pipe := range in.Pipelines {
-					if !pipe {
-						pl.Candidates = append(pl.Candidates, staged)
-					} else if staged.Feasible {
-						for _, k := range in.Channels {
-							pl.Candidates = append(pl.Candidates, pl.applyOverlap(staged, k))
-						}
+		pl.qOf[l], pl.stats[l] = q, gs
+		pl.enumerate(gs)
+	}
+	pl.rank()
+	return pl, nil
+}
+
+// enumerate appends gs's candidates in sweep order: format, then sparse
+// mode, then the staged candidate and its pipelined variants.
+func (pl *Plan) enumerate(gs *gridStat) {
+	in := pl.In
+	for _, f := range in.Formats {
+		for _, sm := range in.SparseComms {
+			staged := pl.predict(gs, f, 0, sm)
+			for _, pipe := range in.Pipelines {
+				if !pipe {
+					pl.Candidates = append(pl.Candidates, staged)
+				} else if staged.Feasible {
+					for _, k := range in.Channels {
+						pl.Candidates = append(pl.Candidates, pl.applyOverlap(staged, k))
 					}
 				}
 			}
 		}
 	}
+}
+
+// rank orders the candidates best first: feasible before infeasible, then by
+// modeled seconds, ties broken by (layers, batches, format, sparse mode,
+// schedule, channels).
+func (pl *Plan) rank() {
 	sort.SliceStable(pl.Candidates, func(x, y int) bool {
 		cx, cy := &pl.Candidates[x], &pl.Candidates[y]
 		if cx.Feasible != cy.Feasible {
@@ -192,7 +206,6 @@ func New(a, b *spmat.CSC, in Input) (*Plan, error) {
 		}
 		return cx.Channels < cy.Channels
 	})
-	return pl, nil
 }
 
 // qFor returns the per-layer grid side of a candidate layer count.

@@ -3,8 +3,8 @@ package planner
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/spmat"
 )
@@ -89,13 +89,17 @@ func ProbePair(a, b *spmat.CSC, sample int) (*Probe, error) {
 	})
 
 	// Sampled symbolic probe: exact per-column flops and distinct output
-	// rows for a deterministic stride of columns. A column's rows pass
-	// through an open-addressed set sized for that column — 2·min(flops,
-	// rows) slots rounded up to a power of two, a slot holding row+1 and 0
-	// when empty — so only the distinct ones are sorted. That is O(flops) a
-	// column, and no buffer is sized by A's row count alone, which an
-	// uploaded header can claim without a byte to back it.
+	// rows for a deterministic stride of columns. A column whose flops pay
+	// for a presence bitmap over A's rows (useBitmap) marks its rows there
+	// and reads them back in ascending order by walking the words, clearing
+	// them as it goes. Any other column's rows pass through an open-addressed
+	// set sized for that column — 2·min(flops, rows) slots rounded up to a
+	// power of two, a slot holding row+1 and 0 when empty — so only the
+	// distinct ones are sorted. Either way that is O(flops) a column, and no
+	// buffer is sized by A's row count alone, which an uploaded header can
+	// claim without a byte to back it.
 	var scratch, slots []int32
+	var marks []uint64
 	var sumNNZ int64
 	var occupied int64
 	for k := 0; k < sample; k++ {
@@ -105,32 +109,59 @@ func ProbePair(a, b *spmat.CSC, sample int) (*Probe, error) {
 		for _, r := range bRows {
 			f += a.ColNNZ(r)
 		}
-		size := 8
-		for int64(size) < 2*min(f, int64(a.Rows)) {
-			size *= 2
-		}
-		if size > len(slots) {
-			slots = make([]int32, size)
-		}
-		set, mask := slots[:size], uint32(size-1)
-		clear(set)
-		scratch = scratch[:0]
-		for _, r := range bRows {
-			aRows, _ := a.Column(r)
-			for _, i := range aRows {
-				h := uint32(i) * 2654435769 & mask
-				for set[h] != 0 && set[h] != i+1 {
-					h = (h + 1) & mask
-				}
-				if set[h] == 0 {
-					set[h] = i + 1
-					scratch = append(scratch, i)
+		var distinct []int32
+		if useBitmap(a.Rows, f) {
+			words := (int(a.Rows) + 63) / 64
+			if words > len(marks) {
+				marks = make([]uint64, words)
+			}
+			n := 0
+			for _, r := range bRows {
+				aRows, _ := a.Column(r)
+				for _, i := range aRows {
+					w, bit := &marks[i>>6], uint64(1)<<(i&63)
+					n += int((^*w & bit) >> (i & 63)) // 1 when the row is new
+					*w |= bit
 				}
 			}
+			distinct = make([]int32, 0, n)
+			for x, w := range marks[:words] {
+				if w == 0 {
+					continue
+				}
+				for ; w != 0; w &= w - 1 {
+					distinct = append(distinct, int32(x<<6|bits.TrailingZeros64(w)))
+				}
+				marks[x] = 0
+			}
+		} else {
+			size := 8
+			for int64(size) < 2*min(f, int64(a.Rows)) {
+				size *= 2
+			}
+			if size > len(slots) {
+				slots = make([]int32, size)
+			}
+			set, mask := slots[:size], uint32(size-1)
+			clear(set)
+			scratch = scratch[:0]
+			for _, r := range bRows {
+				aRows, _ := a.Column(r)
+				for _, i := range aRows {
+					h := uint32(i) * 2654435769 & mask
+					for set[h] != 0 && set[h] != i+1 {
+						h = (h + 1) & mask
+					}
+					if set[h] == 0 {
+						set[h] = i + 1
+						scratch = append(scratch, i)
+					}
+				}
+			}
+			slices.Sort(scratch)
+			distinct = make([]int32, len(scratch))
+			copy(distinct, scratch)
 		}
-		slices.Sort(scratch)
-		distinct := make([]int32, len(scratch))
-		copy(distinct, scratch)
 		c := int64(len(distinct))
 		pr.sampleFlops = append(pr.sampleFlops, f)
 		pr.sampleNNZ = append(pr.sampleNNZ, c)
@@ -145,6 +176,12 @@ func ProbePair(a, b *spmat.CSC, sample int) (*Probe, error) {
 	pr.NzcCEst = int64(pr.scale * float64(occupied))
 	return pr, nil
 }
+
+// useBitmap reports whether a sampled column with f flops into an A of rows
+// rows dedupes through a presence bitmap: only when the bitmap costs at most
+// one word per flop, so its size is bounded by the column's work and never by
+// a row count a header merely claims.
+func useBitmap(rows int32, f int64) bool { return (int64(rows)+63)/64 <= f }
 
 // Unmerged estimates the total unmerged intermediate nonzeros Σ nnz(D̃) when
 // the inner dimension is split into slices carrying equal flop shares — the
@@ -175,9 +212,12 @@ func (pr *Probe) Unmerged(slices int) float64 {
 // unmerged total is the sum over slices — exactly c for one slice and
 // approaching f as slices shrink, the right endpoints by construction. The
 // per-column total is clamped to the analytic envelope [c, f], rescaling
-// slices proportionally.
+// slices proportionally. The rescale reuses each slice's t = 1−(1−1/c)^(f·w)
+// from the first pass as (adj·c)·t: written adj·(c·t) it rounds differently
+// in the last bit, and every plan built on these volumes would move with it.
 func (pr *Probe) UnmergedW(weights []float64) (float64, []float64) {
 	perSlice := make([]float64, len(weights))
+	t := make([]float64, len(weights))
 	var total float64
 	for k, f := range pr.sampleFlops {
 		c := float64(pr.sampleNNZ[k])
@@ -187,7 +227,8 @@ func (pr *Probe) UnmergedW(weights []float64) (float64, []float64) {
 		fm := float64(f)
 		var colTotal float64
 		for s, w := range weights {
-			u := c * (1 - math.Pow(1-1/c, fm*w))
+			t[s] = 1 - math.Pow(1-1/c, fm*w)
+			u := c * t[s]
 			perSlice[s] += u // rescaled below if the column clamps
 			colTotal += u
 		}
@@ -200,8 +241,8 @@ func (pr *Probe) UnmergedW(weights []float64) (float64, []float64) {
 		}
 		if colTotal > 0 && clamped != colTotal {
 			adj := clamped/colTotal - 1
-			for s, w := range weights {
-				perSlice[s] += adj * c * (1 - math.Pow(1-1/c, fm*w))
+			for s, ts := range t {
+				perSlice[s] += adj * c * ts
 			}
 		}
 		total += clamped
@@ -245,7 +286,11 @@ func (pr *Probe) SliceWeights(q, l int) []float64 {
 // LayerWeights folds SliceWeights over the stages: the flop share of each
 // layer's slice of the inner dimension.
 func (pr *Probe) LayerWeights(q, l int) []float64 {
-	sw := pr.SliceWeights(q, l)
+	return foldLayers(pr.SliceWeights(q, l), q, l)
+}
+
+// foldLayers sums the q·l slice weights sw over the stages.
+func foldLayers(sw []float64, q, l int) []float64 {
 	w := make([]float64, l)
 	for s := 0; s < q; s++ {
 		for k := 0; k < l; k++ {
@@ -268,10 +313,12 @@ func (pr *Probe) outputImbalance(q int) float64 {
 	rowB := spmat.PartBounds(pr.RowsA, q)
 	colB := spmat.PartBounds(pr.ColsB, q)
 	w := make([]float64, q*q)
+	n := make([]int, q)
 	for k, rows := range pr.sampleRows {
 		j := partIndex(colB, pr.sampleColID[k])
-		for _, r := range rows {
-			w[partIndex(rowB, r)*q+j]++
+		rowBlockSizes(n, rows, rowB)
+		for i, c := range n {
+			w[i*q+j] += float64(c) // integer-valued sums: exact, as one ++ a row was
 		}
 	}
 	var max, sum float64
@@ -291,24 +338,33 @@ func (pr *Probe) outputImbalance(q int) float64 {
 // output on a q-way row partition — Σ over destination ranks of the occupied
 // columns of their merged fiber piece, which is the column-scan work of an
 // all-DCSC Merge-Fiber. Each sampled column contributes its count of distinct
-// row blocks (its rows are sorted, so block transitions can be counted in one
-// pass); the sampled sum extrapolates by the probe's column scale.
+// row blocks (its rows are sorted, so each block's count is one binary
+// search); the sampled sum extrapolates by the probe's column scale.
 func (pr *Probe) fiberOccupied(q int) float64 {
 	if q < 1 || len(pr.sampleRows) == 0 {
 		return 0
 	}
 	rowB := spmat.PartBounds(pr.RowsA, q)
+	n := make([]int, q)
 	var cells int64
 	for _, rows := range pr.sampleRows {
-		last := -1
-		for _, r := range rows {
-			if i := partIndex(rowB, r); i != last {
-				cells++
-				last = i
-			}
+		rowBlockSizes(n, rows, rowB)
+		for _, c := range n {
+			cells += int64(min(c, 1))
 		}
 	}
 	return pr.scale * float64(cells)
+}
+
+// rowBlockSizes sets n[i] to the number of the ascending rows that fall in
+// part i of bounds: len(n) binary searches instead of a lookup per row.
+func rowBlockSizes(n []int, rows, bounds []int32) {
+	lo := 0
+	for i := range n {
+		c, _ := slices.BinarySearch(rows[lo:], bounds[i+1])
+		n[i] = c
+		lo += c
+	}
 }
 
 // gridStat holds the exact per-block statistics of one candidate q×q×l grid:
@@ -356,8 +412,16 @@ func (gs *gridStat) sliceModel(pr *Probe) {
 	if gs.sliceModelDone {
 		return
 	}
-	gs.uQL, gs.perSliceQL = pr.UnmergedW(pr.SliceWeights(gs.q, gs.l))
-	gs.uL, gs.perLayerL = pr.UnmergedW(pr.LayerWeights(gs.q, gs.l))
+	sw := pr.SliceWeights(gs.q, gs.l)
+	lw := foldLayers(sw, gs.q, gs.l)
+	gs.uQL, gs.perSliceQL = pr.UnmergedW(sw)
+	if slices.Equal(lw, sw) {
+		// q = 1: the layer slices are the stage slices, and so are their
+		// volumes (both slices are only read from here on).
+		gs.uL, gs.perLayerL = gs.uQL, gs.perSliceQL
+	} else {
+		gs.uL, gs.perLayerL = pr.UnmergedW(lw)
+	}
 	for k := 0; k < gs.l; k++ {
 		var s float64
 		for st := 0; st < gs.q; st++ {
@@ -450,9 +514,27 @@ func computeSubsetStat(gs *gridStat, a, b *spmat.CSC) {
 func (gs *gridStat) blockIdx(x, y, k int) int { return (x*gs.q+y)*gs.l + k }
 
 // partIndex returns the partition index of v under ascending bounds
-// (PartBounds output), by binary search.
+// (PartBounds output): the smallest i with bounds[i+1] > v, which is the
+// count of bounds[1:] at or below v. Up to eight parts it takes that count
+// without a branch; above, it bisects.
 func partIndex(bounds []int32, v int32) int {
-	return sort.Search(len(bounds)-1, func(i int) bool { return bounds[i+1] > v })
+	if len(bounds) <= 9 {
+		c := 0
+		for _, b := range bounds[1:] {
+			c += int(uint64(int64(b)-int64(v)-1) >> 63) // 1 when b ≤ v
+		}
+		return c
+	}
+	lo, hi := 0, len(bounds)-1
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if bounds[h+1] > v {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
 }
 
 // computeGridStat measures the candidate grid's exact block occupancy.
@@ -482,12 +564,13 @@ func computeGridStat(a, b *spmat.CSC, q, l int) *gridStat {
 	}
 	seen := make([]int32, q) // per-column row-block stamps
 	stamp := int32(0)
+	ql := q * l
 	a.EnumCols(func(j int32, rows []int32, _ []float64) {
 		stamp++
 		sk := int(colSlice[j])
 		for _, r := range rows {
 			i := partIndex(aRowB, r)
-			idx := (i*q+sk/l)*l + sk%l
+			idx := i*ql + sk // (i·q+s)·l + k
 			gs.aNNZ[idx]++
 			if seen[i] != stamp {
 				seen[i] = stamp
@@ -497,28 +580,27 @@ func computeGridStat(a, b *spmat.CSC, q, l int) *gridStat {
 	})
 
 	// B side: columns into q blocks, rows into q blocks of l slices each.
+	// B's rows are A's columns under the same PartBounds-then-PartBounds cut,
+	// so colSlice[r] = i·l + k names row r's (row block, layer slice), and
+	// bBase[i·l+k] is the index of block (i, 0, k).
 	bColB := spmat.PartBounds(b.Cols, q)
 	for j := 0; j < q; j++ {
 		gs.bCols[j] = bColB[j+1] - bColB[j]
 	}
-	bRowB := spmat.PartBounds(b.Rows, q)
-	// Per row block i, the l+1 inner slice bounds.
-	innerB := make([][]int32, q)
-	for i := 0; i < q; i++ {
-		innerB[i] = spmat.PartBounds(bRowB[i+1]-bRowB[i], l)
+	bBase := make([]int, ql)
+	for ik := range bBase {
+		bBase[ik] = ik/l*ql + ik%l
 	}
-	seenIK := make([]int32, q*l)
+	seenIK := make([]int32, ql)
 	stamp = 0
-	colOf := func(c int32) int { return partIndex(bColB, c) }
 	b.EnumCols(func(c int32, rows []int32, _ []float64) {
 		stamp++
-		j := colOf(c)
+		jl := partIndex(bColB, c) * l
 		for _, r := range rows {
-			i := partIndex(bRowB, r)
-			k := partIndex(innerB[i], r-bRowB[i])
-			idx := (i*q+j)*l + k
+			ik := colSlice[r]
+			idx := bBase[ik] + jl
 			gs.bNNZ[idx]++
-			if ik := i*l + k; seenIK[ik] != stamp {
+			if seenIK[ik] != stamp {
 				seenIK[ik] = stamp
 				gs.bNE[idx]++
 			}

@@ -66,7 +66,7 @@ var jobBuckets = []float64{
 // admission wait + run) and admission queue wait, as histograms plus the
 // total/max the Stats snapshot reports, and the two totals that say how many
 // cores the jobs used — wall seconds inside the engine and the compute
-// seconds the ranks measured there.
+// seconds the ranks measured there — and the wall time cold plans took.
 type jobMetrics struct {
 	mu             sync.Mutex
 	duration       histogram
@@ -76,6 +76,7 @@ type jobMetrics struct {
 	engineTotal    float64
 	rankCompute    float64
 	failures       int64
+	coldPlan       float64
 }
 
 func newJobMetrics() *jobMetrics {
@@ -107,6 +108,14 @@ func (jm *jobMetrics) observeFailure() {
 	jm.failures++
 }
 
+// observeColdPlan records the wall time of one planning run (a plan-cache
+// miss: probe and sweep).
+func (jm *jobMetrics) observeColdPlan(seconds float64) {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	jm.coldPlan += seconds
+}
+
 // snapshot returns the scalar aggregates Stats() reports.
 func (jm *jobMetrics) snapshot() (waitTotal, waitMax, engine, rankCompute float64, failures int64) {
 	jm.mu.Lock()
@@ -128,8 +137,8 @@ const (
 )
 
 // WriteMetrics renders the service's telemetry in the Prometheus text
-// exposition format (version 0.0.4). Every scalar comes from the same
-// Stats() snapshot /stats serves.
+// exposition format (version 0.0.4). Every scalar but the cold plans' total
+// wall time comes from the same Stats() snapshot /stats serves.
 func (s *Service) WriteMetrics(w io.Writer) {
 	st := s.Stats()
 
@@ -161,6 +170,10 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_plan_cache_hits_total", "Plan-cache hits.", float64(st.PlanHits))
 	counter("spgemmd_plan_cache_misses_total", "Plan-cache misses (ran the probe+sweep).", float64(st.PlanMisses))
 	counter("spgemmd_probes_total", "Planner probe+sweep executions.", float64(st.Probes))
+	s.met.mu.Lock()
+	coldPlan := s.met.coldPlan
+	s.met.mu.Unlock()
+	counter("spgemmd_plan_seconds_total", "Wall time of planner probe+sweep executions (cold plans only; a cache hit adds nothing).", coldPlan)
 
 	gauge("spgemmd_resident_matrices", "Matrices in the registry.", float64(st.Matrices))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))

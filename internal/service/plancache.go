@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +13,8 @@ import (
 // exactly one runs the planning function and the rest block until its
 // result is published — so the probe and candidate sweep run at most once
 // per key no matter the concurrency, and "zero misses after warmup" holds
-// even under racing clients. A failed plan is not cached; the next request
-// retries.
+// even under racing clients. A failed plan — one that errs or panics — is not
+// cached; the next request retries.
 type PlanCache struct {
 	mu      sync.Mutex
 	entries map[string]*planEntry
@@ -49,20 +50,27 @@ func (pc *PlanCache) PlanThrough(key string, plan func() (planner.Choice, error)
 		pc.hits.Add(1)
 		return e.choice, true, nil
 	}
-	e := &planEntry{done: make(chan struct{})}
+	// The entry starts out failed and the cleanup is deferred, so a plan that
+	// panics still unpublishes its entry and wakes the waiters — who retry as
+	// a fresh miss — before the panic goes on up this caller's stack. Without
+	// it every later request for the key would block on done forever.
+	e := &planEntry{done: make(chan struct{}), err: errPlanPanicked}
 	pc.entries[key] = e
 	pc.mu.Unlock()
-
+	defer func() {
+		if e.err != nil {
+			pc.mu.Lock()
+			delete(pc.entries, key)
+			pc.mu.Unlock()
+		}
+		close(e.done)
+		pc.misses.Add(1)
+	}()
 	e.choice, e.err = plan()
-	if e.err != nil {
-		pc.mu.Lock()
-		delete(pc.entries, key)
-		pc.mu.Unlock()
-	}
-	close(e.done)
-	pc.misses.Add(1)
 	return e.choice, false, e.err
 }
+
+var errPlanPanicked = errors.New("service: the planning function panicked")
 
 // Get returns the cached decision without planning on a miss.
 func (pc *PlanCache) Get(key string) (planner.Choice, bool) {

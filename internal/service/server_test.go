@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -754,4 +755,53 @@ func TestServiceRoundTripBytesBudget(t *testing.T) {
 		return
 	}
 	t.Fatalf("no measurement showed what the boundary costs")
+}
+
+// A cold plan's wall time is counted in spgemmd_plan_seconds_total and shows
+// as plan_s on its job's log line; a plan-cache hit adds nothing to the
+// counter.
+func TestColdPlanSecondsOnMetricsAndJobLine(t *testing.T) {
+	a := genmat.RMAT(genmat.RMATConfig{Scale: 6, EdgeFactor: 8, Seed: 3, Weighted: true})
+	cfg := testConfig(t, a)
+	var logs jobLog
+	cfg.Logger = slog.New(slog.NewJSONHandler(&logs, nil))
+	cl, _ := startServer(t, cfg)
+	if _, err := cl.Load("a", a); err != nil {
+		t.Fatal(err)
+	}
+	const metric = "spgemmd_plan_seconds_total"
+	if v, ok := scrapeMetrics(t, cl.Base)[metric]; !ok || v != 0 {
+		t.Fatalf("%s = %g (present %v) before any plan", metric, v, ok)
+	}
+	var after []float64
+	for i := 0; i < 2; i++ {
+		res, _, err := cl.Multiply(MultiplyRequest{A: "a", B: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan.CacheHit != (i == 1) {
+			t.Fatalf("job %d: cache_hit %v", i, res.Plan.CacheHit)
+		}
+		after = append(after, scrapeMetrics(t, cl.Base)[metric])
+	}
+	if after[0] <= 0 {
+		t.Errorf("%s = %g after a cold plan", metric, after[0])
+	}
+	if after[1] != after[0] {
+		t.Errorf("%s moved %g -> %g on a plan-cache hit", metric, after[0], after[1])
+	}
+	lines := logs.done(t)
+	if len(lines) != 2 {
+		t.Fatalf("%d `job done` lines for 2 jobs", len(lines))
+	}
+	for i, line := range lines {
+		planS, ok := line["plan_s"].(float64)
+		if !ok || planS < 0 {
+			t.Fatalf("job %d logged plan_s %v", i, line["plan_s"])
+		}
+		// The job's plan_s encloses its cold plan.
+		if i == 0 && planS < after[0] {
+			t.Errorf("cold job logged plan_s %g, below the %g s its plan took", planS, after[0])
+		}
+	}
 }

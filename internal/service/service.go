@@ -33,9 +33,9 @@ type Config struct {
 	// Threads is the intra-rank worker count for local kernels (0 = 1).
 	Threads int
 	// Logger receives the structured job logs (one line per completed or
-	// failed job, carrying job ID, operand fingerprints, plan-cache outcome,
-	// queue wait, and duration). nil discards them — the embedder's choice,
-	// not a crash; spgemmd passes its process logger.
+	// failed job, carrying job ID, operand fingerprints, plan-cache outcome
+	// and plan time, queue wait, and duration). nil discards them — the
+	// embedder's choice, not a crash; spgemmd passes its process logger.
 	Logger *slog.Logger
 	// TraceDir, when non-empty, captures a per-rank span trace of every
 	// multiply job and writes it to TraceDir/job-<id>.json in Chrome
@@ -141,6 +141,8 @@ func (s *Service) Plan(aName, bName string) (PlanResult, error) {
 	key := planner.CacheKey(ra.fp.Key(), rb.fp.Key(), in)
 	choice, hit, err := s.plans.PlanThrough(key, func() (planner.Choice, error) {
 		s.probes.Add(1)
+		start := time.Now()
+		defer func() { s.met.observeColdPlan(time.Since(start).Seconds()) }()
 		pl, err := planner.New(ra.mat, rb.mat, in)
 		if err != nil {
 			return planner.Choice{}, err
@@ -219,7 +221,9 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 	if err != nil {
 		return nil, s.jobFailed(jobID, req, err)
 	}
+	planStart := time.Now()
 	plan, err := s.Plan(req.A, req.B)
+	planSec := time.Since(planStart).Seconds()
 	if err != nil {
 		return nil, s.jobFailed(jobID, req, err)
 	}
@@ -318,7 +322,7 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		"job_id", jobID,
 		"a", req.A, "b", req.B,
 		"fp_a", ra.fp.Key(), "fp_b", rb.fp.Key(),
-		"cache_hit", plan.CacheHit,
+		"cache_hit", plan.CacheHit, "plan_s", planSec,
 		"queued", queued, "queue_s", wait,
 		"duration_s", duration,
 		"engine_s", engineSec, "busy_cores", res.BusyCores,

@@ -277,6 +277,66 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// A planning function that panics must not wedge its key: the owning flight
+// drops the entry and releases its waiters before the panic reaches its own
+// caller, so a request that was waiting, and every later one, plans afresh
+// and returns — and no goroutine stays blocked on the dead flight.
+func TestPlanCachePanicDoesNotWedgeKey(t *testing.T) {
+	goroutinesBefore := runtime.NumGoroutine()
+	pc := NewPlanCache()
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		pc.PlanThrough("k", func() (planner.Choice, error) {
+			<-release
+			panic("planner bug")
+		})
+	}()
+	for pc.Len() == 0 { // the panicking flight owns the key
+		time.Sleep(time.Millisecond)
+	}
+	good := planner.Choice{L: 4, B: 1, Format: "csc", SparseComm: "off"}
+	type outcome struct {
+		choice planner.Choice
+		hit    bool
+		err    error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		c, hit, err := pc.PlanThrough("k", func() (planner.Choice, error) { return good, nil })
+		waiter <- outcome{c, hit, err}
+	}()
+	// Give the waiter time to park on the flight. Either way — parked, or
+	// arriving after the cleanup — it must end up with its own fresh plan.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if r := <-panicked; r != "planner bug" {
+		t.Fatalf("the owning caller recovered %v, want the plan's panic", r)
+	}
+	select {
+	case o := <-waiter:
+		if o.err != nil || o.hit || o.choice != good {
+			t.Fatalf("waiter after the panic: choice %+v, hit %v, err %v; want its own fresh plan", o.choice, o.hit, o.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a request for the key is still blocked 2 s after its plan panicked")
+	}
+	if c, hit, err := pc.PlanThrough("k", func() (planner.Choice, error) {
+		t.Error("planned again after a good plan was cached")
+		return planner.Choice{}, nil
+	}); err != nil || !hit || c != good {
+		t.Fatalf("after recovery: choice %+v, hit %v, err %v; want a hit on the fresh plan", c, hit, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutinesBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", goroutinesBefore, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // The registry must be idempotent on identical content and refuse different
 // content under a taken name.
 func TestRegistrySemantics(t *testing.T) {
