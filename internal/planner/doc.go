@@ -28,8 +28,8 @@
 // so the probe and the grid statistics do the least work that gives the
 // same numbers: a sampled column dedupes through a presence bitmap only
 // when that costs at most one word per flop (never a buffer sized by a row
-// count a header merely claims), row-block counts are binary searches and
-// branch-free bound counts, and the slice model reuses its powers. Each such
+// count a header merely claims), row-block counts and block lookups are
+// closure-free binary searches, and the slice model reuses its powers. Each such
 // rewrite keeps the older code's expressions and their association, and
 // reorders only sums of integer-valued floats, so every candidate is
 // bit-identical to the older statistics reference_test.go keeps as an oracle

@@ -413,14 +413,13 @@ func (gs *gridStat) sliceModel(pr *Probe) {
 		return
 	}
 	sw := pr.SliceWeights(gs.q, gs.l)
-	lw := foldLayers(sw, gs.q, gs.l)
 	gs.uQL, gs.perSliceQL = pr.UnmergedW(sw)
-	if slices.Equal(lw, sw) {
-		// q = 1: the layer slices are the stage slices, and so are their
-		// volumes (both slices are only read from here on).
+	if gs.q == 1 {
+		// The layer slices are the stage slices, and so are their volumes
+		// (both slices are only read from here on).
 		gs.uL, gs.perLayerL = gs.uQL, gs.perSliceQL
 	} else {
-		gs.uL, gs.perLayerL = pr.UnmergedW(lw)
+		gs.uL, gs.perLayerL = pr.UnmergedW(foldLayers(sw, gs.q, gs.l))
 	}
 	for k := 0; k < gs.l; k++ {
 		var s float64
@@ -515,16 +514,8 @@ func (gs *gridStat) blockIdx(x, y, k int) int { return (x*gs.q+y)*gs.l + k }
 
 // partIndex returns the partition index of v under ascending bounds
 // (PartBounds output): the smallest i with bounds[i+1] > v, which is the
-// count of bounds[1:] at or below v. Up to eight parts it takes that count
-// without a branch; above, it bisects.
+// count of bounds[1:] at or below v.
 func partIndex(bounds []int32, v int32) int {
-	if len(bounds) <= 9 {
-		c := 0
-		for _, b := range bounds[1:] {
-			c += int(uint64(int64(b)-int64(v)-1) >> 63) // 1 when b ≤ v
-		}
-		return c
-	}
 	lo, hi := 0, len(bounds)-1
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)

@@ -134,10 +134,9 @@ func TestProbeSampleMatchesSortOracle(t *testing.T) {
 	}
 }
 
-// partIndex must return what sort.Search over "bounds[i+1] > v" returns, on
-// both of its paths (up to eight parts and above), for every split of n into
-// parts — including n < parts, where some parts are empty — and for v past
-// the last bound.
+// partIndex must return what sort.Search over "bounds[i+1] > v" returns, for
+// every split of n into parts — including n < parts, where some parts are
+// empty — and for v past the last bound.
 func TestPartIndexMatchesSearch(t *testing.T) {
 	for n := int32(0); n <= 300; n++ {
 		for parts := 1; parts <= 70; parts++ {

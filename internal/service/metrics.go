@@ -123,6 +123,13 @@ func (jm *jobMetrics) snapshot() (waitTotal, waitMax, engine, rankCompute float6
 	return jm.queueWaitTotal, jm.queueWaitMax, jm.engineTotal, jm.rankCompute, jm.failures
 }
 
+// coldPlanSeconds returns the summed wall time of cold plans.
+func (jm *jobMetrics) coldPlanSeconds() float64 {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	return jm.coldPlan
+}
+
 // endpointNames fixes the counter set (and its /metrics label order); the
 // epLoad... indices address Service.requests.
 var endpointNames = [...]string{"load", "plan", "multiply", "stats", "matrices", "metrics"}
@@ -170,10 +177,7 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_plan_cache_hits_total", "Plan-cache hits.", float64(st.PlanHits))
 	counter("spgemmd_plan_cache_misses_total", "Plan-cache misses (ran the probe+sweep).", float64(st.PlanMisses))
 	counter("spgemmd_probes_total", "Planner probe+sweep executions.", float64(st.Probes))
-	s.met.mu.Lock()
-	coldPlan := s.met.coldPlan
-	s.met.mu.Unlock()
-	counter("spgemmd_plan_seconds_total", "Wall time of planner probe+sweep executions (cold plans only; a cache hit adds nothing).", coldPlan)
+	counter("spgemmd_plan_seconds_total", "Wall time of planner probe+sweep executions (cold plans only; a cache hit adds nothing).", s.met.coldPlanSeconds())
 
 	gauge("spgemmd_resident_matrices", "Matrices in the registry.", float64(st.Matrices))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))
