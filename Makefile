@@ -1,7 +1,9 @@
 # Development entry points. `make build test` is the tier-1 gate;
 # `make race` is the concurrency gate for the multithreaded local kernels
 # and the pipelined SUMMA schedule; `make ci` chains everything CI runs on
-# every push; `make perfgate` is the nightly perf-regression gate.
+# every push, the two deterministic gates (`make perfgate`, `make plan`)
+# included. The other targets are run by hand or by the nightly workflow
+# (.github/workflows/nightly.yml).
 # Every target is a one-liner over the standard Go toolchain — no extra
 # tools required.
 
@@ -95,13 +97,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadBody -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzAccumulatorInsert -fuzztime=$(FUZZTIME) ./internal/localmm
 
-# perfgate: the performance-regression gate the nightly workflow enforces.
-# Runs pinned fig-6/8 and sparse×dense (spmm) shapes, emits BENCH_pr3.json,
-# and fails when any gated
+# perfgate: the performance-regression gate `make ci` runs on every push
+# (about 2 s). Runs pinned fig-6/8 and sparse×dense (spmm) shapes, emits
+# BENCH_pr3.json, and fails when any gated
 # shape's modeled critical-path seconds exceed the checked-in baseline
 # (BENCH_baseline.json) by more than GATE_TOL. The gated metrics are fully
 # modeled (α–β comm + work units at a pinned rate), so the comparison is
-# machine-independent and deterministic.
+# machine-independent and deterministic; `go test ./internal/experiments`
+# holds the same numbers to the baseline exactly (TestGateMatchesBaseline).
 perfgate:
 	$(GO) run ./cmd/spgemm-bench -gate -json BENCH_pr3.json -baseline BENCH_baseline.json -tol $(GATE_TOL)
 
@@ -123,8 +126,8 @@ serve:
 soak:
 	$(GO) run ./cmd/spgemm-bench -exp service -scale tiny
 
-# plan: the planner-vs-oracle gate the nightly workflow enforces. The
-# analytical autotuner plans each gate workload, an exhaustive sweep
+# plan: the planner-vs-oracle gate `make ci` runs on every push (about
+# 4 s). The analytical autotuner plans each gate workload, an exhaustive sweep
 # (l × b × format × pipeline for sparse×sparse; the algorithm axis —
 # SUMMA vs the 1.5D schedules over c × b — for the sparse×dense
 # tall-skinny shape) establishes the true optimum under the same
@@ -226,7 +229,7 @@ bench-smoke:
 # trace-event timeline to trace.json — load it in chrome://tracing or
 # ui.perfetto.dev. `TRACE_SHAPE=<name>` picks another gate shape. The
 # nightly workflow uploads the artifact so every night's schedule can be
-# eyeballed against the gate numbers it produced.
+# eyeballed.
 TRACE_SHAPE ?= fig6-friendster-overlapped
 trace:
 	$(GO) run ./cmd/spgemm-bench -trace trace.json -traceshape $(TRACE_SHAPE)
@@ -253,5 +256,6 @@ bench-obs:
 
 # ci: what the GitHub Actions workflow runs on every push and pull request —
 # build, static analysis, gofmt hygiene (doc), the full test suite, the race
-# gate, and a bounded (30s) fuzz pass.
-ci: build vet doc test race fuzz
+# gate, a bounded (30s) fuzz pass, and the two deterministic modeled gates
+# (perfgate, plan).
+ci: build vet doc test race fuzz perfgate plan

@@ -9,16 +9,13 @@ import (
 	"repro/internal/spmat"
 )
 
-// AutoTuneConfig consults the analytical planner and returns a copy of rc
+// AutoTuneOnMachine consults the analytical planner and returns a copy of rc
 // rewritten to the best predicted configuration: the layer count, the
-// induced batch count, the storage format, the schedule, and the
-// sparse-communication mode. The decision
-// is made under the run's own α–β constants with CommScale 1, which is
-// exactly what core-level callers are charged (the per-rank meters are
-// never machine-scaled at this layer); callers that scale reported
-// communication afterwards — the spgemm facade — use AutoTuneOnMachine so
-// the planner weighs communication the way the run will report it. The
-// returned plan carries the full ranked candidate list and report for
+// induced batch count, the storage format, the schedule, the
+// sparse-communication mode and the channel count. The planner weighs
+// communication with the machine's CommScale, matching callers (the spgemm
+// facade, the experiment harness) that scale reported comm seconds by it.
+// The returned plan carries the full ranked candidate list and report for
 // callers that want to show the "why".
 //
 // The batch count is handled by authority, not prediction: with a memory
@@ -28,20 +25,6 @@ import (
 // candidates. A probe under-estimate therefore can never push a budgeted
 // run below the batch count the budget requires. Without a budget the
 // planner's b (always 1) is pinned, skipping nothing.
-func AutoTuneConfig(a, b *spmat.CSC, rc RunConfig) (RunConfig, *planner.Plan, error) {
-	return AutoTuneOnMachine(a, b, rc, costmodel.Machine{
-		Name:           "run-config",
-		AlphaSec:       rc.Cost.AlphaSec,
-		BetaSecPerByte: rc.Cost.BetaSecPerByte,
-		ComputeScale:   1,
-		CommScale:      1,
-	})
-}
-
-// AutoTuneOnMachine is AutoTuneConfig deciding under a full machine model:
-// the planner weighs communication with the machine's CommScale, matching
-// callers (the spgemm facade, the experiment harness) that scale reported
-// comm seconds by it.
 func AutoTuneOnMachine(a, b *spmat.CSC, rc RunConfig, m costmodel.Machine) (RunConfig, *planner.Plan, error) {
 	pl, err := planner.New(a, b, PlanInput(rc, m))
 	if err != nil {
@@ -95,7 +78,6 @@ func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 		return rc, err
 	}
 	rc.L = cfg.L
-	rc.Opts.AutoTune = false
 	if rc.Opts.withDefaults().MemBytes > 0 {
 		rc.Opts.ForceBatches = 0
 		rc.Opts.RunSymbolic = true
@@ -109,24 +91,11 @@ func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 	return rc, nil
 }
 
-// AutoTuneDenseConfig consults the sparse×dense planner and returns a copy
-// of rc rewritten to the best predicted configuration of MultiplyDense's
+// AutoTuneDenseOnMachine consults the sparse×dense planner and returns a
+// copy of rc rewritten to the best predicted configuration of MultiplyDense's
 // space: the algorithm family (SUMMA vs the 1.5D schedules), the replication
-// factor, the batch count, and the schedule. Like AutoTuneConfig it decides
-// under the run's own α–β constants with CommScale 1.
-func AutoTuneDenseConfig(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig) (RunConfig, *planner.DensePlan, error) {
-	return AutoTuneDenseOnMachine(a, b, rc, costmodel.Machine{
-		Name:           "run-config",
-		AlphaSec:       rc.Cost.AlphaSec,
-		BetaSecPerByte: rc.Cost.BetaSecPerByte,
-		ComputeScale:   1,
-		CommScale:      1,
-	})
-}
-
-// AutoTuneDenseOnMachine is AutoTuneDenseConfig deciding under a full machine
-// model, for callers (the spgemm facade) that scale reported communication by
-// the machine's CommScale.
+// factor, the batch count, and the schedule. Like AutoTuneOnMachine it weighs
+// communication with the machine's CommScale.
 func AutoTuneDenseOnMachine(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, m costmodel.Machine) (RunConfig, *planner.DensePlan, error) {
 	opts := rc.Opts.withDefaults()
 	pl, err := planner.NewDense(a, b.Cols, planner.DenseInput{
@@ -147,7 +116,6 @@ func AutoTuneDenseOnMachine(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, m cos
 	if err != nil {
 		return rc, pl, err
 	}
-	rc.Opts.AutoTune = false
 	rc.Opts.Algo = algo
 	rc.Opts.Pipeline = best.Pipeline
 	rc.Opts.ForceBatches = best.B

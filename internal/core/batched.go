@@ -155,16 +155,6 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	return res, nil
 }
 
-// SUMMA3D is Algorithm 2: a single-batch 3D multiply. It is BatchedSUMMA3D
-// with the batch count pinned to one (the symbolic step is skipped).
-func (p *Proc) SUMMA3D() (*Result, error) {
-	saved := p.Opts
-	p.Opts.ForceBatches = 1
-	p.Opts.RunSymbolic = false
-	defer func() { p.Opts = saved }()
-	return p.BatchedSUMMA3D(nil)
-}
-
 // widestBlock returns the widest B block column across the grid (they differ
 // by at most one column).
 func (p *Proc) widestBlock() int {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/distmat"
 	"repro/internal/grid"
@@ -326,6 +329,44 @@ func TestHookColumnCountMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestOneRankHookErrorAbortsTheRun: a hook that fails on one rank only must
+// end the whole multiply with that rank's error, under both schedules, and
+// leave no rank goroutine behind — not strand the other ranks at their next
+// collective.
+func TestOneRankHookErrorAbortsTheRun(t *testing.T) {
+	a := randomMat(t, 32, 32, 250, 19)
+	before := runtime.NumGoroutine()
+	hooks := func(rank int) BatchHook {
+		if rank != 0 {
+			return nil
+		}
+		return func(_ int, _ []int32, m *spmat.CSC) *spmat.CSC { return spmat.New(m.Rows, m.Cols+1) }
+	}
+	for _, pipeline := range []bool{false, true} {
+		rc := RunConfig{P: 4, L: 1, Cost: testCM, Opts: Options{ForceBatches: 2, Pipeline: pipeline}}
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := MultiplyRanks(a, a, rc, hooks)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.HasPrefix(err.Error(), "core: rank 0: core: batch hook changed column count") {
+				t.Errorf("pipeline=%v: got error %v, want rank 0's hook error", pipeline, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("pipeline=%v: the multiply had not returned 5 s after rank 0's hook failed", pipeline)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the failed runs, %d after", before, n)
+	}
+}
+
 func TestSetupRejectsIncompatibleShapes(t *testing.T) {
 	mpi.Run(4, testCM, func(c *mpi.Comm) {
 		g, _ := grid.New(c, 1)
@@ -341,8 +382,8 @@ func TestSUMMA3DSingleBatch(t *testing.T) {
 	results := make([]*Result, 8)
 	mpi.Run(8, testCM, func(c *mpi.Comm) {
 		g, _ := grid.New(c, 2)
-		proc, _ := Setup(g, a, a, Options{})
-		res, err := proc.SUMMA3D()
+		proc, _ := Setup(g, a, a, Options{ForceBatches: 1})
+		res, err := proc.BatchedSUMMA3D(nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -358,38 +399,6 @@ func TestSUMMA3DSingleBatch(t *testing.T) {
 	}
 	if results[0].Batches != 1 {
 		t.Errorf("SUMMA3D used %d batches", results[0].Batches)
-	}
-}
-
-func TestIncrementalMergeMatchesDeferred(t *testing.T) {
-	a := randomMat(t, 40, 40, 350, 90)
-	want := localmm.Multiply(a, a, semiring.PlusTimes())
-	for _, cfg := range []struct{ p, l, b int }{{4, 1, 1}, {16, 4, 2}, {9, 1, 3}} {
-		got, _, _ := runDistributed(t, cfg.p, cfg.l, a, a,
-			Options{ForceBatches: cfg.b, IncrementalMerge: true}, nil)
-		if !spmat.Equal(got, want) {
-			t.Errorf("p=%d l=%d b=%d: incremental merge changed the result", cfg.p, cfg.l, cfg.b)
-		}
-	}
-}
-
-func TestIncrementalMergeLowersPeakMemory(t *testing.T) {
-	// Incremental merging keeps at most accumulator+product live, so the
-	// modeled peak must not exceed the deferred strategy's.
-	a := randomMat(t, 64, 64, 800, 91)
-	_, deferredRes, _ := runDistributed(t, 16, 1, a, a, Options{ForceBatches: 1}, nil)
-	_, incRes, _ := runDistributed(t, 16, 1, a, a, Options{ForceBatches: 1, IncrementalMerge: true}, nil)
-	peak := func(rs []*Result) int64 {
-		var mx int64
-		for _, r := range rs {
-			if r.PeakMemBytes > mx {
-				mx = r.PeakMemBytes
-			}
-		}
-		return mx
-	}
-	if p1, p2 := peak(deferredRes), peak(incRes); p2 > p1 {
-		t.Errorf("incremental peak %d exceeds deferred peak %d", p2, p1)
 	}
 }
 

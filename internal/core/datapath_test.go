@@ -61,15 +61,14 @@ func TestAssembleResultsMatchesTripleOracle(t *testing.T) {
 		{"kmers-AAt", hyperA, spmat.Transpose(hyperA)},
 	}
 	cfgs := []struct {
-		p, l, batches         int
-		incremental, pipeline bool
+		p, l, batches int
+		pipeline      bool
 	}{
 		{p: 1, l: 1, batches: 1},
 		{p: 4, l: 1, batches: 1},
 		{p: 8, l: 2, batches: 3},
-		{p: 8, l: 2, batches: 3, incremental: true},
 		{p: 16, l: 4, batches: 2, pipeline: true},
-		{p: 16, l: 4, batches: 3, pipeline: true, incremental: true},
+		{p: 16, l: 4, batches: 3, pipeline: true},
 	}
 	hooks := map[string]BatchHook{
 		"no hook": nil,
@@ -102,7 +101,7 @@ func TestAssembleResultsMatchesTripleOracle(t *testing.T) {
 			for _, f := range allFormats {
 				for hookName, hook := range hooks {
 					_, results, _ := runDistributed(t, c.p, c.l, wl.a, wl.b, Options{
-						ForceBatches: c.batches, IncrementalMerge: c.incremental, Pipeline: c.pipeline, Format: f,
+						ForceBatches: c.batches, Pipeline: c.pipeline, Format: f,
 					}, hook)
 					missing := slices.Clone(results)
 					for r := range missing {

@@ -24,18 +24,22 @@
 // rank that holds the global operands cuts its own pieces out — for callers
 // already inside a rank (tests, tools); p ranks doing that walk A q times and
 // B q·l times between them, so the host entry points do not. Inside,
-// Symbolic3D picks the
-// batch count b from the memory budget, and each batch runs the per-layer
-// stage loop (forEachStage → summa2D), the fiber AllToAll, and the fiber
-// merge (summa3DBatch).
+// Symbolic3D picks the batch count b from the memory budget, and each batch
+// runs one batch function (summa3DBatch): the per-layer stage products
+// (stageProducts), one Merge-Layer, the fiber AllToAll, and the fiber merge.
+// Symbolic3D and stageProducts share one stage loop (forEachStage).
 //
 // # Schedules
 //
-// The stage loop supports two schedules, selected by Options.Pipeline:
+// The stage loop and the batch function support two schedules, selected by
+// Options.Pipeline, which differ in exactly two places: whether the next
+// stage is posted before the current one runs, and the order of Merge-Layer
+// against the exchange post.
 //
 //   - Staged (default): stage s's A- and B-broadcasts complete before its
-//     local multiply starts, and the fiber AllToAll runs fully exposed — the
-//     paper's schedule, metered byte-identically to the published figures.
+//     local multiply starts, Merge-Layer merges once before the fiber
+//     AllToAll is posted, and the exchange runs fully exposed — the paper's
+//     schedule.
 //   - Fully overlapped: stage s+1's broadcasts are posted (mpi.IbcastStart)
 //     before stage s's multiply; the last stage of batch t posts batch t+1's
 //     stage-0 broadcasts (the batch piece is extracted one batch ahead by
@@ -79,6 +83,6 @@
 // on integer-valued operands). The schedules reuse the mpi collectives,
 // the paper's meter categories, and — pipelined — the same overlap ledger,
 // posting the next ring shift behind the current round's multiply.
-// AutoTuneDenseOnMachine spans the algorithm axis analytically through
-// planner.NewDense.
+// AutoTuneDenseOnMachine, called by the spgemm facade before MultiplyDense,
+// spans the algorithm axis analytically through planner.NewDense.
 package core

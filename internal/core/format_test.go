@@ -16,8 +16,8 @@ var allFormats = []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatA
 
 // TestFormatDifferential is the end-to-end storage-format proof: the same
 // distributed multiplication under -format csc, dcsc, and auto must produce
-// bit-identical assembled outputs across kernels, grids, batch counts, merge
-// strategies, and both schedules (staged and fully pipelined). The serial
+// bit-identical assembled outputs across kernels, mergers, grids, batch
+// counts, and both schedules (staged and fully pipelined). The serial
 // reference pins the values.
 func TestFormatDifferential(t *testing.T) {
 	square := randomMat(t, 60, 60, 700, 171)
@@ -36,7 +36,6 @@ func TestFormatDifferential(t *testing.T) {
 		p, l, batches int
 		kernel        localmm.Kernel
 		merger        localmm.Merger
-		incremental   bool
 		pipeline      bool
 		threads       int
 	}
@@ -44,9 +43,9 @@ func TestFormatDifferential(t *testing.T) {
 		{p: 4, l: 1, batches: 1, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
 		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
 		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHeap, merger: localmm.MergerHeap},
-		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHybrid, merger: localmm.MergerHash, incremental: true},
+		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHybrid, merger: localmm.MergerHash},
 		{p: 16, l: 4, batches: 2, kernel: localmm.KernelHashSorted, merger: localmm.MergerHash, pipeline: true},
-		{p: 16, l: 4, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHeap, pipeline: true, incremental: true, threads: 4},
+		{p: 16, l: 4, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHeap, pipeline: true, threads: 4},
 	}
 	for _, wl := range workloads {
 		want := localmm.Multiply(wl.a, wl.b, semiring.PlusTimes())
@@ -54,13 +53,12 @@ func TestFormatDifferential(t *testing.T) {
 			var ref *spmat.CSC
 			for _, f := range allFormats {
 				got, _, _ := runDistributed(t, c.p, c.l, wl.a, wl.b, Options{
-					ForceBatches:     c.batches,
-					Kernel:           c.kernel,
-					Merger:           c.merger,
-					IncrementalMerge: c.incremental,
-					Pipeline:         c.pipeline,
-					Threads:          c.threads,
-					Format:           f,
+					ForceBatches: c.batches,
+					Kernel:       c.kernel,
+					Merger:       c.merger,
+					Pipeline:     c.pipeline,
+					Threads:      c.threads,
+					Format:       f,
 				}, nil)
 				if !spmat.Equal(got, want) {
 					t.Errorf("%s cfg %d format %v: distributed result differs from serial reference", wl.name, ci, f)
@@ -211,18 +209,14 @@ func TestDCSCPipelinedSUMMARace(t *testing.T) {
 	b := spmat.Transpose(a)
 	want := localmm.Multiply(a, b, semiring.PlusTimes())
 	for _, f := range []spmat.Format{spmat.FormatDCSC, spmat.FormatAuto} {
-		for _, cfg := range []struct {
-			p, l, b, threads int
-			incremental      bool
-		}{
-			{p: 8, l: 2, b: 2, threads: 4},
-			{p: 16, l: 4, b: 3, threads: 4, incremental: true},
+		for _, cfg := range []struct{ p, l, b, threads int }{
+			{8, 2, 2, 4},
+			{16, 4, 3, 4},
 		} {
 			got, _, _ := runDistributed(t, cfg.p, cfg.l, a, b, Options{
 				ForceBatches: cfg.b, RunSymbolic: true,
 				Threads: cfg.threads, Pipeline: true,
-				IncrementalMerge: cfg.incremental,
-				Format:           f,
+				Format: f,
 			}, nil)
 			if !spmat.Equal(got, want) {
 				t.Errorf("format %v p=%d l=%d b=%d pipelined: result differs from serial",

@@ -85,10 +85,9 @@ func sameRun(t *testing.T, label string, got, want lendRun, keep bool) {
 // pieces a hook kept — the very matrices each rank's Merge-Fiber returned,
 // which at q = 1, l = 1 are the stage products themselves — and in every
 // rank's Result.C. q = 1 is where a product escapes through a one-operand
-// merge, IncrementalMerge where the first one becomes the accumulator; the
-// heavy operand's stages pay for a second worker, so wherever the gate grants
-// one (-cpu 4 under make race) a multi-range product comes back owned while
-// its neighbours are lent.
+// merge; the heavy operand's stages pay for a second worker, so wherever the
+// gate grants one (-cpu 4 under make race) a multi-range product comes back
+// owned while its neighbours are lent.
 func TestLentProductsNeverEscape(t *testing.T) {
 	defer func() { lendStageProducts = true }()
 	light := randomRealMat(t, 96, 96, 2500, 601)
@@ -104,18 +103,17 @@ func TestLentProductsNeverEscape(t *testing.T) {
 		{"heavy", heavy, []grid{{4, 1}}, []spmat.Format{spmat.FormatCSC}},
 	}
 	schedules := []struct {
-		name                  string
-		pipeline, incremental bool
+		name     string
+		pipeline bool
 	}{
-		{"staged", false, false}, {"pipeline", true, false},
-		{"incremental", false, true}, {"pipeline+incremental", true, true},
+		{"staged", false}, {"pipeline", true},
 	}
 	for _, c := range cases {
 		for _, g := range c.grids {
 			for _, sched := range schedules {
 				for _, f := range c.formats {
 					rc := RunConfig{P: g.p, L: g.l, Cost: testCM, Opts: Options{
-						ForceBatches: 2, Pipeline: sched.pipeline, IncrementalMerge: sched.incremental, Format: f, Threads: 1,
+						ForceBatches: 2, Pipeline: sched.pipeline, Format: f, Threads: 1,
 					}}
 					lendStageProducts = false
 					want := runKeeping(t, c.a, c.a, rc, true)

@@ -179,10 +179,9 @@ type Options struct {
 	// share of each collective hidden this way is charged to the *-Hidden
 	// meter categories (StepABcastHidden, ...) instead of the paper's step;
 	// output values are bit-identical to the staged schedule. Default off,
-	// which meters the paper's strictly staged schedule with communication
-	// volume and modeled comm time byte-identical to previous releases (the
-	// ColSplit packing before the fiber exchange is now metered as
-	// Merge-Layer compute, so compute attribution gained that share).
+	// which meters the paper's strictly staged schedule: every collective
+	// charged in full to its step, nothing hidden, and the ColSplit packing
+	// before the fiber exchange charged as Merge-Layer compute.
 	Pipeline bool
 	// Format selects the in-memory storage of every local block:
 	// spmat.FormatCSC (dense column pointers, the pre-format-knob behavior),
@@ -197,14 +196,6 @@ type Options struct {
 	// footprint lets the symbolic step pick fewer batches under the same
 	// MemBytes (less fiber AllToAll re-broadcast volume).
 	Format spmat.Format
-	// AutoTune hands the configuration to the analytical planner
-	// (internal/planner): before the run, the layer count, batch count,
-	// storage format, and schedule are replaced by the best predicted
-	// configuration for this input pair under MemBytes and the run's α–β
-	// constants (AutoTuneConfig). Explicit Format/Pipeline settings are
-	// overridden — the knob means "decide everything for me". The decision
-	// is deterministic.
-	AutoTune bool
 	// SparseComm selects the column-subset A-broadcast path
 	// (mpi.IbcastColsStart): each receiver learns, from the row support of
 	// the B blocks it saw in the symbolic pass (or from one Allgather along
@@ -227,14 +218,6 @@ type Options struct {
 	// times. Requires c² | p. Zero means 1 (no replication — the pure ring
 	// algorithm). Ignored by AlgoSUMMA.
 	Replication int
-	// IncrementalMerge folds each SUMMA stage's product into a running
-	// accumulator instead of keeping all stage outputs and merging once
-	// after the last stage. The paper deliberately merges once (Sec. III-A:
-	// incremental merging is computationally more expensive in the worst
-	// case [34]) but keeps the incremental strategy as the memory-lean
-	// alternative; this option exists for that ablation
-	// (BenchmarkMergeStrategy, table3 experiment notes).
-	IncrementalMerge bool
 }
 
 // withDefaults fills unset fields.

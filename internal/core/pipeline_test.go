@@ -15,8 +15,7 @@ import (
 // TestPipelinedOutputBitIdentical: the pipelined schedule reorders only when
 // broadcasts are posted, never which operands a stage multiplies or the
 // order stage products are merged in, so the output must be bit-identical to
-// the staged schedule across kernels, grids, batch counts, and merge
-// strategies.
+// the staged schedule across kernels, mergers, grids and batch counts.
 func TestPipelinedOutputBitIdentical(t *testing.T) {
 	a := randomMat(t, 48, 48, 500, 71)
 	b := randomMat(t, 48, 48, 500, 72)
@@ -24,7 +23,6 @@ func TestPipelinedOutputBitIdentical(t *testing.T) {
 		p, l, batches int
 		kernel        localmm.Kernel
 		merger        localmm.Merger
-		incremental   bool
 		threads       int
 	}{
 		{p: 4, l: 1, batches: 1, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
@@ -33,15 +31,15 @@ func TestPipelinedOutputBitIdentical(t *testing.T) {
 		{p: 16, l: 4, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
 		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHeap, merger: localmm.MergerHeap},
 		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHeap},
-		{p: 9, l: 1, batches: 2, kernel: localmm.KernelHybrid, merger: localmm.MergerHash, incremental: true},
-		{p: 16, l: 4, batches: 2, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash, incremental: true},
+		{p: 9, l: 1, batches: 2, kernel: localmm.KernelHybrid, merger: localmm.MergerHash},
+		{p: 16, l: 4, batches: 2, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
 		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash, threads: 4},
 	} {
-		name := fmt.Sprintf("p=%d,l=%d,b=%d,k=%v,inc=%v,t=%d",
-			tc.p, tc.l, tc.batches, tc.kernel, tc.incremental, tc.threads)
+		name := fmt.Sprintf("p=%d,l=%d,b=%d,k=%v,t=%d",
+			tc.p, tc.l, tc.batches, tc.kernel, tc.threads)
 		opts := Options{
 			ForceBatches: tc.batches, Kernel: tc.kernel, Merger: tc.merger,
-			IncrementalMerge: tc.incremental, Threads: tc.threads,
+			Threads: tc.threads,
 		}
 		staged, _, _ := runDistributed(t, tc.p, tc.l, a, b, opts, nil)
 		opts.Pipeline = true
@@ -181,6 +179,10 @@ func runWithCost(t testing.TB, p, l int, cm mpi.CostModel, a, b *spmat.CSC, opts
 //     cross-batch prefetch.
 //   - Fiber AllToAll: posted before the own-layer Merge-Layer share, so all
 //     b·(l−1)·α = 3α hides behind it and exposed = 0.
+//
+// The cross-batch prefetch is then checked again with the sparse A path
+// forced, across the stage loop's two callers: once after Symbolic3D ran
+// through the loop and recorded the stage subsets, once with it skipped.
 func TestFullPipelineHidesBatchBoundariesAndFiberExchange(t *testing.T) {
 	const alpha = 1e-9
 	cm := mpi.CostModel{AlphaSec: alpha} // latency-only: every bcast costs α·lg q
@@ -223,6 +225,65 @@ func TestFullPipelineHidesBatchBoundariesAndFiberExchange(t *testing.T) {
 		if ss.Bytes != ps.Bytes || ss.Messages != ps.Messages {
 			t.Errorf("%s volume changed: staged %d B/%d msgs, overlapped %d B/%d msgs",
 				tc.step, ss.Bytes, ss.Messages, ps.Bytes, ps.Messages)
+		}
+	}
+
+	// Between batches the hook must find the next batch's stage-0 broadcasts
+	// already posted, and the last post a stage-0 one, so it came from the
+	// finished batch's last stage. No prefetch may outlive the run: a later
+	// symbolic pass through the loop would consume it as its own stage 0.
+	sparseRun := func(symbolic, pipeline bool, batches int) *mpi.Summary {
+		opts := Options{ForceBatches: batches, RunSymbolic: symbolic, Pipeline: pipeline, SparseComm: mpi.SparseOn}
+		results := make([]*Result, p)
+		meters := mpi.Run(p, cm, func(c *mpi.Comm) {
+			g, err := grid.New(c, l)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			proc, err := Setup(g, a, bm, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[c.Rank()], err = proc.BatchedSUMMA3D(func(batch int, _ []int32, _ *spmat.CSC) *spmat.CSC {
+				want := pipeline && batch+1 < batches
+				if proc.pipe.hasNext != want {
+					t.Errorf("symbolic=%v b=%d: after batch %d the next batch's stage 0 posted = %v, want %v",
+						symbolic, batches, batch, proc.pipe.hasNext, want)
+				} else if want && proc.sc.stage != 0 {
+					t.Errorf("symbolic=%v b=%d: after batch %d the last post was stage %d, want the next batch's stage 0",
+						symbolic, batches, batch, proc.sc.stage)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			if proc.pipe.hasNext {
+				t.Errorf("symbolic=%v b=%d: a prefetched stage outlived the run", symbolic, batches)
+			}
+		})
+		if got, err := AssembleResults(results, a.Rows, bm.Cols); err != nil || !spmat.Equal(got, staged) {
+			t.Errorf("symbolic=%v pipeline=%v b=%d: output differs from the staged run's (%v)", symbolic, pipeline, batches, err)
+		}
+		return mpi.Summarize(meters)
+	}
+	for _, symbolic := range []bool{false, true} {
+		// Only batch 0's stage 0 is exposed, however many batches follow it.
+		one, many := sparseRun(symbolic, true, 1), sparseRun(symbolic, true, b)
+		if e1, eb := one.Step(StepABcast).CommSeconds, many.Step(StepABcast).CommSeconds; !approx(eb, e1) {
+			t.Errorf("symbolic=%v: the sparse A path exposed %v s over %d batches, %v s over one",
+				symbolic, eb, b, e1)
+		}
+		if symbolic {
+			// The symbolic pass broadcasts the whole local B at every stage,
+			// never a batch piece.
+			unpiped := sparseRun(true, false, b)
+			if ps, ss := many.Step(StepSymbolic), unpiped.Step(StepSymbolic); ps.Bytes != ss.Bytes || ps.Messages != ss.Messages {
+				t.Errorf("symbolic pass moved %d B/%d msgs pipelined, %d B/%d msgs staged",
+					ps.Bytes, ps.Messages, ss.Bytes, ss.Messages)
+			}
 		}
 	}
 }

@@ -57,19 +57,15 @@ func TestPipelinedSUMMARace(t *testing.T) {
 	a := randomMat(t, 64, 64, 600, 43)
 	b := randomMat(t, 64, 64, 600, 44)
 	want := localmm.Multiply(a, b, semiring.PlusTimes())
-	for _, cfg := range []struct {
-		p, l, b, threads int
-		incremental      bool
-	}{
-		{p: 4, l: 1, b: 2, threads: 1},
-		{p: 8, l: 2, b: 2, threads: 4},
-		{p: 8, l: 2, b: 3, threads: 4, incremental: true},
-		{p: 16, l: 4, b: 3, threads: 8},
+	for _, cfg := range []struct{ p, l, b, threads int }{
+		{4, 1, 2, 1},
+		{8, 2, 2, 4},
+		{8, 2, 3, 4},
+		{16, 4, 3, 8},
 	} {
 		got, _, _ := runDistributed(t, cfg.p, cfg.l, a, b, Options{
 			ForceBatches: cfg.b, RunSymbolic: true,
 			Threads: cfg.threads, Pipeline: true,
-			IncrementalMerge: cfg.incremental,
 		}, nil)
 		if !spmat.Equal(got, want) {
 			t.Errorf("p=%d l=%d b=%d threads=%d pipelined: result differs from serial",

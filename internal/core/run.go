@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/distmat"
@@ -55,12 +56,11 @@ func RowOffsetFor(rows int32, p, l, rank int) int32 {
 	return spmat.PartBounds(rows, q)[i]
 }
 
-// launch is the one rank-launch body behind every host entry point: it
-// validates the grid, deals both operands out to all p ranks in one sweep
-// each on the host (distmat's Split — the simulated equivalent of reading a
-// pre-distributed matrix, and the only time the engine copies the operands),
-// starts a fresh world, and runs body on every rank's wired Proc. The first
-// rank error is returned, wrapped with its rank.
+// launch is the one rank-launch body behind every sparse×sparse host entry
+// point: it validates the grid, deals both operands out to all p ranks in one
+// sweep each on the host (distmat's Split — the simulated equivalent of
+// reading a pre-distributed matrix, and the only time the engine copies the
+// operands), and runs body on every rank's wired Proc (runRanks).
 func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("core: inner dimension mismatch: A is %v, B is %v", a, b)
@@ -73,16 +73,34 @@ func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) (
 	db := distmat.NewBDist(b.Rows, b.Cols, q, rc.L)
 	blocksA := da.Split(a, rc.Opts.Format)
 	blocksB := db.Split(b, rc.Opts.Format)
-	errs := make([]error, rc.P)
-	meters := mpi.RunTraced(rc.P, rc.Cost, rc.Trace, func(c *mpi.Comm) {
-		r := c.Rank()
+	return runRanks(rc, func(c *mpi.Comm) error {
 		g, err := grid.New(c, rc.L)
-		if err == nil {
-			localA, localB := blocksA[da.Index(g.I, g.J, g.K)], blocksB[db.Index(g.I, g.J, g.K)]
-			err = body(r, SetupLocal(g, da, db, localA, localB, rc.Opts))
+		if err != nil {
+			return err
 		}
-		errs[r] = err
+		localA, localB := blocksA[da.Index(g.I, g.J, g.K)], blocksB[db.Index(g.I, g.J, g.K)]
+		return body(c.Rank(), SetupLocal(g, da, db, localA, localB, rc.Opts))
 	})
+}
+
+// runRanks starts a fresh rc.P-rank world and runs body on every rank. A rank
+// whose body returns an error aborts the world the way a panic does — the
+// other ranks may be waiting for it in a collective — and the first rank
+// error is returned, wrapped with its rank.
+func runRanks(rc RunConfig, body func(c *mpi.Comm) error) (meters []*mpi.Meter, err error) {
+	errs := make([]error, rc.P)
+	func() {
+		defer func() {
+			if e := recover(); e != nil && e != errRankFailed {
+				panic(e)
+			}
+		}()
+		meters = mpi.RunTraced(rc.P, rc.Cost, rc.Trace, func(c *mpi.Comm) {
+			if errs[c.Rank()] = body(c); errs[c.Rank()] != nil {
+				panic(errRankFailed)
+			}
+		})
+	}()
 	for r, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d: %w", r, err)
@@ -91,18 +109,16 @@ func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) (
 	return meters, nil
 }
 
+// errRankFailed is the panic value a rank aborts its world with when its body
+// returned an error; runRanks returns the error itself.
+var errRankFailed = errors.New("core: rank body failed")
+
 // MultiplyRanks runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster
 // and returns what the ranks hold when it ends — the per-rank results, C
 // still distributed, and the step metering summary — assembling nothing.
 // Multiply and MultiplyDiscard are this run plus, respectively, the assembly
 // of the global product and a hook that drops every batch once consumed.
 func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
-	if rc.Opts.AutoTune {
-		var err error
-		if rc, _, err = AutoTuneConfig(a, b, rc); err != nil {
-			return nil, nil, err
-		}
-	}
 	results := make([]*Result, rc.P)
 	meters, err := launch(a, b, rc, func(rank int, p *Proc) error {
 		var hook BatchHook

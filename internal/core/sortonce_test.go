@@ -32,11 +32,10 @@ func strictlyAscending(m *spmat.CSC) error {
 // TestTransposeIdentityOverMergePaths asserts (A·B)ᵀ == Bᵀ·Aᵀ entry for entry
 // on integer-valued operands — sums are exact, so the two sides may accumulate
 // in any order — over every layer count of a 16-rank grid and the one-rank
-// grid, both schedules, both merge strategies and all three formats. l = 1
-// runs the sorted Merge-Layer and the pass-through Merge-Fiber, l = 16 (q = 1)
-// the pass-through Merge-Layer, p = 1 and the incremental strategy at l = 1
-// the lone unsorted operand. Every rank's piece must come out sorted and
-// duplicate-free whatever path sorted it.
+// grid, both schedules and all three formats. l = 1 runs the sorted
+// Merge-Layer and the pass-through Merge-Fiber, l = 16 (q = 1) the
+// pass-through Merge-Layer, p = 1 the lone unsorted operand. Every rank's
+// piece must come out sorted and duplicate-free whatever path sorted it.
 func TestTransposeIdentityOverMergePaths(t *testing.T) {
 	rectA, rectB := randomMat(t, 70, 50, 600, 301), randomMat(t, 50, 90, 700, 302)
 	hyper := genmat.Hypersparse(48, 1024, 2, 303) // DCSC blocks under auto
@@ -56,28 +55,26 @@ func TestTransposeIdentityOverMergePaths(t *testing.T) {
 		at, bt := spmat.Transpose(w.a), spmat.Transpose(w.b)
 		for _, g := range grids {
 			for _, pipeline := range []bool{false, true} {
-				for _, incremental := range []bool{false, true} {
-					for _, f := range formats {
-						name := fmt.Sprintf("%s/p%d-l%d/pipeline=%t/incremental=%t/%v", w.name, g.p, g.l, pipeline, incremental, f)
-						opts := Options{ForceBatches: 2, Pipeline: pipeline, IncrementalMerge: incremental, Format: f}
-						ab, abRanks, _ := runDistributed(t, g.p, g.l, w.a, w.b, opts, nil)
-						btat, btatRanks, _ := runDistributed(t, g.p, g.l, bt, at, opts, nil)
-						for _, ranks := range [][]*Result{abRanks, btatRanks} {
-							for r, res := range ranks {
-								if !res.C.SortedCols {
-									t.Errorf("%s: rank %d's piece is not marked sorted", name, r)
-								}
-								if err := strictlyAscending(res.C); err != nil {
-									t.Errorf("%s: rank %d's piece: %v", name, r, err)
-								}
+				for _, f := range formats {
+					name := fmt.Sprintf("%s/p%d-l%d/pipeline=%t/%v", w.name, g.p, g.l, pipeline, f)
+					opts := Options{ForceBatches: 2, Pipeline: pipeline, Format: f}
+					ab, abRanks, _ := runDistributed(t, g.p, g.l, w.a, w.b, opts, nil)
+					btat, btatRanks, _ := runDistributed(t, g.p, g.l, bt, at, opts, nil)
+					for _, ranks := range [][]*Result{abRanks, btatRanks} {
+						for r, res := range ranks {
+							if !res.C.SortedCols {
+								t.Errorf("%s: rank %d's piece is not marked sorted", name, r)
+							}
+							if err := strictlyAscending(res.C); err != nil {
+								t.Errorf("%s: rank %d's piece: %v", name, r, err)
 							}
 						}
-						want := spmat.Transpose(ab)
-						want.SortColumns()
-						btat.SortColumns()
-						if !spmat.Equal(want, btat) {
-							t.Errorf("%s: (A·B)ᵀ (%v) differs from Bᵀ·Aᵀ (%v)", name, want, btat)
-						}
+					}
+					want := spmat.Transpose(ab)
+					want.SortColumns()
+					btat.SortColumns()
+					if !spmat.Equal(want, btat) {
+						t.Errorf("%s: (A·B)ᵀ (%v) differs from Bᵀ·Aᵀ (%v)", name, want, btat)
 					}
 				}
 			}

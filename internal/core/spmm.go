@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/localmm"
@@ -102,15 +101,9 @@ func validateDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, opts Options) 
 // the step metering summary. Opts.Algo selects the schedule: AlgoColA and
 // AlgoInnerABC run the 1.5D algorithms with replication Opts.Replication;
 // AlgoSUMMA densifies B through the sparse SUMMA pipeline (RunConfig.L
-// layers) and returns nil per-rank panels. Opts.AutoTune hands the choice —
-// algorithm, replication, batches, threads — to the planner.
+// layers) and returns nil per-rank panels. AutoTuneDenseOnMachine rewrites
+// rc to the planner's choice of algorithm, replication and batches.
 func MultiplyDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig) (*spmat.DenseMat, []*DenseResult, *mpi.Summary, error) {
-	if rc.Opts.AutoTune {
-		var err error
-		if rc, _, err = AutoTuneDenseConfig(a, b, rc); err != nil {
-			return nil, nil, nil, err
-		}
-	}
 	opts := rc.Opts.withDefaults()
 	if opts.Algo == AlgoSUMMA {
 		cs, _, sum, err := Multiply(a, b.ToCSC(), rc, nil)
@@ -123,32 +116,23 @@ func MultiplyDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig) (*spmat.DenseM
 		return nil, nil, nil, err
 	}
 	results := make([]*DenseResult, rc.P)
-	errs := make([]error, rc.P)
-	var mu sync.Mutex
-	meters := mpi.RunTraced(rc.P, rc.Cost, rc.Trace, func(c *mpi.Comm) {
+	meters, err := runRanks(rc, func(c *mpi.Comm) error {
 		g, err := grid.New15(c, opts.Replication)
-		var res *DenseResult
-		if err == nil {
-			p := &denseProc{g: g, opts: opts, res: &DenseResult{}}
-			switch opts.Algo {
-			case AlgoColA:
-				err = p.runColA(a, b)
-			case AlgoInnerABC:
-				err = p.runInnerABC(a, b)
-			default:
-				err = fmt.Errorf("core: MultiplyDense does not implement %v", opts.Algo)
-			}
-			res = p.res
-		}
-		mu.Lock()
-		results[c.Rank()] = res
-		errs[c.Rank()] = err
-		mu.Unlock()
-	})
-	for r, err := range errs {
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: rank %d: %w", r, err)
+			return err
 		}
+		p := &denseProc{g: g, opts: opts, res: &DenseResult{}}
+		results[c.Rank()] = p.res
+		switch opts.Algo {
+		case AlgoColA:
+			return p.runColA(a, b)
+		case AlgoInnerABC:
+			return p.runInnerABC(a, b)
+		}
+		return fmt.Errorf("core: MultiplyDense does not implement %v", opts.Algo)
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	assembled := AssembleDense(results, a.Rows, b.Cols, rc.P/opts.Replication)
 	return assembled, results, mpi.Summarize(meters), nil
@@ -166,7 +150,7 @@ func AssembleDense(results []*DenseResult, rows, cols int32, s int) *spmat.Dense
 }
 
 // batches returns the batch count: ForceBatches clamped to [1, limit]. The
-// MemBytes-driven decision is the planner's job (AutoTuneDenseConfig sets
+// MemBytes-driven decision is the planner's job (AutoTuneDenseOnMachine sets
 // ForceBatches); the schedules themselves only obey.
 func (p *denseProc) batches(limit int32) int {
 	nb := p.opts.ForceBatches

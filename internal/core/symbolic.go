@@ -10,7 +10,7 @@ import (
 
 // Symbolic3D executes Algorithm 3: the communication-avoiding distributed
 // symbolic step that estimates the number of batches b required for the
-// multiplication to fit in M aggregate bytes. Like SUMMA3D it broadcasts Ã
+// multiplication to fit in M aggregate bytes. Like 3D SUMMA it broadcasts Ã
 // and B̃ through every stage of every layer, but the local work only counts
 // output nonzeros (LOCALSYMBOLIC), so the broadcasts dominate and the 3D
 // communication-avoidance matters even more (Fig 8).
@@ -25,31 +25,13 @@ func (p *Proc) Symbolic3D() (b int, maxNNZC int64, err error) {
 	meter.SetCategory(StepSymbolic)
 
 	var localNNZ int64 // nnz[i,j,k] of Alg 3
-	stages := g.Q
-	pipe := p.Opts.Pipeline
 
-	// The broadcasts mirror SUMMA3D's but are charged to Symbolic. With
-	// Opts.Pipeline the loop is the same stage-prefetch schedule as
-	// forEachStage: stage s+1's broadcasts are posted before stage s's
-	// LocalSymbolic runs, and the broadcast cost the overlap ledger's window
-	// covers is charged to Symbolic-Hidden. The symbolic pass is dominated by
-	// its broadcasts (Fig 8), so this is where overlap pays off most.
-	var next stageBcasts
-	if pipe {
-		next = p.postStageBcasts(0, p.LocalB)
-	}
-	tr := meter.Recorder()
-	for s := 0; s < stages; s++ {
-		tr.SetStage(s)
-		cur := next
-		if !pipe {
-			cur = p.postStageBcasts(s, p.LocalB)
-		}
-		aRecv, bRecv := p.waitStageBcasts(cur,
-			StepSymbolic, StepSymbolicHidden, StepSymbolic, StepSymbolicHidden)
-		if pipe && s+1 < stages {
-			next = p.postStageBcasts(s+1, p.LocalB)
-		}
+	// The stage loop is SUMMA's (forEachStage) over the whole local B, with
+	// the broadcasts and the counting charged to Symbolic and, under
+	// Opts.Pipeline, the hidden broadcast share to Symbolic-Hidden. The
+	// symbolic pass is dominated by its broadcasts (Fig 8), so this is where
+	// overlap pays off most. Nothing is prefetched across the loop's end.
+	p.forEachStage(p.LocalB, nil, StepSymbolic, StepSymbolicHidden, StepSymbolic, StepSymbolicHidden, func(s int, aRecv, bRecv spmat.Matrix) {
 		// The stage-s B block is exactly the one whose row support is the
 		// sparse A path's stage-s column subset; capture it for free.
 		p.recordSupport(s, bRecv)
@@ -63,8 +45,7 @@ func (p *Proc) Symbolic3D() (b int, maxNNZC int64, err error) {
 			localNNZ += plan.Symbolic(p.workers(plan.Flops))
 		})
 		meter.AddComputeWork(symSec, plan.Flops+bRecv.NNZ()+colScanWork(bRecv)+1)
-	}
-	tr.SetStage(-1)
+	})
 
 	// Alg 3 lines 9–11: max unmerged output, max Ã, max B̃ over all ranks.
 	// The input terms are the per-format modeled footprints, not flat

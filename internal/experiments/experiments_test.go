@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -294,6 +296,47 @@ func TestGateDeterministicAndComparable(t *testing.T) {
 	// Mismatched work-unit rates make reports incomparable.
 	if bad := CompareGate(&GateReport{SecPerWorkUnit: 2e-9, Shapes: r1.Shapes}, r1, GateTolerance); len(bad) == 0 {
 		t.Error("mismatched sec_per_work_unit not flagged")
+	}
+}
+
+// TestGateMatchesBaseline holds a fresh gate run to the checked-in baseline
+// exactly: every gated shape in its modeled comm seconds, work units, bytes
+// and model seconds, every overlapped shape in its work units and bytes (its
+// exposed share depends on measured compute). A deliberate change to what the
+// engine meters regenerates the baseline with `make baseline`.
+func TestGateMatchesBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("gate runs full shapes; slow in -short mode")
+	}
+	data, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base GateReport
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := RunGate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.Shapes) != len(base.Shapes) {
+		t.Errorf("the gate runs %d shapes, the baseline holds %d", len(cur.Shapes), len(base.Shapes))
+	}
+	for _, b := range base.Shapes {
+		c := cur.Shape(b.Name)
+		if c == nil {
+			t.Errorf("%s: in the baseline, missing from the run", b.Name)
+			continue
+		}
+		if c.Gated != b.Gated || c.WorkUnits != b.WorkUnits || c.Bytes != b.Bytes {
+			t.Errorf("%s: gated %v, %d work units, %d bytes; baseline gated %v, %d work units, %d bytes",
+				b.Name, c.Gated, c.WorkUnits, c.Bytes, b.Gated, b.WorkUnits, b.Bytes)
+		}
+		if b.Gated && (c.CommSeconds != b.CommSeconds || c.ModelSeconds != b.ModelSeconds) {
+			t.Errorf("%s: comm %v s, model %v s; baseline comm %v s, model %v s",
+				b.Name, c.CommSeconds, c.ModelSeconds, b.CommSeconds, b.ModelSeconds)
+		}
 	}
 }
 

@@ -149,6 +149,19 @@ func newCommCore(size int) *commCore {
 	}
 }
 
+// fail aborts this communicator and every communicator split from it: a rank
+// waiting in any of their barriers wakes and panics with errAborted. A child
+// split after the abort is never waited on: Split's closing barrier on the
+// parent panics first.
+func (c *commCore) fail() {
+	c.bar.fail()
+	c.childMu.Lock()
+	defer c.childMu.Unlock()
+	for _, child := range c.childs {
+		child.fail()
+	}
+}
+
 // ensureMatrix allocates the AllToAllv staging area on first use. All ranks
 // reach AllToAllv collectively, and sync.Once publishes the slice safely.
 func (c *commCore) ensureMatrix() {
@@ -374,8 +387,10 @@ func (c *Comm) Split(color, key int) *Comm {
 }
 
 // Run executes fn on p ranks of a fresh world communicator sharing the given
-// cost model, and returns each rank's meter. If any rank panics, Run panics
-// with the first failure after all ranks have stopped.
+// cost model, and returns each rank's meter. If any rank panics, the ranks
+// waiting in a collective of the world or of any communicator split from it
+// are woken, and Run panics with the first failure after all ranks have
+// stopped.
 func Run(p int, cm CostModel, fn func(c *Comm)) []*Meter {
 	return RunTraced(p, cm, nil, fn)
 }
@@ -404,7 +419,7 @@ func RunTraced(p int, cm CostModel, rec *obs.Recorder, fn func(c *Comm)) []*Mete
 			defer func() {
 				if e := recover(); e != nil {
 					errs[r] = e
-					core.bar.fail()
+					core.fail()
 				}
 			}()
 			fn(&Comm{

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var testCM = CostModel{AlphaSec: 1e-6, BetaSecPerByte: 1e-9}
@@ -229,6 +230,30 @@ func TestPanicPropagates(t *testing.T) {
 		c.Barrier() // other ranks wait here; must be woken, not deadlock
 		c.Barrier()
 	})
+}
+
+// TestPanicWakesSplitCommunicators: a rank failing while its peers wait in a
+// communicator split from the world must wake them too.
+func TestPanicWakesSplitCommunicators(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		Run(4, testCM, func(c *Comm) {
+			sub := c.Split(c.Rank()%2, c.Rank())
+			if c.Rank() == 2 {
+				panic("rank 2 exploded")
+			}
+			sub.Barrier() // rank 0 waits here for rank 2
+		})
+	}()
+	select {
+	case e := <-done:
+		if e != "rank 2 exploded" {
+			t.Fatalf("Run panicked with %v, want the failing rank's own value", e)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ranks waiting in a split communicator were not woken 5 s after a peer panicked")
+	}
 }
 
 func TestMeterCategories(t *testing.T) {

@@ -37,8 +37,9 @@
 // parallel goroutines saved under 3 % of a daemon expansion on two cores and
 // was left out: New is serial.
 //
-// The planner is consumed three ways: core.Options.AutoTune rewrites a
-// RunConfig with the best candidate before a run, `spgemm-bench -autotune`
+// The planner is consumed three ways: core.AutoTuneOnMachine rewrites a
+// RunConfig with the best candidate before a run (core.ApplyChoice with a
+// cached one, as the daemon does), `spgemm-bench -autotune`
 // prints the plan and then executes it, and `mtxinfo -plan` reports the
 // ranked configurations for a Matrix Market file. The `planner` experiment
 // (and `spgemm-bench -plangate`) scores the planner's pick against an

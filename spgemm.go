@@ -305,10 +305,9 @@ type Options struct {
 	// communication is reported in Stats.HiddenCommSeconds and per step in
 	// StepStat.HiddenCommSeconds; the per-step breakdown keeps only the
 	// exposed remainder. Output is bit-identical to the staged schedule.
-	// Default off — the paper's strictly staged schedule, with communication
-	// volume and modeled comm time metered byte-identically to previous
-	// releases (packing before the fiber exchange is now counted as
-	// Merge-Layer compute).
+	// Default off — the paper's strictly staged schedule: every collective
+	// charged in full to its step, nothing hidden, and the packing before the
+	// fiber exchange counted as Merge-Layer compute.
 	Pipeline bool
 	// Format selects the in-memory block storage: FormatAuto (default)
 	// compresses each local block to DCSC exactly when fewer than half its
@@ -371,7 +370,6 @@ func (o Options) toCore() core.Options {
 		Pipeline:     o.Pipeline,
 		Format:       o.Format,
 		SparseComm:   o.SparseComm,
-		AutoTune:     o.AutoTune,
 		Algo:         o.Algo,
 		Replication:  o.Replication,
 		Channels:     o.Channels,
@@ -491,7 +489,7 @@ func (c *Cluster) MultiplyDense(a *Matrix, b *DenseMatrix, opts Options) (*Dense
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &Stats{Steps: make(map[string]StepStat)}
+	st := c.stepStats(summary)
 	for _, r := range results {
 		st.Batches = r.Batches
 		st.Flops += r.LocalFlops
@@ -505,23 +503,6 @@ func (c *Cluster) MultiplyDense(a *Matrix, b *DenseMatrix, opts Options) (*Dense
 		if st.Batches = rc.Opts.ForceBatches; st.Batches < 1 {
 			st.Batches = 1
 		}
-	}
-	for _, step := range core.Steps {
-		s := summary.Step(step)
-		stat := StepStat{
-			CommSeconds:    s.CommSeconds * c.machine.CommScale,
-			ComputeSeconds: s.ComputeSeconds * c.machine.ComputeScale,
-			Bytes:          s.Bytes,
-			Messages:       s.Messages,
-		}
-		if hc := core.HiddenFor(step); hc != "" {
-			stat.HiddenCommSeconds = summary.Step(hc).HiddenSeconds * c.machine.CommScale
-		}
-		st.Steps[step] = stat
-		st.TotalSeconds += stat.CommSeconds + stat.ComputeSeconds
-	}
-	for _, step := range core.HiddenSteps {
-		st.HiddenCommSeconds += summary.Step(step).HiddenSeconds * c.machine.CommScale
 	}
 	st.Layers = rc.L
 	st.Pipeline = rc.Opts.Pipeline
@@ -555,10 +536,10 @@ func (c *Cluster) MultiplyBatched(a, b *Matrix, opts Options, hook func(rank, ba
 func (c *Cluster) multiply(a, b *Matrix, opts Options, hf core.HookFactory) (*Matrix, *Stats, error) {
 	rc := core.RunConfig{P: c.procs, L: c.layers, Cost: c.machine.Cost(), Opts: opts.toCore()}
 	if opts.AutoTune {
-		// Resolve the plan here (rather than inside core.Multiply) so the
-		// executed configuration can be reported in Stats, and under the
-		// cluster's full machine model so the planner weighs communication
-		// with the same CommScale the reported stats will carry.
+		// Resolve the plan before core.Multiply so the executed configuration
+		// can be reported in Stats, and under the cluster's full machine model
+		// so the planner weighs communication with the same CommScale the
+		// reported stats will carry.
 		var err error
 		if rc, _, err = core.AutoTuneOnMachine(a, b, rc, c.machine); err != nil {
 			return nil, nil, err
@@ -577,13 +558,21 @@ func (c *Cluster) multiply(a, b *Matrix, opts Options, hf core.HookFactory) (*Ma
 
 // stats converts internal results into the public Stats.
 func (c *Cluster) stats(results []*core.Result, summary *mpi.Summary) *Stats {
-	st := &Stats{Steps: make(map[string]StepStat), Batches: results[0].Batches}
+	st := c.stepStats(summary)
+	st.Batches = results[0].Batches
 	for _, r := range results {
 		st.Flops += r.LocalFlops
 		if r.PeakMemBytes > st.PeakMemBytes {
 			st.PeakMemBytes = r.PeakMemBytes
 		}
 	}
+	return st
+}
+
+// stepStats fills the per-step breakdown and the critical-path totals of the
+// public Stats from a run's metering summary, scaled to the cluster's machine.
+func (c *Cluster) stepStats(summary *mpi.Summary) *Stats {
+	st := &Stats{Steps: make(map[string]StepStat)}
 	for _, step := range core.Steps {
 		s := summary.Step(step)
 		stat := StepStat{
