@@ -1,9 +1,9 @@
 # Development entry points. `make build test` is the tier-1 gate;
 # `make race` is the concurrency gate for the multithreaded local kernels
 # and the pipelined SUMMA schedule; `make ci` chains everything CI runs on
-# every push, the two deterministic gates (`make perfgate`, `make plan`)
-# included. The other targets are run by hand or by the nightly workflow
-# (.github/workflows/nightly.yml).
+# every push, the two deterministic gates (`make perfgate`, `make plan`) and
+# the toy-size benchmark (`make bench-smoke`) included. The other targets are
+# run by hand or by the nightly workflow (.github/workflows/nightly.yml).
 # Every target is a one-liner over the standard Go toolchain — no extra
 # tools required.
 
@@ -219,8 +219,12 @@ profile-engine:
 # bench-smoke: the end-to-end wall-clock benchmark (bench/, BENCHMARK.json)
 # at toy sizes, then its own vet and tests — which include the replay
 # identity check: the per-layer replay's flops, unmerged and output nonzeros
-# must equal the engine's. The nightly workflow runs this so a change that
-# breaks the benchmark or the identity shows before a perf claim leans on it.
+# must equal the engine's. It is the one target that drives the daemon's
+# return_result path over real TCP through service.Client — the streamed
+# product and the client's decode as it reads, checked against the
+# benchmark's own reference — so `make ci` runs it on every push (about 10 s)
+# and a change that breaks the stream, the decode, the benchmark or the
+# identity fails there, before a perf claim leans on it.
 bench-smoke:
 	bash bench/run.sh -scale smoke -seconds 0.2 && cd bench && $(GO) vet . && $(GO) test .
 
@@ -256,6 +260,7 @@ bench-obs:
 
 # ci: what the GitHub Actions workflow runs on every push and pull request —
 # build, static analysis, gofmt hygiene (doc), the full test suite, the race
-# gate, a bounded (30s) fuzz pass, and the two deterministic modeled gates
-# (perfgate, plan).
-ci: build vet doc test race fuzz perfgate plan
+# gate, a bounded (30s) fuzz pass, the two deterministic modeled gates
+# (perfgate, plan), and the benchmark at toy sizes (bench-smoke: the daemon's
+# streamed product over real TCP, result checks and the replay identity).
+ci: build vet doc test race fuzz perfgate plan bench-smoke

@@ -13,8 +13,9 @@ import (
 // count unless Options.ForceBatches overrides it; the local B is then split
 // block-cyclically into b batches and each batch runs a full 3D SUMMA
 // (per-layer 2D SUMMA, fiber AllToAll, fiber merge). The hook, when not nil,
-// sees every finished batch and may prune it before concatenation — this is
-// how applications keep the output from ever materializing at full size.
+// sees every finished batch and may prune it before it joins the rank's
+// Result — this is how applications keep the output from ever materializing
+// at full size.
 //
 // Every rank of the grid must call BatchedSUMMA3D collectively.
 func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
@@ -98,7 +99,7 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 		meter.AddComputeWork(sec, piece.NNZ()+int64(p.bt.BatchWidth(t))+1)
 		return piece
 	}
-	pieces := make([]spmat.Matrix, 0, b)
+	res.Pieces = make([]spmat.Matrix, 0, b)
 	bCur := extract(0)
 	for t := 0; t < b; t++ {
 		var bNext spmat.Matrix
@@ -121,37 +122,35 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 		if hook != nil {
 			// Hooks see the user-facing CSC form; a hypersparse piece is
 			// inflated only at this boundary (and only when a hook exists).
+			// A piece the hook hands back is kept as it is, so it must cover
+			// the same rows and columns: every reader of the pieces places
+			// them by RowOffset and GlobalCols alone.
 			csc := cPiece.ToCSC()
 			if pruned := hook(t, globalCols, csc); pruned != nil {
 				if pruned.Cols != csc.Cols {
 					return nil, fmt.Errorf("core: batch hook changed column count (%d → %d)", csc.Cols, pruned.Cols)
 				}
+				if pruned.Rows != csc.Rows {
+					return nil, fmt.Errorf("core: batch hook changed row count (%d → %d)", csc.Rows, pruned.Rows)
+				}
 				cPiece = pruned
 			}
 		}
-		pieces = append(pieces, cPiece)
+		res.Pieces = append(res.Pieces, cPiece)
 		res.GlobalCols = append(res.GlobalCols, globalCols...)
 	}
 
-	// Alg 4 line 7: concatenate batches (batch-major column order) and
-	// deliver the user-facing CSC. The concatenation stays in the pieces'
-	// format (all-DCSC batches concatenate in O(nnz), spmat.HCatMat) and is
-	// metered under the StepAssemble aux category, on the overlap ledger like
-	// every other local compute.
+	// Alg 4 line 7: the batches, in batch-major column order, are the rank's
+	// output, kept as the pieces Merge-Fiber made; whoever assembles or
+	// streams the product reads them in place (AssembleResults,
+	// ProductSegments). The step is still charged its O(nnz) work, under the
+	// StepAssemble aux category on the overlap ledger like every other local
+	// compute, so the modeled critical path stays the gate's.
 	tr.SetBatch(-1)
 	meter.SetCategory(StepAssemble)
 	var totalNNZ int64
-	for _, piece := range pieces {
-		totalNNZ += piece.NNZ()
-	}
-	assembleSec := p.measure(func() {
-		if len(pieces) == 1 {
-			res.C = pieces[0].ToCSC()
-		} else {
-			res.C = spmat.HCatMat(pieces).ToCSC()
-		}
-	})
-	meter.AddComputeWork(assembleSec, totalNNZ+int64(len(pieces))+1)
+	assembleSec := p.measure(func() { totalNNZ = res.NNZ() })
+	meter.AddComputeWork(assembleSec, totalNNZ+int64(len(res.Pieces))+1)
 	return res, nil
 }
 

@@ -160,10 +160,11 @@ func TestOutputAlwaysSorted(t *testing.T) {
 	b := randomMat(t, 32, 32, 200, 9)
 	_, results, _ := runDistributed(t, 4, 1, a, b, Options{ForceBatches: 2}, nil)
 	for r, res := range results {
-		if !res.C.SortedCols {
+		c := res.CSC()
+		if !c.SortedCols {
 			t.Errorf("rank %d: final output not sorted", r)
 		}
-		if err := res.C.Validate(); err != nil {
+		if err := c.Validate(); err != nil {
 			t.Errorf("rank %d: %v", r, err)
 		}
 	}
@@ -325,6 +326,34 @@ func TestHookColumnCountMismatchRejected(t *testing.T) {
 	for r, err := range errs {
 		if err == nil {
 			t.Errorf("rank %d: hook with wrong shape accepted", r)
+		}
+	}
+}
+
+// TestHookRowCountChangeRejected: a piece a hook hands back is kept as it is
+// and placed by its rank's RowOffset, so one with more rows than the rank's
+// block would put entries in another rank's row block. Rank 0's hook here
+// returns one entry at row rows+1 of a 2·rows-row piece; accepted, the product
+// failed Validate with "column 0 not strictly sorted (row 64 after 65)".
+func TestHookRowCountChangeRejected(t *testing.T) {
+	a := randomMat(t, 128, 128, 900, 20)
+	hooks := func(rank int) BatchHook {
+		if rank != 0 {
+			return nil
+		}
+		return func(_ int, _ []int32, m *spmat.CSC) *spmat.CSC {
+			grown, err := spmat.FromTriples(2*m.Rows, m.Cols, []spmat.Triple{{Row: m.Rows + 1, Col: 0, Val: 7}}, nil)
+			if err != nil {
+				panic(err)
+			}
+			return grown
+		}
+	}
+	for _, batches := range []int{1, 2} {
+		rc := RunConfig{P: 4, L: 1, Cost: testCM, Opts: Options{ForceBatches: batches}}
+		_, _, _, err := Multiply(a, a, rc, hooks)
+		if err == nil || !strings.Contains(err.Error(), "core: batch hook changed row count") {
+			t.Errorf("b=%d: got error %v, want the hook's row-count error", batches, err)
 		}
 	}
 }

@@ -24,8 +24,9 @@ func assembleOracle(results []*Result, rows, cols int32) (*spmat.CSC, error) {
 		if r == nil {
 			continue
 		}
-		for x := int32(0); x < r.C.Cols; x++ {
-			rws, vls := r.C.Column(x)
+		c := r.CSC()
+		for x := int32(0); x < c.Cols; x++ {
+			rws, vls := c.Column(x)
 			for q := range rws {
 				ts = append(ts, spmat.Triple{Row: rws[q] + r.RowOffset, Col: r.GlobalCols[x], Val: vls[q]})
 			}
@@ -131,15 +132,21 @@ func TestAssembleResultsMatchesTripleOracle(t *testing.T) {
 // TestAssembleResultsRejectsOutOfRange: a result that does not fit the
 // product's shape is an error, as it was when every triple was checked.
 func TestAssembleResultsRejectsOutOfRange(t *testing.T) {
-	piece := randomMat(t, 4, 3, 6, 5)
+	piece := []spmat.Matrix{randomMat(t, 4, 3, 6, 5)}
 	for name, r := range map[string]*Result{
-		"column past the end": {C: piece, GlobalCols: []int32{0, 1, 9}},
-		"negative column":     {C: piece, GlobalCols: []int32{-1, 0, 1}},
-		"rows past the end":   {C: piece, GlobalCols: []int32{0, 1, 2}, RowOffset: 6},
-		"negative row offset": {C: piece, GlobalCols: []int32{0, 1, 2}, RowOffset: -1},
+		"column past the end":      {Pieces: piece, GlobalCols: []int32{0, 1, 9}},
+		"negative column":          {Pieces: piece, GlobalCols: []int32{-1, 0, 1}},
+		"rows past the end":        {Pieces: piece, GlobalCols: []int32{0, 1, 2}, RowOffset: 6},
+		"negative row offset":      {Pieces: piece, GlobalCols: []int32{0, 1, 2}, RowOffset: -1},
+		"fewer global columns":     {Pieces: piece, GlobalCols: []int32{0, 1}},
+		"more global columns":      {Pieces: piece, GlobalCols: []int32{0, 1, 2, 3}},
+		"a piece of another block": {Pieces: append(piece, spmat.New(5, 1)), GlobalCols: []int32{0, 1, 2, 3}},
 	} {
 		if _, err := AssembleResults([]*Result{r}, 8, 8); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+		if _, err := ProductSegments([]*Result{r}, 8, 8); err == nil {
+			t.Errorf("%s: accepted for streaming", name)
 		}
 	}
 }
@@ -162,7 +169,7 @@ func TestHostSplitMatchesPerRankSetup(t *testing.T) {
 			t.Fatalf("format %v: %v", f, err)
 		}
 		for r := range want {
-			if err := sameCSC(got[r].C, want[r].C); err != nil {
+			if err := sameCSC(got[r].CSC(), want[r].CSC()); err != nil {
 				t.Fatalf("format %v rank %d: %v", f, r, err)
 			}
 			if !slices.Equal(got[r].GlobalCols, want[r].GlobalCols) || got[r].RowOffset != want[r].RowOffset ||

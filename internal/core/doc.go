@@ -16,11 +16,16 @@
 // (launch): the host deals both operands out to all p ranks in one sweep
 // each (distmat's Split — the only time the engine copies the operands),
 // each simulated rank builds its grid coordinates (grid.New), is handed its
-// pieces (SetupLocal), and calls BatchedSUMMA3D collectively. MultiplyRanks
+// pieces (SetupLocal), and calls BatchedSUMMA3D collectively. A rank's
+// Result keeps its batch outputs as Pieces, in the format Merge-Fiber made
+// them; nothing on the rank concatenates or inflates them. MultiplyRanks
 // returns the ranks' results as they are, C still distributed; Multiply adds
 // the assembly of the global product (AssembleResults: count, allocate once,
-// place), MultiplyDiscard a hook that empties every batch once the caller's
-// hook has seen it. Setup is the per-rank alternative to the host split — a
+// place, reading every piece in place), MultiplyDiscard a hook that empties
+// every batch once the caller's hook has seen it. ProductSegments is the
+// other reader: it lays the global product out as the pieces' column
+// segments (spmat.Segmented) for a caller that streams its wire bytes
+// without assembling it — the daemon's return_result response. Setup is the per-rank alternative to the host split — a
 // rank that holds the global operands cuts its own pieces out — for callers
 // already inside a rank (tests, tools); p ranks doing that walk A q times and
 // B q·l times between them, so the host entry points do not. Inside,

@@ -53,7 +53,7 @@ func TestHostCoresChangeOnlyWallClock(t *testing.T) {
 		}
 		f := facts{steps: map[string]stepFacts{}}
 		for _, r := range results {
-			f.ranks = append(f.ranks, rankFacts{spmat.FingerprintOf(r.C), r.LocalFlops, r.UnmergedNNZ, r.PeakMemBytes, r.MergedLayerNNZ, r.Batches})
+			f.ranks = append(f.ranks, rankFacts{spmat.FingerprintOf(r.CSC()), r.LocalFlops, r.UnmergedNNZ, r.PeakMemBytes, r.MergedLayerNNZ, r.Batches})
 		}
 		for _, cat := range summary.Categories() {
 			s := summary.Step(cat)

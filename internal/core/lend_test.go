@@ -60,7 +60,7 @@ func runKeeping(t *testing.T, a, b *spmat.CSC, rc RunConfig, keep bool) lendRun 
 func sameRun(t *testing.T, label string, got, want lendRun, keep bool) {
 	t.Helper()
 	for r := range want.ranks {
-		if !storedEqual(got.ranks[r].C, want.ranks[r].C) {
+		if !storedEqual(got.ranks[r].CSC(), want.ranks[r].CSC()) {
 			t.Errorf("%s: rank %d's output differs from the non-lending run's", label, r)
 		}
 		if !keep {
@@ -84,7 +84,7 @@ func sameRun(t *testing.T, label string, got, want lendRun, keep bool) {
 // {1, 4} must reproduce it bit for bit and in stored order, both in the
 // pieces a hook kept — the very matrices each rank's Merge-Fiber returned,
 // which at q = 1, l = 1 are the stage products themselves — and in every
-// rank's Result.C. q = 1 is where a product escapes through a one-operand
+// rank's Result.CSC(). q = 1 is where a product escapes through a one-operand
 // merge; the heavy operand's stages pay for a second worker, so wherever the
 // gate grants one (-cpu 4 under make race) a multi-range product comes back
 // owned while its neighbours are lent.

@@ -23,8 +23,9 @@ const (
 )
 
 // Auxiliary compute categories outside the paper's seven steps: the batch-
-// piece extraction before each batch's SUMMA and the final HCat assembly of
-// Result.C. Both run through the overlap ledger (their measured compute is
+// piece extraction before each batch's SUMMA and the rank's final assembly
+// step, charged the O(nnz) work of its output pieces (Result.Pieces, kept as
+// they are). Both run through the overlap ledger (their measured compute is
 // hiding credit for in-flight collectives — with Opts.Pipeline the t+1
 // extraction runs while batch t+1's prefetched stage-0 broadcasts are already
 // posted) but are deliberately not in Steps: the paper's stacked bars, the

@@ -58,8 +58,8 @@ func TestMultiplyDiscardKeepsNothing(t *testing.T) {
 		t.Error("hooks saw no data")
 	}
 	for r, res := range results {
-		if res.C.NNZ() != 0 {
-			t.Errorf("rank %d kept %d nonzeros after discard", r, res.C.NNZ())
+		if res.NNZ() != 0 {
+			t.Errorf("rank %d kept %d nonzeros after discard", r, res.NNZ())
 		}
 	}
 	if sum.Step(StepLocalMult).ComputeSeconds <= 0 {

@@ -62,10 +62,11 @@ func TestTransposeIdentityOverMergePaths(t *testing.T) {
 					btat, btatRanks, _ := runDistributed(t, g.p, g.l, bt, at, opts, nil)
 					for _, ranks := range [][]*Result{abRanks, btatRanks} {
 						for r, res := range ranks {
-							if !res.C.SortedCols {
+							c := res.CSC()
+							if !c.SortedCols {
 								t.Errorf("%s: rank %d's piece is not marked sorted", name, r)
 							}
-							if err := strictlyAscending(res.C); err != nil {
+							if err := strictlyAscending(c); err != nil {
 								t.Errorf("%s: rank %d's piece: %v", name, r, err)
 							}
 						}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -120,9 +121,10 @@ func (c *Client) Plan(a, b string) (PlanResult, error) {
 }
 
 // Multiply runs one job. When req.ReturnResult is set, the output matrix is
-// decoded from the wire bytes that follow the response document and returned
-// alongside it (bit-identical to the engine's assembled output — the wire
-// format is exact).
+// decoded from the wire bytes that follow the response document as they
+// arrive — the body is never held whole — and returned alongside it
+// (bit-identical to the engine's assembled output: the wire format is exact).
+// Such a response must announce its length, as the daemon always does.
 func (c *Client) Multiply(req MultiplyRequest) (MultiplyResponse, *spmat.CSC, error) {
 	var out MultiplyResponse
 	body, err := json.Marshal(req)
@@ -137,22 +139,22 @@ func (c *Client) Multiply(req MultiplyRequest) (MultiplyResponse, *spmat.CSC, er
 	if resp.Header.Get("Content-Type") != "application/octet-stream" {
 		return out, nil, json.NewDecoder(resp.Body).Decode(&out)
 	}
-	var buf bytes.Buffer
-	if resp.ContentLength > 0 {
-		buf.Grow(int(resp.ContentLength) + bytes.MinRead) // ReadFrom then never regrows
+	if resp.ContentLength < 0 {
+		return out, nil, fmt.Errorf("service: /multiply response carries a product but no Content-Length")
 	}
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return out, nil, fmt.Errorf("service: reading /multiply response: %w", err)
-	}
-	doc, wire, ok := bytes.Cut(buf.Bytes(), []byte{'\n'})
-	if !ok {
-		return out, nil, fmt.Errorf("service: /multiply response has no document line")
+	rd := bufio.NewReader(io.LimitReader(resp.Body, resp.ContentLength))
+	doc, err := rd.ReadBytes('\n')
+	if err != nil {
+		return out, nil, fmt.Errorf("service: /multiply response has no document line: %w", err)
 	}
 	if err := json.Unmarshal(doc, &out); err != nil {
 		return out, nil, err
 	}
-	m, err := spmat.Deserialize(wire)
-	return out, m, err
+	m, err := spmat.DeserializeFrom(rd, resp.ContentLength-int64(len(doc)), spmat.FormatCSC)
+	if err != nil {
+		return out, nil, fmt.Errorf("service: reading /multiply product: %w", err)
+	}
+	return out, m.(*spmat.CSC), nil
 }
 
 // Stats fetches the server's counters.

@@ -24,12 +24,16 @@
 //     instead of OOMing; a job too large for the whole budget runs alone.
 //
 // Service ties them together and executes admitted jobs on the simulated
-// cluster via core.MultiplyRanks, assembling the global product
-// (core.AssembleResults) only for a request that set return_result — the
-// shape and nonzero count every response reports come from the operands and
-// the per-rank results. Every job runs a fresh mpi.Run world with its
-// own compute-measurement gate, so concurrent jobs never share mutable
-// engine state and outputs are bit-identical to one-shot runs.
+// cluster via core.MultiplyRanks. The shape and nonzero count every response
+// reports come from the operands and the per-rank results; the product
+// itself stays in the ranks' batch pieces, kept only for a request that set
+// return_result. In process, MultiplyResult.Product assembles it
+// (core.AssembleResults) when asked; the /multiply handler never does — it
+// streams the wire bytes straight from the pieces (core.ProductSegments)
+// under an exact Content-Length, and Client.Multiply decodes them as they
+// arrive. Every job runs a fresh mpi.Run world with its own
+// compute-measurement gate, so concurrent jobs never share mutable engine
+// state and outputs are bit-identical to one-shot runs.
 //
 // Handler exposes the whole thing over HTTP (/load, /plan, /multiply, /stats,
 // /matrices, /metrics; see SERVICE.md for the wire contract), and Client is
@@ -39,8 +43,9 @@
 // bytes as the body of POST /load?name=…, a returned product those bytes after
 // the one-line JSON document of its /multiply response, and the client
 // serializes each operand once and sends it once when it is both sides of a
-// product (see "Who serializes what, once" in ARCHITECTURE.md). The only bound on what an uploaded body may make the
-// daemon allocate is Config.MemBytes: a body, or the CSC form of the matrix it
-// describes, beyond the budget is refused with 413 before it is allocated,
-// and a service without a budget has declared memory unconstrained.
+// product (see "Who serializes what, once" in ARCHITECTURE.md). The only
+// bound on what an uploaded body may make the daemon allocate is
+// Config.MemBytes: a body, or the CSC form of the matrix it describes, beyond
+// the budget is refused with 413 before it is allocated, and a service
+// without a budget has declared memory unconstrained.
 package service

@@ -77,6 +77,8 @@ type jobMetrics struct {
 	rankCompute    float64
 	failures       int64
 	coldPlan       float64
+	resultBytes    int64
+	encodeSeconds  float64
 }
 
 func newJobMetrics() *jobMetrics {
@@ -116,6 +118,16 @@ func (jm *jobMetrics) observeColdPlan(seconds float64) {
 	jm.coldPlan += seconds
 }
 
+// observeEncode records one returned product: the wire bytes streamed to the
+// client and the wall time the handler spent laying them out and streaming
+// them.
+func (jm *jobMetrics) observeEncode(bytes int64, seconds float64) {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	jm.resultBytes += bytes
+	jm.encodeSeconds += seconds
+}
+
 // snapshot returns the scalar aggregates Stats() reports.
 func (jm *jobMetrics) snapshot() (waitTotal, waitMax, engine, rankCompute float64, failures int64) {
 	jm.mu.Lock()
@@ -123,11 +135,13 @@ func (jm *jobMetrics) snapshot() (waitTotal, waitMax, engine, rankCompute float6
 	return jm.queueWaitTotal, jm.queueWaitMax, jm.engineTotal, jm.rankCompute, jm.failures
 }
 
-// coldPlanSeconds returns the summed wall time of cold plans.
-func (jm *jobMetrics) coldPlanSeconds() float64 {
+// handlerTotals returns the totals only /metrics renders: the summed wall
+// time of cold plans, and the returned products' streamed bytes and the wall
+// time spent streaming them.
+func (jm *jobMetrics) handlerTotals() (coldPlan float64, resultBytes int64, encode float64) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	return jm.coldPlan
+	return jm.coldPlan, jm.resultBytes, jm.encodeSeconds
 }
 
 // endpointNames fixes the counter set (and its /metrics label order); the
@@ -145,9 +159,11 @@ const (
 
 // WriteMetrics renders the service's telemetry in the Prometheus text
 // exposition format (version 0.0.4). Every scalar but the cold plans' total
-// wall time comes from the same Stats() snapshot /stats serves.
+// wall time and the returned products' two totals comes from the same
+// Stats() snapshot /stats serves.
 func (s *Service) WriteMetrics(w io.Writer) {
 	st := s.Stats()
+	coldPlan, resultBytes, encode := s.met.handlerTotals()
 
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
@@ -177,7 +193,9 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_plan_cache_hits_total", "Plan-cache hits.", float64(st.PlanHits))
 	counter("spgemmd_plan_cache_misses_total", "Plan-cache misses (ran the probe+sweep).", float64(st.PlanMisses))
 	counter("spgemmd_probes_total", "Planner probe+sweep executions.", float64(st.Probes))
-	counter("spgemmd_plan_seconds_total", "Wall time of planner probe+sweep executions (cold plans only; a cache hit adds nothing).", s.met.coldPlanSeconds())
+	counter("spgemmd_plan_seconds_total", "Wall time of planner probe+sweep executions (cold plans only; a cache hit adds nothing).", coldPlan)
+	counter("spgemmd_result_bytes_total", "Product wire bytes streamed to clients (return_result jobs).", float64(resultBytes))
+	counter("spgemmd_encode_seconds_total", "Wall time the /multiply handler spent encoding and streaming returned products.", encode)
 
 	gauge("spgemmd_resident_matrices", "Matrices in the registry.", float64(st.Matrices))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))

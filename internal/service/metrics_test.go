@@ -21,10 +21,13 @@ import (
 )
 
 // scrapeMetrics GETs /metrics and parses the Prometheus text exposition into
-// name{labels} → value, validating the line grammar as it goes.
-func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+// name{labels} → value, validating the line grammar as it goes. It asks over
+// the client's own keep-alive connection, so the daemon answers after it has
+// finished the last response the client read — including what its handler
+// records once the body is out.
+func scrapeMetrics(t *testing.T, cl *Client) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := cl.http().Get(cl.Base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		}
 	}
 
-	m := scrapeMetrics(t, cl.Base)
+	m := scrapeMetrics(t, cl)
 	st := s.Stats()
 	if math.Abs(st.EngineSeconds-engine) > 1e-9*engine || st.RankComputeSeconds <= 0 || st.RankComputeSeconds > engine*float64(runtime.GOMAXPROCS(0)) {
 		t.Errorf("stats total %g engine and %g rank compute seconds; the jobs reported %g engine seconds", st.EngineSeconds, st.RankComputeSeconds, engine)
@@ -287,5 +290,46 @@ func TestTraceCaptureOverHTTP(t *testing.T) {
 	}
 	if res2.Plan.CacheHit != true {
 		t.Error("second multiply missed the plan cache")
+	}
+}
+
+// TestReturnedProductOnMetrics: spgemmd_result_bytes_total counts the
+// product wire bytes /multiply streams and spgemmd_encode_seconds_total the
+// handler's time streaming them. Both read 0 before any job; one return_result
+// job adds exactly its product's encoding; a job that returns nothing adds
+// nothing.
+func TestReturnedProductOnMetrics(t *testing.T) {
+	a := genmat.ER(64, 6, 7)
+	cl, _ := startServer(t, testConfig(t, a))
+	if _, err := cl.Load("a", a); err != nil {
+		t.Fatal(err)
+	}
+	const bytesMetric, secondsMetric = "spgemmd_result_bytes_total", "spgemmd_encode_seconds_total"
+	read := func() (float64, float64) {
+		t.Helper()
+		m := scrapeMetrics(t, cl)
+		b, okB := m[bytesMetric]
+		s, okS := m[secondsMetric]
+		if !okB || !okS {
+			t.Fatalf("/metrics lacks %s or %s", bytesMetric, secondsMetric)
+		}
+		return b, s
+	}
+	if b, s := read(); b != 0 || s != 0 {
+		t.Fatalf("before any job: %s = %g, %s = %g", bytesMetric, b, secondsMetric, s)
+	}
+	_, c, err := cl.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, s := read()
+	if b != float64(c.CommBytes()) || s <= 0 {
+		t.Fatalf("after one returned product of %d wire bytes: %s = %g, %s = %g", c.CommBytes(), bytesMetric, b, secondsMetric, s)
+	}
+	if _, _, err := cl.Multiply(MultiplyRequest{A: "a", B: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if b2, s2 := read(); b2 != b || s2 != s {
+		t.Fatalf("a job without return_result moved %s %g -> %g, %s %g -> %g", bytesMetric, b, b2, secondsMetric, s, s2)
 	}
 }

@@ -102,7 +102,7 @@ func TestDaemonProductsMatchSerialReference(t *testing.T) {
 		t.Errorf("the legacy choice pinned %v / %v; every plan runs the hash pair", rc.Opts.Kernel, rc.Opts.Merger)
 	}
 
-	for name := range scrapeMetrics(t, cl.Base) {
+	for name := range scrapeMetrics(t, cl) {
 		if strings.HasPrefix(name, "spgemmd_kernel_observations_total") {
 			t.Errorf("/metrics still exports %s", name)
 		}

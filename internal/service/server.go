@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/genmat"
 	"repro/internal/spmat"
 )
@@ -299,18 +301,29 @@ func Handler(s *Service) http.Handler {
 				resp.Trace = buf
 			}
 		}
-		if res.C == nil {
+		if !req.ReturnResult {
 			writeJSON(w, resp)
 			return
 		}
 		// The document on its one line (json.Encoder ends it with the only
-		// raw newline it writes), then the product's wire bytes.
+		// raw newline it writes), then the product's wire bytes, streamed
+		// from the ranks' pieces under their exact length: the product is
+		// never assembled or encoded whole on this side.
+		start := time.Now()
+		seg, err := core.ProductSegments(res.ranks, res.Rows, res.Cols)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "internal", err)
+			return
+		}
 		var head bytes.Buffer
 		_ = json.NewEncoder(&head).Encode(resp) // the same fields writeJSON encodes; a bytes.Buffer write cannot fail
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(int64(head.Len())+res.C.CommBytes(), 10))
-		_, _ = w.Write(head.Bytes())
-		_, _ = w.Write(res.C.Serialize()) // a client that went away is its own problem
+		w.Header().Set("Content-Length", strconv.FormatInt(int64(head.Len())+seg.CommBytes(), 10))
+		if _, err := w.Write(head.Bytes()); err != nil {
+			return // a client that went away is its own problem
+		}
+		n, _ := seg.WriteTo(w) // as above
+		s.met.observeEncode(n, time.Since(start).Seconds())
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		s.requests[epStats].Add(1)

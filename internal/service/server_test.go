@@ -288,9 +288,31 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "downloaded product", c, want.C)
+			sameBits(t, "downloaded product", c, product(t, want))
 			if resp.NNZ != want.NNZ || resp.Rows != want.Rows || resp.Cols != want.Cols {
 				t.Fatalf("response says %dx%d nnz=%d, job gave %dx%d nnz=%d", resp.Rows, resp.Cols, resp.NNZ, want.Rows, want.Cols, want.NNZ)
+			}
+
+			// On the wire: the document line, then exactly the assembled
+			// product's encoding, under a Content-Length that says so.
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := cl.http().Post(cl.Base+"/multiply", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(raw.Body)
+			raw.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw.ContentLength != int64(len(got)) {
+				t.Fatalf("Content-Length %d for a %d-byte body", raw.ContentLength, len(got))
+			}
+			if _, wire, ok := bytes.Cut(got, []byte{'\n'}); !ok || !bytes.Equal(wire, product(t, want).Serialize()) {
+				t.Fatalf("the %d bytes after the document are not the assembled product's encoding", len(wire))
 			}
 
 			// The trace rides in the document line, ahead of the matrix.
@@ -302,7 +324,7 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 			if len(resp.Trace) == 0 || !json.Valid(resp.Trace) {
 				t.Fatalf("return_result with trace: trace missing or malformed (%d bytes)", len(resp.Trace))
 			}
-			sameBits(t, "downloaded product beside a trace", c, want.C)
+			sameBits(t, "downloaded product beside a trace", c, product(t, want))
 		})
 	}
 }
@@ -724,7 +746,7 @@ func TestServiceRoundTripBytesBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.C
+			return product(t, res)
 		}
 		job("warm", warm)
 		var want *spmat.CSC
@@ -770,7 +792,7 @@ func TestColdPlanSecondsOnMetricsAndJobLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	const metric = "spgemmd_plan_seconds_total"
-	if v, ok := scrapeMetrics(t, cl.Base)[metric]; !ok || v != 0 {
+	if v, ok := scrapeMetrics(t, cl)[metric]; !ok || v != 0 {
 		t.Fatalf("%s = %g (present %v) before any plan", metric, v, ok)
 	}
 	var after []float64
@@ -782,7 +804,7 @@ func TestColdPlanSecondsOnMetricsAndJobLine(t *testing.T) {
 		if res.Plan.CacheHit != (i == 1) {
 			t.Fatalf("job %d: cache_hit %v", i, res.Plan.CacheHit)
 		}
-		after = append(after, scrapeMetrics(t, cl.Base)[metric])
+		after = append(after, scrapeMetrics(t, cl)[metric])
 	}
 	if after[0] <= 0 {
 		t.Errorf("%s = %g after a cold plan", metric, after[0])

@@ -166,7 +166,9 @@ type MultiplyRequest struct {
 	B string `json:"b"`
 	// Semiring is the algebra name ("" = plus-times; see semiring.ByName).
 	Semiring string `json:"semiring,omitempty"`
-	// ReturnResult asks for the assembled output matrix in the response.
+	// ReturnResult asks for the output matrix: the job keeps the ranks'
+	// pieces for MultiplyResult.Product, and /multiply streams it after the
+	// response document.
 	ReturnResult bool `json:"return_result,omitempty"`
 	// Trace asks for this job's per-rank span trace in the result (the HTTP
 	// layer also sets it for /multiply?trace=1).
@@ -175,8 +177,10 @@ type MultiplyRequest struct {
 
 // MultiplyResult is one completed job.
 type MultiplyResult struct {
-	// C is the assembled output (nil unless ReturnResult was set).
-	C *spmat.CSC `json:"-"`
+	// ranks are the ranks' results when ReturnResult was set: the product,
+	// still in the batch pieces Merge-Fiber made. Product assembles them;
+	// the HTTP handler streams their wire bytes without assembling.
+	ranks []*core.Result
 	// Rows, Cols, NNZ describe the output.
 	Rows int32 `json:"rows"`
 	Cols int32 `json:"cols"`
@@ -259,15 +263,12 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		s.queuedJobs.Add(1)
 	}
 
-	// The ranks' results carry everything the response reports; the global
-	// product is assembled only for a request that asked to get it back.
+	// The ranks' results carry everything the response reports; the product
+	// stays in their pieces, kept only for a request that asked to get it
+	// back.
 	engineStart := time.Now()
 	results, summary, err := core.MultiplyRanks(ra.mat, rb.mat, rc, nil)
 	engineSec := time.Since(engineStart).Seconds()
-	var c *spmat.CSC
-	if err == nil && req.ReturnResult {
-		c, err = core.AssembleResults(results, ra.mat.Rows, rb.mat.Cols)
-	}
 	if err != nil {
 		return nil, s.jobFailed(jobID, req, err)
 	}
@@ -278,7 +279,6 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 	}
 
 	res := &MultiplyResult{
-		C:             c,
 		Rows:          ra.mat.Rows,
 		Cols:          rb.mat.Cols,
 		Plan:          plan,
@@ -294,7 +294,10 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		if r.PeakMemBytes > res.PeakMemBytesPerRank {
 			res.PeakMemBytesPerRank = r.PeakMemBytes
 		}
-		res.NNZ += r.C.NNZ()
+		res.NNZ += r.NNZ()
+	}
+	if req.ReturnResult {
+		res.ranks = results
 	}
 	m := s.cfg.Machine
 	for _, st := range summary.Steps {
@@ -335,6 +338,16 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 	}
 	s.log.Info("job done", attrs...)
 	return res, nil
+}
+
+// Product assembles the job's output matrix from the ranks' pieces
+// (core.AssembleResults), anew on every call; it is nil when the request did
+// not set ReturnResult.
+func (r *MultiplyResult) Product() (*spmat.CSC, error) {
+	if r.ranks == nil {
+		return nil, nil
+	}
+	return core.AssembleResults(r.ranks, r.Rows, r.Cols)
 }
 
 // jobFailed records and logs a failed job, passing the error through.

@@ -50,8 +50,18 @@ func oneShot(t *testing.T, a, b *spmat.CSC, cfg Config) *spmat.CSC {
 	return c
 }
 
-// A request that does not ask for the result back gets no assembled matrix —
-// the job never builds one — and the same shape, nonzero count, batch count
+// product is a job's assembled output; the job must have kept one.
+func product(t *testing.T, res *MultiplyResult) *spmat.CSC {
+	t.Helper()
+	c, err := res.Product()
+	if err != nil || c == nil {
+		t.Fatalf("job %d: product %v, error %v", res.JobID, c, err)
+	}
+	return c
+}
+
+// A request that does not ask for the result back keeps no product — the job
+// never holds one past its run — and the same shape, nonzero count, batch count
 // and counters as the request that does: they come from the ranks' results.
 func TestMultiplyWithoutResultReportsTheSame(t *testing.T) {
 	a := genmat.RMAT(genmat.RMATConfig{Scale: 6, EdgeFactor: 8, Seed: 1, Weighted: true})
@@ -74,11 +84,12 @@ func TestMultiplyWithoutResultReportsTheSame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if without.C != nil {
-			t.Fatalf("%v: a result nobody asked for was assembled", pair)
+		if c, err := without.Product(); c != nil || err != nil {
+			t.Fatalf("%v: a result nobody asked for was kept: %v, %v", pair, c, err)
 		}
-		if r, c := with.C.Dims(); with.Rows != r || with.Cols != c || with.NNZ != with.C.NNZ() {
-			t.Fatalf("%v: response says %dx%d nnz %d, the result is %v", pair, with.Rows, with.Cols, with.NNZ, with.C)
+		wc := product(t, with)
+		if r, c := wc.Dims(); with.Rows != r || with.Cols != c || with.NNZ != wc.NNZ() {
+			t.Fatalf("%v: response says %dx%d nnz %d, the result is %v", pair, with.Rows, with.Cols, with.NNZ, wc)
 		}
 		if without.Rows != with.Rows || without.Cols != with.Cols || without.NNZ != with.NNZ ||
 			without.Batches != with.Batches || without.PeakMemBytesPerRank != with.PeakMemBytesPerRank {
@@ -122,7 +133,7 @@ func TestRepeatMultiplyZeroProbeWork(t *testing.T) {
 		if !rep.Plan.CacheHit {
 			t.Fatalf("repeat %d must be a plan-cache hit", i)
 		}
-		if !bytes.Equal(rep.C.Serialize(), first.C.Serialize()) {
+		if !bytes.Equal(product(t, rep).Serialize(), product(t, first).Serialize()) {
 			t.Fatalf("repeat %d output differs from first", i)
 		}
 	}
@@ -137,7 +148,7 @@ func TestRepeatMultiplyZeroProbeWork(t *testing.T) {
 	// And the cached plan must execute exactly what a one-shot autotuned
 	// multiply would.
 	want := oneShot(t, a, a, cfg)
-	if !bytes.Equal(first.C.Serialize(), want.Serialize()) {
+	if !bytes.Equal(product(t, first).Serialize(), want.Serialize()) {
 		t.Fatalf("service output differs from one-shot autotuned Multiply")
 	}
 }
@@ -178,7 +189,7 @@ func TestConcurrentJobsBitIdenticalAndZeroMissesAfterWarmup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[pr] = res.C.Serialize()
+		want[pr] = product(t, res).Serialize()
 		// The goldens really are the one-shot results.
 		one := oneShot(t, mats[pr[0]], mats[pr[1]], cfg)
 		if !bytes.Equal(want[pr], one.Serialize()) {
@@ -206,7 +217,7 @@ func TestConcurrentJobsBitIdenticalAndZeroMissesAfterWarmup(t *testing.T) {
 					errs <- fmt.Errorf("client %d job %d %v: plan-cache miss after warmup", c, i, pr)
 					return
 				}
-				if !bytes.Equal(res.C.Serialize(), want[pr]) {
+				if got, err := res.Product(); err != nil || !bytes.Equal(got.Serialize(), want[pr]) {
 					errs <- fmt.Errorf("client %d job %d %v: output differs from sequential one-shot", c, i, pr)
 					return
 				}
@@ -479,7 +490,7 @@ func TestMultiplySemiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range res.C.Val {
+	for _, v := range product(t, res).Val {
 		if v != 0 && v != 1 {
 			t.Fatalf("bool-or-and output must be 0/1-valued, got %g", v)
 		}

@@ -395,7 +395,6 @@ func TestDCSCAuxOnEveryConstructor(t *testing.T) {
 	for _, piece := range MatColRanges(d, []int32{0, 1000, 1000, 3000, 4096}) {
 		checkEveryLookup(t, piece.(*DCSC))
 	}
-	checkEveryLookup(t, HCatMat([]Matrix{sel, d, NewDCSC(32, 9), sel}).(*DCSC))
 
 	for _, blk := range SplitGrid(m, PartBounds(m.Rows, 3), PartBounds(m.Cols, 5), FormatDCSC) {
 		checkEveryLookup(t, blk.(*DCSC))

@@ -149,77 +149,6 @@ func HCat(parts []*CSC) *CSC {
 	return out
 }
 
-// HCatMat is the format-generic HCat: all-CSC parts take the CSC fast path,
-// all-DCSC parts concatenate in doubly-compressed form — O(nnz + stored
-// columns), never touching the dense column count, which is what keeps the
-// hypersparse batch-assembly path free of O(cols) scans — and mixed parts
-// fall back to CSC. The result's format follows the parts, so callers that
-// need the dense-pointer form convert once at the end.
-func HCatMat(parts []Matrix) Matrix {
-	if len(parts) == 0 {
-		panic("spmat: HCatMat of zero matrices")
-	}
-	allDCSC := true
-	for _, p := range parts {
-		if p.Format() != FormatDCSC {
-			allDCSC = false
-			break
-		}
-	}
-	if allDCSC {
-		return hcatDCSC(parts)
-	}
-	// ToCSC is the identity on CSC parts, so one path serves all-CSC and
-	// mixed inputs alike.
-	cscs := make([]*CSC, len(parts))
-	for i, p := range parts {
-		cscs[i] = p.ToCSC()
-	}
-	return HCat(cscs)
-}
-
-// hcatDCSC concatenates doubly-compressed parts without inflating: stored
-// columns are re-indexed by the cumulative column offset and the entry
-// arrays are appended wholesale.
-func hcatDCSC(parts []Matrix) *DCSC {
-	rows, _ := parts[0].Dims()
-	var cols int32
-	var nnz, ne int64
-	sorted := true
-	for _, p := range parts {
-		r, c := p.Dims()
-		if r != rows {
-			panic(fmt.Sprintf("spmat: HCatMat row mismatch %d vs %d", r, rows))
-		}
-		cols += c
-		nnz += p.NNZ()
-		ne += p.NonEmptyCols()
-		sorted = sorted && p.Sorted()
-	}
-	out := &DCSC{
-		Rows:       rows,
-		Cols:       cols,
-		JC:         make([]int32, 0, ne),
-		CP:         make([]int64, 1, ne+1),
-		IR:         make([]int32, 0, nnz),
-		Num:        make([]float64, 0, nnz),
-		SortedCols: sorted,
-	}
-	colOff := int32(0)
-	for _, p := range parts {
-		d := p.ToDCSC()
-		base := int64(len(out.IR))
-		for i, j := range d.JC {
-			out.JC = append(out.JC, j+colOff)
-			out.CP = append(out.CP, base+d.CP[i+1])
-		}
-		out.IR = append(out.IR, d.IR...)
-		out.Num = append(out.Num, d.Num...)
-		colOff += d.Cols
-	}
-	return out
-}
-
 // VCat stacks matrices vertically: all operands must have the same number of
 // columns; row indices of parts[i] are offset by the cumulative row count.
 func VCat(parts []*CSC) *CSC {

@@ -3,6 +3,7 @@ package spmat
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -169,8 +170,8 @@ func (d *DCSC) Serialize() []byte {
 }
 
 // Deserialize decodes a matrix from the wire format into CSC, whatever the
-// wire encoding (the historical entry point; DeserializeMatrix avoids the
-// O(cols) inflation for hypersparse buffers).
+// wire encoding: a hypersparse one fills the column pointers from its column
+// list (DeserializeMatrix avoids the O(cols) pointers altogether).
 func Deserialize(buf []byte) (*CSC, error) {
 	m, err := DeserializeFormat(buf, FormatCSC)
 	if err != nil {
@@ -227,83 +228,193 @@ func arenaF64(s *[]float64, n int64) []float64 {
 	return *s
 }
 
+// The decoder draws its headers and arrays through these; a nil arena is a
+// heap decode. Arena arrays are not zeroed.
+
+func (a *Arena) newCSC() *CSC {
+	if a == nil {
+		return new(CSC)
+	}
+	return &a.csc
+}
+
+func (a *Arena) newDCSC() *DCSC {
+	if a == nil {
+		return new(DCSC)
+	}
+	return &a.dcsc
+}
+
+func (a *Arena) cols(n int64) []int32 {
+	if a == nil {
+		return make([]int32, n)
+	}
+	return arenaI32(&a.i32a, n)
+}
+
+func (a *Arena) rows(n int64) []int32 {
+	if a == nil {
+		return make([]int32, n)
+	}
+	return arenaI32(&a.i32b, n)
+}
+
+func (a *Arena) ptrs(n int64) []int64 {
+	if a == nil {
+		return make([]int64, n)
+	}
+	return arenaI64(&a.i64a, n)
+}
+
+func (a *Arena) vals(n int64) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
+	return arenaF64(&a.f64a, n)
+}
+
 // DeserializeMatrixInto decodes like DeserializeMatrix — following the wire's
 // own encoding flag — but draws every array from the caller-owned arena
 // instead of the heap. See Arena for the aliasing and reuse rules.
 func DeserializeMatrixInto(buf []byte, a *Arena) (Matrix, error) {
-	return deserializeArena(buf, FormatAuto, a)
+	return decode(&wireIn{buf: buf}, int64(len(buf)), FormatAuto, a)
 }
 
 // DeserializeFormat decodes a matrix from the wire format into the requested
 // in-memory format. FormatAuto follows the wire's encoding flag (the
-// zero-conversion path); forcing a format converts after decoding when the
-// wire encoding disagrees.
+// zero-conversion path); FormatCSC fills a hypersparse encoding's column
+// pointers as it reads them; FormatDCSC compresses a dense encoding after
+// decoding it.
 func DeserializeFormat(buf []byte, f Format) (Matrix, error) {
-	return deserializeArena(buf, f, nil)
+	return decode(&wireIn{buf: buf}, int64(len(buf)), f, nil)
 }
 
-func deserializeArena(buf []byte, f Format, a *Arena) (Matrix, error) {
-	if len(buf) < serialHeader {
-		return nil, fmt.Errorf("spmat: serialized matrix truncated (%d bytes)", len(buf))
+// DeserializeFrom decodes the n-byte wire encoding r yields into the
+// requested format, exactly as DeserializeFormat decodes a slice — it is the
+// same decoder, every check included — reading r through one buffer of at
+// most wireChunk bytes instead of holding the encoding whole. It reads no
+// byte past the encoding; an n that is not the encoding's length is an error
+// before any column or entry is read, and so is a stream that ends early.
+func DeserializeFrom(r io.Reader, n int64, f Format) (Matrix, error) {
+	return decode(&wireIn{r: r, chunk: make([]byte, min(max(n, 0), wireChunk))}, n, f, nil)
+}
+
+// wireChunk is the buffer a streamed encoding is read or written through.
+const wireChunk = 64 << 10
+
+// wireIn hands the decoder an encoding's bytes in order: views of the
+// caller's slice, or chunks read from a stream into one buffer.
+type wireIn struct {
+	buf   []byte    // a slice's unread bytes
+	r     io.Reader // a stream, or nil for a slice
+	chunk []byte    // the stream's buffer
+}
+
+// next returns the next n bytes — for a stream, at most len(chunk) of them,
+// valid until the next call.
+func (in *wireIn) next(n int) ([]byte, error) {
+	if in.r == nil {
+		b := in.buf[:n]
+		in.buf = in.buf[n:]
+		return b, nil
 	}
-	rows := int32(binary.LittleEndian.Uint32(buf[0:]))
-	cols := int32(binary.LittleEndian.Uint32(buf[4:]))
-	nnz := int64(binary.LittleEndian.Uint64(buf[8:]))
+	b := in.chunk[:n]
+	if _, err := io.ReadFull(in.r, b); err != nil {
+		return nil, fmt.Errorf("spmat: reading serialized matrix: %w", err)
+	}
+	return b, nil
+}
+
+// most returns how many of the want items of size bytes each next may serve
+// at once: all of a slice, a buffer's worth of a stream.
+func (in *wireIn) most(size int, want int64) int {
+	if in.r == nil {
+		return int(want)
+	}
+	return int(min(want, int64(len(in.chunk)/size)))
+}
+
+// decode is the one wire decoder. n is the encoding's length: every size the
+// header claims is checked against it before anything is sized by it — nnz
+// and ne come straight off the wire, and 12*nnz (or 8*ne) on a hostile header
+// would overflow int64 and could otherwise alias a short encoding's length —
+// and nothing is read past it.
+func decode(in *wireIn, n int64, f Format, a *Arena) (Matrix, error) {
+	if n < serialHeader {
+		return nil, fmt.Errorf("spmat: serialized matrix truncated (%d bytes)", n)
+	}
+	h, err := in.next(serialHeader)
+	if err != nil {
+		return nil, err
+	}
+	rows := int32(binary.LittleEndian.Uint32(h[0:]))
+	cols := int32(binary.LittleEndian.Uint32(h[4:]))
+	nnz := int64(binary.LittleEndian.Uint64(h[8:]))
+	sorted, hyper := h[16]&1 != 0, h[16]&2 != 0
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("spmat: serialized matrix has negative shape %dx%d nnz=%d", rows, cols, nnz)
 	}
-	sorted := buf[16]&1 != 0
-	hyper := buf[16]&2 != 0
-	off := int64(serialHeader)
-
-	// Reject headers whose implied size cannot fit in the buffer before doing
-	// any size arithmetic with them: nnz and ne come straight off the wire,
-	// and 12*nnz (or 8*ne) on a hostile header would overflow int64 and could
-	// otherwise alias a small buffer's length.
-	if nnz > int64(len(buf))/12 {
-		return nil, fmt.Errorf("spmat: serialized nnz %d exceeds buffer capacity (%d bytes)", nnz, len(buf))
+	if nnz > n/12 {
+		return nil, fmt.Errorf("spmat: serialized nnz %d exceeds buffer capacity (%d bytes)", nnz, n)
 	}
-
 	var out Matrix
 	if hyper {
-		if int64(len(buf)) < off+4 {
+		if n < serialHeader+4 {
 			return nil, fmt.Errorf("spmat: hypersparse header truncated")
 		}
-		ne := int64(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		if ne > int64(cols) || ne > int64(len(buf))/8 {
-			return nil, fmt.Errorf("spmat: hypersparse column count %d out of range (cols=%d, %d bytes)", ne, cols, len(buf))
+		b, err := in.next(4)
+		if err != nil {
+			return nil, err
 		}
-		want := off + 8*ne + 12*nnz
-		if int64(len(buf)) != want {
-			return nil, fmt.Errorf("spmat: serialized matrix has %d bytes, want %d", len(buf), want)
+		ne := int64(binary.LittleEndian.Uint32(b))
+		if ne > int64(cols) || ne > n/8 {
+			return nil, fmt.Errorf("spmat: hypersparse column count %d out of range (cols=%d, %d bytes)", ne, cols, n)
 		}
-		var d *DCSC
-		if a != nil {
-			d = &a.dcsc
-			*d = DCSC{
-				Rows: rows, Cols: cols,
-				JC:         arenaI32(&a.i32a, ne),
-				CP:         arenaI64(&a.i64a, ne+1),
-				IR:         arenaI32(&a.i32b, nnz),
-				Num:        arenaF64(&a.f64a, nnz),
-				SortedCols: sorted,
-			}
-			d.CP[0] = 0 // arena memory is not zeroed
-		} else {
-			d = &DCSC{
-				Rows: rows, Cols: cols,
-				JC:         make([]int32, ne),
-				CP:         make([]int64, ne+1),
-				IR:         make([]int32, nnz),
-				Num:        make([]float64, nnz),
-				SortedCols: sorted,
-			}
+		if want := wireBytes(true, cols, ne, nnz); n != want {
+			return nil, fmt.Errorf("spmat: serialized matrix has %d bytes, want %d", n, want)
 		}
-		prev := int32(-1)
-		for i := int64(0); i < ne; i++ {
-			j := int32(binary.LittleEndian.Uint32(buf[off:]))
-			cnt := int64(binary.LittleEndian.Uint32(buf[off+4:]))
+		out, err = decodeHypersparse(in, rows, cols, nnz, ne, sorted, f == FormatCSC, a)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		if want := wireBytes(false, cols, 0, nnz); n != want {
+			return nil, fmt.Errorf("spmat: serialized matrix has %d bytes, want %d", n, want)
+		}
+		if out, err = decodeDense(in, rows, cols, nnz, sorted, a); err != nil {
+			return nil, err
+		}
+	}
+	if f == FormatAuto || out.Format() == f {
+		return out, nil
+	}
+	return WithFormat(out, f), nil
+}
+
+// decodeHypersparse reads a hypersparse encoding's column list and entries
+// into a DCSC, or with toCSC into a CSC whose pointers it fills as it goes.
+func decodeHypersparse(in *wireIn, rows, cols int32, nnz, ne int64, sorted, toCSC bool, a *Arena) (Matrix, error) {
+	var d *DCSC
+	var m *CSC
+	if toCSC {
+		m = a.newCSC()
+		*m = CSC{Rows: rows, Cols: cols, ColPtr: a.ptrs(int64(cols) + 1), RowIdx: a.rows(nnz), Val: a.vals(nnz), SortedCols: sorted, neCache: ne + 1}
+		clear(m.ColPtr)
+	} else {
+		d = a.newDCSC()
+		*d = DCSC{Rows: rows, Cols: cols, JC: a.cols(ne), CP: a.ptrs(ne + 1), IR: a.rows(nnz), Num: a.vals(nnz), SortedCols: sorted}
+		d.CP[0] = 0
+	}
+	prev, sum := int32(-1), int64(0)
+	for i := int64(0); i < ne; {
+		k := in.most(8, ne-i)
+		b, err := in.next(8 * k)
+		if err != nil {
+			return nil, err
+		}
+		for x := 0; x < k; x, i = x+1, i+1 {
+			j := int32(binary.LittleEndian.Uint32(b[8*x:]))
+			cnt := int64(binary.LittleEndian.Uint32(b[8*x+4:]))
 			if j < 0 || j >= cols {
 				return nil, fmt.Errorf("spmat: hypersparse column %d out of range", j)
 			}
@@ -313,84 +424,95 @@ func deserializeArena(buf []byte, f Format, a *Arena) (Matrix, error) {
 			if cnt <= 0 {
 				return nil, fmt.Errorf("spmat: hypersparse column %d has count %d", j, cnt)
 			}
-			prev = j
-			d.JC[i] = j
-			d.CP[i+1] = d.CP[i] + cnt
-			off += 8
+			prev, sum = j, sum+cnt
+			if d != nil {
+				d.JC[i], d.CP[i+1] = j, sum
+			} else {
+				m.ColPtr[j+1] = sum
+			}
 		}
-		if d.CP[ne] != nnz {
-			return nil, fmt.Errorf("spmat: hypersparse counts sum to %d, want %d", d.CP[ne], nnz)
-		}
-		if err := readEntries(buf, off, rows, d.IR, d.Num); err != nil {
+	}
+	if sum != nnz {
+		return nil, fmt.Errorf("spmat: hypersparse counts sum to %d, want %d", sum, nnz)
+	}
+	if d != nil {
+		if err := in.entries(rows, d.IR, d.Num); err != nil {
 			return nil, err
 		}
-		out = d
-	} else {
-		want := off + 8*(int64(cols)+1) + 12*nnz
-		if int64(len(buf)) != want {
-			return nil, fmt.Errorf("spmat: serialized matrix has %d bytes, want %d", len(buf), want)
-		}
-		var m *CSC
-		if a != nil {
-			m = &a.csc
-			*m = CSC{
-				Rows: rows, Cols: cols,
-				ColPtr:     arenaI64(&a.i64a, int64(cols)+1),
-				RowIdx:     arenaI32(&a.i32b, nnz),
-				Val:        arenaF64(&a.f64a, nnz),
-				SortedCols: sorted,
-			}
-		} else {
-			m = &CSC{
-				Rows: rows, Cols: cols,
-				ColPtr:     make([]int64, cols+1),
-				RowIdx:     make([]int32, nnz),
-				Val:        make([]float64, nnz),
-				SortedCols: sorted,
-			}
-		}
-		for i := range m.ColPtr {
-			m.ColPtr[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		if m.ColPtr[0] != 0 {
-			return nil, fmt.Errorf("spmat: serialized column pointers start at %d, want 0", m.ColPtr[0])
-		}
-		for j := int32(0); j < cols; j++ {
-			if m.ColPtr[j] > m.ColPtr[j+1] {
-				return nil, fmt.Errorf("spmat: serialized column pointers not monotone at column %d", j)
-			}
-		}
-		if m.ColPtr[cols] != nnz {
-			return nil, fmt.Errorf("spmat: serialized column pointers sum to %d, want %d", m.ColPtr[cols], nnz)
-		}
-		if err := readEntries(buf, off, rows, m.RowIdx, m.Val); err != nil {
-			return nil, err
-		}
-		out = m
+		return d, nil
 	}
-	if f == FormatAuto {
-		return out, nil
+	// An empty column ends where the stored column before it does.
+	for j := int32(0); j < cols; j++ {
+		m.ColPtr[j+1] = max(m.ColPtr[j+1], m.ColPtr[j])
 	}
-	return WithFormat(out, f), nil
+	if err := in.entries(rows, m.RowIdx, m.Val); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-// readEntries decodes the row indices and values shared by both encodings.
-// Row-index validation is fused with the read: a hostile buffer carrying
+// decodeDense reads a dense encoding's column pointers and entries.
+func decodeDense(in *wireIn, rows, cols int32, nnz int64, sorted bool, a *Arena) (*CSC, error) {
+	m := a.newCSC()
+	*m = CSC{Rows: rows, Cols: cols, ColPtr: a.ptrs(int64(cols) + 1), RowIdx: a.rows(nnz), Val: a.vals(nnz), SortedCols: sorted}
+	for ptr := m.ColPtr; len(ptr) > 0; {
+		k := in.most(8, int64(len(ptr)))
+		b, err := in.next(8 * k)
+		if err != nil {
+			return nil, err
+		}
+		for x := range ptr[:k] {
+			ptr[x] = int64(binary.LittleEndian.Uint64(b[8*x:]))
+		}
+		ptr = ptr[k:]
+	}
+	if m.ColPtr[0] != 0 {
+		return nil, fmt.Errorf("spmat: serialized column pointers start at %d, want 0", m.ColPtr[0])
+	}
+	for j := int32(0); j < cols; j++ {
+		if m.ColPtr[j] > m.ColPtr[j+1] {
+			return nil, fmt.Errorf("spmat: serialized column pointers not monotone at column %d", j)
+		}
+	}
+	if m.ColPtr[cols] != nnz {
+		return nil, fmt.Errorf("spmat: serialized column pointers sum to %d, want %d", m.ColPtr[cols], nnz)
+	}
+	if err := in.entries(rows, m.RowIdx, m.Val); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// entries reads the row indices and values shared by both encodings.
+// Row-index validation is fused with the read: a hostile encoding carrying
 // indices outside [0, rows) must error here, not panic later when a kernel
 // scatters into an accumulator sized by rows.
-func readEntries(buf []byte, off int64, rows int32, rowIdx []int32, vals []float64) error {
-	for i := range rowIdx {
-		r := int32(binary.LittleEndian.Uint32(buf[off:]))
-		if r < 0 || r >= rows {
-			return fmt.Errorf("spmat: serialized row index %d out of range [0,%d)", r, rows)
+func (in *wireIn) entries(rows int32, rowIdx []int32, vals []float64) error {
+	for dst := rowIdx; len(dst) > 0; {
+		k := in.most(4, int64(len(dst)))
+		b, err := in.next(4 * k)
+		if err != nil {
+			return err
 		}
-		rowIdx[i] = r
-		off += 4
+		for x := range dst[:k] {
+			r := int32(binary.LittleEndian.Uint32(b[4*x:]))
+			if r < 0 || r >= rows {
+				return fmt.Errorf("spmat: serialized row index %d out of range [0,%d)", r, rows)
+			}
+			dst[x] = r
+		}
+		dst = dst[k:]
 	}
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
+	for dst := vals; len(dst) > 0; {
+		k := in.most(8, int64(len(dst)))
+		b, err := in.next(8 * k)
+		if err != nil {
+			return err
+		}
+		for x := range dst[:k] {
+			dst[x] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*x:]))
+		}
+		dst = dst[k:]
 	}
 	return nil
 }

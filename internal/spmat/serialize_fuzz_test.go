@@ -1,9 +1,11 @@
 package spmat
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
+	"testing/iotest"
 )
 
 // overflowHeaderSeed reproduces the wireBytes int32 overflow: a dense header
@@ -49,11 +51,20 @@ func FuzzDeserializeMatrix(f *testing.F) {
 		if (err == nil) != (aerr == nil) {
 			t.Fatalf("heap err %v vs arena err %v", err, aerr)
 		}
+		// So must the stream decode, read a byte at a time, down to the
+		// stored order: it re-serializes to the same bytes.
+		sm, serr := DeserializeFrom(iotest.OneByteReader(bytes.NewReader(buf)), int64(len(buf)), FormatAuto)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("slice err %v vs stream err %v", err, serr)
+		}
 		if err != nil {
 			return // rejected: nothing else to check
 		}
 		if !Equal(m.ToCSC(), am.ToCSC()) {
 			t.Fatal("arena decode differs from heap decode")
+		}
+		if !bytes.Equal(sm.Serialize(), m.Serialize()) {
+			t.Fatal("stream decode differs from slice decode")
 		}
 
 		// Whatever the decoder accepts must be structurally sound (in-range

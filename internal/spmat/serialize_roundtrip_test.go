@@ -2,8 +2,11 @@ package spmat
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 )
 
 // TestSerializeFormatIndependent: both in-memory formats of the same logical
@@ -138,5 +141,62 @@ func TestDeserializeMatrixRejectsHostile(t *testing.T) {
 	}
 	if _, err := DeserializeMatrix(db); err == nil {
 		t.Error("negative leading column pointer accepted")
+	}
+}
+
+// TestDeserializeFromMatchesSlice: decoding from a stream is decoding the
+// slice — one byte per read, in every target format, in both encodings and
+// across the stream buffer — and reads no byte past the encoding.
+func TestDeserializeFromMatchesSlice(t *testing.T) {
+	mats := []*CSC{
+		New(0, 0), New(5, 9),
+		randomNNZCSC(t, 30, 500, 60, 1),     // hypersparse encoding
+		randomNNZCSC(t, 40, 40, 500, 2),     // dense encoding
+		randomNNZCSC(t, 900, 300, 40000, 3), // past one stream buffer
+	}
+	tail := []byte("next")
+	for _, m := range mats {
+		buf := m.Serialize()
+		for _, f := range []Format{FormatAuto, FormatCSC, FormatDCSC} {
+			want, err := DeserializeFormat(buf, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := bytes.NewReader(append(bytes.Clone(buf), tail...))
+			got, err := DeserializeFrom(iotest.OneByteReader(src), int64(len(buf)), f)
+			if err != nil {
+				t.Fatalf("%v as %v: %v", m, f, err)
+			}
+			if got.Format() != want.Format() || got.Sorted() != want.Sorted() || !bytes.Equal(got.Serialize(), want.Serialize()) {
+				t.Fatalf("%v as %v: the stream decoded %v, the slice %v", m, f, got, want)
+			}
+			if rest, _ := io.ReadAll(src); !bytes.Equal(rest, tail) {
+				t.Fatalf("%v as %v: %d bytes after the encoding left unread, want %d", m, f, len(rest), len(tail))
+			}
+		}
+	}
+}
+
+// TestDeserializeFromRejects: a stream that ends early, a length other than
+// the encoding's, and an out-of-range row are errors.
+func TestDeserializeFromRejects(t *testing.T) {
+	buf := randomNNZCSC(t, 40, 40, 500, 4).Serialize()
+	badRow := bytes.Clone(buf)
+	binary.LittleEndian.PutUint32(badRow[serialHeader+8*41:], 40) // the first row index, after 41 column pointers
+	for name, c := range map[string]struct {
+		body []byte
+		n    int64
+	}{
+		"stream ends early":    {buf[:len(buf)-5], int64(len(buf))},
+		"trailing bytes":       {append(bytes.Clone(buf), 0, 0, 0, 0), int64(len(buf)) + 4},
+		"length too short":     {buf, int64(len(buf)) - 1},
+		"negative length":      {buf, -1},
+		"row out of range":     {badRow, int64(len(buf))},
+		"empty stream":         {nil, int64(len(buf))},
+		"header, then nothing": {buf[:serialHeader], int64(len(buf))},
+	} {
+		if _, err := DeserializeFrom(bytes.NewReader(c.body), c.n, FormatCSC); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
