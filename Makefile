@@ -38,15 +38,21 @@ test:
 # two-core runner neither is what a bare `go test` would cover. core's tests
 # all run with returned chunks poisoned (TestMain), so -cpu 1,4 also covers
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
-# × format × thread count against the run that lends no stage product) both
-# where every stage product is a single-range loan and, on four cores, where
-# a stage granted a second worker falls back to an owned product. The planner
+# × format × thread count against the run that lends nothing — stage
+# products, Merge-Layer outputs on l > 1 grids, discarded batches) both
+# where every output is a single-range loan and, on four cores, where
+# a call granted a second worker falls back to an owned output. The planner
 # goes at -cpu 1,4 too: the daemon plans concurrent requests over the same
 # resident operands, so nothing a cold plan does may write what it reads
-# (service's panicking-plan test covers the plan cache around it).
+# (service's panicking-plan test covers the plan cache around it). So do the
+# applications (about 5 s under -race): the four whose hooks consume
+# MultiplyDiscard batches (jaccard, matching, overlap, tricount) run with
+# returned chunks poisoned, and a batch is borrowed for the hook call only,
+# so a hook that read its piece after returning fails its reference
+# comparison.
 race:
 	$(GO) test -race ./internal/spmat ./internal/localmm
-	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service ./internal/planner
+	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service ./internal/planner ./internal/apps/...
 
 # vet: static analysis over every package.
 vet:

@@ -2,13 +2,25 @@ package jaccard
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/genmat"
+	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
+
+// TestMain runs this package's tests with returned chunks poisoned
+// (localmm.PoisonReturnedChunks). The batch a core.MultiplyDiscard hook is
+// handed is borrowed for the call: once the hook returns, its entries are
+// every row −1 and every value NaN, so a hook that read its piece after
+// returning would fail the comparison with the serial reference.
+func TestMain(m *testing.M) {
+	localmm.PoisonReturnedChunks.Store(true)
+	os.Exit(m.Run())
+}
 
 // bruteForce computes Jaccard for all pairs directly from sets.
 func bruteForce(a *spmat.CSC, minJ float64) []Pair {

@@ -107,7 +107,7 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			bNext = extract(t + 1)
 		}
 		tr.SetBatch(t)
-		cPiece, offsets := p.summa3DBatch(t, bCur, bNext, res)
+		cPiece, loan, offsets := p.summa3DBatch(t, bCur, bNext, res)
 		switch {
 		case bNext != nil:
 			bCur = bNext
@@ -135,6 +135,13 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 				}
 				cPiece = pruned
 			}
+		}
+		if p.discard {
+			// The hook has read the batch: drop it, and hand back its chunk
+			// if it was lent.
+			r, c := cPiece.Dims()
+			cPiece = spmat.New(r, c)
+			loan.Return()
 		}
 		res.Pieces = append(res.Pieces, cPiece)
 		res.GlobalCols = append(res.GlobalCols, globalCols...)

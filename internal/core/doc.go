@@ -21,8 +21,8 @@
 // them; nothing on the rank concatenates or inflates them. MultiplyRanks
 // returns the ranks' results as they are, C still distributed; Multiply adds
 // the assembly of the global product (AssembleResults: count, allocate once,
-// place, reading every piece in place), MultiplyDiscard a hook that empties
-// every batch once the caller's hook has seen it. ProductSegments is the
+// place, reading every piece in place), MultiplyDiscard empties every batch
+// once the caller's hook has seen it. ProductSegments is the
 // other reader: it lays the global product out as the pieces' column
 // segments (spmat.Segmented) for a caller that streams its wire bytes
 // without assembling it — the daemon's return_result response. Setup is the per-rank alternative to the host split — a
@@ -33,6 +33,28 @@
 // runs one batch function (summa3DBatch): the per-layer stage products
 // (stageProducts), one Merge-Layer, the fiber AllToAll, and the fiber merge.
 // Symbolic3D and stageProducts share one stage loop (forEachStage).
+//
+// # Lent outputs
+//
+// Three outputs that are read and dropped are lent, not copied
+// (localmm.Plan.MulLent, localmm.MergeLent): their entry arrays are a kernel
+// worker's chunk until the rank hands it back (localmm.Loan.Return), and each
+// is returned when its last reader is done.
+//
+//   - A stage product, on a grid with q > 1: once Merge-Layer has read it.
+//   - Merge-Layer's output, on a grid with l > 1 (in the pipelined schedule,
+//     each per-destination merge's). This rank's Merge-Fiber reads it and,
+//     through the by-reference fiber exchange, so do the l − 1 fiber peers'.
+//     It is returned right after the next batch's exchange is posted, which
+//     returns only once every peer has posted and so has finished this batch;
+//     the last batch's are held in the Proc and returned by the launcher once
+//     the world has ended, aborted or not.
+//   - Under MultiplyDiscard, a batch output on a grid with l > 1: once the
+//     hook has returned. The hook is handed the piece on loan for the call.
+//
+// Everything a Result holds and every piece a hook outside MultiplyDiscard
+// is handed is owned. Values, entry order, work units, peak checkpoints and
+// spans do not depend on what is lent.
 //
 // # Schedules
 //

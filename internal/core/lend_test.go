@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/localmm"
@@ -12,8 +14,8 @@ import (
 // TestMain runs every test of this package — the 72-combination differential
 // and the transpose identity over the merge paths among them — with returned
 // chunks poisoned (localmm.PoisonReturnedChunks): the moment a rank hands a
-// stage product's chunk back, every row in it is −1 and every value NaN. A
-// product that is still read after its loan ended, or that escaped into a
+// lent output's chunk back, every row in it is −1 and every value NaN. An
+// output that is still read after its loan ended, or that escaped into a
 // rank's output, then fails whatever comparison it reaches — NaN equals
 // nothing, itself included — instead of passing because nobody had refilled
 // the chunk yet.
@@ -77,30 +79,70 @@ func sameRun(t *testing.T, label string, got, want lendRun, keep bool) {
 	}
 }
 
-// TestLentProductsNeverEscape is the proof that lending a stage product is
-// safe wherever forEachStage does it. The reference is the same run with
-// every stage product an owned copy (lendStageProducts off: Plan.Mul). Under
-// the poison, every schedule × grid with q ∈ {1, 2, 4} × format × Threads ∈
-// {1, 4} must reproduce it bit for bit and in stored order, both in the
-// pieces a hook kept — the very matrices each rank's Merge-Fiber returned,
-// which at q = 1, l = 1 are the stage products themselves — and in every
-// rank's Result.CSC(). q = 1 is where a product escapes through a one-operand
-// merge; the heavy operand's stages pay for a second worker, so wherever the
-// gate grants one (-cpu 4 under make race) a multi-range product comes back
-// owned while its neighbours are lent.
+// runDiscarding runs MultiplyDiscard with a hook that fingerprints every
+// borrowed batch inside the call and, with keep, also keeps the piece itself
+// past the call, which the contract forbids.
+func runDiscarding(t *testing.T, a *spmat.CSC, rc RunConfig, keep bool) (fps [][]spmat.Fingerprint, kept [][]*spmat.CSC) {
+	t.Helper()
+	fps, kept = make([][]spmat.Fingerprint, rc.P), make([][]*spmat.CSC, rc.P)
+	hooks := func(rank int) BatchHook {
+		return func(_ int, _ []int32, c *spmat.CSC) *spmat.CSC {
+			fps[rank] = append(fps[rank], spmat.FingerprintOf(c))
+			if keep {
+				kept[rank] = append(kept[rank], c)
+			}
+			return nil
+		}
+	}
+	if _, _, err := MultiplyDiscard(a, a, rc, hooks); err != nil {
+		t.Fatal(err)
+	}
+	return fps, kept
+}
+
+// poisoned reports whether every entry of c reads as a returned chunk.
+func poisoned(c *spmat.CSC) bool {
+	return !slices.ContainsFunc(c.RowIdx, func(r int32) bool { return r != -1 }) &&
+		!slices.ContainsFunc(c.Val, func(v float64) bool { return !math.IsNaN(v) })
+}
+
+// TestLentProductsNeverEscape is the proof that every loan the engine makes
+// is safe: stage products (forEachStage), Merge-Layer outputs on grids with
+// l > 1 — returned after the next batch's exchange post, or by the launcher
+// after the last batch, so b ∈ {1, 3} reaches both — and a discarded batch's
+// Merge-Fiber output. The reference is the same run with nothing lent
+// (lendChunks off). Under the poison, every schedule × grid with q ∈ {1, 2, 4}
+// and l ∈ {1, 4, 16} × format × Threads ∈ {1, 4} must reproduce it bit for
+// bit and in stored order: in the pieces a MultiplyRanks hook kept — the very
+// matrices each rank's Merge-Fiber returned, which at q = 1, l = 1 are the
+// stage products themselves — in every rank's Result.CSC(), and in the
+// fingerprint a MultiplyDiscard hook takes of its borrowed piece inside the
+// call. q = 1 is where a product escapes through a one-operand merge; the
+// heavy operand's stages pay for a second worker, so wherever the gate grants
+// one (-cpu 4 under make race) a multi-range output comes back owned while
+// its neighbours are lent. Last, a MultiplyDiscard hook that keeps its
+// borrowed piece past the call — on a CSC grid with l > 1 and one thread,
+// where every batch is lent and the hook is handed the merge output itself —
+// must find no non-empty piece as it read it in the call once the run is
+// over: the piece was the kernel's, not the hook's, so it reads poisoned or,
+// where a later kernel call took the returned chunk, that call's entries.
+// Poisoned pieces must turn up.
 func TestLentProductsNeverEscape(t *testing.T) {
-	defer func() { lendStageProducts = true }()
+	defer func() { lendChunks = true }()
 	light := randomRealMat(t, 96, 96, 2500, 601)
 	heavy := randomRealMat(t, 384, 384, 24000, 602)
-	type grid struct{ p, l int }
+	type grid struct {
+		p, l    int
+		batches []int
+	}
 	cases := []struct {
 		name    string
 		a       *spmat.CSC
 		grids   []grid
 		formats []spmat.Format
 	}{
-		{"light", light, []grid{{16, 16}, {16, 4}, {16, 1}, {4, 1}, {1, 1}}, allFormats},
-		{"heavy", heavy, []grid{{4, 1}}, []spmat.Format{spmat.FormatCSC}},
+		{"light", light, []grid{{16, 16, []int{1, 3}}, {64, 16, []int{1, 3}}, {16, 4, []int{1, 3}}, {16, 1, []int{2}}, {4, 1, []int{2}}, {1, 1, []int{2}}}, allFormats},
+		{"heavy", heavy, []grid{{4, 1, []int{2}}, {16, 4, []int{1}}}, []spmat.Format{spmat.FormatCSC}},
 	}
 	schedules := []struct {
 		name     string
@@ -108,21 +150,55 @@ func TestLentProductsNeverEscape(t *testing.T) {
 	}{
 		{"staged", false}, {"pipeline", true},
 	}
+	poisonedPieces := 0
+	defer func() {
+		if poisonedPieces == 0 {
+			t.Error("no kept piece read poisoned: the discarded batches were not lent")
+		}
+	}()
 	for _, c := range cases {
 		for _, g := range c.grids {
-			for _, sched := range schedules {
-				for _, f := range c.formats {
-					rc := RunConfig{P: g.p, L: g.l, Cost: testCM, Opts: Options{
-						ForceBatches: 2, Pipeline: sched.pipeline, Format: f, Threads: 1,
-					}}
-					lendStageProducts = false
-					want := runKeeping(t, c.a, c.a, rc, true)
-					lendStageProducts = true
-					for _, threads := range []int{1, 4} {
-						for _, keep := range []bool{true, false} {
+			for _, b := range g.batches {
+				for _, sched := range schedules {
+					for _, f := range c.formats {
+						rc := RunConfig{P: g.p, L: g.l, Cost: testCM, Opts: Options{
+							ForceBatches: b, Pipeline: sched.pipeline, Format: f, Threads: 1,
+						}}
+						lendChunks = false
+						want := runKeeping(t, c.a, c.a, rc, true)
+						lendChunks = true
+						name := fmt.Sprintf("%s/p%d-l%d-b%d/%s/%v", c.name, g.p, g.l, b, sched.name, f)
+						for _, threads := range []int{1, 4} {
 							rc.Opts.Threads = threads
-							label := fmt.Sprintf("%s/p%d-l%d/%s/%v/threads=%d/keep=%v", c.name, g.p, g.l, sched.name, f, threads, keep)
-							sameRun(t, label, runKeeping(t, c.a, c.a, rc, keep), want, keep)
+							for _, keep := range []bool{true, false} {
+								label := fmt.Sprintf("%s/threads=%d/keep=%v", name, threads, keep)
+								sameRun(t, label, runKeeping(t, c.a, c.a, rc, keep), want, keep)
+							}
+							fps, _ := runDiscarding(t, c.a, rc, false)
+							for r := range want.kept {
+								for x, kept := range want.kept[r] {
+									if x >= len(fps[r]) || fps[r][x] != spmat.FingerprintOf(kept) {
+										t.Errorf("%s/threads=%d/discard: rank %d's hook read a batch %d that differs from the non-lending run's", name, threads, r, x)
+									}
+								}
+							}
+						}
+						if g.l == 1 || f != spmat.FormatCSC {
+							continue
+						}
+						rc.Opts.Threads = 1
+						fps, kept := runDiscarding(t, c.a, rc, true)
+						for r := range kept {
+							for x, piece := range kept[r] {
+								if piece.NNZ() == 0 {
+									continue
+								}
+								if poisoned(piece) {
+									poisonedPieces++
+								} else if spmat.FingerprintOf(piece) == fps[r][x] {
+									t.Errorf("%s/discard-keep: rank %d's batch %d outlived its call: it is not the lent chunk", name, r, x)
+								}
+							}
 						}
 					}
 				}

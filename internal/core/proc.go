@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/distmat"
 	"repro/internal/grid"
+	"repro/internal/localmm"
 	"repro/internal/spmat"
 )
 
@@ -34,6 +35,16 @@ type Proc struct {
 	// sc is the column-subset A-broadcast state (Opts.SparseComm), reset by
 	// every BatchedSUMMA3D alongside pipe.
 	sc sparseComm
+
+	// lent holds the loans of the last batch's Merge-Layer outputs, which the
+	// fiber peers may still be reading: the next batch's exchange post
+	// returns them (summa3DBatch), and after the last batch the launcher does.
+	lent []localmm.Loan
+
+	// discard marks a rank whose batches are dropped once the hook has seen
+	// them (MultiplyDiscard): each batch output is then lent, and the hook is
+	// handed it on loan for the duration of the call.
+	discard bool
 }
 
 // Setup wires a Proc on one rank that holds the global operands: the rank
@@ -136,7 +147,10 @@ func (r *Result) sorted() bool {
 // (sorted columns). The returned matrix, which must keep the piece's shape,
 // replaces the piece in the rank's Result; returning nil keeps the piece.
 // Applications use the hook to prune or stream out batches (HipMCL, Sec.
-// V-C).
+// V-C). Under MultiplyDiscard the piece is borrowed for the duration of the
+// call: its entries may be the kernels' scratch, refilled once the hook
+// returns, so a hook reads what it needs inside the call and keeps nothing
+// that shares the piece's arrays. Everywhere else the piece is the caller's.
 type BatchHook func(batch int, globalCols []int32, c *spmat.CSC) *spmat.CSC
 
 // storedCols is a piece's columns read positionally: stored column p holds

@@ -60,7 +60,9 @@ func RowOffsetFor(rows int32, p, l, rank int) int32 {
 // point: it validates the grid, deals both operands out to all p ranks in one
 // sweep each on the host (distmat's Split — the simulated equivalent of
 // reading a pre-distributed matrix, and the only time the engine copies the
-// operands), and runs body on every rank's wired Proc (runRanks).
+// operands), and runs body on every rank's wired Proc (runRanks). Once the
+// world has ended — aborted or not — no rank reads another's Merge-Layer
+// outputs, so it returns the loans the ranks' last batches left (Proc.lent).
 func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("core: inner dimension mismatch: A is %v, B is %v", a, b)
@@ -73,13 +75,22 @@ func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) (
 	db := distmat.NewBDist(b.Rows, b.Cols, q, rc.L)
 	blocksA := da.Split(a, rc.Opts.Format)
 	blocksB := db.Split(b, rc.Opts.Format)
+	procs := make([]*Proc, rc.P)
+	defer func() {
+		for _, p := range procs {
+			if p != nil {
+				returnLoans(p.lent)
+			}
+		}
+	}()
 	return runRanks(rc, func(c *mpi.Comm) error {
 		g, err := grid.New(c, rc.L)
 		if err != nil {
 			return err
 		}
 		localA, localB := blocksA[da.Index(g.I, g.J, g.K)], blocksB[db.Index(g.I, g.J, g.K)]
-		return body(c.Rank(), SetupLocal(g, da, db, localA, localB, rc.Opts))
+		procs[c.Rank()] = SetupLocal(g, da, db, localA, localB, rc.Opts)
+		return body(c.Rank(), procs[c.Rank()])
 	})
 }
 
@@ -116,15 +127,22 @@ var errRankFailed = errors.New("core: rank body failed")
 // MultiplyRanks runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster
 // and returns what the ranks hold when it ends — the per-rank results, C
 // still distributed, and the step metering summary — assembling nothing.
-// Multiply and MultiplyDiscard are this run plus, respectively, the assembly
-// of the global product and a hook that drops every batch once consumed.
+// Multiply is this run plus the assembly of the global product;
+// MultiplyDiscard is this run with every batch dropped once its hook has
+// seen it.
 func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
+	return multiplyRanks(a, b, rc, hooks, false)
+}
+
+// multiplyRanks is MultiplyRanks and, with discard, MultiplyDiscard.
+func multiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
 	results := make([]*Result, rc.P)
 	meters, err := launch(a, b, rc, func(rank int, p *Proc) error {
 		var hook BatchHook
 		if hooks != nil {
 			hook = hooks(rank)
 		}
+		p.discard = discard
 		res, err := p.BatchedSUMMA3D(hook)
 		results[rank] = res
 		return err
@@ -154,19 +172,10 @@ func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*
 // hook and never need the assembled product (the memory-constrained usage
 // the paper targets): every batch is replaced by an empty piece once the
 // user's hook has seen it, so no rank ever holds more than one batch of C.
+// The piece a hook is handed is borrowed for the duration of the call: on a
+// grid with more than one layer it is the merge kernel's scratch, handed back
+// and refilled as soon as the hook returns, so a hook reads its piece inside
+// the call and keeps neither the piece nor a slice of its arrays.
 func MultiplyDiscard(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
-	return MultiplyRanks(a, b, rc, func(rank int) BatchHook {
-		var userHook BatchHook
-		if hooks != nil {
-			userHook = hooks(rank)
-		}
-		return func(batch int, cols []int32, m *spmat.CSC) *spmat.CSC {
-			if userHook != nil {
-				if pruned := userHook(batch, cols, m); pruned != nil {
-					m = pruned
-				}
-			}
-			return spmat.New(m.Rows, m.Cols)
-		}
-	})
+	return multiplyRanks(a, b, rc, hooks, true)
 }

@@ -112,9 +112,10 @@ func (p *Proc) forEachStage(bOperand, bNext spmat.Matrix, aCat, aHidden, bCat, b
 	tr.SetStage(-1)
 }
 
-// lendStageProducts is off only in core's own tests, for the reference a
-// lending run must reproduce bit for bit: every stage product an owned copy.
-var lendStageProducts = true
+// lendChunks is off only in core's own tests, for the reference a lending
+// run must reproduce bit for bit: every stage product, Merge-Layer output and
+// discarded batch an owned copy.
+var lendChunks = true
 
 // stageProducts runs the stage loop over bBatch and collects every stage's
 // partial product and the loan behind it, which the caller returns once its
@@ -145,7 +146,7 @@ var lendStageProducts = true
 // as is any product more than one worker made.
 func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, unmerged int64) {
 	meter := p.G.World.Meter()
-	lend := lendStageProducts && p.G.Q > 1
+	lend := lendChunks && p.G.Q > 1
 	partial, loans = make([]spmat.Matrix, 0, p.G.Q), make([]localmm.Loan, 0, p.G.Q)
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(_ int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
@@ -172,8 +173,8 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 	return partial, loans, unmerged
 }
 
-// returnLoans hands the stage products' chunks back to the kernels' free
-// list; the products must not be read after it.
+// returnLoans hands lent outputs' chunks back to the kernels' free list; the
+// outputs must not be read after it.
 func returnLoans(loans []localmm.Loan) {
 	for i := range loans {
 		loans[i].Return()
@@ -206,7 +207,17 @@ func returnLoans(loans []localmm.Loan) {
 //     StepAllToAllHidden.
 //
 // Either way the own piece never travels.
-func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, []int32) {
+//
+// With l > 1 Merge-Layer's output is lent: it is read by this rank's
+// Merge-Fiber and, through the by-reference exchange, by the l − 1 fiber
+// peers' — the pieces are views of it — so its loans outlive the batch by one
+// exchange. They are returned after the next batch's exchange is posted:
+// IalltoallvStart returns only once every fiber peer has posted, and a peer
+// posts batch t+1 only after finishing batch t. The last batch's stay in
+// Proc.lent for the launcher (launch) to return once the world has ended.
+// The batch output is lent too when the rank discards it (Proc.discard): the
+// caller returns that loan once the hook has read the batch.
+func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, localmm.Loan, []int32) {
 	g := p.G
 	meter := g.World.Meter()
 	led := &p.pipe.ledger
@@ -221,8 +232,10 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	var merged int64
 	var post float64
 	var req *mpi.AllToAllvRequest
+	lent := make([]localmm.Loan, 0, g.L)
 	if !p.Opts.Pipeline {
-		d, mergeSec := p.merge(partial, p.lastTable(), unmerged)
+		d, loan, mergeSec := p.merge(partial, p.lastTable(), g.L > 1, unmerged)
+		lent = append(lent, loan)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 		var pieces []spmat.Matrix
 		packSec := p.measure(func() {
@@ -251,7 +264,8 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 			for _, piece := range perDest[m] {
 				in += piece.NNZ()
 			}
-			out, sec := p.merge(perDest[m], p.lastTable(), in)
+			out, loan, sec := p.merge(perDest[m], p.lastTable(), g.L > 1, in)
+			lent = append(lent, loan)
 			meter.AddComputeWork(sec, in+colScanWork(out)+1)
 			merged += out.NNZ()
 			return out
@@ -264,8 +278,12 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		post, req = led.clock, g.Fiber.IalltoallvStart(send)
 		own = mergeDest(g.K)
 	}
-	// Every merge that reads the stage products is done.
+	// Every merge that reads the stage products is done, and every fiber peer
+	// has posted this batch's exchange, so none reads the previous batch's
+	// Merge-Layer outputs any more.
 	returnLoans(loans)
+	returnLoans(p.lent)
+	p.lent = lent
 	res.MergedLayerNNZ += merged
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged+merged)
 
@@ -287,8 +305,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 // accounting carries the same colScanWork term as every other merge (the
 // dense column count for a CSC output, only the stored columns for DCSC).
 // Conversion to the user-facing CSC happens once, at hook boundaries and
-// final assembly (BatchedSUMMA3D).
-func (p *Proc) mergeFiber(t int, recv []mpi.Payload, res *Result) (spmat.Matrix, []int32) {
+// final assembly (BatchedSUMMA3D). A batch the rank discards is lent, on a
+// grid where this merge really merges (l > 1).
+func (p *Proc) mergeFiber(t int, recv []mpi.Payload, res *Result) (spmat.Matrix, localmm.Loan, []int32) {
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeFiber)
 	mats := make([]spmat.Matrix, len(recv))
@@ -297,10 +316,10 @@ func (p *Proc) mergeFiber(t int, recv []mpi.Payload, res *Result) (spmat.Matrix,
 		mats[k] = r.(spmat.Matrix)
 		recvNNZ += mats[k].NNZ()
 	}
-	c, fiberSec := p.merge(mats, true, recvNNZ)
+	c, loan, fiberSec := p.merge(mats, true, p.discard && p.G.L > 1, recvNNZ)
 	meter.AddComputeWork(fiberSec, recvNNZ+colScanWork(c)+1)
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+recvNNZ+c.NNZ())
-	return c, p.bt.BatchLayerCols(t, p.G.K)
+	return c, loan, p.bt.BatchLayerCols(t, p.G.K)
 }
 
 // lastTable reports whether Merge-Layer is the last merge to hold a batch's
@@ -313,20 +332,26 @@ func (p *Proc) mergeFiber(t int, recv []mpi.Payload, res *Result) (spmat.Matrix,
 // their schedule's work units regardless.
 func (p *Proc) lastTable() bool { return p.G.L == 1 }
 
-// merge is the engine's one call into localmm.MergeMat: Opts.Merger over mats
+// merge is the engine's one call into localmm's merge: Opts.Merger over mats
 // on the workers entries input entries pay for, as one compute section whose
-// wall seconds it returns. sorted asks for ascending columns. A lone unsorted
-// operand of a sorted merge on a one-layer grid is a matrix this rank just
-// produced and nobody else holds — p = 1's only stage product — so it is
-// sorted where it lies instead of on the copy MergeMat would make.
-func (p *Proc) merge(mats []spmat.Matrix, sorted bool, entries int64) (out spmat.Matrix, sec float64) {
+// wall seconds it returns. sorted asks for ascending columns; lend asks for
+// the output on loan (localmm.MergeLent), which the caller returns once its
+// last reader is done. A lone unsorted operand of a sorted merge on a
+// one-layer grid is a matrix this rank just produced and nobody else holds —
+// p = 1's only stage product — so it is sorted where it lies instead of on
+// the copy MergeMat would make.
+func (p *Proc) merge(mats []spmat.Matrix, sorted, lend bool, entries int64) (out spmat.Matrix, loan localmm.Loan, sec float64) {
 	sec = p.measure(func() {
 		if sorted && len(mats) == 1 && p.G.L == 1 {
 			mats[0].SortColumns()
 		}
-		out = localmm.MergeMat(p.Opts.Merger, mats, p.Opts.Semiring, sorted, p.workers(entries))
+		if lend && lendChunks {
+			out, loan = localmm.MergeLent(p.Opts.Merger, mats, p.Opts.Semiring, sorted, p.workers(entries))
+		} else {
+			out = localmm.MergeMat(p.Opts.Merger, mats, p.Opts.Semiring, sorted, p.workers(entries))
+		}
 	})
-	return out, sec
+	return out, loan, sec
 }
 
 // trackPeak records a modeled memory checkpoint of live nonzeros.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/localmm"
 	"repro/internal/mpi"
@@ -65,7 +66,9 @@ func (p *Proc) Symbolic3D() (b int, maxNNZC int64, err error) {
 
 // batchesFor evaluates Alg 3 line 12: b = ⌈r·maxnnzC / (M/p − (memA +
 // memB))⌉, clamped to at least 1, where memA/memB are the per-format input
-// footprints. An unconstrained memory budget yields 1.
+// footprints. An unconstrained memory budget yields 1. The per-process share
+// can be fractional, so the ceiling is math.Ceil's, as in the planner's
+// induced b.
 func batchesFor(maxNNZC, maxMemA, maxMemB int64, opts Options, p int) (int, error) {
 	if opts.MemBytes <= 0 {
 		return 1, nil
@@ -77,7 +80,7 @@ func batchesFor(maxNNZC, maxMemA, maxMemB int64, opts Options, p int) (int, erro
 		return 0, fmt.Errorf("core: inputs alone exceed the memory budget: per-process %g bytes, inputs need %d",
 			perProc, maxMemA+maxMemB)
 	}
-	b := int((float64(r*maxNNZC) + avail - 1) / avail)
+	b := int(math.Ceil(float64(r*maxNNZC) / avail))
 	if b < 1 {
 		b = 1
 	}

@@ -145,3 +145,18 @@ func TestBatchesForBoundary(t *testing.T) {
 		t.Error("inputs exactly exhausting the budget: want error, got none")
 	}
 }
+
+// TestBatchesForFractionalShare holds the decision to a true ceiling when the
+// per-process share is not a whole number of bytes: 2001 bytes over 2 ranks
+// leave 1000.5 each, and 1001 unmerged entries at a byte each do not fit in
+// one batch. An integer-style ceiling, (x + avail − 1)/avail, rounds that to
+// b = 1; the planner's induced b (math.Ceil) says 2, and so must the runtime.
+func TestBatchesForFractionalShare(t *testing.T) {
+	opts := Options{MemBytes: 2001, BytesPerNnz: 1}
+	if b, err := batchesFor(1001, 0, 0, opts, 2); err != nil || b != 2 {
+		t.Errorf("1001 bytes of output against a 1000.5-byte share: b=%d err=%v, want 2", b, err)
+	}
+	if b, err := batchesFor(1000, 0, 0, opts, 2); err != nil || b != 1 {
+		t.Errorf("1000 bytes of output against a 1000.5-byte share: b=%d err=%v, want 1", b, err)
+	}
+}

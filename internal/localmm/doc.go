@@ -105,16 +105,18 @@
 // output that is not walked off a direct table is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.
 //
-// Who owns an output's entry arrays: the caller, always, with one exception.
+// Who owns an output's entry arrays: the caller, always, with two exceptions.
 // A call that ran several ranges allocates the arrays at their exact size and
 // the workers place their chunks in parallel; a call that ran one range — any
 // call too small for a second worker — returns an exactly-sized, unzeroed
 // copy of its chunk. That is MulMat, Plan.Mul, MergeMat and every entry point
-// built on them. The exception is Plan.MulLent, for a product that is read
-// once and dropped (a SUMMA stage product on its way into Merge-Layer): its
-// single-range output is the chunk itself, on loan until Loan.Return, and the
-// worker goes back to the free list without it; a multi-range call through
-// MulLent returns an owned product and an empty Loan. Nothing else lends.
+// built on them. The exceptions are Plan.MulLent and MergeLent, for an output
+// that is read once and dropped — a SUMMA stage product on its way into
+// Merge-Layer, a Merge-Layer output on its way through the fiber exchange, a
+// batch a discarding hook consumes: the single-range output is the chunk
+// itself, on loan until Loan.Return, and the worker goes back to the free
+// list without it; a multi-range call returns an owned output and an empty
+// Loan, and so does MergeLent's one-operand pass-through. Nothing else lends.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/semiring"
+	"repro/internal/spmat"
 )
 
 // TestMulLentLendsOnlyTheSingleRangeChunk pins what MulLent shares and what
@@ -51,6 +52,67 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			sameEntries(t, label+": two-range product after Return", placed, pl.Mul(k, sr, 1))
 		}
 	}
+}
+
+// TestMergeLentLendsOnlyTheSingleRangeChunk is the same pin for MergeLent,
+// under both mergers, sorted or not, CSC or DCSC: a merge one range ran is the
+// worker's chunk until Return and poisoned after it; a merge two ranges ran is
+// owned, with an empty Loan; a one-operand merge is its operand, with an
+// empty Loan, and the operand is untouched by the Return.
+func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
+	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	sr := semiring.PlusTimes()
+	light := []*spmat.CSC{scrambleColumns(uniformMat(t, 200, 200, 6, 421), 1), scrambleColumns(uniformMat(t, 200, 200, 6, 422), 2)}
+	heavy := []*spmat.CSC{uniformMat(t, 512, 512, 40, 423), uniformMat(t, 512, 512, 40, 424), uniformMat(t, 512, 512, 40, 425), uniformMat(t, 512, 512, 40, 426)}
+	asMats := func(ms []*spmat.CSC, dcsc bool) []spmat.Matrix {
+		out := make([]spmat.Matrix, len(ms))
+		for i, m := range ms {
+			out[i] = asFormat(m, dcsc)
+		}
+		return out
+	}
+	for _, mg := range []Merger{MergerHash, MergerHeap} {
+		for _, sorted := range []bool{false, true} {
+			for _, dcsc := range []bool{false, true} {
+				label := fmt.Sprintf("%v/sorted=%v/dcsc=%v", mg, sorted, dcsc)
+				mats := asMats(light, dcsc)
+				owned := MergeMat(mg, mats, sr, sorted, 4)
+				lent, loan := MergeLent(mg, mats, sr, sorted, 4)
+				if loan.c.bytes() == 0 {
+					t.Fatalf("%s: a single-range merge was not lent", label)
+				}
+				sameEntries(t, label+": lent vs owned", lent, owned)
+				loan.Return()
+				v := viewOf(lent)
+				if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
+					t.Errorf("%s: the lent merge outlived its loan: its arrays are not the returned chunk", label)
+				}
+				sameEntries(t, label+": owned merge after later calls", owned, MergeMat(mg, mats, sr, sorted, 1))
+
+				mats = asMats(heavy, dcsc)
+				var entries int64
+				for _, m := range mats {
+					entries += m.NNZ()
+				}
+				if clampThreads(2, 512, entries) != 2 {
+					t.Fatalf("merge of %d entries is below the worker floor", entries)
+				}
+				placed, loan := MergeLent(mg, mats, sr, sorted, 2)
+				if loan.c.bytes() != 0 {
+					t.Errorf("%s: a two-range merge came with a loan", label)
+				}
+				loan.Return()
+				sameEntries(t, label+": two-range merge after Return", placed, MergeMat(mg, mats, sr, sorted, 1))
+			}
+		}
+	}
+	one := []spmat.Matrix{uniformMat(t, 64, 64, 4, 427)}
+	out, loan := MergeLent(MergerHash, one, sr, true, 1)
+	if out != one[0] || loan.c.bytes() != 0 {
+		t.Errorf("a one-operand merge lent a chunk instead of passing its operand through")
+	}
+	loan.Return()
+	sameEntries(t, "operand after Return", one[0], uniformMat(t, 64, 64, 4, 427))
 }
 
 // TestStampGenerationWrapsInAccumulator drives one worker's direct table

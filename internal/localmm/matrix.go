@@ -349,14 +349,34 @@ func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
 // the result as shared with whoever holds the operand — unless sorted output
 // is asked of an unsorted one, which is sorted on a copy.
 func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) spmat.Matrix {
+	out, _ := mergeMats(mg, mats, sr, sortOutput, threads, ownedOutput)
+	return out
+}
+
+// MergeLent is MergeMat for an output that is read and dropped — a
+// Merge-Layer output on its way through the fiber exchange, a batch a
+// discarding hook consumes — as Plan.MulLent is Plan.Mul for a stage product.
+// When the merge ran one range, the output's entry arrays are the worker's
+// chunk itself, on loan until the caller hands it back with Loan.Return; the
+// caller must be done reading the output, and every view of it, by then. A
+// merge that ran several ranges returns owned arrays and an empty Loan, and
+// so does a one-operand merge, which returns its operand (or a sorted copy)
+// as MergeMat does.
+func MergeLent(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) (spmat.Matrix, Loan) {
+	return mergeMats(mg, mats, sr, sortOutput, threads, lentOutput)
+}
+
+// mergeMats is MergeMat and MergeLent, which differ only in what the one
+// pass does with a single range's chunk (out).
+func mergeMats(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int, out passOutput) (spmat.Matrix, Loan) {
 	rows, cols := checkMergeShapes(mats)
 	if len(mats) == 1 && mg == MergerHash {
 		if !sortOutput || mats[0].Sorted() {
-			return mats[0]
+			return mats[0], Loan{}
 		}
-		out := mats[0].CloneMat()
-		out.SortColumns()
-		return out
+		sorted := mats[0].CloneMat()
+		sorted.SortColumns()
+		return sorted, Loan{}
 	}
 	if mg == MergerHeap {
 		sortOutput = true
@@ -399,7 +419,7 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 	}
 	ptr := make([]int64, slots.n+1)
 	plusTimes := sr.IsPlusTimes()
-	ir, num, _ := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, lo, hi int32) {
+	ir, num, loan := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, lo, hi int32) {
 		w.seek(views, slots.index(lo))
 		for p := lo; p < hi; p++ {
 			if colIn[p] == 0 {
@@ -416,8 +436,8 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 			}
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
-	}, ownedOutput)
-	return newOutput(rows, cols, slots.jc, allDCSC, ptr, ir, num, sortOutput)
+	}, out)
+	return newOutput(rows, cols, slots.jc, allDCSC, ptr, ir, num, sortOutput), loan
 }
 
 // unionCols k-way-merges the stored-column lists of doubly-compressed

@@ -33,10 +33,11 @@ import (
 // bench/'s workloads — has nothing to place: its output is an unzeroed copy
 // of the one chunk (append onto an empty slice: the runtime does not clear
 // what the copy overwrites), exactly sized and owned by the caller like the
-// multi-range one. The one exception is Plan.MulLent, for a product read once
-// and dropped: its single-range output is the chunk itself, nothing copied,
-// on loan until the caller hands it back (Loan.Return). MulMat, Plan.Mul,
-// MergeMat, the masked and the sparse×dense kernels never lend.
+// multi-range one. The exceptions are Plan.MulLent and MergeLent, for an
+// output read once and dropped: its single-range output is the chunk itself,
+// nothing copied, on loan until the caller hands it back (Loan.Return).
+// MulMat, Plan.Mul, MergeMat, the masked and the sparse×dense kernels never
+// lend.
 //
 // No column is hashed twice: the sizes the output needs fall out of the
 // accumulation itself — each column's entry count is left in the output's own
@@ -59,8 +60,8 @@ import (
 // heap kernels, per-operand column cursors for merges, the pair sorter's
 // buffers, and the chunk — the finished columns of the range (rows, vals).
 // All of it is grown, never re-made, and kept across calls on a free list.
-// Only the chunk can leave: lent out as a product's entry arrays
-// (Plan.MulLent), it comes back to a list of its own while the rest of the
+// Only the chunk can leave: lent out as an output's entry arrays
+// (Plan.MulLent, MergeLent), it comes back to a list of its own while the rest of the
 // worker has long gone back for the next call to find warm.
 //
 // The inner loops write this struct constantly — every new row moves the
@@ -108,8 +109,9 @@ var idleWorkers struct {
 // for its scratch again next time instead of pinning it for the life of the
 // process. (The direct tables are bounded by directTableBytes already.) The
 // chunks that come back from loans are bounded in bytes, all of them
-// together: a job on a p-rank grid with q stages has p·q of them out at once,
-// not one a core, and the list keeps what fits maxIdleChunkBytes of what
+// together: a job on a p-rank grid with q stages and l layers has up to
+// p·(q + 2l + 1) of them out at once — stage products, two batches' Merge-Layer
+// outputs, a discarded batch — not one a core, and the list keeps what fits maxIdleChunkBytes of what
 // comes back and drops the rest.
 const (
 	maxIdleWorkers    = 64
@@ -166,8 +168,9 @@ func putWorker(w *mmWorker) {
 	}
 }
 
-// Loan is a single-range product's claim on the chunk its entry arrays are
-// (Plan.MulLent). The zero Loan holds nothing; returning it does nothing.
+// Loan is a single-range output's claim on the chunk its entry arrays are
+// (Plan.MulLent, MergeLent). The zero Loan holds nothing; returning it does
+// nothing.
 type Loan struct{ c chunk }
 
 // Return hands the chunk back to the free list, which keeps it if it has no
