@@ -16,9 +16,13 @@ GATE_TOL ?= 0.05
 # all: the tier-1 gate (build + test), the default target.
 all: build test
 
-# build: compile every package and command.
+# build: compile every package and command, then type-check the benchmark
+# module (bench/ has its own go.mod, so `./...` never reaches it; vet writes no
+# binary) — an API change that breaks bench/adapter.go fails here, not first
+# in bench-smoke.
 build:
 	$(GO) build ./...
+	$(GO) -C bench vet .
 
 # test: the full unit/differential/metering test suite (tier 1 with build).
 test:

@@ -74,10 +74,9 @@ func benchKernel(b *testing.B, k localmm.Kernel) {
 	b.Helper()
 	a := genmat.ProteinSimilarity(10, 8, 7)
 	sr := semiring.PlusTimes()
-	fn := k.Func()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn(a, a, sr, 1)
+		localmm.ParallelSpGEMM(k, a, a, sr, 1)
 	}
 	b.ReportMetric(float64(localmm.Flops(a, a)), "flops/op")
 }
@@ -114,9 +113,9 @@ func mergeInputs(sorted bool) []*spmat.CSC {
 	for i := range mats {
 		s := genmat.Permutation(a.Rows, int64(i+1))
 		if sorted {
-			mats[i] = localmm.HashSpGEMMSorted(a, s, sr)
+			mats[i] = localmm.Multiply(a, s, sr)
 		} else {
-			mats[i] = localmm.HashSpGEMM(a, s, sr)
+			mats[i] = localmm.ParallelSpGEMM(localmm.KernelHashUnsorted, a, s, sr, 1)
 		}
 	}
 	return mats
@@ -127,7 +126,7 @@ func BenchmarkMergeHashUnsortedInputs(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.HashMerge(mats, sr, false)
+		localmm.ParallelMerge(localmm.MergerHash, mats, sr, false, 1)
 	}
 }
 
@@ -136,7 +135,7 @@ func BenchmarkMergeHashSortedOutput(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.HashMerge(mats, sr, true)
+		localmm.ParallelMerge(localmm.MergerHash, mats, sr, true, 1)
 	}
 }
 
@@ -146,7 +145,7 @@ func BenchmarkMergeHeapUnsortedInputs(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.HeapMerge(mats, sr)
+		localmm.ParallelMerge(localmm.MergerHeap, mats, sr, true, 1)
 	}
 }
 
@@ -155,7 +154,7 @@ func BenchmarkMergeHeapSortedInputs(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.HeapMerge(mats, sr)
+		localmm.ParallelMerge(localmm.MergerHeap, mats, sr, true, 1)
 	}
 }
 
@@ -169,9 +168,9 @@ func BenchmarkMergeOnceAfterAllStages(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		parts := make([]*spmat.CSC, len(stages))
 		for s, piece := range stages {
-			parts[s] = localmm.HashSpGEMM(piece, spmat.RowRange(a, int32(s)*a.Rows/4, (int32(s)+1)*a.Rows/4), sr)
+			parts[s] = localmm.ParallelSpGEMM(localmm.KernelHashUnsorted, piece, spmat.RowRange(a, int32(s)*a.Rows/4, (int32(s)+1)*a.Rows/4), sr, 1)
 		}
-		localmm.HashMerge(parts, sr, false)
+		localmm.ParallelMerge(localmm.MergerHash, parts, sr, false, 1)
 	}
 }
 
@@ -183,11 +182,11 @@ func BenchmarkMergeIncrementallyPerStage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var acc *spmat.CSC
 		for s, piece := range stages {
-			prod := localmm.HashSpGEMM(piece, spmat.RowRange(a, int32(s)*a.Rows/4, (int32(s)+1)*a.Rows/4), sr)
+			prod := localmm.ParallelSpGEMM(localmm.KernelHashUnsorted, piece, spmat.RowRange(a, int32(s)*a.Rows/4, (int32(s)+1)*a.Rows/4), sr, 1)
 			if acc == nil {
 				acc = prod
 			} else {
-				acc = localmm.HashMerge([]*spmat.CSC{acc, prod}, sr, false)
+				acc = localmm.ParallelMerge(localmm.MergerHash, []*spmat.CSC{acc, prod}, sr, false, 1)
 			}
 		}
 	}
@@ -226,7 +225,7 @@ func BenchmarkNumericMultiply(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.HashSpGEMM(a, a, sr)
+		localmm.ParallelSpGEMM(localmm.KernelHashUnsorted, a, a, sr, 1)
 	}
 }
 

@@ -9,9 +9,9 @@
 // storage format the auto heuristic would pick per block.
 //
 // With -plan it runs the analytical autotuner for the self-product: the
-// ranked configurations (layers × batches × format × pipeline × overlap
-// channels) with their predicted per-step costs on the chosen machine model,
-// under the -mem budget.
+// ranked configurations (layers × batches × format × sparse A-broadcast mode
+// × pipeline × overlap channels — the space the daemon plans in) with their
+// predicted per-step costs on the chosen machine model, under the -mem budget.
 //
 // With -plan -trace out.json it additionally renders the winning candidate's
 // predicted schedule as a Chrome trace-event timeline: one comm, compute,
@@ -78,9 +78,9 @@ func main() {
 	fmt.Println(st.String())
 	fmt.Printf("\nproduct studied: %s\n", st.Squared)
 	fmt.Printf("output growth nnz(C)/nnz(A): %.2f\n", float64(st.NnzC)/float64(st.NnzA))
-	fmt.Printf("input memory (r=24 B/nnz):   %.1f MB\n", float64(st.NnzA*24)/1e6)
-	fmt.Printf("output memory:               %.1f MB\n", float64(st.NnzC*24)/1e6)
-	fmt.Printf("worst-case intermediates:    %.1f MB (flops bound, Eq 1)\n", float64(st.Flops*24)/1e6)
+	fmt.Printf("input memory (r=%d B/nnz):   %.1f MB\n", spmat.BytesPerNonzero, float64(st.NnzA*spmat.BytesPerNonzero)/1e6)
+	fmt.Printf("output memory:               %.1f MB\n", float64(st.NnzC*spmat.BytesPerNonzero)/1e6)
+	fmt.Printf("worst-case intermediates:    %.1f MB (flops bound, Eq 1)\n", float64(st.Flops*spmat.BytesPerNonzero)/1e6)
 
 	// The pair operand of the studied self-product: A for square inputs,
 	// Aᵀ for rectangular ones (Table V's convention), shared by every
@@ -91,8 +91,8 @@ func main() {
 	}
 
 	if mem > 0 {
-		memC := 24 * localmm.Flops(a, b)
-		lower := core.BatchLowerBound(memC, a.NNZ(), b.NNZ(), mem, 24)
+		memC := spmat.BytesPerNonzero * localmm.Flops(a, b)
+		lower := core.BatchLowerBound(memC, a.NNZ(), b.NNZ(), mem, spmat.BytesPerNonzero)
 		fmt.Printf("\nwith M = %.2e bytes on a %d-process, %d-layer grid:\n", float64(mem), *procs, *layers)
 		fmt.Printf("  batch lower bound (Eq 2, perfectly balanced): %d\n", lower)
 		if lower > 1<<20 {
@@ -109,10 +109,8 @@ func main() {
 		if p <= 0 {
 			p = *procs
 		}
-		pl, err := planner.New(a, b, planner.Input{
-			P: p, MemBytes: mem, Machine: m, Symbolic: mem > 0,
-			Channels: []int{1, 2},
-		})
+		// The daemon's and the autotune's input: every axis they rank.
+		pl, err := planner.New(a, b, core.PlanInput(core.RunConfig{P: p, Opts: core.Options{MemBytes: mem}}, m))
 		if err != nil {
 			fatal(err)
 		}
@@ -160,7 +158,7 @@ func writePlanTrace(path string, pl *planner.Plan) error {
 		}
 		if st.WorkUnits > 0 {
 			r.Record(st.Step, obs.KindCompute,
-				float64(st.WorkUnits)/p*pl.In.SecPerWork, 0, 0, st.WorkUnits)
+				float64(st.WorkUnits)/p*planner.DefaultSecPerWork, 0, 0, st.WorkUnits)
 		}
 		if st.HiddenSeconds > 0 {
 			r.Record(st.Step, obs.KindHidden, st.HiddenSeconds, 0, 0, 0)

@@ -47,7 +47,7 @@ func newLevels(n, s int32) *Levels {
 func MultiSourceSerial(adj *spmat.CSC, sources []int32) (*Levels, error) {
 	sr := semiring.BoolOrAnd()
 	return multiSource(adj, sources, func(a, f *spmat.CSC) (*spmat.CSC, error) {
-		return localmm.HashSpGEMMSorted(a, f, sr), nil
+		return localmm.Multiply(a, f, sr), nil
 	})
 }
 

@@ -32,7 +32,7 @@ func AutoTuneOnMachine(a, b *spmat.CSC, rc RunConfig, m costmodel.Machine) (RunC
 	}
 	best := pl.Best()
 	if best == nil {
-		return rc, pl, fmt.Errorf("core: autotune found no feasible configuration under the %d-byte budget", rc.Opts.withDefaults().MemBytes)
+		return rc, pl, fmt.Errorf("core: autotune found no feasible configuration under the %d-byte budget", rc.Opts.MemBytes)
 	}
 	rc, err = ApplyChoice(rc, best.Choice())
 	return rc, pl, err
@@ -43,14 +43,11 @@ func AutoTuneOnMachine(a, b *spmat.CSC, rc RunConfig, m costmodel.Machine) (RunC
 // planner decisions (the serving layer) can key the cache on exactly the
 // knobs that shape the decision, via planner.CacheKey.
 func PlanInput(rc RunConfig, m costmodel.Machine) planner.Input {
-	opts := rc.Opts.withDefaults()
 	return planner.Input{
-		P:           rc.P,
-		MemBytes:    opts.MemBytes,
-		Machine:     m,
-		BytesPerNnz: opts.BytesPerNnz,
-		Symbolic:    opts.MemBytes > 0 || opts.RunSymbolic,
-		MaxBatches:  opts.MaxBatches,
+		P:        rc.P,
+		MemBytes: rc.Opts.MemBytes,
+		Machine:  m,
+		Symbolic: rc.Opts.MemBytes > 0 || rc.Opts.RunSymbolic,
 		// Sweep the sparse-communication knob too: off and the per-stage
 		// cost-model decision. SparseOn is omitted — auto's prediction is
 		// ≤ on's by construction (it takes subsets exactly where they win),
@@ -78,7 +75,7 @@ func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 		return rc, err
 	}
 	rc.L = cfg.L
-	if rc.Opts.withDefaults().MemBytes > 0 {
+	if rc.Opts.MemBytes > 0 {
 		rc.Opts.ForceBatches = 0
 		rc.Opts.RunSymbolic = true
 	} else {
@@ -97,20 +94,13 @@ func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 // factor, the batch count, and the schedule. Like AutoTuneOnMachine it weighs
 // communication with the machine's CommScale.
 func AutoTuneDenseOnMachine(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, m costmodel.Machine) (RunConfig, *planner.DensePlan, error) {
-	opts := rc.Opts.withDefaults()
-	pl, err := planner.NewDense(a, b.Cols, planner.DenseInput{
-		P:           rc.P,
-		MemBytes:    opts.MemBytes,
-		Machine:     m,
-		BytesPerNnz: opts.BytesPerNnz,
-		MaxBatches:  opts.MaxBatches,
-	})
+	pl, err := planner.NewDense(a, b.Cols, planner.DenseInput{P: rc.P, MemBytes: rc.Opts.MemBytes, Machine: m})
 	if err != nil {
 		return rc, nil, err
 	}
 	best := pl.Best()
 	if best == nil {
-		return rc, pl, fmt.Errorf("core: dense autotune found no feasible configuration under the %d-byte budget", opts.MemBytes)
+		return rc, pl, fmt.Errorf("core: dense autotune found no feasible configuration under the %d-byte budget", rc.Opts.MemBytes)
 	}
 	algo, err := ParseAlgo(best.Algo)
 	if err != nil {

@@ -147,11 +147,9 @@ type Options struct {
 	Channels int
 	// MemBytes is the aggregate memory M available across all processes, in
 	// bytes, used by the symbolic step to choose the batch count (Alg 3 line
-	// 12). Zero means unconstrained.
+	// 12) at r = spmat.BytesPerNonzero modeled bytes per stored nonzero
+	// (Sec. IV-A). Zero means unconstrained.
 	MemBytes int64
-	// BytesPerNnz is r, the modeled bytes per stored nonzero (default 24,
-	// Sec. IV-A).
-	BytesPerNnz int64
 	// ForceBatches, when positive, bypasses the symbolic decision and runs
 	// exactly this many batches (the paper's l/b sweeps in Fig 4 fix b).
 	ForceBatches int
@@ -167,9 +165,6 @@ type Options struct {
 	// workers only when otherwise idle). Outputs, work units and modeled
 	// numbers do not depend on the count. Default 1.
 	Threads int
-	// MaxBatches caps the symbolic decision (0 = no cap beyond the number of
-	// columns).
-	MaxBatches int
 	// Pipeline overlaps communication with computation across the whole
 	// schedule. Within a batch, stage s+1's A- and B-broadcasts are posted
 	// (mpi.IbcastStart) before stage s's local multiply runs; across batch
@@ -225,9 +220,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Semiring == nil {
 		o.Semiring = semiring.PlusTimes()
-	}
-	if o.BytesPerNnz == 0 {
-		o.BytesPerNnz = 24
 	}
 	if o.Threads <= 0 {
 		o.Threads = 1

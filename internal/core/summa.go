@@ -356,7 +356,7 @@ func (p *Proc) merge(mats []spmat.Matrix, sorted, lend bool, entries int64) (out
 
 // trackPeak records a modeled memory checkpoint of live nonzeros.
 func (p *Proc) trackPeak(res *Result, liveNNZ int64) {
-	if mem := liveNNZ * p.Opts.BytesPerNnz; mem > res.PeakMemBytes {
+	if mem := liveNNZ * spmat.BytesPerNonzero; mem > res.PeakMemBytes {
 		res.PeakMemBytes = mem
 	}
 }

@@ -57,35 +57,31 @@ func (p *Proc) Symbolic3D() (b int, maxNNZC int64, err error) {
 	// decisions reproduce bit-for-bit; explicit per-stored-column
 	// accounting for DCSC.)
 	maxNNZC = g.World.AllreduceInt64(localNNZ, mpi.OpMax)
-	maxMemA := g.World.AllreduceInt64(spmat.BlockMemBytes(p.LocalA, p.Opts.BytesPerNnz), mpi.OpMax)
-	maxMemB := g.World.AllreduceInt64(spmat.BlockMemBytes(p.LocalB, p.Opts.BytesPerNnz), mpi.OpMax)
+	maxMemA := g.World.AllreduceInt64(spmat.BlockMemBytes(p.LocalA, spmat.BytesPerNonzero), mpi.OpMax)
+	maxMemB := g.World.AllreduceInt64(spmat.BlockMemBytes(p.LocalB, spmat.BytesPerNonzero), mpi.OpMax)
 
-	b, err = batchesFor(maxNNZC, maxMemA, maxMemB, p.Opts, g.P())
+	b, err = batchesFor(maxNNZC, maxMemA, maxMemB, p.Opts.MemBytes, g.P())
 	return b, maxNNZC, err
 }
 
 // batchesFor evaluates Alg 3 line 12: b = ⌈r·maxnnzC / (M/p − (memA +
-// memB))⌉, clamped to at least 1, where memA/memB are the per-format input
-// footprints. An unconstrained memory budget yields 1. The per-process share
-// can be fractional, so the ceiling is math.Ceil's, as in the planner's
-// induced b.
-func batchesFor(maxNNZC, maxMemA, maxMemB int64, opts Options, p int) (int, error) {
-	if opts.MemBytes <= 0 {
+// memB))⌉, clamped to at least 1, where r is spmat.BytesPerNonzero and
+// memA/memB are the per-format input footprints. An unconstrained memory
+// budget (memBytes ≤ 0) yields 1. The per-process share can be fractional, so
+// the ceiling is math.Ceil's, as in the planner's induced b.
+func batchesFor(maxNNZC, maxMemA, maxMemB, memBytes int64, p int) (int, error) {
+	if memBytes <= 0 {
 		return 1, nil
 	}
-	r := opts.BytesPerNnz
-	perProc := float64(opts.MemBytes) / float64(p)
+	perProc := float64(memBytes) / float64(p)
 	avail := perProc - float64(maxMemA+maxMemB)
 	if avail <= 0 {
 		return 0, fmt.Errorf("core: inputs alone exceed the memory budget: per-process %g bytes, inputs need %d",
 			perProc, maxMemA+maxMemB)
 	}
-	b := int(math.Ceil(float64(r*maxNNZC) / avail))
+	b := int(math.Ceil(float64(spmat.BytesPerNonzero*maxNNZC) / avail))
 	if b < 1 {
 		b = 1
-	}
-	if opts.MaxBatches > 0 && b > opts.MaxBatches {
-		b = opts.MaxBatches
 	}
 	return b, nil
 }

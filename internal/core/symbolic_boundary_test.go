@@ -89,7 +89,7 @@ func TestSymbolicBatchBoundary(t *testing.T) {
 	if maxC == 0 {
 		t.Fatal("degenerate workload: symbolic found no output")
 	}
-	const r = 24 // default BytesPerNnz
+	const r = spmat.BytesPerNonzero
 	// b=1 iff M/p − r·(maxA+maxB) ≥ r·maxC.
 	boundary := int64(p) * r * (maxC + maxA + maxB)
 
@@ -116,47 +116,39 @@ func TestSymbolicBatchBoundary(t *testing.T) {
 }
 
 // TestBatchesForBoundary exercises the decision formula directly at the
-// flip, including the cap and the inputs-don't-fit error. batchesFor takes
-// the input terms as modeled bytes (per-format footprints); the CSC
-// footprint is r·nnz, which is what this test feeds it.
+// flip, including the inputs-don't-fit error. batchesFor takes the input
+// terms as modeled bytes (per-format footprints); the CSC footprint is r·nnz,
+// which is what this test feeds it.
 func TestBatchesForBoundary(t *testing.T) {
-	const r = 24
-	opts := Options{BytesPerNnz: r}
+	const r = spmat.BytesPerNonzero
 	const maxC, maxA, maxB, p = 1000, 100, 100, 4
 	memA, memB := int64(r*maxA), int64(r*maxB)
 	boundary := int64(p) * r * (maxC + maxA + maxB)
 
-	opts.MemBytes = boundary
-	if b, err := batchesFor(maxC, memA, memB, opts, p); err != nil || b != 1 {
+	if b, err := batchesFor(maxC, memA, memB, boundary, p); err != nil || b != 1 {
 		t.Errorf("at boundary: b=%d err=%v, want 1", b, err)
 	}
-	opts.MemBytes = boundary - p
-	if b, err := batchesFor(maxC, memA, memB, opts, p); err != nil || b != 2 {
+	if b, err := batchesFor(maxC, memA, memB, boundary-p, p); err != nil || b != 2 {
 		t.Errorf("just below boundary: b=%d err=%v, want 2", b, err)
 	}
-	opts.MemBytes = boundary - p
-	opts.MaxBatches = 1
-	if b, err := batchesFor(maxC, memA, memB, opts, p); err != nil || b != 1 {
-		t.Errorf("capped: b=%d err=%v, want 1", b, err)
-	}
-	opts.MaxBatches = 0
-	opts.MemBytes = int64(p) * (memA + memB) // inputs alone consume everything
-	if _, err := batchesFor(maxC, memA, memB, opts, p); err == nil {
+	// Inputs alone consume everything.
+	if _, err := batchesFor(maxC, memA, memB, int64(p)*(memA+memB), p); err == nil {
 		t.Error("inputs exactly exhausting the budget: want error, got none")
 	}
 }
 
 // TestBatchesForFractionalShare holds the decision to a true ceiling when the
-// per-process share is not a whole number of bytes: 2001 bytes over 2 ranks
-// leave 1000.5 each, and 1001 unmerged entries at a byte each do not fit in
-// one batch. An integer-style ceiling, (x + avail − 1)/avail, rounds that to
-// b = 1; the planner's induced b (math.Ceil) says 2, and so must the runtime.
+// per-process share is not a whole number of bytes: 48047 bytes over 2 ranks
+// leave 24023.5 each, and 1001 unmerged entries at r = 24 bytes (24024) do not
+// fit in one batch. An integer-style ceiling, (x + avail − 1)/avail, rounds
+// that to b = 1; the planner's induced b (math.Ceil) says 2, and so must the
+// runtime. 1000 entries (24000 bytes) fit in one.
 func TestBatchesForFractionalShare(t *testing.T) {
-	opts := Options{MemBytes: 2001, BytesPerNnz: 1}
-	if b, err := batchesFor(1001, 0, 0, opts, 2); err != nil || b != 2 {
-		t.Errorf("1001 bytes of output against a 1000.5-byte share: b=%d err=%v, want 2", b, err)
+	const mem = 48047
+	if b, err := batchesFor(1001, 0, 0, mem, 2); err != nil || b != 2 {
+		t.Errorf("24024 bytes of output against a 24023.5-byte share: b=%d err=%v, want 2", b, err)
 	}
-	if b, err := batchesFor(1000, 0, 0, opts, 2); err != nil || b != 1 {
-		t.Errorf("1000 bytes of output against a 1000.5-byte share: b=%d err=%v, want 1", b, err)
+	if b, err := batchesFor(1000, 0, 0, mem, 2); err != nil || b != 1 {
+		t.Errorf("24000 bytes of output against a 24023.5-byte share: b=%d err=%v, want 1", b, err)
 	}
 }

@@ -236,12 +236,9 @@ func denseOracleFind(entries []denseOracleEntry, cfg planner.DenseConfig) *dense
 }
 
 // densePlanFor runs the sparse×dense planner on a prepared dense shape,
-// staged-only under the gate's pinned work-unit rate, mirroring planFor.
+// staged-only, mirroring planFor.
 func densePlanFor(a *spmat.CSC, d int32, p int, machine costmodel.Machine) (*planner.DensePlan, error) {
-	return planner.NewDense(a, d, planner.DenseInput{
-		P: p, Machine: machine, SecPerWork: GateSecPerWorkUnit,
-		Pipelines: []bool{false},
-	})
+	return planner.NewDense(a, d, planner.DenseInput{P: p, Machine: machine, Pipelines: []bool{false}})
 }
 
 // containsInt reports whether xs contains v.
@@ -332,27 +329,18 @@ func planShapeInputs(sh planShape, sc Scale) (a, b *spmat.CSC, machine costmodel
 	return a, b, machine, mem, nil
 }
 
-// planFor runs the planner on a prepared shape, with the gate's pinned
-// work-unit rate so planner scores and oracle scores share the objective.
+// planFor runs the planner on a prepared shape. Its work-unit rate is the
+// gate's (GateSecPerWorkUnit is planner.DefaultSecPerWork), so planner scores
+// and oracle scores share the objective.
 func planFor(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64) (*planner.Plan, error) {
 	return planner.New(a, b, planGateInput(p, machine, mem))
 }
 
-// planGateInput is the planner input the gate shapes use — shared with the
-// cached-plan pass so its cache keys describe the same decision.
+// planGateInput is the runtime autotune's planner input with the symbolic
+// pass run, as in every oracle run — shared with the cached-plan pass so its
+// cache keys describe the same decision.
 func planGateInput(p int, machine costmodel.Machine, mem int64) planner.Input {
-	return planner.Input{
-		P:           p,
-		MemBytes:    mem,
-		Machine:     machine,
-		Symbolic:    true,
-		SecPerWork:  GateSecPerWorkUnit,
-		SparseComms: []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto},
-		// Sweep the overlap channel axis like the runtime autotune does;
-		// the oracle derives a k=2 twin for every pipelined point so the
-		// pick stays covered.
-		Channels: []int{1, 2},
-	}
+	return core.PlanInput(core.RunConfig{P: p, Opts: core.Options{MemBytes: mem, RunSymbolic: true}}, machine)
 }
 
 // oracleBSet is the batch sweep of the oracle, always including the

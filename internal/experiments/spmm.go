@@ -157,10 +157,7 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 	}
 
 	// The planner's view of the same shape, under the gate objective.
-	pl, err := planner.NewDense(a, d, planner.DenseInput{
-		P: p, Machine: opts.Machine, SecPerWork: GateSecPerWorkUnit,
-		Pipelines: []bool{false},
-	})
+	pl, err := densePlanFor(a, d, p, opts.Machine)
 	if err != nil {
 		return nil, err
 	}

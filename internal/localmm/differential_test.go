@@ -91,7 +91,7 @@ func TestKernelsDifferential(t *testing.T) {
 			for _, k := range allKernels {
 				for _, threads := range []int{1, 2, 8} {
 					name := fmt.Sprintf("%s/%s/%s/threads=%d", sh.name, sr.Name, k, threads)
-					got := k.Func()(a, b, sr, threads)
+					got := ParallelSpGEMM(k, a, b, sr, threads)
 					if err := func() error { c := got.Clone(); c.Compact(nil); return c.Validate() }(); err != nil {
 						t.Errorf("%s: invalid output: %v", name, err)
 						continue
@@ -118,7 +118,7 @@ func TestKernelsDifferentialUnsortedInputs(t *testing.T) {
 		want := naiveMultiply(a, b, sr)
 		for _, k := range allKernels {
 			for _, threads := range []int{1, 2, 8} {
-				got := k.Func()(a, b, sr, threads)
+				got := ParallelSpGEMM(k, a, b, sr, threads)
 				if !spmat.Equal(got, want) {
 					t.Errorf("%s/%s/threads=%d: differs from naive reference on unsorted inputs", sr.Name, k, threads)
 				}
@@ -155,7 +155,7 @@ func TestParallelBitIdenticalLargeFlops(t *testing.T) {
 	if f := Flops(a, a); f < 1e6 {
 		t.Fatalf("workload too small: %d flops, want >= 1e6", f)
 	}
-	want := HashSpGEMM(a, a, sr)
+	want := ParallelSpGEMM(KernelHashUnsorted, a, a, sr, 1)
 	want.SortColumns()
 	got := ParallelSpGEMM(KernelHashUnsorted, a, a, sr, 8)
 	got.SortColumns()
@@ -178,7 +178,7 @@ func TestParallelBitIdenticalLargeFlops(t *testing.T) {
 }
 
 // TestParallelMergeDifferential checks both mergers × thread counts against
-// serial HashMerge on operand sets that include empty and duplicate-row
+// the serial hash merge on operand sets that include empty and duplicate-row
 // matrices.
 func TestParallelMergeDifferential(t *testing.T) {
 	sr := semiring.PlusTimes()
@@ -189,10 +189,10 @@ func TestParallelMergeDifferential(t *testing.T) {
 		spmat.New(40, 30), // all-empty operand
 		randomMat(t, 40, 30, 60, 22),
 	}
-	want := HashMerge(mats, sr, true)
+	want := ParallelMerge(MergerHash, mats, sr, true, 1)
 	for _, mg := range []Merger{MergerHash, MergerHeap} {
 		for _, threads := range []int{1, 2, 8} {
-			got := mg.Merge(mats, sr, true, threads)
+			got := ParallelMerge(mg, mats, sr, true, threads)
 			if !spmat.Equal(got, want) {
 				t.Errorf("%s/threads=%d: merge differs from serial", mg, threads)
 			}

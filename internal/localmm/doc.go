@@ -14,8 +14,10 @@
 // # Kernels and mergers
 //
 // The Kernel and Merger enums name every generation for callers
-// (ParseKernel/ParseMerger accept the CLI spellings; Kernel.Func and
-// Merger.Merge dispatch). Which one runs is speed attribution only: every
+// (ParseKernel/ParseMerger accept the CLI spellings), and every entry point
+// takes one: ParallelSpGEMM(k, a, b, sr, threads), ParallelMerge(mg, …), and
+// their format-generic forms MulMat and MergeMat. Multiply is the sorted hash
+// kernel on one thread, the serial reference. Which one runs is speed attribution only: every
 // kernel × merger combination produces bit-identical output, including
 // float64 values. That guarantee is engineered, not incidental — the hash
 // paths accumulate each output entry in operand order, and the heap paths
@@ -82,14 +84,14 @@
 // columns), a hash set sized by the column otherwise. No call allocates by
 // the row count. The distributed symbolic step builds the batch count
 // decision from these counts, so they must be exact, not estimates —
-// Flops, ColFlops, and CompressionFactor supply the companion statistics.
+// Flops, MatFlops and ColFlops supply the companion statistics.
 //
 // # One plan
 //
 // Every kernel, merger, storage format and thread count runs the one-pass
 // accumulate-then-place plan of parallel.go (MulMat and MergeMat; the CSC
-// and serial entry points — ParallelSpGEMM, ParallelMerge, HashSpGEMM,
-// HeapMerge and the rest — are that plan with CSC operands or one thread).
+// entry points ParallelSpGEMM, ParallelMerge and Multiply are that plan with
+// CSC operands).
 // The output columns are cut into contiguous ranges balanced by flop count
 // (not column count); each worker hashes or heap-merges its range exactly
 // once, appending finished columns to its own reusable chunk and leaving

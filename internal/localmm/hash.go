@@ -347,19 +347,6 @@ func checkMulShapes(a, b *spmat.CSC) {
 	}
 }
 
-// HashSpGEMM multiplies A·B with the sort-free hash kernel of Sec. IV-D
-// ("unsorted-hash"). Neither operand needs sorted columns and the result's
-// columns are unsorted. This is the paper's new Local-Multiply kernel.
-func HashSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	return ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1)
-}
-
-// HashSpGEMMSorted is HashSpGEMM followed by sorting each output column. It
-// matches how hash kernels were used before the sort-free observation.
-func HashSpGEMMSorted(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	return ParallelSpGEMM(KernelHashSorted, a, b, sr, 1)
-}
-
 // hashAccumulateColumn feeds one output column's products into acc, in B
 // entry order and then A entry order — the accumulation order every kernel
 // shares. The A side is read through aCols, so the per-entry lookup is O(1)

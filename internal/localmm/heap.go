@@ -1,9 +1,6 @@
 package localmm
 
-import (
-	"repro/internal/semiring"
-	"repro/internal/spmat"
-)
+import "repro/internal/semiring"
 
 // heapEntry tracks one contributing list during a multiway merge (a column
 // of A in a multiply, an operand's column in a merge): the current row
@@ -67,16 +64,6 @@ func (h *rowHeap) pop() heapEntry {
 		i = small
 	}
 	return top
-}
-
-// HeapSpGEMM multiplies A·B with the heap-based column kernel used by the
-// previous 3D SUMMA work [13]. It requires A to have sorted columns — the
-// previous framework kept all matrices sorted, so an unsorted operand is
-// sorted on a copy first and that cost is charged to this kernel, just as it
-// would be in the original code — and always produces sorted output columns,
-// the sortedness the paper's new kernels deliberately give up.
-func HeapSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	return ParallelSpGEMM(KernelHeap, a, b, sr, 1)
 }
 
 // heapMulColumn computes one output column with the multiway heap merge

@@ -11,15 +11,29 @@ import (
 type Kernel int
 
 const (
-	// KernelHashUnsorted is the paper's new sort-free hash kernel.
+	// KernelHashUnsorted is the paper's new sort-free hash kernel (Sec.
+	// IV-D, "unsorted-hash"): neither operand needs sorted columns and the
+	// product's columns are unsorted.
 	KernelHashUnsorted Kernel = iota
-	// KernelHashSorted is the hash kernel with per-column output sorting.
+	// KernelHashSorted is the hash kernel with per-column output sorting, as
+	// hash kernels were used before the sort-free observation.
 	KernelHashSorted
-	// KernelHeap is the previous heap-based kernel [13]; output sorted.
+	// KernelHeap is the heap-based column kernel of the previous 3D SUMMA
+	// work [13]. It needs sorted A columns — an unsorted A is sorted on a
+	// copy and that cost is charged to the kernel, as in the original code —
+	// and its output is sorted.
 	KernelHeap
-	// KernelHybrid is the previous hybrid heap/hash kernel [25]; output sorted.
+	// KernelHybrid is the previous state-of-the-art hybrid kernel [25]: per
+	// output column the heap for small flop counts (hybridHeapThreshold),
+	// else a hash table; output sorted. Sec. IV-D measures unsorted-hash
+	// 30–50% faster.
 	KernelHybrid
 )
+
+// hybridHeapThreshold is the per-column flop count below which the hybrid
+// kernel prefers the heap: for short columns (low compression ratio) the heap
+// beats hash-table setup, mirroring the policy of Nagasaka et al. [25].
+const hybridHeapThreshold = 64
 
 // String names the kernel for reports.
 func (k Kernel) String() string {
@@ -34,15 +48,6 @@ func (k Kernel) String() string {
 		return "hybrid"
 	default:
 		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
-// Func returns the kernel entry point. The returned function multiplies with
-// threads worker goroutines via the one-pass plan of parallel.go; threads
-// <= 1 runs it on the caller's goroutine, which is the serial kernel.
-func (k Kernel) Func() func(a, b *spmat.CSC, sr *semiring.Semiring, threads int) *spmat.CSC {
-	return func(a, b *spmat.CSC, sr *semiring.Semiring, threads int) *spmat.CSC {
-		return ParallelSpGEMM(k, a, b, sr, threads)
 	}
 }
 
@@ -66,9 +71,13 @@ func ParseKernel(s string) (Kernel, error) {
 type Merger int
 
 const (
-	// MergerHash is the paper's new sort-free hash merge.
+	// MergerHash is the paper's new sort-free hash merge (Sec. IV-D,
+	// "unsorted-hash-merge"): unsorted inputs, unsorted output unless a
+	// sorted one is asked for (Merge-Fiber's is; Merge-Layer's is not).
 	MergerHash Merger = iota
-	// MergerHeap is the previous heap merge [13] (always sorted output).
+	// MergerHeap is the k-way heap merge of the previous 2D/3D SUMMA
+	// implementations [30, 13]: unsorted inputs are sorted first, that cost
+	// charged to the merge, and the output is always sorted.
 	MergerHeap
 )
 
@@ -82,13 +91,6 @@ func (m Merger) String() string {
 	default:
 		return fmt.Sprintf("Merger(%d)", int(m))
 	}
-}
-
-// Merge runs the selected merging algorithm with threads worker goroutines
-// (threads <= 1 is serial). sortOutput only affects MergerHash; the heap
-// merge always emits sorted columns.
-func (m Merger) Merge(mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool, threads int) *spmat.CSC {
-	return ParallelMerge(m, mats, sr, sortOutput, threads)
 }
 
 // ParseMerger parses a -merger flag value.
@@ -105,5 +107,5 @@ func ParseMerger(s string) (Merger, error) {
 // Multiply is the serial reference SpGEMM used to verify distributed results:
 // hash kernel with sorted output.
 func Multiply(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	return HashSpGEMMSorted(a, b, sr)
+	return ParallelSpGEMM(KernelHashSorted, a, b, sr, 1)
 }

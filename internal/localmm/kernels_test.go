@@ -54,7 +54,7 @@ func TestKernelsMatchDenseReference(t *testing.T) {
 	want := denseMultiply(a, b)
 	sr := semiring.PlusTimes()
 	for _, k := range allKernels {
-		got := k.Func()(a, b, sr, 1)
+		got := ParallelSpGEMM(k, a, b, sr, 1)
 		got.DropZeros()
 		if !spmat.Equal(got, want) {
 			t.Errorf("kernel %v: wrong product", k)
@@ -82,7 +82,7 @@ func TestKernelsAgreeOnUnsortedInputs(t *testing.T) {
 	ua.SortedCols = false
 	want := Multiply(a, b, semiring.PlusTimes())
 	for _, k := range allKernels {
-		got := k.Func()(ua, b, semiring.PlusTimes(), 1)
+		got := ParallelSpGEMM(k, ua, b, semiring.PlusTimes(), 1)
 		if !spmat.Equal(got, want) {
 			t.Errorf("kernel %v: unsorted input changed result", k)
 		}
@@ -93,11 +93,11 @@ func TestSortednessContracts(t *testing.T) {
 	a := randomMat(t, 50, 50, 300, 6)
 	b := randomMat(t, 50, 50, 300, 7)
 	sr := semiring.PlusTimes()
-	if c := HashSpGEMM(a, b, sr); c.SortedCols {
+	if c := ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1); c.SortedCols {
 		t.Error("unsorted-hash must report unsorted columns")
 	}
 	for _, k := range []Kernel{KernelHashSorted, KernelHeap, KernelHybrid} {
-		c := k.Func()(a, b, sr, 1)
+		c := ParallelSpGEMM(k, a, b, sr, 1)
 		if !c.SortedCols {
 			t.Errorf("kernel %v must produce sorted columns", k)
 		}
@@ -112,7 +112,7 @@ func TestKernelsEmptyOperands(t *testing.T) {
 	a := spmat.New(10, 5)
 	b := spmat.New(5, 8)
 	for _, k := range allKernels {
-		c := k.Func()(a, b, sr, 1)
+		c := ParallelSpGEMM(k, a, b, sr, 1)
 		if c.NNZ() != 0 || c.Rows != 10 || c.Cols != 8 {
 			t.Errorf("kernel %v: empty product wrong: %v", k, c)
 		}
@@ -124,10 +124,10 @@ func TestKernelsIdentity(t *testing.T) {
 	id := spmat.Identity(20)
 	sr := semiring.PlusTimes()
 	for _, k := range allKernels {
-		if got := k.Func()(m, id, sr, 1); !spmat.Equal(got, m) {
+		if got := ParallelSpGEMM(k, m, id, sr, 1); !spmat.Equal(got, m) {
 			t.Errorf("kernel %v: M·I ≠ M", k)
 		}
-		if got := k.Func()(id, m, sr, 1); !spmat.Equal(got, m) {
+		if got := ParallelSpGEMM(k, id, m, sr, 1); !spmat.Equal(got, m) {
 			t.Errorf("kernel %v: I·M ≠ M", k)
 		}
 	}
@@ -139,7 +139,7 @@ func TestKernelsShapeMismatchPanics(t *testing.T) {
 			t.Error("inner-dimension mismatch did not panic")
 		}
 	}()
-	HashSpGEMM(spmat.New(3, 4), spmat.New(5, 3), semiring.PlusTimes())
+	ParallelSpGEMM(KernelHashUnsorted, spmat.New(3, 4), spmat.New(5, 3), semiring.PlusTimes(), 1)
 }
 
 func TestMinPlusSemiringProduct(t *testing.T) {
@@ -150,7 +150,7 @@ func TestMinPlusSemiringProduct(t *testing.T) {
 		{Row: 1, Col: 0, Val: 2}, {Row: 2, Col: 1, Val: 3}, {Row: 2, Col: 0, Val: 10},
 	}, nil)
 	sr := semiring.MinPlus()
-	c := HashSpGEMMSorted(a, a, sr)
+	c := Multiply(a, a, sr)
 	// Path 0→1→2 costs 5; direct entries are products of stored edges only.
 	if got := c.At(2, 0); got != 5 {
 		t.Errorf("min-plus two-hop cost = %v, want 5", got)
@@ -161,7 +161,7 @@ func TestBoolSemiringReachability(t *testing.T) {
 	a, _ := spmat.FromTriples(3, 3, []spmat.Triple{
 		{Row: 1, Col: 0, Val: 1}, {Row: 2, Col: 1, Val: 1},
 	}, nil)
-	c := HeapSpGEMM(a, a, semiring.BoolOrAnd())
+	c := ParallelSpGEMM(KernelHeap, a, a, semiring.BoolOrAnd(), 1)
 	if got := c.At(2, 0); got != 1 {
 		t.Errorf("bool reachability = %v, want 1", got)
 	}
@@ -176,9 +176,9 @@ func TestKernelsAgreeProperty(t *testing.T) {
 		n := int32(rng.Intn(25) + 1)
 		a := randomMat(t, m, k, rng.Intn(100), seed+1)
 		b := randomMat(t, k, n, rng.Intn(100), seed+2)
-		ref := HeapSpGEMM(a, b, sr)
+		ref := ParallelSpGEMM(KernelHeap, a, b, sr, 1)
 		for _, kn := range allKernels {
-			if !spmat.Equal(kn.Func()(a, b, sr, 1), ref) {
+			if !spmat.Equal(ParallelSpGEMM(kn, a, b, sr, 1), ref) {
 				return false
 			}
 		}
@@ -193,7 +193,7 @@ func TestParallelSpGEMMMatchesSerial(t *testing.T) {
 	a := randomMat(t, 60, 60, 500, 9)
 	b := randomMat(t, 60, 60, 500, 10)
 	sr := semiring.PlusTimes()
-	want := HashSpGEMMSorted(a, b, sr)
+	want := Multiply(a, b, sr)
 	for _, threads := range []int{1, 2, 3, 8, 100} {
 		got := ParallelSpGEMM(KernelHashUnsorted, a, b, sr, threads)
 		if !spmat.Equal(got, want) {

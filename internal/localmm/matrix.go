@@ -189,11 +189,6 @@ func (pl *Plan) Symbolic(threads int) int64 {
 	return total.Load()
 }
 
-// ParallelSymbolicSpGEMM is SymbolicMat over CSC operands.
-func ParallelSymbolicSpGEMM(a, b *spmat.CSC, threads int) int64 {
-	return SymbolicMat(a, b, threads)
-}
-
 // MulMat computes A·B with the selected kernel over any format combination
 // by the one-pass plan of parallel.go, with at most threads workers — fewer
 // when the product is too small to pay for them (clampThreads); one worker

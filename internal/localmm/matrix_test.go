@@ -56,7 +56,7 @@ func TestMulMatDifferential(t *testing.T) {
 		a := hyperMat(t, sh.ar, sh.ac, sh.an, int64(100+si))
 		b := hyperMat(t, sh.ac, sh.bc, sh.bn, int64(200+si))
 		for _, k := range []Kernel{KernelHashUnsorted, KernelHashSorted, KernelHeap, KernelHybrid} {
-			want := k.Func()(a, b, sr, 1)
+			want := ParallelSpGEMM(k, a, b, sr, 1)
 			for _, aD := range []bool{false, true} {
 				for _, bD := range []bool{false, true} {
 					for _, threads := range []int{1, 4} {
@@ -195,7 +195,7 @@ func TestMergeMatDifferential(t *testing.T) {
 		hyperMat(t, 20, 600, 20, 13), // very sparse operand
 	}
 	for _, mg := range []Merger{MergerHash, MergerHeap} {
-		want := mg.Merge(base, sr, true, 1)
+		want := ParallelMerge(mg, base, sr, true, 1)
 		// Format masks: all-CSC, all-DCSC, mixed.
 		for mi, mask := range [][]bool{
 			{false, false, false},
@@ -222,7 +222,7 @@ func TestMergeMatDifferential(t *testing.T) {
 	}
 	// Unsorted hash merge keeps insertion order semantics.
 	mats := []spmat.Matrix{base[0].ToDCSC(), base[1].ToDCSC()}
-	want := HashMerge(base[:2], sr, false)
+	want := ParallelMerge(MergerHash, base[:2], sr, false, 1)
 	got := MergeMat(MergerHash, mats, sr, false, 1)
 	if got.Sorted() {
 		t.Error("unsorted merge claimed sorted output")

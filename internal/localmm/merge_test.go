@@ -26,10 +26,10 @@ func TestMergersMatchReference(t *testing.T) {
 		randomMat(t, 25, 20, 70, 13),
 	}
 	want := sumAll(mats)
-	if got := HashMerge(mats, sr, true); !spmat.Equal(got, want) {
+	if got := ParallelMerge(MergerHash, mats, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("hash merge wrong")
 	}
-	if got := HeapMerge(mats, sr); !spmat.Equal(got, want) {
+	if got := ParallelMerge(MergerHeap, mats, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("heap merge wrong")
 	}
 }
@@ -37,10 +37,10 @@ func TestMergersMatchReference(t *testing.T) {
 func TestHashMergeUnsortedFlag(t *testing.T) {
 	sr := semiring.PlusTimes()
 	mats := []*spmat.CSC{randomMat(t, 10, 10, 30, 14), randomMat(t, 10, 10, 30, 15)}
-	if got := HashMerge(mats, sr, false); got.SortedCols {
+	if got := ParallelMerge(MergerHash, mats, sr, false, 1); got.SortedCols {
 		t.Error("unsorted hash merge should report unsorted")
 	}
-	got := HashMerge(mats, sr, true)
+	got := ParallelMerge(MergerHash, mats, sr, true, 1)
 	if !got.SortedCols {
 		t.Error("sorted hash merge should report sorted")
 	}
@@ -54,21 +54,21 @@ func TestMergeUnsortedInputs(t *testing.T) {
 	a := randomMat(t, 30, 30, 150, 16)
 	b := randomMat(t, 30, 30, 150, 17)
 	// Produce genuinely unsorted operands through the unsorted-hash kernel.
-	ua := HashSpGEMM(a, b, sr)
-	ub := HashSpGEMM(b, a, sr)
+	ua := ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1)
+	ub := ParallelSpGEMM(KernelHashUnsorted, b, a, sr, 1)
 	want := sumAll([]*spmat.CSC{ua, ub})
-	if got := HashMerge([]*spmat.CSC{ua, ub}, sr, true); !spmat.Equal(got, want) {
+	if got := ParallelMerge(MergerHash, []*spmat.CSC{ua, ub}, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("hash merge of unsorted inputs wrong")
 	}
-	if got := HeapMerge([]*spmat.CSC{ua, ub}, sr); !spmat.Equal(got, want) {
+	if got := ParallelMerge(MergerHeap, []*spmat.CSC{ua, ub}, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("heap merge of unsorted inputs wrong")
 	}
 }
 
 func TestMergeSingleMatrix(t *testing.T) {
 	sr := semiring.PlusTimes()
-	m := HashSpGEMM(randomMat(t, 15, 15, 60, 18), randomMat(t, 15, 15, 60, 19), sr)
-	got := HashMerge([]*spmat.CSC{m}, sr, true)
+	m := ParallelSpGEMM(KernelHashUnsorted, randomMat(t, 15, 15, 60, 18), randomMat(t, 15, 15, 60, 19), sr, 1)
+	got := ParallelMerge(MergerHash, []*spmat.CSC{m}, sr, true, 1)
 	if !spmat.Equal(got, m) {
 		t.Error("merge of one matrix should be identity")
 	}
@@ -81,7 +81,7 @@ func TestMergeEmptyMatrices(t *testing.T) {
 	sr := semiring.PlusTimes()
 	mats := []*spmat.CSC{spmat.New(5, 5), spmat.New(5, 5)}
 	for _, mg := range []Merger{MergerHash, MergerHeap} {
-		got := mg.Merge(mats, sr, true, 1)
+		got := ParallelMerge(mg, mats, sr, true, 1)
 		if got.NNZ() != 0 {
 			t.Errorf("%v: merge of empties has %d nnz", mg, got.NNZ())
 		}
@@ -94,7 +94,7 @@ func TestMergeShapeMismatchPanics(t *testing.T) {
 			t.Error("shape mismatch did not panic")
 		}
 	}()
-	HashMerge([]*spmat.CSC{spmat.New(3, 3), spmat.New(3, 4)}, semiring.PlusTimes(), false)
+	ParallelMerge(MergerHash, []*spmat.CSC{spmat.New(3, 3), spmat.New(3, 4)}, semiring.PlusTimes(), false, 1)
 }
 
 func TestMergeDeduplicates(t *testing.T) {
@@ -110,7 +110,7 @@ func TestMergeDeduplicates(t *testing.T) {
 	other, _ := spmat.FromTriples(3, 1, []spmat.Triple{{Row: 1, Col: 0, Val: 4}}, nil)
 	sr := semiring.PlusTimes()
 	for _, mg := range []Merger{MergerHash, MergerHeap} {
-		got := mg.Merge([]*spmat.CSC{dup, other}, sr, true, 1)
+		got := ParallelMerge(mg, []*spmat.CSC{dup, other}, sr, true, 1)
 		if got.At(1, 0) != 9 || got.At(0, 0) != 1 {
 			t.Errorf("%v: duplicates mishandled: (1,0)=%v (0,0)=%v", mg, got.At(1, 0), got.At(0, 0))
 		}
@@ -131,7 +131,7 @@ func TestMergersAgreeProperty(t *testing.T) {
 		for i := range mats {
 			mats[i] = randomMat(t, rows, cols, rng.Intn(60), seed+int64(i)+1)
 		}
-		return spmat.Equal(HashMerge(mats, sr, true), HeapMerge(mats, sr))
+		return spmat.Equal(ParallelMerge(MergerHash, mats, sr, true, 1), ParallelMerge(MergerHeap, mats, sr, true, 1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -145,7 +145,7 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 		randomMat(t, 40, 35, 200, 21),
 		randomMat(t, 40, 35, 200, 22),
 	}
-	want := HashMerge(mats, sr, true)
+	want := ParallelMerge(MergerHash, mats, sr, true, 1)
 	for _, threads := range []int{2, 5, 64} {
 		got := ParallelMerge(MergerHash, mats, sr, true, threads)
 		if !spmat.Equal(got, want) {
@@ -159,7 +159,7 @@ func TestMergeMinPlus(t *testing.T) {
 	a, _ := spmat.FromTriples(2, 1, []spmat.Triple{{Row: 0, Col: 0, Val: 5}}, nil)
 	b, _ := spmat.FromTriples(2, 1, []spmat.Triple{{Row: 0, Col: 0, Val: 3}, {Row: 1, Col: 0, Val: 7}}, nil)
 	for _, mg := range []Merger{MergerHash, MergerHeap} {
-		got := mg.Merge([]*spmat.CSC{a, b}, sr, true, 1)
+		got := ParallelMerge(mg, []*spmat.CSC{a, b}, sr, true, 1)
 		if got.At(0, 0) != 3 || got.At(1, 0) != 7 {
 			t.Errorf("%v: min-plus merge wrong: %v %v", mg, got.At(0, 0), got.At(1, 0))
 		}
@@ -174,7 +174,7 @@ func TestMergeMinPlus(t *testing.T) {
 func TestMergeOneOperandIsTheOperand(t *testing.T) {
 	sr := semiring.PlusTimes()
 	a, b := randomMat(t, 30, 30, 150, 21), randomMat(t, 30, 30, 150, 22)
-	unsorted := HashSpGEMM(a, b, sr)
+	unsorted := ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1)
 	if unsorted.SortedCols {
 		t.Fatal("the unsorted-hash product is marked sorted; the test needs an unsorted operand")
 	}

@@ -162,7 +162,7 @@ func TestOnePassMultiplyAgainstDenseReference(t *testing.T) {
 	for _, sh := range shapes {
 		ref := refMultiply(sh.a, sh.b)
 		refSorted := sortedRef(ref)
-		serial := HashSpGEMM(sh.a, sh.b, sr)
+		serial := ParallelSpGEMM(KernelHashUnsorted, sh.a, sh.b, sr, 1)
 		for _, k := range allKernels {
 			for _, aD := range []bool{false, true} {
 				for _, bD := range []bool{false, true} {
@@ -211,7 +211,7 @@ func TestOnePassMergeAgainstDenseReference(t *testing.T) {
 	for _, set := range sets {
 		ref := refMerge(set.mats)
 		refSorted := sortedRef(ref)
-		serial := HashMerge(set.mats, sr, false)
+		serial := ParallelMerge(MergerHash, set.mats, sr, false, 1)
 		for _, mg := range []Merger{MergerHash, MergerHeap} {
 			for fi, dcsc := range [][]bool{{false, false, false, false}, {true, true, true, true}, {true, false, true, false}} {
 				mats := make([]spmat.Matrix, len(set.mats))

@@ -30,12 +30,12 @@ func TestParallelKernelsRace(t *testing.T) {
 	}
 
 	mats := []*spmat.CSC{
-		HashSpGEMM(a, b, sr),
-		HashSpGEMM(b, a, sr),
-		HashSpGEMM(a, a, sr),
+		ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1),
+		ParallelSpGEMM(KernelHashUnsorted, b, a, sr, 1),
+		ParallelSpGEMM(KernelHashUnsorted, a, a, sr, 1),
 	}
 	for _, mg := range []Merger{MergerHash, MergerHeap} {
-		if got := mg.Merge(mats, sr, true, 8); got.NNZ() == 0 {
+		if got := ParallelMerge(mg, mats, sr, true, 8); got.NNZ() == 0 {
 			t.Errorf("merger %v: empty parallel merge", mg)
 		}
 	}

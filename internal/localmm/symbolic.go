@@ -42,16 +42,6 @@ func SymbolicSpGEMM(a, b *spmat.CSC) int64 {
 	return PlanMul(a, b).Symbolic(1)
 }
 
-// CompressionFactor returns flops / nnz(A·B), the paper's cf statistic
-// (cf ≥ 1; high cf means heavy accumulation). Returns 0 for an empty product.
-func CompressionFactor(a, b *spmat.CSC) float64 {
-	nnz := SymbolicSpGEMM(a, b)
-	if nnz == 0 {
-		return 0
-	}
-	return float64(Flops(a, b)) / float64(nnz)
-}
-
 // rowSet counts the distinct rows of one output column for the symbolic
 // pass, in the two regimes of hashAccum under the same byte budget.
 //

@@ -47,20 +47,6 @@ func TestSymbolicMatchesActualNNZ(t *testing.T) {
 	}
 }
 
-func TestCompressionFactorAtLeastOne(t *testing.T) {
-	a := randomMat(t, 50, 50, 400, 32)
-	cf := CompressionFactor(a, a)
-	if cf < 1 {
-		t.Errorf("cf=%v < 1", cf)
-	}
-}
-
-func TestCompressionFactorEmpty(t *testing.T) {
-	if cf := CompressionFactor(spmat.New(5, 5), spmat.New(5, 5)); cf != 0 {
-		t.Errorf("cf of empty product = %v, want 0", cf)
-	}
-}
-
 func TestFlopsVsSymbolicProperty(t *testing.T) {
 	// flops ≥ nnz(C) always (each output nonzero needs ≥1 multiplication).
 	f := func(seed int64) bool {
@@ -281,7 +267,7 @@ func TestParallelSymbolicMatchesSerial(t *testing.T) {
 		b := randomMat(t, tc.rows, tc.cols, tc.nnz, tc.seed+100)
 		want := SymbolicSpGEMM(a, b)
 		for _, threads := range []int{1, 2, 3, 4, 8, 64} {
-			if got := ParallelSymbolicSpGEMM(a, b, threads); got != want {
+			if got := SymbolicMat(a, b, threads); got != want {
 				t.Errorf("%dx%d nnz=%d threads=%d: got %d, want %d",
 					tc.rows, tc.cols, tc.nnz, threads, got, want)
 			}
@@ -293,7 +279,7 @@ func TestParallelSymbolicMatchesSerial(t *testing.T) {
 // produce on small grids.
 func TestParallelSymbolicEmpty(t *testing.T) {
 	a := randomMat(t, 20, 20, 50, 55)
-	if got := ParallelSymbolicSpGEMM(a, spmat.New(20, 7), 4); got != 0 {
+	if got := SymbolicMat(a, spmat.New(20, 7), 4); got != 0 {
 		t.Errorf("empty B: nnz=%d", got)
 	}
 }
@@ -303,7 +289,7 @@ func BenchmarkSymbolicParallel(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ParallelSymbolicSpGEMM(a, a, threads)
+				SymbolicMat(a, a, threads)
 			}
 		})
 	}

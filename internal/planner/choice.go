@@ -89,9 +89,7 @@ func CacheKey(fpA, fpB string, in Input) string {
 	fmt.Fprintf(&b, "a=%s|b=%s|p=%d|mem=%d", fpA, fpB, in.P, in.MemBytes)
 	fmt.Fprintf(&b, "|m=%s,%g,%g,%g,%g", in.Machine.Name,
 		in.Machine.AlphaSec, in.Machine.BetaSecPerByte, in.Machine.CommScale, in.Machine.ComputeScale)
-	fmt.Fprintf(&b, "|r=%d|spw=%g|sym=%t|maxb=%d|sample=%d|imb=%g",
-		in.BytesPerNnz, in.SecPerWork, in.Symbolic, in.MaxBatches, in.SampleCols, in.Imbalance)
-	fmt.Fprintf(&b, "|l=%v", in.Layers)
+	fmt.Fprintf(&b, "|sym=%t|l=%v", in.Symbolic, in.Layers)
 	b.WriteString("|f=")
 	for i, f := range in.Formats {
 		if i > 0 {

@@ -50,18 +50,9 @@ type DenseInput struct {
 	MemBytes int64
 	// Machine supplies α, β, and the communication scale factor.
 	Machine costmodel.Machine
-	// BytesPerNnz is r, the modeled bytes per stored nonzero (default 24).
-	BytesPerNnz int64
-	// SecPerWork is the work-unit rate of the objective (default
-	// DefaultSecPerWork).
-	SecPerWork float64
-	// MaxBatches caps the induced batch count (0 = uncapped).
-	MaxBatches int
-	// Algos restricts the algorithm axis (nil = summa, cola, innerabc).
+	// Algos restricts the algorithm axis (nil = summa, cola, innerabc). The
+	// 1.5D arms try every replication factor c with c² | p.
 	Algos []string
-	// Replications restricts the 1.5D replication factors (nil = every c
-	// with c² | p).
-	Replications []int
 	// Pipelines restricts the schedule dimension (nil = staged and
 	// pipelined).
 	Pipelines []bool
@@ -70,12 +61,6 @@ type DenseInput struct {
 func (in DenseInput) withDefaults() DenseInput {
 	if in.Iterations < 1 {
 		in.Iterations = 1
-	}
-	if in.BytesPerNnz == 0 {
-		in.BytesPerNnz = spmat.BytesPerNonzero
-	}
-	if in.SecPerWork == 0 {
-		in.SecPerWork = DefaultSecPerWork
 	}
 	if in.Machine.Name == "" {
 		in.Machine = costmodel.CoriKNL()
@@ -197,19 +182,12 @@ func NewDense(a *spmat.CSC, d int32, in DenseInput) (*DensePlan, error) {
 		return nil, fmt.Errorf("planner: dense width %d", d)
 	}
 	pl := &DensePlan{In: in, D: d, a: a, stats: make(map[int]*denseStats)}
-	reps := in.Replications
-	if len(reps) == 0 {
-		reps = ReplicationsFor(in.P)
-	}
 	for _, algo := range in.Algos {
 		switch algo {
 		case DenseAlgoSUMMA:
 			pl.addSUMMA(a, d, in)
 		case DenseAlgoColA, DenseAlgoInnerABC:
-			for _, c := range reps {
-				if err := grid.Valid15(in.P, c); err != nil {
-					return nil, fmt.Errorf("planner: replication %d: %w", c, err)
-				}
+			for _, c := range ReplicationsFor(in.P) {
 				staged := pl.predict15(algo, c, 0, false)
 				for _, pipe := range in.Pipelines {
 					if !pipe {
@@ -288,9 +266,7 @@ func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32, in DenseInput) {
 		return
 	}
 	sp, err := New(a, denseOnesCSC(a.Cols, d), Input{
-		P: in.P, MemBytes: in.MemBytes, Machine: in.Machine,
-		BytesPerNnz: in.BytesPerNnz, SecPerWork: in.SecPerWork,
-		MaxBatches: in.MaxBatches, Pipelines: in.Pipelines,
+		P: in.P, MemBytes: in.MemBytes, Machine: in.Machine, Pipelines: in.Pipelines,
 	})
 	if err != nil {
 		pl.Candidates = append(pl.Candidates, DenseCandidate{
@@ -414,12 +390,12 @@ func boundsMaxWidth(b []int32) int32 {
 // memModel15 is the flat footprint of a sparse block under the auto format
 // heuristic — the same spmat.MemBytesModel accounting the runtime's
 // MemBytes() reports.
-func memModel15(cols int32, ne, nnz, r int64) int64 {
+func memModel15(cols int32, ne, nnz int64) int64 {
 	f := spmat.FormatCSC
 	if spmat.Hypersparse(ne, cols) {
 		f = spmat.FormatDCSC
 	}
-	return spmat.MemBytesModel(f, nnz, ne, r)
+	return spmat.MemBytesModel(f, nnz, ne, spmat.BytesPerNonzero)
 }
 
 // predict15 evaluates one 1.5D configuration. forceB ≤ 0 induces the batch
@@ -435,21 +411,20 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 	st := pl.statsFor(s)
 	cm := mpi.CostModel{AlphaSec: in.Machine.AlphaSec, BetaSecPerByte: in.Machine.BetaSecPerByte}
 	cs := in.Machine.CommScale
-	rate := in.SecPerWork
-	rBytes := in.BytesPerNnz
+	const rate = DefaultSecPerWork
 	d := pl.D
 	nnz := a.ColPtr[a.Cols]
 
 	// Shapes the memory model needs.
 	var maxBlkMem int64 // ColA: widest A block-column footprint
 	for i := 0; i < s; i++ {
-		if m := memModel15(st.colBounds[i+1]-st.colBounds[i], st.colNE[i], st.colNNZ[i], rBytes); m > maxBlkMem {
+		if m := memModel15(st.colBounds[i+1]-st.colBounds[i], st.colNE[i], st.colNNZ[i]); m > maxBlkMem {
 			maxBlkMem = m
 		}
 	}
 	var maxRowMem int64 // InnerABC: heaviest A block-row footprint
 	for i := 0; i < s; i++ {
-		if m := memModel15(a.Cols, st.rowNE[i], st.rowNNZ[i], rBytes); m > maxRowMem {
+		if m := memModel15(a.Cols, st.rowNE[i], st.rowNNZ[i]); m > maxRowMem {
 			maxRowMem = m
 		}
 	}
@@ -493,9 +468,6 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 	maxB := int(d)
 	if maxB < 1 {
 		maxB = 1
-	}
-	if in.MaxBatches > 0 && maxB > in.MaxBatches {
-		maxB = in.MaxBatches
 	}
 	b := forceB
 	if b <= 0 {

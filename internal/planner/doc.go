@@ -22,7 +22,29 @@
 // slice-splitting model, so they are estimates. The modeled objective is the
 // same one the CI perf gate scores: per-step max-over-ranks α–β communication
 // plus total work units at a pinned seconds-per-work rate — deterministic on
-// any host.
+// any host. The model's constants are not inputs: r = spmat.BytesPerNonzero
+// bytes per stored nonzero (Sec. IV-A), DefaultSecPerWork, DefaultSampleCols
+// probed columns and DefaultImbalance, so CacheKey names only what a caller
+// can change.
+//
+// Two axes of the daemon's space look dominated inside the model, and
+// TestDominatedAxes holds both on the planner fixtures with the symbolic pass
+// run (two rank counts, four budgets, 1008 candidates): a sparse A-broadcast
+// auto candidate is never slower or larger than its off twin and agrees on
+// feasibility, and a pipelined candidate's second overlap channel never costs
+// time or memory. Neither yet licenses pruning the dominated value:
+//
+//   - 288 of the sparse-mode pairs tie exactly. The rank tie-break puts off
+//     first, so dropping off would change the pick's spelling (Choice) and
+//     the runtime path it executes (mpi.IbcastColsStart's per-stage subset
+//     decision) for no modeled second.
+//   - Without the symbolic pass — the daemon's input when there is no
+//     budget — auto learns each stage's column subset from one extra
+//     Allgather along the process column, and on the same fixtures it models
+//     slower than off in 72 candidates.
+//
+// The format axis has no such claim: auto applies the occupancy heuristic
+// block by block, and csc or dcsc beats it in 312 of those 1008 candidates.
 //
 // A daemon pays a cold plan on the request path for every new operand pair,
 // so the probe and the grid statistics do the least work that gives the

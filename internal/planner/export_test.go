@@ -40,7 +40,7 @@ func NewReference(a, b *spmat.CSC, in Input) (*Plan, error) {
 	if len(layers) == 0 {
 		layers = LayersFor(in.P)
 	}
-	pr, err := ProbePair(a, b, in.SampleCols)
+	pr, err := ProbePair(a, b, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,10 @@ const DefaultSecPerWork = 1e-9
 // small factor of the mean.
 const DefaultImbalance = 1.5
 
-// Input configures a planning run.
+// Input configures a planning run. Every prediction models
+// spmat.BytesPerNonzero bytes per stored nonzero, scores work at
+// DefaultSecPerWork, probes DefaultSampleCols columns and scales mean-based
+// per-rank estimates by DefaultImbalance.
 type Input struct {
 	// P is the total rank count. Required.
 	P int
@@ -32,22 +35,9 @@ type Input struct {
 	MemBytes int64
 	// Machine supplies α, β, and the communication scale factor.
 	Machine costmodel.Machine
-	// BytesPerNnz is r, the modeled bytes per stored nonzero (default 24).
-	BytesPerNnz int64
-	// SecPerWork is the work-unit rate of the objective (default
-	// DefaultSecPerWork).
-	SecPerWork float64
 	// Symbolic includes the distributed symbolic pass in every prediction
 	// (the memory-constrained workflow always runs it).
 	Symbolic bool
-	// MaxBatches caps the induced batch count (0 = uncapped).
-	MaxBatches int
-	// SampleCols is the probe's symbolic sample size (0 =
-	// DefaultSampleCols).
-	SampleCols int
-	// Imbalance scales mean-based per-rank estimates to maxima (0 =
-	// DefaultImbalance).
-	Imbalance float64
 	// Layers restricts the candidate layer counts (nil = every l for which
 	// p/l is a perfect square).
 	Layers []int
@@ -67,15 +57,6 @@ type Input struct {
 }
 
 func (in Input) withDefaults() Input {
-	if in.BytesPerNnz == 0 {
-		in.BytesPerNnz = spmat.BytesPerNonzero
-	}
-	if in.SecPerWork == 0 {
-		in.SecPerWork = DefaultSecPerWork
-	}
-	if in.Imbalance == 0 {
-		in.Imbalance = DefaultImbalance
-	}
 	if in.Machine.Name == "" {
 		in.Machine = costmodel.CoriKNL()
 	}
@@ -139,7 +120,7 @@ func New(a, b *spmat.CSC, in Input) (*Plan, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("planner: no valid layer count for p = %d (p/l must be a perfect square)", in.P)
 	}
-	pr, err := ProbePair(a, b, in.SampleCols)
+	pr, err := ProbePair(a, b, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -86,8 +86,8 @@ type Candidate struct {
 	HiddenSeconds float64
 	WorkUnits     int64
 	// ModelSeconds is the ranking objective: exposed comm plus
-	// WorkUnits·SecPerWork — the same deterministic metric the CI perf gate
-	// scores.
+	// WorkUnits·DefaultSecPerWork — the same deterministic metric the CI perf
+	// gate scores.
 	ModelSeconds float64
 	// PeakMemBytesPerRank is the predicted per-rank memory high-water mark
 	// under the flat r·nnz accounting the runtime's trackPeak uses.
@@ -117,7 +117,7 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 	in, pr := pl.In, pl.Probe
 	q, l := gs.q, gs.l
 	p := in.P
-	r := in.BytesPerNnz
+	const r = spmat.BytesPerNonzero
 	cm := mpi.CostModel{AlphaSec: in.Machine.AlphaSec, BetaSecPerByte: in.Machine.BetaSecPerByte}
 	cs := in.Machine.CommScale
 
@@ -180,7 +180,7 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 	// unmerged intermediate must fit), so an induced b is feasible by
 	// construction and a forced one is checked against the same inequality.
 	b := forceB
-	maxnnzC := in.Imbalance * maxLayerQL / float64(q*q)
+	maxnnzC := DefaultImbalance * maxLayerQL / float64(q*q)
 	avail := math.Inf(1)
 	if in.MemBytes > 0 {
 		avail = float64(in.MemBytes)/float64(p) - float64(maxMemA+maxMemB)
@@ -201,9 +201,6 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 			if b < 1 {
 				b = 1
 			}
-		}
-		if in.MaxBatches > 0 && b > in.MaxBatches {
-			b = in.MaxBatches
 		}
 	}
 	cand.B = b
@@ -385,14 +382,14 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 		cand.CommSeconds += s.CommSeconds
 		cand.WorkUnits += s.WorkUnits
 	}
-	cand.ModelSeconds = cand.CommSeconds + float64(cand.WorkUnits)*in.SecPerWork
+	cand.ModelSeconds = cand.CommSeconds + float64(cand.WorkUnits)*DefaultSecPerWork
 
 	// Peak memory under the runtime's flat accounting: inputs plus the
 	// unmerged stage products plus the merged layer output per batch, on
 	// the heaviest layer's ranks. Informational — the feasibility gate
 	// above is Alg 3's own inequality, which (like the paper's model)
 	// excludes the merged output being streamed out.
-	peakNNZ := float64(maxNnzA+maxNnzB) + in.Imbalance*(maxLayerQL+maxLayerL)/float64(int64(q*q)*b64)
+	peakNNZ := float64(maxNnzA+maxNnzB) + DefaultImbalance*(maxLayerQL+maxLayerL)/float64(int64(q*q)*b64)
 	cand.PeakMemBytesPerRank = int64(peakNNZ * float64(r))
 	return cand
 }
@@ -461,14 +458,14 @@ func (o Overlap) Hidden() (sym, a, b, fiber float64) {
 
 // applyOverlap derives the pipelined variant of a staged candidate under k
 // overlap channels: the overlap-ledger model moves the hideable share of each
-// collective into HiddenSeconds, with per-rank compute valued at SecPerWork
-// over the candidate's own work predictions. k ≤ 1 is the single-injection
-// model and leaves Config.Channels at its zero value (pre-knob spelling).
+// collective into HiddenSeconds, with per-rank compute valued at
+// DefaultSecPerWork over the candidate's own work predictions. k ≤ 1 is the
+// single-injection model and leaves Config.Channels at its zero value
+// (pre-knob spelling).
 func (pl *Plan) applyOverlap(staged Candidate, k int) Candidate {
 	p := float64(pl.In.P)
-	rate := pl.In.SecPerWork
 	perRank := func(step string) float64 {
-		return float64(staged.Step(step).WorkUnits) * rate / p
+		return float64(staged.Step(step).WorkUnits) * DefaultSecPerWork / p
 	}
 	// The symbolic step's four Allreduces stay blocking in the pipelined
 	// schedule; only the broadcast share is hideable.
@@ -509,7 +506,7 @@ func (pl *Plan) applyOverlap(staged Candidate, k int) Candidate {
 		out.CommSeconds += out.Steps[i].CommSeconds
 		out.HiddenSeconds += out.Steps[i].HiddenSeconds
 	}
-	out.ModelSeconds = out.CommSeconds + float64(out.WorkUnits)*rate
+	out.ModelSeconds = out.CommSeconds + float64(out.WorkUnits)*DefaultSecPerWork
 	return out
 }
 

@@ -394,8 +394,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		t.Fatalf("different machines must key differently")
 	}
 	explicit := base
-	explicit.BytesPerNnz = spmat.BytesPerNonzero
-	explicit.SecPerWork = planner.DefaultSecPerWork
+	explicit.Pipelines = []bool{false, true}
 	if k2 := planner.CacheKey(fa, fa, explicit); k1 != k2 {
 		t.Fatalf("explicit defaults must key identically to omitted fields")
 	}
