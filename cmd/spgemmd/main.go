@@ -43,6 +43,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/service"
@@ -99,8 +100,29 @@ func main() {
 
 	logger.Info("serving", "addr", *addr, "p", *p, "machine", m.Name,
 		"mem_bytes", mem, "threads", *threads, "pprof", *pprofFlag, "tracedir", *traceDir)
-	if err := http.ListenAndServe(*addr, handler); err != nil {
+	if err := newServer(*addr, handler).ListenAndServe(); err != nil {
 		fatal(err)
+	}
+}
+
+// The server's timeouts: a client has readHeaderTimeout to send its request
+// header, and a kept-alive connection with no request for idleTimeout is
+// closed. Without them a client that opens a connection and never finishes
+// its header holds the connection and its goroutine forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the daemon's HTTP server for handler on addr. ReadTimeout and
+// WriteTimeout stay unset: they would bound the whole body and the whole
+// response, and a /load body or a streamed product may be large.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

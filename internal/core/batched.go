@@ -107,7 +107,7 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			bNext = extract(t + 1)
 		}
 		tr.SetBatch(t)
-		cPiece, loan, offsets := p.summa3DBatch(t, bCur, bNext, res)
+		cPiece, loans, offsets := p.summa3DBatch(t, bCur, bNext, res)
 		switch {
 		case bNext != nil:
 			bCur = bNext
@@ -137,11 +137,11 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			}
 		}
 		if p.discard {
-			// The hook has read the batch: drop it, and hand back its chunk
-			// if it was lent.
+			// The hook has read the batch: drop it, and hand back the chunks
+			// it was lent.
 			r, c := cPiece.Dims()
 			cPiece = spmat.New(r, c)
-			loan.Return()
+			returnLoans(loans)
 		}
 		res.Pieces = append(res.Pieces, cPiece)
 		res.GlobalCols = append(res.GlobalCols, globalCols...)

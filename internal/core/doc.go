@@ -36,12 +36,14 @@
 //
 // # Lent outputs
 //
-// Three outputs that are read and dropped are lent, not copied
-// (localmm.Plan.MulLent, localmm.MergeLent): their entry arrays are a kernel
-// worker's chunk until the rank hands it back (localmm.Loan.Return), and each
-// is returned when its last reader is done.
+// Every kernel output whose last reader is known is lent, not copied
+// (localmm.Plan.MulLent, localmm.MergeLent): its entry arrays are a kernel
+// worker's chunk until the rank hands it back (localmm.Loan.Return). Each
+// loan is returned by exactly one owner, and that owner is whoever knows the
+// output's last reader. There are five cases:
 //
-//   - A stage product, on a grid with q > 1: once Merge-Layer has read it.
+//   - A stage product, on a grid with q > 1: Merge-Layer accumulates it into
+//     arrays of its own, and the batch function returns it right after.
 //   - Merge-Layer's output, on a grid with l > 1 (in the pipelined schedule,
 //     each per-destination merge's). This rank's Merge-Fiber reads it and,
 //     through the by-reference fiber exchange, so do the l − 1 fiber peers'.
@@ -49,9 +51,17 @@
 //     returns only once every peer has posted and so has finished this batch;
 //     the last batch's are held in the Proc and returned by the launcher once
 //     the world has ended, aborted or not.
-//   - Under MultiplyDiscard, a batch output on a grid with l > 1: once the
-//     hook has returned. The hook is handed the piece on loan for the call.
+//   - Under MultiplyDiscard, Merge-Layer's output on a grid with l = 1: with
+//     no fiber peers, Merge-Fiber passes it through as the batch output, and
+//     BatchedSUMMA3D returns it once the hook has returned.
+//   - Under MultiplyDiscard, Merge-Fiber's output on a grid with l > 1: the
+//     batch output, returned by BatchedSUMMA3D once the hook has returned.
+//   - A stage product on a grid with q = 1, wherever Merge-Layer's output is
+//     lent (l > 1, or under MultiplyDiscard): a one-operand merge returns its
+//     operand, so the product is that output, and its loan goes with that
+//     output's to the same owner.
 //
+// The hook of a discarding run is handed its piece on loan for the call.
 // Everything a Result holds and every piece a hook outside MultiplyDiscard
 // is handed is owned. Values, entry order, work units, peak checkpoints and
 // spans do not depend on what is lent.

@@ -110,7 +110,8 @@ func poisoned(c *spmat.CSC) bool {
 // is safe: stage products (forEachStage), Merge-Layer outputs on grids with
 // l > 1 — returned after the next batch's exchange post, or by the launcher
 // after the last batch, so b ∈ {1, 3} reaches both — and a discarded batch's
-// Merge-Fiber output. The reference is the same run with nothing lent
+// output, which is Merge-Fiber's on l > 1, Merge-Layer's on l = 1 and, with
+// q = 1 too, the stage product. The reference is the same run with nothing lent
 // (lendChunks off). Under the poison, every schedule × grid with q ∈ {1, 2, 4}
 // and l ∈ {1, 4, 16} × format × Threads ∈ {1, 4} must reproduce it bit for
 // bit and in stored order: in the pieces a MultiplyRanks hook kept — the very
@@ -121,8 +122,8 @@ func poisoned(c *spmat.CSC) bool {
 // heavy operand's stages pay for a second worker, so wherever the gate grants
 // one (-cpu 4 under make race) a multi-range output comes back owned while
 // its neighbours are lent. Last, a MultiplyDiscard hook that keeps its
-// borrowed piece past the call — on a CSC grid with l > 1 and one thread,
-// where every batch is lent and the hook is handed the merge output itself —
+// borrowed piece past the call — on every CSC grid with one thread, where
+// every batch is lent and the hook is handed the kernel output itself —
 // must find no non-empty piece as it read it in the call once the run is
 // over: the piece was the kernel's, not the hook's, so it reads poisoned or,
 // where a later kernel call took the returned chunk, that call's entries.
@@ -150,10 +151,14 @@ func TestLentProductsNeverEscape(t *testing.T) {
 	}{
 		{"staged", false}, {"pipeline", true},
 	}
-	poisonedPieces := 0
+	// poisonedOn counts the kept pieces that read poisoned by the shapes of
+	// their grid, each of which lends its discarded batches differently.
+	poisonedOn := map[string]int{}
 	defer func() {
-		if poisonedPieces == 0 {
-			t.Error("no kept piece read poisoned: the discarded batches were not lent")
+		for _, shape := range []string{"l>1", "l=1", "q=1"} {
+			if poisonedOn[shape] == 0 {
+				t.Errorf("no kept piece of a %s grid read poisoned: its discarded batches were not lent", shape)
+			}
 		}
 	}()
 	for _, c := range cases {
@@ -183,10 +188,17 @@ func TestLentProductsNeverEscape(t *testing.T) {
 								}
 							}
 						}
-						if g.l == 1 || f != spmat.FormatCSC {
+						if f != spmat.FormatCSC {
 							continue
 						}
 						rc.Opts.Threads = 1
+						shapes := []string{"l>1"}
+						if g.l == 1 {
+							shapes[0] = "l=1"
+						}
+						if g.p == g.l {
+							shapes = append(shapes, "q=1")
+						}
 						fps, kept := runDiscarding(t, c.a, rc, true)
 						for r := range kept {
 							for x, piece := range kept[r] {
@@ -194,7 +206,9 @@ func TestLentProductsNeverEscape(t *testing.T) {
 									continue
 								}
 								if poisoned(piece) {
-									poisonedPieces++
+									for _, shape := range shapes {
+										poisonedOn[shape]++
+									}
 								} else if spmat.FingerprintOf(piece) == fps[r][x] {
 									t.Errorf("%s/discard-keep: rank %d's batch %d outlived its call: it is not the lent chunk", name, r, x)
 								}

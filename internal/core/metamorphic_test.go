@@ -9,9 +9,9 @@ import (
 )
 
 // The oracles in this file are algebraic identities, not a second kernel: a
-// distributed product is held to another distributed product of permuted
-// operands, and the permutations are applied here through triples, with no
-// code shared with the engine's split, kernels, merges or assembly. Operand
+// distributed product is held to another distributed product of permuted or
+// regrouped operands, and the permutations are applied here through triples,
+// with no code shared with the engine's split, kernels, merges or assembly. Operand
 // values are small integers, so every sum is exact in float64 whatever order
 // a grid accumulates it in, and the two sides must agree bit for bit
 // (spmat.FingerprintOf: the same entries, in the same sorted order).
@@ -67,6 +67,50 @@ func permuted(t *testing.T, m *spmat.CSC, rowPerm, colPerm []int32) *spmat.CSC {
 	return out
 }
 
+// identityGrids are the grids the identities run on: q > 1 with l > 1 and
+// l = 1, q = 1 with l > 1, and one rank.
+var identityGrids = []struct{ p, l, b int }{{16, 4, 3}, {4, 1, 2}, {16, 16, 1}, {1, 1, 1}}
+
+// forIdentityRuns calls check with every grid × schedule × format the
+// identities run on, as a label and a multiply under that configuration.
+func forIdentityRuns(t *testing.T, check func(label string, multiply func(x, y *spmat.CSC) *spmat.CSC)) {
+	for _, g := range identityGrids {
+		for _, pipeline := range []bool{false, true} {
+			for _, f := range allFormats {
+				label := fmt.Sprintf("p%d-l%d-b%d/pipeline=%v/%v", g.p, g.l, g.b, pipeline, f)
+				rc := RunConfig{P: g.p, L: g.l, Cost: testCM, Opts: Options{ForceBatches: g.b, Pipeline: pipeline, Format: f}}
+				check(label, func(x, y *spmat.CSC) *spmat.CSC {
+					c, _, _, err := Multiply(x, y, rc, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					return c
+				})
+			}
+		}
+	}
+}
+
+// TestAssociativity checks (AB)C = A(BC) across schedule × format × grid.
+// The operands chain four distinct dimensions, 50×40 · 40×65 · 65×35, so a
+// product that transposes an index or takes a dimension from the wrong
+// operand fails on shape or on entries; each side is two distributed
+// products, the first one's output fed back as an operand of the second.
+func TestAssociativity(t *testing.T) {
+	a := intMat(t, 50, 40, 300, 711)
+	b := intMat(t, 40, 65, 320, 712)
+	c := intMat(t, 65, 35, 280, 713)
+	forIdentityRuns(t, func(label string, multiply func(x, y *spmat.CSC) *spmat.CSC) {
+		left, right := multiply(multiply(a, b), c), multiply(a, multiply(b, c))
+		if left.Rows != a.Rows || left.Cols != c.Cols || left.NNZ() == 0 {
+			t.Fatalf("%s: (AB)C is %v, want a nonempty %dx%d", label, left, a.Rows, c.Cols)
+		}
+		if spmat.FingerprintOf(left) != spmat.FingerprintOf(right) {
+			t.Errorf("%s: (AB)C differs from A(BC)", label)
+		}
+	})
+}
+
 // TestPermutationIdentities checks two identities across schedule × format ×
 // grid, on rectangular operands:
 //
@@ -81,29 +125,13 @@ func TestPermutationIdentities(t *testing.T) {
 	p, q, inner := randPerm(a.Rows, 703), randPerm(b.Cols, 704), randPerm(a.Cols, 705)
 	pa, bq := permuted(t, a, p, nil), permuted(t, b, nil, q)
 	api, pib := permuted(t, a, nil, inner), permuted(t, b, inner, nil)
-	for _, g := range []struct{ p, l, b int }{{16, 4, 3}, {4, 1, 2}, {16, 16, 1}, {1, 1, 1}} {
-		for _, pipeline := range []bool{false, true} {
-			for _, f := range allFormats {
-				label := fmt.Sprintf("p%d-l%d-b%d/pipeline=%v/%v", g.p, g.l, g.b, pipeline, f)
-				rc := RunConfig{P: g.p, L: g.l, Cost: testCM, Opts: Options{ForceBatches: g.b, Pipeline: pipeline, Format: f}}
-				multiply := func(x, y *spmat.CSC) spmat.Fingerprint {
-					c, _, _, err := Multiply(x, y, rc, nil)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					return spmat.FingerprintOf(c)
-				}
-				c, _, _, err := Multiply(a, b, rc, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if got, want := multiply(pa, bq), spmat.FingerprintOf(permuted(t, c, p, q)); got != want {
-					t.Errorf("%s: (PA)(BQ) differs from P(AB)Q", label)
-				}
-				if got, want := multiply(api, pib), spmat.FingerprintOf(c); got != want {
-					t.Errorf("%s: (AΠᵀ)(ΠB) differs from AB", label)
-				}
-			}
+	forIdentityRuns(t, func(label string, multiply func(x, y *spmat.CSC) *spmat.CSC) {
+		c := multiply(a, b)
+		if spmat.FingerprintOf(multiply(pa, bq)) != spmat.FingerprintOf(permuted(t, c, p, q)) {
+			t.Errorf("%s: (PA)(BQ) differs from P(AB)Q", label)
 		}
-	}
+		if spmat.FingerprintOf(multiply(api, pib)) != spmat.FingerprintOf(c) {
+			t.Errorf("%s: (AΠᵀ)(ΠB) differs from AB", label)
+		}
+	})
 }

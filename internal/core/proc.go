@@ -36,14 +36,15 @@ type Proc struct {
 	// every BatchedSUMMA3D alongside pipe.
 	sc sparseComm
 
-	// lent holds the loans of the last batch's Merge-Layer outputs, which the
-	// fiber peers may still be reading: the next batch's exchange post
-	// returns them (summa3DBatch), and after the last batch the launcher does.
+	// lent holds the loans of the last batch's Merge-Layer outputs on a grid
+	// with l > 1 (at q = 1 the stage product each is), which the fiber peers
+	// may still be reading: the next batch's exchange post returns them
+	// (summa3DBatch), and after the last batch the launcher does.
 	lent []localmm.Loan
 
 	// discard marks a rank whose batches are dropped once the hook has seen
-	// them (MultiplyDiscard): each batch output is then lent, and the hook is
-	// handed it on loan for the duration of the call.
+	// them (MultiplyDiscard): each batch output is then lent, on every grid,
+	// and the hook is handed it on loan for the duration of the call.
 	discard bool
 }
 

@@ -140,13 +140,14 @@ var lendChunks = true
 // A stage product is read by the Merge-Layer that follows and by nothing
 // else. With q > 1 that merge accumulates the products into arrays of its own,
 // so each product is only lent (localmm.Plan.MulLent): its entries stay in the
-// kernel worker's chunk until the loan is returned. With q = 1 the one product
-// is the Merge-Layer output (a one-operand merge returns its operand) and
-// goes on to the fiber exchange or out of the batch, so it is an owned copy,
-// as is any product more than one worker made.
+// kernel worker's chunk until the loan is returned, right after Merge-Layer.
+// With q = 1 the one product is the Merge-Layer output (a one-operand merge
+// returns its operand), so it is lent exactly when that output is
+// (lendLayer), and summa3DBatch hands its loan on with that output's. A
+// product more than one worker made is an owned copy either way.
 func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, unmerged int64) {
 	meter := p.G.World.Meter()
-	lend := lendChunks && p.G.Q > 1
+	lend := lendChunks && (p.G.Q > 1 || p.lendLayer())
 	partial, loans = make([]spmat.Matrix, 0, p.G.Q), make([]localmm.Loan, 0, p.G.Q)
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(_ int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
@@ -208,16 +209,19 @@ func returnLoans(loans []localmm.Loan) {
 //
 // Either way the own piece never travels.
 //
-// With l > 1 Merge-Layer's output is lent: it is read by this rank's
-// Merge-Fiber and, through the by-reference exchange, by the l − 1 fiber
-// peers' — the pieces are views of it — so its loans outlive the batch by one
-// exchange. They are returned after the next batch's exchange is posted:
-// IalltoallvStart returns only once every fiber peer has posted, and a peer
-// posts batch t+1 only after finishing batch t. The last batch's stay in
-// Proc.lent for the launcher (launch) to return once the world has ended.
-// The batch output is lent too when the rank discards it (Proc.discard): the
-// caller returns that loan once the hook has read the batch.
-func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, localmm.Loan, []int32) {
+// Merge-Layer's output is lent whenever its last reader is known (lendLayer).
+// With l > 1 it is read by this rank's Merge-Fiber and, through the
+// by-reference exchange, by the l − 1 fiber peers' — the pieces are views of
+// it — so its loans outlive the batch by one exchange. They are returned after
+// the next batch's exchange is posted: IalltoallvStart returns only once every
+// fiber peer has posted, and a peer posts batch t+1 only after finishing batch
+// t. The last batch's stay in Proc.lent for the launcher (launch) to return
+// once the world has ended. With l = 1 there are no peers, and Merge-Fiber
+// passes the output through as the batch output; it is lent only when the
+// rank discards the batch (Proc.discard). The returned loans are the batch
+// output's, Merge-Layer's on one layer and Merge-Fiber's on more, which the
+// caller returns once the hook has read a discarded batch.
+func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, []localmm.Loan, []int32) {
 	g := p.G
 	meter := g.World.Meter()
 	led := &p.pipe.ledger
@@ -234,12 +238,12 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	var req *mpi.AllToAllvRequest
 	lent := make([]localmm.Loan, 0, g.L)
 	if !p.Opts.Pipeline {
-		d, loan, mergeSec := p.merge(partial, p.lastTable(), g.L > 1, unmerged)
+		d, loan, mergeSec := p.merge(partial, p.lastTable(), p.lendLayer(), unmerged)
 		lent = append(lent, loan)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 		var pieces []spmat.Matrix
 		packSec := p.measure(func() {
-			pieces, _ = p.bt.SplitByLayerMat(d, t)
+			pieces = spmat.MatColRanges(d, p.bt.LayerBounds(t))
 		})
 		meter.AddComputeWork(packSec, d.NNZ()+int64(g.L)+1)
 		for m, piece := range pieces {
@@ -251,8 +255,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		// The pieces are views of the stage products, lent chunks included.
 		perDest := make([][]spmat.Matrix, g.L)
 		packSec := p.measure(func() {
+			bounds := p.bt.LayerBounds(t)
 			for _, prod := range partial {
-				pieces, _ := p.bt.SplitByLayerMat(prod, t)
+				pieces := spmat.MatColRanges(prod, bounds)
 				for m := range perDest {
 					perDest[m] = append(perDest[m], pieces[m])
 				}
@@ -264,7 +269,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 			for _, piece := range perDest[m] {
 				in += piece.NNZ()
 			}
-			out, loan, sec := p.merge(perDest[m], p.lastTable(), g.L > 1, in)
+			out, loan, sec := p.merge(perDest[m], p.lastTable(), p.lendLayer(), in)
 			lent = append(lent, loan)
 			meter.AddComputeWork(sec, in+colScanWork(out)+1)
 			merged += out.NNZ()
@@ -278,12 +283,24 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		post, req = led.clock, g.Fiber.IalltoallvStart(send)
 		own = mergeDest(g.K)
 	}
-	// Every merge that reads the stage products is done, and every fiber peer
-	// has posted this batch's exchange, so none reads the previous batch's
-	// Merge-Layer outputs any more.
-	returnLoans(loans)
-	returnLoans(p.lent)
-	p.lent = lent
+	// Every merge that reads the stage products is done. With q = 1 the one
+	// stage product is Merge-Layer's output, so its loan joins that output's.
+	if g.Q == 1 {
+		lent = append(lent, loans...)
+	} else {
+		returnLoans(loans)
+	}
+	// Every fiber peer has posted this batch's exchange, so none reads the
+	// previous batch's Merge-Layer outputs any more. With one layer there are
+	// no peers: this batch's go out with the batch output Merge-Fiber passes
+	// them through as.
+	var batchLoans []localmm.Loan
+	if g.L > 1 {
+		returnLoans(p.lent)
+		p.lent = lent
+	} else {
+		batchLoans = lent
+	}
 	res.MergedLayerNNZ += merged
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged+merged)
 
@@ -292,8 +309,15 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	recv, used := req.WaitOverlap(led.creditSince(post), StepAllToAllHidden)
 	meter.Recorder().TagChannel(led.claim(post, used))
 	recv[g.K] = own
-	return p.mergeFiber(t, recv, res)
+	c, loan := p.mergeFiber(recv, res)
+	return c, append(batchLoans, loan), p.bt.BatchLayerCols(t, g.K)
 }
+
+// lendLayer reports whether Merge-Layer's output is lent: whether its last
+// reader is known. It is with l > 1, where the fiber peers read it through the
+// exchange, and when the rank discards its batches, whose last reader is the
+// hook.
+func (p *Proc) lendLayer() bool { return p.G.L > 1 || p.discard }
 
 // mergeFiber is Merge-Fiber (Alg 2 line 6): the final output is sorted here
 // and only here (Sec. IV-D). recv holds one piece per source layer, the own
@@ -305,9 +329,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 // accounting carries the same colScanWork term as every other merge (the
 // dense column count for a CSC output, only the stored columns for DCSC).
 // Conversion to the user-facing CSC happens once, at hook boundaries and
-// final assembly (BatchedSUMMA3D). A batch the rank discards is lent, on a
-// grid where this merge really merges (l > 1).
-func (p *Proc) mergeFiber(t int, recv []mpi.Payload, res *Result) (spmat.Matrix, localmm.Loan, []int32) {
+// final assembly (BatchedSUMMA3D). A batch the rank discards is lent; on a
+// one-layer grid the lone operand passes through and the loan is empty.
+func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localmm.Loan) {
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeFiber)
 	mats := make([]spmat.Matrix, len(recv))
@@ -316,10 +340,10 @@ func (p *Proc) mergeFiber(t int, recv []mpi.Payload, res *Result) (spmat.Matrix,
 		mats[k] = r.(spmat.Matrix)
 		recvNNZ += mats[k].NNZ()
 	}
-	c, loan, fiberSec := p.merge(mats, true, p.discard && p.G.L > 1, recvNNZ)
+	c, loan, fiberSec := p.merge(mats, true, p.discard, recvNNZ)
 	meter.AddComputeWork(fiberSec, recvNNZ+colScanWork(c)+1)
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+recvNNZ+c.NNZ())
-	return c, loan, p.bt.BatchLayerCols(t, p.G.K)
+	return c, loan
 }
 
 // lastTable reports whether Merge-Layer is the last merge to hold a batch's

@@ -134,12 +134,3 @@ func ByName(name string) (Machine, error) {
 	}
 	return Machine{}, fmt.Errorf("costmodel: unknown machine %q", name)
 }
-
-// ApplyScales rewrites a set of per-rank meters so that measured compute and
-// modeled comm reflect the machine's scaling factors.
-func (m Machine) ApplyScales(meters []*mpi.Meter) {
-	for _, mt := range meters {
-		mt.ScaleCompute(m.ComputeScale)
-		mt.ScaleComm(m.CommScale)
-	}
-}

@@ -3,8 +3,6 @@ package costmodel
 import (
 	"math"
 	"testing"
-
-	"repro/internal/mpi"
 )
 
 func TestMachinesDefined(t *testing.T) {
@@ -49,21 +47,6 @@ func TestHyperThreadTradeoff(t *testing.T) {
 	}
 	if !(ht.CommScale > 1) {
 		t.Error("hyper-threading should slow communication")
-	}
-}
-
-func TestApplyScales(t *testing.T) {
-	m := Machine{Name: "x", AlphaSec: 1, BetaSecPerByte: 1, ComputeScale: 0.5, CommScale: 2}
-	mt := mpi.NewMeter()
-	mt.SetCategory("s")
-	mt.AddCompute(4)
-	mt.AddCommSeconds(3)
-	m.ApplyScales([]*mpi.Meter{mt})
-	if got := mt.Step("s").ComputeSeconds; got != 2 {
-		t.Errorf("compute=%v, want 2", got)
-	}
-	if got := mt.Step("s").CommSeconds; got != 6 {
-		t.Errorf("comm=%v, want 6", got)
 	}
 }
 

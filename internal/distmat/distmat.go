@@ -32,10 +32,10 @@
 // self-contained, but ranks that share a column range each walk it, so p of
 // them walk an A-style operand q times and a B-style one q·l times. Inside a
 // batch nothing is gathered that need not be: a (batch, layer) pair owns one
-// contiguous chunk of the block column, so BatchCols and BatchLayerCols are
-// arithmetic, and SplitByLayerMat cuts a merged batch into its l fiber
-// pieces as views over the merged entries (spmat.MatColRanges) — with l = 1
-// the piece is the batch itself.
+// contiguous chunk of the block column, so BatchCols, BatchLayerCols and
+// LayerBounds are arithmetic, and the fiber split cuts a merged batch at
+// LayerBounds into its l pieces as views over the merged entries
+// (spmat.MatColRanges) — with l = 1 the piece is the batch itself.
 package distmat
 
 import (
@@ -298,24 +298,35 @@ func (bt Batching) SplitByLayer(m *spmat.CSC, t int) ([]*spmat.CSC, [][]int32) {
 	return pieces, offsets
 }
 
+// LayerBounds returns the l+1 bounds that cut a batch-local matrix of batch t
+// (whose column x corresponds to BatchCols(t)[x]) by owning layer: layer k's
+// columns are one chunk, so they are the consecutive range [bounds[k],
+// bounds[k+1]).
+func (bt Batching) LayerBounds(t int) []int32 {
+	bounds := make([]int32, bt.L+1)
+	for k := 0; k < bt.L; k++ {
+		lo, hi := bt.chunk(t, k)
+		bounds[k+1] = bounds[k] + hi - lo
+	}
+	return bounds
+}
+
 // SplitByLayerMat partitions the columns of a batch-local matrix (whose
 // column x corresponds to BatchCols(t)[x]) into l pieces by owning layer,
 // returning the pieces and, for bookkeeping, the local offsets each piece
-// covers. Layer k's columns are one chunk, so the pieces are consecutive
-// column ranges of m and come back as views over its entries
-// (spmat.MatColRanges) — no entry is copied, and with l = 1 the piece is m
-// itself. Each piece keeps m's concrete format, so a doubly-compressed
-// Merge-Layer output is split for the fiber AllToAll without inflating dense
-// column metadata.
+// covers. The pieces are the column ranges LayerBounds gives, returned as
+// views over m's entries (spmat.MatColRanges) — no entry is copied, and with
+// l = 1 the piece is m itself. Each piece keeps m's concrete format, so a
+// doubly-compressed Merge-Layer output is split for the fiber AllToAll
+// without inflating dense column metadata.
 func (bt Batching) SplitByLayerMat(m spmat.Matrix, t int) ([]spmat.Matrix, [][]int32) {
-	bounds := make([]int32, bt.L+1)
-	offsets := make([][]int32, bt.L)
-	for k := 0; k < bt.L; k++ {
-		offsets[k] = bt.BatchLayerCols(t, k)
-		bounds[k+1] = bounds[k] + int32(len(offsets[k]))
-	}
+	bounds := bt.LayerBounds(t)
 	if _, mc := m.Dims(); bounds[bt.L] != mc {
 		panic(fmt.Sprintf("distmat: batch matrix has %d cols, batching expects %d", mc, bounds[bt.L]))
+	}
+	offsets := make([][]int32, bt.L)
+	for k := range offsets {
+		offsets[k] = bt.BatchLayerCols(t, k)
 	}
 	return spmat.MatColRanges(m, bounds), offsets
 }

@@ -428,8 +428,8 @@ func TestSplitAndLocalMatchRangeOracle(t *testing.T) {
 }
 
 // TestBatchingArithmeticMatchesDefinition holds the arithmetic BatchCols,
-// BatchLayerCols and BatchWidth to the definition they replace — every
-// offset filtered through BatchOf and LayerOf — including block columns
+// BatchLayerCols, LayerBounds and BatchWidth to the definition they replace —
+// every offset filtered through BatchOf and LayerOf — including block columns
 // narrower than b·l, and checks the lists are allocated at their exact size.
 func TestBatchingArithmeticMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -450,10 +450,17 @@ func TestBatchingArithmeticMatchesDefinition(t *testing.T) {
 			if !slices.Equal(got, batch) || cap(got) != len(batch) || bt.BatchWidth(t2) != int32(len(batch)) {
 				t.Fatalf("%+v batch %d: BatchCols %v (cap %d, width %d), definition gives %v", bt, t2, got, cap(got), bt.BatchWidth(t2), batch)
 			}
+			bounds := bt.LayerBounds(t2)
 			for k := 0; k < l; k++ {
 				if got := bt.BatchLayerCols(t2, k); !slices.Equal(got, perLayer[k]) || cap(got) != len(perLayer[k]) {
 					t.Fatalf("%+v batch %d layer %d: BatchLayerCols %v (cap %d), definition gives %v", bt, t2, k, got, cap(got), perLayer[k])
 				}
+				if n := bounds[k+1] - bounds[k]; n != int32(len(perLayer[k])) {
+					t.Fatalf("%+v batch %d layer %d: LayerBounds %v give %d columns, definition gives %d", bt, t2, k, bounds, n, len(perLayer[k]))
+				}
+			}
+			if len(bounds) != l+1 || bounds[0] != 0 {
+				t.Fatalf("%+v batch %d: LayerBounds %v", bt, t2, bounds)
 			}
 		}
 	}

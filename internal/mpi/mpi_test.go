@@ -155,9 +155,6 @@ func TestAllreduce(t *testing.T) {
 		if got := c.AllreduceInt64(int64(c.Rank()), OpMin); got != 0 {
 			t.Errorf("min=%d, want 0", got)
 		}
-		if got := c.AllreduceFloat64(1.5, OpSum); got != 10.5 {
-			t.Errorf("fsum=%v, want 10.5", got)
-		}
 	})
 }
 

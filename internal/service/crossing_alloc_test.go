@@ -13,10 +13,13 @@ import (
 
 // TestReturnedProductCrossesOnce is the allocation guard of the streamed
 // product. A warm daemon behind httptest runs one return_result multiply; what
-// the process allocates for it beyond the same job run in process without a
-// result is the product leaving the engine: the daemon's segment table and
-// stream buffer, and the client's decode into CSC arrays — 1.1–1.3 wire
-// lengths when this test was written. The bound is two wire lengths plus 1 MiB
+// the process allocates for it beyond the same job run in process, its result
+// kept but never read, is the product leaving the engine: the daemon's
+// segment table and stream buffer, and the client's decode into CSC arrays —
+// 1.1–1.3 wire lengths when this test was written. The in-process job keeps
+// its result because a job without one keeps no product at all, so measuring
+// against it would count the product's making as its crossing. The bound is
+// two wire lengths plus 1 MiB
 // for the request, the document and the buffers. The parent of this test
 // assembled the global CSC, serialized it, buffered the whole body in the
 // client and decoded that: four copies of the product, 10.2 MB beyond the job
@@ -29,7 +32,7 @@ func TestReturnedProductCrossesOnce(t *testing.T) {
 	}
 	var wire int64
 	direct := func() {
-		if _, err := s.Multiply(MultiplyRequest{A: "a", B: "a"}); err != nil {
+		if _, err := s.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,10 +24,11 @@
 //     instead of OOMing; a job too large for the whole budget runs alone.
 //
 // Service ties them together and executes admitted jobs on the simulated
-// cluster via core.MultiplyRanks. The shape and nonzero count every response
-// reports come from the operands and the per-rank results; the product
-// itself stays in the ranks' batch pieces, kept only for a request that set
-// return_result. In process, MultiplyResult.Product assembles it
+// cluster. The shape and nonzero count every response reports come from the
+// operands and the ranks' per-batch counts. A request that set return_result
+// runs core.MultiplyRanks and the product stays in the ranks' batch pieces;
+// any other runs core.MultiplyDiscard, which drops each batch once counted,
+// so no rank holds more than one. In process, MultiplyResult.Product assembles it
 // (core.AssembleResults) when asked; the /multiply handler never does — it
 // streams the wire bytes straight from the pieces (core.ProductSegments)
 // under an exact Content-Length, and Client.Multiply decodes them as they

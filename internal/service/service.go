@@ -168,7 +168,7 @@ type MultiplyRequest struct {
 	Semiring string `json:"semiring,omitempty"`
 	// ReturnResult asks for the output matrix: the job keeps the ranks'
 	// pieces for MultiplyResult.Product, and /multiply streams it after the
-	// response document.
+	// response document. Without it every batch is dropped once counted.
 	ReturnResult bool `json:"return_result,omitempty"`
 	// Trace asks for this job's per-rank span trace in the result (the HTTP
 	// layer also sets it for /multiply?trace=1).
@@ -263,11 +263,16 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		s.queuedJobs.Add(1)
 	}
 
-	// The ranks' results carry everything the response reports; the product
-	// stays in their pieces, kept only for a request that asked to get it
-	// back.
+	// The ranks' results carry everything the response reports. The product
+	// stays in their pieces only for a request that asked to get it back; any
+	// other job runs the discarding path, which counts each batch and drops
+	// it, so no rank holds more than one batch of the product.
+	run := core.MultiplyDiscard
+	if req.ReturnResult {
+		run = core.MultiplyRanks
+	}
 	engineStart := time.Now()
-	results, summary, err := core.MultiplyRanks(ra.mat, rb.mat, rc, nil)
+	results, summary, err := run(ra.mat, rb.mat, rc, nil)
 	engineSec := time.Since(engineStart).Seconds()
 	if err != nil {
 		return nil, s.jobFailed(jobID, req, err)
@@ -294,7 +299,9 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		if r.PeakMemBytes > res.PeakMemBytesPerRank {
 			res.PeakMemBytesPerRank = r.PeakMemBytes
 		}
-		res.NNZ += r.NNZ()
+		for _, n := range r.BatchNNZ {
+			res.NNZ += n
+		}
 	}
 	if req.ReturnResult {
 		res.ranks = results

@@ -213,16 +213,6 @@ func TestPartBounds(t *testing.T) {
 	}
 }
 
-func TestPartOf(t *testing.T) {
-	b := PartBounds(100, 7)
-	for i := int32(0); i < 100; i++ {
-		p := PartOf(b, i)
-		if i < b[p] || i >= b[p+1] {
-			t.Fatalf("PartOf(%d)=%d but range is [%d,%d)", i, p, b[p], b[p+1])
-		}
-	}
-}
-
 func TestCyclicColsPartition(t *testing.T) {
 	lists := CyclicCols(20, 3, 2)
 	seen := make(map[int32]int)

@@ -24,21 +24,6 @@ func PartBounds(n int32, parts int) []int32 {
 	return bounds
 }
 
-// PartOf returns the index of the range in bounds (as produced by PartBounds)
-// that contains item i.
-func PartOf(bounds []int32, i int32) int {
-	lo, hi := 0, len(bounds)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if bounds[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // SplitGrid deals m out over a grid of row ranges × column ranges by counting
 // and placing: one column range at a time, its entries are walked twice —
 // once to find each entry's row part and count the parts' entries and

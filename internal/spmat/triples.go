@@ -1,9 +1,6 @@
 package spmat
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Triple is a coordinate-format nonzero.
 type Triple struct {
@@ -55,17 +52,6 @@ func (m *CSC) Triples() []Triple {
 		}
 	}
 	return out
-}
-
-// SortTriples orders ts column-major (by column, then row). It is used by
-// tests and the Matrix Market writer.
-func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].Col != ts[b].Col {
-			return ts[a].Col < ts[b].Col
-		}
-		return ts[a].Row < ts[b].Row
-	})
 }
 
 // Identity returns the n×n identity matrix.
