@@ -137,10 +137,11 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			}
 		}
 		if p.discard {
-			// The hook has read the batch: drop it, and hand back the chunks
-			// it was lent.
+			// The hook has read the batch: drop it — the piece left in its
+			// place stores no column, not even a column pointer — and hand
+			// back the chunks it was lent.
 			r, c := cPiece.Dims()
-			cPiece = spmat.New(r, c)
+			cPiece = spmat.NewDCSC(r, c)
 			returnLoans(loans)
 		}
 		res.Pieces = append(res.Pieces, cPiece)

@@ -12,11 +12,14 @@
 // # Execution structure
 //
 // A distributed multiply is launched from the host by Multiply,
-// MultiplyDiscard or MultiplyRanks with a RunConfig. They are one run
-// (launch): the host deals both operands out to all p ranks in one sweep
-// each (distmat's Split — the only time the engine copies the operands),
-// each simulated rank builds its grid coordinates (grid.New), is handed its
-// pieces (SetupLocal), and calls BatchedSUMMA3D collectively. A rank's
+// MultiplyDiscard or MultiplyRanks with a RunConfig. They deal both operands
+// out to all p ranks in one sweep each (Deal → distmat's Split — the only
+// time the engine copies the operands) and then run on the dealt operands
+// (MultiplyDealt, the entry point of a caller that keeps them across runs,
+// as the daemon does for resident matrices). That run is one launch: it
+// checks the dealt operands fit the run, each simulated rank builds its grid
+// coordinates (grid.New), is handed its blocks in place (SetupLocal), and
+// calls BatchedSUMMA3D collectively. A rank's
 // Result keeps its batch outputs as Pieces, in the format Merge-Fiber made
 // them; nothing on the rank concatenates or inflates them. MultiplyRanks
 // returns the ranks' results as they are, C still distributed; Multiply adds

@@ -56,25 +56,99 @@ func RowOffsetFor(rows int32, p, l, rank int) int32 {
 	return spmat.PartBounds(rows, q)[i]
 }
 
-// launch is the one rank-launch body behind every sparse×sparse host entry
-// point: it validates the grid, deals both operands out to all p ranks in one
-// sweep each on the host (distmat's Split — the simulated equivalent of
-// reading a pre-distributed matrix, and the only time the engine copies the
-// operands), and runs body on every rank's wired Proc (runRanks). Once the
-// world has ended — aborted or not — no rank reads another's Merge-Layer
-// outputs, so it returns the loans the ranks' last batches left (Proc.lent).
-func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("core: inner dimension mismatch: A is %v, B is %v", a, b)
+// Role is the distribution an operand is dealt out in: A's, whose block
+// columns are sliced into layers, or B's, whose block rows are (distmat).
+type Role uint8
+
+const (
+	RoleA Role = iota
+	RoleB
+)
+
+func (r Role) String() string {
+	if r == RoleA {
+		return "A"
 	}
+	return "B"
+}
+
+// Dealt is one operand dealt out over a run's grid: the blocks distmat's
+// Split made for one role, and the grid side q, layer count l and storage
+// format they were made for. Nothing writes to a Dealt or its blocks once Deal
+// returns — the ranks read their blocks in place — so one Dealt may serve any
+// number of runs, concurrent or not, on the same grid and format.
+type Dealt struct {
+	role       Role
+	rows, cols int32
+	q, l       int
+	format     spmat.Format
+	blocks     []spmat.Matrix
+}
+
+// Deal deals m out for role on rc's grid (P ranks, L layers) in
+// rc.Opts.Format: one count-then-place sweep on the host (distmat's Split —
+// the simulated equivalent of reading a pre-distributed matrix, and the only
+// time the engine copies an operand).
+func Deal(m *spmat.CSC, role Role, rc RunConfig) (*Dealt, error) {
 	q, err := grid.SideFor(rc.P, rc.L)
 	if err != nil {
 		return nil, err
 	}
-	da := distmat.NewADist(a.Rows, a.Cols, q, rc.L)
-	db := distmat.NewBDist(b.Rows, b.Cols, q, rc.L)
-	blocksA := da.Split(a, rc.Opts.Format)
-	blocksB := db.Split(b, rc.Opts.Format)
+	d := &Dealt{role: role, rows: m.Rows, cols: m.Cols, q: q, l: rc.L, format: rc.Opts.Format}
+	if role == RoleA {
+		d.blocks = distmat.NewADist(m.Rows, m.Cols, q, rc.L).Split(m, d.format)
+	} else {
+		d.blocks = distmat.NewBDist(m.Rows, m.Cols, q, rc.L).Split(m, d.format)
+	}
+	return d, nil
+}
+
+// Blocks returns the dealt blocks, shared: a caller reads them and never
+// writes to them.
+func (d *Dealt) Blocks() []spmat.Matrix { return d.blocks }
+
+// fits reports, as an error, why d cannot be the role operand of a run on a
+// q-sided grid with rc's layer count and format.
+func (d *Dealt) fits(role Role, q int, rc RunConfig) error {
+	if d.role != role || d.q != q || d.l != rc.L || d.format != rc.Opts.Format {
+		return fmt.Errorf("core: the %s operand was dealt as %s for q=%d, l=%d, format %v; the run needs %s for q=%d, l=%d, format %v",
+			role, d.role, d.q, d.l, d.format, role, q, rc.L, rc.Opts.Format)
+	}
+	return nil
+}
+
+// deal deals a out as A and b as B on rc's grid.
+func deal(a, b *spmat.CSC, rc RunConfig) (da, db *Dealt, err error) {
+	if da, err = Deal(a, RoleA, rc); err == nil {
+		db, err = Deal(b, RoleB, rc)
+	}
+	return da, db, err
+}
+
+// launch is the one rank-launch body behind every sparse×sparse host entry
+// point: it checks that both operands were dealt for this run — role, grid,
+// layer count, format and inner dimension — and runs body on every rank's
+// wired Proc (runRanks), each handed its two blocks in place. Whether the
+// blocks were dealt for this run or kept from an earlier one (MultiplyDealt)
+// is the caller's business; the ranks only read them. Once the world has
+// ended — aborted or not — no rank reads another's Merge-Layer outputs, so it
+// returns the loans the ranks' last batches left (Proc.lent).
+func launch(a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
+	q, err := grid.SideFor(rc.P, rc.L)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.fits(RoleA, q, rc); err != nil {
+		return nil, err
+	}
+	if err := b.fits(RoleB, q, rc); err != nil {
+		return nil, err
+	}
+	if a.cols != b.rows {
+		return nil, fmt.Errorf("core: inner dimension mismatch: A is %dx%d, B is %dx%d", a.rows, a.cols, b.rows, b.cols)
+	}
+	da := distmat.NewADist(a.rows, a.cols, q, rc.L)
+	db := distmat.NewBDist(b.rows, b.cols, q, rc.L)
 	procs := make([]*Proc, rc.P)
 	defer func() {
 		for _, p := range procs {
@@ -88,7 +162,7 @@ func launch(a, b *spmat.CSC, rc RunConfig, body func(rank int, p *Proc) error) (
 		if err != nil {
 			return err
 		}
-		localA, localB := blocksA[da.Index(g.I, g.J, g.K)], blocksB[db.Index(g.I, g.J, g.K)]
+		localA, localB := a.blocks[da.Index(g.I, g.J, g.K)], b.blocks[db.Index(g.I, g.J, g.K)]
 		procs[c.Rank()] = SetupLocal(g, da, db, localA, localB, rc.Opts)
 		return body(c.Rank(), procs[c.Rank()])
 	})
@@ -131,11 +205,20 @@ var errRankFailed = errors.New("core: rank body failed")
 // MultiplyDiscard is this run with every batch dropped once its hook has
 // seen it.
 func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
-	return multiplyRanks(a, b, rc, hooks, false)
+	da, db, err := deal(a, b, rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return MultiplyDealt(da, db, rc, hooks, false)
 }
 
-// multiplyRanks is MultiplyRanks and, with discard, MultiplyDiscard.
-func multiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
+// MultiplyDealt is MultiplyRanks — or, with discard, MultiplyDiscard — on
+// operands already dealt out (Deal): the entry point for a caller that keeps
+// an operand's blocks across runs, as the daemon keeps a resident matrix's.
+// The other entry points are Deal followed by this run. An operand dealt for
+// another role, grid, layer count or format than rc's is an error before any
+// rank starts.
+func MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
 	results := make([]*Result, rc.P)
 	meters, err := launch(a, b, rc, func(rank int, p *Proc) error {
 		var hook BatchHook
@@ -179,5 +262,9 @@ func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*
 // piece nor a slice of its arrays. With a nil HookFactory the batches are
 // only counted: Result.BatchNNZ holds their sizes, and no rank keeps an entry.
 func MultiplyDiscard(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
-	return multiplyRanks(a, b, rc, hooks, true)
+	da, db, err := deal(a, b, rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return MultiplyDealt(da, db, rc, hooks, true)
 }

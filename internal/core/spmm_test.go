@@ -193,3 +193,36 @@ func TestMultiplyDenseValidation(t *testing.T) {
 		t.Error("invalid replication accepted")
 	}
 }
+
+// TestSpMMMatchesSpGEMMThenDensify is an oracle that shares no code with the
+// 1.5D ring: on integer operands, MultiplyDense(A, D) under every Algo equals
+// the sparse product Multiply(A, sparse(D)) densified, bit for bit, against
+// staged and pipelined SUMMA in every storage format. A third of D is zero, so
+// its sparse form has empty columns and missing entries.
+func TestSpMMMatchesSpGEMMThenDensify(t *testing.T) {
+	a := randomMat(t, 60, 48, 500, 101)
+	d := randomDense(t, 48, 10, 102)
+	for i := range d.Val {
+		if i%3 == 0 {
+			d.Val[i] = 0
+		}
+	}
+	for _, f := range []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatAuto} {
+		for _, pipe := range []bool{false, true} {
+			opts := Options{Format: f, Pipeline: pipe, ForceBatches: 2}
+			c, _, _, err := Multiply(a, d.ToCSC(), RunConfig{P: 8, L: 2, Cost: testCM, Opts: opts}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := spmat.DenseFromCSC(c)
+			for _, algo := range []Algo{AlgoSUMMA, AlgoColA, AlgoInnerABC} {
+				opts := opts
+				opts.Algo, opts.Replication = algo, 2
+				got, _ := runDense(t, a, d, RunConfig{P: 8, L: 2, Cost: testCM, Opts: opts})
+				if !spmat.DenseEqual(got, want) {
+					t.Errorf("%v format %v pipeline %v: SpMM differs from the densified SpGEMM", algo, f, pipe)
+				}
+			}
+		}
+	}
+}

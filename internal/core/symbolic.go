@@ -92,8 +92,12 @@ func batchesFor(maxNNZC, maxMemA, maxMemB, memBytes int64, p int) (int, error) {
 // ablations) without paying for the numeric phases.
 func SymbolicBatches(a, b *spmat.CSC, rc RunConfig) (int, error) {
 	rc.Trace = nil // a symbolic-only study records no spans
+	da, db, err := deal(a, b, rc)
+	if err != nil {
+		return 0, err
+	}
 	bs := make([]int, rc.P)
-	_, err := launch(a, b, rc, func(rank int, p *Proc) (err error) {
+	_, err = launch(da, db, rc, func(rank int, p *Proc) (err error) {
 		bs[rank], _, err = p.Symbolic3D()
 		return err
 	})

@@ -26,7 +26,10 @@
 // operand out to all p ranks in one count-then-place sweep on the host
 // (spmat.SplitGrid): every entry is visited twice and copied once, and every
 // block is allocated at its exact size directly in its resolved storage
-// format. Local/LocalMat cut a single block out with the same routine over
+// format. That happens once per operand per grid and format, not once per
+// multiply, where the operand is kept: the daemon holds a resident matrix's
+// blocks (core.Dealt) for every later job on the same grid and format.
+// Local/LocalMat cut a single block out with the same routine over
 // that block's own column range, for callers that want one block (tools,
 // the benchmark's replay, a rank calling core.Setup): each call is
 // self-contained, but ranks that share a column range each walk it, so p of
@@ -284,18 +287,6 @@ func (bt Batching) BatchLayerCols(t, k int) []int32 {
 		out[x] = lo + int32(x)
 	}
 	return out
-}
-
-// SplitByLayer partitions the columns of a batch-local CSC matrix into l
-// pieces by owning layer; a convenience wrapper over SplitByLayerMat for
-// callers that work in concrete CSC.
-func (bt Batching) SplitByLayer(m *spmat.CSC, t int) ([]*spmat.CSC, [][]int32) {
-	mats, offsets := bt.SplitByLayerMat(m, t)
-	pieces := make([]*spmat.CSC, len(mats))
-	for k, p := range mats {
-		pieces[k] = p.ToCSC()
-	}
-	return pieces, offsets
 }
 
 // LayerBounds returns the l+1 bounds that cut a batch-local matrix of batch t

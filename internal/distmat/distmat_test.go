@@ -221,7 +221,7 @@ func TestSplitByLayer(t *testing.T) {
 	if int32(len(batchCols)) != m.Cols {
 		t.Fatalf("batch has %d cols, fixture expects %d", len(batchCols), m.Cols)
 	}
-	pieces, offsets := bt.SplitByLayer(m, 0)
+	pieces, offsets := bt.SplitByLayerMat(m, 0)
 	if len(pieces) != 2 {
 		t.Fatalf("pieces=%d", len(pieces))
 	}

@@ -258,35 +258,6 @@ func (m *Meter) TotalSeconds() float64 {
 	return t
 }
 
-// Scale multiplies every accumulated time (comm and compute) by f. Used by
-// machine models that translate host-measured compute into target-machine
-// compute.
-func (m *Meter) Scale(f float64) {
-	for _, s := range m.stats {
-		s.CommSeconds *= f
-		s.HiddenSeconds *= f
-		s.ComputeSeconds *= f
-	}
-	m.rec.Scale(f)
-}
-
-// ScaleCompute multiplies only measured compute times by f.
-func (m *Meter) ScaleCompute(f float64) {
-	for _, s := range m.stats {
-		s.ComputeSeconds *= f
-	}
-	m.rec.ScaleCompute(f)
-}
-
-// ScaleComm multiplies only modeled communication times by f.
-func (m *Meter) ScaleComm(f float64) {
-	for _, s := range m.stats {
-		s.CommSeconds *= f
-		s.HiddenSeconds *= f
-	}
-	m.rec.ScaleComm(f)
-}
-
 // Summary aggregates the meters of all ranks into the numbers the paper
 // plots: per step, the maximum over ranks (critical path) of comm and compute
 // time, and the total bytes moved.

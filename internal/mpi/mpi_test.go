@@ -267,14 +267,6 @@ func TestMeterCategories(t *testing.T) {
 	if len(cats) != 2 || cats[0] != "x" || cats[1] != "y" {
 		t.Errorf("categories=%v", cats)
 	}
-	m.ScaleCompute(2)
-	if got := m.Step("x").ComputeSeconds; got != 3 {
-		t.Errorf("scaled x compute=%v", got)
-	}
-	m.ScaleComm(4)
-	if got := m.Step("y").CommSeconds; got != 1 {
-		t.Errorf("scaled y comm=%v", got)
-	}
 }
 
 func TestSummarizeTakesMaxTimes(t *testing.T) {

@@ -10,9 +10,6 @@
 // category in recording order therefore replays the identical sequence of
 // float additions and reproduces every StepStats field exactly —
 // CommSeconds, HiddenSeconds, ComputeSeconds, WorkUnits, Messages, Bytes.
-// (Meter.Scale* rescales attached spans alongside the accumulated sums; the
-// replay then agrees up to one float rounding per category, since scaling a
-// sum and summing scaled terms may differ in the last ulp.)
 //
 // The disabled path costs nothing: a nil *RankRecorder is the off switch,
 // every method is a nil-receiver no-op, and the metered hot paths perform
@@ -154,49 +151,6 @@ func (r *RankRecorder) Spans() []Span {
 	}
 	return r.spans
 }
-
-// scale multiplies the durations of the selected kinds by f and renormalizes
-// every start onto the rescaled clock, preserving the recording-order layout.
-func (r *RankRecorder) scale(f float64, comm, compute bool) {
-	if r == nil {
-		return
-	}
-	clock := 0.0
-	for i := range r.spans {
-		sp := &r.spans[i]
-		switch sp.Kind {
-		case KindCompute:
-			if compute {
-				sp.Dur *= f
-			}
-		default: // KindComm, KindHidden scale with communication
-			if comm {
-				sp.Dur *= f
-			}
-		}
-		if sp.Kind == KindHidden {
-			sp.Start = clock - sp.Dur
-			if sp.Start < 0 {
-				sp.Start = 0
-			}
-		} else {
-			sp.Start = clock
-			clock += sp.Dur
-		}
-	}
-	r.clock = clock
-}
-
-// ScaleComm rescales communication durations (exposed and hidden) by f,
-// mirroring Meter.ScaleComm.
-func (r *RankRecorder) ScaleComm(f float64) { r.scale(f, true, false) }
-
-// ScaleCompute rescales measured compute durations by f, mirroring
-// Meter.ScaleCompute.
-func (r *RankRecorder) ScaleCompute(f float64) { r.scale(f, false, true) }
-
-// Scale rescales every duration by f, mirroring Meter.Scale.
-func (r *RankRecorder) Scale(f float64) { r.scale(f, true, true) }
 
 // Recorder is one run's trace: a RankRecorder per rank, attached by
 // mpi.RunTraced. The nil *Recorder is the disabled recorder (Rank returns

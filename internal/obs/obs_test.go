@@ -88,29 +88,6 @@ func TestBatchStageChannelLabels(t *testing.T) {
 	}
 }
 
-// TestScaleRescalesSpansAndClock: scaling comm or compute rescales the
-// matching spans' durations and renormalizes every start onto the rescaled
-// clock, keeping the timeline self-consistent.
-func TestScaleRescalesSpansAndClock(t *testing.T) {
-	rec := NewRecorder(1)
-	r := rec.Rank(0)
-	r.Record("a", KindComm, 2, 0, 0, 0)
-	r.Record("a", KindCompute, 4, 0, 0, 0)
-	r.Record("a", KindHidden, 1, 0, 0, 0)
-	r.ScaleComm(10)
-
-	sp := r.Spans()
-	if sp[0].Dur != 20 || sp[1].Dur != 4 || sp[2].Dur != 10 {
-		t.Errorf("durations after ScaleComm(10): %v %v %v", sp[0].Dur, sp[1].Dur, sp[2].Dur)
-	}
-	if sp[1].Start != 20 {
-		t.Errorf("compute start %v, want 20", sp[1].Start)
-	}
-	if sp[2].Start != 24-10 {
-		t.Errorf("hidden start %v, want %v", sp[2].Start, 24-10)
-	}
-}
-
 // TestTraceJSONIsValidChromeFormat: the export parses as JSON, carries the
 // traceEvents array with complete ("X") events in µs, thread metadata, and
 // puts hidden spans on their own pid so they never nest under exposed ones.

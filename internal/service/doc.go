@@ -3,7 +3,7 @@
 // planner decisions, and admits concurrent multiply jobs under a shared
 // memory budget.
 //
-// Three pieces compose, in request order:
+// Four pieces compose, in request order:
 //
 //   - Registry keeps loaded matrices resident by name, each with its
 //     content fingerprint (spmat.Fingerprint). Loading the same content
@@ -17,6 +17,13 @@
 //     planner.Choice. Single-flight semantics: concurrent requests for one
 //     key plan once, the rest wait for the result.
 //
+//   - The split cache keeps each resident matrix dealt out over the grid
+//     (core.Dealt) for every role, layer count and format a job has run it
+//     on, so only the first such job deals it out and later ones run on the
+//     same read-only blocks (core.MultiplyDealt). Its modeled bytes stay
+//     within MemBytes — or maxResidentBytes without a budget — by evicting
+//     the least recently used set.
+//
 //   - Scheduler admits jobs FIFO under the service's aggregate MemBytes
 //     budget, reserving each job's predicted peak footprint (the planner's
 //     per-rank high-water mark × ranks — the same symbolic batch-footprint
@@ -25,14 +32,14 @@
 //
 // Service ties them together and executes admitted jobs on the simulated
 // cluster. The shape and nonzero count every response reports come from the
-// operands and the ranks' per-batch counts. A request that set return_result
-// runs core.MultiplyRanks and the product stays in the ranks' batch pieces;
-// any other runs core.MultiplyDiscard, which drops each batch once counted,
-// so no rank holds more than one. In process, MultiplyResult.Product assembles it
+// operands and the ranks' per-batch counts. For a request that set
+// return_result the product stays in the ranks' batch pieces; any other
+// drops each batch once counted (the discarding run), so no rank holds more
+// than one. In process, MultiplyResult.Product assembles it
 // (core.AssembleResults) when asked; the /multiply handler never does — it
 // streams the wire bytes straight from the pieces (core.ProductSegments)
-// under an exact Content-Length, and Client.Multiply decodes them as they
-// arrive. Every job runs a fresh mpi.Run world with its own
+// under an exact Content-Length, inside the job's admission reservation, and
+// Client.Multiply decodes them as they arrive. Every job runs a fresh mpi.Run world with its own
 // compute-measurement gate, so concurrent jobs never share mutable engine
 // state and outputs are bit-identical to one-shot runs.
 //

@@ -198,6 +198,11 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_encode_seconds_total", "Wall time the /multiply handler spent encoding and streaming returned products.", encode)
 
 	gauge("spgemmd_resident_matrices", "Matrices in the registry.", float64(st.Matrices))
+	gauge("spgemmd_split_cache_bytes", "Modeled bytes of the resident matrices' cached dealt-out blocks.", float64(st.SplitCacheBytes))
+	gauge("spgemmd_split_cache_entries", "Cached split sets (one matrix, role, layer count and format each).", float64(st.SplitCacheEntries))
+	counter("spgemmd_split_cache_hits_total", "Job operands run on blocks the split cache held.", float64(st.SplitCacheHits))
+	counter("spgemmd_split_cache_misses_total", "Job operands dealt out on the host.", float64(st.SplitCacheMisses))
+	counter("spgemmd_split_cache_evictions_total", "Split sets dropped to keep the cache within its bound.", float64(st.SplitCacheEvictions))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))
 	gauge("spgemmd_ranks", "Simulated rank count per job.", float64(st.P))
 

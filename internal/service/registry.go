@@ -16,11 +16,14 @@ type MatrixInfo struct {
 
 // resident is one registry slot: the matrix itself plus the fingerprint
 // computed once at load time (the O(nnz) hash never runs again for this
-// content).
+// content), and the matrix dealt out for the grids and formats jobs have run
+// it on — its split sets, which the service's splitCache fills, bounds and
+// guards.
 type resident struct {
-	name string
-	mat  *spmat.CSC
-	fp   spmat.Fingerprint
+	name   string
+	mat    *spmat.CSC
+	fp     spmat.Fingerprint
+	splits map[splitKey]*splitSet
 }
 
 // Registry holds matrices resident by name. It is safe for concurrent use;
@@ -77,7 +80,7 @@ func (r *Registry) Load(name string, m *spmat.CSC) (fp spmat.Fingerprint, alread
 		}
 		return spmat.Fingerprint{}, false, fmt.Errorf("service: matrix %q is already loaded with different content (%s vs %s)", name, old.fp.Key(), fp.Key())
 	}
-	r.byName[name] = &resident{name: name, mat: m, fp: fp}
+	r.byName[name] = &resident{name: name, mat: m, fp: fp, splits: make(map[splitKey]*splitSet)}
 	return fp, false, nil
 }
 

@@ -277,53 +277,13 @@ func Handler(s *Service) http.Handler {
 		if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
 			req.Trace = true
 		}
-		res, err := s.Multiply(req)
-		if err != nil {
+		// The response is written inside the job's admission reservation, so
+		// a product streamed from the ranks' pieces stays charged until it is
+		// out.
+		if _, err := s.multiply(req, func(res *MultiplyResult) { s.writeMultiply(w, req, res) }); err != nil {
 			st, code := classify(err)
 			writeErr(w, st, code, err)
-			return
 		}
-		resp := MultiplyResponse{
-			Rows: res.Rows, Cols: res.Cols, NNZ: res.NNZ,
-			Plan: res.Plan, Batches: res.Batches,
-			PeakMemBytesPerRank: res.PeakMemBytesPerRank,
-			ModelSeconds:        res.ModelSeconds,
-			CommSeconds:         res.CommSeconds,
-			ComputeSeconds:      res.ComputeSeconds,
-			Queued:              res.Queued,
-			QueueSeconds:        res.QueueSeconds,
-			EngineSeconds:       res.EngineSeconds,
-			BusyCores:           res.BusyCores,
-			JobID:               res.JobID,
-		}
-		if req.Trace && res.Trace != nil {
-			if buf, err := res.Trace.TraceJSON(); err == nil {
-				resp.Trace = buf
-			}
-		}
-		if !req.ReturnResult {
-			writeJSON(w, resp)
-			return
-		}
-		// The document on its one line (json.Encoder ends it with the only
-		// raw newline it writes), then the product's wire bytes, streamed
-		// from the ranks' pieces under their exact length: the product is
-		// never assembled or encoded whole on this side.
-		start := time.Now()
-		seg, err := core.ProductSegments(res.ranks, res.Rows, res.Cols)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "internal", err)
-			return
-		}
-		var head bytes.Buffer
-		_ = json.NewEncoder(&head).Encode(resp) // the same fields writeJSON encodes; a bytes.Buffer write cannot fail
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(int64(head.Len())+seg.CommBytes(), 10))
-		if _, err := w.Write(head.Bytes()); err != nil {
-			return // a client that went away is its own problem
-		}
-		n, _ := seg.WriteTo(w) // as above
-		s.met.observeEncode(n, time.Since(start).Seconds())
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		s.requests[epStats].Add(1)
@@ -339,6 +299,53 @@ func Handler(s *Service) http.Handler {
 		s.WriteMetrics(w)
 	})
 	return mux
+}
+
+// writeMultiply writes one successful job's /multiply response: the JSON
+// document, and for a request that asked for the product, the document on its
+// one line followed by the product's wire bytes.
+func (s *Service) writeMultiply(w http.ResponseWriter, req MultiplyRequest, res *MultiplyResult) {
+	resp := MultiplyResponse{
+		Rows: res.Rows, Cols: res.Cols, NNZ: res.NNZ,
+		Plan: res.Plan, Batches: res.Batches,
+		PeakMemBytesPerRank: res.PeakMemBytesPerRank,
+		ModelSeconds:        res.ModelSeconds,
+		CommSeconds:         res.CommSeconds,
+		ComputeSeconds:      res.ComputeSeconds,
+		Queued:              res.Queued,
+		QueueSeconds:        res.QueueSeconds,
+		EngineSeconds:       res.EngineSeconds,
+		BusyCores:           res.BusyCores,
+		JobID:               res.JobID,
+	}
+	if req.Trace && res.Trace != nil {
+		if buf, err := res.Trace.TraceJSON(); err == nil {
+			resp.Trace = buf
+		}
+	}
+	if !req.ReturnResult {
+		writeJSON(w, resp)
+		return
+	}
+	// The document on its one line (json.Encoder ends it with the only
+	// raw newline it writes), then the product's wire bytes, streamed
+	// from the ranks' pieces under their exact length: the product is
+	// never assembled or encoded whole on this side.
+	start := time.Now()
+	seg, err := core.ProductSegments(res.ranks, res.Rows, res.Cols)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "internal", err)
+		return
+	}
+	var head bytes.Buffer
+	_ = json.NewEncoder(&head).Encode(resp) // the same fields writeJSON encodes; a bytes.Buffer write cannot fail
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(int64(head.Len())+seg.CommBytes(), 10))
+	if _, err := w.Write(head.Bytes()); err != nil {
+		return // a client that went away is its own problem
+	}
+	n, _ := seg.WriteTo(w) // as above
+	s.met.observeEncode(n, time.Since(start).Seconds())
 }
 
 // errOverBudget marks a /load refused because the matrix — its body, or the

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/semiring"
@@ -43,13 +44,15 @@ type Config struct {
 	TraceDir string
 }
 
-// Service is the multiply-as-a-service engine: resident matrices, cached
-// plans, budgeted admission, and the simulated cluster underneath.
+// Service is the multiply-as-a-service engine: resident matrices and their
+// dealt-out blocks, cached plans, budgeted admission, and the simulated
+// cluster underneath.
 type Service struct {
-	cfg   Config
-	reg   *Registry
-	plans *PlanCache
-	sched *Scheduler
+	cfg    Config
+	reg    *Registry
+	plans  *PlanCache
+	splits *splitCache
+	sched  *Scheduler
 
 	probes     atomic.Int64 // planner probe+sweep executions (cache misses)
 	multiplies atomic.Int64 // completed multiply jobs
@@ -77,13 +80,20 @@ func New(cfg Config) (*Service, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	// The dealt-out blocks are held to the budget, or without one to the cap
+	// on one resident matrix.
+	splitLimit := cfg.MemBytes
+	if splitLimit <= 0 {
+		splitLimit = maxResidentBytes
+	}
 	return &Service{
-		cfg:   cfg,
-		reg:   NewRegistry(),
-		plans: NewPlanCache(),
-		sched: NewScheduler(cfg.MemBytes),
-		met:   newJobMetrics(),
-		log:   logger,
+		cfg:    cfg,
+		reg:    NewRegistry(),
+		plans:  NewPlanCache(),
+		splits: &splitCache{limit: splitLimit},
+		sched:  NewScheduler(cfg.MemBytes),
+		met:    newJobMetrics(),
+		log:    logger,
 	}, nil
 }
 
@@ -201,12 +211,14 @@ type MultiplyResult struct {
 	// long (wall time of this process, not modeled time).
 	Queued       bool
 	QueueSeconds float64
-	// EngineSeconds is the wall time of the distributed multiply itself (host
-	// split, ranks, no planning, queueing or assembly); BusyCores is the
-	// ranks' summed measured compute seconds over that time — the mean number
-	// of ranks computing at once, which approaches the host's core count when
-	// the compute gate keeps every core dealt out and sits near 1 when
-	// something serial (the host split, one overloaded rank) dominates.
+	// EngineSeconds is the wall time of the distributed multiply itself (the
+	// ranks, and the host split of an operand the service had not yet dealt
+	// out for the job's grid and format; no planning, queueing or assembly);
+	// BusyCores is the ranks' summed measured compute seconds over that time
+	// — the mean number of ranks computing at once, which approaches the
+	// host's core count when the compute gate keeps every core dealt out and
+	// sits near 1 when something serial (a host split, one overloaded rank)
+	// dominates.
 	EngineSeconds float64
 	BusyCores     float64
 	// JobID identifies this job in the daemon's structured logs and trace
@@ -219,6 +231,15 @@ type MultiplyResult struct {
 
 // Multiply plans (through the cache), admits, and executes one job.
 func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
+	return s.multiply(req, nil)
+}
+
+// multiply is Multiply. A non-nil deliver is handed the result of a job that
+// succeeded while the job still holds its admission reservation, which is
+// released once deliver returns: the /multiply handler streams a returned
+// product from the ranks' pieces in it, so the memory those pieces take stays
+// charged until the last byte has been written.
+func (s *Service) multiply(req MultiplyRequest, deliver func(*MultiplyResult)) (*MultiplyResult, error) {
 	jobID := s.jobSeq.Add(1)
 	jobStart := time.Now()
 	sr, err := semiring.ByName(req.Semiring)
@@ -267,12 +288,8 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 	// stays in their pieces only for a request that asked to get it back; any
 	// other job runs the discarding path, which counts each batch and drops
 	// it, so no rank holds more than one batch of the product.
-	run := core.MultiplyDiscard
-	if req.ReturnResult {
-		run = core.MultiplyRanks
-	}
 	engineStart := time.Now()
-	results, summary, err := run(ra.mat, rb.mat, rc, nil)
+	results, summary, err := s.run(ra, rb, rc, !req.ReturnResult)
 	engineSec := time.Since(engineStart).Seconds()
 	if err != nil {
 		return nil, s.jobFailed(jobID, req, err)
@@ -344,7 +361,24 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 		attrs = append(attrs, "trace", tracePath)
 	}
 	s.log.Info("job done", attrs...)
+	if deliver != nil {
+		deliver(res)
+	}
 	return res, nil
+}
+
+// run executes one job on its operands as the split cache holds them dealt
+// out for rc's grid and format: only the first job with a key deals one out.
+func (s *Service) run(ra, rb *resident, rc core.RunConfig, discard bool) ([]*core.Result, *mpi.Summary, error) {
+	da, err := s.splits.deal(ra, core.RoleA, rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	db, err := s.splits.deal(rb, core.RoleB, rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return core.MultiplyDealt(da, db, rc, nil, discard)
 }
 
 // Product assembles the job's output matrix from the ranks' pieces
@@ -401,6 +435,16 @@ type Stats struct {
 	Requests map[string]int64 `json:"requests"`
 	// TracesCaptured counts per-job span traces captured.
 	TracesCaptured int64 `json:"traces_captured"`
+	// SplitCacheBytes is the modeled size of the resident matrices' cached
+	// dealt-out blocks, SplitCacheEntries the number of cached sets (one
+	// matrix, role, layer count and format each). SplitCacheHits counts
+	// operands a job ran on as cached, SplitCacheMisses those it dealt out,
+	// SplitCacheEvictions the sets dropped to make room.
+	SplitCacheBytes     int64 `json:"split_cache_bytes"`
+	SplitCacheEntries   int   `json:"split_cache_entries"`
+	SplitCacheHits      int64 `json:"split_cache_hits"`
+	SplitCacheMisses    int64 `json:"split_cache_misses"`
+	SplitCacheEvictions int64 `json:"split_cache_evictions"`
 	// MemBytes echoes the shared budget; P and Machine the cluster shape.
 	MemBytes int64  `json:"mem_bytes"`
 	P        int    `json:"p"`
@@ -411,6 +455,7 @@ type Stats struct {
 // read individually, not under one lock).
 func (s *Service) Stats() Stats {
 	waitTotal, waitMax, engine, rankCompute, failures := s.met.snapshot()
+	splitBytes, splitEntries, splitHits, splitMisses, splitEvictions := s.splits.snapshot()
 	reqs := make(map[string]int64, len(endpointNames))
 	for i, name := range endpointNames {
 		reqs[name] = s.requests[i].Load()
@@ -434,6 +479,12 @@ func (s *Service) Stats() Stats {
 		RankComputeSeconds:  rankCompute,
 		Requests:            reqs,
 		TracesCaptured:      s.traces.Load(),
+
+		SplitCacheBytes:     splitBytes,
+		SplitCacheEntries:   splitEntries,
+		SplitCacheHits:      splitHits,
+		SplitCacheMisses:    splitMisses,
+		SplitCacheEvictions: splitEvictions,
 
 		MemBytes: s.cfg.MemBytes,
 		P:        s.cfg.P,
