@@ -11,7 +11,7 @@ GO ?= go
 FUZZTIME ?= 30s
 GATE_TOL ?= 0.05
 
-.PHONY: all build test race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline plan serve soak ci
+.PHONY: all build test deadcode race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline plan serve soak ci
 
 # all: the tier-1 gate (build + test), the default target.
 all: build test
@@ -24,9 +24,20 @@ build:
 	$(GO) build ./...
 	$(GO) -C bench vet .
 
-# test: the full unit/differential/metering test suite (tier 1 with build).
+# test: the full unit/differential/metering test suite (tier 1 with build),
+# the dead-export guard (`make deadcode`) included.
 test:
 	$(GO) test ./...
+
+# deadcode: the dead-export guard alone. TestNoTestOnlyExports parses every
+# non-test file of the repository (internal/, cmd/, examples/, the root
+# package and the bench/ module) and fails on an exported func, type, var,
+# const or method under internal/ that nothing but tests references. Delete
+# such code or move it into a _test.go file; a deliberate test oracle,
+# fixture builder or benchmark ablation goes on testOnlyAllowlist in
+# deadcode_test.go with the test that needs it. `make test` runs it too.
+deadcode:
+	$(GO) test -run '^TestNoTestOnlyExports$$' .
 
 # race: the packages that run goroutines (simulated ranks in mpi/core,
 # worker threads in localmm, concurrent jobs in service) or hold state

@@ -106,10 +106,10 @@ func BenchmarkHashSpGEMMParallel(b *testing.B) {
 
 // --- Ablation 2: merge algorithms on sorted vs unsorted inputs. ---
 
-func mergeInputs(sorted bool) []*spmat.CSC {
+func mergeInputs(sorted bool) []spmat.Matrix {
 	a := genmat.ProteinSimilarity(9, 8, 8)
 	sr := semiring.PlusTimes()
-	mats := make([]*spmat.CSC, 4)
+	mats := make([]spmat.Matrix, 4)
 	for i := range mats {
 		s := genmat.Permutation(a.Rows, int64(i+1))
 		if sorted {
@@ -126,7 +126,7 @@ func BenchmarkMergeHashUnsortedInputs(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.ParallelMerge(localmm.MergerHash, mats, sr, false, 1)
+		localmm.MergeMat(localmm.MergerHash, mats, sr, false, 1)
 	}
 }
 
@@ -135,7 +135,7 @@ func BenchmarkMergeHashSortedOutput(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.ParallelMerge(localmm.MergerHash, mats, sr, true, 1)
+		localmm.MergeMat(localmm.MergerHash, mats, sr, true, 1)
 	}
 }
 
@@ -145,7 +145,7 @@ func BenchmarkMergeHeapUnsortedInputs(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.ParallelMerge(localmm.MergerHeap, mats, sr, true, 1)
+		localmm.MergeMat(localmm.MergerHeap, mats, sr, true, 1)
 	}
 }
 
@@ -154,7 +154,7 @@ func BenchmarkMergeHeapSortedInputs(b *testing.B) {
 	sr := semiring.PlusTimes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		localmm.ParallelMerge(localmm.MergerHeap, mats, sr, true, 1)
+		localmm.MergeMat(localmm.MergerHeap, mats, sr, true, 1)
 	}
 }
 
@@ -166,11 +166,11 @@ func BenchmarkMergeOnceAfterAllStages(b *testing.B) {
 	stages := spmat.ColSplit(a, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts := make([]*spmat.CSC, len(stages))
+		parts := make([]spmat.Matrix, len(stages))
 		for s, piece := range stages {
 			parts[s] = localmm.ParallelSpGEMM(localmm.KernelHashUnsorted, piece, spmat.RowRange(a, int32(s)*a.Rows/4, (int32(s)+1)*a.Rows/4), sr, 1)
 		}
-		localmm.ParallelMerge(localmm.MergerHash, parts, sr, false, 1)
+		localmm.MergeMat(localmm.MergerHash, parts, sr, false, 1)
 	}
 }
 
@@ -180,13 +180,13 @@ func BenchmarkMergeIncrementallyPerStage(b *testing.B) {
 	stages := spmat.ColSplit(a, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var acc *spmat.CSC
+		var acc spmat.Matrix
 		for s, piece := range stages {
 			prod := localmm.ParallelSpGEMM(localmm.KernelHashUnsorted, piece, spmat.RowRange(a, int32(s)*a.Rows/4, (int32(s)+1)*a.Rows/4), sr, 1)
 			if acc == nil {
 				acc = prod
 			} else {
-				acc = localmm.ParallelMerge(localmm.MergerHash, []*spmat.CSC{acc, prod}, sr, false, 1)
+				acc = localmm.MergeMat(localmm.MergerHash, []spmat.Matrix{acc, prod}, sr, false, 1)
 			}
 		}
 	}

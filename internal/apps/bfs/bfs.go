@@ -125,17 +125,3 @@ func (l *Levels) Eccentricity() []int32 {
 	}
 	return out
 }
-
-// Reached counts the vertices reachable from each source (including the
-// source itself).
-func (l *Levels) Reached() []int64 {
-	out := make([]int64, l.NumSources)
-	for v := int32(0); v < l.NumVertices; v++ {
-		for s := int32(0); s < l.NumSources; s++ {
-			if l.At(v, s) >= 0 {
-				out[s]++
-			}
-		}
-	}
-	return out
-}

@@ -28,10 +28,10 @@
 // once the caller's hook has seen it. ProductSegments is the
 // other reader: it lays the global product out as the pieces' column
 // segments (spmat.Segmented) for a caller that streams its wire bytes
-// without assembling it — the daemon's return_result response. Setup is the per-rank alternative to the host split — a
-// rank that holds the global operands cuts its own pieces out — for callers
-// already inside a rank (tests, tools); p ranks doing that walk A q times and
-// B q·l times between them, so the host entry points do not. Inside,
+// without assembling it — the daemon's return_result response. A rank that
+// holds the global operands could cut its own pieces out instead
+// (distmat's LocalMat, then SetupLocal), but p ranks doing that walk A q
+// times and B q·l times between them, so the host entry points do not. Inside,
 // Symbolic3D picks the batch count b from the memory budget, and each batch
 // runs one batch function (summa3DBatch): the per-layer stage products
 // (stageProducts), one Merge-Layer, the fiber AllToAll, and the fiber merge.

@@ -19,7 +19,6 @@ const (
 	StepMergeLayer = "Merge-Layer"
 	StepAllToAll   = "AllToAll-Fiber"
 	StepMergeFiber = "Merge-Fiber"
-	StepOther      = "Other"
 )
 
 // Auxiliary compute categories outside the paper's seven steps: the batch-

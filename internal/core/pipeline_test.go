@@ -301,23 +301,28 @@ func TestNoHiddenWhenPipelineOff(t *testing.T) {
 	}
 }
 
-// TestRowBatchedPipelinedMatchesStaged: the transposed (row-batched) driver
-// inherits the fully-overlapped schedule through core.Multiply; its output
-// must also be independent of the schedule.
-func TestRowBatchedPipelinedMatchesStaged(t *testing.T) {
-	a := randomMat(t, 48, 48, 900, 78)
-	b := randomMat(t, 48, 48, 300, 79)
-	run := func(pipeline bool) *spmat.CSC {
-		rc := RunConfig{P: 8, L: 2, Cost: testCM,
-			Opts: Options{ForceBatches: 2, Pipeline: pipeline}}
-		out, _, err := MultiplyRowBatched(a, b, rc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+// TestRowBatchedReBroadcastsSmallerOperand: column batching re-broadcasts A
+// once per batch (Sec. IV-B), so with nnz(A) ≫ nnz(B) the row-batched
+// orientation — C = (Bᵀ·Aᵀ)ᵀ, whose re-broadcast operand is Bᵀ — must put far
+// less volume through the A-Broadcast.
+func TestRowBatchedReBroadcastsSmallerOperand(t *testing.T) {
+	big := randomMat(t, 48, 48, 1200, 73)
+	small := randomMat(t, 48, 48, 90, 74)
+	rc := RunConfig{P: 4, L: 1, Cost: testCM, Opts: Options{ForceBatches: 4}}
+
+	_, _, colSummary, err := Multiply(big, small, rc, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !spmat.Equal(run(false), run(true)) {
-		t.Error("row-batched pipelined output differs from staged")
+	_, _, rowSummary, err := Multiply(spmat.Transpose(small), spmat.Transpose(big), rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colRebcast := colSummary.Step(StepABcast).Bytes
+	rowRebcast := rowSummary.Step(StepABcast).Bytes
+	if !(rowRebcast < colRebcast/2) {
+		t.Errorf("row batching rebroadcast %d bytes, column batching %d; expected a large saving",
+			rowRebcast, colRebcast)
 	}
 }
 

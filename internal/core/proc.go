@@ -48,24 +48,6 @@ type Proc struct {
 	discard bool
 }
 
-// Setup wires a Proc on one rank that holds the global operands: the rank
-// cuts its own two pieces out (distmat's LocalMat, one pass over the piece's
-// columns). A is rows×inner, B is inner×cols. It is the self-contained form
-// for a caller already inside a rank; the host entry points (Multiply,
-// MultiplyDiscard, SymbolicBatches) instead split both operands once for all
-// ranks and hand each its pieces through SetupLocal: ranks that share a
-// column range would each walk it, A q times and B q·l times in all.
-func Setup(g *grid.Grid3D, a, b *spmat.CSC, opts Options) (*Proc, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("core: inner dimension mismatch: A is %v, B is %v", a, b)
-	}
-	da := distmat.NewADist(a.Rows, a.Cols, g.Q, g.L)
-	db := distmat.NewBDist(b.Rows, b.Cols, g.Q, g.L)
-	return SetupLocal(g, da, db,
-		da.LocalMat(a, g.I, g.J, g.K, opts.Format),
-		db.LocalMat(b, g.I, g.J, g.K, opts.Format), opts), nil
-}
-
 // SetupLocal wires a Proc from already-local pieces (used when a pipeline
 // keeps matrices distributed between operations, e.g. Markov clustering
 // iterations). The descriptors must describe the same global shapes on the
@@ -107,21 +89,6 @@ type Result struct {
 	PeakMemBytes int64
 	// BatchNNZ is the per-batch local output size before any hook pruning.
 	BatchNNZ []int64
-}
-
-// CSC returns the rank's output as one CSC matrix, its columns in batch
-// order (GlobalCols). A lone CSC piece is returned itself; anything else is
-// inflated and concatenated, which is the copy AssembleResults and
-// ProductSegments exist to avoid.
-func (r *Result) CSC() *spmat.CSC {
-	if len(r.Pieces) == 1 {
-		return r.Pieces[0].ToCSC()
-	}
-	parts := make([]*spmat.CSC, len(r.Pieces))
-	for i, pc := range r.Pieces {
-		parts[i] = pc.ToCSC()
-	}
-	return spmat.HCat(parts)
 }
 
 // NNZ returns the number of entries the rank's pieces hold.

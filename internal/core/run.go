@@ -31,14 +31,6 @@ type RunConfig struct {
 	Trace *obs.Recorder
 }
 
-// Validate checks the grid shape.
-func (rc RunConfig) Validate() error {
-	if _, err := grid.SideFor(rc.P, rc.L); err != nil {
-		return err
-	}
-	return nil
-}
-
 // HookFactory builds a per-rank batch hook; nil means no hook. The factory is
 // called once per rank with the world rank.
 type HookFactory func(rank int) BatchHook

@@ -69,15 +69,6 @@ func TestMultiplyDiscardKeepsNothing(t *testing.T) {
 	}
 }
 
-func TestRunConfigValidate(t *testing.T) {
-	if err := (RunConfig{P: 16, L: 4}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-	if err := (RunConfig{P: 16, L: 3}).Validate(); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
 // A dealt operand runs only on the run it was dealt for: another role, layer
 // count, grid, format or inner dimension is an error before any rank starts.
 // On the run it fits, one Dealt serves repeated runs, each with the product a

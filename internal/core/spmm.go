@@ -201,6 +201,55 @@ func (p *denseProc) shiftRing(cur mpi.Payload, req *mpi.BcastRequest, post float
 	return p.g.Ring.Shift(1, cur)
 }
 
+// ringBlock is the operand block that rides the ring: a sparse A block under
+// ColA, a dense B block under InnerABC.
+type ringBlock interface {
+	mpi.Payload
+	MemBytes() int64
+}
+
+// ringWalk runs one batch's R-round ring walk from cur, which is block blk of
+// the moving operand. Each round folds the product of the operands
+// round(cur, blk) names into acc, charged as Local-Multiply, and passes cur
+// one position on: the shift ships the block held now, and pipelined mode
+// posts it before the multiply so the exchange hides behind compute; the last
+// round has nothing left to move. The shift is charged to cat, any hidden
+// share to hiddenCat. stationary is the resident bytes beside cur and acc.
+// It returns the block held after the last round.
+func (p *denseProc) ringWalk(cur ringBlock, blk int, acc *spmat.DenseMat, stationary int64, cat, hiddenCat string,
+	round func(cur ringBlock, blk int) (spmat.Matrix, *spmat.DenseMat)) ringBlock {
+	g := p.g
+	m := g.World.Meter()
+	tr := m.Recorder()
+	R := g.R()
+	for r := 0; r < R; r++ {
+		tr.SetStage(r)
+		var req *mpi.BcastRequest
+		var post float64
+		if r < R-1 && p.opts.Pipeline {
+			post = p.led.clock
+			req = g.Ring.IshiftStart(1, cur)
+		}
+		sa, db := round(cur, blk)
+		flops := localmm.SpMMFlops(sa, acc.Cols)
+		sec := p.measure(func() { localmm.SpMMInto(acc, sa, db, p.workers(flops)) })
+		m.SetCategory(StepLocalMult)
+		m.AddComputeWork(sec, flops+1)
+		p.res.LocalFlops += flops
+		liveShift := int64(1)
+		if req != nil {
+			liveShift = 2
+		}
+		p.trackPeak(stationary + liveShift*cur.MemBytes() + acc.MemBytes())
+		if r < R-1 {
+			cur = p.shiftRing(cur, req, post, cat, hiddenCat).(ringBlock)
+			blk = (blk + 1) % g.S
+		}
+	}
+	tr.SetStage(-1)
+	return cur
+}
+
 // localFmt applies the Format knob to a freshly sliced local block.
 func (p *denseProc) localFmt(m *spmat.CSC) spmat.Matrix {
 	return spmat.WithFormat(m, p.opts.Format)
@@ -212,7 +261,7 @@ func (p *denseProc) localFmt(m *spmat.CSC) spmat.Matrix {
 // the matching panel of C. Batches split the rank's own B panel columns, so
 // each batch replays the full ring walk over A.
 func (p *denseProc) runColA(a *spmat.CSC, b *spmat.DenseMat) error {
-	g, opts := p.g, p.opts
+	g := p.g
 	m := g.World.Meter()
 	aBounds := spmat.PartBounds(a.Cols, g.S) // A block-columns == B row blocks
 	bBounds := spmat.PartBounds(b.Cols, g.S) // B/C column panels
@@ -235,7 +284,7 @@ func (p *denseProc) runColA(a *spmat.CSC, b *spmat.DenseMat) error {
 		startPay = p.localFmt(spmat.ColRange(a, aBounds[start], aBounds[start+1]))
 	}
 	m.SetCategory(StepABcast)
-	cur := g.Skew.Bcast(0, startPay).(spmat.Matrix)
+	cur := g.Skew.Bcast(0, startPay).(ringBlock)
 
 	tr := m.Recorder()
 	pieces := make([]*spmat.DenseMat, nb)
@@ -252,44 +301,17 @@ func (p *denseProc) runColA(a *spmat.CSC, b *spmat.DenseMat) error {
 		bPanel := g.Fiber.Bcast(0, bPay).(*spmat.DenseMat)
 
 		acc := spmat.NewDense(a.Rows, hi-lo)
-		blk := start
-		for r := 0; r < R; r++ {
-			tr.SetStage(r)
-			// The shift ships the block we hold now; pipelined mode posts it
-			// before the multiply so the exchange hides behind compute. The
-			// last round of the last batch has nothing left to move; between
-			// batches the walk rewinds to the start block (offset R-1 forward
-			// in source space ≡ -(R-1) in position, expressed as shifting the
-			// held block onward around the ring R-1 more times collapsed into
-			// one rewind shift below).
-			var req *mpi.BcastRequest
-			var post float64
-			if r < R-1 && opts.Pipeline {
-				post = p.led.clock
-				req = g.Ring.IshiftStart(1, cur)
-			}
-			bView := spmat.DenseRowView(bPanel, aBounds[blk], aBounds[blk+1])
-			flops := localmm.SpMMFlops(cur, acc.Cols)
-			sec := p.measure(func() { localmm.SpMMInto(acc, cur, bView, p.workers(flops)) })
-			m.SetCategory(StepLocalMult)
-			m.AddComputeWork(sec, flops+1)
-			p.res.LocalFlops += flops
-			liveShift := int64(1)
-			if req != nil {
-				liveShift = 2
-			}
-			p.trackPeak(liveShift*cur.MemBytes() + bPanel.MemBytes() + acc.MemBytes())
-			if r < R-1 {
-				cur = p.shiftRing(cur, req, post, StepABcast, StepABcastHidden).(spmat.Matrix)
-				blk = (blk + 1) % g.S
-			}
-		}
-		tr.SetStage(-1)
+		cur = p.ringWalk(cur, start, acc, bPanel.MemBytes(), StepABcast, StepABcastHidden,
+			func(cur ringBlock, blk int) (spmat.Matrix, *spmat.DenseMat) {
+				return cur.(spmat.Matrix), spmat.DenseRowView(bPanel, aBounds[blk], aBounds[blk+1])
+			})
 		if t < nb-1 && R > 1 {
-			// Rewind the ring walk for the next batch.
+			// Rewind the ring walk to the start block for the next batch
+			// (offset R-1 forward in source space ≡ -(R-1) in position: the
+			// held block shifted onward around the ring R-1 more times,
+			// collapsed into one shift).
 			m.SetCategory(StepABcast)
-			cur = g.Ring.Shift(-(R - 1), cur).(spmat.Matrix)
-			blk = start
+			cur = g.Ring.Shift(-(R - 1), cur).(ringBlock)
 		}
 		pieces[t] = p.reduceFiber(acc)
 	}
@@ -305,14 +327,13 @@ func (p *denseProc) runColA(a *spmat.CSC, b *spmat.DenseMat) error {
 // batch distributes fresh starting B blocks via the skew fiber — there is no
 // rewind shift, the moving panels are batch-local.
 func (p *denseProc) runInnerABC(a *spmat.CSC, b *spmat.DenseMat) error {
-	g, opts := p.g, p.opts
+	g := p.g
 	m := g.World.Meter()
 	rowBounds := spmat.PartBounds(a.Rows, g.S)   // A block-rows == C row panels
 	innerBounds := spmat.PartBounds(a.Cols, g.S) // inner dim == B row blocks
 	rl, rh := rowBounds[g.J], rowBounds[g.J+1]
 	nb := p.batches(b.Cols)
 	dBounds := spmat.PartBounds(b.Cols, nb)
-	R := g.R()
 	p.res.RowOffset, p.res.ColOffset, p.res.Batches = rl, 0, nb
 
 	// One-time: replicate the stationary A block-row along the fiber, then
@@ -354,32 +375,10 @@ func (p *denseProc) runInnerABC(a *spmat.CSC, b *spmat.DenseMat) error {
 		cur := g.Skew.Bcast(0, startPay).(*spmat.DenseMat)
 
 		acc := spmat.NewDense(rh-rl, dh-dl)
-		blk := start
-		for r := 0; r < R; r++ {
-			tr.SetStage(r)
-			var req *mpi.BcastRequest
-			var post float64
-			if r < R-1 && opts.Pipeline {
-				post = p.led.clock
-				req = g.Ring.IshiftStart(1, cur)
-			}
-			flops := localmm.SpMMFlops(aParts[blk], acc.Cols)
-			curOp := cur
-			sec := p.measure(func() { localmm.SpMMInto(acc, aParts[blk], curOp, p.workers(flops)) })
-			m.SetCategory(StepLocalMult)
-			m.AddComputeWork(sec, flops+1)
-			p.res.LocalFlops += flops
-			liveShift := int64(1)
-			if req != nil {
-				liveShift = 2
-			}
-			p.trackPeak(aMem + liveShift*cur.MemBytes() + acc.MemBytes())
-			if r < R-1 {
-				cur = p.shiftRing(cur, req, post, StepBBcast, StepBBcastHidden).(*spmat.DenseMat)
-				blk = (blk + 1) % g.S
-			}
-		}
-		tr.SetStage(-1)
+		p.ringWalk(cur, start, acc, aMem, StepBBcast, StepBBcastHidden,
+			func(cur ringBlock, blk int) (spmat.Matrix, *spmat.DenseMat) {
+				return aParts[blk], cur.(*spmat.DenseMat)
+			})
 		pieces[t] = p.reduceFiber(acc)
 	}
 	tr.SetBatch(-1)

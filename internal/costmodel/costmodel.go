@@ -96,14 +96,6 @@ func LocalHost() Machine {
 	}
 }
 
-// Scaled returns a copy of the machine with latency and inverse bandwidth
-// multiplied by factor.
-func (m Machine) Scaled(factor float64) Machine {
-	m.AlphaSec *= factor
-	m.BetaSecPerByte *= factor
-	return m
-}
-
 // ScaledBeta returns a copy with only the inverse bandwidth multiplied by
 // factor; latency stays physical. The experiment harness uses it to restore
 // the paper's communication-to-computation balance: a Cori-KNL process

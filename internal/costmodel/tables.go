@@ -1,10 +1,9 @@
 package costmodel
 
-// This file encodes the closed-form complexity rows of the paper's Table II
-// (communication) and Table III (computation) for BATCHEDSUMMA3D on a
-// √(p/l) × √(p/l) × l grid with b batches. The experiment harness compares
-// these predictions against metered volumes, which is the repository's
-// executable check of the paper's analysis.
+// This file encodes the closed-form communication rows of the paper's Table
+// II for BATCHEDSUMMA3D on a √(p/l) × √(p/l) × l grid with b batches. The
+// experiment harness compares these predictions against metered volumes,
+// which is the repository's executable check of the paper's analysis.
 
 import "math"
 
@@ -78,28 +77,4 @@ func TableII(in TableIIInput) []TableIIRow {
 		},
 	}
 	return rows
-}
-
-// TableIIIRow is one computation step's predicted total work (in flops or
-// flop-equivalent merge operations) per process.
-type TableIIIRow struct {
-	Step string
-	// TotalOps is the "Total" row: the per-process operation count summed
-	// over all invocations.
-	TotalOps float64
-}
-
-// TableIII returns the three computation rows of Table III:
-//
-//	Local-Multiply: flops/p total.
-//	Merge-Layer:    flops/p · lg(p/l) total (heap form; the hash merge the
-//	                paper introduces removes the lg factor in practice).
-//	Merge-Fiber:    flops/p · lg(l) total.
-func TableIII(p, l int, flops int64) []TableIIIRow {
-	fp := float64(flops) / float64(p)
-	return []TableIIIRow{
-		{Step: "Local-Multiply", TotalOps: fp},
-		{Step: "Merge-Layer", TotalOps: fp * lgf(float64(p)/float64(l))},
-		{Step: "Merge-Fiber", TotalOps: fp * lgf(float64(l))},
-	}
 }

@@ -31,7 +31,7 @@
 // blocks (core.Dealt) for every later job on the same grid and format.
 // Local/LocalMat cut a single block out with the same routine over
 // that block's own column range, for callers that want one block (tools,
-// the benchmark's replay, a rank calling core.Setup): each call is
+// the benchmark's replay, a test rank cutting its own blocks): each call is
 // self-contained, but ranks that share a column range each walk it, so p of
 // them walk an A-style operand q times and a B-style one q·l times. Inside a
 // batch nothing is gathered that need not be: a (batch, layer) pair owns one
@@ -238,12 +238,6 @@ func NewBatching(width int32, b, l int) Batching {
 	}
 	return Batching{Width: width, B: b, L: l, Blk: int32(blk)}
 }
-
-// BatchOf returns the batch owning local column offset o.
-func (bt Batching) BatchOf(o int32) int { return int(o/bt.Blk) % bt.B }
-
-// LayerOf returns the layer owning local column offset o (within its batch).
-func (bt Batching) LayerOf(o int32) int { return int(o/bt.Blk) / bt.B % bt.L }
 
 // chunk returns the offset range [lo, hi) of the chunk (batch t, layer k)
 // owns. There is exactly one: Blk·B·L ≥ Width, so the block column holds at

@@ -427,6 +427,13 @@ func TestSplitAndLocalMatchRangeOracle(t *testing.T) {
 	}
 }
 
+// BatchOf returns the batch owning local column offset o: the per-offset
+// definition of the block-cyclic layout the chunk arithmetic is checked against.
+func (bt Batching) BatchOf(o int32) int { return int(o/bt.Blk) % bt.B }
+
+// LayerOf returns the layer owning local column offset o (within its batch).
+func (bt Batching) LayerOf(o int32) int { return int(o/bt.Blk) / bt.B % bt.L }
+
 // TestBatchingArithmeticMatchesDefinition holds the arithmetic BatchCols,
 // BatchLayerCols, LayerBounds and BatchWidth to the definition they replace —
 // every offset filtered through BatchOf and LayerOf — including block columns

@@ -56,8 +56,8 @@ func runFig10(opts RunOpts) (*Report, error) {
 			"AllToAll", "MergeFiber", "total")
 		var t1, t16 float64
 		for _, l := range []int{1, 4, 16} {
-			rr := runMulDiscard(a, aT, p, l, opts.Machine, mem, 0,
-				opts.coreOpts(core.Options{Semiring: semiring.PlusPairs(), RunSymbolic: true}))
+			rr := runMul(a, aT, p, l, opts.Machine, mem, 0,
+				opts.coreOpts(core.Options{Semiring: semiring.PlusPairs(), RunSymbolic: true}), true)
 			if rr.Err != nil {
 				return nil, rr.Err
 			}
@@ -99,8 +99,8 @@ func runFig11(opts RunOpts) (*Report, error) {
 			"l", "b", "comm s", "comp s", "total", "comm share")
 		var t1, t16 float64
 		for _, l := range []int{1, 4, 16} {
-			rr := runMulDiscard(a, aT, p, l, opts.Machine, 0, 1,
-				opts.coreOpts(core.Options{Semiring: semiring.PlusPairs(), RunSymbolic: true}))
+			rr := runMul(a, aT, p, l, opts.Machine, 0, 1,
+				opts.coreOpts(core.Options{Semiring: semiring.PlusPairs(), RunSymbolic: true}), true)
 			if rr.Err != nil {
 				return nil, rr.Err
 			}

@@ -53,7 +53,7 @@ func runFig12(opts RunOpts) (*Report, error) {
 		"l", "machine", "computation", "communication", "total")
 	type cell struct{ comp, comm, tot float64 }
 	get := func(l int, m costmodel.Machine) (cell, error) {
-		rr := runMul(a, a, p, l, m, 0, 2, opts.coreOpts(core.Options{}))
+		rr := runMul(a, a, p, l, m, 0, 2, opts.coreOpts(core.Options{}), false)
 		if rr.Err != nil {
 			return cell{}, rr.Err
 		}
@@ -102,7 +102,7 @@ func runFig13(opts RunOpts) (*Report, error) {
 	tb := r.NewTable("same grid, two machines", "machine", "computation", "communication", "comm share")
 	var knlComp, knlComm, hswComp, hswComm float64
 	for _, m := range []costmodel.Machine{costmodel.CoriKNL(), costmodel.CoriHaswell()} {
-		rr := runMul(a, a, p, l, m, 0, 2, opts.coreOpts(core.Options{}))
+		rr := runMul(a, a, p, l, m, 0, 2, opts.coreOpts(core.Options{}), false)
 		if rr.Err != nil {
 			return nil, rr.Err
 		}
@@ -143,7 +143,7 @@ func runFig14(opts RunOpts) (*Report, error) {
 		var totals []float64
 		var ls []int
 		for _, l := range []int{1, 4, 16} {
-			rr := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{RunSymbolic: true}))
+			rr := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{RunSymbolic: true}), false)
 			if rr.Err != nil {
 				return nil, rr.Err
 			}
@@ -191,10 +191,10 @@ func runFig15(opts RunOpts) (*Report, error) {
 	for _, p := range ps {
 		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
 			Kernel: localmm.KernelHeap, Merger: localmm.MergerHeap,
-		}))
+		}), false)
 		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
 			Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
-		}))
+		}), false)
 		if prev.Err != nil {
 			return nil, prev.Err
 		}

@@ -56,7 +56,7 @@ func runFig4(opts RunOpts) (*Report, error) {
 		bestL := 0
 		for _, l := range layers {
 			for _, b := range batches {
-				rr := runMul(a, a, p, l, opts.Machine, 0, b, opts.coreOpts(core.Options{}))
+				rr := runMul(a, a, p, l, opts.Machine, 0, b, opts.coreOpts(core.Options{}), false)
 				if rr.Err != nil {
 					return nil, rr.Err
 				}
@@ -99,7 +99,7 @@ func runFig5(opts RunOpts) (*Report, error) {
 		var t1 float64
 		worst := 0.0
 		for _, l := range layers {
-			rr := runMul(a, a, p, l, opts.Machine, 0, b, opts.coreOpts(core.Options{}))
+			rr := runMul(a, a, p, l, opts.Machine, 0, b, opts.coreOpts(core.Options{}), false)
 			if rr.Err != nil {
 				return nil, rr.Err
 			}

@@ -76,7 +76,7 @@ func runScalingCurve(opts RunOpts, wl string, big bool) ([]scalingRun, error) {
 	perProc := memoryForBatches(a, a, ps[0], l, 10, 24) / int64(ps[0])
 	var out []scalingRun
 	for _, p := range ps {
-		rr := runMul(a, a, p, l, opts.Machine, perProc*int64(p), 0, opts.coreOpts(core.Options{}))
+		rr := runMul(a, a, p, l, opts.Machine, perProc*int64(p), 0, opts.coreOpts(core.Options{}), false)
 		if rr.Err != nil {
 			return nil, rr.Err
 		}

@@ -36,7 +36,7 @@ func runFig8(opts RunOpts) (*Report, error) {
 		"l", "comm s (modeled)", "comp s (measured)", "total", "comm share")
 	var comm1, tot1, comm16, tot16 float64
 	for _, l := range []int{1, 4, 16} {
-		rr := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{RunSymbolic: true}))
+		rr := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{RunSymbolic: true}), false)
 		if rr.Err != nil {
 			return nil, rr.Err
 		}
@@ -63,7 +63,7 @@ func runFig8(opts RunOpts) (*Report, error) {
 	}
 	// Compare against the numeric multiply: the symbolic step must be
 	// comm-dominated relative to it.
-	rr := runMul(a, a, p, 1, opts.Machine, 0, 1, opts.coreOpts(core.Options{}))
+	rr := runMul(a, a, p, 1, opts.Machine, 0, 1, opts.coreOpts(core.Options{}), false)
 	if rr.Err != nil {
 		return nil, rr.Err
 	}

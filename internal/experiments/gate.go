@@ -178,7 +178,7 @@ func RunGate() (*GateReport, error) {
 			}
 			a, b := PairFor(wl)
 			opts := core.Options{RunSymbolic: sh.symbolic, Pipeline: sh.pipeline, Format: sh.format, SparseComm: sh.sparse}
-			rr := runMul(a, b, sh.p, sh.l, machine, 0, sh.b, opts)
+			rr := runMul(a, b, sh.p, sh.l, machine, 0, sh.b, opts, false)
 			if rr.Err != nil {
 				return nil, fmt.Errorf("gate shape %s: %w", sh.name, rr.Err)
 			}

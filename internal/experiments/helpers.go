@@ -55,8 +55,11 @@ type runResult struct {
 
 // runMul executes C = A·B on p ranks with l layers under the machine model,
 // applying the machine's compute/comm scaling to the metered times. When
-// memBytes > 0 the symbolic step chooses b; otherwise forceB is used.
-func runMul(a, b *spmat.CSC, p, l int, machine costmodel.Machine, memBytes int64, forceB int, opts core.Options) runResult {
+// memBytes > 0 the symbolic step chooses b; otherwise forceB is used. With
+// discard set the output is consumed batch-wise and dropped
+// (core.MultiplyDiscard: the AAᵀ-style workloads of Figs 10–11); otherwise
+// it is assembled (core.Multiply).
+func runMul(a, b *spmat.CSC, p, l int, machine costmodel.Machine, memBytes int64, forceB int, opts core.Options, discard bool) runResult {
 	opts.MemBytes = memBytes
 	opts.ForceBatches = forceB
 	if memBytes > 0 {
@@ -64,25 +67,14 @@ func runMul(a, b *spmat.CSC, p, l int, machine costmodel.Machine, memBytes int64
 		opts.ForceBatches = 0
 	}
 	rc := core.RunConfig{P: p, L: l, Cost: machine.Cost(), Opts: opts}
-	_, results, summary, err := core.Multiply(a, b, rc, nil)
-	if err != nil {
-		return runResult{P: p, L: l, Err: err}
+	var results []*core.Result
+	var summary *mpi.Summary
+	var err error
+	if discard {
+		results, summary, err = core.MultiplyDiscard(a, b, rc, nil)
+	} else {
+		_, results, summary, err = core.Multiply(a, b, rc, nil)
 	}
-	applyMachine(summary, machine)
-	return runResult{P: p, L: l, B: results[0].Batches, Summary: summary, Results: results}
-}
-
-// runMulDiscard is runMul for AAᵀ-style workloads whose output is consumed
-// batch-wise and discarded (Figs 10–11).
-func runMulDiscard(a, b *spmat.CSC, p, l int, machine costmodel.Machine, memBytes int64, forceB int, opts core.Options) runResult {
-	opts.MemBytes = memBytes
-	opts.ForceBatches = forceB
-	if memBytes > 0 {
-		opts.RunSymbolic = true
-		opts.ForceBatches = 0
-	}
-	rc := core.RunConfig{P: p, L: l, Cost: machine.Cost(), Opts: opts}
-	results, summary, err := core.MultiplyDiscard(a, b, rc, nil)
 	if err != nil {
 		return runResult{P: p, L: l, Err: err}
 	}

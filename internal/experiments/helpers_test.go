@@ -25,7 +25,7 @@ func TestMemoryForBatchesIsFeasible(t *testing.T) {
 			t.Errorf("wantB=%d: budget %d cannot hold inputs", wantB, mem)
 		}
 		// And the symbolic step must accept it (no infeasibility error).
-		rr := runMul(a, a, 16, 1, costmodel.CoriKNL(), mem, 0, core.Options{})
+		rr := runMul(a, a, 16, 1, costmodel.CoriKNL(), mem, 0, core.Options{}, false)
 		if rr.Err != nil {
 			t.Errorf("wantB=%d: budget rejected: %v", wantB, rr.Err)
 		}
@@ -41,7 +41,7 @@ func TestMCLMemoryBudgetFeasible(t *testing.T) {
 	if mem <= 0 {
 		t.Fatal("nonpositive MCL budget")
 	}
-	rr := runMul(a, a, 16, 1, costmodel.CoriKNL(), mem, 0, core.Options{})
+	rr := runMul(a, a, 16, 1, costmodel.CoriKNL(), mem, 0, core.Options{}, false)
 	if rr.Err != nil {
 		t.Fatalf("MCL budget rejected: %v", rr.Err)
 	}
@@ -71,7 +71,7 @@ func TestCoresLabel(t *testing.T) {
 
 func TestRunMulErrorPropagates(t *testing.T) {
 	a, _ := Workload(WLEukarya, ScaleTiny)
-	rr := runMul(a, a, 6, 1, costmodel.CoriKNL(), 0, 1, core.Options{}) // 6 not a square
+	rr := runMul(a, a, 6, 1, costmodel.CoriKNL(), 0, 1, core.Options{}, false) // 6 not a square
 	if rr.Err == nil {
 		t.Error("invalid grid accepted")
 	}
@@ -79,7 +79,7 @@ func TestRunMulErrorPropagates(t *testing.T) {
 
 func TestStepSecondsCoversAllSteps(t *testing.T) {
 	a, _ := Workload(WLEukarya, ScaleTiny)
-	rr := runMul(a, a, 4, 1, costmodel.CoriKNL(), 0, 2, core.Options{RunSymbolic: true})
+	rr := runMul(a, a, 4, 1, costmodel.CoriKNL(), 0, 2, core.Options{RunSymbolic: true}, false)
 	if rr.Err != nil {
 		t.Fatal(rr.Err)
 	}

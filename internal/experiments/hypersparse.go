@@ -63,7 +63,7 @@ func runHypersparse(opts RunOpts) (*Report, error) {
 		for _, f := range formats {
 			o := opts.coreOpts(core.Options{RunSymbolic: true})
 			o.Format = f
-			rr := runMul(a, b, sh.p, sh.l, opts.Machine, 0, sh.b, o)
+			rr := runMul(a, b, sh.p, sh.l, opts.Machine, 0, sh.b, o, false)
 			if rr.Err != nil {
 				return nil, fmt.Errorf("%s format %v: %w", sh.name, f, rr.Err)
 			}

@@ -60,7 +60,7 @@ func runPipeline(opts RunOpts) (*Report, error) {
 		run := func(pipeline bool) runResult {
 			o := opts.coreOpts(core.Options{RunSymbolic: sh.symbolic})
 			o.Pipeline = pipeline
-			return runMul(a, a, sh.p, sh.l, opts.Machine, 0, sh.b, o)
+			return runMul(a, a, sh.p, sh.l, opts.Machine, 0, sh.b, o, false)
 		}
 		staged := run(false)
 		if staged.Err != nil {

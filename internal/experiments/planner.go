@@ -124,7 +124,7 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 			for _, bv := range localBSet {
 				for _, sm := range []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto} {
 					rr := runMul(a, b, p, l, machine, 0, bv,
-						core.Options{RunSymbolic: true, Format: f, SparseComm: sm})
+						core.Options{RunSymbolic: true, Format: f, SparseComm: sm}, false)
 					if rr.Err != nil {
 						return nil, fmt.Errorf("oracle l=%d b=%d %v %v: %w", l, bv, f, sm, rr.Err)
 					}
@@ -632,7 +632,7 @@ func RunAutotune(opts RunOpts, w io.Writer) error {
 		fmt.Fprintf(w, "\nrunning the chosen configuration (%s)…\n", pick.Config)
 		rr := runMul(a, b, sh.p, pick.L, machine, 0, pick.B,
 			core.Options{RunSymbolic: true, Format: pick.Format, Pipeline: pick.Pipeline,
-				SparseComm: pick.SparseComm, Channels: pick.Channels})
+				SparseComm: pick.SparseComm, Channels: pick.Channels}, false)
 		if rr.Err != nil {
 			return fmt.Errorf("%s: %w", sh.name, rr.Err)
 		}

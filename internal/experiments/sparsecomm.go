@@ -61,7 +61,7 @@ func runSparseComm(opts RunOpts) (*Report, error) {
 		for _, m := range modes {
 			o := opts.coreOpts(core.Options{RunSymbolic: true})
 			o.SparseComm = m
-			rr := runMul(a, b, sh.p, sh.l, opts.Machine, 0, sh.b, o)
+			rr := runMul(a, b, sh.p, sh.l, opts.Machine, 0, sh.b, o, false)
 			if rr.Err != nil {
 				return nil, fmt.Errorf("%s sparse-comm %v: %w", sh.name, m, rr.Err)
 			}

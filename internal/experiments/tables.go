@@ -61,7 +61,7 @@ func runTable2(opts RunOpts) (*Report, error) {
 	type cfg struct{ p, l, b int }
 	var prevABytes int64
 	for _, c := range []cfg{{16, 1, 1}, {16, 1, 4}, {16, 4, 1}, {16, 4, 4}, {64, 4, 2}} {
-		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}))
+		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}), false)
 		if rr.Err != nil {
 			return nil, rr.Err
 		}
@@ -122,7 +122,7 @@ func runTable3(opts RunOpts) (*Report, error) {
 	flops := localmm.Flops(a, a)
 	tb := r.NewTable("flops accounting", "p", "l", "b", "Σ rank flops", "flops (exact)", "max rank flops", "flops/p", "imbalance")
 	for _, c := range []struct{ p, l, b int }{{16, 1, 1}, {16, 4, 2}, {64, 4, 1}, {64, 16, 4}} {
-		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}))
+		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}), false)
 		if rr.Err != nil {
 			return nil, rr.Err
 		}
@@ -144,7 +144,7 @@ func runTable3(opts RunOpts) (*Report, error) {
 	r.Finding("Σ over ranks of local flops equals the exact serial flop count in every configuration (Table III row 1)")
 	mt := r.NewTable("merge work (nonzeros processed)", "p", "l", "b", "unmerged Σnnz", "after Merge-Layer", "nnz(C)")
 	for _, c := range []struct{ p, l, b int }{{16, 1, 1}, {16, 4, 2}, {64, 16, 4}} {
-		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}))
+		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}), false)
 		if rr.Err != nil {
 			return nil, rr.Err
 		}
@@ -219,9 +219,9 @@ func runTable6(opts RunOpts) (*Report, error) {
 	}
 	const p = 64
 	machine := opts.Machine
-	base := runMul(a, a, p, 4, machine, 0, 2, opts.coreOpts(core.Options{}))
-	moreB := runMul(a, a, p, 4, machine, 0, 8, opts.coreOpts(core.Options{}))
-	moreL := runMul(a, a, p, 16, machine, 0, 2, opts.coreOpts(core.Options{}))
+	base := runMul(a, a, p, 4, machine, 0, 2, opts.coreOpts(core.Options{}), false)
+	moreB := runMul(a, a, p, 4, machine, 0, 8, opts.coreOpts(core.Options{}), false)
+	moreL := runMul(a, a, p, 16, machine, 0, 2, opts.coreOpts(core.Options{}), false)
 	for _, rr := range []runResult{base, moreB, moreL} {
 		if rr.Err != nil {
 			return nil, rr.Err
@@ -307,11 +307,11 @@ func runTable7(opts RunOpts) (*Report, error) {
 		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
 			Kernel: localmm.KernelHybrid, Merger: localmm.MergerHeap,
 			Semiring: semiring.PlusTimes(),
-		}))
+		}), false)
 		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
 			Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
 			Semiring: semiring.PlusTimes(),
-		}))
+		}), false)
 		if prev.Err != nil {
 			return nil, prev.Err
 		}

@@ -223,20 +223,6 @@ func TallSkinny(rows, cols int32, fill float64, seed int64) *spmat.CSC {
 	return m
 }
 
-// KroneckerPower returns the k-th Kronecker power of the seed matrix —
-// the deterministic scale-free generator of the Graph500 family (R-MAT is
-// its randomized counterpart). A 2×2 seed yields a 2^k-vertex graph.
-func KroneckerPower(seed *spmat.CSC, k int) *spmat.CSC {
-	if k < 1 {
-		panic("genmat: KroneckerPower needs k ≥ 1")
-	}
-	out := seed
-	for i := 1; i < k; i++ {
-		out = spmat.Kron(out, seed)
-	}
-	return out
-}
-
 // SymmetricPermute relabels rows and columns of a square matrix with the
 // same random permutation (P·M·Pᵀ). R-MAT generators concentrate high-degree
 // vertices in low indices, which would load one process row of a 2D/3D grid

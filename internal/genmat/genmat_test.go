@@ -193,25 +193,6 @@ func TestStatsString(t *testing.T) {
 // nil2 returns the plus-times semiring; it keeps multiply call sites short.
 func nil2() *semiring.Semiring { return semiring.PlusTimes() }
 
-func TestKroneckerPower(t *testing.T) {
-	seed := spmat.Dense(2, 2, []float64{1, 1, 1, 0})
-	g3 := KroneckerPower(seed, 3)
-	if g3.Rows != 8 || g3.Cols != 8 {
-		t.Fatalf("shape %v", g3)
-	}
-	// nnz multiplies: 3 per level → 27.
-	if g3.NNZ() != 27 {
-		t.Errorf("nnz=%d, want 27", g3.NNZ())
-	}
-	// k=1 is the seed itself.
-	if !spmat.Equal(KroneckerPower(seed, 1), seed) {
-		t.Error("first power should be the seed")
-	}
-	if err := g3.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSymmetricPermutePreservesStructure(t *testing.T) {
 	m := ProteinSimilarity(7, 6, 19)
 	p := SymmetricPermute(m, 20)
@@ -223,8 +204,8 @@ func TestSymmetricPermutePreservesStructure(t *testing.T) {
 		t.Error("symmetric permutation broke symmetry")
 	}
 	// Degree multiset is preserved.
-	degM := m.ColCounts()
-	degP := p.ColCounts()
+	degM := m.RowCounts()
+	degP := p.RowCounts()
 	sortInt64s(degM)
 	sortInt64s(degP)
 	for i := range degM {

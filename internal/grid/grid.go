@@ -80,9 +80,6 @@ func New(world *mpi.Comm, l int) (*Grid3D, error) {
 	return g, nil
 }
 
-// RankOf returns the world rank at coordinates (i, j, k).
-func (g *Grid3D) RankOf(i, j, k int) int { return k*g.Q*g.Q + i*g.Q + j }
-
 // String describes the grid shape, e.g. "4x4x2".
 func (g *Grid3D) String() string { return fmt.Sprintf("%dx%dx%d", g.Q, g.Q, g.L) }
 

@@ -76,8 +76,5 @@ func (g *Grid15) R() int { return g.S / g.C }
 // StartBlock returns the block index this rank's ring walk starts at.
 func (g *Grid15) StartBlock() int { return (g.J + g.K*g.R()) % g.S }
 
-// RankOf returns the world rank at ring position j, layer k.
-func (g *Grid15) RankOf(j, k int) int { return k*g.S + j }
-
 // String describes the grid shape, e.g. "8x2 (1.5D)".
 func (g *Grid15) String() string { return fmt.Sprintf("%dx%d (1.5D)", g.S, g.C) }

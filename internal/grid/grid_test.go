@@ -8,6 +8,10 @@ import (
 
 var cm = mpi.CostModel{AlphaSec: 1e-6, BetaSecPerByte: 1e-9}
 
+// RankOf returns the world rank at coordinates (i, j, k): the layout New
+// builds its communicators from, written out independently.
+func (g *Grid3D) RankOf(i, j, k int) int { return k*g.Q*g.Q + i*g.Q + j }
+
 func TestSideFor(t *testing.T) {
 	cases := []struct {
 		p, l, q int

@@ -15,8 +15,8 @@
 //
 // The Kernel and Merger enums name every generation for callers
 // (ParseKernel/ParseMerger accept the CLI spellings), and every entry point
-// takes one: ParallelSpGEMM(k, a, b, sr, threads), ParallelMerge(mg, …), and
-// their format-generic forms MulMat and MergeMat. Multiply is the sorted hash
+// takes one: ParallelSpGEMM(k, a, b, sr, threads), its format-generic form
+// MulMat, and MergeMat(mg, …). Multiply is the sorted hash
 // kernel on one thread, the serial reference. Which one runs is speed attribution only: every
 // kernel × merger combination produces bit-identical output, including
 // float64 values. That guarantee is engineered, not incidental — the hash
@@ -90,8 +90,8 @@
 //
 // Every kernel, merger, storage format and thread count runs the one-pass
 // accumulate-then-place plan of parallel.go (MulMat and MergeMat; the CSC
-// entry points ParallelSpGEMM, ParallelMerge and Multiply are that plan with
-// CSC operands).
+// entry points ParallelSpGEMM and Multiply are that plan with CSC
+// operands).
 // The output columns are cut into contiguous ranges balanced by flop count
 // (not column count); each worker hashes or heap-merges its range exactly
 // once, appending finished columns to its own reusable chunk and leaving
@@ -154,14 +154,12 @@
 //
 // # Sparse×dense kernels
 //
-// SpMM multiplies a sparse operand by a row-major dense panel
+// SpMMInto multiplies a sparse operand by a row-major dense panel
 // (spmat.DenseMat) — the local kernel of the 1.5D ColA/InnerABC schedules —
-// with SpMMInto folding each ring round's shifted block into a caller-owned
-// resident accumulator and SpMMSerial as the differential reference
-// distributed runs must match bit for bit on integer-valued operands. The
-// threaded form splits the panel's columns evenly across workers (each
-// dense column costs exactly nnz(A) flops), so values are identical for
-// every thread count. SDDMM, the sampled dense-dense counterpart
-// (C = S ∘ U·Vᵀ), covers the GNN-backprop companion operation, and
+// folding each ring round's shifted block into a caller-owned resident
+// accumulator; SpMMSerial is the differential reference distributed runs
+// must match bit for bit on integer-valued operands. The threaded form
+// splits the panel's columns evenly across workers (each dense column costs
+// exactly nnz(A) flops), so values are identical for every thread count.
 // SpMMFlops supplies the work-unit accounting the meters and planner share.
 package localmm

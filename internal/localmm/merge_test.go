@@ -9,6 +9,16 @@ import (
 	"repro/internal/spmat"
 )
 
+// ParallelMerge is MergeMat over CSC operands: the selected merger with
+// threads worker goroutines, CSC in and CSC out.
+func ParallelMerge(mg Merger, mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool, threads int) *spmat.CSC {
+	ms := make([]spmat.Matrix, len(mats))
+	for i, m := range mats {
+		ms[i] = m
+	}
+	return MergeMat(mg, ms, sr, sortOutput, threads).(*spmat.CSC)
+}
+
 // sumAll is the reference entry-wise sum of a list of matrices.
 func sumAll(mats []*spmat.CSC) *spmat.CSC {
 	out := mats[0]

@@ -6,14 +6,12 @@ import (
 	"repro/internal/spmat"
 )
 
-// This file holds the local sparse×dense kernels of the SpMM engine: SpMM
-// (C = A·B with A sparse and B a row-major dense panel) and SDDMM (sampled
-// dense-dense, C = S ∘ (U·Vᵀ)). Both share the SpGEMM kernels' work split
-// (parallel.go: flop-balanced contiguous column ranges, one on the caller's
-// goroutine) but need none of its accumulate-then-place machinery: a dense
-// output's shape *is* its size and an SDDMM output's pattern is its sampling
-// matrix's, so the output exists before any value is computed and workers
-// write disjoint ranges of it in place.
+// This file holds the local sparse×dense kernel of the SpMM engine: C = A·B
+// with A sparse and B a row-major dense panel. It shares the SpGEMM kernels'
+// worker pool (parallel.go) but needs none of their accumulate-then-place
+// machinery: a dense output's shape *is* its size, so the output exists
+// before any value is computed and workers write disjoint ranges of it in
+// place.
 //
 // SpMM is format-generic over the A operand through spmat.Matrix: stored
 // columns are visited in ascending order whatever the storage, so CSC and
@@ -36,15 +34,6 @@ func checkSpMMShapes(a spmat.Matrix, b *spmat.DenseMat) {
 	if ac != b.Rows {
 		panic(fmt.Sprintf("localmm: SpMM inner dimension mismatch: A is %v, B is %v", a, b))
 	}
-}
-
-// SpMM computes the dense product C = A·B with threads worker goroutines and
-// returns a freshly allocated C.
-func SpMM(a spmat.Matrix, b *spmat.DenseMat, threads int) *spmat.DenseMat {
-	rows, _ := a.Dims()
-	c := spmat.NewDense(rows, b.Cols)
-	SpMMInto(c, a, b, threads)
-	return c
 }
 
 // SpMMInto accumulates A·B into c (which must be aRows×bCols). The 1.5D
@@ -98,40 +87,4 @@ func SpMMSerial(a spmat.Matrix, b *spmat.DenseMat) *spmat.DenseMat {
 	c := spmat.NewDense(rows, b.Cols)
 	spmmRange(c, a, b, 0, b.Cols)
 	return c
-}
-
-// SDDMM computes the sampled dense-dense product C = S ∘ (U·Vᵀ): C has S's
-// sparsity pattern and C(i,j) = S(i,j) · ⟨U(i,:), V(j,:)⟩. S is n×m, U is
-// n×k, V is m×k. The output storage format follows S (a DCSC sample stays
-// doubly compressed). Workers own flop-balanced ranges of S's stored
-// columns; each entry's dot product is evaluated serially in ascending k
-// order, so values are bit-identical for every thread count.
-func SDDMM(s spmat.Matrix, u, v *spmat.DenseMat, threads int) spmat.Matrix {
-	sr, sc := s.Dims()
-	if sr != u.Rows || sc != v.Rows || u.Cols != v.Cols {
-		panic(fmt.Sprintf("localmm: SDDMM shapes S=%v U=%v V=%v", s, u, v))
-	}
-	out := s.CloneMat()
-	sv := viewOf(out)
-	k := int64(u.Cols)
-	colWork := make([]int64, sv.n)
-	for p := range colWork {
-		colWork[p] = (sv.ptr[p+1] - sv.ptr[p]) * k
-	}
-	bounds := flopBounds(colWork, clampThreads(threads, sv.n, out.NNZ()*k))
-	runWorkers(bounds, func(_ *mmWorker, lo, hi int32) {
-		for p := lo; p < hi; p++ {
-			rows, vals := sv.col(p)
-			vrow := v.RowSlice(sv.index(p))
-			for e, i := range rows {
-				urow := u.RowSlice(i)
-				var dot float64
-				for x := range urow {
-					dot += urow[x] * vrow[x]
-				}
-				vals[e] *= dot
-			}
-		}
-	})
-	return out
 }

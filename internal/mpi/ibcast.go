@@ -30,13 +30,8 @@ type BcastRequest struct {
 	payload Payload
 	bytes   int64
 	cost    float64
-	subset  bool
 	done    bool
 }
-
-// Subset reports whether the broadcast shipped column subsets instead of the
-// full payload (always false for IbcastStart; see IbcastColsStart).
-func (r *BcastRequest) Subset() bool { return r.subset }
 
 // IbcastStart posts a broadcast of root's payload without charging the
 // meter. All ranks of the communicator must post collectively and in the
@@ -129,7 +124,7 @@ func (c *Comm) IbcastColsStart(root int, msg Payload, subsetBytes func(full Payl
 	subset := c.size > 1 && (force || maxf(rootCost, recvCost) < fullCost)
 
 	r := c.getBcastReq()
-	*r = BcastRequest{c: c, meter: c.meter, payload: out, subset: subset}
+	*r = BcastRequest{c: c, meter: c.meter, payload: out}
 	switch {
 	case !subset:
 		r.bytes, r.cost = nFull, fullCost

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -172,9 +171,6 @@ func (m *Meter) Recorder() *obs.RankRecorder { return m.rec }
 // SetCategory directs subsequent charges to the named step.
 func (m *Meter) SetCategory(cat string) { m.cat = cat }
 
-// Category returns the current step name.
-func (m *Meter) Category() string { return m.cat }
-
 func (m *Meter) get(cat string) *StepStats {
 	s, ok := m.stats[cat]
 	if !ok {
@@ -200,12 +196,6 @@ func (m *Meter) addHidden(cat string, seconds float64) {
 	m.rec.Record(cat, obs.KindHidden, seconds, 0, 0, 0)
 }
 
-// AddCompute charges measured compute seconds to the current category.
-func (m *Meter) AddCompute(seconds float64) {
-	m.get(m.cat).ComputeSeconds += seconds
-	m.rec.Record(m.cat, obs.KindCompute, seconds, 0, 0, 0)
-}
-
 // AddComputeWork charges measured compute seconds together with the abstract
 // work units behind them (see StepStats.WorkUnits).
 func (m *Meter) AddComputeWork(seconds float64, work int64) {
@@ -213,20 +203,6 @@ func (m *Meter) AddComputeWork(seconds float64, work int64) {
 	s.ComputeSeconds += seconds
 	s.WorkUnits += work
 	m.rec.Record(m.cat, obs.KindCompute, seconds, 0, 0, work)
-}
-
-// AddCommSeconds charges extra modeled communication time to the current
-// category (used for machine-model adjustments such as hyper-threading).
-func (m *Meter) AddCommSeconds(seconds float64) {
-	m.get(m.cat).CommSeconds += seconds
-	m.rec.Record(m.cat, obs.KindComm, seconds, 0, 0, 0)
-}
-
-// Timed runs fn, charging its wall time as compute to the current category.
-func (m *Meter) Timed(fn func()) {
-	t0 := time.Now()
-	fn()
-	m.AddCompute(time.Since(t0).Seconds())
 }
 
 // Step returns the stats accumulated for one category (zero stats if never

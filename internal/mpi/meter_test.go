@@ -60,9 +60,9 @@ func TestSummarizePreservesImbalance(t *testing.T) {
 func TestSummarizeNoWorkFallsBackToRaw(t *testing.T) {
 	a, b := NewMeter(), NewMeter()
 	a.SetCategory("x")
-	a.AddCompute(0.1)
+	a.AddComputeWork(0.1, 0)
 	b.SetCategory("x")
-	b.AddCompute(0.4)
+	b.AddComputeWork(0.4, 0)
 	sum := Summarize([]*Meter{a, b})
 	if got := sum.Step("x").ComputeSeconds; got != 0.4 {
 		t.Errorf("raw max=%v, want 0.4", got)
@@ -73,10 +73,10 @@ func TestSummarizeCriticalPathUsesSmoothedTimes(t *testing.T) {
 	a, b := NewMeter(), NewMeter()
 	a.SetCategory("mult")
 	a.AddComputeWork(1.0, 100) // outlier measurement, normal work
-	a.AddCommSeconds(0.1)
+	a.addComm(0, 0, 0.1)
 	b.SetCategory("mult")
 	b.AddComputeWork(0.01, 100)
-	b.AddCommSeconds(0.2)
+	b.addComm(0, 0, 0.2)
 	sum := Summarize([]*Meter{a, b})
 	// Smoothed compute per rank = (1.01/200)*100 = 0.505.
 	// Rank totals: a = 0.505+0.1, b = 0.505+0.2 → critical path 0.705.

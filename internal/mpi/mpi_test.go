@@ -256,10 +256,10 @@ func TestPanicWakesSplitCommunicators(t *testing.T) {
 func TestMeterCategories(t *testing.T) {
 	m := NewMeter()
 	m.SetCategory("x")
-	m.AddCompute(1.5)
+	m.AddComputeWork(1.5, 0)
 	m.SetCategory("y")
-	m.AddCompute(0.5)
-	m.AddCommSeconds(0.25)
+	m.AddComputeWork(0.5, 0)
+	m.addComm(0, 0, 0.25)
 	if got := m.TotalSeconds(); got != 2.25 {
 		t.Errorf("total=%v", got)
 	}
@@ -272,10 +272,10 @@ func TestMeterCategories(t *testing.T) {
 func TestSummarizeTakesMaxTimes(t *testing.T) {
 	a, b := NewMeter(), NewMeter()
 	a.SetCategory("s")
-	a.AddCompute(1)
-	a.AddCommSeconds(0.5)
+	a.AddComputeWork(1, 0)
+	a.addComm(0, 0, 0.5)
 	b.SetCategory("s")
-	b.AddCompute(3)
+	b.AddComputeWork(3, 0)
 	sum := Summarize([]*Meter{a, b})
 	st := sum.Step("s")
 	if st.ComputeSeconds != 3 {
@@ -306,21 +306,6 @@ func TestCostModelFormulas(t *testing.T) {
 	// Non-power-of-two uses ceil(log2).
 	if got := cm.BcastCost(5, 0); got != 2*3 {
 		t.Errorf("bcast lg(5) cost %v", got)
-	}
-}
-
-func TestTimedCharges(t *testing.T) {
-	m := NewMeter()
-	m.SetCategory("work")
-	m.Timed(func() {
-		s := 0
-		for i := 0; i < 1000; i++ {
-			s += i
-		}
-		_ = s
-	})
-	if m.Step("work").ComputeSeconds <= 0 {
-		t.Error("Timed charged nothing")
 	}
 }
 

@@ -123,3 +123,24 @@ func (pl *Plan) InternalsDiff(ref *Plan) string {
 	}
 	return ""
 }
+
+// Unmerged estimates the total unmerged intermediate nonzeros Σ nnz(D̃) when
+// the inner dimension is split into slices carrying equal flop shares — the
+// uniform special case of UnmergedW, kept for envelope tests.
+func (pr *Probe) Unmerged(slices int) float64 {
+	if slices < 1 {
+		slices = 1
+	}
+	w := make([]float64, slices)
+	for i := range w {
+		w[i] = 1 / float64(slices)
+	}
+	total, _ := pr.UnmergedW(w)
+	return total
+}
+
+// LayerWeights folds SliceWeights over the stages: the flop share of each
+// layer's slice of the inner dimension.
+func (pr *Probe) LayerWeights(q, l int) []float64 {
+	return foldLayers(pr.SliceWeights(q, l), q, l)
+}

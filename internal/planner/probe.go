@@ -183,21 +183,6 @@ func ProbePair(a, b *spmat.CSC, sample int) (*Probe, error) {
 // a row count a header merely claims.
 func useBitmap(rows int32, f int64) bool { return (int64(rows)+63)/64 <= f }
 
-// Unmerged estimates the total unmerged intermediate nonzeros Σ nnz(D̃) when
-// the inner dimension is split into slices carrying equal flop shares — the
-// uniform special case of UnmergedW, kept for envelope reasoning and tests.
-func (pr *Probe) Unmerged(slices int) float64 {
-	if slices < 1 {
-		slices = 1
-	}
-	w := make([]float64, slices)
-	for i := range w {
-		w[i] = 1 / float64(slices)
-	}
-	total, _ := pr.UnmergedW(w)
-	return total
-}
-
 // UnmergedW estimates the unmerged intermediate nonzeros when the inner
 // dimension is split into len(weights) slices carrying the given flop
 // shares (weights sum to 1; SliceWeights computes real ones), returning the
@@ -281,12 +266,6 @@ func (pr *Probe) SliceWeights(q, l int) []float64 {
 		w[i] /= total
 	}
 	return w
-}
-
-// LayerWeights folds SliceWeights over the stages: the flop share of each
-// layer's slice of the inner dimension.
-func (pr *Probe) LayerWeights(q, l int) []float64 {
-	return foldLayers(pr.SliceWeights(q, l), q, l)
 }
 
 // foldLayers sums the q·l slice weights sw over the stages.

@@ -55,11 +55,11 @@ func TestClientDecodesProductAsItReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := spmat.Deserialize(wire)
+		want, err := spmat.DeserializeFormat(wire, spmat.FormatCSC)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBits(t, name, got, want)
+		sameBits(t, name, got, want.(*spmat.CSC))
 		if resp.Rows != m.Rows || resp.NNZ != m.NNZ() {
 			t.Fatalf("%s: document decoded as %+v", name, resp)
 		}

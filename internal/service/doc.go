@@ -35,9 +35,8 @@
 // operands and the ranks' per-batch counts. For a request that set
 // return_result the product stays in the ranks' batch pieces; any other
 // drops each batch once counted (the discarding run), so no rank holds more
-// than one. In process, MultiplyResult.Product assembles it
-// (core.AssembleResults) when asked; the /multiply handler never does — it
-// streams the wire bytes straight from the pieces (core.ProductSegments)
+// than one. Nothing assembles it: the /multiply handler streams the wire
+// bytes straight from the pieces (core.ProductSegments)
 // under an exact Content-Length, inside the job's admission reservation, and
 // Client.Multiply decodes them as they arrive. Every job runs a fresh mpi.Run world with its own
 // compute-measurement gate, so concurrent jobs never share mutable engine

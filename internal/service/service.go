@@ -97,9 +97,6 @@ func New(cfg Config) (*Service, error) {
 	}, nil
 }
 
-// Registry exposes the resident-matrix registry.
-func (s *Service) Registry() *Registry { return s.reg }
-
 // Load makes m resident under name (idempotent for identical content).
 func (s *Service) Load(name string, m *spmat.CSC) (fp spmat.Fingerprint, alreadyLoaded bool, err error) {
 	return s.reg.Load(name, m)
@@ -177,8 +174,7 @@ type MultiplyRequest struct {
 	// Semiring is the algebra name ("" = plus-times; see semiring.ByName).
 	Semiring string `json:"semiring,omitempty"`
 	// ReturnResult asks for the output matrix: the job keeps the ranks'
-	// pieces for MultiplyResult.Product, and /multiply streams it after the
-	// response document. Without it every batch is dropped once counted.
+	// pieces, and /multiply streams them after the response document. Without it every batch is dropped once counted.
 	ReturnResult bool `json:"return_result,omitempty"`
 	// Trace asks for this job's per-rank span trace in the result (the HTTP
 	// layer also sets it for /multiply?trace=1).
@@ -188,8 +184,8 @@ type MultiplyRequest struct {
 // MultiplyResult is one completed job.
 type MultiplyResult struct {
 	// ranks are the ranks' results when ReturnResult was set: the product,
-	// still in the batch pieces Merge-Fiber made. Product assembles them;
-	// the HTTP handler streams their wire bytes without assembling.
+	// still in the batch pieces Merge-Fiber made. The HTTP handler streams
+	// their wire bytes without assembling them.
 	ranks []*core.Result
 	// Rows, Cols, NNZ describe the output.
 	Rows int32 `json:"rows"`
@@ -379,16 +375,6 @@ func (s *Service) run(ra, rb *resident, rc core.RunConfig, discard bool) ([]*cor
 		return nil, nil, err
 	}
 	return core.MultiplyDealt(da, db, rc, nil, discard)
-}
-
-// Product assembles the job's output matrix from the ranks' pieces
-// (core.AssembleResults), anew on every call; it is nil when the request did
-// not set ReturnResult.
-func (r *MultiplyResult) Product() (*spmat.CSC, error) {
-	if r.ranks == nil {
-		return nil, nil
-	}
-	return core.AssembleResults(r.ranks, r.Rows, r.Cols)
 }
 
 // jobFailed records and logs a failed job, passing the error through.

@@ -16,6 +16,16 @@ import (
 	"repro/internal/spmat"
 )
 
+// Product assembles the job's output matrix from the ranks' pieces
+// (core.AssembleResults), anew on every call; it is nil when the request did
+// not set ReturnResult.
+func (r *MultiplyResult) Product() (*spmat.CSC, error) {
+	if r.ranks == nil {
+		return nil, nil
+	}
+	return core.AssembleResults(r.ranks, r.Rows, r.Cols)
+}
+
 // testConfig is a small cluster with a budget tight enough to force multi-
 // batch execution on the test workloads, so the admission scheduler and the
 // symbolic step both do real work.

@@ -417,7 +417,7 @@ func TestReservationHeldWhileTheProductIsWritten(t *testing.T) {
 	if err := <-second; err != nil {
 		t.Fatal(err)
 	}
-	if c, err := spmat.Deserialize(rest); err != nil || c.NNZ() == 0 {
+	if c, err := spmat.DeserializeMatrix(rest); err != nil || c.NNZ() == 0 {
 		t.Fatalf("the product after the document: %v, %v", c, err)
 	}
 }

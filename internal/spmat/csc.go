@@ -114,6 +114,15 @@ func (m *CSC) Column(j int32) ([]int32, []float64) {
 	return m.RowIdx[lo:hi], m.Val[lo:hi]
 }
 
+// RowCounts returns the number of stored entries per row.
+func (m *CSC) RowCounts() []int64 {
+	out := make([]int64, m.Rows)
+	for _, r := range m.RowIdx {
+		out[r]++
+	}
+	return out
+}
+
 // Clone returns a deep copy.
 func (m *CSC) Clone() *CSC {
 	c := &CSC{
@@ -298,26 +307,6 @@ func hasDuplicates(m *CSC) bool {
 		}
 	}
 	return false
-}
-
-// MaxColNNZ returns the largest number of stored entries in any column.
-func (m *CSC) MaxColNNZ() int64 {
-	var mx int64
-	for j := int32(0); j < m.Cols; j++ {
-		if c := m.ColNNZ(j); c > mx {
-			mx = c
-		}
-	}
-	return mx
-}
-
-// Density returns nnz / (rows*cols), or 0 for an empty shape.
-func (m *CSC) Density() float64 {
-	cells := int64(m.Rows) * int64(m.Cols)
-	if cells == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / float64(cells)
 }
 
 // String returns a compact shape summary, e.g. "4096x4096, nnz=32768 (sorted)".

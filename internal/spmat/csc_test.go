@@ -200,13 +200,14 @@ func TestDenseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMaxColNNZAndDensity(t *testing.T) {
-	m := Dense(2, 3, []float64{1, 1, 0, 1, 0, 0})
-	if m.MaxColNNZ() != 2 {
-		t.Errorf("MaxColNNZ=%d, want 2", m.MaxColNNZ())
+func TestColRowCounts(t *testing.T) {
+	m := Dense(3, 3, []float64{1, 0, 2, 0, 0, 3, 4, 0, 0})
+	if m.ColNNZ(0) != 2 || m.ColNNZ(1) != 0 || m.ColNNZ(2) != 2 {
+		t.Errorf("ColNNZ=%d,%d,%d", m.ColNNZ(0), m.ColNNZ(1), m.ColNNZ(2))
 	}
-	if d := m.Density(); d != 0.5 {
-		t.Errorf("Density=%v, want 0.5", d)
+	rc := m.RowCounts()
+	if rc[0] != 2 || rc[1] != 1 || rc[2] != 1 {
+		t.Errorf("RowCounts=%v", rc)
 	}
 }
 

@@ -150,14 +150,6 @@ func (d *DCSC) Column(j int32) ([]int32, []float64) {
 	return d.IR[lo:hi], d.Num[lo:hi]
 }
 
-// ColumnAt returns the p-th stored column: its global index and views of its
-// rows and values. Positional access is O(1) — the iteration primitive the
-// hypersparse kernels build on.
-func (d *DCSC) ColumnAt(p int) (j int32, rows []int32, vals []float64) {
-	lo, hi := d.CP[p], d.CP[p+1]
-	return d.JC[p], d.IR[lo:hi], d.Num[lo:hi]
-}
-
 // EnumCols calls fn for every non-empty column in ascending order.
 func (d *DCSC) EnumCols(fn func(j int32, rows []int32, vals []float64)) {
 	for p := range d.JC {

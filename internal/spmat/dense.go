@@ -159,19 +159,6 @@ func DeserializeDense(buf []byte) (*DenseMat, error) {
 	return d, nil
 }
 
-// DenseRowRange returns rows [lo, hi) as a new matrix.
-func DenseRowRange(d *DenseMat, lo, hi int32) *DenseMat {
-	if lo < 0 || hi < lo || hi > d.Rows {
-		panic(fmt.Sprintf("spmat: DenseRowRange [%d,%d) of %d rows", lo, hi, d.Rows))
-	}
-	out := &DenseMat{Rows: hi - lo, Cols: d.Cols}
-	a := int64(lo) * int64(d.Cols)
-	b := int64(hi) * int64(d.Cols)
-	out.Val = make([]float64, b-a)
-	copy(out.Val, d.Val[a:b])
-	return out
-}
-
 // DenseRowView returns rows [lo, hi) as a zero-copy view aliasing d.Val —
 // row-major storage makes a row range contiguous. Mutating the view mutates
 // d; the SpMM inner loops use it to address the operand rows one ring block

@@ -98,15 +98,15 @@ func TestDenseDeserializeRejectsHostile(t *testing.T) {
 	}
 }
 
-// TestDenseSlicing: RowRange/ColRange/HCat/CopyInto/AddInto must agree with
+// TestDenseSlicing: RowView/ColRange/HCat/CopyInto/AddInto must agree with
 // direct index arithmetic.
 func TestDenseSlicing(t *testing.T) {
 	d := randomDense(10, 6, 3)
-	rr := DenseRowRange(d, 2, 7)
+	rr := DenseRowView(d, 2, 7)
 	for i := int32(0); i < 5; i++ {
 		for j := int32(0); j < 6; j++ {
 			if rr.At(i, j) != d.At(i+2, j) {
-				t.Fatalf("RowRange (%d,%d)", i, j)
+				t.Fatalf("RowView (%d,%d)", i, j)
 			}
 		}
 	}
@@ -123,8 +123,8 @@ func TestDenseSlicing(t *testing.T) {
 		t.Fatal("HCat of a column split must reproduce the matrix")
 	}
 	asm := NewDense(10, 6)
-	DenseRowRange(d, 0, 4).CopyInto(asm, 0, 0)
-	DenseRowRange(d, 4, 10).CopyInto(asm, 4, 0)
+	DenseRowView(d, 0, 4).CopyInto(asm, 0, 0)
+	DenseRowView(d, 4, 10).CopyInto(asm, 4, 0)
 	if !DenseEqual(asm, d) {
 		t.Fatal("CopyInto of a row split must reproduce the matrix")
 	}

@@ -55,7 +55,7 @@
 // at its exact size in its resolved format. PartBounds, ColRange/RowRange,
 // ColSelect (and its format-preserving MatColSelect), MatColRanges (a
 // matrix's consecutive column ranges as views over its entries — the fiber
-// split), HCat/VCat, and the cyclic split helpers carve matrices into the
+// split), HCat, and the cyclic split helpers carve matrices into the
 // block rows, block columns, layer slices, and block-cyclic batches of
 // Fig 1, and reassemble piece outputs; CommBytes makes both formats
 // mpi.Payloads so pieces can ride the simulated collectives with exact

@@ -8,6 +8,17 @@ import (
 	"testing/quick"
 )
 
+// Deserialize decodes a matrix from the wire format into CSC, whatever the
+// wire encoding: a hypersparse one fills the column pointers from its column
+// list (DeserializeMatrix avoids the O(cols) pointers altogether).
+func Deserialize(buf []byte) (*CSC, error) {
+	m, err := DeserializeFormat(buf, FormatCSC)
+	if err != nil {
+		return nil, err
+	}
+	return m.(*CSC), nil
+}
+
 func TestMatrixMarketRoundTrip(t *testing.T) {
 	m := randomCSC(t, 30, 20, 0.15, 21)
 	var buf bytes.Buffer

@@ -149,63 +149,10 @@ func HCat(parts []*CSC) *CSC {
 	return out
 }
 
-// VCat stacks matrices vertically: all operands must have the same number of
-// columns; row indices of parts[i] are offset by the cumulative row count.
-func VCat(parts []*CSC) *CSC {
-	if len(parts) == 0 {
-		panic("spmat: VCat of zero matrices")
-	}
-	cols := parts[0].Cols
-	var rows int32
-	var nnz int64
-	for _, p := range parts {
-		if p.Cols != cols {
-			panic(fmt.Sprintf("spmat: VCat column mismatch %d vs %d", p.Cols, cols))
-		}
-		rows += p.Rows
-		nnz += p.NNZ()
-	}
-	out := &CSC{
-		Rows:       rows,
-		Cols:       cols,
-		ColPtr:     make([]int64, cols+1),
-		RowIdx:     make([]int32, 0, nnz),
-		Val:        make([]float64, 0, nnz),
-		SortedCols: false,
-	}
-	// Concatenating per column keeps within-column order sorted if each part
-	// is sorted, because parts contribute disjoint ascending row ranges.
-	sorted := true
-	for _, p := range parts {
-		sorted = sorted && p.SortedCols
-	}
-	for j := int32(0); j < cols; j++ {
-		off := int32(0)
-		for _, p := range parts {
-			rws, vls := p.Column(j)
-			for q := range rws {
-				out.RowIdx = append(out.RowIdx, rws[q]+off)
-				out.Val = append(out.Val, vls[q])
-			}
-			off += p.Rows
-		}
-		out.ColPtr[j+1] = int64(len(out.RowIdx))
-	}
-	out.SortedCols = sorted
-	return out
-}
-
 // Scale multiplies every stored value by s, in place.
 func (m *CSC) Scale(s float64) {
 	for i := range m.Val {
 		m.Val[i] *= s
-	}
-}
-
-// Map applies f to every stored value, in place.
-func (m *CSC) Map(f func(v float64) float64) {
-	for i := range m.Val {
-		m.Val[i] = f(m.Val[i])
 	}
 }
 

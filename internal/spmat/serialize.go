@@ -169,17 +169,6 @@ func (d *DCSC) Serialize() []byte {
 	return buf
 }
 
-// Deserialize decodes a matrix from the wire format into CSC, whatever the
-// wire encoding: a hypersparse one fills the column pointers from its column
-// list (DeserializeMatrix avoids the O(cols) pointers altogether).
-func Deserialize(buf []byte) (*CSC, error) {
-	m, err := DeserializeFormat(buf, FormatCSC)
-	if err != nil {
-		return nil, err
-	}
-	return m.(*CSC), nil
-}
-
 // DeserializeMatrix decodes a matrix from the wire format, following the
 // wire's own encoding flag: a hypersparse-encoded buffer becomes a DCSC —
 // its column list and counts map one-to-one onto JC/CP, so the decode is
