@@ -11,7 +11,7 @@ GO ?= go
 FUZZTIME ?= 30s
 GATE_TOL ?= 0.05
 
-.PHONY: all build test deadcode race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline plan serve soak ci
+.PHONY: all build test deadcode race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline golden plan serve soak ci
 
 # all: the tier-1 gate (build + test), the default target.
 all: build test
@@ -133,6 +133,16 @@ perfgate:
 # performance change. Review the diff before committing it.
 baseline:
 	$(GO) run ./cmd/spgemm-bench -gate -json BENCH_baseline.json
+
+# golden: regenerate the experiments' run records
+# (internal/experiments/testdata/runs/<id>.golden: one line per multiply an
+# experiment runs at tiny scale — its pins, the b it executed, every step's
+# bytes, messages and work units, and a staged run's modeled comm seconds)
+# after an intentional change to what an experiment runs or what the engine
+# meters. `make test` holds every run to them. Review the diff before
+# committing it.
+golden:
+	$(GO) test ./internal/experiments -run TestAllExperimentsRunTiny -update
 
 # serve: run the multiply-as-a-service daemon locally (see SERVICE.md for
 # the API, `go run ./cmd/spgemmd -h` for the knobs). Ctrl-C stops it.

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/mpi"
 )
 
 func tinyOpts() RunOpts {
@@ -61,18 +63,27 @@ func TestListOrdered(t *testing.T) {
 }
 
 // TestAllExperimentsRunTiny executes every experiment end to end at tiny
-// scale: the complete reproduction pipeline must work.
+// scale: the complete reproduction pipeline must work, and every run an
+// experiment makes must match its record in testdata/runs (`make golden`
+// regenerates them).
 func TestAllExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow in -short mode")
 	}
+	defer func() { recordRun = nil }()
 	for _, e := range List() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			var runs []string
+			recordRun = func(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) {
+				runs = append(runs, formatRun(rc, discard, batches, s))
+			}
 			rep, err := e.Run(tinyOpts())
+			recordRun = nil
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
+			checkRunRecords(t, e.ID, runs)
 			if rep.ID != e.ID {
 				t.Errorf("report id %q", rep.ID)
 			}

@@ -45,6 +45,12 @@ func (o RunOpts) coreOpts(c core.Options) core.Options {
 	return c
 }
 
+// recordRun, when set, sees every run runMul and runSpMM complete: the
+// configuration handed to core, whether the output was discarded, the batch
+// count the run executed and its machine-scaled summary. It is nil except
+// while the golden run-record test runs the experiments.
+var recordRun func(rc core.RunConfig, discard bool, batches int, s *mpi.Summary)
+
 // runResult bundles what one distributed multiplication yields for plotting.
 type runResult struct {
 	P, L, B int
@@ -79,6 +85,9 @@ func runMul(a, b *spmat.CSC, p, l int, machine costmodel.Machine, memBytes int64
 		return runResult{P: p, L: l, Err: err}
 	}
 	applyMachine(summary, machine)
+	if recordRun != nil {
+		recordRun(rc, discard, results[0].Batches, summary)
+	}
 	return runResult{P: p, L: l, B: results[0].Batches, Summary: summary, Results: results}
 }
 
@@ -104,6 +113,13 @@ func runSpMM(a *spmat.CSC, b *spmat.DenseMat, p, l int, machine costmodel.Machin
 		return spmmResult{Err: err}
 	}
 	applyMachine(summary, machine)
+	if recordRun != nil {
+		batches := 0 // the densified SUMMA path returns no per-rank results
+		if len(results) > 0 {
+			batches = results[0].Batches
+		}
+		recordRun(rc, false, batches, summary)
+	}
 	return spmmResult{Out: out, Results: results, Summary: summary}
 }
 
