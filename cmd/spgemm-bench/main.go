@@ -8,17 +8,17 @@
 //	spgemm-bench -exp fig6                 # regenerate one figure
 //	spgemm-bench -exp all -scale small     # the full evaluation
 //	spgemm-bench -exp fig13 -machine haswell
-//	spgemm-bench -exp fig6 -threads 8         # multithreaded local kernels
-//	spgemm-bench -exp fig6 -pipeline          # fully-overlapped schedule
-//	spgemm-bench -exp pipeline                # staged-vs-overlapped ablation
-//	spgemm-bench -exp fig6 -format dcsc       # force doubly-compressed blocks
-//	spgemm-bench -exp hypersparse             # CSC-vs-DCSC storage ablation
-//	spgemm-bench -exp fig6 -sparsecomm auto   # column-subset A-broadcasts
-//	spgemm-bench -exp sparsecomm              # full-vs-subset broadcast ablation
-//	spgemm-bench -exp spmm                    # sparse×dense: SUMMA vs 1.5D
-//	spgemm-bench -exp spmm -algo cola -replication 2   # restrict the sweep
-//	spgemm-bench -exp fig6 -kernel heap       # pin the local-multiply kernel
-//	spgemm-bench -exp fig6 -pipeline -channels 2       # k outstanding overlaps
+//	spgemm-bench -exp fig6 -threads 8      # multithreaded local kernels
+//
+// Every experiment runs the configurations it pins; an engine option is
+// swept by the experiment that studies it:
+//
+//	spgemm-bench -exp pipeline             # staged vs fully-overlapped schedule
+//	spgemm-bench -exp hypersparse          # CSC vs DCSC block storage
+//	spgemm-bench -exp sparsecomm           # full vs column-subset A-broadcasts
+//	spgemm-bench -exp table7               # kernel and merge generations (also fig15)
+//	spgemm-bench -exp spmm                 # sparse×dense: SUMMA vs 1.5D over c
+//	spgemm-bench -exp planner              # every axis, overlap channels included
 //
 //	spgemm-bench -gate -json BENCH_pr3.json                            # emit the stats dump
 //	spgemm-bench -gate -json BENCH_pr3.json -baseline BENCH_baseline.json
@@ -49,29 +49,17 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
-	"repro/internal/localmm"
-	"repro/internal/mpi"
 	"repro/internal/service"
-	"repro/internal/spmat"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "list", "experiment id (fig3..fig15, table2..table7, pipeline), 'all', or 'list'")
+		exp      = flag.String("exp", "list", "experiment id ('list' prints them all) or 'all'")
 		scale    = flag.String("scale", "small", "workload scale: tiny | small | large")
 		machine  = flag.String("machine", "knl", "machine model: knl | haswell | knl-ht | local")
 		threads  = flag.Int("threads", 1, "most worker goroutines per rank in local multiply/merge kernels (1 = serial, the published figure shapes); extra workers run only on cores no rank is waiting for")
-		pipeline = flag.Bool("pipeline", false, "fully-overlapped schedule: prefetch stage broadcasts within and across batches and hide the fiber AllToAll behind Merge-Layer (off = the paper's staged schedule)")
-		format   = flag.String("format", "auto", "in-memory block storage: csc | dcsc | auto (auto compresses a block to DCSC when fewer than half its columns are occupied)")
-		sparse   = flag.String("sparsecomm", "off", "column-subset A-broadcast: off | auto | on (off reproduces the published figure shapes byte-identically; auto picks subsets per stage when the α–β model prices them cheaper)")
-		kernel   = flag.String("kernel", "", "pin the local-multiply kernel: hash | sorted-hash | heap | hybrid (empty = unsorted hash, the paper's kernel and what every plan runs; output values are identical for every choice)")
-		merger   = flag.String("merger", "", "pin the layer/fiber merge strategy: hash | heap (empty = hash merge, the paper's merger and what every plan runs)")
-		channels = flag.Int("channels", 0, "outstanding overlap channels the pipelined schedule may hide behind (0 = 1; only meaningful with -pipeline)")
-		algo     = flag.String("algo", "", "restrict the spmm experiment's sparse×dense sweep to one algorithm family: summa | cola | innerabc (empty sweeps all three)")
-		replic   = flag.Int("replication", 0, "restrict the spmm experiment's 1.5D replication sweep to one factor c (c² must divide p; 0 sweeps every valid c)")
 		gate     = flag.Bool("gate", false, "run the deterministic perf-regression gate on pinned fig-6/8 shapes instead of an experiment")
 		autotune = flag.Bool("autotune", false, "plan the gate shapes with the analytical autotuner, print each ranked plan, run the chosen configuration, and show the predicted-vs-measured per-step breakdown")
 		plangate = flag.Bool("plangate", false, "planner-vs-oracle gate: exit 1 when the planner's pick is more than -tol above the exhaustive sweep's best modeled critical path")
@@ -152,34 +140,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmtKnob, err := spmat.ParseFormat(*format)
-	if err != nil {
-		fatal(err)
-	}
-	sparseKnob, err := mpi.ParseSparseMode(*sparse)
-	if err != nil {
-		fatal(err)
-	}
-	if *algo != "" {
-		if _, err := core.ParseAlgo(*algo); err != nil {
-			fatal(err)
-		}
-	}
-	if *replic < 0 {
-		fatal(fmt.Errorf("-replication must be >= 0, got %d", *replic))
-	}
-	if *channels < 0 {
-		fatal(fmt.Errorf("-channels must be >= 0, got %d", *channels))
-	}
-	kernKnob, err := localmm.ParseKernel(*kernel)
-	if err != nil {
-		fatal(err)
-	}
-	mergeKnob, err := localmm.ParseMerger(*merger)
-	if err != nil {
-		fatal(err)
-	}
-	opts := experiments.RunOpts{Scale: sc, Machine: m, Threads: *threads, Pipeline: *pipeline, Format: fmtKnob, SparseComm: sparseKnob, Kernel: kernKnob, Merger: mergeKnob, Channels: *channels, Algo: *algo, Replication: *replic, Verbose: *verbose}
+	opts := experiments.RunOpts{Scale: sc, Machine: m, Threads: *threads, Verbose: *verbose}
 
 	var list []*experiments.Experiment
 	if *exp == "all" {

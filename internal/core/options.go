@@ -5,20 +5,22 @@ import (
 
 	"repro/internal/localmm"
 	"repro/internal/mpi"
+	"repro/internal/planner"
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
 
 // Step category names used with the per-rank meters. They match the paper's
-// figure legends.
+// figure legends and are the planner's step names, so a prediction and a
+// meter reading of the same step share one key.
 const (
-	StepSymbolic   = "Symbolic"
-	StepABcast     = "A-Broadcast"
-	StepBBcast     = "B-Broadcast"
-	StepLocalMult  = "Local-Multiply"
-	StepMergeLayer = "Merge-Layer"
-	StepAllToAll   = "AllToAll-Fiber"
-	StepMergeFiber = "Merge-Fiber"
+	StepSymbolic   = planner.StepSymbolic
+	StepABcast     = planner.StepABcast
+	StepBBcast     = planner.StepBBcast
+	StepLocalMult  = planner.StepLocalMult
+	StepMergeLayer = planner.StepMergeLayer
+	StepAllToAll   = planner.StepAllToAll
+	StepMergeFiber = planner.StepMergeFiber
 )
 
 // Auxiliary compute categories outside the paper's seven steps: the batch-
@@ -72,10 +74,7 @@ func HiddenFor(step string) string {
 }
 
 // Steps lists the seven categories in the paper's presentation order.
-var Steps = []string{
-	StepSymbolic, StepABcast, StepBBcast, StepLocalMult,
-	StepMergeLayer, StepAllToAll, StepMergeFiber,
-}
+var Steps = planner.Steps
 
 // Algo selects the distributed algorithm family. The sparse×sparse path is
 // always 3D SUMMA (2D is its L=1 case); the sparse×dense path (MultiplyDense)
@@ -97,7 +96,7 @@ const (
 	AlgoInnerABC
 )
 
-// String returns the spelling the -algo flag accepts.
+// String returns the spelling ParseAlgo accepts.
 func (a Algo) String() string {
 	switch a {
 	case AlgoSUMMA:
@@ -110,7 +109,7 @@ func (a Algo) String() string {
 	return fmt.Sprintf("Algo(%d)", int(a))
 }
 
-// ParseAlgo parses an -algo flag value.
+// ParseAlgo parses an algorithm family's spelling (summa | cola | innerabc).
 func ParseAlgo(s string) (Algo, error) {
 	switch s {
 	case "summa", "":

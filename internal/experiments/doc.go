@@ -11,6 +11,13 @@
 // is charged by the α–β machine models (see costmodel), so every number an
 // experiment prints is identical on every host.
 //
+// An experiment runs exactly the configurations it pins: every multiply goes
+// through one helper (execute) over one pins value, and RunOpts adds only
+// the workload scale, the machine model and the host's thread count.
+// testdata/runs/<id>.golden records each run's pins and its deterministic
+// meters; the package tests hold every run to them (`make golden`
+// regenerates the files).
+//
 // Three gates live here because they share the experiments' workloads and
 // metering:
 //

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/mpi"
 )
 
 func tinyOpts() RunOpts {
@@ -70,16 +69,10 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow in -short mode")
 	}
-	defer func() { recordRun = nil }()
 	for _, e := range List() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var runs []string
-			recordRun = func(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) {
-				runs = append(runs, formatRun(rc, discard, batches, s))
-			}
-			rep, err := e.Run(tinyOpts())
-			recordRun = nil
+			rep, runs, err := runRecorded(e, tinyOpts())
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
@@ -351,28 +344,49 @@ func TestGateMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestExperimentsRunPipelined exercises the RunOpts.Pipeline wiring end to
-// end: a broadcast-bound figure and a symbolic-step figure must run under
-// the pipelined schedule and still produce their tables — the schedule
-// changes metering attribution, never results.
-func TestExperimentsRunPipelined(t *testing.T) {
+// TestTraceShapeMatchesGate holds `spgemm-bench -trace` to its claim that the
+// trace renders exactly the schedule the gate numbers come from: for every
+// gate shape, the traced run's summary carries RunGate's work units and
+// bytes, and a gated (staged) shape's comm seconds too.
+func TestTraceShapeMatchesGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("experiments are slow in -short mode")
+		t.Skip("gate runs full shapes; slow in -short mode")
 	}
-	for _, id := range []string{"fig5", "fig8"} {
-		e, err := Get(id)
+	rep, err := RunGate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := TraceShapeNames()
+	if len(names) != len(rep.Shapes) {
+		t.Fatalf("%d trace shapes, %d gate shapes", len(names), len(rep.Shapes))
+	}
+	for _, name := range names {
+		g := rep.Shape(name)
+		if g == nil {
+			t.Errorf("%s: traceable but not in the gate report", name)
+			continue
+		}
+		rec, sum, err := RunTraceShape(name)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		opts := tinyOpts()
-		opts.Pipeline = true
-		opts.Threads = 2
-		rep, err := e.Run(opts)
-		if err != nil {
-			t.Fatalf("%s pipelined: %v", id, err)
+		if len(rec.Spans()) == 0 {
+			t.Errorf("%s: the trace recorded no spans", name)
 		}
-		if len(rep.Tables) == 0 || len(rep.Tables[0].Rows) == 0 {
-			t.Fatalf("%s pipelined: no output", id)
+		var work, bytes int64
+		for _, step := range core.Steps {
+			work += sum.Step(step).WorkUnits
+			bytes += sum.Step(step).Bytes
 		}
+		if work != g.WorkUnits || bytes != g.Bytes {
+			t.Errorf("%s: traced %d work units, %d bytes; gate %d work units, %d bytes",
+				name, work, bytes, g.WorkUnits, g.Bytes)
+		}
+		if comm := commSeconds(sum); g.Gated && comm != g.CommSeconds {
+			t.Errorf("%s: traced comm %v s, gate %v s", name, comm, g.CommSeconds)
+		}
+	}
+	if _, _, err := RunTraceShape("no-such-shape"); err == nil {
+		t.Error("unknown trace shape accepted")
 	}
 }

@@ -56,14 +56,15 @@ func runFig10(opts RunOpts) (*Report, error) {
 			"AllToAll", "MergeFiber", "total")
 		var t1, t16 float64
 		for _, l := range []int{1, 4, 16} {
-			rr := runMul(a, aT, p, l, opts.Machine, mem, 0,
-				opts.coreOpts(core.Options{Semiring: semiring.PlusPairs(), RunSymbolic: true}), true)
-			if rr.Err != nil {
-				return nil, rr.Err
+			pn := opts.pins(p, l, core.Options{Semiring: semiring.PlusPairs(), MemBytes: mem, RunSymbolic: true})
+			pn.discard = true
+			rr, err := execute(a, aT, nil, pn)
+			if err != nil {
+				return nil, err
 			}
-			ss := stepSeconds(rr.Summary)
-			total := totalSeconds(rr.Summary)
-			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.B),
+			ss := stepSeconds(rr.summary)
+			total := totalSeconds(rr.summary)
+			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.b),
 				fmtS(ss[core.StepSymbolic]), fmtS(ss[core.StepABcast]), fmtS(ss[core.StepBBcast]),
 				fmtS(ss[core.StepLocalMult]), fmtS(ss[core.StepMergeLayer]),
 				fmtS(ss[core.StepAllToAll]), fmtS(ss[core.StepMergeFiber]), fmtS(total))
@@ -99,19 +100,20 @@ func runFig11(opts RunOpts) (*Report, error) {
 			"l", "b", "comm s", "comp s", "total", "comm share")
 		var t1, t16 float64
 		for _, l := range []int{1, 4, 16} {
-			rr := runMul(a, aT, p, l, opts.Machine, 0, 1,
-				opts.coreOpts(core.Options{Semiring: semiring.PlusPairs(), RunSymbolic: true}), true)
-			if rr.Err != nil {
-				return nil, rr.Err
+			pn := opts.pins(p, l, core.Options{Semiring: semiring.PlusPairs(), ForceBatches: 1, RunSymbolic: true})
+			pn.discard = true
+			rr, err := execute(a, aT, nil, pn)
+			if err != nil {
+				return nil, err
 			}
-			comm := commSeconds(rr.Summary)
-			comp := computeSeconds(rr.Summary)
+			comm := rr.comm
+			comp := computeSeconds(rr.summary)
 			total := comm + comp
 			share := 0.0
 			if total > 0 {
 				share = comm / total
 			}
-			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.B), fmtS(comm), fmtS(comp),
+			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.b), fmtS(comm), fmtS(comp),
 				fmtS(total), fmt.Sprintf("%.0f%%", share*100))
 			switch l {
 			case 1:

@@ -53,14 +53,16 @@ func runFig12(opts RunOpts) (*Report, error) {
 		"l", "machine", "computation", "communication", "total")
 	type cell struct{ comp, comm, tot float64 }
 	get := func(l int, m costmodel.Machine) (cell, error) {
-		rr := runMul(a, a, p, l, m, 0, 2, opts.coreOpts(core.Options{}), false)
-		if rr.Err != nil {
-			return cell{}, rr.Err
+		pn := opts.pins(p, l, core.Options{ForceBatches: 2})
+		pn.machine = m
+		rr, err := execute(a, a, nil, pn)
+		if err != nil {
+			return cell{}, err
 		}
 		return cell{
-			comp: computeSeconds(rr.Summary),
-			comm: commSeconds(rr.Summary),
-			tot:  totalSeconds(rr.Summary),
+			comp: computeSeconds(rr.summary),
+			comm: rr.comm,
+			tot:  totalSeconds(rr.summary),
 		}, nil
 	}
 	knl := costmodel.CoriKNL()
@@ -102,11 +104,13 @@ func runFig13(opts RunOpts) (*Report, error) {
 	tb := r.NewTable("same grid, two machines", "machine", "computation", "communication", "comm share")
 	var knlComp, knlComm, hswComp, hswComm float64
 	for _, m := range []costmodel.Machine{costmodel.CoriKNL(), costmodel.CoriHaswell()} {
-		rr := runMul(a, a, p, l, m, 0, 2, opts.coreOpts(core.Options{}), false)
-		if rr.Err != nil {
-			return nil, rr.Err
+		pn := opts.pins(p, l, core.Options{ForceBatches: 2})
+		pn.machine = m
+		rr, err := execute(a, a, nil, pn)
+		if err != nil {
+			return nil, err
 		}
-		comp, comm := computeSeconds(rr.Summary), commSeconds(rr.Summary)
+		comp, comm := computeSeconds(rr.summary), rr.comm
 		share := comm / maxf(comp+comm, 1e-12)
 		tb.AddRow(m.Name, fmtS(comp), fmtS(comm), fmt.Sprintf("%.0f%%", share*100))
 		if m.Name == "Cori-KNL" {
@@ -143,13 +147,13 @@ func runFig14(opts RunOpts) (*Report, error) {
 		var totals []float64
 		var ls []int
 		for _, l := range []int{1, 4, 16} {
-			rr := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{RunSymbolic: true}), false)
-			if rr.Err != nil {
-				return nil, rr.Err
+			rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{ForceBatches: 1, RunSymbolic: true}))
+			if err != nil {
+				return nil, err
 			}
-			total := totalSeconds(rr.Summary)
-			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.B), fmtS(commSeconds(rr.Summary)),
-				fmtS(computeSeconds(rr.Summary)), fmtS(total))
+			total := totalSeconds(rr.summary)
+			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.b), fmtS(rr.comm),
+				fmtS(computeSeconds(rr.summary)), fmtS(total))
 			totals = append(totals, total)
 			ls = append(ls, l)
 		}
@@ -189,21 +193,21 @@ func runFig15(opts RunOpts) (*Report, error) {
 		ps = []int{16, 64}
 	}
 	for _, p := range ps {
-		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
-			Kernel: localmm.KernelHeap, Merger: localmm.MergerHeap,
-		}), false)
-		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
-			Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
-		}), false)
-		if prev.Err != nil {
-			return nil, prev.Err
+		prev, err := execute(a, a, nil, opts.pins(p, l, core.Options{
+			ForceBatches: 1, Kernel: localmm.KernelHeap, Merger: localmm.MergerHeap,
+		}))
+		if err != nil {
+			return nil, err
 		}
-		if now.Err != nil {
-			return nil, now.Err
+		now, err := execute(a, a, nil, opts.pins(p, l, core.Options{
+			ForceBatches: 1, Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
+		}))
+		if err != nil {
+			return nil, err
 		}
-		pc, nc := computeSeconds(prev.Summary), computeSeconds(now.Summary)
-		tb.AddRow(fmt.Sprint(p), "SUMMA3D (prev: heap, sorted)", fmtS(pc), fmtS(commSeconds(prev.Summary)))
-		tb.AddRow(fmt.Sprint(p), "BatchedSUMMA3D (new: hash, unsorted)", fmtS(nc), fmtS(commSeconds(now.Summary)))
+		pc, nc := computeSeconds(prev.summary), computeSeconds(now.summary)
+		tb.AddRow(fmt.Sprint(p), "SUMMA3D (prev: heap, sorted)", fmtS(pc), fmtS(prev.comm))
+		tb.AddRow(fmt.Sprint(p), "BatchedSUMMA3D (new: hash, unsorted)", fmtS(nc), fmtS(now.comm))
 		r.Finding("p=%d: computation %.1fx faster with the sort-free hash pipeline (paper: >8x at scale)",
 			p, pc/maxf(nc, 1e-12))
 	}

@@ -54,7 +54,7 @@ func runFig3(opts RunOpts) (*Report, error) {
 			MaxIter: iters,
 			Dist: &core.RunConfig{
 				P: p, L: layers, Cost: opts.Machine.Cost(),
-				Opts: opts.coreOpts(core.Options{MemBytes: mem, RunSymbolic: true}),
+				Opts: core.Options{MemBytes: mem, RunSymbolic: true, Threads: opts.Threads},
 			},
 		}
 		res, err := mcl.Cluster(a, cfg)

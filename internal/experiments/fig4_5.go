@@ -56,13 +56,13 @@ func runFig4(opts RunOpts) (*Report, error) {
 		bestL := 0
 		for _, l := range layers {
 			for _, b := range batches {
-				rr := runMul(a, a, p, l, opts.Machine, 0, b, opts.coreOpts(core.Options{}), false)
-				if rr.Err != nil {
-					return nil, rr.Err
+				rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{ForceBatches: b}))
+				if err != nil {
+					return nil, err
 				}
-				ss := stepSeconds(rr.Summary)
-				total := totalSeconds(rr.Summary) - ss[core.StepSymbolic]
-				tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.B),
+				ss := stepSeconds(rr.summary)
+				total := totalSeconds(rr.summary) - ss[core.StepSymbolic]
+				tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.b),
 					fmtS(ss[core.StepABcast]), fmtS(ss[core.StepBBcast]),
 					fmtS(ss[core.StepLocalMult]), fmtS(ss[core.StepMergeLayer]),
 					fmtS(ss[core.StepAllToAll]), fmtS(ss[core.StepMergeFiber]), fmtS(total))
@@ -99,11 +99,11 @@ func runFig5(opts RunOpts) (*Report, error) {
 		var t1 float64
 		worst := 0.0
 		for _, l := range layers {
-			rr := runMul(a, a, p, l, opts.Machine, 0, b, opts.coreOpts(core.Options{}), false)
-			if rr.Err != nil {
-				return nil, rr.Err
+			rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{ForceBatches: b}))
+			if err != nil {
+				return nil, err
 			}
-			obs := rr.Summary.Step(core.StepABcast).CommSeconds
+			obs := rr.summary.Step(core.StepABcast).CommSeconds
 			if l == 1 {
 				t1 = obs
 			}

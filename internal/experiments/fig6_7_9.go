@@ -76,16 +76,16 @@ func runScalingCurve(opts RunOpts, wl string, big bool) ([]scalingRun, error) {
 	perProc := memoryForBatches(a, a, ps[0], l, 10, 24) / int64(ps[0])
 	var out []scalingRun
 	for _, p := range ps {
-		rr := runMul(a, a, p, l, opts.Machine, perProc*int64(p), 0, opts.coreOpts(core.Options{}), false)
-		if rr.Err != nil {
-			return nil, rr.Err
+		rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{MemBytes: perProc * int64(p), RunSymbolic: true}))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, scalingRun{
-			p: p, b: rr.B,
-			steps: stepSeconds(rr.Summary),
-			total: totalSeconds(rr.Summary),
-			comm:  commSeconds(rr.Summary),
-			comp:  computeSeconds(rr.Summary),
+			p: p, b: rr.b,
+			steps: stepSeconds(rr.summary),
+			total: totalSeconds(rr.summary),
+			comm:  rr.comm,
+			comp:  computeSeconds(rr.summary),
 		})
 	}
 	return out, nil

@@ -36,11 +36,11 @@ func runFig8(opts RunOpts) (*Report, error) {
 		"l", "comm s (modeled)", "comp s (measured)", "total", "comm share")
 	var comm1, tot1, comm16, tot16 float64
 	for _, l := range []int{1, 4, 16} {
-		rr := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{RunSymbolic: true}), false)
-		if rr.Err != nil {
-			return nil, rr.Err
+		rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{ForceBatches: 1, RunSymbolic: true}))
+		if err != nil {
+			return nil, err
 		}
-		st := rr.Summary.Step(core.StepSymbolic)
+		st := rr.summary.Step(core.StepSymbolic)
 		total := st.CommSeconds + st.ComputeSeconds
 		share := 0.0
 		if total > 0 {
@@ -63,11 +63,11 @@ func runFig8(opts RunOpts) (*Report, error) {
 	}
 	// Compare against the numeric multiply: the symbolic step must be
 	// comm-dominated relative to it.
-	rr := runMul(a, a, p, 1, opts.Machine, 0, 1, opts.coreOpts(core.Options{}), false)
-	if rr.Err != nil {
-		return nil, rr.Err
+	rr, err := execute(a, a, nil, opts.pins(p, 1, core.Options{ForceBatches: 1}))
+	if err != nil {
+		return nil, err
 	}
-	mult := rr.Summary.Step(core.StepLocalMult).ComputeSeconds
+	mult := rr.summary.Step(core.StepLocalMult).ComputeSeconds
 	sym := tot1 - comm1
 	if mult > 0 {
 		r.Finding("LOCALSYMBOLIC compute is %.1fx cheaper than LOCALMULTIPLY at l=1", mult/maxf(sym, 1e-12))

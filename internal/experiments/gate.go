@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/spmat"
 )
@@ -140,57 +141,54 @@ func (g *GateReport) Shape(name string) *GateResult {
 	return nil
 }
 
+// run executes the shape on its pinned workload (tiny scale) and machine
+// (the comm-amplified Cori-KNL model unless it pins local), recording spans
+// into trace when that is set. A sparse×dense shape's output must equal the
+// serial reference exactly: the workload is integer-valued precisely so the
+// gate doubles as the bit-identity contract for the dense schedules.
+func (sh gateShape) run(trace *obs.Recorder) (outcome, error) {
+	machine := costmodel.CoriKNL().ScaledBeta(commAmplification(ScaleTiny))
+	if sh.machine == "local" {
+		machine = costmodel.LocalHost()
+	}
+	pn := pins{p: sh.p, l: sh.l, machine: machine, trace: trace, opts: core.Options{
+		ForceBatches: sh.b, RunSymbolic: sh.symbolic, Pipeline: sh.pipeline,
+		Format: sh.format, SparseComm: sh.sparse,
+	}}
+	if sh.algo == "" {
+		wl, err := Workload(sh.wl, ScaleTiny)
+		if err != nil {
+			return outcome{}, err
+		}
+		a, b := PairFor(wl)
+		return execute(a, b, nil, pn)
+	}
+	algo, err := core.ParseAlgo(sh.algo)
+	if err != nil {
+		return outcome{}, err
+	}
+	pn.l = 1
+	pn.opts.Algo, pn.opts.Replication = algo, sh.c
+	a := SpMMGraph(ScaleTiny)
+	panel := PanelFor(a, int32(sh.d))
+	out, err := execute(a, nil, panel, pn)
+	if err == nil && !spmat.DenseEqual(out.dense, localmm.SpMMSerial(a, panel)) {
+		err = fmt.Errorf("output differs from the serial SpMM reference")
+	}
+	return out, err
+}
+
 // RunGate executes the pinned shapes and assembles the report. Everything is
 // pinned here — tiny workload scale, Cori-KNL α–β with the tiny-scale comm
 // amplification, forced batch counts — so two runs of the same code produce
 // identical gated numbers.
 func RunGate() (*GateReport, error) {
-	defaultMachine := costmodel.CoriKNL().ScaledBeta(commAmplification(ScaleTiny))
 	rep := &GateReport{SecPerWorkUnit: GateSecPerWorkUnit}
 	for _, sh := range gateShapes {
-		machine := defaultMachine
-		if sh.machine == "local" {
-			machine = costmodel.LocalHost()
+		out, err := sh.run(nil)
+		if err != nil {
+			return nil, fmt.Errorf("gate shape %s: %w", sh.name, err)
 		}
-		var summary *mpi.Summary
-		if sh.algo != "" {
-			algo, err := core.ParseAlgo(sh.algo)
-			if err != nil {
-				return nil, fmt.Errorf("gate shape %s: %w", sh.name, err)
-			}
-			a := SpMMGraph(ScaleTiny)
-			panel := PanelFor(a, int32(sh.d))
-			rr := runSpMM(a, panel, sh.p, 1, machine, algo, sh.c, sh.b, core.Options{Pipeline: sh.pipeline})
-			if rr.Err != nil {
-				return nil, fmt.Errorf("gate shape %s: %w", sh.name, rr.Err)
-			}
-			// The gate doubles as the bit-identity contract for the dense
-			// schedules: the workload is integer-valued precisely so the
-			// distributed output must equal the serial reference exactly.
-			if !spmat.DenseEqual(rr.Out, localmm.SpMMSerial(a, panel)) {
-				return nil, fmt.Errorf("gate shape %s: output differs from the serial SpMM reference", sh.name)
-			}
-			summary = rr.Summary
-		} else {
-			wl, err := Workload(sh.wl, ScaleTiny)
-			if err != nil {
-				return nil, err
-			}
-			a, b := PairFor(wl)
-			opts := core.Options{RunSymbolic: sh.symbolic, Pipeline: sh.pipeline, Format: sh.format, SparseComm: sh.sparse}
-			rr := runMul(a, b, sh.p, sh.l, machine, 0, sh.b, opts, false)
-			if rr.Err != nil {
-				return nil, fmt.Errorf("gate shape %s: %w", sh.name, rr.Err)
-			}
-			summary = rr.Summary
-		}
-		var work, bytes int64
-		for _, step := range core.Steps {
-			st := summary.Step(step)
-			work += st.WorkUnits
-			bytes += st.Bytes
-		}
-		comm := commSeconds(summary)
 		rep.Shapes = append(rep.Shapes, GateResult{
 			Name:              sh.name,
 			Workload:          sh.wl,
@@ -204,11 +202,11 @@ func RunGate() (*GateReport, error) {
 			C:                 sh.c,
 			D:                 sh.d,
 			Gated:             !sh.pipeline,
-			CommSeconds:       comm,
-			WorkUnits:         work,
-			Bytes:             bytes,
-			HiddenCommSeconds: hiddenSeconds(summary),
-			ModelSeconds:      comm + float64(work)*GateSecPerWorkUnit,
+			CommSeconds:       out.comm,
+			WorkUnits:         out.work,
+			Bytes:             out.bytes,
+			HiddenCommSeconds: hiddenSeconds(out.summary),
+			ModelSeconds:      out.model(),
 		})
 	}
 	return rep, nil

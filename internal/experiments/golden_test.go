@@ -55,6 +55,18 @@ func formatRun(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) str
 	return strings.Join(f, " ")
 }
 
+// runRecorded runs e under opts and returns, beside its report, the record
+// of every multiply it made (formatRun).
+func runRecorded(e *Experiment, opts RunOpts) (*Report, []string, error) {
+	var runs []string
+	recordRun = func(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) {
+		runs = append(runs, formatRun(rc, discard, batches, s))
+	}
+	defer func() { recordRun = nil }()
+	rep, err := e.Run(opts)
+	return rep, runs, err
+}
+
 // checkRunRecords holds one experiment's run records to
 // testdata/runs/<id>.golden, or rewrites the file under -update. An
 // experiment that makes no run through the run helpers has no file. A
@@ -104,5 +116,27 @@ func checkRunRecords(t *testing.T, id string, runs []string) {
 			}
 		}
 		t.Errorf("%s run %d: %s", id, i+1, field)
+	}
+}
+
+// TestThreadsMoveNoRecord holds RunOpts.Threads, the one run-wide knob, to
+// being a host setting: with two workers per rank, a broadcast-bound figure
+// and the symbolic-step figure make exactly the runs their records hold.
+func TestThreadsMoveNoRecord(t *testing.T) {
+	if testing.Short() || *update {
+		t.Skip("experiments are slow in -short mode; -update rewrites from the serial runs")
+	}
+	for _, id := range []string{"fig5", "fig8"} {
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := tinyOpts()
+		opts.Threads = 2
+		_, runs, err := runRecorded(e, opts)
+		if err != nil {
+			t.Fatalf("%s with 2 threads: %v", id, err)
+		}
+		checkRunRecords(t, id, runs)
 	}
 }

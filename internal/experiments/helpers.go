@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/spmat"
 )
 
@@ -17,110 +18,90 @@ const coresPerProc = 16
 // coresLabel formats a process count as the paper's core-count axis label.
 func coresLabel(p int) string { return fmt.Sprintf("%d", p*coresPerProc) }
 
-// coreOpts applies the run-wide knobs of RunOpts (the intra-rank thread
-// count and the broadcast/compute pipeline) to a per-experiment core.Options
-// literal; explicit settings in the literal win.
-func (o RunOpts) coreOpts(c core.Options) core.Options {
-	if c.Threads == 0 {
-		c.Threads = o.Threads
-	}
-	if o.Pipeline {
-		c.Pipeline = true
-	}
-	if c.Format == spmat.FormatAuto {
-		c.Format = o.Format
-	}
-	if c.SparseComm == mpi.SparseOff {
-		c.SparseComm = o.SparseComm
-	}
-	if c.Kernel == localmm.KernelHashUnsorted {
-		c.Kernel = o.Kernel
-	}
-	if c.Merger == localmm.MergerHash {
-		c.Merger = o.Merger
-	}
-	if c.Channels == 0 {
-		c.Channels = o.Channels
-	}
-	return c
+// pins fix one multiplication an experiment runs: the grid, the machine
+// model and every engine option. opts.MemBytes > 0 lets the symbolic step
+// choose b under that aggregate budget; otherwise opts.ForceBatches runs
+// exactly that many batches.
+type pins struct {
+	p, l    int
+	machine costmodel.Machine
+	opts    core.Options
+	// discard consumes the output batch-wise and drops it
+	// (core.MultiplyDiscard: the AAᵀ-style workloads of Figs 10–11) instead
+	// of assembling it (core.Multiply).
+	discard bool
+	// trace, when set, records the run's spans.
+	trace *obs.Recorder
 }
 
-// recordRun, when set, sees every run runMul and runSpMM complete: the
-// configuration handed to core, whether the output was discarded, the batch
-// count the run executed and its machine-scaled summary. It is nil except
-// while the golden run-record test runs the experiments.
+// pins returns the pins of a run on p ranks in l layers under the run's
+// machine and thread count; opts holds the experiment's own engine pins.
+func (o RunOpts) pins(p, l int, opts core.Options) pins {
+	opts.Threads = o.Threads
+	return pins{p: p, l: l, machine: o.Machine, opts: opts}
+}
+
+// outcome is what one multiplication yields for plotting: the batch count it
+// executed, its machine-scaled summary, the per-rank results (sparse×sparse)
+// or the product (sparse×dense), and the summary's deterministic totals over
+// the paper's seven steps.
+type outcome struct {
+	b       int
+	summary *mpi.Summary
+	results []*core.Result
+	dense   *spmat.DenseMat
+	// comm is the modeled communication seconds, work the work units and
+	// bytes the payload bytes, each summed over core.Steps.
+	comm        float64
+	work, bytes int64
+}
+
+// model is the gate objective: modeled communication plus work units at
+// the pinned rate.
+func (o outcome) model() float64 { return o.comm + float64(o.work)*GateSecPerWorkUnit }
+
+// recordRun, when set, sees every run execute completes: the configuration
+// handed to core, whether the output was discarded, the batch count the run
+// executed and its machine-scaled summary. It is nil except while the golden
+// run-record test runs the experiments.
 var recordRun func(rc core.RunConfig, discard bool, batches int, s *mpi.Summary)
 
-// runResult bundles what one distributed multiplication yields for plotting.
-type runResult struct {
-	P, L, B int
-	Summary *mpi.Summary
-	Results []*core.Result
-	Err     error
-}
-
-// runMul executes C = A·B on p ranks with l layers under the machine model,
-// applying the machine's compute/comm scaling to the metered times. When
-// memBytes > 0 the symbolic step chooses b; otherwise forceB is used. With
-// discard set the output is consumed batch-wise and dropped
-// (core.MultiplyDiscard: the AAᵀ-style workloads of Figs 10–11); otherwise
-// it is assembled (core.Multiply).
-func runMul(a, b *spmat.CSC, p, l int, machine costmodel.Machine, memBytes int64, forceB int, opts core.Options, discard bool) runResult {
-	opts.MemBytes = memBytes
-	opts.ForceBatches = forceB
-	if memBytes > 0 {
-		opts.RunSymbolic = true
-		opts.ForceBatches = 0
-	}
-	rc := core.RunConfig{P: p, L: l, Cost: machine.Cost(), Opts: opts}
-	var results []*core.Result
-	var summary *mpi.Summary
+// execute runs C = A·B under pn — or, when panel is non-nil, A times that
+// dense panel (core.MultiplyDense; b is ignored) — and scales the metered
+// times by the machine's compute and comm factors.
+func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
+	rc := core.RunConfig{P: pn.p, L: pn.l, Cost: pn.machine.Cost(), Opts: pn.opts, Trace: pn.trace}
+	var out outcome
 	var err error
-	if discard {
-		results, summary, err = core.MultiplyDiscard(a, b, rc, nil)
-	} else {
-		_, results, summary, err = core.Multiply(a, b, rc, nil)
-	}
-	if err != nil {
-		return runResult{P: p, L: l, Err: err}
-	}
-	applyMachine(summary, machine)
-	if recordRun != nil {
-		recordRun(rc, discard, results[0].Batches, summary)
-	}
-	return runResult{P: p, L: l, B: results[0].Batches, Summary: summary, Results: results}
-}
-
-// spmmResult bundles what one distributed sparse×dense multiplication yields.
-type spmmResult struct {
-	Out     *spmat.DenseMat
-	Results []*core.DenseResult
-	Summary *mpi.Summary
-	Err     error
-}
-
-// runSpMM executes C = A·B for a dense panel B on p ranks under the machine
-// model: the 1.5D schedules with replication c, or SUMMA with l layers when
-// algo is core.AlgoSUMMA. Machine scaling is applied to the metered times as
-// in runMul.
-func runSpMM(a *spmat.CSC, b *spmat.DenseMat, p, l int, machine costmodel.Machine, algo core.Algo, c, forceB int, opts core.Options) spmmResult {
-	opts.Algo = algo
-	opts.Replication = c
-	opts.ForceBatches = forceB
-	rc := core.RunConfig{P: p, L: l, Cost: machine.Cost(), Opts: opts}
-	out, results, summary, err := core.MultiplyDense(a, b, rc)
-	if err != nil {
-		return spmmResult{Err: err}
-	}
-	applyMachine(summary, machine)
-	if recordRun != nil {
-		batches := 0 // the densified SUMMA path returns no per-rank results
-		if len(results) > 0 {
-			batches = results[0].Batches
+	switch {
+	case panel != nil:
+		var results []*core.DenseResult
+		out.dense, results, out.summary, err = core.MultiplyDense(a, panel, rc)
+		if len(results) > 0 { // the densified SUMMA path returns none
+			out.b = results[0].Batches
 		}
-		recordRun(rc, false, batches, summary)
+	case pn.discard:
+		out.results, out.summary, err = core.MultiplyDiscard(a, b, rc, nil)
+	default:
+		_, out.results, out.summary, err = core.Multiply(a, b, rc, nil)
 	}
-	return spmmResult{Out: out, Results: results, Summary: summary}
+	if err != nil {
+		return outcome{}, err
+	}
+	if len(out.results) > 0 {
+		out.b = out.results[0].Batches
+	}
+	applyMachine(out.summary, pn.machine)
+	for _, step := range core.Steps {
+		st := out.summary.Step(step)
+		out.comm += st.CommSeconds
+		out.work += st.WorkUnits
+		out.bytes += st.Bytes
+	}
+	if recordRun != nil {
+		recordRun(rc, pn.discard, out.b, out.summary)
+	}
+	return out, nil
 }
 
 // applyMachine scales a summary's times by the machine's compute and comm

@@ -25,12 +25,13 @@ func TestMemoryForBatchesIsFeasible(t *testing.T) {
 			t.Errorf("wantB=%d: budget %d cannot hold inputs", wantB, mem)
 		}
 		// And the symbolic step must accept it (no infeasibility error).
-		rr := runMul(a, a, 16, 1, costmodel.CoriKNL(), mem, 0, core.Options{}, false)
-		if rr.Err != nil {
-			t.Errorf("wantB=%d: budget rejected: %v", wantB, rr.Err)
+		rr, err := execute(a, a, nil, pins{p: 16, l: 1, machine: costmodel.CoriKNL(),
+			opts: core.Options{MemBytes: mem, RunSymbolic: true}})
+		if err != nil {
+			t.Errorf("wantB=%d: budget rejected: %v", wantB, err)
 		}
-		if rr.B < 1 {
-			t.Errorf("wantB=%d: got b=%d", wantB, rr.B)
+		if rr.b < 1 {
+			t.Errorf("wantB=%d: got b=%d", wantB, rr.b)
 		}
 	}
 }
@@ -41,9 +42,9 @@ func TestMCLMemoryBudgetFeasible(t *testing.T) {
 	if mem <= 0 {
 		t.Fatal("nonpositive MCL budget")
 	}
-	rr := runMul(a, a, 16, 1, costmodel.CoriKNL(), mem, 0, core.Options{}, false)
-	if rr.Err != nil {
-		t.Fatalf("MCL budget rejected: %v", rr.Err)
+	if _, err := execute(a, a, nil, pins{p: 16, l: 1, machine: costmodel.CoriKNL(),
+		opts: core.Options{MemBytes: mem, RunSymbolic: true}}); err != nil {
+		t.Fatalf("MCL budget rejected: %v", err)
 	}
 }
 
@@ -69,30 +70,31 @@ func TestCoresLabel(t *testing.T) {
 	}
 }
 
-func TestRunMulErrorPropagates(t *testing.T) {
+func TestExecuteErrorPropagates(t *testing.T) {
 	a, _ := Workload(WLEukarya, ScaleTiny)
-	rr := runMul(a, a, 6, 1, costmodel.CoriKNL(), 0, 1, core.Options{}, false) // 6 not a square
-	if rr.Err == nil {
+	pn := pins{p: 6, l: 1, machine: costmodel.CoriKNL(), opts: core.Options{ForceBatches: 1}} // 6 not a square
+	if _, err := execute(a, a, nil, pn); err == nil {
 		t.Error("invalid grid accepted")
 	}
 }
 
 func TestStepSecondsCoversAllSteps(t *testing.T) {
 	a, _ := Workload(WLEukarya, ScaleTiny)
-	rr := runMul(a, a, 4, 1, costmodel.CoriKNL(), 0, 2, core.Options{RunSymbolic: true}, false)
-	if rr.Err != nil {
-		t.Fatal(rr.Err)
+	rr, err := execute(a, a, nil, pins{p: 4, l: 1, machine: costmodel.CoriKNL(),
+		opts: core.Options{ForceBatches: 2, RunSymbolic: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ss := stepSeconds(rr.Summary)
+	ss := stepSeconds(rr.summary)
 	for _, step := range core.Steps {
 		if _, ok := ss[step]; !ok {
 			t.Errorf("missing step %s", step)
 		}
 	}
-	if totalSeconds(rr.Summary) <= 0 {
+	if totalSeconds(rr.summary) <= 0 {
 		t.Error("no total time")
 	}
-	if commSeconds(rr.Summary)+computeSeconds(rr.Summary) <= 0 {
+	if commSeconds(rr.summary)+computeSeconds(rr.summary) <= 0 {
 		t.Error("no split time")
 	}
 }

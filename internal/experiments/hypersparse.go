@@ -59,54 +59,33 @@ func runHypersparse(opts RunOpts) (*Report, error) {
 
 		tb := r.NewTable(fmt.Sprintf("%s: %s (p=%d, l=%d)", sh.name, sh.wl, sh.p, sh.l),
 			"format", "batches", "work units", "comm s", "bytes moved", "peak mem MB")
-		results := make(map[spmat.Format]runResult)
+		results := make(map[spmat.Format]outcome)
 		for _, f := range formats {
-			o := opts.coreOpts(core.Options{RunSymbolic: true})
-			o.Format = f
-			rr := runMul(a, b, sh.p, sh.l, opts.Machine, 0, sh.b, o, false)
-			if rr.Err != nil {
-				return nil, fmt.Errorf("%s format %v: %w", sh.name, f, rr.Err)
+			rr, err := execute(a, b, nil, opts.pins(sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, Format: f}))
+			if err != nil {
+				return nil, fmt.Errorf("%s format %v: %w", sh.name, f, err)
 			}
 			results[f] = rr
-			var work, bytes int64
-			for _, step := range core.Steps {
-				st := rr.Summary.Step(step)
-				work += st.WorkUnits
-				bytes += st.Bytes
-			}
 			var peak int64
-			for _, res := range rr.Results {
+			for _, res := range rr.results {
 				if res.PeakMemBytes > peak {
 					peak = res.PeakMemBytes
 				}
 			}
-			tb.AddRow(f.String(), fmt.Sprintf("%d", rr.B), fmt.Sprintf("%d", work),
-				fmtS(commSeconds(rr.Summary)), fmt.Sprintf("%d", bytes),
+			tb.AddRow(f.String(), fmt.Sprintf("%d", rr.b), fmt.Sprintf("%d", rr.work),
+				fmtS(rr.comm), fmt.Sprintf("%d", rr.bytes),
 				fmt.Sprintf("%.2f", float64(peak)/1e6))
 		}
 
-		workOf := func(f spmat.Format) int64 {
-			var w int64
-			for _, step := range core.Steps {
-				w += results[f].Summary.Step(step).WorkUnits
-			}
-			return w
-		}
-		bytesOf := func(f spmat.Format) int64 {
-			var n int64
-			for _, step := range core.Steps {
-				n += results[f].Summary.Step(step).Bytes
-			}
-			return n
-		}
-		if bytesOf(spmat.FormatCSC) == bytesOf(spmat.FormatDCSC) {
+		csc, dcsc := results[spmat.FormatCSC], results[spmat.FormatDCSC]
+		if csc.bytes == dcsc.bytes {
 			r.Finding("%s: communication volume is format-independent (%d bytes) — the wire "+
-				"encoding depends on occupancy alone", sh.name, bytesOf(spmat.FormatCSC))
+				"encoding depends on occupancy alone", sh.name, csc.bytes)
 		} else {
 			r.Finding("%s: UNEXPECTED: bytes moved differ between formats (%d vs %d)",
-				sh.name, bytesOf(spmat.FormatCSC), bytesOf(spmat.FormatDCSC))
+				sh.name, csc.bytes, dcsc.bytes)
 		}
-		if wc, wd := workOf(spmat.FormatCSC), workOf(spmat.FormatDCSC); wd < wc {
+		if wc, wd := csc.work, dcsc.work; wd < wc {
 			r.Finding("%s: DCSC removes %.1f%% of modeled work units (%d → %d) — the O(cols) "+
 				"per-block column scans", sh.name, 100*float64(wc-wd)/float64(wc), wc, wd)
 		}
@@ -124,10 +103,9 @@ func runHypersparse(opts RunOpts) (*Report, error) {
 				row := []string{fmt.Sprintf("%.2f", mult)}
 				bs := make(map[spmat.Format]int)
 				for _, f := range formats {
-					o := opts.coreOpts(core.Options{MemBytes: budget, RunSymbolic: true})
-					o.Format = f
 					nb, err := core.SymbolicBatches(a, b, core.RunConfig{
-						P: sh.p, L: sh.l, Cost: opts.Machine.Cost(), Opts: o,
+						P: sh.p, L: sh.l, Cost: opts.Machine.Cost(),
+						Opts: core.Options{MemBytes: budget, RunSymbolic: true, Format: f, Threads: opts.Threads},
 					})
 					if err != nil {
 						row = append(row, "infeasible")

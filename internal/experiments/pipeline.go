@@ -57,27 +57,25 @@ func runPipeline(opts RunOpts) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(pipeline bool) runResult {
-			o := opts.coreOpts(core.Options{RunSymbolic: sh.symbolic})
-			o.Pipeline = pipeline
-			return runMul(a, a, sh.p, sh.l, opts.Machine, 0, sh.b, o, false)
+		run := func(pipeline bool) (outcome, error) {
+			return execute(a, a, nil, opts.pins(sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: sh.symbolic, Pipeline: pipeline}))
 		}
-		staged := run(false)
-		if staged.Err != nil {
-			return nil, staged.Err
+		staged, err := run(false)
+		if err != nil {
+			return nil, err
 		}
-		overlapped := run(true)
-		if overlapped.Err != nil {
-			return nil, overlapped.Err
+		overlapped, err := run(true)
+		if err != nil {
+			return nil, err
 		}
 
 		tb := r.NewTable(fmt.Sprintf("%s: %s (A², p=%d, l=%d, b=%d)", sh.name, sh.wl, sh.p, sh.l, sh.b),
 			"step", "staged comm s", "overlapped comm s", "hidden s", "hidden share")
 		var hidTotal, hidBcast, hidFiber float64
 		for _, step := range overlapSteps {
-			ss := staged.Summary.Step(step).CommSeconds
-			os := overlapped.Summary.Step(step).CommSeconds
-			hid := overlapped.Summary.Step(core.HiddenFor(step)).HiddenSeconds
+			ss := staged.summary.Step(step).CommSeconds
+			os := overlapped.summary.Step(step).CommSeconds
+			hid := overlapped.summary.Step(core.HiddenFor(step)).HiddenSeconds
 			share := 0.0
 			if os+hid > 0 {
 				share = hid / (os + hid)
@@ -91,7 +89,7 @@ func runPipeline(opts RunOpts) (*Report, error) {
 				hidFiber += hid
 			}
 		}
-		sTot, oTot := commSeconds(staged.Summary), commSeconds(overlapped.Summary)
+		sTot, oTot := staged.comm, overlapped.comm
 		tb.AddRow("total", fmtS(sTot), fmtS(oTot), fmtS(hidTotal), "")
 		tb.Notes = append(tb.Notes,
 			"hidden s ran concurrently with measured compute and is excluded from critical-path totals")
@@ -106,7 +104,8 @@ func runPipeline(opts RunOpts) (*Report, error) {
 	return r, nil
 }
 
-// hiddenSeconds sums the hidden categories of a summary (used by tests).
+// hiddenSeconds sums the hidden categories of a summary: the overlap the
+// pipelined schedule bought, reported by RunGate and RunAutotune.
 func hiddenSeconds(s *mpi.Summary) float64 {
 	var t float64
 	for _, cat := range core.HiddenSteps {

@@ -123,26 +123,22 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 			}
 			for _, bv := range localBSet {
 				for _, sm := range []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto} {
-					rr := runMul(a, b, p, l, machine, 0, bv,
-						core.Options{RunSymbolic: true, Format: f, SparseComm: sm}, false)
-					if rr.Err != nil {
-						return nil, fmt.Errorf("oracle l=%d b=%d %v %v: %w", l, bv, f, sm, rr.Err)
+					rr, err := execute(a, b, nil, pins{p: p, l: l, machine: machine,
+						opts: core.Options{ForceBatches: bv, RunSymbolic: true, Format: f, SparseComm: sm}})
+					if err != nil {
+						return nil, fmt.Errorf("oracle l=%d b=%d %v %v: %w", l, bv, f, sm, err)
 					}
 					steps := make(map[string]stepPair, len(core.Steps))
-					var work int64
-					var comm float64
 					for _, step := range core.Steps {
-						st := rr.Summary.Step(step)
+						st := rr.summary.Step(step)
 						steps[step] = stepPair{Comm: st.CommSeconds, Work: st.WorkUnits}
-						work += st.WorkUnits
-						comm += st.CommSeconds
 					}
 					feasible := feasibleAtAll && bv >= minB
 					staged := oracleEntry{
 						Cfg:          planner.Config{L: l, B: bv, Format: f, SparseComm: sm},
-						CommSeconds:  comm,
-						WorkUnits:    work,
-						ModelSeconds: comm + float64(work)*GateSecPerWorkUnit,
+						CommSeconds:  rr.comm,
+						WorkUnits:    rr.work,
+						ModelSeconds: rr.model(),
 						Feasible:     feasible,
 						Steps:        steps,
 					}
@@ -186,16 +182,10 @@ func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.M
 	var out []denseOracleEntry
 	for _, pt := range points {
 		for _, bv := range bSet {
-			rr := runSpMM(a, panel, p, pt.l, machine, pt.algo, pt.c, bv, core.Options{})
-			if rr.Err != nil {
-				return nil, fmt.Errorf("dense oracle %s l=%d c=%d b=%d: %w", pt.name, pt.l, pt.c, bv, rr.Err)
-			}
-			var work int64
-			var comm float64
-			for _, step := range core.Steps {
-				st := rr.Summary.Step(step)
-				work += st.WorkUnits
-				comm += st.CommSeconds
+			rr, err := execute(a, nil, panel, pins{p: p, l: pt.l, machine: machine,
+				opts: core.Options{Algo: pt.algo, Replication: pt.c, ForceBatches: bv}})
+			if err != nil {
+				return nil, fmt.Errorf("dense oracle %s l=%d c=%d b=%d: %w", pt.name, pt.l, pt.c, bv, err)
 			}
 			cfg := planner.DenseConfig{Algo: pt.name, B: bv}
 			if pt.algo == core.AlgoSUMMA {
@@ -205,9 +195,9 @@ func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.M
 			}
 			out = append(out, denseOracleEntry{
 				Cfg:          cfg,
-				CommSeconds:  comm,
-				WorkUnits:    work,
-				ModelSeconds: comm + float64(work)*GateSecPerWorkUnit,
+				CommSeconds:  rr.comm,
+				WorkUnits:    rr.work,
+				ModelSeconds: rr.model(),
 			})
 		}
 	}
@@ -630,29 +620,25 @@ func RunAutotune(opts RunOpts, w io.Writer) error {
 		}
 
 		fmt.Fprintf(w, "\nrunning the chosen configuration (%s)…\n", pick.Config)
-		rr := runMul(a, b, sh.p, pick.L, machine, 0, pick.B,
-			core.Options{RunSymbolic: true, Format: pick.Format, Pipeline: pick.Pipeline,
-				SparseComm: pick.SparseComm, Channels: pick.Channels}, false)
-		if rr.Err != nil {
-			return fmt.Errorf("%s: %w", sh.name, rr.Err)
+		rr, err := execute(a, b, nil, pins{p: sh.p, l: pick.L, machine: machine, opts: core.Options{
+			ForceBatches: pick.B, RunSymbolic: true, Format: pick.Format, Pipeline: pick.Pipeline,
+			SparseComm: pick.SparseComm, Channels: pick.Channels,
+		}})
+		if err != nil {
+			return fmt.Errorf("%s: %w", sh.name, err)
 		}
 		fmt.Fprintf(w, "  %-16s %14s %14s %12s %12s\n", "step", "comm s (pred)", "comm s (meas)", "work (pred)", "work (meas)")
 		for _, step := range core.Steps {
 			ps := pick.Step(step)
-			ms := rr.Summary.Step(step)
+			ms := rr.summary.Step(step)
 			fmt.Fprintf(w, "  %-16s %14.6g %14.6g %12d %12d\n",
 				step, ps.CommSeconds, ms.CommSeconds, ps.WorkUnits, ms.WorkUnits)
 		}
-		var work int64
-		for _, step := range core.Steps {
-			work += rr.Summary.Step(step).WorkUnits
-		}
-		measured := commSeconds(rr.Summary) + float64(work)*GateSecPerWorkUnit
 		fmt.Fprintf(w, "  modeled critical path: predicted %.6g s, measured %.6g s\n",
-			pick.ModelSeconds, measured)
+			pick.ModelSeconds, rr.model())
 		if pick.Pipeline {
 			fmt.Fprintf(w, "  hidden communication: predicted %.6g s, measured %.6g s\n",
-				pick.HiddenSeconds, hiddenSeconds(rr.Summary))
+				pick.HiddenSeconds, hiddenSeconds(rr.summary))
 		}
 		fmt.Fprintln(w)
 	}

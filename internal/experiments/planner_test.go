@@ -1,24 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/planner"
-)
-
-// TestPlannerStepNamesMatchCore pins the cross-package contract: the
-// planner's step names are the core meter categories, byte for byte.
-func TestPlannerStepNamesMatchCore(t *testing.T) {
-	if len(planner.Steps) != len(core.Steps) {
-		t.Fatalf("planner has %d steps, core has %d", len(planner.Steps), len(core.Steps))
-	}
-	for i := range core.Steps {
-		if planner.Steps[i] != core.Steps[i] {
-			t.Errorf("step %d: planner %q, core %q", i, planner.Steps[i], core.Steps[i])
-		}
-	}
-}
+import "testing"
 
 // TestPlannerWithinOracle is the planner-vs-oracle property test: on every
 // planner-gate shape (the fig-6/fig-8 and hyper-kmers gate workloads, plus

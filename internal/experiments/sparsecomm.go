@@ -57,26 +57,20 @@ func runSparseComm(opts RunOpts) (*Report, error) {
 
 		tb := r.NewTable(fmt.Sprintf("%s: %s (p=%d, l=%d, b=%d)", sh.name, sh.wl, sh.p, sh.l, sh.b),
 			"sparse-comm", "A-bcast bytes", "A-bcast msgs", "A-bcast comm s", "total bytes", "total comm s")
-		results := make(map[mpi.SparseMode]runResult)
+		results := make(map[mpi.SparseMode]outcome)
 		for _, m := range modes {
-			o := opts.coreOpts(core.Options{RunSymbolic: true})
-			o.SparseComm = m
-			rr := runMul(a, b, sh.p, sh.l, opts.Machine, 0, sh.b, o, false)
-			if rr.Err != nil {
-				return nil, fmt.Errorf("%s sparse-comm %v: %w", sh.name, m, rr.Err)
+			rr, err := execute(a, b, nil, opts.pins(sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, SparseComm: m}))
+			if err != nil {
+				return nil, fmt.Errorf("%s sparse-comm %v: %w", sh.name, m, err)
 			}
 			results[m] = rr
-			ab := rr.Summary.Step(core.StepABcast)
-			var bytes int64
-			for _, step := range core.Steps {
-				bytes += rr.Summary.Step(step).Bytes
-			}
+			ab := rr.summary.Step(core.StepABcast)
 			tb.AddRow(m.String(), fmt.Sprintf("%d", ab.Bytes), fmt.Sprintf("%d", ab.Messages),
-				fmtS(ab.CommSeconds), fmt.Sprintf("%d", bytes), fmtS(commSeconds(rr.Summary)))
+				fmtS(ab.CommSeconds), fmt.Sprintf("%d", rr.bytes), fmtS(rr.comm))
 		}
 
 		abOf := func(m mpi.SparseMode) mpi.StepStats {
-			return results[m].Summary.Step(core.StepABcast)
+			return results[m].summary.Step(core.StepABcast)
 		}
 		off, auto := abOf(mpi.SparseOff), abOf(mpi.SparseAuto)
 		switch {

@@ -19,7 +19,7 @@ func init() {
 			"replication factors c — and compares modeled communication, work units, and bytes " +
 			"moved under the gate's deterministic objective. Also shows the analytical planner's " +
 			"pick for the shape and verifies every configuration is bit-identical to the serial " +
-			"SpMM reference. Restrict the sweep with -algo and -replication.",
+			"SpMM reference.",
 		Run: runSpMMExperiment,
 	})
 }
@@ -86,9 +86,6 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 	var arms []arm
 	reps := planner.ReplicationsFor(p)
 	for _, name := range planner.DenseAlgos {
-		if opts.Algo != "" && name != opts.Algo {
-			continue
-		}
 		algo, err := core.ParseAlgo(name)
 		if err != nil {
 			return nil, err
@@ -98,14 +95,8 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 			continue
 		}
 		for _, c := range reps {
-			if opts.Replication != 0 && c != opts.Replication {
-				continue
-			}
 			arms = append(arms, arm{algo: algo, c: c})
 		}
-	}
-	if len(arms) == 0 {
-		return nil, fmt.Errorf("spmm: no algorithm arms left after -algo/-replication restriction")
 	}
 
 	tb := r.NewTable(fmt.Sprintf("rmat-dense · %dx%d panel (p=%d, staged, b=1)", a.Cols, d, p),
@@ -113,30 +104,22 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 	models := make(map[string]float64)
 	bitIdentical := true
 	for _, ar := range arms {
-		rr := runSpMM(a, panel, p, summaL, opts.Machine, ar.algo, ar.c, 1, core.Options{Threads: opts.Threads})
-		if rr.Err != nil {
-			return nil, fmt.Errorf("spmm %v c=%d: %w", ar.algo, ar.c, rr.Err)
+		rr, err := execute(a, nil, panel, opts.pins(p, summaL, core.Options{Algo: ar.algo, Replication: ar.c, ForceBatches: 1}))
+		if err != nil {
+			return nil, fmt.Errorf("spmm %v c=%d: %w", ar.algo, ar.c, err)
 		}
-		if !spmat.DenseEqual(rr.Out, want) {
+		if !spmat.DenseEqual(rr.dense, want) {
 			bitIdentical = false
 			r.Finding("UNEXPECTED: %v c=%d differs from the serial SpMM reference", ar.algo, ar.c)
 		}
-		var work, bytes int64
-		for _, step := range core.Steps {
-			st := rr.Summary.Step(step)
-			work += st.WorkUnits
-			bytes += st.Bytes
-		}
-		comm := commSeconds(rr.Summary)
-		model := comm + float64(work)*GateSecPerWorkUnit
 		key := fmt.Sprintf("%v/c=%d", ar.algo, ar.c)
-		models[key] = model
+		models[key] = rr.model()
 		cCell := fmt.Sprintf("%d", ar.c)
 		if ar.algo == core.AlgoSUMMA {
 			cCell = fmt.Sprintf("l=%d", summaL)
 		}
-		tb.AddRow(ar.algo.String(), cCell, fmtS(comm), fmt.Sprintf("%d", work),
-			fmt.Sprintf("%d", bytes), fmtS(model))
+		tb.AddRow(ar.algo.String(), cCell, fmtS(rr.comm), fmt.Sprintf("%d", rr.work),
+			fmt.Sprintf("%d", rr.bytes), fmtS(rr.model()))
 	}
 	if bitIdentical {
 		r.Finding("every algorithm family and replication factor is bit-identical to the serial SpMM reference")

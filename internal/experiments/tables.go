@@ -61,9 +61,9 @@ func runTable2(opts RunOpts) (*Report, error) {
 	type cfg struct{ p, l, b int }
 	var prevABytes int64
 	for _, c := range []cfg{{16, 1, 1}, {16, 1, 4}, {16, 4, 1}, {16, 4, 4}, {64, 4, 2}} {
-		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}), false)
-		if rr.Err != nil {
-			return nil, rr.Err
+		rr, err := execute(a, a, nil, opts.pins(c.p, c.l, core.Options{ForceBatches: c.b}))
+		if err != nil {
+			return nil, err
 		}
 		in := costmodel.TableIIInput{
 			P: c.p, L: c.l, B: c.b,
@@ -72,7 +72,7 @@ func runTable2(opts RunOpts) (*Report, error) {
 		}
 		pred := costmodel.TableII(in)
 		for _, row := range pred {
-			st := rr.Summary.Step(row.Step)
+			st := rr.summary.Step(row.Step)
 			// The prediction's "bandwidth seconds" with β=1 and r=12 is the
 			// predicted per-process byte count; multiply by participants to
 			// compare against summed meter bytes.
@@ -92,7 +92,7 @@ func runTable2(opts RunOpts) (*Report, error) {
 				fmt.Sprintf("%.0f", predBytes), fmt.Sprintf("%.2f", ratio))
 		}
 		if c.p == 16 && c.l == 1 {
-			ab := rr.Summary.Step(core.StepABcast).Bytes
+			ab := rr.summary.Step(core.StepABcast).Bytes
 			if c.b == 1 {
 				prevABytes = ab
 			} else if prevABytes > 0 {
@@ -122,12 +122,12 @@ func runTable3(opts RunOpts) (*Report, error) {
 	flops := localmm.Flops(a, a)
 	tb := r.NewTable("flops accounting", "p", "l", "b", "Σ rank flops", "flops (exact)", "max rank flops", "flops/p", "imbalance")
 	for _, c := range []struct{ p, l, b int }{{16, 1, 1}, {16, 4, 2}, {64, 4, 1}, {64, 16, 4}} {
-		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}), false)
-		if rr.Err != nil {
-			return nil, rr.Err
+		rr, err := execute(a, a, nil, opts.pins(c.p, c.l, core.Options{ForceBatches: c.b}))
+		if err != nil {
+			return nil, err
 		}
 		var sum, max int64
-		for _, res := range rr.Results {
+		for _, res := range rr.results {
 			sum += res.LocalFlops
 			if res.LocalFlops > max {
 				max = res.LocalFlops
@@ -144,12 +144,12 @@ func runTable3(opts RunOpts) (*Report, error) {
 	r.Finding("Σ over ranks of local flops equals the exact serial flop count in every configuration (Table III row 1)")
 	mt := r.NewTable("merge work (nonzeros processed)", "p", "l", "b", "unmerged Σnnz", "after Merge-Layer", "nnz(C)")
 	for _, c := range []struct{ p, l, b int }{{16, 1, 1}, {16, 4, 2}, {64, 16, 4}} {
-		rr := runMul(a, a, c.p, c.l, opts.Machine, 0, c.b, opts.coreOpts(core.Options{}), false)
-		if rr.Err != nil {
-			return nil, rr.Err
+		rr, err := execute(a, a, nil, opts.pins(c.p, c.l, core.Options{ForceBatches: c.b}))
+		if err != nil {
+			return nil, err
 		}
 		var un, ml int64
-		for _, res := range rr.Results {
+		for _, res := range rr.results {
 			un += res.UnmergedNNZ
 			ml += res.MergedLayerNNZ
 		}
@@ -218,15 +218,14 @@ func runTable6(opts RunOpts) (*Report, error) {
 		return nil, err
 	}
 	const p = 64
-	machine := opts.Machine
-	base := runMul(a, a, p, 4, machine, 0, 2, opts.coreOpts(core.Options{}), false)
-	moreB := runMul(a, a, p, 4, machine, 0, 8, opts.coreOpts(core.Options{}), false)
-	moreL := runMul(a, a, p, 16, machine, 0, 2, opts.coreOpts(core.Options{}), false)
-	for _, rr := range []runResult{base, moreB, moreL} {
-		if rr.Err != nil {
-			return nil, rr.Err
+	// The base run (l=4, b=2), then b raised to 8, then l raised to 16.
+	var runs [3]outcome
+	for i, lb := range [][2]int{{4, 2}, {4, 8}, {16, 2}} {
+		if runs[i], err = execute(a, a, nil, opts.pins(p, lb[0], core.Options{ForceBatches: lb[1]})); err != nil {
+			return nil, err
 		}
 	}
+	base, moreB, moreL := runs[0], runs[1], runs[2]
 	// Communication steps compare modeled volume (bytes are deterministic);
 	// computation steps compare measured time with a noise band.
 	arrowBytes := func(x, y int64) string { return arrow(float64(x), float64(y), 0.15) }
@@ -248,11 +247,11 @@ func runTable6(opts RunOpts) (*Report, error) {
 		var dB, dL string
 		switch step {
 		case core.StepABcast, core.StepBBcast, core.StepAllToAll:
-			dB = arrowBytes(base.Summary.Step(step).Bytes, moreB.Summary.Step(step).Bytes)
-			dL = arrowBytes(base.Summary.Step(step).Bytes, moreL.Summary.Step(step).Bytes)
+			dB = arrowBytes(base.summary.Step(step).Bytes, moreB.summary.Step(step).Bytes)
+			dL = arrowBytes(base.summary.Step(step).Bytes, moreL.summary.Step(step).Bytes)
 		default:
-			dB = arrowTime(base.Summary.Step(step).ComputeSeconds, moreB.Summary.Step(step).ComputeSeconds)
-			dL = arrowTime(base.Summary.Step(step).ComputeSeconds, moreL.Summary.Step(step).ComputeSeconds)
+			dB = arrowTime(base.summary.Step(step).ComputeSeconds, moreB.summary.Step(step).ComputeSeconds)
+			dL = arrowTime(base.summary.Step(step).ComputeSeconds, moreL.summary.Step(step).ComputeSeconds)
 		}
 		tb.AddRow(step, dB, paperB[step], dL, paperL[step])
 		if dB == paperB[step] {
@@ -304,26 +303,26 @@ func runTable7(opts RunOpts) (*Report, error) {
 		"MergeFiber prev", "MergeFiber now")
 	var speedups []float64
 	for _, l := range []int{1, 4, 16} {
-		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
-			Kernel: localmm.KernelHybrid, Merger: localmm.MergerHeap,
+		prev, err := execute(a, a, nil, opts.pins(p, l, core.Options{
+			ForceBatches: 1, Kernel: localmm.KernelHybrid, Merger: localmm.MergerHeap,
 			Semiring: semiring.PlusTimes(),
-		}), false)
-		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
-			Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
+		}))
+		if err != nil {
+			return nil, err
+		}
+		now, err := execute(a, a, nil, opts.pins(p, l, core.Options{
+			ForceBatches: 1, Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
 			Semiring: semiring.PlusTimes(),
-		}), false)
-		if prev.Err != nil {
-			return nil, prev.Err
+		}))
+		if err != nil {
+			return nil, err
 		}
-		if now.Err != nil {
-			return nil, now.Err
-		}
-		pm := prev.Summary.Step(core.StepLocalMult).ComputeSeconds
-		nm := now.Summary.Step(core.StepLocalMult).ComputeSeconds
-		pl := prev.Summary.Step(core.StepMergeLayer).ComputeSeconds
-		nl := now.Summary.Step(core.StepMergeLayer).ComputeSeconds
-		pf := prev.Summary.Step(core.StepMergeFiber).ComputeSeconds
-		nf := now.Summary.Step(core.StepMergeFiber).ComputeSeconds
+		pm := prev.summary.Step(core.StepLocalMult).ComputeSeconds
+		nm := now.summary.Step(core.StepLocalMult).ComputeSeconds
+		pl := prev.summary.Step(core.StepMergeLayer).ComputeSeconds
+		nl := now.summary.Step(core.StepMergeLayer).ComputeSeconds
+		pf := prev.summary.Step(core.StepMergeFiber).ComputeSeconds
+		nf := now.summary.Step(core.StepMergeFiber).ComputeSeconds
 		tb.AddRow(fmt.Sprint(l), fmtS(pm), fmtS(nm), fmtS(pl), fmtS(nl), fmtS(pf), fmtS(nf))
 		if nl > 0 {
 			speedups = append(speedups, pl/nl)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
@@ -26,60 +24,23 @@ func TraceShapeNames() []string {
 
 // RunTraceShape executes the named pinned gate shape with tracing on and
 // returns the recorder plus the machine-scaled metering summary. The run is
-// the same configuration RunGate executes (tiny workload scale, pinned batch
-// counts, comm-amplified Cori-KNL unless the shape pins local), so the trace
-// renders exactly the schedule the gate numbers come from. Machine scaling
-// applies to the returned summary only (as in the gate); the trace keeps the
-// meters' raw durations, preserving the span↔meter identity.
+// RunGate's run of that shape with a recorder attached, so the trace renders
+// exactly the schedule the gate numbers come from. Machine scaling applies to
+// the returned summary only (as in the gate); the trace keeps the meters' raw
+// durations, preserving the span↔meter identity.
 func RunTraceShape(name string) (*obs.Recorder, *mpi.Summary, error) {
-	var shape *gateShape
-	for i := range gateShapes {
-		if gateShapes[i].name == name {
-			shape = &gateShapes[i]
-			break
+	for _, sh := range gateShapes {
+		if sh.name != name {
+			continue
 		}
-	}
-	if shape == nil {
-		names := TraceShapeNames()
-		sort.Strings(names)
-		return nil, nil, fmt.Errorf("unknown trace shape %q (one of: %v)", name, names)
-	}
-	sh := *shape
-	machine := costmodel.CoriKNL().ScaledBeta(commAmplification(ScaleTiny))
-	if sh.machine == "local" {
-		machine = costmodel.LocalHost()
-	}
-	rec := obs.NewRecorder(sh.p)
-	if sh.algo != "" {
-		algo, err := core.ParseAlgo(sh.algo)
+		rec := obs.NewRecorder(sh.p)
+		out, err := sh.run(rec)
 		if err != nil {
 			return nil, nil, err
 		}
-		a := SpMMGraph(ScaleTiny)
-		panel := PanelFor(a, int32(sh.d))
-		opts := core.Options{Pipeline: sh.pipeline, Algo: algo, Replication: sh.c, ForceBatches: sh.b}
-		rc := core.RunConfig{P: sh.p, L: 1, Cost: machine.Cost(), Opts: opts, Trace: rec}
-		_, _, summary, err := core.MultiplyDense(a, panel, rc)
-		if err != nil {
-			return nil, nil, err
-		}
-		applyMachine(summary, machine)
-		return rec, summary, nil
+		return rec, out.summary, nil
 	}
-	wl, err := Workload(sh.wl, ScaleTiny)
-	if err != nil {
-		return nil, nil, err
-	}
-	a, b := PairFor(wl)
-	opts := core.Options{
-		RunSymbolic: sh.symbolic, Pipeline: sh.pipeline,
-		Format: sh.format, SparseComm: sh.sparse, ForceBatches: sh.b,
-	}
-	rc := core.RunConfig{P: sh.p, L: sh.l, Cost: machine.Cost(), Opts: opts, Trace: rec}
-	_, _, summary, err := core.Multiply(a, b, rc, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	applyMachine(summary, machine)
-	return rec, summary, nil
+	names := TraceShapeNames()
+	sort.Strings(names)
+	return nil, nil, fmt.Errorf("unknown trace shape %q (one of: %v)", name, names)
 }

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/genmat"
-	"repro/internal/localmm"
-	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
 
@@ -46,37 +44,11 @@ type RunOpts struct {
 	// defaults to Cori-KNL.
 	Machine costmodel.Machine
 	// Threads is the intra-rank worker count for the local multiply and merge
-	// kernels (core.Options.Threads). 0 or 1 keeps the kernels serial, the
-	// configuration all published figure shapes use.
+	// kernels (core.Options.Threads) of every run. 0 or 1 keeps the kernels
+	// serial, the configuration all published figure shapes use. It is a host
+	// setting: no modeled number, byte or work unit depends on it. Every other
+	// engine option is pinned by the experiment itself.
 	Threads int
-	// Pipeline overlaps stage broadcasts with local compute
-	// (core.Options.Pipeline). Off keeps the published figure shapes — the
-	// strictly staged schedule — byte-identical.
-	Pipeline bool
-	// Format selects the in-memory block storage (core.Options.Format):
-	// csc, dcsc, or the per-block auto heuristic. The zero value is auto,
-	// the default; output values and communication volume are identical
-	// for all three.
-	Format spmat.Format
-	// SparseComm selects the column-subset A-broadcast path
-	// (core.Options.SparseComm): off, auto, or on. Off — the zero value —
-	// keeps the published figure shapes byte-identical.
-	SparseComm mpi.SparseMode
-	// Kernel pins the local-multiply kernel (core.Options.Kernel). The zero
-	// value is the unsorted-hash default. Output values are identical for
-	// every kernel.
-	Kernel localmm.Kernel
-	// Merger pins the layer/fiber merge strategy (core.Options.Merger).
-	Merger localmm.Merger
-	// Channels is the number of outstanding overlap channels the pipelined
-	// schedule may hide behind (core.Options.Channels); 0 means 1.
-	Channels int
-	// Algo restricts the spmm experiment's algorithm sweep to one family
-	// ("summa" | "cola" | "innerabc"; empty sweeps all three).
-	Algo string
-	// Replication restricts the spmm experiment's 1.5D replication sweep to
-	// one factor (0 sweeps every c with c² | p).
-	Replication int
 	// Verbose experiments may add extra tables.
 	Verbose bool
 }

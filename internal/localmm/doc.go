@@ -13,8 +13,8 @@
 //
 // # Kernels and mergers
 //
-// The Kernel and Merger enums name every generation for callers
-// (ParseKernel/ParseMerger accept the CLI spellings), and every entry point
+// The Kernel and Merger enums name every generation for callers (the Table
+// VII and Fig. 15 experiments pin the older ones), and every entry point
 // takes one: ParallelSpGEMM(k, a, b, sr, threads), its format-generic form
 // MulMat, and MergeMat(mg, …). Multiply is the sorted hash
 // kernel on one thread, the serial reference. Which one runs is speed attribution only: every

@@ -51,21 +51,6 @@ func (k Kernel) String() string {
 	}
 }
 
-// ParseKernel parses a -kernel flag value.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "hash", "unsorted-hash", "":
-		return KernelHashUnsorted, nil
-	case "sorted-hash":
-		return KernelHashSorted, nil
-	case "heap":
-		return KernelHeap, nil
-	case "hybrid":
-		return KernelHybrid, nil
-	}
-	return 0, fmt.Errorf("localmm: unknown kernel %q (want hash | sorted-hash | heap | hybrid)", s)
-}
-
 // Merger selects the merging implementation used by Merge-Layer and
 // Merge-Fiber.
 type Merger int
@@ -91,17 +76,6 @@ func (m Merger) String() string {
 	default:
 		return fmt.Sprintf("Merger(%d)", int(m))
 	}
-}
-
-// ParseMerger parses a -merger flag value.
-func ParseMerger(s string) (Merger, error) {
-	switch s {
-	case "hash", "hash-merge", "":
-		return MergerHash, nil
-	case "heap", "heap-merge":
-		return MergerHeap, nil
-	}
-	return 0, fmt.Errorf("localmm: unknown merger %q (want hash | heap)", s)
 }
 
 // Multiply is the serial reference SpGEMM used to verify distributed results:

@@ -27,7 +27,7 @@ import (
 // replication (InnerABC replicates sparse A once and then moves only dense
 // panels) overtake candidates that re-move the sparse matrix every pass.
 
-// Dense algorithm spellings, shared with core.ParseAlgo and the -algo flag.
+// Dense algorithm spellings, shared with core.ParseAlgo.
 const (
 	DenseAlgoSUMMA    = "summa"
 	DenseAlgoColA     = "cola"

@@ -7,8 +7,8 @@ import (
 	"repro/internal/spmat"
 )
 
-// Step names, matching the paper's legends and the core package's meter
-// categories (the experiments layer asserts the two stay identical).
+// Step names, matching the paper's legends. They are the core package's
+// meter categories too: core defines its Step constants from these.
 const (
 	StepSymbolic   = "Symbolic"
 	StepABcast     = "A-Broadcast"

@@ -72,21 +72,6 @@ func (pc *PlanCache) PlanThrough(key string, plan func() (planner.Choice, error)
 
 var errPlanPanicked = errors.New("service: the planning function panicked")
 
-// Get returns the cached decision without planning on a miss.
-func (pc *PlanCache) Get(key string) (planner.Choice, bool) {
-	pc.mu.Lock()
-	e, ok := pc.entries[key]
-	pc.mu.Unlock()
-	if !ok {
-		return planner.Choice{}, false
-	}
-	<-e.done
-	if e.err != nil {
-		return planner.Choice{}, false
-	}
-	return e.choice, true
-}
-
 // Hits returns the number of PlanThrough calls that skipped planning.
 func (pc *PlanCache) Hits() int64 { return pc.hits.Load() }
 
