@@ -70,7 +70,9 @@ func TestCoresLabel(t *testing.T) {
 	}
 }
 
-func TestExecuteErrorPropagates(t *testing.T) {
+// TestRunMulErrorPropagates holds the run helper to returning core's error
+// for a grid it cannot build.
+func TestRunMulErrorPropagates(t *testing.T) {
 	a, _ := Workload(WLEukarya, ScaleTiny)
 	pn := pins{p: 6, l: 1, machine: costmodel.CoriKNL(), opts: core.Options{ForceBatches: 1}} // 6 not a square
 	if _, err := execute(a, a, nil, pn); err == nil {
