@@ -159,11 +159,13 @@ soak:
 
 # plan: the planner-vs-oracle gate `make ci` runs on every push (about
 # 4 s). The analytical autotuner plans each gate workload, an exhaustive sweep
-# (l × b × format × pipeline for sparse×sparse; the algorithm axis —
+# (l × b × format × sparse-comm × pipeline × k for sparse×sparse, the
+# planner's own axes in its order; the algorithm axis —
 # SUMMA vs the 1.5D schedules over c × b — for the sparse×dense
 # tall-skinny shape) establishes the true optimum under the same
 # deterministic modeled objective, and the target fails when any pick
-# lands more than 10% above it.
+# lands more than 10% above it. It prints each shape's pick, the oracle's
+# best and the gap, so a pick that moves within the tolerance shows here.
 plan:
 	$(GO) run ./cmd/spgemm-bench -plangate -scale tiny
 

@@ -253,11 +253,12 @@ func runGate(jsonPath, baselinePath string, tol float64) {
 }
 
 // runPlanGate runs the planner-vs-oracle comparison on every planner-gate
-// shape and exits nonzero when the planner's pick is more than tol above the
-// exhaustive sweep's best modeled critical path.
+// shape, printing each shape's pick, the oracle's best and the gap, and exits
+// nonzero when the planner's pick is more than tol above the exhaustive
+// sweep's best modeled critical path.
 func runPlanGate(sc experiments.Scale, tol float64) {
 	start := time.Now()
-	bad, err := experiments.PlanGate(sc, tol)
+	bad, err := experiments.RunPlanGate(sc, tol, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
-	"repro/internal/mpi"
 	"repro/internal/planner"
 	"repro/internal/spmat"
 )
@@ -39,25 +38,16 @@ func AutoTuneOnMachine(a, b *spmat.CSC, rc RunConfig, m costmodel.Machine) (RunC
 }
 
 // PlanInput returns the planner Input AutoTuneOnMachine decides under for
-// this run configuration and machine — exported so callers that cache
-// planner decisions (the serving layer) can key the cache on exactly the
-// knobs that shape the decision, via planner.CacheKey.
+// this run configuration and machine: the constraints the run is under — its
+// rank count, budget and machine, and whether the symbolic pass runs. It is
+// exported so callers that cache planner decisions (the serving layer) can
+// key the cache on exactly what shapes the decision, via planner.CacheKey.
 func PlanInput(rc RunConfig, m costmodel.Machine) planner.Input {
 	return planner.Input{
 		P:        rc.P,
 		MemBytes: rc.Opts.MemBytes,
 		Machine:  m,
 		Symbolic: rc.Opts.MemBytes > 0 || rc.Opts.RunSymbolic,
-		// Sweep the sparse-communication knob too: off and the per-stage
-		// cost-model decision. SparseOn is omitted — auto's prediction is
-		// ≤ on's by construction (it takes subsets exactly where they win),
-		// so on can never be the optimum.
-		SparseComms: []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto},
-		// Sweep the overlap channel count for pipelined candidates: the
-		// single-injection ledger and a second NIC channel. Higher k only
-		// adds hiding capacity beyond what two independent broadcast
-		// streams can use, so k=2 saturates the model.
-		Channels: []int{1, 2},
 	}
 }
 

@@ -24,7 +24,7 @@
 //   - RunGate/CompareGate (make perfgate): replays pinned fig-6/8,
 //     hypersparse, and sparse×dense shapes and fails on modeled
 //     critical-path regressions vs the checked-in baseline.
-//   - PlanGate (make plan): scores the analytical planner's pick against
+//   - RunPlanGate (make plan): scores the analytical planner's pick against
 //     an exhaustive oracle sweep on every gate shape, and routes each pick
 //     through the service plan cache — the replan must hit with the
 //     identical decision.

@@ -8,14 +8,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/planner"
 	"repro/internal/service"
 	"repro/internal/spmat"
 )
 
 // This file scores the analytical planner against ground truth: an
-// exhaustive oracle sweep over l × b × format × pipeline × sparse-comm on
+// exhaustive oracle sweep over l × b × format × sparse-comm × pipeline × k on
 // the perf-gate workloads — plus, for the sparse×dense shape, the algorithm
 // axis (densified SUMMA vs the 1.5D ColA/InnerABC schedules over every
 // replication factor) — under the same deterministic objective the CI
@@ -64,9 +63,16 @@ var densePlanShapes = []densePlanShape{
 	{name: "spmm-tallskinny", p: 16, d: 8},
 }
 
+// oracleConfig is a point of either swept space: a sparse×sparse
+// planner.Config or a sparse×dense planner.DenseConfig.
+type oracleConfig interface {
+	comparable
+	String() string
+}
+
 // oracleEntry is one swept configuration's deterministic modeled outcome.
-type oracleEntry struct {
-	Cfg          planner.Config
+type oracleEntry[C oracleConfig] struct {
+	Cfg          C
 	CommSeconds  float64
 	WorkUnits    int64
 	ModelSeconds float64
@@ -75,7 +81,7 @@ type oracleEntry struct {
 	// budget.
 	Feasible bool
 	// Steps carries the per-step (comm seconds, work units) of the staged
-	// run this entry derives from, keyed by step name.
+	// run this entry derives from, keyed by step name (sparse×sparse only).
 	Steps map[string]stepPair
 }
 
@@ -86,21 +92,22 @@ type stepPair struct {
 }
 
 // planOracle exhaustively sweeps l × b × format × sparse-comm with real
-// staged runs and derives each point's pipelined twin through the shared
-// overlap model.
+// staged runs and derives each point's pipelined twins, one per channel
+// count, through the shared overlap model — planner.Formats,
+// planner.SparseModes and planner.Channels, in the planner's order.
 // Feasibility under mem comes from the real symbolic decision per
 // (l, format), and that decision's own b joins the sweep — the smallest
 // feasible batch count is also the best feasible one (batches only add
 // A-broadcast volume), so the true optimum is always a swept point.
-func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bSet []int) ([]oracleEntry, error) {
+func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bSet []int) ([]oracleEntry[planner.Config], error) {
 	allreduce := 4 * machine.CommScale * machine.Cost().AllreduceCost(p, 8)
-	var out []oracleEntry
+	var out []oracleEntry[planner.Config]
 	for _, l := range planner.LayersFor(p) {
 		q, err := grid.SideFor(p, l)
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatAuto} {
+		for _, f := range planner.Formats {
 			// The real batch decision under the budget: the floor every
 			// feasible b must meet.
 			minB := 1
@@ -122,7 +129,7 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 				sort.Ints(localBSet)
 			}
 			for _, bv := range localBSet {
-				for _, sm := range []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto} {
+				for _, sm := range planner.SparseModes {
 					rr, err := execute(a, b, nil, pins{p: p, l: l, machine: machine,
 						opts: core.Options{ForceBatches: bv, RunSymbolic: true, Format: f, SparseComm: sm}})
 					if err != nil {
@@ -134,7 +141,7 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 						steps[step] = stepPair{Comm: st.CommSeconds, Work: st.WorkUnits}
 					}
 					feasible := feasibleAtAll && bv >= minB
-					staged := oracleEntry{
+					staged := oracleEntry[planner.Config]{
 						Cfg:          planner.Config{L: l, B: bv, Format: f, SparseComm: sm},
 						CommSeconds:  rr.comm,
 						WorkUnits:    rr.work,
@@ -142,9 +149,10 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 						Feasible:     feasible,
 						Steps:        steps,
 					}
-					out = append(out, staged,
-						pipelinedEntry(staged, p, q, allreduce, 1),
-						pipelinedEntry(staged, p, q, allreduce, 2))
+					out = append(out, staged)
+					for _, k := range planner.Channels {
+						out = append(out, pipelinedEntry(staged, p, q, allreduce, k))
+					}
 				}
 			}
 		}
@@ -152,19 +160,11 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 	return out, nil
 }
 
-// denseOracleEntry is one swept sparse×dense configuration's outcome.
-type denseOracleEntry struct {
-	Cfg          planner.DenseConfig
-	CommSeconds  float64
-	WorkUnits    int64
-	ModelSeconds float64
-}
-
 // denseOracle exhaustively sweeps the sparse×dense configuration space with
 // real staged runs — SUMMA over l × b plus both 1.5D schedules over c × b —
 // scored under the gate objective. Every point is feasible (the dense shape
 // runs unconstrained, the b = 1 memory regime).
-func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.Machine, bSet []int) ([]denseOracleEntry, error) {
+func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.Machine, bSet []int) ([]oracleEntry[planner.DenseConfig], error) {
 	type armPoint struct {
 		algo core.Algo
 		name string
@@ -179,7 +179,7 @@ func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.M
 			armPoint{algo: core.AlgoColA, name: planner.DenseAlgoColA, l: 1, c: c},
 			armPoint{algo: core.AlgoInnerABC, name: planner.DenseAlgoInnerABC, l: 1, c: c})
 	}
-	var out []denseOracleEntry
+	var out []oracleEntry[planner.DenseConfig]
 	for _, pt := range points {
 		for _, bv := range bSet {
 			rr, err := execute(a, nil, panel, pins{p: p, l: pt.l, machine: machine,
@@ -193,42 +193,16 @@ func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.M
 			} else {
 				cfg.C = pt.c
 			}
-			out = append(out, denseOracleEntry{
+			out = append(out, oracleEntry[planner.DenseConfig]{
 				Cfg:          cfg,
 				CommSeconds:  rr.comm,
 				WorkUnits:    rr.work,
 				ModelSeconds: rr.model(),
+				Feasible:     true,
 			})
 		}
 	}
 	return out, nil
-}
-
-// denseOracleBest returns the lowest-scoring entry, or nil.
-func denseOracleBest(entries []denseOracleEntry) *denseOracleEntry {
-	var best *denseOracleEntry
-	for i := range entries {
-		if best == nil || entries[i].ModelSeconds < best.ModelSeconds {
-			best = &entries[i]
-		}
-	}
-	return best
-}
-
-// denseOracleFind returns the entry matching cfg, or nil.
-func denseOracleFind(entries []denseOracleEntry, cfg planner.DenseConfig) *denseOracleEntry {
-	for i := range entries {
-		if entries[i].Cfg == cfg {
-			return &entries[i]
-		}
-	}
-	return nil
-}
-
-// densePlanFor runs the sparse×dense planner on a prepared dense shape,
-// staged-only, mirroring planFor.
-func densePlanFor(a *spmat.CSC, d int32, p int, machine costmodel.Machine) (*planner.DensePlan, error) {
-	return planner.NewDense(a, d, planner.DenseInput{P: p, Machine: machine, Pipelines: []bool{false}})
 }
 
 // containsInt reports whether xs contains v.
@@ -248,7 +222,7 @@ func containsInt(xs []int, v int) bool {
 // from the hideable broadcast cost exactly as the planner's own transform
 // excludes it. k ≤ 1 keeps Config.Channels at the zero value so the swept
 // space matches the planner's spellings exactly.
-func pipelinedEntry(staged oracleEntry, p, q int, allreduce float64, k int) oracleEntry {
+func pipelinedEntry(staged oracleEntry[planner.Config], p, q int, allreduce float64, k int) oracleEntry[planner.Config] {
 	perRank := func(step string) float64 {
 		return float64(staged.Steps[step].Work) * GateSecPerWorkUnit / float64(p)
 	}
@@ -279,29 +253,87 @@ func pipelinedEntry(staged oracleEntry, p, q int, allreduce float64, k int) orac
 	return out
 }
 
-// oracleBest returns the best feasible entry, or nil.
-func oracleBest(entries []oracleEntry) *oracleEntry {
-	var best *oracleEntry
-	for i := range entries {
-		e := &entries[i]
-		if !e.Feasible {
-			continue
-		}
-		if best == nil || e.ModelSeconds < best.ModelSeconds {
-			best = e
-		}
-	}
-	return best
+// planScore is one planner-gate shape's pick scored against its oracle
+// sweep.
+type planScore[C oracleConfig] struct {
+	name string
+	// pick is the planner's pick, nil when it found no feasible
+	// configuration (and the oracle did not run).
+	pick    *C
+	entries []oracleEntry[C]
+	// best is the oracle's best feasible entry and got the pick's entry, nil
+	// when there is none.
+	best, got *oracleEntry[C]
 }
 
-// oracleFind returns the entry matching cfg, or nil.
-func oracleFind(entries []oracleEntry, cfg planner.Config) *oracleEntry {
+// scored scores pick against the oracle sweep entries: it finds the best
+// feasible entry and the pick's own.
+func scored[C oracleConfig](name string, pick C, entries []oracleEntry[C]) *planScore[C] {
+	s := &planScore[C]{name: name, pick: &pick, entries: entries}
 	for i := range entries {
-		if entries[i].Cfg == cfg {
-			return &entries[i]
+		e := &entries[i]
+		if e.Feasible && (s.best == nil || e.ModelSeconds < s.best.ModelSeconds) {
+			s.best = e
+		}
+		if s.got == nil && e.Cfg == pick {
+			s.got = e
 		}
 	}
-	return nil
+	return s
+}
+
+// gap is how far, in percent, the pick models above the oracle's best.
+func (s *planScore[C]) gap() float64 {
+	return 100 * (s.got.ModelSeconds/s.best.ModelSeconds - 1)
+}
+
+// check appends the shape's violations at tolerance tol to bad: a missing,
+// unscored or infeasible pick, or one whose modeled critical path exceeds
+// the oracle's best by more than tol. Once the pick is scored it writes the
+// shape's line — the pick, the oracle's best and the gap — to w, and reports
+// true.
+func (s *planScore[C]) check(tol float64, w io.Writer, bad *[]string) bool {
+	fail := func(format string, args ...any) {
+		*bad = append(*bad, s.name+": "+fmt.Sprintf(format, args...))
+	}
+	switch {
+	case s.pick == nil:
+		fail("planner found no feasible configuration")
+	case s.best == nil:
+		fail("oracle found no feasible configuration")
+	case s.got == nil:
+		fail("pick %s not covered by the oracle sweep", *s.pick)
+	case !s.got.Feasible:
+		fail("pick %s is infeasible under the budget (real symbolic decision needs more batches)", *s.pick)
+	default:
+		if s.got.ModelSeconds > s.best.ModelSeconds*(1+tol) {
+			fail("pick %s models %.6g s, oracle best %s models %.6g s — %.1f%% above (tolerance %.0f%%)",
+				*s.pick, s.got.ModelSeconds, s.best.Cfg, s.best.ModelSeconds, s.gap(), 100*tol)
+		}
+		fmt.Fprintf(w, "%s: pick %s, oracle best %s, %.2f%% above\n", s.name, *s.pick, s.best.Cfg, s.gap())
+		return true
+	}
+	return false
+}
+
+// leaderboard adds the oracle's five best feasible points to tb, marking the
+// pick.
+func (s *planScore[C]) leaderboard(tb *Table) {
+	feasible := make([]oracleEntry[C], 0, len(s.entries))
+	for _, e := range s.entries {
+		if e.Feasible {
+			feasible = append(feasible, e)
+		}
+	}
+	sort.Slice(feasible, func(x, y int) bool { return feasible[x].ModelSeconds < feasible[y].ModelSeconds })
+	for i, e := range feasible[:min(5, len(feasible))] {
+		mark := ""
+		if e.Cfg == *s.pick {
+			mark = "◀ pick"
+		}
+		tb.AddRow(fmt.Sprintf("%d", i+1), e.Cfg.String(), fmtS(e.ModelSeconds),
+			fmtS(e.CommSeconds), fmt.Sprintf("%d", e.WorkUnits), mark)
+	}
 }
 
 // planShapeInputs prepares one planner-gate shape: operands, machine, and
@@ -319,18 +351,64 @@ func planShapeInputs(sh planShape, sc Scale) (a, b *spmat.CSC, machine costmodel
 	return a, b, machine, mem, nil
 }
 
-// planFor runs the planner on a prepared shape. Its work-unit rate is the
-// gate's (GateSecPerWorkUnit is planner.DefaultSecPerWork), so planner scores
-// and oracle scores share the objective.
-func planFor(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64) (*planner.Plan, error) {
-	return planner.New(a, b, planGateInput(p, machine, mem))
-}
-
 // planGateInput is the runtime autotune's planner input with the symbolic
-// pass run, as in every oracle run — shared with the cached-plan pass so its
-// cache keys describe the same decision.
+// pass run, as in every oracle run. Its work-unit rate is the gate's
+// (GateSecPerWorkUnit is planner.DefaultSecPerWork), so planner scores and
+// oracle scores share the objective.
 func planGateInput(p int, machine costmodel.Machine, mem int64) planner.Input {
 	return core.PlanInput(core.RunConfig{P: p, Opts: core.Options{MemBytes: mem, RunSymbolic: true}}, machine)
+}
+
+// scorePlanShape plans a prepared planner-gate shape and scores the pick
+// against the exhaustive oracle sweep, returning the plan beside the score.
+func scorePlanShape(sh planShape, a, b *spmat.CSC, machine costmodel.Machine, mem int64) (*planner.Plan, *planScore[planner.Config], error) {
+	pl, err := planner.New(a, b, planGateInput(sh.p, machine, mem))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", sh.name, err)
+	}
+	pick := pl.Best()
+	if pick == nil {
+		return pl, &planScore[planner.Config]{name: sh.name}, nil
+	}
+	entries, err := planOracle(a, b, sh.p, machine, mem, oracleBSet(pick.B))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", sh.name, err)
+	}
+	return pl, scored(sh.name, pick.Config, entries), nil
+}
+
+// scoreDenseShape plans a sparse×dense planner-gate shape and scores the
+// pick — the plan's best staged candidate — against the oracle sweep.
+func scoreDenseShape(sh densePlanShape, sc Scale) (*planScore[planner.DenseConfig], error) {
+	a := SpMMGraph(sc)
+	machine := costmodel.CoriKNL().ScaledBeta(commAmplification(sc))
+	pl, err := planner.NewDense(a, sh.d, planner.DenseInput{P: sh.p, Machine: machine})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", sh.name, err)
+	}
+	staged := stagedCandidates(pl)
+	if len(staged) == 0 || !staged[0].Feasible {
+		return &planScore[planner.DenseConfig]{name: sh.name}, nil
+	}
+	pick := staged[0].DenseConfig
+	entries, err := denseOracle(a, PanelFor(a, sh.d), sh.p, machine, oracleBSet(pick.B))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", sh.name, err)
+	}
+	return scored(sh.name, pick, entries), nil
+}
+
+// stagedCandidates returns a sparse×dense plan's staged candidates, best
+// first: the oracle scores staged runs only, as pipelined hiding depends on
+// wall-clock compute.
+func stagedCandidates(pl *planner.DensePlan) []planner.DenseCandidate {
+	var out []planner.DenseCandidate
+	for _, c := range pl.Candidates {
+		if !c.Pipeline {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // oracleBSet is the batch sweep of the oracle, always including the
@@ -348,11 +426,12 @@ func oracleBSet(pick int) []int {
 	return out
 }
 
-// PlanGate scores the planner's pick against the exhaustive oracle on every
-// planner-gate shape and returns one message per violation (empty = gate
-// passes): a missing or infeasible pick, or a pick whose modeled critical
-// path exceeds the oracle's best by more than tol.
-func PlanGate(sc Scale, tol float64) ([]string, error) {
+// RunPlanGate scores the planner's pick against the exhaustive oracle on
+// every planner-gate shape, writes one line per scored shape to w (the
+// pick, the oracle's best and the gap), and returns one message per
+// violation (empty = gate passes): a missing or infeasible pick, or a pick
+// whose modeled critical path exceeds the oracle's best by more than tol.
+func RunPlanGate(sc Scale, tol float64, w io.Writer) ([]string, error) {
 	var bad []string
 	planCache := service.NewPlanCache()
 	for _, sh := range planShapes {
@@ -360,47 +439,20 @@ func PlanGate(sc Scale, tol float64) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl, err := planFor(a, b, sh.p, machine, mem)
+		pl, s, err := scorePlanShape(sh, a, b, machine, mem)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
+			return nil, err
 		}
-		pick := pl.Best()
-		if pick == nil {
-			bad = append(bad, fmt.Sprintf("%s: planner found no feasible configuration", sh.name))
+		if !s.check(tol, w, &bad) {
 			continue
-		}
-		entries, err := planOracle(a, b, sh.p, machine, mem, oracleBSet(pick.B))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
-		}
-		best := oracleBest(entries)
-		if best == nil {
-			bad = append(bad, fmt.Sprintf("%s: oracle found no feasible configuration", sh.name))
-			continue
-		}
-		got := oracleFind(entries, pick.Config)
-		if got == nil {
-			bad = append(bad, fmt.Sprintf("%s: pick %s not covered by the oracle sweep", sh.name, pick.Config))
-			continue
-		}
-		if !got.Feasible {
-			bad = append(bad, fmt.Sprintf("%s: pick %s is infeasible under the budget (real symbolic decision needs more batches)",
-				sh.name, pick.Config))
-			continue
-		}
-		if limit := best.ModelSeconds * (1 + tol); got.ModelSeconds > limit {
-			bad = append(bad, fmt.Sprintf("%s: pick %s models %.6g s, oracle best %s models %.6g s — %.1f%% above (tolerance %.0f%%)",
-				sh.name, pick.Config, got.ModelSeconds, best.Cfg, best.ModelSeconds,
-				100*(got.ModelSeconds/best.ModelSeconds-1), 100*tol))
 		}
 
 		// Cached-plan pass: the same decision served through the service's
 		// plan cache must miss exactly once, hit on the replan, and return
 		// the identical pick — so the cached path inherits the oracle bound
 		// just established for the fresh one.
-		key := planner.CacheKey(spmat.FingerprintOf(a).Key(), spmat.FingerprintOf(b).Key(),
-			planGateInput(sh.p, machine, mem))
-		fresh := pick.Choice()
+		key := planner.CacheKey(spmat.FingerprintOf(a).Key(), spmat.FingerprintOf(b).Key(), pl.In)
+		fresh := pl.Best().Choice()
 		for pass, wantHit := range []bool{false, true} {
 			cached, hit, err := planCache.PlanThrough(key, func() (planner.Choice, error) { return fresh, nil })
 			if err != nil {
@@ -415,33 +467,11 @@ func PlanGate(sc Scale, tol float64) ([]string, error) {
 		}
 	}
 	for _, sh := range densePlanShapes {
-		a := SpMMGraph(sc)
-		panel := PanelFor(a, sh.d)
-		machine := costmodel.CoriKNL().ScaledBeta(commAmplification(sc))
-		pl, err := densePlanFor(a, sh.d, sh.p, machine)
+		s, err := scoreDenseShape(sh, sc)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
+			return nil, err
 		}
-		pick := pl.Best()
-		if pick == nil {
-			bad = append(bad, fmt.Sprintf("%s: planner found no feasible configuration", sh.name))
-			continue
-		}
-		entries, err := denseOracle(a, panel, sh.p, machine, oracleBSet(pick.B))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
-		}
-		best := denseOracleBest(entries)
-		got := denseOracleFind(entries, pick.DenseConfig)
-		if got == nil {
-			bad = append(bad, fmt.Sprintf("%s: pick %s not covered by the oracle sweep", sh.name, pick.DenseConfig))
-			continue
-		}
-		if limit := best.ModelSeconds * (1 + tol); got.ModelSeconds > limit {
-			bad = append(bad, fmt.Sprintf("%s: pick %s models %.6g s, oracle best %s models %.6g s — %.1f%% above (tolerance %.0f%%)",
-				sh.name, pick.DenseConfig, got.ModelSeconds, best.Cfg, best.ModelSeconds,
-				100*(got.ModelSeconds/best.ModelSeconds-1), 100*tol))
-		}
+		s.check(tol, w, &bad)
 	}
 	return bad, nil
 }
@@ -451,8 +481,8 @@ func init() {
 		ID:    "planner",
 		Title: "analytical autotuner vs exhaustive oracle sweep",
 		Description: "Scores the planner's analytically chosen configuration (layers, batches, " +
-			"format, pipeline, sparse-comm) against an exhaustive " +
-			"l × b × format × pipeline × sparse-comm sweep on the perf-gate workloads, under " +
+			"format, pipeline, sparse-comm, channels) against an exhaustive " +
+			"l × b × format × pipeline × sparse-comm × channels sweep on the perf-gate workloads, under " +
 			"the gate's deterministic modeled objective. The sparse×dense tall-skinny shape " +
 			"adds the algorithm axis: SUMMA vs the 1.5D schedules across replication factors. " +
 			"Also shows the pick's predicted per-step breakdown next to the measured one.",
@@ -474,117 +504,65 @@ func runPlannerExperiment(opts RunOpts) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl, err := planFor(a, b, sh.p, machine, mem)
+		pl, s, err := scorePlanShape(sh, a, b, machine, mem)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
+			return nil, err
 		}
-		pick := pl.Best()
-		if pick == nil {
+		if s.pick == nil {
 			return nil, fmt.Errorf("%s: planner found no feasible configuration", sh.name)
 		}
-		entries, err := planOracle(a, b, sh.p, machine, mem, oracleBSet(pick.B))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
-		}
-		best := oracleBest(entries)
-		got := oracleFind(entries, pick.Config)
-		if best == nil || got == nil {
+		if s.best == nil || s.got == nil {
 			return nil, fmt.Errorf("%s: oracle sweep cannot score the pick", sh.name)
 		}
+		pick := *s.pick
 
-		// Leaderboard: the oracle's feasible points, best first.
-		feasible := make([]oracleEntry, 0, len(entries))
-		for _, e := range entries {
-			if e.Feasible {
-				feasible = append(feasible, e)
-			}
-		}
-		sort.Slice(feasible, func(x, y int) bool { return feasible[x].ModelSeconds < feasible[y].ModelSeconds })
 		tb := r.NewTable(fmt.Sprintf("%s (p=%d, M=%s): oracle top 5 vs planner pick", sh.name, sh.p, fmtMem(mem)),
 			"rank", "config", "model s", "comm s", "work units", "planner pick")
-		show := len(feasible)
-		if show > 5 {
-			show = 5
-		}
-		for i := 0; i < show; i++ {
-			e := feasible[i]
-			mark := ""
-			if e.Cfg == pick.Config {
-				mark = "◀ pick"
-			}
-			tb.AddRow(fmt.Sprintf("%d", i+1), e.Cfg.String(), fmtS(e.ModelSeconds),
-				fmtS(e.CommSeconds), fmt.Sprintf("%d", e.WorkUnits), mark)
-		}
-		gap := 100 * (got.ModelSeconds/best.ModelSeconds - 1)
+		s.leaderboard(tb)
 		tb.Notes = append(tb.Notes, fmt.Sprintf(
 			"planner pick %s: modeled %.6g s, %.2f%% above oracle best %s (%d configurations swept)",
-			pick.Config, got.ModelSeconds, gap, best.Cfg, len(entries)))
+			pick, s.got.ModelSeconds, s.gap(), s.best.Cfg, len(s.entries)))
 
 		// Predicted vs measured per-step breakdown of the pick's staged
 		// twin: the oracle's per-step measurements come from the staged run
 		// (the pipelined exposure split depends on wall-clock compute), so
 		// the predictor-quality audit compares staged against staged.
-		stagedCfg := pick.Config
+		stagedCfg := pick
 		stagedCfg.Pipeline = false
 		pred, err := pl.Evaluate(stagedCfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sh.name, err)
 		}
-		pb := r.NewTable(fmt.Sprintf("%s: pick %s (staged twin) — predicted vs measured per step", sh.name, pick.Config),
+		pb := r.NewTable(fmt.Sprintf("%s: pick %s (staged twin) — predicted vs measured per step", sh.name, pick),
 			"step", "comm s (pred)", "comm s (meas)", "work (pred)", "work (meas)")
 		for _, step := range core.Steps {
 			ps := pred.Step(step)
-			ms := got.Steps[step]
+			ms := s.got.Steps[step]
 			pb.AddRow(step, fmtS(ps.CommSeconds), fmtS(ms.Comm),
 				fmt.Sprintf("%d", ps.WorkUnits), fmt.Sprintf("%d", ms.Work))
 		}
 
 		r.Finding("%s: planner pick %s is %.2f%% above the oracle best %s on the modeled critical path",
-			sh.name, pick.Config, gap, best.Cfg)
+			sh.name, pick, s.gap(), s.best.Cfg)
 	}
 
 	// The sparse×dense shape: the pick must also choose the algorithm family.
 	for _, sh := range densePlanShapes {
-		a := SpMMGraph(opts.Scale)
-		panel := PanelFor(a, sh.d)
-		machine := costmodel.CoriKNL().ScaledBeta(commAmplification(opts.Scale))
-		pl, err := densePlanFor(a, sh.d, sh.p, machine)
+		s, err := scoreDenseShape(sh, opts.Scale)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
+			return nil, err
 		}
-		pick := pl.Best()
-		if pick == nil {
+		if s.pick == nil {
 			return nil, fmt.Errorf("%s: planner found no feasible configuration", sh.name)
 		}
-		entries, err := denseOracle(a, panel, sh.p, machine, oracleBSet(pick.B))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
-		}
-		best := denseOracleBest(entries)
-		got := denseOracleFind(entries, pick.DenseConfig)
-		if best == nil || got == nil {
+		if s.best == nil || s.got == nil {
 			return nil, fmt.Errorf("%s: oracle sweep cannot score the pick", sh.name)
 		}
-		sorted := append([]denseOracleEntry(nil), entries...)
-		sort.Slice(sorted, func(x, y int) bool { return sorted[x].ModelSeconds < sorted[y].ModelSeconds })
 		tb := r.NewTable(fmt.Sprintf("%s (p=%d, d=%d): oracle top 5 vs planner pick", sh.name, sh.p, sh.d),
 			"rank", "config", "model s", "comm s", "work units", "planner pick")
-		show := len(sorted)
-		if show > 5 {
-			show = 5
-		}
-		for i := 0; i < show; i++ {
-			e := sorted[i]
-			mark := ""
-			if e.Cfg == pick.DenseConfig {
-				mark = "◀ pick"
-			}
-			tb.AddRow(fmt.Sprintf("%d", i+1), e.Cfg.String(), fmtS(e.ModelSeconds),
-				fmtS(e.CommSeconds), fmt.Sprintf("%d", e.WorkUnits), mark)
-		}
-		gap := 100 * (got.ModelSeconds/best.ModelSeconds - 1)
+		s.leaderboard(tb)
 		r.Finding("%s: planner pick %s is %.2f%% above the oracle best %s across the full algorithm axis (%d configurations swept)",
-			sh.name, pick.DenseConfig, gap, best.Cfg, len(entries))
+			sh.name, *s.pick, s.gap(), s.best.Cfg, len(s.entries))
 	}
 	return r, nil
 }
@@ -609,7 +587,7 @@ func RunAutotune(opts RunOpts, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "== autotune: %s (p=%d, M=%s) ==\n\n", sh.name, sh.p, fmtMem(mem))
-		pl, err := planFor(a, b, sh.p, machine, mem)
+		pl, err := planner.New(a, b, planGateInput(sh.p, machine, mem))
 		if err != nil {
 			return fmt.Errorf("%s: %w", sh.name, err)
 		}

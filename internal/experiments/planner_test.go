@@ -1,6 +1,14 @@
 package experiments
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
+
+// PlanGate is RunPlanGate without its per-shape lines.
+func PlanGate(sc Scale, tol float64) ([]string, error) {
+	return RunPlanGate(sc, tol, io.Discard)
+}
 
 // TestPlannerWithinOracle is the planner-vs-oracle property test: on every
 // planner-gate shape (the fig-6/fig-8 and hyper-kmers gate workloads, plus

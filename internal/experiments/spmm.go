@@ -140,23 +140,18 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 	}
 
 	// The planner's view of the same shape, under the gate objective.
-	pl, err := densePlanFor(a, d, p, opts.Machine)
+	pl, err := planner.NewDense(a, d, planner.DenseInput{P: p, Machine: opts.Machine})
 	if err != nil {
 		return nil, err
 	}
-	if pick := pl.Best(); pick != nil {
+	if staged := stagedCandidates(pl); len(staged) > 0 && staged[0].Feasible {
 		pt := r.NewTable("planner ranking (staged, top 5)",
 			"rank", "config", "model s", "one-time s", "per-iter s")
-		show := len(pl.Candidates)
-		if show > 5 {
-			show = 5
-		}
-		for i := 0; i < show; i++ {
-			c := pl.Candidates[i]
+		for i, c := range staged[:min(5, len(staged))] {
 			pt.AddRow(fmt.Sprintf("%d", i+1), c.DenseConfig.String(), fmtS(c.ModelSeconds),
 				fmtS(c.OneTimeSeconds), fmtS(c.PerIterSeconds))
 		}
-		r.Finding("planner pick for the tall-skinny shape: %s", pick.DenseConfig)
+		r.Finding("planner pick for the tall-skinny shape: %s", staged[0].DenseConfig)
 	}
 	return r, nil
 }

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/mpi"
 	"repro/internal/spmat"
@@ -76,35 +75,16 @@ func (ch Choice) String() string {
 }
 
 // CacheKey renders a deterministic key for a planning decision: the operand
-// fingerprints plus every Input knob that can change the ranking. Two calls
-// with content-identical operands and identical knobs produce identical
-// keys, so a cache hit is guaranteed to return the decision the planner
-// would have made — the probe and the full candidate sweep can be skipped.
-//
-// The Input is canonicalized (withDefaults) before rendering, so an
-// explicitly-passed default and an omitted field key identically.
+// fingerprints plus every Input field — p, the budget, the machine and the
+// symbolic pass. The search space is the planner's own, so two calls with
+// content-identical operands and identical inputs produce identical keys,
+// and a cache hit is guaranteed to return the decision the planner would
+// have made — the probe and the full candidate sweep can be skipped. The
+// Input is defaulted before rendering, so an omitted machine keys as the
+// default one.
 func CacheKey(fpA, fpB string, in Input) string {
 	in = in.withDefaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "a=%s|b=%s|p=%d|mem=%d", fpA, fpB, in.P, in.MemBytes)
-	fmt.Fprintf(&b, "|m=%s,%g,%g,%g,%g", in.Machine.Name,
-		in.Machine.AlphaSec, in.Machine.BetaSecPerByte, in.Machine.CommScale, in.Machine.ComputeScale)
-	fmt.Fprintf(&b, "|sym=%t|l=%v", in.Symbolic, in.Layers)
-	b.WriteString("|f=")
-	for i, f := range in.Formats {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(f.String())
-	}
-	fmt.Fprintf(&b, "|pipe=%v", in.Pipelines)
-	b.WriteString("|sc=")
-	for i, sm := range in.SparseComms {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(sm.String())
-	}
-	fmt.Fprintf(&b, "|ch=%v", in.Channels)
-	return b.String()
+	m := in.Machine
+	return fmt.Sprintf("a=%s|b=%s|p=%d|mem=%d|m=%s,%g,%g,%g,%g|sym=%t", fpA, fpB, in.P, in.MemBytes,
+		m.Name, m.AlphaSec, m.BetaSecPerByte, m.CommScale, m.ComputeScale, in.Symbolic)
 }

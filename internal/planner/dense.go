@@ -50,12 +50,6 @@ type DenseInput struct {
 	MemBytes int64
 	// Machine supplies α, β, and the communication scale factor.
 	Machine costmodel.Machine
-	// Algos restricts the algorithm axis (nil = summa, cola, innerabc). The
-	// 1.5D arms try every replication factor c with c² | p.
-	Algos []string
-	// Pipelines restricts the schedule dimension (nil = staged and
-	// pipelined).
-	Pipelines []bool
 }
 
 func (in DenseInput) withDefaults() DenseInput {
@@ -64,12 +58,6 @@ func (in DenseInput) withDefaults() DenseInput {
 	}
 	if in.Machine.Name == "" {
 		in.Machine = costmodel.CoriKNL()
-	}
-	if len(in.Algos) == 0 {
-		in.Algos = DenseAlgos
-	}
-	if len(in.Pipelines) == 0 {
-		in.Pipelines = []bool{false, true}
 	}
 	return in
 }
@@ -145,8 +133,8 @@ type DensePlan struct {
 	D int32
 	// Candidates holds every evaluated configuration, best first.
 	Candidates []DenseCandidate
-	// SUMMA is the sparse plan behind the densified arm (nil when the arm
-	// was excluded or the panel was too large to densify for planning).
+	// SUMMA is the sparse plan behind the densified arm (nil when the panel
+	// was too large to densify for planning).
 	SUMMA *Plan
 
 	a     *spmat.CSC
@@ -172,7 +160,9 @@ func ReplicationsFor(p int) []int {
 const densifyLimit = 1 << 24
 
 // NewDense evaluates the sparse×dense configuration space for C = A·B where
-// B is a dense n×d panel, returning the ranked plan. Deterministic, like New.
+// B is a dense n×d panel — every algorithm of DenseAlgos, the 1.5D ones at
+// every replication factor ReplicationsFor gives, staged and pipelined —
+// returning the ranked plan. Deterministic, like New.
 func NewDense(a *spmat.CSC, d int32, in DenseInput) (*DensePlan, error) {
 	in = in.withDefaults()
 	if in.P <= 0 {
@@ -182,23 +172,17 @@ func NewDense(a *spmat.CSC, d int32, in DenseInput) (*DensePlan, error) {
 		return nil, fmt.Errorf("planner: dense width %d", d)
 	}
 	pl := &DensePlan{In: in, D: d, a: a, stats: make(map[int]*denseStats)}
-	for _, algo := range in.Algos {
-		switch algo {
-		case DenseAlgoSUMMA:
-			pl.addSUMMA(a, d, in)
-		case DenseAlgoColA, DenseAlgoInnerABC:
-			for _, c := range ReplicationsFor(in.P) {
-				staged := pl.predict15(algo, c, 0, false)
-				for _, pipe := range in.Pipelines {
-					if !pipe {
-						pl.Candidates = append(pl.Candidates, staged)
-					} else if staged.Feasible {
-						pl.Candidates = append(pl.Candidates, pl.predict15(algo, c, staged.B, true))
-					}
-				}
+	for _, algo := range DenseAlgos {
+		if algo == DenseAlgoSUMMA {
+			pl.addSUMMA(a, d)
+			continue
+		}
+		for _, c := range ReplicationsFor(in.P) {
+			staged := pl.predict15(algo, c, 0, false)
+			pl.Candidates = append(pl.Candidates, staged)
+			if staged.Feasible {
+				pl.Candidates = append(pl.Candidates, pl.predict15(algo, c, staged.B, true))
 			}
-		default:
-			return nil, fmt.Errorf("planner: unknown dense algorithm %q", algo)
 		}
 	}
 	algoRank := map[string]int{DenseAlgoSUMMA: 0, DenseAlgoColA: 1, DenseAlgoInnerABC: 2}
@@ -255,8 +239,13 @@ func (pl *DensePlan) Evaluate(cfg DenseConfig) (DenseCandidate, error) {
 }
 
 // addSUMMA runs the sparse planner on the densified panel pattern and adopts
-// its best candidate as the SUMMA arm.
-func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32, in DenseInput) {
+// two of its candidates as the SUMMA arm: the best staged one and the best
+// pipelined one among those the runtime's AlgoSUMMA arm executes — sparse
+// communication off and a single overlap channel. Keeping a staged candidate
+// beside the pipelined one lets a caller that runs staged schedules only take
+// the first staged candidate of the ranking.
+func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32) {
+	in := pl.In
 	if int64(a.Cols)*int64(d) > densifyLimit {
 		pl.Candidates = append(pl.Candidates, DenseCandidate{
 			DenseConfig: DenseConfig{Algo: DenseAlgoSUMMA, L: 1, B: 1},
@@ -265,9 +254,7 @@ func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32, in DenseInput) {
 		})
 		return
 	}
-	sp, err := New(a, denseOnesCSC(a.Cols, d), Input{
-		P: in.P, MemBytes: in.MemBytes, Machine: in.Machine, Pipelines: in.Pipelines,
-	})
+	sp, err := New(a, denseOnesCSC(a.Cols, d), Input{P: in.P, MemBytes: in.MemBytes, Machine: in.Machine})
 	if err != nil {
 		pl.Candidates = append(pl.Candidates, DenseCandidate{
 			DenseConfig: DenseConfig{Algo: DenseAlgoSUMMA, L: 1, B: 1},
@@ -277,8 +264,12 @@ func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32, in DenseInput) {
 		return
 	}
 	pl.SUMMA = sp
-	if len(sp.Candidates) > 0 {
-		pl.Candidates = append(pl.Candidates, pl.wrapSUMMA(sp.Candidates[0]))
+	taken := map[bool]bool{} // by schedule: staged, pipelined
+	for _, c := range sp.Candidates {
+		if c.SparseComm == mpi.SparseOff && c.Channels <= 1 && !taken[c.Pipeline] {
+			taken[c.Pipeline] = true
+			pl.Candidates = append(pl.Candidates, pl.wrapSUMMA(c))
+		}
 	}
 }
 

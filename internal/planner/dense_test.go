@@ -68,9 +68,7 @@ func TestDensePredictorAgainstMeters(t *testing.T) {
 	for _, sh := range shapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
-			pl, err := planner.NewDense(a, d, planner.DenseInput{
-				P: sh.p, Machine: machine, Algos: []string{sh.cfg.Algo},
-			})
+			pl, err := planner.NewDense(a, d, planner.DenseInput{P: sh.p, Machine: machine})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,10 +130,7 @@ func TestDenseIterationsAmortize(t *testing.T) {
 	cfg := planner.DenseConfig{Algo: planner.DenseAlgoInnerABC, C: 2, B: 1}
 	var single planner.DenseCandidate
 	for _, iters := range []int{1, 10} {
-		pl, err := planner.NewDense(a, 8, planner.DenseInput{
-			P: 16, Machine: testMachine(), Iterations: iters,
-			Algos: []string{cfg.Algo},
-		})
+		pl, err := planner.NewDense(a, 8, planner.DenseInput{P: 16, Machine: testMachine(), Iterations: iters})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,9 +5,9 @@
 // feasible BATCHEDSUMMA3D configuration — all layer counts l with square
 // layers, the batch count b the per-format footprint model induces under M
 // (mirroring the distributed symbolic step's decision without running it),
-// storage format ∈ {csc, dcsc, auto}, and pipeline on/off — with the hidden
-// share predicted by the overlap-ledger model across each requested
-// outstanding-channel count k (Input.Channels) — and predicts each
+// storage format ∈ Formats, sparse A-broadcast mode ∈ SparseModes, and
+// pipeline on/off — with the hidden share predicted by the overlap-ledger
+// model for each outstanding-channel count k ∈ Channels — and predicts each
 // configuration's modeled critical-path seconds per step (Symbolic,
 // A-Broadcast, B-Broadcast, Local-Multiply, Merge-Layer, AllToAll-Fiber,
 // Merge-Fiber). The result is a ranked Plan with a per-step cost breakdown
@@ -24,10 +24,12 @@
 // plus total work units at a pinned seconds-per-work rate — deterministic on
 // any host. The model's constants are not inputs: r = spmat.BytesPerNonzero
 // bytes per stored nonzero (Sec. IV-A), DefaultSecPerWork, DefaultSampleCols
-// probed columns and DefaultImbalance, so CacheKey names only what a caller
-// can change.
+// probed columns and DefaultImbalance; the search space is the package's
+// own (Formats, SparseModes, Channels, every layer count), and an Input
+// carries only the caller's constraints — p, the budget, the machine and
+// whether the symbolic pass runs — so CacheKey names only those.
 //
-// Two axes of the daemon's space look dominated inside the model, and
+// Two axes of the space look dominated inside the model, and
 // TestDominatedAxes holds both on the planner fixtures with the symbolic pass
 // run (two rank counts, four budgets, 1008 candidates): a sparse A-broadcast
 // auto candidate is never slower or larger than its off twin and agrees on
@@ -75,5 +77,7 @@
 // 1.5D predictors mirror core's schedules collective for collective with
 // exact per-block wire sizes and are meter-exact on staged shapes; the
 // SUMMA arm delegates to the sparse planner on the panel's densified
-// pattern — exactly what the runtime's AlgoSUMMA arm executes.
+// pattern — exactly what the runtime's AlgoSUMMA arm executes, so the arm
+// keeps only that plan's candidates with sparse communication off and one
+// overlap channel (its best staged and best pipelined one).
 package planner

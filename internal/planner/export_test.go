@@ -36,17 +36,13 @@ func (pl *Plan) PredictUnmemoized(c Candidate) Candidate {
 // the ones a plan computed to refSubsetStat.
 func NewReference(a, b *spmat.CSC, in Input) (*Plan, error) {
 	in = in.withDefaults()
-	layers := in.Layers
-	if len(layers) == 0 {
-		layers = LayersFor(in.P)
-	}
 	pr, err := ProbePair(a, b, 0)
 	if err != nil {
 		return nil, err
 	}
 	pr.sampleFlops, pr.sampleNNZ, pr.sampleColID, pr.sampleRows = sampleOracle(a, b, pr.SampledCols)
 	pl := &Plan{In: in, Probe: pr, qOf: make(map[int]int), stats: make(map[int]*gridStat), a: a, b: b}
-	for _, l := range layers {
+	for _, l := range LayersFor(in.P) {
 		q, err := grid.SideFor(in.P, l)
 		if err != nil {
 			return nil, err

@@ -21,8 +21,8 @@ var update = flag.Bool("update", false, "rewrite testdata/picks.golden from this
 
 // TestPicksGolden pins what the planner decides: for every plan below, the
 // best candidate's Choice and the candidate count, or the best DenseConfig
-// and the best staged DenseConfig of a sparse×dense plan. The plans are
-// TestDominatedAxes' grid (both fixtures, two rank counts, four budgets, the
+// and the first feasible staged DenseConfig of a sparse×dense plan. The
+// plans are TestDominatedAxes' grid (both fixtures, two rank counts, four budgets, the
 // symbolic pass on and off, all through core.PlanInput), the three
 // planner-gate shapes, and the sparse×dense planner over both fixtures and
 // the spmm gate operand. testdata/picks.golden holds the lines; -update
@@ -94,17 +94,18 @@ func TestPicksGolden(t *testing.T) {
 		for _, p := range []int{4, 16, 64} {
 			for _, d := range []int32{4, 8, 32} {
 				name := fmt.Sprintf("dense %s p=%d d=%d", fx.name, p, d)
-				in := planner.DenseInput{P: p, Machine: testMachine()}
-				pl, err := planner.NewDense(fx.m, d, in)
+				pl, err := planner.NewDense(fx.m, d, planner.DenseInput{P: p, Machine: testMachine()})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				in.Pipelines = []bool{false}
-				staged, err := planner.NewDense(fx.m, d, in)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+				var staged *planner.DenseCandidate
+				for i := range pl.Candidates {
+					if c := &pl.Candidates[i]; c.Feasible && !c.Pipeline {
+						staged = c
+						break
+					}
 				}
-				add("%s: best %s, staged %s", name, densePick(pl.Best()), densePick(staged.Best()))
+				add("%s: best %s, staged %s", name, densePick(pl.Best()), densePick(staged))
 			}
 		}
 	}

@@ -23,10 +23,29 @@ const DefaultSecPerWork = 1e-9
 // small factor of the mean.
 const DefaultImbalance = 1.5
 
-// Input configures a planning run. Every prediction models
-// spmat.BytesPerNonzero bytes per stored nonzero, scores work at
-// DefaultSecPerWork, probes DefaultSampleCols columns and scales mean-based
-// per-rank estimates by DefaultImbalance.
+// The search space every plan ranks, in sweep order within a grid: format,
+// then sparse mode, then the staged candidate and its pipelined variants, one
+// per channel count. An Input says only what the caller is constrained by;
+// the planner decides every axis listed here.
+var (
+	// Formats lists the candidate storage formats.
+	Formats = []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatAuto}
+	// SparseModes lists the sparse A-broadcast modes: off and the per-stage
+	// cost-model decision. SparseOn is never a candidate — auto's prediction
+	// is ≤ on's by construction (it takes subsets exactly where they win),
+	// so on can never be the optimum.
+	SparseModes = []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto}
+	// Channels lists the overlap channel counts k of a pipelined candidate:
+	// the single-injection ledger and a second NIC channel. Higher k only
+	// adds hiding capacity beyond what two independent broadcast streams can
+	// use, so k = 2 saturates the model.
+	Channels = []int{1, 2}
+)
+
+// Input configures a planning run: the constraints the caller is under.
+// Every prediction models spmat.BytesPerNonzero bytes per stored nonzero,
+// scores work at DefaultSecPerWork, probes DefaultSampleCols columns and
+// scales mean-based per-rank estimates by DefaultImbalance.
 type Input struct {
 	// P is the total rank count. Required.
 	P int
@@ -38,39 +57,11 @@ type Input struct {
 	// Symbolic includes the distributed symbolic pass in every prediction
 	// (the memory-constrained workflow always runs it).
 	Symbolic bool
-	// Layers restricts the candidate layer counts (nil = every l for which
-	// p/l is a perfect square).
-	Layers []int
-	// Formats restricts the candidate storage formats (nil = csc, dcsc,
-	// auto).
-	Formats []spmat.Format
-	// Pipelines restricts the schedule dimension (nil = staged and
-	// pipelined).
-	Pipelines []bool
-	// SparseComms restricts the sparse-communication dimension (nil = off
-	// only, so pre-knob plans and their rankings are unchanged).
-	SparseComms []mpi.SparseMode
-	// Channels lists the candidate overlap channel counts k for pipelined
-	// configurations (nil = single-channel only, so pre-knob plans are
-	// unchanged). Staged configurations ignore the axis.
-	Channels []int
 }
 
 func (in Input) withDefaults() Input {
 	if in.Machine.Name == "" {
 		in.Machine = costmodel.CoriKNL()
-	}
-	if len(in.Formats) == 0 {
-		in.Formats = []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatAuto}
-	}
-	if len(in.Pipelines) == 0 {
-		in.Pipelines = []bool{false, true}
-	}
-	if len(in.SparseComms) == 0 {
-		in.SparseComms = []mpi.SparseMode{mpi.SparseOff}
-	}
-	if len(in.Channels) == 0 {
-		in.Channels = []int{1}
 	}
 	return in
 }
@@ -105,27 +96,21 @@ func LayersFor(p int) []int {
 }
 
 // New probes the pair (A, B) and evaluates the full configuration space for
-// it, returning the ranked plan. The decision is deterministic: the probe
-// samples on a fixed stride and ties rank by (layers, batches, format,
-// schedule).
+// it — every layer count LayersFor gives, crossed with Formats, SparseModes
+// and the schedules — returning the ranked plan. The decision is
+// deterministic: the probe samples on a fixed stride and ties rank by
+// (layers, batches, format, sparse mode, schedule, channels).
 func New(a, b *spmat.CSC, in Input) (*Plan, error) {
 	in = in.withDefaults()
 	if in.P <= 0 {
 		return nil, fmt.Errorf("planner: rank count %d", in.P)
-	}
-	layers := in.Layers
-	if len(layers) == 0 {
-		layers = LayersFor(in.P)
-	}
-	if len(layers) == 0 {
-		return nil, fmt.Errorf("planner: no valid layer count for p = %d (p/l must be a perfect square)", in.P)
 	}
 	pr, err := ProbePair(a, b, 0)
 	if err != nil {
 		return nil, err
 	}
 	pl := &Plan{In: in, Probe: pr, qOf: make(map[int]int), stats: make(map[int]*gridStat), a: a, b: b}
-	for _, l := range layers {
+	for _, l := range LayersFor(in.P) {
 		q, err := grid.SideFor(in.P, l)
 		if err != nil {
 			return nil, fmt.Errorf("planner: layer count %d: %w", l, err)
@@ -141,18 +126,15 @@ func New(a, b *spmat.CSC, in Input) (*Plan, error) {
 // enumerate appends gs's candidates in sweep order: format, then sparse
 // mode, then the staged candidate and its pipelined variants.
 func (pl *Plan) enumerate(gs *gridStat) {
-	in := pl.In
-	for _, f := range in.Formats {
-		for _, sm := range in.SparseComms {
+	for _, f := range Formats {
+		for _, sm := range SparseModes {
 			staged := pl.predict(gs, f, 0, sm)
-			for _, pipe := range in.Pipelines {
-				if !pipe {
-					pl.Candidates = append(pl.Candidates, staged)
-				} else if staged.Feasible {
-					for _, k := range in.Channels {
-						pl.Candidates = append(pl.Candidates, pl.applyOverlap(staged, k))
-					}
-				}
+			pl.Candidates = append(pl.Candidates, staged)
+			if !staged.Feasible {
+				continue
+			}
+			for _, k := range Channels {
+				pl.Candidates = append(pl.Candidates, pl.applyOverlap(staged, k))
 			}
 		}
 	}
@@ -207,10 +189,10 @@ func (pl *Plan) AllreduceShare() float64 {
 
 // Evaluate predicts one explicit configuration, pinning its batch count
 // instead of inducing it from the memory model (cfg.B ≤ 0 induces). The
-// layer count must be one the plan enumerated. Tests compare these
-// predictions against the meters of real runs, and the oracle comparison
-// uses them to show predicted-vs-measured breakdowns for arbitrary swept
-// points.
+// layer count must be one of LayersFor(P); the other axes may leave the
+// ranked space (SparseOn, k > 2). Tests compare these predictions against the
+// meters of real runs, and the oracle comparison uses them to show
+// predicted-vs-measured breakdowns for arbitrary swept points.
 func (pl *Plan) Evaluate(cfg Config) (Candidate, error) {
 	gs, ok := pl.stats[cfg.L]
 	if !ok {

@@ -113,9 +113,7 @@ func TestPredictorsAgainstMeters(t *testing.T) {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
 			a, b := pairFor(sh.mat)
-			pl, err := planner.New(a, b, planner.Input{
-				P: sh.p, Machine: machine, Symbolic: true, Layers: []int{sh.l},
-			})
+			pl, err := planner.New(a, b, planner.Input{P: sh.p, Machine: machine, Symbolic: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,9 +174,7 @@ func TestSparsePredictorAgainstMeters(t *testing.T) {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
 			a, b := pairFor(sh.mat)
-			pl, err := planner.New(a, b, planner.Input{
-				P: sh.p, Machine: machine, Symbolic: sh.symbolic, Layers: []int{sh.l},
-			})
+			pl, err := planner.New(a, b, planner.Input{P: sh.p, Machine: machine, Symbolic: sh.symbolic})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,10 +320,7 @@ func TestMemoizedPredictionsUnchanged(t *testing.T) {
 	for name, m := range map[string]*spmat.CSC{"friendster": friendsterTiny(), "kmers": kmersTiny(), "kmers-512": kmers} {
 		a, b := pairFor(m)
 		for _, mem := range []int64{0, 8 << 20} {
-			pl, err := planner.New(a, b, planner.Input{
-				P: 64, Machine: testMachine(), Symbolic: true, MemBytes: mem,
-				SparseComms: []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto}, Channels: []int{1, 2},
-			})
+			pl, err := planner.New(a, b, planner.Input{P: 64, Machine: testMachine(), Symbolic: true, MemBytes: mem})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,28 +352,32 @@ func TestUnconstrainedPicksOneBatch(t *testing.T) {
 }
 
 // TestBudgetInducesBatches: squeezing the budget must raise the induced
-// batch count, and an impossibly small budget must make the space
-// infeasible.
+// batch count of one configuration (l = 16, csc, staged), and an impossibly
+// small budget must make the space infeasible.
 func TestBudgetInducesBatches(t *testing.T) {
 	a, b := pairFor(friendsterTiny())
-	in := planner.Input{P: 64, Machine: testMachine(), Symbolic: true, Layers: []int{16}, Formats: []spmat.Format{spmat.FormatCSC}, Pipelines: []bool{false}}
-
-	wide := in
-	wide.MemBytes = 1 << 40
-	loose, err := planner.New(a, b, wide)
-	if err != nil {
-		t.Fatal(err)
+	in := planner.Input{P: 64, Machine: testMachine(), Symbolic: true}
+	cfg := planner.Config{L: 16, Format: spmat.FormatCSC}
+	induced := func(mem int64) planner.Candidate {
+		t.Helper()
+		in := in
+		in.MemBytes = mem
+		pl, err := planner.New(a, b, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := pl.Evaluate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	tightIn := in
+
+	lb := induced(1 << 40)
 	// 40% of the aggregate b=1 high-water mark: comfortably above the input
 	// floor, too small for the unmerged intermediate in one batch.
-	tightIn.MemBytes = int64(0.4 * 64 * float64(loose.Best().PeakMemBytesPerRank))
-	tight, err := planner.New(a, b, tightIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, tb := loose.Best(), tight.Best()
-	if lb == nil || tb == nil {
+	tb := induced(int64(0.4 * 64 * float64(lb.PeakMemBytesPerRank)))
+	if !lb.Feasible || !tb.Feasible {
 		t.Fatal("expected feasible candidates at both budgets")
 	}
 	if lb.B != 1 {

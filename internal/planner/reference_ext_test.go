@@ -45,8 +45,8 @@ func mclOperands(tb testing.TB) ([]*spmat.CSC, planner.Input) {
 // the probe and every grid's memoized statistics themselves — on both
 // planner fixtures, the eight operands of one clustering (under the daemon's
 // own Input too), a 64-rank k-mer A·Aᵀ and an R-MAT pair, with and without a
-// budget, every sparse mode, one and two channels, and every layer count or
-// just one.
+// budget, over the planner's whole space, and the forced sparse mode of every
+// sparse-auto candidate through Evaluate.
 func TestPlannerMatchesReference(t *testing.T) {
 	type pair struct {
 		name string
@@ -75,6 +75,27 @@ func TestPlannerMatchesReference(t *testing.T) {
 		ref, err := planner.NewReference(a, b, in)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// SparseOn is not a candidate; each ranked sparse-auto point's
+		// forced twin is predicted through Evaluate, on both plans, before
+		// the statistics it computes are compared.
+		for _, c := range got.Candidates {
+			if c.SparseComm != mpi.SparseAuto {
+				continue
+			}
+			cfg := c.Config
+			cfg.SparseComm = mpi.SparseOn
+			on, err := got.Evaluate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refOn, err := ref.Evaluate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(on, refOn) {
+				t.Fatalf("sparse-on %+v differs\n got %+v\nwant %+v", cfg, on, refOn)
+			}
 		}
 		if d := got.InternalsDiff(ref); d != "" {
 			t.Fatalf("statistics differ from the reference: %s", d)
@@ -121,15 +142,8 @@ func TestPlannerMatchesReference(t *testing.T) {
 	for _, pr := range pairs {
 		t.Run(pr.name, func(t *testing.T) {
 			sliceModelColumns(t, pr.a, pr.b, pr.p)
-			layers := planner.LayersFor(pr.p)
 			for _, mem := range []int64{0, 24 * localmm.Flops(pr.a, pr.b) / 4} {
-				for _, ls := range [][]int{nil, {layers[len(layers)/2]}} {
-					check(t, pr.a, pr.b, planner.Input{
-						P: pr.p, Machine: testMachine(), MemBytes: mem, Symbolic: mem > 0, Layers: ls,
-						SparseComms: []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto, mpi.SparseOn},
-						Channels:    []int{1, 2},
-					})
-				}
+				check(t, pr.a, pr.b, planner.Input{P: pr.p, Machine: testMachine(), MemBytes: mem, Symbolic: mem > 0})
 			}
 			if pr.p == daemon.P {
 				check(t, pr.a, pr.b, daemon)

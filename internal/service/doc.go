@@ -11,8 +11,8 @@
 //     BFS frontier sweep) re-"load" freely.
 //
 //   - PlanCache memoizes planner decisions keyed by
-//     planner.CacheKey(fingerprintA, fingerprintB, machine, knobs). The
-//     first multiply of a pair pays the probe and the full candidate sweep;
+//     planner.CacheKey(fingerprintA, fingerprintB, input). The first
+//     multiply of a pair pays the probe and the full candidate sweep;
 //     every repeat skips straight to execution with the cached
 //     planner.Choice. Single-flight semantics: concurrent requests for one
 //     key plan once, the rest wait for the result.

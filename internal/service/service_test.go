@@ -382,8 +382,7 @@ func TestRegistrySemantics(t *testing.T) {
 	}
 }
 
-// CacheKey must separate operands, budgets, and machines, and be insensitive
-// to defaulted-vs-explicit inputs.
+// CacheKey must separate operands, budgets, machines and the symbolic pass.
 func TestCacheKeyDiscriminates(t *testing.T) {
 	a := genmat.ER(32, 4, 1)
 	b := genmat.ER(32, 4, 2)
@@ -403,10 +402,10 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	if k2 := planner.CacheKey(fa, fa, hw); k1 == k2 {
 		t.Fatalf("different machines must key differently")
 	}
-	explicit := base
-	explicit.Pipelines = []bool{false, true}
-	if k2 := planner.CacheKey(fa, fa, explicit); k1 != k2 {
-		t.Fatalf("explicit defaults must key identically to omitted fields")
+	sym := base
+	sym.Symbolic = true
+	if k2 := planner.CacheKey(fa, fa, sym); k1 == k2 {
+		t.Fatalf("the symbolic pass must key differently")
 	}
 }
 
