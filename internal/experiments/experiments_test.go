@@ -62,9 +62,9 @@ func TestListOrdered(t *testing.T) {
 }
 
 // TestAllExperimentsRunTiny executes every experiment end to end at tiny
-// scale: the complete reproduction pipeline must work, and every run an
-// experiment makes must match its record in testdata/runs (`make golden`
-// regenerates them).
+// scale: the complete reproduction pipeline must work, every run an
+// experiment makes must match its record in testdata/runs, and its rendered
+// report must match testdata/reports (`make golden` regenerates both).
 func TestAllExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow in -short mode")
@@ -77,6 +77,7 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
 			checkRunRecords(t, e.ID, runs)
+			checkReport(t, e.ID, rep)
 			if rep.ID != e.ID {
 				t.Errorf("report id %q", rep.ID)
 			}

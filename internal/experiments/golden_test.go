@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,7 +15,7 @@ import (
 	"repro/internal/mpi"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/runs/*.golden from this run instead of comparing against them")
+var update = flag.Bool("update", false, "rewrite testdata/runs/*.golden and testdata/reports/*.golden from this run instead of comparing against them")
 
 // formatRun renders one run as a line of space-separated name=value fields:
 // the pins handed to core, whether the output was discarded, the batch count
@@ -23,11 +25,11 @@ var update = flag.Bool("update", false, "rewrite testdata/runs/*.golden from thi
 // pipelined run's exposed share depends on measured compute). Every field is
 // deterministic, so two runs of the same code print the same line on any
 // host.
-func formatRun(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) string {
-	o := rc.Opts
+func formatRun(pn pins, batches int, s *mpi.Summary) string {
+	o := pn.opts
 	f := []string{
-		fmt.Sprintf("p=%d", rc.P),
-		fmt.Sprintf("l=%d", rc.L),
+		fmt.Sprintf("p=%d", pn.p),
+		fmt.Sprintf("l=%d", pn.l),
 		fmt.Sprintf("mem=%d", o.MemBytes),
 		fmt.Sprintf("forceb=%d", o.ForceBatches),
 		fmt.Sprintf("kernel=%v", o.Kernel),
@@ -39,7 +41,7 @@ func formatRun(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) str
 		fmt.Sprintf("pipeline=%v", o.Pipeline),
 		fmt.Sprintf("algo=%v", o.Algo),
 		fmt.Sprintf("c=%d", o.Replication),
-		fmt.Sprintf("discard=%v", discard),
+		fmt.Sprintf("discard=%v", pn.discard),
 		fmt.Sprintf("b=%d", batches),
 	}
 	for _, step := range core.Steps {
@@ -56,11 +58,17 @@ func formatRun(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) str
 }
 
 // runRecorded runs e under opts and returns, beside its report, the record
-// of every multiply it made (formatRun).
+// of every multiply it made (formatRun). Each run's measured compute seconds
+// are replaced, before the experiment reads them, by its work units at the
+// gate's rate scaled by the run's machine, so the report's text is the same
+// on every host.
 func runRecorded(e *Experiment, opts RunOpts) (*Report, []string, error) {
 	var runs []string
-	recordRun = func(rc core.RunConfig, discard bool, batches int, s *mpi.Summary) {
-		runs = append(runs, formatRun(rc, discard, batches, s))
+	recordRun = func(pn pins, batches int, s *mpi.Summary) {
+		runs = append(runs, formatRun(pn, batches, s))
+		for _, st := range s.Steps {
+			st.ComputeSeconds = float64(st.WorkUnits) * GateSecPerWorkUnit * pn.machine.ComputeScale
+		}
 	}
 	defer func() { recordRun = nil }()
 	rep, err := e.Run(opts)
@@ -116,6 +124,72 @@ func checkRunRecords(t *testing.T, id string, runs []string) {
 			}
 		}
 		t.Errorf("%s run %d: %s", id, i+1, field)
+	}
+}
+
+// maskedReports print numbers no run pins: fig3's MCL iterations (apps/mcl
+// meters them), pipeline's hidden and exposed shares (overlap with measured
+// compute) and service's daemon timings and queueing. Their goldens hold the
+// text with every number masked and runs of spaces and dashes folded, so
+// column widths may move too.
+var maskedReports = map[string]bool{"fig3": true, "pipeline": true, "service": true}
+
+var (
+	numberRE = regexp.MustCompile(`[0-9][0-9.e+-]*`)
+	padRE    = regexp.MustCompile(` {2,}|-{3,}`)
+)
+
+// maskNumbers replaces every number in text by # and folds its padding.
+func maskNumbers(text string) string {
+	return padRE.ReplaceAllStringFunc(numberRE.ReplaceAllString(text, "#"), func(pad string) string {
+		return pad[:2]
+	})
+}
+
+// checkReport holds one experiment's rendered report to
+// testdata/reports/<id>.golden, or rewrites the file under -update; a
+// maskedReports entry is compared masked. A mismatch names the first line
+// that differs.
+func checkReport(t *testing.T, id string, rep *Report) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rep.Render(&buf); err != nil {
+		t.Fatalf("%s: render: %v", id, err)
+	}
+	got := buf.String()
+	if maskedReports[id] {
+		got = maskNumbers(got)
+	}
+	path := filepath.Join("testdata", "reports", id+".golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (regenerate with -update)", id, err)
+	}
+	if got == string(data) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(data), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s report line %d:\n got    %q\n golden %q", id, i+1, g, w)
+			return
+		}
 	}
 }
 

@@ -60,11 +60,11 @@ type outcome struct {
 // the pinned rate.
 func (o outcome) model() float64 { return o.comm + float64(o.work)*GateSecPerWorkUnit }
 
-// recordRun, when set, sees every run execute completes: the configuration
-// handed to core, whether the output was discarded, the batch count the run
-// executed and its machine-scaled summary. It is nil except while the golden
-// run-record test runs the experiments.
-var recordRun func(rc core.RunConfig, discard bool, batches int, s *mpi.Summary)
+// recordRun, when set, sees every run execute completes: its pins, the batch
+// count it executed and its machine-scaled summary, before the experiment
+// reads the summary. It is nil except while the golden tests run the
+// experiments.
+var recordRun func(pn pins, batches int, s *mpi.Summary)
 
 // execute runs C = A·B under pn — or, when panel is non-nil, A times that
 // dense panel (core.MultiplyDense; b is ignored) — and scales the metered
@@ -99,7 +99,7 @@ func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 		out.bytes += st.Bytes
 	}
 	if recordRun != nil {
-		recordRun(rc, pn.discard, out.b, out.summary)
+		recordRun(pn, out.b, out.summary)
 	}
 	return out, nil
 }
