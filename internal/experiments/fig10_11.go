@@ -39,7 +39,7 @@ func runFig10(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig10",
-		Title: "AAᵀ on the Metaclust20m analogue",
+		Title: registry["fig10"].Title,
 		PaperClaim: "At low concurrency more layers need more batches, so communication " +
 			"avoidance is partly offset; at high concurrency 16 layers is ~2x faster " +
 			"than 1 layer even though the 1-layer case needs no batching.",
@@ -86,7 +86,7 @@ func runFig11(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig11",
-		Title: "AAᵀ on the Rice-kmers analogue",
+		Title: registry["fig11"].Title,
 		PaperClaim: "nnz(AAᵀ) ≈ nnz(A), so b=1 everywhere; the run is dominated by " +
 			"communication (~2 nnz per k-mer column) and 16 layers give up to 6x.",
 	}

@@ -39,7 +39,7 @@ func runFig12(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig12",
-		Title: "Hyper-threading impact (Metaclust50-like squaring)",
+		Title: registry["fig12"].Title,
 		PaperClaim: "HT cuts computation (231→81 s at l=16) but inflates communication " +
 			"(147→209 s); the total still improves, and the benefit is larger when " +
 			"compute dominates (l=64).",
@@ -92,7 +92,7 @@ func runFig13(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig13",
-		Title: "Isolates-small-like squaring on KNL vs Haswell",
+		Title: registry["fig13"].Title,
 		PaperClaim: "Computation 2.1x faster and communication 1.4x faster on Haswell; " +
 			"communication takes a larger share of the total than on KNL.",
 	}
@@ -132,7 +132,7 @@ func runFig14(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig14",
-		Title: "Eukarya-like squaring at low concurrency",
+		Title: registry["fig14"].Title,
 		PaperClaim: "On 16 nodes, extra layers buy little (communication is insignificant); " +
 			"on 256 nodes, l=4 already helps while l=16 overshoots as AllToAll-Fiber " +
 			"becomes the bottleneck.",
@@ -172,7 +172,7 @@ func runFig15(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig15",
-		Title: "BatchedSUMMA3D (new kernels) vs previous SUMMA3D (heap kernels)",
+		Title: registry["fig15"].Title,
 		PaperClaim: "Computation >8x faster with hash-based multiply and merge; " +
 			"communication slightly faster too.",
 	}

@@ -20,7 +20,7 @@ func runFig3(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig3",
-		Title: "Markov clustering iteration times, 1-layer vs 16-layer expansion",
+		Title: registry["fig3"].Title,
 		PaperClaim: "Early iterations are the expensive multi-batch squarings; the 16-layer " +
 			"setting needs more batches yet is ~2x faster per iteration thanks to " +
 			"communication avoidance (1.88x overall on Isolates-small).",

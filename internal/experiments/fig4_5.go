@@ -39,7 +39,7 @@ func runFig4(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig4",
-		Title: "Step breakdown across l × b",
+		Title: registry["fig4"].Title,
 		PaperClaim: "A-Bcast grows ~linearly with b and shrinks ~√l with layers; B-Bcast is " +
 			"b-independent; Local-Multiply shrinks with l; AllToAll-Fiber and Merge-Fiber " +
 			"grow with l; the best total sits at intermediate l (16 in the paper).",
@@ -80,7 +80,7 @@ func runFig5(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig5",
-		Title: "A-Broadcast time vs l at fixed b",
+		Title: registry["fig5"].Title,
 		PaperClaim: "Observed A-Broadcast time closely follows the ideal √l decrease " +
 			"(factor 2 per 4x layers).",
 	}

@@ -95,7 +95,7 @@ func runScaling(opts RunOpts, id string, workloads []string, big bool) (*Report,
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    id,
-		Title: "Strong scaling with l=16 and symbolic batch selection",
+		Title: registry[id].Title,
 		PaperClaim: "10-17x total speedup across a 16x core increase; b at least halves per " +
 			"4x nodes; A-Broadcast can scale super-linearly because fewer batches " +
 			"re-broadcast A fewer times.",
@@ -138,7 +138,7 @@ func runFig9(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig9",
-		Title: "Parallel efficiency",
+		Title: registry["fig9"].Title,
 		PaperClaim: "Efficiency stays near (or above) 1 for three of the four matrices; the " +
 			"sparser Metaclust drops earliest because communication dominates sooner.",
 	}

@@ -19,7 +19,7 @@ func runFig8(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "fig8",
-		Title: "Symbolic step breakdown for l ∈ {1, 4, 16}",
+		Title: registry["fig8"].Title,
 		PaperClaim: "Symbolic communication shrinks >4x from 1 to 16 layers, giving >2x total " +
 			"symbolic speedup, because LOCALSYMBOLIC is much cheaper than LOCALMULTIPLY " +
 			"while the broadcasts are identical.",

@@ -29,7 +29,7 @@ func runHypersparse(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "hypersparse",
-		Title: "CSC vs DCSC block storage",
+		Title: registry["hypersparse"].Title,
 		PaperClaim: "At scale the local blocks SUMMA moves are hypersparse (Rice-kmers: ~2 nnz " +
 			"per column), so dense per-column metadata costs O(cols) per block where " +
 			"doubly-compressed storage (Buluç & Gilbert's DCSC) costs O(nnz); smaller block " +

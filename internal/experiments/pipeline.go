@@ -32,7 +32,7 @@ func runPipeline(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "pipeline",
-		Title: "Staged vs fully-overlapped schedule",
+		Title: registry["pipeline"].Title,
 		PaperClaim: "The paper's schedule is staged; SpComm3D-style overlap predicts the " +
 			"broadcasts and the fiber AllToAll largely hide behind local multiply and merge, " +
 			"shrinking exposed communication without changing volume or output.",

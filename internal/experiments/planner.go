@@ -494,7 +494,7 @@ func init() {
 func runPlannerExperiment(opts RunOpts) (*Report, error) {
 	r := &Report{
 		ID:    "planner",
-		Title: "analytical autotuner vs exhaustive oracle sweep",
+		Title: registry["planner"].Title,
 		PaperClaim: "The paper picks l and b by sweeping (Figs 4, 6, 8); an α–β cost model over " +
 			"cheap input statistics should be able to pick them analytically (cf. Azad et al.'s " +
 			"multi-level 3D SpGEMM model), within a few percent of the swept optimum.",

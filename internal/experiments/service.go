@@ -80,7 +80,7 @@ func DriveService(cl *service.Client, sc Scale) (*Report, error) {
 
 	rep := &Report{
 		ID:    "service",
-		Title: "multiply-as-a-service soak",
+		Title: registry["service"].Title,
 		PaperClaim: "iterated workloads amortize load/probe/plan cost across repeated " +
 			"multiplies on resident matrices (ROADMAP north star; cf. arXiv 2203.07673 on resident-operand reuse)",
 	}

@@ -28,7 +28,7 @@ func runSparseComm(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "sparsecomm",
-		Title: "Column-subset A-broadcast",
+		Title: registry["sparsecomm"].Title,
 		PaperClaim: "At scale most of a broadcast A-block's columns are dead weight for any " +
 			"single receiver: only the columns matching the nonzero rows of that receiver's " +
 			"B block contribute flops. Restricting the A payload to that column subset trades " +

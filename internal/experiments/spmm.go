@@ -64,7 +64,7 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "spmm",
-		Title: "sparse×dense SpMM: SUMMA vs 1.5D ColA vs 1.5D InnerABC",
+		Title: registry["spmm"].Title,
 		PaperClaim: "Koanantakool et al. (IPDPS 2016) show sparse×dense wants a different family " +
 			"than sparse×sparse: 1.5D schedules with c-fold replication move the sparse matrix " +
 			"(ColA) or the panel (InnerABC) around a ring of p/c positions, beating SUMMA — " +

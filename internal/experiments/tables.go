@@ -47,7 +47,7 @@ func runTable2(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "table2",
-		Title: "Communication volumes vs Table II predictions",
+		Title: registry["table2"].Title,
 		PaperClaim: "A-Bcast volume ∝ b·nnz(A)/√(pl); B-Bcast volume independent of b; " +
 			"AllToAll-Fiber volume ≤ β·flops/p per process and independent of b.",
 	}
@@ -111,7 +111,7 @@ func runTable3(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "table3",
-		Title: "Computation per process vs Table III",
+		Title: registry["table3"].Title,
 		PaperClaim: "Local-Multiply does flops/p work in total regardless of l and b; " +
 			"merge work grows with lg(p/l) (layer) and lg(l) (fiber).",
 	}
@@ -165,7 +165,7 @@ func runTable5(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "table5",
-		Title: "Scaled analogues of the paper's test matrices",
+		Title: registry["table5"].Title,
 		PaperClaim: "All inputs satisfy nnz(C) > nnz(A)+nnz(B) except Rice-kmers, " +
 			"whose AAᵀ stays ≈ nnz(A) (so it never needs batching).",
 	}
@@ -208,7 +208,7 @@ func runTable6(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "table6",
-		Title: "Qualitative impact of increasing l (fixed b) and b (fixed l)",
+		Title: registry["table6"].Title,
 		PaperClaim: "b↑: A-Bcast ↑, B-Bcast ↔, Local-Multiply ↔, Merge-Layer ↔, " +
 			"Merge-Fiber ↔, AllToAll ↔. l↑: A-Bcast ↓, B-Bcast ↓, Local-Multiply ↓, " +
 			"Merge-Layer ↔, Merge-Fiber ↑, AllToAll ↑.",
@@ -289,7 +289,7 @@ func runTable7(opts RunOpts) (*Report, error) {
 	opts = opts.withDefaults()
 	r := &Report{
 		ID:    "table7",
-		Title: "Local computation improvements (previous vs new kernels)",
+		Title: registry["table7"].Title,
 		PaperClaim: "Merge-Layer and Merge-Fiber improve by an order of magnitude with " +
 			"unsorted hash merging; Local-Multiply improves up to ~30% with more layers.",
 	}
