@@ -105,8 +105,8 @@ func LocalHost() Machine {
 // balance that would otherwise make communication invisible. Scaling β (not
 // α) keeps the bandwidth-driven effects the paper studies in proportion
 // without letting latency terms, which the paper reports as ~1% of runtime,
-// dominate. The per-scale factors live in the experiments package and are
-// documented in EXPERIMENTS.md ("Calibration").
+// dominate. The per-scale factors live in the experiments package
+// (commAmplification).
 func (m Machine) ScaledBeta(factor float64) Machine {
 	m.BetaSecPerByte *= factor
 	return m

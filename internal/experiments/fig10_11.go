@@ -10,122 +10,74 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "fig10",
-		Title:       "AAᵀ with Metaclust20m-like (overlap candidates, batching needed)",
-		Description: "Layer/batch combinations across three process counts for the denser k-mer matrix.",
-		Run:         runFig10,
+		ID:    "fig10",
+		Title: "AAᵀ with Metaclust20m-like (overlap candidates, batching needed)",
+		claim: "At low concurrency more layers need more batches, so communication " +
+			"avoidance is partly offset; at high concurrency 16 layers is ~2x faster " +
+			"than 1 layer even though the 1-layer case needs no batching.",
+		run: runFig10,
 	})
 	register(&Experiment{
-		ID:          "fig11",
-		Title:       "AAᵀ with Rice-kmers-like (hypersparse, b=1)",
-		Description: "Communication-dominated AAᵀ where layers help even without batching.",
-		Run:         runFig11,
+		ID:    "fig11",
+		Title: "AAᵀ with Rice-kmers-like (hypersparse, b=1)",
+		claim: "nnz(AAᵀ) ≈ nnz(A), so b=1 everywhere; the run is dominated by " +
+			"communication (~2 nnz per k-mer column) and 16 layers give up to 6x.",
+		run: runFig11,
 	})
 }
 
 // aatPs returns the process counts used by the AAᵀ scalability figures.
 func aatPs(sc Scale) []int {
-	switch sc {
-	case ScaleTiny:
-		return []int{16}
-	case ScaleLarge:
-		return []int{16, 64, 256}
-	default:
-		return []int{16, 64}
-	}
+	return [][]int{ScaleTiny: {16}, ScaleSmall: {16, 64}, ScaleLarge: {16, 64, 256}}[sc]
 }
 
-func runFig10(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "fig10",
-		Title: registry["fig10"].Title,
-		PaperClaim: "At low concurrency more layers need more batches, so communication " +
-			"avoidance is partly offset; at high concurrency 16 layers is ~2x faster " +
-			"than 1 layer even though the 1-layer case needs no batching.",
+// aatLayers returns the discarding AAᵀ runs on p ranks for l ∈ {1, 4, 16},
+// each labelled by its l, under the experiment's engine pins.
+func aatLayers(opts RunOpts, a, aT *spmat.CSC, p int, pinned core.Options) []point {
+	var pts []point
+	for _, l := range []int{1, 4, 16} {
+		pt := opts.point(a, aT, p, l, pinned, fmt.Sprint(l))
+		pt.pn.discard = true
+		pts = append(pts, pt)
 	}
-	a, err := Workload(WLMetaclust20m, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+	return pts
+}
+
+// runFig10 sweeps layer counts across process counts for the denser k-mer
+// matrix under one memory budget.
+func runFig10(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLMetaclust20m, opts.Scale)
 	aT := spmat.Transpose(a)
 	mem := memoryForBatches(a, aT, aatPs(opts.Scale)[0], 1, 4, 24)
 	for _, p := range aatPs(opts.Scale) {
-		tb := r.NewTable(fmt.Sprintf("p=%d (modeled %s cores)", p, coresLabel(p)),
-			"l", "b", "Symbolic", "A-Bcast", "B-Bcast", "LocalMult", "MergeLayer",
-			"AllToAll", "MergeFiber", "total")
-		var t1, t16 float64
-		for _, l := range []int{1, 4, 16} {
-			pn := opts.pins(p, l, core.Options{Semiring: semiring.PlusPairs(), MemBytes: mem, RunSymbolic: true})
-			pn.discard = true
-			rr, err := execute(a, aT, nil, pn)
-			if err != nil {
-				return nil, err
-			}
-			ss := stepSeconds(rr.summary)
-			total := totalSeconds(rr.summary)
-			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.b),
-				fmtS(ss[core.StepSymbolic]), fmtS(ss[core.StepABcast]), fmtS(ss[core.StepBBcast]),
-				fmtS(ss[core.StepLocalMult]), fmtS(ss[core.StepMergeLayer]),
-				fmtS(ss[core.StepAllToAll]), fmtS(ss[core.StepMergeFiber]), fmtS(total))
-			switch l {
-			case 1:
-				t1 = total
-			case 16:
-				t16 = total
-			}
+		runs, err := r.sweepTable(fmt.Sprintf("p=%d (modeled %s cores)", p, coresLabel(p)), []string{"l"}, breakdown...).
+			sweep(aatLayers(opts, a, aT, p, core.Options{Semiring: semiring.PlusPairs(), MemBytes: mem, RunSymbolic: true})...)
+		if err != nil {
+			return err
 		}
-		if t16 > 0 {
-			r.Finding("p=%d: l=16 vs l=1 total ratio %.2f (paper: layers win as concurrency grows)", p, t1/t16)
+		if t16 := runs[2].total(); t16 > 0 {
+			r.Finding("p=%d: l=16 vs l=1 total ratio %.2f (paper: layers win as concurrency grows)", p, runs[0].total()/t16)
 		}
 	}
-	return r, nil
+	return nil
 }
 
-func runFig11(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "fig11",
-		Title: registry["fig11"].Title,
-		PaperClaim: "nnz(AAᵀ) ≈ nnz(A), so b=1 everywhere; the run is dominated by " +
-			"communication (~2 nnz per k-mer column) and 16 layers give up to 6x.",
-	}
-	a, err := Workload(WLRiceKmers, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+// runFig11 sweeps layer counts for the communication-dominated AAᵀ, where
+// layers help even without batching.
+func runFig11(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLRiceKmers, opts.Scale)
 	aT := spmat.Transpose(a)
 	for _, p := range aatPs(opts.Scale) {
-		tb := r.NewTable(fmt.Sprintf("p=%d (modeled %s cores)", p, coresLabel(p)),
-			"l", "b", "comm s", "comp s", "total", "comm share")
-		var t1, t16 float64
-		for _, l := range []int{1, 4, 16} {
-			pn := opts.pins(p, l, core.Options{Semiring: semiring.PlusPairs(), ForceBatches: 1, RunSymbolic: true})
-			pn.discard = true
-			rr, err := execute(a, aT, nil, pn)
-			if err != nil {
-				return nil, err
-			}
-			comm := rr.comm
-			comp := computeSeconds(rr.summary)
-			total := comm + comp
-			share := 0.0
-			if total > 0 {
-				share = comm / total
-			}
-			tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.b), fmtS(comm), fmtS(comp),
-				fmtS(total), fmt.Sprintf("%.0f%%", share*100))
-			switch l {
-			case 1:
-				t1 = total
-			case 16:
-				t16 = total
-			}
+		runs, err := r.sweepTable(fmt.Sprintf("p=%d (modeled %s cores)", p, coresLabel(p)), []string{"l"},
+			batchCol, commCol, compCol, totalCol, shareCol).
+			sweep(aatLayers(opts, a, aT, p, core.Options{Semiring: semiring.PlusPairs(), ForceBatches: 1, RunSymbolic: true})...)
+		if err != nil {
+			return err
 		}
-		if t16 > 0 {
-			r.Finding("p=%d: 16 layers improved the b=1 AAᵀ by %.1fx (paper: up to 6x at 65K cores)", p, t1/t16)
+		if t16 := runs[2].total(); t16 > 0 {
+			r.Finding("p=%d: 16 layers improved the b=1 AAᵀ by %.1fx (paper: up to 6x at 65K cores)", p, runs[0].total()/t16)
 		}
 	}
 	r.Finding("batching was never triggered (b=1 in every cell), matching nnz(AAT) ≈ nnz(A)")
-	return r, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/apps/mcl"
 	"repro/internal/core"
@@ -9,26 +10,20 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "fig3",
-		Title:       "HipMCL iterations with BatchedSUMMA3D: 1 layer vs 16 layers",
-		Description: "Per-iteration runtime split (Symbolic / Communication / Computation) with the batch count annotated, for the first iterations of Markov clustering.",
-		Run:         runFig3,
+		ID:    "fig3",
+		Title: "HipMCL iterations with BatchedSUMMA3D: 1 layer vs 16 layers",
+		claim: "Early iterations are the expensive multi-batch squarings; the 16-layer " +
+			"setting needs more batches yet is ~2x faster per iteration thanks to " +
+			"communication avoidance (1.88x overall on Isolates-small).",
+		run: runFig3,
 	})
 }
 
-func runFig3(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "fig3",
-		Title: registry["fig3"].Title,
-		PaperClaim: "Early iterations are the expensive multi-batch squarings; the 16-layer " +
-			"setting needs more batches yet is ~2x faster per iteration thanks to " +
-			"communication avoidance (1.88x overall on Isolates-small).",
-	}
-	a, err := Workload(WLIsolatesSmall, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+// runFig3 splits the first Markov clustering iterations' runtime (symbolic,
+// communication, computation) with the batch count annotated, at 1 and at
+// 16 layers.
+func runFig3(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLIsolatesSmall, opts.Scale)
 	iters := 6
 	if opts.Scale == ScaleLarge {
 		iters = 10
@@ -49,67 +44,45 @@ func runFig3(opts RunOpts) (*Report, error) {
 	mcl.NormalizeColumns(m1)
 	mem := mclMemoryBudget(m1, p, 6)
 
-	runMCL := func(layers int) ([]mcl.IterStats, error) {
-		cfg := mcl.Config{
-			MaxIter: iters,
-			Dist: &core.RunConfig{
-				P: p, L: layers, Cost: opts.Machine.Cost(),
-				Opts: core.Options{MemBytes: mem, RunSymbolic: true, Threads: opts.Threads},
-			},
-		}
-		res, err := mcl.Cluster(a, cfg)
+	var runs [2][]mcl.IterStats
+	for i, layers := range []int{1, 16} {
+		res, err := mcl.Cluster(a, mcl.Config{MaxIter: iters, Dist: &core.RunConfig{
+			P: p, L: layers, Cost: opts.machine().Cost(),
+			Opts: core.Options{MemBytes: mem, RunSymbolic: true, Threads: opts.Threads},
+		}})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return res.Iters, nil
+		runs[i] = res.Iters
 	}
-	iters1, err := runMCL(1)
-	if err != nil {
-		return nil, err
-	}
-	iters16, err := runMCL(16)
-	if err != nil {
-		return nil, err
-	}
+	iters1, iters16 := runs[0], runs[1]
 
 	tb := r.NewTable("per-iteration time (seconds; modeled comm + measured compute)",
 		"iter", "l=1 b", "l=1 symbolic", "l=1 comm", "l=1 comp", "l=1 total",
 		"l=16 b", "l=16 symbolic", "l=16 comm", "l=16 comp", "l=16 total")
-	var tot1, tot16 float64
-	n := len(iters1)
-	if len(iters16) < n {
-		n = len(iters16)
+	// cells are one layer count's columns for an iteration; the step split
+	// leaves the symbolic step out of comm and comp.
+	cells := func(it mcl.IterStats) []string {
+		sym := it.Summary.Step(core.StepSymbolic)
+		return []string{fmt.Sprint(it.Batches), fmtS(sym.Total()),
+			fmtS(commSeconds(it.Summary) - sym.CommSeconds), fmtS(computeSeconds(it.Summary) - sym.ComputeSeconds),
+			fmtS(totalSeconds(it.Summary))}
 	}
-	for i := 0; i < n; i++ {
+	var tot1, tot16 float64
+	var maxB1, maxB16 int
+	n := min(len(iters1), len(iters16))
+	for i := range n {
 		s1, s16 := iters1[i], iters16[i]
-		sym1 := s1.Summary.Step(core.StepSymbolic)
-		sym16 := s16.Summary.Step(core.StepSymbolic)
-		comm1 := commSeconds(s1.Summary) - sym1.CommSeconds
-		comm16 := commSeconds(s16.Summary) - sym16.CommSeconds
-		comp1 := computeSeconds(s1.Summary) - sym1.ComputeSeconds
-		comp16 := computeSeconds(s16.Summary) - sym16.ComputeSeconds
-		t1 := totalSeconds(s1.Summary)
-		t16 := totalSeconds(s16.Summary)
-		tot1 += t1
-		tot16 += t16
-		tb.AddRow(fmt.Sprint(i+1),
-			fmt.Sprint(s1.Batches), fmtS(sym1.Total()), fmtS(comm1), fmtS(comp1), fmtS(t1),
-			fmt.Sprint(s16.Batches), fmtS(sym16.Total()), fmtS(comm16), fmtS(comp16), fmtS(t16))
+		tot1 += totalSeconds(s1.Summary)
+		tot16 += totalSeconds(s16.Summary)
+		maxB1, maxB16 = max(maxB1, s1.Batches), max(maxB16, s16.Batches)
+		tb.AddRow(slices.Concat([]string{fmt.Sprint(i + 1)}, cells(s1), cells(s16))...)
 	}
 	if tot16 > 0 {
 		r.Finding("16-layer MCL ran %.2fx vs 1-layer over the first %d iterations (paper: 1.88x overall)",
 			tot1/tot16, n)
 	}
-	var maxB1, maxB16 int
-	for i := 0; i < n; i++ {
-		if iters1[i].Batches > maxB1 {
-			maxB1 = iters1[i].Batches
-		}
-		if iters16[i].Batches > maxB16 {
-			maxB16 = iters16[i].Batches
-		}
-	}
 	r.Finding("batching is heaviest in early iterations (max b: l=1 → %d, l=16 → %d) and decays as pruning sparsifies the matrix", maxB1, maxB16)
 	tb.Notes = append(tb.Notes, "iteration time = max-over-ranks modeled comm + measured compute of the expansion SpGEMM")
-	return r, nil
+	return nil
 }

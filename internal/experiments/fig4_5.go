@@ -3,22 +3,26 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 )
 
 func init() {
 	register(&Experiment{
-		ID:          "fig4",
-		Title:       "Impact of layers (l) and batches (b) on each step",
-		Description: "Step-time breakdown sweeping l and b for Friendster-like and Isolates-small-like squaring.",
-		Run:         runFig4,
+		ID:    "fig4",
+		Title: "Impact of layers (l) and batches (b) on each step",
+		claim: "A-Bcast grows ~linearly with b and shrinks ~√l with layers; B-Bcast is " +
+			"b-independent; Local-Multiply shrinks with l; AllToAll-Fiber and Merge-Fiber " +
+			"grow with l; the best total sits at intermediate l (16 in the paper).",
+		run: runFig4,
 	})
 	register(&Experiment{
-		ID:          "fig5",
-		Title:       "A-Broadcast time vs number of layers (observed vs ideal √l)",
-		Description: "With fixed b, A-Broadcast should shrink ∝ √l as layers grow.",
-		Run:         runFig5,
+		ID:    "fig5",
+		Title: "A-Broadcast time vs number of layers (observed vs ideal √l)",
+		claim: "Observed A-Broadcast time closely follows the ideal √l decrease " +
+			"(factor 2 per 4x layers).",
+		run: runFig5,
 	})
 }
 
@@ -35,89 +39,62 @@ func fig4Axes(sc Scale) (layers, batches []int, p int) {
 	}
 }
 
-func runFig4(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "fig4",
-		Title: registry["fig4"].Title,
-		PaperClaim: "A-Bcast grows ~linearly with b and shrinks ~√l with layers; B-Bcast is " +
-			"b-independent; Local-Multiply shrinks with l; AllToAll-Fiber and Merge-Fiber " +
-			"grow with l; the best total sits at intermediate l (16 in the paper).",
-	}
+// runFig4 sweeps l × b on the Friendster and Isolates-small analogues. The
+// batch counts are forced, so the symbolic pass does not run and the
+// breakdown leaves out its column.
+func runFig4(r *Report, opts RunOpts) error {
 	layers, batches, p := fig4Axes(opts.Scale)
 	for _, wl := range []string{WLFriendster, WLIsolatesSmall} {
-		a, err := Workload(wl, opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		tb := r.NewTable(fmt.Sprintf("%s (A², p=%d, modeled %s cores)", wl, p, coresLabel(p)),
-			"l", "b", "A-Bcast", "B-Bcast", "LocalMult", "MergeLayer", "AllToAll", "MergeFiber", "total")
-		best := math.Inf(1)
-		bestL := 0
+		a := mustWorkload(wl, opts.Scale)
+		var pts []point
 		for _, l := range layers {
 			for _, b := range batches {
-				rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{ForceBatches: b}))
-				if err != nil {
-					return nil, err
-				}
-				ss := stepSeconds(rr.summary)
-				total := totalSeconds(rr.summary) - ss[core.StepSymbolic]
-				tb.AddRow(fmt.Sprint(l), fmt.Sprint(rr.b),
-					fmtS(ss[core.StepABcast]), fmtS(ss[core.StepBBcast]),
-					fmtS(ss[core.StepLocalMult]), fmtS(ss[core.StepMergeLayer]),
-					fmtS(ss[core.StepAllToAll]), fmtS(ss[core.StepMergeFiber]), fmtS(total))
-				if total < best {
-					best, bestL = total, l
-				}
+				pts = append(pts, opts.point(a, a, p, l, core.Options{ForceBatches: b}, fmt.Sprint(l)))
 			}
 		}
-		r.Finding("%s: best total at l=%d for p=%d (paper: intermediate layer counts win once communication matters)", wl, bestL, p)
+		outs, err := r.sweepTable(fmt.Sprintf("%s (A², p=%d, modeled %s cores)", wl, p, coresLabel(p)),
+			[]string{"l"}, slices.Delete(slices.Clone(breakdown), 1, 2)...).sweep(pts...)
+		if err != nil {
+			return err
+		}
+		r.Finding("%s: best total at l=%d for p=%d (paper: intermediate layer counts win once communication matters)", wl, fastest(outs).pn.l, p)
 	}
-	return r, nil
+	return nil
 }
 
-func runFig5(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "fig5",
-		Title: registry["fig5"].Title,
-		PaperClaim: "Observed A-Broadcast time closely follows the ideal √l decrease " +
-			"(factor 2 per 4x layers).",
-	}
-	a, err := Workload(WLFriendster, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+func runFig5(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLFriendster, opts.Scale)
 	p := 64
 	if opts.Scale == ScaleLarge {
 		p = 256
 	}
-	layers := []int{1, 4, 16}
+	// The ideal curve is the sweep's l=1 A-Broadcast time over √l.
+	observed := func(o outcome) float64 { return o.summary.Step(core.StepABcast).CommSeconds }
+	ideal := func(o outcome) float64 { return observed(*o.base) / math.Sqrt(float64(o.pn.l)) }
+	ratio := func(o outcome) float64 {
+		if id := ideal(o); id > 0 {
+			return observed(o) / id
+		}
+		return 0
+	}
 	for _, b := range []int{2, 8} {
-		tb := r.NewTable(fmt.Sprintf("b=%d (p=%d)", b, p),
-			"l", "A-Bcast modeled s", "ideal (t1/√l)", "observed/ideal")
-		var t1 float64
+		var pts []point
+		for _, l := range []int{1, 4, 16} {
+			pts = append(pts, opts.point(a, a, p, l, core.Options{ForceBatches: b}, fmt.Sprint(l)))
+		}
+		outs, err := r.sweepTable(fmt.Sprintf("b=%d (p=%d)", b, p), []string{"l"},
+			column{"A-Bcast modeled s", func(o outcome) string { return fmtS(observed(o)) }},
+			column{"ideal (t1/√l)", func(o outcome) string { return fmtS(ideal(o)) }},
+			column{"observed/ideal", func(o outcome) string { return fmt.Sprintf("%.2f", ratio(o)) }},
+		).sweep(pts...)
+		if err != nil {
+			return err
+		}
 		worst := 0.0
-		for _, l := range layers {
-			rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{ForceBatches: b}))
-			if err != nil {
-				return nil, err
-			}
-			obs := rr.summary.Step(core.StepABcast).CommSeconds
-			if l == 1 {
-				t1 = obs
-			}
-			ideal := t1 / math.Sqrt(float64(l))
-			ratio := 0.0
-			if ideal > 0 {
-				ratio = obs / ideal
-			}
-			if d := math.Abs(ratio - 1); d > worst {
-				worst = d
-			}
-			tb.AddRow(fmt.Sprint(l), fmtS(obs), fmtS(ideal), fmt.Sprintf("%.2f", ratio))
+		for _, o := range outs {
+			worst = max(worst, math.Abs(ratio(o)-1))
 		}
 		r.Finding("b=%d: observed A-Bcast stays within %.0f%% of the ideal √l curve", b, worst*100)
 	}
-	return r, nil
+	return nil
 }

@@ -2,32 +2,37 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
 
 func init() {
+	const scalingClaim = "10-17x total speedup across a 16x core increase; b at least halves per " +
+		"4x nodes; A-Broadcast can scale super-linearly because fewer batches " +
+		"re-broadcast A fewer times."
 	register(&Experiment{
-		ID:          "fig6",
-		Title:       "Strong scaling: Friendster-like and Isolates-small-like",
-		Description: "Total and per-step times across a 16x increase in processes with a fixed per-process memory budget; batch counts fall as aggregate memory grows.",
-		Run: func(o RunOpts) (*Report, error) {
-			return runScaling(o, "fig6", []string{WLFriendster, WLIsolatesSmall}, false)
+		ID:    "fig6",
+		Title: "Strong scaling: Friendster-like and Isolates-small-like",
+		claim: scalingClaim,
+		run: func(r *Report, opts RunOpts) error {
+			return runScaling(r, opts, []string{WLFriendster, WLIsolatesSmall}, false)
 		},
 	})
 	register(&Experiment{
-		ID:          "fig7",
-		Title:       "Strong scaling: Isolates-like and Metaclust50-like",
-		Description: "Same experiment on the two biggest matrices.",
-		Run: func(o RunOpts) (*Report, error) {
-			return runScaling(o, "fig7", []string{WLIsolates, WLMetaclust50}, true)
+		ID:    "fig7",
+		Title: "Strong scaling: Isolates-like and Metaclust50-like",
+		claim: scalingClaim,
+		run: func(r *Report, opts RunOpts) error {
+			return runScaling(r, opts, []string{WLIsolates, WLMetaclust50}, true)
 		},
 	})
 	register(&Experiment{
-		ID:          "fig9",
-		Title:       "Parallel efficiency of BatchedSUMMA3D",
-		Description: "Efficiency P1·T1/(P2·T2) relative to the smallest run for the four large matrices.",
-		Run:         runFig9,
+		ID:    "fig9",
+		Title: "Parallel efficiency of BatchedSUMMA3D",
+		claim: "Efficiency stays near (or above) 1 for three of the four matrices; the " +
+			"sparser Metaclust drops earliest because communication dominates sooner.",
+		run: runFig9,
 	})
 }
 
@@ -36,151 +41,93 @@ func init() {
 // layers would make every process row a single rank and the broadcasts
 // free). l=16 needs p/16 to be a perfect square.
 func scalingPs(sc Scale, big bool) []int {
-	switch sc {
-	case ScaleTiny:
+	switch {
+	case sc == ScaleTiny:
 		return []int{64, 256}
-	case ScaleLarge:
-		if big {
-			return []int{256, 1024, 4096}
-		}
-		return []int{64, 256, 1024}
-	default:
-		return []int{64, 256, 1024}
+	case sc == ScaleLarge && big:
+		return []int{256, 1024, 4096}
 	}
+	return []int{64, 256, 1024}
 }
 
-// scalingRun is one point of a strong-scaling curve.
-type scalingRun struct {
-	p     int
-	b     int
-	steps map[string]float64
-	total float64
-	comm  float64
-	comp  float64
-}
-
-// runScalingCurve sweeps p with a fixed per-process memory budget (aggregate
-// memory grows with p, so b falls — the super-linear speedup mechanism of
-// Sec. V-E).
-func runScalingCurve(opts RunOpts, wl string, big bool) ([]scalingRun, error) {
+// scalingCurve returns a strong-scaling curve, one point per p labelled by
+// it, at l=16 with a fixed per-process memory budget: aggregate memory grows
+// with p, so b falls — the super-linear speedup mechanism of Sec. V-E.
+func scalingCurve(opts RunOpts, wl string, big bool) []point {
 	// One workload scale up: strong scaling divides the work by up to 1024
 	// ranks, and per-rank kernels must stay large enough to time reliably.
-	a, err := Workload(wl, scaleUp(opts.Scale))
-	if err != nil {
-		return nil, err
-	}
+	a := mustWorkload(wl, scaleUp(opts.Scale))
 	ps := scalingPs(opts.Scale, big)
-	l := 16
+	const l = 16
 	// Fix the per-process budget so the smallest run needs several batches
 	// (the paper's smallest configurations run b ≈ 8–125).
 	perProc := memoryForBatches(a, a, ps[0], l, 10, 24) / int64(ps[0])
-	var out []scalingRun
+	var pts []point
 	for _, p := range ps {
-		rr, err := execute(a, a, nil, opts.pins(p, l, core.Options{MemBytes: perProc * int64(p), RunSymbolic: true}))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, scalingRun{
-			p: p, b: rr.b,
-			steps: stepSeconds(rr.summary),
-			total: totalSeconds(rr.summary),
-			comm:  rr.comm,
-			comp:  computeSeconds(rr.summary),
-		})
+		pts = append(pts, opts.point(a, a, p, l, core.Options{MemBytes: perProc * int64(p), RunSymbolic: true}, fmt.Sprint(p)))
 	}
-	return out, nil
+	return pts
 }
 
-func runScaling(opts RunOpts, id string, workloads []string, big bool) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    id,
-		Title: registry[id].Title,
-		PaperClaim: "10-17x total speedup across a 16x core increase; b at least halves per " +
-			"4x nodes; A-Broadcast can scale super-linearly because fewer batches " +
-			"re-broadcast A fewer times.",
-	}
+// runScaling tables the step breakdown of each workload's strong-scaling
+// curve with l=16 and symbolic batch selection.
+func runScaling(r *Report, opts RunOpts, workloads []string, big bool) error {
+	cols := slices.Concat([]column{{"modeled cores", func(o outcome) string { return coresLabel(o.pn.p) }}}, breakdown,
+		[]column{{"speedup vs first", func(o outcome) string {
+			if o.pn.p != o.base.pn.p && o.total() > 0 {
+				return fmt.Sprintf("%.1fx", o.base.total()/o.total())
+			}
+			return "1.0x"
+		}}})
 	for _, wl := range workloads {
-		runs, err := runScalingCurve(opts, wl, big)
+		runs, err := r.sweepTable(fmt.Sprintf("%s (A², l=16)", wl), []string{"procs"}, cols...).sweep(scalingCurve(opts, wl, big)...)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tb := r.NewTable(fmt.Sprintf("%s (A², l=16)", wl),
-			"procs", "modeled cores", "b", "Symbolic", "A-Bcast", "B-Bcast", "LocalMult",
-			"MergeLayer", "AllToAll", "MergeFiber", "total", "speedup vs first")
-		first := runs[0]
-		for _, run := range runs {
-			sp := "1.0x"
-			if run.p != first.p && run.total > 0 {
-				sp = fmtX(first.total / run.total)
-			}
-			tb.AddRow(fmt.Sprint(run.p), coresLabel(run.p), fmt.Sprint(run.b),
-				fmtS(run.steps[core.StepSymbolic]), fmtS(run.steps[core.StepABcast]),
-				fmtS(run.steps[core.StepBBcast]), fmtS(run.steps[core.StepLocalMult]),
-				fmtS(run.steps[core.StepMergeLayer]), fmtS(run.steps[core.StepAllToAll]),
-				fmtS(run.steps[core.StepMergeFiber]), fmtS(run.total), sp)
-		}
-		last := runs[len(runs)-1]
-		factor := float64(last.p) / float64(first.p)
-		if last.total > 0 {
+		first, last := runs[0], runs[len(runs)-1]
+		factor := float64(last.pn.p) / float64(first.pn.p)
+		if t := last.total(); t > 0 {
 			r.Finding("%s: %.1fx total speedup over a %.0fx process increase; b fell %d → %d",
-				wl, first.total/last.total, factor, first.b, last.b)
+				wl, first.total()/t, factor, first.b, last.b)
 		}
-		if ab := last.steps[core.StepABcast]; ab > 0 {
+		if ab := stepSeconds(last.summary)[core.StepABcast]; ab > 0 {
 			r.Finding("%s: A-Broadcast improved %.1fx (super-linear when > %.0fx, thanks to fewer batches)",
-				wl, first.steps[core.StepABcast]/ab, factor)
+				wl, stepSeconds(first.summary)[core.StepABcast]/ab, factor)
 		}
 	}
-	return r, nil
+	return nil
 }
 
-func runFig9(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "fig9",
-		Title: registry["fig9"].Title,
-		PaperClaim: "Efficiency stays near (or above) 1 for three of the four matrices; the " +
-			"sparser Metaclust drops earliest because communication dominates sooner.",
+// runFig9 tables each large matrix's parallel efficiency P1·T1/(P2·T2)
+// relative to the smallest run of its strong-scaling curve.
+func runFig9(r *Report, opts RunOpts) error {
+	efficiency := func(o outcome) float64 {
+		if o.pn.p != o.base.pn.p && o.total() > 0 {
+			return float64(o.base.pn.p) * o.base.total() / (float64(o.pn.p) * o.total())
+		}
+		return 1
 	}
-	tb := r.NewTable("efficiency relative to the smallest run",
-		"matrix", "procs", "total s", "efficiency", "comm share")
-	type eff struct {
-		wl   string
-		last float64
-	}
-	var effs []eff
+	tb := r.sweepTable("efficiency relative to the smallest run", []string{"matrix", "procs"},
+		totalCol.as("total s"),
+		column{"efficiency", func(o outcome) string { return fmt.Sprintf("%.2f", efficiency(o)) }},
+		shareCol)
+	lowest, lowestWL := 0.0, ""
 	for _, wl := range []string{WLFriendster, WLIsolatesSmall, WLIsolates, WLMetaclust50} {
-		big := wl == WLIsolates || wl == WLMetaclust50
-		runs, err := runScalingCurve(opts, wl, big)
+		pts := scalingCurve(opts, wl, wl == WLIsolates || wl == WLMetaclust50)
+		for i := range pts {
+			pts[i].labels = append([]string{wl}, pts[i].labels...)
+		}
+		runs, err := tb.sweep(pts...)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		first := runs[0]
-		var lastE float64
-		for _, run := range runs {
-			e := 1.0
-			if run.p != first.p && run.total > 0 {
-				e = (float64(first.p) * first.total) / (float64(run.p) * run.total)
-			}
-			lastE = e
-			share := 0.0
-			if run.total > 0 {
-				share = run.comm / run.total
-			}
-			tb.AddRow(wl, fmt.Sprint(run.p), fmtS(run.total),
-				fmt.Sprintf("%.2f", e), fmt.Sprintf("%.0f%%", share*100))
-		}
-		effs = append(effs, eff{wl: wl, last: lastE})
-	}
-	// The sparsest matrix (Metaclust50-like) should have the lowest final
-	// efficiency.
-	lowest := effs[0]
-	for _, e := range effs {
-		if e.last < lowest.last {
-			lowest = e
+		// The sparsest matrix (Metaclust50-like) should have the lowest
+		// final efficiency.
+		if e := efficiency(runs[len(runs)-1]); lowestWL == "" || e < lowest {
+			lowest, lowestWL = e, wl
 		}
 	}
 	r.Finding("lowest final efficiency: %s at %.2f (paper: Metaclust drops to 0.4 at 262K cores because it is the sparsest)",
-		lowest.wl, lowest.last)
-	return r, nil
+		lowestWL, lowest)
+	return nil
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -34,18 +36,29 @@ type pins struct {
 	trace *obs.Recorder
 }
 
-// pins returns the pins of a run on p ranks in l layers under the run's
-// machine and thread count; opts holds the experiment's own engine pins.
-func (o RunOpts) pins(p, l int, opts core.Options) pins {
+// point returns the run of a·b on p ranks in l layers under the run's
+// machine (RunOpts.machine) and thread count, led by labels; opts holds the
+// experiment's own engine pins.
+func (o RunOpts) point(a, b *spmat.CSC, p, l int, opts core.Options, labels ...string) point {
 	opts.Threads = o.Threads
-	return pins{p: p, l: l, machine: o.Machine, opts: opts}
+	return point{labels: labels, a: a, b: b, pn: pins{p: p, l: l, machine: o.machine(), opts: opts}}
 }
 
-// outcome is what one multiplication yields for plotting: the batch count it
-// executed, its machine-scaled summary, the per-rank results (sparse×sparse)
-// or the product (sparse×dense), and the summary's deterministic totals over
-// the paper's seven steps.
+// point is one run of a sweep: the axis labels that lead its table row, its
+// operands (a·b, or a times panel when panel is set) and its pins.
+type point struct {
+	labels []string
+	a, b   *spmat.CSC
+	panel  *spmat.DenseMat
+	pn     pins
+}
+
+// outcome is what one multiplication yields for plotting: its pins, the
+// batch count it executed, its machine-scaled summary, the per-rank results
+// (sparse×sparse) or the product (sparse×dense), and the summary's
+// deterministic totals over the paper's seven steps.
 type outcome struct {
+	pn      pins
 	b       int
 	summary *mpi.Summary
 	results []*core.Result
@@ -54,11 +67,98 @@ type outcome struct {
 	// bytes the payload bytes, each summed over core.Steps.
 	comm        float64
 	work, bytes int64
+	// base is the first outcome of the run's sweep, which relative columns
+	// (speedup, efficiency, ideal scaling) measure against.
+	base *outcome
+}
+
+// column is one column of a sweep table after the axis labels: its header
+// and its cell for a run's outcome.
+type column struct {
+	head string
+	cell func(o outcome) string
+}
+
+// as returns c under another header.
+func (c column) as(head string) column {
+	c.head = head
+	return c
+}
+
+// The columns the sweep tables share: the executed batch count, the
+// comm/comp/total/share split, and the seven-step breakdown (the batch count,
+// each step's comm plus compute seconds in core.Steps order, their total).
+var (
+	batchCol  = column{"b", func(o outcome) string { return fmt.Sprint(o.b) }}
+	commCol   = column{"comm s", func(o outcome) string { return fmtS(o.comm) }}
+	compCol   = column{"comp s", func(o outcome) string { return fmtS(o.comp()) }}
+	totalCol  = column{"total", func(o outcome) string { return fmtS(o.total()) }}
+	shareCol  = column{"comm share", func(o outcome) string { return fmtShare(o.comm, o.total()) }}
+	breakdown = stepBreakdown()
+)
+
+func stepBreakdown() []column {
+	cols := []column{batchCol}
+	for i, head := range []string{"Symbolic", "A-Bcast", "B-Bcast", "LocalMult", "MergeLayer", "AllToAll", "MergeFiber"} {
+		step := core.Steps[i]
+		cols = append(cols, column{head, func(o outcome) string { return fmtS(stepSeconds(o.summary)[step]) }})
+	}
+	return append(cols, totalCol)
+}
+
+// sweepTable appends a table whose rows are run points (Table.sweep): each
+// point's labels under the axes headers, then one cell per column.
+func (r *Report) sweepTable(name string, axes []string, cols ...column) *Table {
+	t := r.NewTable(name, axes...)
+	for _, c := range cols {
+		t.Header = append(t.Header, c.head)
+	}
+	t.cols = cols
+	return t
+}
+
+// sweep runs pts (runAll) and appends each point's row to t: its labels,
+// then each column's cell for its outcome. It returns the outcomes.
+func (t *Table) sweep(pts ...point) ([]outcome, error) {
+	outs, err := runAll(pts...)
+	for i, o := range outs {
+		row := slices.Clone(pts[i].labels)
+		for _, c := range t.cols {
+			row = append(row, c.cell(o))
+		}
+		t.AddRow(row...)
+	}
+	return outs, err
+}
+
+// runAll runs each point through execute, wrapping an error with the point,
+// and returns the outcomes in point order, each with the first as its base.
+func runAll(pts ...point) ([]outcome, error) {
+	outs := make([]outcome, len(pts))
+	for i, pt := range pts {
+		o, err := execute(pt.a, pt.b, pt.panel, pt.pn)
+		if err != nil {
+			return nil, fmt.Errorf("run %v on p=%d, l=%d: %w", pt.labels, pt.pn.p, pt.pn.l, err)
+		}
+		o.base = &outs[0]
+		outs[i] = o
+	}
+	return outs, nil
 }
 
 // model is the gate objective: modeled communication plus work units at
 // the pinned rate.
 func (o outcome) model() float64 { return o.comm + float64(o.work)*GateSecPerWorkUnit }
+
+// comp sums the run's compute seconds over the steps, total its comm plus
+// compute seconds.
+func (o outcome) comp() float64  { return computeSeconds(o.summary) }
+func (o outcome) total() float64 { return totalSeconds(o.summary) }
+
+// fastest returns the first of outs with the least total seconds.
+func fastest(outs []outcome) outcome {
+	return slices.MinFunc(outs, func(x, y outcome) int { return cmp.Compare(x.total(), y.total()) })
+}
 
 // recordRun, when set, sees every run execute completes: its pins, the batch
 // count it executed and its machine-scaled summary, before the experiment
@@ -71,7 +171,7 @@ var recordRun func(pn pins, batches int, s *mpi.Summary)
 // times by the machine's compute and comm factors.
 func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 	rc := core.RunConfig{P: pn.p, L: pn.l, Cost: pn.machine.Cost(), Opts: pn.opts, Trace: pn.trace}
-	var out outcome
+	out := outcome{pn: pn}
 	var err error
 	switch {
 	case panel != nil:
@@ -91,7 +191,12 @@ func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 	if len(out.results) > 0 {
 		out.b = out.results[0].Batches
 	}
-	applyMachine(out.summary, pn.machine)
+	// The per-rank meters were already consumed: scale the summary.
+	for _, st := range out.summary.Steps {
+		st.ComputeSeconds *= pn.machine.ComputeScale
+		st.CommSeconds *= pn.machine.CommScale
+		st.HiddenSeconds *= pn.machine.CommScale
+	}
 	for _, step := range core.Steps {
 		st := out.summary.Step(step)
 		out.comm += st.CommSeconds
@@ -102,16 +207,6 @@ func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 		recordRun(pn, out.b, out.summary)
 	}
 	return out, nil
-}
-
-// applyMachine scales a summary's times by the machine's compute and comm
-// factors (the per-rank meters were already consumed, so scale the summary).
-func applyMachine(s *mpi.Summary, m costmodel.Machine) {
-	for _, st := range s.Steps {
-		st.ComputeSeconds *= m.ComputeScale
-		st.CommSeconds *= m.CommScale
-		st.HiddenSeconds *= m.CommScale
-	}
 }
 
 // stepSeconds returns the stacked-bar heights for the seven steps: total
@@ -167,8 +262,15 @@ func fmtS(s float64) string {
 	}
 }
 
-// fmtX formats a speedup ratio.
-func fmtX(r float64) string { return fmt.Sprintf("%.1fx", r) }
+// fmtShare formats part as a percentage of whole (0% when whole is not
+// positive).
+func fmtShare(part, whole float64) string {
+	share := 0.0
+	if whole > 0 {
+		share = part / whole
+	}
+	return fmt.Sprintf("%.0f%%", share*100)
+}
 
 // memoryForBatches returns an aggregate memory budget that makes the
 // symbolic step pick roughly the requested number of batches for the given

@@ -13,71 +13,58 @@ func init() {
 	register(&Experiment{
 		ID:    "hypersparse",
 		Title: "CSC vs DCSC block storage (fig 6 shape + Rice-kmers shape)",
-		Description: "Ablation of the in-memory storage format: dense column pointers (csc) vs " +
-			"doubly-compressed (dcsc) vs the per-block auto heuristic, on a fig-6 strong-scaling " +
-			"shape (dense-ish blocks, auto stays CSC) and the Rice-kmers AAᵀ shape whose local " +
-			"blocks are hypersparse (~2 nnz per occupied column). Outputs and communication " +
-			"volume are identical across formats; modeled work units drop with the O(cols) " +
-			"per-block metadata, and the memory-constrained batch decision needs fewer batches " +
-			"once DCSC footprints are accounted.",
-		Run: runHypersparse,
-	})
-}
-
-// runHypersparse compares the three storage settings at fixed shapes.
-func runHypersparse(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "hypersparse",
-		Title: registry["hypersparse"].Title,
-		PaperClaim: "At scale the local blocks SUMMA moves are hypersparse (Rice-kmers: ~2 nnz " +
+		claim: "At scale the local blocks SUMMA moves are hypersparse (Rice-kmers: ~2 nnz " +
 			"per column), so dense per-column metadata costs O(cols) per block where " +
 			"doubly-compressed storage (Buluç & Gilbert's DCSC) costs O(nnz); smaller block " +
 			"footprints also mean the symbolic step fits the same multiply in fewer batches.",
-	}
+		run: runHypersparse,
+	})
+}
 
+// runHypersparse compares the three storage settings — dense column pointers
+// (csc), doubly-compressed (dcsc) and the per-block auto heuristic — on a
+// fig-6 strong-scaling shape (dense-ish blocks, auto stays CSC) and the
+// Rice-kmers AAᵀ shape, whose local blocks are hypersparse. Outputs and
+// communication volume are identical across formats; modeled work units
+// drop with the O(cols) per-block metadata.
+func runHypersparse(r *Report, opts RunOpts) error {
 	formats := []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatAuto}
-
-	type shape struct {
+	shapes := []struct {
 		name    string
 		wl      string
 		p, l, b int
 		// budgetSweep additionally tables the symbolic batch decision at
 		// memory budgets anchored on the CSC input-footprint boundary.
 		budgetSweep bool
-	}
-	shapes := []shape{
+	}{
 		{name: "fig6 shape", wl: WLFriendster, p: 64, l: 16, b: 4},
 		{name: "kmers shape", wl: WLRiceKmers, p: 64, l: 16, b: 1, budgetSweep: true},
 	}
 	for _, sh := range shapes {
-		wl, err := Workload(sh.wl, opts.Scale)
-		if err != nil {
-			return nil, err
-		}
+		wl := mustWorkload(sh.wl, opts.Scale)
 		a, b := PairFor(wl)
-
-		tb := r.NewTable(fmt.Sprintf("%s: %s (p=%d, l=%d)", sh.name, sh.wl, sh.p, sh.l),
-			"format", "batches", "work units", "comm s", "bytes moved", "peak mem MB")
-		results := make(map[spmat.Format]outcome)
+		var pts []point
 		for _, f := range formats {
-			rr, err := execute(a, b, nil, opts.pins(sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, Format: f}))
-			if err != nil {
-				return nil, fmt.Errorf("%s format %v: %w", sh.name, f, err)
-			}
-			results[f] = rr
-			var peak int64
-			for _, res := range rr.results {
-				if res.PeakMemBytes > peak {
-					peak = res.PeakMemBytes
+			pts = append(pts, opts.point(a, b, sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, Format: f}, f.String()))
+		}
+		runs, err := r.sweepTable(fmt.Sprintf("%s: %s (p=%d, l=%d)", sh.name, sh.wl, sh.p, sh.l), []string{"format"},
+			batchCol.as("batches"),
+			column{"work units", func(o outcome) string { return fmt.Sprint(o.work) }},
+			commCol,
+			column{"bytes moved", func(o outcome) string { return fmt.Sprint(o.bytes) }},
+			column{"peak mem MB", func(o outcome) string {
+				var peak int64
+				for _, res := range o.results {
+					peak = max(peak, res.PeakMemBytes)
 				}
-			}
-			tb.AddRow(f.String(), fmt.Sprintf("%d", rr.b), fmt.Sprintf("%d", rr.work),
-				fmtS(rr.comm), fmt.Sprintf("%d", rr.bytes),
-				fmt.Sprintf("%.2f", float64(peak)/1e6))
+				return fmt.Sprintf("%.2f", float64(peak)/1e6)
+			}},
+		).sweep(pts...)
+		if err != nil {
+			return err
 		}
 
-		csc, dcsc := results[spmat.FormatCSC], results[spmat.FormatDCSC]
+		csc, dcsc := runs[0], runs[1]
 		if csc.bytes == dcsc.bytes {
 			r.Finding("%s: communication volume is format-independent (%d bytes) — the wire "+
 				"encoding depends on occupancy alone", sh.name, csc.bytes)
@@ -89,44 +76,42 @@ func runHypersparse(opts RunOpts) (*Report, error) {
 			r.Finding("%s: DCSC removes %.1f%% of modeled work units (%d → %d) — the O(cols) "+
 				"per-block column scans", sh.name, 100*float64(wc-wd)/float64(wc), wc, wd)
 		}
-		if sh.budgetSweep {
-			// The symbolic batch decision at budgets anchored on the exact
-			// CSC input-footprint boundary (below ×1 even the inputs don't
-			// fit under flat r·nnz accounting). DCSC footprints leave more
-			// per-process headroom, so the same budget needs fewer batches.
-			floor := inputFootprintCSC(a, b, sh.p, sh.l)
-			bt := r.NewTable(fmt.Sprintf("%s: symbolic batch decision vs memory budget (r·nnz CSC floor = %d B)",
-				sh.name, floor), "budget / floor", "b (csc)", "b (dcsc)", "b (auto)")
-			var sawFewer bool
-			for _, mult := range []float64{1.15, 1.4, 1.9} {
-				budget := int64(mult * float64(floor))
-				row := []string{fmt.Sprintf("%.2f", mult)}
-				bs := make(map[spmat.Format]int)
-				for _, f := range formats {
-					nb, err := core.SymbolicBatches(a, b, core.RunConfig{
-						P: sh.p, L: sh.l, Cost: opts.Machine.Cost(),
-						Opts: core.Options{MemBytes: budget, RunSymbolic: true, Format: f, Threads: opts.Threads},
-					})
-					if err != nil {
-						row = append(row, "infeasible")
-						bs[f] = -1
-						continue
-					}
-					row = append(row, fmt.Sprintf("%d", nb))
-					bs[f] = nb
+		if !sh.budgetSweep {
+			continue
+		}
+		// The symbolic batch decision at budgets anchored on the exact CSC
+		// input-footprint boundary (below ×1 even the inputs don't fit under
+		// flat r·nnz accounting). DCSC footprints leave more per-process
+		// headroom, so the same budget needs fewer batches.
+		floor := inputFootprintCSC(a, b, sh.p, sh.l)
+		bt := r.NewTable(fmt.Sprintf("%s: symbolic batch decision vs memory budget (r·nnz CSC floor = %d B)",
+			sh.name, floor), "budget / floor", "b (csc)", "b (dcsc)", "b (auto)")
+		var sawFewer bool
+		for _, mult := range []float64{1.15, 1.4, 1.9} {
+			row := []string{fmt.Sprintf("%.2f", mult)}
+			bs := make([]int, len(formats)) // in formats' order; -1 when infeasible
+			for i, f := range formats {
+				nb, err := core.SymbolicBatches(a, b, core.RunConfig{
+					P: sh.p, L: sh.l, Cost: opts.machine().Cost(),
+					Opts: core.Options{MemBytes: int64(mult * float64(floor)), RunSymbolic: true, Format: f, Threads: opts.Threads},
+				})
+				cell := fmt.Sprintf("%d", nb)
+				if err != nil {
+					nb, cell = -1, "infeasible"
 				}
-				bt.AddRow(row...)
-				if bs[spmat.FormatDCSC] > 0 && (bs[spmat.FormatCSC] == -1 || bs[spmat.FormatDCSC] < bs[spmat.FormatCSC]) {
-					sawFewer = true
-				}
+				bs[i], row = nb, append(row, cell)
 			}
-			if sawFewer {
-				r.Finding("%s: under the same MemBytes the symbolic step picks strictly fewer "+
-					"batches with DCSC footprints — less per-batch A re-broadcast volume", sh.name)
+			bt.AddRow(row...)
+			if csc, dcsc := bs[0], bs[1]; dcsc > 0 && (csc == -1 || dcsc < csc) {
+				sawFewer = true
 			}
 		}
+		if sawFewer {
+			r.Finding("%s: under the same MemBytes the symbolic step picks strictly fewer "+
+				"batches with DCSC footprints — less per-batch A re-broadcast volume", sh.name)
+		}
 	}
-	return r, nil
+	return nil
 }
 
 // inputFootprintCSC returns the aggregate memory floor p · max over ranks of

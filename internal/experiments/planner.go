@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -124,7 +125,7 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 				}
 			}
 			localBSet := bSet
-			if feasibleAtAll && minB > 1 && !containsInt(bSet, minB) {
+			if feasibleAtAll && minB > 1 && !slices.Contains(bSet, minB) {
 				localBSet = append(append([]int(nil), bSet...), minB)
 				sort.Ints(localBSet)
 			}
@@ -203,16 +204,6 @@ func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.M
 		}
 	}
 	return out, nil
-}
-
-// containsInt reports whether xs contains v.
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // pipelinedEntry derives the pipelined twin of a staged oracle point under k
@@ -316,9 +307,17 @@ func (s *planScore[C]) check(tol float64, w io.Writer, bad *[]string) bool {
 	return false
 }
 
-// leaderboard adds the oracle's five best feasible points to tb, marking the
-// pick.
-func (s *planScore[C]) leaderboard(tb *Table) {
+// leaderboard appends a table of the oracle's five best feasible points to
+// r, marking the pick; it fails when the planner or the oracle found nothing
+// to score.
+func (s *planScore[C]) leaderboard(r *Report, name string) (*Table, error) {
+	if s.pick == nil {
+		return nil, fmt.Errorf("%s: planner found no feasible configuration", s.name)
+	}
+	if s.best == nil || s.got == nil {
+		return nil, fmt.Errorf("%s: oracle sweep cannot score the pick", s.name)
+	}
+	tb := r.NewTable(name, "rank", "config", "model s", "comm s", "work units", "planner pick")
 	feasible := make([]oracleEntry[C], 0, len(s.entries))
 	for _, e := range s.entries {
 		if e.Feasible {
@@ -334,21 +333,18 @@ func (s *planScore[C]) leaderboard(tb *Table) {
 		tb.AddRow(fmt.Sprintf("%d", i+1), e.Cfg.String(), fmtS(e.ModelSeconds),
 			fmtS(e.CommSeconds), fmt.Sprintf("%d", e.WorkUnits), mark)
 	}
+	return tb, nil
 }
 
 // planShapeInputs prepares one planner-gate shape: operands, machine, and
 // the memory budget reproducing the shape's batch regime.
-func planShapeInputs(sh planShape, sc Scale) (a, b *spmat.CSC, machine costmodel.Machine, mem int64, err error) {
-	wl, err := Workload(sh.wl, sc)
-	if err != nil {
-		return nil, nil, costmodel.Machine{}, 0, err
-	}
-	a, b = PairFor(wl)
+func planShapeInputs(sh planShape, sc Scale) (a, b *spmat.CSC, machine costmodel.Machine, mem int64) {
+	a, b = PairFor(mustWorkload(sh.wl, sc))
 	machine = costmodel.CoriKNL().ScaledBeta(commAmplification(sc))
 	if sh.wantB > 1 {
 		mem = memoryForBatches(a, b, sh.p, 16, sh.wantB, 24)
 	}
-	return a, b, machine, mem, nil
+	return a, b, machine, mem
 }
 
 // planGateInput is the runtime autotune's planner input with the symbolic
@@ -435,10 +431,7 @@ func RunPlanGate(sc Scale, tol float64, w io.Writer) ([]string, error) {
 	var bad []string
 	planCache := service.NewPlanCache()
 	for _, sh := range planShapes {
-		a, b, machine, mem, err := planShapeInputs(sh, sc)
-		if err != nil {
-			return nil, err
-		}
+		a, b, machine, mem := planShapeInputs(sh, sc)
 		pl, s, err := scorePlanShape(sh, a, b, machine, mem)
 		if err != nil {
 			return nil, err
@@ -480,45 +473,29 @@ func init() {
 	register(&Experiment{
 		ID:    "planner",
 		Title: "analytical autotuner vs exhaustive oracle sweep",
-		Description: "Scores the planner's analytically chosen configuration (layers, batches, " +
-			"format, pipeline, sparse-comm, channels) against an exhaustive " +
-			"l × b × format × pipeline × sparse-comm × channels sweep on the perf-gate workloads, under " +
-			"the gate's deterministic modeled objective. The sparse×dense tall-skinny shape " +
-			"adds the algorithm axis: SUMMA vs the 1.5D schedules across replication factors. " +
-			"Also shows the pick's predicted per-step breakdown next to the measured one.",
-		Run: runPlannerExperiment,
+		claim: "The paper picks l and b by sweeping (Figs 4, 6, 8); an α–β cost model over " +
+			"cheap input statistics should be able to pick them analytically (cf. Azad et al.'s " +
+			"multi-level 3D SpGEMM model), within a few percent of the swept optimum.",
+		run: runPlannerExperiment,
 	})
 }
 
-// runPlannerExperiment renders the planner-vs-oracle comparison.
-func runPlannerExperiment(opts RunOpts) (*Report, error) {
-	r := &Report{
-		ID:    "planner",
-		Title: registry["planner"].Title,
-		PaperClaim: "The paper picks l and b by sweeping (Figs 4, 6, 8); an α–β cost model over " +
-			"cheap input statistics should be able to pick them analytically (cf. Azad et al.'s " +
-			"multi-level 3D SpGEMM model), within a few percent of the swept optimum.",
-	}
+// runPlannerExperiment scores the planner's pick against the exhaustive
+// oracle sweep on every planner-gate shape, under the gate's deterministic
+// objective, and sets the pick's predicted per-step breakdown next to the
+// measured one.
+func runPlannerExperiment(r *Report, opts RunOpts) error {
 	for _, sh := range planShapes {
-		a, b, machine, mem, err := planShapeInputs(sh, opts.Scale)
-		if err != nil {
-			return nil, err
-		}
+		a, b, machine, mem := planShapeInputs(sh, opts.Scale)
 		pl, s, err := scorePlanShape(sh, a, b, machine, mem)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if s.pick == nil {
-			return nil, fmt.Errorf("%s: planner found no feasible configuration", sh.name)
-		}
-		if s.best == nil || s.got == nil {
-			return nil, fmt.Errorf("%s: oracle sweep cannot score the pick", sh.name)
+		tb, err := s.leaderboard(r, fmt.Sprintf("%s (p=%d, M=%s): oracle top 5 vs planner pick", sh.name, sh.p, fmtMem(mem)))
+		if err != nil {
+			return err
 		}
 		pick := *s.pick
-
-		tb := r.NewTable(fmt.Sprintf("%s (p=%d, M=%s): oracle top 5 vs planner pick", sh.name, sh.p, fmtMem(mem)),
-			"rank", "config", "model s", "comm s", "work units", "planner pick")
-		s.leaderboard(tb)
 		tb.Notes = append(tb.Notes, fmt.Sprintf(
 			"planner pick %s: modeled %.6g s, %.2f%% above oracle best %s (%d configurations swept)",
 			pick, s.got.ModelSeconds, s.gap(), s.best.Cfg, len(s.entries)))
@@ -531,7 +508,7 @@ func runPlannerExperiment(opts RunOpts) (*Report, error) {
 		stagedCfg.Pipeline = false
 		pred, err := pl.Evaluate(stagedCfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
+			return fmt.Errorf("%s: %w", sh.name, err)
 		}
 		pb := r.NewTable(fmt.Sprintf("%s: pick %s (staged twin) — predicted vs measured per step", sh.name, pick),
 			"step", "comm s (pred)", "comm s (meas)", "work (pred)", "work (meas)")
@@ -550,21 +527,15 @@ func runPlannerExperiment(opts RunOpts) (*Report, error) {
 	for _, sh := range densePlanShapes {
 		s, err := scoreDenseShape(sh, opts.Scale)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if s.pick == nil {
-			return nil, fmt.Errorf("%s: planner found no feasible configuration", sh.name)
+		if _, err := s.leaderboard(r, fmt.Sprintf("%s (p=%d, d=%d): oracle top 5 vs planner pick", sh.name, sh.p, sh.d)); err != nil {
+			return err
 		}
-		if s.best == nil || s.got == nil {
-			return nil, fmt.Errorf("%s: oracle sweep cannot score the pick", sh.name)
-		}
-		tb := r.NewTable(fmt.Sprintf("%s (p=%d, d=%d): oracle top 5 vs planner pick", sh.name, sh.p, sh.d),
-			"rank", "config", "model s", "comm s", "work units", "planner pick")
-		s.leaderboard(tb)
 		r.Finding("%s: planner pick %s is %.2f%% above the oracle best %s across the full algorithm axis (%d configurations swept)",
 			sh.name, *s.pick, s.gap(), s.best.Cfg, len(s.entries))
 	}
-	return r, nil
+	return nil
 }
 
 // fmtMem renders a byte budget compactly.
@@ -582,10 +553,7 @@ func fmtMem(mem int64) string {
 // pipelined).
 func RunAutotune(opts RunOpts, w io.Writer) error {
 	for _, sh := range planShapes {
-		a, b, machine, mem, err := planShapeInputs(sh, opts.Scale)
-		if err != nil {
-			return err
-		}
+		a, b, machine, mem := planShapeInputs(sh, opts.Scale)
 		fmt.Fprintf(w, "== autotune: %s (p=%d, M=%s) ==\n\n", sh.name, sh.p, fmtMem(mem))
 		pl, err := planner.New(a, b, planGateInput(sh.p, machine, mem))
 		if err != nil {

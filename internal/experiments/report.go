@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/costmodel"
 )
 
 // Table is one rectangular block of results.
@@ -17,6 +19,8 @@ type Table struct {
 	Rows [][]string
 	// Notes carries caveats (scaling substitutions, seeds, …).
 	Notes []string
+	// cols render a sweep table's row after its point's labels (sweep).
+	cols []column
 }
 
 // AddRow appends a formatted row.
@@ -32,7 +36,7 @@ type Report struct {
 	PaperClaim string
 	// Tables hold the measured series.
 	Tables []*Table
-	// Findings states the measured shape for EXPERIMENTS.md.
+	// Findings state the measured shape, to set against PaperClaim.
 	Findings []string
 }
 
@@ -50,93 +54,89 @@ func (r *Report) Finding(format string, args ...any) {
 
 // Render writes the report as aligned text.
 func (r *Report) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title); err != nil {
-		return err
-	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "== %s: %s ==\n", r.ID, r.Title)
 	if r.PaperClaim != "" {
-		if _, err := fmt.Fprintf(w, "paper: %s\n", r.PaperClaim); err != nil {
-			return err
-		}
+		fmt.Fprintf(&sb, "paper: %s\n", r.PaperClaim)
 	}
 	for _, t := range r.Tables {
-		if _, err := fmt.Fprintf(w, "\n-- %s --\n", t.Name); err != nil {
-			return err
-		}
-		if err := renderTable(w, t); err != nil {
-			return err
-		}
+		fmt.Fprintf(&sb, "\n-- %s --\n", t.Name)
+		renderTable(&sb, t)
 		for _, n := range t.Notes {
-			if _, err := fmt.Fprintf(w, "note: %s\n", n); err != nil {
-				return err
-			}
+			fmt.Fprintf(&sb, "note: %s\n", n)
 		}
 	}
 	if len(r.Findings) > 0 {
-		if _, err := fmt.Fprintln(w, "\nmeasured:"); err != nil {
-			return err
-		}
+		sb.WriteString("\nmeasured:\n")
 		for _, f := range r.Findings {
-			if _, err := fmt.Fprintf(w, "  - %s\n", f); err != nil {
-				return err
-			}
+			fmt.Fprintf(&sb, "  - %s\n", f)
 		}
 	}
-	_, err := fmt.Fprintln(w)
+	sb.WriteString("\n")
+	_, err := io.WriteString(w, sb.String())
 	return err
 }
 
 // renderTable aligns columns to their widest cell.
-func renderTable(w io.Writer, t *Table) error {
+func renderTable(sb *strings.Builder, t *Table) {
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
+		for i, c := range row[:min(len(row), len(widths))] {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	line := func(cells []string) string {
-		var sb strings.Builder
+	line := func(cells []string) {
+		var l strings.Builder
 		for i, c := range cells {
 			if i > 0 {
-				sb.WriteString("  ")
+				l.WriteString("  ")
 			}
-			pad := 0
+			l.WriteString(c)
 			if i < len(widths) {
-				pad = widths[i] - len(c)
+				l.WriteString(strings.Repeat(" ", max(0, widths[i]-len(c))))
 			}
-			sb.WriteString(c)
-			sb.WriteString(strings.Repeat(" ", max(0, pad)))
 		}
-		return strings.TrimRight(sb.String(), " ")
+		sb.WriteString(strings.TrimRight(l.String(), " ") + "\n")
 	}
-	if _, err := fmt.Fprintln(w, line(t.Header)); err != nil {
-		return err
-	}
-	var total int
+	line(t.Header)
+	rule := 0
 	for _, x := range widths {
-		total += x + 2
+		rule += x + 2
 	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", max(0, total-2))); err != nil {
-		return err
-	}
+	sb.WriteString(strings.Repeat("-", max(0, rule-2)) + "\n")
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
+		line(row)
 	}
-	return nil
 }
 
-// Experiment couples an identifier with a runner.
+// Experiment is one table or figure of the paper's evaluation, or an
+// ablation: its registry id, its title, the shape the paper reports, and the
+// code that measures it.
 type Experiment struct {
-	ID          string
-	Title       string
-	Description string
-	Run         func(opts RunOpts) (*Report, error)
+	ID    string
+	Title string
+	// claim summarizes the shape the paper reports.
+	claim string
+	// run fills the experiment's report under opts, whose machine is set.
+	run func(r *Report, opts RunOpts) error
+}
+
+// Run measures the experiment under opts (on Cori-KNL unless opts names a
+// machine) and returns its report.
+func (e *Experiment) Run(opts RunOpts) (*Report, error) {
+	if opts.Machine.Name == "" {
+		opts.Machine = costmodel.CoriKNL()
+	}
+	r := e.report()
+	if err := e.run(r, opts); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// report returns the experiment's report before anything is measured.
+func (e *Experiment) report() *Report {
+	return &Report{ID: e.ID, Title: e.Title, PaperClaim: e.claim}
 }
 
 var registry = map[string]*Experiment{}

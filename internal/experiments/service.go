@@ -5,17 +5,17 @@ import (
 	"net/http/httptest"
 	"sync"
 
-	"repro/internal/costmodel"
 	"repro/internal/localmm"
 	"repro/internal/service"
 )
 
 func init() {
 	register(&Experiment{
-		ID:          "service",
-		Title:       "Multiply-as-a-service soak: resident matrices, plan-cache amortization, budgeted admission",
-		Description: "Duty-cycle a spgemmd server (in-process) with concurrent clients over mixed resident pairs; verify bit-identical outputs, zero probe work after warmup, and deadlock-free admission under the shared budget.",
-		Run:         runServiceExperiment,
+		ID:    "service",
+		Title: "Multiply-as-a-service soak: resident matrices, plan-cache amortization, budgeted admission",
+		claim: "iterated workloads amortize load/probe/plan cost across repeated " +
+			"multiplies on resident matrices (ROADMAP north star; cf. arXiv 2203.07673 on resident-operand reuse)",
+		run: runServiceExperiment,
 	})
 }
 
@@ -40,29 +40,33 @@ func serviceShape(sc Scale) (rmatScale int, erN int32, hyperN int32, clients, ro
 }
 
 // runServiceExperiment starts an in-process server (the full HTTP path, so
-// the soak covers the wire contract too) and drives it.
-func runServiceExperiment(o RunOpts) (*Report, error) {
+// the soak covers the wire contract too) on the run's machine as it is (the
+// daemon charges unamplified communication) and drives it: it verifies
+// bit-identical outputs, zero probe work after warmup, and deadlock-free
+// admission under the shared budget.
+func runServiceExperiment(r *Report, o RunOpts) error {
 	rmatScale, _, _, _, _ := serviceShape(o.Scale)
-	machine := o.Machine
-	if machine.Name == "" {
-		machine = costmodel.CoriKNL()
-	}
 	// The budget: tight enough that the biggest self-product batches and
 	// concurrent reservations contend, the same recipe the service tests use.
 	probe := service.GeneratorSpec{Kind: "rmat", Scale: rmatScale, EdgeFactor: 8, Seed: 7}
 	big, err := probe.Generate()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mem := 24 * localmm.Flops(big, big)
 
-	svc, err := service.New(service.Config{P: 16, Machine: machine, MemBytes: mem, Threads: o.Threads})
+	svc, err := service.New(service.Config{P: 16, Machine: o.Machine, MemBytes: mem, Threads: o.Threads})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	srv := httptest.NewServer(service.Handler(svc))
 	defer srv.Close()
-	return DriveService(&service.Client{Base: srv.URL, HTTP: srv.Client()}, o.Scale)
+	rep, err := DriveService(&service.Client{Base: srv.URL, HTTP: srv.Client()}, o.Scale)
+	if err != nil {
+		return err
+	}
+	*r = *rep
+	return nil
 }
 
 // DriveService runs the soak duty cycle against any server — the in-process
@@ -78,12 +82,7 @@ func DriveService(cl *service.Client, sc Scale) (*Report, error) {
 		"hyper": {Kind: "hypersparse", N: hyperN, Cols: hyperN, NnzPerCol: 2, Seed: 13},
 	}
 
-	rep := &Report{
-		ID:    "service",
-		Title: registry["service"].Title,
-		PaperClaim: "iterated workloads amortize load/probe/plan cost across repeated " +
-			"multiplies on resident matrices (ROADMAP north star; cf. arXiv 2203.07673 on resident-operand reuse)",
-	}
+	rep := registry["service"].report()
 
 	// Load phase: server-side generation, once per workload.
 	for name, spec := range specs {

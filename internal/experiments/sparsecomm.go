@@ -11,68 +11,52 @@ func init() {
 	register(&Experiment{
 		ID:    "sparsecomm",
 		Title: "Column-subset A-broadcast vs full-block broadcast (fig 6 + Rice-kmers shapes)",
-		Description: "Ablation of the sparse-communication knob: the SUMMA A-broadcast either " +
-			"ships every receiver the full local block (off, the published-figure default) or " +
-			"a column-subset payload restricted to the columns that receiver's multiply " +
-			"actually touches (on), with auto deciding per stage from the α–β model. Outputs " +
-			"are bit-identical in all three modes; modeled A-Broadcast bytes and comm seconds " +
-			"drop on the hypersparse Rice-kmers shape where most broadcast columns go unused.",
-		Run: runSparseComm,
-	})
-}
-
-// runSparseComm compares the three sparse-communication settings at fixed
-// shapes: one dense-ish fig-6 shape where subsets rarely pay for the extra
-// latency, and the hypersparse Rice-kmers AAᵀ shape where they do.
-func runSparseComm(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "sparsecomm",
-		Title: registry["sparsecomm"].Title,
-		PaperClaim: "At scale most of a broadcast A-block's columns are dead weight for any " +
+		claim: "At scale most of a broadcast A-block's columns are dead weight for any " +
 			"single receiver: only the columns matching the nonzero rows of that receiver's " +
 			"B block contribute flops. Restricting the A payload to that column subset trades " +
 			"one broadcast for q−1 point-to-point sends, which wins exactly when the α–β " +
 			"model says the volume saved outweighs the extra latency — hypersparse inputs, " +
 			"never the dense shapes.",
-	}
+		run: runSparseComm,
+	})
+}
 
+// runSparseComm compares the three sparse-communication settings — the full
+// block to every receiver (off, the published-figure default), the column
+// subset each receiver's multiply touches (on), and a per-stage α–β choice
+// (auto) — at one dense-ish fig-6 shape where subsets rarely pay for the
+// extra latency, and the hypersparse Rice-kmers AAᵀ shape where they do.
+// Outputs are bit-identical in all three modes.
+func runSparseComm(r *Report, opts RunOpts) error {
 	modes := []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto, mpi.SparseOn}
-
-	type shape struct {
+	shapes := []struct {
 		name    string
 		wl      string
 		p, l, b int
-	}
-	shapes := []shape{
+	}{
 		{name: "fig6 shape", wl: WLFriendster, p: 64, l: 16, b: 4},
 		{name: "kmers shape", wl: WLRiceKmers, p: 64, l: 16, b: 2},
 	}
+	aBcast := func(o outcome) mpi.StepStats { return o.summary.Step(core.StepABcast) }
 	for _, sh := range shapes {
-		wl, err := Workload(sh.wl, opts.Scale)
-		if err != nil {
-			return nil, err
-		}
+		wl := mustWorkload(sh.wl, opts.Scale)
 		a, b := PairFor(wl)
-
-		tb := r.NewTable(fmt.Sprintf("%s: %s (p=%d, l=%d, b=%d)", sh.name, sh.wl, sh.p, sh.l, sh.b),
-			"sparse-comm", "A-bcast bytes", "A-bcast msgs", "A-bcast comm s", "total bytes", "total comm s")
-		results := make(map[mpi.SparseMode]outcome)
+		var pts []point
 		for _, m := range modes {
-			rr, err := execute(a, b, nil, opts.pins(sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, SparseComm: m}))
-			if err != nil {
-				return nil, fmt.Errorf("%s sparse-comm %v: %w", sh.name, m, err)
-			}
-			results[m] = rr
-			ab := rr.summary.Step(core.StepABcast)
-			tb.AddRow(m.String(), fmt.Sprintf("%d", ab.Bytes), fmt.Sprintf("%d", ab.Messages),
-				fmtS(ab.CommSeconds), fmt.Sprintf("%d", rr.bytes), fmtS(rr.comm))
+			pts = append(pts, opts.point(a, b, sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, SparseComm: m}, m.String()))
+		}
+		runs, err := r.sweepTable(fmt.Sprintf("%s: %s (p=%d, l=%d, b=%d)", sh.name, sh.wl, sh.p, sh.l, sh.b), []string{"sparse-comm"},
+			column{"A-bcast bytes", func(o outcome) string { return fmt.Sprint(aBcast(o).Bytes) }},
+			column{"A-bcast msgs", func(o outcome) string { return fmt.Sprint(aBcast(o).Messages) }},
+			column{"A-bcast comm s", func(o outcome) string { return fmtS(aBcast(o).CommSeconds) }},
+			column{"total bytes", func(o outcome) string { return fmt.Sprint(o.bytes) }},
+			commCol.as("total comm s"),
+		).sweep(pts...)
+		if err != nil {
+			return err
 		}
 
-		abOf := func(m mpi.SparseMode) mpi.StepStats {
-			return results[m].summary.Step(core.StepABcast)
-		}
-		off, auto := abOf(mpi.SparseOff), abOf(mpi.SparseAuto)
+		off, auto, on := aBcast(runs[0]), aBcast(runs[1]), aBcast(runs[2])
 		switch {
 		case auto.Bytes < off.Bytes:
 			r.Finding("%s: auto cuts A-Broadcast volume %.1f%% (%d → %d bytes) and comm time "+
@@ -86,11 +70,11 @@ func runSparseComm(opts RunOpts) (*Report, error) {
 			r.Finding("%s: UNEXPECTED: auto moved more A-Broadcast bytes than off (%d vs %d)",
 				sh.name, auto.Bytes, off.Bytes)
 		}
-		if on := abOf(mpi.SparseOn); on.CommSeconds > auto.CommSeconds*(1+1e-12) {
+		if on.CommSeconds > auto.CommSeconds*(1+1e-12) {
 			r.Finding("%s: forcing subsets everywhere (on) costs %.1f%% more A-Broadcast comm "+
 				"time than auto — the per-stage α–β decision matters", sh.name,
 				100*(on.CommSeconds-auto.CommSeconds)/auto.CommSeconds)
 		}
 	}
-	return r, nil
+	return nil
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/genmat"
@@ -14,13 +16,12 @@ func init() {
 	register(&Experiment{
 		ID:    "spmm",
 		Title: "sparse×dense SpMM: SUMMA vs 1.5D ColA vs 1.5D InnerABC",
-		Description: "Multiplies a gate workload by a tall-skinny dense feature panel with every " +
-			"algorithm family — the densified 2D/3D SUMMA arm and the 1.5D schedules across " +
-			"replication factors c — and compares modeled communication, work units, and bytes " +
-			"moved under the gate's deterministic objective. Also shows the analytical planner's " +
-			"pick for the shape and verifies every configuration is bit-identical to the serial " +
-			"SpMM reference.",
-		Run: runSpMMExperiment,
+		claim: "Koanantakool et al. (IPDPS 2016) show sparse×dense wants a different family " +
+			"than sparse×sparse: 1.5D schedules with c-fold replication move the sparse matrix " +
+			"(ColA) or the panel (InnerABC) around a ring of p/c positions, beating SUMMA — " +
+			"which must densify the panel and re-broadcast everything — once the panel is " +
+			"tall-skinny.",
+		run: runSpMMExperiment,
 	})
 }
 
@@ -42,14 +43,7 @@ func SpMMGraph(sc Scale) *spmat.CSC {
 // enough that the panel stays tall-skinny (the iterated-SpMM regime the 1.5D
 // algorithms target) at every scale.
 func spmmPanelWidth(sc Scale) int32 {
-	switch sc {
-	case ScaleTiny:
-		return 8
-	case ScaleLarge:
-		return 32
-	default:
-		return 16
-	}
+	return []int32{ScaleTiny: 8, ScaleSmall: 16, ScaleLarge: 32}[sc]
 }
 
 // PanelFor builds the deterministic tall-skinny dense feature panel paired
@@ -59,19 +53,13 @@ func PanelFor(a *spmat.CSC, d int32) *spmat.DenseMat {
 	return spmat.DenseFromCSC(genmat.TallSkinny(a.Cols, d, 0.9, 901))
 }
 
-// runSpMMExperiment renders the algorithm-family comparison.
-func runSpMMExperiment(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "spmm",
-		Title: registry["spmm"].Title,
-		PaperClaim: "Koanantakool et al. (IPDPS 2016) show sparse×dense wants a different family " +
-			"than sparse×sparse: 1.5D schedules with c-fold replication move the sparse matrix " +
-			"(ColA) or the panel (InnerABC) around a ring of p/c positions, beating SUMMA — " +
-			"which must densify the panel and re-broadcast everything — once the panel is " +
-			"tall-skinny.",
-	}
-
+// runSpMMExperiment multiplies the spmm workload by a tall-skinny dense
+// feature panel with every algorithm family — the densified 2D/3D SUMMA arm
+// and the 1.5D schedules across replication factors c — and compares their
+// modeled communication, work units and bytes moved under the gate's
+// objective, each checked bit-identical to the serial SpMM. It then shows
+// the analytical planner's ranking for the shape.
+func runSpMMExperiment(r *Report, opts RunOpts) error {
 	const p = 16
 	const summaL = 4
 	a := SpMMGraph(opts.Scale)
@@ -79,70 +67,58 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 	panel := PanelFor(a, d)
 	want := localmm.SpMMSerial(a, panel)
 
-	type arm struct {
-		algo core.Algo
-		c    int
-	}
-	var arms []arm
-	reps := planner.ReplicationsFor(p)
+	var pts []point
 	for _, name := range planner.DenseAlgos {
 		algo, err := core.ParseAlgo(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		reps := planner.ReplicationsFor(p)
 		if algo == core.AlgoSUMMA {
-			arms = append(arms, arm{algo: algo, c: 1})
-			continue
+			reps = []int{1}
 		}
 		for _, c := range reps {
-			arms = append(arms, arm{algo: algo, c: c})
+			cCell := fmt.Sprint(c)
+			if algo == core.AlgoSUMMA {
+				cCell = fmt.Sprintf("l=%d", summaL) // SUMMA replicates nothing; it runs in layers
+			}
+			pt := opts.point(a, nil, p, summaL, core.Options{Algo: algo, Replication: c, ForceBatches: 1}, algo.String(), cCell)
+			pt.panel = panel
+			pts = append(pts, pt)
 		}
 	}
-
-	tb := r.NewTable(fmt.Sprintf("rmat-dense · %dx%d panel (p=%d, staged, b=1)", a.Cols, d, p),
-		"algo", "c", "comm s", "work units", "bytes moved", "model s")
-	models := make(map[string]float64)
+	runs, err := r.sweepTable(fmt.Sprintf("rmat-dense · %dx%d panel (p=%d, staged, b=1)", a.Cols, d, p), []string{"algo", "c"},
+		commCol,
+		column{"work units", func(o outcome) string { return fmt.Sprint(o.work) }},
+		column{"bytes moved", func(o outcome) string { return fmt.Sprint(o.bytes) }},
+		column{"model s", func(o outcome) string { return fmtS(o.model()) }},
+	).sweep(pts...)
+	if err != nil {
+		return err
+	}
 	bitIdentical := true
-	for _, ar := range arms {
-		rr, err := execute(a, nil, panel, opts.pins(p, summaL, core.Options{Algo: ar.algo, Replication: ar.c, ForceBatches: 1}))
-		if err != nil {
-			return nil, fmt.Errorf("spmm %v c=%d: %w", ar.algo, ar.c, err)
-		}
-		if !spmat.DenseEqual(rr.dense, want) {
+	for _, o := range runs {
+		if !spmat.DenseEqual(o.dense, want) {
 			bitIdentical = false
-			r.Finding("UNEXPECTED: %v c=%d differs from the serial SpMM reference", ar.algo, ar.c)
+			r.Finding("UNEXPECTED: %v c=%d differs from the serial SpMM reference", o.pn.opts.Algo, o.pn.opts.Replication)
 		}
-		key := fmt.Sprintf("%v/c=%d", ar.algo, ar.c)
-		models[key] = rr.model()
-		cCell := fmt.Sprintf("%d", ar.c)
-		if ar.algo == core.AlgoSUMMA {
-			cCell = fmt.Sprintf("l=%d", summaL)
-		}
-		tb.AddRow(ar.algo.String(), cCell, fmtS(rr.comm), fmt.Sprintf("%d", rr.work),
-			fmt.Sprintf("%d", rr.bytes), fmtS(rr.model()))
 	}
 	if bitIdentical {
 		r.Finding("every algorithm family and replication factor is bit-identical to the serial SpMM reference")
 	}
-	if summa, ok := models["summa/c=1"]; ok {
-		best, bestKey := summa, "summa"
-		for k, v := range models {
-			if v < best {
-				best, bestKey = v, k
-			}
-		}
-		if bestKey != "summa" {
-			r.Finding("best 1.5D configuration (%s) models %.3gx faster than densified SUMMA on the tall-skinny panel",
-				bestKey, summa/best)
-		} else {
-			r.Finding("UNEXPECTED: densified SUMMA beat every 1.5D configuration on a tall-skinny panel")
-		}
+	// runs[0] is the SUMMA arm (planner.DenseAlgos lists it first).
+	best := slices.MinFunc(runs, func(x, y outcome) int { return cmp.Compare(x.model(), y.model()) })
+	if best.pn.opts.Algo != core.AlgoSUMMA {
+		r.Finding("best 1.5D configuration (%v/c=%d) models %.3gx faster than densified SUMMA on the tall-skinny panel",
+			best.pn.opts.Algo, best.pn.opts.Replication, runs[0].model()/best.model())
+	} else {
+		r.Finding("UNEXPECTED: densified SUMMA beat every 1.5D configuration on a tall-skinny panel")
 	}
 
 	// The planner's view of the same shape, under the gate objective.
-	pl, err := planner.NewDense(a, d, planner.DenseInput{P: p, Machine: opts.Machine})
+	pl, err := planner.NewDense(a, d, planner.DenseInput{P: p, Machine: opts.machine()})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if staged := stagedCandidates(pl); len(staged) > 0 && staged[0].Feasible {
 		pt := r.NewTable("planner ranking (staged, top 5)",
@@ -153,5 +129,5 @@ func runSpMMExperiment(opts RunOpts) (*Report, error) {
 		}
 		r.Finding("planner pick for the tall-skinny shape: %s", staged[0].DenseConfig)
 	}
-	return r, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -12,174 +13,147 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "table2",
-		Title:       "Communication complexity of BatchedSUMMA3D steps (metered vs predicted)",
-		Description: "Validates Table II: per-step message counts and volumes against the α–β formulas.",
-		Run:         runTable2,
+		ID:    "table2",
+		Title: "Communication complexity of BatchedSUMMA3D steps (metered vs predicted)",
+		claim: "A-Bcast volume ∝ b·nnz(A)/√(pl); B-Bcast volume independent of b; " +
+			"AllToAll-Fiber volume ≤ β·flops/p per process and independent of b.",
+		run: runTable2,
 	})
 	register(&Experiment{
-		ID:          "table3",
-		Title:       "Computational complexity of BatchedSUMMA3D steps",
-		Description: "Validates Table III: flops per process and merge work against the formulas.",
-		Run:         runTable3,
+		ID:    "table3",
+		Title: "Computational complexity of BatchedSUMMA3D steps",
+		claim: "Local-Multiply does flops/p work in total regardless of l and b; " +
+			"merge work grows with lg(p/l) (layer) and lg(l) (fiber).",
+		run: runTable3,
 	})
 	register(&Experiment{
-		ID:          "table5",
-		Title:       "Statistics of the scaled test matrices",
-		Description: "Regenerates Table V for the synthetic analogues (rows, nnz(A), nnz(C), flops).",
-		Run:         runTable5,
+		ID:    "table5",
+		Title: "Statistics of the scaled test matrices",
+		claim: "All inputs satisfy nnz(C) > nnz(A)+nnz(B) except Rice-kmers, " +
+			"whose AAᵀ stays ≈ nnz(A) (so it never needs batching).",
+		run: runTable5,
 	})
 	register(&Experiment{
-		ID:          "table6",
-		Title:       "Qualitative impact of l and b on each step",
-		Description: "Regenerates Table VI's ↔/↑/↓ matrix from a measured sweep.",
-		Run:         runTable6,
+		ID:    "table6",
+		Title: "Qualitative impact of l and b on each step",
+		claim: "b↑: A-Bcast ↑, B-Bcast ↔, Local-Multiply ↔, Merge-Layer ↔, " +
+			"Merge-Fiber ↔, AllToAll ↔. l↑: A-Bcast ↓, B-Bcast ↓, Local-Multiply ↓, " +
+			"Merge-Layer ↔, Merge-Fiber ↑, AllToAll ↑.",
+		run: runTable6,
 	})
 	register(&Experiment{
-		ID:          "table7",
-		Title:       "Local computation: previous (sorted heap/hybrid) vs new (unsorted hash)",
-		Description: "Regenerates Table VII: Local-Multiply, Merge-Layer, Merge-Fiber times by kernel generation.",
-		Run:         runTable7,
+		ID:    "table7",
+		Title: "Local computation: previous (sorted heap/hybrid) vs new (unsorted hash)",
+		claim: "Merge-Layer and Merge-Fiber improve by an order of magnitude with " +
+			"unsorted hash merging; Local-Multiply improves up to ~30% with more layers.",
+		run: runTable7,
 	})
 }
 
-func runTable2(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "table2",
-		Title: registry["table2"].Title,
-		PaperClaim: "A-Bcast volume ∝ b·nnz(A)/√(pl); B-Bcast volume independent of b; " +
-			"AllToAll-Fiber volume ≤ β·flops/p per process and independent of b.",
-	}
-	a, err := Workload(WLEukarya, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+// forced returns the run of a·a on p ranks in l layers with b forced
+// batches, labelled p, l, b.
+func forced(opts RunOpts, a *spmat.CSC, p, l, b int) point {
+	return opts.point(a, a, p, l, core.Options{ForceBatches: b}, fmt.Sprint(p), fmt.Sprint(l), fmt.Sprint(b))
+}
+
+// runTable2 holds each step's metered message count and volume to the α–β
+// formulas of Table II.
+func runTable2(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLEukarya, opts.Scale)
 	flops := localmm.Flops(a, a)
+	var pts []point
+	for _, c := range [][3]int{{16, 1, 1}, {16, 1, 4}, {16, 4, 1}, {16, 4, 4}, {64, 4, 2}} {
+		pts = append(pts, forced(opts, a, c[0], c[1], c[2]))
+	}
+	runs, err := runAll(pts...)
+	if err != nil {
+		return err
+	}
 	tb := r.NewTable("metered vs predicted (bytes are payload totals across ranks)",
 		"p", "l", "b", "step", "messages", "bytes", "pred.bytes", "ratio")
-	type cfg struct{ p, l, b int }
-	var prevABytes int64
-	for _, c := range []cfg{{16, 1, 1}, {16, 1, 4}, {16, 4, 1}, {16, 4, 4}, {64, 4, 2}} {
-		rr, err := execute(a, a, nil, opts.pins(c.p, c.l, core.Options{ForceBatches: c.b}))
-		if err != nil {
-			return nil, err
-		}
-		in := costmodel.TableIIInput{
-			P: c.p, L: c.l, B: c.b,
-			NnzA: a.NNZ(), NnzB: a.NNZ(), Flops: flops,
-			Alpha: 1, Beta: 1, BytesPerNnz: 12, // 12 wire bytes per nnz (4B row + 8B val)
-		}
-		pred := costmodel.TableII(in)
-		for _, row := range pred {
-			st := rr.summary.Step(row.Step)
-			// The prediction's "bandwidth seconds" with β=1 and r=12 is the
-			// predicted per-process byte count; multiply by participants to
-			// compare against summed meter bytes.
-			var predBytes float64
-			switch row.Step {
-			case core.StepABcast, core.StepBBcast:
-				predBytes = row.BandwidthSec * float64(c.p)
-			case core.StepAllToAll:
-				predBytes = row.BandwidthSec * float64(c.p)
-			}
+	for i, o := range runs {
+		// With α = β = 1 and 12 wire bytes per nonzero (4 B row + 8 B
+		// value), a row's bandwidth seconds are its predicted bytes per
+		// process; times p they compare against the summed meter bytes.
+		for _, row := range costmodel.TableII(costmodel.TableIIInput{P: o.pn.p, L: o.pn.l, B: o.pn.opts.ForceBatches,
+			NnzA: a.NNZ(), NnzB: a.NNZ(), Flops: flops, Alpha: 1, Beta: 1, BytesPerNnz: 12}) {
+			st := o.summary.Step(row.Step)
+			predBytes := row.BandwidthSec * float64(o.pn.p)
 			ratio := 0.0
 			if predBytes > 0 {
 				ratio = float64(st.Bytes) / predBytes
 			}
-			tb.AddRow(fmt.Sprint(c.p), fmt.Sprint(c.l), fmt.Sprint(c.b), row.Step,
-				fmt.Sprint(st.Messages), fmt.Sprint(st.Bytes),
-				fmt.Sprintf("%.0f", predBytes), fmt.Sprintf("%.2f", ratio))
+			tb.AddRow(append(slices.Clone(pts[i].labels), row.Step, fmt.Sprint(st.Messages), fmt.Sprint(st.Bytes),
+				fmt.Sprintf("%.0f", predBytes), fmt.Sprintf("%.2f", ratio))...)
 		}
-		if c.p == 16 && c.l == 1 {
-			ab := rr.summary.Step(core.StepABcast).Bytes
-			if c.b == 1 {
-				prevABytes = ab
-			} else if prevABytes > 0 {
-				r.Finding("A-Bcast bytes grew %.1fx when b went 1→4 at p=16,l=1 (Table II predicts 4x)",
-					float64(ab)/float64(prevABytes))
-			}
-		}
+	}
+	if b1 := runs[0].summary.Step(core.StepABcast).Bytes; b1 > 0 {
+		r.Finding("A-Bcast bytes grew %.1fx when b went 1→4 at p=16,l=1 (Table II predicts 4x)",
+			float64(runs[1].summary.Step(core.StepABcast).Bytes)/float64(b1))
 	}
 	tb.Notes = append(tb.Notes,
 		"predictions use nnz-only payloads; metered bytes include CSC headers and column pointers, so ratios modestly exceed 1",
 		"AllToAll-Fiber prediction is the paper's loose flops/p bound; measured is smaller (compression), as Sec. IV-C notes")
-	return r, nil
+	return nil
 }
 
-func runTable3(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "table3",
-		Title: registry["table3"].Title,
-		PaperClaim: "Local-Multiply does flops/p work in total regardless of l and b; " +
-			"merge work grows with lg(p/l) (layer) and lg(l) (fiber).",
-	}
-	a, err := Workload(WLEukarya, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+// runTable3 holds the flops per process and the merge work to Table III.
+func runTable3(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLEukarya, opts.Scale)
 	flops := localmm.Flops(a, a)
-	tb := r.NewTable("flops accounting", "p", "l", "b", "Σ rank flops", "flops (exact)", "max rank flops", "flops/p", "imbalance")
-	for _, c := range []struct{ p, l, b int }{{16, 1, 1}, {16, 4, 2}, {64, 4, 1}, {64, 16, 4}} {
-		rr, err := execute(a, a, nil, opts.pins(c.p, c.l, core.Options{ForceBatches: c.b}))
-		if err != nil {
-			return nil, err
+	// sum totals one per-rank result over a run's ranks.
+	sum := func(o outcome, of func(*core.Result) int64) (total int64) {
+		for _, res := range o.results {
+			total += of(res)
 		}
-		var sum, max int64
-		for _, res := range rr.results {
-			sum += res.LocalFlops
-			if res.LocalFlops > max {
-				max = res.LocalFlops
-			}
+		return total
+	}
+	most := func(o outcome) (m int64) {
+		for _, res := range o.results {
+			m = max(m, res.LocalFlops)
 		}
-		perP := float64(flops) / float64(c.p)
-		tb.AddRow(fmt.Sprint(c.p), fmt.Sprint(c.l), fmt.Sprint(c.b),
-			fmt.Sprint(sum), fmt.Sprint(flops), fmt.Sprint(max),
-			fmt.Sprintf("%.0f", perP), fmt.Sprintf("%.2f", float64(max)/perP))
-		if sum != flops {
-			r.Finding("WARNING: flop conservation violated at p=%d l=%d b=%d", c.p, c.l, c.b)
+		return m
+	}
+	perP := func(o outcome) float64 { return float64(flops) / float64(o.pn.p) }
+	localFlops := func(res *core.Result) int64 { return res.LocalFlops }
+	unmerged := func(res *core.Result) int64 { return res.UnmergedNNZ }
+	layerMerged := func(res *core.Result) int64 { return res.MergedLayerNNZ }
+	runs, err := r.sweepTable("flops accounting", []string{"p", "l", "b"},
+		column{"Σ rank flops", func(o outcome) string { return fmt.Sprint(sum(o, localFlops)) }},
+		column{"flops (exact)", func(outcome) string { return fmt.Sprint(flops) }},
+		column{"max rank flops", func(o outcome) string { return fmt.Sprint(most(o)) }},
+		column{"flops/p", func(o outcome) string { return fmt.Sprintf("%.0f", perP(o)) }},
+		column{"imbalance", func(o outcome) string { return fmt.Sprintf("%.2f", float64(most(o))/perP(o)) }},
+	).sweep(forced(opts, a, 16, 1, 1), forced(opts, a, 16, 4, 2), forced(opts, a, 64, 4, 1), forced(opts, a, 64, 16, 4))
+	if err != nil {
+		return err
+	}
+	for _, o := range runs {
+		if sum(o, localFlops) != flops {
+			r.Finding("WARNING: flop conservation violated at p=%d l=%d b=%d", o.pn.p, o.pn.l, o.b)
 		}
 	}
 	r.Finding("Σ over ranks of local flops equals the exact serial flop count in every configuration (Table III row 1)")
-	mt := r.NewTable("merge work (nonzeros processed)", "p", "l", "b", "unmerged Σnnz", "after Merge-Layer", "nnz(C)")
-	for _, c := range []struct{ p, l, b int }{{16, 1, 1}, {16, 4, 2}, {64, 16, 4}} {
-		rr, err := execute(a, a, nil, opts.pins(c.p, c.l, core.Options{ForceBatches: c.b}))
-		if err != nil {
-			return nil, err
-		}
-		var un, ml int64
-		for _, res := range rr.results {
-			un += res.UnmergedNNZ
-			ml += res.MergedLayerNNZ
-		}
-		nnzC := localmm.SymbolicSpGEMM(a, a)
-		mt.AddRow(fmt.Sprint(c.p), fmt.Sprint(c.l), fmt.Sprint(c.b),
-			fmt.Sprint(un), fmt.Sprint(ml), fmt.Sprint(nnzC))
+	nnzC := localmm.SymbolicSpGEMM(a, a)
+	if _, err := r.sweepTable("merge work (nonzeros processed)", []string{"p", "l", "b"},
+		column{"unmerged Σnnz", func(o outcome) string { return fmt.Sprint(sum(o, unmerged)) }},
+		column{"after Merge-Layer", func(o outcome) string { return fmt.Sprint(sum(o, layerMerged)) }},
+		column{"nnz(C)", func(outcome) string { return fmt.Sprint(nnzC) }},
+	).sweep(forced(opts, a, 16, 1, 1), forced(opts, a, 16, 4, 2), forced(opts, a, 64, 16, 4)); err != nil {
+		return err
 	}
 	r.Finding("flops ≥ Σ nnz(D(k)) ≥ nnz(C) (Eq 1) holds in every configuration")
-	return r, nil
+	return nil
 }
 
-func runTable5(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "table5",
-		Title: registry["table5"].Title,
-		PaperClaim: "All inputs satisfy nnz(C) > nnz(A)+nnz(B) except Rice-kmers, " +
-			"whose AAᵀ stays ≈ nnz(A) (so it never needs batching).",
-	}
+// runTable5 regenerates Table V for the synthetic analogues.
+func runTable5(r *Report, opts RunOpts) error {
 	tb := r.NewTable("Table V analogues", "Matrix", "product", "rows", "cols", "nnz(A)", "nnz(C)", "flops", "cf", "nnz(C)/nnz(A)")
 	var riceRatio, protRatio float64
 	for _, name := range WorkloadNames {
-		a, err := Workload(name, opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		b := a
+		a, b := PairFor(mustWorkload(name, opts.Scale))
 		prod := "AA"
-		if a.Rows != a.Cols {
-			b = spmat.Transpose(a)
+		if a != b {
 			prod = "AAT"
 		}
 		nnzC := localmm.SymbolicSpGEMM(a, b)
@@ -201,69 +175,49 @@ func runTable5(opts RunOpts) (*Report, error) {
 	}
 	r.Finding("protein networks expand strongly under squaring (Isolates-small nnz(C)/nnz(A) = %.1f)", protRatio)
 	r.Finding("Rice-kmers stays lean (nnz(AAT)/nnz(A) = %.2f), matching the paper's b=1 regime", riceRatio)
-	return r, nil
+	return nil
 }
 
-func runTable6(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "table6",
-		Title: registry["table6"].Title,
-		PaperClaim: "b↑: A-Bcast ↑, B-Bcast ↔, Local-Multiply ↔, Merge-Layer ↔, " +
-			"Merge-Fiber ↔, AllToAll ↔. l↑: A-Bcast ↓, B-Bcast ↓, Local-Multiply ↓, " +
-			"Merge-Layer ↔, Merge-Fiber ↑, AllToAll ↑.",
-	}
-	a, err := Workload(WLFriendster, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+// runTable6 regenerates Table VI's ↔/↑/↓ matrix from a base run and two
+// runs that each raise one of b and l.
+func runTable6(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLFriendster, opts.Scale)
 	const p = 64
-	// The base run (l=4, b=2), then b raised to 8, then l raised to 16.
-	var runs [3]outcome
-	for i, lb := range [][2]int{{4, 2}, {4, 8}, {16, 2}} {
-		if runs[i], err = execute(a, a, nil, opts.pins(p, lb[0], core.Options{ForceBatches: lb[1]})); err != nil {
-			return nil, err
-		}
+	runs, err := runAll(opts.point(a, a, p, 4, core.Options{ForceBatches: 2}),
+		opts.point(a, a, p, 4, core.Options{ForceBatches: 8}), opts.point(a, a, p, 16, core.Options{ForceBatches: 2}))
+	if err != nil {
+		return err
 	}
-	base, moreB, moreL := runs[0], runs[1], runs[2]
 	// Communication steps compare modeled volume (bytes are deterministic);
 	// computation steps compare measured time with a noise band.
-	arrowBytes := func(x, y int64) string { return arrow(float64(x), float64(y), 0.15) }
-	arrowTime := func(x, y float64) string { return arrow(x, y, 0.35) }
-	tb := r.NewTable("measured directions (base p=64, l=4, b=2)",
-		"step", "b 2→8 (fixed l)", "paper", "l 4→16 (fixed b)", "paper")
-	paperB := map[string]string{
-		core.StepABcast: "↑", core.StepBBcast: "↔", core.StepLocalMult: "↔",
-		core.StepMergeLayer: "↔", core.StepMergeFiber: "↔", core.StepAllToAll: "↔",
-	}
-	paperL := map[string]string{
-		core.StepABcast: "↓", core.StepBBcast: "↓", core.StepLocalMult: "↓",
-		core.StepMergeLayer: "↔", core.StepMergeFiber: "↑", core.StepAllToAll: "↑",
-	}
-	match := 0
-	total := 0
-	for _, step := range []string{core.StepABcast, core.StepBBcast, core.StepLocalMult,
-		core.StepMergeLayer, core.StepMergeFiber, core.StepAllToAll} {
-		var dB, dL string
+	direction := func(step string, to outcome) string {
+		x, y := runs[0].summary.Step(step), to.summary.Step(step)
 		switch step {
 		case core.StepABcast, core.StepBBcast, core.StepAllToAll:
-			dB = arrowBytes(base.summary.Step(step).Bytes, moreB.summary.Step(step).Bytes)
-			dL = arrowBytes(base.summary.Step(step).Bytes, moreL.summary.Step(step).Bytes)
-		default:
-			dB = arrowTime(base.summary.Step(step).ComputeSeconds, moreB.summary.Step(step).ComputeSeconds)
-			dL = arrowTime(base.summary.Step(step).ComputeSeconds, moreL.summary.Step(step).ComputeSeconds)
+			return arrow(float64(x.Bytes), float64(y.Bytes), 0.15)
 		}
-		tb.AddRow(step, dB, paperB[step], dL, paperL[step])
-		if dB == paperB[step] {
-			match++
-		}
-		if dL == paperL[step] {
-			match++
-		}
-		total += 2
+		return arrow(x.ComputeSeconds, y.ComputeSeconds, 0.35)
 	}
-	r.Finding("%d of %d measured directions match Table VI (timing-based cells carry noise at this scale)", match, total)
-	return r, nil
+	tb := r.NewTable("measured directions (base p=64, l=4, b=2)",
+		"step", "b 2→8 (fixed l)", "paper", "l 4→16 (fixed b)", "paper")
+	// Each step's direction in Table VI as b grows and as l grows.
+	paper := []struct{ step, b, l string }{
+		{core.StepABcast, "↑", "↓"}, {core.StepBBcast, "↔", "↓"}, {core.StepLocalMult, "↔", "↓"},
+		{core.StepMergeLayer, "↔", "↔"}, {core.StepMergeFiber, "↔", "↑"}, {core.StepAllToAll, "↔", "↑"},
+	}
+	match := 0
+	for _, want := range paper {
+		dB, dL := direction(want.step, runs[1]), direction(want.step, runs[2])
+		tb.AddRow(want.step, dB, want.b, dL, want.l)
+		if dB == want.b {
+			match++
+		}
+		if dL == want.l {
+			match++
+		}
+	}
+	r.Finding("%d of %d measured directions match Table VI (timing-based cells carry noise at this scale)", match, 2*len(paper))
+	return nil
 }
 
 // arrow classifies y relative to x with a relative tolerance band.
@@ -285,58 +239,40 @@ func arrow(x, y, tol float64) string {
 	}
 }
 
-func runTable7(opts RunOpts) (*Report, error) {
-	opts = opts.withDefaults()
-	r := &Report{
-		ID:    "table7",
-		Title: registry["table7"].Title,
-		PaperClaim: "Merge-Layer and Merge-Fiber improve by an order of magnitude with " +
-			"unsorted hash merging; Local-Multiply improves up to ~30% with more layers.",
-	}
-	a, err := Workload(WLIsolatesSmall, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
+// runTable7 regenerates Table VII: Local-Multiply, Merge-Layer and
+// Merge-Fiber times of the previous kernel generation (hybrid kernel, heap
+// merge, all sorted) and the new one (unsorted hash kernel, hash merge).
+func runTable7(r *Report, opts RunOpts) error {
+	a := mustWorkload(WLIsolatesSmall, opts.Scale)
 	const p = 16
+	var pts []point
+	for _, l := range []int{1, 4, 16} {
+		pts = append(pts,
+			opts.point(a, a, p, l, core.Options{ForceBatches: 1, Kernel: localmm.KernelHybrid, Merger: localmm.MergerHeap, Semiring: semiring.PlusTimes()}),
+			opts.point(a, a, p, l, core.Options{ForceBatches: 1, Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash, Semiring: semiring.PlusTimes()}))
+	}
+	runs, err := runAll(pts...)
+	if err != nil {
+		return err
+	}
 	tb := r.NewTable("seconds (max over ranks, measured)",
 		"layers", "LocalMult prev", "LocalMult now", "MergeLayer prev", "MergeLayer now",
 		"MergeFiber prev", "MergeFiber now")
 	var speedups []float64
-	for _, l := range []int{1, 4, 16} {
-		prev, err := execute(a, a, nil, opts.pins(p, l, core.Options{
-			ForceBatches: 1, Kernel: localmm.KernelHybrid, Merger: localmm.MergerHeap,
-			Semiring: semiring.PlusTimes(),
-		}))
-		if err != nil {
-			return nil, err
+	for i := 0; i < len(runs); i += 2 {
+		prev, now := runs[i], runs[i+1]
+		row := []string{fmt.Sprint(prev.pn.l)}
+		for _, step := range []string{core.StepLocalMult, core.StepMergeLayer, core.StepMergeFiber} {
+			row = append(row, fmtS(prev.summary.Step(step).ComputeSeconds), fmtS(now.summary.Step(step).ComputeSeconds))
 		}
-		now, err := execute(a, a, nil, opts.pins(p, l, core.Options{
-			ForceBatches: 1, Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
-			Semiring: semiring.PlusTimes(),
-		}))
-		if err != nil {
-			return nil, err
-		}
-		pm := prev.summary.Step(core.StepLocalMult).ComputeSeconds
-		nm := now.summary.Step(core.StepLocalMult).ComputeSeconds
-		pl := prev.summary.Step(core.StepMergeLayer).ComputeSeconds
-		nl := now.summary.Step(core.StepMergeLayer).ComputeSeconds
-		pf := prev.summary.Step(core.StepMergeFiber).ComputeSeconds
-		nf := now.summary.Step(core.StepMergeFiber).ComputeSeconds
-		tb.AddRow(fmt.Sprint(l), fmtS(pm), fmtS(nm), fmtS(pl), fmtS(nl), fmtS(pf), fmtS(nf))
-		if nl > 0 {
-			speedups = append(speedups, pl/nl)
+		tb.AddRow(row...)
+		if nl := now.summary.Step(core.StepMergeLayer).ComputeSeconds; nl > 0 {
+			speedups = append(speedups, prev.summary.Step(core.StepMergeLayer).ComputeSeconds/nl)
 		}
 	}
 	if len(speedups) > 0 {
-		mx := speedups[0]
-		for _, s := range speedups {
-			if s > mx {
-				mx = s
-			}
-		}
-		r.Finding("Merge-Layer speedup from sort-free hash merging reaches %.1fx (paper: ~10x at scale)", mx)
+		r.Finding("Merge-Layer speedup from sort-free hash merging reaches %.1fx (paper: ~10x at scale)", slices.Max(speedups))
 	}
 	tb.Notes = append(tb.Notes, "'prev' = hybrid kernel + heap merge (all sorted); 'now' = unsorted hash kernel + hash merge")
-	return r, nil
+	return nil
 }

@@ -59,39 +59,22 @@ type RunOpts struct {
 // kernels on this host do relative to the unmodified α–β constants.
 // Multiplying β by this factor puts the bandwidth share of the total back
 // into the paper's regime so the layer/batch tradeoffs the figures study
-// are visible. Latency (α) stays physical. See EXPERIMENTS.md,
-// "Calibration".
+// are visible. Latency (α) stays physical.
 func commAmplification(sc Scale) float64 {
-	switch sc {
-	case ScaleTiny:
-		return 32
-	case ScaleLarge:
-		return 8
-	default:
-		return 16
-	}
+	return []float64{ScaleTiny: 32, ScaleSmall: 16, ScaleLarge: 8}[sc]
 }
 
-func (o RunOpts) withDefaults() RunOpts {
-	if o.Machine.Name == "" {
-		o.Machine = costmodel.CoriKNL()
-	}
-	o.Machine = o.Machine.ScaledBeta(commAmplification(o.Scale))
-	return o
+// machine is the model the experiments charge communication with: the run's
+// machine with β amplified for the workload scale (commAmplification).
+func (o RunOpts) machine() costmodel.Machine {
+	return o.Machine.ScaledBeta(commAmplification(o.Scale))
 }
 
 // scaleUp returns the next larger workload scale; the strong-scaling
 // experiments use it so per-rank kernels at the biggest process counts are
 // still microseconds-to-milliseconds and timing noise (goroutine
 // preemption, GC) stays small relative to the signal.
-func scaleUp(sc Scale) Scale {
-	switch sc {
-	case ScaleTiny:
-		return ScaleSmall
-	default:
-		return ScaleLarge
-	}
-}
+func scaleUp(sc Scale) Scale { return min(sc+1, ScaleLarge) }
 
 // Workload names match Table V; each is a deterministic scaled analogue.
 const (
@@ -152,6 +135,16 @@ func Workload(name string, sc Scale) (*spmat.CSC, error) {
 		}), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown workload %q", name)
+}
+
+// mustWorkload is Workload for the names this package declares, which it
+// always builds.
+func mustWorkload(name string, sc Scale) *spmat.CSC {
+	a, err := Workload(name, sc)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 // PairFor returns the (A, B) operands studied for a workload: (A, A) for
