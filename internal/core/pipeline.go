@@ -127,8 +127,8 @@ func (l *overlapLedger) claimOn(claimed []span, post, used float64) []span {
 		if s.hi <= pos {
 			continue
 		}
-		if gapEnd := minf(s.lo, l.clock); gapEnd > pos {
-			take := minf(gapEnd-pos, used)
+		if gapEnd := min(s.lo, l.clock); gapEnd > pos {
+			take := min(gapEnd-pos, used)
 			add = append(add, span{pos, pos + take})
 			used -= take
 			pos += take
@@ -138,7 +138,7 @@ func (l *overlapLedger) claimOn(claimed []span, post, used float64) []span {
 		}
 	}
 	if used > 0 && pos < l.clock {
-		take := minf(l.clock-pos, used)
+		take := min(l.clock-pos, used)
 		add = append(add, span{pos, pos + take})
 	}
 	if len(add) == 0 {
@@ -159,13 +159,6 @@ func (l *overlapLedger) claimOn(claimed []span, post, used float64) []span {
 		}
 	}
 	return merged
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // pipeState is one rank's cross-batch pipeline state, reset at the start of

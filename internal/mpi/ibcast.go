@@ -121,7 +121,7 @@ func (c *Comm) IbcastColsStart(root int, msg Payload, subsetBytes func(full Payl
 	fullCost := c.cost.BcastCost(c.size, nFull)
 	rootCost := c.cost.AllToAllCost(c.size, sum)
 	recvCost := c.cost.AlphaSec + c.cost.BetaSecPerByte*float64(maxRecv)
-	subset := c.size > 1 && (force || maxf(rootCost, recvCost) < fullCost)
+	subset := c.size > 1 && (force || max(rootCost, recvCost) < fullCost)
 
 	r := c.getBcastReq()
 	*r = BcastRequest{c: c, meter: c.meter, payload: out}
@@ -136,13 +136,6 @@ func (c *Comm) IbcastColsStart(root int, msg Payload, subsetBytes func(full Payl
 	}
 	c.addPending()
 	return r
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Wait completes the request: the full modeled cost and the payload bytes

@@ -146,14 +146,6 @@ type StepStats struct {
 // comm excluded; it overlapped the compute counted here).
 func (s *StepStats) Total() float64 { return s.CommSeconds + s.ComputeSeconds }
 
-func (s *StepStats) add(o *StepStats) {
-	s.Messages += o.Messages
-	s.Bytes += o.Bytes
-	s.CommSeconds += o.CommSeconds
-	s.HiddenSeconds += o.HiddenSeconds
-	s.ComputeSeconds += o.ComputeSeconds
-}
-
 // NewMeter returns an empty meter with the category set to "default".
 func NewMeter() *Meter {
 	return &Meter{cat: "default", stats: make(map[string]*StepStats)}

@@ -611,7 +611,7 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 			shiftComm = maxShiftB
 		}
 		perComp := float64(multWork) * rate / float64(p) / float64(b*R)
-		hidden = windows * minf(shiftComm/windows, perComp)
+		hidden = windows * min(shiftComm/windows, perComp)
 		for i := range steps {
 			hideStep := StepABcast
 			if algo == DenseAlgoInnerABC {

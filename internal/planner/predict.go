@@ -429,7 +429,7 @@ func (o Overlap) Hidden() (sym, a, b, fiber float64) {
 	if o.Symbolic && o.Q > 1 {
 		per := o.CommSymbolicBcast / float64(o.Q)
 		comp := o.CompSymbolic / float64(o.Q)
-		sym = float64(o.Q-1) * minf(per, comp)
+		sym = float64(o.Q-1) * min(per, comp)
 	}
 	stages := o.B * o.Q
 	if stages > 1 {
@@ -437,11 +437,11 @@ func (o Overlap) Hidden() (sym, a, b, fiber float64) {
 		if o.K >= 2 {
 			// Two or more channels: the A and B streams each hide up to
 			// the full stage window, independently.
-			a = float64(stages-1) * minf(o.CommABcast/float64(stages), perComp)
-			b = float64(stages-1) * minf(o.CommBBcast/float64(stages), perComp)
+			a = float64(stages-1) * min(o.CommABcast/float64(stages), perComp)
+			b = float64(stages-1) * min(o.CommBBcast/float64(stages), perComp)
 		} else {
 			perComm := (o.CommABcast + o.CommBBcast) / float64(stages)
-			hidden := float64(stages-1) * minf(perComm, perComp)
+			hidden := float64(stages-1) * min(perComm, perComp)
 			if tot := o.CommABcast + o.CommBBcast; tot > 0 {
 				a = hidden * o.CommABcast / tot
 				b = hidden * o.CommBBcast / tot
@@ -451,7 +451,7 @@ func (o Overlap) Hidden() (sym, a, b, fiber float64) {
 	if o.L > 1 && o.B > 0 {
 		perComm := o.CommFiber / float64(o.B)
 		ownMerge := o.CompMergeLayer / float64(o.B*o.L)
-		fiber = float64(o.B) * minf(perComm, ownMerge)
+		fiber = float64(o.B) * min(perComm, ownMerge)
 	}
 	return sym, a, b, fiber
 }
@@ -508,11 +508,4 @@ func (pl *Plan) applyOverlap(staged Candidate, k int) Candidate {
 	}
 	out.ModelSeconds = out.CommSeconds + float64(out.WorkUnits)*DefaultSecPerWork
 	return out
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

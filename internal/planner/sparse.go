@@ -19,7 +19,7 @@ import (
 func (pl *Plan) sparseABcast(gs *gridStat, cm mpi.CostModel, b int, force bool, wireA func(i, s, k int) int64) float64 {
 	computeSubsetStat(gs, pl.a, pl.b)
 	q, l := gs.q, gs.l
-	var max float64
+	var worst float64
 	nSub := make([]int64, q)
 	perJ := make([]float64, q)
 	for k := 0; k < l; k++ {
@@ -44,7 +44,7 @@ func (pl *Plan) sparseABcast(gs *gridStat, cm mpi.CostModel, b int, force bool, 
 				fullCost := cm.BcastCost(q, wireA(i, s, k))
 				rootCost := cm.AllToAllCost(q, sum)
 				recvCost := cm.AlphaSec + cm.BetaSecPerByte*float64(maxRecv)
-				subset := force || maxf(rootCost, recvCost) < fullCost
+				subset := force || max(rootCost, recvCost) < fullCost
 				for j := 0; j < q; j++ {
 					switch {
 					case !subset:
@@ -67,18 +67,11 @@ func (pl *Plan) sparseABcast(gs *gridStat, cm mpi.CostModel, b int, force bool, 
 					}
 					tot += cm.AllreduceCost(q, 0) + cm.BetaSecPerByte*float64(supBytes)
 				}
-				if tot > max {
-					max = tot
+				if tot > worst {
+					worst = tot
 				}
 			}
 		}
 	}
-	return max
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return worst
 }
