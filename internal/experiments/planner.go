@@ -548,9 +548,10 @@ func fmtMem(mem int64) string {
 
 // RunAutotune is `spgemm-bench -autotune`: for each planner-gate shape it
 // prints the ranked plan with its "why" report, executes the chosen
-// configuration for real, and prints the predicted per-step breakdown next
-// to the measured one (including the measured hidden share when the pick is
-// pipelined).
+// configuration for real the way the runtime autotune does (core.ApplyChoice
+// on the shape's budget: under a budget the symbolic step chooses b), and
+// prints the predicted per-step breakdown next to the measured one
+// (including the measured hidden share when the pick is pipelined).
 func RunAutotune(opts RunOpts, w io.Writer) error {
 	for _, sh := range planShapes {
 		a, b, machine, mem := planShapeInputs(sh, opts.Scale)
@@ -566,10 +567,11 @@ func RunAutotune(opts RunOpts, w io.Writer) error {
 		}
 
 		fmt.Fprintf(w, "\nrunning the chosen configuration (%s)…\n", pick.Config)
-		rr, err := execute(a, b, nil, pins{p: sh.p, l: pick.L, machine: machine, opts: core.Options{
-			ForceBatches: pick.B, RunSymbolic: true, Format: pick.Format, Pipeline: pick.Pipeline,
-			SparseComm: pick.SparseComm, Channels: pick.Channels,
-		}})
+		rc, err := core.ApplyChoice(core.RunConfig{P: sh.p, Opts: core.Options{MemBytes: mem, RunSymbolic: true}}, pick.Choice())
+		if err != nil {
+			return fmt.Errorf("%s: %w", sh.name, err)
+		}
+		rr, err := execute(a, b, nil, pins{p: rc.P, l: rc.L, machine: machine, opts: rc.Opts})
 		if err != nil {
 			return fmt.Errorf("%s: %w", sh.name, err)
 		}

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 // PlanGate is RunPlanGate without its per-shape lines.
@@ -42,5 +46,36 @@ func TestPlanGateCatchesBadPick(t *testing.T) {
 	}
 	if len(bad) == 0 {
 		t.Error("a -50% tolerance reported no violations — the gate cannot fail")
+	}
+}
+
+// TestAutotuneAppliesChoice holds spgemm-bench -autotune to the path the
+// runtime autotune and the daemon take (core.ApplyChoice): a budgeted shape
+// runs under its budget with the symbolic step choosing b, and an unbudgeted
+// one pins the pick's b = 1.
+func TestAutotuneAppliesChoice(t *testing.T) {
+	if testing.Short() {
+		t.Skip("autotune runs every planner-gate shape; slow in -short mode")
+	}
+	var runs []string
+	recordRun = func(pn pins, batches int, s *mpi.Summary) {
+		runs = append(runs, formatRun(pn, batches, s))
+	}
+	defer func() { recordRun = nil }()
+	if err := RunAutotune(RunOpts{Scale: ScaleTiny}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(planShapes) {
+		t.Fatalf("autotune made %d runs for %d shapes", len(runs), len(planShapes))
+	}
+	for i, sh := range planShapes {
+		_, _, _, mem := planShapeInputs(sh, ScaleTiny)
+		want := fmt.Sprintf(" mem=%d forceb=0 ", mem)
+		if mem == 0 {
+			want = " mem=0 forceb=1 "
+		}
+		if !strings.Contains(runs[i], want) {
+			t.Errorf("%s: ran %s, want%s", sh.name, runs[i], want)
+		}
 	}
 }
