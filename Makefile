@@ -138,9 +138,11 @@ baseline:
 # (internal/experiments/testdata/runs/<id>.golden: one line per multiply an
 # experiment runs at tiny scale — its pins, the b it executed, every step's
 # bytes, messages and work units, and a staged run's modeled comm seconds)
-# after an intentional change to what an experiment runs or what the engine
-# meters. `make test` holds every run to them. Review the diff before
-# committing it.
+# and rendered reports (testdata/reports/<id>.golden: each report with
+# measured compute replaced by work units at the gate rate; fig3, pipeline
+# and service with every number masked) after an intentional change to what
+# an experiment runs or prints or what the engine meters. `make test` holds
+# both exactly. Review the diff before committing it.
 golden:
 	$(GO) test ./internal/experiments -run TestAllExperimentsRunTiny -update
 

@@ -85,11 +85,14 @@ func (c column) as(head string) column {
 	return c
 }
 
-// The columns the sweep tables share: the executed batch count, the
-// comm/comp/total/share split, and the seven-step breakdown (the batch count,
-// each step's comm plus compute seconds in core.Steps order, their total).
+// The columns the sweep tables share: the executed batch count, the work
+// units and bytes moved, the comm/comp/total/share split, and the seven-step
+// breakdown (the batch count, each step's comm plus compute seconds in
+// core.Steps order, their total).
 var (
 	batchCol  = column{"b", func(o outcome) string { return fmt.Sprint(o.b) }}
+	workCol   = column{"work units", func(o outcome) string { return fmt.Sprint(o.work) }}
+	bytesCol  = column{"bytes moved", func(o outcome) string { return fmt.Sprint(o.bytes) }}
 	commCol   = column{"comm s", func(o outcome) string { return fmtS(o.comm) }}
 	compCol   = column{"comp s", func(o outcome) string { return fmtS(o.comp()) }}
 	totalCol  = column{"total", func(o outcome) string { return fmtS(o.total()) }}

@@ -41,17 +41,14 @@ func runHypersparse(r *Report, opts RunOpts) error {
 		{name: "kmers shape", wl: WLRiceKmers, p: 64, l: 16, b: 1, budgetSweep: true},
 	}
 	for _, sh := range shapes {
-		wl := mustWorkload(sh.wl, opts.Scale)
-		a, b := PairFor(wl)
+		a, b := PairFor(mustWorkload(sh.wl, opts.Scale))
 		var pts []point
 		for _, f := range formats {
 			pts = append(pts, opts.point(a, b, sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, Format: f}, f.String()))
 		}
 		runs, err := r.sweepTable(fmt.Sprintf("%s: %s (p=%d, l=%d)", sh.name, sh.wl, sh.p, sh.l), []string{"format"},
 			batchCol.as("batches"),
-			column{"work units", func(o outcome) string { return fmt.Sprint(o.work) }},
-			commCol,
-			column{"bytes moved", func(o outcome) string { return fmt.Sprint(o.bytes) }},
+			workCol, commCol, bytesCol,
 			column{"peak mem MB", func(o outcome) string {
 				var peak int64
 				for _, res := range o.results {

@@ -54,9 +54,6 @@ func TestPlanGateCatchesBadPick(t *testing.T) {
 // runs under its budget with the symbolic step choosing b, and an unbudgeted
 // one pins the pick's b = 1.
 func TestAutotuneAppliesChoice(t *testing.T) {
-	if testing.Short() {
-		t.Skip("autotune runs every planner-gate shape; slow in -short mode")
-	}
 	var runs []string
 	recordRun = func(pn pins, batches int, s *mpi.Summary) {
 		runs = append(runs, formatRun(pn, batches, s))

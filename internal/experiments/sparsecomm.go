@@ -39,8 +39,7 @@ func runSparseComm(r *Report, opts RunOpts) error {
 	}
 	aBcast := func(o outcome) mpi.StepStats { return o.summary.Step(core.StepABcast) }
 	for _, sh := range shapes {
-		wl := mustWorkload(sh.wl, opts.Scale)
-		a, b := PairFor(wl)
+		a, b := PairFor(mustWorkload(sh.wl, opts.Scale))
 		var pts []point
 		for _, m := range modes {
 			pts = append(pts, opts.point(a, b, sh.p, sh.l, core.Options{ForceBatches: sh.b, RunSymbolic: true, SparseComm: m}, m.String()))
@@ -49,7 +48,7 @@ func runSparseComm(r *Report, opts RunOpts) error {
 			column{"A-bcast bytes", func(o outcome) string { return fmt.Sprint(aBcast(o).Bytes) }},
 			column{"A-bcast msgs", func(o outcome) string { return fmt.Sprint(aBcast(o).Messages) }},
 			column{"A-bcast comm s", func(o outcome) string { return fmtS(aBcast(o).CommSeconds) }},
-			column{"total bytes", func(o outcome) string { return fmt.Sprint(o.bytes) }},
+			bytesCol.as("total bytes"),
 			commCol.as("total comm s"),
 		).sweep(pts...)
 		if err != nil {

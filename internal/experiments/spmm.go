@@ -88,9 +88,7 @@ func runSpMMExperiment(r *Report, opts RunOpts) error {
 		}
 	}
 	runs, err := r.sweepTable(fmt.Sprintf("rmat-dense · %dx%d panel (p=%d, staged, b=1)", a.Cols, d, p), []string{"algo", "c"},
-		commCol,
-		column{"work units", func(o outcome) string { return fmt.Sprint(o.work) }},
-		column{"bytes moved", func(o outcome) string { return fmt.Sprint(o.bytes) }},
+		commCol, workCol, bytesCol,
 		column{"model s", func(o outcome) string { return fmtS(o.model()) }},
 	).sweep(pts...)
 	if err != nil {
@@ -106,11 +104,11 @@ func runSpMMExperiment(r *Report, opts RunOpts) error {
 	if bitIdentical {
 		r.Finding("every algorithm family and replication factor is bit-identical to the serial SpMM reference")
 	}
-	// runs[0] is the SUMMA arm (planner.DenseAlgos lists it first).
+	summa := runs[slices.IndexFunc(runs, func(o outcome) bool { return o.pn.opts.Algo == core.AlgoSUMMA })]
 	best := slices.MinFunc(runs, func(x, y outcome) int { return cmp.Compare(x.model(), y.model()) })
 	if best.pn.opts.Algo != core.AlgoSUMMA {
 		r.Finding("best 1.5D configuration (%v/c=%d) models %.3gx faster than densified SUMMA on the tall-skinny panel",
-			best.pn.opts.Algo, best.pn.opts.Replication, runs[0].model()/best.model())
+			best.pn.opts.Algo, best.pn.opts.Replication, summa.model()/best.model())
 	} else {
 		r.Finding("UNEXPECTED: densified SUMMA beat every 1.5D configuration on a tall-skinny panel")
 	}
