@@ -69,7 +69,6 @@ func main() {
 		jsonPath = flag.String("json", "", "with -gate: write the stats dump (BENCH_pr3.json) to this path")
 		baseline = flag.String("baseline", "", "with -gate: compare against this checked-in baseline and exit nonzero on regression")
 		tol      = flag.Float64("tol", 0, "relative tolerance: modeled critical-path regression for -gate -baseline (default 5%), planner-vs-oracle gap for -plangate (default 10%); an explicit 0 means strict")
-		verbose  = flag.Bool("v", false, "verbose output")
 	)
 	flag.Parse()
 	// Distinguish an explicit `-tol 0` (strict) from the flag being absent
@@ -140,7 +139,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := experiments.RunOpts{Scale: sc, Machine: m, Threads: *threads, Verbose: *verbose}
+	opts := experiments.RunOpts{Scale: sc, Machine: m, Threads: *threads}
 
 	var list []*experiments.Experiment
 	if *exp == "all" {

@@ -77,32 +77,3 @@ func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 	rc.Opts.Channels = cfg.Channels
 	return rc, nil
 }
-
-// AutoTuneDenseOnMachine consults the sparse×dense planner and returns a
-// copy of rc rewritten to the best predicted configuration of MultiplyDense's
-// space: the algorithm family (SUMMA vs the 1.5D schedules), the replication
-// factor, the batch count, and the schedule. Like AutoTuneOnMachine it weighs
-// communication with the machine's CommScale.
-func AutoTuneDenseOnMachine(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, m costmodel.Machine) (RunConfig, *planner.DensePlan, error) {
-	pl, err := planner.NewDense(a, b.Cols, planner.DenseInput{P: rc.P, MemBytes: rc.Opts.MemBytes, Machine: m})
-	if err != nil {
-		return rc, nil, err
-	}
-	best := pl.Best()
-	if best == nil {
-		return rc, pl, fmt.Errorf("core: dense autotune found no feasible configuration under the %d-byte budget", rc.Opts.MemBytes)
-	}
-	algo, err := ParseAlgo(best.Algo)
-	if err != nil {
-		return rc, pl, err
-	}
-	rc.Opts.Algo = algo
-	rc.Opts.Pipeline = best.Pipeline
-	rc.Opts.ForceBatches = best.B
-	if algo == AlgoSUMMA {
-		rc.L = best.L
-	} else {
-		rc.Opts.Replication = best.C
-	}
-	return rc, pl, nil
-}

@@ -22,7 +22,7 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	g := p.G
 	res := &Result{RowOffset: p.DA.RowB[g.I]}
 	p.pipe = pipeState{}
-	p.pipe.ledger.k = p.Opts.Channels
+	p.ledger = overlapLedger{k: p.Opts.Channels}
 	p.resetSparseComm()
 
 	// Decide the batch count (Alg 4 line 2).

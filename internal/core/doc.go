@@ -112,17 +112,24 @@
 //
 // # Sparse×dense: the 1.5D schedules
 //
-// MultiplyDense runs C = A·B for a dense panel B under Options.Algo:
-// AlgoSUMMA densifies the panel's pattern and reuses the full sparse
-// pipeline above, while AlgoColA and AlgoInnerABC execute the 1.5D
-// schedules of Koanantakool et al. (IPDPS 2016) — the ranks form a ring of
-// s = p/c positions × c = Options.Replication layers (grid.Grid15), the
-// stationary operand is replicated across layers once, the moving operand
-// shifts R = s/c rounds, and dense partials reduce over the fiber in layer
-// order (deterministic, so outputs are bit-identical to localmm.SpMMSerial
-// on integer-valued operands). The schedules reuse the mpi collectives,
-// the paper's meter categories, and — pipelined — the same overlap ledger,
-// posting the next ring shift behind the current round's multiply.
-// AutoTuneDenseOnMachine, called by the spgemm facade before MultiplyDense,
-// spans the algorithm axis analytically through planner.NewDense.
+// MultiplyDense runs C = A·B for a dense panel B under a
+// planner.DenseConfig, the one description of a sparse×dense run: the
+// family, its layer count or replication factor, the batch count and the
+// schedule all come from the config; the RunConfig supplies the world, the
+// per-rank settings and — to the SUMMA arm — the sparse pipeline's other
+// options, its memory budget among them. AlgoSUMMA densifies the panel's pattern
+// and reuses the full sparse pipeline above, while AlgoColA and AlgoInnerABC
+// execute the 1.5D schedules of Koanantakool et al. (IPDPS 2016) — the ranks
+// form a ring of s = p/c positions × c = DenseConfig.C layers
+// (grid.Grid15), the stationary operand is replicated across layers once,
+// the moving operand shifts R = s/c rounds, and dense partials reduce over
+// the fiber in layer order (deterministic, so outputs are bit-identical to
+// localmm.SpMMSerial on integer-valued operands). A 1.5D rank (denseProc)
+// runs on the same per-rank runtime as a SUMMA rank (Proc) — compute
+// sections, worker count, overlap ledger and the ledger's broadcast wait —
+// and reuses the mpi collectives and the paper's meter categories;
+// pipelined, it posts the next ring shift behind the current round's
+// multiply. Every rank of either arm reports its batch count, flops and
+// peak (DenseResult). planner.NewDense spans the algorithm axis
+// analytically, and the spgemm facade runs its best config as it stands.
 package core

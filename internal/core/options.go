@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/planner"
@@ -75,52 +73,6 @@ func HiddenFor(step string) string {
 
 // Steps lists the seven categories in the paper's presentation order.
 var Steps = planner.Steps
-
-// Algo selects the distributed algorithm family. The sparse×sparse path is
-// always 3D SUMMA (2D is its L=1 case); the sparse×dense path (MultiplyDense)
-// adds the 1.5D family of Koanantakool et al., where the replication factor
-// trades memory for communication and a different operand moves per variant.
-type Algo int
-
-const (
-	// AlgoSUMMA is the paper's 2D/3D SUMMA schedule — the zero value. For a
-	// dense operand it runs the dense panel through the sparse pipeline.
-	AlgoSUMMA Algo = iota
-	// AlgoColA is 1.5D ColA: A is block-column partitioned and rotates
-	// around each layer's ring; B and C are column-panel partitioned and
-	// stationary, replicated across layers; C partials reduce over the fiber.
-	AlgoColA
-	// AlgoInnerABC is 1.5D InnerABC: A is block-row partitioned and
-	// stationary (replicated across layers, one-time); B is block-row
-	// partitioned and rotates; C partials reduce over the fiber.
-	AlgoInnerABC
-)
-
-// String returns the spelling ParseAlgo accepts.
-func (a Algo) String() string {
-	switch a {
-	case AlgoSUMMA:
-		return "summa"
-	case AlgoColA:
-		return "cola"
-	case AlgoInnerABC:
-		return "innerabc"
-	}
-	return fmt.Sprintf("Algo(%d)", int(a))
-}
-
-// ParseAlgo parses an algorithm family's spelling (summa | cola | innerabc).
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "summa", "":
-		return AlgoSUMMA, nil
-	case "cola":
-		return AlgoColA, nil
-	case "innerabc", "inner":
-		return AlgoInnerABC, nil
-	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (want summa | cola | innerabc)", s)
-}
 
 // Options configures a distributed multiplication.
 type Options struct {
@@ -202,16 +154,6 @@ type Options struct {
 	// the knob; mpi.SparseAuto lets every stage decide; mpi.SparseOn forces
 	// the subset exchange (differential testing).
 	SparseComm mpi.SparseMode
-	// Algo selects the distributed algorithm family for MultiplyDense:
-	// AlgoSUMMA (the zero value) densifies the panel through the sparse
-	// pipeline, AlgoColA and AlgoInnerABC run the 1.5D schedules. The
-	// sparse×sparse entry points ignore it.
-	Algo Algo
-	// Replication is c, the 1.5D replication factor: the p ranks form a ring
-	// of p/c positions × c layers, and the stationary operands are held c
-	// times. Requires c² | p. Zero means 1 (no replication — the pure ring
-	// algorithm). Ignored by AlgoSUMMA.
-	Replication int
 }
 
 // withDefaults fills unset fields.
@@ -221,9 +163,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Threads <= 0 {
 		o.Threads = 1
-	}
-	if o.Replication <= 0 {
-		o.Replication = 1
 	}
 	if o.Channels <= 0 {
 		o.Channels = 1

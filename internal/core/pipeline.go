@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/localmm"
+	"repro/internal/mpi"
 )
 
 // overlapLedger is the per-rank accounting that decides how much modeled
@@ -161,16 +162,15 @@ func (l *overlapLedger) claimOn(claimed []span, post, used float64) []span {
 	return merged
 }
 
-// pipeState is one rank's cross-batch pipeline state, reset at the start of
-// every BatchedSUMMA3D. Besides the ledger it carries the prefetched stage-0
-// broadcasts of the upcoming batch: the last SUMMA stage of batch t posts
-// batch t+1's first A/B broadcasts (Opts.Pipeline) so their cost can hide
-// behind everything that still runs in batch t — the final multiply, the
-// merges, and the fiber exchange.
-type pipeState struct {
+// rankRuntime is the per-rank execution state both engines share — Proc for
+// the sparse pipeline, denseProc for the 1.5D schedules: the world
+// communicator whose compute gate runs every measured section, the worker
+// ceiling of the local kernels, and the overlap ledger the split collectives
+// claim hiding credit from.
+type rankRuntime struct {
+	world   *mpi.Comm
+	threads int
 	ledger  overlapLedger
-	next    stageBcasts
-	hasNext bool
 }
 
 // measure runs fn as one compute section — on one of the host's cores, for
@@ -178,17 +178,40 @@ type pipeState struct {
 // by its wall time, so split collectives posted before fn can claim it as
 // hiding credit. In the staged schedule the ledger advance is inert: posts and
 // waits are adjacent, so no request ever has a nonzero window.
-func (p *Proc) measure(fn func()) float64 {
-	sec := p.G.World.MeasureCompute(fn)
-	p.pipe.ledger.advance(sec)
+func (r *rankRuntime) measure(fn func()) float64 {
+	sec := r.world.MeasureCompute(fn)
+	r.ledger.advance(sec)
 	return sec
 }
 
 // workers returns the worker count for a kernel call of the given work
 // (flops, or merge input entries) inside the running compute section:
-// Opts.Threads at most, no more than the work pays for (localmm.Workers), and
-// no more than the cores the section holds once it has taken what is idle
+// threads at most, no more than the work pays for (localmm.Workers), and no
+// more than the cores the section holds once it has taken what is idle
 // (mpi.Comm.Workers — ranks waiting for a core come first).
-func (p *Proc) workers(work int64) int {
-	return p.G.World.Workers(localmm.Workers(p.Opts.Threads, work))
+func (r *rankRuntime) workers(work int64) int {
+	return r.world.Workers(localmm.Workers(r.threads, work))
+}
+
+// waitBcast completes req, posted when the ledger clock read post: it
+// charges the exposed share of its modeled cost to cat and the share the
+// unclaimed compute measured since post hides to hidden, and tags the hidden
+// span with the ledger channel that share claimed.
+func (r *rankRuntime) waitBcast(req *mpi.BcastRequest, post float64, cat, hidden string) mpi.Payload {
+	m := r.world.Meter()
+	m.SetCategory(cat)
+	pay, used := req.WaitOverlap(r.ledger.creditSince(post), hidden)
+	m.Recorder().TagChannel(r.ledger.claim(post, used))
+	return pay
+}
+
+// pipeState is one rank's cross-batch pipeline state, reset at the start of
+// every BatchedSUMMA3D: the prefetched stage-0 broadcasts of the upcoming
+// batch. The last SUMMA stage of batch t posts batch t+1's first A/B
+// broadcasts (Opts.Pipeline) so their cost can hide behind everything that
+// still runs in batch t — the final multiply, the merges, and the fiber
+// exchange.
+type pipeState struct {
+	next    stageBcasts
+	hasNext bool
 }

@@ -12,6 +12,8 @@ import (
 
 // Proc is one rank's execution context for a distributed SpGEMM C = A·B.
 type Proc struct {
+	rankRuntime
+
 	G    *grid.Grid3D
 	Opts Options
 
@@ -28,8 +30,8 @@ type Proc struct {
 	// once b is known.
 	bt distmat.Batching
 
-	// pipe is the cross-batch pipeline state (overlap ledger plus the
-	// prefetched next-batch broadcasts), reset by every BatchedSUMMA3D.
+	// pipe is the cross-batch pipeline state (the prefetched next-batch
+	// broadcasts), reset with the overlap ledger by every BatchedSUMMA3D.
 	pipe pipeState
 
 	// sc is the column-subset A-broadcast state (Opts.SparseComm), reset by
@@ -55,7 +57,8 @@ type Proc struct {
 func SetupLocal(g *grid.Grid3D, da *distmat.ADist, db *distmat.BDist, localA, localB spmat.Matrix, opts Options) *Proc {
 	opts = opts.withDefaults()
 	return &Proc{
-		G: g, Opts: opts, DA: da, DB: db,
+		rankRuntime: rankRuntime{world: g.World, threads: opts.Threads},
+		G:           g, Opts: opts, DA: da, DB: db,
 		LocalA: spmat.WithFormat(localA, opts.Format),
 		LocalB: spmat.WithFormat(localB, opts.Format),
 	}

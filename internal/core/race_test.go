@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/localmm"
+	"repro/internal/planner"
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
@@ -86,7 +87,7 @@ func TestDenseSchedulesWithThreadsRace(t *testing.T) {
 	a := randomMat(t, 96, 96, 900, 51)
 	b := randomDense(t, 96, 16, 52)
 	want := localmm.SpMMSerial(a, b)
-	for _, algo := range []Algo{AlgoColA, AlgoInnerABC} {
+	for _, algo := range []planner.Algo{planner.AlgoColA, planner.AlgoInnerABC} {
 		for _, cfg := range []struct {
 			p, c, b, threads int
 			pipeline         bool
@@ -95,10 +96,8 @@ func TestDenseSchedulesWithThreadsRace(t *testing.T) {
 			{p: 8, c: 2, b: 2, threads: 4, pipeline: true},
 			{p: 16, c: 4, b: 3, threads: 8, pipeline: true},
 		} {
-			got, _ := runDense(t, a, b, RunConfig{P: cfg.p, Cost: testCM, Opts: Options{
-				Algo: algo, Replication: cfg.c, ForceBatches: cfg.b,
-				Threads: cfg.threads, Pipeline: cfg.pipeline,
-			}})
+			got, _ := runDense(t, a, b, RunConfig{P: cfg.p, Cost: testCM, Opts: Options{Threads: cfg.threads}},
+				planner.DenseConfig{Algo: algo, C: cfg.c, B: cfg.b, Pipeline: cfg.pipeline})
 			if !spmat.DenseEqual(got, want) {
 				t.Errorf("%v p=%d c=%d b=%d threads=%d pipe=%v: differs from serial",
 					algo, cfg.p, cfg.c, cfg.b, cfg.threads, cfg.pipeline)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
+	"repro/internal/planner"
 	"repro/internal/spmat"
 )
 
@@ -36,10 +37,12 @@ import (
 // it through the overlap ledger, charging the hidden share to the *-Hidden
 // categories exactly like the SUMMA pipeline.
 
-// DenseResult is one rank's output of a 1.5D sparse×dense schedule: a dense
-// panel of C together with where it lands in the global product. Fiber
-// replicas (layers k > 0) hold byte-identical panels; AssembleDense uses the
-// layer-0 copies.
+// DenseResult is one rank's output of a sparse×dense run. Under the 1.5D
+// schedules it holds a dense panel of C together with where it lands in the
+// global product; fiber replicas (layers k > 0) hold byte-identical panels,
+// and MultiplyDense assembles the layer-0 copies. The SUMMA arm's ranks hold
+// their share of C as sparse pieces, so there C is nil and only the counts
+// are filled.
 type DenseResult struct {
 	// C is the local panel, already reduced over the fiber.
 	C *spmat.DenseMat
@@ -59,23 +62,25 @@ type DenseResult struct {
 
 // denseProc is the per-rank state of a 1.5D schedule run.
 type denseProc struct {
-	g    *grid.Grid15
-	opts Options
-	led  overlapLedger
-	res  *DenseResult
+	rankRuntime
+	g      *grid.Grid15
+	cfg    planner.DenseConfig
+	format spmat.Format
+	res    *DenseResult
 }
 
-// measure times fn as one compute section (see Proc.measure) and advances the
-// overlap ledger so in-flight shifts accumulate credit.
-func (p *denseProc) measure(fn func()) float64 {
-	sec := p.g.World.MeasureCompute(fn)
-	p.led.advance(sec)
-	return sec
-}
-
-// workers is Proc.workers for the dense schedules.
-func (p *denseProc) workers(flops int64) int {
-	return p.g.World.Workers(localmm.Workers(p.opts.Threads, flops))
+// newDenseProc wires one rank of a 1.5D run of cfg: the ring of p/cfg.C
+// positions × cfg.C layers over world c, and the per-rank settings of opts
+// (a defaulted Options: threads and storage format).
+func newDenseProc(c *mpi.Comm, cfg planner.DenseConfig, opts Options) (*denseProc, error) {
+	g, err := grid.New15(c, cfg.C)
+	if err != nil {
+		return nil, err
+	}
+	return &denseProc{
+		rankRuntime: rankRuntime{world: c, threads: opts.Threads},
+		g:           g, cfg: cfg, format: opts.Format, res: &DenseResult{},
+	}, nil
 }
 
 // trackPeak records a high-water candidate for the modeled memory footprint.
@@ -86,61 +91,67 @@ func (p *denseProc) trackPeak(bytes int64) {
 }
 
 // validateDense checks the pieces every 1.5D schedule needs.
-func validateDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, opts Options) error {
+func validateDense(a *spmat.CSC, b *spmat.DenseMat, p int, cfg planner.DenseConfig, opts Options) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("core: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if !opts.Semiring.IsPlusTimes() {
 		return fmt.Errorf("core: the dense path accumulates into a zero-initialized dense panel, which is only sound over plus-times")
 	}
-	return grid.Valid15(rc.P, opts.Replication)
+	return grid.Valid15(p, cfg.C)
 }
 
 // MultiplyDense runs C = A·B for sparse A and dense B on a fresh simulated
-// cluster and returns the assembled global product, the per-rank panels, and
-// the step metering summary. Opts.Algo selects the schedule: AlgoColA and
-// AlgoInnerABC run the 1.5D algorithms with replication Opts.Replication;
-// AlgoSUMMA densifies B through the sparse SUMMA pipeline (RunConfig.L
-// layers) and returns nil per-rank panels. AutoTuneDenseOnMachine rewrites
-// rc to the planner's choice of algorithm, replication and batches.
-func MultiplyDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig) (*spmat.DenseMat, []*DenseResult, *mpi.Summary, error) {
+// cluster of rc.P ranks and returns the assembled global product, the
+// per-rank results, and the step metering summary. cfg alone names the
+// schedule — the family, its layer count or replication factor, the batch
+// count and whether it pipelines — and rc supplies the world (P, Cost,
+// Trace) and the per-rank settings (Threads, Format, Semiring). ColA and
+// InnerABC run the 1.5D algorithms with replication cfg.C. AlgoSUMMA
+// densifies B through the sparse pipeline: Multiply under rc with cfg.L
+// layers, cfg.B batches (below 1, the symbolic step decides under
+// rc.Opts.MemBytes) and cfg's schedule in place of rc's.
+func MultiplyDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, cfg planner.DenseConfig) (*spmat.DenseMat, []*DenseResult, *mpi.Summary, error) {
 	opts := rc.Opts.withDefaults()
-	if opts.Algo == AlgoSUMMA {
-		cs, _, sum, err := Multiply(a, b.ToCSC(), rc, nil)
+	if cfg.Algo == planner.AlgoSUMMA {
+		rc.L, rc.Opts.ForceBatches, rc.Opts.Pipeline = cfg.L, cfg.B, cfg.Pipeline
+		cs, ranks, sum, err := Multiply(a, b.ToCSC(), rc, nil)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return spmat.DenseFromCSC(cs), nil, sum, nil
+		results := make([]*DenseResult, len(ranks))
+		for r, res := range ranks {
+			results[r] = &DenseResult{Batches: res.Batches, LocalFlops: res.LocalFlops, PeakMemBytes: res.PeakMemBytes}
+		}
+		return spmat.DenseFromCSC(cs), results, sum, nil
 	}
-	if err := validateDense(a, b, rc, opts); err != nil {
+	if err := validateDense(a, b, rc.P, cfg, opts); err != nil {
 		return nil, nil, nil, err
 	}
 	results := make([]*DenseResult, rc.P)
 	meters, err := runRanks(rc, func(c *mpi.Comm) error {
-		g, err := grid.New15(c, opts.Replication)
+		p, err := newDenseProc(c, cfg, opts)
 		if err != nil {
 			return err
 		}
-		p := &denseProc{g: g, opts: opts, res: &DenseResult{}}
 		results[c.Rank()] = p.res
-		switch opts.Algo {
-		case AlgoColA:
+		switch cfg.Algo {
+		case planner.AlgoColA:
 			return p.runColA(a, b)
-		case AlgoInnerABC:
+		case planner.AlgoInnerABC:
 			return p.runInnerABC(a, b)
 		}
-		return fmt.Errorf("core: MultiplyDense does not implement %v", opts.Algo)
+		return fmt.Errorf("core: MultiplyDense does not implement %v", cfg.Algo)
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	assembled := AssembleDense(results, a.Rows, b.Cols, rc.P/opts.Replication)
-	return assembled, results, mpi.Summarize(meters), nil
+	return assembleDense(results, a.Rows, b.Cols, rc.P/cfg.C), results, mpi.Summarize(meters), nil
 }
 
-// AssembleDense stitches the layer-0 panels (ranks 0..s-1) into the global
+// assembleDense stitches the layer-0 panels (ranks 0..s-1) into the global
 // product.
-func AssembleDense(results []*DenseResult, rows, cols int32, s int) *spmat.DenseMat {
+func assembleDense(results []*DenseResult, rows, cols int32, s int) *spmat.DenseMat {
 	out := spmat.NewDense(rows, cols)
 	for j := 0; j < s; j++ {
 		r := results[j]
@@ -149,16 +160,13 @@ func AssembleDense(results []*DenseResult, rows, cols int32, s int) *spmat.Dense
 	return out
 }
 
-// batches returns the batch count: ForceBatches clamped to [1, limit]. The
-// MemBytes-driven decision is the planner's job (AutoTuneDenseOnMachine sets
-// ForceBatches); the schedules themselves only obey.
+// batches returns the batch count: cfg.B clamped to [1, limit]. The
+// MemBytes-driven decision is the planner's job (planner.NewDense induces
+// B); the schedules themselves only obey.
 func (p *denseProc) batches(limit int32) int {
-	nb := p.opts.ForceBatches
-	if nb < 1 {
-		nb = 1
-	}
-	if limit > 0 && nb > int(limit) {
-		nb = int(limit)
+	nb := max(p.cfg.B, 1)
+	if limit > 0 {
+		nb = min(nb, int(limit))
 	}
 	return nb
 }
@@ -187,20 +195,6 @@ func (p *denseProc) reduceFiber(acc *spmat.DenseMat) *spmat.DenseMat {
 	return out
 }
 
-// shiftRing rotates the moving operand one ring position (staged mode) or
-// completes the shift posted before the multiply (pipelined mode), charging
-// any hidden share to hiddenCat.
-func (p *denseProc) shiftRing(cur mpi.Payload, req *mpi.BcastRequest, post float64, cat, hiddenCat string) mpi.Payload {
-	m := p.g.World.Meter()
-	m.SetCategory(cat)
-	if req != nil {
-		pay, used := req.WaitOverlap(p.led.creditSince(post), hiddenCat)
-		m.Recorder().TagChannel(p.led.claim(post, used))
-		return pay
-	}
-	return p.g.Ring.Shift(1, cur)
-}
-
 // ringBlock is the operand block that rides the ring: a sparse A block under
 // ColA, a dense B block under InnerABC.
 type ringBlock interface {
@@ -226,8 +220,8 @@ func (p *denseProc) ringWalk(cur ringBlock, blk int, acc *spmat.DenseMat, statio
 		tr.SetStage(r)
 		var req *mpi.BcastRequest
 		var post float64
-		if r < R-1 && p.opts.Pipeline {
-			post = p.led.clock
+		if r < R-1 && p.cfg.Pipeline {
+			post = p.ledger.clock
 			req = g.Ring.IshiftStart(1, cur)
 		}
 		sa, db := round(cur, blk)
@@ -242,7 +236,12 @@ func (p *denseProc) ringWalk(cur ringBlock, blk int, acc *spmat.DenseMat, statio
 		}
 		p.trackPeak(stationary + liveShift*cur.MemBytes() + acc.MemBytes())
 		if r < R-1 {
-			cur = p.shiftRing(cur, req, post, cat, hiddenCat).(ringBlock)
+			if req != nil {
+				cur = p.waitBcast(req, post, cat, hiddenCat).(ringBlock)
+			} else {
+				m.SetCategory(cat)
+				cur = g.Ring.Shift(1, cur).(ringBlock)
+			}
 			blk = (blk + 1) % g.S
 		}
 	}
@@ -252,7 +251,7 @@ func (p *denseProc) ringWalk(cur ringBlock, blk int, acc *spmat.DenseMat, statio
 
 // localFmt applies the Format knob to a freshly sliced local block.
 func (p *denseProc) localFmt(m *spmat.CSC) spmat.Matrix {
-	return spmat.WithFormat(m, p.opts.Format)
+	return spmat.WithFormat(m, p.format)
 }
 
 // runColA executes the ColA schedule. A is block-column partitioned over the

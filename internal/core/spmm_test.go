@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/localmm"
+	"repro/internal/planner"
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
@@ -23,9 +24,9 @@ func randomDense(t testing.TB, rows, cols int32, seed int64) *spmat.DenseMat {
 	return d
 }
 
-func runDense(t testing.TB, a *spmat.CSC, b *spmat.DenseMat, rc RunConfig) (*spmat.DenseMat, []*DenseResult) {
+func runDense(t testing.TB, a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, cfg planner.DenseConfig) (*spmat.DenseMat, []*DenseResult) {
 	t.Helper()
-	got, results, _, err := MultiplyDense(a, b, rc)
+	got, results, _, err := MultiplyDense(a, b, rc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +70,10 @@ func TestDenseAlgosBitIdentical(t *testing.T) {
 	}
 	for _, w := range workloads {
 		want := localmm.SpMMSerial(w.a, w.b)
-		for _, algo := range []Algo{AlgoColA, AlgoInnerABC} {
+		for _, algo := range []planner.Algo{planner.AlgoColA, planner.AlgoInnerABC} {
 			for _, c := range cfgs {
-				rc := RunConfig{P: c.p, Cost: testCM, Opts: Options{
-					Algo: algo, Replication: c.c, ForceBatches: c.b,
-					Pipeline: c.pipeline, Threads: c.threads, Format: c.format,
-				}}
-				got, results := runDense(t, w.a, w.b, rc)
+				rc := RunConfig{P: c.p, Cost: testCM, Opts: Options{Threads: c.threads, Format: c.format}}
+				got, results := runDense(t, w.a, w.b, rc, planner.DenseConfig{Algo: algo, C: c.c, B: c.b, Pipeline: c.pipeline})
 				if !spmat.DenseEqual(got, want) {
 					t.Errorf("%s %v p=%d c=%d b=%d pipe=%v threads=%d fmt=%v: result differs from serial reference",
 						w.name, algo, c.p, c.c, c.b, c.pipeline, c.threads, c.format)
@@ -103,12 +101,14 @@ func TestMultiplyDenseSUMMA(t *testing.T) {
 	a := randomMat(t, 40, 32, 300, 81)
 	b := randomDense(t, 32, 6, 82)
 	want := localmm.SpMMSerial(a, b)
-	got, results, sum, err := MultiplyDense(a, b, RunConfig{P: 4, L: 1, Cost: testCM})
+	got, results, sum, err := MultiplyDense(a, b, RunConfig{P: 4, Cost: testCM}, planner.DenseConfig{L: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results != nil {
-		t.Error("SUMMA arm must return nil per-rank dense panels")
+	for _, res := range results {
+		if res.C != nil {
+			t.Error("SUMMA arm must return nil per-rank dense panels")
+		}
 	}
 	if sum == nil {
 		t.Error("SUMMA arm must return a metering summary")
@@ -123,14 +123,12 @@ func TestMultiplyDenseSUMMA(t *testing.T) {
 func TestMultiplyDenseBatchInvariance(t *testing.T) {
 	a := randomMat(t, 50, 64, 400, 91)
 	b := randomDense(t, 64, 12, 92)
-	for _, algo := range []Algo{AlgoColA, AlgoInnerABC} {
+	for _, algo := range []planner.Algo{planner.AlgoColA, planner.AlgoInnerABC} {
 		var ref *spmat.DenseMat
 		for _, nb := range []int{1, 2, 3, 5} {
 			for _, pipe := range []bool{false, true} {
-				rc := RunConfig{P: 8, Cost: testCM, Opts: Options{
-					Algo: algo, Replication: 2, ForceBatches: nb, Pipeline: pipe,
-				}}
-				got, _ := runDense(t, a, b, rc)
+				got, _ := runDense(t, a, b, RunConfig{P: 8, Cost: testCM},
+					planner.DenseConfig{Algo: algo, C: 2, B: nb, Pipeline: pipe})
 				if ref == nil {
 					ref = got
 					continue
@@ -150,10 +148,8 @@ func TestMultiplyDenseFlopsAndPeak(t *testing.T) {
 	a := randomMat(t, 60, 48, 500, 71)
 	b := randomDense(t, 48, 10, 72)
 	want := a.NNZ() * int64(b.Cols)
-	for _, algo := range []Algo{AlgoColA, AlgoInnerABC} {
-		_, results := runDense(t, a, b, RunConfig{P: 8, Cost: testCM, Opts: Options{
-			Algo: algo, Replication: 2, ForceBatches: 2,
-		}})
+	for _, algo := range []planner.Algo{planner.AlgoColA, planner.AlgoInnerABC} {
+		_, results := runDense(t, a, b, RunConfig{P: 8, Cost: testCM}, planner.DenseConfig{Algo: algo, C: 2, B: 2})
 		var flops int64
 		for r, res := range results {
 			flops += res.LocalFlops
@@ -175,21 +171,22 @@ func TestMultiplyDenseFlopsAndPeak(t *testing.T) {
 func TestMultiplyDenseValidation(t *testing.T) {
 	a := randomMat(t, 10, 8, 20, 5)
 	good := randomDense(t, 8, 3, 6)
-	base := RunConfig{P: 4, Cost: testCM, Opts: Options{Algo: AlgoColA, Replication: 2}}
+	base := RunConfig{P: 4, Cost: testCM}
+	cfg := planner.DenseConfig{Algo: planner.AlgoColA, C: 2}
 
-	if _, _, _, err := MultiplyDense(a, randomDense(t, 9, 3, 7), base); err == nil {
+	if _, _, _, err := MultiplyDense(a, randomDense(t, 9, 3, 7), base, cfg); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 
 	rc := base
 	rc.Opts.Semiring = semiring.MinPlus()
-	if _, _, _, err := MultiplyDense(a, good, rc); err == nil || !strings.Contains(err.Error(), "plus-times") {
+	if _, _, _, err := MultiplyDense(a, good, rc, cfg); err == nil || !strings.Contains(err.Error(), "plus-times") {
 		t.Errorf("min-plus semiring accepted: %v", err)
 	}
 
-	rc = base
-	rc.Opts.Replication = 3 // 3² ∤ 4
-	if _, _, _, err := MultiplyDense(a, good, rc); err == nil {
+	bad := cfg
+	bad.C = 3 // 3² ∤ 4
+	if _, _, _, err := MultiplyDense(a, good, base, bad); err == nil {
 		t.Error("invalid replication accepted")
 	}
 }
@@ -215,10 +212,9 @@ func TestSpMMMatchesSpGEMMThenDensify(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := spmat.DenseFromCSC(c)
-			for _, algo := range []Algo{AlgoSUMMA, AlgoColA, AlgoInnerABC} {
-				opts := opts
-				opts.Algo, opts.Replication = algo, 2
-				got, _ := runDense(t, a, d, RunConfig{P: 8, L: 2, Cost: testCM, Opts: opts})
+			for _, algo := range planner.Algos {
+				got, _ := runDense(t, a, d, RunConfig{P: 8, Cost: testCM, Opts: Options{Format: f}},
+					planner.DenseConfig{Algo: algo, L: 2, C: 2, B: 2, Pipeline: pipe})
 				if !spmat.DenseEqual(got, want) {
 					t.Errorf("%v format %v pipeline %v: SpMM differs from the densified SpGEMM", algo, f, pipe)
 				}

@@ -50,7 +50,7 @@ func (p *Proc) postStageBcasts(s int, bOperand spmat.Matrix) stageBcasts {
 	return stageBcasts{
 		a:    aReq,
 		b:    g.Col.IbcastStart(s, bMsg),
-		post: p.pipe.ledger.clock,
+		post: p.ledger.clock,
 	}
 }
 
@@ -79,15 +79,7 @@ func (p *Proc) postStageBcasts(s int, bOperand spmat.Matrix) stageBcasts {
 func (p *Proc) forEachStage(bOperand, bNext spmat.Matrix, aCat, aHidden, bCat, bHidden string, body func(s int, aRecv, bRecv spmat.Matrix)) {
 	stages := p.G.Q
 	pipe := p.Opts.Pipeline
-	meter := p.G.World.Meter()
-	tr := meter.Recorder()
-	led := &p.pipe.ledger
-	wait := func(req *mpi.BcastRequest, post float64, cat, hidden string) spmat.Matrix {
-		meter.SetCategory(cat)
-		pay, used := req.WaitOverlap(led.creditSince(post), hidden)
-		tr.TagChannel(led.claim(post, used))
-		return pay.(spmat.Matrix)
-	}
+	tr := p.G.World.Meter().Recorder()
 
 	// Stage 0 may have been prefetched by the previous batch's last stage.
 	cur := p.pipe.next
@@ -97,7 +89,8 @@ func (p *Proc) forEachStage(bOperand, bNext spmat.Matrix, aCat, aHidden, bCat, b
 	p.pipe.hasNext = false
 	for s := 0; s < stages; s++ {
 		tr.SetStage(s)
-		aRecv, bRecv := wait(cur.a, cur.post, aCat, aHidden), wait(cur.b, cur.post, bCat, bHidden)
+		aRecv := p.waitBcast(cur.a, cur.post, aCat, aHidden).(spmat.Matrix)
+		bRecv := p.waitBcast(cur.b, cur.post, bCat, bHidden).(spmat.Matrix)
 		switch {
 		case pipe && s+1 < stages:
 			cur = p.postStageBcasts(s+1, bOperand)
@@ -224,7 +217,7 @@ func returnLoans(loans []localmm.Loan) {
 func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, []localmm.Loan, []int32) {
 	g := p.G
 	meter := g.World.Meter()
-	led := &p.pipe.ledger
+	led := &p.ledger
 	partial, loans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final

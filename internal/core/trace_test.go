@@ -9,6 +9,7 @@ import (
 	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/planner"
 	"repro/internal/spmat"
 )
 
@@ -156,28 +157,25 @@ func TestTraceMatchesMeterDense(t *testing.T) {
 	a := randomMat(t, 32, 32, 400, 173)
 	d := randomDense(t, 32, 8, 174)
 	for _, tc := range []struct {
-		algo     Algo
+		algo     planner.Algo
 		p, c, b  int
 		pipeline bool
 	}{
-		{algo: AlgoColA, p: 8, c: 2, b: 2},
-		{algo: AlgoColA, p: 8, c: 2, b: 3, pipeline: true},
-		{algo: AlgoInnerABC, p: 8, c: 2, b: 2},
-		{algo: AlgoInnerABC, p: 16, c: 4, b: 2, pipeline: true},
+		{algo: planner.AlgoColA, p: 8, c: 2, b: 2},
+		{algo: planner.AlgoColA, p: 8, c: 2, b: 3, pipeline: true},
+		{algo: planner.AlgoInnerABC, p: 8, c: 2, b: 2},
+		{algo: planner.AlgoInnerABC, p: 16, c: 4, b: 2, pipeline: true},
 	} {
 		name := fmt.Sprintf("%v,p=%d,c=%d,b=%d,pipe=%v", tc.algo, tc.p, tc.c, tc.b, tc.pipeline)
-		rc := RunConfig{P: tc.p, Cost: testCM, Opts: Options{
-			Algo: tc.algo, Replication: tc.c, ForceBatches: tc.b, Pipeline: tc.pipeline,
-		}}
-		opts := rc.Opts.withDefaults()
+		cfg := planner.DenseConfig{Algo: tc.algo, C: tc.c, B: tc.b, Pipeline: tc.pipeline}
+		opts := Options{}.withDefaults()
 		rec := obs.NewRecorder(tc.p)
 		var mu sync.Mutex
 		var firstErr error
 		meters := mpi.RunTraced(tc.p, testCM, rec, func(c *mpi.Comm) {
-			g, err := grid.New15(c, opts.Replication)
+			p, err := newDenseProc(c, cfg, opts)
 			if err == nil {
-				p := &denseProc{g: g, opts: opts, res: &DenseResult{}}
-				if tc.algo == AlgoColA {
+				if tc.algo == planner.AlgoColA {
 					err = p.runColA(a, d)
 				} else {
 					err = p.runInnerABC(a, d)

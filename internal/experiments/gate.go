@@ -41,11 +41,12 @@ type gateShape struct {
 	pipeline bool
 	format   spmat.Format
 	sparse   mpi.SparseMode
-	// algo, c, d select the sparse×dense path: a non-empty algo runs
-	// MultiplyDense on the SpMMGraph workload with a d-wide feature panel
-	// and replication factor c instead of the sparse pipeline (wl ignored).
-	algo string
-	c, d int
+	// d > 0 selects the sparse×dense path: MultiplyDense runs dense — which
+	// also holds the shape's batch count and schedule — on the SpMMGraph
+	// workload with a d-wide feature panel instead of the sparse pipeline
+	// (wl only labels it).
+	dense planner.DenseConfig
+	d     int
 	// machine overrides the gate's default comm-amplified Cori-KNL model:
 	// "local" pins costmodel.LocalHost(), the work-dominated regime where
 	// compute savings (not wire bytes) decide the modeled critical path.
@@ -83,9 +84,9 @@ var gateShapes = []gateShape{
 	// Sparse×dense shapes: the 1.5D schedules on the spmm workload (dense
 	// unweighted R-MAT · tall-skinny feature panel). The staged shapes are
 	// gated; the pipelined twin documents the dense overlap ablation.
-	{name: "spmm-cola-staged", wl: "rmat-dense", p: 16, b: 2, algo: "cola", c: 2, d: 8},
-	{name: "spmm-innerabc-staged", wl: "rmat-dense", p: 16, b: 2, algo: "innerabc", c: 2, d: 8},
-	{name: "spmm-cola-overlapped", wl: "rmat-dense", p: 16, b: 2, pipeline: true, algo: "cola", c: 2, d: 8},
+	{name: "spmm-cola-staged", wl: "rmat-dense", p: 16, d: 8, dense: planner.DenseConfig{Algo: planner.AlgoColA, C: 2, B: 2}},
+	{name: "spmm-innerabc-staged", wl: "rmat-dense", p: 16, d: 8, dense: planner.DenseConfig{Algo: planner.AlgoInnerABC, C: 2, B: 2}},
+	{name: "spmm-cola-overlapped", wl: "rmat-dense", p: 16, d: 8, dense: planner.DenseConfig{Algo: planner.AlgoColA, C: 2, B: 2, Pipeline: true}},
 }
 
 // GateResult is one shape's outcome.
@@ -155,7 +156,7 @@ func (sh gateShape) run(trace *obs.Recorder) (outcome, error) {
 		ForceBatches: sh.b, RunSymbolic: sh.symbolic, Pipeline: sh.pipeline,
 		Format: sh.format, SparseComm: sh.sparse,
 	}}
-	if sh.algo == "" {
+	if sh.d == 0 {
 		wl, err := Workload(sh.wl, ScaleTiny)
 		if err != nil {
 			return outcome{}, err
@@ -163,12 +164,7 @@ func (sh gateShape) run(trace *obs.Recorder) (outcome, error) {
 		a, b := PairFor(wl)
 		return execute(a, b, nil, pn)
 	}
-	algo, err := core.ParseAlgo(sh.algo)
-	if err != nil {
-		return outcome{}, err
-	}
-	pn.l = 1
-	pn.opts.Algo, pn.opts.Replication = algo, sh.c
+	pn.dense = &sh.dense
 	a := SpMMGraph(ScaleTiny)
 	panel := PanelFor(a, int32(sh.d))
 	out, err := execute(a, nil, panel, pn)
@@ -189,7 +185,7 @@ func RunGate() (*GateReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gate shape %s: %w", sh.name, err)
 		}
-		rep.Shapes = append(rep.Shapes, GateResult{
+		res := GateResult{
 			Name:              sh.name,
 			Workload:          sh.wl,
 			P:                 sh.p,
@@ -198,16 +194,18 @@ func RunGate() (*GateReport, error) {
 			Pipeline:          sh.pipeline,
 			Format:            sh.format.String(),
 			SparseComm:        sh.sparse.String(),
-			Algo:              sh.algo,
-			C:                 sh.c,
-			D:                 sh.d,
-			Gated:             !sh.pipeline,
 			CommSeconds:       out.comm,
 			WorkUnits:         out.work,
 			Bytes:             out.bytes,
 			HiddenCommSeconds: hiddenSeconds(out.summary),
 			ModelSeconds:      out.model(),
-		})
+		}
+		if sh.d > 0 {
+			res.B, res.Pipeline = sh.dense.B, sh.dense.Pipeline
+			res.Algo, res.C, res.D = sh.dense.Algo.String(), sh.dense.C, sh.d
+		}
+		res.Gated = !res.Pipeline
+		rep.Shapes = append(rep.Shapes, res)
 	}
 	return rep, nil
 }

@@ -13,34 +13,44 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/planner"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/runs/*.golden and testdata/reports/*.golden from this run instead of comparing against them")
 
 // formatRun renders one run as a line of space-separated name=value fields:
 // the pins handed to core, whether the output was discarded, the batch count
-// the run executed (0 for a densified SUMMA sparse×dense run, whose batch
-// count core does not return), every step's bytes, messages and work units,
+// the run executed, every step's bytes, messages and work units,
 // and — for staged runs only — the modeled communication seconds (a
 // pipelined run's exposed share depends on measured compute). Every field is
 // deterministic, so two runs of the same code print the same line on any
 // host.
 func formatRun(pn pins, batches int, s *mpi.Summary) string {
 	o := pn.opts
+	l, forceb, pipeline, algo, c := pn.l, o.ForceBatches, o.Pipeline, planner.AlgoSUMMA, 0
+	if d := pn.dense; d != nil {
+		// A sparse×dense run's pins are its config, in the sparse runs'
+		// layout: a 1.5D config's unset L is recorded as l=1, and the
+		// densified SUMMA arm's executed batch count as 0.
+		l, forceb, pipeline, algo, c = max(d.L, 1), d.B, d.Pipeline, d.Algo, d.C
+		if d.Algo == planner.AlgoSUMMA {
+			batches = 0
+		}
+	}
 	f := []string{
 		fmt.Sprintf("p=%d", pn.p),
-		fmt.Sprintf("l=%d", pn.l),
+		fmt.Sprintf("l=%d", l),
 		fmt.Sprintf("mem=%d", o.MemBytes),
-		fmt.Sprintf("forceb=%d", o.ForceBatches),
+		fmt.Sprintf("forceb=%d", forceb),
 		fmt.Sprintf("kernel=%v", o.Kernel),
 		fmt.Sprintf("merger=%v", o.Merger),
 		fmt.Sprintf("format=%v", o.Format),
 		fmt.Sprintf("sparse=%v", o.SparseComm),
 		fmt.Sprintf("channels=%d", o.Channels),
 		fmt.Sprintf("symbolic=%v", o.RunSymbolic),
-		fmt.Sprintf("pipeline=%v", o.Pipeline),
-		fmt.Sprintf("algo=%v", o.Algo),
-		fmt.Sprintf("c=%d", o.Replication),
+		fmt.Sprintf("pipeline=%v", pipeline),
+		fmt.Sprintf("algo=%v", algo),
+		fmt.Sprintf("c=%d", c),
 		fmt.Sprintf("discard=%v", pn.discard),
 		fmt.Sprintf("b=%d", batches),
 	}
@@ -51,7 +61,7 @@ func formatRun(pn pins, batches int, s *mpi.Summary) string {
 			fmt.Sprintf("%s.msgs=%d", step, st.Messages),
 			fmt.Sprintf("%s.work=%d", step, st.WorkUnits))
 	}
-	if !o.Pipeline {
+	if !pipeline {
 		f = append(f, "comm="+strconv.FormatFloat(commSeconds(s), 'g', -1, 64))
 	}
 	return strings.Join(f, " ")

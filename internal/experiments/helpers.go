@@ -10,6 +10,7 @@ import (
 	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/planner"
 	"repro/internal/spmat"
 )
 
@@ -28,6 +29,10 @@ type pins struct {
 	p, l    int
 	machine costmodel.Machine
 	opts    core.Options
+	// dense, set on a sparse×dense run, is its whole schedule
+	// (core.MultiplyDense); opts then supplies only the per-rank settings
+	// and l is unused.
+	dense *planner.DenseConfig
 	// discard consumes the output batch-wise and drops it
 	// (core.MultiplyDiscard: the AAᵀ-style workloads of Figs 10–11) instead
 	// of assembling it (core.Multiply).
@@ -170,8 +175,8 @@ func fastest(outs []outcome) outcome {
 var recordRun func(pn pins, batches int, s *mpi.Summary)
 
 // execute runs C = A·B under pn — or, when panel is non-nil, A times that
-// dense panel (core.MultiplyDense; b is ignored) — and scales the metered
-// times by the machine's compute and comm factors.
+// dense panel under pn.dense (core.MultiplyDense; b is ignored) — and scales
+// the metered times by the machine's compute and comm factors.
 func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 	rc := core.RunConfig{P: pn.p, L: pn.l, Cost: pn.machine.Cost(), Opts: pn.opts, Trace: pn.trace}
 	out := outcome{pn: pn}
@@ -179,8 +184,8 @@ func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 	switch {
 	case panel != nil:
 		var results []*core.DenseResult
-		out.dense, results, out.summary, err = core.MultiplyDense(a, panel, rc)
-		if len(results) > 0 { // the densified SUMMA path returns none
+		out.dense, results, out.summary, err = core.MultiplyDense(a, panel, rc, *pn.dense)
+		if len(results) > 0 {
 			out.b = results[0].Batches
 		}
 	case pn.discard:

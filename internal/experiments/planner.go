@@ -166,33 +166,20 @@ func planOracle(a, b *spmat.CSC, p int, machine costmodel.Machine, mem int64, bS
 // scored under the gate objective. Every point is feasible (the dense shape
 // runs unconstrained, the b = 1 memory regime).
 func denseOracle(a *spmat.CSC, panel *spmat.DenseMat, p int, machine costmodel.Machine, bSet []int) ([]oracleEntry[planner.DenseConfig], error) {
-	type armPoint struct {
-		algo core.Algo
-		name string
-		l, c int
-	}
-	var points []armPoint
+	var cfgs []planner.DenseConfig
 	for _, l := range planner.LayersFor(p) {
-		points = append(points, armPoint{algo: core.AlgoSUMMA, name: planner.DenseAlgoSUMMA, l: l})
+		cfgs = append(cfgs, planner.DenseConfig{Algo: planner.AlgoSUMMA, L: l})
 	}
 	for _, c := range planner.ReplicationsFor(p) {
-		points = append(points,
-			armPoint{algo: core.AlgoColA, name: planner.DenseAlgoColA, l: 1, c: c},
-			armPoint{algo: core.AlgoInnerABC, name: planner.DenseAlgoInnerABC, l: 1, c: c})
+		cfgs = append(cfgs, planner.DenseConfig{Algo: planner.AlgoColA, C: c}, planner.DenseConfig{Algo: planner.AlgoInnerABC, C: c})
 	}
 	var out []oracleEntry[planner.DenseConfig]
-	for _, pt := range points {
+	for _, cfg := range cfgs {
 		for _, bv := range bSet {
-			rr, err := execute(a, nil, panel, pins{p: p, l: pt.l, machine: machine,
-				opts: core.Options{Algo: pt.algo, Replication: pt.c, ForceBatches: bv}})
+			cfg.B = bv
+			rr, err := execute(a, nil, panel, pins{p: p, machine: machine, dense: &cfg})
 			if err != nil {
-				return nil, fmt.Errorf("dense oracle %s l=%d c=%d b=%d: %w", pt.name, pt.l, pt.c, bv, err)
-			}
-			cfg := planner.DenseConfig{Algo: pt.name, B: bv}
-			if pt.algo == core.AlgoSUMMA {
-				cfg.L = pt.l
-			} else {
-				cfg.C = pt.c
+				return nil, fmt.Errorf("dense oracle %s: %w", cfg, err)
 			}
 			out = append(out, oracleEntry[planner.DenseConfig]{
 				Cfg:          cfg,

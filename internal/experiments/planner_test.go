@@ -6,7 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/localmm"
 	"repro/internal/mpi"
+	"repro/internal/planner"
+	"repro/internal/spmat"
 )
 
 // PlanGate is RunPlanGate without its per-shape lines.
@@ -30,6 +35,51 @@ func TestPlannerWithinOracle(t *testing.T) {
 	}
 	for _, msg := range bad {
 		t.Error(msg)
+	}
+}
+
+// TestDenseCandidatesExecute holds the planner and the runtime to one
+// description of a sparse×dense run: every configuration planner.NewDense
+// emits for the spmm tiny shape at p = 16 — the SUMMA arm, and both 1.5D
+// families at every replication factor, staged and pipelined — runs through
+// core.MultiplyDense as emitted and reproduces the serial SpMM bit for bit.
+func TestDenseCandidatesExecute(t *testing.T) {
+	const p = 16
+	a := SpMMGraph(ScaleTiny)
+	d := spmmPanelWidth(ScaleTiny)
+	panel := PanelFor(a, d)
+	want := localmm.SpMMSerial(a, panel)
+	machine := costmodel.CoriKNL().ScaledBeta(commAmplification(ScaleTiny))
+	pl, err := planner.NewDense(a, d, planner.DenseInput{P: p, Machine: machine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(algo planner.Algo, c int, pipe bool) string {
+		return fmt.Sprintf("%v c=%d pipeline=%v", algo, c, pipe)
+	}
+	ran := map[string]bool{}
+	for _, cand := range pl.Candidates {
+		cfg := cand.DenseConfig
+		got, _, _, err := core.MultiplyDense(a, panel, core.RunConfig{P: p, Cost: machine.Cost()}, cfg)
+		if err != nil {
+			t.Errorf("%s: %v", cfg, err)
+			continue
+		}
+		if !spmat.DenseEqual(got, want) {
+			t.Errorf("%s: differs from the serial SpMM", cfg)
+		}
+		ran[key(cfg.Algo, cfg.C, cfg.Pipeline)] = true
+	}
+	for _, pipe := range []bool{false, true} {
+		wantRan := []string{key(planner.AlgoSUMMA, 0, pipe)}
+		for _, c := range planner.ReplicationsFor(p) {
+			wantRan = append(wantRan, key(planner.AlgoColA, c, pipe), key(planner.AlgoInnerABC, c, pipe))
+		}
+		for _, k := range wantRan {
+			if !ran[k] {
+				t.Errorf("the plan has no %s candidate", k)
+			}
+		}
 	}
 }
 

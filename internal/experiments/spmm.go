@@ -68,22 +68,18 @@ func runSpMMExperiment(r *Report, opts RunOpts) error {
 	want := localmm.SpMMSerial(a, panel)
 
 	var pts []point
-	for _, name := range planner.DenseAlgos {
-		algo, err := core.ParseAlgo(name)
-		if err != nil {
-			return err
-		}
+	for _, algo := range planner.Algos {
 		reps := planner.ReplicationsFor(p)
-		if algo == core.AlgoSUMMA {
+		if algo == planner.AlgoSUMMA {
 			reps = []int{1}
 		}
 		for _, c := range reps {
 			cCell := fmt.Sprint(c)
-			if algo == core.AlgoSUMMA {
+			if algo == planner.AlgoSUMMA {
 				cCell = fmt.Sprintf("l=%d", summaL) // SUMMA replicates nothing; it runs in layers
 			}
-			pt := opts.point(a, nil, p, summaL, core.Options{Algo: algo, Replication: c, ForceBatches: 1}, algo.String(), cCell)
-			pt.panel = panel
+			pt := opts.point(a, nil, p, 0, core.Options{}, algo.String(), cCell)
+			pt.panel, pt.pn.dense = panel, &planner.DenseConfig{Algo: algo, L: summaL, C: c, B: 1}
 			pts = append(pts, pt)
 		}
 	}
@@ -98,17 +94,17 @@ func runSpMMExperiment(r *Report, opts RunOpts) error {
 	for _, o := range runs {
 		if !spmat.DenseEqual(o.dense, want) {
 			bitIdentical = false
-			r.Finding("UNEXPECTED: %v c=%d differs from the serial SpMM reference", o.pn.opts.Algo, o.pn.opts.Replication)
+			r.Finding("UNEXPECTED: %v c=%d differs from the serial SpMM reference", o.pn.dense.Algo, o.pn.dense.C)
 		}
 	}
 	if bitIdentical {
 		r.Finding("every algorithm family and replication factor is bit-identical to the serial SpMM reference")
 	}
-	summa := runs[slices.IndexFunc(runs, func(o outcome) bool { return o.pn.opts.Algo == core.AlgoSUMMA })]
+	summa := runs[slices.IndexFunc(runs, func(o outcome) bool { return o.pn.dense.Algo == planner.AlgoSUMMA })]
 	best := slices.MinFunc(runs, func(x, y outcome) int { return cmp.Compare(x.model(), y.model()) })
-	if best.pn.opts.Algo != core.AlgoSUMMA {
+	if best.pn.dense.Algo != planner.AlgoSUMMA {
 		r.Finding("best 1.5D configuration (%v/c=%d) models %.3gx faster than densified SUMMA on the tall-skinny panel",
-			best.pn.opts.Algo, best.pn.opts.Replication, summa.model()/best.model())
+			best.pn.dense.Algo, best.pn.dense.C, summa.model()/best.model())
 	} else {
 		r.Finding("UNEXPECTED: densified SUMMA beat every 1.5D configuration on a tall-skinny panel")
 	}

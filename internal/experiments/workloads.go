@@ -49,8 +49,6 @@ type RunOpts struct {
 	// setting: no modeled number, byte or work unit depends on it. Every other
 	// engine option is pinned by the experiment itself.
 	Threads int
-	// Verbose experiments may add extra tables.
-	Verbose bool
 }
 
 // commAmplification restores the paper's communication-to-computation

@@ -17,7 +17,7 @@ import (
 // collective (skew/fiber broadcasts, ring shifts, fiber allgather-reduce)
 // with exact per-block wire sizes, so they are testable against real meters;
 // the SUMMA arm delegates to the sparse planner on an all-ones pattern of
-// the panel, which is exactly what the runtime's AlgoSUMMA arm executes.
+// the panel, which is exactly what core.MultiplyDense's SUMMA arm executes.
 //
 // The ranking objective models iterated SpMM: each candidate's cost is split
 // into OneTimeSeconds (replication of the stationary operand, paid once per
@@ -27,15 +27,57 @@ import (
 // replication (InnerABC replicates sparse A once and then moves only dense
 // panels) overtake candidates that re-move the sparse matrix every pass.
 
-// Dense algorithm spellings, shared with core.ParseAlgo.
+// Algo is the distributed algorithm family of a sparse×dense run. The
+// sparse×sparse path is always 3D SUMMA (2D is its l = 1 case); the
+// sparse×dense path adds the 1.5D family of Koanantakool et al., where the
+// replication factor trades memory for communication and a different operand
+// moves per variant.
+type Algo int
+
 const (
-	DenseAlgoSUMMA    = "summa"
-	DenseAlgoColA     = "cola"
-	DenseAlgoInnerABC = "innerabc"
+	// AlgoSUMMA is the paper's 2D/3D SUMMA schedule — the zero value. For a
+	// dense operand it runs the panel's densified pattern through the sparse
+	// pipeline.
+	AlgoSUMMA Algo = iota
+	// AlgoColA is 1.5D ColA: A is block-column partitioned and rotates
+	// around each layer's ring; B and C are column-panel partitioned and
+	// stationary, replicated across layers; C partials reduce over the fiber.
+	AlgoColA
+	// AlgoInnerABC is 1.5D InnerABC: A is block-row partitioned and
+	// stationary (replicated across layers, one-time); B is block-row
+	// partitioned and rotates; C partials reduce over the fiber.
+	AlgoInnerABC
 )
 
-// DenseAlgos lists the algorithm axis in enumeration order.
-var DenseAlgos = []string{DenseAlgoSUMMA, DenseAlgoColA, DenseAlgoInnerABC}
+// Algos lists the algorithm axis in enumeration order, which is also the
+// ranking's tie-break order.
+var Algos = []Algo{AlgoSUMMA, AlgoColA, AlgoInnerABC}
+
+// String returns the spelling ParseAlgo accepts.
+func (a Algo) String() string {
+	switch a {
+	case AlgoSUMMA:
+		return "summa"
+	case AlgoColA:
+		return "cola"
+	case AlgoInnerABC:
+		return "innerabc"
+	}
+	return fmt.Sprintf("Algo(%d)", int(a))
+}
+
+// ParseAlgo parses an algorithm family's spelling (summa | cola | innerabc).
+func ParseAlgo(s string) (Algo, error) {
+	switch s {
+	case "summa", "":
+		return AlgoSUMMA, nil
+	case "cola":
+		return AlgoColA, nil
+	case "innerabc", "inner":
+		return AlgoInnerABC, nil
+	}
+	return 0, fmt.Errorf("planner: unknown algorithm %q (want summa | cola | innerabc)", s)
+}
 
 // DenseInput configures a sparse×dense planning run.
 type DenseInput struct {
@@ -62,15 +104,19 @@ func (in DenseInput) withDefaults() DenseInput {
 	return in
 }
 
-// DenseConfig is one point of the sparse×dense configuration space.
+// DenseConfig is one point of the sparse×dense configuration space, and the
+// whole description of a sparse×dense run: core.MultiplyDense executes
+// exactly what it names.
 type DenseConfig struct {
-	// Algo is the algorithm family (DenseAlgoSUMMA, ...).
-	Algo string
+	// Algo is the algorithm family.
+	Algo Algo
 	// L is the SUMMA layer count (unused by the 1.5D algorithms).
 	L int
-	// C is the 1.5D replication factor (unused by SUMMA).
+	// C is the 1.5D replication factor, c² | p (unused by SUMMA).
 	C int
-	// B is the batch count.
+	// B is the batch count, clamped by the runtime to what the panel's
+	// width allows. Below 1 it means one batch on the 1.5D schedules and the
+	// symbolic step's choice on the SUMMA arm.
 	B int
 	// Pipeline selects the overlapped schedule.
 	Pipeline bool
@@ -82,10 +128,10 @@ func (c DenseConfig) String() string {
 	if c.Pipeline {
 		sched = "pipelined"
 	}
-	if c.Algo == DenseAlgoSUMMA {
-		return c.Algo + " l=" + itoa(c.L) + " b=" + itoa(c.B) + " " + sched
+	if c.Algo == AlgoSUMMA {
+		return c.Algo.String() + " l=" + itoa(c.L) + " b=" + itoa(c.B) + " " + sched
 	}
-	return c.Algo + " c=" + itoa(c.C) + " b=" + itoa(c.B) + " " + sched
+	return c.Algo.String() + " c=" + itoa(c.C) + " b=" + itoa(c.B) + " " + sched
 }
 
 // DenseCandidate is one fully-evaluated sparse×dense configuration.
@@ -160,7 +206,7 @@ func ReplicationsFor(p int) []int {
 const densifyLimit = 1 << 24
 
 // NewDense evaluates the sparse×dense configuration space for C = A·B where
-// B is a dense n×d panel — every algorithm of DenseAlgos, the 1.5D ones at
+// B is a dense n×d panel — every algorithm of Algos, the 1.5D ones at
 // every replication factor ReplicationsFor gives, staged and pipelined —
 // returning the ranked plan. Deterministic, like New.
 func NewDense(a *spmat.CSC, d int32, in DenseInput) (*DensePlan, error) {
@@ -172,8 +218,8 @@ func NewDense(a *spmat.CSC, d int32, in DenseInput) (*DensePlan, error) {
 		return nil, fmt.Errorf("planner: dense width %d", d)
 	}
 	pl := &DensePlan{In: in, D: d, a: a, stats: make(map[int]*denseStats)}
-	for _, algo := range DenseAlgos {
-		if algo == DenseAlgoSUMMA {
+	for _, algo := range Algos {
+		if algo == AlgoSUMMA {
 			pl.addSUMMA(a, d)
 			continue
 		}
@@ -185,7 +231,6 @@ func NewDense(a *spmat.CSC, d int32, in DenseInput) (*DensePlan, error) {
 			}
 		}
 	}
-	algoRank := map[string]int{DenseAlgoSUMMA: 0, DenseAlgoColA: 1, DenseAlgoInnerABC: 2}
 	sort.SliceStable(pl.Candidates, func(x, y int) bool {
 		cx, cy := &pl.Candidates[x], &pl.Candidates[y]
 		if cx.Feasible != cy.Feasible {
@@ -194,8 +239,8 @@ func NewDense(a *spmat.CSC, d int32, in DenseInput) (*DensePlan, error) {
 		if cx.ModelSeconds != cy.ModelSeconds {
 			return cx.ModelSeconds < cy.ModelSeconds
 		}
-		if algoRank[cx.Algo] != algoRank[cy.Algo] {
-			return algoRank[cx.Algo] < algoRank[cy.Algo]
+		if cx.Algo != cy.Algo {
+			return cx.Algo < cy.Algo
 		}
 		if cx.C != cy.C {
 			return cx.C < cy.C
@@ -220,12 +265,12 @@ func (pl *DensePlan) Best() *DenseCandidate {
 // batch count (cfg.B ≤ 0 induces). Tests and the oracle sweep use it.
 func (pl *DensePlan) Evaluate(cfg DenseConfig) (DenseCandidate, error) {
 	switch cfg.Algo {
-	case DenseAlgoColA, DenseAlgoInnerABC:
+	case AlgoColA, AlgoInnerABC:
 		if err := grid.Valid15(pl.In.P, cfg.C); err != nil {
 			return DenseCandidate{}, err
 		}
 		return pl.predict15(cfg.Algo, cfg.C, cfg.B, cfg.Pipeline), nil
-	case DenseAlgoSUMMA:
+	case AlgoSUMMA:
 		if pl.SUMMA == nil {
 			return DenseCandidate{}, fmt.Errorf("planner: the SUMMA arm was not enumerated")
 		}
@@ -235,12 +280,12 @@ func (pl *DensePlan) Evaluate(cfg DenseConfig) (DenseCandidate, error) {
 		}
 		return pl.wrapSUMMA(sc), nil
 	}
-	return DenseCandidate{}, fmt.Errorf("planner: unknown dense algorithm %q", cfg.Algo)
+	return DenseCandidate{}, fmt.Errorf("planner: unknown dense algorithm %v", cfg.Algo)
 }
 
 // addSUMMA runs the sparse planner on the densified panel pattern and adopts
 // two of its candidates as the SUMMA arm: the best staged one and the best
-// pipelined one among those the runtime's AlgoSUMMA arm executes — sparse
+// pipelined one among those core.MultiplyDense's SUMMA arm executes — sparse
 // communication off and a single overlap channel. Keeping a staged candidate
 // beside the pipelined one lets a caller that runs staged schedules only take
 // the first staged candidate of the ranking.
@@ -248,7 +293,7 @@ func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32) {
 	in := pl.In
 	if int64(a.Cols)*int64(d) > densifyLimit {
 		pl.Candidates = append(pl.Candidates, DenseCandidate{
-			DenseConfig: DenseConfig{Algo: DenseAlgoSUMMA, L: 1, B: 1},
+			DenseConfig: DenseConfig{Algo: AlgoSUMMA, L: 1, B: 1},
 			Feasible:    false,
 			Note:        "panel too large to densify for planning",
 		})
@@ -257,7 +302,7 @@ func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32) {
 	sp, err := New(a, denseOnesCSC(a.Cols, d), Input{P: in.P, MemBytes: in.MemBytes, Machine: in.Machine})
 	if err != nil {
 		pl.Candidates = append(pl.Candidates, DenseCandidate{
-			DenseConfig: DenseConfig{Algo: DenseAlgoSUMMA, L: 1, B: 1},
+			DenseConfig: DenseConfig{Algo: AlgoSUMMA, L: 1, B: 1},
 			Feasible:    false,
 			Note:        "sparse planner: " + err.Error(),
 		})
@@ -278,7 +323,7 @@ func (pl *DensePlan) addSUMMA(a *spmat.CSC, d int32) {
 // matrix every pass — so the whole cost is per-iteration.
 func (pl *DensePlan) wrapSUMMA(sc Candidate) DenseCandidate {
 	return DenseCandidate{
-		DenseConfig:         DenseConfig{Algo: DenseAlgoSUMMA, L: sc.L, B: sc.B, Pipeline: sc.Pipeline},
+		DenseConfig:         DenseConfig{Algo: AlgoSUMMA, L: sc.L, B: sc.B, Pipeline: sc.Pipeline},
 		Steps:               sc.Steps,
 		PerIterSeconds:      sc.ModelSeconds,
 		CommSeconds:         sc.CommSeconds,
@@ -393,7 +438,7 @@ func memModel15(cols int32, ne, nnz int64) int64 {
 // count from the memory budget; pipe derives the overlapped schedule. The
 // comm terms replay the runtime's collectives per rank and take the maximum
 // — the same per-step critical-path aggregation mpi.Summarize reports.
-func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandidate {
+func (pl *DensePlan) predict15(algo Algo, c, forceB int, pipe bool) DenseCandidate {
 	in := pl.In
 	a := pl.a
 	p := in.P
@@ -431,7 +476,7 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 	peakFor := func(b int) int64 {
 		var live, reduce int64
 		switch algo {
-		case DenseAlgoColA:
+		case AlgoColA:
 			piece := (maxPanelW + int32(b) - 1) / int32(b)
 			acc := spmat.DenseMemBytes(a.Rows, piece)
 			live = mul*maxBlkMem + spmat.DenseMemBytes(a.Rows, maxPanelW) + acc
@@ -492,7 +537,7 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 		for j := 0; j < s; j++ {
 			start := (j + k*R) % s
 			switch algo {
-			case DenseAlgoColA:
+			case AlgoColA:
 				oneA := cs * cm.BcastCost(c, st.colWire[start])
 				var round float64
 				for r := 1; r < R; r++ {
@@ -570,7 +615,7 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 	c64 := int64(c)
 	multWork := nnz*d64 + p64*int64(R)*b64
 	var mergeLayerWork, mergeFiberWork int64
-	if algo == DenseAlgoInnerABC {
+	if algo == AlgoInnerABC {
 		mergeLayerWork = c64*nnz + p64*int64(a.Cols) + p64
 	}
 	// Fiber reduction: per rank per batch, c·(panel elements)+1 summed
@@ -607,14 +652,14 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 	if pipe && R > 1 {
 		windows := float64(b * (R - 1))
 		shiftComm := maxShiftRound
-		if algo == DenseAlgoInnerABC {
+		if algo == AlgoInnerABC {
 			shiftComm = maxShiftB
 		}
 		perComp := float64(multWork) * rate / float64(p) / float64(b*R)
 		hidden = windows * min(shiftComm/windows, perComp)
 		for i := range steps {
 			hideStep := StepABcast
-			if algo == DenseAlgoInnerABC {
+			if algo == AlgoInnerABC {
 				hideStep = StepBBcast
 			}
 			if steps[i].Step == hideStep {
@@ -637,7 +682,7 @@ func (pl *DensePlan) predict15(algo string, c, forceB int, pipe bool) DenseCandi
 	// InnerABC amortizes the sparse replication and its column split but
 	// re-distributes the fresh dense panel every pass.
 	switch algo {
-	case DenseAlgoColA:
+	case AlgoColA:
 		cand.OneTimeSeconds = maxOneA + maxOneB
 	default:
 		cand.OneTimeSeconds = maxOneA + float64(mergeLayerWork)*rate

@@ -23,15 +23,8 @@ func randomPanel(t testing.TB, rows, cols int32, seed int64) *spmat.DenseMat {
 
 func measureDense(t *testing.T, a *spmat.CSC, b *spmat.DenseMat, cfg planner.DenseConfig, p int) *mpi.Summary {
 	t.Helper()
-	machine := testMachine()
-	algo, err := core.ParseAlgo(cfg.Algo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := core.RunConfig{P: p, Cost: machine.Cost(), Opts: core.Options{
-		Algo: algo, Replication: cfg.C, ForceBatches: cfg.B, Pipeline: cfg.Pipeline,
-	}}
-	_, _, sum, err := core.MultiplyDense(a, b, rc)
+	rc := core.RunConfig{P: p, Cost: testMachine().Cost()}
+	_, _, sum, err := core.MultiplyDense(a, b, rc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +47,12 @@ func TestDensePredictorAgainstMeters(t *testing.T) {
 		p    int
 		cfg  planner.DenseConfig
 	}{
-		{"cola-p16-c2-b2", 16, planner.DenseConfig{Algo: planner.DenseAlgoColA, C: 2, B: 2}},
-		{"cola-p8-c1-b1", 8, planner.DenseConfig{Algo: planner.DenseAlgoColA, C: 1, B: 1}},
-		{"cola-p16-c4-b1", 16, planner.DenseConfig{Algo: planner.DenseAlgoColA, C: 4, B: 1}},
-		{"inner-p16-c2-b2", 16, planner.DenseConfig{Algo: planner.DenseAlgoInnerABC, C: 2, B: 2}},
-		{"inner-p9-c3-b2", 9, planner.DenseConfig{Algo: planner.DenseAlgoInnerABC, C: 3, B: 2}},
-		{"inner-p16-c1-b3", 16, planner.DenseConfig{Algo: planner.DenseAlgoInnerABC, C: 1, B: 3}},
+		{"cola-p16-c2-b2", 16, planner.DenseConfig{Algo: planner.AlgoColA, C: 2, B: 2}},
+		{"cola-p8-c1-b1", 8, planner.DenseConfig{Algo: planner.AlgoColA, C: 1, B: 1}},
+		{"cola-p16-c4-b1", 16, planner.DenseConfig{Algo: planner.AlgoColA, C: 4, B: 1}},
+		{"inner-p16-c2-b2", 16, planner.DenseConfig{Algo: planner.AlgoInnerABC, C: 2, B: 2}},
+		{"inner-p9-c3-b2", 9, planner.DenseConfig{Algo: planner.AlgoInnerABC, C: 3, B: 2}},
+		{"inner-p16-c1-b3", 16, planner.DenseConfig{Algo: planner.AlgoInnerABC, C: 1, B: 3}},
 	}
 	const tol = 1e-9
 	commSteps := []string{planner.StepABcast, planner.StepBBcast, planner.StepAllToAll}
@@ -114,7 +107,7 @@ func TestDensePlannerPicksColAOnTallSkinny(t *testing.T) {
 	}
 	t.Logf("best: %v (model %.3gs, one-time %.3gs, per-iter %.3gs)",
 		best.DenseConfig, best.ModelSeconds, best.OneTimeSeconds, best.PerIterSeconds)
-	if best.Algo == planner.DenseAlgoSUMMA {
+	if best.Algo == planner.AlgoSUMMA {
 		t.Errorf("planner picked SUMMA for a tall-skinny panel: %v", best.DenseConfig)
 	}
 	if pl.SUMMA == nil {
@@ -127,7 +120,7 @@ func TestDensePlannerPicksColAOnTallSkinny(t *testing.T) {
 // candidates gain exactly the modeled amount as iterations grow.
 func TestDenseIterationsAmortize(t *testing.T) {
 	a := friendsterTiny()
-	cfg := planner.DenseConfig{Algo: planner.DenseAlgoInnerABC, C: 2, B: 1}
+	cfg := planner.DenseConfig{Algo: planner.AlgoInnerABC, C: 2, B: 1}
 	var single planner.DenseCandidate
 	for _, iters := range []int{1, 10} {
 		pl, err := planner.NewDense(a, 8, planner.DenseInput{P: 16, Machine: testMachine(), Iterations: iters})

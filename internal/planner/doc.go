@@ -77,7 +77,8 @@
 // 1.5D predictors mirror core's schedules collective for collective with
 // exact per-block wire sizes and are meter-exact on staged shapes; the
 // SUMMA arm delegates to the sparse planner on the panel's densified
-// pattern — exactly what the runtime's AlgoSUMMA arm executes, so the arm
-// keeps only that plan's candidates with sparse communication off and one
-// overlap channel (its best staged and best pipelined one).
+// pattern — exactly what core.MultiplyDense executes for AlgoSUMMA, so the
+// arm keeps only that plan's candidates with sparse communication off and
+// one overlap channel (its best staged and best pipelined one). A
+// candidate's DenseConfig is what core.MultiplyDense runs, as it stands.
 package planner

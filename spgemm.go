@@ -40,6 +40,7 @@
 package spgemm
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/core"
@@ -47,6 +48,7 @@ import (
 	"repro/internal/genmat"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
+	"repro/internal/planner"
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
@@ -126,26 +128,26 @@ func ParseSparseMode(s string) (SparseMode, error) { return mpi.ParseSparseMode(
 
 // Algo selects the distributed algorithm family Cluster.MultiplyDense runs.
 // See Options.Algo.
-type Algo = core.Algo
+type Algo = planner.Algo
 
 // Algorithm families for Options.Algo.
 const (
 	// AlgoSUMMA densifies the panel through the sparse 2D/3D SUMMA pipeline
 	// (the zero value; for genuinely sparse panels at low concurrency it can
 	// win on the larger per-message payloads).
-	AlgoSUMMA = core.AlgoSUMMA
+	AlgoSUMMA = planner.AlgoSUMMA
 	// AlgoColA is 1.5D ColA: the sparse matrix is block-column partitioned
 	// and rotates around a ring while the dense panel stays put, replicated
 	// c-fold; iterated SpMM amortizes the one-time panel replication.
-	AlgoColA = core.AlgoColA
+	AlgoColA = planner.AlgoColA
 	// AlgoInnerABC is 1.5D InnerABC: the sparse matrix is block-row
 	// partitioned and stationary (replicated once, amortized across
 	// iterations) while the dense panel rotates.
-	AlgoInnerABC = core.AlgoInnerABC
+	AlgoInnerABC = planner.AlgoInnerABC
 )
 
 // ParseAlgo maps a CLI string (summa|cola|innerabc) to an Algo.
-func ParseAlgo(s string) (Algo, error) { return core.ParseAlgo(s) }
+func ParseAlgo(s string) (Algo, error) { return planner.ParseAlgo(s) }
 
 // Kernel selects the local multiply implementation.
 type Kernel = localmm.Kernel
@@ -370,8 +372,6 @@ func (o Options) toCore() core.Options {
 		Pipeline:     o.Pipeline,
 		Format:       o.Format,
 		SparseComm:   o.SparseComm,
-		Algo:         o.Algo,
-		Replication:  o.Replication,
 		Channels:     o.Channels,
 	}
 }
@@ -471,21 +471,25 @@ func (c *Cluster) Multiply(a, b *Matrix, opts Options) (*Matrix, *Stats, error) 
 // GNN propagation workload) and assembles the global dense result.
 // Options.Algo picks the family: the 1.5D ColA or InnerABC schedules with
 // Options.Replication-fold replication, or AlgoSUMMA, which densifies the
-// panel through the sparse pipeline. Only the plus-times semiring is
-// supported (a dense accumulator has no additive identity for the others).
-// Output is bit-identical to MultiplyDenseSerial for every configuration.
+// panel through the sparse pipeline on the cluster's layers. Only the
+// plus-times semiring is supported (a dense accumulator has no additive
+// identity for the others). Output is bit-identical to MultiplyDenseSerial
+// for every configuration.
 func (c *Cluster) MultiplyDense(a *Matrix, b *DenseMatrix, opts Options) (*DenseMatrix, *Stats, error) {
-	rc := core.RunConfig{P: c.procs, L: c.layers, Cost: c.machine.Cost(), Opts: opts.toCore()}
+	cfg := planner.DenseConfig{Algo: opts.Algo, L: c.layers, C: max(opts.Replication, 1), B: opts.Batches, Pipeline: opts.Pipeline}
 	if opts.AutoTune {
-		// Resolve the plan here (as in multiply) so the executed algorithm,
-		// replication, and batch count can be reported in Stats, under the
-		// cluster's full machine model.
-		var err error
-		if rc, _, err = core.AutoTuneDenseOnMachine(a, b, rc, c.machine); err != nil {
+		pl, err := planner.NewDense(a, b.Cols, planner.DenseInput{P: c.procs, MemBytes: opts.MemBytes, Machine: c.machine})
+		if err != nil {
 			return nil, nil, err
 		}
+		best := pl.Best()
+		if best == nil {
+			return nil, nil, fmt.Errorf("spgemm: dense autotune found no feasible configuration under the %d-byte budget", opts.MemBytes)
+		}
+		cfg = best.DenseConfig
 	}
-	out, results, summary, err := core.MultiplyDense(a, b, rc)
+	rc := core.RunConfig{P: c.procs, Cost: c.machine.Cost(), Opts: opts.toCore()}
+	out, results, summary, err := core.MultiplyDense(a, b, rc, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -493,26 +497,13 @@ func (c *Cluster) MultiplyDense(a *Matrix, b *DenseMatrix, opts Options) (*Dense
 	for _, r := range results {
 		st.Batches = r.Batches
 		st.Flops += r.LocalFlops
-		if r.PeakMemBytes > st.PeakMemBytes {
-			st.PeakMemBytes = r.PeakMemBytes
-		}
+		st.PeakMemBytes = max(st.PeakMemBytes, r.PeakMemBytes)
 	}
-	if results == nil {
-		// The SUMMA arm runs the sparse pipeline; the forced batch count is
-		// the executed one (the planner pins it under AutoTune).
-		if st.Batches = rc.Opts.ForceBatches; st.Batches < 1 {
-			st.Batches = 1
-		}
-	}
-	st.Layers = rc.L
-	st.Pipeline = rc.Opts.Pipeline
-	st.Algo = rc.Opts.Algo
-	if rc.Opts.Algo != core.AlgoSUMMA {
-		st.Replication = rc.Opts.Replication
-		if st.Replication == 0 {
-			st.Replication = 1
-		}
-		st.Layers = 0
+	st.Algo, st.Pipeline = cfg.Algo, cfg.Pipeline
+	if cfg.Algo == AlgoSUMMA {
+		st.Layers = cfg.L
+	} else {
+		st.Replication = cfg.C
 	}
 	return out, st, nil
 }

@@ -459,6 +459,31 @@ func TestFacadeMultiplyDense(t *testing.T) {
 	if stats.Algo != spgemm.AlgoSUMMA || stats.Replication != 0 {
 		t.Errorf("SUMMA stats report algo=%v c=%d", stats.Algo, stats.Replication)
 	}
+	if stats.Flops != a.NNZ()*int64(b.Cols) || stats.PeakMemBytes <= 0 {
+		t.Errorf("SUMMA stats report flops=%d peak=%d, want flops %d and a positive peak",
+			stats.Flops, stats.PeakMemBytes, a.NNZ()*int64(b.Cols))
+	}
+	// Stats report the batch count the ranks ran: a forced count clamped to
+	// the widest block column, or the symbolic step's choice under a budget.
+	for _, tc := range []struct {
+		name string
+		opts spgemm.Options
+		want int
+	}{
+		{"Batches=1000", spgemm.Options{Batches: 1000}, 3},
+		{"MemBytes=60000", spgemm.Options{MemBytes: 60000}, 2},
+	} {
+		got, stats, err := cluster.MultiplyDense(a, b, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !spgemm.DenseEqual(got, want) {
+			t.Errorf("SUMMA arm with %s differs from serial reference", tc.name)
+		}
+		if stats.Batches != tc.want {
+			t.Errorf("SUMMA arm with %s: stats report b=%d, the ranks ran %d", tc.name, stats.Batches, tc.want)
+		}
+	}
 
 	// AutoTune decides the family; the result must not change.
 	got, stats, err = cluster.MultiplyDense(a, b, spgemm.Options{AutoTune: true})
