@@ -31,20 +31,6 @@ func CountSerial(adj *spmat.CSC) (int64, error) {
 	return int64(masked.Sum() + 0.5), nil
 }
 
-// CountSerialUnmasked counts triangles by materializing the full wedge
-// matrix L·U and masking afterwards — the ablation baseline for the masked
-// kernel.
-func CountSerialUnmasked(adj *spmat.CSC) (int64, error) {
-	if adj.Rows != adj.Cols {
-		return 0, fmt.Errorf("tricount: adjacency matrix must be square, got %v", adj)
-	}
-	l := genmat.LowerTriangle(adj)
-	u := genmat.UpperTriangle(adj)
-	wedges := localmm.Multiply(l, u, semiring.PlusTimes())
-	masked := spmat.Mask(wedges, l)
-	return int64(masked.Sum() + 0.5), nil
-}
-
 // CountVia counts triangles with the L·U product delegated to mul —
 // typically (*service.Client).MultiplyMatrices against a spgemmd daemon, so
 // repeat counts on a resident graph skip probe work. The wedge matrix comes

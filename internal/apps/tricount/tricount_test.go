@@ -1,6 +1,7 @@
 package tricount
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/genmat"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
+	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
 
@@ -154,4 +156,18 @@ func TestMaskedAndUnmaskedAgree(t *testing.T) {
 	if masked != unmasked {
 		t.Errorf("masked %d vs unmasked %d", masked, unmasked)
 	}
+}
+
+// CountSerialUnmasked counts triangles by materializing the full wedge
+// matrix L·U and masking afterwards — the ablation baseline for the masked
+// kernel.
+func CountSerialUnmasked(adj *spmat.CSC) (int64, error) {
+	if adj.Rows != adj.Cols {
+		return 0, fmt.Errorf("tricount: adjacency matrix must be square, got %v", adj)
+	}
+	l := genmat.LowerTriangle(adj)
+	u := genmat.UpperTriangle(adj)
+	wedges := localmm.Multiply(l, u, semiring.PlusTimes())
+	masked := spmat.Mask(wedges, l)
+	return int64(masked.Sum() + 0.5), nil
 }

@@ -130,3 +130,6 @@ func TestScaledBetaLeavesAlpha(t *testing.T) {
 		t.Error("ScaledBeta must multiply β")
 	}
 }
+
+// Total returns latency plus bandwidth seconds.
+func (r TableIIRow) Total() float64 { return r.LatencySec + r.BandwidthSec }

@@ -40,9 +40,6 @@ type TableIIRow struct {
 	BandwidthSec float64
 }
 
-// Total returns latency plus bandwidth seconds.
-func (r TableIIRow) Total() float64 { return r.LatencySec + r.BandwidthSec }
-
 // TableII returns the three communication rows of Table II.
 //
 //	A-Bcast:  performed b·√(p/l) times; total latency α·b·√(p/l)·lg(p/l);

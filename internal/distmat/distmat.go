@@ -125,26 +125,6 @@ func checkLayout(global *spmat.CSC, rows, cols int32) {
 	}
 }
 
-// Assemble reconstructs the global matrix from the per-coordinate local
-// pieces (inverse of Local); used to validate distributions and gather
-// results.
-func (d *ADist) Assemble(pieces map[[3]int]*spmat.CSC) *spmat.CSC {
-	var ts []spmat.Triple
-	for coord, m := range pieces {
-		i, j, k := coord[0], coord[1], coord[2]
-		r0, _ := d.RowRangeOf(i)
-		c0, _ := d.ColSliceOf(j, k)
-		for _, t := range m.Triples() {
-			ts = append(ts, spmat.Triple{Row: t.Row + r0, Col: t.Col + c0, Val: t.Val})
-		}
-	}
-	out, err := spmat.FromTriples(d.Rows, d.Cols, ts, nil)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // BDist describes the B-style distribution of a rows×cols matrix on a q×q×l
 // grid: rows sliced across layers, columns blocked.
 type BDist struct {
@@ -199,24 +179,6 @@ func (d *BDist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
 
 // Index is where Split puts the piece of (i, j, k).
 func (d *BDist) Index(i, j, k int) int { return (i*d.L+k)*d.Q + j }
-
-// Assemble reconstructs the global matrix from per-coordinate local pieces.
-func (d *BDist) Assemble(pieces map[[3]int]*spmat.CSC) *spmat.CSC {
-	var ts []spmat.Triple
-	for coord, m := range pieces {
-		i, j, k := coord[0], coord[1], coord[2]
-		r0, _ := d.RowSliceOf(i, k)
-		c0, _ := d.ColRangeOf(j)
-		for _, t := range m.Triples() {
-			ts = append(ts, spmat.Triple{Row: t.Row + r0, Col: t.Col + c0, Val: t.Val})
-		}
-	}
-	out, err := spmat.FromTriples(d.Rows, d.Cols, ts, nil)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
 
 // Batching is the block-cyclic batch/layer assignment for the columns of one
 // block-column of B (equivalently C), per Sec. IV-B.

@@ -510,3 +510,40 @@ func TestSplitByLayerMatMatchesGather(t *testing.T) {
 		}
 	}
 }
+
+// Assemble reconstructs the global matrix from the per-coordinate local
+// pieces (inverse of Local); used to validate distributions.
+func (d *ADist) Assemble(pieces map[[3]int]*spmat.CSC) *spmat.CSC {
+	var ts []spmat.Triple
+	for coord, m := range pieces {
+		i, j, k := coord[0], coord[1], coord[2]
+		r0, _ := d.RowRangeOf(i)
+		c0, _ := d.ColSliceOf(j, k)
+		for _, t := range m.Triples() {
+			ts = append(ts, spmat.Triple{Row: t.Row + r0, Col: t.Col + c0, Val: t.Val})
+		}
+	}
+	out, err := spmat.FromTriples(d.Rows, d.Cols, ts, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// Assemble reconstructs the global matrix from per-coordinate local pieces.
+func (d *BDist) Assemble(pieces map[[3]int]*spmat.CSC) *spmat.CSC {
+	var ts []spmat.Triple
+	for coord, m := range pieces {
+		i, j, k := coord[0], coord[1], coord[2]
+		r0, _ := d.RowSliceOf(i, k)
+		c0, _ := d.ColRangeOf(j)
+		for _, t := range m.Triples() {
+			ts = append(ts, spmat.Triple{Row: t.Row + r0, Col: t.Col + c0, Val: t.Val})
+		}
+	}
+	out, err := spmat.FromTriples(d.Rows, d.Cols, ts, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}

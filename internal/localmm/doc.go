@@ -84,7 +84,7 @@
 // columns), a hash set sized by the column otherwise. No call allocates by
 // the row count. The distributed symbolic step builds the batch count
 // decision from these counts, so they must be exact, not estimates —
-// Flops, MatFlops and ColFlops supply the companion statistics.
+// Flops and MatFlops supply the companion statistics.
 //
 // # One plan
 //

@@ -24,12 +24,12 @@ func spmmBruteForce(a *spmat.CSC, b *spmat.DenseMat) *spmat.DenseMat {
 	c := spmat.NewDense(a.Rows, b.Cols)
 	for i := int32(0); i < a.Rows; i++ {
 		for k := int32(0); k < a.Cols; k++ {
-			av := da.At(i, k)
+			av := da.RowSlice(i)[k]
 			if av == 0 {
 				continue
 			}
 			for j := int32(0); j < b.Cols; j++ {
-				c.Set(i, j, c.At(i, j)+av*b.At(k, j))
+				c.RowSlice(i)[j] = c.RowSlice(i)[j] + av*b.RowSlice(k)[j]
 			}
 		}
 	}

@@ -19,21 +19,6 @@ func Flops(a, b *spmat.CSC) int64 {
 	return total
 }
 
-// ColFlops returns the per-column multiplication counts for A·B.
-func ColFlops(a, b *spmat.CSC) []int64 {
-	checkMulShapes(a, b)
-	out := make([]int64, b.Cols)
-	for j := int32(0); j < b.Cols; j++ {
-		rows, _ := b.Column(j)
-		var f int64
-		for _, i := range rows {
-			f += a.ColNNZ(i)
-		}
-		out[j] = f
-	}
-	return out
-}
-
 // SymbolicSpGEMM computes nnz(A·B) without forming the product — the
 // LocalSymbolic routine of Alg 3 — on one worker. It is much cheaper than
 // LocalMultiply: no values are touched, and distinct rows are counted in

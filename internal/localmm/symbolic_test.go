@@ -294,3 +294,18 @@ func BenchmarkSymbolicParallel(b *testing.B) {
 		})
 	}
 }
+
+// ColFlops returns the per-column multiplication counts for A·B.
+func ColFlops(a, b *spmat.CSC) []int64 {
+	checkMulShapes(a, b)
+	out := make([]int64, b.Cols)
+	for j := int32(0); j < b.Cols; j++ {
+		rows, _ := b.Column(j)
+		var f int64
+		for _, i := range rows {
+			f += a.ColNNZ(i)
+		}
+		out[j] = f
+	}
+	return out
+}

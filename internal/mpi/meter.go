@@ -216,16 +216,6 @@ func (m *Meter) Categories() []string {
 	return out
 }
 
-// TotalSeconds returns this rank's critical-path contribution: the sum over
-// all categories of modeled comm plus measured compute.
-func (m *Meter) TotalSeconds() float64 {
-	var t float64
-	for _, s := range m.stats {
-		t += s.Total()
-	}
-	return t
-}
-
 // Summary aggregates the meters of all ranks into the numbers the paper
 // plots: per step, the maximum over ranks (critical path) of comm and compute
 // time, and the total bytes moved.

@@ -115,3 +115,13 @@ func TestMeasureComputeConcurrent(t *testing.T) {
 		}
 	})
 }
+
+// TotalSeconds returns this rank's critical-path contribution: the sum over
+// all categories of modeled comm plus measured compute.
+func (m *Meter) TotalSeconds() float64 {
+	var t float64
+	for _, s := range m.stats {
+		t += s.Total()
+	}
+	return t
+}

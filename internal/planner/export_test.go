@@ -140,3 +140,35 @@ func (pr *Probe) Unmerged(slices int) float64 {
 func (pr *Probe) LayerWeights(q, l int) []float64 {
 	return foldLayers(pr.SliceWeights(q, l), q, l)
 }
+
+// Evaluate predicts one explicit sparse×dense configuration, pinning its
+// batch count (cfg.B ≤ 0 induces).
+func (pl *DensePlan) Evaluate(cfg DenseConfig) (DenseCandidate, error) {
+	switch cfg.Algo {
+	case AlgoColA, AlgoInnerABC:
+		if err := grid.Valid15(pl.In.P, cfg.C); err != nil {
+			return DenseCandidate{}, err
+		}
+		return pl.predict15(cfg.Algo, cfg.C, cfg.B, cfg.Pipeline), nil
+	case AlgoSUMMA:
+		if pl.SUMMA == nil {
+			return DenseCandidate{}, fmt.Errorf("planner: the SUMMA arm was not enumerated")
+		}
+		sc, err := pl.SUMMA.Evaluate(Config{L: cfg.L, B: cfg.B, Format: spmat.FormatAuto, Pipeline: cfg.Pipeline})
+		if err != nil {
+			return DenseCandidate{}, err
+		}
+		return pl.wrapSUMMA(sc), nil
+	}
+	return DenseCandidate{}, fmt.Errorf("planner: unknown dense algorithm %v", cfg.Algo)
+}
+
+// Step returns the named step's cost (zero value if absent).
+func (c *DenseCandidate) Step(name string) StepCost {
+	for _, s := range c.Steps {
+		if s.Step == name {
+			return s
+		}
+	}
+	return StepCost{}
+}

@@ -164,13 +164,6 @@ func (c *Client) Stats() (Stats, error) {
 	return out, err
 }
 
-// Matrices lists the resident matrices.
-func (c *Client) Matrices() ([]MatrixInfo, error) {
-	var out []MatrixInfo
-	err := c.do("GET", "/matrices", nil, &out)
-	return out, err
-}
-
 // MultiplyMatrices is the client side of the apps' MultiplyFunc contract: it
 // makes both operands resident under content-derived names (idempotent — an
 // operand the server already holds is acknowledged, not stored again) and

@@ -129,3 +129,10 @@ func TestClientKeepsItsConnection(t *testing.T) {
 		t.Fatalf("three uploads and three products took %d connections", n)
 	}
 }
+
+// Matrices lists the resident matrices.
+func (c *Client) Matrices() ([]MatrixInfo, error) {
+	var out []MatrixInfo
+	err := c.do("GET", "/matrices", nil, &out)
+	return out, err
+}

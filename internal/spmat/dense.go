@@ -1,7 +1,6 @@
 package spmat
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -25,26 +24,10 @@ func NewDense(rows, cols int32) *DenseMat {
 	return &DenseMat{Rows: rows, Cols: cols, Val: make([]float64, int64(rows)*int64(cols))}
 }
 
-// Dims returns (rows, cols).
-func (d *DenseMat) Dims() (int32, int32) { return d.Rows, d.Cols }
-
-// At returns entry (i, j).
-func (d *DenseMat) At(i, j int32) float64 { return d.Val[int64(i)*int64(d.Cols)+int64(j)] }
-
-// Set assigns entry (i, j).
-func (d *DenseMat) Set(i, j int32, v float64) { d.Val[int64(i)*int64(d.Cols)+int64(j)] = v }
-
 // RowSlice returns row i as a contiguous slice (aliasing d.Val).
 func (d *DenseMat) RowSlice(i int32) []float64 {
 	off := int64(i) * int64(d.Cols)
 	return d.Val[off : off+int64(d.Cols)]
-}
-
-// Clone deep-copies the matrix.
-func (d *DenseMat) Clone() *DenseMat {
-	out := &DenseMat{Rows: d.Rows, Cols: d.Cols, Val: make([]float64, len(d.Val))}
-	copy(out.Val, d.Val)
-	return out
 }
 
 // DenseEqual reports bitwise equality: same shape and every value identical
@@ -96,6 +79,7 @@ func (d *DenseMat) MemBytes() int64 { return DenseMemBytes(d.Rows, d.Cols) }
 //
 // followed by rows·cols float64 values, row-major. There is no nnz field and
 // no index payload — a dense panel's size is fully determined by its shape.
+// Serialize and DeserializeDense (dense_test.go) encode and decode it.
 const denseHeader = 9
 
 // DenseWireBytesFor returns the wire size of a rows×cols dense block — the
@@ -107,57 +91,6 @@ func DenseWireBytesFor(rows, cols int32) int64 {
 
 // CommBytes returns the wire size; DenseMat implements mpi.Payload with it.
 func (d *DenseMat) CommBytes() int64 { return DenseWireBytesFor(d.Rows, d.Cols) }
-
-// Serialize encodes the matrix into the dense wire format above.
-func (d *DenseMat) Serialize() []byte {
-	buf := make([]byte, DenseWireBytesFor(d.Rows, d.Cols))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(d.Rows))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(d.Cols))
-	off := denseHeader
-	for _, v := range d.Val {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	return buf
-}
-
-// DeserializeDense decodes a matrix from the dense wire format. Like the
-// sparse decoder it validates the header before trusting any size arithmetic
-// derived from it: rows·cols on a hostile header would overflow int64 and
-// could otherwise alias a small buffer's length.
-func DeserializeDense(buf []byte) (*DenseMat, error) {
-	if len(buf) < denseHeader {
-		return nil, fmt.Errorf("spmat: serialized dense matrix truncated (%d bytes)", len(buf))
-	}
-	rows := int32(binary.LittleEndian.Uint32(buf[0:]))
-	cols := int32(binary.LittleEndian.Uint32(buf[4:]))
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("spmat: serialized dense matrix has negative shape %dx%d", rows, cols)
-	}
-	if buf[8] != 0 {
-		return nil, fmt.Errorf("spmat: serialized dense matrix has unknown flags 0x%02x", buf[8])
-	}
-	// Bound each dimension by the payload size before multiplying them: the
-	// product of two hostile int32s can exceed int64(len(buf)) while wrapping
-	// any int32 arithmetic, so the comparison must happen in int64 on the
-	// unmultiplied factors first.
-	avail := int64(len(buf)-denseHeader) / 8
-	if rows > 0 && int64(cols) > avail/int64(rows) {
-		return nil, fmt.Errorf("spmat: serialized dense shape %dx%d exceeds buffer capacity (%d bytes)", rows, cols, len(buf))
-	}
-	n := int64(rows) * int64(cols)
-	want := denseHeader + 8*n
-	if int64(len(buf)) != want {
-		return nil, fmt.Errorf("spmat: serialized dense matrix has %d bytes, want %d", len(buf), want)
-	}
-	d := &DenseMat{Rows: rows, Cols: cols, Val: make([]float64, n)}
-	off := denseHeader
-	for i := range d.Val {
-		d.Val[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return d, nil
-}
 
 // DenseRowView returns rows [lo, hi) as a zero-copy view aliasing d.Val —
 // row-major storage makes a row range contiguous. Mutating the view mutates

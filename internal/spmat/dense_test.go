@@ -1,6 +1,8 @@
 package spmat
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,3 +158,60 @@ func TestDenseCSCConversion(t *testing.T) {
 		t.Fatal("DenseFromCSC(ToCSC(d)) differs from d")
 	}
 }
+
+// Serialize encodes the matrix into the dense wire format (dense.go).
+func (d *DenseMat) Serialize() []byte {
+	buf := make([]byte, DenseWireBytesFor(d.Rows, d.Cols))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(d.Rows))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(d.Cols))
+	off := denseHeader
+	for _, v := range d.Val {
+		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
+		off += 8
+	}
+	return buf
+}
+
+// DeserializeDense decodes a matrix from the dense wire format. Like the
+// sparse decoder it validates the header before trusting any size arithmetic
+// derived from it: rows·cols on a hostile header would overflow int64 and
+// could otherwise alias a small buffer's length.
+func DeserializeDense(buf []byte) (*DenseMat, error) {
+	if len(buf) < denseHeader {
+		return nil, fmt.Errorf("spmat: serialized dense matrix truncated (%d bytes)", len(buf))
+	}
+	rows := int32(binary.LittleEndian.Uint32(buf[0:]))
+	cols := int32(binary.LittleEndian.Uint32(buf[4:]))
+	if rows < 0 || cols < 0 {
+		return nil, fmt.Errorf("spmat: serialized dense matrix has negative shape %dx%d", rows, cols)
+	}
+	if buf[8] != 0 {
+		return nil, fmt.Errorf("spmat: serialized dense matrix has unknown flags 0x%02x", buf[8])
+	}
+	// Bound each dimension by the payload size before multiplying them: the
+	// product of two hostile int32s can exceed int64(len(buf)) while wrapping
+	// any int32 arithmetic, so the comparison must happen in int64 on the
+	// unmultiplied factors first.
+	avail := int64(len(buf)-denseHeader) / 8
+	if rows > 0 && int64(cols) > avail/int64(rows) {
+		return nil, fmt.Errorf("spmat: serialized dense shape %dx%d exceeds buffer capacity (%d bytes)", rows, cols, len(buf))
+	}
+	n := int64(rows) * int64(cols)
+	want := denseHeader + 8*n
+	if int64(len(buf)) != want {
+		return nil, fmt.Errorf("spmat: serialized dense matrix has %d bytes, want %d", len(buf), want)
+	}
+	d := &DenseMat{Rows: rows, Cols: cols, Val: make([]float64, n)}
+	off := denseHeader
+	for i := range d.Val {
+		d.Val[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+		off += 8
+	}
+	return d, nil
+}
+
+// At returns entry (i, j).
+func (d *DenseMat) At(i, j int32) float64 { return d.Val[int64(i)*int64(d.Cols)+int64(j)] }
+
+// Set assigns entry (i, j).
+func (d *DenseMat) Set(i, j int32, v float64) { d.Val[int64(i)*int64(d.Cols)+int64(j)] = v }

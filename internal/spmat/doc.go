@@ -67,8 +67,9 @@
 // DenseMat is the row-major dense matrix the sparse×dense (SpMM) engine
 // multiplies sparse operands against — the tall-skinny feature panels of
 // iterated solvers and GNN layers. It carries the same machinery the sparse
-// types do: an mpi.Payload wire encoding (Serialize/DeserializeDense, with
-// its own fuzz harness), exact wire and memory sizing, row/column slicing
+// types do: exact wire and memory sizing (the wire format's encoder and
+// fuzzed decoder are test code, since the simulator delivers payloads by
+// reference), row/column slicing
 // for the 1.5D distributions, and exact (DenseEqual) plus
 // tolerance-admitting (DenseApproxEqual) comparison. DenseFromCSC and
 // ToCSC bridge the two worlds for densified-SUMMA execution and tests.

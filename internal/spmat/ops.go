@@ -149,13 +149,6 @@ func HCat(parts []*CSC) *CSC {
 	return out
 }
 
-// Scale multiplies every stored value by s, in place.
-func (m *CSC) Scale(s float64) {
-	for i := range m.Val {
-		m.Val[i] *= s
-	}
-}
-
 // Add returns a+b computed entry-wise with add (nil means ordinary +). The
 // result has sorted, compacted columns.
 func Add(a, b *CSC, add func(x, y float64) float64) *CSC {

@@ -191,48 +191,3 @@ func ColSplitCyclic(m *CSC, parts int, block int32) []*CSC {
 	}
 	return out
 }
-
-// ConcatCyclic inverts ColSplitCyclic: given the pieces and the original
-// total column count and block width, it reassembles the original column
-// order. It is the ColConcat of Alg 4 line 7 generalized to the block-cyclic
-// layout.
-func ConcatCyclic(pieces []*CSC, cols int32, block int32) *CSC {
-	parts := len(pieces)
-	lists := CyclicCols(cols, parts, block)
-	rows := pieces[0].Rows
-	var nnz int64
-	sorted := true
-	for _, p := range pieces {
-		nnz += p.NNZ()
-		sorted = sorted && p.SortedCols
-		if p.Rows != rows {
-			panic("spmat: ConcatCyclic row mismatch")
-		}
-	}
-	out := &CSC{
-		Rows:       rows,
-		Cols:       cols,
-		ColPtr:     make([]int64, cols+1),
-		RowIdx:     make([]int32, nnz),
-		Val:        make([]float64, nnz),
-		SortedCols: sorted,
-	}
-	// First pass: column sizes.
-	for p := range pieces {
-		for k, c := range lists[p] {
-			out.ColPtr[c+1] = pieces[p].ColNNZ(int32(k))
-		}
-	}
-	for j := int32(0); j < cols; j++ {
-		out.ColPtr[j+1] += out.ColPtr[j]
-	}
-	for p := range pieces {
-		for k, c := range lists[p] {
-			rws, vls := pieces[p].Column(int32(k))
-			off := out.ColPtr[c]
-			copy(out.RowIdx[off:], rws)
-			copy(out.Val[off:], vls)
-		}
-	}
-	return out
-}

@@ -67,12 +67,6 @@ func (v *ColSubsetView) stat() (ne, nnz int64) {
 	return v.ne, v.nnz
 }
 
-// NNZ returns the number of entries the subset carries.
-func (v *ColSubsetView) NNZ() int64 {
-	_, nnz := v.stat()
-	return nnz
-}
-
 // CommBytes returns the wire size of the subset — the same formula a
 // materialized matrix with this occupancy would report, so metering a subset
 // send is byte-identical to shipping the serialized subset.

@@ -206,3 +206,9 @@ func TestNonEmptyColsInvalidation(t *testing.T) {
 		t.Fatalf("Validate after InvalidateNonEmptyCols: %v", err)
 	}
 }
+
+// NNZ returns the number of entries the subset carries.
+func (v *ColSubsetView) NNZ() int64 {
+	_, nnz := v.stat()
+	return nnz
+}

@@ -58,8 +58,8 @@ import (
 type Matrix = spmat.CSC
 
 // DenseMatrix is a row-major dense matrix — the tall-skinny operand of the
-// sparse×dense path. See the spmat package for the full method set (At, Set,
-// RowSlice, Clone, serialization, …).
+// sparse×dense path. See the spmat package for the full method set (RowSlice,
+// MemBytes, …).
 type DenseMatrix = spmat.DenseMat
 
 // Triple is a coordinate-format entry used to build matrices.

@@ -416,7 +416,7 @@ func TestFacadeMultiplyDense(t *testing.T) {
 	b := spgemm.NewDenseMatrix(a.Cols, 6)
 	for i := int32(0); i < b.Rows; i++ {
 		for j := int32(0); j < b.Cols; j++ {
-			b.Set(i, j, float64((int(i)*7+int(j)*3)%9+1))
+			b.RowSlice(i)[j] = float64((int(i)*7+int(j)*3)%9 + 1)
 		}
 	}
 	want := spgemm.MultiplyDenseSerial(a, b)
