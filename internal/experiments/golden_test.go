@@ -30,12 +30,8 @@ func formatRun(pn pins, batches int, s *mpi.Summary) string {
 	l, forceb, pipeline, algo, c := pn.l, o.ForceBatches, o.Pipeline, planner.AlgoSUMMA, 0
 	if d := pn.dense; d != nil {
 		// A sparse×dense run's pins are its config, in the sparse runs'
-		// layout: a 1.5D config's unset L is recorded as l=1, and the
-		// densified SUMMA arm's executed batch count as 0.
+		// layout: a 1.5D config's unset L is recorded as l=1.
 		l, forceb, pipeline, algo, c = max(d.L, 1), d.B, d.Pipeline, d.Algo, d.C
-		if d.Algo == planner.AlgoSUMMA {
-			batches = 0
-		}
 	}
 	f := []string{
 		fmt.Sprintf("p=%d", pn.p),
