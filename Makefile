@@ -29,13 +29,17 @@ build:
 test:
 	$(GO) test ./...
 
-# deadcode: the dead-export guard alone. TestNoTestOnlyExports parses every
-# non-test file of the repository (internal/, cmd/, examples/, the root
-# package and the bench/ module) and fails on an exported func, type, var,
-# const or method under internal/ that nothing but tests references. Delete
-# such code or move it into a _test.go file; a deliberate test oracle,
-# fixture builder or benchmark ablation goes on testOnlyAllowlist in
-# deadcode_test.go with the test that needs it. `make test` runs it too.
+# deadcode: the dead-code guard alone. TestNoTestOnlyExports type-checks every
+# non-test package of the repository (internal/, cmd/, examples/, the root
+# package and the bench/ module) as one program with go/types — standard
+# library only, offline, about 2 s — and fails on a package-level func, type,
+# var, const or method under internal/, exported or not, that nothing but
+# tests reaches. A method is matched by its receiver type, not its name, and
+# counts as reached when its type implements an interface whose method is
+# called; a type error fails the test. Delete such code or move it into a
+# _test.go file; a deliberate test oracle, fixture builder or benchmark
+# ablation goes on testOnlyAllowlist in deadcode_test.go with the test that
+# needs it. `make test` runs it too.
 deadcode:
 	$(GO) test -run '^TestNoTestOnlyExports$$' .
 

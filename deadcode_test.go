@@ -354,29 +354,26 @@ func testOnlyExports(u *universe, allow map[string]string) (unused, stale []stri
 		if receivers[id.Pos()] {
 			continue
 		}
-		obj = origin(obj)
-		uses[obj] = append(uses[obj], id.Pos())
 		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			obj = fn
 			if recv := fn.Signature().Recv(); recv != nil {
 				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
 					ifaceMethods[fn.Name()] = append(ifaceMethods[fn.Name()], it)
 				}
 			}
 		}
+		uses[obj] = append(uses[obj], id.Pos())
 	}
 	implementsUsed := func(fn *types.Func) bool {
 		if stdInterfaceMethods[fn.Name()] {
 			return true
 		}
-		recv := fn.Signature().Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		named, _ := recv.(*types.Named)
+		named := receiverType(fn)
 		return slices.ContainsFunc(ifaceMethods[fn.Name()], func(it *types.Interface) bool {
 			// Implements is unspecified for an uninstantiated generic type;
 			// its method counts by name alone.
-			return named == nil || named.TypeParams().Len() > 0 ||
+			return named.TypeParams().Len() > 0 ||
 				types.Implements(named, it) || types.Implements(types.NewPointer(named), it)
 		})
 	}
@@ -405,30 +402,22 @@ func testOnlyExports(u *universe, allow map[string]string) (unused, stale []stri
 	return unused, stale
 }
 
-// origin maps a generic type's instantiated method or field to the one it
-// was declared as.
-func origin(obj types.Object) types.Object {
-	switch o := obj.(type) {
-	case *types.Func:
-		return o.Origin()
-	case *types.Var:
-		return o.Origin()
-	}
-	return obj
-}
-
 // declName is a declaration's name within its package: "CSC.Validate" for a
 // method, "Dense" otherwise.
 func declName(obj types.Object) string {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Signature().Recv() == nil {
-		return obj.Name()
+	if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+		return receiverType(fn).Obj().Name() + "." + fn.Name()
 	}
-	recv := fn.Signature().Recv().Type()
+	return obj.Name()
+}
+
+// receiverType is the named type a concrete method is declared on.
+func receiverType(fn *types.Func) *types.Named {
+	recv := types.Unalias(fn.Signature().Recv().Type())
 	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
+		recv = types.Unalias(ptr.Elem())
 	}
-	return recv.(*types.Named).Obj().Name() + "." + fn.Name()
+	return recv.(*types.Named)
 }
 
 // receiverIdent is the identifier naming a method's receiver type: CSC in
