@@ -29,7 +29,7 @@ func spmmBruteForce(a *spmat.CSC, b *spmat.DenseMat) *spmat.DenseMat {
 				continue
 			}
 			for j := int32(0); j < b.Cols; j++ {
-				c.RowSlice(i)[j] = c.RowSlice(i)[j] + av*b.RowSlice(k)[j]
+				c.RowSlice(i)[j] += av * b.RowSlice(k)[j]
 			}
 		}
 	}
