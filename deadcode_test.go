@@ -47,7 +47,7 @@ var testOnlyAllowlist = map[string]string{
 	"genmat.Permutation":   "ablation: the merge benchmarks and TestPermutationIsPermutation",
 	// Pooled wire buffers for a copying transport, which the simulator does not
 	// have yet: it delivers payloads by reference.
-	"spmat.MatColSubsetSerialize": "transport: TestColSubsetViewWire; the encoder a copying transport ships",
+	"spmat.MatColSubsetSerialize": "transport: TestColSubsetViewWire, TestEncodersMatchReference; the subset bytes a copying transport ships",
 	"mpi.Comm.GetBuf":             "transport: TestGetBufReuses; a copying transport's send buffers",
 	"mpi.Comm.PutBuf":             "transport: TestGetBufReuses; a copying transport's send buffers",
 	"mpi.Comm.PutRecv":            "transport: TestSteadyStateSendsDoNotAllocate; receive buffers back to the pool",

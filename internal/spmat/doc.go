@@ -37,6 +37,20 @@
 // decodes a hypersparse buffer straight into DCSC without materializing
 // dense column pointers.
 //
+// # Wire format
+//
+// Every matrix that leaves its owner — an upload, the daemon's streamed
+// product, a block a copying transport would ship, the bytes a fingerprint
+// hashes — is the one encoding of serialize.go, written by one encoder and
+// read by one decoder. The encoder (wireEnc) takes a source that gives its
+// shape, its occupied columns with their entry counts and its entries as
+// runs: CSC and DCSC (Serialize, and FingerprintOf, which streams into
+// sha256), ColSubsetView (SerializeInto: a column subset into a caller's
+// buffer) and Segmented (WriteTo: a distributed product streamed from its
+// pieces). The decoder (DeserializeMatrix, DeserializeMatrixInto,
+// DeserializeFrom) reads a slice or a stream with every hostile-input check
+// in one place.
+//
 // # Construction and comparison
 //
 // Matrices are built from coordinate Triples (FromTriples, accumulating

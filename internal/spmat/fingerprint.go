@@ -26,17 +26,21 @@ type Fingerprint struct {
 	Hash string `json:"hash"`
 }
 
-// FingerprintOf computes the fingerprint of a matrix. The content hash walks
-// the canonical wire encoding, so it is O(nnz) work and one transient buffer;
-// callers that hold a matrix resident should compute it once and keep it.
+// FingerprintOf computes the fingerprint of a matrix. The content hash
+// streams the canonical wire encoding from the encoder into sha256 through
+// one buffer of at most wireChunk bytes, so it is O(nnz) work without a
+// second copy of the matrix; callers that hold a matrix resident should
+// compute it once and keep it.
 func FingerprintOf(m Matrix) Fingerprint {
+	h := sha256.New()
+	encodeTo(matrixHead(m), m, h) // a hash never fails a write
 	r, c := m.Dims()
 	return Fingerprint{
 		Rows: r,
 		Cols: c,
 		NNZ:  m.NNZ(),
 		Fmt:  m.Format().String(),
-		Hash: WireHash(m.Serialize()),
+		Hash: hex.EncodeToString(h.Sum(nil)),
 	}
 }
 

@@ -109,12 +109,13 @@ type Matrix interface {
 	CloneMat() Matrix
 	// String returns a compact shape summary.
 	String() string
+	wireSource
 }
 
 // Hypersparse reports whether a block with the given shape qualifies for
 // doubly-compressed storage: fewer than half the columns occupied. The same
-// threshold drives the wire encoding (hypersparseWire) and FormatAuto, so a
-// block that compresses in memory also compresses on the wire.
+// threshold picks the wire encoding (WireBytesFor, wireEnc) and FormatAuto,
+// so a block that compresses in memory also compresses on the wire.
 func Hypersparse(nonEmpty int64, cols int32) bool {
 	return 2*nonEmpty < int64(cols)
 }

@@ -164,7 +164,7 @@ func TestHypersparseThreshold(t *testing.T) {
 	// Half-empty: hypersparse wins.
 	half := New(64, 1024)
 	half.ColPtr = make([]int64, 1025)
-	if hyper, _ := half.hypersparseWire(); !hyper {
+	if half.Serialize()[16]&2 == 0 {
 		t.Error("empty wide matrix should use hypersparse encoding")
 	}
 }

@@ -1,14 +1,13 @@
 package spmat
 
 import (
-	"encoding/binary"
 	"io"
-	"math"
 	"slices"
 )
 
-// Segment is a run of one column's entries held in another matrix's arrays,
-// read in place: row indices, each shifted by Offset, and their values.
+// Segment is a run of entries held in another matrix's arrays — in a
+// Segmented, part of one column — read in place: row indices, each shifted by
+// Offset, and their values.
 type Segment struct {
 	Rows   []int32
 	Vals   []float64
@@ -44,64 +43,39 @@ func (s *Segmented) colNNZ(j int32) int64 {
 	return n
 }
 
-// counts returns the entry count and the occupied-column count.
-func (s *Segmented) counts() (nnz, ne int64) {
-	for j := int32(0); j < s.Cols; j++ {
+// head returns the encoding's head: the counts, and always sorted.
+func (s *Segmented) head() wireHead {
+	var nnz, ne int64
+	for j := range s.Cols {
 		if n := s.colNNZ(j); n > 0 {
 			nnz += n
 			ne++
 		}
 	}
-	return nnz, ne
+	return wireHead{s.Rows, s.Cols, true, ne, nnz}
 }
 
 // CommBytes returns the length of the wire encoding WriteTo writes.
-func (s *Segmented) CommBytes() int64 {
-	nnz, ne := s.counts()
-	return wireBytes(Hypersparse(ne, s.Cols), s.Cols, ne, nnz)
-}
+func (s *Segmented) CommBytes() int64 { return s.head().size() }
 
 // WriteTo writes the wire encoding to w through one buffer of at most
-// wireChunk bytes, section by section in Serialize's layout, and returns the
-// bytes w accepted.
-func (s *Segmented) WriteTo(w io.Writer) (int64, error) {
-	nnz, ne := s.counts()
-	hyper := Hypersparse(ne, s.Cols)
-	out := wireOut{w: w, buf: make([]byte, 0, min(wireBytes(hyper, s.Cols, ne, nnz), wireChunk))}
-	out.buf = out.buf[:serialHeader]
-	putHeader(out.buf, s.Rows, s.Cols, nnz, true, hyper)
-	if hyper {
-		out.u32(uint32(ne))
-	} else {
-		out.u64(0)
+// wireChunk bytes and returns the bytes w accepted.
+func (s *Segmented) WriteTo(w io.Writer) (int64, error) { return encodeTo(s.head(), s, w) }
+
+func (s *Segmented) wireCols(e *wireEnc) {
+	for j := range s.Cols {
+		e.col(j, s.colNNZ(j))
 	}
-	var end int64
-	for j := int32(0); j < s.Cols; j++ {
-		n := s.colNNZ(j)
-		end += n
-		switch {
-		case !hyper:
-			out.u64(uint64(end))
-		case n > 0:
-			out.u32(uint32(j))
-			out.u32(uint32(n))
-		}
-	}
+}
+
+func (s *Segmented) wireRuns(e *wireEnc) {
 	var sc segmentSorter
 	for _, sg := range s.Segs {
 		if !s.Sorted {
 			sg = sc.sorted(sg)
 		}
-		out.rows(sg.Rows, sg.Offset)
+		e.run(sg)
 	}
-	for _, sg := range s.Segs {
-		if !s.Sorted {
-			sg = sc.sorted(sg)
-		}
-		out.vals(sg.Vals)
-	}
-	out.flush()
-	return out.n, out.err
 }
 
 // segmentSorter hands back a segment sorted: itself when its rows ascend,
@@ -122,63 +96,4 @@ func (sc *segmentSorter) sorted(sg Segment) Segment {
 	sc.vals = append(sc.vals[:0], sg.Vals...)
 	sc.ps.Sort(sc.rows, sc.vals)
 	return Segment{Rows: sc.rows, Vals: sc.vals, Offset: sg.Offset}
-}
-
-// wireOut writes an encoding through a fixed buffer. The first error from w
-// sticks; later writes are dropped.
-type wireOut struct {
-	w   io.Writer
-	buf []byte // pending bytes; cap is the buffer's size
-	n   int64  // bytes w accepted
-	err error
-}
-
-func (o *wireOut) flush() {
-	if o.err == nil && len(o.buf) > 0 {
-		var k int
-		k, o.err = o.w.Write(o.buf)
-		o.n += int64(k)
-	}
-	o.buf = o.buf[:0]
-}
-
-// room flushes unless size more bytes fit, and returns how many items of
-// that size fit.
-func (o *wireOut) room(size int) int {
-	if cap(o.buf)-len(o.buf) < size {
-		o.flush()
-	}
-	return (cap(o.buf) - len(o.buf)) / size
-}
-
-func (o *wireOut) u32(v uint32) {
-	o.room(4)
-	o.buf = binary.LittleEndian.AppendUint32(o.buf, v)
-}
-
-func (o *wireOut) u64(v uint64) {
-	o.room(8)
-	o.buf = binary.LittleEndian.AppendUint64(o.buf, v)
-}
-
-func (o *wireOut) rows(rows []int32, offset int32) {
-	for len(rows) > 0 {
-		k := min(o.room(4), len(rows))
-		b := o.buf[len(o.buf) : len(o.buf)+4*k]
-		for x, r := range rows[:k] {
-			binary.LittleEndian.PutUint32(b[4*x:], uint32(r+offset))
-		}
-		o.buf, rows = o.buf[:len(o.buf)+4*k], rows[k:]
-	}
-}
-
-func (o *wireOut) vals(vals []float64) {
-	for len(vals) > 0 {
-		k := min(o.room(8), len(vals))
-		b := o.buf[len(o.buf) : len(o.buf)+8*k]
-		for x, v := range vals[:k] {
-			binary.LittleEndian.PutUint64(b[8*x:], math.Float64bits(v))
-		}
-		o.buf, vals = o.buf[:len(o.buf)+8*k], vals[k:]
-	}
 }

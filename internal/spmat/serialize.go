@@ -31,18 +31,14 @@ import (
 // the format knob. DeserializeMatrix is the other half of that symmetry: a
 // hypersparse-encoded buffer decodes straight into DCSC without ever
 // materializing O(cols) column pointers.
+//
+// One encoder writes every encoding and one decoder reads it. wireEnc.encode
+// writes the header, column section, rows and values of any wireSource —
+// CSC and DCSC (Serialize, FingerprintOf), ColSubsetView (SerializeInto) and
+// Segmented (WriteTo) — into a caller's buffer of exact size (encodeInto) or
+// through a wireChunk buffer to an io.Writer (encodeTo); decode reads a slice
+// or a stream (wireIn) back.
 const serialHeader = 17
-
-// hypersparseWire reports whether the hypersparse encoding is used: fewer
-// than half the columns occupied. (At full occupancy the two encodings are
-// within a few bytes of each other; the 2x threshold keeps the common dense
-// case on the simple path.) The non-empty count is memoized per block, so
-// the batched schedule's repeated broadcasts of one block don't rescan its
-// columns on every send.
-func (m *CSC) hypersparseWire() (bool, int64) {
-	ne := m.NonEmptyCols()
-	return Hypersparse(ne, m.Cols), ne
-}
 
 // wireBytes is the shared size formula for both encodings. The dense term
 // widens cols to int64 *before* adding one: cols+1 in int32 wraps negative at
@@ -67,106 +63,146 @@ func WireBytesFor(cols int32, ne, nnz int64) int64 {
 
 // CommBytes returns the number of bytes the matrix occupies on the wire. The
 // simulated MPI layer uses it to meter communication volume; it equals
-// len(Serialize(m)) without allocating.
-func (m *CSC) CommBytes() int64 {
-	hyper, ne := m.hypersparseWire()
-	return wireBytes(hyper, m.Cols, ne, m.NNZ())
-}
+// len(Serialize(m)) without allocating. The non-empty count is memoized per
+// block, so the batched schedule's repeated broadcasts of one block don't
+// rescan its columns on every send.
+func (m *CSC) CommBytes() int64 { return WireBytesFor(m.Cols, m.NonEmptyCols(), m.NNZ()) }
 
 // CommBytes returns the wire size; identical to the CSC form of the same
 // logical matrix.
-func (d *DCSC) CommBytes() int64 {
-	ne := d.NonEmptyCols()
-	return wireBytes(Hypersparse(ne, d.Cols), d.Cols, ne, d.NNZ())
-}
-
-// putHeader writes the 17-byte header shared by both encodings.
-func putHeader(buf []byte, rows, cols int32, nnz int64, sorted, hyper bool) {
-	binary.LittleEndian.PutUint32(buf[0:], uint32(rows))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(cols))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(nnz))
-	if sorted {
-		buf[16] |= 1
-	}
-	if hyper {
-		buf[16] |= 2
-	}
-}
-
-// putEntries appends the row indices and values shared by both encodings.
-func putEntries(buf []byte, off int, rowIdx []int32, vals []float64) {
-	for _, r := range rowIdx {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(r))
-		off += 4
-	}
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-}
+func (d *DCSC) CommBytes() int64 { return WireBytesFor(d.Cols, d.NonEmptyCols(), d.NNZ()) }
 
 // Serialize encodes the matrix into the wire format above.
-func (m *CSC) Serialize() []byte {
-	nnz := m.NNZ()
-	hyper, ne := m.hypersparseWire()
-	buf := make([]byte, wireBytes(hyper, m.Cols, ne, nnz))
-	putHeader(buf, m.Rows, m.Cols, nnz, m.SortedCols, hyper)
-	off := serialHeader
-	if hyper {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(ne))
-		off += 4
-		for j := int32(0); j < m.Cols; j++ {
-			cnt := m.ColPtr[j+1] - m.ColPtr[j]
-			if cnt == 0 {
-				continue
-			}
-			binary.LittleEndian.PutUint32(buf[off:], uint32(j))
-			binary.LittleEndian.PutUint32(buf[off+4:], uint32(cnt))
-			off += 8
-		}
-	} else {
-		for _, p := range m.ColPtr {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(p))
-			off += 8
-		}
-	}
-	putEntries(buf, off, m.RowIdx, m.Val)
-	return buf
-}
+func (m *CSC) Serialize() []byte { return encodeInto(matrixHead(m), m, nil) }
 
 // Serialize encodes the matrix into the shared wire format, byte-identical
-// to serializing its CSC form. The hypersparse encoding is a direct dump of
-// the doubly-compressed arrays; the dense encoding (a non-hypersparse block
-// held in DCSC, rare) inflates the column pointers on the way out.
-func (d *DCSC) Serialize() []byte {
-	nnz := d.NNZ()
-	ne := d.NonEmptyCols()
-	hyper := Hypersparse(ne, d.Cols)
-	buf := make([]byte, wireBytes(hyper, d.Cols, ne, nnz))
-	putHeader(buf, d.Rows, d.Cols, nnz, d.SortedCols, hyper)
-	off := serialHeader
-	if hyper {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(ne))
-		off += 4
-		for p := range d.JC {
-			binary.LittleEndian.PutUint32(buf[off:], uint32(d.JC[p]))
-			binary.LittleEndian.PutUint32(buf[off+4:], uint32(d.CP[p+1]-d.CP[p]))
-			off += 8
-		}
-	} else {
-		p := 0
-		var acc int64
-		for j := int32(0); j <= d.Cols; j++ {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(acc))
-			off += 8
-			if p < len(d.JC) && d.JC[p] == j {
-				acc = d.CP[p+1]
-				p++
-			}
-		}
+// to serializing its CSC form.
+func (d *DCSC) Serialize() []byte { return encodeInto(matrixHead(d), d, nil) }
+
+// wireHead is what the header and the encoding's length follow from.
+type wireHead struct {
+	rows, cols int32
+	sorted     bool
+	ne, nnz    int64
+}
+
+func matrixHead(m Matrix) wireHead {
+	rows, cols := m.Dims()
+	return wireHead{rows, cols, m.Sorted(), m.NonEmptyCols(), m.NNZ()}
+}
+
+func (h wireHead) size() int64 { return WireBytesFor(h.cols, h.ne, h.nnz) }
+
+// wireSource is a matrix as the encoder reads it after its head: wireCols
+// hands e.cols (or e.col) its columns in ascending order — every occupied
+// one, empty ones optional — with their entry counts, wireRuns hands e.run
+// its entries in column order. Both formats keep their entries in column
+// order in one pair of arrays, so those are a single run.
+type wireSource interface {
+	wireCols(e *wireEnc)
+	wireRuns(e *wireEnc)
+}
+
+func (m *CSC) wireCols(e *wireEnc) { e.cols(nil, m.ColPtr) }
+
+func (m *CSC) wireRuns(e *wireEnc) { e.run(Segment{Rows: m.RowIdx, Vals: m.Val}) }
+
+func (d *DCSC) wireCols(e *wireEnc) { e.cols(d.JC, d.CP) }
+
+func (d *DCSC) wireRuns(e *wireEnc) { e.run(Segment{Rows: d.IR, Vals: d.Num}) }
+
+// encodeInto encodes into dst when dst has the capacity, into a fresh buffer
+// otherwise, and returns the encoding.
+func encodeInto(h wireHead, src wireSource, dst []byte) []byte {
+	n := h.size()
+	if int64(cap(dst)) < n {
+		dst = make([]byte, n)
 	}
-	putEntries(buf, off, d.IR, d.Num)
-	return buf
+	e := wireEnc{wireOut: wireOut{buf: dst[:n]}}
+	e.encode(h, src)
+	return e.buf
+}
+
+// encodeTo writes the encoding to w through one buffer of at most wireChunk
+// bytes and returns the bytes w accepted.
+func encodeTo(h wireHead, src wireSource, w io.Writer) (int64, error) {
+	e := wireEnc{wireOut: wireOut{w: w, buf: make([]byte, min(h.size(), wireChunk))}}
+	e.encode(h, src)
+	e.flush()
+	return e.n, e.err
+}
+
+// wireEnc is the one wire encoder, the mirror of decode: encode writes a
+// header, column section, rows and values, in the layout above, through its
+// wireOut.
+type wireEnc struct {
+	wireOut
+	hyper   bool
+	next    int32 // the column after the last one cols saw
+	end     int64 // the entries of the columns before next
+	valPass bool  // run writes values, not rows
+}
+
+func (e *wireEnc) encode(h wireHead, src wireSource) {
+	e.hyper = Hypersparse(h.ne, h.cols)
+	var flags byte
+	if h.sorted {
+		flags |= 1
+	}
+	if e.hyper {
+		flags |= 2
+	}
+	e.u32(uint32(h.rows))
+	e.u32(uint32(h.cols))
+	e.u64(uint64(h.nnz))
+	e.u8(flags)
+	if e.hyper {
+		e.u32(uint32(h.ne))
+	}
+	src.wireCols(e)
+	if !e.hyper {
+		e.col(h.cols, 0) // the pointers of the trailing empty columns and the end
+	}
+	src.wireRuns(e)
+	e.valPass = true
+	src.wireRuns(e)
+}
+
+// cols writes the column section's part for the columns jc, in ascending
+// order, column jc[i] holding cp[i+1]-cp[i] entries; a nil jc stands for the
+// len(cp)-1 columns from the next one on. In the hypersparse encoding that
+// is an (index, count) pair per occupied column, in the dense one the
+// pointers of the columns up to the last of jc.
+func (e *wireEnc) cols(jc []int32, cp []int64) {
+	next, end := e.next, e.end
+	for i := range len(cp) - 1 {
+		j, n := next, cp[i+1]-cp[i]
+		if jc != nil {
+			j = jc[i]
+		}
+		switch {
+		case e.hyper && n > 0:
+			e.u64(uint64(uint32(j)) | uint64(n)<<32) // the pair, little-endian
+		case !e.hyper:
+			for ; next < j; next++ {
+				e.u64(uint64(end))
+			}
+			e.u64(uint64(end))
+		}
+		next, end = j+1, end+n
+	}
+	e.next, e.end = next, end
+}
+
+// col writes the column section's part for column j, holding n entries.
+func (e *wireEnc) col(j int32, n int64) { e.cols([]int32{j}, []int64{0, n}) }
+
+func (e *wireEnc) run(sg Segment) {
+	if e.valPass {
+		e.vals(sg.Vals)
+	} else {
+		e.rows(sg.Rows, sg.Offset)
+	}
 }
 
 // DeserializeMatrix decodes a matrix from the wire format, following the
@@ -321,6 +357,83 @@ func (in *wireIn) most(size int, want int64) int {
 		return int(want)
 	}
 	return int(min(want, int64(len(in.chunk)/size)))
+}
+
+// wireOut is the encoder's sink: a caller's buffer of exact size (w nil), or
+// a chunk flushed to w whenever the next item does not fit. The first error
+// from w sticks; later writes are dropped.
+type wireOut struct {
+	w   io.Writer
+	buf []byte // the buffer; buf[:off] is pending
+	off int
+	n   int64 // bytes w accepted
+	err error
+}
+
+func (o *wireOut) flush() {
+	if o.err == nil && o.off > 0 {
+		var k int
+		k, o.err = o.w.Write(o.buf[:o.off])
+		o.n += int64(k)
+	}
+	o.off = 0
+}
+
+// room flushes unless size more bytes fit, and returns how many items of
+// that size fit.
+func (o *wireOut) room(size int) int {
+	if o.off+size > len(o.buf) {
+		o.flush()
+	}
+	return (len(o.buf) - o.off) / size
+}
+
+// The single-item writers test for room themselves so that they inline.
+
+func (o *wireOut) u8(v byte) {
+	if o.off+1 > len(o.buf) {
+		o.flush()
+	}
+	o.buf[o.off] = v
+	o.off++
+}
+
+func (o *wireOut) u32(v uint32) {
+	if o.off+4 > len(o.buf) {
+		o.flush()
+	}
+	binary.LittleEndian.PutUint32(o.buf[o.off:], v)
+	o.off += 4
+}
+
+func (o *wireOut) u64(v uint64) {
+	if o.off+8 > len(o.buf) {
+		o.flush()
+	}
+	binary.LittleEndian.PutUint64(o.buf[o.off:], v)
+	o.off += 8
+}
+
+func (o *wireOut) rows(rows []int32, offset int32) {
+	for len(rows) > 0 {
+		k := min(o.room(4), len(rows))
+		b := o.buf[o.off : o.off+4*k]
+		for x, r := range rows[:k] {
+			binary.LittleEndian.PutUint32(b[4*x:], uint32(r+offset))
+		}
+		o.off, rows = o.off+4*k, rows[k:]
+	}
+}
+
+func (o *wireOut) vals(vals []float64) {
+	for len(vals) > 0 {
+		k := min(o.room(8), len(vals))
+		b := o.buf[o.off : o.off+8*k]
+		for x, v := range vals[:k] {
+			binary.LittleEndian.PutUint64(b[8*x:], math.Float64bits(v))
+		}
+		o.off, vals = o.off+8*k, vals[k:]
+	}
 }
 
 // decode is the one wire decoder. n is the encoding's length: every size the

@@ -209,6 +209,6 @@ func TestNonEmptyColsInvalidation(t *testing.T) {
 
 // NNZ returns the number of entries the subset carries.
 func (v *ColSubsetView) NNZ() int64 {
-	_, nnz := v.stat()
+	_, nnz := subsetCounts(v.M, v.Cols)
 	return nnz
 }
