@@ -68,9 +68,12 @@ deadcode:
 # MultiplyDiscard batches (jaccard, matching, overlap, tricount) run with
 # returned chunks poisoned, and a batch is borrowed for the hook call only,
 # so a hook that read its piece after returning fails its reference
-# comparison.
+# comparison. The root package goes too (about 4 s of tests here): its facade
+# tests and runnable examples pass hooks to Cluster.MultiplyBatched, which
+# runs them concurrently, one goroutine per rank, so a hook that shares state
+# across ranks without per-rank slots or a lock fails here.
 race:
-	$(GO) test -race ./internal/spmat ./internal/localmm
+	$(GO) test -race . ./internal/spmat ./internal/localmm
 	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service ./internal/planner ./internal/apps/...
 
 # vet: static analysis over every package.

@@ -33,15 +33,23 @@ func ExampleCluster_Multiply() {
 func ExampleCluster_MultiplyBatched() {
 	a := spgemm.Identity(8)
 	cluster := spgemm.NewCluster(4, 1)
-	batches := make(map[int]bool)
+	// The hooks run concurrently, one goroutine per rank, so each rank
+	// records the batches it sees in its own slot.
+	perRank := make([][]int, 4)
 	_, _, err := cluster.MultiplyBatched(a, a, spgemm.Options{Batches: 2},
 		func(rank, batch int, cols []int32, piece *spgemm.Matrix) *spgemm.Matrix {
-			batches[batch] = true
+			perRank[rank] = append(perRank[rank], batch)
 			return nil // keep the batch unchanged
 		})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
+	}
+	batches := make(map[int]bool)
+	for _, seen := range perRank {
+		for _, b := range seen {
+			batches[b] = true
+		}
 	}
 	fmt.Println("batches observed:", len(batches))
 	// Output:

@@ -32,7 +32,9 @@ type RunConfig struct {
 }
 
 // HookFactory builds a per-rank batch hook; nil means no hook. The factory is
-// called once per rank with the world rank.
+// called once per rank with the world rank, on that rank's goroutine, and
+// the hooks run concurrently, one goroutine per rank: any state the factory
+// or its hooks share must be per-rank or synchronised.
 type HookFactory func(rank int) BatchHook
 
 // RowOffsetFor returns the global row index of local row 0 for the given

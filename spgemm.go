@@ -511,7 +511,9 @@ func (c *Cluster) MultiplyDense(a *Matrix, b *DenseMatrix, opts Options) (*Dense
 // MultiplyBatched runs BatchedSUMMA3D, invoking hook on every rank for every
 // finished batch (the memory-constrained consumption pattern: prune inside
 // the hook, or return an empty matrix to discard). The assembled result
-// reflects the hook's pruning.
+// reflects the hook's pruning. The hook runs concurrently, one goroutine per
+// rank: any state its calls share must be per-rank (indexed by rank) or
+// synchronised.
 func (c *Cluster) MultiplyBatched(a, b *Matrix, opts Options, hook func(rank, batch int, globalCols []int32, piece *Matrix) *Matrix) (*Matrix, *Stats, error) {
 	var hf core.HookFactory
 	if hook != nil {

@@ -2,6 +2,7 @@ package spgemm_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	spgemm "repro"
@@ -61,20 +62,24 @@ func TestFacadeMemoryConstrained(t *testing.T) {
 func TestFacadeBatchedHook(t *testing.T) {
 	a := spgemm.RandomGraph(7, 8, true, 3)
 	cluster := spgemm.NewCluster(4, 1)
-	var batches int
+	// The hooks run concurrently, one goroutine per rank, so each rank
+	// records the batches it sees in its own slot.
+	seen := make([][]int, 4)
 	got, _, err := cluster.MultiplyBatched(a, a, spgemm.Options{Batches: 3},
 		func(rank, batch int, cols []int32, piece *spgemm.Matrix) *spgemm.Matrix {
 			if batch >= 3 || len(cols) != int(piece.Cols) {
 				t.Errorf("hook got batch=%d cols=%d pieceCols=%d", batch, len(cols), piece.Cols)
 			}
-			batches++
+			seen[rank] = append(seen[rank], batch)
 			return nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batches == 0 {
-		t.Error("hook never ran")
+	for rank, batches := range seen {
+		if !slices.Equal(batches, []int{0, 1, 2}) {
+			t.Errorf("rank %d's hook saw batches %v, want [0 1 2]", rank, batches)
+		}
 	}
 	if !spgemm.Equal(got, spgemm.MultiplySerial(a, a, nil)) {
 		t.Error("hooked multiply changed values")
