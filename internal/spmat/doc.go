@@ -31,25 +31,17 @@
 // methods) lets kernels and the distributed core treat both uniformly;
 // Format/WithFormat/AutoFormat select per block, compressing exactly when
 // fewer than half the columns are occupied — the same threshold the wire
-// encoding uses, so in-memory and on-wire compression agree. The wire
-// format itself is chosen by occupancy alone: both in-memory formats of a
-// logical matrix serialize to identical bytes, and DeserializeMatrix
-// decodes a hypersparse buffer straight into DCSC without materializing
-// dense column pointers.
+// encoding uses, so in-memory and on-wire compression agree.
 //
 // # Wire format
 //
-// Every matrix that leaves its owner — an upload, the daemon's streamed
-// product, a block a copying transport would ship, the bytes a fingerprint
-// hashes — is the one encoding of serialize.go, written by one encoder and
-// read by one decoder. The encoder (wireEnc) takes a source that gives its
-// shape, its occupied columns with their entry counts and its entries as
-// runs: CSC and DCSC (Serialize, and FingerprintOf, which streams into
-// sha256), ColSubsetView (SerializeInto: a column subset into a caller's
-// buffer) and Segmented (WriteTo: a distributed product streamed from its
-// pieces). The decoder (DeserializeMatrix, DeserializeMatrixInto,
-// DeserializeFrom) reads a slice or a stream with every hostile-input check
-// in one place.
+// The wire format (serialize.go) is chosen by occupancy alone, so both
+// in-memory formats of a logical matrix serialize to identical bytes. One
+// encoder writes it — for Serialize, FingerprintOf (streamed into sha256),
+// ColSubsetView.SerializeInto and Segmented.WriteTo, each of which only
+// describes its columns and entries — and one decoder reads it, from a slice
+// or a stream (DeserializeMatrix, DeserializeMatrixInto, DeserializeFrom),
+// a hypersparse buffer straight into DCSC.
 //
 // # Construction and comparison
 //

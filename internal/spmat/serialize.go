@@ -32,12 +32,8 @@ import (
 // hypersparse-encoded buffer decodes straight into DCSC without ever
 // materializing O(cols) column pointers.
 //
-// One encoder writes every encoding and one decoder reads it. wireEnc.encode
-// writes the header, column section, rows and values of any wireSource —
-// CSC and DCSC (Serialize, FingerprintOf), ColSubsetView (SerializeInto) and
-// Segmented (WriteTo) — into a caller's buffer of exact size (encodeInto) or
-// through a wireChunk buffer to an io.Writer (encodeTo); decode reads a slice
-// or a stream (wireIn) back.
+// One encoder writes every encoding, wireEnc.encode over a wireSource (CSC,
+// DCSC, ColSubsetView, Segmented), and one decoder, decode, reads it back.
 const serialHeader = 17
 
 // wireBytes is the shared size formula for both encodings. The dense term
@@ -145,20 +141,18 @@ type wireEnc struct {
 
 func (e *wireEnc) encode(h wireHead, src wireSource) {
 	e.hyper = Hypersparse(h.ne, h.cols)
-	var flags byte
+	hd := make([]byte, serialHeader, serialHeader+4)
+	binary.LittleEndian.PutUint32(hd[0:], uint32(h.rows))
+	binary.LittleEndian.PutUint32(hd[4:], uint32(h.cols))
+	binary.LittleEndian.PutUint64(hd[8:], uint64(h.nnz))
 	if h.sorted {
-		flags |= 1
+		hd[16] |= 1
 	}
 	if e.hyper {
-		flags |= 2
+		hd[16] |= 2
+		hd = binary.LittleEndian.AppendUint32(hd, uint32(h.ne))
 	}
-	e.u32(uint32(h.rows))
-	e.u32(uint32(h.cols))
-	e.u64(uint64(h.nnz))
-	e.u8(flags)
-	if e.hyper {
-		e.u32(uint32(h.ne))
-	}
+	e.off = copy(e.buf, hd) // every buffer holds at least the header
 	src.wireCols(e)
 	if !e.hyper {
 		e.col(h.cols, 0) // the pointers of the trailing empty columns and the end
@@ -184,10 +178,9 @@ func (e *wireEnc) cols(jc []int32, cp []int64) {
 		case e.hyper && n > 0:
 			e.u64(uint64(uint32(j)) | uint64(n)<<32) // the pair, little-endian
 		case !e.hyper:
-			for ; next < j; next++ {
+			for ; next <= j; next++ {
 				e.u64(uint64(end))
 			}
-			e.u64(uint64(end))
 		}
 		next, end = j+1, end+n
 	}
@@ -388,24 +381,7 @@ func (o *wireOut) room(size int) int {
 	return (len(o.buf) - o.off) / size
 }
 
-// The single-item writers test for room themselves so that they inline.
-
-func (o *wireOut) u8(v byte) {
-	if o.off+1 > len(o.buf) {
-		o.flush()
-	}
-	o.buf[o.off] = v
-	o.off++
-}
-
-func (o *wireOut) u32(v uint32) {
-	if o.off+4 > len(o.buf) {
-		o.flush()
-	}
-	binary.LittleEndian.PutUint32(o.buf[o.off:], v)
-	o.off += 4
-}
-
+// u64 tests for room itself so that it inlines.
 func (o *wireOut) u64(v uint64) {
 	if o.off+8 > len(o.buf) {
 		o.flush()

@@ -40,9 +40,11 @@ type ColSubsetView struct {
 	Cols []int32
 }
 
-// subsetCounts returns the occupied-column and entry counts of the listed
+// subsetHead counts the occupied columns and the entries of the listed
 // columns of m, panicking unless they are strictly ascending.
-func subsetCounts(m Matrix, cols []int32) (ne, nnz int64) {
+func subsetHead(m Matrix, cols []int32) wireHead {
+	rows, full := m.Dims()
+	h := wireHead{rows: rows, cols: full, sorted: m.Sorted()}
 	prev := int32(-1)
 	for _, j := range cols {
 		if j <= prev {
@@ -50,11 +52,11 @@ func subsetCounts(m Matrix, cols []int32) (ne, nnz int64) {
 		}
 		prev = j
 		if c := m.ColNNZ(j); c > 0 {
-			ne++
-			nnz += c
+			h.ne++
+			h.nnz += c
 		}
 	}
-	return ne, nnz
+	return h
 }
 
 // CommBytes returns the wire size of the subset — the same formula a
@@ -70,9 +72,7 @@ func (v *ColSubsetView) Serialize() []byte { return v.SerializeInto(nil) }
 // point (see mpi's per-communicator pool). It returns the encoded slice,
 // which always has length CommBytes.
 func (v *ColSubsetView) SerializeInto(dst []byte) []byte {
-	rows, cols := v.M.Dims()
-	ne, nnz := subsetCounts(v.M, v.Cols)
-	return encodeInto(wireHead{rows, cols, v.M.Sorted(), ne, nnz}, v, dst)
+	return encodeInto(subsetHead(v.M, v.Cols), v, dst)
 }
 
 func (v *ColSubsetView) wireCols(e *wireEnc) {
@@ -92,11 +92,7 @@ func (v *ColSubsetView) wireRuns(e *wireEnc) {
 // building a view: the same formula ColSubsetView.CommBytes reports. It
 // allocates nothing, so the SUMMA inner loop can size every stage's subset
 // while staying on the zero-allocation steady-state path.
-func SubsetWireBytes(m Matrix, cols []int32) int64 {
-	_, full := m.Dims()
-	ne, nnz := subsetCounts(m, cols)
-	return WireBytesFor(full, ne, nnz)
-}
+func SubsetWireBytes(m Matrix, cols []int32) int64 { return subsetHead(m, cols).size() }
 
 // MatColSubsetSerialize encodes the listed columns of m (strictly ascending)
 // in the shared wire format — the one-shot form of ColSubsetView.

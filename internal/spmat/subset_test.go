@@ -209,6 +209,5 @@ func TestNonEmptyColsInvalidation(t *testing.T) {
 
 // NNZ returns the number of entries the subset carries.
 func (v *ColSubsetView) NNZ() int64 {
-	_, nnz := subsetCounts(v.M, v.Cols)
-	return nnz
+	return subsetHead(v.M, v.Cols).nnz
 }
