@@ -141,18 +141,19 @@ type wireEnc struct {
 
 func (e *wireEnc) encode(h wireHead, src wireSource) {
 	e.hyper = Hypersparse(h.ne, h.cols)
-	hd := make([]byte, serialHeader, serialHeader+4)
+	hd := e.buf[:serialHeader+4] // every buffer holds the header and 4 bytes more
 	binary.LittleEndian.PutUint32(hd[0:], uint32(h.rows))
 	binary.LittleEndian.PutUint32(hd[4:], uint32(h.cols))
 	binary.LittleEndian.PutUint64(hd[8:], uint64(h.nnz))
+	hd[16], e.off = 0, serialHeader
 	if h.sorted {
 		hd[16] |= 1
 	}
 	if e.hyper {
 		hd[16] |= 2
-		hd = binary.LittleEndian.AppendUint32(hd, uint32(h.ne))
+		binary.LittleEndian.PutUint32(hd[serialHeader:], uint32(h.ne))
+		e.off += 4
 	}
-	e.off = copy(e.buf, hd) // every buffer holds at least the header
 	src.wireCols(e)
 	if !e.hyper {
 		e.col(h.cols, 0) // the pointers of the trailing empty columns and the end
