@@ -33,7 +33,7 @@ type Fingerprint struct {
 // compute it once and keep it.
 func FingerprintOf(m Matrix) Fingerprint {
 	h := sha256.New()
-	encodeTo(matrixHead(m), m, h) // a hash never fails a write
+	_, _ = encodeTo(matrixHead(m), m, h) // a hash.Hash never fails a write
 	r, c := m.Dims()
 	return Fingerprint{
 		Rows: r,
