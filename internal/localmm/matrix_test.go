@@ -1,6 +1,7 @@
 package localmm
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -125,31 +126,62 @@ func TestSymbolicAndFlopsMatAgree(t *testing.T) {
 // the flop counts — the total the distributed stage reports, each kernel at
 // each thread count (balancing and table sizes come from the plan's vector),
 // and the symbolic count — and give exactly what the one-shot entry points
-// give, for every format combination, however often it is reused.
+// give, for every format combination, however often it is reused. Besides
+// the plain pair it covers the shapes that reach A through a doubly
+// compressed lookup in other ways: a kmer-like DCSC A whose stored columns
+// most of B's rows miss, B as a column-range piece over shared arrays (a
+// Merge-Layer output's fiber view), and a semiring off the plus-times fast
+// path. Every product is also held to naiveMultiply, which shares no code
+// with the kernels.
 func TestPlanServesEveryConsumer(t *testing.T) {
-	sr := semiring.PlusTimes()
-	a := hyperMat(t, 32, 800, 250, 7)
-	b := hyperMat(t, 800, 900, 260, 8)
-	var wantF int64
-	for _, f := range ColFlops(a, b) {
-		wantF += f
+	piece := func(m *spmat.CSC, dcsc bool) spmat.Matrix {
+		return spmat.MatColRanges(asFormat(m, dcsc), []int32{0, 300, 700, m.Cols})[1]
 	}
-	wantS := SymbolicSpGEMM(a, b)
-	for _, aD := range []bool{false, true} {
-		for _, bD := range []bool{false, true} {
-			am, bm := asFormat(a, aD), asFormat(b, bD)
-			pl := PlanMul(am, bm)
-			if pl.Flops != wantF || MatFlops(am, bm) != wantF {
-				t.Fatalf("aD=%v bD=%v: plan counts %d flops, MatFlops %d, column sum %d", aD, bD, pl.Flops, MatFlops(am, bm), wantF)
-			}
-			for _, threads := range []int{1, 4} {
-				if got := pl.Symbolic(threads); got != wantS {
-					t.Fatalf("aD=%v bD=%v t=%d: plan symbolic %d, want %d", aD, bD, threads, got, wantS)
+	cases := []struct {
+		name string
+		a, b *spmat.CSC
+		bOf  func(m *spmat.CSC, dcsc bool) spmat.Matrix
+		sr   *semiring.Semiring
+	}{
+		{"plain", hyperMat(t, 32, 800, 250, 7), hyperMat(t, 800, 900, 260, 8), asFormat, semiring.PlusTimes()},
+		{"kmer-misses", hyperMat(t, 48, 1<<14, 1500, 9), hyperMat(t, 1<<14, 700, 1400, 10), asFormat, semiring.PlusTimes()},
+		{"b-piece", hyperMat(t, 32, 800, 250, 11), hyperMat(t, 800, 900, 900, 12), piece, semiring.PlusTimes()},
+		{"min-plus", hyperMat(t, 32, 800, 250, 13), hyperMat(t, 800, 900, 260, 14), asFormat, semiring.MinPlus()},
+	}
+	for _, c := range cases {
+		for _, aD := range []bool{false, true} {
+			for _, bD := range []bool{false, true} {
+				am, bm := asFormat(c.a, aD), c.bOf(c.b, bD)
+				bCSC := bm.ToCSC()
+				var wantF int64
+				for _, f := range ColFlops(c.a, bCSC) {
+					wantF += f
 				}
-				for _, k := range []Kernel{KernelHashUnsorted, KernelHashSorted, KernelHeap, KernelHybrid} {
-					got, want := pl.Mul(k, sr, threads), MulMat(k, am, bm, sr, 1)
-					if got.Format() != want.Format() || string(got.Serialize()) != string(want.Serialize()) {
-						t.Fatalf("aD=%v bD=%v t=%d %v: planned multiply differs from MulMat", aD, bD, threads, k)
+				wantS := SymbolicSpGEMM(c.a, bCSC)
+				naive := naiveMultiply(c.a, bCSC, c.sr)
+				if wantS != naive.NNZ() {
+					t.Fatalf("%s: symbolic count %d, naive product has %d entries", c.name, wantS, naive.NNZ())
+				}
+				label := fmt.Sprintf("%s aD=%v bD=%v", c.name, aD, bD)
+				pl := PlanMul(am, bm)
+				if pl.Flops != wantF || MatFlops(am, bm) != wantF {
+					t.Fatalf("%s: plan counts %d flops, MatFlops %d, column sum %d", label, pl.Flops, MatFlops(am, bm), wantF)
+				}
+				for _, threads := range []int{1, 4} {
+					if got := pl.Symbolic(threads); got != wantS {
+						t.Fatalf("%s t=%d: plan symbolic %d, want %d", label, threads, got, wantS)
+					}
+					if got := SymbolicMat(am, bm, threads); got != wantS {
+						t.Fatalf("%s t=%d: SymbolicMat %d, want %d", label, threads, got, wantS)
+					}
+					for _, k := range []Kernel{KernelHashUnsorted, KernelHashSorted, KernelHeap, KernelHybrid} {
+						got, want := pl.Mul(k, c.sr, threads), MulMat(k, am, bm, c.sr, 1)
+						if got.Format() != want.Format() || string(got.Serialize()) != string(want.Serialize()) {
+							t.Fatalf("%s t=%d %v: planned multiply differs from MulMat", label, threads, k)
+						}
+						if !spmat.Equal(got.ToCSC(), naive) {
+							t.Fatalf("%s t=%d %v: planned multiply differs from the naive product", label, threads, k)
+						}
 					}
 				}
 			}
