@@ -44,17 +44,22 @@ deadcode:
 	$(GO) test -run '^TestNoTestOnlyExports$$' .
 
 # race: the packages that run goroutines (simulated ranks in mpi/core,
-# worker threads in localmm, concurrent jobs in service) or hold state
-# goroutines share (spmat: a block's lazily built column index, reached by
-# every rank the block was broadcast to) under the race detector, race
-# workouts included — the multithreaded kernels, the Pipeline=true broadcast
-# prefetch paths (TestPipelinedSUMMARace), the service concurrency workout (N
-# clients racing the plan cache and the admission scheduler) and concurrent
-# first lookups on one shared DCSC block are exercised here. The three
-# packages that run ranks go twice, at -cpu 1 and -cpu 4: the compute gate
-# deals out GOMAXPROCS cores, so one core is the strict-turns path and four
-# is ranks computing side by side and taking idle cores for workers — on a
-# two-core runner neither is what a bare `go test` would cover. core's tests
+# worker threads in localmm, concurrent jobs in service, the deal's
+# goroutines in spmat) or hold state goroutines share (spmat: a block's
+# lazily built column index, reached by every rank the block was broadcast
+# to) under the race detector, race workouts included — the multithreaded
+# kernels, the Pipeline=true broadcast prefetch paths
+# (TestPipelinedSUMMARace), the service concurrency workout (N clients racing
+# the plan cache and the admission scheduler) and concurrent first lookups on
+# one shared DCSC block are exercised here. The three packages that run ranks
+# go twice, at -cpu 1 and -cpu 4: the compute gate deals out GOMAXPROCS
+# cores, so one core is the strict-turns path and four is ranks computing
+# side by side and taking idle cores for workers — on a two-core runner
+# neither is what a bare `go test` would cover. So do spmat and distmat
+# (about 25 s more than spmat once): SplitGrid deals its column ranges on
+# min(ranges, GOMAXPROCS) goroutines, so -cpu 1 is the one-goroutine deal
+# and -cpu 4 the goroutines sharing the grid, which distmat's Split tests
+# and TestSplitGridSameOnEveryCoreCount drive. core's tests
 # all run with returned chunks poisoned (TestMain), so -cpu 1,4 also covers
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
 # × format × thread count against the run that lends nothing — stage
@@ -73,8 +78,8 @@ deadcode:
 # runs them concurrently, one goroutine per rank, so a hook that shares state
 # across ranks without per-rank slots or a lock fails here.
 race:
-	$(GO) test -race . ./internal/spmat ./internal/localmm
-	$(GO) test -race -cpu 1,4 ./internal/mpi ./internal/core ./internal/service ./internal/planner ./internal/apps/...
+	$(GO) test -race . ./internal/localmm
+	$(GO) test -race -cpu 1,4 ./internal/spmat ./internal/distmat ./internal/mpi ./internal/core ./internal/service ./internal/planner ./internal/apps/...
 
 # vet: static analysis over every package.
 vet:

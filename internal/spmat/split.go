@@ -2,7 +2,10 @@ package spmat
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // PartBounds partitions n items into parts nearly-equal contiguous ranges and
@@ -35,6 +38,14 @@ func PartBounds(n int32, parts int) []int32 {
 // is cut out of it: the bounds need not cover the matrix, and entries outside
 // [rowB[0], rowB[last]) × [colB[0], colB[last]) are dropped.
 //
+// The deal runs on every core: min(column ranges, GOMAXPROCS) goroutines —
+// the caller's one of them — take the column ranges in order off a shared
+// counter, each with count-and-place scratch of its own. A column range's
+// blocks are written by the goroutine that took it and by nothing else, so
+// the blocks are the same, byte for byte, whatever the core count. A
+// one-range call (a single block, as distmat's LocalMat cuts) starts no
+// goroutine.
+//
 // rowB and colB are ascending (PartBounds output, or any refinement of it).
 // Block (r, c) — element r·(len(colB)-1)+c of the result — holds rows
 // [rowB[r], rowB[r+1]) × columns [colB[c], colB[c+1]) under local indices,
@@ -44,113 +55,148 @@ func SplitGrid(m *CSC, rowB, colB []int32, f Format) []Matrix {
 	if nr < 1 || nc < 1 || rowB[0] < 0 || rowB[nr] > m.Rows || colB[0] < 0 || colB[nc] > m.Cols {
 		panic(fmt.Sprintf("spmat: SplitGrid bounds %v x %v do not fit %v", rowB, colB, m))
 	}
-	// fills holds the arrays of one column range's blocks while they fill:
-	// ptr is ColPtr or CP, n the entries and nj the stored columns placed so
-	// far, col the local column (+1) that placed the last one. The count pass
-	// leaves the totals in n and nj.
-	type fill struct {
-		rows  []int32
-		vals  []float64
-		ptr   []int64
-		jc    []int32
-		n     int64
-		nj    int
-		col   int32
-		hyper bool
-	}
-	fills := make([]fill, nr)
-	// Both passes run flat over the range's entries — a loop per column would
-	// mispredict its exit on every column of a hypersparse operand, whose
-	// columns hold zero, one or two entries at random. colOf and partOf are
-	// what the count pass works out for each entry and the place pass reads
-	// back: its local column, and its row part (-1: outside the row range).
-	// The row part is guessed from the bounds' mean spacing and corrected by
-	// walking, which for PartBounds-style bounds is rarely a step.
-	var colOf, partOf []int32
-	scale := float64(nr) / float64(rowB[nr]-rowB[0]+1)
 	out := make([]Matrix, nr*nc)
-	for c := 0; c < nc; c++ {
-		c0, c1 := colB[c], colB[c+1]
-		lo, hi := m.ColPtr[c0], m.ColPtr[c1]
-		rowIdx, val := m.RowIdx[lo:hi], m.Val[lo:hi]
-		partOf = slices.Grow(partOf[:0], len(rowIdx))[:len(rowIdx)]
-		colOf = slices.Grow(colOf[:0], len(rowIdx)+1)[:len(rowIdx)+1]
-		// Mark each occupied column at its first entry: an empty column marks
-		// the slot of the next occupied one (or the spare last slot) and is
-		// overwritten by it. The running maximum of the marks is then every
-		// entry's column.
-		clear(colOf)
-		for j := c0; j < c1; j++ {
-			colOf[m.ColPtr[j]-lo] = j - c0
+	scale := float64(nr) / float64(rowB[nr]-rowB[0]+1)
+	var next atomic.Int32
+	deal := func() {
+		d := dealer{m: m, rowB: rowB, colB: colB, f: f, out: out, scale: scale, fills: make([]fill, nr)}
+		for c := int(next.Add(1) - 1); c < nc; c = int(next.Add(1) - 1) {
+			d.dealRange(c)
 		}
-		clear(fills)
-		x := int32(0)
-		for p, i := range rowIdx {
-			x = max(x, colOf[p])
-			colOf[p] = x
-			if i < rowB[0] || i >= rowB[nr] {
-				partOf[p] = -1
-				continue
-			}
-			r := int(float64(i-rowB[0]) * scale)
-			for i >= rowB[r+1] {
-				r++
-			}
-			for i < rowB[r] {
-				r--
-			}
-			partOf[p] = int32(r)
-			st := &fills[r]
-			st.n++
-			if st.col != x+1 {
-				st.col = x + 1
-				st.nj++
-			}
+	}
+	var wg sync.WaitGroup
+	for range min(nc, runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			deal()
+		}()
+	}
+	deal()
+	wg.Wait()
+	return out
+}
+
+// fill holds the arrays of one block of a column range while they fill: ptr
+// is ColPtr or CP, n the entries and nj the stored columns placed so far, col
+// the local column (+1) that placed the last one. The count pass leaves the
+// totals in n and nj.
+type fill struct {
+	rows  []int32
+	vals  []float64
+	ptr   []int64
+	jc    []int32
+	n     int64
+	nj    int
+	col   int32
+	hyper bool
+}
+
+// dealer is one goroutine's share of a SplitGrid: the grid it deals into and
+// its own count-and-place scratch, reused from column range to column range.
+//
+// Both passes run flat over the range's entries — a loop per column would
+// mispredict its exit on every column of a hypersparse operand, whose
+// columns hold zero, one or two entries at random. colOf and partOf are what
+// the count pass works out for each entry and the place pass reads back: its
+// local column, and its row part (-1: outside the row range). The row part
+// is guessed from the bounds' mean spacing (scale) and corrected by walking,
+// which for PartBounds-style bounds is rarely a step.
+type dealer struct {
+	m          *CSC
+	rowB, colB []int32
+	f          Format
+	out        []Matrix
+	scale      float64
+
+	fills         []fill
+	colOf, partOf []int32
+}
+
+// dealRange counts and places column range c into its blocks of the grid.
+func (d *dealer) dealRange(c int) {
+	m, rowB, fills := d.m, d.rowB, d.fills
+	nr, nc := len(rowB)-1, len(d.colB)-1
+	c0, c1 := d.colB[c], d.colB[c+1]
+	lo, hi := m.ColPtr[c0], m.ColPtr[c1]
+	rowIdx, val := m.RowIdx[lo:hi], m.Val[lo:hi]
+	partOf := slices.Grow(d.partOf[:0], len(rowIdx))[:len(rowIdx)]
+	colOf := slices.Grow(d.colOf[:0], len(rowIdx)+1)[:len(rowIdx)+1]
+	d.partOf, d.colOf = partOf, colOf
+	// Mark each occupied column at its first entry: an empty column marks
+	// the slot of the next occupied one (or the spare last slot) and is
+	// overwritten by it. The running maximum of the marks is then every
+	// entry's column.
+	clear(colOf)
+	for j := c0; j < c1; j++ {
+		colOf[m.ColPtr[j]-lo] = j - c0
+	}
+	clear(fills)
+	x := int32(0)
+	for p, i := range rowIdx {
+		x = max(x, colOf[p])
+		colOf[p] = x
+		if i < rowB[0] || i >= rowB[nr] {
+			partOf[p] = -1
+			continue
 		}
-		for r := range fills {
-			st := &fills[r]
-			rows, cols := rowB[r+1]-rowB[r], c1-c0
-			st.rows, st.vals = make([]int32, st.n), make([]float64, st.n)
-			if st.hyper = f != FormatCSC && (f == FormatDCSC || Hypersparse(int64(st.nj), cols)); st.hyper {
-				st.jc, st.ptr = make([]int32, st.nj), make([]int64, st.nj+1)
-				out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols}
-			} else {
-				st.ptr = make([]int64, cols+1)
-				out[r*nc+c] = &CSC{Rows: rows, Cols: cols, ColPtr: st.ptr, RowIdx: st.rows, Val: st.vals, SortedCols: m.SortedCols, neCache: int64(st.nj) + 1}
-			}
-			st.n, st.nj, st.col = 0, 0, 0
+		r := int(float64(i-rowB[0]) * d.scale)
+		for i >= rowB[r+1] {
+			r++
 		}
-		for p, r := range partOf {
-			if r < 0 {
-				continue
-			}
-			x, st := colOf[p], &fills[r]
-			st.rows[st.n], st.vals[st.n] = rowIdx[p]-rowB[r], val[p]
-			st.n++
-			if !st.hyper {
-				st.ptr[x+1] = st.n
-				continue
-			}
-			if st.col != x+1 {
-				st.col = x + 1
-				st.jc[st.nj] = x
-				st.nj++
-			}
-			st.ptr[st.nj] = st.n
+		for i < rowB[r] {
+			r--
 		}
-		for r := range fills {
-			if st := &fills[r]; !st.hyper {
-				// The pass set the end of every occupied column; an empty one
-				// ends where its predecessor did.
-				var end int64
-				for x, e := range st.ptr {
-					end = max(end, e)
-					st.ptr[x] = end
-				}
+		partOf[p] = int32(r)
+		st := &fills[r]
+		st.n++
+		if st.col != x+1 {
+			st.col = x + 1
+			st.nj++
+		}
+	}
+	for r := range fills {
+		st := &fills[r]
+		rows, cols := rowB[r+1]-rowB[r], c1-c0
+		st.rows, st.vals = make([]int32, st.n), make([]float64, st.n)
+		if st.hyper = d.f != FormatCSC && (d.f == FormatDCSC || Hypersparse(int64(st.nj), cols)); st.hyper {
+			st.jc, st.ptr = make([]int32, st.nj), make([]int64, st.nj+1)
+			d.out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols}
+		} else {
+			st.ptr = make([]int64, cols+1)
+			d.out[r*nc+c] = &CSC{Rows: rows, Cols: cols, ColPtr: st.ptr, RowIdx: st.rows, Val: st.vals, SortedCols: m.SortedCols, neCache: int64(st.nj) + 1}
+		}
+		st.n, st.nj, st.col = 0, 0, 0
+	}
+	for p, r := range partOf {
+		if r < 0 {
+			continue
+		}
+		x, st := colOf[p], &fills[r]
+		st.rows[st.n], st.vals[st.n] = rowIdx[p]-rowB[r], val[p]
+		st.n++
+		if !st.hyper {
+			st.ptr[x+1] = st.n
+			continue
+		}
+		if st.col != x+1 {
+			st.col = x + 1
+			st.jc[st.nj] = x
+			st.nj++
+		}
+		st.ptr[st.nj] = st.n
+	}
+	for r := range fills {
+		if st := &fills[r]; !st.hyper {
+			// The pass set the end of every occupied column; an empty one
+			// ends where its predecessor did.
+			var end int64
+			for x, e := range st.ptr {
+				end = max(end, e)
+				st.ptr[x] = end
 			}
 		}
 	}
-	return out
 }
 
 // ColSplit splits m into parts matrices of contiguous column ranges

@@ -98,3 +98,46 @@ func TestSplitGridSameOnEveryCoreCount(t *testing.T) {
 		}
 	}
 }
+
+// kmerCSC is a reads×kmers 0/1 matrix with perRead random k-mers a read, the
+// shape of bench/'s kmer-hyper operand (genmat.Kmer without the overlap
+// between consecutive reads).
+func kmerCSC(tb testing.TB, reads, kmers int32, perRead int, seed int64) *CSC {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ts := make([]Triple, 0, int(reads)*perRead)
+	for i := int32(0); i < reads; i++ {
+		for range perRead {
+			ts = append(ts, Triple{Row: i, Col: int32(rng.Intn(int(kmers))), Val: 1})
+		}
+	}
+	m, err := FromTriples(reads, kmers, ts, func(a, b float64) float64 { return 1 })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkSplitGridKmer deals kmer-hyper's operands over its 2×2×16 grid
+// (p = 64, l = 16): A, 4096 × 262144, into 2 row ranges × 32
+// column slices, and B = Aᵀ into 32 row slices × 2 column ranges — the two
+// deals every kmer-hyper multiply starts with, under the auto format.
+func BenchmarkSplitGridKmer(b *testing.B) {
+	a := kmerCSC(b, 4096, 262144, 24, 7)
+	at := Transpose(a)
+	for _, g := range []struct {
+		name       string
+		m          *CSC
+		rowB, colB []int32
+	}{
+		{"A", a, PartBounds(a.Rows, 2), PartBounds(a.Cols, 32)},
+		{"B", at, PartBounds(at.Rows, 32), PartBounds(at.Cols, 2)},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				SplitGrid(g.m, g.rowB, g.colB, FormatAuto)
+			}
+		})
+	}
+}
