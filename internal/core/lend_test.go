@@ -18,7 +18,9 @@ import (
 // output that is still read after its loan ended, or that escaped into a
 // rank's output, then fails whatever comparison it reaches — NaN equals
 // nothing, itself included — instead of passing because nobody had refilled
-// the chunk yet.
+// the chunk yet. The same flag poisons every stage's plan when the stage
+// releases it (localmm.Plan.Release): a slot or flop count read after its
+// stage is out of range or −1.
 func TestMain(m *testing.M) {
 	localmm.PoisonReturnedChunks.Store(true)
 	os.Exit(m.Run())

@@ -114,10 +114,12 @@ var lendChunks = true
 // partial product and the loan behind it, which the caller returns once its
 // merges have read the products.
 //
-// Local multiply (Alg 1 line 7). One pass over the B block counts the stage's
-// flops column by column (localmm.PlanMul) and everything that needs them
-// reads that one vector: Result.LocalFlops, the work units and, inside the
-// kernel, the worker balance and the hash-table sizes. Work units = flops
+// Local multiply (Alg 1 line 7). One pass over the B block finds each B
+// entry's A column and counts the stage's flops column by column
+// (localmm.PlanMul), and everything that needs them reads that one plan —
+// Result.LocalFlops, the work units and, inside the kernel, the worker
+// balance and the hash-table sizes — which goes back to the kernels' free
+// list inside the measured section (Plan.Release). Work units = flops
 // plus the operand traversal cost, so empty products still carry their
 // column-scan work — the dense column count for CSC operands, only the stored
 // columns for DCSC (the O(n)-per-block term the compressed format removes
@@ -145,19 +147,21 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(_ int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
-		var plan *localmm.Plan
+		var flops int64
 		var prod spmat.Matrix
 		var loan localmm.Loan
 		sec := p.measure(func() {
-			plan = localmm.PlanMul(aRecv, bRecv)
+			plan := localmm.PlanMul(aRecv, bRecv)
+			flops = plan.Flops
 			if lend {
-				prod, loan = plan.MulLent(p.Opts.Kernel, p.Opts.Semiring, p.workers(plan.Flops))
+				prod, loan = plan.MulLent(p.Opts.Kernel, p.Opts.Semiring, p.workers(flops))
 			} else {
-				prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, p.workers(plan.Flops))
+				prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, p.workers(flops))
 			}
+			plan.Release()
 		})
-		res.LocalFlops += plan.Flops
-		meter.AddComputeWork(sec, plan.Flops+bRecv.NNZ()+scanCols+1)
+		res.LocalFlops += flops
+		meter.AddComputeWork(sec, flops+bRecv.NNZ()+scanCols+1)
 		partial, loans = append(partial, prod), append(loans, loan)
 		unmerged += prod.NNZ()
 	})

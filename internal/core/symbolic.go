@@ -37,15 +37,17 @@ func (p *Proc) Symbolic3D() (b int, maxNNZC int64, err error) {
 		// sparse A path's stage-s column subset; capture it for free.
 		p.recordSupport(s, bRecv)
 
-		var plan *localmm.Plan
+		var flops int64
 		symSec := p.measure(func() {
 			// LOCALSYMBOLIC (Alg 3 line 7), threaded like the numeric
 			// kernels (Proc.workers), from the same one-pass flop count the
 			// work units below charge.
-			plan = localmm.PlanMul(aRecv, bRecv)
-			localNNZ += plan.Symbolic(p.workers(plan.Flops))
+			plan := localmm.PlanMul(aRecv, bRecv)
+			flops = plan.Flops
+			localNNZ += plan.Symbolic(p.workers(flops))
+			plan.Release()
 		})
-		meter.AddComputeWork(symSec, plan.Flops+bRecv.NNZ()+colScanWork(bRecv)+1)
+		meter.AddComputeWork(symSec, flops+bRecv.NNZ()+colScanWork(bRecv)+1)
 	})
 
 	// Alg 3 lines 9–11: max unmerged output, max Ã, max B̃ over all ranks.

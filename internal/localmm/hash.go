@@ -349,8 +349,10 @@ func checkMulShapes(a, b *spmat.CSC) {
 
 // hashAccumulateColumn feeds one output column's products into acc, in B
 // entry order and then A entry order — the accumulation order every kernel
-// shares. The A side is read through aCols, so the per-entry lookup is O(1)
-// for either format. Under plus-times the regime is picked once for the
+// shares. aSlots holds the A slot of each B entry (Plan.aSlots; -1: A stores
+// no such column) and bVals the entries' values, so A's columns are read
+// straight through its view, for either format, with no lookup. Under
+// plus-times the regime is picked once for the
 // column and the insert is written out in the loop, on locals: a call per
 // contribution costs more than the contribution.
 //
@@ -371,11 +373,15 @@ func checkMulShapes(a, b *spmat.CSC) {
 // assigns the bits, the compiler sinks the float-to-integer move into the
 // branch and the jump is back. The hash regime keeps its branches: its probe
 // is a data-dependent loop anyway and no bench/ workload measures it.
-func hashAccumulateColumn(acc *hashAccum, a *aCols, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
+func hashAccumulateColumn(acc *hashAccum, a *colView, aSlots []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
+	bVals = bVals[:len(aSlots)]
 	if !plusTimes {
-		for p := range bRows {
-			i, bv := bRows[p], bVals[p]
-			aRows, aVals := a.Column(i)
+		for p, k := range aSlots {
+			if k < 0 {
+				continue
+			}
+			bv := bVals[p]
+			aRows, aVals := a.col(k)
 			for q := range aRows {
 				acc.add(aRows[q], sr.Mul(aVals[q], bv), sr.Add)
 			}
@@ -385,9 +391,12 @@ func hashAccumulateColumn(acc *hashAccum, a *aCols, bRows []int32, bVals []float
 	if acc.direct {
 		stamps, gen := acc.stamps, acc.gen
 		vals, n, occupied := acc.vals[:len(stamps)], len(acc.occupied), acc.occupied[:cap(acc.occupied)]
-		for p := range bRows {
-			i, bv := bRows[p], bVals[p]
-			aRows, aVals := a.Column(i)
+		for p, k := range aSlots {
+			if k < 0 {
+				continue
+			}
+			bv := bVals[p]
+			aRows, aVals := a.col(k)
 			aVals = aVals[:len(aRows)]
 			for q, r := range aRows {
 				v, isNew := aVals[q]*bv, b2i(stamps[r] != gen)
@@ -400,9 +409,12 @@ func hashAccumulateColumn(acc *hashAccum, a *aCols, bRows []int32, bVals []float
 	}
 	rows, vals, occupied, mask := acc.rows, acc.vals, acc.occupied, acc.mask
 	vals = vals[:len(rows)]
-	for p := range bRows {
-		i, bv := bRows[p], bVals[p]
-		aRows, aVals := a.Column(i)
+	for p, k := range aSlots {
+		if k < 0 {
+			continue
+		}
+		bv := bVals[p]
+		aRows, aVals := a.col(k)
 		aVals = aVals[:len(aRows)]
 		for q, r := range aRows {
 			v := aVals[q] * bv

@@ -68,13 +68,18 @@ func (h *rowHeap) pop() heapEntry {
 
 // heapMulColumn computes one output column with the multiway heap merge
 // (ascending rows), appending it to w.rows/w.vals. The views of the A
-// columns the B entries select are fetched once into the worker's scratch
-// and merged scaled by those entries — no per-column allocation.
-func (w *mmWorker) heapMulColumn(a *aCols, bRows []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
+// columns the B entries select (aSlots, as hashAccumulateColumn takes them;
+// an empty list where A stores no such column, so list i stays scaled by
+// bVals[i]) are fetched once into the worker's scratch and merged scaled by
+// those entries — no per-column allocation.
+func (w *mmWorker) heapMulColumn(a *colView, aSlots []int32, bVals []float64, sr *semiring.Semiring, plusTimes bool) {
 	parts := w.parts[:0]
-	for _, i := range bRows {
-		r, v := a.Column(i)
-		parts = append(parts, colPart{rows: r, vals: v})
+	for _, k := range aSlots {
+		var part colPart
+		if k >= 0 {
+			part.rows, part.vals = a.col(k)
+		}
+		parts = append(parts, part)
 	}
 	w.parts = parts
 	w.heapColumn(parts, bVals, sr, plusTimes)

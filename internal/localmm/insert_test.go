@@ -76,14 +76,14 @@ func checkColumn(tb testing.TB, label string, w *mmWorker, rows int32, parts []c
 	w.drain(false)
 	same("merge", merged)
 
-	ac := colsOf(a)
+	av := viewOf(a)
 	w.rows, w.vals = w.rows[:0], w.vals[:0]
 	w.acc.sizeFor(want, rows)
-	hashAccumulateColumn(&w.acc, &ac, bRows, bVals, sr, true)
+	hashAccumulateColumn(&w.acc, &av, bRows, bVals, sr, true)
 	w.drain(false)
 	same("multiply", multiplied)
 
-	if n := w.set.countColumn(&ac, bRows, want, rows); n != int64(len(merged.order)) {
+	if n := w.set.countColumn(&av, bRows, want, rows); n != int64(len(merged.order)) {
 		tb.Fatalf("%s/count: %d distinct rows, want %d", label, n, len(merged.order))
 	}
 }

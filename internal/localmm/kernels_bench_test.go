@@ -155,6 +155,41 @@ func BenchmarkMulMatGeneric(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanMulHypersparse measures the plan of one kmer-hyper stage
+// block pair (bench/'s C = A·Aᵀ on a 2×2×16 grid): A is a 2048-read ×
+// 8192-k-mer block with 1536 entries, stored DCSC like the engine stores it,
+// and B a k-mer × read block of Aᵀ under the auto format. On the grid's
+// diagonal B is A's own transpose, so every B entry's row is a stored column
+// of A; off it B comes from other reads, and most rows are columns A does
+// not store. plan is PlanMul and Release, stage a stage's whole local
+// multiply: the plan, the unsorted-hash multiply on one worker and the
+// release.
+func BenchmarkPlanMulHypersparse(b *testing.B) {
+	sr := semiring.PlusTimes()
+	aCSC := hyperMat(b, 2048, 8192, 1536, 103)
+	a := aCSC.ToDCSC()
+	for _, sh := range []struct {
+		name string
+		b    spmat.Matrix
+	}{
+		{"diagonal", spmat.AutoFormat(spmat.Transpose(aCSC))},
+		{"off-diagonal", spmat.AutoFormat(spmat.Transpose(hyperMat(b, 2048, 8192, 1536, 104)))},
+	} {
+		b.Run(sh.name+"/plan", func(b *testing.B) {
+			for range b.N {
+				PlanMul(a, sh.b).Release()
+			}
+		})
+		b.Run(sh.name+"/stage", func(b *testing.B) {
+			for range b.N {
+				pl := PlanMul(a, sh.b)
+				pl.Mul(KernelHashUnsorted, sr, 1)
+				pl.Release()
+			}
+		})
+	}
+}
+
 // BenchmarkWorkerSpawnCrossover is the measurement workPerExtraWorker is set
 // from: the unsorted-hash multiply at one worker and at two — through
 // Plan.multiply, which runs exactly the worker count it is given, so the floor

@@ -127,7 +127,7 @@ func TestStampGenerationWrapsInAccumulator(t *testing.T) {
 	a := scrambleColumns(uniformMat(t, 300, 12, 40, 411), 1)
 	b := uniformMat(t, 12, 9, 5, 412)
 	flops := ColFlops(a, b)
-	ac := colsOf(a)
+	av := viewOf(a)
 	// column computes output column j as a multiply or as the merge of the A
 	// columns the multiply scales, drained sorted or not, with A declared rows
 	// tall: 300 rows walk the bitmap, the tallest direct table sorts.
@@ -142,7 +142,7 @@ func TestStampGenerationWrapsInAccumulator(t *testing.T) {
 			}
 			hashAccumulateParts(&w.acc, parts, sr, true)
 		} else {
-			hashAccumulateColumn(&w.acc, &ac, bRows, bVals, sr, true)
+			hashAccumulateColumn(&w.acc, &av, bRows, bVals, sr, true)
 		}
 		w.drain(sorted)
 		return slices.Clone(w.rows), slices.Clone(w.vals)
@@ -171,5 +171,76 @@ func TestStampGenerationWrapsInAccumulator(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReleasedPlanIsPoisoned pins Plan.Release under poisoned returns: the
+// plan's arrays go back to the free list with every slot past any column and
+// every running sum and flop count −1, and the plan lets go of them (Flops
+// stays); releasing twice is releasing once. The next plan gets the same
+// arrays back, longer than it needs and full of poison, and must overwrite
+// everything it reads: its slots are the JC positions a scan finds, its
+// counts ColFlops's, and its products and symbolic count the naive ones,
+// for both of B's formats.
+func TestReleasedPlanIsPoisoned(t *testing.T) {
+	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	sr := semiring.PlusTimes()
+	aCSC := hyperMat(t, 48, 1<<14, 1500, 421)
+	a := aCSC.ToDCSC()
+	pl := PlanMul(a, hyperMat(t, 1<<14, 900, 3000, 422).ToDCSC())
+	flops, s := pl.Flops, pl.scratch
+	pl.Release()
+	if pl.scratch != nil || pl.slots != nil || pl.colFlops != nil || pl.Flops != flops {
+		t.Fatalf("a released plan still holds its arrays (or lost its flop count)")
+	}
+	if slices.ContainsFunc(s.slots[:cap(s.slots)], func(k int32) bool { return k != math.MaxInt32 }) ||
+		slices.ContainsFunc(s.sums[:cap(s.sums)], func(f int64) bool { return f != -1 }) ||
+		slices.ContainsFunc(s.colFlops[:cap(s.colFlops)], func(f int64) bool { return f != -1 }) {
+		t.Fatal("a released plan's arrays are not poisoned")
+	}
+	pl.Release() // releasing twice is releasing once
+
+	bCSC := hyperMat(t, 1<<14, 300, 700, 423)
+	wantFlops := ColFlops(aCSC, bCSC)
+	naive := naiveMultiply(aCSC, bCSC, sr)
+	for _, bD := range []bool{false, true} {
+		bm := asFormat(bCSC, bD)
+		want := wantFlops
+		if bD {
+			want = nil
+			for _, j := range bm.(*spmat.DCSC).JC {
+				want = append(want, wantFlops[j])
+			}
+		}
+		fresh := PlanMul(a, bm)
+		if fresh.scratch != s {
+			t.Fatal("the next plan did not get the released arrays back")
+		}
+		q := int64(0)
+		for j := int32(0); j < bCSC.Cols; j++ {
+			rows, _ := bCSC.Column(j)
+			for _, i := range rows {
+				want := int32(-1)
+				if at := slices.Index(a.JC, i); at >= 0 {
+					want = int32(at)
+				}
+				if got := fresh.slots[q]; got != want {
+					t.Fatalf("bD=%v: B entry %d (row %d) has A slot %d, want %d", bD, q, i, got, want)
+				}
+				q++
+			}
+		}
+		if !slices.Equal(fresh.colFlops, want) {
+			t.Fatalf("bD=%v: fresh plan counts %v flops per slot, want %v", bD, fresh.colFlops, want)
+		}
+		if fresh.Symbolic(1) != naive.NNZ() {
+			t.Fatalf("bD=%v: fresh plan counts %d output entries, want %d", bD, fresh.Symbolic(1), naive.NNZ())
+		}
+		for _, k := range allKernels {
+			if !spmat.Equal(fresh.Mul(k, sr, 1).ToCSC(), naive) {
+				t.Fatalf("bD=%v %v: fresh plan multiplies differently from the naive product", bD, k)
+			}
+		}
+		fresh.Release()
 	}
 }

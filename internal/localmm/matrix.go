@@ -19,6 +19,14 @@ import (
 // far more columns than nonzeros (Rice-kmers, ~2 nnz/col), and a per-column
 // scan would dominate every stage.
 //
+// A multiply reaches A's columns by the row indices of B's entries. Those
+// lookups are made once per block pair, by the pair's Plan: for a DCSC A
+// each B entry's row is located among A's stored columns
+// (spmat.DCSC.Locate, through the AUX array) and the position kept, and for
+// a CSC A the row is the position. The symbolic count and every kernel then
+// read A's view at those slots, with no lookup and no branch on A's format
+// per entry.
+//
 // Output format follows B: the stored columns of A·B are a subset of B's,
 // so a DCSC B yields a DCSC product (a batch piece stays compressed through
 // multiply → merge), while a CSC B keeps the dense-pointer output whose
@@ -77,73 +85,124 @@ func checkMulShapesMat(a, b spmat.Matrix) {
 	}
 }
 
-// aCols is the A-side column access of the generic kernels: the inner loop
-// looks A's columns up by the row indices of one B column, O(1) either way —
-// direct indexing when A is CSC, the AUX chunk index when it is DCSC
-// (spmat.DCSC). It holds no position, so every worker reads through the same
-// value.
-type aCols struct {
-	csc  *spmat.CSC
-	dcsc *spmat.DCSC
-}
-
-// colsOf returns the column access of a.
-func colsOf(a spmat.Matrix) aCols {
-	if c, ok := a.(*spmat.CSC); ok {
-		return aCols{csc: c}
-	}
-	return aCols{dcsc: a.ToDCSC()}
-}
-
-// Column returns views of column j's rows and values.
-func (c *aCols) Column(j int32) ([]int32, []float64) {
-	if c.csc != nil {
-		return c.csc.Column(j)
-	}
-	return c.dcsc.Column(j)
-}
-
-// ColNNZ returns the entry count of column j.
-func (c *aCols) ColNNZ(j int32) int64 {
-	if c.csc != nil {
-		return c.csc.ColNNZ(j)
-	}
-	return c.dcsc.ColNNZ(j)
-}
-
 // Plan is what one pass over B's entries learns about the product A·B before
-// anything is multiplied: the multiplication count of every slot of B — the
-// quantity a stage of the distributed multiply reports (Flops), picks its
-// kernel by, balances its workers by and sizes its hash tables by. It is
-// counted once per block pair; Mul and Symbolic then run from it, any number
-// of times, with any kernel.
+// anything is multiplied: where each B entry's row is stored in A, and the
+// multiplication count of every slot of B — the quantity a stage of the
+// distributed multiply reports (Flops), picks its kernel by, balances its
+// workers by and sizes its hash tables by. It is made once per block pair;
+// Mul and Symbolic then run from it, any number of times, with any kernel,
+// and read A's columns through its colView by the slots the plan holds: no
+// column of A is looked up twice.
+//
+// The per-entry and per-slot arrays (the A slots of a DCSC A, the running
+// flop sums, the per-slot counts) come from the kernels' free list and go
+// back on Release. A plan is used until Release and never after; Flops
+// alone stays readable.
 type Plan struct {
 	// Flops is the multiplication count of A·B (Flops generalized to the
 	// storage interface).
 	Flops int64
 
-	a, b     spmat.Matrix
-	bv       colView
+	a, b   spmat.Matrix
+	av, bv colView
+	// slots[q-base] is the A slot of B entry q's row: for a DCSC A the JC
+	// position of that column, -1 when A does not store it; for a CSC A the
+	// row itself, so slots is B's own row array and base 0. B entry q is
+	// indexed from bv.ptr[0] (base) because B can be a column-range view
+	// over arrays it shares.
+	slots    []int32
+	base     int64
+	colFlops []int64
+	scratch  *planScratch
+}
+
+// planScratch is the arrays a plan borrows from the free list: the A slot
+// and running flop sum of every B entry (a DCSC A only) and the flop count
+// of every B slot.
+type planScratch struct {
+	slots    []int32
+	sums     []int64
 	colFlops []int64
 }
 
-// PlanMul counts the flops of A·B slot by slot; O(nnz(B)) lookups with no
-// dense column scan.
+// PlanMul counts the flops of A·B slot by slot; O(nnz(B)) with no dense
+// column scan. For a DCSC A the pass is flat over B's entries: every row is
+// looked up once (spmat.DCSC.Locate), each entry's flops are added to a
+// running sum, and a slot's count is the difference of the sums at its ends.
 func PlanMul(a, b spmat.Matrix) *Plan {
 	checkMulShapesMat(a, b)
-	pl := &Plan{a: a, b: b, bv: viewOf(b)}
-	ac := colsOf(a)
-	pl.colFlops = make([]int64, pl.bv.n)
-	for p := range pl.colFlops {
-		rows, _ := pl.bv.col(int32(p))
-		var f int64
-		for _, i := range rows {
-			f += ac.ColNNZ(i)
+	pl := &Plan{a: a, b: b, av: viewOf(a), bv: viewOf(b), scratch: getPlanScratch()}
+	s, bv, aPtr := pl.scratch, &pl.bv, pl.av.ptr
+	s.colFlops = grown(s.colFlops, int(bv.n))
+	pl.colFlops = s.colFlops
+	if !pl.av.compressed {
+		pl.slots = bv.rows
+		for p := range pl.colFlops {
+			var f int64
+			for _, i := range bv.rows[bv.ptr[p]:bv.ptr[p+1]] {
+				f += aPtr[i+1] - aPtr[i]
+			}
+			pl.colFlops[p] = f
+			pl.Flops += f
 		}
-		pl.colFlops[p] = f
-		pl.Flops += f
+		return pl
 	}
+	base := bv.ptr[0]
+	entries := bv.rows[base:bv.ptr[bv.n]]
+	s.slots, s.sums = grown(s.slots, len(entries)), grown(s.sums, len(entries)+1)
+	slots, sums, colFlops := s.slots, s.sums, s.colFlops
+	a.ToDCSC().Locate(entries, slots)
+	var run int64
+	sums[0] = 0
+	for x, k := range slots {
+		if k >= 0 {
+			run += aPtr[k+1] - aPtr[k]
+		}
+		sums[x+1] = run
+	}
+	sums = sums[:len(entries)+1]
+	ptr := bv.ptr[:len(colFlops)+1]
+	for p := range colFlops {
+		colFlops[p] = sums[ptr[p+1]-base] - sums[ptr[p]-base]
+	}
+	pl.slots, pl.base, pl.Flops = slots, base, run
 	return pl
+}
+
+// grown returns buf resized to n elements, reallocated only when it is too
+// short; the contents are not kept.
+func grown[T int32 | int64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// aSlots returns the A slots of the entries of B's slot p.
+func (pl *Plan) aSlots(p int32) []int32 {
+	return pl.slots[pl.bv.ptr[p]-pl.base : pl.bv.ptr[p+1]-pl.base]
+}
+
+// bVals returns the values of the entries of B's slot p.
+func (pl *Plan) bVals(p int32) []float64 {
+	return pl.bv.vals[pl.bv.ptr[p]:pl.bv.ptr[p+1]]
+}
+
+// Release hands the plan's arrays back to the free list. The plan must not be
+// used afterwards — but for Flops, which stays — and releasing twice is
+// releasing once. While PoisonReturnedChunks is set the arrays are poisoned
+// first: every slot out of range, every flop count and sum −1, so a plan read
+// after its release fails loudly instead of reading the next plan's arrays.
+func (pl *Plan) Release() {
+	s := pl.scratch
+	pl.scratch, pl.slots, pl.colFlops = nil, nil, nil
+	if s == nil {
+		return
+	}
+	if PoisonReturnedChunks.Load() {
+		s.poison()
+	}
+	putPlanScratch(s)
 }
 
 // MatFlops returns the multiplication count of A·B over any format
@@ -154,7 +213,9 @@ func MatFlops(a, b spmat.Matrix) int64 {
 			return Flops(ac, bc)
 		}
 	}
-	return PlanMul(a, b).Flops
+	pl := PlanMul(a, b)
+	defer pl.Release()
+	return pl.Flops
 }
 
 // SymbolicMat computes nnz(A·B) without forming the product — LOCALSYMBOLIC
@@ -164,7 +225,9 @@ func MatFlops(a, b spmat.Matrix) int64 {
 // O(flops + nnz(B)); the count is the same for every format and thread
 // count.
 func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
-	return PlanMul(a, b).Symbolic(threads)
+	pl := PlanMul(a, b)
+	defer pl.Release()
+	return pl.Symbolic(threads)
 }
 
 // Symbolic is SymbolicMat on the planned pair: the one symbolic loop. Each
@@ -172,16 +235,14 @@ func SymbolicMat(a, b spmat.Matrix, threads int) int64 {
 // of A fits directTableBytes, a hash set sized by the column otherwise — so
 // no call allocates by the row count.
 func (pl *Plan) Symbolic(threads int) int64 {
-	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
-	aRows, _ := a.Dims()
-	ac := colsOf(a)
+	av, colFlops := &pl.av, pl.colFlops
+	aRows, _ := pl.a.Dims()
 	var total atomic.Int64
-	runWorkers(flopBounds(colFlops, clampThreads(threads, bv.n, pl.Flops)), func(w *mmWorker, lo, hi int32) {
+	runWorkers(flopBounds(colFlops, clampThreads(threads, pl.bv.n, pl.Flops)), func(w *mmWorker, lo, hi int32) {
 		var n int64
 		for p := lo; p < hi; p++ {
 			if colFlops[p] != 0 {
-				bRows, _ := bv.col(p)
-				n += w.set.countColumn(&ac, bRows, colFlops[p], aRows)
+				n += w.set.countColumn(av, pl.aSlots(p), colFlops[p], aRows)
 			}
 		}
 		total.Add(n)
@@ -194,7 +255,9 @@ func (pl *Plan) Symbolic(threads int) int64 {
 // when the product is too small to pay for them (clampThreads); one worker
 // runs on the caller's goroutine — over flop-balanced ranges of B's slots.
 func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Matrix {
-	return PlanMul(a, b).Mul(k, sr, threads)
+	pl := PlanMul(a, b)
+	defer pl.Release()
+	return pl.Mul(k, sr, threads)
 }
 
 // Mul is MulMat on the planned pair. The product is the caller's.
@@ -212,7 +275,9 @@ func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, threads int) spmat.Matrix {
 // views), before it hands the chunk back with Loan.Return, and must not let
 // either escape: no merge of one operand, which returns the operand, and
 // nothing that keeps the product. A call that ran several ranges returns an
-// owned product, as Mul does, and a Loan that holds nothing.
+// owned product, as Mul does, and a Loan that holds nothing. The product
+// shares nothing with the plan, which can be released before the loan is
+// returned.
 func (pl *Plan) MulLent(k Kernel, sr *semiring.Semiring, threads int) (spmat.Matrix, Loan) {
 	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), lentOutput)
 }
@@ -222,16 +287,18 @@ func (pl *Plan) MulLent(k Kernel, sr *semiring.Semiring, threads int) (spmat.Mat
 // BenchmarkWorkerSpawnCrossover, which sets the floor they decide by, calls
 // this directly.
 func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode passOutput) (spmat.Matrix, Loan) {
-	a, bv, colFlops := pl.a, &pl.bv, pl.colFlops
+	a, av, bv, colFlops := pl.a, &pl.av, &pl.bv, pl.colFlops
 	if (k == KernelHeap || k == KernelHybrid) && !a.Sorted() {
 		// The heap-based kernels require sorted A columns; restore once, on
-		// a copy shared read-only by all workers.
+		// a copy shared read-only by all workers. Sorting moves entries
+		// inside columns only, so the plan's slots hold for the copy.
 		a = a.CloneMat()
 		a.SortColumns()
+		sorted := viewOf(a)
+		av = &sorted
 	}
 	aRows, _ := a.Dims()
 	_, bCols := pl.b.Dims()
-	ac := colsOf(a)
 	ptr := make([]int64, bv.n+1)
 	sortedOut := k != KernelHashUnsorted
 	plusTimes := sr.IsPlusTimes()
@@ -241,12 +308,12 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 				continue
 			}
 			start := len(w.rows)
-			bRows, bVals := bv.col(p)
+			aSlots, bVals := pl.aSlots(p), pl.bVals(p)
 			if k == KernelHeap || k == KernelHybrid && colFlops[p] <= hybridHeapThreshold {
-				w.heapMulColumn(&ac, bRows, bVals, sr, plusTimes)
+				w.heapMulColumn(av, aSlots, bVals, sr, plusTimes)
 			} else {
 				w.acc.sizeFor(colFlops[p], aRows)
-				hashAccumulateColumn(&w.acc, &ac, bRows, bVals, sr, plusTimes)
+				hashAccumulateColumn(&w.acc, av, aSlots, bVals, sr, plusTimes)
 				w.drain(sortedOut)
 			}
 			ptr[p+1] = int64(len(w.rows) - start)

@@ -247,31 +247,46 @@ func TestOnePassMergeAgainstDenseReference(t *testing.T) {
 // once the workers are warm, a multiply and a merge allocate the output's
 // arrays and a fixed handful of per-call metadata objects — the same number
 // for 64 columns as for 4096, so nothing is allocated per column, and no
-// worker scratch (accumulator, chunk, sort keys) is re-made per call.
+// worker scratch (accumulator, chunk, sort keys) is re-made per call. With a
+// DCSC A the plan holds an A slot and a running flop sum per B entry besides
+// the per-slot counts; a multiply and a symbolic count over it must hold the
+// same pin, and the multiply must allocate no more objects than over a CSC A,
+// which it does only because those arrays go back to the free list with the
+// plan (Plan.Release).
 func TestSteadyStateAllocations(t *testing.T) {
 	sr := semiring.PlusTimes()
-	perCall := func(cols int32) (mul, merge float64) {
+	type counts struct{ mul, merge, mulDCSC, symDCSC float64 }
+	perCall := func(cols int32) counts {
 		a := hyperMat(t, 256, 256, 4000, 231)
+		aD := a.ToDCSC()
 		b := hyperMat(t, 256, cols, 8*int(cols), 232)
 		parts := []spmat.Matrix{b, hyperMat(t, 256, cols, 8*int(cols), 233), b.ToDCSC()}
-		MulMat(KernelHashSorted, a, b, sr, 1)
-		MergeMat(MergerHash, parts, sr, true, 1)
-		mul = testing.AllocsPerRun(10, func() { MulMat(KernelHashSorted, a, b, sr, 1) })
-		merge = testing.AllocsPerRun(10, func() { MergeMat(MergerHash, parts, sr, true, 1) })
-		return mul, merge
+		calls := []func(){
+			func() { MulMat(KernelHashSorted, a, b, sr, 1) },
+			func() { MergeMat(MergerHash, parts, sr, true, 1) },
+			func() { MulMat(KernelHashSorted, aD, b, sr, 1) },
+			func() { SymbolicMat(aD, b, 1) },
+		}
+		var n [4]float64
+		for i, call := range calls {
+			call()
+			n[i] = testing.AllocsPerRun(10, call)
+		}
+		return counts{n[0], n[1], n[2], n[3]}
 	}
 	// Warm the scratch on the large shape first, so neither measurement
 	// below sees it grow.
 	perCall(4096)
-	mulSmall, mergeSmall := perCall(64)
-	mulLarge, mergeLarge := perCall(4096)
-	if mulSmall != mulLarge || mergeSmall != mergeLarge {
-		t.Errorf("allocations depend on the column count: multiply %v vs %v, merge %v vs %v",
-			mulSmall, mulLarge, mergeSmall, mergeLarge)
+	small, large := perCall(64), perCall(4096)
+	if small != large {
+		t.Errorf("allocations depend on the column count: %+v at 64 columns, %+v at 4096", small, large)
 	}
 	const metadata = 20
-	if mulLarge > metadata || mergeLarge > metadata {
-		t.Errorf("steady-state calls allocate %v (multiply) and %v (merge) objects, want at most %d",
-			mulLarge, mergeLarge, metadata)
+	if max(large.mul, large.merge, large.mulDCSC, large.symDCSC) > metadata {
+		t.Errorf("steady-state calls allocate %+v objects, want at most %d", large, metadata)
+	}
+	if large.mulDCSC != large.mul {
+		t.Errorf("a multiply allocates %v objects with a DCSC A, %v with a CSC A: the plan's per-entry arrays are not recycled",
+			large.mulDCSC, large.mul)
 	}
 }

@@ -92,7 +92,8 @@ type chunk struct {
 func (c chunk) bytes() int64 { return 4*int64(cap(c.rows)) + 8*int64(cap(c.vals)) }
 
 // idleWorkers is the free list of worker scratch and, beside it, of the
-// chunks that came back from a loan. It holds strong references on purpose: a
+// chunks that came back from a loan and of released plans' arrays
+// (Plan.Release). It holds strong references on purpose: a
 // distributed multiply makes thousands of small kernel calls between garbage
 // collections, and scratch kept only in a sync.Pool is dropped by every
 // collection and regrown from nothing.
@@ -101,6 +102,7 @@ var idleWorkers struct {
 	ws         []*mmWorker
 	chunks     []chunk
 	chunkBytes int64 // Σ bytes() over chunks
+	plans      []*planScratch
 }
 
 // The free list keeps at most maxIdleWorkers workers, and a worker keeps no
@@ -112,7 +114,8 @@ var idleWorkers struct {
 // together: a job on a p-rank grid with q stages and l layers has up to
 // p·(q + 2l + 1) of them out at once — stage products, two batches' Merge-Layer
 // outputs, a discarded batch — not one a core, and the list keeps what fits maxIdleChunkBytes of what
-// comes back and drops the rest.
+// comes back and drops the rest. Released plans are kept like workers: at
+// most maxIdleWorkers of them, with no array above maxKeptEntries.
 const (
 	maxIdleWorkers    = 64
 	maxKeptEntries    = 1 << 22
@@ -165,6 +168,50 @@ func putWorker(w *mmWorker) {
 	defer idleWorkers.Unlock()
 	if len(idleWorkers.ws) < maxIdleWorkers {
 		idleWorkers.ws = append(idleWorkers.ws, w)
+	}
+}
+
+// getPlanScratch takes a plan's arrays off the free list, most recently
+// released first.
+func getPlanScratch() *planScratch {
+	idleWorkers.Lock()
+	defer idleWorkers.Unlock()
+	if n := len(idleWorkers.plans); n > 0 {
+		s := idleWorkers.plans[n-1]
+		idleWorkers.plans[n-1], idleWorkers.plans = nil, idleWorkers.plans[:n-1]
+		return s
+	}
+	return new(planScratch)
+}
+
+// putPlanScratch returns a plan's arrays to the free list under the workers'
+// bounds: an array above maxKeptEntries is dropped, and the list keeps at
+// most maxIdleWorkers plans' arrays.
+func putPlanScratch(s *planScratch) {
+	if cap(s.slots) > maxKeptEntries || cap(s.sums) > maxKeptEntries {
+		s.slots, s.sums = nil, nil
+	}
+	if cap(s.colFlops) > maxKeptEntries {
+		s.colFlops = nil
+	}
+	idleWorkers.Lock()
+	defer idleWorkers.Unlock()
+	if len(idleWorkers.plans) < maxIdleWorkers {
+		idleWorkers.plans = append(idleWorkers.plans, s)
+	}
+}
+
+// poison overwrites a released plan's arrays: every slot past any column, every
+// running sum and flop count −1.
+func (s *planScratch) poison() {
+	slots := s.slots[:cap(s.slots)]
+	for i := range slots {
+		slots[i] = math.MaxInt32
+	}
+	for _, a := range [][]int64{s.sums[:cap(s.sums)], s.colFlops[:cap(s.colFlops)]} {
+		for i := range a {
+			a[i] = -1
+		}
 	}
 }
 

@@ -142,11 +142,11 @@ func TestWorkerAlternatesRegimes(t *testing.T) {
 	// multiply, as a merge of the A columns the multiply would scale, as a
 	// symbolic count — with A declared rows tall.
 	columnOn := func(w *mmWorker, j, rows int32, sorted bool) ([]int32, []float64, int64) {
-		ac := colsOf(withRows(a, rows))
+		av := viewOf(withRows(a, rows))
 		bRows, bVals := b.Column(j)
 		w.rows, w.vals, w.parts = w.rows[:0], w.vals[:0], w.parts[:0]
 		w.acc.sizeFor(flops[j], rows)
-		hashAccumulateColumn(&w.acc, &ac, bRows, bVals, sr, true)
+		hashAccumulateColumn(&w.acc, &av, bRows, bVals, sr, true)
 		w.drain(sorted)
 		for _, i := range bRows {
 			r, v := a.Column(i)
@@ -155,7 +155,7 @@ func TestWorkerAlternatesRegimes(t *testing.T) {
 		w.acc.sizeFor(flops[j], rows)
 		hashAccumulateParts(&w.acc, w.parts, sr, true)
 		w.drain(sorted)
-		return slices.Clone(w.rows), slices.Clone(w.vals), w.set.countColumn(&ac, bRows, flops[j], rows)
+		return slices.Clone(w.rows), slices.Clone(w.vals), w.set.countColumn(&av, bRows, flops[j], rows)
 	}
 	var used mmWorker
 	for round := 0; round < 2; round++ {

@@ -24,7 +24,7 @@ func Flops(a, b *spmat.CSC) int64 {
 // LocalMultiply: no values are touched, and distinct rows are counted in
 // the worker's row set (Plan.Symbolic, the one symbolic loop).
 func SymbolicSpGEMM(a, b *spmat.CSC) int64 {
-	return PlanMul(a, b).Symbolic(1)
+	return SymbolicMat(a, b, 1)
 }
 
 // rowSet counts the distinct rows of one output column for the symbolic
@@ -69,14 +69,17 @@ func (s *stampTable) nextColumn(rows int32) ([]int32, int32) {
 }
 
 // countColumn returns the number of distinct rows of one output column of
-// A·B — the rows of the A columns that bRows selects — where the column
-// costs want flops and A is rows tall.
-func (s *rowSet) countColumn(a *aCols, bRows []int32, want int64, rows int32) int64 {
+// A·B — the rows of the A columns at aSlots (Plan.aSlots; -1: none) — where
+// the column costs want flops and A is rows tall.
+func (s *rowSet) countColumn(a *colView, aSlots []int32, want int64, rows int32) int64 {
 	if directRows(rows, stampBytes) {
 		var n int64
 		stamps, gen := s.nextColumn(rows)
-		for _, i := range bRows {
-			aRows, _ := a.Column(i)
+		for _, k := range aSlots {
+			if k < 0 {
+				continue
+			}
+			aRows, _ := a.col(k)
 			for _, r := range aRows {
 				isNew := b2i(stamps[r] != gen)
 				stamps[r] = gen
@@ -86,8 +89,11 @@ func (s *rowSet) countColumn(a *aCols, bRows []int32, want int64, rows int32) in
 		return n
 	}
 	s.sizeFor(want, rows)
-	for _, i := range bRows {
-		aRows, _ := a.Column(i)
+	for _, k := range aSlots {
+		if k < 0 {
+			continue
+		}
+		aRows, _ := a.col(k)
 		for _, r := range aRows {
 			s.insert(r)
 		}

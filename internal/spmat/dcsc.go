@@ -25,7 +25,9 @@ import (
 // power-of-two chunks and AUX holds the JC position each chunk starts at, so
 // a lookup is a shift, two loads and a search among the handful of stored
 // columns that share the chunk — O(1) expected, where a search over JC is
-// O(log nzc) per A-side access of every flop. AUX is 4 bytes per chunk, built
+// O(log nzc). A multiply with this block as A looks up the column of every B
+// entry's row, and does so once per block pair (Locate, called by the
+// multiply's plan), not once per kernel pass. AUX is 4 bytes per chunk, built
 // in one O(nzc) walk by the first lookup on the block and kept for its life.
 // It depends on JC and Cols only, which nothing changes once a block is
 // built (SortColumns permutes entries inside columns). It is not part of the
@@ -103,30 +105,53 @@ func (d *DCSC) NNZ() int64 {
 func (d *DCSC) NonEmptyCols() int64 { return int64(len(d.JC)) }
 
 // find returns the position of column j in JC, or -1 when j is empty (or
-// outside the matrix): the chunk of j from the AUX array, then a search among
-// the chunk's stored columns — halving while the chunk is long (every stored
-// column can share one chunk), a scan once it is short.
+// outside the matrix): Locate on a list of one.
 func (d *DCSC) find(j int32) int {
-	if uint32(j) >= uint32(d.Cols) || len(d.JC) == 0 {
-		return -1
+	var p [1]int32
+	d.Locate([]int32{j}, p[:])
+	return int(p[0])
+}
+
+// Locate writes the position in JC of column cols[x] to pos[x], for every x,
+// and -1 where that column is empty (or outside the matrix). Each lookup is
+// the chunk of the column from the AUX array, then a search among the
+// chunk's stored columns — halving while the chunk is long (every stored
+// column can share one chunk), a scan once it is short. This is the one
+// place the lookup is written, with the index loaded once for the list: a
+// multiply calls it once per block pair, with B's row indices as the list,
+// so each B entry's A column is looked up once however often the pair is
+// then multiplied or counted. pos must be at least as long as cols.
+func (d *DCSC) Locate(cols, pos []int32) {
+	pos = pos[:len(cols)]
+	if len(d.JC) == 0 {
+		for x := range pos {
+			pos[x] = -1
+		}
+		return
 	}
-	ix := d.index()
-	c := j >> ix.shift
-	lo, hi := int(ix.start[c]), int(ix.start[c+1])
-	for hi-lo > 8 {
-		if mid := int(uint(lo+hi) >> 1); d.JC[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid + 1
+	ix, jc, n := d.index(), d.JC, uint32(d.Cols)
+	shift, start := ix.shift, ix.start
+	for x, j := range cols {
+		pos[x] = -1
+		if uint32(j) >= n {
+			continue
+		}
+		c := j >> shift
+		lo, hi := int(start[c]), int(start[c+1])
+		for hi-lo > 8 {
+			if mid := int(uint(lo+hi) >> 1); jc[mid] < j {
+				lo = mid + 1
+			} else {
+				hi = mid + 1
+			}
+		}
+		for lo < hi && jc[lo] < j {
+			lo++
+		}
+		if lo < hi && jc[lo] == j {
+			pos[x] = int32(lo)
 		}
 	}
-	for lo < hi && d.JC[lo] < j {
-		lo++
-	}
-	if lo < hi && d.JC[lo] == j {
-		return lo
-	}
-	return -1
 }
 
 // ColNNZ returns the entry count of column j (0 for absent columns); O(1)
