@@ -152,6 +152,15 @@
 // entries accumulate in the same operand order. SymbolicMat and MatFlops
 // are the symbolic step and the flop count over the same interface.
 //
+// A multiply finds A's columns by B's row indices once per block pair, in
+// its Plan (PlanMul): the position of each B entry's column among a DCSC
+// A's stored columns, found through the AUX array (spmat.DCSC.Locate), or
+// the row itself for a CSC A. Plan.Symbolic and every kernel read A at
+// those slots. The plan's arrays come from the worker free list and go back
+// on Plan.Release; the one-shot entry points (MulMat, SymbolicMat,
+// MatFlops, SymbolicSpGEMM) release the plans they make, and the
+// distributed stages release theirs when the stage's work is done.
+//
 // # Sparse×dense kernels
 //
 // SpMMInto multiplies a sparse operand by a row-major dense panel

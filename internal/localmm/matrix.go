@@ -133,7 +133,7 @@ func PlanMul(a, b spmat.Matrix) *Plan {
 	checkMulShapesMat(a, b)
 	pl := &Plan{a: a, b: b, av: viewOf(a), bv: viewOf(b), scratch: getPlanScratch()}
 	s, bv, aPtr := pl.scratch, &pl.bv, pl.av.ptr
-	s.colFlops = grown(s.colFlops, int(bv.n))
+	s.colFlops = slices.Grow(s.colFlops[:0], int(bv.n))[:bv.n]
 	pl.colFlops = s.colFlops
 	if !pl.av.compressed {
 		pl.slots = bv.rows
@@ -149,7 +149,8 @@ func PlanMul(a, b spmat.Matrix) *Plan {
 	}
 	base := bv.ptr[0]
 	entries := bv.rows[base:bv.ptr[bv.n]]
-	s.slots, s.sums = grown(s.slots, len(entries)), grown(s.sums, len(entries)+1)
+	s.slots = slices.Grow(s.slots[:0], len(entries))[:len(entries)]
+	s.sums = slices.Grow(s.sums[:0], len(entries)+1)[:len(entries)+1]
 	slots, sums, colFlops := s.slots, s.sums, s.colFlops
 	a.ToDCSC().Locate(entries, slots)
 	var run int64
@@ -160,22 +161,12 @@ func PlanMul(a, b spmat.Matrix) *Plan {
 		}
 		sums[x+1] = run
 	}
-	sums = sums[:len(entries)+1]
 	ptr := bv.ptr[:len(colFlops)+1]
 	for p := range colFlops {
 		colFlops[p] = sums[ptr[p+1]-base] - sums[ptr[p]-base]
 	}
 	pl.slots, pl.base, pl.Flops = slots, base, run
 	return pl
-}
-
-// grown returns buf resized to n elements, reallocated only when it is too
-// short; the contents are not kept.
-func grown[T int32 | int64](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // aSlots returns the A slots of the entries of B's slot p.

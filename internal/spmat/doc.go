@@ -58,7 +58,8 @@
 // SplitGrid deals a matrix out over a grid of row ranges × column ranges —
 // a whole operand over a process grid, or one block's window of it — by
 // counting and placing: every entry is copied once, into a block allocated
-// at its exact size in its resolved format. PartBounds, ColRange/RowRange,
+// at its exact size in its resolved format, and the column ranges are dealt
+// on every core. PartBounds, ColRange/RowRange,
 // ColSelect (and its format-preserving MatColSelect), MatColRanges (a
 // matrix's consecutive column ranges as views over its entries — the fiber
 // split), HCat, and the cyclic split helpers carve matrices into the
