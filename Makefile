@@ -148,8 +148,9 @@ baseline:
 
 # golden: regenerate the experiments' run records
 # (internal/experiments/testdata/runs/<id>.golden: one line per multiply an
-# experiment runs at tiny scale — its pins, the b it executed, every step's
-# bytes, messages and work units, and a staged run's modeled comm seconds)
+# experiment runs at tiny scale — its pins, the b it executed, its ranks'
+# largest modeled peak, every step's bytes, messages and work units, and a
+# staged run's modeled comm seconds)
 # and rendered reports (testdata/reports/<id>.golden: each report with
 # measured compute replaced by work units at the gate rate; fig3, pipeline
 # and service with every number masked) after an intentional change to what

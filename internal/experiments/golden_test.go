@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/planner"
 )
 
@@ -20,12 +19,14 @@ var update = flag.Bool("update", false, "rewrite testdata/runs/*.golden and test
 
 // formatRun renders one run as a line of space-separated name=value fields:
 // the pins handed to core, whether the output was discarded, the batch count
-// the run executed, every step's bytes, messages and work units,
+// the run executed, the largest modeled memory peak of any rank, every step's
+// bytes, messages and work units,
 // and — for staged runs only — the modeled communication seconds (a
 // pipelined run's exposed share depends on measured compute). Every field is
 // deterministic, so two runs of the same code print the same line on any
 // host.
-func formatRun(pn pins, batches int, s *mpi.Summary) string {
+func formatRun(out outcome) string {
+	pn, s := out.pn, out.summary
 	o := pn.opts
 	l, forceb, pipeline, algo, c := pn.l, o.ForceBatches, o.Pipeline, planner.AlgoSUMMA, 0
 	if d := pn.dense; d != nil {
@@ -48,7 +49,8 @@ func formatRun(pn pins, batches int, s *mpi.Summary) string {
 		fmt.Sprintf("algo=%v", algo),
 		fmt.Sprintf("c=%d", c),
 		fmt.Sprintf("discard=%v", pn.discard),
-		fmt.Sprintf("b=%d", batches),
+		fmt.Sprintf("b=%d", out.b),
+		fmt.Sprintf("peak=%d", out.peak),
 	}
 	for _, step := range core.Steps {
 		st := s.Step(step)
@@ -70,10 +72,10 @@ func formatRun(pn pins, batches int, s *mpi.Summary) string {
 // on every host.
 func runRecorded(e *Experiment, opts RunOpts) (*Report, []string, error) {
 	var runs []string
-	recordRun = func(pn pins, batches int, s *mpi.Summary) {
-		runs = append(runs, formatRun(pn, batches, s))
-		for _, st := range s.Steps {
-			st.ComputeSeconds = float64(st.WorkUnits) * GateSecPerWorkUnit * pn.machine.ComputeScale
+	recordRun = func(o outcome) {
+		runs = append(runs, formatRun(o))
+		for _, st := range o.summary.Steps {
+			st.ComputeSeconds = float64(st.WorkUnits) * GateSecPerWorkUnit * o.pn.machine.ComputeScale
 		}
 	}
 	defer func() { recordRun = nil }()

@@ -72,6 +72,9 @@ type outcome struct {
 	// bytes the payload bytes, each summed over core.Steps.
 	comm        float64
 	work, bytes int64
+	// peak is the largest modeled memory peak of any rank
+	// (Result.PeakMemBytes, DenseResult.PeakMemBytes).
+	peak int64
 	// base is the first outcome of the run's sweep, which relative columns
 	// (speedup, efficiency, ideal scaling) measure against.
 	base *outcome
@@ -168,11 +171,11 @@ func fastest(outs []outcome) outcome {
 	return slices.MinFunc(outs, func(x, y outcome) int { return cmp.Compare(x.total(), y.total()) })
 }
 
-// recordRun, when set, sees every run execute completes: its pins, the batch
-// count it executed and its machine-scaled summary, before the experiment
-// reads the summary. It is nil except while the golden tests run the
-// experiments.
-var recordRun func(pn pins, batches int, s *mpi.Summary)
+// recordRun, when set, sees the outcome of every run execute completes — its
+// pins, the batch count it executed, its ranks' peak and its machine-scaled
+// summary — before the experiment reads the summary. It is nil except while
+// the golden tests run the experiments.
+var recordRun func(o outcome)
 
 // execute runs C = A·B under pn — or, when panel is non-nil, A times that
 // dense panel under pn.dense (core.MultiplyDense; b is ignored) — and scales
@@ -188,6 +191,9 @@ func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 		if len(results) > 0 {
 			out.b = results[0].Batches
 		}
+		for _, r := range results {
+			out.peak = max(out.peak, r.PeakMemBytes)
+		}
 	case pn.discard:
 		out.results, out.summary, err = core.MultiplyDiscard(a, b, rc, nil)
 	default:
@@ -198,6 +204,9 @@ func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 	}
 	if len(out.results) > 0 {
 		out.b = out.results[0].Batches
+	}
+	for _, r := range out.results {
+		out.peak = max(out.peak, r.PeakMemBytes)
 	}
 	// The per-rank meters were already consumed: scale the summary.
 	for _, st := range out.summary.Steps {
@@ -212,7 +221,7 @@ func execute(a, b *spmat.CSC, panel *spmat.DenseMat, pn pins) (outcome, error) {
 		out.bytes += st.Bytes
 	}
 	if recordRun != nil {
-		recordRun(pn, out.b, out.summary)
+		recordRun(out)
 	}
 	return out, nil
 }

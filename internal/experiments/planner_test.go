@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/localmm"
-	"repro/internal/mpi"
 	"repro/internal/planner"
 	"repro/internal/spmat"
 )
@@ -105,8 +104,8 @@ func TestPlanGateCatchesBadPick(t *testing.T) {
 // one pins the pick's b = 1.
 func TestAutotuneAppliesChoice(t *testing.T) {
 	var runs []string
-	recordRun = func(pn pins, batches int, s *mpi.Summary) {
-		runs = append(runs, formatRun(pn, batches, s))
+	recordRun = func(o outcome) {
+		runs = append(runs, formatRun(o))
 	}
 	defer func() { recordRun = nil }()
 	if err := RunAutotune(RunOpts{Scale: ScaleTiny}, io.Discard); err != nil {
