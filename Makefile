@@ -63,7 +63,9 @@ deadcode:
 # all run with returned chunks poisoned (TestMain), so -cpu 1,4 also covers
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
 # × format × thread count against the run that lends nothing — stage
-# products, Merge-Layer outputs on l > 1 grids, discarded batches) both
+# products, Merge-Layer outputs on l > 1 grids, discarded batches, and on
+# q > 1 grids the last stage's plan, which Merge-Layer's fused merge holds
+# until its last window and which is poisoned when released) both
 # where every output is a single-range loan and, on four cores, where
 # a call granted a second worker falls back to an owned output. The planner
 # goes at -cpu 1,4 too: the daemon plans concurrent requests over the same
@@ -188,8 +190,10 @@ plan:
 # of the unsorted-hash local multiply, the heap/hash/hybrid crossover
 # measurements, the sorted hash merge on the Merge-Fiber and hypersparse
 # shapes and a one-layer grid's two merges with the sort in the drain against
-# the copy-and-sort it replaced, the format-generic multiply on a DCSC
-# operand, and the one-vs-two
+# the copy-and-sort it replaced, a q = 2 Merge-Layer with the last stage's
+# multiply materialized against fused into the merge (BenchmarkMergeLayer, on
+# a kmer-hyper and a protein-like stage block pair), the format-generic
+# multiply on a DCSC operand, and the one-vs-two
 # worker sweep the kernels' worker floor is set from
 # (localmm.workPerExtraWorker), and the direct-table versus hash-table sweep
 # the accumulator's regime bound is set from (localmm.directTableBytes:
@@ -198,7 +202,7 @@ plan:
 # 36 hits= cells: multiply, merge and the symbolic count at 2¹⁰ and 2¹⁵ rows
 # where 0, 50 or 90 % of a column's contributions land on a row already in
 # the table, the axis on which an insert that branches on hit-or-new shows;
-# 186 benchmark cells in the target all told, 150 before that axis), on this
+# 190 benchmark cells in the target all told, 150 before that axis), on this
 # runner,
 # with the runner's NumCPU, GOMAXPROCS and Go version beside them (a thread
 # sweep means nothing without the core count). Wall-clock numbers;
@@ -208,7 +212,7 @@ plan:
 # beside a measurement the runner keeps taking.
 KERNELS_BENCHTIME ?= 1s
 bench-kernels:
-	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MulMatGeneric|WorkerSpawnCrossover|AccumulatorCrossover' -benchtime=$(KERNELS_BENCHTIME) ./internal/localmm \
+	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MergeLayer|MulMatGeneric|WorkerSpawnCrossover|AccumulatorCrossover' -benchtime=$(KERNELS_BENCHTIME) ./internal/localmm \
 	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
 	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
 	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \

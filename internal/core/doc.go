@@ -35,18 +35,25 @@
 // Symbolic3D picks the batch count b from the memory budget, and each batch
 // runs one batch function (summa3DBatch): the per-layer stage products
 // (stageProducts), one Merge-Layer, the fiber AllToAll, and the fiber merge.
-// Symbolic3D and stageProducts share one stage loop (forEachStage).
+// Symbolic3D and stageProducts share one stage loop (forEachStage). With
+// q > 1 the last stage's product is never materialized: that stage plans its
+// multiply, and Merge-Layer computes the product column by column in the
+// kernel's accumulator and merges it there (layerMerge).
 //
 // # Lent outputs
 //
 // Every kernel output whose last reader is known is lent, not copied
-// (localmm.Plan.MulLent, localmm.MergeLent): its entry arrays are a kernel
-// worker's chunk until the rank hands it back (localmm.Loan.Return). Each
-// loan is returned by exactly one owner, and that owner is whoever knows the
-// output's last reader. There are five cases:
+// (localmm.Plan.MulLent, localmm.MergeLent, localmm.Plan.MulMergeLent): its
+// entry arrays are a kernel worker's chunk until the rank hands it back
+// (localmm.Loan.Return). Each loan is returned by exactly one owner, and that
+// owner is whoever knows the output's last reader. There are five cases:
 //
-//   - A stage product, on a grid with q > 1: Merge-Layer accumulates it into
-//     arrays of its own, and the batch function returns it right after.
+//   - A stage product, on a grid with q > 1 — the q − 1 earlier ones; the
+//     last stage's is never made, Merge-Layer computes it inside its merge
+//     from the stage's plan (localmm.Plan.MulMerge), which it holds until its
+//     last window and then releases: Merge-Layer accumulates the products
+//     into arrays of its own, and the batch function returns them right
+//     after.
 //   - Merge-Layer's output, on a grid with l > 1 (in the pipelined schedule,
 //     each per-destination merge's). This rank's Merge-Fiber reads it and,
 //     through the by-reference fiber exchange, so do the l − 1 fiber peers'.

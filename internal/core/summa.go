@@ -112,39 +112,49 @@ var lendChunks = true
 
 // stageProducts runs the stage loop over bBatch and collects every stage's
 // partial product and the loan behind it, which the caller returns once its
-// merges have read the products.
+// merges have read the products — all but the last stage's on a grid with
+// q > 1: that stage only plans its multiply and hands the plan (last) to
+// Merge-Layer, which computes the product straight out of the accumulator
+// into the merge (layerMerge, localmm.Plan.MulMerge) and releases the plan.
+// unmerged counts the entries of the products made here; Merge-Layer adds the
+// last one's.
 //
 // Local multiply (Alg 1 line 7). One pass over the B block finds each B
 // entry's A column and counts the stage's flops column by column
 // (localmm.PlanMul), and everything that needs them reads that one plan —
 // Result.LocalFlops, the work units and, inside the kernel, the worker
 // balance and the hash-table sizes — which goes back to the kernels' free
-// list inside the measured section (Plan.Release). Work units = flops
+// list inside the measured section (Plan.Release) of the stage or, for the
+// last stage of q > 1, of Merge-Layer. Work units = flops
 // plus the operand traversal cost, so empty products still carry their
 // column-scan work — the dense column count for CSC operands, only the stored
 // columns for DCSC (the O(n)-per-block term the compressed format removes
 // from the modeled critical path); the unit accounting is deliberately
 // kernel-independent so the modeled critical path never moves with the
-// kernel knob. The kernel runs one worker per core the section holds once the
+// kernel knob, nor with where the last stage's product is made: its section
+// here measures the plan alone, and its multiply is measured with
+// Merge-Layer's, but its work units are charged here, as every stage's. The
+// kernel runs one worker per core the section holds once the
 // flops are known (Proc.workers) — Opts.Threads at most, fewer whenever other
 // ranks need the cores or the stage is too small to pay for a worker — so
 // intra-rank parallelism appears as shorter measured compute, the paper's
 // 16-threads-per-process configuration, and never as more runnable
 // goroutines than the host has cores.
 //
-// A stage product is read by the Merge-Layer that follows and by nothing
-// else. With q > 1 that merge accumulates the products into arrays of its own,
-// so each product is only lent (localmm.Plan.MulLent): its entries stay in the
-// kernel worker's chunk until the loan is returned, right after Merge-Layer.
-// With q = 1 the one product is the Merge-Layer output (a one-operand merge
-// returns its operand), so it is lent exactly when that output is
-// (lendLayer), and summa3DBatch hands its loan on with that output's. A
-// product more than one worker made is an owned copy either way.
-func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, unmerged int64) {
+// A stage product that is made is read by the Merge-Layer that follows and by
+// nothing else. With q > 1 that merge accumulates the products into arrays of
+// its own, so each is only lent (localmm.Plan.MulLent): its entries stay in
+// the kernel worker's chunk until the loan is returned, right after
+// Merge-Layer. With q = 1 the one product is the Merge-Layer output (a
+// one-operand merge returns its operand), so it is lent exactly when that
+// output is (lendLayer), and summa3DBatch hands its loan on with that
+// output's. A product more than one worker made is an owned copy either way.
+func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, last *localmm.Plan, unmerged int64) {
 	meter := p.G.World.Meter()
-	lend := lendChunks && (p.G.Q > 1 || p.lendLayer())
-	partial, loans = make([]spmat.Matrix, 0, p.G.Q), make([]localmm.Loan, 0, p.G.Q)
-	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(_ int, aRecv, bRecv spmat.Matrix) {
+	q := p.G.Q
+	lend := lendChunks && (q > 1 || p.lendLayer())
+	partial, loans = make([]spmat.Matrix, 0, q), make([]localmm.Loan, 0, q)
+	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(s int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
 		var flops int64
@@ -153,22 +163,25 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 		sec := p.measure(func() {
 			plan := localmm.PlanMul(aRecv, bRecv)
 			flops = plan.Flops
-			if lend {
+			switch {
+			case q > 1 && s == q-1:
+				last = plan
+				return
+			case lend:
 				prod, loan = plan.MulLent(p.Opts.Kernel, p.Opts.Semiring, p.workers(flops))
-			} else {
+			default:
 				prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, p.workers(flops))
 			}
 			plan.Release()
 		})
 		res.LocalFlops += flops
 		meter.AddComputeWork(sec, flops+bRecv.NNZ()+scanCols+1)
-		partial, loans = append(partial, prod), append(loans, loan)
-		unmerged += prod.NNZ()
+		if prod != nil {
+			partial, loans = append(partial, prod), append(loans, loan)
+			unmerged += prod.NNZ()
+		}
 	})
-	res.UnmergedNNZ += unmerged
-	// Peak: inputs plus all unmerged stage products live simultaneously.
-	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged)
-	return partial, loans, unmerged
+	return partial, loans, last, unmerged
 }
 
 // returnLoans hands lent outputs' chunks back to the kernels' free list; the
@@ -202,9 +215,18 @@ func returnLoans(loans []localmm.Loan) {
 //     and post as soon as the remote destinations are merged. The own-layer
 //     merge then runs while the exchange is in flight: its time is overlap
 //     credit and the hidden share of the AllToAll cost is charged to
-//     StepAllToAllHidden.
+//     StepAllToAllHidden. The split's work units count every stage product's
+//     entries, so they are charged after the merges, which count the last
+//     one's.
 //
-// Either way the own piece never travels.
+// Either way the own piece never travels. With q > 1 "the stage products"
+// are the q − 1 that stageProducts made and the last stage's plan: each merge
+// is one fused pass (layerMerge) that computes its window of the last product
+// in the kernel's accumulator and merges the earlier products' window into
+// it, so Merge-Layer's sections time that multiply too and the last stage's
+// Local-Multiply section times its plan alone. Every work unit, peak
+// checkpoint, flop and entry count is what it was with the product made
+// first.
 //
 // Merge-Layer's output is lent whenever its last reader is known (lendLayer).
 // With l > 1 it is read by this rank's Merge-Fiber and, through the
@@ -222,7 +244,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	g := p.G
 	meter := g.World.Meter()
 	led := &p.ledger
-	partial, loans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
+	partial, loans, last, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
 	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is the
@@ -234,8 +256,10 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	var post float64
 	var req *mpi.AllToAllvRequest
 	lent := make([]localmm.Loan, 0, g.L)
+	_, width := bBatch.Dims()
 	if !p.Opts.Pipeline {
-		d, loan, mergeSec := p.merge(partial, p.lastTable(), p.lendLayer(), unmerged)
+		d, loan, lastNNZ, mergeSec := p.layerMerge(partial, last, 0, width, unmerged, true)
+		unmerged += lastNNZ
 		lent = append(lent, loan)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 		var pieces []spmat.Matrix
@@ -249,10 +273,11 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		own, send[g.K], merged = pieces[g.K], nil, d.NNZ()
 		post, req = led.clock, g.Fiber.IalltoallvStart(send)
 	} else {
-		// The pieces are views of the stage products, lent chunks included.
+		// The pieces are views of the stage products, lent chunks included;
+		// the last stage's product is made per destination, by the merge.
 		perDest := make([][]spmat.Matrix, g.L)
+		bounds := p.bt.LayerBounds(t)
 		packSec := p.measure(func() {
-			bounds := p.bt.LayerBounds(t)
 			for _, prod := range partial {
 				pieces := spmat.MatColRanges(prod, bounds)
 				for m := range perDest {
@@ -260,13 +285,14 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 				}
 			}
 		})
-		meter.AddComputeWork(packSec, unmerged+int64(g.L)+1)
 		mergeDest := func(m int) spmat.Matrix {
 			var in int64
 			for _, piece := range perDest[m] {
 				in += piece.NNZ()
 			}
-			out, loan, sec := p.merge(perDest[m], p.lastTable(), p.lendLayer(), in)
+			out, loan, lastNNZ, sec := p.layerMerge(perDest[m], last, bounds[m], bounds[m+1], in, m == g.K)
+			in += lastNNZ
+			unmerged += lastNNZ
 			lent = append(lent, loan)
 			meter.AddComputeWork(sec, in+colScanWork(out)+1)
 			merged += out.NNZ()
@@ -279,7 +305,13 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		}
 		post, req = led.clock, g.Fiber.IalltoallvStart(send)
 		own = mergeDest(g.K)
+		// The split's work counts every stage product's entries, the last
+		// one's included, which only the merges above have counted.
+		meter.AddComputeWork(packSec, unmerged+int64(g.L)+1)
 	}
+	res.UnmergedNNZ += unmerged
+	// Peak: inputs plus all unmerged stage products live simultaneously.
+	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged)
 	// Every merge that reads the stage products is done. With q = 1 the one
 	// stage product is Merge-Layer's output, so its loan joins that output's.
 	if g.Q == 1 {
@@ -373,6 +405,35 @@ func (p *Proc) merge(mats []spmat.Matrix, sorted, lend bool, entries int64) (out
 		}
 	})
 	return out, loan, sec
+}
+
+// layerMerge is one Merge-Layer merge over the columns [lo, hi) of the batch:
+// of the earlier stage products' windows prev and, with q > 1, the window of
+// the last stage's product, which last computes inside the merge
+// (localmm.Plan.MulMerge) and never materializes — the plan is released in
+// the same measured section once release says this is its last window. With
+// q = 1 (last nil) prev is the one stage product's window, merged as it is.
+// entries is prev's; lastNNZ is the last product window's entry count, which
+// the caller's work units add. Sorting and lending are Merge-Layer's
+// (lastTable, lendLayer).
+func (p *Proc) layerMerge(prev []spmat.Matrix, last *localmm.Plan, lo, hi int32, entries int64, release bool) (out spmat.Matrix, loan localmm.Loan, lastNNZ int64, sec float64) {
+	if last == nil {
+		out, loan, sec = p.merge(prev, p.lastTable(), p.lendLayer(), entries)
+		return out, loan, 0, sec
+	}
+	o := &p.Opts
+	sec = p.measure(func() {
+		workers := p.workers(entries + last.WindowFlops(lo, hi))
+		if p.lendLayer() && lendChunks {
+			out, loan, lastNNZ = last.MulMergeLent(o.Kernel, o.Merger, prev, lo, hi, o.Semiring, p.lastTable(), workers)
+		} else {
+			out, lastNNZ = last.MulMerge(o.Kernel, o.Merger, prev, lo, hi, o.Semiring, p.lastTable(), workers)
+		}
+		if release {
+			last.Release()
+		}
+	})
+	return out, loan, lastNNZ, sec
 }
 
 // trackPeak records a modeled memory checkpoint of live nonzeros.

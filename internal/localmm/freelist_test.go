@@ -10,10 +10,11 @@ import (
 )
 
 // TestFreeListDropsOversizedTables: the free list keeps no table above
-// maxKeptEntries, whichever of a worker's tables grew — the accumulator and
-// the row set as much as the chunk. The symbolic count and the multiply of
-// one column with more than maxKeptEntries/2 distinct rows need hash tables
-// beyond the cap; afterwards every idle worker's scratch is back under it.
+// maxKeptEntries, whichever of a worker's tables grew — the accumulator, the
+// row set and the column scratch as much as the chunk. The symbolic count
+// and the multiply of one column with more than maxKeptEntries/2 distinct
+// rows need hash tables beyond the cap; afterwards every idle worker's
+// scratch is back under it.
 // The tables come to ~200 MB for a moment, which the race detector's shadow
 // memory would multiply: the file is built without it.
 func TestFreeListDropsOversizedTables(t *testing.T) {
@@ -47,7 +48,7 @@ func TestFreeListDropsOversizedTables(t *testing.T) {
 			"chunk rows": cap(w.rows), "chunk vals": cap(w.vals),
 			"accumulator rows": cap(w.acc.rows), "accumulator vals": cap(w.acc.vals), "accumulator occupied": cap(w.acc.occupied),
 			"row set": cap(w.set.rows), "row set occupied": cap(w.set.occupied), "stamps": cap(w.set.stamps),
-			"heap": cap(w.heap), "parts": cap(w.parts),
+			"heap": cap(w.heap), "parts": cap(w.parts), "column rows": cap(w.col.rows), "column vals": cap(w.col.vals),
 		} {
 			if c > maxKeptEntries {
 				t.Errorf("idle worker %d keeps %s of %d entries, above the cap of %d", i, name, c, maxKeptEntries)

@@ -234,24 +234,34 @@ func (h *hashAccum) probe(r int32) int32 {
 	return s
 }
 
-// add accumulates v into row r with the semiring's Add.
-func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
+// slot returns the slot of row r and whether the column already holds the
+// row. A row it does not hold takes the slot — stamped or written, and
+// listed in occupied — and the caller stores its value.
+func (h *hashAccum) slot(r int32) (int32, bool) {
 	if h.direct {
 		if h.stamps[r] == h.gen {
-			h.vals[r] = addFn(h.vals[r], v)
-			return
+			return r, true
 		}
-		h.stamps[r], h.vals[r] = h.gen, v
+		h.stamps[r] = h.gen
 		h.occupied = append(h.occupied, r)
-		return
+		return r, false
 	}
 	s := h.probe(r)
 	if h.rows[s] == r {
-		h.vals[s] = addFn(h.vals[s], v)
-		return
+		return s, true
 	}
-	h.rows[s], h.vals[s] = r, v
+	h.rows[s] = r
 	h.occupied = append(h.occupied, s)
+	return s, false
+}
+
+// add accumulates v into row r with the semiring's Add.
+func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
+	if s, held := h.slot(r); held {
+		h.vals[s] = addFn(h.vals[s], v)
+	} else {
+		h.vals[s] = v
+	}
 }
 
 // drainInto appends the accumulated (row, value) pairs to the output slices
@@ -483,4 +493,101 @@ func hashAccumulateParts(acc *hashAccum, parts []colPart, sr *semiring.Semiring,
 		}
 	}
 	acc.occupied = occupied
+}
+
+// metSlot marks a hash slot whose row walkFirst has emitted: probes pass it
+// like a taken slot, and the walk empties it before anything drains.
+const metSlot = int32(-2)
+
+// hashAccumulateFirst feeds a column's earlier operand into a table that
+// already holds the column's later one (a planned product's, Plan.MulMerge),
+// as if it had come first: a row the table holds becomes part's value plus
+// the table's — Add(part's, table's), the operand order of hashAccumulateParts
+// over [part, table's column] — and any other row part's value. part must
+// hold each row at most once. The direct plus-times insert takes no jump on
+// hit-or-new, as hashAccumulateColumn's does.
+func hashAccumulateFirst(acc *hashAccum, part colPart, sr *semiring.Semiring, plusTimes bool) {
+	pVals := part.vals[:len(part.rows)]
+	if !acc.direct || !plusTimes {
+		for q, r := range part.rows {
+			if s, held := acc.slot(r); held {
+				acc.vals[s] = sr.Add(pVals[q], acc.vals[s])
+			} else {
+				acc.vals[s] = pVals[q]
+			}
+		}
+		return
+	}
+	stamps, gen := acc.stamps, acc.gen
+	vals, n, occupied := acc.vals[:len(stamps)], len(acc.occupied), acc.occupied[:cap(acc.occupied)]
+	for q, r := range part.rows {
+		v, isNew := pVals[q], b2i(stamps[r] != gen)
+		stamps[r], vals[r], occupied[n] = gen, selectValue(isNew, v, v+vals[r]), r
+		n += isNew
+	}
+	acc.occupied = occupied[:n]
+}
+
+// walkFirst appends to the worker's chunk, in part's order, the merge of a
+// column's earlier operand part with the later one the table holds, part
+// first: a row the table holds comes out as Add(part's value, table's value)
+// and leaves the table, any other row as part's value. The table keeps the
+// rows part did not meet, in insertion order, for the drain that emits them
+// next — together the column hashAccumulateParts over [part, table's column]
+// and an unsorted drain would make, without inserting part. part must hold
+// each row at most once. In the direct regime under plus-times the walk takes
+// no jump on hit-or-new: the sum is picked by selectValue, and a met row's
+// stamp drops by the 0-or-1 outcome, out of the column's generation; the
+// hash regime marks a met slot metSlot.
+func (w *mmWorker) walkFirst(part colPart, sr *semiring.Semiring, plusTimes bool) {
+	h, m, n := &w.acc, len(part.rows), len(w.rows)
+	w.rows, w.vals = slices.Grow(w.rows, m)[:n+m], slices.Grow(w.vals, m)[:n+m]
+	rows, vals, pVals := w.rows[n:], w.vals[n:], part.vals[:m]
+	copy(rows, part.rows)
+	if h.direct {
+		stamps, gen, tVals := h.stamps, h.gen, h.vals[:len(h.stamps)]
+		if plusTimes {
+			for q, r := range part.rows {
+				e, hit := pVals[q], b2i(stamps[r] == gen)
+				vals[q] = selectValue(hit, e+tVals[r], e)
+				stamps[r] -= int32(hit)
+			}
+		} else {
+			for q, r := range part.rows {
+				vals[q] = pVals[q]
+				if stamps[r] == gen {
+					vals[q] = sr.Add(pVals[q], tVals[r])
+					stamps[r]--
+				}
+			}
+		}
+		k := 0
+		for _, r := range h.occupied {
+			h.occupied[k] = r
+			k += b2i(stamps[r] == gen)
+		}
+		h.occupied = h.occupied[:k]
+		return
+	}
+	for q, r := range part.rows {
+		s := int32(uint32(r)*2654435769) & h.mask
+		for h.rows[s] != r && h.rows[s] != emptySlot {
+			s = (s + 1) & h.mask
+		}
+		vals[q] = pVals[q]
+		if h.rows[s] == r {
+			vals[q] = sr.Add(pVals[q], h.vals[s])
+			h.rows[s] = metSlot
+		}
+	}
+	k := 0
+	for _, s := range h.occupied {
+		if h.rows[s] == metSlot {
+			h.rows[s] = emptySlot
+			continue
+		}
+		h.occupied[k] = s
+		k++
+	}
+	h.occupied = h.occupied[:k]
 }

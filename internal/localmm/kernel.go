@@ -35,6 +35,16 @@ const (
 // beats hash-table setup, mirroring the policy of Nagasaka et al. [25].
 const hybridHeapThreshold = 64
 
+// sorts reports whether the kernel's output columns are sorted.
+func (k Kernel) sorts() bool { return k != KernelHashUnsorted }
+
+// heapColumn reports whether the kernel computes an output column of the
+// given flop count with the heap: always for the heap kernel, below
+// hybridHeapThreshold for the hybrid one, never for the hash kernels.
+func (k Kernel) heapColumn(flops int64) bool {
+	return k == KernelHeap || k == KernelHybrid && flops <= hybridHeapThreshold
+}
+
 // String names the kernel for reports.
 func (k Kernel) String() string {
 	switch k {

@@ -190,6 +190,52 @@ func BenchmarkPlanMulHypersparse(b *testing.B) {
 	}
 }
 
+// BenchmarkMergeLayer times a q = 2 Merge-Layer with the last stage's
+// multiply, as the engine ran it before and runs it now: materialize plans
+// the last stage, multiplies it into a lent product (Plan.MulLent) and merges
+// that with the earlier stage's product (MergeLent); fused plans it and
+// merges its product straight out of the accumulator (Plan.MulMergeLent).
+// Both release the plan and return their loans; the unsorted hash kernel and
+// merger, and an unsorted merge, as on a grid with l > 1. Two block pairs:
+// kmer is BenchmarkPlanMulHypersparse's, a hypersparse DCSC A and the
+// off-diagonal block of Aᵀ for the earlier stage, the diagonal one for the
+// last; protein is a 1024-row A of 10 entries per column against 64-column B
+// blocks of 4.
+func BenchmarkMergeLayer(b *testing.B) {
+	sr := semiring.PlusTimes()
+	kmer := hyperMat(b, 2048, 8192, 1536, 103)
+	protein := uniformMat(b, 1024, 256, 10, 105)
+	for _, sh := range []struct {
+		name        string
+		a           spmat.Matrix
+		first, last spmat.Matrix
+	}{
+		{"kmer", kmer.ToDCSC(), spmat.AutoFormat(spmat.Transpose(hyperMat(b, 2048, 8192, 1536, 104))), spmat.AutoFormat(spmat.Transpose(kmer))},
+		{"protein", protein, uniformMat(b, 256, 64, 4, 106), uniformMat(b, 256, 64, 4, 107)},
+	} {
+		prev := []spmat.Matrix{MulMat(KernelHashUnsorted, sh.a, sh.first, sr, 1)}
+		_, cols := sh.last.Dims()
+		b.Run(sh.name+"/materialize", func(b *testing.B) {
+			for range b.N {
+				pl := PlanMul(sh.a, sh.last)
+				prod, loan := pl.MulLent(KernelHashUnsorted, sr, 1)
+				pl.Release()
+				_, merged := MergeLent(MergerHash, append(prev[:1:1], prod), sr, false, 1)
+				loan.Return()
+				merged.Return()
+			}
+		})
+		b.Run(sh.name+"/fused", func(b *testing.B) {
+			for range b.N {
+				pl := PlanMul(sh.a, sh.last)
+				_, merged, _ := pl.MulMergeLent(KernelHashUnsorted, MergerHash, prev, 0, cols, sr, false, 1)
+				pl.Release()
+				merged.Return()
+			}
+		})
+	}
+}
+
 // BenchmarkWorkerSpawnCrossover is the measurement workPerExtraWorker is set
 // from: the unsorted-hash multiply at one worker and at two — through
 // Plan.multiply, which runs exactly the worker count it is given, so the floor

@@ -27,6 +27,13 @@ import (
 // read A's view at those slots, with no lookup and no branch on A's format
 // per entry.
 //
+// The last SUMMA stage's product need not be written at all: Plan.MulMerge
+// (mulmerge.go) accumulates each of its columns in the worker's table and
+// merges the earlier stage products' columns into it there, bit-identical
+// to merging the product Plan.Mul would have made. mulColumn and
+// mergeColumn are the column routines that pass shares with the multiply and
+// the merge here.
+//
 // Output format follows B: the stored columns of A·B are a subset of B's,
 // so a DCSC B yields a DCSC product (a batch piece stays compressed through
 // multiply → merge), while a CSC B keeps the dense-pointer output whose
@@ -117,12 +124,18 @@ type Plan struct {
 }
 
 // planScratch is the arrays a plan borrows from the free list: the A slot
-// and running flop sum of every B entry (a DCSC A only) and the flop count
-// of every B slot.
+// and running flop sum of every B entry (a DCSC A only), the flop count of
+// every B slot, and what a fused merge (Plan.MulMerge) needs for the length
+// of one call, reused by the next window: the window's running flop counts
+// and, for a DCSC B, its columns, and the input entries of every output
+// slot.
 type planScratch struct {
 	slots    []int32
 	sums     []int64
 	colFlops []int64
+	winPtr   []int64
+	winJC    []int32
+	colIn    []int64
 }
 
 // PlanMul counts the flops of A·B slot by slot; O(nnz(B)) with no dense
@@ -278,20 +291,10 @@ func (pl *Plan) MulLent(k Kernel, sr *semiring.Semiring, threads int) (spmat.Mat
 // BenchmarkWorkerSpawnCrossover, which sets the floor they decide by, calls
 // this directly.
 func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode passOutput) (spmat.Matrix, Loan) {
-	a, av, bv, colFlops := pl.a, &pl.av, &pl.bv, pl.colFlops
-	if (k == KernelHeap || k == KernelHybrid) && !a.Sorted() {
-		// The heap-based kernels require sorted A columns; restore once, on
-		// a copy shared read-only by all workers. Sorting moves entries
-		// inside columns only, so the plan's slots hold for the copy.
-		a = a.CloneMat()
-		a.SortColumns()
-		sorted := viewOf(a)
-		av = &sorted
-	}
-	aRows, _ := a.Dims()
+	av, bv, colFlops := pl.kernelView(k), &pl.bv, pl.colFlops
+	aRows, _ := pl.a.Dims()
 	_, bCols := pl.b.Dims()
 	ptr := make([]int64, bv.n+1)
-	sortedOut := k != KernelHashUnsorted
 	plusTimes := sr.IsPlusTimes()
 	ir, num, loan := onePass(flopBounds(colFlops, workers), func(w *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
@@ -299,20 +302,43 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 				continue
 			}
 			start := len(w.rows)
-			aSlots, bVals := pl.aSlots(p), pl.bVals(p)
-			if k == KernelHeap || k == KernelHybrid && colFlops[p] <= hybridHeapThreshold {
-				w.heapMulColumn(av, aSlots, bVals, sr, plusTimes)
-			} else {
-				w.acc.sizeFor(colFlops[p], aRows)
-				hashAccumulateColumn(&w.acc, av, aSlots, bVals, sr, plusTimes)
-				w.drain(sortedOut)
-			}
+			w.mulColumn(pl, av, p, k, sr, plusTimes, aRows, k.sorts())
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
 	}, mode)
 	// A doubly-compressed product lists its columns in an array of its own,
 	// compacted in place below: B's is B's.
-	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, sortedOut), loan
+	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, k.sorts()), loan
+}
+
+// kernelView returns the view of A that kernel k reads: A's own or, for the
+// heap-based kernels, which require sorted A columns, a sorted copy when A is
+// unsorted — made once per call and shared read-only by all its workers.
+// Sorting moves entries inside columns only, so the plan's slots hold for
+// the copy.
+func (pl *Plan) kernelView(k Kernel) *colView {
+	if (k != KernelHeap && k != KernelHybrid) || pl.a.Sorted() {
+		return &pl.av
+	}
+	a := pl.a.CloneMat()
+	a.SortColumns()
+	sorted := viewOf(a)
+	return &sorted
+}
+
+// mulColumn appends the product column of B's slot p to the worker's chunk,
+// as kernel k makes it: heap-merged (ascending), or accumulated in the table
+// and drained ascending when sorted, in insertion order otherwise. av is
+// pl.kernelView(k) and rows its height.
+func (w *mmWorker) mulColumn(pl *Plan, av *colView, p int32, k Kernel, sr *semiring.Semiring, plusTimes bool, rows int32, sorted bool) {
+	aSlots, bVals := pl.aSlots(p), pl.bVals(p)
+	if k.heapColumn(pl.colFlops[p]) {
+		w.heapMulColumn(av, aSlots, bVals, sr, plusTimes)
+		return
+	}
+	w.acc.sizeFor(pl.colFlops[p], rows)
+	hashAccumulateColumn(&w.acc, av, aSlots, bVals, sr, plusTimes)
+	w.drain(sorted)
 }
 
 // ParallelSpGEMM is MulMat over CSC operands: the selected kernel with
@@ -433,39 +459,13 @@ func mergeMats(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput
 	}
 	if mg == MergerHeap {
 		sortOutput = true
-		sorted := make([]spmat.Matrix, len(mats))
-		for i, m := range mats {
-			if !m.Sorted() {
-				m = m.CloneMat()
-				m.SortColumns()
-			}
-			sorted[i] = m
-		}
-		mats = sorted
+		mats = sortedOperands(mats)
 	}
 	views := make([]colView, len(mats))
-	allDCSC := true
 	for i, m := range mats {
 		views[i] = viewOf(m)
-		allDCSC = allDCSC && views[i].compressed
 	}
-	// The output's slots and the input entries of each: the union of the
-	// stored columns when the output is DCSC, every column otherwise.
-	slots := colView{n: cols}
-	var colIn []int64
-	if allDCSC {
-		slots.compressed = true
-		slots.jc, colIn = unionCols(views)
-		slots.n = int32(len(colIn))
-	} else {
-		colIn = make([]int64, cols)
-		for i := range views {
-			v := &views[i]
-			for p := int32(0); p < v.n; p++ {
-				colIn[v.index(p)] += v.ptr[p+1] - v.ptr[p]
-			}
-		}
-	}
+	slots, colIn := mergeSlots(views, cols, nil)
 	var entries int64
 	for _, m := range mats {
 		entries += m.NNZ()
@@ -479,29 +479,61 @@ func mergeMats(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput
 				continue
 			}
 			start := len(w.rows)
-			parts := w.gather(views, slots.index(p))
-			if mg == MergerHeap {
-				w.heapColumn(parts, nil, sr, plusTimes)
-			} else {
-				w.acc.sizeFor(colIn[p], rows)
-				hashAccumulateParts(&w.acc, parts, sr, plusTimes)
-				w.drain(sortOutput)
-			}
+			w.mergeColumn(mg, w.gather(views, slots.index(p)), colIn[p], rows, sr, plusTimes, sortOutput)
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
 	}, out)
-	return newOutput(rows, cols, slots.jc, allDCSC, ptr, ir, num, sortOutput), loan
+	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sortOutput), loan
+}
+
+// mergeSlots returns the slots of a merge of the operands viewed by views,
+// cols columns wide, and the input entries of each, in buf's array when it
+// has room: the union of the stored columns when every operand is
+// doubly-compressed — the output is then DCSC (slots.compressed) — and every
+// column otherwise.
+func mergeSlots(views []colView, cols int32, buf []int64) (slots colView, colIn []int64) {
+	allDCSC := true
+	for i := range views {
+		allDCSC = allDCSC && views[i].compressed
+	}
+	if allDCSC {
+		slots.jc, colIn = unionCols(views, buf)
+		return colView{n: int32(len(colIn)), compressed: true, jc: slots.jc}, colIn
+	}
+	colIn = slices.Grow(buf[:0], int(cols))[:cols]
+	clear(colIn)
+	for i := range views {
+		v := &views[i]
+		for p := int32(0); p < v.n; p++ {
+			colIn[v.index(p)] += v.ptr[p+1] - v.ptr[p]
+		}
+	}
+	return colView{n: cols}, colIn
+}
+
+// mergeColumn appends the merge of one column's parts, in operand order, to
+// the worker's chunk: heap-merged (ascending) under the heap merger, else
+// accumulated in the table — sized for want contributions into a rows-tall
+// operand — and drained in insertion order or, when sorted, ascending.
+func (w *mmWorker) mergeColumn(mg Merger, parts []colPart, want int64, rows int32, sr *semiring.Semiring, plusTimes, sorted bool) {
+	if mg == MergerHeap {
+		w.heapColumn(parts, nil, sr, plusTimes)
+		return
+	}
+	w.acc.sizeFor(want, rows)
+	hashAccumulateParts(&w.acc, parts, sr, plusTimes)
+	w.drain(sorted)
 }
 
 // unionCols k-way-merges the stored-column lists of doubly-compressed
 // operands into their ascending union, with each union column's total entry
-// count.
-func unionCols(views []colView) (union []int32, colIn []int64) {
+// count (in buf's array when it has room).
+func unionCols(views []colView, buf []int64) (union []int32, colIn []int64) {
 	total := 0
 	for i := range views {
 		total += int(views[i].n)
 	}
-	union, colIn = make([]int32, 0, total), make([]int64, 0, total)
+	union, colIn = make([]int32, 0, total), slices.Grow(buf[:0], total)
 	idx := make([]int32, len(views))
 	for {
 		minJ := int32(-1)

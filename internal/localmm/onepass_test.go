@@ -252,10 +252,12 @@ func TestOnePassMergeAgainstDenseReference(t *testing.T) {
 // the per-slot counts; a multiply and a symbolic count over it must hold the
 // same pin, and the multiply must allocate no more objects than over a CSC A,
 // which it does only because those arrays go back to the free list with the
-// plan (Plan.Release).
+// plan (Plan.Release). So must a plan and a fused last-stage merge over it
+// (Plan.MulMerge), whose window counts and per-slot input entries live in
+// the plan's arrays.
 func TestSteadyStateAllocations(t *testing.T) {
 	sr := semiring.PlusTimes()
-	type counts struct{ mul, merge, mulDCSC, symDCSC float64 }
+	type counts struct{ mul, merge, mulDCSC, symDCSC, mulMerge float64 }
 	perCall := func(cols int32) counts {
 		a := hyperMat(t, 256, 256, 4000, 231)
 		aD := a.ToDCSC()
@@ -266,13 +268,18 @@ func TestSteadyStateAllocations(t *testing.T) {
 			func() { MergeMat(MergerHash, parts, sr, true, 1) },
 			func() { MulMat(KernelHashSorted, aD, b, sr, 1) },
 			func() { SymbolicMat(aD, b, 1) },
+			func() {
+				pl := PlanMul(a, b)
+				pl.MulMerge(KernelHashUnsorted, MergerHash, parts[1:2], 0, cols, sr, false, 1)
+				pl.Release()
+			},
 		}
-		var n [4]float64
+		var n [5]float64
 		for i, call := range calls {
 			call()
 			n[i] = testing.AllocsPerRun(10, call)
 		}
-		return counts{n[0], n[1], n[2], n[3]}
+		return counts{n[0], n[1], n[2], n[3], n[4]}
 	}
 	// Warm the scratch on the large shape first, so neither measurement
 	// below sees it grow.
@@ -282,7 +289,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 		t.Errorf("allocations depend on the column count: %+v at 64 columns, %+v at 4096", small, large)
 	}
 	const metadata = 20
-	if max(large.mul, large.merge, large.mulDCSC, large.symDCSC) > metadata {
+	if max(large.mul, large.merge, large.mulDCSC, large.symDCSC, large.mulMerge) > metadata {
 		t.Errorf("steady-state calls allocate %+v objects, want at most %d", large, metadata)
 	}
 	if large.mulDCSC != large.mul {

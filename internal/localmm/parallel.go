@@ -58,7 +58,9 @@ import (
 // mmWorker is one range's reusable scratch: a hash accumulator for the hash
 // kernels, a row set for the symbolic pass, a heap and column views for the
 // heap kernels, per-operand column cursors for merges, the pair sorter's
-// buffers, and the chunk — the finished columns of the range (rows, vals).
+// buffers, a column scratch (col: one product column on its way into a merge,
+// Plan.MulMerge), and the chunk — the finished columns of the range (rows,
+// vals).
 // All of it is grown, never re-made, and kept across calls on a free list.
 // Only the chunk can leave: lent out as an output's entry arrays
 // (Plan.MulLent, MergeLent), it comes back to a list of its own while the rest of the
@@ -78,6 +80,7 @@ type mmWorker struct {
 	pos    []int
 	rows   []int32
 	vals   []float64
+	col    chunk
 	sorter spmat.PairSorter
 	_      [64]byte
 }
@@ -155,6 +158,9 @@ func putWorker(w *mmWorker) {
 	if cap(w.rows) > maxKeptEntries {
 		w.rows, w.vals, w.sorter = nil, nil, spmat.PairSorter{}
 	}
+	if max(cap(w.col.rows), cap(w.col.vals)) > maxKeptEntries {
+		w.col, w.sorter = chunk{}, spmat.PairSorter{}
+	}
 	if max(cap(w.acc.rows), cap(w.acc.vals)) > maxKeptEntries {
 		w.acc = hashAccum{}
 	}
@@ -188,11 +194,11 @@ func getPlanScratch() *planScratch {
 // bounds: an array above maxKeptEntries is dropped, and the list keeps at
 // most maxIdleWorkers plans' arrays.
 func putPlanScratch(s *planScratch) {
-	if cap(s.slots) > maxKeptEntries || cap(s.sums) > maxKeptEntries {
+	if max(cap(s.slots), cap(s.sums)) > maxKeptEntries {
 		s.slots, s.sums = nil, nil
 	}
-	if cap(s.colFlops) > maxKeptEntries {
-		s.colFlops = nil
+	if max(cap(s.colFlops), cap(s.winPtr), cap(s.winJC), cap(s.colIn)) > maxKeptEntries {
+		s.colFlops, s.winPtr, s.winJC, s.colIn = nil, nil, nil, nil
 	}
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
@@ -201,14 +207,15 @@ func putPlanScratch(s *planScratch) {
 	}
 }
 
-// poison overwrites a released plan's arrays: every slot past any column, every
-// running sum and flop count −1.
+// poison overwrites a released plan's arrays: every slot and window column
+// past any column, every running sum, flop count and entry count −1.
 func (s *planScratch) poison() {
-	slots := s.slots[:cap(s.slots)]
-	for i := range slots {
-		slots[i] = math.MaxInt32
+	for _, a := range [][]int32{s.slots[:cap(s.slots)], s.winJC[:cap(s.winJC)]} {
+		for i := range a {
+			a[i] = math.MaxInt32
+		}
 	}
-	for _, a := range [][]int64{s.sums[:cap(s.sums)], s.colFlops[:cap(s.colFlops)]} {
+	for _, a := range [][]int64{s.sums[:cap(s.sums)], s.colFlops[:cap(s.colFlops)], s.winPtr[:cap(s.winPtr)], s.colIn[:cap(s.colIn)]} {
 		for i := range a {
 			a[i] = -1
 		}

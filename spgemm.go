@@ -167,7 +167,9 @@ const (
 	KernelHybrid = localmm.KernelHybrid
 	// MergerHash is the paper's new sort-free hash merge (default).
 	MergerHash = localmm.MergerHash
-	// MergerHeap is the previous heap merge.
+	// MergerHeap is the previous heap merge. It merges every stage's
+	// column, the last stage's too, which the hash merge takes straight
+	// out of the multiply's accumulator where it can.
 	MergerHeap = localmm.MergerHeap
 )
 
