@@ -38,10 +38,10 @@ const hybridHeapThreshold = 64
 // sorts reports whether the kernel's output columns are sorted.
 func (k Kernel) sorts() bool { return k != KernelHashUnsorted }
 
-// heapColumn reports whether the kernel computes an output column of the
-// given flop count with the heap: always for the heap kernel, below
-// hybridHeapThreshold for the hybrid one, never for the hash kernels.
-func (k Kernel) heapColumn(flops int64) bool {
+// heapMerges reports whether the kernel computes an output column of the
+// given flop count with the heap: always for the heap kernel, up to
+// hybridHeapThreshold flops for the hybrid one, never for the hash kernels.
+func (k Kernel) heapMerges(flops int64) bool {
 	return k == KernelHeap || k == KernelHybrid && flops <= hybridHeapThreshold
 }
 

@@ -332,7 +332,7 @@ func (pl *Plan) kernelView(k Kernel) *colView {
 // pl.kernelView(k) and rows its height.
 func (w *mmWorker) mulColumn(pl *Plan, av *colView, p int32, k Kernel, sr *semiring.Semiring, plusTimes bool, rows int32, sorted bool) {
 	aSlots, bVals := pl.aSlots(p), pl.bVals(p)
-	if k.heapColumn(pl.colFlops[p]) {
+	if k.heapMerges(pl.colFlops[p]) {
 		w.heapMulColumn(av, aSlots, bVals, sr, plusTimes)
 		return
 	}
@@ -491,16 +491,16 @@ func mergeMats(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput
 // has room: the union of the stored columns when every operand is
 // doubly-compressed — the output is then DCSC (slots.compressed) — and every
 // column otherwise.
-func mergeSlots(views []colView, cols int32, buf []int64) (slots colView, colIn []int64) {
+func mergeSlots(views []colView, cols int32, buf []int64) (colView, []int64) {
 	allDCSC := true
 	for i := range views {
 		allDCSC = allDCSC && views[i].compressed
 	}
 	if allDCSC {
-		slots.jc, colIn = unionCols(views, buf)
-		return colView{n: int32(len(colIn)), compressed: true, jc: slots.jc}, colIn
+		jc, colIn := unionCols(views, buf)
+		return colView{n: int32(len(colIn)), compressed: true, jc: jc}, colIn
 	}
-	colIn = slices.Grow(buf[:0], int(cols))[:cols]
+	colIn := slices.Grow(buf[:0], int(cols))[:cols]
 	clear(colIn)
 	for i := range views {
 		v := &views[i]

@@ -82,9 +82,8 @@ func (pl *Plan) mulMerge(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32,
 	// The window of the product is one more operand, in B's format, whose
 	// slot i is B's slot p0 + i and whose entry counts are the slots' flops:
 	// a product column has entries exactly where it has flops, and no more
-	// entries than flops.
-	// Its arrays, and the slots' input entries, are the plan's scratch: they
-	// live for the call.
+	// entries than flops. Its arrays, and the slots' input entries, are the
+	// plan's scratch: they live for the call.
 	bv, sc := &pl.bv, pl.scratch
 	p0, p1 := pl.window(lo, hi)
 	tv := colView{n: p1 - p0, compressed: bv.compressed}
@@ -119,8 +118,8 @@ func (pl *Plan) mulMerge(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32,
 			}
 			start, j := len(w.rows), slots.index(s)
 			// B's slot of output column j, if the window stores it. The
-			// cursor steps over the stored columns without flops, which
-			// columns of no input entries (skipped above) can be.
+			// cursor steps over the stored columns the loop skipped: those
+			// without flops, in no earlier part either.
 			p := p0 + j
 			if tv.compressed {
 				c := w.pos[last]
@@ -132,46 +131,27 @@ func (pl *Plan) mulMerge(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32,
 				}
 				w.pos[last] = c
 			}
-			if p < 0 || pl.colFlops[p] == 0 {
+			switch {
+			case p < 0 || pl.colFlops[p] == 0:
 				w.mergeColumn(mg, w.gather(views[:last], j), colIn[s], rows, sr, plusTimes, sortOutput)
-				ptr[s+1] = int64(len(w.rows) - start)
-				continue
-			}
-			if mg == MergerHash && !k.heapColumn(pl.colFlops[p]) {
+			case mg == MergerHash && !k.heapMerges(pl.colFlops[p]):
 				w.acc.sizeFor(colIn[s], rows)
 				hashAccumulateColumn(&w.acc, av, pl.aSlots(p), pl.bVals(p), sr, plusTimes)
 				n += int64(len(w.acc.occupied))
-				parts := w.gather(views[:last], j)
-				switch {
-				case len(parts) == 0:
-					w.drain(sortOutput || k.sorts())
-				case sortOutput && len(parts) == 1:
-					hashAccumulateFirst(&w.acc, parts[0], sr, plusTimes)
-					w.drain(true)
-				case len(parts) == 1:
-					w.walkFirst(parts[0], sr, plusTimes)
-					w.drain(k.sorts())
-				default:
-					w.swapColumn()
-					w.rows, w.vals = w.rows[:0], w.vals[:0]
-					w.drain(k.sorts())
-					w.swapColumn()
-					w.mergeProduct(mg, parts, colIn[s], rows, sr, plusTimes, sortOutput)
-				}
-				ptr[s+1] = int64(len(w.rows) - start)
-				continue
+				w.mergeIntoTable(w.gather(views[:last], j), k, colIn[s], rows, sr, plusTimes, sortOutput)
+			default:
+				// A column the kernel heap-merges, or any column under the
+				// heap merger, which reads the product's column sorted: made
+				// into the column scratch, then merged by the merger's own
+				// routine. The heap kernels use the worker's parts while they
+				// run, so the earlier parts are gathered after.
+				w.swapColumn()
+				w.rows, w.vals = w.rows[:0], w.vals[:0]
+				w.mulColumn(pl, av, p, k, sr, plusTimes, rows, k.sorts() || mg == MergerHeap)
+				w.swapColumn()
+				n += int64(len(w.col.rows))
+				w.mergeProduct(mg, w.gather(views[:last], j), colIn[s], rows, sr, plusTimes, sortOutput)
 			}
-			// A column the kernel heap-merges, or any column under the heap
-			// merger, which reads the product's column sorted: made into the
-			// column scratch, then merged by the merger's own routine. The
-			// heap kernels use the worker's parts while they run, so the
-			// earlier parts are gathered after.
-			w.swapColumn()
-			w.rows, w.vals = w.rows[:0], w.vals[:0]
-			w.mulColumn(pl, av, p, k, sr, plusTimes, rows, k.sorts() || mg == MergerHeap)
-			w.swapColumn()
-			n += int64(len(w.col.rows))
-			w.mergeProduct(mg, w.gather(views[:last], j), colIn[s], rows, sr, plusTimes, sortOutput)
 			ptr[s+1] = int64(len(w.rows) - start)
 		}
 		made.Add(n)
@@ -209,6 +189,33 @@ func (pl *Plan) WindowFlops(lo, hi int32) int64 {
 func (w *mmWorker) swapColumn() {
 	w.rows, w.col.rows = w.col.rows, w.rows
 	w.vals, w.col.vals = w.col.vals, w.vals
+}
+
+// mergeIntoTable appends to the worker's chunk the hash merge of one
+// column's earlier parts with the product column its table holds, which
+// kernel k accumulated there, as MergeMat's would come out of [parts…, the
+// column drained in k's order]. With no part the table is drained; with one
+// it is merged in the table (hashAccumulateFirst for a sorted drain,
+// walkFirst otherwise); with more the column is drained into the column
+// scratch and merged with them (mergeProduct). want and rows size the table
+// as mergeColumn's.
+func (w *mmWorker) mergeIntoTable(parts []colPart, k Kernel, want int64, rows int32, sr *semiring.Semiring, plusTimes, sorted bool) {
+	switch {
+	case len(parts) == 0:
+		w.drain(sorted || k.sorts())
+	case len(parts) == 1 && sorted:
+		hashAccumulateFirst(&w.acc, parts[0], sr, plusTimes)
+		w.drain(true)
+	case len(parts) == 1:
+		w.walkFirst(parts[0], sr, plusTimes)
+		w.drain(k.sorts())
+	default:
+		w.swapColumn()
+		w.rows, w.vals = w.rows[:0], w.vals[:0]
+		w.drain(k.sorts())
+		w.swapColumn()
+		w.mergeProduct(MergerHash, parts, want, rows, sr, plusTimes, sorted)
+	}
 }
 
 // mergeProduct merges one column's earlier parts with the product column the
