@@ -11,7 +11,7 @@ GO ?= go
 FUZZTIME ?= 30s
 GATE_TOL ?= 0.05
 
-.PHONY: all build test deadcode race vet doc bench bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline golden plan serve soak ci
+.PHONY: all build test deadcode race vet doc bench-kernels bench-engine profile-engine bench-smoke bench-obs trace cover fuzz perfgate baseline golden plan serve soak ci
 
 # all: the tier-1 gate (build + test), the default target.
 all: build test
@@ -37,9 +37,9 @@ test:
 # tests reaches. A method is matched by its receiver type, not its name, and
 # counts as reached when its type implements an interface whose method is
 # called; a type error fails the test. Delete such code or move it into a
-# _test.go file; a deliberate test oracle, fixture builder or benchmark
-# ablation goes on testOnlyAllowlist in deadcode_test.go with the test that
-# needs it. `make test` runs it too.
+# _test.go file; a deliberate test oracle or fixture builder goes on
+# testOnlyAllowlist in deadcode_test.go with the test that needs it.
+# `make test` runs it too.
 deadcode:
 	$(GO) test -run '^TestNoTestOnlyExports$$' .
 
@@ -97,12 +97,6 @@ doc:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 	$(GO) vet ./...
-
-# bench: every root-level benchmark (per-figure experiment runs plus the
-# kernel, merge-strategy, thread-sweep, and staged-vs-pipelined ablations),
-# without running tests.
-bench:
-	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # cover: the full test suite with per-package coverage, writing an HTML
 # report to cover.html (open it in a browser to drill into files).
@@ -186,14 +180,28 @@ soak:
 plan:
 	$(GO) run ./cmd/spgemm-bench -plangate -scale tiny
 
+# bench-json: the awk program bench-kernels and bench-obs pipe `go test -bench`
+# output through — one "name": ns/op entry per benchmark line, under the
+# runner's CPU, core count, GOMAXPROCS, Go version and OS and the command
+# that regenerates the file, $(1).
+bench-json = awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" -v regen="$(1)" \
+	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
+	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \
+	    if (match(name,/-[0-9]+$$/)) {procs=substr(name,RSTART+1); name=substr(name,1,RSTART-1)} \
+	    vals[n]=sprintf("    \"%s\": %s",name,$$3); n++} \
+	  END{print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"unit\": \"ns/op\",\n  \"regenerate\": \"%s\",\n  \"ns_per_op\": {\n", cpu, numcpu, procs, gover, goos, regen; \
+	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}'
+
 # bench-kernels: regenerate BENCH_kernels.json — the recorded thread sweep
 # of the unsorted-hash local multiply, the heap/hash/hybrid crossover
-# measurements, the sorted hash merge on the Merge-Fiber and hypersparse
-# shapes and a one-layer grid's two merges with the sort in the drain against
-# the copy-and-sort it replaced, a q = 2 Merge-Layer with the last stage's
-# multiply materialized against fused into the merge (BenchmarkMergeLayer, on
-# a kmer-hyper and a protein-like stage block pair), the format-generic
-# multiply on a DCSC operand, and the one-vs-two
+# measurements with the previous generation's sorted-hash kernel beside them,
+# the sorted hash merge on the Merge-Fiber and hypersparse shapes, a one-layer
+# grid's two merges with the sort in the drain against the copy-and-sort it
+# replaced, and the previous generation's heap merge of unsorted and of sorted
+# operands (the Table VII / Fig. 15 baselines), a q = 2 Merge-Layer with the
+# last stage's multiply materialized against fused into the merge
+# (BenchmarkMergeLayer, on a kmer-hyper and a protein-like stage block pair),
+# the format-generic multiply on a DCSC operand, and the one-vs-two
 # worker sweep the kernels' worker floor is set from
 # (localmm.workPerExtraWorker), and the direct-table versus hash-table sweep
 # the accumulator's regime bound is set from (localmm.directTableBytes:
@@ -202,7 +210,7 @@ plan:
 # 36 hits= cells: multiply, merge and the symbolic count at 2¹⁰ and 2¹⁵ rows
 # where 0, 50 or 90 % of a column's contributions land on a row already in
 # the table, the axis on which an insert that branches on hit-or-new shows;
-# 190 benchmark cells in the target all told, 150 before that axis), on this
+# 196 benchmark cells in the target all told, 150 before that axis), on this
 # runner,
 # with the runner's NumCPU, GOMAXPROCS and Go version beside them (a thread
 # sweep means nothing without the core count). Wall-clock numbers;
@@ -213,14 +221,7 @@ plan:
 KERNELS_BENCHTIME ?= 1s
 bench-kernels:
 	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover|MergeSortedOutput|MergeLayer|MulMatGeneric|WorkerSpawnCrossover|AccumulatorCrossover' -benchtime=$(KERNELS_BENCHTIME) ./internal/localmm \
-	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
-	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
-	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \
-	    if (match(name,/-[0-9]+$$/)) {procs=substr(name,RSTART+1); name=substr(name,1,RSTART-1)} \
-	    vals[n]=sprintf("    \"%s\": %s",name,$$3); n++} \
-	  END{print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"unit\": \"ns/op\",\n  \"regenerate\": \"make bench-kernels\",\n  \"ns_per_op\": {\n", cpu, numcpu, procs, gover, goos; \
-	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}' \
-	> BENCH_kernels.json
+	| $(call bench-json,make bench-kernels) > BENCH_kernels.json
 	@cat BENCH_kernels.json
 
 # bench-engine: regenerate BENCH_engine.json — one whole distributed multiply
@@ -300,14 +301,7 @@ trace:
 # TestTracingDisabledAddsZeroAllocations in `make test`.
 bench-obs:
 	$(GO) test -run='^$$' -bench='TraceOverhead' -benchtime=500000x ./internal/mpi \
-	| awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) env GOVERSION)" \
-	  'BEGIN{n=0; procs=1} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \
-	  /^Benchmark/{name=$$1; sub(/^Benchmark/,"",name); \
-	    if (match(name,/-[0-9]+$$/)) {procs=substr(name,RSTART+1); name=substr(name,1,RSTART-1)} \
-	    vals[n]=sprintf("    \"%s\": %s",name,$$3); n++} \
-	  END{print "{"; printf "  \"cpu\": \"%s\",\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"go_version\": \"%s\",\n  \"goos\": \"%s\",\n  \"unit\": \"ns/op\",\n  \"regenerate\": \"make bench-obs\",\n  \"ns_per_op\": {\n", cpu, numcpu, procs, gover, goos; \
-	  for(i=0;i<n;i++) printf "%s%s\n", vals[i], (i<n-1?",":""); print "  }"; print "}"}' \
-	> BENCH_obs.json
+	| $(call bench-json,make bench-obs) > BENCH_obs.json
 	@cat BENCH_obs.json
 
 # ci: what the GitHub Actions workflow runs on every push and pull request —

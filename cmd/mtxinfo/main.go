@@ -23,7 +23,7 @@
 //	mtxinfo graph.mtx
 //	mtxinfo -mem 1e9 -procs 64 -layers 4 graph.mtx
 //	mtxinfo -grid 2x2x16 reads.mtx
-//	mtxinfo -plan -machine knl -p 1024 -mem 4GB graph.mtx
+//	mtxinfo -plan -machine knl -procs 1024 -mem 4GB graph.mtx
 //	mtxinfo -plan -trace plan.json graph.mtx
 package main
 
@@ -31,8 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -47,8 +45,7 @@ import (
 func main() {
 	var (
 		memStr  = flag.String("mem", "", "aggregate memory budget in bytes, with optional suffix: 4GB, 512MB, 1e9 (empty = unconstrained)")
-		procs   = flag.Int("procs", 64, "process count for the batch estimate")
-		pFlag   = flag.Int("p", 0, "process count for -plan (0 = use -procs)")
+		procs   = flag.Int("procs", 64, "process count for the batch estimate and -plan")
 		layers  = flag.Int("layers", 4, "layer count for the batch estimate")
 		gridSh  = flag.String("grid", "", "per-block hypersparsity report for a RxCxL process grid, e.g. 2x2x16 (R must equal C)")
 		plan    = flag.Bool("plan", false, "run the analytical autotuner for the self-product and print the ranked configurations with per-step predicted costs")
@@ -57,12 +54,12 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mtxinfo [-mem B -procs P -layers L] [-plan -machine M -p P] file.mtx")
+		fmt.Fprintln(os.Stderr, "usage: mtxinfo [-mem B -procs P -layers L] [-plan -machine M] file.mtx")
 		os.Exit(2)
 	}
-	mem, err := parseBytes(*memStr)
+	mem, err := costmodel.ParseBytes(*memStr)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-mem: %w", err))
 	}
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
@@ -105,12 +102,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		p := *pFlag
-		if p <= 0 {
-			p = *procs
-		}
 		// The daemon's and the autotune's input: every axis they rank.
-		pl, err := planner.New(a, b, core.PlanInput(core.RunConfig{P: p, Opts: core.Options{MemBytes: mem}}, m))
+		pl, err := planner.New(a, b, core.PlanInput(core.RunConfig{P: *procs, Opts: core.Options{MemBytes: mem}}, m))
 		if err != nil {
 			fatal(err)
 		}
@@ -254,39 +247,6 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// parseBytes parses a byte count with an optional decimal suffix (KB, MB,
-// GB, TB, or their KiB/MiB/… binary forms, case-insensitive); a bare number
-// may use any float syntax ("1e9"). Empty means zero.
-func parseBytes(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil
-	}
-	upper := strings.ToUpper(s)
-	mult := 1.0
-	for _, suf := range []struct {
-		tag string
-		f   float64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30}, {"TIB", 1 << 40},
-		{"KB", 1e3}, {"MB", 1e6}, {"GB", 1e9}, {"TB", 1e12}, {"B", 1},
-	} {
-		if strings.HasSuffix(upper, suf.tag) {
-			mult = suf.f
-			upper = strings.TrimSpace(strings.TrimSuffix(upper, suf.tag))
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(upper, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad -mem %q (want e.g. 4GB, 512MB, 1e9)", s)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("bad -mem %q: negative", s)
-	}
-	return int64(v * mult), nil
 }
 
 func fatal(err error) {

@@ -31,6 +31,7 @@ var testOnlyAllowlist = map[string]string{
 	"spmat.CSC.Validate":            "oracle: FuzzDeserializeMatrix and the kernel tests check CSC invariants",
 	"spmat.DCSC.Validate":           "oracle: FuzzDeserializeMatrix and the DCSC tests check DCSC invariants",
 	"spmat.Add":                     "oracle: the localmm merge tests sum their operands with it",
+	"spmat.MatColSubsetSerialize":   "oracle: TestColSubsetViewWire holds SubsetWireBytes (as CommBytes) to the length of these bytes; TestEncodersMatchReference",
 	// The trace↔meter identity: a rank's spans replay to its meter's steps.
 	"mpi.Meter.Step":           "oracle: TestTraceMatchesMeter and TestTraceMatchesMeterDense read each rank's meter; the mpi metering tests",
 	"mpi.Meter.Categories":     "oracle: TestTraceMatchesMeter and TestTraceMatchesMeterDense compare a rank's step set with its spans'",
@@ -41,16 +42,6 @@ var testOnlyAllowlist = map[string]string{
 	"spmat.CSC.ToDense":   "fixture: the localmm kernel tests compare products as dense arrays",
 	"spmat.CSC.DropZeros": "fixture: the localmm kernel and mask tests drop explicit zeros before comparing",
 	"spmat.HCat":          "fixture: the core tests read a rank's pieces as one CSC; localmm regime fixtures",
-	// The paper's Sec. IV-B batch-split ablation (root bench_test.go).
-	"spmat.ColSplit":       "ablation: BenchmarkBatchSplitBlock and the merge-per-stage benchmarks",
-	"spmat.ColSplitCyclic": "ablation: BenchmarkBatchSplitCyclic",
-	"genmat.Permutation":   "ablation: the merge benchmarks and TestPermutationIsPermutation",
-	// Pooled wire buffers for a copying transport, which the simulator does not
-	// have yet: it delivers payloads by reference.
-	"spmat.MatColSubsetSerialize": "transport: TestColSubsetViewWire, TestEncodersMatchReference; the subset bytes a copying transport ships",
-	"mpi.Comm.GetBuf":             "transport: TestGetBufReuses; a copying transport's send buffers",
-	"mpi.Comm.PutBuf":             "transport: TestGetBufReuses; a copying transport's send buffers",
-	"mpi.Comm.PutRecv":            "transport: TestSteadyStateSendsDoNotAllocate; receive buffers back to the pool",
 }
 
 // stdInterfaceMethods are methods the standard library calls through an

@@ -339,6 +339,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	meter.Recorder().TagChannel(led.claim(post, used))
 	recv[g.K] = own
 	c, loan := p.mergeFiber(recv, res)
+	g.Fiber.PutRecv(recv)
 	return c, append(batchLoans, loan), p.bt.BatchLayerCols(t, g.K)
 }
 

@@ -9,6 +9,8 @@ package costmodel
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/mpi"
 )
@@ -125,4 +127,38 @@ func ByName(name string) (Machine, error) {
 		return LocalHost(), nil
 	}
 	return Machine{}, fmt.Errorf("costmodel: unknown machine %q", name)
+}
+
+// ParseBytes parses a memory budget: a byte count with an optional decimal
+// suffix (KB, MB, GB, TB, or their KiB/MiB/… binary forms, case-insensitive);
+// a bare number may use any float syntax ("1e9"). Empty means zero
+// (unconstrained).
+func ParseBytes(s string) (int64, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, nil
+	}
+	upper := strings.ToUpper(s)
+	mult := 1.0
+	for _, suf := range []struct {
+		tag string
+		f   float64
+	}{
+		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30}, {"TIB", 1 << 40},
+		{"KB", 1e3}, {"MB", 1e6}, {"GB", 1e9}, {"TB", 1e12}, {"B", 1},
+	} {
+		if strings.HasSuffix(upper, suf.tag) {
+			mult = suf.f
+			upper = strings.TrimSpace(strings.TrimSuffix(upper, suf.tag))
+			break
+		}
+	}
+	v, err := strconv.ParseFloat(upper, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad byte count %q (want e.g. 4GB, 512MB, 1e9)", s)
+	}
+	if v < 0 {
+		return 0, fmt.Errorf("bad byte count %q: negative", s)
+	}
+	return int64(v * mult), nil
 }

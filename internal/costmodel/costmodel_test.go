@@ -133,3 +133,43 @@ func TestScaledBetaLeavesAlpha(t *testing.T) {
 
 // Total returns latency plus bandwidth seconds.
 func (r TableIIRow) Total() float64 { return r.LatencySec + r.BandwidthSec }
+
+func TestParseBytes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		bad  bool
+	}{
+		{in: "", want: 0},
+		{in: "  ", want: 0},
+		{in: "4096", want: 4096},
+		{in: "512B", want: 512},
+		{in: "1e9", want: 1e9},
+		{in: "2.5e3", want: 2500},
+		{in: "4GB", want: 4e9},
+		{in: "512 mb", want: 512e6},
+		{in: "1.5KB", want: 1500},
+		{in: "3TB", want: 3e12},
+		{in: "64KiB", want: 64 << 10},
+		{in: "2gib", want: 2 << 30},
+		{in: "1.5MiB", want: 3 << 19},
+		{in: "1TiB", want: 1 << 40},
+		{in: "-1", bad: true},
+		{in: "-2GB", bad: true},
+		{in: "lots", bad: true},
+		{in: "GB", bad: true},
+		{in: "4XB", bad: true},
+		{in: "1e9e9", bad: true},
+	} {
+		got, err := ParseBytes(tc.in)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("ParseBytes(%q) = %d, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseBytes(%q) = %d, %v, want %d", tc.in, got, err, tc.want)
+		}
+	}
+}

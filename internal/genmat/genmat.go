@@ -247,22 +247,6 @@ func SymmetricPermute(m *spmat.CSC, seed int64) *spmat.CSC {
 	return out
 }
 
-// Permutation returns a random n×n permutation matrix; multiplying by it
-// relabels rows/columns, useful for load-balance experiments.
-func Permutation(n int32, seed int64) *spmat.CSC {
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(int(n))
-	ts := make([]spmat.Triple, n)
-	for j := int32(0); j < n; j++ {
-		ts[j] = spmat.Triple{Row: int32(perm[j]), Col: j, Val: 1}
-	}
-	m, err := spmat.FromTriples(n, n, ts, nil)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // LowerTriangle returns the strictly lower-triangular part of m (triangle
 // counting splits the adjacency matrix into L and U).
 func LowerTriangle(m *spmat.CSC) *spmat.CSC {

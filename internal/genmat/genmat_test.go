@@ -125,28 +125,6 @@ func TestKmerNoOverlapStillValid(t *testing.T) {
 	}
 }
 
-func TestPermutationIsPermutation(t *testing.T) {
-	p := Permutation(64, 15)
-	if p.NNZ() != 64 {
-		t.Fatalf("nnz=%d", p.NNZ())
-	}
-	seenRow := make([]bool, 64)
-	for _, tr := range p.Triples() {
-		if tr.Val != 1 {
-			t.Fatal("permutation values must be 1")
-		}
-		if seenRow[tr.Row] {
-			t.Fatal("duplicate row in permutation")
-		}
-		seenRow[tr.Row] = true
-	}
-	// P·Pᵀ = I.
-	prod := localmm.Multiply(p, spmat.Transpose(p), nil2())
-	if !spmat.Equal(prod, spmat.Identity(64)) {
-		t.Error("P·Pᵀ ≠ I")
-	}
-}
-
 func TestTriangleSplit(t *testing.T) {
 	m := RMAT(RMATConfig{Scale: 6, EdgeFactor: 8, Symmetrize: true, Seed: 16})
 	l, u := LowerTriangle(m), UpperTriangle(m)

@@ -52,8 +52,10 @@ func BenchmarkHashSpGEMMParallel(b *testing.B) {
 // prior). On every host measured so far there is no crossover — unsorted-hash
 // wins all four regimes — which is why nothing selects a kernel any more;
 // this benchmark keeps that claim re-measurable, and BENCH_kernels.json
-// snapshots it for the runner. Column degrees are uniform, making
-// flops/col = dA·dB exact.
+// snapshots it for the runner. The sorted-hash kernel, the previous
+// generation's (Table VII, Fig. 15), runs beside them: the price of sorting
+// every output column. Column degrees are uniform, making flops/col = dA·dB
+// exact.
 func BenchmarkKernelCrossover(b *testing.B) {
 	sr := semiring.PlusTimes()
 	shapes := []struct {
@@ -67,7 +69,7 @@ func BenchmarkKernelCrossover(b *testing.B) {
 		{"boundary", 8, 8, 2048, 64},   // at the modeled meeting point
 		{"dense", 32, 32, 1024, 1024},  // far above it
 	}
-	kernels := []Kernel{KernelHeap, KernelHashUnsorted, KernelHybrid}
+	kernels := []Kernel{KernelHeap, KernelHashUnsorted, KernelHybrid, KernelHashSorted}
 	for _, sh := range shapes {
 		a := uniformMat(b, sh.rows, sh.rows, sh.dA, 92)
 		bm := uniformMat(b, sh.rows, sh.rows, sh.dB, 93)
@@ -107,12 +109,17 @@ func hyperDCSC(rows, stored, stride int32, seed int64) *spmat.DCSC {
 // runs — Merge-Layer drains its table in ascending order and the one-operand
 // Merge-Fiber hands that back — and clone-sort what it ran before: an
 // unsorted Merge-Layer, then a copy of its output sorted column by column.
+// The heap rows are the previous generation's k-way heap merge (Table VII,
+// Fig. 15) on the protein shape: of the same unsorted operands, whose sort it
+// pays inside the merge, and of their sorted originals.
 func BenchmarkMergeSortedOutput(b *testing.B) {
 	sr := semiring.PlusTimes()
 	protein := make([]spmat.Matrix, 4)
+	sortedProtein := make([]spmat.Matrix, 4)
 	hyper := make([]spmat.Matrix, 4)
 	for i := range protein {
-		protein[i] = scrambleColumns(uniformMat(b, 1024, 128, 77, 94+int64(i)), 95)
+		sorted := uniformMat(b, 1024, 128, 77, 94+int64(i))
+		sortedProtein[i], protein[i] = sorted, scrambleColumns(sorted, 95)
 		hyper[i] = hyperDCSC(1<<20, 2048, 8, 98+int64(i))
 	}
 	for _, sh := range []struct {
@@ -137,6 +144,16 @@ func BenchmarkMergeSortedOutput(b *testing.B) {
 			c.SortColumns()
 		}
 	})
+	for _, in := range []struct {
+		name string
+		mats []spmat.Matrix
+	}{{"unsorted-inputs", protein}, {"sorted-inputs", sortedProtein}} {
+		b.Run("heap/"+in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MergeMat(MergerHeap, in.mats, sr, true, 1)
+			}
+		})
+	}
 }
 
 // BenchmarkMulMatGeneric measures the format-generic multiply with a

@@ -53,15 +53,14 @@
 //
 // # Buffer pool ownership
 //
-// Each Comm handle carries a per-rank free pool (request structs, AllToAllv
-// receive slices, wire byte buffers from GetBuf) so steady-state send loops
-// allocate nothing. The rules: pooled objects are owned by exactly one
-// rank's goroutine and never shared; a request pointer dies the moment its
-// Wait/WaitOverlap returns (the struct is recycled — do not retain it); a
-// receive slice or GetBuf buffer belongs to the caller until it is returned
-// with PutRecv/PutBuf, and returning it is optional — dropping it merely
-// costs an allocation on the next call. Payload contents are never pooled:
-// they remain shared read-only objects owned by the sender.
+// Each Comm handle carries a per-rank free pool (request structs and
+// AllToAllv receive slices) so steady-state send loops allocate nothing. The
+// rules: pooled objects are owned by exactly one rank's goroutine and never
+// shared; a request pointer dies the moment its Wait/WaitOverlap returns (the
+// struct is recycled — do not retain it); a receive slice belongs to the
+// caller until it is returned with PutRecv, and returning it is optional —
+// dropping it merely costs an allocation on the next call. Payload contents
+// are never pooled: they remain shared read-only objects owned by the sender.
 //
 // All collectives (posts included) are bulk-synchronous and must be called
 // by every rank of a communicator in the same order.

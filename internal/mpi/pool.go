@@ -1,23 +1,21 @@
 package mpi
 
 // commPool is the per-communicator, per-rank free pool behind the split
-// collectives: completed request structs, AllToAllv receive slices, and wire
-// byte buffers are recycled here so a steady-state communication loop — the
-// batched SUMMA schedule posts and completes the same collectives once per
-// stage per batch — performs zero heap allocations per send once warm.
+// collectives: completed request structs and AllToAllv receive slices are
+// recycled here so a steady-state communication loop — the batched SUMMA
+// schedule posts and completes the same collectives once per stage per
+// batch — performs zero heap allocations per send once warm.
 //
 // Ownership rules (see also doc.go): a pool belongs to exactly one rank's
 // Comm handle and is only touched from that rank's goroutine, so no locking
 // is needed. Objects handed out by the pool belong to the caller until they
-// are explicitly returned (PutBuf, PutRecv) or implicitly returned by
-// completing a request (Wait/WaitOverlap recycle the request struct itself —
-// a request pointer is dead the moment its Wait returns and must not be
-// retained).
+// are explicitly returned (PutRecv) or implicitly returned by completing a
+// request (Wait/WaitOverlap recycle the request struct itself — a request
+// pointer is dead the moment its Wait returns and must not be retained).
 type commPool struct {
 	bcast []*BcastRequest
 	a2a   []*AllToAllvRequest
 	recv  [][]Payload
-	bufs  [][]byte
 }
 
 // poolCap bounds each free list so a one-off burst of concurrent requests
@@ -88,30 +86,6 @@ func (c *Comm) PutRecv(s []Payload) {
 			s[i] = nil
 		}
 		p.recv = append(p.recv, s)
-	}
-}
-
-// GetBuf returns a byte buffer with capacity for at least n bytes, reusing a
-// pooled one when a large enough buffer is available. The buffer has length n
-// and is NOT zeroed; it belongs to the caller until PutBuf.
-func (c *Comm) GetBuf(n int64) []byte {
-	if p := c.pool; p != nil {
-		for i := len(p.bufs) - 1; i >= 0; i-- {
-			if int64(cap(p.bufs[i])) >= n {
-				b := p.bufs[i]
-				p.bufs[i] = p.bufs[len(p.bufs)-1]
-				p.bufs = p.bufs[:len(p.bufs)-1]
-				return b[:n]
-			}
-		}
-	}
-	return make([]byte, n)
-}
-
-// PutBuf returns a buffer obtained from GetBuf to the pool.
-func (c *Comm) PutBuf(b []byte) {
-	if p := c.pool; p != nil && b != nil && len(p.bufs) < poolCap {
-		p.bufs = append(p.bufs, b)
 	}
 }
 

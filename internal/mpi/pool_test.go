@@ -117,30 +117,6 @@ func TestSteadyStateSendsDoNotAllocate(t *testing.T) {
 	})
 }
 
-// TestGetBufReuses: the wire-buffer pool must hand a returned buffer back out
-// instead of allocating, and never hand out a too-small one.
-func TestGetBufReuses(t *testing.T) {
-	Run(2, poolCM, func(c *Comm) {
-		b := c.GetBuf(1024)
-		if len(b) != 1024 {
-			t.Fatalf("GetBuf length %d, want 1024", len(b))
-		}
-		c.PutBuf(b)
-		b2 := c.GetBuf(512)
-		if &b2[0] != &b[0] {
-			t.Error("GetBuf allocated although a pooled buffer fits")
-		}
-		if len(b2) != 512 {
-			t.Errorf("GetBuf length %d, want 512", len(b2))
-		}
-		c.PutBuf(b2)
-		big := c.GetBuf(4096)
-		if len(big) != 4096 {
-			t.Errorf("GetBuf length %d, want 4096", len(big))
-		}
-	})
-}
-
 // TestIbcastColsMetering pins the sparse broadcast's charging rules: with
 // small subsets the root meters like a personalized send of the summed
 // subsets and each receiver like one point-to-point receive; with subsets as

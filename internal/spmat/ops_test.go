@@ -102,11 +102,20 @@ func TestRowRange(t *testing.T) {
 	}
 }
 
+// colSplit cuts m into parts contiguous column ranges, the ColSplit of
+// Alg 2 line 4.
+func colSplit(m *CSC, parts int) []*CSC {
+	bounds := PartBounds(m.Cols, parts)
+	out := make([]*CSC, parts)
+	for i := range out {
+		out[i] = ColRange(m, bounds[i], bounds[i+1])
+	}
+	return out
+}
+
 func TestHCatInvertsColSplit(t *testing.T) {
 	m := randomCSC(t, 25, 13, 0.2, 7)
-	parts := ColSplit(m, 4)
-	back := HCat(parts)
-	if !Equal(m, back) {
+	if !Equal(m, HCat(colSplit(m, 4))) {
 		t.Error("HCat(ColSplit) is not identity")
 	}
 }
@@ -185,37 +194,6 @@ func TestPartBounds(t *testing.T) {
 	}
 }
 
-func TestCyclicColsPartition(t *testing.T) {
-	lists := CyclicCols(20, 3, 2)
-	seen := make(map[int32]int)
-	for p, l := range lists {
-		for _, c := range l {
-			seen[c]++
-			if want := (int(c) / 2) % 3; want != p {
-				t.Fatalf("column %d assigned to %d, want %d", c, p, want)
-			}
-		}
-	}
-	if len(seen) != 20 {
-		t.Fatalf("only %d columns covered", len(seen))
-	}
-}
-
-func TestConcatCyclicInvertsSplit(t *testing.T) {
-	for _, cols := range []int32{16, 17, 31} {
-		for _, parts := range []int{1, 2, 4} {
-			for _, block := range []int32{1, 2, 3} {
-				m := randomCSC(t, 12, cols, 0.3, int64(cols)*100+int64(parts)*10+int64(block))
-				pieces := ColSplitCyclic(m, parts, block)
-				back := ConcatCyclic(pieces, cols, block)
-				if !Equal(m, back) {
-					t.Fatalf("ConcatCyclic(ColSplitCyclic) not identity for cols=%d parts=%d block=%d", cols, parts, block)
-				}
-			}
-		}
-	}
-}
-
 // Property: ColSplit then HCat is identity for random shapes.
 func TestSplitConcatProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -224,7 +202,7 @@ func TestSplitConcatProperty(t *testing.T) {
 		cols := int32(rng.Intn(30) + 1)
 		parts := rng.Intn(5) + 1
 		m := randomCSC(t, rows, cols, 0.2, seed)
-		return Equal(m, HCat(ColSplit(m, parts)))
+		return Equal(m, HCat(colSplit(m, parts)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -247,49 +225,4 @@ func (m *CSC) Scale(s float64) {
 	for i := range m.Val {
 		m.Val[i] *= s
 	}
-}
-
-// ConcatCyclic inverts ColSplitCyclic: given the pieces and the original
-// total column count and block width, it reassembles the original column
-// order. It is the ColConcat of Alg 4 line 7 generalized to the block-cyclic
-// layout.
-func ConcatCyclic(pieces []*CSC, cols int32, block int32) *CSC {
-	parts := len(pieces)
-	lists := CyclicCols(cols, parts, block)
-	rows := pieces[0].Rows
-	var nnz int64
-	sorted := true
-	for _, p := range pieces {
-		nnz += p.NNZ()
-		sorted = sorted && p.SortedCols
-		if p.Rows != rows {
-			panic("spmat: ConcatCyclic row mismatch")
-		}
-	}
-	out := &CSC{
-		Rows:       rows,
-		Cols:       cols,
-		ColPtr:     make([]int64, cols+1),
-		RowIdx:     make([]int32, nnz),
-		Val:        make([]float64, nnz),
-		SortedCols: sorted,
-	}
-	// First pass: column sizes.
-	for p := range pieces {
-		for k, c := range lists[p] {
-			out.ColPtr[c+1] = pieces[p].ColNNZ(int32(k))
-		}
-	}
-	for j := int32(0); j < cols; j++ {
-		out.ColPtr[j+1] += out.ColPtr[j]
-	}
-	for p := range pieces {
-		for k, c := range lists[p] {
-			rws, vls := pieces[p].Column(int32(k))
-			off := out.ColPtr[c]
-			copy(out.RowIdx[off:], rws)
-			copy(out.Val[off:], vls)
-		}
-	}
-	return out
 }

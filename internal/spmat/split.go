@@ -198,42 +198,3 @@ func (d *dealer) dealRange(c int) {
 		}
 	}
 }
-
-// ColSplit splits m into parts matrices of contiguous column ranges
-// (Alg 2 line 4 uses this to split D̃ for the fiber AllToAll).
-func ColSplit(m *CSC, parts int) []*CSC {
-	bounds := PartBounds(m.Cols, parts)
-	out := make([]*CSC, parts)
-	for i := 0; i < parts; i++ {
-		out[i] = ColRange(m, bounds[i], bounds[i+1])
-	}
-	return out
-}
-
-// CyclicCols returns, for each of parts pieces, the list of columns assigned
-// to that piece under a block-cyclic distribution with the given block width:
-// column c belongs to piece (c/block) mod parts. The paper (Sec. IV-B) uses
-// this to split B̃ into batches so that each batch contains l aligned blocks,
-// balancing Merge-Fiber load.
-func CyclicCols(cols int32, parts int, block int32) [][]int32 {
-	if block <= 0 {
-		block = 1
-	}
-	out := make([][]int32, parts)
-	for c := int32(0); c < cols; c++ {
-		p := int((c / block)) % parts
-		out[p] = append(out[p], c)
-	}
-	return out
-}
-
-// ColSplitCyclic splits m into parts pieces block-cyclically with the given
-// block width. Piece p holds the columns CyclicCols assigns to p, in order.
-func ColSplitCyclic(m *CSC, parts int, block int32) []*CSC {
-	lists := CyclicCols(m.Cols, parts, block)
-	out := make([]*CSC, parts)
-	for p := range lists {
-		out[p] = ColSelect(m, lists[p])
-	}
-	return out
-}
