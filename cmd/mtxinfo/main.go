@@ -125,8 +125,11 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("\nper-block hypersparsity on the %dx%dx%d grid (p = %d):\n", q, q, l, q*q*l)
-		reportBlocks("A-style blocks (Ã of A)", aBlocks(a, q, l))
-		reportBlocks("B-style blocks (B̃ of the pair operand)", bBlocks(b, q, l))
+		da, db := distmat.NewADist(a.Rows, a.Cols, q, l), distmat.NewBDist(b.Rows, b.Cols, q, l)
+		nnz, ne := da.Count(a)
+		reportBlocks("A-style blocks (Ã of A)", nnz, ne, da.ColSlices())
+		nnz, ne = db.Count(b)
+		reportBlocks("B-style blocks (B̃ of the pair operand)", nnz, ne, db.ColB)
 	}
 }
 
@@ -173,53 +176,31 @@ func parseGrid(s string) (q, l int, err error) {
 	return r, l, nil
 }
 
-// allBlocks extracts every (i, j, k) local block of one distribution.
-func allBlocks(q, l int, local func(i, j, k int) *spmat.CSC) []*spmat.CSC {
-	out := make([]*spmat.CSC, 0, q*q*l)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			for k := 0; k < l; k++ {
-				out = append(out, local(i, j, k))
-			}
-		}
-	}
-	return out
-}
-
-// aBlocks extracts every local block of the A-style distribution.
-func aBlocks(a *spmat.CSC, q, l int) []*spmat.CSC {
-	d := distmat.NewADist(a.Rows, a.Cols, q, l)
-	return allBlocks(q, l, func(i, j, k int) *spmat.CSC { return d.Local(a, i, j, k) })
-}
-
-// bBlocks extracts every local block of the B-style distribution.
-func bBlocks(b *spmat.CSC, q, l int) []*spmat.CSC {
-	d := distmat.NewBDist(b.Rows, b.Cols, q, l)
-	return allBlocks(q, l, func(i, j, k int) *spmat.CSC { return d.Local(b, i, j, k) })
-}
-
 // reportBlocks prints the hypersparsity summary of one distribution's
-// blocks: occupancy, nnz per occupied column, both storage footprints, and
-// the auto heuristic's verdict.
-func reportBlocks(title string, blocks []*spmat.CSC) {
+// blocks from their entry and occupied-column counts (distmat's Count):
+// occupancy, nnz per occupied column, both storage footprints, and the auto
+// heuristic's verdict. Block x spans column range x mod (len(colB)-1) of
+// colB, the bounds its distribution's Split deals columns by.
+func reportBlocks(title string, nnz, ne []int64, colB []int32) {
 	var (
 		hyper                  int
 		totNNZ, totNE, totCols int64
 		cscBytes, dcscBytes    int64
 		minOcc, maxOcc         = 1.0, 0.0
 	)
-	for _, blk := range blocks {
-		ne := blk.NonEmptyCols()
-		totNNZ += blk.NNZ()
-		totNE += ne
-		totCols += int64(blk.Cols)
-		cscBytes += blk.MemBytes()
-		dcscBytes += blk.ToDCSC().MemBytes()
-		if spmat.Hypersparse(ne, blk.Cols) {
+	for x := range nnz {
+		c := x % (len(colB) - 1)
+		cols := colB[c+1] - colB[c]
+		totNNZ += nnz[x]
+		totNE += ne[x]
+		totCols += int64(cols)
+		cscBytes += spmat.MemBytesModel(spmat.FormatCSC, nnz[x], ne[x], spmat.BytesPerNonzero)
+		dcscBytes += spmat.MemBytesModel(spmat.FormatDCSC, nnz[x], ne[x], spmat.BytesPerNonzero)
+		if spmat.Hypersparse(ne[x], cols) {
 			hyper++
 		}
-		if blk.Cols > 0 {
-			occ := float64(ne) / float64(blk.Cols)
+		if cols > 0 {
+			occ := float64(ne[x]) / float64(cols)
 			if occ < minOcc {
 				minOcc = occ
 			}
@@ -234,7 +215,7 @@ func reportBlocks(title string, blocks []*spmat.CSC) {
 	}
 	fmt.Printf("  %s:\n", title)
 	fmt.Printf("    blocks:                 %d (%d hypersparse: auto picks dcsc, %d stay csc)\n",
-		len(blocks), hyper, len(blocks)-hyper)
+		len(nnz), hyper, len(nnz)-hyper)
 	fmt.Printf("    column occupancy:       %.1f%% mean (%.1f%%–%.1f%% per block)\n",
 		100*float64(totNE)/float64(max64(totCols, 1)), 100*minOcc, 100*maxOcc)
 	fmt.Printf("    nnz / occupied column:  %.2f\n", nnzPerCol)

@@ -29,6 +29,9 @@
 // format. That happens once per operand per grid and format, not once per
 // multiply, where the operand is kept: the daemon holds a resident matrix's
 // blocks (core.Dealt) for every later job on the same grid and format.
+// ADist.Count and BDist.Count run the sweep's count pass alone over the same
+// bounds (spmat.CountGrid) and copy nothing: every piece's entries and
+// occupied columns, which is what the planner and mtxinfo price a grid by.
 // Local/LocalMat cut a single block out with the same routine over
 // that block's own column range, for callers that want one block (tools,
 // the benchmark's replay, a test rank cutting its own blocks): each call is
@@ -71,10 +74,13 @@ func (d *ADist) RowRangeOf(i int) (int32, int32) { return d.RowB[i], d.RowB[i+1]
 // ColSliceOf returns the global column range [lo, hi) owned by (·, j, k):
 // slice k of block-column j.
 func (d *ADist) ColSliceOf(j, k int) (int32, int32) {
-	c0, c1 := d.ColB[j], d.ColB[j+1]
-	sb := spmat.PartBounds(c1-c0, d.L)
-	return c0 + sb[k], c0 + sb[k+1]
+	sb := sliceBounds(d.ColB[j:j+2], d.L)
+	return sb[k], sb[k+1]
 }
+
+// ColSlices returns the q·l+1 column bounds Split deals by: slice k of
+// block-column j is [out[j·l+k], out[j·l+k+1]).
+func (d *ADist) ColSlices() []int32 { return sliceBounds(d.ColB, d.L) }
 
 // Local extracts the piece of the global matrix owned by (i, j, k), with
 // local (0-based) indices.
@@ -100,14 +106,23 @@ func (d *ADist) LocalMat(global *spmat.CSC, i, j, k int, f spmat.Format) spmat.M
 // result.
 func (d *ADist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
 	checkLayout(global, d.Rows, d.Cols)
-	return spmat.SplitGrid(global, d.RowB, sliceBounds(d.ColB, d.L), f)
+	return spmat.SplitGrid(global, d.RowB, d.ColSlices(), f)
+}
+
+// Count counts what Split deals without dealing it: the entries and the
+// occupied columns of every piece, the piece of (i, j, k) at Index(i, j, k)
+// — spmat.CountGrid over Split's own bounds.
+func (d *ADist) Count(global *spmat.CSC) (nnz, ne []int64) {
+	checkLayout(global, d.Rows, d.Cols)
+	return spmat.CountGrid(global, d.RowB, d.ColSlices())
 }
 
 // Index is where Split puts the piece of (i, j, k).
 func (d *ADist) Index(i, j, k int) int { return (i*d.Q+j)*d.L + k }
 
 // sliceBounds refines q block bounds into the q·l+1 bounds of their layer
-// slices: block b's slice k is [out[b·l+k], out[b·l+k+1]).
+// slices: block b's slice k is [out[b·l+k], out[b·l+k+1]). It is the one
+// place the q-blocks-of-l-slices cut is made.
 func sliceBounds(blockB []int32, l int) []int32 {
 	out := make([]int32, 0, (len(blockB)-1)*l+1)
 	for b := 0; b+1 < len(blockB); b++ {
@@ -146,10 +161,14 @@ func NewBDist(rows, cols int32, q, l int) *BDist {
 // k of block-row i. It mirrors ADist.ColSliceOf so that A's inner-dimension
 // slices align with B's (the SUMMA stages depend on this).
 func (d *BDist) RowSliceOf(i, k int) (int32, int32) {
-	r0, r1 := d.RowB[i], d.RowB[i+1]
-	sb := spmat.PartBounds(r1-r0, d.L)
-	return r0 + sb[k], r0 + sb[k+1]
+	sb := sliceBounds(d.RowB[i:i+2], d.L)
+	return sb[k], sb[k+1]
 }
+
+// RowSlices returns the q·l+1 row bounds Split deals by: slice k of
+// block-row i is [out[i·l+k], out[i·l+k+1]). They equal ADist.ColSlices
+// over the same inner dimension.
+func (d *BDist) RowSlices() []int32 { return sliceBounds(d.RowB, d.L) }
 
 // ColRangeOf returns the global column range [lo, hi) owned by process
 // column j.
@@ -174,7 +193,14 @@ func (d *BDist) LocalMat(global *spmat.CSC, i, j, k int, f spmat.Format) spmat.M
 // (i, j, k) is element Index(i, j, k) of the result.
 func (d *BDist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
 	checkLayout(global, d.Rows, d.Cols)
-	return spmat.SplitGrid(global, sliceBounds(d.RowB, d.L), d.ColB, f)
+	return spmat.SplitGrid(global, d.RowSlices(), d.ColB, f)
+}
+
+// Count counts what Split deals without dealing it, the piece of (i, j, k)
+// at Index(i, j, k) (see ADist.Count).
+func (d *BDist) Count(global *spmat.CSC) (nnz, ne []int64) {
+	checkLayout(global, d.Rows, d.Cols)
+	return spmat.CountGrid(global, d.RowSlices(), d.ColB)
 }
 
 // Index is where Split puts the piece of (i, j, k).

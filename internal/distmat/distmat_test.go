@@ -367,7 +367,8 @@ func unsorted(m *spmat.CSC) *spmat.CSC {
 // extraction: block by block the same format, bytes and metadata, over grids
 // that do and do not divide the dimensions (down to slices with no rows or
 // columns at all), sparse and dense-ish fill, sorted and unsorted globals,
-// and every format request. Assemble of the split is the global matrix.
+// and every format request. Assemble of the split is the global matrix, and
+// Count counts every piece Split dealt.
 func TestSplitAndLocalMatchRangeOracle(t *testing.T) {
 	globals := []*spmat.CSC{
 		randomMat(t, 37, 53, 60, 1),   // most rows and columns empty
@@ -386,6 +387,8 @@ func TestSplitAndLocalMatchRangeOracle(t *testing.T) {
 				da := NewADist(m.Rows, m.Cols, q, l)
 				db := NewBDist(m.Rows, m.Cols, q, l)
 				piecesA, piecesB := map[[3]int]*spmat.CSC{}, map[[3]int]*spmat.CSC{}
+				nnzA, neA := da.Count(m)
+				nnzB, neB := db.Count(m)
 				for _, f := range []spmat.Format{spmat.FormatAuto, spmat.FormatCSC, spmat.FormatDCSC} {
 					splitA, splitB := da.Split(m, f), db.Split(m, f)
 					if len(splitA) != q*q*l || len(splitB) != q*q*l {
@@ -412,6 +415,10 @@ func TestSplitAndLocalMatchRangeOracle(t *testing.T) {
 									if err := sameBlock(c.got, c.want); err != nil {
 										t.Fatalf("global %d q=%d l=%d format %v: %s(%d,%d,%d): %v", gi, q, l, f, c.name, i, j, k, err)
 									}
+								}
+								if x, y := da.Index(i, j, k), db.Index(i, j, k); f == spmat.FormatAuto &&
+									(nnzA[x] != splitA[x].NNZ() || neA[x] != splitA[x].NonEmptyCols() || nnzB[y] != splitB[y].NNZ() || neB[y] != splitB[y].NonEmptyCols()) {
+									t.Fatalf("global %d q=%d l=%d: Count(%d,%d,%d) is A %d/%d, B %d/%d; Split dealt %v and %v", gi, q, l, i, j, k, nnzA[x], neA[x], nnzB[y], neB[y], splitA[x], splitB[y])
 								}
 								piecesA[[3]int{i, j, k}] = splitA[da.Index(i, j, k)].ToCSC()
 								piecesB[[3]int{i, j, k}] = splitB[db.Index(i, j, k)].ToCSC()

@@ -347,33 +347,12 @@ func (pl *DensePlan) statsFor(s int) *denseStats {
 		s:         s,
 		colBounds: spmat.PartBounds(a.Cols, s),
 		rowBounds: spmat.PartBounds(a.Rows, s),
-		colNNZ:    make([]int64, s), colNE: make([]int64, s), colWire: make([]int64, s),
-		rowNNZ: make([]int64, s), rowNE: make([]int64, s), rowWire: make([]int64, s),
+		colWire:   make([]int64, s), rowWire: make([]int64, s),
 	}
+	st.colNNZ, st.colNE = spmat.CountGrid(a, []int32{0, a.Rows}, st.colBounds)
+	st.rowNNZ, st.rowNE = spmat.CountGrid(a, st.rowBounds, []int32{0, a.Cols})
 	for i := 0; i < s; i++ {
-		lo, hi := st.colBounds[i], st.colBounds[i+1]
-		st.colNNZ[i] = a.ColPtr[hi] - a.ColPtr[lo]
-		for j := lo; j < hi; j++ {
-			if a.ColPtr[j+1] > a.ColPtr[j] {
-				st.colNE[i]++
-			}
-		}
-		st.colWire[i] = spmat.WireBytesFor(hi-lo, st.colNE[i], st.colNNZ[i])
-	}
-	// Row-block nnz and occupied-column counts in one pass: a column is
-	// occupied in row block i when it has at least one entry there.
-	stamp := make([]int32, s)
-	for j := int32(0); j < a.Cols; j++ {
-		for e := a.ColPtr[j]; e < a.ColPtr[j+1]; e++ {
-			blk := partIndex(st.rowBounds, a.RowIdx[e])
-			st.rowNNZ[blk]++
-			if stamp[blk] != j+1 {
-				stamp[blk] = j + 1
-				st.rowNE[blk]++
-			}
-		}
-	}
-	for i := 0; i < s; i++ {
+		st.colWire[i] = spmat.WireBytesFor(st.colBounds[i+1]-st.colBounds[i], st.colNE[i], st.colNNZ[i])
 		st.rowWire[i] = spmat.WireBytesFor(a.Cols, st.rowNE[i], st.rowNNZ[i])
 	}
 	pl.stats[s] = st

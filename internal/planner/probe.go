@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/distmat"
 	"repro/internal/spmat"
 )
 
@@ -243,18 +244,15 @@ func (pr *Probe) UnmergedW(weights []float64) (float64, []float64) {
 // works in, flattened s·l+k. Uniform when the multiplication has no flops.
 func (pr *Probe) SliceWeights(q, l int) []float64 {
 	w := make([]float64, q*l)
-	colB := spmat.PartBounds(pr.Inner, q)
+	sb := distmat.NewADist(pr.RowsA, pr.Inner, q, l).ColSlices()
 	var total float64
-	for s := 0; s < q; s++ {
-		sb := spmat.PartBounds(colB[s+1]-colB[s], l)
-		for k := 0; k < l; k++ {
-			var sum int64
-			for c := colB[s] + sb[k]; c < colB[s]+sb[k+1]; c++ {
-				sum += pr.flopsByInner[c]
-			}
-			w[s*l+k] = float64(sum)
-			total += float64(sum)
+	for x := range w {
+		var sum int64
+		for _, f := range pr.flopsByInner[sb[x]:sb[x+1]] {
+			sum += f
 		}
+		w[x] = float64(sum)
+		total += float64(sum)
 	}
 	if total == 0 {
 		for i := range w {
@@ -347,10 +345,11 @@ func rowBlockSizes(n []int, rows, bounds []int32) {
 }
 
 // gridStat holds the exact per-block statistics of one candidate q×q×l grid:
-// nonzeros and occupied columns of every Ã and B̃ block, computed by one
-// O(nnz·log q + cols) pass per operand over the same PartBounds partitions
-// the distribution layer uses. These feed the byte-exact broadcast
-// predictions and the per-format footprint maxima.
+// nonzeros and occupied columns of every Ã and B̃ block, counted by the
+// distributions themselves (distmat's Count: the deal's count pass over the
+// bounds Split deals by, one O(nnz + cols) pass per operand on every core,
+// its scratch sized by a column range's entries). These feed the byte-exact
+// broadcast predictions and the per-format footprint maxima.
 type gridStat struct {
 	q, l int
 	// A blocks indexed (i, s, k) → (i·q+s)·l + k: row block i, column block
@@ -419,11 +418,12 @@ func (gs *gridStat) sliceModel(pr *Probe) {
 // computeSubsetStat fills the sparse-comm statistics: exactly the quantities
 // the runtime's subset path derives at run time. Receiver (i, j, k)'s stage-s
 // column subset is the occupied-row set of B̃(s,j,k) — and because A's
-// column slices align with B's row slices (distmat mirrors the PartBounds
-// partitions), a global inner index r in that support touches global A
-// column r. One pass over A buckets per-column entry counts by row block;
-// one pass per receiver column j marks the touched inner indices and folds
-// them into per-(A block, receiver) occupancy.
+// column slices align with B's row slices (ADist.ColSlices and
+// BDist.RowSlices are the same bounds), a global inner index r in that
+// support touches global A column r. One pass over A buckets per-column
+// entry counts by row block; one pass per receiver column j marks the
+// touched inner indices and folds them, slice by slice of BDist.RowSlices,
+// into per-(A block, receiver) occupancy.
 func computeSubsetStat(gs *gridStat, a, b *spmat.CSC) {
 	if gs.subStatDone {
 		return
@@ -434,49 +434,36 @@ func computeSubsetStat(gs *gridStat, a, b *spmat.CSC) {
 	gs.bRowSup = make([]int64, q*q*l)
 
 	// cnt[i·cols + c] = entries of A column c within row block i.
-	aRowB := spmat.PartBounds(a.Rows, q)
+	da, db := distmat.NewADist(a.Rows, a.Cols, q, l), distmat.NewBDist(b.Rows, b.Cols, q, l)
 	cols := int(a.Cols)
 	cnt := make([]int64, q*cols)
 	a.EnumCols(func(j int32, rows []int32, _ []float64) {
 		for _, r := range rows {
-			cnt[partIndex(aRowB, r)*cols+int(j)]++
+			cnt[partIndex(da.RowB, r)*cols+int(j)]++
 		}
 	})
 
-	// layerOf[r] = the layer slice of inner index r within its row block —
-	// a function of r alone, shared by every receiver.
-	bRowB := spmat.PartBounds(b.Rows, q)
-	layerOf := make([]int8, int(b.Rows))
-	for s := 0; s < q; s++ {
-		sb := spmat.PartBounds(bRowB[s+1]-bRowB[s], l)
-		for k := 0; k < l; k++ {
-			for r := bRowB[s] + sb[k]; r < bRowB[s]+sb[k+1]; r++ {
-				layerOf[r] = int8(k)
-			}
-		}
-	}
-
-	bColB := spmat.PartBounds(b.Cols, q)
+	// Each receiver's touched inner indices, walked slice by slice: inner
+	// index r of slice s·l+k belongs to B̃(s, ·, k) and to A column r.
+	inner := db.RowSlices()
 	touched := make([]bool, int(b.Rows))
 	for j := 0; j < q; j++ {
-		for i := range touched {
-			touched[i] = false
-		}
-		for c := bColB[j]; c < bColB[j+1]; c++ {
+		clear(touched)
+		for c := db.ColB[j]; c < db.ColB[j+1]; c++ {
 			rows, _ := b.Column(c)
 			for _, r := range rows {
 				touched[r] = true
 			}
 		}
-		for s := 0; s < q; s++ {
-			for r := int(bRowB[s]); r < int(bRowB[s+1]); r++ {
+		for sk := 0; sk < q*l; sk++ {
+			s, k := sk/l, sk%l
+			for r := inner[sk]; r < inner[sk+1]; r++ {
 				if !touched[r] {
 					continue
 				}
-				k := int(layerOf[r])
 				gs.bRowSup[gs.blockIdx(s, j, k)]++
 				for i := 0; i < q; i++ {
-					if n := cnt[i*cols+r]; n > 0 {
+					if n := cnt[i*cols+int(r)]; n > 0 {
 						idx := gs.blockIdx(i, s, k)*q + j
 						gs.aSubNE[idx]++
 						gs.aSubNNZ[idx] += n
@@ -507,74 +494,36 @@ func partIndex(bounds []int32, v int32) int {
 	return lo
 }
 
-// computeGridStat measures the candidate grid's exact block occupancy.
+// computeGridStat measures the candidate grid's exact block occupancy with
+// the distributions' own Count, over the bounds their Split deals by.
+// ADist.Index(i, s, k) is gridStat's (i·q+s)·l + k, so A's counts are used as
+// they come; B's are moved from BDist.Index(i, j, k) to blockIdx(i, j, k).
 func computeGridStat(a, b *spmat.CSC, q, l int) *gridStat {
+	da, db := distmat.NewADist(a.Rows, a.Cols, q, l), distmat.NewBDist(b.Rows, b.Cols, q, l)
 	gs := &gridStat{
 		q: q, l: l,
-		aNNZ: make([]int64, q*q*l), aNE: make([]int64, q*q*l),
-		aCols: make([]int32, q*l),
+		aCols: widths(da.ColSlices()),
 		bNNZ:  make([]int64, q*q*l), bNE: make([]int64, q*q*l),
-		bCols: make([]int32, q),
+		bCols: widths(db.ColB),
 	}
-
-	// A side: rows into q blocks, columns into q blocks of l slices each.
-	aRowB := spmat.PartBounds(a.Rows, q)
-	aColB := spmat.PartBounds(a.Cols, q)
-	// colSlice[c] = flattened (s, k) of column c.
-	colSlice := make([]int32, a.Cols)
-	for s := 0; s < q; s++ {
-		c0, c1 := aColB[s], aColB[s+1]
-		sb := spmat.PartBounds(c1-c0, l)
-		for k := 0; k < l; k++ {
-			gs.aCols[s*l+k] = sb[k+1] - sb[k]
-			for c := c0 + sb[k]; c < c0+sb[k+1]; c++ {
-				colSlice[c] = int32(s*l + k)
+	gs.aNNZ, gs.aNE = da.Count(a)
+	nnz, ne := db.Count(b)
+	for i := 0; i < q; i++ {
+		for j := 0; j < q; j++ {
+			for k := 0; k < l; k++ {
+				x, y := gs.blockIdx(i, j, k), db.Index(i, j, k)
+				gs.bNNZ[x], gs.bNE[x] = nnz[y], ne[y]
 			}
 		}
 	}
-	seen := make([]int32, q) // per-column row-block stamps
-	stamp := int32(0)
-	ql := q * l
-	a.EnumCols(func(j int32, rows []int32, _ []float64) {
-		stamp++
-		sk := int(colSlice[j])
-		for _, r := range rows {
-			i := partIndex(aRowB, r)
-			idx := i*ql + sk // (i·q+s)·l + k
-			gs.aNNZ[idx]++
-			if seen[i] != stamp {
-				seen[i] = stamp
-				gs.aNE[idx]++
-			}
-		}
-	})
-
-	// B side: columns into q blocks, rows into q blocks of l slices each.
-	// B's rows are A's columns under the same PartBounds-then-PartBounds cut,
-	// so colSlice[r] = i·l + k names row r's (row block, layer slice), and
-	// bBase[i·l+k] is the index of block (i, 0, k).
-	bColB := spmat.PartBounds(b.Cols, q)
-	for j := 0; j < q; j++ {
-		gs.bCols[j] = bColB[j+1] - bColB[j]
-	}
-	bBase := make([]int, ql)
-	for ik := range bBase {
-		bBase[ik] = ik/l*ql + ik%l
-	}
-	seenIK := make([]int32, ql)
-	stamp = 0
-	b.EnumCols(func(c int32, rows []int32, _ []float64) {
-		stamp++
-		jl := partIndex(bColB, c) * l
-		for _, r := range rows {
-			ik := colSlice[r]
-			idx := bBase[ik] + jl
-			gs.bNNZ[idx]++
-			if seenIK[ik] != stamp {
-				seenIK[ik] = stamp
-				gs.bNE[idx]++
-			}
-		}
-	})
 	return gs
+}
+
+// widths returns the sizes of the parts of ascending bounds.
+func widths(bounds []int32) []int32 {
+	w := make([]int32, len(bounds)-1)
+	for x := range w {
+		w[x] = bounds[x+1] - bounds[x]
+	}
+	return w
 }

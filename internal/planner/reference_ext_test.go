@@ -43,10 +43,12 @@ func mclOperands(tb testing.TB) ([]*spmat.CSC, planner.Input) {
 // TestPlannerMatchesReference: New must rank exactly the candidates the
 // reference statistics give — every field of every candidate, in order, and
 // the probe and every grid's memoized statistics themselves — on both
-// planner fixtures, the eight operands of one clustering (under the daemon's
-// own Input too), a 64-rank k-mer A·Aᵀ and an R-MAT pair, with and without a
-// budget, over the planner's whole space, and the forced sparse mode of every
-// sparse-auto candidate through Evaluate.
+// planner fixtures, the k-mer one on 1024 ranks too (whose grids include a
+// q = 2 one of 256 layers over an 8192-wide inner dimension), the eight
+// operands of one clustering (under the daemon's own Input too), a 64-rank
+// k-mer A·Aᵀ and an R-MAT pair, with and without a budget, over the
+// planner's whole space, and the forced sparse mode of every sparse-auto
+// candidate through Evaluate.
 func TestPlannerMatchesReference(t *testing.T) {
 	type pair struct {
 		name string
@@ -58,7 +60,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 	big := genmat.Kmer(genmat.KmerConfig{Reads: 512, Kmers: 32768, KmersPerRead: 24, Overlap: 0.08, Seed: 7})
 	rmat := genmat.RMAT(genmat.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 5, Weighted: true})
 	pairs := []pair{
-		{"friendster", fa, fb, 64}, {"kmers", ka, kb, 64},
+		{"friendster", fa, fb, 64}, {"kmers", ka, kb, 64}, {"kmers-1024", ka, kb, 1024},
 		{"kmers-512", big, spmat.Transpose(big), 64}, {"rmat", rmat, rmat, 16},
 	}
 	ops, daemon := mclOperands(t)
@@ -154,17 +156,23 @@ func TestPlannerMatchesReference(t *testing.T) {
 
 // BenchmarkPlannerNew times one cold plan of each expansion of one
 // clustering, under the Input the daemon plans it with — what every
-// mcl-service expansion pays before admission.
+// mcl-service expansion pays before admission — and one of kmer-hyper's
+// hypersparse pair, the 4096 × 262144 k-mer A·Aᵀ on 64 ranks with no budget.
 func BenchmarkPlannerNew(b *testing.B) {
 	ops, in := mclOperands(b)
-	for i, m := range ops {
-		b.Run(fmt.Sprintf("expansion-%d", i+1), func(b *testing.B) {
+	run := func(name string, a, bm *spmat.CSC, in planner.Input) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				if _, err := planner.New(m, m, in); err != nil {
+				if _, err := planner.New(a, bm, in); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	for i, m := range ops {
+		run(fmt.Sprintf("expansion-%d", i+1), m, m, in)
+	}
+	kmer := genmat.Kmer(genmat.KmerConfig{Reads: 4096, Kmers: 262144, KmersPerRead: 24, Overlap: 0.08, Seed: 1})
+	run("kmer-hyper", kmer, spmat.Transpose(kmer), planner.Input{P: 64})
 }

@@ -202,12 +202,12 @@ func refSubsetStat(gs *gridStat, a, b *spmat.CSC) {
 		}
 	})
 	bRowB := spmat.PartBounds(b.Rows, q)
-	layerOf := make([]int8, int(b.Rows))
+	layerOf := make([]int, int(b.Rows))
 	for s := 0; s < q; s++ {
 		sb := spmat.PartBounds(bRowB[s+1]-bRowB[s], l)
 		for k := 0; k < l; k++ {
 			for r := bRowB[s] + sb[k]; r < bRowB[s]+sb[k+1]; r++ {
-				layerOf[r] = int8(k)
+				layerOf[r] = k
 			}
 		}
 	}
@@ -228,7 +228,7 @@ func refSubsetStat(gs *gridStat, a, b *spmat.CSC) {
 				if !touched[r] {
 					continue
 				}
-				k := int(layerOf[r])
+				k := layerOf[r]
 				gs.bRowSup[gs.blockIdx(s, j, k)]++
 				for i := 0; i < q; i++ {
 					if n := cnt[i*cols+r]; n > 0 {

@@ -59,15 +59,17 @@
 // a whole operand over a process grid, or one block's window of it — by
 // counting and placing: every entry is copied once, into a block allocated
 // at its exact size in its resolved format, and the column ranges are dealt
-// on every core. PartBounds, ColRange/RowRange,
-// ColSelect (and its format-preserving MatColSelect), MatColRanges (a
-// matrix's consecutive column ranges as views over its entries — the fiber
-// split), HCat, and the cyclic split helpers carve matrices into the
-// block rows, block columns, layer slices, and block-cyclic batches of
-// Fig 1, and reassemble piece outputs; CommBytes makes both formats
-// mpi.Payloads so pieces can ride the simulated collectives with exact
-// wire-size accounting (memoized per block, so the batched schedule's
-// repeated broadcasts never rescan columns).
+// on every core. CountGrid runs the deal's count pass alone, over the same
+// bounds and goroutines: every block's entries and occupied columns, with
+// nothing copied — how a grid is measured without being dealt. PartBounds,
+// ColRange/RowRange, ColSelect (and its format-preserving MatColSelect),
+// MatColRanges (a matrix's consecutive column ranges as views over its
+// entries — the fiber split), HCat, and the cyclic split helpers carve
+// matrices into the block rows, block columns, layer slices, and
+// block-cyclic batches of Fig 1, and reassemble piece outputs; CommBytes
+// makes both formats mpi.Payloads so pieces can ride the simulated
+// collectives with exact wire-size accounting (memoized per block, so the
+// batched schedule's repeated broadcasts never rescan columns).
 //
 // # Dense panels
 //

@@ -44,14 +44,21 @@ func splitAt(procs int, m *CSC, rowB, colB []int32, f Format) []Matrix {
 	return SplitGrid(m, rowB, colB, f)
 }
 
+// countAt runs CountGrid with GOMAXPROCS set to procs.
+func countAt(procs int, m *CSC, rowB, colB []int32) (nnz, ne []int64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return CountGrid(m, rowB, colB)
+}
+
 // TestSplitGridSameOnEveryCoreCount deals the same grids on one core and on
 // four and holds every block's wire bytes equal between the two, and to the
 // block a one-range call (what LocalMat makes) cuts out alone: the column
 // ranges may be dealt by any number of goroutines in any interleaving, and
-// every block must come out as from a serial deal. The grids cover ranges of
-// very uneven nnz, empty row and column ranges, one range, windows that do
-// not cover the matrix, a hypersparse (kmer-like) operand and unsorted
-// columns.
+// every block must come out as from a serial deal. CountGrid, on one core and
+// on four, must count every dealt block's entries and occupied columns. The
+// grids cover ranges of very uneven nnz, empty row and column ranges, one
+// range, windows that do not cover the matrix, a hypersparse (kmer-like)
+// operand and unsorted columns.
 func TestSplitGridSameOnEveryCoreCount(t *testing.T) {
 	skewed := skewedCSC(t, 64, 4000, 40, 6000, false, 1)
 	kmer := skewedCSC(t, 128, 1<<14, 1<<14, 2500, false, 2)
@@ -80,6 +87,14 @@ func TestSplitGridSameOnEveryCoreCount(t *testing.T) {
 			nc := len(c.colB) - 1
 			if len(one) != (len(c.rowB)-1)*nc || len(four) != len(one) {
 				t.Fatalf("%s: %d blocks on one core, %d on four", label, len(one), len(four))
+			}
+			for _, procs := range []int{1, 4} {
+				nnz, ne := countAt(procs, c.m, c.rowB, c.colB)
+				for x, blk := range one {
+					if nnz[x] != blk.NNZ() || ne[x] != blk.NonEmptyCols() {
+						t.Fatalf("%s block (%d,%d): counted %d entries in %d columns on %d cores, dealt %v", label, x/nc, x%nc, nnz[x], ne[x], procs, blk)
+					}
+				}
 			}
 			for x := range one {
 				r, cc := x/nc, x%nc
