@@ -63,9 +63,10 @@ deadcode:
 # all run with returned chunks poisoned (TestMain), so -cpu 1,4 also covers
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
 # × format × thread count against the run that lends nothing — stage
-# products, Merge-Layer outputs on l > 1 grids, discarded batches, and on
-# q > 1 grids the last stage's plan, which Merge-Layer's fused merge holds
-# until its last window and which is poisoned when released) both
+# products, Merge-Layer outputs on l > 1 grids, discarded batches, and the
+# stages' plans — all q of them on the staged schedule, the last stage's on
+# a pipelined q > 1 grid — which Merge-Layer's fused merge holds until its
+# last window and which are poisoned when released) both
 # where every output is a single-range loan and, on four cores, where
 # a call granted a second worker falls back to an owned output. The planner
 # goes at -cpu 1,4 too: the daemon plans concurrent requests over the same
@@ -198,9 +199,11 @@ bench-json = awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) en
 # the sorted hash merge on the Merge-Fiber and hypersparse shapes, a one-layer
 # grid's two merges with the sort in the drain against the copy-and-sort it
 # replaced, and the previous generation's heap merge of unsorted and of sorted
-# operands (the Table VII / Fig. 15 baselines), a q = 2 Merge-Layer with the
-# last stage's multiply materialized against fused into the merge
-# (BenchmarkMergeLayer, on a kmer-hyper and a protein-like stage block pair),
+# operands (the Table VII / Fig. 15 baselines), a q = 2 and a q = 4
+# Merge-Layer with its stages' multiplies materialized, with the last one
+# fused into the merge (the pipelined schedule) and with all of them fused
+# (the staged one) (BenchmarkMergeLayer, on kmer-hyper-like and protein-like
+# stage blocks),
 # the format-generic multiply on a DCSC operand, and the one-vs-two
 # worker sweep the kernels' worker floor is set from
 # (localmm.workPerExtraWorker), and the direct-table versus hash-table sweep
@@ -210,8 +213,8 @@ bench-json = awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) en
 # 36 hits= cells: multiply, merge and the symbolic count at 2¹⁰ and 2¹⁵ rows
 # where 0, 50 or 90 % of a column's contributions land on a row already in
 # the table, the axis on which an insert that branches on hit-or-new shows;
-# 196 benchmark cells in the target all told, 150 before that axis), on this
-# runner,
+# 204 benchmark cells in the target all told, 150 before that axis and 196
+# before BenchmarkMergeLayer's q = 4 and fused-all cells), on this runner,
 # with the runner's NumCPU, GOMAXPROCS and Go version beside them (a thread
 # sweep means nothing without the core count). Wall-clock numbers;
 # informational (the checked-in snapshot documents the runner the defaults

@@ -35,25 +35,30 @@
 // Symbolic3D picks the batch count b from the memory budget, and each batch
 // runs one batch function (summa3DBatch): the per-layer stage products
 // (stageProducts), one Merge-Layer, the fiber AllToAll, and the fiber merge.
-// Symbolic3D and stageProducts share one stage loop (forEachStage). With
-// q > 1 the last stage's product is never materialized: that stage plans its
-// multiply, and Merge-Layer computes the product column by column in the
-// kernel's accumulator and merges it there (layerMerge).
+// Symbolic3D and stageProducts share one stage loop (forEachStage). Under
+// the staged schedule no stage product is materialized: every stage plans
+// its multiply, and Merge-Layer runs one pass over all q plans that makes
+// each output column's stage contributions in stage order and merges them
+// as it goes (layerMerge). The pipelined schedule does that for the last
+// stage on a grid with q > 1 and makes the earlier stages' products, whose
+// multiplies hide the next stage's broadcasts.
 //
 // # Lent outputs
 //
 // Every kernel output whose last reader is known is lent, not copied
-// (localmm.Plan.MulLent, localmm.MergeLent, localmm.Plan.MulMergeLent): its
-// entry arrays are a kernel worker's chunk until the rank hands it back
+// (localmm.Plan.MulLent, localmm.MergeLent, localmm.MulMerge): its entry
+// arrays are a kernel worker's chunk until the rank hands it back
 // (localmm.Loan.Return). Each loan is returned by exactly one owner, and that
-// owner is whoever knows the output's last reader. There are five cases:
+// owner is whoever knows the output's last reader. Under the staged schedule
+// no stage product exists to lend: Merge-Layer computes every stage's
+// product inside its merge from the stages' plans (localmm.MulMerge), which
+// it holds until its merge and then releases. There are five cases:
 //
-//   - A stage product, on a grid with q > 1 — the q − 1 earlier ones; the
-//     last stage's is never made, Merge-Layer computes it inside its merge
-//     from the stage's plan (localmm.Plan.MulMerge), which it holds until its
-//     last window and then releases: Merge-Layer accumulates the products
-//     into arrays of its own, and the batch function returns them right
-//     after.
+//   - A pipelined stage product, on a grid with q > 1 — the q − 1 earlier
+//     ones; the last stage's is never made, Merge-Layer computes it inside
+//     its merges from the stage's plan, which it holds until its last window
+//     and then releases: Merge-Layer accumulates the products into arrays of
+//     its own, and the batch function returns them right after.
 //   - Merge-Layer's output, on a grid with l > 1 (in the pipelined schedule,
 //     each per-destination merge's). This rank's Merge-Fiber reads it and,
 //     through the by-reference fiber exchange, so do the l − 1 fiber peers'.
@@ -66,10 +71,10 @@
 //     BatchedSUMMA3D returns it once the hook has returned.
 //   - Under MultiplyDiscard, Merge-Fiber's output on a grid with l > 1: the
 //     batch output, returned by BatchedSUMMA3D once the hook has returned.
-//   - A stage product on a grid with q = 1, wherever Merge-Layer's output is
-//     lent (l > 1, or under MultiplyDiscard): a one-operand merge returns its
-//     operand, so the product is that output, and its loan goes with that
-//     output's to the same owner.
+//   - A pipelined stage product on a grid with q = 1, wherever Merge-Layer's
+//     output is lent (l > 1, or under MultiplyDiscard): a one-operand merge
+//     returns its operand, so the product is that output, and its loan goes
+//     with that output's to the same owner.
 //
 // The hook of a discarding run is handed its piece on loan for the call.
 // Everything a Result holds and every piece a hook outside MultiplyDiscard

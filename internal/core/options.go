@@ -86,11 +86,12 @@ type Options struct {
 	Kernel localmm.Kernel
 	// Merger is the Merge-Layer / Merge-Fiber implementation: the paper's
 	// sort-free hash merge (the zero value, what every planned run executes)
-	// or the heap merge, pinned the same way. On a grid with q > 1 the
-	// last stage's product is merged straight out of the kernel's
-	// accumulator (localmm.Plan.MulMerge); under the heap merger each of its
-	// columns is first made, sorted, into worker scratch, so the merge stays
-	// a real heap merge of every stage's column.
+	// or the heap merge, pinned the same way. Merge-Layer makes the planned
+	// stages' products inside its merge (localmm.MulMerge: every stage's
+	// under the staged schedule, the last stage's on a pipelined grid with
+	// q > 1); under the heap merger each of their columns is first made,
+	// sorted, into worker scratch, so the merge stays a real heap merge of
+	// every stage's column.
 	Merger localmm.Merger
 	// Channels is k, the number of modeled NIC channels the overlap ledger
 	// may hide split collectives behind: each measured compute second can

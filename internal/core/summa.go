@@ -110,50 +110,52 @@ func (p *Proc) forEachStage(bOperand, bNext spmat.Matrix, aCat, aHidden, bCat, b
 // discarded batch an owned copy.
 var lendChunks = true
 
-// stageProducts runs the stage loop over bBatch and collects every stage's
-// partial product and the loan behind it, which the caller returns once its
-// merges have read the products — all but the last stage's on a grid with
-// q > 1: that stage only plans its multiply and hands the plan (last) to
-// Merge-Layer, which computes the product straight out of the accumulator
-// into the merge (layerMerge, localmm.Plan.MulMerge) and releases the plan.
-// unmerged counts the entries of the products made here; Merge-Layer adds the
-// last one's.
+// stageProducts runs the stage loop over bBatch and collects what each stage
+// leaves for Merge-Layer: its plan, or its partial product and the loan behind
+// it, which the caller returns once its merges have read the products. Under
+// the staged schedule no stage makes a product: every stage only plans its
+// multiply and hands the plan to Merge-Layer, which computes all q products
+// straight out of the accumulator into the merge (layerMerge,
+// localmm.MulMerge) and releases the plans. Under the pipelined schedule a
+// stage's multiply is the compute that hides the next stage's broadcasts, so
+// each stage but the last makes its product, and only the last stage's plan
+// goes to Merge-Layer on a grid with q > 1. unmerged counts the entries of
+// the products made here; Merge-Layer adds the planned stages'.
 //
 // Local multiply (Alg 1 line 7). One pass over the B block finds each B
 // entry's A column and counts the stage's flops column by column
 // (localmm.PlanMul), and everything that needs them reads that one plan —
 // Result.LocalFlops, the work units and, inside the kernel, the worker
 // balance and the hash-table sizes — which goes back to the kernels' free
-// list inside the measured section (Plan.Release) of the stage or, for the
-// last stage of q > 1, of Merge-Layer. Work units = flops
-// plus the operand traversal cost, so empty products still carry their
-// column-scan work — the dense column count for CSC operands, only the stored
-// columns for DCSC (the O(n)-per-block term the compressed format removes
-// from the modeled critical path); the unit accounting is deliberately
-// kernel-independent so the modeled critical path never moves with the
-// kernel knob, nor with where the last stage's product is made: its section
-// here measures the plan alone, and its multiply is measured with
-// Merge-Layer's, but its work units are charged here, as every stage's. The
-// kernel runs one worker per core the section holds once the
-// flops are known (Proc.workers) — Opts.Threads at most, fewer whenever other
-// ranks need the cores or the stage is too small to pay for a worker — so
-// intra-rank parallelism appears as shorter measured compute, the paper's
-// 16-threads-per-process configuration, and never as more runnable
-// goroutines than the host has cores.
+// list inside the measured section (Plan.Release) of the stage or, for a
+// planned stage, of Merge-Layer. Work units = flops plus the operand
+// traversal cost, so empty products still carry their column-scan work — the
+// dense column count for CSC operands, only the stored columns for DCSC (the
+// O(n)-per-block term the compressed format removes from the modeled critical
+// path); the unit accounting is deliberately kernel-independent so the
+// modeled critical path never moves with the kernel knob, nor with where a
+// stage's product is made: a planned stage's section here measures the plan
+// alone, and its multiply is measured with Merge-Layer's, but its work units
+// are charged here, as every stage's. The kernel runs one worker per core the
+// section holds once the flops are known (Proc.workers) — Opts.Threads at
+// most, fewer whenever other ranks need the cores or the stage is too small
+// to pay for a worker — so intra-rank parallelism appears as shorter measured
+// compute, the paper's 16-threads-per-process configuration, and never as
+// more runnable goroutines than the host has cores.
 //
-// A stage product that is made is read by the Merge-Layer that follows and by
-// nothing else. With q > 1 that merge accumulates the products into arrays of
-// its own, so each is only lent (localmm.Plan.MulLent): its entries stay in
-// the kernel worker's chunk until the loan is returned, right after
-// Merge-Layer. With q = 1 the one product is the Merge-Layer output (a
-// one-operand merge returns its operand), so it is lent exactly when that
-// output is (lendLayer), and summa3DBatch hands its loan on with that
-// output's. A product more than one worker made is an owned copy either way.
-func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, last *localmm.Plan, unmerged int64) {
+// A stage product that is made — only the pipelined schedule makes one — is
+// read by the Merge-Layer that follows and by nothing else. With q > 1 that
+// merge accumulates the products into arrays of its own, so each is only
+// lent (localmm.Plan.MulLent): its entries stay in the kernel worker's chunk
+// until the loan is returned, right after Merge-Layer. With q = 1 the one
+// product is the Merge-Layer output (a one-operand merge returns its
+// operand), so it is lent exactly when that output is (lendLayer), and
+// summa3DBatch hands its loan on with that output's. A product more than one
+// worker made is an owned copy either way.
+func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, plans []*localmm.Plan, unmerged int64) {
 	meter := p.G.World.Meter()
 	q := p.G.Q
 	lend := lendChunks && (q > 1 || p.lendLayer())
-	partial, loans = make([]spmat.Matrix, 0, q), make([]localmm.Loan, 0, q)
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(s int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
@@ -164,8 +166,8 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 			plan := localmm.PlanMul(aRecv, bRecv)
 			flops = plan.Flops
 			switch {
-			case q > 1 && s == q-1:
-				last = plan
+			case !p.Opts.Pipeline || q > 1 && s == q-1:
+				plans = append(plans, plan)
 				return
 			case lend:
 				prod, loan = plan.MulLent(p.Opts.Kernel, p.Opts.Semiring, p.workers(flops))
@@ -181,7 +183,7 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 			unmerged += prod.NNZ()
 		}
 	})
-	return partial, loans, last, unmerged
+	return partial, loans, plans, unmerged
 }
 
 // returnLoans hands lent outputs' chunks back to the kernels' free list; the
@@ -205,10 +207,11 @@ func returnLoans(loans []localmm.Loan) {
 // only at its wait. The schedules order Merge-Layer against the exchange post
 // in two ways and share everything after the post:
 //
-//   - Staged: merge the stage products once, then split the merged output by
-//     owning layer and post. Nothing is measured between post and wait, so the
-//     exchange's credit is zero and it meters exactly like the blocking
-//     AllToAllv.
+//   - Staged: merge the stages' products once — all q computed inside that
+//     merge from their plans, none of them written — then split the merged
+//     output by owning layer and post. Nothing is measured between post and
+//     wait, so the exchange's credit is zero and it meters exactly like the
+//     blocking AllToAllv.
 //   - Pipelined: split every stage product by owning layer first, merge each
 //     destination's pieces separately — merging is column-independent, so each
 //     merged piece is bit-identical to the staged output's column selection —
@@ -219,13 +222,15 @@ func returnLoans(loans []localmm.Loan) {
 //     entries, so they are charged after the merges, which count the last
 //     one's.
 //
-// Either way the own piece never travels. With q > 1 "the stage products"
-// are the q − 1 that stageProducts made and the last stage's plan: each merge
-// is one fused pass (layerMerge) that computes its window of the last product
-// in the kernel's accumulator and merges the earlier products' window into
-// it, so Merge-Layer's sections time that multiply too and the last stage's
+// Either way the own piece never travels. "The stage products" are the
+// products stageProducts made (pipelined stages but the last, or the one
+// stage at q = 1) and the plans of the rest (every stage when staged, the
+// last on a pipelined grid with q > 1): each merge is one fused pass
+// (layerMerge) that computes its window of every planned product, column by
+// column in stage order, and merges the made products' window with them, so
+// Merge-Layer's sections time those multiplies too and a planned stage's
 // Local-Multiply section times its plan alone. Every work unit, peak
-// checkpoint, flop and entry count is what it was with the product made
+// checkpoint, flop and entry count is what it was with the products made
 // first.
 //
 // Merge-Layer's output is lent whenever its last reader is known (lendLayer).
@@ -244,7 +249,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	g := p.G
 	meter := g.World.Meter()
 	led := &p.ledger
-	partial, loans, last, unmerged := p.stageProducts(bBatch, bNextBatch, res)
+	partial, loans, plans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
 	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is the
@@ -258,8 +263,10 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	lent := make([]localmm.Loan, 0, g.L)
 	_, width := bBatch.Dims()
 	if !p.Opts.Pipeline {
-		d, loan, lastNNZ, mergeSec := p.layerMerge(partial, last, 0, width, unmerged, true)
-		unmerged += lastNNZ
+		// Every stage only planned (partial is empty): the one pass makes
+		// all q products.
+		d, loan, planned, mergeSec := p.layerMerge(partial, plans, 0, width, unmerged, true)
+		unmerged += planned
 		lent = append(lent, loan)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 		var pieces []spmat.Matrix
@@ -274,7 +281,8 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		post, req = led.clock, g.Fiber.IalltoallvStart(send)
 	} else {
 		// The pieces are views of the stage products, lent chunks included;
-		// the last stage's product is made per destination, by the merge.
+		// the last stage's product (q > 1) is made per destination, by the
+		// merge.
 		perDest := make([][]spmat.Matrix, g.L)
 		bounds := p.bt.LayerBounds(t)
 		packSec := p.measure(func() {
@@ -290,9 +298,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 			for _, piece := range perDest[m] {
 				in += piece.NNZ()
 			}
-			out, loan, lastNNZ, sec := p.layerMerge(perDest[m], last, bounds[m], bounds[m+1], in, m == g.K)
-			in += lastNNZ
-			unmerged += lastNNZ
+			out, loan, planned, sec := p.layerMerge(perDest[m], plans, bounds[m], bounds[m+1], in, m == g.K)
+			in += planned
+			unmerged += planned
 			lent = append(lent, loan)
 			meter.AddComputeWork(sec, in+colScanWork(out)+1)
 			merged += out.NNZ()
@@ -308,17 +316,18 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		// The split's work counts every stage product's entries, the last
 		// one's included, which only the merges above have counted.
 		meter.AddComputeWork(packSec, unmerged+int64(g.L)+1)
+		// Every merge that reads the stage products is done. With q = 1 the
+		// one stage product is Merge-Layer's output, so its loan joins that
+		// output's.
+		if g.Q == 1 {
+			lent = append(lent, loans...)
+		} else {
+			returnLoans(loans)
+		}
 	}
 	res.UnmergedNNZ += unmerged
 	// Peak: inputs plus all unmerged stage products live simultaneously.
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged)
-	// Every merge that reads the stage products is done. With q = 1 the one
-	// stage product is Merge-Layer's output, so its loan joins that output's.
-	if g.Q == 1 {
-		lent = append(lent, loans...)
-	} else {
-		returnLoans(loans)
-	}
 	// Every fiber peer has posted this batch's exchange, so none reads the
 	// previous batch's Merge-Layer outputs any more. With one layer there are
 	// no peers: this batch's go out with the batch output Merge-Fiber passes
@@ -392,8 +401,8 @@ func (p *Proc) lastTable() bool { return p.G.L == 1 }
 // the output on loan (localmm.MergeLent), which the caller returns once its
 // last reader is done. A lone unsorted operand of a sorted merge on a
 // one-layer grid is a matrix this rank just produced and nobody else holds —
-// p = 1's only stage product — so it is sorted where it lies instead of on
-// the copy MergeMat would make.
+// a pipelined p = 1 run's only stage product — so it is sorted where it lies
+// instead of on the copy MergeMat would make.
 func (p *Proc) merge(mats []spmat.Matrix, sorted, lend bool, entries int64) (out spmat.Matrix, loan localmm.Loan, sec float64) {
 	sec = p.measure(func() {
 		if sorted && len(mats) == 1 && p.G.L == 1 {
@@ -409,32 +418,35 @@ func (p *Proc) merge(mats []spmat.Matrix, sorted, lend bool, entries int64) (out
 }
 
 // layerMerge is one Merge-Layer merge over the columns [lo, hi) of the batch:
-// of the earlier stage products' windows prev and, with q > 1, the window of
-// the last stage's product, which last computes inside the merge
-// (localmm.Plan.MulMerge) and never materializes — the plan is released in
-// the same measured section once release says this is its last window. With
-// q = 1 (last nil) prev is the one stage product's window, merged as it is.
-// entries is prev's; lastNNZ is the last product window's entry count, which
-// the caller's work units add. Sorting and lending are Merge-Layer's
-// (lastTable, lendLayer).
-func (p *Proc) layerMerge(prev []spmat.Matrix, last *localmm.Plan, lo, hi int32, entries int64, release bool) (out spmat.Matrix, loan localmm.Loan, lastNNZ int64, sec float64) {
-	if last == nil {
+// of the earlier stage products' windows prev and the windows of the planned
+// stages' products, which plans compute inside the merge
+// (localmm.MulMerge) and which never materialize — the plans are released in
+// the same measured section once release says this is their last window.
+// With no plan (the pipelined schedule at q = 1) prev is the one stage
+// product's window, merged as it is. entries is prev's; planned is the
+// planned windows' entry count, which the caller's work units add. Sorting
+// and lending are Merge-Layer's (lastTable, lendLayer).
+func (p *Proc) layerMerge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
+	if len(plans) == 0 {
 		out, loan, sec = p.merge(prev, p.lastTable(), p.lendLayer(), entries)
 		return out, loan, 0, sec
 	}
 	o := &p.Opts
 	sec = p.measure(func() {
-		workers := p.workers(entries + last.WindowFlops(lo, hi))
-		if p.lendLayer() && lendChunks {
-			out, loan, lastNNZ = last.MulMergeLent(o.Kernel, o.Merger, prev, lo, hi, o.Semiring, p.lastTable(), workers)
-		} else {
-			out, lastNNZ = last.MulMerge(o.Kernel, o.Merger, prev, lo, hi, o.Semiring, p.lastTable(), workers)
+		work := entries
+		for _, pl := range plans {
+			work += pl.WindowFlops(lo, hi)
 		}
-		if release {
-			last.Release()
+		var counts []int64
+		out, loan, counts = localmm.MulMerge(o.Kernel, o.Merger, prev, plans, lo, hi, o.Semiring, p.lastTable(), p.lendLayer() && lendChunks, p.workers(work))
+		for i, pl := range plans {
+			planned += counts[i]
+			if release {
+				pl.Release()
+			}
 		}
 	})
-	return out, loan, lastNNZ, sec
+	return out, loan, planned, sec
 }
 
 // trackPeak records a modeled memory checkpoint of live nonzeros.

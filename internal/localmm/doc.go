@@ -36,27 +36,34 @@
 // merge of several drains its accumulator in ascending order, so the sort
 // happens while the entries are still in the table.
 //
-// # The last stage's merge
+// # The stages' merge
 //
 // A SUMMA layer merges its q stage products once, after the last stage (Alg.
-// 1 line 8). The last stage's product need not exist for that: Plan.MulMerge
-// (lent: MulMergeLent) takes the earlier products — or their windows — and a
-// column window of the plan's B and, column by column, accumulates the
-// window's product in the worker's table as the kernel would and merges the
-// earlier columns into it. Under the hash merger, where a column has at most
-// one earlier part and the kernel hashes it, the table is the merge's too: a
-// sorted drain inserts the part as the first operand and walks the table
-// ascending, an unsorted one walks the part against the table — part +
-// table where the row is held, with no jump on hit-or-new in the direct
-// regime — and then drains the rows the part did not meet in the kernel's
-// order. Any other column — more earlier parts, the heap merger, a column
-// the kernel heap-merges — is made into worker scratch in the order the
-// merge reads it and merged by the merger's own routine, so the heap merger
-// stays a heap merge of every stage's column. The output is bit-identical to
-// MergeMat over the earlier parts and the window of Plan.Mul — values,
-// stored order, format, sorted flag — for every kernel, merger, semiring,
-// format and thread count, and the pass returns the entry count the window
-// of the product would have had.
+// 1 line 8). The products need not exist for that: MulMerge takes the
+// earlier materialized products — or their windows — and then the plans of
+// the stages after them, in stage order, and a column window of the plans'
+// B, and runs one pass over the window. Column by column it makes each
+// planned stage's contributions as the kernel would and merges them with
+// the earlier columns in stage order, so every row still sums ((s₁ + s₂) +
+// s₃)…, bit for bit. The staged schedule hands it every stage's plan and no
+// product; the pipelined one its q − 1 products and the last stage's plan.
+// Under the hash merger, where a column has at most one earlier column — a
+// product's part, or an earlier planned stage's column made in the worker's
+// stage scratch — and the kernel hashes the last planned one, the table
+// that accumulates the last column is the merge's too: a sorted drain
+// inserts the earlier column as the first operand and walks the table
+// ascending, an unsorted one walks the earlier column against the table —
+// earlier + table where the row is held, with no jump on hit-or-new in the
+// direct regime — and then drains the rows it did not meet in the kernel's
+// order. Any other column — more earlier columns, the heap merger, a last
+// column the kernel heap-merges — has every planned column made into the
+// stage scratch in the order the merge reads it, and the merger's own
+// routine runs over all of them, so the heap merger stays a heap merge of
+// every stage's column. The output is bit-identical to MergeMat over the
+// earlier parts and the windows of Plan.Mul — values, stored order, format,
+// sorted flag — for every kernel, merger, semiring, format and thread count,
+// and the pass returns the entry count each planned window of the product
+// would have had.
 //
 // # One accumulator, two regimes
 //
@@ -133,15 +140,15 @@
 // A call that ran several ranges allocates the arrays at their exact size and
 // the workers place their chunks in parallel; a call that ran one range — any
 // call too small for a second worker — returns an exactly-sized, unzeroed
-// copy of its chunk. That is MulMat, Plan.Mul, MergeMat, Plan.MulMerge and
-// every entry point built on them. The exceptions are Plan.MulLent,
-// MergeLent and Plan.MulMergeLent, for an output that is read once and
-// dropped — a SUMMA stage product on its way into Merge-Layer, a Merge-Layer
-// output on its way through the fiber exchange, a batch a discarding hook
-// consumes: the single-range output is the chunk itself, on loan until
-// Loan.Return, and the worker goes back to the free list without it; a
-// multi-range call returns an owned output and an empty Loan, and so does
-// MergeLent's one-operand pass-through. Nothing else lends.
+// copy of its chunk. That is MulMat, Plan.Mul, MergeMat, MulMerge without
+// lend and every entry point built on them. The exceptions are Plan.MulLent,
+// MergeLent and MulMerge with lend, for an output that is read once and
+// dropped — a pipelined SUMMA stage product on its way into Merge-Layer, a
+// Merge-Layer output on its way through the fiber exchange, a batch a
+// discarding hook consumes: the single-range output is the chunk itself, on
+// loan until Loan.Return, and the worker goes back to the free list without
+// it; a multi-range call returns an owned output and an empty Loan, and so
+// does MergeLent's one-operand pass-through. Nothing else lends.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already
@@ -182,9 +189,9 @@
 // those slots. The plan's arrays come from the worker free list and go back
 // on Plan.Release; the one-shot entry points (MulMat, SymbolicMat,
 // MatFlops, SymbolicSpGEMM) release the plans they make, and the
-// distributed stages release theirs when the stage's work is done — the
-// last stage's once Merge-Layer's fused merge has read its last window. A
-// fused merge keeps its window's counts in the plan's arrays too.
+// distributed stages release theirs when the stage's work is done — a
+// planned stage's once Merge-Layer's fused merge has read its last window. A
+// fused merge keeps each planned window's counts in that plan's arrays too.
 //
 // # Sparse×dense kernels
 //

@@ -500,7 +500,7 @@ func hashAccumulateParts(acc *hashAccum, parts []colPart, sr *semiring.Semiring,
 const metSlot = int32(-2)
 
 // hashAccumulateFirst feeds a column's earlier operand into a table that
-// already holds the column's later one (a planned product's, Plan.MulMerge),
+// already holds the column's later one (a planned product's, MulMerge),
 // as if it had come first: a row the table holds becomes part's value plus
 // the table's — Add(part's, table's), the operand order of hashAccumulateParts
 // over [part, table's column] — and any other row part's value. part must

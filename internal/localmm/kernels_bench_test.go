@@ -207,49 +207,87 @@ func BenchmarkPlanMulHypersparse(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeLayer times a q = 2 Merge-Layer with the last stage's
-// multiply, as the engine ran it before and runs it now: materialize plans
-// the last stage, multiplies it into a lent product (Plan.MulLent) and merges
-// that with the earlier stage's product (MergeLent); fused plans it and
-// merges its product straight out of the accumulator (Plan.MulMergeLent).
-// Both release the plan and return their loans; the unsorted hash kernel and
-// merger, and an unsorted merge, as on a grid with l > 1. Two block pairs:
-// kmer is BenchmarkPlanMulHypersparse's, a hypersparse DCSC A and the
-// off-diagonal block of Aᵀ for the earlier stage, the diagonal one for the
-// last; protein is a 1024-row A of 10 entries per column against 64-column B
-// blocks of 4.
+// BenchmarkMergeLayer times a Merge-Layer with its stages' multiplies, the
+// three ways the engine has run it: materialize plans every stage, multiplies
+// it into a lent product (Plan.MulLent) and merges the products (MergeLent);
+// fused makes every stage's product but the last's, as the pipelined schedule
+// still does, and merges the last straight out of the accumulator
+// (MulMerge); fused-all, the staged schedule, plans every stage and merges
+// them all in one pass, with no product written. Each releases its plans and
+// returns its loans; the unsorted hash kernel and merger, and an unsorted
+// merge, as on a grid with l > 1. Two block pairs at q = 2 and q = 4: kmer
+// is BenchmarkPlanMulHypersparse's, a hypersparse DCSC A against the diagonal
+// block of Aᵀ in the last stage and off-diagonal blocks before it; protein
+// is a 1024-row A of 10 entries per column against 64-column B blocks of 4.
 func BenchmarkMergeLayer(b *testing.B) {
 	sr := semiring.PlusTimes()
 	kmer := hyperMat(b, 2048, 8192, 1536, 103)
 	protein := uniformMat(b, 1024, 256, 10, 105)
+	kmerB := []spmat.Matrix{spmat.AutoFormat(spmat.Transpose(kmer))}
+	proteinB := []spmat.Matrix{uniformMat(b, 256, 64, 4, 107)}
+	for s := range int64(3) {
+		kmerB = append(kmerB, spmat.AutoFormat(spmat.Transpose(hyperMat(b, 2048, 8192, 1536, 104+10*s))))
+		proteinB = append(proteinB, uniformMat(b, 256, 64, 4, 106+10*s))
+	}
 	for _, sh := range []struct {
-		name        string
-		a           spmat.Matrix
-		first, last spmat.Matrix
+		name string
+		a    spmat.Matrix
+		bs   []spmat.Matrix // the last stage's first
 	}{
-		{"kmer", kmer.ToDCSC(), spmat.AutoFormat(spmat.Transpose(hyperMat(b, 2048, 8192, 1536, 104))), spmat.AutoFormat(spmat.Transpose(kmer))},
-		{"protein", protein, uniformMat(b, 256, 64, 4, 106), uniformMat(b, 256, 64, 4, 107)},
+		{"kmer", kmer.ToDCSC(), kmerB},
+		{"protein", protein, proteinB},
 	} {
-		prev := []spmat.Matrix{MulMat(KernelHashUnsorted, sh.a, sh.first, sr, 1)}
-		_, cols := sh.last.Dims()
-		b.Run(sh.name+"/materialize", func(b *testing.B) {
-			for range b.N {
-				pl := PlanMul(sh.a, sh.last)
-				prod, loan := pl.MulLent(KernelHashUnsorted, sr, 1)
-				pl.Release()
-				_, merged := MergeLent(MergerHash, append(prev[:1:1], prod), sr, false, 1)
-				loan.Return()
-				merged.Return()
-			}
-		})
-		b.Run(sh.name+"/fused", func(b *testing.B) {
-			for range b.N {
-				pl := PlanMul(sh.a, sh.last)
-				_, merged, _ := pl.MulMergeLent(KernelHashUnsorted, MergerHash, prev, 0, cols, sr, false, 1)
-				pl.Release()
-				merged.Return()
-			}
-		})
+		for _, q := range []int{2, 4} {
+			// Stage order: the off-diagonal blocks, then the last stage's.
+			bs := append(slices.Clone(sh.bs[1:q]), sh.bs[0])
+			_, cols := bs[0].Dims()
+			plans := make([]*Plan, q)
+			prods := make([]spmat.Matrix, q)
+			loans := make([]Loan, q)
+			name := fmt.Sprintf("%s/q=%d/", sh.name, q)
+			b.Run(name+"materialize", func(b *testing.B) {
+				for range b.N {
+					for s, bm := range bs {
+						pl := PlanMul(sh.a, bm)
+						prods[s], loans[s] = pl.MulLent(KernelHashUnsorted, sr, 1)
+						pl.Release()
+					}
+					_, merged := MergeLent(MergerHash, prods, sr, false, 1)
+					for s := range loans {
+						loans[s].Return()
+					}
+					merged.Return()
+				}
+			})
+			b.Run(name+"fused", func(b *testing.B) {
+				for range b.N {
+					for s, bm := range bs[:q-1] {
+						pl := PlanMul(sh.a, bm)
+						prods[s], loans[s] = pl.MulLent(KernelHashUnsorted, sr, 1)
+						pl.Release()
+					}
+					plans[0] = PlanMul(sh.a, bs[q-1])
+					_, merged, _ := MulMerge(KernelHashUnsorted, MergerHash, prods[:q-1], plans[:1], 0, cols, sr, false, true, 1)
+					plans[0].Release()
+					for s := range loans[:q-1] {
+						loans[s].Return()
+					}
+					merged.Return()
+				}
+			})
+			b.Run(name+"fused-all", func(b *testing.B) {
+				for range b.N {
+					for s, bm := range bs {
+						plans[s] = PlanMul(sh.a, bm)
+					}
+					_, merged, _ := MulMerge(KernelHashUnsorted, MergerHash, nil, plans, 0, cols, sr, false, true, 1)
+					for _, pl := range plans {
+						pl.Release()
+					}
+					merged.Return()
+				}
+			})
+		}
 	}
 }
 

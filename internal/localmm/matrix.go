@@ -27,12 +27,12 @@ import (
 // read A's view at those slots, with no lookup and no branch on A's format
 // per entry.
 //
-// The last SUMMA stage's product need not be written at all: Plan.MulMerge
-// (mulmerge.go) accumulates each of its columns in the worker's table and
-// merges the earlier stage products' columns into it there, bit-identical
-// to merging the product Plan.Mul would have made. mulColumn and
-// mergeColumn are the column routines that pass shares with the multiply and
-// the merge here.
+// A SUMMA stage's product need not be written at all: MulMerge
+// (mulmerge.go) makes the planned stages' columns one output column at a
+// time, in stage order, and merges them with the earlier stage products'
+// columns, bit-identical to merging the products Plan.Mul would have made.
+// mulColumn and mergeColumn are the column routines that pass shares with
+// the multiply and the merge here.
 //
 // Output format follows B: the stored columns of A·B are a subset of B's,
 // so a DCSC B yields a DCSC product (a batch piece stays compressed through
@@ -97,9 +97,10 @@ func checkMulShapesMat(a, b spmat.Matrix) {
 // multiplication count of every slot of B — the quantity a stage of the
 // distributed multiply reports (Flops), picks its kernel by, balances its
 // workers by and sizes its hash tables by. It is made once per block pair;
-// Mul and Symbolic then run from it, any number of times, with any kernel,
-// and read A's columns through its colView by the slots the plan holds: no
-// column of A is looked up twice.
+// Mul, Symbolic and the fused Merge-Layer (MulMerge, which takes a stage's
+// plan in place of its product) then run from it, any number of times, with
+// any kernel, and read A's columns through its colView by the slots the plan
+// holds: no column of A is looked up twice.
 //
 // The per-entry and per-slot arrays (the A slots of a DCSC A, the running
 // flop sums, the per-slot counts) come from the kernels' free list and go
@@ -121,14 +122,19 @@ type Plan struct {
 	base     int64
 	colFlops []int64
 	scratch  *planScratch
+	// p0 and kv are a fused merge's (MulMerge) for the length of one call:
+	// the B slot of its window's first column, and the view of A its kernel
+	// reads (kernelView).
+	p0 int32
+	kv *colView
 }
 
 // planScratch is the arrays a plan borrows from the free list: the A slot
 // and running flop sum of every B entry (a DCSC A only), the flop count of
-// every B slot, and what a fused merge (Plan.MulMerge) needs for the length
-// of one call, reused by the next window: the window's running flop counts
-// and, for a DCSC B, its columns, and the input entries of every output
-// slot.
+// every B slot, and what a fused merge (MulMerge) needs of the plan for the
+// length of one call, reused by the next window: the window's running flop
+// counts and, for a DCSC B, its columns, and — in the first plan's scratch —
+// the input entries of every output slot.
 type planScratch struct {
 	slots    []int32
 	sums     []int64
@@ -199,7 +205,7 @@ func (pl *Plan) bVals(p int32) []float64 {
 // after its release fails loudly instead of reading the next plan's arrays.
 func (pl *Plan) Release() {
 	s := pl.scratch
-	pl.scratch, pl.slots, pl.colFlops = nil, nil, nil
+	pl.scratch, pl.slots, pl.colFlops, pl.kv = nil, nil, nil, nil
 	if s == nil {
 		return
 	}
@@ -270,9 +276,9 @@ func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, threads int) spmat.Matrix {
 	return out
 }
 
-// MulLent is Mul for a product that is read once and dropped — a stage
-// product on its way into a Merge-Layer that accumulates it with others. When
-// the call ran one range (every call too small for a second worker), the
+// MulLent is Mul for a product that is read once and dropped — a pipelined
+// stage product on its way into a Merge-Layer that accumulates it with others.
+// When the call ran one range (every call too small for a second worker), the
 // product's entry arrays are the worker's chunk itself: nothing is copied and
 // nothing allocated but the column metadata. The caller must then be done
 // reading the product, and everything that shares its arrays (column-range

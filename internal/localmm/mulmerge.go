@@ -3,63 +3,62 @@ package localmm
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
 
-// MulMerge is the last SUMMA stage's multiply and Merge-Layer in one pass:
-// MergeMat(mg, append(prev, window), sr, sortOutput, threads), where window is
-// the columns [lo, hi) of pl.Mul(k, sr, ·) — spmat.MatColRanges of the
-// product, or the product itself when the window is all of B — without the
-// product ever existing. It returns the merged output and the number of
-// entries the window of the product would have held. prev are the earlier
-// stage products of the same window (or their windows), each rows × (hi − lo),
-// any formats, each column holding a row at most once, as every kernel's and
-// merger's output does.
+// MulMerge is Merge-Layer with the planned SUMMA stages' multiplies inside
+// it: MergeMat(mg, append(prev, windows…), sr, sortOutput, threads), where
+// windows[i] is the columns [lo, hi) of plans[i].Mul(k, sr, ·) —
+// spmat.MatColRanges of that product, or the product itself when the window
+// is all of B — without any planned product ever existing. prev are the
+// earlier materialized stage products of the same window (or their windows),
+// each rows × (hi − lo), any formats, each column holding a row at most once,
+// as every kernel's and merger's output does; plans are the stages after
+// them, in stage order, at least one, all over A blocks of the same height.
+// The staged schedule passes every stage's plan and no prev; the pipelined
+// one its q − 1 products and the last stage's plan.
 //
 // The output is bit-identical to that merge's: values, stored entry order,
-// format and sorted flag. Column by column, the product's contributions are
-// accumulated in the worker's table, as the kernel would, and merged there
-// with the earlier parts:
+// format and sorted flag. Column by column, each planned stage's
+// contributions are made in stage order, as the kernel would make them, and
+// merged with the earlier parts:
 //
-//   - Under the hash merger, with at most one earlier part in the column and
-//     a column the kernel hashes, the table is the merge's too. With no part
-//     it is drained as the merge would drain the product's column alone. A
-//     sorted drain inserts the part into the table as the first operand and
-//     walks the table ascending; an unsorted one walks the part against the
-//     table, emitting part + table where the table holds the row, then
-//     drains the rows the part did not meet in the kernel's order
+//   - Under the hash merger, with at most one earlier column — a part of prev
+//     or an earlier planned stage's column, made into the worker's stage
+//     scratch — and a last planned column the kernel hashes, the table that
+//     accumulates the last column is the merge's too. With no earlier column
+//     it is drained as the merge would drain that column alone. A sorted
+//     drain inserts the earlier column into the table as the first operand
+//     and walks the table ascending; an unsorted one walks the earlier column
+//     against the table, emitting earlier + table where the table holds the
+//     row, then drains the rows it did not meet in the kernel's order
 //     (walkFirst).
-//   - Otherwise — more earlier parts, the heap merger, or a column the kernel
-//     heap-merges — the product's column is made into the worker's column
-//     scratch in the order the merge would read it (sorted for the heap
-//     merger), and the merger's own column routine runs over [parts…,
-//     scratch], as MergeMat runs it.
+//   - Otherwise every planned column is made into the stage scratch in the
+//     order the merge would read it (sorted for the heap merger), and the
+//     merger's own column routine runs over [parts…, stage columns…], as
+//     MergeMat runs it.
 //
-// The plan stays the caller's: a pipelined Merge-Layer calls this once per
-// destination window, then releases the plan.
-func (pl *Plan) MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32, sr *semiring.Semiring, sortOutput bool, threads int) (spmat.Matrix, int64) {
-	out, _, nnz := pl.mulMerge(k, mg, prev, lo, hi, sr, sortOutput, threads, ownedOutput)
-	return out, nnz
-}
-
-// MulMergeLent is MulMerge for an output that is read and dropped, lent as
+// It returns the merged output and, per plan, the number of entries the
+// window of its product would have held. With lend the output is lent as
 // MergeLent lends: when the pass ran one range, the output's entry arrays are
 // the worker's chunk itself, on loan until the caller hands it back with
-// Loan.Return; a pass that ran several ranges returns owned arrays and an
-// empty Loan. The output shares nothing with the plan or with prev.
-func (pl *Plan) MulMergeLent(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32, sr *semiring.Semiring, sortOutput bool, threads int) (spmat.Matrix, Loan, int64) {
-	return pl.mulMerge(k, mg, prev, lo, hi, sr, sortOutput, threads, lentOutput)
-}
-
-// mulMerge is MulMerge and MulMergeLent, which differ only in what the one
-// pass does with a single range's chunk (mode).
-func (pl *Plan) mulMerge(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32, sr *semiring.Semiring, sortOutput bool, threads int, mode passOutput) (spmat.Matrix, Loan, int64) {
-	rows, _ := pl.a.Dims()
-	if _, bCols := pl.b.Dims(); lo < 0 || hi < lo || hi > bCols {
-		panic(fmt.Sprintf("localmm: window [%d, %d) of a product %d columns wide", lo, hi, bCols))
+// Loan.Return; a pass that ran several ranges, and any pass without lend,
+// returns owned arrays and an empty Loan. The output shares nothing with the plans
+// or with prev. The plans stay the caller's: a pipelined Merge-Layer calls
+// this once per destination window, then releases them.
+func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, []int64) {
+	if len(plans) == 0 {
+		panic("localmm: fused merge of no planned stage")
+	}
+	rows, _ := plans[0].a.Dims()
+	for _, pl := range plans {
+		r, _ := pl.a.Dims()
+		if _, bCols := pl.b.Dims(); r != rows || lo < 0 || hi < lo || hi > bCols {
+			panic(fmt.Sprintf("localmm: window [%d, %d) of a stage %v·%v beside %d-row stages", lo, hi, pl.a, pl.b, rows))
+		}
 	}
 	cols := hi - lo
 	for _, m := range prev {
@@ -67,25 +66,92 @@ func (pl *Plan) mulMerge(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32,
 			panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
 		}
 	}
-	// A hash merge of the window alone passes the product through, sorted
+	// A hash merge of one window alone passes that product through, sorted
 	// flag and all.
-	sorted := sortOutput || mg == MergerHeap || len(prev) == 0 && k.sorts()
+	sorted := sortOutput || mg == MergerHeap || len(prev)+len(plans) == 1 && k.sorts()
 	if mg == MergerHeap {
 		sortOutput = true
 		prev = sortedOperands(prev)
 	}
-	av, last := pl.kernelView(k), len(prev)
-	views := make([]colView, last+1)
+	f := &fusedPass{k: k, mg: mg, sr: sr, plusTimes: sr.IsPlusTimes(), sortOutput: sortOutput, rows: rows,
+		views: make([]colView, len(prev)+len(plans)), first: len(prev), plans: plans}
+	var entries int64
 	for i, m := range prev {
-		views[i] = viewOf(m)
+		f.views[i] = viewOf(m)
+		entries += m.NNZ()
 	}
-	// The window of the product is one more operand, in B's format, whose
-	// slot i is B's slot p0 + i and whose entry counts are the slots' flops:
-	// a product column has entries exactly where it has flops, and no more
-	// entries than flops. Its arrays, and the slots' input entries, are the
-	// plan's scratch: they live for the call.
+	for i, pl := range plans {
+		v := &f.views[f.first+i]
+		*v = pl.stageWindow(k, lo, hi)
+		entries += v.ptr[v.n]
+	}
+	sc := plans[0].scratch
+	slots, colIn := mergeSlots(f.views, cols, sc.colIn)
+	sc.colIn = colIn
+	ptr := make([]int64, slots.n+1)
+	counts := make([]int64, len(plans))
+	mode := ownedOutput
+	if lend {
+		mode = lentOutput
+	}
+	ir, num, loan := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, s0, s1 int32) {
+		w.seek(f.views, slots.index(s0))
+		w.at = slices.Grow(w.at[:0], len(plans))[:len(plans)]
+		clear(w.at)
+		for s := s0; s < s1; s++ {
+			if colIn[s] == 0 {
+				continue
+			}
+			start := len(w.rows)
+			f.column(w, slots.index(s), colIn[s])
+			ptr[s+1] = int64(len(w.rows) - start)
+		}
+		f.mu.Lock()
+		for i := range w.at {
+			counts[i] += w.at[i].made
+		}
+		f.mu.Unlock()
+	}, mode)
+	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), loan, counts
+}
+
+// fusedPass is what every column of one MulMerge shares: the kernel, the
+// merger and the semiring, the operands' views — prev's, then each planned
+// stage's window from index first on — and the stages' plans; mu orders the
+// ranges' additions to the stages' entry counts.
+type fusedPass struct {
+	mu         sync.Mutex
+	k          Kernel
+	mg         Merger
+	sr         *semiring.Semiring
+	plusTimes  bool
+	sortOutput bool
+	rows       int32
+	views      []colView
+	first      int
+	plans      []*Plan
+}
+
+// stageAt is a worker's place in a planned stage: the B slot of the
+// current output column (−1 when the stage has no flops there), where the
+// stage's column ends in the worker's stage scratch, and the entries the
+// stage's columns came to.
+type stageAt struct {
+	p    int32
+	end  int
+	made int64
+}
+
+// stageWindow readies the plan for a fused merge of the window [lo, hi) of
+// its product under kernel k (p0, kv) and returns the window as one more
+// merge operand, in B's format: slot i is B's slot p0 + i, and its entry
+// counts are the slots' flops — a product column has entries exactly where
+// it has flops, and no more entries than flops. Its arrays are the plan's
+// scratch: they live until the next window.
+func (pl *Plan) stageWindow(k Kernel, lo, hi int32) colView {
 	bv, sc := &pl.bv, pl.scratch
 	p0, p1 := pl.window(lo, hi)
+	pl.p0, pl.kv = p0, pl.kernelView(k)
 	tv := colView{n: p1 - p0, compressed: bv.compressed}
 	sc.winPtr = append(sc.winPtr[:0], 0)
 	for _, f := range pl.colFlops[p0:p1] {
@@ -99,64 +165,103 @@ func (pl *Plan) mulMerge(k Kernel, mg Merger, prev []spmat.Matrix, lo, hi int32,
 		}
 		tv.jc = sc.winJC
 	}
-	views[last] = tv
-	slots, colIn := mergeSlots(views, cols, sc.colIn)
-	sc.colIn = colIn
-	entries := tv.ptr[tv.n]
-	for _, m := range prev {
-		entries += m.NNZ()
-	}
-	ptr := make([]int64, slots.n+1)
-	plusTimes := sr.IsPlusTimes()
-	var made atomic.Int64
-	ir, num, loan := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, s0, s1 int32) {
-		w.seek(views, slots.index(s0))
-		var n int64
-		for s := s0; s < s1; s++ {
-			if colIn[s] == 0 {
-				continue
-			}
-			start, j := len(w.rows), slots.index(s)
-			// B's slot of output column j, if the window stores it. The
-			// cursor steps over the stored columns the loop skipped: those
-			// without flops, in no earlier part either.
-			p := p0 + j
-			if tv.compressed {
-				c := w.pos[last]
-				for c < int(tv.n) && tv.jc[c] < j {
-					c++
-				}
-				if p = -1; c < int(tv.n) && tv.jc[c] == j {
-					p = p0 + int32(c)
-				}
-				w.pos[last] = c
-			}
-			switch {
-			case p < 0 || pl.colFlops[p] == 0:
-				w.mergeColumn(mg, w.gather(views[:last], j), colIn[s], rows, sr, plusTimes, sortOutput)
-			case mg == MergerHash && !k.heapMerges(pl.colFlops[p]):
-				w.acc.sizeFor(colIn[s], rows)
-				hashAccumulateColumn(&w.acc, av, pl.aSlots(p), pl.bVals(p), sr, plusTimes)
-				n += int64(len(w.acc.occupied))
-				w.mergeIntoTable(w.gather(views[:last], j), k, colIn[s], rows, sr, plusTimes, sortOutput)
-			default:
-				// A column the kernel heap-merges, or any column under the
-				// heap merger, which reads the product's column sorted: made
-				// into the column scratch, then merged by the merger's own
-				// routine. The heap kernels use the worker's parts while they
-				// run, so the earlier parts are gathered after.
-				w.swapColumn()
-				w.rows, w.vals = w.rows[:0], w.vals[:0]
-				w.mulColumn(pl, av, p, k, sr, plusTimes, rows, k.sorts() || mg == MergerHeap)
-				w.swapColumn()
-				n += int64(len(w.col.rows))
-				w.mergeProduct(mg, w.gather(views[:last], j), colIn[s], rows, sr, plusTimes, sortOutput)
-			}
-			ptr[s+1] = int64(len(w.rows) - start)
+	return tv
+}
+
+// slot returns B's slot of output column j in planned stage i, or −1 when
+// the stage has no flops there. The stage's cursor steps over the stored
+// columns the loop skipped: those without flops, in no other operand either.
+func (f *fusedPass) slot(w *mmWorker, i int, j int32) int32 {
+	pl, v, x := f.plans[i], &f.views[f.first+i], f.first+i
+	p := pl.p0 + j
+	if v.compressed {
+		c := w.pos[x]
+		for c < int(v.n) && v.jc[c] < j {
+			c++
 		}
-		made.Add(n)
-	}, mode)
-	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), loan, made.Load()
+		w.pos[x] = c
+		if c == int(v.n) || v.jc[c] != j {
+			return -1
+		}
+		p = pl.p0 + int32(c)
+	}
+	if pl.colFlops[p] == 0 {
+		return -1
+	}
+	return p
+}
+
+// column appends output column j — want input entries, flops included — to
+// the worker's chunk, and adds each planned stage's entries in it to the
+// worker's place in the stage (mmWorker.at).
+// The heap kernels use the worker's parts while they run, so prev's parts
+// are gathered only once every planned column that may be heap-merged is
+// made.
+func (f *fusedPass) column(w *mmWorker, j int32, want int64) {
+	at, last := w.at, -1
+	for i := range at {
+		if at[i].p = f.slot(w, i, j); at[i].p >= 0 {
+			last = i
+		}
+	}
+	if last < 0 {
+		w.mergeColumn(f.mg, w.gather(f.views[:f.first], j), want, f.rows, f.sr, f.plusTimes, f.sortOutput)
+		return
+	}
+	w.stage.rows, w.stage.vals = w.stage.rows[:0], w.stage.vals[:0]
+	earlier := 0
+	for i := range last {
+		if at[i].p >= 0 {
+			f.stageColumn(w, &at[i], i)
+			earlier++
+		}
+	}
+	pl, p := f.plans[last], at[last].p
+	if f.mg == MergerHash && !f.k.heapMerges(pl.colFlops[p]) {
+		w.acc.sizeFor(want, f.rows)
+		hashAccumulateColumn(&w.acc, pl.kv, pl.aSlots(p), pl.bVals(p), f.sr, f.plusTimes)
+		at[last].made += int64(len(w.acc.occupied))
+		parts := w.gather(f.views[:f.first], j)
+		if len(parts)+earlier <= 1 {
+			w.mergeIntoTable(f.stageParts(w, parts, at[:last]), f.k, f.sr, f.plusTimes, f.sortOutput)
+			return
+		}
+		w.swapStage()
+		w.drain(f.k.sorts())
+		w.swapStage()
+		at[last].end = len(w.stage.rows)
+	} else {
+		f.stageColumn(w, &at[last], last)
+		w.gather(f.views[:f.first], j)
+	}
+	w.mergeColumn(f.mg, f.stageParts(w, w.parts, at[:last+1]), want, f.rows, f.sr, f.plusTimes, f.sortOutput)
+}
+
+// stageColumn appends planned stage i's column at a.p to the worker's stage
+// scratch as its product would hold it for the merge: in the kernel's order
+// under the hash merger, ascending under the heap merger, which reads its
+// operands sorted.
+func (f *fusedPass) stageColumn(w *mmWorker, a *stageAt, i int) {
+	pl, start := f.plans[i], len(w.stage.rows)
+	w.swapStage()
+	w.mulColumn(pl, pl.kv, a.p, f.k, f.sr, f.plusTimes, f.rows, f.k.sorts() || f.mg == MergerHeap)
+	w.swapStage()
+	a.end = len(w.stage.rows)
+	a.made += int64(a.end - start)
+}
+
+// stageParts appends to parts the planned stages' columns the worker's stage
+// scratch holds, in stage order, and keeps the slice as the worker's parts.
+func (f *fusedPass) stageParts(w *mmWorker, parts []colPart, at []stageAt) []colPart {
+	start := 0
+	for i := range at {
+		if at[i].p >= 0 {
+			parts = append(parts, colPart{rows: w.stage.rows[start:at[i].end], vals: w.stage.vals[start:at[i].end]})
+			start = at[i].end
+		}
+	}
+	w.parts = parts
+	return parts
 }
 
 // window returns the range [p0, p1) of B's slots that hold its columns
@@ -182,49 +287,31 @@ func (pl *Plan) WindowFlops(lo, hi int32) int64 {
 	return f
 }
 
-// swapColumn exchanges the worker's chunk and its column scratch, so that
-// what appends a column to the chunk appends it to the scratch instead:
-// swapped in and emptied to make a column there, swapped back to put the
-// chunk back.
-func (w *mmWorker) swapColumn() {
-	w.rows, w.col.rows = w.col.rows, w.rows
-	w.vals, w.col.vals = w.col.vals, w.vals
+// swapStage exchanges the worker's chunk and its stage scratch, so that what
+// appends a column to the chunk appends it to the scratch instead: swapped in
+// to make a column there, swapped back to put the chunk back.
+func (w *mmWorker) swapStage() {
+	w.rows, w.stage.rows = w.stage.rows, w.rows
+	w.vals, w.stage.vals = w.stage.vals, w.vals
 }
 
 // mergeIntoTable appends to the worker's chunk the hash merge of one
-// column's earlier parts with the product column its table holds, which
-// kernel k accumulated there, as MergeMat's would come out of [parts…, the
-// column drained in k's order]. With no part the table is drained; with one
-// it is merged in the table (hashAccumulateFirst for a sorted drain,
-// walkFirst otherwise); with more the column is drained into the column
-// scratch and merged with them (mergeProduct). want and rows size the table
-// as mergeColumn's.
-func (w *mmWorker) mergeIntoTable(parts []colPart, k Kernel, want int64, rows int32, sr *semiring.Semiring, plusTimes, sorted bool) {
+// column's earlier column, if any, with the planned column its table holds,
+// which kernel k accumulated there, as MergeMat's would come out of
+// [earlier, the column drained in k's order]. With no earlier column the
+// table is drained; with one it is merged in the table (hashAccumulateFirst
+// for a sorted drain, walkFirst otherwise).
+func (w *mmWorker) mergeIntoTable(parts []colPart, k Kernel, sr *semiring.Semiring, plusTimes, sorted bool) {
 	switch {
 	case len(parts) == 0:
 		w.drain(sorted || k.sorts())
-	case len(parts) == 1 && sorted:
+	case sorted:
 		hashAccumulateFirst(&w.acc, parts[0], sr, plusTimes)
 		w.drain(true)
-	case len(parts) == 1:
+	default:
 		w.walkFirst(parts[0], sr, plusTimes)
 		w.drain(k.sorts())
-	default:
-		w.swapColumn()
-		w.rows, w.vals = w.rows[:0], w.vals[:0]
-		w.drain(k.sorts())
-		w.swapColumn()
-		w.mergeProduct(MergerHash, parts, want, rows, sr, plusTimes, sorted)
 	}
-}
-
-// mergeProduct merges one column's earlier parts with the product column the
-// worker's column scratch holds, last, by the merger's own routine
-// (mergeColumn).
-func (w *mmWorker) mergeProduct(mg Merger, parts []colPart, want int64, rows int32, sr *semiring.Semiring, plusTimes, sorted bool) {
-	parts = append(parts, colPart{rows: w.col.rows, vals: w.col.vals})
-	w.parts = parts
-	w.mergeColumn(mg, parts, want, rows, sr, plusTimes, sorted)
 }
 
 // sortedOperands returns mats with every unsorted operand replaced by a

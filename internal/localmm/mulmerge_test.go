@@ -63,73 +63,83 @@ func entryArrays(m spmat.Matrix) ([]int32, []float64) {
 	return d.IR, d.Num
 }
 
-// TestMulMergeMatchesMergeOfTheProduct holds the fused last-stage merge to
-// what it replaces — MergeMat over the earlier parts and the window of the
-// materialized product — in values, stored order, format and sorted flag,
-// and its count to the window's entries: 0–3 earlier parts, sorted and
-// unsorted, CSC and DCSC mixed; B as CSC, as DCSC and as a MatColRanges piece
-// of either; A sorted CSC and unsorted DCSC; full, middle and empty windows;
-// the direct (2¹⁰ rows) and hash (2¹⁶ rows) regimes; every kernel × merger ×
-// sorted or unsorted merge; plus-times and min-plus; −0.0 and NaN among the
-// values; one and four threads, lent and owned. The plan serves every window
-// before it is released, and a lent output and the released plan read
-// poisoned once handed back.
+// TestMulMergeMatchesMergeOfTheProduct holds the fused Merge-Layer to what
+// it replaces — MergeMat over the earlier parts and the windows of the
+// materialized products of every planned stage — in values, stored order,
+// format and sorted flag, and its counts to each window's entries: 1–4
+// planned stages behind 0–3 earlier parts, four operands at most (the staged
+// schedule's shape is no part, the pipelined one's a single plan), the parts
+// sorted and unsorted,
+// CSC and DCSC mixed; each stage's B as CSC, as DCSC or as a MatColRanges
+// piece of either, with A sorted CSC beside a CSC B and unsorted DCSC beside
+// a DCSC one, and every other stage's B column dense enough for the hybrid
+// kernel to hash it; full, middle and empty windows; the direct (2¹⁰ rows)
+// and hash (2¹⁶ rows) regimes; every kernel × merger × sorted or unsorted
+// merge; plus-times and min-plus; −0.0 and NaN among the values; lent at four
+// threads and owned at one, each merger both ways. The plans serve every window before they are
+// released, and a lent output and every released plan read poisoned once
+// handed back.
 func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
-	const inner, cols = 96, 120
+	const inner, cols, stages = 96, 48, 4
 	semirings := []*semiring.Semiring{semiring.PlusTimes(), semiring.MinPlus()}
 	for _, rows := range []int32{1 << 10, 1 << 16} {
-		aCSC := valueMat(t, rows, inner, 600, 64, int64(rows)+1)
-		src := valueMat(t, inner, cols+50, 600, inner, int64(rows)+2)
-		bCSC := valueMat(t, inner, cols, 400, inner, int64(rows)+3)
-		bForms := []struct {
-			name string
-			b    spmat.Matrix
-		}{
-			{"csc", bCSC},
-			{"dcsc", bCSC.ToDCSC()},
-			{"piece-csc", spmat.MatColRanges(src, []int32{0, 20, 20 + cols, cols + 50})[1]},
-			{"piece-dcsc", spmat.MatColRanges(src.ToDCSC(), []int32{0, 20, 20 + cols, cols + 50})[1]},
-		}
-		for bi, bf := range bForms {
-			a := spmat.Matrix(aCSC)
-			if bi%2 == 1 {
-				a = scrambleColumns(aCSC, int64(bi)).ToDCSC()
+		for form := range 4 {
+			plans := make([]*Plan, stages)
+			for i := range plans {
+				seed := int64(rows) + int64(100*form+10*i)
+				aCSC := valueMat(t, rows, inner, 600, 64, seed+1)
+				src := valueMat(t, inner, cols+20, 240+320*(i%2), inner, seed+2)
+				bCSC := valueMat(t, inner, cols, 160+320*(i%2), inner, seed+3)
+				b := [4]spmat.Matrix{
+					bCSC,
+					bCSC.ToDCSC(),
+					spmat.MatColRanges(src, []int32{0, 10, 10 + cols, cols + 20})[1],
+					spmat.MatColRanges(src.ToDCSC(), []int32{0, 10, 10 + cols, cols + 20})[1],
+				}[(form+2*i)%4]
+				a := spmat.Matrix(aCSC)
+				if form%2 == 1 {
+					a = scrambleColumns(aCSC, seed).ToDCSC()
+				}
+				plans[i] = PlanMul(a, b)
 			}
-			pl := PlanMul(a, bf.b)
 			for wi, win := range [][2]int32{{0, cols}, {cols / 4, 3 * cols / 4}, {cols / 2, cols / 2}} {
 				lo, hi := win[0], win[1]
 				var prev []spmat.Matrix
 				for parts := range 4 {
-					label := fmt.Sprintf("rows=%d/b=%s/window=%v/parts=%d", rows, bf.name, win, parts)
-					for _, sr := range semirings {
-						for _, k := range allKernels {
-							wantWin := window(pl.Mul(k, sr, 1), lo, hi)
-							for _, mg := range []Merger{MergerHash, MergerHeap} {
-								for _, sortOut := range []bool{false, true} {
-									want := MergeMat(mg, append(slices.Clip(prev), wantWin), sr, sortOut, 1)
-									wantBytes := string(want.Serialize())
-									// Four threads collapse to one worker here;
-									// TestMulMergeRunsSeveralRanges runs several.
-									for _, lend := range []bool{false, true} {
+					for n := 1; parts+n <= stages; n++ {
+						label := fmt.Sprintf("rows=%d/form=%d/window=%v/parts=%d/plans=%d", rows, form, win, parts, n)
+						for _, sr := range semirings {
+							for _, k := range allKernels {
+								wins := slices.Clip(prev)
+								for _, pl := range plans[:n] {
+									wins = append(wins, window(pl.Mul(k, sr, 1), lo, hi))
+								}
+								for _, mg := range []Merger{MergerHash, MergerHeap} {
+									for _, sortOut := range []bool{false, true} {
+										want := MergeMat(mg, wins, sr, sortOut, 1)
+										wantBytes := string(want.Serialize())
+										// Lent at four threads for one drain of each
+										// merger, owned at one for the other. Four
+										// threads collapse to one worker here;
+										// TestMulMergeRunsSeveralRanges runs several.
+										lend := (mg == MergerHash) != sortOut
 										threads := 1 + 3*b2i(lend)
 										name := fmt.Sprintf("%s/%s/%v/%v/sorted=%v/t%d/lend=%v", label, sr.Name, k, mg, sortOut, threads, lend)
-										var got spmat.Matrix
-										var loan Loan
-										var nnz int64
-										if lend {
-											got, loan, nnz = pl.MulMergeLent(k, mg, prev, lo, hi, sr, sortOut, threads)
-										} else {
-											got, nnz = pl.MulMerge(k, mg, prev, lo, hi, sr, sortOut, threads)
-										}
+										got, loan, counts := MulMerge(k, mg, prev, plans[:n], lo, hi, sr, sortOut, lend, threads)
 										if got.Format() != want.Format() || got.Sorted() != want.Sorted() || string(got.Serialize()) != wantBytes {
-											t.Fatalf("%s: fused merge differs from the merge of the materialized product", name)
+											t.Fatalf("%s: fused merge differs from the merge of the materialized products", name)
 										}
-										if nnz != wantWin.NNZ() {
-											t.Fatalf("%s: fused merge counts %d product entries, the window holds %d", name, nnz, wantWin.NNZ())
+										for i, c := range counts {
+											if w := wins[len(prev)+i].NNZ(); c != w {
+												t.Fatalf("%s: fused merge counts %d entries of stage %d, its window holds %d", name, c, i, w)
+											}
 										}
 										if lend && got.NNZ() > 0 && loan.c.bytes() == 0 {
 											t.Fatalf("%s: a single-range output was not lent", name)
+										}
+										if !lend && loan.c.bytes() != 0 {
+											t.Fatalf("%s: an owned output was lent", name)
 										}
 										loan.Return()
 										if r, v := entryArrays(got); lend && got.NNZ() > 0 &&
@@ -142,21 +152,23 @@ func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
 						}
 					}
 					// The next part: alternately CSC and DCSC, sorted and not.
-					part := valueMat(t, rows, hi-lo, int(hi-lo)*4, 64, int64(rows)*10+int64(bi*100+wi*10+parts))
+					part := valueMat(t, rows, hi-lo, int(hi-lo)*4, 64, int64(rows)*10+int64(form*100+wi*10+parts))
 					p := spmat.Matrix(part)
 					if (parts+wi)%2 == 1 {
 						p = scrambleColumns(part, int64(parts))
 					}
-					if (parts+bi)%2 == 1 {
+					if (parts+form)%2 == 1 {
 						p = p.ToCSC().ToDCSC()
 					}
 					prev = append(prev, p)
 				}
 			}
-			s := pl.scratch
-			pl.Release()
-			if slices.ContainsFunc(s.colFlops[:cap(s.colFlops)], func(f int64) bool { return f != -1 }) {
-				t.Fatalf("rows=%d/b=%s: the released plan's arrays are not poisoned", rows, bf.name)
+			for i, pl := range plans {
+				s := pl.scratch
+				pl.Release()
+				if slices.ContainsFunc(s.colFlops[:cap(s.colFlops)], func(f int64) bool { return f != -1 }) {
+					t.Fatalf("rows=%d/form=%d: released plan %d's arrays are not poisoned", rows, form, i)
+				}
 			}
 		}
 	}
@@ -164,29 +176,43 @@ func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
 
 // TestMulMergeRunsSeveralRanges: a fused merge whose work pays for four
 // workers runs them, returns owned arrays and no loan, lent or not, and is
-// still the merge of the materialized product, bit for bit — on the table's
-// path (unsorted hash) and the scratch column's (heap), under both mergers.
+// still the merge of the materialized products, bit for bit — on the
+// table's path (unsorted hash) and the stage scratch's (heap), under both
+// mergers, with the staged schedule's three plans and no earlier part and
+// the pipelined one's two parts and a plan.
 func TestMulMergeRunsSeveralRanges(t *testing.T) {
 	sr := semiring.PlusTimes()
-	a := uniformMat(t, 1024, 256, 40, 4301)
-	b := uniformMat(t, 256, 400, 16, 4302)
-	prev := []spmat.Matrix{uniformMat(t, 1024, 400, 20, 4303), uniformMat(t, 1024, 400, 20, 4304).ToDCSC()}
-	pl := PlanMul(a, b)
-	defer pl.Release()
-	if clampThreads(4, 400, pl.Flops) < 4 {
-		t.Fatalf("%d flops do not pay for four workers", pl.Flops)
+	var plans []*Plan
+	for i := range int64(3) {
+		pl := PlanMul(uniformMat(t, 1024, 256, 40, 4301+10*i), uniformMat(t, 256, 400, 16, 4302+10*i))
+		defer pl.Release()
+		if clampThreads(4, 400, pl.Flops) < 4 {
+			t.Fatalf("%d flops do not pay for four workers", pl.Flops)
+		}
+		plans = append(plans, pl)
 	}
-	for _, k := range []Kernel{KernelHashUnsorted, KernelHeap} {
-		for _, mg := range []Merger{MergerHash, MergerHeap} {
-			for _, sortOut := range []bool{false, true} {
-				want := MergeMat(mg, append(slices.Clip(prev), pl.Mul(k, sr, 1)), sr, sortOut, 1)
-				owned, _ := pl.MulMerge(k, mg, prev, 0, 400, sr, sortOut, 4)
-				got, loan, _ := pl.MulMergeLent(k, mg, prev, 0, 400, sr, sortOut, 4)
-				if !sameStored(got, want) || !sameStored(owned, want) {
-					t.Fatalf("%v/%v/sorted=%v: four workers' fused merge differs from the merge of the product", k, mg, sortOut)
-				}
-				if loan.c.bytes() != 0 {
-					t.Fatalf("%v/%v/sorted=%v: a multi-range output was lent", k, mg, sortOut)
+	parts := []spmat.Matrix{uniformMat(t, 1024, 400, 20, 4303), uniformMat(t, 1024, 400, 20, 4304).ToDCSC()}
+	for _, sh := range []struct {
+		prev  []spmat.Matrix
+		plans []*Plan
+	}{{nil, plans}, {parts, plans[2:]}} {
+		for _, k := range []Kernel{KernelHashUnsorted, KernelHeap} {
+			for _, mg := range []Merger{MergerHash, MergerHeap} {
+				for _, sortOut := range []bool{false, true} {
+					label := fmt.Sprintf("parts=%d/plans=%d/%v/%v/sorted=%v", len(sh.prev), len(sh.plans), k, mg, sortOut)
+					mats := slices.Clip(sh.prev)
+					for _, pl := range sh.plans {
+						mats = append(mats, pl.Mul(k, sr, 1))
+					}
+					want := MergeMat(mg, mats, sr, sortOut, 1)
+					owned, _, _ := MulMerge(k, mg, sh.prev, sh.plans, 0, 400, sr, sortOut, false, 4)
+					got, loan, _ := MulMerge(k, mg, sh.prev, sh.plans, 0, 400, sr, sortOut, true, 4)
+					if !sameStored(got, want) || !sameStored(owned, want) {
+						t.Fatalf("%s: four workers' fused merge differs from the merge of the products", label)
+					}
+					if loan.c.bytes() != 0 {
+						t.Fatalf("%s: a multi-range output was lent", label)
+					}
 				}
 			}
 		}

@@ -252,45 +252,67 @@ func TestOnePassMergeAgainstDenseReference(t *testing.T) {
 // the per-slot counts; a multiply and a symbolic count over it must hold the
 // same pin, and the multiply must allocate no more objects than over a CSC A,
 // which it does only because those arrays go back to the free list with the
-// plan (Plan.Release). So must a plan and a fused last-stage merge over it
-// (Plan.MulMerge), whose window counts and per-slot input entries live in
-// the plan's arrays.
+// plan (Plan.Release). So must the fused Merge-Layer (MulMerge), whose window
+// counts and per-slot input entries live in the plans' arrays and whose
+// planned columns are made in the worker's stage scratch: the pipelined
+// shape (an earlier part and the last stage's plan) and the staged one at
+// q = 2 and q = 4 (every stage planned, over the same blocks). Each PlanMul
+// allocates its Plan, so a call that plans q stages may allocate q objects
+// beyond the bound, and nothing else per stage.
 func TestSteadyStateAllocations(t *testing.T) {
 	sr := semiring.PlusTimes()
-	type counts struct{ mul, merge, mulDCSC, symDCSC, mulMerge float64 }
+	type counts struct{ mul, merge, mulDCSC, symDCSC, pipelined, staged2, staged4 float64 }
 	perCall := func(cols int32) counts {
 		a := hyperMat(t, 256, 256, 4000, 231)
 		aD := a.ToDCSC()
 		b := hyperMat(t, 256, cols, 8*int(cols), 232)
 		parts := []spmat.Matrix{b, hyperMat(t, 256, cols, 8*int(cols), 233), b.ToDCSC()}
+		plans := make([]*Plan, 4)
+		staged := func(q int) func() {
+			return func() {
+				for i := range q {
+					plans[i] = PlanMul(a, b)
+				}
+				MulMerge(KernelHashUnsorted, MergerHash, nil, plans[:q], 0, cols, sr, false, false, 1)
+				for _, pl := range plans[:q] {
+					pl.Release()
+				}
+			}
+		}
 		calls := []func(){
 			func() { MulMat(KernelHashSorted, a, b, sr, 1) },
 			func() { MergeMat(MergerHash, parts, sr, true, 1) },
 			func() { MulMat(KernelHashSorted, aD, b, sr, 1) },
 			func() { SymbolicMat(aD, b, 1) },
 			func() {
-				pl := PlanMul(a, b)
-				pl.MulMerge(KernelHashUnsorted, MergerHash, parts[1:2], 0, cols, sr, false, 1)
-				pl.Release()
+				plans[0] = PlanMul(a, b)
+				MulMerge(KernelHashUnsorted, MergerHash, parts[1:2], plans[:1], 0, cols, sr, false, false, 1)
+				plans[0].Release()
 			},
+			staged(2),
+			staged(4),
 		}
-		var n [5]float64
+		var n [7]float64
 		for i, call := range calls {
 			call()
 			n[i] = testing.AllocsPerRun(10, call)
 		}
-		return counts{n[0], n[1], n[2], n[3], n[4]}
+		return counts{n[0], n[1], n[2], n[3], n[4], n[5], n[6]}
 	}
 	// Warm the scratch on the large shape first, so neither measurement
 	// below sees it grow.
 	perCall(4096)
 	small, large := perCall(64), perCall(4096)
+	t.Logf("objects per call: %+v", large)
 	if small != large {
 		t.Errorf("allocations depend on the column count: %+v at 64 columns, %+v at 4096", small, large)
 	}
 	const metadata = 20
-	if max(large.mul, large.merge, large.mulDCSC, large.symDCSC, large.mulMerge) > metadata {
-		t.Errorf("steady-state calls allocate %+v objects, want at most %d", large, metadata)
+	if max(large.mul, large.merge, large.mulDCSC, large.symDCSC, large.pipelined-1, large.staged2-2, large.staged4-4) > metadata {
+		t.Errorf("steady-state calls allocate %+v objects, want at most %d besides the fused merges' plans", large, metadata)
+	}
+	if large.staged4 != large.staged2+2 {
+		t.Errorf("a staged fused merge allocates %v objects at q = 4, %v at q = 2: something besides the plans is allocated per stage", large.staged4, large.staged2)
 	}
 	if large.mulDCSC != large.mul {
 		t.Errorf("a multiply allocates %v objects with a DCSC A, %v with a CSC A: the plan's per-entry arrays are not recycled",

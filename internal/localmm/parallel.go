@@ -33,11 +33,11 @@ import (
 // bench/'s workloads — has nothing to place: its output is an unzeroed copy
 // of the one chunk (append onto an empty slice: the runtime does not clear
 // what the copy overwrites), exactly sized and owned by the caller like the
-// multi-range one. The exceptions are Plan.MulLent and MergeLent, for an
-// output read once and dropped: its single-range output is the chunk itself,
-// nothing copied, on loan until the caller hands it back (Loan.Return).
-// MulMat, Plan.Mul, MergeMat, the masked and the sparse×dense kernels never
-// lend.
+// multi-range one. The exceptions are Plan.MulLent, MergeLent and MulMerge
+// with lend, for an output read once and dropped: its single-range output is
+// the chunk itself, nothing copied, on loan until the caller hands it back
+// (Loan.Return). MulMat, Plan.Mul, MergeMat, the masked and the sparse×dense
+// kernels never lend.
 //
 // No column is hashed twice: the sizes the output needs fall out of the
 // accumulation itself — each column's entry count is left in the output's own
@@ -58,13 +58,15 @@ import (
 // mmWorker is one range's reusable scratch: a hash accumulator for the hash
 // kernels, a row set for the symbolic pass, a heap and column views for the
 // heap kernels, per-operand column cursors for merges, the pair sorter's
-// buffers, a column scratch (col: one product column on its way into a merge,
-// Plan.MulMerge), and the chunk — the finished columns of the range (rows,
-// vals).
+// buffers, the stage scratch (stage: the planned stages' columns of one
+// output column on their way into a fused merge, MulMerge) and the worker's
+// place in each planned stage (at), and the chunk — the finished columns of
+// the range (rows, vals).
 // All of it is grown, never re-made, and kept across calls on a free list.
 // Only the chunk can leave: lent out as an output's entry arrays
-// (Plan.MulLent, MergeLent), it comes back to a list of its own while the rest of the
-// worker has long gone back for the next call to find warm.
+// (Plan.MulLent, MergeLent, MulMerge), it comes back to a list of its own
+// while the rest of the worker has long gone back for the next call to find
+// warm.
 //
 // The inner loops write this struct constantly — every new row moves the
 // accumulator's occupied length, every drained column the chunk's — and
@@ -78,9 +80,10 @@ type mmWorker struct {
 	heap   rowHeap
 	parts  []colPart
 	pos    []int
+	at     []stageAt
 	rows   []int32
 	vals   []float64
-	col    chunk
+	stage  chunk
 	sorter spmat.PairSorter
 	_      [64]byte
 }
@@ -109,16 +112,17 @@ var idleWorkers struct {
 }
 
 // The free list keeps at most maxIdleWorkers workers, and a worker keeps no
-// table of more than maxKeptEntries entries — chunk, accumulator, row set,
-// heap, column views: a burst of concurrent callers or one huge product pays
-// for its scratch again next time instead of pinning it for the life of the
-// process. (The direct tables are bounded by directTableBytes already.) The
-// chunks that come back from loans are bounded in bytes, all of them
-// together: a job on a p-rank grid with q stages and l layers has up to
-// p·(q + 2l + 1) of them out at once — stage products, two batches' Merge-Layer
-// outputs, a discarded batch — not one a core, and the list keeps what fits maxIdleChunkBytes of what
-// comes back and drops the rest. Released plans are kept like workers: at
-// most maxIdleWorkers of them, with no array above maxKeptEntries.
+// table of more than maxKeptEntries entries — chunk, stage scratch,
+// accumulator, row set, heap, column views: a burst of concurrent callers or
+// one huge product pays for its scratch again next time instead of pinning it
+// for the life of the process. (The direct tables are bounded by
+// directTableBytes already.) The chunks that come back from loans are bounded
+// in bytes, all of them together: a job on a p-rank grid with q stages and l
+// layers has up to p·(q + 2l + 1) of them out at once — a pipelined batch's
+// stage products, two batches' Merge-Layer outputs, a discarded batch — not
+// one a core, and the list keeps what fits maxIdleChunkBytes of what comes
+// back and drops the rest. Released plans are kept like workers: at most
+// maxIdleWorkers of them, with no array above maxKeptEntries.
 const (
 	maxIdleWorkers    = 64
 	maxKeptEntries    = 1 << 22
@@ -158,8 +162,8 @@ func putWorker(w *mmWorker) {
 	if cap(w.rows) > maxKeptEntries {
 		w.rows, w.vals, w.sorter = nil, nil, spmat.PairSorter{}
 	}
-	if max(cap(w.col.rows), cap(w.col.vals)) > maxKeptEntries {
-		w.col, w.sorter = chunk{}, spmat.PairSorter{}
+	if max(cap(w.stage.rows), cap(w.stage.vals)) > maxKeptEntries {
+		w.stage, w.sorter = chunk{}, spmat.PairSorter{}
 	}
 	if max(cap(w.acc.rows), cap(w.acc.vals)) > maxKeptEntries {
 		w.acc = hashAccum{}
@@ -223,8 +227,8 @@ func (s *planScratch) poison() {
 }
 
 // Loan is a single-range output's claim on the chunk its entry arrays are
-// (Plan.MulLent, MergeLent). The zero Loan holds nothing; returning it does
-// nothing.
+// (Plan.MulLent, MergeLent, MulMerge). The zero Loan holds nothing;
+// returning it does nothing.
 type Loan struct{ c chunk }
 
 // Return hands the chunk back to the free list, which keeps it if it has no
