@@ -437,11 +437,9 @@ func (p *Proc) layerMerge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int
 		for _, pl := range plans {
 			work += pl.WindowFlops(lo, hi)
 		}
-		var counts []int64
-		out, loan, counts = localmm.MulMerge(o.Kernel, o.Merger, prev, plans, lo, hi, o.Semiring, p.lastTable(), p.lendLayer() && lendChunks, p.workers(work))
-		for i, pl := range plans {
-			planned += counts[i]
-			if release {
+		out, loan, planned = localmm.MulMerge(o.Kernel, o.Merger, prev, plans, lo, hi, o.Semiring, p.lastTable(), p.lendLayer() && lendChunks, p.workers(work))
+		if release {
+			for _, pl := range plans {
 				pl.Release()
 			}
 		}

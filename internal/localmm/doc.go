@@ -62,8 +62,8 @@
 // every stage's column. The output is bit-identical to MergeMat over the
 // earlier parts and the windows of Plan.Mul — values, stored order, format,
 // sorted flag — for every kernel, merger, semiring, format and thread count,
-// and the pass returns the entry count each planned window of the product
-// would have had.
+// and the pass returns the entry count the planned windows of the products
+// would have had together.
 //
 // # One accumulator, two regimes
 //
@@ -191,7 +191,8 @@
 // MatFlops, SymbolicSpGEMM) release the plans they make, and the
 // distributed stages release theirs when the stage's work is done — a
 // planned stage's once Merge-Layer's fused merge has read its last window. A
-// fused merge keeps each planned window's counts in that plan's arrays too.
+// fused merge keeps each planned window's flop counts, first slot and kernel
+// view of A in that plan's arrays too.
 //
 // # Sparse×dense kernels
 //

@@ -122,19 +122,15 @@ type Plan struct {
 	base     int64
 	colFlops []int64
 	scratch  *planScratch
-	// p0 and kv are a fused merge's (MulMerge) for the length of one call:
-	// the B slot of its window's first column, and the view of A its kernel
-	// reads (kernelView).
-	p0 int32
-	kv *colView
 }
 
 // planScratch is the arrays a plan borrows from the free list: the A slot
 // and running flop sum of every B entry (a DCSC A only), the flop count of
 // every B slot, and what a fused merge (MulMerge) needs of the plan for the
 // length of one call, reused by the next window: the window's running flop
-// counts and, for a DCSC B, its columns, and — in the first plan's scratch —
-// the input entries of every output slot.
+// counts and, for a DCSC B, its columns, the B slot of its first column
+// (p0), the view of A the call's kernel reads (kv, kernelView), and — in the
+// first plan's scratch — the input entries of every output slot.
 type planScratch struct {
 	slots    []int32
 	sums     []int64
@@ -142,6 +138,8 @@ type planScratch struct {
 	winPtr   []int64
 	winJC    []int32
 	colIn    []int64
+	p0       int32
+	kv       *colView
 }
 
 // PlanMul counts the flops of A·B slot by slot; O(nnz(B)) with no dense
@@ -205,10 +203,11 @@ func (pl *Plan) bVals(p int32) []float64 {
 // after its release fails loudly instead of reading the next plan's arrays.
 func (pl *Plan) Release() {
 	s := pl.scratch
-	pl.scratch, pl.slots, pl.colFlops, pl.kv = nil, nil, nil, nil
+	pl.scratch, pl.slots, pl.colFlops = nil, nil, nil
 	if s == nil {
 		return
 	}
+	s.kv = nil
 	if PoisonReturnedChunks.Load() {
 		s.poison()
 	}

@@ -3,7 +3,7 @@ package localmm
 import (
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/semiring"
 	"repro/internal/spmat"
@@ -41,15 +41,15 @@ import (
 //     merger's own column routine runs over [parts…, stage columns…], as
 //     MergeMat runs it.
 //
-// It returns the merged output and, per plan, the number of entries the
-// window of its product would have held. With lend the output is lent as
+// It returns the merged output and the number of entries the windows of the
+// planned products would have held together. With lend the output is lent as
 // MergeLent lends: when the pass ran one range, the output's entry arrays are
 // the worker's chunk itself, on loan until the caller hands it back with
 // Loan.Return; a pass that ran several ranges, and any pass without lend,
 // returns owned arrays and an empty Loan. The output shares nothing with the plans
 // or with prev. The plans stay the caller's: a pipelined Merge-Layer calls
 // this once per destination window, then releases them.
-func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, []int64) {
+func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, int64) {
 	if len(plans) == 0 {
 		panic("localmm: fused merge of no planned stage")
 	}
@@ -89,7 +89,6 @@ func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi in
 	slots, colIn := mergeSlots(f.views, cols, sc.colIn)
 	sc.colIn = colIn
 	ptr := make([]int64, slots.n+1)
-	counts := make([]int64, len(plans))
 	mode := ownedOutput
 	if lend {
 		mode = lentOutput
@@ -98,29 +97,26 @@ func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi in
 		w.seek(f.views, slots.index(s0))
 		w.at = slices.Grow(w.at[:0], len(plans))[:len(plans)]
 		clear(w.at)
+		var made int64
 		for s := s0; s < s1; s++ {
 			if colIn[s] == 0 {
 				continue
 			}
 			start := len(w.rows)
-			f.column(w, slots.index(s), colIn[s])
+			made += f.column(w, slots.index(s), colIn[s])
 			ptr[s+1] = int64(len(w.rows) - start)
 		}
-		f.mu.Lock()
-		for i := range w.at {
-			counts[i] += w.at[i].made
-		}
-		f.mu.Unlock()
+		f.made.Add(made)
 	}, mode)
-	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), loan, counts
+	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), loan, f.made.Load()
 }
 
 // fusedPass is what every column of one MulMerge shares: the kernel, the
 // merger and the semiring, the operands' views — prev's, then each planned
-// stage's window from index first on — and the stages' plans; mu orders the
-// ranges' additions to the stages' entry counts.
+// stage's window from index first on — and the stages' plans; made adds up
+// the planned columns' entries over the ranges.
 type fusedPass struct {
-	mu         sync.Mutex
+	made       atomic.Int64
 	k          Kernel
 	mg         Merger
 	sr         *semiring.Semiring
@@ -133,25 +129,23 @@ type fusedPass struct {
 }
 
 // stageAt is a worker's place in a planned stage: the B slot of the
-// current output column (−1 when the stage has no flops there), where the
-// stage's column ends in the worker's stage scratch, and the entries the
-// stage's columns came to.
+// current output column (−1 when the stage has no flops there) and where
+// the stage's column ends in the worker's stage scratch.
 type stageAt struct {
-	p    int32
-	end  int
-	made int64
+	p   int32
+	end int
 }
 
 // stageWindow readies the plan for a fused merge of the window [lo, hi) of
-// its product under kernel k (p0, kv) and returns the window as one more
-// merge operand, in B's format: slot i is B's slot p0 + i, and its entry
-// counts are the slots' flops — a product column has entries exactly where
-// it has flops, and no more entries than flops. Its arrays are the plan's
-// scratch: they live until the next window.
+// its product under kernel k (its scratch's p0 and kv) and returns the
+// window as one more merge operand, in B's format: slot i is B's slot
+// p0 + i, and its entry counts are the slots' flops — a product column has
+// entries exactly where it has flops, and no more entries than flops. Its
+// arrays are the plan's scratch: they live until the next window.
 func (pl *Plan) stageWindow(k Kernel, lo, hi int32) colView {
 	bv, sc := &pl.bv, pl.scratch
 	p0, p1 := pl.window(lo, hi)
-	pl.p0, pl.kv = p0, pl.kernelView(k)
+	sc.p0, sc.kv = p0, pl.kernelView(k)
 	tv := colView{n: p1 - p0, compressed: bv.compressed}
 	sc.winPtr = append(sc.winPtr[:0], 0)
 	for _, f := range pl.colFlops[p0:p1] {
@@ -173,7 +167,7 @@ func (pl *Plan) stageWindow(k Kernel, lo, hi int32) colView {
 // columns the loop skipped: those without flops, in no other operand either.
 func (f *fusedPass) slot(w *mmWorker, i int, j int32) int32 {
 	pl, v, x := f.plans[i], &f.views[f.first+i], f.first+i
-	p := pl.p0 + j
+	p := pl.scratch.p0 + j
 	if v.compressed {
 		c := w.pos[x]
 		for c < int(v.n) && v.jc[c] < j {
@@ -183,7 +177,7 @@ func (f *fusedPass) slot(w *mmWorker, i int, j int32) int32 {
 		if c == int(v.n) || v.jc[c] != j {
 			return -1
 		}
-		p = pl.p0 + int32(c)
+		p = pl.scratch.p0 + int32(c)
 	}
 	if pl.colFlops[p] == 0 {
 		return -1
@@ -192,12 +186,11 @@ func (f *fusedPass) slot(w *mmWorker, i int, j int32) int32 {
 }
 
 // column appends output column j — want input entries, flops included — to
-// the worker's chunk, and adds each planned stage's entries in it to the
-// worker's place in the stage (mmWorker.at).
+// the worker's chunk and returns the entries its planned columns came to.
 // The heap kernels use the worker's parts while they run, so prev's parts
 // are gathered only once every planned column that may be heap-merged is
 // made.
-func (f *fusedPass) column(w *mmWorker, j int32, want int64) {
+func (f *fusedPass) column(w *mmWorker, j int32, want int64) (made int64) {
 	at, last := w.at, -1
 	for i := range at {
 		if at[i].p = f.slot(w, i, j); at[i].p >= 0 {
@@ -206,48 +199,49 @@ func (f *fusedPass) column(w *mmWorker, j int32, want int64) {
 	}
 	if last < 0 {
 		w.mergeColumn(f.mg, w.gather(f.views[:f.first], j), want, f.rows, f.sr, f.plusTimes, f.sortOutput)
-		return
+		return 0
 	}
 	w.stage.rows, w.stage.vals = w.stage.rows[:0], w.stage.vals[:0]
 	earlier := 0
 	for i := range last {
 		if at[i].p >= 0 {
-			f.stageColumn(w, &at[i], i)
+			made += f.stageColumn(w, &at[i], i)
 			earlier++
 		}
 	}
 	pl, p := f.plans[last], at[last].p
 	if f.mg == MergerHash && !f.k.heapMerges(pl.colFlops[p]) {
 		w.acc.sizeFor(want, f.rows)
-		hashAccumulateColumn(&w.acc, pl.kv, pl.aSlots(p), pl.bVals(p), f.sr, f.plusTimes)
-		at[last].made += int64(len(w.acc.occupied))
+		hashAccumulateColumn(&w.acc, pl.scratch.kv, pl.aSlots(p), pl.bVals(p), f.sr, f.plusTimes)
+		made += int64(len(w.acc.occupied))
 		parts := w.gather(f.views[:f.first], j)
 		if len(parts)+earlier <= 1 {
 			w.mergeIntoTable(f.stageParts(w, parts, at[:last]), f.k, f.sr, f.plusTimes, f.sortOutput)
-			return
+			return made
 		}
 		w.swapStage()
 		w.drain(f.k.sorts())
 		w.swapStage()
 		at[last].end = len(w.stage.rows)
 	} else {
-		f.stageColumn(w, &at[last], last)
+		made += f.stageColumn(w, &at[last], last)
 		w.gather(f.views[:f.first], j)
 	}
 	w.mergeColumn(f.mg, f.stageParts(w, w.parts, at[:last+1]), want, f.rows, f.sr, f.plusTimes, f.sortOutput)
+	return made
 }
 
 // stageColumn appends planned stage i's column at a.p to the worker's stage
 // scratch as its product would hold it for the merge: in the kernel's order
 // under the hash merger, ascending under the heap merger, which reads its
-// operands sorted.
-func (f *fusedPass) stageColumn(w *mmWorker, a *stageAt, i int) {
+// operands sorted — and returns its entry count.
+func (f *fusedPass) stageColumn(w *mmWorker, a *stageAt, i int) int64 {
 	pl, start := f.plans[i], len(w.stage.rows)
 	w.swapStage()
-	w.mulColumn(pl, pl.kv, a.p, f.k, f.sr, f.plusTimes, f.rows, f.k.sorts() || f.mg == MergerHeap)
+	w.mulColumn(pl, pl.scratch.kv, a.p, f.k, f.sr, f.plusTimes, f.rows, f.k.sorts() || f.mg == MergerHeap)
 	w.swapStage()
 	a.end = len(w.stage.rows)
-	a.made += int64(a.end - start)
+	return int64(a.end - start)
 }
 
 // stageParts appends to parts the planned stages' columns the worker's stage

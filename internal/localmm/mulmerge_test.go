@@ -66,36 +66,46 @@ func entryArrays(m spmat.Matrix) ([]int32, []float64) {
 // TestMulMergeMatchesMergeOfTheProduct holds the fused Merge-Layer to what
 // it replaces — MergeMat over the earlier parts and the windows of the
 // materialized products of every planned stage — in values, stored order,
-// format and sorted flag, and its counts to each window's entries: 1–4
+// format and sorted flag, and its count to the windows' entries: 1–4
 // planned stages behind 0–3 earlier parts, four operands at most (the staged
 // schedule's shape is no part, the pipelined one's a single plan), the parts
-// sorted and unsorted,
-// CSC and DCSC mixed; each stage's B as CSC, as DCSC or as a MatColRanges
-// piece of either, with A sorted CSC beside a CSC B and unsorted DCSC beside
-// a DCSC one, and every other stage's B column dense enough for the hybrid
-// kernel to hash it; full, middle and empty windows; the direct (2¹⁰ rows)
-// and hash (2¹⁶ rows) regimes; every kernel × merger × sorted or unsorted
-// merge; plus-times and min-plus; −0.0 and NaN among the values; lent at four
-// threads and owned at one, each merger both ways. The plans serve every window before they are
-// released, and a lent output and every released plan read poisoned once
-// handed back.
+// sorted and unsorted, CSC and DCSC mixed; each stage's B as CSC, as DCSC or
+// as a MatColRanges piece of either, with A sorted CSC beside a CSC B and
+// unsorted DCSC beside a DCSC one, and every other stage's B column dense
+// enough for the hybrid kernel to hash it; full, middle and empty windows;
+// the direct (2¹⁰ rows) and hash (2¹⁶ rows) regimes; every kernel × merger
+// × sorted or unsorted merge; plus-times and min-plus; −0.0 and NaN among
+// the values; one and four threads, lent and owned. The plans serve every
+// window before they are released, and a lent output and every released
+// plan read poisoned once handed back.
 func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
-	const inner, cols, stages = 96, 48, 4
+	// One plan on 120-column blocks, lent and owned in every case. Two to
+	// four plans on 48-column blocks, lent for one drain of each merger and
+	// owned for the other, which keeps the run short.
+	checkFusedMerges(t, 120, 1, 1)
+	checkFusedMerges(t, 48, 2, 4)
+}
+
+// checkFusedMerges runs TestMulMergeMatchesMergeOfTheProduct's cases with
+// minN to maxN planned stages over blocks cols columns wide.
+func checkFusedMerges(t *testing.T, cols int32, minN, maxN int) {
+	const inner, operands = 96, 4
 	semirings := []*semiring.Semiring{semiring.PlusTimes(), semiring.MinPlus()}
 	for _, rows := range []int32{1 << 10, 1 << 16} {
 		for form := range 4 {
-			plans := make([]*Plan, stages)
+			plans := make([]*Plan, maxN)
 			for i := range plans {
 				seed := int64(rows) + int64(100*form+10*i)
+				dense := 1 + 2*(i%2)
 				aCSC := valueMat(t, rows, inner, 600, 64, seed+1)
-				src := valueMat(t, inner, cols+20, 240+320*(i%2), inner, seed+2)
-				bCSC := valueMat(t, inner, cols, 160+320*(i%2), inner, seed+3)
+				src := valueMat(t, inner, cols+50, int(cols+50)*7/2*dense, inner, seed+2)
+				bCSC := valueMat(t, inner, cols, int(cols)*10/3*dense, inner, seed+3)
 				b := [4]spmat.Matrix{
 					bCSC,
 					bCSC.ToDCSC(),
-					spmat.MatColRanges(src, []int32{0, 10, 10 + cols, cols + 20})[1],
-					spmat.MatColRanges(src.ToDCSC(), []int32{0, 10, 10 + cols, cols + 20})[1],
+					spmat.MatColRanges(src, []int32{0, 20, 20 + cols, cols + 50})[1],
+					spmat.MatColRanges(src.ToDCSC(), []int32{0, 20, 20 + cols, cols + 50})[1],
 				}[(form+2*i)%4]
 				a := spmat.Matrix(aCSC)
 				if form%2 == 1 {
@@ -106,45 +116,27 @@ func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
 			for wi, win := range [][2]int32{{0, cols}, {cols / 4, 3 * cols / 4}, {cols / 2, cols / 2}} {
 				lo, hi := win[0], win[1]
 				var prev []spmat.Matrix
-				for parts := range 4 {
-					for n := 1; parts+n <= stages; n++ {
-						label := fmt.Sprintf("rows=%d/form=%d/window=%v/parts=%d/plans=%d", rows, form, win, parts, n)
+				for parts := range operands {
+					for n := minN; n <= maxN && parts+n <= operands; n++ {
+						label := fmt.Sprintf("cols=%d/rows=%d/form=%d/window=%v/parts=%d/plans=%d", cols, rows, form, win, parts, n)
 						for _, sr := range semirings {
 							for _, k := range allKernels {
 								wins := slices.Clip(prev)
+								var planned int64
 								for _, pl := range plans[:n] {
 									wins = append(wins, window(pl.Mul(k, sr, 1), lo, hi))
+									planned += wins[len(wins)-1].NNZ()
 								}
 								for _, mg := range []Merger{MergerHash, MergerHeap} {
 									for _, sortOut := range []bool{false, true} {
 										want := MergeMat(mg, wins, sr, sortOut, 1)
-										wantBytes := string(want.Serialize())
-										// Lent at four threads for one drain of each
-										// merger, owned at one for the other. Four
-										// threads collapse to one worker here;
-										// TestMulMergeRunsSeveralRanges runs several.
-										lend := (mg == MergerHash) != sortOut
-										threads := 1 + 3*b2i(lend)
-										name := fmt.Sprintf("%s/%s/%v/%v/sorted=%v/t%d/lend=%v", label, sr.Name, k, mg, sortOut, threads, lend)
-										got, loan, counts := MulMerge(k, mg, prev, plans[:n], lo, hi, sr, sortOut, lend, threads)
-										if got.Format() != want.Format() || got.Sorted() != want.Sorted() || string(got.Serialize()) != wantBytes {
-											t.Fatalf("%s: fused merge differs from the merge of the materialized products", name)
+										lends := []bool{false, true}
+										if n > 1 {
+											lends = []bool{(mg == MergerHash) != sortOut}
 										}
-										for i, c := range counts {
-											if w := wins[len(prev)+i].NNZ(); c != w {
-												t.Fatalf("%s: fused merge counts %d entries of stage %d, its window holds %d", name, c, i, w)
-											}
-										}
-										if lend && got.NNZ() > 0 && loan.c.bytes() == 0 {
-											t.Fatalf("%s: a single-range output was not lent", name)
-										}
-										if !lend && loan.c.bytes() != 0 {
-											t.Fatalf("%s: an owned output was lent", name)
-										}
-										loan.Return()
-										if r, v := entryArrays(got); lend && got.NNZ() > 0 &&
-											(slices.ContainsFunc(r, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v, func(x float64) bool { return !math.IsNaN(x) })) {
-											t.Fatalf("%s: a returned output does not read poisoned", name)
+										for _, lend := range lends {
+											checkFusedMerge(t, fmt.Sprintf("%s/%s/%v/%v/sorted=%v", label, sr.Name, k, mg, sortOut),
+												k, mg, prev, plans[:n], lo, hi, sr, sortOut, lend, want, planned)
 										}
 									}
 								}
@@ -167,10 +159,39 @@ func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
 				s := pl.scratch
 				pl.Release()
 				if slices.ContainsFunc(s.colFlops[:cap(s.colFlops)], func(f int64) bool { return f != -1 }) {
-					t.Fatalf("rows=%d/form=%d: released plan %d's arrays are not poisoned", rows, form, i)
+					t.Fatalf("cols=%d/rows=%d/form=%d: released plan %d's arrays are not poisoned", cols, rows, form, i)
 				}
 			}
 		}
+	}
+}
+
+// checkFusedMerge runs one fused merge of prev and plans — lent at four
+// threads or owned at one — and holds it to want, the merge of prev and the
+// plans' materialized windows, and its count to planned, their entries. Four
+// threads collapse to one worker here; TestMulMergeRunsSeveralRanges runs
+// several.
+func checkFusedMerge(t *testing.T, label string, k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOut, lend bool, want spmat.Matrix, planned int64) {
+	t.Helper()
+	threads := 1 + 3*b2i(lend)
+	name := fmt.Sprintf("%s/t%d/lend=%v", label, threads, lend)
+	got, loan, nnz := MulMerge(k, mg, prev, plans, lo, hi, sr, sortOut, lend, threads)
+	if !sameStored(got, want) {
+		t.Fatalf("%s: fused merge differs from the merge of the materialized products", name)
+	}
+	if nnz != planned {
+		t.Fatalf("%s: fused merge counts %d planned entries, their windows hold %d", name, nnz, planned)
+	}
+	if lend && got.NNZ() > 0 && loan.c.bytes() == 0 {
+		t.Fatalf("%s: a single-range output was not lent", name)
+	}
+	if !lend && loan.c.bytes() != 0 {
+		t.Fatalf("%s: an owned output was lent", name)
+	}
+	loan.Return()
+	if r, v := entryArrays(got); lend && got.NNZ() > 0 &&
+		(slices.ContainsFunc(r, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v, func(x float64) bool { return !math.IsNaN(x) })) {
+		t.Fatalf("%s: a returned output does not read poisoned", name)
 	}
 }
 
