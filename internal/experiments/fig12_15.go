@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/localmm"
 )
 
 func init() {
@@ -35,7 +34,7 @@ func init() {
 	})
 	register(&Experiment{
 		ID:    "fig15",
-		Title: "BatchedSUMMA3D vs previous SUMMA3D (kernel ablation)",
+		Title: "BatchedSUMMA3D with the sort-free hash kernels",
 		claim: "Computation >8x faster with hash-based multiply and merge; " +
 			"communication slightly faster too.",
 		run: runFig15,
@@ -116,8 +115,10 @@ func runFig14(r *Report, opts RunOpts) error {
 	return nil
 }
 
-// runFig15 sets the new sort-free hash kernels against the previous sorted
-// heap pipeline on the Eukarya analogue with 4 layers.
+// runFig15 runs the new sort-free hash pipeline on the Eukarya analogue
+// with 4 layers: computation against communication. The previous sorted
+// heap pipeline it is set against in the paper is not in the engine; the
+// kernels' half of that comparison is localmm's kernel benchmark.
 func runFig15(r *Report, opts RunOpts) error {
 	// One workload scale up: the kernel-generation gap grows with block
 	// size, and the paper's Fig 15 blocks are orders of magnitude larger.
@@ -133,16 +134,13 @@ func runFig15(r *Report, opts RunOpts) error {
 		ps = []int{16, 64}
 	}
 	for _, p := range ps {
-		runs, err := tb.sweep(
-			opts.point(a, a, p, l, core.Options{ForceBatches: 1, Kernel: localmm.KernelHeap, Merger: localmm.MergerHeap},
-				fmt.Sprint(p), "SUMMA3D (prev: heap, sorted)"),
-			opts.point(a, a, p, l, core.Options{ForceBatches: 1, Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash},
-				fmt.Sprint(p), "BatchedSUMMA3D (new: hash, unsorted)"))
+		runs, err := tb.sweep(opts.point(a, a, p, l, core.Options{ForceBatches: 1},
+			fmt.Sprint(p), "BatchedSUMMA3D (new: hash, unsorted)"))
 		if err != nil {
 			return err
 		}
-		r.Finding("p=%d: computation %.1fx faster with the sort-free hash pipeline (paper: >8x at scale)",
-			p, runs[0].comp()/max(runs[1].comp(), 1e-12))
+		r.Finding("p=%d: computation is %.0f%% of computation + communication", p, 100*runs[0].comp()/max(runs[0].comp()+runs[0].comm, 1e-12))
 	}
+	tb.Notes = append(tb.Notes, "the previous SUMMA3D's heap kernel + heap merge are measured against the hash pair by make bench-kernels (BENCH_kernels.json)")
 	return nil
 }
