@@ -195,11 +195,12 @@ bench-json = awk -v numcpu="$$(getconf _NPROCESSORS_ONLN)" -v gover="$$($(GO) en
 
 # bench-kernels: regenerate BENCH_kernels.json — the recorded thread sweep
 # of the unsorted-hash local multiply, the heap/hash/hybrid crossover
-# measurements with the previous generation's sorted-hash kernel beside them,
-# the sorted hash merge on the Merge-Fiber and hypersparse shapes, a one-layer
-# grid's two merges with the sort in the drain against the copy-and-sort it
-# replaced, and the previous generation's heap merge of unsorted and of sorted
-# operands (the Table VII / Fig. 15 baselines), a q = 2 and a q = 4
+# measurements with the sorted-hash kernel beside them (heap and hybrid, the
+# Table VII / Fig. 15 baselines, are localmm's test-only comparators; the
+# engine does not run them), the sorted hash merge on the Merge-Fiber and
+# hypersparse shapes, a one-layer grid's two merges with the sort in the
+# drain against the copy-and-sort it replaced, and the test-only heap merge
+# of unsorted and of sorted operands, a q = 2 and a q = 4
 # Merge-Layer with its stages' multiplies materialized, with the last one
 # fused into the merge (the pipelined schedule) and with all of them fused
 # (the staged one) (BenchmarkMergeLayer, on kmer-hyper-like and protein-like

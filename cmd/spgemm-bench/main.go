@@ -16,7 +16,7 @@
 //	spgemm-bench -exp pipeline             # staged vs fully-overlapped schedule
 //	spgemm-bench -exp hypersparse          # CSC vs DCSC block storage
 //	spgemm-bench -exp sparsecomm           # full vs column-subset A-broadcasts
-//	spgemm-bench -exp table7               # kernel and merge generations (also fig15)
+//	spgemm-bench -exp table7               # hash kernel and merge steps over layers (also fig15)
 //	spgemm-bench -exp spmm                 # sparse×dense: SUMMA vs 1.5D over c
 //	spgemm-bench -exp planner              # every axis, overlap channels included
 //

@@ -115,24 +115,18 @@ func TestChannelsPipelineHidesMoreNeverMoves(t *testing.T) {
 }
 
 // TestKernelFormatMergerScheduleDifferential is the full-SUMMA differential
-// matrix: every kernel × storage format × merge strategy, under the staged,
-// pipelined k=1, and pipelined k=2 schedules, must produce output exactly
-// equal to the default configuration — structure and float64 values bit for
-// bit. Full-precision operands make this a real claim: the heap paths
-// accumulate same-row contributions in operand order precisely so this
-// holds.
+// matrix: both kernels × every storage format, under the staged, pipelined
+// k=1, and pipelined k=2 schedules, must produce output exactly equal to the
+// default configuration — structure and float64 values bit for bit.
+// Full-precision operands make this a real claim.
 func TestKernelFormatMergerScheduleDifferential(t *testing.T) {
 	a := randomRealMat(t, 48, 48, 700, 83)
 	b := randomRealMat(t, 48, 48, 700, 84)
 	const p, l, batches = 8, 2, 2
 	ref, _, _ := runDistributed(t, p, l, a, b, Options{ForceBatches: batches}, nil)
 
-	kernels := []localmm.Kernel{
-		localmm.KernelHashUnsorted, localmm.KernelHashSorted,
-		localmm.KernelHeap, localmm.KernelHybrid,
-	}
+	kernels := []localmm.Kernel{localmm.KernelHashUnsorted, localmm.KernelHashSorted}
 	formats := []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatAuto}
-	mergers := []localmm.Merger{localmm.MergerHash, localmm.MergerHeap}
 	schedules := []struct {
 		name     string
 		pipeline bool
@@ -144,16 +138,14 @@ func TestKernelFormatMergerScheduleDifferential(t *testing.T) {
 	}
 	for _, kern := range kernels {
 		for _, f := range formats {
-			for _, mg := range mergers {
-				for _, sched := range schedules {
-					name := fmt.Sprintf("%v/%v/%v/%s", kern, f, mg, sched.name)
-					got, _, _ := runDistributed(t, p, l, a, b, Options{
-						ForceBatches: batches, Kernel: kern, Merger: mg, Format: f,
-						Pipeline: sched.pipeline, Channels: sched.channels,
-					}, nil)
-					if !spmat.Equal(ref, got) {
-						t.Errorf("%s: output differs from the default configuration", name)
-					}
+			for _, sched := range schedules {
+				name := fmt.Sprintf("%v/%v/%s", kern, f, sched.name)
+				got, _, _ := runDistributed(t, p, l, a, b, Options{
+					ForceBatches: batches, Kernel: kern, Format: f,
+					Pipeline: sched.pipeline, Channels: sched.channels,
+				}, nil)
+				if !spmat.Equal(ref, got) {
+					t.Errorf("%s: output differs from the default configuration", name)
 				}
 			}
 		}

@@ -35,17 +35,16 @@ func TestFormatDifferential(t *testing.T) {
 	type cfg struct {
 		p, l, batches int
 		kernel        localmm.Kernel
-		merger        localmm.Merger
 		pipeline      bool
 		threads       int
 	}
 	cfgs := []cfg{
-		{p: 4, l: 1, batches: 1, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
-		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
-		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHeap, merger: localmm.MergerHeap},
-		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHybrid, merger: localmm.MergerHash},
-		{p: 16, l: 4, batches: 2, kernel: localmm.KernelHashSorted, merger: localmm.MergerHash, pipeline: true},
-		{p: 16, l: 4, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHeap, pipeline: true, threads: 4},
+		{p: 4, l: 1, batches: 1, kernel: localmm.KernelHashUnsorted},
+		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHashUnsorted},
+		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHashSorted},
+		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHashSorted},
+		{p: 16, l: 4, batches: 2, kernel: localmm.KernelHashSorted, pipeline: true},
+		{p: 16, l: 4, batches: 3, kernel: localmm.KernelHashUnsorted, pipeline: true, threads: 4},
 	}
 	for _, wl := range workloads {
 		want := localmm.Multiply(wl.a, wl.b, semiring.PlusTimes())
@@ -55,7 +54,6 @@ func TestFormatDifferential(t *testing.T) {
 				got, _, _ := runDistributed(t, c.p, c.l, wl.a, wl.b, Options{
 					ForceBatches: c.batches,
 					Kernel:       c.kernel,
-					Merger:       c.merger,
 					Pipeline:     c.pipeline,
 					Threads:      c.threads,
 					Format:       f,

@@ -80,18 +80,14 @@ type Options struct {
 	Semiring *semiring.Semiring
 	// Kernel is the Local-Multiply implementation. The zero value is the
 	// paper's sort-free unsorted-hash kernel, which every planned run
-	// executes; the other three are explicit pins for the Table 7 / Fig. 15
-	// ablations and the differentials. Every kernel produces bit-identical
-	// values and the same metered work units.
+	// executes; the sorted hash kernel is an explicit pin for the
+	// differentials. Both produce bit-identical values and the same metered
+	// work units.
 	Kernel localmm.Kernel
-	// Merger is the Merge-Layer / Merge-Fiber implementation: the paper's
-	// sort-free hash merge (the zero value, what every planned run executes)
-	// or the heap merge, pinned the same way. Merge-Layer makes the planned
-	// stages' products inside its merge (localmm.MulMerge: every stage's
-	// under the staged schedule, the last stage's on a pipelined grid with
-	// q > 1); under the heap merger each of their columns is first made,
-	// sorted, into worker scratch, so the merge stays a real heap merge of
-	// every stage's column.
+	// Merger is ignored: Merge-Layer and Merge-Fiber always run the paper's
+	// sort-free hash merge, localmm.MergerHash, the zero value. The field
+	// stays only because the wall-clock benchmark's serial replay reads it;
+	// it goes once that replay stops.
 	Merger localmm.Merger
 	// Channels is k, the number of modeled NIC channels the overlap ledger
 	// may hide split collectives behind: each measured compute second can

@@ -22,23 +22,22 @@ func TestPipelinedOutputBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		p, l, batches int
 		kernel        localmm.Kernel
-		merger        localmm.Merger
 		threads       int
 	}{
-		{p: 4, l: 1, batches: 1, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
-		{p: 4, l: 1, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
-		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
-		{p: 16, l: 4, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
-		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHeap, merger: localmm.MergerHeap},
-		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHeap},
-		{p: 9, l: 1, batches: 2, kernel: localmm.KernelHybrid, merger: localmm.MergerHash},
-		{p: 16, l: 4, batches: 2, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash},
-		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHashUnsorted, merger: localmm.MergerHash, threads: 4},
+		{p: 4, l: 1, batches: 1, kernel: localmm.KernelHashUnsorted},
+		{p: 4, l: 1, batches: 3, kernel: localmm.KernelHashUnsorted},
+		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHashUnsorted},
+		{p: 16, l: 4, batches: 3, kernel: localmm.KernelHashUnsorted},
+		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHashSorted},
+		{p: 8, l: 2, batches: 3, kernel: localmm.KernelHashUnsorted},
+		{p: 9, l: 1, batches: 2, kernel: localmm.KernelHashSorted},
+		{p: 16, l: 4, batches: 2, kernel: localmm.KernelHashUnsorted},
+		{p: 8, l: 2, batches: 2, kernel: localmm.KernelHashUnsorted, threads: 4},
 	} {
 		name := fmt.Sprintf("p=%d,l=%d,b=%d,k=%v,t=%d",
 			tc.p, tc.l, tc.batches, tc.kernel, tc.threads)
 		opts := Options{
-			ForceBatches: tc.batches, Kernel: tc.kernel, Merger: tc.merger,
+			ForceBatches: tc.batches, Kernel: tc.kernel,
 			Threads: tc.threads,
 		}
 		staged, _, _ := runDistributed(t, tc.p, tc.l, a, b, opts, nil)

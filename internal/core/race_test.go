@@ -36,13 +36,12 @@ func TestBatchedSUMMA3DWithThreadsRace(t *testing.T) {
 				cfg.p, cfg.l, cfg.b, cfg.threads)
 		}
 	}
-	// The previous-generation kernel/merger pair under threads, too.
+	// The sorted hash kernel under threads, too.
 	got, _, _ := runDistributed(t, 4, 1, a, b, Options{
-		ForceBatches: 2, Threads: 4,
-		Kernel: localmm.KernelHeap, Merger: localmm.MergerHeap,
+		ForceBatches: 2, Threads: 4, Kernel: localmm.KernelHashSorted,
 	}, nil)
 	if !spmat.Equal(got, want) {
-		t.Error("heap kernel/merger with threads: distributed result differs")
+		t.Error("sorted hash kernel with threads: distributed result differs")
 	}
 }
 

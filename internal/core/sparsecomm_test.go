@@ -22,20 +22,19 @@ func TestSparseCommModesBitIdentical(t *testing.T) {
 		symbolic bool
 		pipeline bool
 		kernel   localmm.Kernel
-		merger   localmm.Merger
 	}{
 		{name: "p4-2d-staged", p: 4, l: 1, fb: 1},
 		{name: "p16-3d-staged-b3", p: 16, l: 4, fb: 3},
 		{name: "p16-3d-staged-symbolic", p: 16, l: 4, fb: 2, symbolic: true},
 		{name: "p16-3d-pipelined-b2", p: 16, l: 4, fb: 2, pipeline: true},
-		{name: "p16-3d-heap", p: 16, l: 4, fb: 2, kernel: localmm.KernelHeap, merger: localmm.MergerHeap},
+		{name: "p16-3d-sorted-hash", p: 16, l: 4, fb: 2, kernel: localmm.KernelHashSorted},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			var ref *spmat.CSC
 			for _, mode := range []mpi.SparseMode{mpi.SparseOff, mpi.SparseAuto, mpi.SparseOn} {
 				opts := Options{
 					ForceBatches: cfg.fb, RunSymbolic: cfg.symbolic, Pipeline: cfg.pipeline,
-					Kernel: cfg.kernel, Merger: cfg.merger, SparseComm: mode,
+					Kernel: cfg.kernel, SparseComm: mode,
 				}
 				got, _, _ := runDistributed(t, cfg.p, cfg.l, a, b, opts, nil)
 				if ref == nil {

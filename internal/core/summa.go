@@ -395,7 +395,7 @@ func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localm
 // their schedule's work units regardless.
 func (p *Proc) lastTable() bool { return p.G.L == 1 }
 
-// merge is the engine's one call into localmm's merge: Opts.Merger over mats
+// merge is the engine's one call into localmm's merge: the hash merge of mats
 // on the workers entries input entries pay for, as one compute section whose
 // wall seconds it returns. sorted asks for ascending columns; lend asks for
 // the output on loan (localmm.MergeLent), which the caller returns once its
@@ -409,9 +409,9 @@ func (p *Proc) merge(mats []spmat.Matrix, sorted, lend bool, entries int64) (out
 			mats[0].SortColumns()
 		}
 		if lend && lendChunks {
-			out, loan = localmm.MergeLent(p.Opts.Merger, mats, p.Opts.Semiring, sorted, p.workers(entries))
+			out, loan = localmm.MergeLent(mats, p.Opts.Semiring, sorted, p.workers(entries))
 		} else {
-			out = localmm.MergeMat(p.Opts.Merger, mats, p.Opts.Semiring, sorted, p.workers(entries))
+			out = localmm.MergeMat(localmm.MergerHash, mats, p.Opts.Semiring, sorted, p.workers(entries))
 		}
 	})
 	return out, loan, sec
@@ -437,7 +437,7 @@ func (p *Proc) layerMerge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int
 		for _, pl := range plans {
 			work += pl.WindowFlops(lo, hi)
 		}
-		out, loan, planned = localmm.MulMerge(o.Kernel, o.Merger, prev, plans, lo, hi, o.Semiring, p.lastTable(), p.lendLayer() && lendChunks, p.workers(work))
+		out, loan, planned = localmm.MulMerge(o.Kernel, prev, plans, lo, hi, o.Semiring, p.lastTable(), p.lendLayer() && lendChunks, p.workers(work))
 		if release {
 			for _, pl := range plans {
 				pl.Release()

@@ -84,20 +84,19 @@ func TestTraceMatchesMeter(t *testing.T) {
 		format        spmat.Format
 		channels      int
 		kernel        localmm.Kernel
-		merger        localmm.Merger
 	}{
 		{p: 4, l: 1, batches: 1},
 		{p: 16, l: 4, batches: 3, symbolic: true},
 		{p: 16, l: 4, batches: 3, pipeline: true, symbolic: true},
 		{p: 16, l: 4, batches: 2, pipeline: true, channels: 2, format: spmat.FormatDCSC},
-		{p: 8, l: 2, batches: 2, pipeline: true, kernel: localmm.KernelHeap, merger: localmm.MergerHeap},
-		{p: 9, l: 1, batches: 2, format: spmat.FormatDCSC, kernel: localmm.KernelHybrid},
+		{p: 8, l: 2, batches: 2, pipeline: true, kernel: localmm.KernelHashSorted},
+		{p: 9, l: 1, batches: 2, format: spmat.FormatDCSC, kernel: localmm.KernelHashSorted},
 	} {
 		name := fmt.Sprintf("p=%d,l=%d,b=%d,pipe=%v,sym=%v,fmt=%v,k=%d",
 			tc.p, tc.l, tc.batches, tc.pipeline, tc.symbolic, tc.format, tc.channels)
 		opts := Options{
 			ForceBatches: tc.batches, Pipeline: tc.pipeline, RunSymbolic: tc.symbolic,
-			Format: tc.format, Channels: tc.channels, Kernel: tc.kernel, Merger: tc.merger,
+			Format: tc.format, Channels: tc.channels, Kernel: tc.kernel,
 		}
 		rec := obs.NewRecorder(tc.p)
 		var mu sync.Mutex

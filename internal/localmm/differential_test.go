@@ -91,7 +91,7 @@ func TestKernelsDifferential(t *testing.T) {
 			for _, k := range allKernels {
 				for _, threads := range []int{1, 2, 8} {
 					name := fmt.Sprintf("%s/%s/%s/threads=%d", sh.name, sr.Name, k, threads)
-					got := ParallelSpGEMM(k, a, b, sr, threads)
+					got := spgemmTest(k, a, b, sr, threads)
 					if err := func() error { c := got.Clone(); c.Compact(nil); return c.Validate() }(); err != nil {
 						t.Errorf("%s: invalid output: %v", name, err)
 						continue
@@ -118,7 +118,7 @@ func TestKernelsDifferentialUnsortedInputs(t *testing.T) {
 		want := naiveMultiply(a, b, sr)
 		for _, k := range allKernels {
 			for _, threads := range []int{1, 2, 8} {
-				got := ParallelSpGEMM(k, a, b, sr, threads)
+				got := spgemmTest(k, a, b, sr, threads)
 				if !spmat.Equal(got, want) {
 					t.Errorf("%s/%s/threads=%d: differs from naive reference on unsorted inputs", sr.Name, k, threads)
 				}
@@ -177,7 +177,7 @@ func TestParallelBitIdenticalLargeFlops(t *testing.T) {
 	}
 }
 
-// TestParallelMergeDifferential checks both mergers × thread counts against
+// TestParallelMergeDifferential checks both merges × thread counts against
 // the serial hash merge on operand sets that include empty and duplicate-row
 // matrices.
 func TestParallelMergeDifferential(t *testing.T) {
@@ -189,8 +189,8 @@ func TestParallelMergeDifferential(t *testing.T) {
 		spmat.New(40, 30), // all-empty operand
 		randomMat(t, 40, 30, 60, 22),
 	}
-	want := ParallelMerge(MergerHash, mats, sr, true, 1)
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
+	want := ParallelMerge(mergerHash, mats, sr, true, 1)
+	for _, mg := range allMergers {
 		for _, threads := range []int{1, 2, 8} {
 			got := ParallelMerge(mg, mats, sr, true, threads)
 			if !spmat.Equal(got, want) {

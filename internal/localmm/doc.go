@@ -1,40 +1,38 @@
 // Package localmm implements the in-process SpGEMM and merging kernels used
-// by every SUMMA stage. It contains both generations the paper compares:
-//
-//   - "previous": heap-based column SpGEMM and heap-based merging, which keep
-//     every intermediate sorted (Azad et al. [13]), and the hybrid heap/hash
-//     kernel of Nagasaka et al. [25] that sorts each output column;
-//   - "new" (Sec. IV-D): sort-free hash SpGEMM and sort-free hash merging,
-//     which leave intermediates unsorted and defer all sorting to the final
-//     Merge-Fiber.
+// by every SUMMA stage: the paper's new generation (Sec. IV-D), sort-free
+// hash SpGEMM and sort-free hash merging, which leave intermediates unsorted
+// and defer all sorting to the final Merge-Fiber.
 //
 // All kernels are column-Gustavson: C(:,j) = Σ_{i : B(i,j)≠0} A(:,i)·B(i,j),
 // and all accept an arbitrary semiring.
 //
-// # Kernels and mergers
+// # Kernels and the merge
 //
-// The Kernel and Merger enums name every generation for callers (the Table
-// VII and Fig. 15 experiments pin the older ones), and every entry point
-// takes one: ParallelSpGEMM(k, a, b, sr, threads), its format-generic form
-// MulMat, and MergeMat(mg, …). Multiply is the sorted hash
-// kernel on one thread, the serial reference. Which one runs is speed attribution only: every
-// kernel × merger combination produces bit-identical output, including
-// float64 values. That guarantee is engineered, not incidental — the hash
-// paths accumulate each output entry in operand order, and the heap paths
-// order rowHeap by (row, operand list) so same-row contributions pop in
-// exactly that order; differential suites here and in core hold every
-// combination to exact equality through full distributed runs, and because
-// the heap pair shares no accumulator code with the hash pair, each is an
-// oracle for the other. Nothing chooses among them: the zero values — the
-// sort-free unsorted-hash kernel and hash merge — are what every planned run
-// executes, having won every measured regime (BENCH_kernels.json,
-// BenchmarkKernelCrossover); the others are explicit pins
-// (core.Options.Kernel/Merger) for the paper's Table 7 / Fig. 15 ablations.
+// The engine runs two kernels, named by Kernel: the sort-free unsorted-hash
+// kernel (the zero value, what every planned run executes) and the sorted
+// hash kernel, which sorts each output column — the pair the paper's
+// sort-free claim is about. Every entry point takes one:
+// ParallelSpGEMM(k, a, b, sr, threads), its format-generic form MulMat, and
+// MulMerge. Multiply is the sorted hash kernel on one thread, the serial
+// reference. There is one merge, the hash merge (MergeMat, MergeLent); the
+// Merger type that MergeMat still takes names only it. Both kernels produce
+// bit-identical values, which differ only in the order a column's entries
+// are stored: every output entry accumulates in operand order.
 //
-// A merge of one operand under the hash merger is that operand: MergeMat
-// returns it, uncopied, unless it is asked to sort an unsorted one. A sorted
-// merge of several drains its accumulator in ascending order, so the sort
-// happens while the entries are still in the table.
+// The previous generation the paper compares against — the heap kernel and
+// k-way heap merge of Azad et al. [13], which keep every intermediate
+// sorted, and the hybrid heap/hash kernel of Nagasaka et al. [25] — lives
+// only in this package's tests. There the differentials hold the hash
+// kernels and the merge to it, bit for bit (its heap pops same-row
+// contributions in operand order, and it shares no accumulator code with
+// the hash paths, so it is an oracle for them), and make bench-kernels
+// (BenchmarkKernelCrossover, BenchmarkMergeSortedOutput) measures it beside
+// the engine: unsorted hash wins every measured regime (BENCH_kernels.json).
+//
+// A merge of one operand is that operand: MergeMat returns it, uncopied,
+// unless it is asked to sort an unsorted one. A sorted merge of several
+// drains its accumulator in ascending order, so the sort happens while the
+// entries are still in the table.
 //
 // # The stages' merge
 //
@@ -47,28 +45,25 @@
 // the earlier columns in stage order, so every row still sums ((s₁ + s₂) +
 // s₃)…, bit for bit. The staged schedule hands it every stage's plan and no
 // product; the pipelined one its q − 1 products and the last stage's plan.
-// Under the hash merger, where a column has at most one earlier column — a
-// product's part, or an earlier planned stage's column made in the worker's
-// stage scratch — and the kernel hashes the last planned one, the table
-// that accumulates the last column is the merge's too: a sorted drain
-// inserts the earlier column as the first operand and walks the table
-// ascending, an unsorted one walks the earlier column against the table —
-// earlier + table where the row is held, with no jump on hit-or-new in the
-// direct regime — and then drains the rows it did not meet in the kernel's
-// order. Any other column — more earlier columns, the heap merger, a last
-// column the kernel heap-merges — has every planned column made into the
-// stage scratch in the order the merge reads it, and the merger's own
-// routine runs over all of them, so the heap merger stays a heap merge of
-// every stage's column. The output is bit-identical to MergeMat over the
-// earlier parts and the windows of Plan.Mul — values, stored order, format,
-// sorted flag — for every kernel, merger, semiring, format and thread count,
-// and the pass returns the entry count the planned windows of the products
-// would have had together.
+// Where a column has at most one earlier column — a product's part, or an
+// earlier planned stage's column made in the worker's stage scratch — the
+// table that accumulates the last planned column is the merge's too: a
+// sorted drain inserts the earlier column as the first operand and walks
+// the table ascending, an unsorted one walks the earlier column against the
+// table — earlier + table where the row is held, with no jump on hit-or-new
+// in the direct regime — and then drains the rows it did not meet in the
+// kernel's order. A column with more earlier columns has every planned
+// column made into the stage scratch in the kernel's order, and the merge's
+// own routine runs over all of them. The output is bit-identical to
+// MergeMat over the earlier parts and the windows of Plan.Mul — values,
+// stored order, format, sorted flag — for every kernel, semiring, format
+// and thread count, and the pass returns the entry count the planned
+// windows of the products would have had together.
 //
 // # One accumulator, two regimes
 //
-// Every hash kernel and merger folds one output column's contributions into
-// a hashAccum, which has two slot functions chosen per column from the
+// Every kernel and the merge fold one output column's contributions into a
+// hashAccum, which has two slot functions chosen per column from the
 // operand's row count — never from a setting. When a table of one slot per
 // row fits directTableBytes (384 KiB: 2¹⁵ rows at the accumulator's 12
 // bytes a row) the slot is the row: no hash, no probe, no overfill, and a
@@ -117,14 +112,13 @@
 //
 // # One plan
 //
-// Every kernel, merger, storage format and thread count runs the one-pass
-// accumulate-then-place plan of parallel.go (MulMat and MergeMat; the CSC
-// entry points ParallelSpGEMM and Multiply are that plan with CSC
-// operands).
-// The output columns are cut into contiguous ranges balanced by flop count
-// (not column count); each worker hashes or heap-merges its range exactly
-// once, appending finished columns to its own reusable chunk and leaving
-// each column's entry count in the output's column pointers, which are
+// Every kernel, the merge, every storage format and thread count run the
+// one-pass accumulate-then-place plan of parallel.go (MulMat and MergeMat;
+// the CSC entry points ParallelSpGEMM and Multiply are that plan with CSC
+// operands). The output columns are cut into contiguous ranges balanced by
+// flop count (not column count); each worker hashes its range exactly once,
+// appending finished columns to its own reusable chunk and leaving each
+// column's entry count in the output's column pointers, which are
 // prefix-summed in place. No column is hashed twice — the multiply and the
 // merge need no symbolic pass to size their output — and worker scratch
 // (accumulator, chunk, sort buffers) lives on a free list that survives
@@ -177,9 +171,9 @@
 // numeric work on a hypersparse block is O(flops + nnz) with no O(cols)
 // scan or allocation anywhere. Output format follows B — the stored columns
 // of A·B are a subset of B's — and a merge emits DCSC when every operand is
-// DCSC. Values are bit-identical for every format combination, thread
-// count, and merger, because columns are visited in the same order and
-// entries accumulate in the same operand order. SymbolicMat and MatFlops
+// DCSC. Values are bit-identical for every format combination and thread
+// count, because columns are visited in the same order and entries
+// accumulate in the same operand order. SymbolicMat and MatFlops
 // are the symbolic step and the flop count over the same interface.
 //
 // A multiply finds A's columns by B's row indices once per block pair, in
@@ -191,8 +185,8 @@
 // MatFlops, SymbolicSpGEMM) release the plans they make, and the
 // distributed stages release theirs when the stage's work is done — a
 // planned stage's once Merge-Layer's fused merge has read its last window. A
-// fused merge keeps each planned window's flop counts, first slot and kernel
-// view of A in that plan's arrays too.
+// fused merge keeps each planned window's flop counts and first slot in
+// that plan's arrays too.
 //
 // # Sparse×dense kernels
 //

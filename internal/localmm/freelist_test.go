@@ -48,7 +48,7 @@ func TestFreeListDropsOversizedTables(t *testing.T) {
 			"chunk rows": cap(w.rows), "chunk vals": cap(w.vals),
 			"accumulator rows": cap(w.acc.rows), "accumulator vals": cap(w.acc.vals), "accumulator occupied": cap(w.acc.occupied),
 			"row set": cap(w.set.rows), "row set occupied": cap(w.set.occupied), "stamps": cap(w.set.stamps),
-			"heap": cap(w.heap), "parts": cap(w.parts), "stage rows": cap(w.stage.rows), "stage vals": cap(w.stage.vals),
+			"parts": cap(w.parts), "stage rows": cap(w.stage.rows), "stage vals": cap(w.stage.vals),
 		} {
 			if c > maxKeptEntries {
 				t.Errorf("idle worker %d keeps %s of %d entries, above the cap of %d", i, name, c, maxKeptEntries)

@@ -46,15 +46,13 @@ func denseMultiply(a, b *spmat.CSC) *spmat.CSC {
 	return spmat.Dense(a.Rows, b.Cols, out)
 }
 
-var allKernels = []Kernel{KernelHashUnsorted, KernelHashSorted, KernelHeap, KernelHybrid}
-
 func TestKernelsMatchDenseReference(t *testing.T) {
 	a := randomMat(t, 30, 25, 120, 1)
 	b := randomMat(t, 25, 28, 110, 2)
 	want := denseMultiply(a, b)
 	sr := semiring.PlusTimes()
 	for _, k := range allKernels {
-		got := ParallelSpGEMM(k, a, b, sr, 1)
+		got := spgemmTest(k, a, b, sr, 1)
 		got.DropZeros()
 		if !spmat.Equal(got, want) {
 			t.Errorf("kernel %v: wrong product", k)
@@ -82,7 +80,7 @@ func TestKernelsAgreeOnUnsortedInputs(t *testing.T) {
 	ua.SortedCols = false
 	want := Multiply(a, b, semiring.PlusTimes())
 	for _, k := range allKernels {
-		got := ParallelSpGEMM(k, ua, b, semiring.PlusTimes(), 1)
+		got := spgemmTest(k, ua, b, semiring.PlusTimes(), 1)
 		if !spmat.Equal(got, want) {
 			t.Errorf("kernel %v: unsorted input changed result", k)
 		}
@@ -96,8 +94,8 @@ func TestSortednessContracts(t *testing.T) {
 	if c := ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1); c.SortedCols {
 		t.Error("unsorted-hash must report unsorted columns")
 	}
-	for _, k := range []Kernel{KernelHashSorted, KernelHeap, KernelHybrid} {
-		c := ParallelSpGEMM(k, a, b, sr, 1)
+	for _, k := range []testKernel{testKernel(KernelHashSorted), kernelHeap, kernelHybrid} {
+		c := spgemmTest(k, a, b, sr, 1)
 		if !c.SortedCols {
 			t.Errorf("kernel %v must produce sorted columns", k)
 		}
@@ -112,7 +110,7 @@ func TestKernelsEmptyOperands(t *testing.T) {
 	a := spmat.New(10, 5)
 	b := spmat.New(5, 8)
 	for _, k := range allKernels {
-		c := ParallelSpGEMM(k, a, b, sr, 1)
+		c := spgemmTest(k, a, b, sr, 1)
 		if c.NNZ() != 0 || c.Rows != 10 || c.Cols != 8 {
 			t.Errorf("kernel %v: empty product wrong: %v", k, c)
 		}
@@ -124,10 +122,10 @@ func TestKernelsIdentity(t *testing.T) {
 	id := spmat.Identity(20)
 	sr := semiring.PlusTimes()
 	for _, k := range allKernels {
-		if got := ParallelSpGEMM(k, m, id, sr, 1); !spmat.Equal(got, m) {
+		if got := spgemmTest(k, m, id, sr, 1); !spmat.Equal(got, m) {
 			t.Errorf("kernel %v: M·I ≠ M", k)
 		}
-		if got := ParallelSpGEMM(k, id, m, sr, 1); !spmat.Equal(got, m) {
+		if got := spgemmTest(k, id, m, sr, 1); !spmat.Equal(got, m) {
 			t.Errorf("kernel %v: I·M ≠ M", k)
 		}
 	}
@@ -161,7 +159,7 @@ func TestBoolSemiringReachability(t *testing.T) {
 	a, _ := spmat.FromTriples(3, 3, []spmat.Triple{
 		{Row: 1, Col: 0, Val: 1}, {Row: 2, Col: 1, Val: 1},
 	}, nil)
-	c := ParallelSpGEMM(KernelHeap, a, a, semiring.BoolOrAnd(), 1)
+	c := spgemmTest(kernelHeap, a, a, semiring.BoolOrAnd(), 1)
 	if got := c.At(2, 0); got != 1 {
 		t.Errorf("bool reachability = %v, want 1", got)
 	}
@@ -176,9 +174,9 @@ func TestKernelsAgreeProperty(t *testing.T) {
 		n := int32(rng.Intn(25) + 1)
 		a := randomMat(t, m, k, rng.Intn(100), seed+1)
 		b := randomMat(t, k, n, rng.Intn(100), seed+2)
-		ref := ParallelSpGEMM(KernelHeap, a, b, sr, 1)
+		ref := spgemmTest(kernelHeap, a, b, sr, 1)
 		for _, kn := range allKernels {
-			if !spmat.Equal(ParallelSpGEMM(kn, a, b, sr, 1), ref) {
+			if !spmat.Equal(spgemmTest(kn, a, b, sr, 1), ref) {
 				return false
 			}
 		}
@@ -203,11 +201,11 @@ func TestParallelSpGEMMMatchesSerial(t *testing.T) {
 }
 
 func TestKernelStrings(t *testing.T) {
-	if KernelHashUnsorted.String() != "unsorted-hash" || KernelHeap.String() != "heap" ||
-		KernelHybrid.String() != "hybrid" || KernelHashSorted.String() != "sorted-hash" {
+	if KernelHashUnsorted.String() != "unsorted-hash" || kernelHeap.String() != "heap" ||
+		kernelHybrid.String() != "hybrid" || KernelHashSorted.String() != "sorted-hash" {
 		t.Error("kernel names changed")
 	}
-	if MergerHash.String() != "hash-merge" || MergerHeap.String() != "heap-merge" {
+	if MergerHash.String() != "hash-merge" || mergerHeap.String() != "heap-merge" {
 		t.Error("merger names changed")
 	}
 }

@@ -22,7 +22,7 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	sr := semiring.PlusTimes()
 	light := scrambleColumns(uniformMat(t, 200, 200, 6, 401), 1)
 	heavy := scrambleColumns(uniformMat(t, 256, 256, 16, 402), 2)
-	for _, k := range allKernels {
+	for _, k := range engineKernels {
 		for _, dcsc := range []bool{false, true} {
 			label := fmt.Sprintf("%v/dcsc=%v", k, dcsc)
 			pl := PlanMul(light, asFormat(light, dcsc))
@@ -55,10 +55,10 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 }
 
 // TestMergeLentLendsOnlyTheSingleRangeChunk is the same pin for MergeLent,
-// under both mergers, sorted or not, CSC or DCSC: a merge one range ran is the
-// worker's chunk until Return and poisoned after it; a merge two ranges ran is
-// owned, with an empty Loan; a one-operand merge is its operand, with an
-// empty Loan, and the operand is untouched by the Return.
+// sorted or not, CSC or DCSC: a merge one range ran is the worker's chunk
+// until Return and poisoned after it; a merge two ranges ran is owned, with
+// an empty Loan; a one-operand merge is its operand, with an empty Loan, and
+// the operand is untouched by the Return.
 func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
 	sr := semiring.PlusTimes()
@@ -71,43 +71,41 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 		}
 		return out
 	}
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
-		for _, sorted := range []bool{false, true} {
-			for _, dcsc := range []bool{false, true} {
-				label := fmt.Sprintf("%v/sorted=%v/dcsc=%v", mg, sorted, dcsc)
-				mats := asMats(light, dcsc)
-				owned := MergeMat(mg, mats, sr, sorted, 4)
-				lent, loan := MergeLent(mg, mats, sr, sorted, 4)
-				if loan.c.bytes() == 0 {
-					t.Fatalf("%s: a single-range merge was not lent", label)
-				}
-				sameEntries(t, label+": lent vs owned", lent, owned)
-				loan.Return()
-				v := viewOf(lent)
-				if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
-					t.Errorf("%s: the lent merge outlived its loan: its arrays are not the returned chunk", label)
-				}
-				sameEntries(t, label+": owned merge after later calls", owned, MergeMat(mg, mats, sr, sorted, 1))
-
-				mats = asMats(heavy, dcsc)
-				var entries int64
-				for _, m := range mats {
-					entries += m.NNZ()
-				}
-				if clampThreads(2, 512, entries) != 2 {
-					t.Fatalf("merge of %d entries is below the worker floor", entries)
-				}
-				placed, loan := MergeLent(mg, mats, sr, sorted, 2)
-				if loan.c.bytes() != 0 {
-					t.Errorf("%s: a two-range merge came with a loan", label)
-				}
-				loan.Return()
-				sameEntries(t, label+": two-range merge after Return", placed, MergeMat(mg, mats, sr, sorted, 1))
+	for _, sorted := range []bool{false, true} {
+		for _, dcsc := range []bool{false, true} {
+			label := fmt.Sprintf("sorted=%v/dcsc=%v", sorted, dcsc)
+			mats := asMats(light, dcsc)
+			owned := MergeMat(MergerHash, mats, sr, sorted, 4)
+			lent, loan := MergeLent(mats, sr, sorted, 4)
+			if loan.c.bytes() == 0 {
+				t.Fatalf("%s: a single-range merge was not lent", label)
 			}
+			sameEntries(t, label+": lent vs owned", lent, owned)
+			loan.Return()
+			v := viewOf(lent)
+			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
+				t.Errorf("%s: the lent merge outlived its loan: its arrays are not the returned chunk", label)
+			}
+			sameEntries(t, label+": owned merge after later calls", owned, MergeMat(MergerHash, mats, sr, sorted, 1))
+
+			mats = asMats(heavy, dcsc)
+			var entries int64
+			for _, m := range mats {
+				entries += m.NNZ()
+			}
+			if clampThreads(2, 512, entries) != 2 {
+				t.Fatalf("merge of %d entries is below the worker floor", entries)
+			}
+			placed, loan := MergeLent(mats, sr, sorted, 2)
+			if loan.c.bytes() != 0 {
+				t.Errorf("%s: a two-range merge came with a loan", label)
+			}
+			loan.Return()
+			sameEntries(t, label+": two-range merge after Return", placed, MergeMat(MergerHash, mats, sr, sorted, 1))
 		}
 	}
 	one := []spmat.Matrix{uniformMat(t, 64, 64, 4, 427)}
-	out, loan := MergeLent(MergerHash, one, sr, true, 1)
+	out, loan := MergeLent(one, sr, true, 1)
 	if out != one[0] || loan.c.bytes() != 0 {
 		t.Errorf("a one-operand merge lent a chunk instead of passing its operand through")
 	}
@@ -237,7 +235,7 @@ func TestReleasedPlanIsPoisoned(t *testing.T) {
 			t.Fatalf("bD=%v: fresh plan counts %d output entries, want %d", bD, fresh.Symbolic(1), naive.NNZ())
 		}
 		for _, k := range allKernels {
-			if !spmat.Equal(fresh.Mul(k, sr, 1).ToCSC(), naive) {
+			if !spmat.Equal(fresh.mulTest(k, sr, 1).ToCSC(), naive) {
 				t.Fatalf("bD=%v %v: fresh plan multiplies differently from the naive product", bD, k)
 			}
 		}

@@ -95,12 +95,12 @@ func checkMulShapesMat(a, b spmat.Matrix) {
 // Plan is what one pass over B's entries learns about the product A·B before
 // anything is multiplied: where each B entry's row is stored in A, and the
 // multiplication count of every slot of B — the quantity a stage of the
-// distributed multiply reports (Flops), picks its kernel by, balances its
-// workers by and sizes its hash tables by. It is made once per block pair;
-// Mul, Symbolic and the fused Merge-Layer (MulMerge, which takes a stage's
-// plan in place of its product) then run from it, any number of times, with
-// any kernel, and read A's columns through its colView by the slots the plan
-// holds: no column of A is looked up twice.
+// distributed multiply reports (Flops), balances its workers by and sizes
+// its hash tables by. It is made once per block pair; Mul, Symbolic and the
+// fused Merge-Layer (MulMerge, which takes a stage's plan in place of its
+// product) then run from it, any number of times, with either kernel, and
+// read A's columns through its colView by the slots the plan holds: no
+// column of A is looked up twice.
 //
 // The per-entry and per-slot arrays (the A slots of a DCSC A, the running
 // flop sums, the per-slot counts) come from the kernels' free list and go
@@ -129,8 +129,8 @@ type Plan struct {
 // every B slot, and what a fused merge (MulMerge) needs of the plan for the
 // length of one call, reused by the next window: the window's running flop
 // counts and, for a DCSC B, its columns, the B slot of its first column
-// (p0), the view of A the call's kernel reads (kv, kernelView), and — in the
-// first plan's scratch — the input entries of every output slot.
+// (p0), and — in the first plan's scratch — the input entries of every
+// output slot.
 type planScratch struct {
 	slots    []int32
 	sums     []int64
@@ -139,7 +139,6 @@ type planScratch struct {
 	winJC    []int32
 	colIn    []int64
 	p0       int32
-	kv       *colView
 }
 
 // PlanMul counts the flops of A·B slot by slot; O(nnz(B)) with no dense
@@ -207,7 +206,6 @@ func (pl *Plan) Release() {
 	if s == nil {
 		return
 	}
-	s.kv = nil
 	if PoisonReturnedChunks.Load() {
 		s.poison()
 	}
@@ -296,7 +294,7 @@ func (pl *Plan) MulLent(k Kernel, sr *semiring.Semiring, threads int) (spmat.Mat
 // BenchmarkWorkerSpawnCrossover, which sets the floor they decide by, calls
 // this directly.
 func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode passOutput) (spmat.Matrix, Loan) {
-	av, bv, colFlops := pl.kernelView(k), &pl.bv, pl.colFlops
+	bv, colFlops := &pl.bv, pl.colFlops
 	aRows, _ := pl.a.Dims()
 	_, bCols := pl.b.Dims()
 	ptr := make([]int64, bv.n+1)
@@ -307,7 +305,7 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 				continue
 			}
 			start := len(w.rows)
-			w.mulColumn(pl, av, p, k, sr, plusTimes, aRows, k.sorts())
+			w.mulColumn(pl, p, sr, plusTimes, aRows, k.sorts())
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
 	}, mode)
@@ -316,33 +314,12 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, k.sorts()), loan
 }
 
-// kernelView returns the view of A that kernel k reads: A's own or, for the
-// heap-based kernels, which require sorted A columns, a sorted copy when A is
-// unsorted — made once per call and shared read-only by all its workers.
-// Sorting moves entries inside columns only, so the plan's slots hold for
-// the copy.
-func (pl *Plan) kernelView(k Kernel) *colView {
-	if (k != KernelHeap && k != KernelHybrid) || pl.a.Sorted() {
-		return &pl.av
-	}
-	a := pl.a.CloneMat()
-	a.SortColumns()
-	sorted := viewOf(a)
-	return &sorted
-}
-
-// mulColumn appends the product column of B's slot p to the worker's chunk,
-// as kernel k makes it: heap-merged (ascending), or accumulated in the table
-// and drained ascending when sorted, in insertion order otherwise. av is
-// pl.kernelView(k) and rows its height.
-func (w *mmWorker) mulColumn(pl *Plan, av *colView, p int32, k Kernel, sr *semiring.Semiring, plusTimes bool, rows int32, sorted bool) {
-	aSlots, bVals := pl.aSlots(p), pl.bVals(p)
-	if k.heapMerges(pl.colFlops[p]) {
-		w.heapMulColumn(av, aSlots, bVals, sr, plusTimes)
-		return
-	}
+// mulColumn appends the product column of B's slot p to the worker's chunk:
+// accumulated in the table and drained ascending when sorted, in insertion
+// order otherwise. rows is A's height.
+func (w *mmWorker) mulColumn(pl *Plan, p int32, sr *semiring.Semiring, plusTimes bool, rows int32, sorted bool) {
 	w.acc.sizeFor(pl.colFlops[p], rows)
-	hashAccumulateColumn(&w.acc, av, aSlots, bVals, sr, plusTimes)
+	hashAccumulateColumn(&w.acc, &pl.av, pl.aSlots(p), pl.bVals(p), sr, plusTimes)
 	w.drain(sorted)
 }
 
@@ -414,26 +391,26 @@ func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
 	return rows, cols
 }
 
-// MergeMat adds same-shaped matrices entry-wise with the selected merger
-// over any format combination (operands may even mix formats, as Merge-Fiber
+// MergeMat adds same-shaped matrices entry-wise with the hash merger over
+// any format combination (operands may even mix formats, as Merge-Fiber
 // sees under the auto heuristic) by the one-pass plan of parallel.go, with at
 // most threads workers (clampThreads, by input entries) over ranges balanced
 // by input entries. When every operand is DCSC the slots are the union of
 // their stored columns — a k-way merge of the ascending column lists,
 // O(Σ nzc) — and the output is DCSC; otherwise the slots are the columns and
-// the output is CSC.
-// sortOutput only affects MergerHash; the heap merge needs sorted operands
-// (unsorted ones are sorted on copies) and always emits sorted columns.
+// the output is CSC. The output's columns are sorted when sortOutput asks
+// for it. The Merger argument is ignored — MergerHash is the one merger —
+// and stays only because the wall-clock benchmark's serial replay passes one.
 //
 // A sorted input can still contain duplicate row indices within a column
-// (e.g. the concatenated outputs of independent SUMMA stages). Both mergers
-// accumulate those duplicates, so the output of a real merge is
-// duplicate-free. A single operand under MergerHash is its own sum and is
-// returned as it is — the operand, not a copy of it, so the caller must treat
-// the result as shared with whoever holds the operand — unless sorted output
-// is asked of an unsorted one, which is sorted on a copy.
-func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) spmat.Matrix {
-	out, _ := mergeMats(mg, mats, sr, sortOutput, threads, ownedOutput)
+// (e.g. the concatenated outputs of independent SUMMA stages). The merge
+// accumulates those duplicates, so the output of a real merge is
+// duplicate-free. A single operand is its own sum and is returned as it is —
+// the operand, not a copy of it, so the caller must treat the result as
+// shared with whoever holds the operand — unless sorted output is asked of
+// an unsorted one, which is sorted on a copy.
+func MergeMat(_ Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) spmat.Matrix {
+	out, _ := mergeMats(mats, sr, sortOutput, threads, ownedOutput)
 	return out
 }
 
@@ -446,25 +423,21 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 // merge that ran several ranges returns owned arrays and an empty Loan, and
 // so does a one-operand merge, which returns its operand (or a sorted copy)
 // as MergeMat does.
-func MergeLent(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) (spmat.Matrix, Loan) {
-	return mergeMats(mg, mats, sr, sortOutput, threads, lentOutput)
+func MergeLent(mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) (spmat.Matrix, Loan) {
+	return mergeMats(mats, sr, sortOutput, threads, lentOutput)
 }
 
 // mergeMats is MergeMat and MergeLent, which differ only in what the one
 // pass does with a single range's chunk (out).
-func mergeMats(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int, out passOutput) (spmat.Matrix, Loan) {
+func mergeMats(mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int, out passOutput) (spmat.Matrix, Loan) {
 	rows, cols := checkMergeShapes(mats)
-	if len(mats) == 1 && mg == MergerHash {
+	if len(mats) == 1 {
 		if !sortOutput || mats[0].Sorted() {
 			return mats[0], Loan{}
 		}
 		sorted := mats[0].CloneMat()
 		sorted.SortColumns()
 		return sorted, Loan{}
-	}
-	if mg == MergerHeap {
-		sortOutput = true
-		mats = sortedOperands(mats)
 	}
 	views := make([]colView, len(mats))
 	for i, m := range mats {
@@ -484,7 +457,7 @@ func mergeMats(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput
 				continue
 			}
 			start := len(w.rows)
-			w.mergeColumn(mg, w.gather(views, slots.index(p)), colIn[p], rows, sr, plusTimes, sortOutput)
+			w.mergeColumn(w.gather(views, slots.index(p)), colIn[p], rows, sr, plusTimes, sortOutput)
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
 	}, out)
@@ -517,14 +490,10 @@ func mergeSlots(views []colView, cols int32, buf []int64) (colView, []int64) {
 }
 
 // mergeColumn appends the merge of one column's parts, in operand order, to
-// the worker's chunk: heap-merged (ascending) under the heap merger, else
-// accumulated in the table — sized for want contributions into a rows-tall
-// operand — and drained in insertion order or, when sorted, ascending.
-func (w *mmWorker) mergeColumn(mg Merger, parts []colPart, want int64, rows int32, sr *semiring.Semiring, plusTimes, sorted bool) {
-	if mg == MergerHeap {
-		w.heapColumn(parts, nil, sr, plusTimes)
-		return
-	}
+// the worker's chunk: accumulated in the table — sized for want
+// contributions into a rows-tall operand — and drained in insertion order
+// or, when sorted, ascending.
+func (w *mmWorker) mergeColumn(parts []colPart, want int64, rows int32, sr *semiring.Semiring, plusTimes, sorted bool) {
 	w.acc.sizeFor(want, rows)
 	hashAccumulateParts(&w.acc, parts, sr, plusTimes)
 	w.drain(sorted)
@@ -577,7 +546,7 @@ func (w *mmWorker) seek(views []colView, j int32) {
 }
 
 // gather collects the operands' non-empty contributions to column j into the
-// worker's scratch, in operand order (the order every merger accumulates in,
+// worker's scratch, in operand order (the order the merge accumulates in,
 // which fixes the floating-point result), advancing the cursors past j.
 func (w *mmWorker) gather(views []colView, j int32) []colPart {
 	parts := w.parts[:0]

@@ -56,12 +56,12 @@ func TestMulMatDifferential(t *testing.T) {
 	for si, sh := range shapes {
 		a := hyperMat(t, sh.ar, sh.ac, sh.an, int64(100+si))
 		b := hyperMat(t, sh.ac, sh.bc, sh.bn, int64(200+si))
-		for _, k := range []Kernel{KernelHashUnsorted, KernelHashSorted, KernelHeap, KernelHybrid} {
-			want := ParallelSpGEMM(k, a, b, sr, 1)
+		for _, k := range allKernels {
+			want := spgemmTest(k, a, b, sr, 1)
 			for _, aD := range []bool{false, true} {
 				for _, bD := range []bool{false, true} {
 					for _, threads := range []int{1, 4} {
-						got := MulMat(k, asFormat(a, aD), asFormat(b, bD), sr, threads)
+						got := mulTest(k, asFormat(a, aD), asFormat(b, bD), sr, threads)
 						wantFmt := spmat.FormatCSC
 						if bD {
 							wantFmt = spmat.FormatDCSC
@@ -174,8 +174,8 @@ func TestPlanServesEveryConsumer(t *testing.T) {
 					if got := SymbolicMat(am, bm, threads); got != wantS {
 						t.Fatalf("%s t=%d: SymbolicMat %d, want %d", label, threads, got, wantS)
 					}
-					for _, k := range []Kernel{KernelHashUnsorted, KernelHashSorted, KernelHeap, KernelHybrid} {
-						got, want := pl.Mul(k, c.sr, threads), MulMat(k, am, bm, c.sr, 1)
+					for _, k := range allKernels {
+						got, want := pl.mulTest(k, c.sr, clampThreads(threads, pl.bv.n, pl.Flops)), mulTest(k, am, bm, c.sr, 1)
 						if got.Format() != want.Format() || string(got.Serialize()) != string(want.Serialize()) {
 							t.Fatalf("%s t=%d %v: planned multiply differs from MulMat", label, threads, k)
 						}
@@ -217,7 +217,7 @@ func TestOutputColumnLookupsMatchScan(t *testing.T) {
 	}
 }
 
-// TestMergeMatDifferential: both mergers over uniform and mixed format
+// TestMergeMatDifferential: both merges over uniform and mixed format
 // operand sets must reproduce the CSC merges exactly.
 func TestMergeMatDifferential(t *testing.T) {
 	sr := semiring.PlusTimes()
@@ -226,7 +226,7 @@ func TestMergeMatDifferential(t *testing.T) {
 		hyperMat(t, 20, 600, 140, 12),
 		hyperMat(t, 20, 600, 20, 13), // very sparse operand
 	}
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
+	for _, mg := range allMergers {
 		want := ParallelMerge(mg, base, sr, true, 1)
 		// Format masks: all-CSC, all-DCSC, mixed.
 		for mi, mask := range [][]bool{
@@ -239,7 +239,7 @@ func TestMergeMatDifferential(t *testing.T) {
 				mats[i] = asFormat(m, mask[i])
 			}
 			for _, threads := range []int{1, 4} {
-				got := MergeMat(mg, mats, sr, true, threads)
+				got := mergeTest(mg, mats, sr, true, threads)
 				if !spmat.Equal(want, got.ToCSC()) {
 					t.Fatalf("%v mask %d t=%d: merged values differ", mg, mi, threads)
 				}
@@ -254,7 +254,7 @@ func TestMergeMatDifferential(t *testing.T) {
 	}
 	// Unsorted hash merge keeps insertion order semantics.
 	mats := []spmat.Matrix{base[0].ToDCSC(), base[1].ToDCSC()}
-	want := ParallelMerge(MergerHash, base[:2], sr, false, 1)
+	want := ParallelMerge(mergerHash, base[:2], sr, false, 1)
 	got := MergeMat(MergerHash, mats, sr, false, 1)
 	if got.Sorted() {
 		t.Error("unsorted merge claimed sorted output")

@@ -9,14 +9,14 @@ import (
 	"repro/internal/spmat"
 )
 
-// ParallelMerge is MergeMat over CSC operands: the selected merger with
+// ParallelMerge is mergeTest over CSC operands: the selected merge with
 // threads worker goroutines, CSC in and CSC out.
-func ParallelMerge(mg Merger, mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool, threads int) *spmat.CSC {
+func ParallelMerge(mg testMerger, mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool, threads int) *spmat.CSC {
 	ms := make([]spmat.Matrix, len(mats))
 	for i, m := range mats {
 		ms[i] = m
 	}
-	return MergeMat(mg, ms, sr, sortOutput, threads).(*spmat.CSC)
+	return mergeTest(mg, ms, sr, sortOutput, threads).(*spmat.CSC)
 }
 
 // sumAll is the reference entry-wise sum of a list of matrices.
@@ -36,10 +36,10 @@ func TestMergersMatchReference(t *testing.T) {
 		randomMat(t, 25, 20, 70, 13),
 	}
 	want := sumAll(mats)
-	if got := ParallelMerge(MergerHash, mats, sr, true, 1); !spmat.Equal(got, want) {
+	if got := ParallelMerge(mergerHash, mats, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("hash merge wrong")
 	}
-	if got := ParallelMerge(MergerHeap, mats, sr, true, 1); !spmat.Equal(got, want) {
+	if got := ParallelMerge(mergerHeap, mats, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("heap merge wrong")
 	}
 }
@@ -47,10 +47,10 @@ func TestMergersMatchReference(t *testing.T) {
 func TestHashMergeUnsortedFlag(t *testing.T) {
 	sr := semiring.PlusTimes()
 	mats := []*spmat.CSC{randomMat(t, 10, 10, 30, 14), randomMat(t, 10, 10, 30, 15)}
-	if got := ParallelMerge(MergerHash, mats, sr, false, 1); got.SortedCols {
+	if got := ParallelMerge(mergerHash, mats, sr, false, 1); got.SortedCols {
 		t.Error("unsorted hash merge should report unsorted")
 	}
-	got := ParallelMerge(MergerHash, mats, sr, true, 1)
+	got := ParallelMerge(mergerHash, mats, sr, true, 1)
 	if !got.SortedCols {
 		t.Error("sorted hash merge should report sorted")
 	}
@@ -67,10 +67,10 @@ func TestMergeUnsortedInputs(t *testing.T) {
 	ua := ParallelSpGEMM(KernelHashUnsorted, a, b, sr, 1)
 	ub := ParallelSpGEMM(KernelHashUnsorted, b, a, sr, 1)
 	want := sumAll([]*spmat.CSC{ua, ub})
-	if got := ParallelMerge(MergerHash, []*spmat.CSC{ua, ub}, sr, true, 1); !spmat.Equal(got, want) {
+	if got := ParallelMerge(mergerHash, []*spmat.CSC{ua, ub}, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("hash merge of unsorted inputs wrong")
 	}
-	if got := ParallelMerge(MergerHeap, []*spmat.CSC{ua, ub}, sr, true, 1); !spmat.Equal(got, want) {
+	if got := ParallelMerge(mergerHeap, []*spmat.CSC{ua, ub}, sr, true, 1); !spmat.Equal(got, want) {
 		t.Error("heap merge of unsorted inputs wrong")
 	}
 }
@@ -78,7 +78,7 @@ func TestMergeUnsortedInputs(t *testing.T) {
 func TestMergeSingleMatrix(t *testing.T) {
 	sr := semiring.PlusTimes()
 	m := ParallelSpGEMM(KernelHashUnsorted, randomMat(t, 15, 15, 60, 18), randomMat(t, 15, 15, 60, 19), sr, 1)
-	got := ParallelMerge(MergerHash, []*spmat.CSC{m}, sr, true, 1)
+	got := ParallelMerge(mergerHash, []*spmat.CSC{m}, sr, true, 1)
 	if !spmat.Equal(got, m) {
 		t.Error("merge of one matrix should be identity")
 	}
@@ -90,7 +90,7 @@ func TestMergeSingleMatrix(t *testing.T) {
 func TestMergeEmptyMatrices(t *testing.T) {
 	sr := semiring.PlusTimes()
 	mats := []*spmat.CSC{spmat.New(5, 5), spmat.New(5, 5)}
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
+	for _, mg := range allMergers {
 		got := ParallelMerge(mg, mats, sr, true, 1)
 		if got.NNZ() != 0 {
 			t.Errorf("%v: merge of empties has %d nnz", mg, got.NNZ())
@@ -104,7 +104,7 @@ func TestMergeShapeMismatchPanics(t *testing.T) {
 			t.Error("shape mismatch did not panic")
 		}
 	}()
-	ParallelMerge(MergerHash, []*spmat.CSC{spmat.New(3, 3), spmat.New(3, 4)}, semiring.PlusTimes(), false, 1)
+	ParallelMerge(mergerHash, []*spmat.CSC{spmat.New(3, 3), spmat.New(3, 4)}, semiring.PlusTimes(), false, 1)
 }
 
 func TestMergeDeduplicates(t *testing.T) {
@@ -119,7 +119,7 @@ func TestMergeDeduplicates(t *testing.T) {
 	}
 	other, _ := spmat.FromTriples(3, 1, []spmat.Triple{{Row: 1, Col: 0, Val: 4}}, nil)
 	sr := semiring.PlusTimes()
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
+	for _, mg := range allMergers {
 		got := ParallelMerge(mg, []*spmat.CSC{dup, other}, sr, true, 1)
 		if got.At(1, 0) != 9 || got.At(0, 0) != 1 {
 			t.Errorf("%v: duplicates mishandled: (1,0)=%v (0,0)=%v", mg, got.At(1, 0), got.At(0, 0))
@@ -141,7 +141,7 @@ func TestMergersAgreeProperty(t *testing.T) {
 		for i := range mats {
 			mats[i] = randomMat(t, rows, cols, rng.Intn(60), seed+int64(i)+1)
 		}
-		return spmat.Equal(ParallelMerge(MergerHash, mats, sr, true, 1), ParallelMerge(MergerHeap, mats, sr, true, 1))
+		return spmat.Equal(ParallelMerge(mergerHash, mats, sr, true, 1), ParallelMerge(mergerHeap, mats, sr, true, 1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -155,9 +155,9 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 		randomMat(t, 40, 35, 200, 21),
 		randomMat(t, 40, 35, 200, 22),
 	}
-	want := ParallelMerge(MergerHash, mats, sr, true, 1)
+	want := ParallelMerge(mergerHash, mats, sr, true, 1)
 	for _, threads := range []int{2, 5, 64} {
-		got := ParallelMerge(MergerHash, mats, sr, true, threads)
+		got := ParallelMerge(mergerHash, mats, sr, true, threads)
 		if !spmat.Equal(got, want) {
 			t.Errorf("threads=%d: parallel merge differs", threads)
 		}
@@ -168,7 +168,7 @@ func TestMergeMinPlus(t *testing.T) {
 	sr := semiring.MinPlus()
 	a, _ := spmat.FromTriples(2, 1, []spmat.Triple{{Row: 0, Col: 0, Val: 5}}, nil)
 	b, _ := spmat.FromTriples(2, 1, []spmat.Triple{{Row: 0, Col: 0, Val: 3}, {Row: 1, Col: 0, Val: 7}}, nil)
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
+	for _, mg := range allMergers {
 		got := ParallelMerge(mg, []*spmat.CSC{a, b}, sr, true, 1)
 		if got.At(0, 0) != 3 || got.At(1, 0) != 7 {
 			t.Errorf("%v: min-plus merge wrong: %v %v", mg, got.At(0, 0), got.At(1, 0))
@@ -176,7 +176,7 @@ func TestMergeMinPlus(t *testing.T) {
 	}
 }
 
-// TestMergeOneOperandIsTheOperand: under the hash merger the sum of one
+// TestMergeOneOperandIsTheOperand: under the hash merge the sum of one
 // matrix is that matrix, and MergeMat hands it back — the same object, no
 // allocation — whenever no sort is asked for or none is needed. Only a sorted
 // result asked of an unsorted operand is made, on a copy: the operand may be

@@ -10,13 +10,13 @@ import (
 )
 
 // MulMerge is Merge-Layer with the planned SUMMA stages' multiplies inside
-// it: MergeMat(mg, append(prev, windows…), sr, sortOutput, threads), where
-// windows[i] is the columns [lo, hi) of plans[i].Mul(k, sr, ·) —
-// spmat.MatColRanges of that product, or the product itself when the window
-// is all of B — without any planned product ever existing. prev are the
+// it: MergeMat(MergerHash, append(prev, windows…), sr, sortOutput,
+// threads), where windows[i] is the columns [lo, hi) of plans[i].Mul(k, sr,
+// ·) — spmat.MatColRanges of that product, or the product itself when the
+// window is all of B — without any planned product ever existing. prev are the
 // earlier materialized stage products of the same window (or their windows),
 // each rows × (hi − lo), any formats, each column holding a row at most once,
-// as every kernel's and merger's output does; plans are the stages after
+// as every kernel's and merge's output does; plans are the stages after
 // them, in stage order, at least one, all over A blocks of the same height.
 // The staged schedule passes every stage's plan and no prev; the pipelined
 // one its q − 1 products and the last stage's plan.
@@ -26,20 +26,18 @@ import (
 // contributions are made in stage order, as the kernel would make them, and
 // merged with the earlier parts:
 //
-//   - Under the hash merger, with at most one earlier column — a part of prev
-//     or an earlier planned stage's column, made into the worker's stage
-//     scratch — and a last planned column the kernel hashes, the table that
-//     accumulates the last column is the merge's too. With no earlier column
-//     it is drained as the merge would drain that column alone. A sorted
-//     drain inserts the earlier column into the table as the first operand
-//     and walks the table ascending; an unsorted one walks the earlier column
-//     against the table, emitting earlier + table where the table holds the
-//     row, then drains the rows it did not meet in the kernel's order
-//     (walkFirst).
-//   - Otherwise every planned column is made into the stage scratch in the
-//     order the merge would read it (sorted for the heap merger), and the
-//     merger's own column routine runs over [parts…, stage columns…], as
-//     MergeMat runs it.
+//   - With at most one earlier column — a part of prev or an earlier planned
+//     stage's column, made into the worker's stage scratch — the table that
+//     accumulates the last planned column is the merge's too. With no
+//     earlier column it is drained as the merge would drain that column
+//     alone. A sorted drain inserts the earlier column into the table as the
+//     first operand and walks the table ascending; an unsorted one walks the
+//     earlier column against the table, emitting earlier + table where the
+//     table holds the row, then drains the rows it did not meet in the
+//     kernel's order (walkFirst).
+//   - Otherwise the last planned column is drained into the stage scratch
+//     too, in the kernel's order, and the merge's own column routine runs
+//     over [parts…, stage columns…], as MergeMat runs it.
 //
 // It returns the merged output and the number of entries the windows of the
 // planned products would have held together. With lend the output is lent as
@@ -49,7 +47,7 @@ import (
 // returns owned arrays and an empty Loan. The output shares nothing with the plans
 // or with prev. The plans stay the caller's: a pipelined Merge-Layer calls
 // this once per destination window, then releases them.
-func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, int64) {
+func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, int64) {
 	if len(plans) == 0 {
 		panic("localmm: fused merge of no planned stage")
 	}
@@ -66,14 +64,10 @@ func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi in
 			panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
 		}
 	}
-	// A hash merge of one window alone passes that product through, sorted
-	// flag and all.
-	sorted := sortOutput || mg == MergerHeap || len(prev)+len(plans) == 1 && k.sorts()
-	if mg == MergerHeap {
-		sortOutput = true
-		prev = sortedOperands(prev)
-	}
-	f := &fusedPass{k: k, mg: mg, sr: sr, plusTimes: sr.IsPlusTimes(), sortOutput: sortOutput, rows: rows,
+	// A merge of one window alone passes that product through, sorted flag
+	// and all.
+	sorted := sortOutput || len(prev)+len(plans) == 1 && k.sorts()
+	f := &fusedPass{k: k, sr: sr, plusTimes: sr.IsPlusTimes(), sortOutput: sortOutput, rows: rows,
 		views: make([]colView, len(prev)+len(plans)), first: len(prev), plans: plans}
 	var entries int64
 	for i, m := range prev {
@@ -82,7 +76,7 @@ func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi in
 	}
 	for i, pl := range plans {
 		v := &f.views[f.first+i]
-		*v = pl.stageWindow(k, lo, hi)
+		*v = pl.stageWindow(lo, hi)
 		entries += v.ptr[v.n]
 	}
 	sc := plans[0].scratch
@@ -111,14 +105,13 @@ func MulMerge(k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi in
 	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), loan, f.made.Load()
 }
 
-// fusedPass is what every column of one MulMerge shares: the kernel, the
-// merger and the semiring, the operands' views — prev's, then each planned
-// stage's window from index first on — and the stages' plans; made adds up
-// the planned columns' entries over the ranges.
+// fusedPass is what every column of one MulMerge shares: the kernel and the
+// semiring, the operands' views — prev's, then each planned stage's window
+// from index first on — and the stages' plans; made adds up the planned
+// columns' entries over the ranges.
 type fusedPass struct {
 	made       atomic.Int64
 	k          Kernel
-	mg         Merger
 	sr         *semiring.Semiring
 	plusTimes  bool
 	sortOutput bool
@@ -137,15 +130,15 @@ type stageAt struct {
 }
 
 // stageWindow readies the plan for a fused merge of the window [lo, hi) of
-// its product under kernel k (its scratch's p0 and kv) and returns the
-// window as one more merge operand, in B's format: slot i is B's slot
-// p0 + i, and its entry counts are the slots' flops — a product column has
-// entries exactly where it has flops, and no more entries than flops. Its
-// arrays are the plan's scratch: they live until the next window.
-func (pl *Plan) stageWindow(k Kernel, lo, hi int32) colView {
+// its product (its scratch's p0) and returns the window as one more merge
+// operand, in B's format: slot i is B's slot p0 + i, and its entry counts
+// are the slots' flops — a product column has entries exactly where it has
+// flops, and no more entries than flops. Its arrays are the plan's scratch:
+// they live until the next window.
+func (pl *Plan) stageWindow(lo, hi int32) colView {
 	bv, sc := &pl.bv, pl.scratch
 	p0, p1 := pl.window(lo, hi)
-	sc.p0, sc.kv = p0, pl.kernelView(k)
+	sc.p0 = p0
 	tv := colView{n: p1 - p0, compressed: bv.compressed}
 	sc.winPtr = append(sc.winPtr[:0], 0)
 	for _, f := range pl.colFlops[p0:p1] {
@@ -187,10 +180,8 @@ func (f *fusedPass) slot(w *mmWorker, i int, j int32) int32 {
 
 // column appends output column j — want input entries, flops included — to
 // the worker's chunk and returns the entries its planned columns came to.
-// The heap kernels use the worker's parts while they run, so prev's parts
-// are gathered only once every planned column that may be heap-merged is
-// made.
 func (f *fusedPass) column(w *mmWorker, j int32, want int64) (made int64) {
+	parts := w.gather(f.views[:f.first], j)
 	at, last := w.at, -1
 	for i := range at {
 		if at[i].p = f.slot(w, i, j); at[i].p >= 0 {
@@ -198,11 +189,11 @@ func (f *fusedPass) column(w *mmWorker, j int32, want int64) (made int64) {
 		}
 	}
 	if last < 0 {
-		w.mergeColumn(f.mg, w.gather(f.views[:f.first], j), want, f.rows, f.sr, f.plusTimes, f.sortOutput)
+		w.mergeColumn(parts, want, f.rows, f.sr, f.plusTimes, f.sortOutput)
 		return 0
 	}
 	w.stage.rows, w.stage.vals = w.stage.rows[:0], w.stage.vals[:0]
-	earlier := 0
+	earlier := len(parts)
 	for i := range last {
 		if at[i].p >= 0 {
 			made += f.stageColumn(w, &at[i], i)
@@ -210,35 +201,28 @@ func (f *fusedPass) column(w *mmWorker, j int32, want int64) (made int64) {
 		}
 	}
 	pl, p := f.plans[last], at[last].p
-	if f.mg == MergerHash && !f.k.heapMerges(pl.colFlops[p]) {
-		w.acc.sizeFor(want, f.rows)
-		hashAccumulateColumn(&w.acc, pl.scratch.kv, pl.aSlots(p), pl.bVals(p), f.sr, f.plusTimes)
-		made += int64(len(w.acc.occupied))
-		parts := w.gather(f.views[:f.first], j)
-		if len(parts)+earlier <= 1 {
-			w.mergeIntoTable(f.stageParts(w, parts, at[:last]), f.k, f.sr, f.plusTimes, f.sortOutput)
-			return made
-		}
-		w.swapStage()
-		w.drain(f.k.sorts())
-		w.swapStage()
-		at[last].end = len(w.stage.rows)
-	} else {
-		made += f.stageColumn(w, &at[last], last)
-		w.gather(f.views[:f.first], j)
+	w.acc.sizeFor(want, f.rows)
+	hashAccumulateColumn(&w.acc, &pl.av, pl.aSlots(p), pl.bVals(p), f.sr, f.plusTimes)
+	made += int64(len(w.acc.occupied))
+	if earlier <= 1 {
+		w.mergeIntoTable(f.stageParts(w, parts, at[:last]), f.k, f.sr, f.plusTimes, f.sortOutput)
+		return made
 	}
-	w.mergeColumn(f.mg, f.stageParts(w, w.parts, at[:last+1]), want, f.rows, f.sr, f.plusTimes, f.sortOutput)
+	w.swapStage()
+	w.drain(f.k.sorts())
+	w.swapStage()
+	at[last].end = len(w.stage.rows)
+	w.mergeColumn(f.stageParts(w, parts, at[:last+1]), want, f.rows, f.sr, f.plusTimes, f.sortOutput)
 	return made
 }
 
 // stageColumn appends planned stage i's column at a.p to the worker's stage
-// scratch as its product would hold it for the merge: in the kernel's order
-// under the hash merger, ascending under the heap merger, which reads its
-// operands sorted — and returns its entry count.
+// scratch as its product would hold it for the merge, in the kernel's order,
+// and returns its entry count.
 func (f *fusedPass) stageColumn(w *mmWorker, a *stageAt, i int) int64 {
 	pl, start := f.plans[i], len(w.stage.rows)
 	w.swapStage()
-	w.mulColumn(pl, pl.scratch.kv, a.p, f.k, f.sr, f.plusTimes, f.rows, f.k.sorts() || f.mg == MergerHeap)
+	w.mulColumn(pl, a.p, f.sr, f.plusTimes, f.rows, f.k.sorts())
 	w.swapStage()
 	a.end = len(w.stage.rows)
 	return int64(a.end - start)
@@ -306,18 +290,4 @@ func (w *mmWorker) mergeIntoTable(parts []colPart, k Kernel, sr *semiring.Semiri
 		w.walkFirst(parts[0], sr, plusTimes)
 		w.drain(k.sorts())
 	}
-}
-
-// sortedOperands returns mats with every unsorted operand replaced by a
-// sorted copy: the heap merger's inputs.
-func sortedOperands(mats []spmat.Matrix) []spmat.Matrix {
-	sorted := make([]spmat.Matrix, len(mats))
-	for i, m := range mats {
-		if !m.Sorted() {
-			m = m.CloneMat()
-			m.SortColumns()
-		}
-		sorted[i] = m
-	}
-	return sorted
 }

@@ -71,18 +71,20 @@ func entryArrays(m spmat.Matrix) ([]int32, []float64) {
 // schedule's shape is no part, the pipelined one's a single plan), the parts
 // sorted and unsorted, CSC and DCSC mixed; each stage's B as CSC, as DCSC or
 // as a MatColRanges piece of either, with A sorted CSC beside a CSC B and
-// unsorted DCSC beside a DCSC one, and every other stage's B column dense
-// enough for the hybrid kernel to hash it; full, middle and empty windows;
-// the direct (2¹⁰ rows) and hash (2¹⁶ rows) regimes; every kernel × merger
-// × sorted or unsorted merge; plus-times and min-plus; −0.0 and NaN among
-// the values; one and four threads, lent and owned. The plans serve every
-// window before they are released, and a lent output and every released
-// plan read poisoned once handed back.
+// unsorted DCSC beside a DCSC one, and every other stage's B three times as
+// dense; full, middle and empty windows; the direct (2¹⁰ rows) and hash
+// (2¹⁶ rows) regimes; both kernels × sorted or unsorted merge; plus-times
+// and min-plus; −0.0 and NaN among the values; one and four threads, lent
+// and owned. The fused output, sorted, is also held to the heap merge of the
+// same operands (heapMerge), which shares no accumulator code with the pass,
+// so the check is not hash against hash only. The plans serve every window
+// before they are released, and a lent output and every released plan read
+// poisoned once handed back.
 func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
 	// One plan on 120-column blocks, lent and owned in every case. Two to
-	// four plans on 48-column blocks, lent for one drain of each merger and
-	// owned for the other, which keeps the run short.
+	// four plans on 48-column blocks, lent for the unsorted drain and owned
+	// for the sorted one, which keeps the run short.
 	checkFusedMerges(t, 120, 1, 1)
 	checkFusedMerges(t, 48, 2, 4)
 }
@@ -120,24 +122,23 @@ func checkFusedMerges(t *testing.T, cols int32, minN, maxN int) {
 					for n := minN; n <= maxN && parts+n <= operands; n++ {
 						label := fmt.Sprintf("cols=%d/rows=%d/form=%d/window=%v/parts=%d/plans=%d", cols, rows, form, win, parts, n)
 						for _, sr := range semirings {
-							for _, k := range allKernels {
+							for _, k := range engineKernels {
 								wins := slices.Clip(prev)
 								var planned int64
 								for _, pl := range plans[:n] {
 									wins = append(wins, window(pl.Mul(k, sr, 1), lo, hi))
 									planned += wins[len(wins)-1].NNZ()
 								}
-								for _, mg := range []Merger{MergerHash, MergerHeap} {
-									for _, sortOut := range []bool{false, true} {
-										want := MergeMat(mg, wins, sr, sortOut, 1)
-										lends := []bool{false, true}
-										if n > 1 {
-											lends = []bool{(mg == MergerHash) != sortOut}
-										}
-										for _, lend := range lends {
-											checkFusedMerge(t, fmt.Sprintf("%s/%s/%v/%v/sorted=%v", label, sr.Name, k, mg, sortOut),
-												k, mg, prev, plans[:n], lo, hi, sr, sortOut, lend, want, planned)
-										}
+								oracle := heapMerge(wins, sr, 1)
+								for _, sortOut := range []bool{false, true} {
+									want := MergeMat(MergerHash, wins, sr, sortOut, 1)
+									lends := []bool{false, true}
+									if n > 1 {
+										lends = []bool{!sortOut}
+									}
+									for _, lend := range lends {
+										checkFusedMerge(t, fmt.Sprintf("%s/%s/%v/sorted=%v", label, sr.Name, k, sortOut),
+											k, prev, plans[:n], lo, hi, sr, sortOut, lend, want, oracle, planned)
 									}
 								}
 							}
@@ -168,16 +169,24 @@ func checkFusedMerges(t *testing.T, cols int32, minN, maxN int) {
 
 // checkFusedMerge runs one fused merge of prev and plans — lent at four
 // threads or owned at one — and holds it to want, the merge of prev and the
-// plans' materialized windows, and its count to planned, their entries. Four
-// threads collapse to one worker here; TestMulMergeRunsSeveralRanges runs
-// several.
-func checkFusedMerge(t *testing.T, label string, k Kernel, mg Merger, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOut, lend bool, want spmat.Matrix, planned int64) {
+// plans' materialized windows, its columns sorted to oracle, their heap
+// merge, and its count to planned, their entries. Four threads collapse to
+// one worker here; TestMulMergeRunsSeveralRanges runs several.
+func checkFusedMerge(t *testing.T, label string, k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOut, lend bool, want, oracle spmat.Matrix, planned int64) {
 	t.Helper()
 	threads := 1 + 3*b2i(lend)
 	name := fmt.Sprintf("%s/t%d/lend=%v", label, threads, lend)
-	got, loan, nnz := MulMerge(k, mg, prev, plans, lo, hi, sr, sortOut, lend, threads)
+	got, loan, nnz := MulMerge(k, prev, plans, lo, hi, sr, sortOut, lend, threads)
 	if !sameStored(got, want) {
 		t.Fatalf("%s: fused merge differs from the merge of the materialized products", name)
+	}
+	sorted := got
+	if !got.Sorted() {
+		sorted = got.CloneMat()
+		sorted.SortColumns()
+	}
+	if !sameStored(sorted, oracle) {
+		t.Fatalf("%s: fused merge, sorted, differs from the heap merge of the materialized products", name)
 	}
 	if nnz != planned {
 		t.Fatalf("%s: fused merge counts %d planned entries, their windows hold %d", name, nnz, planned)
@@ -197,10 +206,9 @@ func checkFusedMerge(t *testing.T, label string, k Kernel, mg Merger, prev []spm
 
 // TestMulMergeRunsSeveralRanges: a fused merge whose work pays for four
 // workers runs them, returns owned arrays and no loan, lent or not, and is
-// still the merge of the materialized products, bit for bit — on the
-// table's path (unsorted hash) and the stage scratch's (heap), under both
-// mergers, with the staged schedule's three plans and no earlier part and
-// the pipelined one's two parts and a plan.
+// still the merge of the materialized products, bit for bit — under both
+// kernels, sorted or not, with the staged schedule's three plans and no
+// earlier part and the pipelined one's two parts and a plan.
 func TestMulMergeRunsSeveralRanges(t *testing.T) {
 	sr := semiring.PlusTimes()
 	var plans []*Plan
@@ -217,23 +225,21 @@ func TestMulMergeRunsSeveralRanges(t *testing.T) {
 		prev  []spmat.Matrix
 		plans []*Plan
 	}{{nil, plans}, {parts, plans[2:]}} {
-		for _, k := range []Kernel{KernelHashUnsorted, KernelHeap} {
-			for _, mg := range []Merger{MergerHash, MergerHeap} {
-				for _, sortOut := range []bool{false, true} {
-					label := fmt.Sprintf("parts=%d/plans=%d/%v/%v/sorted=%v", len(sh.prev), len(sh.plans), k, mg, sortOut)
-					mats := slices.Clip(sh.prev)
-					for _, pl := range sh.plans {
-						mats = append(mats, pl.Mul(k, sr, 1))
-					}
-					want := MergeMat(mg, mats, sr, sortOut, 1)
-					owned, _, _ := MulMerge(k, mg, sh.prev, sh.plans, 0, 400, sr, sortOut, false, 4)
-					got, loan, _ := MulMerge(k, mg, sh.prev, sh.plans, 0, 400, sr, sortOut, true, 4)
-					if !sameStored(got, want) || !sameStored(owned, want) {
-						t.Fatalf("%s: four workers' fused merge differs from the merge of the products", label)
-					}
-					if loan.c.bytes() != 0 {
-						t.Fatalf("%s: a multi-range output was lent", label)
-					}
+		for _, k := range engineKernels {
+			for _, sortOut := range []bool{false, true} {
+				label := fmt.Sprintf("parts=%d/plans=%d/%v/sorted=%v", len(sh.prev), len(sh.plans), k, sortOut)
+				mats := slices.Clip(sh.prev)
+				for _, pl := range sh.plans {
+					mats = append(mats, pl.Mul(k, sr, 1))
+				}
+				want := MergeMat(MergerHash, mats, sr, sortOut, 1)
+				owned, _, _ := MulMerge(k, sh.prev, sh.plans, 0, 400, sr, sortOut, false, 4)
+				got, loan, _ := MulMerge(k, sh.prev, sh.plans, 0, 400, sr, sortOut, true, 4)
+				if !sameStored(got, want) || !sameStored(owned, want) {
+					t.Fatalf("%s: four workers' fused merge differs from the merge of the products", label)
+				}
+				if loan.c.bytes() != 0 {
+					t.Fatalf("%s: a multi-range output was lent", label)
 				}
 			}
 		}

@@ -168,11 +168,11 @@ func TestOnePassMultiplyAgainstDenseReference(t *testing.T) {
 				for _, bD := range []bool{false, true} {
 					for _, threads := range []int{1, 2, 3, 7} {
 						label := fmt.Sprintf("%s/%v/aDCSC=%v/bDCSC=%v/t=%d", sh.name, k, aD, bD, threads)
-						got := MulMat(k, asFormat(sh.a, aD), asFormat(sh.b, bD), sr, threads)
+						got := mulTest(k, asFormat(sh.a, aD), asFormat(sh.b, bD), sr, threads)
 						if want := asFormat(sh.b, bD).Format(); got.Format() != want {
 							t.Fatalf("%s: output format %v, want B's %v", label, got.Format(), want)
 						}
-						if k == KernelHashUnsorted {
+						if k == testKernel(KernelHashUnsorted) {
 							checkAgainstRef(t, label, got, ref)
 							sameEntries(t, label+" vs serial", got, serial)
 						} else {
@@ -188,10 +188,10 @@ func TestOnePassMultiplyAgainstDenseReference(t *testing.T) {
 	}
 }
 
-// TestOnePassMergeAgainstDenseReference is the merge half: every merger ×
+// TestOnePassMergeAgainstDenseReference is the merge half: both merges ×
 // {all-CSC, all-DCSC, mixed} × thread count × sorted/unsorted output against
 // the dense-accumulator sum, with the unsorted hash merge held to first-touch
-// entry order and to the serial merger's. Operand sets include hypersparse
+// entry order and to the serial merge's. Operand sets include hypersparse
 // ones, more threads than stored columns, an all-empty operand among full
 // ones, only empty operands, and a single operand.
 func TestOnePassMergeAgainstDenseReference(t *testing.T) {
@@ -211,8 +211,8 @@ func TestOnePassMergeAgainstDenseReference(t *testing.T) {
 	for _, set := range sets {
 		ref := refMerge(set.mats)
 		refSorted := sortedRef(ref)
-		serial := ParallelMerge(MergerHash, set.mats, sr, false, 1)
-		for _, mg := range []Merger{MergerHash, MergerHeap} {
+		serial := ParallelMerge(mergerHash, set.mats, sr, false, 1)
+		for _, mg := range allMergers {
 			for fi, dcsc := range [][]bool{{false, false, false, false}, {true, true, true, true}, {true, false, true, false}} {
 				mats := make([]spmat.Matrix, len(set.mats))
 				allDCSC := true
@@ -223,11 +223,11 @@ func TestOnePassMergeAgainstDenseReference(t *testing.T) {
 				for _, sorted := range []bool{false, true} {
 					for _, threads := range []int{1, 2, 3, 7} {
 						label := fmt.Sprintf("%s/%v/formats=%d/sorted=%v/t=%d", set.name, mg, fi, sorted, threads)
-						got := MergeMat(mg, mats, sr, sorted, threads)
+						got := mergeTest(mg, mats, sr, sorted, threads)
 						if wantD := allDCSC; (got.Format() == spmat.FormatDCSC) != wantD {
 							t.Fatalf("%s: output format %v", label, got.Format())
 						}
-						if mg == MergerHash && !sorted {
+						if mg == mergerHash && !sorted {
 							checkAgainstRef(t, label, got, ref)
 							sameEntries(t, label+" vs serial", got, serial)
 						} else {
@@ -273,7 +273,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 				for i := range q {
 					plans[i] = PlanMul(a, b)
 				}
-				MulMerge(KernelHashUnsorted, MergerHash, nil, plans[:q], 0, cols, sr, false, false, 1)
+				MulMerge(KernelHashUnsorted, nil, plans[:q], 0, cols, sr, false, false, 1)
 				for _, pl := range plans[:q] {
 					pl.Release()
 				}
@@ -286,7 +286,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 			func() { SymbolicMat(aD, b, 1) },
 			func() {
 				plans[0] = PlanMul(a, b)
-				MulMerge(KernelHashUnsorted, MergerHash, parts[1:2], plans[:1], 0, cols, sr, false, false, 1)
+				MulMerge(KernelHashUnsorted, parts[1:2], plans[:1], 0, cols, sr, false, false, 1)
 				plans[0].Release()
 			},
 			staged(2),

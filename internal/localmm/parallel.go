@@ -11,16 +11,15 @@ import (
 
 // This file is the execution plan of the local SpGEMM and merge of
 // Sec. IV-D: the paper runs 16 threads per MPI process on Cori-KNL, and the
-// local kernels are where that parallelism lives. Every kernel, merger,
-// storage format and thread count runs the same one-pass
+// local kernels are where that parallelism lives. Every kernel, the merge,
+// every storage format and thread count run the same one-pass
 // accumulate-then-place plan:
 //
 //  1. the output columns are cut into contiguous ranges holding near-equal
 //     shares of the work (flops for a multiply, input entries for a merge) —
 //     not near-equal shares of the columns, which degenerates badly on
 //     power-law matrices where a handful of columns carry most of the work;
-//  2. each worker hashes (or heap-merges) the columns of its range exactly
-//     once, appending every finished column to its own reusable scratch and
+//  2. each worker hashes the columns of its range exactly once, appending every finished column to its own reusable scratch and
 //     recording the column's entry count;
 //  3. the output's entry arrays are made once, at their exact size, from the
 //     chunks themselves; and
@@ -55,9 +54,9 @@ import (
 // drained in hash-insertion order, so values and the entry order inside
 // unsorted columns are bit-identical for every thread count.
 
-// mmWorker is one range's reusable scratch: a hash accumulator for the hash
-// kernels, a row set for the symbolic pass, a heap and column views for the
-// heap kernels, per-operand column cursors for merges, the pair sorter's
+// mmWorker is one range's reusable scratch: a hash accumulator for the
+// kernels and the merge, a row set for the symbolic pass, the column views a
+// merge gathers and its per-operand column cursors, the pair sorter's
 // buffers, the stage scratch (stage: the planned stages' columns of one
 // output column on their way into a fused merge, MulMerge) and the worker's
 // place in each planned stage (at), and the chunk — the finished columns of
@@ -77,7 +76,6 @@ type mmWorker struct {
 	_      [64]byte
 	acc    hashAccum
 	set    rowSet
-	heap   rowHeap
 	parts  []colPart
 	pos    []int
 	at     []stageAt
@@ -113,7 +111,7 @@ var idleWorkers struct {
 
 // The free list keeps at most maxIdleWorkers workers, and a worker keeps no
 // table of more than maxKeptEntries entries — chunk, stage scratch,
-// accumulator, row set, heap, column views: a burst of concurrent callers or
+// accumulator, row set, column views: a burst of concurrent callers or
 // one huge product pays for its scratch again next time instead of pinning it
 // for the life of the process. (The direct tables are bounded by
 // directTableBytes already.) The chunks that come back from loans are bounded
@@ -170,9 +168,6 @@ func putWorker(w *mmWorker) {
 	}
 	if cap(w.set.rows) > maxKeptEntries {
 		w.set = rowSet{}
-	}
-	if cap(w.heap) > maxKeptEntries {
-		w.heap = nil
 	}
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()

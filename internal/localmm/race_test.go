@@ -8,7 +8,7 @@ import (
 	"repro/internal/spmat"
 )
 
-// TestParallelKernelsRace drives every parallel kernel and merger at high
+// TestParallelKernelsRace drives every parallel kernel and merge at high
 // thread counts, including several ParallelSpGEMM calls racing each other the
 // way concurrent SUMMA ranks do, so `go test -race ./internal/localmm`
 // exercises the worker pool, the shared output arrays, and the read-only
@@ -23,7 +23,7 @@ func TestParallelKernelsRace(t *testing.T) {
 	want := Multiply(a, b, sr)
 
 	for _, k := range allKernels {
-		got := ParallelSpGEMM(k, a, b, sr, 8)
+		got := spgemmTest(k, a, b, sr, 8)
 		if !spmat.Equal(got, want) {
 			t.Errorf("kernel %v: wrong parallel product", k)
 		}
@@ -34,9 +34,9 @@ func TestParallelKernelsRace(t *testing.T) {
 		ParallelSpGEMM(KernelHashUnsorted, b, a, sr, 1),
 		ParallelSpGEMM(KernelHashUnsorted, a, a, sr, 1),
 	}
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
+	for _, mg := range allMergers {
 		if got := ParallelMerge(mg, mats, sr, true, 8); got.NNZ() == 0 {
-			t.Errorf("merger %v: empty parallel merge", mg)
+			t.Errorf("merge %v: empty parallel merge", mg)
 		}
 	}
 
@@ -74,7 +74,7 @@ func TestDCSCParallelKernelsRace(t *testing.T) {
 	want := Multiply(ac, bc, sr)
 
 	for _, k := range allKernels {
-		got := MulMat(k, a, b, sr, 8)
+		got := mulTest(k, a, b, sr, 8)
 		if !spmat.Equal(got.ToCSC(), want) {
 			t.Errorf("kernel %v: wrong DCSC parallel product", k)
 		}
@@ -85,9 +85,9 @@ func TestDCSCParallelKernelsRace(t *testing.T) {
 		MulMat(KernelHashUnsorted, a, b, sr, 8),
 		MulMat(KernelHashUnsorted, a, b2, sr, 8),
 	}
-	for _, mg := range []Merger{MergerHash, MergerHeap} {
-		if got := MergeMat(mg, mats, sr, true, 8); got.NNZ() == 0 {
-			t.Errorf("merger %v: empty DCSC parallel merge", mg)
+	for _, mg := range allMergers {
+		if got := mergeTest(mg, mats, sr, true, 8); got.NNZ() == 0 {
+			t.Errorf("merge %v: empty DCSC parallel merge", mg)
 		}
 	}
 

@@ -63,10 +63,10 @@ func TestMulOnExactWorkerCounts(t *testing.T) {
 				if pl.Flops >= workPerExtraWorker {
 					t.Fatalf("%s: %d flops is not below the floor", sh.name, pl.Flops)
 				}
-				want, _ := pl.multiply(k, sr, 1, ownedOutput)
+				want := pl.mulTest(k, sr, 1)
 				for _, workers := range []int{2, 3, 7} {
 					label := fmt.Sprintf("%s/%v/bDCSC=%v/workers=%d", sh.name, k, bD, workers)
-					got, _ := pl.multiply(k, sr, max(1, min(workers, int(pl.bv.n))), ownedOutput)
+					got := pl.mulTest(k, sr, max(1, min(workers, int(pl.bv.n))))
 					if got.Format() != want.Format() || got.Sorted() != want.Sorted() {
 						t.Fatalf("%s: output is %v sorted=%v, one worker gives %v sorted=%v", label, got.Format(), got.Sorted(), want.Format(), want.Sorted())
 					}
@@ -80,7 +80,7 @@ func TestMulOnExactWorkerCounts(t *testing.T) {
 // TestKernelsAboveWorkerFloor drives the public entry points with operands
 // heavy enough that they really start the workers they are allowed — the
 // small shapes of the other thread-count tests no longer do — for every
-// kernel, merger and format pair, and holds the results to the one-thread
+// kernel, merge and format pair, and holds the results to the one-thread
 // run entry for entry. It runs under the race detector with the rest of the
 // package.
 func TestKernelsAboveWorkerFloor(t *testing.T) {
@@ -101,10 +101,10 @@ func TestKernelsAboveWorkerFloor(t *testing.T) {
 			}
 			wantNNZ := SymbolicMat(am, bm, 1)
 			for _, k := range allKernels {
-				want := MulMat(k, am, bm, sr, 1)
+				want := mulTest(k, am, bm, sr, 1)
 				for _, threads := range []int{2, 4} {
 					label := fmt.Sprintf("mul/%v/aDCSC=%v/bDCSC=%v/t=%d", k, aD, bD, threads)
-					sameEntries(t, label, MulMat(k, am, bm, sr, threads), want)
+					sameEntries(t, label, mulTest(k, am, bm, sr, threads), want)
 					if got := SymbolicMat(am, bm, threads); got != wantNNZ {
 						t.Fatalf("%s: symbolic count %d, want %d", label, got, wantNNZ)
 					}
@@ -122,12 +122,12 @@ func TestKernelsAboveWorkerFloor(t *testing.T) {
 		if got := clampThreads(4, 2048, entries); got != 4 {
 			t.Fatalf("merge of %d entries would run %d workers, want 4", entries, got)
 		}
-		for _, mg := range []Merger{MergerHash, MergerHeap} {
+		for _, mg := range allMergers {
 			for _, sorted := range []bool{false, true} {
-				want := MergeMat(mg, mats, sr, sorted, 1)
+				want := mergeTest(mg, mats, sr, sorted, 1)
 				for _, threads := range []int{2, 4} {
 					label := fmt.Sprintf("merge/%v/formats=%d/sorted=%v/t=%d", mg, fi, sorted, threads)
-					sameEntries(t, label, MergeMat(mg, mats, sr, sorted, threads), want)
+					sameEntries(t, label, mergeTest(mg, mats, sr, sorted, threads), want)
 				}
 			}
 		}

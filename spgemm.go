@@ -7,10 +7,9 @@
 //
 //   - sparse matrices (CSC) with construction, I/O, and manipulation;
 //   - serial and multithreaded SpGEMM kernels over arbitrary semirings (the
-//     paper's sort-free hash kernels and the previous heap/hybrid
-//     generation; MultiplyParallel runs them on several worker goroutines
-//     and Options.Threads lets each simulated rank do so — at most that many,
-//     matching the paper's 16 threads per process);
+//     paper's sort-free hash kernels; MultiplyParallel runs them on several
+//     worker goroutines and Options.Threads lets each simulated rank do so —
+//     at most that many, matching the paper's 16 threads per process);
 //   - Cluster, a simulated distributed machine on which BatchedSUMMA3D — the
 //     paper's integrated communication-avoiding, memory-constrained
 //     algorithm — executes with per-step metering; Options.Pipeline runs the
@@ -152,25 +151,13 @@ func ParseAlgo(s string) (Algo, error) { return planner.ParseAlgo(s) }
 // Kernel selects the local multiply implementation.
 type Kernel = localmm.Kernel
 
-// Merger selects the merge implementation.
-type Merger = localmm.Merger
-
-// Local kernel generations (Sec. IV-D of the paper).
+// Local hash kernels (Sec. IV-D of the paper). Every merge is the paper's
+// sort-free hash merge.
 const (
 	// KernelHashUnsorted is the paper's new sort-free hash kernel (default).
 	KernelHashUnsorted = localmm.KernelHashUnsorted
 	// KernelHashSorted sorts each output column.
 	KernelHashSorted = localmm.KernelHashSorted
-	// KernelHeap is the previous heap kernel (always sorted).
-	KernelHeap = localmm.KernelHeap
-	// KernelHybrid is the previous hybrid heap/hash kernel.
-	KernelHybrid = localmm.KernelHybrid
-	// MergerHash is the paper's new sort-free hash merge (default).
-	MergerHash = localmm.MergerHash
-	// MergerHeap is the previous heap merge. It merges every stage's
-	// column, the last stage's too, which the hash merge takes straight
-	// out of the multiply's accumulator where it can.
-	MergerHeap = localmm.MergerHeap
 )
 
 // NewMatrix returns an empty rows×cols matrix.
@@ -278,9 +265,8 @@ func RandomKmerMatrix(reads, kmers int32, kmersPerRead int, overlap float64, see
 type Options struct {
 	// Semiring defaults to plus-times.
 	Semiring *Semiring
-	// Kernel and Merger select the local implementations.
+	// Kernel selects the local multiply.
 	Kernel Kernel
-	Merger Merger
 	// MemBytes is the aggregate memory budget; when positive the symbolic
 	// step (Alg 3) picks the batch count.
 	MemBytes int64
@@ -356,9 +342,8 @@ type Options struct {
 	// Channels is the number of outstanding overlap channels the pipelined
 	// schedule may hide collectives behind — k NIC injection queues in the
 	// overlap-ledger model. 0 means 1 (the single-channel ledger). Like
-	// Kernel and Merger, the knob never changes output values or
-	// communication volume, only the modeled hidden share. Meaningful only
-	// with Pipeline.
+	// Kernel, the knob never changes output values or communication
+	// volume, only the modeled hidden share. Meaningful only with Pipeline.
 	Channels int
 }
 
@@ -366,7 +351,6 @@ func (o Options) toCore() core.Options {
 	return core.Options{
 		Semiring:     o.Semiring,
 		Kernel:       o.Kernel,
-		Merger:       o.Merger,
 		MemBytes:     o.MemBytes,
 		ForceBatches: o.Batches,
 		RunSymbolic:  o.MeasureSymbolic,

@@ -103,8 +103,8 @@ func TestFacadeKernelSelection(t *testing.T) {
 	a := spgemm.RandomProteinNetwork(6, 6, 5)
 	cluster := spgemm.NewCluster(4, 1)
 	want := spgemm.MultiplySerial(a, a, nil)
-	for _, k := range []spgemm.Kernel{spgemm.KernelHashUnsorted, spgemm.KernelHeap, spgemm.KernelHybrid} {
-		got, _, err := cluster.Multiply(a, a, spgemm.Options{Kernel: k, Merger: spgemm.MergerHeap})
+	for _, k := range []spgemm.Kernel{spgemm.KernelHashUnsorted, spgemm.KernelHashSorted} {
+		got, _, err := cluster.Multiply(a, a, spgemm.Options{Kernel: k})
 		if err != nil {
 			t.Fatal(err)
 		}
