@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/genmat"
+	"repro/internal/spmat"
 )
 
 // The race detector's allocator is not the one whose bytes this file counts.
@@ -25,10 +26,28 @@ import (
 // overlapped when this test was written. Copying any one kind of output
 // shows: with only the stage products lent, as before the merge outputs
 // were, the same multiply allocated 16.4 and 16.5 MB.
+//
+// The third row is the grid the planner picks for most of the daemon's warm
+// count-only jobs: 16 ranks in 16 layers (q = 1), pipelined, one batch, on
+// an Erdős–Rényi operand of 2048 columns. Its one stage product is
+// Merge-Layer's output and is lent once, whole: 1.8–2.1 MB a multiply when
+// this row was written. Planning that stage and merging it per destination,
+// as the staged schedule does, turns the one loan into 16 per rank, and the
+// same multiply allocated 9.3–11.3 MB.
 func TestLentOutputsAreNotCopied(t *testing.T) {
-	a := genmat.SymmetricPermute(genmat.ProteinSimilarity(10, 12, 1), 1)
-	for _, pipeline := range []bool{false, true} {
-		rc := RunConfig{P: 16, L: 4, Cost: testCM, Opts: Options{ForceBatches: 8, Threads: 1, Pipeline: pipeline}}
+	protein := genmat.SymmetricPermute(genmat.ProteinSimilarity(10, 12, 1), 1)
+	for _, row := range []struct {
+		a        *spmat.CSC
+		l, b     int
+		pipeline bool
+		metadata int64
+	}{
+		{protein, 4, 8, false, 6 << 20},
+		{protein, 4, 8, true, 6 << 20},
+		{genmat.ER(2048, 12, 2), 16, 1, true, 11 << 18},
+	} {
+		a, pipeline, metadata := row.a, row.pipeline, row.metadata
+		rc := RunConfig{P: 16, L: row.l, Cost: testCM, Opts: Options{ForceBatches: row.b, Threads: 1, Pipeline: pipeline}}
 		run := func() (handedOn, unmerged int64) {
 			ranks, _, err := MultiplyDiscard(a, a, rc, nil)
 			if err != nil {
@@ -54,10 +73,9 @@ func TestLentOutputsAreNotCopied(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perMultiply := int64(after.TotalAlloc-before.TotalAlloc) / runs
-		const metadata = 6 << 20
-		t.Logf("pipeline=%v: %d bytes per multiply, bound %d (entries handed on %d, unmerged %d)", pipeline, perMultiply, metadata, handedOn, unmerged)
+		t.Logf("l=%d pipeline=%v: %d bytes per multiply, bound %d (entries handed on %d, unmerged %d)", row.l, pipeline, perMultiply, metadata, handedOn, unmerged)
 		if perMultiply > metadata {
-			t.Errorf("pipeline=%v: a multiply allocates %d bytes, above the %d of its metadata: an output is copied out of its chunk", pipeline, perMultiply, metadata)
+			t.Errorf("l=%d pipeline=%v: a multiply allocates %d bytes, above the %d of its metadata: an output is copied out of its chunk", row.l, pipeline, perMultiply, metadata)
 		}
 		if 12*handedOn < metadata || 12*unmerged < metadata {
 			t.Fatalf("the merge outputs come to %d bytes and the stage products to %d: copying them would not show above the constant", 12*handedOn, 12*unmerged)
