@@ -39,14 +39,17 @@
 // the staged schedule no stage product is materialized: every stage plans
 // its multiply, and Merge-Layer runs one pass over all q plans that makes
 // each output column's stage contributions in stage order and merges them
-// as it goes (layerMerge). The pipelined schedule does that for the last
-// stage on a grid with q > 1 and makes the earlier stages' products, whose
-// multiplies hide the next stage's broadcasts.
+// as it goes. The pipelined schedule does that for the last stage on a grid
+// with q > 1 and makes the earlier stages' products, whose multiplies hide
+// the next stage's broadcasts. Every merge — Merge-Layer on either schedule,
+// Merge-Fiber — is one call of one helper (Proc.merge) into one localmm
+// pass (localmm.MulMerge), with whatever plans it has: all q, the last
+// stage's, or none.
 //
 // # Lent outputs
 //
 // Every kernel output whose last reader is known is lent, not copied
-// (localmm.Plan.MulLent, localmm.MergeLent, localmm.MulMerge): its entry
+// (localmm.Plan.Mul and localmm.MulMerge with lend): its entry
 // arrays are a kernel worker's chunk until the rank hands it back
 // (localmm.Loan.Return). Each loan is returned by exactly one owner, and that
 // owner is whoever knows the output's last reader. Under the staged schedule

@@ -115,7 +115,7 @@ var lendChunks = true
 // it, which the caller returns once its merges have read the products. Under
 // the staged schedule no stage makes a product: every stage only plans its
 // multiply and hands the plan to Merge-Layer, which computes all q products
-// straight out of the accumulator into the merge (layerMerge,
+// straight out of the accumulator into the merge (Proc.merge,
 // localmm.MulMerge) and releases the plans. Under the pipelined schedule a
 // stage's multiply is the compute that hides the next stage's broadcasts, so
 // each stage but the last makes its product, and only the last stage's plan
@@ -146,7 +146,7 @@ var lendChunks = true
 // A stage product that is made — only the pipelined schedule makes one — is
 // read by the Merge-Layer that follows and by nothing else. With q > 1 that
 // merge accumulates the products into arrays of its own, so each is only
-// lent (localmm.Plan.MulLent): its entries stay in the kernel worker's chunk
+// lent (localmm.Plan.Mul with lend): its entries stay in the kernel worker's chunk
 // until the loan is returned, right after Merge-Layer. With q = 1 the one
 // product is the Merge-Layer output (a one-operand merge returns its
 // operand), so it is lent exactly when that output is (lendLayer), and
@@ -165,15 +165,11 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 		sec := p.measure(func() {
 			plan := localmm.PlanMul(aRecv, bRecv)
 			flops = plan.Flops
-			switch {
-			case !p.Opts.Pipeline || q > 1 && s == q-1:
+			if !p.Opts.Pipeline || q > 1 && s == q-1 {
 				plans = append(plans, plan)
 				return
-			case lend:
-				prod, loan = plan.MulLent(p.Opts.Kernel, p.Opts.Semiring, p.workers(flops))
-			default:
-				prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, p.workers(flops))
 			}
+			prod, loan = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, lend, p.workers(flops))
 			plan.Release()
 		})
 		res.LocalFlops += flops
@@ -226,7 +222,7 @@ func returnLoans(loans []localmm.Loan) {
 // products stageProducts made (pipelined stages but the last, or the one
 // stage at q = 1) and the plans of the rest (every stage when staged, the
 // last on a pipelined grid with q > 1): each merge is one fused pass
-// (layerMerge) that computes its window of every planned product, column by
+// (Proc.merge) that computes its window of every planned product, column by
 // column in stage order, and merges the made products' window with them, so
 // Merge-Layer's sections time those multiplies too and a planned stage's
 // Local-Multiply section times its plan alone. Every work unit, peak
@@ -265,7 +261,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	if !p.Opts.Pipeline {
 		// Every stage only planned (partial is empty): the one pass makes
 		// all q products.
-		d, loan, planned, mergeSec := p.layerMerge(partial, plans, 0, width, unmerged, true)
+		d, loan, planned, mergeSec := p.merge(partial, plans, 0, width, unmerged, p.lastTable(), p.lendLayer(), true)
 		unmerged += planned
 		lent = append(lent, loan)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
@@ -298,7 +294,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 			for _, piece := range perDest[m] {
 				in += piece.NNZ()
 			}
-			out, loan, planned, sec := p.layerMerge(perDest[m], plans, bounds[m], bounds[m+1], in, m == g.K)
+			out, loan, planned, sec := p.merge(perDest[m], plans, bounds[m], bounds[m+1], in, p.lastTable(), p.lendLayer(), m == g.K)
 			in += planned
 			unmerged += planned
 			lent = append(lent, loan)
@@ -363,7 +359,7 @@ func (p *Proc) lendLayer() bool { return p.G.L > 1 || p.discard }
 // piece included. Received pieces keep whatever format their source rank
 // stored them in — under the auto heuristic the operands can mix formats —
 // and the batch output keeps the merged format too: when every fiber payload
-// is doubly-compressed the merge emits DCSC (localmm.MergeMat), so hypersparse
+// is doubly-compressed the merge emits DCSC (localmm.MulMerge), so hypersparse
 // batches never inflate to dense column pointers here, and the work
 // accounting carries the same colScanWork term as every other merge (the
 // dense column count for a CSC output, only the stored columns for DCSC).
@@ -379,7 +375,7 @@ func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localm
 		mats[k] = r.(spmat.Matrix)
 		recvNNZ += mats[k].NNZ()
 	}
-	c, loan, fiberSec := p.merge(mats, true, p.discard, recvNNZ)
+	c, loan, _, fiberSec := p.merge(mats, nil, 0, 0, recvNNZ, true, p.discard, false)
 	meter.AddComputeWork(fiberSec, recvNNZ+colScanWork(c)+1)
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+recvNNZ+c.NNZ())
 	return c, loan
@@ -389,55 +385,39 @@ func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localm
 // entries in an accumulator. On a one-layer grid it is: Merge-Fiber then has
 // the one operand Merge-Layer made, so Merge-Layer drains its table in
 // ascending order — the sort happens while the entries are still in the table
-// — and Merge-Fiber's sorted operand passes through (localmm.MergeMat). With
+// — and Merge-Fiber's sorted operand passes through (localmm.MulMerge). With
 // more layers the fiber merge accumulates l pieces and sorts as it drains.
 // Either way every output entry is sorted once; the meters charge both merges
 // their schedule's work units regardless.
 func (p *Proc) lastTable() bool { return p.G.L == 1 }
 
-// merge is the engine's one call into localmm's merge: the hash merge of mats
-// on the workers entries input entries pay for, as one compute section whose
-// wall seconds it returns. sorted asks for ascending columns; lend asks for
-// the output on loan (localmm.MergeLent), which the caller returns once its
-// last reader is done. A lone unsorted operand of a sorted merge on a
-// one-layer grid is a matrix this rank just produced and nobody else holds —
-// a pipelined p = 1 run's only stage product — so it is sorted where it lies
-// instead of on the copy MergeMat would make.
-func (p *Proc) merge(mats []spmat.Matrix, sorted, lend bool, entries int64) (out spmat.Matrix, loan localmm.Loan, sec float64) {
-	sec = p.measure(func() {
-		if sorted && len(mats) == 1 && p.G.L == 1 {
-			mats[0].SortColumns()
-		}
-		if lend && lendChunks {
-			out, loan = localmm.MergeLent(mats, p.Opts.Semiring, sorted, p.workers(entries))
-		} else {
-			out = localmm.MergeMat(localmm.MergerHash, mats, p.Opts.Semiring, sorted, p.workers(entries))
-		}
-	})
-	return out, loan, sec
-}
-
-// layerMerge is one Merge-Layer merge over the columns [lo, hi) of the batch:
-// of the earlier stage products' windows prev and the windows of the planned
-// stages' products, which plans compute inside the merge
-// (localmm.MulMerge) and which never materialize — the plans are released in
-// the same measured section once release says this is their last window.
-// With no plan (the pipelined schedule at q = 1) prev is the one stage
-// product's window, merged as it is. entries is prev's; planned is the
-// planned windows' entry count, which the caller's work units add. Sorting
-// and lending are Merge-Layer's (lastTable, lendLayer).
-func (p *Proc) layerMerge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
-	if len(plans) == 0 {
-		out, loan, sec = p.merge(prev, p.lastTable(), p.lendLayer(), entries)
-		return out, loan, 0, sec
-	}
+// merge is the engine's one call into localmm's merge (localmm.MulMerge),
+// as one compute section whose wall seconds it returns: of the earlier
+// operands prev — the stage products' windows at Merge-Layer, the received
+// pieces at Merge-Fiber — and of the windows [lo, hi) of the planned stages'
+// products, which plans compute inside the merge and which never
+// materialize. With no plan (Merge-Fiber, the pipelined schedule at q = 1)
+// it merges prev alone, and lo and hi are not read. entries is prev's; the
+// workers are what entries and the plans' window flops pay for; planned is
+// the planned windows' entry count, which the caller's work units add. The
+// plans are released in the same section once release says this is their
+// last window. sorted asks for ascending columns; lend asks for the output on
+// loan, which the caller returns once its last reader is done. A lone
+// unsorted operand of a sorted merge on a one-layer grid is a matrix this
+// rank just produced and nobody else holds — a pipelined p = 1 run's only
+// stage product — so it is sorted where it lies instead of on the copy the
+// merge would make.
+func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, sorted, lend, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
 	o := &p.Opts
 	sec = p.measure(func() {
+		if sorted && len(prev) == 1 && len(plans) == 0 && p.G.L == 1 {
+			prev[0].SortColumns()
+		}
 		work := entries
 		for _, pl := range plans {
 			work += pl.WindowFlops(lo, hi)
 		}
-		out, loan, planned = localmm.MulMerge(o.Kernel, prev, plans, lo, hi, o.Semiring, p.lastTable(), p.lendLayer() && lendChunks, p.workers(work))
+		out, loan, planned = localmm.MulMerge(o.Kernel, prev, plans, lo, hi, o.Semiring, sorted, lend && lendChunks, p.workers(work))
 		if release {
 			for _, pl := range plans {
 				pl.Release()

@@ -11,11 +11,17 @@
 // The engine runs two kernels, named by Kernel: the sort-free unsorted-hash
 // kernel (the zero value, what every planned run executes) and the sorted
 // hash kernel, which sorts each output column — the pair the paper's
-// sort-free claim is about. Every entry point takes one:
-// ParallelSpGEMM(k, a, b, sr, threads), its format-generic form MulMat, and
-// MulMerge. Multiply is the sorted hash kernel on one thread, the serial
-// reference. There is one merge, the hash merge (MergeMat, MergeLent); the
-// Merger type that MergeMat still takes names only it. Both kernels produce
+// sort-free claim is about. Every multiply takes one:
+// ParallelSpGEMM(k, a, b, sr, threads), its format-generic form MulMat, the
+// planned pair's Plan.Mul, and MulMerge. Multiply is the sorted hash kernel
+// on one thread, the serial reference. There is one merge, the hash merge,
+// and one merge loop: MulMerge, which Merge-Layer calls with the stages'
+// plans and Merge-Fiber with none; MergeMat is MulMerge with no plan, and
+// the Merger type it still takes names only the hash merge. Plan.multiply
+// keeps a column loop of its own: the fused pass pays more per column than
+// the multiply does, which shows on hypersparse blocks of about one flop a
+// column (BenchmarkPlanMulHypersparse's diagonal pair, plan included: 86 µs
+// through the pass, 62 µs directly, on a two-core Xeon). Both kernels produce
 // bit-identical values, which differ only in the order a column's entries
 // are stored: every output entry accumulates in operand order.
 //
@@ -29,8 +35,8 @@
 // (BenchmarkKernelCrossover, BenchmarkMergeSortedOutput) measures it beside
 // the engine: unsorted hash wins every measured regime (BENCH_kernels.json).
 //
-// A merge of one operand is that operand: MergeMat returns it, uncopied,
-// unless it is asked to sort an unsorted one. A sorted merge of several
+// A merge of one operand is that operand: MulMerge with no plan, and so
+// MergeMat, returns it, uncopied, unless it is asked to sort an unsorted one. A sorted merge of several
 // drains its accumulator in ascending order, so the sort happens while the
 // entries are still in the table.
 //
@@ -44,7 +50,9 @@
 // planned stage's contributions as the kernel would and merges them with
 // the earlier columns in stage order, so every row still sums ((s₁ + s₂) +
 // s₃)…, bit for bit. The staged schedule hands it every stage's plan and no
-// product; the pipelined one its q − 1 products and the last stage's plan.
+// product; the pipelined one its q − 1 products and the last stage's plan, or
+// at q = 1 its one product and no plan. With no plan no column has a planned
+// part, and the pass is the merge of the earlier operands alone.
 // Where a column has at most one earlier column — a product's part, or an
 // earlier planned stage's column made in the worker's stage scratch — the
 // table that accumulates the last planned column is the merge's too: a
@@ -54,8 +62,8 @@
 // in the direct regime — and then drains the rows it did not meet in the
 // kernel's order. A column with more earlier columns has every planned
 // column made into the stage scratch in the kernel's order, and the merge's
-// own routine runs over all of them. The output is bit-identical to
-// MergeMat over the earlier parts and the windows of Plan.Mul — values,
+// own routine runs over all of them. The output is bit-identical to the
+// merge of the earlier parts and the windows of Plan.Mul's products — values,
 // stored order, format, sorted flag — for every kernel, semiring, format
 // and thread count, and the pass returns the entry count the planned
 // windows of the products would have had together.
@@ -113,9 +121,9 @@
 // # One plan
 //
 // Every kernel, the merge, every storage format and thread count run the
-// one-pass accumulate-then-place plan of parallel.go (MulMat and MergeMat;
-// the CSC entry points ParallelSpGEMM and Multiply are that plan with CSC
-// operands). The output columns are cut into contiguous ranges balanced by
+// one-pass accumulate-then-place plan of parallel.go (Plan.multiply and
+// MulMerge, behind every multiply and merge entry point; the CSC entry points
+// ParallelSpGEMM and Multiply are that plan with CSC operands). The output columns are cut into contiguous ranges balanced by
 // flop count (not column count); each worker hashes its range exactly once,
 // appending finished columns to its own reusable chunk and leaving each
 // column's entry count in the output's column pointers, which are
@@ -130,19 +138,19 @@
 // output that is not walked off a direct table is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.
 //
-// Who owns an output's entry arrays: the caller, always, with two exceptions.
-// A call that ran several ranges allocates the arrays at their exact size and
-// the workers place their chunks in parallel; a call that ran one range — any
-// call too small for a second worker — returns an exactly-sized, unzeroed
-// copy of its chunk. That is MulMat, Plan.Mul, MergeMat, MulMerge without
-// lend and every entry point built on them. The exceptions are Plan.MulLent,
-// MergeLent and MulMerge with lend, for an output that is read once and
-// dropped — a pipelined SUMMA stage product on its way into Merge-Layer, a
-// Merge-Layer output on its way through the fiber exchange, a batch a
-// discarding hook consumes: the single-range output is the chunk itself, on
-// loan until Loan.Return, and the worker goes back to the free list without
-// it; a multi-range call returns an owned output and an empty Loan, and so
-// does MergeLent's one-operand pass-through. Nothing else lends.
+// Who owns an output's entry arrays: the caller, unless it asks to borrow
+// them. A call that ran several ranges allocates the arrays at their exact
+// size and the workers place their chunks in parallel; a call that ran one
+// range — any call too small for a second worker — returns an exactly-sized,
+// unzeroed copy of its chunk. That is Plan.Mul and MulMerge without lend, and
+// every entry point built on them (MulMat, MergeMat). The two take lend for
+// an output that is read once and dropped — a pipelined SUMMA stage product
+// on its way into Merge-Layer, a Merge-Layer output on its way through the
+// fiber exchange, a batch a discarding hook consumes: the single-range output
+// is the chunk itself, on loan until Loan.Return, and the worker goes back to
+// the free list without it; a multi-range call returns an owned output and an
+// empty Loan, and so does a one-operand merge's pass-through. Nothing else
+// lends.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already

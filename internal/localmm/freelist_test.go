@@ -74,7 +74,7 @@ func TestFreeListBoundsChunkBytes(t *testing.T) {
 	var loans []Loan
 	var lentBytes int64
 	for range 20 {
-		_, loan := pl.MulLent(KernelHashUnsorted, sr, 1)
+		_, loan := pl.Mul(KernelHashUnsorted, sr, true, 1)
 		lentBytes += loan.c.bytes()
 		loans = append(loans, loan)
 	}

@@ -199,7 +199,7 @@ func BenchmarkPlanMulHypersparse(b *testing.B) {
 		b.Run(sh.name+"/stage", func(b *testing.B) {
 			for range b.N {
 				pl := PlanMul(a, sh.b)
-				pl.Mul(KernelHashUnsorted, sr, 1)
+				pl.Mul(KernelHashUnsorted, sr, false, 1)
 				pl.Release()
 			}
 		})
@@ -208,7 +208,8 @@ func BenchmarkPlanMulHypersparse(b *testing.B) {
 
 // BenchmarkMergeLayer times a Merge-Layer with its stages' multiplies, the
 // three ways the engine has run it: materialize plans every stage, multiplies
-// it into a lent product (Plan.MulLent) and merges the products (MergeLent);
+// it into a lent product (Plan.Mul with lend) and merges the products
+// (MulMerge with no plan);
 // fused makes every stage's product but the last's, as the pipelined schedule
 // still does, and merges the last straight out of the accumulator
 // (MulMerge); fused-all, the staged schedule, plans every stage and merges
@@ -248,10 +249,10 @@ func BenchmarkMergeLayer(b *testing.B) {
 				for range b.N {
 					for s, bm := range bs {
 						pl := PlanMul(sh.a, bm)
-						prods[s], loans[s] = pl.MulLent(KernelHashUnsorted, sr, 1)
+						prods[s], loans[s] = pl.Mul(KernelHashUnsorted, sr, true, 1)
 						pl.Release()
 					}
-					_, merged := MergeLent(prods, sr, false, 1)
+					_, merged, _ := MulMerge(KernelHashUnsorted, prods, nil, 0, 0, sr, false, true, 1)
 					for s := range loans {
 						loans[s].Return()
 					}
@@ -262,7 +263,7 @@ func BenchmarkMergeLayer(b *testing.B) {
 				for range b.N {
 					for s, bm := range bs[:q-1] {
 						pl := PlanMul(sh.a, bm)
-						prods[s], loans[s] = pl.MulLent(KernelHashUnsorted, sr, 1)
+						prods[s], loans[s] = pl.Mul(KernelHashUnsorted, sr, true, 1)
 						pl.Release()
 					}
 					plans[0] = PlanMul(sh.a, bs[q-1])

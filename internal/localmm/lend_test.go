@@ -10,12 +10,12 @@ import (
 	"repro/internal/spmat"
 )
 
-// TestMulLentLendsOnlyTheSingleRangeChunk pins what MulLent shares and what
-// it does not. A product one range made is the worker's chunk: equal to
-// Mul's entry for entry while the loan lasts, and — the poison shows whose
+// TestMulLentLendsOnlyTheSingleRangeChunk pins what a lending Plan.Mul
+// shares and what it does not. A product one range made is the worker's
+// chunk: equal to the owned product entry for entry while the loan lasts, and — the poison shows whose
 // memory it is — all −1 and NaN once it is returned. A product two ranges
 // made is placed into arrays of its own, its Loan holds nothing, and it reads
-// the same after Return. Mul's product is never anybody's but the caller's:
+// the same after Return. An owned product is never anybody's but the caller's:
 // later calls, which refill the returned chunks, leave it alone.
 func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
@@ -26,8 +26,8 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 		for _, dcsc := range []bool{false, true} {
 			label := fmt.Sprintf("%v/dcsc=%v", k, dcsc)
 			pl := PlanMul(light, asFormat(light, dcsc))
-			owned := pl.Mul(k, sr, 4)
-			lent, loan := pl.MulLent(k, sr, 4)
+			owned, _ := pl.Mul(k, sr, false, 4)
+			lent, loan := pl.Mul(k, sr, true, 4)
 			if loan.c.bytes() == 0 {
 				t.Fatalf("%s: a single-range product was not lent", label)
 			}
@@ -38,27 +38,29 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
 				t.Errorf("%s: the lent product outlived its loan: its arrays are not the returned chunk", label)
 			}
-			sameEntries(t, label+": owned product after later calls", owned, pl.Mul(k, sr, 1))
+			sameEntries(t, label+": owned product after later calls", owned, ownedProduct(pl, k, sr))
 
 			pl = PlanMul(heavy, asFormat(heavy, dcsc))
 			if clampThreads(2, pl.bv.n, pl.Flops) != 2 {
 				t.Fatalf("multiply of %d flops is below the worker floor", pl.Flops)
 			}
-			placed, loan := pl.MulLent(k, sr, 2)
+			placed, loan := pl.Mul(k, sr, true, 2)
 			if loan.c.bytes() != 0 {
 				t.Errorf("%s: a two-range product came with a loan", label)
 			}
 			loan.Return()
-			sameEntries(t, label+": two-range product after Return", placed, pl.Mul(k, sr, 1))
+			sameEntries(t, label+": two-range product after Return", placed, ownedProduct(pl, k, sr))
 		}
 	}
 }
 
-// TestMergeLentLendsOnlyTheSingleRangeChunk is the same pin for MergeLent,
-// sorted or not, CSC or DCSC: a merge one range ran is the worker's chunk
-// until Return and poisoned after it; a merge two ranges ran is owned, with
-// an empty Loan; a one-operand merge is its operand, with an empty Loan, and
-// the operand is untouched by the Return.
+// TestMergeLentLendsOnlyTheSingleRangeChunk is the same pin for a lending
+// merge (MulMerge with no plan), sorted or not, CSC or DCSC: a merge one
+// range ran is the worker's chunk until Return and poisoned after it; a merge
+// two ranges ran is owned, with an empty Loan; a one-operand merge is its
+// operand, with an empty Loan, and the operand is untouched by the Return.
+// The owned and lent merges share one pass, so each, sorted, is also held to
+// the heap merge of the operands, which does not.
 func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
 	sr := semiring.PlusTimes()
@@ -76,11 +78,12 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			label := fmt.Sprintf("sorted=%v/dcsc=%v", sorted, dcsc)
 			mats := asMats(light, dcsc)
 			owned := MergeMat(MergerHash, mats, sr, sorted, 4)
-			lent, loan := MergeLent(mats, sr, sorted, 4)
+			lent, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 4)
 			if loan.c.bytes() == 0 {
 				t.Fatalf("%s: a single-range merge was not lent", label)
 			}
 			sameEntries(t, label+": lent vs owned", lent, owned)
+			sameAsHeapMerge(t, label+": lent", lent, mats, sr)
 			loan.Return()
 			v := viewOf(lent)
 			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
@@ -96,16 +99,17 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			if clampThreads(2, 512, entries) != 2 {
 				t.Fatalf("merge of %d entries is below the worker floor", entries)
 			}
-			placed, loan := MergeLent(mats, sr, sorted, 2)
+			placed, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 2)
 			if loan.c.bytes() != 0 {
 				t.Errorf("%s: a two-range merge came with a loan", label)
 			}
+			sameAsHeapMerge(t, label+": two ranges", placed, mats, sr)
 			loan.Return()
 			sameEntries(t, label+": two-range merge after Return", placed, MergeMat(MergerHash, mats, sr, sorted, 1))
 		}
 	}
 	one := []spmat.Matrix{uniformMat(t, 64, 64, 4, 427)}
-	out, loan := MergeLent(one, sr, true, 1)
+	out, loan, _ := MulMerge(KernelHashUnsorted, one, nil, 0, 0, sr, true, true, 1)
 	if out != one[0] || loan.c.bytes() != 0 {
 		t.Errorf("a one-operand merge lent a chunk instead of passing its operand through")
 	}

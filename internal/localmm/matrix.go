@@ -28,11 +28,11 @@ import (
 // per entry.
 //
 // A SUMMA stage's product need not be written at all: MulMerge
-// (mulmerge.go) makes the planned stages' columns one output column at a
-// time, in stage order, and merges them with the earlier stage products'
-// columns, bit-identical to merging the products Plan.Mul would have made.
-// mulColumn and mergeColumn are the column routines that pass shares with
-// the multiply and the merge here.
+// (mulmerge.go), the one merge, makes the planned stages' columns one output
+// column at a time, in stage order, and merges them with the earlier stage
+// products' columns, bit-identical to merging the products Plan.Mul would
+// have made. mulColumn is the column routine that pass shares with the
+// multiply here; mergeColumn, the merge's column routine, is here too.
 //
 // Output format follows B: the stored columns of A·B are a subset of B's,
 // so a DCSC B yields a DCSC product (a batch piece stays compressed through
@@ -264,33 +264,29 @@ func (pl *Plan) Symbolic(threads int) int64 {
 func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Matrix {
 	pl := PlanMul(a, b)
 	defer pl.Release()
-	return pl.Mul(k, sr, threads)
-}
-
-// Mul is MulMat on the planned pair. The product is the caller's.
-func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, threads int) spmat.Matrix {
-	out, _ := pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), ownedOutput)
+	out, _ := pl.Mul(k, sr, false, threads)
 	return out
 }
 
-// MulLent is Mul for a product that is read once and dropped — a pipelined
-// stage product on its way into a Merge-Layer that accumulates it with others.
-// When the call ran one range (every call too small for a second worker), the
-// product's entry arrays are the worker's chunk itself: nothing is copied and
-// nothing allocated but the column metadata. The caller must then be done
-// reading the product, and everything that shares its arrays (column-range
-// views), before it hands the chunk back with Loan.Return, and must not let
-// either escape: no merge of one operand, which returns the operand, and
-// nothing that keeps the product. A call that ran several ranges returns an
-// owned product, as Mul does, and a Loan that holds nothing. The product
-// shares nothing with the plan, which can be released before the loan is
-// returned.
-func (pl *Plan) MulLent(k Kernel, sr *semiring.Semiring, threads int) (spmat.Matrix, Loan) {
-	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), lentOutput)
+// Mul is MulMat on the planned pair. Without lend the product is the
+// caller's and the Loan holds nothing. lend is for a product that is read
+// once and dropped — a pipelined stage product on its way into a Merge-Layer
+// that accumulates it with others: when the call ran one range (every call
+// too small for a second worker), the product's entry arrays are the worker's
+// chunk itself, nothing copied and nothing allocated but the column metadata.
+// The caller must then be done reading the product, and everything that
+// shares its arrays (column-range views), before it hands the chunk back with
+// Loan.Return, and must not let either escape: no merge of one operand, which
+// returns the operand, and nothing that keeps the product. A lending call that
+// ran several ranges returns an owned product and a Loan that holds nothing.
+// Either way the product shares nothing with the plan, which can be released
+// before the loan is returned.
+func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, lend bool, threads int) (spmat.Matrix, Loan) {
+	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), outputFor(lend))
 }
 
 // multiply runs the multiply on exactly workers ranges of B's slots (some
-// may be empty). Mul and MulLent decide the count;
+// may be empty). Mul decides the count;
 // BenchmarkWorkerSpawnCrossover, which sets the floor they decide by, calls
 // this directly.
 func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode passOutput) (spmat.Matrix, Loan) {
@@ -393,7 +389,7 @@ func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
 
 // MergeMat adds same-shaped matrices entry-wise with the hash merger over
 // any format combination (operands may even mix formats, as Merge-Fiber
-// sees under the auto heuristic) by the one-pass plan of parallel.go, with at
+// sees under the auto heuristic): MulMerge with no plan, owned. It runs at
 // most threads workers (clampThreads, by input entries) over ranges balanced
 // by input entries. When every operand is DCSC the slots are the union of
 // their stored columns — a k-way merge of the ascending column lists,
@@ -410,58 +406,8 @@ func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
 // shared with whoever holds the operand — unless sorted output is asked of
 // an unsorted one, which is sorted on a copy.
 func MergeMat(_ Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) spmat.Matrix {
-	out, _ := mergeMats(mats, sr, sortOutput, threads, ownedOutput)
+	out, _, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sortOutput, false, threads)
 	return out
-}
-
-// MergeLent is MergeMat for an output that is read and dropped — a
-// Merge-Layer output on its way through the fiber exchange, a batch a
-// discarding hook consumes — as Plan.MulLent is Plan.Mul for a stage product.
-// When the merge ran one range, the output's entry arrays are the worker's
-// chunk itself, on loan until the caller hands it back with Loan.Return; the
-// caller must be done reading the output, and every view of it, by then. A
-// merge that ran several ranges returns owned arrays and an empty Loan, and
-// so does a one-operand merge, which returns its operand (or a sorted copy)
-// as MergeMat does.
-func MergeLent(mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) (spmat.Matrix, Loan) {
-	return mergeMats(mats, sr, sortOutput, threads, lentOutput)
-}
-
-// mergeMats is MergeMat and MergeLent, which differ only in what the one
-// pass does with a single range's chunk (out).
-func mergeMats(mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int, out passOutput) (spmat.Matrix, Loan) {
-	rows, cols := checkMergeShapes(mats)
-	if len(mats) == 1 {
-		if !sortOutput || mats[0].Sorted() {
-			return mats[0], Loan{}
-		}
-		sorted := mats[0].CloneMat()
-		sorted.SortColumns()
-		return sorted, Loan{}
-	}
-	views := make([]colView, len(mats))
-	for i, m := range mats {
-		views[i] = viewOf(m)
-	}
-	slots, colIn := mergeSlots(views, cols, nil)
-	var entries int64
-	for _, m := range mats {
-		entries += m.NNZ()
-	}
-	ptr := make([]int64, slots.n+1)
-	plusTimes := sr.IsPlusTimes()
-	ir, num, loan := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, lo, hi int32) {
-		w.seek(views, slots.index(lo))
-		for p := lo; p < hi; p++ {
-			if colIn[p] == 0 {
-				continue
-			}
-			start := len(w.rows)
-			w.mergeColumn(w.gather(views, slots.index(p)), colIn[p], rows, sr, plusTimes, sortOutput)
-			ptr[p+1] = int64(len(w.rows) - start)
-		}
-	}, out)
-	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sortOutput), loan
 }
 
 // mergeSlots returns the slots of a merge of the operands viewed by views,

@@ -9,23 +9,34 @@ import (
 	"repro/internal/spmat"
 )
 
-// MulMerge is Merge-Layer with the planned SUMMA stages' multiplies inside
-// it: MergeMat(MergerHash, append(prev, windows…), sr, sortOutput,
-// threads), where windows[i] is the columns [lo, hi) of plans[i].Mul(k, sr,
-// ·) — spmat.MatColRanges of that product, or the product itself when the
-// window is all of B — without any planned product ever existing. prev are the
-// earlier materialized stage products of the same window (or their windows),
-// each rows × (hi − lo), any formats, each column holding a row at most once,
-// as every kernel's and merge's output does; plans are the stages after
-// them, in stage order, at least one, all over A blocks of the same height.
-// The staged schedule passes every stage's plan and no prev; the pipelined
-// one its q − 1 products and the last stage's plan.
+// MulMerge is the one merge: Merge-Layer with the planned SUMMA stages'
+// multiplies inside it, and with no plan Merge-Fiber and MergeMat. It is
+// MergeMat(MergerHash, append(prev, windows…), sr, sortOutput, threads),
+// where windows[i] is the columns [lo, hi) of plans[i].Mul(k, sr, false, ·)
+// — spmat.MatColRanges of that product, or the product itself when the
+// window is all of B — without any planned product ever existing. prev are
+// the earlier materialized operands, any formats; plans are the stages after
+// them, in stage order, all over A blocks of the same height. The staged
+// schedule passes every stage's plan and no prev; the pipelined one its
+// q − 1 products and the last stage's plan, or at q = 1 its one product and
+// no plan; Merge-Fiber the pieces the fiber exchange brought and no plan.
+//
+// With a plan, prev are windows of the same batch, each rows × (hi − lo),
+// each column holding a row at most once, as every kernel's and merge's
+// output does, and k is the kernel the planned columns are made with. With no
+// plan the merge is of prev alone: the shape is prev's, lo, hi and k are not
+// read, a column may hold a row more than once (the merge adds the
+// duplicates up), and a lone operand is its own sum — returned as it is, the
+// operand itself, or sorted on a copy when sortOutput asks it of an unsorted
+// one.
 //
 // The output is bit-identical to that merge's: values, stored entry order,
 // format and sorted flag. Column by column, each planned stage's
 // contributions are made in stage order, as the kernel would make them, and
 // merged with the earlier parts:
 //
+//   - With no planned column, the merge's own column routine runs over the
+//     earlier parts, as it would over the products.
 //   - With at most one earlier column — a part of prev or an earlier planned
 //     stage's column, made into the worker's stage scratch — the table that
 //     accumulates the last planned column is the merge's too. With no
@@ -36,33 +47,50 @@ import (
 //     table holds the row, then drains the rows it did not meet in the
 //     kernel's order (walkFirst).
 //   - Otherwise the last planned column is drained into the stage scratch
-//     too, in the kernel's order, and the merge's own column routine runs
-//     over [parts…, stage columns…], as MergeMat runs it.
+//     too, in the kernel's order, and the merge's column routine runs over
+//     [parts…, stage columns…].
 //
 // It returns the merged output and the number of entries the windows of the
-// planned products would have held together. With lend the output is lent as
-// MergeLent lends: when the pass ran one range, the output's entry arrays are
-// the worker's chunk itself, on loan until the caller hands it back with
-// Loan.Return; a pass that ran several ranges, and any pass without lend,
-// returns owned arrays and an empty Loan. The output shares nothing with the plans
-// or with prev. The plans stay the caller's: a pipelined Merge-Layer calls
-// this once per destination window, then releases them.
+// planned products would have held together. Without lend the output is the
+// caller's and the Loan holds nothing. lend is for an output that is read and
+// dropped — a Merge-Layer output on its way through the fiber exchange, a
+// batch a discarding hook consumes — as Plan.Mul's is for a stage product:
+// when the pass ran one range, the output's entry arrays are the worker's
+// chunk itself, on loan until the caller hands it back with Loan.Return; the
+// caller must be done reading the output, and every view of it, by then. A
+// pass that ran several ranges returns owned arrays and an empty Loan, and so
+// does a lone operand's pass-through. The output shares nothing with the
+// plans, nor with prev unless it is prev's lone operand. The plans stay the
+// caller's: a pipelined Merge-Layer calls this once per destination window,
+// then releases them.
 func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, int64) {
+	var rows, cols int32
+	var colIn []int64
 	if len(plans) == 0 {
-		panic("localmm: fused merge of no planned stage")
-	}
-	rows, _ := plans[0].a.Dims()
-	for _, pl := range plans {
-		r, _ := pl.a.Dims()
-		if _, bCols := pl.b.Dims(); r != rows || lo < 0 || hi < lo || hi > bCols {
-			panic(fmt.Sprintf("localmm: window [%d, %d) of a stage %v·%v beside %d-row stages", lo, hi, pl.a, pl.b, rows))
+		rows, cols = checkMergeShapes(prev)
+		if len(prev) == 1 {
+			m := prev[0]
+			if sortOutput && !m.Sorted() {
+				m = m.CloneMat()
+				m.SortColumns()
+			}
+			return m, Loan{}, 0
 		}
-	}
-	cols := hi - lo
-	for _, m := range prev {
-		if r, c := m.Dims(); r != rows || c != cols {
-			panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
+	} else {
+		rows, _ = plans[0].a.Dims()
+		cols = hi - lo
+		for _, pl := range plans {
+			r, _ := pl.a.Dims()
+			if _, bCols := pl.b.Dims(); r != rows || lo < 0 || hi < lo || hi > bCols {
+				panic(fmt.Sprintf("localmm: window [%d, %d) of a stage %v·%v beside %d-row stages", lo, hi, pl.a, pl.b, rows))
+			}
 		}
+		for _, m := range prev {
+			if r, c := m.Dims(); r != rows || c != cols {
+				panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
+			}
+		}
+		colIn = plans[0].scratch.colIn
 	}
 	// A merge of one window alone passes that product through, sorted flag
 	// and all.
@@ -79,14 +107,14 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 		*v = pl.stageWindow(lo, hi)
 		entries += v.ptr[v.n]
 	}
-	sc := plans[0].scratch
-	slots, colIn := mergeSlots(f.views, cols, sc.colIn)
-	sc.colIn = colIn
-	ptr := make([]int64, slots.n+1)
-	mode := ownedOutput
-	if lend {
-		mode = lentOutput
+	// A fused merge keeps the input entries of its slots in the first plan's
+	// scratch; a merge with no plan makes them.
+	f.slots, colIn = mergeSlots(f.views, cols, colIn)
+	if len(plans) > 0 {
+		plans[0].scratch.colIn = colIn
 	}
+	slots := &f.slots
+	ptr := make([]int64, slots.n+1)
 	ir, num, loan := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, s0, s1 int32) {
 		w.seek(f.views, slots.index(s0))
 		w.at = slices.Grow(w.at[:0], len(plans))[:len(plans)]
@@ -101,14 +129,14 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 			ptr[s+1] = int64(len(w.rows) - start)
 		}
 		f.made.Add(made)
-	}, mode)
+	}, outputFor(lend))
 	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), loan, f.made.Load()
 }
 
 // fusedPass is what every column of one MulMerge shares: the kernel and the
 // semiring, the operands' views — prev's, then each planned stage's window
-// from index first on — and the stages' plans; made adds up the planned
-// columns' entries over the ranges.
+// from index first on — the output's slots and the stages' plans; made adds
+// up the planned columns' entries over the ranges.
 type fusedPass struct {
 	made       atomic.Int64
 	k          Kernel
@@ -118,6 +146,7 @@ type fusedPass struct {
 	rows       int32
 	views      []colView
 	first      int
+	slots      colView
 	plans      []*Plan
 }
 

@@ -48,6 +48,25 @@ func window(m spmat.Matrix, lo, hi int32) spmat.Matrix {
 	return spmat.MatColRanges(m, []int32{lo, hi})[0]
 }
 
+// ownedProduct is the planned pair's product on one worker, the caller's.
+func ownedProduct(pl *Plan, k Kernel, sr *semiring.Semiring) spmat.Matrix {
+	out, _ := pl.Mul(k, sr, false, 1)
+	return out
+}
+
+// sameAsHeapMerge fails unless m, its columns sorted, is the heap merge of
+// mats (heapMerge), which shares no accumulator code with the hash merge.
+func sameAsHeapMerge(t *testing.T, label string, m spmat.Matrix, mats []spmat.Matrix, sr *semiring.Semiring) {
+	t.Helper()
+	if !m.Sorted() {
+		m = m.CloneMat()
+		m.SortColumns()
+	}
+	if !sameStored(m, heapMerge(mats, sr, 1)) {
+		t.Fatalf("%s: the merge, sorted, differs from the heap merge of its operands", label)
+	}
+}
+
 // sameStored reports whether two matrices hold the same shape, format,
 // sorted flag, entries in stored order and value bits.
 func sameStored(a, b spmat.Matrix) bool {
@@ -126,7 +145,7 @@ func checkFusedMerges(t *testing.T, cols int32, minN, maxN int) {
 								wins := slices.Clip(prev)
 								var planned int64
 								for _, pl := range plans[:n] {
-									wins = append(wins, window(pl.Mul(k, sr, 1), lo, hi))
+									wins = append(wins, window(ownedProduct(pl, k, sr), lo, hi))
 									planned += wins[len(wins)-1].NNZ()
 								}
 								oracle := heapMerge(wins, sr, 1)
@@ -208,7 +227,9 @@ func checkFusedMerge(t *testing.T, label string, k Kernel, prev []spmat.Matrix, 
 // workers runs them, returns owned arrays and no loan, lent or not, and is
 // still the merge of the materialized products, bit for bit — under both
 // kernels, sorted or not, with the staged schedule's three plans and no
-// earlier part and the pipelined one's two parts and a plan.
+// earlier part and the pipelined one's two parts and a plan. MergeMat runs
+// the same pass, so both outputs, sorted, are also held to the heap merge of
+// the products, which does not.
 func TestMulMergeRunsSeveralRanges(t *testing.T) {
 	sr := semiring.PlusTimes()
 	var plans []*Plan
@@ -230,7 +251,7 @@ func TestMulMergeRunsSeveralRanges(t *testing.T) {
 				label := fmt.Sprintf("parts=%d/plans=%d/%v/sorted=%v", len(sh.prev), len(sh.plans), k, sortOut)
 				mats := slices.Clip(sh.prev)
 				for _, pl := range sh.plans {
-					mats = append(mats, pl.Mul(k, sr, 1))
+					mats = append(mats, ownedProduct(pl, k, sr))
 				}
 				want := MergeMat(MergerHash, mats, sr, sortOut, 1)
 				owned, _, _ := MulMerge(k, sh.prev, sh.plans, 0, 400, sr, sortOut, false, 4)
@@ -241,6 +262,8 @@ func TestMulMergeRunsSeveralRanges(t *testing.T) {
 				if loan.c.bytes() != 0 {
 					t.Fatalf("%s: a multi-range output was lent", label)
 				}
+				sameAsHeapMerge(t, label+"/owned", owned, mats, sr)
+				sameAsHeapMerge(t, label+"/lent", got, mats, sr)
 			}
 		}
 	}

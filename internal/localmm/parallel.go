@@ -32,11 +32,10 @@ import (
 // bench/'s workloads — has nothing to place: its output is an unzeroed copy
 // of the one chunk (append onto an empty slice: the runtime does not clear
 // what the copy overwrites), exactly sized and owned by the caller like the
-// multi-range one. The exceptions are Plan.MulLent, MergeLent and MulMerge
-// with lend, for an output read once and dropped: its single-range output is
-// the chunk itself, nothing copied, on loan until the caller hands it back
-// (Loan.Return). MulMat, Plan.Mul, MergeMat, the masked and the sparse×dense
-// kernels never lend.
+// multi-range one. The exception is Plan.Mul and MulMerge with lend, for an
+// output read once and dropped: its single-range output is the chunk itself,
+// nothing copied, on loan until the caller hands it back (Loan.Return).
+// MulMat, MergeMat, the masked and the sparse×dense kernels never lend.
 //
 // No column is hashed twice: the sizes the output needs fall out of the
 // accumulation itself — each column's entry count is left in the output's own
@@ -63,7 +62,7 @@ import (
 // the range (rows, vals).
 // All of it is grown, never re-made, and kept across calls on a free list.
 // Only the chunk can leave: lent out as an output's entry arrays
-// (Plan.MulLent, MergeLent, MulMerge), it comes back to a list of its own
+// (Plan.Mul, MulMerge), it comes back to a list of its own
 // while the rest of the worker has long gone back for the next call to find
 // warm.
 //
@@ -222,7 +221,7 @@ func (s *planScratch) poison() {
 }
 
 // Loan is a single-range output's claim on the chunk its entry arrays are
-// (Plan.MulLent, MergeLent, MulMerge). The zero Loan holds nothing;
+// (Plan.Mul, MulMerge). The zero Loan holds nothing;
 // returning it does nothing.
 type Loan struct{ c chunk }
 
@@ -346,6 +345,14 @@ const (
 	ownedOutput                   // exactly-sized arrays the caller owns
 	lentOutput                    // the chunk itself when one range ran, owned arrays otherwise
 )
+
+// outputFor is the output a caller's lend asks of a pass.
+func outputFor(lend bool) passOutput {
+	if lend {
+		return lentOutput
+	}
+	return ownedOutput
+}
 
 // runWorkers executes fn once per non-empty column range, each with its own
 // scratch: the last range on the caller's goroutine, the others on theirs.
