@@ -146,8 +146,8 @@ var lendChunks = true
 // A stage product that is made — only the pipelined schedule makes one — is
 // read by the Merge-Layer that follows and by nothing else. With q > 1 that
 // merge accumulates the products into arrays of its own, so each is only
-// lent (localmm.Plan.Mul with lend): its entries stay in the kernel worker's chunk
-// until the loan is returned, right after Merge-Layer. With q = 1 the one
+// lent (localmm.Plan.Mul with lend): its entries stay in the kernel worker's
+// chunk until the loan is returned, right after Merge-Layer. With q = 1 the one
 // product is the Merge-Layer output (a one-operand merge returns its
 // operand), so it is lent exactly when that output is (lendLayer), and
 // summa3DBatch hands its loan on with that output's. A product more than one

@@ -36,9 +36,9 @@
 // the engine: unsorted hash wins every measured regime (BENCH_kernels.json).
 //
 // A merge of one operand is that operand: MulMerge with no plan, and so
-// MergeMat, returns it, uncopied, unless it is asked to sort an unsorted one. A sorted merge of several
-// drains its accumulator in ascending order, so the sort happens while the
-// entries are still in the table.
+// MergeMat, returns it, uncopied, unless it is asked to sort an unsorted
+// one. A sorted merge of several drains its accumulator in ascending order,
+// so the sort happens while the entries are still in the table.
 //
 // # The stages' merge
 //
@@ -123,11 +123,11 @@
 // Every kernel, the merge, every storage format and thread count run the
 // one-pass accumulate-then-place plan of parallel.go (Plan.multiply and
 // MulMerge, behind every multiply and merge entry point; the CSC entry points
-// ParallelSpGEMM and Multiply are that plan with CSC operands). The output columns are cut into contiguous ranges balanced by
-// flop count (not column count); each worker hashes its range exactly once,
-// appending finished columns to its own reusable chunk and leaving each
-// column's entry count in the output's column pointers, which are
-// prefix-summed in place. No column is hashed twice — the multiply and the
+// ParallelSpGEMM and Multiply are that plan with CSC operands). The output
+// columns are cut into contiguous ranges balanced by flop count (not column
+// count); each worker hashes its range exactly once, appending finished
+// columns to its own reusable chunk and leaving each column's entry count
+// in the output's column pointers, which are prefix-summed in place. No column is hashed twice — the multiply and the
 // merge need no symbolic pass to size their output — and worker scratch
 // (accumulator, chunk, sort buffers) lives on a free list that survives
 // garbage collection, so a warm call allocates the output and a fixed handful

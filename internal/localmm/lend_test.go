@@ -12,11 +12,12 @@ import (
 
 // TestMulLentLendsOnlyTheSingleRangeChunk pins what a lending Plan.Mul
 // shares and what it does not. A product one range made is the worker's
-// chunk: equal to the owned product entry for entry while the loan lasts, and — the poison shows whose
-// memory it is — all −1 and NaN once it is returned. A product two ranges
-// made is placed into arrays of its own, its Loan holds nothing, and it reads
-// the same after Return. An owned product is never anybody's but the caller's:
-// later calls, which refill the returned chunks, leave it alone.
+// chunk: equal to the owned product entry for entry while the loan lasts,
+// and — the poison shows whose memory it is — all −1 and NaN once it is
+// returned. A product two ranges made is placed into arrays of its own, its
+// Loan holds nothing, and it reads the same after Return. An owned product
+// is never anybody's but the caller's: later calls, which refill the
+// returned chunks, leave it alone.
 func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
 	sr := semiring.PlusTimes()
