@@ -261,7 +261,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	if !p.Opts.Pipeline {
 		// Every stage only planned (partial is empty): the one pass makes
 		// all q products.
-		d, loan, planned, mergeSec := p.merge(partial, plans, 0, width, unmerged, p.lastTable(), p.lendLayer(), true)
+		d, loan, planned, mergeSec := p.merge(partial, plans, 0, width, unmerged, false, true)
 		unmerged += planned
 		lent = append(lent, loan)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
@@ -294,7 +294,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 			for _, piece := range perDest[m] {
 				in += piece.NNZ()
 			}
-			out, loan, planned, sec := p.merge(perDest[m], plans, bounds[m], bounds[m+1], in, p.lastTable(), p.lendLayer(), m == g.K)
+			out, loan, planned, sec := p.merge(perDest[m], plans, bounds[m], bounds[m+1], in, false, m == g.K)
 			in += planned
 			unmerged += planned
 			lent = append(lent, loan)
@@ -375,7 +375,7 @@ func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localm
 		mats[k] = r.(spmat.Matrix)
 		recvNNZ += mats[k].NNZ()
 	}
-	c, loan, _, fiberSec := p.merge(mats, nil, 0, 0, recvNNZ, true, p.discard, false)
+	c, loan, _, fiberSec := p.merge(mats, nil, 0, 0, recvNNZ, true, false)
 	meter.AddComputeWork(fiberSec, recvNNZ+colScanWork(c)+1)
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+recvNNZ+c.NNZ())
 	return c, loan
@@ -401,14 +401,21 @@ func (p *Proc) lastTable() bool { return p.G.L == 1 }
 // workers are what entries and the plans' window flops pay for; planned is
 // the planned windows' entry count, which the caller's work units add. The
 // plans are released in the same section once release says this is their
-// last window. sorted asks for ascending columns; lend asks for the output on
-// loan, which the caller returns once its last reader is done. A lone
-// unsorted operand of a sorted merge on a one-layer grid is a matrix this
-// rank just produced and nobody else holds — a pipelined p = 1 run's only
-// stage product — so it is sorted where it lies instead of on the copy the
-// merge would make.
-func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, sorted, lend, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
+// last window. fiber says the merge is Merge-Fiber rather than Merge-Layer,
+// which decides the rest: Merge-Fiber sorts and lends its output when the
+// rank discards the batch; Merge-Layer sorts when it is the last merge to
+// hold the entries in a table (lastTable) and lends when its output's last
+// reader is known (lendLayer). The caller returns a lent output once that
+// reader is done. A lone unsorted operand of a sorted merge on a one-layer
+// grid is a matrix this rank just produced and nobody else holds — a
+// pipelined p = 1 run's only stage product — so it is sorted where it lies
+// instead of on the copy the merge would make.
+func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, fiber, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
 	o := &p.Opts
+	sorted, lend := true, p.discard
+	if !fiber {
+		sorted, lend = p.lastTable(), p.lendLayer()
+	}
 	sec = p.measure(func() {
 		if sorted && len(prev) == 1 && len(plans) == 0 && p.G.L == 1 {
 			prev[0].SortColumns()
