@@ -298,10 +298,9 @@ func flopBounds(colWork []int64, parts int) []int32 {
 // fixed, the work it takes over is not. BenchmarkWorkerSpawnCrossover (make
 // bench-kernels), unsorted hash at 40 flops per column on a two-core 2.1 GHz
 // Xeon, one worker → two, re-taken with the single-range output an unzeroed
-// copy and the direct table stamped (ISSUE 24: one worker's call got about a
-// third cheaper below the floor, two workers' placement did not change, and
-// the crossover is where the table this replaces had it), the run checked in
-// as BENCH_kernels.json:
+// copy and the direct table stamped (one worker's call got about a third
+// cheaper below the floor, two workers' placement did not change, and the
+// crossover is where the table this replaces had it), one sample a cell:
 //
 //	flops     CSC B (µs)       DCSC B (µs)
 //	  4 k       24 →   38        25 →   34
@@ -314,11 +313,16 @@ func flopBounds(colWork []int64, parts int) []int32 {
 //
 // A second worker loses 30–55 % up to 8 k, 25–35 % at 16 k and about 20 % at
 // 32 k, and wins 10 % at 64 k; above that it wins 10–30 % (the 128 k
-// one-worker CSC cell caught a neighbour's load). That loop is hot, which
-// flatters the wake-up; a stage of the distributed multiply finds its second
-// core cold. Hence 64 k: the smallest size at which the worker is no longer a
-// loss. (The stages of bench/'s protein-batched workload carry about 9 k
-// flops each; spawning there made Threads=2 6 % slower than Threads=1.)
+// one-worker CSC cell caught a neighbour's load). The five-pass snapshot
+// checked in as BENCH_kernels.json, on a busier host, puts the crossover one
+// step lower by its medians: two workers lose 30–46 % up to 2 k, 15–26 % at
+// 4–8 k and 6–8 % at 16 k, and win 3–9 % at 32–64 k and 3–20 % above; at
+// 32 k and 64 k the two cells' fastest-to-slowest samples overlap. That loop
+// is hot, which flatters the wake-up; a stage of the distributed multiply
+// finds its second core cold. Hence 64 k: the smallest size at which the
+// worker is no longer a loss in either run. (The stages of bench/'s
+// protein-batched workload carry about 9 k flops each; spawning there made
+// Threads=2 6 % slower than Threads=1.)
 const workPerExtraWorker = 1 << 16
 
 // Workers returns the most workers a call carrying work (flops of a multiply
