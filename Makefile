@@ -63,7 +63,8 @@ deadcode:
 # all run with returned chunks poisoned (TestMain), so -cpu 1,4 also covers
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
 # × format × thread count against the run that lends nothing — stage
-# products, Merge-Layer outputs on l > 1 grids, discarded batches, and the
+# products, Merge-Layer outputs on l > 1 grids, discarded batches, the kept
+# batch outputs of a run no hook sees, and the
 # stages' plans — all q of them on the staged schedule, the last stage's on
 # a pipelined q > 1 grid — which Merge-Layer's fused merge holds until its
 # last window and which are poisoned when released) both
@@ -76,7 +77,11 @@ deadcode:
 # MultiplyDiscard batches (jaccard, matching, overlap, tricount) run with
 # returned chunks poisoned, and a batch is borrowed for the hook call only,
 # so a hook that read its piece after returning fails its reference
-# comparison. The root package goes too (about 4 s of tests here): its facade
+# comparison. So do service's tests: a returned product is streamed, or
+# assembled in process, from pieces lent by the kernels, whose chunks go back
+# once that reader is done, so a product read after they went back fails its
+# byte comparison. The root package goes too (about 4 s of tests here), also
+# poisoned, Cluster.Multiply assembling lent pieces: its facade
 # tests and runnable examples pass hooks to Cluster.MultiplyBatched, which
 # runs them concurrently, one goroutine per rank, so a hook that shares state
 # across ranks without per-rank slots or a lock fails here.

@@ -36,6 +36,7 @@ import (
 // it: two concurrent clients, four warm-plan products each over resident
 // operands, in process (service.Service.Multiply).
 func BenchmarkEngineShapes(b *testing.B) {
+	defer localmm.PoisonReturnedChunks.Store(localmm.PoisonReturnedChunks.Swap(false))
 	shapes := []struct {
 		name          string
 		operands      func() (a, bm *spmat.CSC)

@@ -21,6 +21,7 @@ import (
 func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	g := p.G
 	res := &Result{RowOffset: p.DA.RowB[g.I]}
+	p.lendBatch = p.discard || hook == nil
 	p.pipe = pipeState{}
 	p.ledger = overlapLedger{k: p.Opts.Channels}
 	p.resetSparseComm()
@@ -136,13 +137,18 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 				cPiece = pruned
 			}
 		}
-		if p.discard {
+		switch {
+		case p.discard:
 			// The hook has read the batch: drop it — the piece left in its
 			// place stores no column, not even a column pointer — and hand
 			// back the chunks it was lent.
 			r, c := cPiece.Dims()
 			cPiece = spmat.NewDCSC(r, c)
 			returnLoans(loans)
+		case p.lendBatch:
+			// No hook saw the batch: the Result keeps it on loan until its
+			// reader releases it.
+			res.loans = append(res.loans, loans...)
 		}
 		res.Pieces = append(res.Pieces, cPiece)
 		res.GlobalCols = append(res.GlobalCols, globalCols...)

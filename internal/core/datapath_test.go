@@ -151,17 +151,23 @@ func TestAssembleResultsRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestHostSplitMatchesPerRankSetup: Multiply deals the operands out on the
-// host (distmat's Split) where a rank calling Setup cuts its own pieces out
-// (LocalMat). Both must leave every rank with the same pieces, so the same
-// per-rank outputs and the same counters, under every format.
+// TestHostSplitMatchesPerRankSetup: the host entry points deal the operands
+// out on the host (distmat's Split) where a rank calling Setup cuts its own
+// pieces out (LocalMat). Both must leave every rank with the same pieces, so
+// the same per-rank outputs and the same counters, under every format. The
+// per-rank pieces are read through MultiplyRanks, which deals as Multiply
+// does: Multiply releases them once it has assembled the product.
 func TestHostSplitMatchesPerRankSetup(t *testing.T) {
 	a := genmat.Hypersparse(48, 1024, 2, 172)
 	b := spmat.Transpose(a)
 	for _, f := range allFormats {
 		opts := Options{ForceBatches: 2, RunSymbolic: true, Format: f}
 		wantC, want, wantSum := runDistributed(t, 16, 4, a, b, opts, nil)
-		gotC, got, gotSum, err := Multiply(a, b, RunConfig{P: 16, L: 4, Cost: testCM, Opts: opts}, nil)
+		got, gotSum, err := MultiplyRanks(a, b, RunConfig{P: 16, L: 4, Cost: testCM, Opts: opts}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotC, err := AssembleResults(got, a.Rows, b.Cols)
 		if err != nil {
 			t.Fatal(err)
 		}

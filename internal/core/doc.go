@@ -55,7 +55,7 @@
 // owner is whoever knows the output's last reader. Under the staged schedule
 // no stage product exists to lend: Merge-Layer computes every stage's
 // product inside its merge from the stages' plans (localmm.MulMerge), which
-// it holds until its merge and then releases. There are five cases:
+// it holds until its merge and then releases. There are six cases:
 //
 //   - A pipelined stage product, on a grid with q > 1 — the q − 1 earlier
 //     ones; the last stage's is never made, Merge-Layer computes it inside
@@ -74,14 +74,24 @@
 //     BatchedSUMMA3D returns it once the hook has returned.
 //   - Under MultiplyDiscard, Merge-Fiber's output on a grid with l > 1: the
 //     batch output, returned by BatchedSUMMA3D once the hook has returned.
+//   - On a run no hook sees (MultiplyRanks or Multiply with no hook, the
+//     daemon's return_result jobs), the kept batch output: Merge-Fiber's on
+//     a grid with l > 1, Merge-Layer's, passed through, on l = 1. The rank's
+//     Result holds the loans until the pieces' reader calls Result.Release:
+//     Multiply once it has assembled the product, the daemon once it has
+//     streamed it.
 //   - A pipelined stage product on a grid with q = 1, wherever Merge-Layer's
-//     output is lent (l > 1, or under MultiplyDiscard): a one-operand merge
-//     returns its operand, so the product is that output, and its loan goes
-//     with that output's to the same owner.
+//     output is lent (l > 1, or wherever the batch output is): a one-operand
+//     merge returns its operand, so the product is that output, and its loan
+//     goes with that output's to the same owner.
 //
-// The hook of a discarding run is handed its piece on loan for the call.
-// Everything a Result holds and every piece a hook outside MultiplyDiscard
-// is handed is owned. Values, entry order, work units, peak checkpoints and
+// The rule behind the batch-output cases is one (Proc.lends): the batch
+// output is lent whenever its last reader is known — the hook of a
+// discarding run, or the Result's reader when no hook sees it. A kept batch
+// a hook has seen is not lent, since the hook may hold its piece: every piece
+// a hook outside MultiplyDiscard is handed, and everything the Result of such
+// a run holds, is owned. The hook of a discarding run is handed its piece on
+// loan for the call. Values, entry order, work units, peak checkpoints and
 // spans do not depend on what is lent.
 //
 // # Schedules

@@ -34,22 +34,41 @@ import (
 // this row was written. Planning that stage and merging it per destination,
 // as the staged schedule does, turns the one loan into 16 per rank, and the
 // same multiply allocated 9.3–11.3 MB.
+//
+// The fourth row runs the first grid through Multiply with no hook, whose
+// batch outputs are lent to the ranks' Results until the assembly has read
+// them.
+// What it may allocate is its metadata, held to a tighter 4 MiB, and the
+// assembled product itself: 6.8 MB a multiply (4.3 MB of it the product) when
+// this row was written. Copying the batch outputs out of their chunks, as the
+// engine did before kept outputs were lent, read 10.7 MB.
 func TestLentOutputsAreNotCopied(t *testing.T) {
 	protein := genmat.SymmetricPermute(genmat.ProteinSimilarity(10, 12, 1), 1)
 	for _, row := range []struct {
-		a        *spmat.CSC
-		l, b     int
-		pipeline bool
-		metadata int64
+		a         *spmat.CSC
+		l, b      int
+		pipeline  bool
+		assembled bool
+		metadata  int64
 	}{
-		{protein, 4, 8, false, 6 << 20},
-		{protein, 4, 8, true, 6 << 20},
-		{genmat.ER(2048, 12, 2), 16, 1, true, 11 << 18},
+		{protein, 4, 8, false, false, 6 << 20},
+		{protein, 4, 8, true, false, 6 << 20},
+		{genmat.ER(2048, 12, 2), 16, 1, true, false, 11 << 18},
+		{protein, 4, 8, false, true, 4 << 20},
 	} {
 		a, pipeline, metadata := row.a, row.pipeline, row.metadata
 		rc := RunConfig{P: 16, L: row.l, Cost: testCM, Opts: Options{ForceBatches: row.b, Threads: 1, Pipeline: pipeline}}
+		var product int64
 		run := func() (handedOn, unmerged int64) {
-			ranks, _, err := MultiplyDiscard(a, a, rc, nil)
+			var ranks []*Result
+			var err error
+			if row.assembled {
+				var c *spmat.CSC
+				c, ranks, _, err = Multiply(a, a, rc, nil)
+				product = c.CommBytes()
+			} else {
+				ranks, _, err = MultiplyDiscard(a, a, rc, nil)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,9 +92,10 @@ func TestLentOutputsAreNotCopied(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perMultiply := int64(after.TotalAlloc-before.TotalAlloc) / runs
-		t.Logf("l=%d pipeline=%v: %d bytes per multiply, bound %d (entries handed on %d, unmerged %d)", row.l, pipeline, perMultiply, metadata, handedOn, unmerged)
-		if perMultiply > metadata {
-			t.Errorf("l=%d pipeline=%v: a multiply allocates %d bytes, above the %d of its metadata: an output is copied out of its chunk", row.l, pipeline, perMultiply, metadata)
+		bound := metadata + product
+		t.Logf("l=%d pipeline=%v assembled=%v: %d bytes per multiply, bound %d (entries handed on %d, unmerged %d, product %d bytes)", row.l, pipeline, row.assembled, perMultiply, bound, handedOn, unmerged, product)
+		if perMultiply > bound {
+			t.Errorf("l=%d pipeline=%v assembled=%v: a multiply allocates %d bytes, above the %d of its metadata and product: an output is copied out of its chunk", row.l, pipeline, row.assembled, perMultiply, bound)
 		}
 		if 12*handedOn < metadata || 12*unmerged < metadata {
 			t.Fatalf("the merge outputs come to %d bytes and the stage products to %d: copying them would not show above the constant", 12*handedOn, 12*unmerged)

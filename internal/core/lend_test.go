@@ -120,7 +120,9 @@ func poisoned(c *spmat.CSC) bool {
 // matrices each rank's Merge-Fiber returned, which at q = 1, l = 1 are the
 // stage products themselves — in every rank's Result.CSC(), and in the
 // fingerprint a MultiplyDiscard hook takes of its borrowed piece inside the
-// call. q = 1 is where a product escapes through a one-operand merge; the
+// call, and in the product Multiply assembles from the lent pieces of a run
+// with no hook before it releases them. q = 1 is where a product escapes
+// through a one-operand merge; the
 // heavy operand's stages pay for a second worker, so wherever the gate grants
 // one (-cpu 4 under make race) a multi-range output comes back owned while
 // its neighbours are lent. Last, a MultiplyDiscard hook that keeps its
@@ -129,7 +131,9 @@ func poisoned(c *spmat.CSC) bool {
 // must find no non-empty piece as it read it in the call once the run is
 // over: the piece was the kernel's, not the hook's, so it reads poisoned or,
 // where a later kernel call took the returned chunk, that call's entries.
-// Poisoned pieces must turn up.
+// Poisoned pieces must turn up. And on the same grids every non-empty piece
+// a MultiplyRanks run with no hook kept must read poisoned once its Result is
+// released: a kept batch output no hook saw is lent, on every grid.
 func TestLentProductsNeverEscape(t *testing.T) {
 	defer func() { lendChunks = true }()
 	light := randomRealMat(t, 96, 96, 2500, 601)
@@ -174,12 +178,23 @@ func TestLentProductsNeverEscape(t *testing.T) {
 						lendChunks = false
 						want := runKeeping(t, c.a, c.a, rc, true)
 						lendChunks = true
+						wantC, err := AssembleResults(want.ranks, c.a.Rows, c.a.Cols)
+						if err != nil {
+							t.Fatal(err)
+						}
 						name := fmt.Sprintf("%s/p%d-l%d-b%d/%s/%v", c.name, g.p, g.l, b, sched.name, f)
 						for _, threads := range []int{1, 4} {
 							rc.Opts.Threads = threads
 							for _, keep := range []bool{true, false} {
 								label := fmt.Sprintf("%s/threads=%d/keep=%v", name, threads, keep)
 								sameRun(t, label, runKeeping(t, c.a, c.a, rc, keep), want, keep)
+							}
+							gotC, _, _, err := Multiply(c.a, c.a, rc, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !storedEqual(gotC, wantC) {
+								t.Errorf("%s/threads=%d/assembled: the product differs from the non-lending run's", name, threads)
 							}
 							fps, _ := runDiscarding(t, c.a, rc, false)
 							for r := range want.kept {
@@ -213,6 +228,15 @@ func TestLentProductsNeverEscape(t *testing.T) {
 									}
 								} else if spmat.FingerprintOf(piece) == fps[r][x] {
 									t.Errorf("%s/discard-keep: rank %d's batch %d outlived its call: it is not the lent chunk", name, r, x)
+								}
+							}
+						}
+						for r, res := range runKeeping(t, c.a, c.a, rc, false).ranks {
+							pieces := slices.Clone(res.Pieces)
+							res.Release()
+							for x, piece := range pieces {
+								if piece.NNZ() > 0 && !poisoned(piece.ToCSC()) {
+									t.Errorf("%s/kept: rank %d's batch %d does not read poisoned once released: it was not lent", name, r, x)
 								}
 							}
 						}

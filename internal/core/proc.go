@@ -45,9 +45,15 @@ type Proc struct {
 	lent []localmm.Loan
 
 	// discard marks a rank whose batches are dropped once the hook has seen
-	// them (MultiplyDiscard): each batch output is then lent, on every grid,
-	// and the hook is handed it on loan for the duration of the call.
+	// them (MultiplyDiscard): the hook is handed each batch output on loan for
+	// the duration of the call.
 	discard bool
+
+	// lendBatch marks a rank whose batch outputs have a known last reader —
+	// the hook of a discarding run, or, on a run no hook sees, whoever
+	// releases the Result (Result.Release) — so each is lent, on every grid
+	// (lends). BatchedSUMMA3D sets it.
+	lendBatch bool
 }
 
 // SetupLocal wires a Proc from already-local pieces (used when a pipeline
@@ -64,13 +70,14 @@ func SetupLocal(g *grid.Grid3D, da *distmat.ADist, db *distmat.BDist, localA, lo
 	}
 }
 
-// Result is one rank's output of BatchedSUMMA3D.
+// Result is one rank's output of BatchedSUMMA3D. On a run no hook sees, the
+// pieces are the kernels' chunks on loan (see Release); everywhere else they
+// are the caller's.
 type Result struct {
 	// Pieces are the rank's batch outputs in batch order, each as Merge-Fiber
 	// made it — sorted columns, CSC or DCSC — or as a hook handed it back;
-	// their columns, concatenated, are the ones GlobalCols lists. CSC
-	// assembles them into one matrix; AssembleResults and ProductSegments
-	// read them in place.
+	// their columns, concatenated, are the ones GlobalCols lists.
+	// AssembleResults and ProductSegments read them in place.
 	Pieces []spmat.Matrix
 	// GlobalCols[x] is the global column of local column x.
 	GlobalCols []int32
@@ -92,6 +99,24 @@ type Result struct {
 	PeakMemBytes int64
 	// BatchNNZ is the per-batch local output size before any hook pruning.
 	BatchNNZ []int64
+
+	// loans are the chunks the pieces were lent, on a run no hook sees.
+	loans []localmm.Loan
+}
+
+// Release hands the kernel chunks the pieces were lent back and empties
+// Pieces. A run no hook sees keeps its batch outputs on loan, so the reader
+// done with them releases them: Multiply once it has assembled the product,
+// the daemon once it has streamed it. Nothing may read the pieces, or keep a
+// slice of them, afterwards; every other field stays. A Result nobody
+// releases costs only the chunks' reuse. Releasing twice, or a nil Result,
+// does nothing.
+func (r *Result) Release() {
+	if r == nil {
+		return
+	}
+	returnLoans(r.loans)
+	r.loans, r.Pieces = nil, nil
 }
 
 // NNZ returns the number of entries the rank's pieces hold.

@@ -197,7 +197,10 @@ var errRankFailed = errors.New("core: rank body failed")
 // still distributed, and the step metering summary — assembling nothing.
 // Multiply is this run plus the assembly of the global product;
 // MultiplyDiscard is this run with every batch dropped once its hook has
-// seen it.
+// seen it. With no hook the results' pieces are the kernels' chunks on loan:
+// the caller calls Release on every result once it is done reading them, or
+// never, which costs only the chunks' reuse. A hook's pieces are the
+// caller's.
 func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
 	da, db, err := deal(a, b, rc)
 	if err != nil {
@@ -232,13 +235,18 @@ func MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) (
 
 // Multiply runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster and
 // returns the assembled global product, the per-rank results, and the step
-// metering summary.
+// metering summary. The assembly is the pieces' last reader: every result is
+// released once it is done (Result.Release), so the results hold no Pieces
+// and the product is the only copy of C.
 func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*Result, *mpi.Summary, error) {
 	results, summary, err := MultiplyRanks(a, b, rc, hooks)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	assembled, err := AssembleResults(results, a.Rows, b.Cols)
+	for _, r := range results {
+		r.Release()
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}

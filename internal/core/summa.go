@@ -107,7 +107,7 @@ func (p *Proc) forEachStage(bOperand, bNext spmat.Matrix, aCat, aHidden, bCat, b
 
 // lendChunks is off only in core's own tests, for the reference a lending
 // run must reproduce bit for bit: every stage product, Merge-Layer output and
-// discarded batch an owned copy.
+// batch output an owned copy.
 var lendChunks = true
 
 // stageProducts runs the stage loop over bBatch and collects what each stage
@@ -149,13 +149,13 @@ var lendChunks = true
 // lent (localmm.Plan.Mul with lend): its entries stay in the kernel worker's
 // chunk until the loan is returned, right after Merge-Layer. With q = 1 the one
 // product is the Merge-Layer output (a one-operand merge returns its
-// operand), so it is lent exactly when that output is (lendLayer), and
+// operand), so it is lent exactly when that output is (lends), and
 // summa3DBatch hands its loan on with that output's. A product more than one
 // worker made is an owned copy either way.
 func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, plans []*localmm.Plan, unmerged int64) {
 	meter := p.G.World.Meter()
 	q := p.G.Q
-	lend := lendChunks && (q > 1 || p.lendLayer())
+	lend := lendChunks && (q > 1 || p.lends(false))
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(s int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
@@ -229,7 +229,7 @@ func returnLoans(loans []localmm.Loan) {
 // checkpoint, flop and entry count is what it was with the products made
 // first.
 //
-// Merge-Layer's output is lent whenever its last reader is known (lendLayer).
+// Merge-Layer's output is lent whenever its last reader is known (lends).
 // With l > 1 it is read by this rank's Merge-Fiber and, through the
 // by-reference exchange, by the l − 1 fiber peers' — the pieces are views of
 // it — so its loans outlive the batch by one exchange. They are returned after
@@ -238,9 +238,10 @@ func returnLoans(loans []localmm.Loan) {
 // t. The last batch's stay in Proc.lent for the launcher (launch) to return
 // once the world has ended. With l = 1 there are no peers, and Merge-Fiber
 // passes the output through as the batch output; it is lent only when the
-// rank discards the batch (Proc.discard). The returned loans are the batch
+// batch output is (Proc.lendBatch). The returned loans are the batch
 // output's, Merge-Layer's on one layer and Merge-Fiber's on more, which the
-// caller returns once the hook has read a discarded batch.
+// caller returns once the hook has read a discarded batch, or keeps in the
+// Result for its reader to release.
 func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, []localmm.Loan, []int32) {
 	g := p.G
 	meter := g.World.Meter()
@@ -348,11 +349,14 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	return c, append(batchLoans, loan), p.bt.BatchLayerCols(t, g.K)
 }
 
-// lendLayer reports whether Merge-Layer's output is lent: whether its last
-// reader is known. It is with l > 1, where the fiber peers read it through the
-// exchange, and when the rank discards its batches, whose last reader is the
-// hook.
-func (p *Proc) lendLayer() bool { return p.G.L > 1 || p.discard }
+// lends reports whether a merge's output is lent: whether its last reader is
+// known. Merge-Layer's on a grid with l > 1 is read by this rank's Merge-Fiber
+// and, through the exchange, by the fiber peers'. The batch output —
+// Merge-Fiber's, or on one layer Merge-Layer's, which Merge-Fiber passes
+// through — is read by the hook of a discarding run or, on a run no hook
+// sees, by whoever releases the Result (lendBatch); a kept batch a hook has
+// seen is the caller's, since the hook may hold it.
+func (p *Proc) lends(fiber bool) bool { return p.lendBatch || !fiber && p.G.L > 1 }
 
 // mergeFiber is Merge-Fiber (Alg 2 line 6): the final output is sorted here
 // and only here (Sec. IV-D). recv holds one piece per source layer, the own
@@ -364,8 +368,9 @@ func (p *Proc) lendLayer() bool { return p.G.L > 1 || p.discard }
 // accounting carries the same colScanWork term as every other merge (the
 // dense column count for a CSC output, only the stored columns for DCSC).
 // Conversion to the user-facing CSC happens once, at hook boundaries and
-// final assembly (BatchedSUMMA3D). A batch the rank discards is lent; on a
-// one-layer grid the lone operand passes through and the loan is empty.
+// final assembly (BatchedSUMMA3D). The batch output is lent when its last
+// reader is known (lends); on a one-layer grid the lone operand passes
+// through and the loan is empty.
 func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localmm.Loan) {
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeFiber)
@@ -401,21 +406,17 @@ func (p *Proc) lastTable() bool { return p.G.L == 1 }
 // workers are what entries and the plans' window flops pay for; planned is
 // the planned windows' entry count, which the caller's work units add. The
 // plans are released in the same section once release says this is their
-// last window. fiber says the merge is Merge-Fiber rather than Merge-Layer,
-// which decides the rest: Merge-Fiber sorts and lends its output when the
-// rank discards the batch; Merge-Layer sorts when it is the last merge to
-// hold the entries in a table (lastTable) and lends when its output's last
-// reader is known (lendLayer). The caller returns a lent output once that
-// reader is done. A lone unsorted operand of a sorted merge on a one-layer
+// last window. fiber says the merge is Merge-Fiber rather than Merge-Layer:
+// Merge-Fiber always sorts, Merge-Layer when it is the last merge to hold the
+// entries in a table (lastTable), and either lends its output when that
+// output's last reader is known (lends). The caller returns a lent output once
+// that reader is done. A lone unsorted operand of a sorted merge on a one-layer
 // grid is a matrix this rank just produced and nobody else holds — a
 // pipelined p = 1 run's only stage product — so it is sorted where it lies
 // instead of on the copy the merge would make.
 func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, fiber, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
 	o := &p.Opts
-	sorted, lend := true, p.discard
-	if !fiber {
-		sorted, lend = p.lastTable(), p.lendLayer()
-	}
+	sorted, lend := fiber || p.lastTable(), lendChunks && p.lends(fiber)
 	sec = p.measure(func() {
 		if sorted && len(prev) == 1 && len(plans) == 0 && p.G.L == 1 {
 			prev[0].SortColumns()
@@ -424,7 +425,7 @@ func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, e
 		for _, pl := range plans {
 			work += pl.WindowFlops(lo, hi)
 		}
-		out, loan, planned = localmm.MulMerge(o.Kernel, prev, plans, lo, hi, o.Semiring, sorted, lend && lendChunks, p.workers(work))
+		out, loan, planned = localmm.MulMerge(o.Kernel, prev, plans, lo, hi, o.Semiring, sorted, lend, p.workers(work))
 		if release {
 			for _, pl := range plans {
 				pl.Release()

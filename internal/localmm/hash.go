@@ -68,9 +68,13 @@ const maxTableCap = 1 << 30
 // no jump since ISSUE 23, the hash regime's insert is unchanged and branches
 // on hit-or-new, and its table is now emptied by its own drain). Two-core
 // 2.1 GHz Xeon shared with other tenants (±15 % run to run), 2 MiB of L2 a
-// core, one worker, ns per contribution, hash → direct, the run checked in as
-// BENCH_kernels.json. Rows drawn over the whole span, which almost never
-// meet:
+// core, one worker, ns per contribution, hash → direct, from the sizing run
+// taken when the direct table was first stamped. BENCH_kernels.json holds
+// later runs, whose cells read differently (merge at 2¹⁵ rows, 4
+// contributions a column: direct 1.02× hash there, 0.90× below), but by its
+// medians the verdict stands: up to 2¹⁵ rows direct ties or wins from 4
+// contributions a column and loses only at one. Rows drawn over the whole
+// span, which almost never meet:
 //
 //	rows   contributions   multiply        merge
 //	       per column

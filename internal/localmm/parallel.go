@@ -116,7 +116,8 @@ var idleWorkers struct {
 // directTableBytes already.) The chunks that come back from loans are bounded
 // in bytes, all of them together: a job on a p-rank grid with q stages and l
 // layers has up to p·(q + 2l + 1) of them out at once — a pipelined batch's
-// stage products, two batches' Merge-Layer outputs, a discarded batch — not
+// stage products, two batches' Merge-Layer outputs, a discarded batch — and
+// a kept run every batch output besides until its reader releases them, not
 // one a core, and the list keeps what fits maxIdleChunkBytes of what comes
 // back and drops the rest. Released plans are kept like workers: at most
 // maxIdleWorkers of them, with no array above maxKeptEntries.

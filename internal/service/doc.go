@@ -38,7 +38,10 @@
 // than one. Nothing assembles it: the /multiply handler streams the wire
 // bytes straight from the pieces (core.ProductSegments)
 // under an exact Content-Length, inside the job's admission reservation, and
-// Client.Multiply decodes them as they arrive. Every job runs a fresh mpi.Run world with its own
+// Client.Multiply decodes them as they arrive. The pieces are the kernels'
+// chunks on loan: they go back (core.Result.Release) once the product's last
+// byte has been written, still inside the reservation, and the next job's
+// kernels refill them. Every job runs a fresh mpi.Run world with its own
 // compute-measurement gate, so concurrent jobs never share mutable engine
 // state and outputs are bit-identical to one-shot runs.
 //

@@ -284,11 +284,12 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantC := product(t, want)
 			resp, c, err := cl.Multiply(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "downloaded product", c, product(t, want))
+			sameBits(t, "downloaded product", c, wantC)
 			if resp.NNZ != want.NNZ || resp.Rows != want.Rows || resp.Cols != want.Cols {
 				t.Fatalf("response says %dx%d nnz=%d, job gave %dx%d nnz=%d", resp.Rows, resp.Cols, resp.NNZ, want.Rows, want.Cols, want.NNZ)
 			}
@@ -311,7 +312,7 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 			if raw.ContentLength != int64(len(got)) {
 				t.Fatalf("Content-Length %d for a %d-byte body", raw.ContentLength, len(got))
 			}
-			if _, wire, ok := bytes.Cut(got, []byte{'\n'}); !ok || !bytes.Equal(wire, product(t, want).Serialize()) {
+			if _, wire, ok := bytes.Cut(got, []byte{'\n'}); !ok || !bytes.Equal(wire, wantC.Serialize()) {
 				t.Fatalf("the %d bytes after the document are not the assembled product's encoding", len(wire))
 			}
 
@@ -324,7 +325,7 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 			if len(resp.Trace) == 0 || !json.Valid(resp.Trace) {
 				t.Fatalf("return_result with trace: trace missing or malformed (%d bytes)", len(resp.Trace))
 			}
-			sameBits(t, "downloaded product beside a trace", c, product(t, want))
+			sameBits(t, "downloaded product beside a trace", c, wantC)
 		})
 	}
 }

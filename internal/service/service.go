@@ -184,8 +184,9 @@ type MultiplyRequest struct {
 // MultiplyResult is one completed job.
 type MultiplyResult struct {
 	// ranks are the ranks' results when ReturnResult was set: the product,
-	// still in the batch pieces Merge-Fiber made. The HTTP handler streams
-	// their wire bytes without assembling them.
+	// still in the batch pieces Merge-Fiber made, on loan from the kernels
+	// (core.Result.Release). The HTTP handler streams their wire bytes
+	// without assembling them, and multiply releases them once it has.
 	ranks []*core.Result
 	// Rows, Cols, NNZ describe the output.
 	Rows int32 `json:"rows"`
@@ -234,7 +235,9 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 // succeeded while the job still holds its admission reservation, which is
 // released once deliver returns: the /multiply handler streams a returned
 // product from the ranks' pieces in it, so the memory those pieces take stays
-// charged until the last byte has been written.
+// charged until the last byte has been written. deliver is the pieces' last
+// reader: once it returns, their chunks go back to the kernels
+// (releaseProduct), still inside the reservation.
 func (s *Service) multiply(req MultiplyRequest, deliver func(*MultiplyResult)) (*MultiplyResult, error) {
 	jobID := s.jobSeq.Add(1)
 	jobStart := time.Now()
@@ -359,8 +362,18 @@ func (s *Service) multiply(req MultiplyRequest, deliver func(*MultiplyResult)) (
 	s.log.Info("job done", attrs...)
 	if deliver != nil {
 		deliver(res)
+		res.releaseProduct()
 	}
 	return res, nil
+}
+
+// releaseProduct hands back the chunks the ranks' pieces were lent; the
+// product cannot be read afterwards.
+func (r *MultiplyResult) releaseProduct() {
+	for _, rk := range r.ranks {
+		rk.Release()
+	}
+	r.ranks = nil
 }
 
 // run executes one job on its operands as the split cache holds them dealt

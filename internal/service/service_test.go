@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,13 +17,25 @@ import (
 	"repro/internal/spmat"
 )
 
+// TestMain runs this package's tests with returned chunks poisoned
+// (localmm.PoisonReturnedChunks). A returned product is streamed, or
+// assembled by Product, from the ranks' pieces, which are lent kernel chunks
+// that go back once that reader is done: a product read after they went back
+// is every row −1 and every value NaN, and fails its byte comparison.
+func TestMain(m *testing.M) {
+	localmm.PoisonReturnedChunks.Store(true)
+	os.Exit(m.Run())
+}
+
 // Product assembles the job's output matrix from the ranks' pieces
-// (core.AssembleResults), anew on every call; it is nil when the request did
-// not set ReturnResult.
+// (core.AssembleResults) and then, as the pieces' last reader, hands their
+// chunks back the way the /multiply handler does once it has streamed them;
+// it is nil when the request did not set ReturnResult, or on a second call.
 func (r *MultiplyResult) Product() (*spmat.CSC, error) {
 	if r.ranks == nil {
 		return nil, nil
 	}
+	defer r.releaseProduct()
 	return core.AssembleResults(r.ranks, r.Rows, r.Cols)
 }
 
@@ -134,6 +147,7 @@ func TestRepeatMultiplyZeroProbeWork(t *testing.T) {
 	if got := s.Stats().Probes; got != 1 {
 		t.Fatalf("first request should probe exactly once, got %d", got)
 	}
+	firstWire := product(t, first).Serialize()
 
 	for i := 0; i < 3; i++ {
 		rep, err := s.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true})
@@ -143,7 +157,7 @@ func TestRepeatMultiplyZeroProbeWork(t *testing.T) {
 		if !rep.Plan.CacheHit {
 			t.Fatalf("repeat %d must be a plan-cache hit", i)
 		}
-		if !bytes.Equal(product(t, rep).Serialize(), product(t, first).Serialize()) {
+		if !bytes.Equal(product(t, rep).Serialize(), firstWire) {
 			t.Fatalf("repeat %d output differs from first", i)
 		}
 	}
@@ -158,7 +172,7 @@ func TestRepeatMultiplyZeroProbeWork(t *testing.T) {
 	// And the cached plan must execute exactly what a one-shot autotuned
 	// multiply would.
 	want := oneShot(t, a, a, cfg)
-	if !bytes.Equal(product(t, first).Serialize(), want.Serialize()) {
+	if !bytes.Equal(firstWire, want.Serialize()) {
 		t.Fatalf("service output differs from one-shot autotuned Multiply")
 	}
 }

@@ -2,11 +2,25 @@ package spgemm_test
 
 import (
 	"bytes"
+	"os"
 	"slices"
 	"testing"
 
 	spgemm "repro"
+	"repro/internal/localmm"
 )
+
+// TestMain runs this package's tests and examples with returned chunks
+// poisoned (localmm.PoisonReturnedChunks): once a lent kernel output goes
+// back — a batch a hook was handed on loan, or the pieces Cluster.Multiply
+// assembles once it has read them — its entries are every row −1 and every
+// value NaN, so a product read after its chunks went back fails its
+// comparison with the serial reference. BenchmarkEngineShapes turns the
+// poison off while it runs: it times the engine, not the overwrite.
+func TestMain(m *testing.M) {
+	localmm.PoisonReturnedChunks.Store(true)
+	os.Exit(m.Run())
+}
 
 func TestFacadeMultiplyMatchesSerial(t *testing.T) {
 	a := spgemm.RandomProteinNetwork(7, 6, 1)
