@@ -100,7 +100,17 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 		meter.AddComputeWork(sec, piece.NNZ()+int64(p.bt.BatchWidth(t))+1)
 		return piece
 	}
+	// Batch t's piece covers the one chunk of the block column that (t, this
+	// layer) owns, so the rank's global columns are those chunks' in batch
+	// order: written once, into an array of their exact size, which each hook
+	// sees a capped window of.
 	res.Pieces = make([]spmat.Matrix, 0, b)
+	width := int32(0)
+	for t := range b {
+		lo, hi := p.bt.Chunk(t, g.K)
+		width += hi - lo
+	}
+	res.GlobalCols = make([]int32, 0, width)
 	bCur := extract(0)
 	for t := 0; t < b; t++ {
 		var bNext spmat.Matrix
@@ -108,7 +118,7 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			bNext = extract(t + 1)
 		}
 		tr.SetBatch(t)
-		cPiece, loans, offsets := p.summa3DBatch(t, bCur, bNext, res)
+		cPiece, loans, lo, hi := p.summa3DBatch(t, bCur, bNext, res)
 		switch {
 		case bNext != nil:
 			bCur = bNext
@@ -116,10 +126,11 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			bCur = extract(t + 1)
 		}
 		res.BatchNNZ = append(res.BatchNNZ, cPiece.NNZ())
-		globalCols := make([]int32, len(offsets))
-		for x, o := range offsets {
-			globalCols[x] = c0 + o
+		start := len(res.GlobalCols)
+		for o := lo; o < hi; o++ {
+			res.GlobalCols = append(res.GlobalCols, c0+o)
 		}
+		globalCols := res.GlobalCols[start:len(res.GlobalCols):len(res.GlobalCols)]
 		if hook != nil {
 			// Hooks see the user-facing CSC form; a hypersparse piece is
 			// inflated only at this boundary (and only when a hook exists).
@@ -151,7 +162,6 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			res.loans = append(res.loans, loans...)
 		}
 		res.Pieces = append(res.Pieces, cPiece)
-		res.GlobalCols = append(res.GlobalCols, globalCols...)
 	}
 
 	// Alg 4 line 7: the batches, in batch-major column order, are the rank's

@@ -139,8 +139,9 @@ func (r *Result) sorted() bool {
 }
 
 // BatchHook is invoked after each batch's Merge-Fiber with the batch index,
-// the global columns the local piece covers, and the local piece itself
-// (sorted columns). The returned matrix, which must keep the piece's shape,
+// the global columns the local piece covers — a window of the rank's
+// Result.GlobalCols, which the hook reads and never writes — and the local
+// piece itself (sorted columns). The returned matrix, which must keep the piece's shape,
 // replaces the piece in the rank's Result; returning nil keeps the piece.
 // Applications use the hook to prune or stream out batches (HipMCL, Sec.
 // V-C). Under MultiplyDiscard the piece is borrowed for the duration of the

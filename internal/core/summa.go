@@ -195,8 +195,9 @@ func returnLoans(loans []localmm.Loan) {
 // the fiber AllToAll, and the fiber merge. bBatch is this batch's piece of
 // the local B (extracted by BatchedSUMMA3D); bNextBatch is the next batch's
 // piece, or nil on the last batch, used by the pipelined schedule's
-// cross-batch prefetch. Returns the local batch output (sorted) and the local
-// column offsets (within this rank's block column) it covers.
+// cross-batch prefetch. Returns the local batch output (sorted) and the range
+// [lo, hi) of local column offsets (within this rank's block column) it
+// covers: the one chunk of the block column that (batch t, this layer) owns.
 //
 // The ColSplit packing of Alg 2 line 4 is local merge-side work, so it is
 // metered as Merge-Layer compute; the category switches to the exchange's step
@@ -242,11 +243,11 @@ func returnLoans(loans []localmm.Loan) {
 // output's, Merge-Layer's on one layer and Merge-Fiber's on more, which the
 // caller returns once the hook has read a discarded batch, or keeps in the
 // Result for its reader to release.
-func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, []localmm.Loan, []int32) {
+func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (c spmat.Matrix, loans []localmm.Loan, lo, hi int32) {
 	g := p.G
 	meter := g.World.Meter()
 	led := &p.ledger
-	partial, loans, plans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
+	partial, stageLoans, plans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
 	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is the
@@ -268,7 +269,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 		var pieces []spmat.Matrix
 		packSec := p.measure(func() {
-			pieces = spmat.MatColRanges(d, p.bt.LayerBounds(t))
+			pieces = loan.ColRanges(d, p.bt.LayerBounds(t))
 		})
 		meter.AddComputeWork(packSec, d.NNZ()+int64(g.L)+1)
 		for m, piece := range pieces {
@@ -283,8 +284,8 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		perDest := make([][]spmat.Matrix, g.L)
 		bounds := p.bt.LayerBounds(t)
 		packSec := p.measure(func() {
-			for _, prod := range partial {
-				pieces := spmat.MatColRanges(prod, bounds)
+			for i, prod := range partial {
+				pieces := stageLoans[i].ColRanges(prod, bounds)
 				for m := range perDest {
 					perDest[m] = append(perDest[m], pieces[m])
 				}
@@ -317,9 +318,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		// one stage product is Merge-Layer's output, so its loan joins that
 		// output's.
 		if g.Q == 1 {
-			lent = append(lent, loans...)
+			lent = append(lent, stageLoans...)
 		} else {
-			returnLoans(loans)
+			returnLoans(stageLoans)
 		}
 	}
 	res.UnmergedNNZ += unmerged
@@ -346,7 +347,8 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	recv[g.K] = own
 	c, loan := p.mergeFiber(recv, res)
 	g.Fiber.PutRecv(recv)
-	return c, append(batchLoans, loan), p.bt.BatchLayerCols(t, g.K)
+	lo, hi = p.bt.Chunk(t, g.K)
+	return c, append(batchLoans, loan), lo, hi
 }
 
 // lends reports whether a merge's output is lent: whether its last reader is

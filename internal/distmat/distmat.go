@@ -38,8 +38,8 @@
 // self-contained, but ranks that share a column range each walk it, so p of
 // them walk an A-style operand q times and a B-style one q·l times. Inside a
 // batch nothing is gathered that need not be: a (batch, layer) pair owns one
-// contiguous chunk of the block column, so BatchCols, BatchLayerCols and
-// LayerBounds are arithmetic, and the fiber split cuts a merged batch at
+// contiguous chunk of the block column (Chunk), so BatchCols, BatchLayerCols
+// and LayerBounds are arithmetic, and the fiber split cuts a merged batch at
 // LayerBounds into its l pieces as views over the merged entries
 // (spmat.MatColRanges) — with l = 1 the piece is the batch itself.
 package distmat
@@ -227,11 +227,11 @@ func NewBatching(width int32, b, l int) Batching {
 	return Batching{Width: width, B: b, L: l, Blk: int32(blk)}
 }
 
-// chunk returns the offset range [lo, hi) of the chunk (batch t, layer k)
-// owns. There is exactly one: Blk·B·L ≥ Width, so the block column holds at
+// Chunk returns the local column offset range [lo, hi) of the chunk (batch
+// t, layer k) owns. There is exactly one: Blk·B·L ≥ Width, so the block column holds at
 // most B·L chunks and chunk g = k·B + t is the only one with g mod B = t and
 // g div B = k. The range is empty when the block column ends before it.
-func (bt Batching) chunk(t, k int) (lo, hi int32) {
+func (bt Batching) Chunk(t, k int) (lo, hi int32) {
 	w, blk := int64(bt.Width), int64(bt.Blk)
 	l := min((int64(k)*int64(bt.B)+int64(t))*blk, w)
 	return int32(l), int32(min(l+blk, w))
@@ -241,7 +241,7 @@ func (bt Batching) chunk(t, k int) (lo, hi int32) {
 func (bt Batching) BatchWidth(t int) int32 {
 	var n int32
 	for k := 0; k < bt.L; k++ {
-		lo, hi := bt.chunk(t, k)
+		lo, hi := bt.Chunk(t, k)
 		n += hi - lo
 	}
 	return n
@@ -252,7 +252,7 @@ func (bt Batching) BatchWidth(t int) int32 {
 func (bt Batching) BatchCols(t int) []int32 {
 	out := make([]int32, 0, bt.BatchWidth(t))
 	for k := 0; k < bt.L; k++ {
-		lo, hi := bt.chunk(t, k)
+		lo, hi := bt.Chunk(t, k)
 		for o := lo; o < hi; o++ {
 			out = append(out, o)
 		}
@@ -263,7 +263,7 @@ func (bt Batching) BatchCols(t int) []int32 {
 // BatchLayerCols returns the local column offsets owned by (batch t, layer k),
 // ascending.
 func (bt Batching) BatchLayerCols(t, k int) []int32 {
-	lo, hi := bt.chunk(t, k)
+	lo, hi := bt.Chunk(t, k)
 	out := make([]int32, hi-lo)
 	for x := range out {
 		out[x] = lo + int32(x)
@@ -278,7 +278,7 @@ func (bt Batching) BatchLayerCols(t, k int) []int32 {
 func (bt Batching) LayerBounds(t int) []int32 {
 	bounds := make([]int32, bt.L+1)
 	for k := 0; k < bt.L; k++ {
-		lo, hi := bt.chunk(t, k)
+		lo, hi := bt.Chunk(t, k)
 		bounds[k+1] = bounds[k] + hi - lo
 	}
 	return bounds

@@ -57,12 +57,13 @@ func TestFreeListDropsOversizedTables(t *testing.T) {
 	}
 }
 
-// TestFreeListBoundsChunkBytes: lent chunks are out p·q at a time, not one a
-// core, so what the free list keeps of them is bounded in bytes, all chunks
-// together. Twenty stage products of about 5 MB each are held on loan at
-// once — more than maxIdleChunkBytes between them — and returned; the list
-// must then hold no more than the bound (and account for what it holds), and
-// the products' arrays it turned away must be nobody's but the collector's.
+// TestFreeListBoundsChunkBytes: loans are out p·q at a time, not one a
+// core, so what the free list keeps of them is bounded in bytes, chunks and
+// the shells with their column metadata all together. Twenty stage products
+// of about 5 MB each are held on loan at once — more than maxIdleChunkBytes
+// between them — and returned; the list must then hold no more than the
+// bound (and account for what it holds, chunks and shells alike), and the
+// products' arrays it turned away must be nobody's but the collector's.
 func TestFreeListBoundsChunkBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("holds ~120 MB of stage products")
@@ -75,7 +76,10 @@ func TestFreeListBoundsChunkBytes(t *testing.T) {
 	var lentBytes int64
 	for range 20 {
 		_, loan := pl.Mul(KernelHashUnsorted, sr, true, 1)
-		lentBytes += loan.c.bytes()
+		if loan.s == nil || cap(loan.s.ptr) < 401 {
+			t.Fatal("a single-range product's column pointers are not its loan's")
+		}
+		lentBytes += loan.chunkBytes() + loan.s.bytes()
 		loans = append(loans, loan)
 	}
 	if lentBytes <= maxIdleChunkBytes {
@@ -90,13 +94,16 @@ func TestFreeListBoundsChunkBytes(t *testing.T) {
 	for _, c := range idleWorkers.chunks {
 		held += c.bytes()
 	}
-	if held != idleWorkers.chunkBytes {
-		t.Errorf("the list accounts for %d bytes of chunks and holds %d", idleWorkers.chunkBytes, held)
+	for _, s := range idleWorkers.shells {
+		held += s.bytes()
+	}
+	if held != idleWorkers.loanBytes {
+		t.Errorf("the list accounts for %d bytes of chunks and shells and holds %d", idleWorkers.loanBytes, held)
 	}
 	if held > maxIdleChunkBytes {
-		t.Errorf("the list holds %d bytes of chunks, above the bound of %d", held, maxIdleChunkBytes)
+		t.Errorf("the list holds %d bytes of chunks and shells, above the bound of %d", held, maxIdleChunkBytes)
 	}
 	if held < maxIdleChunkBytes/2 {
-		t.Errorf("the list holds %d bytes of chunks: it kept almost nothing of %d returned", held, lentBytes)
+		t.Errorf("the list holds %d bytes of chunks and shells: it kept almost nothing of %d returned", held, lentBytes)
 	}
 }

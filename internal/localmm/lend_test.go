@@ -10,14 +10,43 @@ import (
 	"repro/internal/spmat"
 )
 
+// chunkBytes is what the chunk a loan holds takes; 0 for the zero Loan.
+func (l Loan) chunkBytes() int64 {
+	if l.s == nil {
+		return 0
+	}
+	return l.s.c.bytes()
+}
+
+// poisonedMetadata reports whether every column pointer and stored column of
+// m, a lent output or a view of one, is the poison −1.
+func poisonedMetadata(m spmat.Matrix) bool {
+	v := viewOf(m)
+	return !slices.ContainsFunc(v.ptr, func(x int64) bool { return x != -1 }) &&
+		!slices.ContainsFunc(v.jc, func(j int32) bool { return j != -1 })
+}
+
+// readFails reports whether reading m's first stored column panics, as it
+// must once m's metadata is poisoned.
+func readFails(m spmat.Matrix) (failed bool) {
+	defer func() { failed = recover() != nil }()
+	v := viewOf(m)
+	v.col(0)
+	return false
+}
+
 // TestMulLentLendsOnlyTheSingleRangeChunk pins what a lending Plan.Mul
-// shares and what it does not. A product one range made is the worker's
-// chunk: equal to the owned product entry for entry while the loan lasts,
-// and — the poison shows whose memory it is — all −1 and NaN once it is
-// returned. A product two ranges made is placed into arrays of its own, its
-// Loan holds nothing, and it reads the same after Return. An owned product
-// is never anybody's but the caller's: later calls, which refill the
-// returned chunks, leave it alone.
+// shares and what it does not. A product one range made is the loan's: its
+// entry arrays are the worker's chunk and its column metadata the loan's,
+// and so is the metadata of the column-range views cut from it
+// (Loan.ColRanges). While the loan lasts product and views equal the owned
+// product's entry for entry; once it is returned — the poison shows whose
+// memory it is — the entries are all −1 and NaN, every pointer and stored
+// column of product and views −1, and reading a view's column fails. A
+// product two ranges made is placed into arrays of its own, its Loan holds
+// nothing, and it reads the same after Return. An owned product is never
+// anybody's but the caller's: later calls, which refill the returned chunks,
+// leave it alone.
 func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
 	sr := semiring.PlusTimes()
@@ -29,24 +58,42 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			pl := PlanMul(light, asFormat(light, dcsc))
 			owned, _ := pl.Mul(k, sr, false, 4)
 			lent, loan := pl.Mul(k, sr, true, 4)
-			if loan.c.bytes() == 0 {
+			if loan.chunkBytes() == 0 {
 				t.Fatalf("%s: a single-range product was not lent", label)
 			}
 			sameEntries(t, label+": lent vs owned", lent, owned)
+			bounds := []int32{0, 70, 70, 200}
+			views := loan.ColRanges(lent, bounds)
+			for x, view := range views {
+				sameEntries(t, fmt.Sprintf("%s: view %d vs owned", label, x), view, spmat.MatColRanges(owned, bounds)[x])
+			}
+			stale := loan
 			loan.Return()
-			loan.Return() // returning twice is returning once
+			loan.Return()  // returning twice is returning once
+			stale.Return() // and so is returning a copy
 			v := viewOf(lent)
 			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
 				t.Errorf("%s: the lent product outlived its loan: its arrays are not the returned chunk", label)
 			}
+			if !poisonedMetadata(lent) || !poisonedMetadata(views[0]) || !poisonedMetadata(views[2]) {
+				t.Errorf("%s: the lent product's column metadata, or its views', outlived the loan", label)
+			}
+			if !readFails(views[2]) {
+				t.Errorf("%s: a view of the lent product reads a column after the loan ended", label)
+			}
 			sameEntries(t, label+": owned product after later calls", owned, ownedProduct(pl, k, sr))
+			again, next := pl.Mul(k, sr, true, 4)
+			sameEntries(t, label+": a lent product in the returned arrays", again, owned)
+			stale.Return()
+			sameEntries(t, label+": the next loan after a stale copy's Return", again, owned)
+			next.Return()
 
 			pl = PlanMul(heavy, asFormat(heavy, dcsc))
 			if clampThreads(2, pl.bv.n, pl.Flops) != 2 {
 				t.Fatalf("multiply of %d flops is below the worker floor", pl.Flops)
 			}
 			placed, loan := pl.Mul(k, sr, true, 2)
-			if loan.c.bytes() != 0 {
+			if loan != (Loan{}) {
 				t.Errorf("%s: a two-range product came with a loan", label)
 			}
 			loan.Return()
@@ -80,7 +127,7 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			mats := asMats(light, dcsc)
 			owned := MergeMat(MergerHash, mats, sr, sorted, 4)
 			lent, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 4)
-			if loan.c.bytes() == 0 {
+			if loan.chunkBytes() == 0 {
 				t.Fatalf("%s: a single-range merge was not lent", label)
 			}
 			sameEntries(t, label+": lent vs owned", lent, owned)
@@ -89,6 +136,9 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			v := viewOf(lent)
 			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
 				t.Errorf("%s: the lent merge outlived its loan: its arrays are not the returned chunk", label)
+			}
+			if !poisonedMetadata(lent) {
+				t.Errorf("%s: the lent merge's column metadata outlived its loan", label)
 			}
 			sameEntries(t, label+": owned merge after later calls", owned, MergeMat(MergerHash, mats, sr, sorted, 1))
 
@@ -101,7 +151,7 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 				t.Fatalf("merge of %d entries is below the worker floor", entries)
 			}
 			placed, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 2)
-			if loan.c.bytes() != 0 {
+			if loan != (Loan{}) {
 				t.Errorf("%s: a two-range merge came with a loan", label)
 			}
 			sameAsHeapMerge(t, label+": two ranges", placed, mats, sr)
@@ -111,7 +161,7 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	}
 	one := []spmat.Matrix{uniformMat(t, 64, 64, 4, 427)}
 	out, loan, _ := MulMerge(KernelHashUnsorted, one, nil, 0, 0, sr, true, true, 1)
-	if out != one[0] || loan.c.bytes() != 0 {
+	if out != one[0] || loan != (Loan{}) {
 		t.Errorf("a one-operand merge lent a chunk instead of passing its operand through")
 	}
 	loan.Return()

@@ -130,7 +130,8 @@ type Plan struct {
 // length of one call, reused by the next window: the window's running flop
 // counts and, for a DCSC B, its columns, the B slot of its first column
 // (p0), and — in the first plan's scratch — the input entries of every
-// output slot.
+// output slot and, for a DCSC output, the union of the operands' stored
+// columns. A merge with no plan borrows a scratch for the last two alone.
 type planScratch struct {
 	slots    []int32
 	sums     []int64
@@ -138,6 +139,7 @@ type planScratch struct {
 	winPtr   []int64
 	winJC    []int32
 	colIn    []int64
+	union    []int32
 	p0       int32
 }
 
@@ -272,17 +274,23 @@ func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spm
 // caller's and the Loan holds nothing. lend is for a product that is read
 // once and dropped — a pipelined stage product on its way into a Merge-Layer
 // that accumulates it with others: when the call ran one range (every call
-// too small for a second worker), the product's entry arrays are the worker's
-// chunk itself, nothing copied and nothing allocated but the column metadata.
-// The caller must then be done reading the product, and everything that
-// shares its arrays (column-range views), before it hands the chunk back with
+// too small for a second worker), the product is made of the loan's arrays —
+// its entry arrays the worker's chunk itself, nothing copied, and its column
+// pointers and stored columns the loan's pooled metadata — so a warm call
+// allocates nothing by the product's size or width. The caller must then be
+// done reading the product, and everything that shares its arrays
+// (column-range views, Loan.ColRanges), before it hands them back with
 // Loan.Return, and must not let either escape: no merge of one operand, which
 // returns the operand, and nothing that keeps the product. A lending call that
 // ran several ranges returns an owned product and a Loan that holds nothing.
 // Either way the product shares nothing with the plan, which can be released
 // before the loan is returned.
 func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, lend bool, threads int) (spmat.Matrix, Loan) {
-	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), outputFor(lend))
+	mode := ownedOutput
+	if lend {
+		mode = lentOutput
+	}
+	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), mode)
 }
 
 // multiply runs the multiply on exactly workers ranges of B's slots (some
@@ -293,9 +301,17 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 	bv, colFlops := &pl.bv, pl.colFlops
 	aRows, _ := pl.a.Dims()
 	_, bCols := pl.b.Dims()
-	ptr := make([]int64, bv.n+1)
+	bounds := flopBounds(colFlops, workers)
+	sh := lendShell(mode, bounds)
+	ptr := sh.pointers(bv.n + 1)
+	// A doubly-compressed product lists its columns in an array of its own,
+	// compacted in place by newOutput: B's is B's.
+	var jc []int32
+	if bv.compressed {
+		jc = sh.copyColumns(bv.jc)
+	}
 	plusTimes := sr.IsPlusTimes()
-	ir, num, loan := onePass(flopBounds(colFlops, workers), func(w *mmWorker, lo, hi int32) {
+	ir, num, lent := onePass(bounds, func(w *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue
@@ -304,10 +320,8 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 			w.mulColumn(pl, p, sr, plusTimes, aRows, k.sorts())
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
-	}, mode)
-	// A doubly-compressed product lists its columns in an array of its own,
-	// compacted in place below: B's is B's.
-	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, k.sorts()), loan
+	}, sh.output())
+	return newOutput(aRows, bCols, jc, bv.compressed, ptr, ir, num, k.sorts()), sh.lend(lent)
 }
 
 // mulColumn appends the product column of B's slot p to the worker's chunk:
@@ -412,16 +426,16 @@ func MergeMat(_ Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput b
 
 // mergeSlots returns the slots of a merge of the operands viewed by views,
 // cols columns wide, and the input entries of each, in buf's array when it
-// has room: the union of the stored columns when every operand is
-// doubly-compressed — the output is then DCSC (slots.compressed) — and every
-// column otherwise.
-func mergeSlots(views []colView, cols int32, buf []int64) (colView, []int64) {
+// has room: the union of the stored columns — in union's array when it has
+// room — when every operand is doubly-compressed (the output is then DCSC,
+// slots.compressed), and every column otherwise.
+func mergeSlots(views []colView, cols int32, buf []int64, union []int32) (colView, []int64) {
 	allDCSC := true
 	for i := range views {
 		allDCSC = allDCSC && views[i].compressed
 	}
 	if allDCSC {
-		jc, colIn := unionCols(views, buf)
+		jc, colIn := unionCols(views, buf, union)
 		return colView{n: int32(len(colIn)), compressed: true, jc: jc}, colIn
 	}
 	colIn := slices.Grow(buf[:0], int(cols))[:cols]
@@ -447,13 +461,13 @@ func (w *mmWorker) mergeColumn(parts []colPart, want int64, rows int32, sr *semi
 
 // unionCols k-way-merges the stored-column lists of doubly-compressed
 // operands into their ascending union, with each union column's total entry
-// count (in buf's array when it has room).
-func unionCols(views []colView, buf []int64) (union []int32, colIn []int64) {
+// count (in the arrays of cols and buf when they have room).
+func unionCols(views []colView, buf []int64, cols []int32) (union []int32, colIn []int64) {
 	total := 0
 	for i := range views {
 		total += int(views[i].n)
 	}
-	union, colIn = make([]int32, 0, total), slices.Grow(buf[:0], total)
+	union, colIn = slices.Grow(cols[:0], total), slices.Grow(buf[:0], total)
 	idx := make([]int32, len(views))
 	for {
 		minJ := int32(-1)

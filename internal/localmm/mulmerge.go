@@ -65,7 +65,6 @@ import (
 // then releases them.
 func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, int64) {
 	var rows, cols int32
-	var colIn []int64
 	if len(plans) == 0 {
 		rows, cols = checkMergeShapes(prev)
 		if len(prev) == 1 {
@@ -90,7 +89,6 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 				panic(fmt.Sprintf("localmm: merge shape mismatch %v vs %dx%d", m, rows, cols))
 			}
 		}
-		colIn = plans[0].scratch.colIn
 	}
 	// A merge of one window alone passes that product through, sorted flag
 	// and all.
@@ -107,15 +105,30 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 		*v = pl.stageWindow(lo, hi)
 		entries += v.ptr[v.n]
 	}
-	// A fused merge keeps the input entries of its slots in the first plan's
-	// scratch; a merge with no plan makes them.
-	f.slots, colIn = mergeSlots(f.views, cols, colIn)
+	// The input entries of the output's slots, and a doubly-compressed
+	// output's union of stored columns, are worked out in plan scratch: a
+	// fused merge's first plan's, a merge with no plan's own, off the free
+	// list for the call.
+	var sc *planScratch
 	if len(plans) > 0 {
-		plans[0].scratch.colIn = colIn
+		sc = plans[0].scratch
+	} else {
+		sc = getPlanScratch()
+		defer putPlanScratch(sc)
 	}
-	slots := &f.slots
-	ptr := make([]int64, slots.n+1)
-	ir, num, loan := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, s0, s1 int32) {
+	f.slots, sc.colIn = mergeSlots(f.views, cols, sc.colIn, sc.union)
+	slots, colIn := &f.slots, sc.colIn
+	bounds := flopBounds(colIn, clampThreads(threads, slots.n, entries))
+	mode := ownedOutput
+	if lend {
+		mode = lentOutput
+	}
+	sh := lendShell(mode, bounds)
+	if slots.compressed {
+		sc.union, slots.jc = slots.jc, sh.copyColumns(slots.jc)
+	}
+	ptr := sh.pointers(slots.n + 1)
+	ir, num, lent := onePass(bounds, func(w *mmWorker, s0, s1 int32) {
 		w.seek(f.views, slots.index(s0))
 		w.at = slices.Grow(w.at[:0], len(plans))[:len(plans)]
 		clear(w.at)
@@ -129,8 +142,8 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 			ptr[s+1] = int64(len(w.rows) - start)
 		}
 		f.made.Add(made)
-	}, outputFor(lend))
-	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), loan, f.made.Load()
+	}, sh.output())
+	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), sh.lend(lent), f.made.Load()
 }
 
 // fusedPass is what every column of one MulMerge shares: the kernel and the

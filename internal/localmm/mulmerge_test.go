@@ -210,10 +210,10 @@ func checkFusedMerge(t *testing.T, label string, k Kernel, prev []spmat.Matrix, 
 	if nnz != planned {
 		t.Fatalf("%s: fused merge counts %d planned entries, their windows hold %d", name, nnz, planned)
 	}
-	if lend && got.NNZ() > 0 && loan.c.bytes() == 0 {
+	if lend && got.NNZ() > 0 && loan.chunkBytes() == 0 {
 		t.Fatalf("%s: a single-range output was not lent", name)
 	}
-	if !lend && loan.c.bytes() != 0 {
+	if !lend && loan != (Loan{}) {
 		t.Fatalf("%s: an owned output was lent", name)
 	}
 	loan.Return()
@@ -259,7 +259,7 @@ func TestMulMergeRunsSeveralRanges(t *testing.T) {
 				if !sameStored(got, want) || !sameStored(owned, want) {
 					t.Fatalf("%s: four workers' fused merge differs from the merge of the products", label)
 				}
-				if loan.c.bytes() != 0 {
+				if loan != (Loan{}) {
 					t.Fatalf("%s: a multi-range output was lent", label)
 				}
 				sameAsHeapMerge(t, label+"/owned", owned, mats, sr)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/spmat"
 )
@@ -64,7 +65,8 @@ import (
 // Only the chunk can leave: lent out as an output's entry arrays
 // (Plan.Mul, MulMerge), it comes back to a list of its own
 // while the rest of the worker has long gone back for the next call to find
-// warm.
+// warm. The column metadata of a lent output is no worker's: it comes with
+// the loan's shell (loanShell) and goes back with it.
 //
 // The inner loops write this struct constantly — every new row moves the
 // accumulator's occupied length, every drained column the chunk's — and
@@ -94,18 +96,20 @@ type chunk struct {
 // bytes is what the chunk's arrays hold on to.
 func (c chunk) bytes() int64 { return 4*int64(cap(c.rows)) + 8*int64(cap(c.vals)) }
 
-// idleWorkers is the free list of worker scratch and, beside it, of the
-// chunks that came back from a loan and of released plans' arrays
-// (Plan.Release). It holds strong references on purpose: a
+// idleWorkers is the free list of worker scratch and, beside it, of what
+// came back from a loan — the chunks, and the shells with their column
+// metadata — and of released plans' arrays (Plan.Release). It holds strong
+// references on purpose: a
 // distributed multiply makes thousands of small kernel calls between garbage
 // collections, and scratch kept only in a sync.Pool is dropped by every
 // collection and regrown from nothing.
 var idleWorkers struct {
 	sync.Mutex
-	ws         []*mmWorker
-	chunks     []chunk
-	chunkBytes int64 // Σ bytes() over chunks
-	plans      []*planScratch
+	ws        []*mmWorker
+	chunks    []chunk
+	shells    []*loanShell
+	loanBytes int64 // Σ bytes() over chunks + Σ bytes() over shells
+	plans     []*planScratch
 }
 
 // The free list keeps at most maxIdleWorkers workers, and a worker keeps no
@@ -113,14 +117,15 @@ var idleWorkers struct {
 // accumulator, row set, column views: a burst of concurrent callers or
 // one huge product pays for its scratch again next time instead of pinning it
 // for the life of the process. (The direct tables are bounded by
-// directTableBytes already.) The chunks that come back from loans are bounded
-// in bytes, all of them together: a job on a p-rank grid with q stages and l
-// layers has up to p·(q + 2l + 1) of them out at once — a pipelined batch's
+// directTableBytes already.) What comes back from loans is bounded in bytes,
+// chunks and shells all together: a job on a p-rank grid with q stages and l
+// layers has up to p·(q + 2l + 1) loans out at once — a pipelined batch's
 // stage products, two batches' Merge-Layer outputs, a discarded batch — and
 // a kept run every batch output besides until its reader releases them, not
 // one a core, and the list keeps what fits maxIdleChunkBytes of what comes
-// back and drops the rest. Released plans are kept like workers: at most
-// maxIdleWorkers of them, with no array above maxKeptEntries.
+// back, with no array above maxKeptEntries, and drops the rest. Released
+// plans are kept like workers: at most maxIdleWorkers of them, with no array
+// above maxKeptEntries.
 const (
 	maxIdleWorkers    = 64
 	maxKeptEntries    = 1 << 22
@@ -141,7 +146,7 @@ func getWorker() *mmWorker {
 	if n := len(idleWorkers.chunks); n > 0 && cap(w.rows) == 0 {
 		c := idleWorkers.chunks[n-1]
 		idleWorkers.chunks[n-1], idleWorkers.chunks = chunk{}, idleWorkers.chunks[:n-1]
-		idleWorkers.chunkBytes -= c.bytes()
+		idleWorkers.loanBytes -= c.bytes()
 		w.rows, w.vals = c.rows, c.vals
 	}
 	return w
@@ -196,8 +201,8 @@ func putPlanScratch(s *planScratch) {
 	if max(cap(s.slots), cap(s.sums)) > maxKeptEntries {
 		s.slots, s.sums = nil, nil
 	}
-	if max(cap(s.colFlops), cap(s.winPtr), cap(s.winJC), cap(s.colIn)) > maxKeptEntries {
-		s.colFlops, s.winPtr, s.winJC, s.colIn = nil, nil, nil, nil
+	if max(cap(s.colFlops), cap(s.winPtr), cap(s.winJC), cap(s.colIn), cap(s.union)) > maxKeptEntries {
+		s.colFlops, s.winPtr, s.winJC, s.colIn, s.union = nil, nil, nil, nil, nil
 	}
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
@@ -206,10 +211,11 @@ func putPlanScratch(s *planScratch) {
 	}
 }
 
-// poison overwrites a released plan's arrays: every slot and window column
-// past any column, every running sum, flop count and entry count −1.
+// poison overwrites a released plan's arrays: every slot, window column and
+// union column past any column, every running sum, flop count and entry count
+// −1.
 func (s *planScratch) poison() {
-	for _, a := range [][]int32{s.slots[:cap(s.slots)], s.winJC[:cap(s.winJC)]} {
+	for _, a := range [][]int32{s.slots[:cap(s.slots)], s.winJC[:cap(s.winJC)], s.union[:cap(s.union)]} {
 		for i := range a {
 			a[i] = math.MaxInt32
 		}
@@ -221,37 +227,168 @@ func (s *planScratch) poison() {
 	}
 }
 
-// Loan is a single-range output's claim on the chunk its entry arrays are
-// (Plan.Mul, MulMerge). The zero Loan holds nothing;
-// returning it does nothing.
-type Loan struct{ c chunk }
+// Loan is a single-range output's claim (Plan.Mul, MulMerge) on the shell
+// that holds what the output is made of: the chunk its entry arrays are, its
+// column metadata, and the metadata of the column-range views cut from it
+// (ColRanges). A Loan is a handle: copies of it name the same claim, and the
+// first of them returned ends it. The zero Loan holds nothing; returning it
+// does nothing.
+type Loan struct {
+	s   *loanShell
+	gen uint64
+}
 
-// Return hands the chunk back to the free list, which keeps it if it has no
-// array above maxKeptEntries and the returned chunks stay within
-// maxIdleChunkBytes with it. The product it was lent to must not be read
-// afterwards: the next kernel call on any goroutine fills the same arrays.
-// Returning twice is returning once.
-func (l *Loan) Return() {
-	c, n := l.c, l.c.bytes()
-	l.c = chunk{}
-	if n == 0 {
-		return
+// loanShell is what one loan holds while it lasts, and what the free list
+// keeps of it between loans: the chunk the output's entry arrays are (given
+// to the list's chunks on return), the output's column pointers (ptr) and, for
+// a doubly-compressed output, its stored columns (jc), and the buffers its
+// column-range views carve their pointers and stored columns from. Every
+// array keeps its capacity from loan to loan. gen counts the loans the shell
+// has ended: a Loan names the generation it was made in, so a stale copy of
+// an ended loan can never end the shell's next one.
+type loanShell struct {
+	c       chunk
+	ptr     []int64
+	jc      []int32
+	viewPtr []int64
+	viewJC  []int32
+	gen     atomic.Uint64
+}
+
+// shellSize is what a shell costs the free list beyond its arrays.
+const shellSize = int64(unsafe.Sizeof(loanShell{}))
+
+// bytes is what the shell's metadata arrays, and the shell itself, hold on to.
+func (s *loanShell) bytes() int64 {
+	return shellSize + 8*int64(cap(s.ptr)+cap(s.viewPtr)) + 4*int64(cap(s.jc)+cap(s.viewJC))
+}
+
+// lendShell takes a shell off the free list, most recently returned first,
+// for the output of a pass over bounds that asks to lend (out) — or returns
+// nil when the output will be owned: when out does not ask, or more than
+// one range will run.
+func lendShell(out passOutput, bounds []int32) *loanShell {
+	if out != lentOutput {
+		return nil
 	}
-	if PoisonReturnedChunks.Load() {
-		c.poison()
+	if first, last := nonEmptyRanges(bounds); first != last {
+		return nil
 	}
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
-	if max(cap(c.rows), cap(c.vals)) <= maxKeptEntries && idleWorkers.chunkBytes+n <= maxIdleChunkBytes {
+	n := len(idleWorkers.shells)
+	if n == 0 {
+		return new(loanShell)
+	}
+	s := idleWorkers.shells[n-1]
+	idleWorkers.shells[n-1], idleWorkers.shells = nil, idleWorkers.shells[:n-1]
+	idleWorkers.loanBytes -= s.bytes()
+	return s
+}
+
+// output is the pass output the shell asks for: the one range's chunk itself
+// when there is a shell to lend it with, exactly-sized owned arrays
+// otherwise.
+func (s *loanShell) output() passOutput {
+	if s == nil {
+		return ownedOutput
+	}
+	return lentOutput
+}
+
+// pointers returns n zeroed column pointers: the shell's when there is one,
+// a new array otherwise.
+func (s *loanShell) pointers(n int32) []int64 {
+	if s == nil {
+		return make([]int64, n)
+	}
+	s.ptr = slices.Grow(s.ptr[:0], int(n))[:n]
+	clear(s.ptr)
+	return s.ptr
+}
+
+// copyColumns returns a copy of cols, the stored columns of a
+// doubly-compressed output, for the output to own: in the shell's array when
+// there is a shell, in a new one otherwise.
+func (s *loanShell) copyColumns(cols []int32) []int32 {
+	if s == nil {
+		return slices.Clone(cols)
+	}
+	s.jc = append(s.jc[:0], cols...)
+	return s.jc
+}
+
+// lend makes the loan of an output whose entry arrays are c (empty when the
+// one range filled nothing) and whose metadata is the shell's; no shell, no
+// loan.
+func (s *loanShell) lend(c chunk) Loan {
+	if s == nil {
+		return Loan{}
+	}
+	s.c = c
+	return Loan{s: s, gen: s.gen.Load()}
+}
+
+// ColRanges is spmat.MatColRanges of the lent output m: its pieces' column
+// pointers and stored columns are carved from the loan's buffers, so they
+// live exactly as long as m's entries do and go back to the free list with
+// them. On an empty Loan — an owned m — the pieces own their metadata, as
+// MatColRanges makes them. Views cut from one loan more than once all stay
+// valid until it is returned.
+func (l Loan) ColRanges(m spmat.Matrix, bounds []int32) []spmat.Matrix {
+	s := l.s
+	if s == nil {
+		return spmat.MatColRanges(m, bounds)
+	}
+	var pieces []spmat.Matrix
+	pieces, s.viewPtr, s.viewJC = spmat.MatColRangesInto(m, bounds, s.viewPtr, s.viewJC)
+	return pieces
+}
+
+// Return ends the loan. The chunk goes back to the free list, which keeps it
+// if it has no array above maxKeptEntries and what came back from loans stays
+// within maxIdleChunkBytes with it, and the shell goes back with its
+// metadata on the same terms (an array above maxKeptEntries is dropped first).
+// The output and every view cut from it must not be read afterwards: the
+// next kernel call on any goroutine fills the same arrays. Returning twice is
+// returning once, and so is returning a copy of a returned Loan.
+func (l *Loan) Return() {
+	s, gen := l.s, l.gen
+	*l = Loan{}
+	if s == nil || !s.gen.CompareAndSwap(gen, gen+1) {
+		return
+	}
+	c := s.c
+	s.c = chunk{}
+	if PoisonReturnedChunks.Load() {
+		c.poison()
+		s.poison()
+	}
+	if max(cap(s.ptr), cap(s.viewPtr)) > maxKeptEntries {
+		s.ptr, s.viewPtr = nil, nil
+	}
+	if max(cap(s.jc), cap(s.viewJC)) > maxKeptEntries {
+		s.jc, s.viewJC = nil, nil
+	}
+	s.viewPtr, s.viewJC = s.viewPtr[:0], s.viewJC[:0]
+	idleWorkers.Lock()
+	defer idleWorkers.Unlock()
+	if n := c.bytes(); n > 0 && max(cap(c.rows), cap(c.vals)) <= maxKeptEntries && idleWorkers.loanBytes+n <= maxIdleChunkBytes {
 		idleWorkers.chunks = append(idleWorkers.chunks, c)
-		idleWorkers.chunkBytes += n
+		idleWorkers.loanBytes += n
+	}
+	if n := s.bytes(); idleWorkers.loanBytes+n <= maxIdleChunkBytes {
+		idleWorkers.shells = append(idleWorkers.shells, s)
+		idleWorkers.loanBytes += n
 	}
 }
 
 // PoisonReturnedChunks is a hook for tests, here and in core: while it is
 // set, Return overwrites the whole chunk — every row −1, every value NaN —
-// before the free list sees it, so a product still read after its loan ended
-// fails the comparison it takes part in instead of passing by luck of timing.
+// and all of the shell's metadata — every pointer and stored column −1 —
+// before the free list sees them, so a product or a view of it still read
+// after its loan ended fails the comparison it takes part in, or its first
+// column read, instead of passing by luck of timing.
 var PoisonReturnedChunks atomic.Bool
 
 func (c chunk) poison() {
@@ -261,6 +398,19 @@ func (c chunk) poison() {
 	}
 	for i := range vals {
 		vals[i] = math.NaN()
+	}
+}
+
+func (s *loanShell) poison() {
+	for _, a := range [][]int64{s.ptr[:cap(s.ptr)], s.viewPtr[:cap(s.viewPtr)]} {
+		for i := range a {
+			a[i] = -1
+		}
+	}
+	for _, a := range [][]int32{s.jc[:cap(s.jc)], s.viewJC[:cap(s.viewJC)]} {
+		for i := range a {
+			a[i] = -1
+		}
 	}
 }
 
@@ -351,18 +501,25 @@ const (
 	lentOutput                    // the chunk itself when one range ran, owned arrays otherwise
 )
 
-// outputFor is the output a caller's lend asks of a pass.
-func outputFor(lend bool) passOutput {
-	if lend {
-		return lentOutput
-	}
-	return ownedOutput
-}
-
 // runWorkers executes fn once per non-empty column range, each with its own
 // scratch: the last range on the caller's goroutine, the others on theirs.
 func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
 	onePass(bounds, fn, noOutput)
+}
+
+// nonEmptyRanges returns the first and the last range of bounds that holds a
+// column (−1, −1 when none does).
+func nonEmptyRanges(bounds []int32) (first, last int) {
+	first, last = -1, -1
+	for t := 0; t+1 < len(bounds); t++ {
+		if bounds[t] < bounds[t+1] {
+			if first < 0 {
+				first = t
+			}
+			last = t
+		}
+	}
+	return first, last
 }
 
 // onePass runs the plan described at the top of this file. fill computes
@@ -370,16 +527,39 @@ func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
 // arrive empty. Unless out is noOutput the pass returns the output's entry
 // arrays, the ranges' chunks back to back in range order: a copy of the chunk
 // when one range ran, an allocation the ranges place their chunks into when
-// several did — or, under lentOutput with one range, the chunk itself and
-// the loan that returns it.
-func onePass(bounds []int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, loan Loan) {
-	last := len(bounds) - 2
-	for last >= 0 && bounds[last] == bounds[last+1] {
-		last--
-	}
+// several did — or, under lentOutput with one range that filled anything,
+// the chunk itself, which it also returns as lent. One range runs on the
+// caller's goroutine with nothing else to coordinate.
+func onePass(bounds []int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, lent chunk) {
+	first, last := nonEmptyRanges(bounds)
 	if last < 0 {
-		return []int32{}, []float64{}, Loan{}
+		return []int32{}, []float64{}, chunk{}
 	}
+	if first < last {
+		ir, num = manyRanges(bounds, last, fill, out)
+		return ir, num, chunk{}
+	}
+	w := getWorker()
+	w.rows, w.vals = w.rows[:0], w.vals[:0]
+	fill(w, bounds[last], bounds[last+1])
+	switch {
+	case out == noOutput:
+	case out == lentOutput && len(w.rows) > 0:
+		lent = chunk{w.rows, w.vals}
+		ir, num = slices.Clip(w.rows), slices.Clip(w.vals)
+		w.rows, w.vals = nil, nil
+	default:
+		ir, num = slices.Clip(append([]int32{}, w.rows...)), slices.Clip(append([]float64{}, w.vals...))
+	}
+	putWorker(w)
+	return ir, num, lent
+}
+
+// manyRanges is onePass over two or more non-empty ranges, the last of them
+// last: each range but the last on a goroutine of its own, which waits for the
+// allocation and then places its chunk; the output, unless out is noOutput,
+// is always owned.
+func manyRanges(bounds []int32, last int, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
 	ws := make([]*mmWorker, last+1)
 	offs := make([]int, last+1)
 	run := func(t int) {
@@ -396,13 +576,11 @@ func onePass(bounds []int32, fill func(w *mmWorker, lo, hi int32), out passOutpu
 	// closed once ir, num and offs are set.
 	allocated := make(chan struct{})
 	var filled, placed sync.WaitGroup
-	spawned := 0
 	for t := 0; t < last; t++ {
 		if bounds[t] == bounds[t+1] {
 			continue
 		}
 		ws[t] = getWorker()
-		spawned++
 		filled.Add(1)
 		placed.Add(1)
 		go func(t int) {
@@ -415,19 +593,10 @@ func onePass(bounds []int32, fill func(w *mmWorker, lo, hi int32), out passOutpu
 			}
 		}(t)
 	}
-	w := getWorker()
-	ws[last] = w
+	ws[last] = getWorker()
 	run(last)
 	filled.Wait()
-	switch {
-	case out == noOutput:
-	case spawned == 0 && out == lentOutput && len(w.rows) > 0:
-		loan = Loan{chunk{w.rows, w.vals}}
-		ir, num = slices.Clip(w.rows), slices.Clip(w.vals)
-		w.rows, w.vals = nil, nil
-	case spawned == 0:
-		ir, num = slices.Clip(append([]int32{}, w.rows...)), slices.Clip(append([]float64{}, w.vals...))
-	default:
+	if out != noOutput {
 		total := 0
 		for t, w := range ws {
 			if w != nil {
@@ -445,5 +614,5 @@ func onePass(bounds []int32, fill func(w *mmWorker, lo, hi int32), out passOutpu
 			putWorker(w)
 		}
 	}
-	return ir, num, loan
+	return ir, num
 }

@@ -171,7 +171,7 @@ func heapMerge(mats []spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Ma
 		views[i] = viewOf(m)
 		entries += m.NNZ()
 	}
-	slots, colIn := mergeSlots(views, cols, nil)
+	slots, colIn := mergeSlots(views, cols, nil, nil)
 	ptr := make([]int64, slots.n+1)
 	plusTimes := sr.IsPlusTimes()
 	ir, num, _ := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), func(w *mmWorker, lo, hi int32) {

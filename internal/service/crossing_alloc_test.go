@@ -18,9 +18,10 @@ import (
 // segment table and stream buffer, and the client's decode into CSC arrays —
 // 1.1–1.3 wire lengths when this test was written. The in-process job keeps
 // its result because a job without one keeps no product at all, so measuring
-// against it would count the product's making as its crossing; it hands the
-// pieces' chunks back unread, as the handler does once it has streamed them,
-// so both sides make the product in the same reused chunks. The bound is
+// against it would count the product's making as its crossing; Multiply hands
+// the pieces' chunks back unread before it returns, as the handler does once
+// it has streamed them, so both sides make the product in the same reused
+// chunks. The bound is
 // two wire lengths plus 1 MiB
 // for the request, the document and the buffers. The parent of this test
 // assembled the global CSC, serialized it, buffered the whole body in the
@@ -34,11 +35,9 @@ func TestReturnedProductCrossesOnce(t *testing.T) {
 	}
 	var wire int64
 	direct := func() {
-		res, err := s.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true})
-		if err != nil {
+		if _, err := s.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true}); err != nil {
 			t.Fatal(err)
 		}
-		res.releaseProduct()
 	}
 	overHTTP := func() {
 		_, c, err := cl.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true})

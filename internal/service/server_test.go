@@ -280,11 +280,7 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 				sameBits(t, "resident "+side, res.mat, m)
 			}
 			req := MultiplyRequest{A: tc.name + "/a", B: tc.name + "/b", ReturnResult: true}
-			want, err := s.Multiply(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantC := product(t, want)
+			want, wantC := product(t, s, req)
 			resp, c, err := cl.Multiply(req)
 			if err != nil {
 				t.Fatal(err)
@@ -743,11 +739,8 @@ func TestServiceRoundTripBytesBudget(t *testing.T) {
 			if _, _, err := inProc.Load(name, m); err != nil {
 				t.Fatal(err)
 			}
-			res, err := inProc.Multiply(MultiplyRequest{A: name, B: name, ReturnResult: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return product(t, res)
+			_, c := product(t, inProc, MultiplyRequest{A: name, B: name})
+			return c
 		}
 		job("warm", warm)
 		var want *spmat.CSC

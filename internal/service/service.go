@@ -183,10 +183,11 @@ type MultiplyRequest struct {
 
 // MultiplyResult is one completed job.
 type MultiplyResult struct {
-	// ranks are the ranks' results when ReturnResult was set: the product,
-	// still in the batch pieces Merge-Fiber made, on loan from the kernels
-	// (core.Result.Release). The HTTP handler streams their wire bytes
-	// without assembling them, and multiply releases them once it has.
+	// ranks are the ranks' results when ReturnResult was set, while deliver
+	// runs: the product, still in the batch pieces Merge-Fiber made, on loan
+	// from the kernels (core.Result.Release). The HTTP handler streams their
+	// wire bytes without assembling them, and multiply releases them once it
+	// has, before it returns.
 	ranks []*core.Result
 	// Rows, Cols, NNZ describe the output.
 	Rows int32 `json:"rows"`
@@ -226,7 +227,10 @@ type MultiplyResult struct {
 	Trace *obs.Recorder `json:"-"`
 }
 
-// Multiply plans (through the cache), admits, and executes one job.
+// Multiply plans (through the cache), admits, and executes one job. The
+// result reports the job; the product itself reaches only the /multiply
+// handler, which streams it: a ReturnResult job run here hands its product
+// back to the kernels before it returns, inside its reservation.
 func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 	return s.multiply(req, nil)
 }
@@ -236,8 +240,8 @@ func (s *Service) Multiply(req MultiplyRequest) (*MultiplyResult, error) {
 // released once deliver returns: the /multiply handler streams a returned
 // product from the ranks' pieces in it, so the memory those pieces take stays
 // charged until the last byte has been written. deliver is the pieces' last
-// reader: once it returns, their chunks go back to the kernels
-// (releaseProduct), still inside the reservation.
+// reader: once it returns — or at once, with no deliver — their chunks go
+// back to the kernels (releaseProduct), still inside the reservation.
 func (s *Service) multiply(req MultiplyRequest, deliver func(*MultiplyResult)) (*MultiplyResult, error) {
 	jobID := s.jobSeq.Add(1)
 	jobStart := time.Now()
@@ -362,8 +366,8 @@ func (s *Service) multiply(req MultiplyRequest, deliver func(*MultiplyResult)) (
 	s.log.Info("job done", attrs...)
 	if deliver != nil {
 		deliver(res)
-		res.releaseProduct()
 	}
+	res.releaseProduct()
 	return res, nil
 }
 

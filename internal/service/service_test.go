@@ -27,16 +27,23 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// Product assembles the job's output matrix from the ranks' pieces
-// (core.AssembleResults) and then, as the pieces' last reader, hands their
-// chunks back the way the /multiply handler does once it has streamed them;
-// it is nil when the request did not set ReturnResult, or on a second call.
-func (r *MultiplyResult) Product() (*spmat.CSC, error) {
-	if r.ranks == nil {
-		return nil, nil
+// multiplyProduct runs one job as the /multiply handler does and, where the
+// handler streams the product, assembles it (core.AssembleResults) from the
+// ranks' pieces while they are still lent; the job hands their chunks back
+// once that is done. The product is nil when the request did not set
+// ReturnResult.
+func (s *Service) multiplyProduct(req MultiplyRequest) (*MultiplyResult, *spmat.CSC, error) {
+	var c *spmat.CSC
+	var aerr error
+	res, err := s.multiply(req, func(r *MultiplyResult) {
+		if r.ranks != nil {
+			c, aerr = core.AssembleResults(r.ranks, r.Rows, r.Cols)
+		}
+	})
+	if err == nil {
+		err = aerr
 	}
-	defer r.releaseProduct()
-	return core.AssembleResults(r.ranks, r.Rows, r.Cols)
+	return res, c, err
 }
 
 // testConfig is a small cluster with a budget tight enough to force multi-
@@ -73,14 +80,16 @@ func oneShot(t *testing.T, a, b *spmat.CSC, cfg Config) *spmat.CSC {
 	return c
 }
 
-// product is a job's assembled output; the job must have kept one.
-func product(t *testing.T, res *MultiplyResult) *spmat.CSC {
+// product runs a job that asks for its product back (multiplyProduct) and
+// returns the job and the product, which must exist.
+func product(t *testing.T, s *Service, req MultiplyRequest) (*MultiplyResult, *spmat.CSC) {
 	t.Helper()
-	c, err := res.Product()
+	req.ReturnResult = true
+	res, c, err := s.multiplyProduct(req)
 	if err != nil || c == nil {
-		t.Fatalf("job %d: product %v, error %v", res.JobID, c, err)
+		t.Fatalf("%s·%s: product %v, error %v", req.A, req.B, c, err)
 	}
-	return c
+	return res, c
 }
 
 // A request that does not ask for the result back keeps no product — the job
@@ -99,18 +108,14 @@ func TestMultiplyWithoutResultReportsTheSame(t *testing.T) {
 		}
 	}
 	for _, pair := range [][2]string{{"a", "a"}, {"a", "rect"}, {"rectT", "a"}} {
-		with, err := s.Multiply(MultiplyRequest{A: pair[0], B: pair[1], ReturnResult: true})
+		with, wc := product(t, s, MultiplyRequest{A: pair[0], B: pair[1]})
+		without, c, err := s.multiplyProduct(MultiplyRequest{A: pair[0], B: pair[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := s.Multiply(MultiplyRequest{A: pair[0], B: pair[1]})
-		if err != nil {
-			t.Fatal(err)
+		if c != nil {
+			t.Fatalf("%v: a result nobody asked for was kept: %v", pair, c)
 		}
-		if c, err := without.Product(); c != nil || err != nil {
-			t.Fatalf("%v: a result nobody asked for was kept: %v, %v", pair, c, err)
-		}
-		wc := product(t, with)
 		if r, c := wc.Dims(); with.Rows != r || with.Cols != c || with.NNZ != wc.NNZ() {
 			t.Fatalf("%v: response says %dx%d nnz %d, the result is %v", pair, with.Rows, with.Cols, with.NNZ, wc)
 		}
@@ -137,27 +142,21 @@ func TestRepeatMultiplyZeroProbeWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := s.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, firstC := product(t, s, MultiplyRequest{A: "a", B: "a"})
 	if first.Plan.CacheHit {
 		t.Fatalf("first request must be a plan-cache miss")
 	}
 	if got := s.Stats().Probes; got != 1 {
 		t.Fatalf("first request should probe exactly once, got %d", got)
 	}
-	firstWire := product(t, first).Serialize()
+	firstWire := firstC.Serialize()
 
 	for i := 0; i < 3; i++ {
-		rep, err := s.Multiply(MultiplyRequest{A: "a", B: "a", ReturnResult: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep, repC := product(t, s, MultiplyRequest{A: "a", B: "a"})
 		if !rep.Plan.CacheHit {
 			t.Fatalf("repeat %d must be a plan-cache hit", i)
 		}
-		if !bytes.Equal(product(t, rep).Serialize(), firstWire) {
+		if !bytes.Equal(repC.Serialize(), firstWire) {
 			t.Fatalf("repeat %d output differs from first", i)
 		}
 	}
@@ -209,11 +208,8 @@ func TestConcurrentJobsBitIdenticalAndZeroMissesAfterWarmup(t *testing.T) {
 	// Sequential warmup + golden outputs.
 	want := make(map[[2]string][]byte)
 	for _, pr := range pairs {
-		res, err := s.Multiply(MultiplyRequest{A: pr[0], B: pr[1], ReturnResult: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[pr] = product(t, res).Serialize()
+		_, c := product(t, s, MultiplyRequest{A: pr[0], B: pr[1]})
+		want[pr] = c.Serialize()
 		// The goldens really are the one-shot results.
 		one := oneShot(t, mats[pr[0]], mats[pr[1]], cfg)
 		if !bytes.Equal(want[pr], one.Serialize()) {
@@ -232,7 +228,7 @@ func TestConcurrentJobsBitIdenticalAndZeroMissesAfterWarmup(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				pr := pairs[(c+i)%len(pairs)]
-				res, err := s.Multiply(MultiplyRequest{A: pr[0], B: pr[1], ReturnResult: true})
+				res, got, err := s.multiplyProduct(MultiplyRequest{A: pr[0], B: pr[1], ReturnResult: true})
 				if err != nil {
 					errs <- fmt.Errorf("client %d job %d %v: %w", c, i, pr, err)
 					return
@@ -241,7 +237,7 @@ func TestConcurrentJobsBitIdenticalAndZeroMissesAfterWarmup(t *testing.T) {
 					errs <- fmt.Errorf("client %d job %d %v: plan-cache miss after warmup", c, i, pr)
 					return
 				}
-				if got, err := res.Product(); err != nil || !bytes.Equal(got.Serialize(), want[pr]) {
+				if got == nil || !bytes.Equal(got.Serialize(), want[pr]) {
 					errs <- fmt.Errorf("client %d job %d %v: output differs from sequential one-shot", c, i, pr)
 					return
 				}
@@ -508,11 +504,8 @@ func TestMultiplySemiring(t *testing.T) {
 	if _, _, err := s.Load("a", a); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Multiply(MultiplyRequest{A: "a", B: "a", Semiring: "bool-or-and", ReturnResult: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range product(t, res).Val {
+	_, c := product(t, s, MultiplyRequest{A: "a", B: "a", Semiring: "bool-or-and"})
+	for _, v := range c.Val {
 		if v != 0 && v != 1 {
 			t.Fatalf("bool-or-and output must be 0/1-valued, got %g", v)
 		}

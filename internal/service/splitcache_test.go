@@ -102,14 +102,8 @@ func TestSplitCacheHitMatchesMissAndFreshRun(t *testing.T) {
 				s.plans = NewPlanCache()
 				pinPlan(t, s, "a", "b", ch)
 				before := s.Stats()
-				first, err := s.Multiply(MultiplyRequest{A: "a", B: "b", ReturnResult: true, Trace: true})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				repeat, err := s.Multiply(MultiplyRequest{A: "a", B: "b", ReturnResult: true, Trace: true})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+				first, firstC := product(t, s, MultiplyRequest{A: "a", B: "b", Trace: true})
+				repeat, repeatC := product(t, s, MultiplyRequest{A: "a", B: "b", Trace: true})
 				// The first job of a layer count and format deals both operands.
 				misses := int64(2)
 				if pipe {
@@ -128,8 +122,12 @@ func TestSplitCacheHitMatchesMissAndFreshRun(t *testing.T) {
 				for _, r := range results {
 					peak = max(peak, r.PeakMemBytes)
 				}
-				for what, res := range map[string]*MultiplyResult{"first": first, "repeat": repeat} {
-					if !bytes.Equal(product(t, res).Serialize(), want.Serialize()) {
+				for what, job := range map[string]struct {
+					res *MultiplyResult
+					c   *spmat.CSC
+				}{"first": {first, firstC}, "repeat": {repeat, repeatC}} {
+					res := job.res
+					if !bytes.Equal(job.c.Serialize(), want.Serialize()) {
 						t.Errorf("%s: the %s job's product differs from a fresh MultiplyRanks", name, what)
 					}
 					if res.Batches != results[0].Batches || res.PeakMemBytesPerRank != peak || volumes(res.Trace) != volumes(trace) {
@@ -183,11 +181,9 @@ func TestSplitCacheBlocksSurviveConcurrentJobs(t *testing.T) {
 			defer wg.Done()
 			for i := range pairs {
 				pr := pairs[(c+i)%len(pairs)]
-				res, err := s.Multiply(MultiplyRequest{A: pr[0], B: pr[1], ReturnResult: c%2 == 0})
-				if err == nil && c%2 == 0 {
-					if got, perr := res.Product(); perr != nil || !bytes.Equal(got.Serialize(), want[pr]) {
-						err = fmt.Errorf("output differs from the one-shot product (%v)", perr)
-					}
+				_, got, err := s.multiplyProduct(MultiplyRequest{A: pr[0], B: pr[1], ReturnResult: c%2 == 0})
+				if err == nil && c%2 == 0 && (got == nil || !bytes.Equal(got.Serialize(), want[pr])) {
+					err = fmt.Errorf("output differs from the one-shot product")
 				}
 				if err != nil {
 					errs <- fmt.Errorf("client %d %v: %w", c, pr, err)

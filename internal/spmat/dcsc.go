@@ -3,6 +3,7 @@ package spmat
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -392,52 +393,82 @@ func MatColSelect(m Matrix, cols []int32) Matrix {
 // MatColRanges cuts m's columns at the ascending bounds into len(bounds)-1
 // contiguous pieces of m's concrete format — piece k is columns
 // [bounds[k], bounds[k+1]) under local indices — in one pass over the stored
-// columns. The pieces are views: each owns its column metadata and shares
-// m's entry arrays (capacity-capped, so appending to a piece can never run
-// into its neighbour), and a piece that covers every column is m itself.
-// That is what the fiber split wants — the pieces of a merged product are
-// only ever read, by the ranks they are sent to — and nothing that goes on
+// columns. The pieces are views: each shares m's entry arrays
+// (capacity-capped, so appending to a piece can never run into its
+// neighbour) and has column metadata of its own, the pieces' together in one
+// new array (MatColRangesInto), and a piece that covers every column is m
+// itself. That is what the fiber split wants — the pieces of a merged product
+// are only ever read, by the ranks they are sent to — and nothing that goes on
 // to mutate entries in place should be built from them.
 func MatColRanges(m Matrix, bounds []int32) []Matrix {
+	pieces, _, _ := MatColRangesInto(m, bounds, nil, nil)
+	return pieces
+}
+
+// MatColRangesInto is MatColRanges with the pieces' rebased column metadata —
+// their pointers, and for DCSC their stored columns — carved from the spare
+// room of ptr and jc: appended after what the buffers hold, each piece's
+// arrays capacity-capped at its own end. A buffer short of room grows once,
+// to a new array; what it held is left where it was, so pieces cut from the
+// same buffers before stay valid. It returns the pieces and the buffers with
+// their metadata appended, for the next call.
+func MatColRangesInto(m Matrix, bounds []int32, ptr []int64, jc []int32) ([]Matrix, []int64, []int32) {
 	_, cols := m.Dims()
-	out := make([]Matrix, len(bounds)-1)
 	c, isCSC := m.(*CSC)
 	var d *DCSC
 	if !isCSC {
 		d = m.ToDCSC()
 	}
-	p := 0 // DCSC: first stored column not yet handed to a piece
-	for k := range out {
+	// slot returns the first stored column at or after column b.
+	slot := func(b int32) int {
+		if isCSC {
+			return int(b)
+		}
+		p, _ := slices.BinarySearch(d.JC, b)
+		return p
+	}
+	needPtr, needJC := 0, 0
+	for k := 0; k+1 < len(bounds); k++ {
 		b0, b1 := bounds[k], bounds[k+1]
 		if b0 < 0 || b1 < b0 || b1 > cols {
 			panic(fmt.Sprintf("spmat: MatColRanges bounds %v out of range for %d columns", bounds, cols))
 		}
-		switch {
-		case b0 == 0 && b1 == cols:
-			out[k] = m
-		case isCSC:
-			lo, hi := c.ColPtr[b0], c.ColPtr[b1]
-			ptr := make([]int64, b1-b0+1)
-			for x := range ptr {
-				ptr[x] = c.ColPtr[b0+int32(x)] - lo
-			}
-			out[k] = &CSC{Rows: c.Rows, Cols: b1 - b0, ColPtr: ptr, RowIdx: c.RowIdx[lo:hi:hi], Val: c.Val[lo:hi:hi], SortedCols: c.SortedCols}
-		default:
-			for p < len(d.JC) && d.JC[p] < b0 {
-				p++
-			}
-			p0 := p
-			for p < len(d.JC) && d.JC[p] < b1 {
-				p++
-			}
-			lo, hi := d.CP[p0], d.CP[p]
-			jc, cp := make([]int32, p-p0), make([]int64, p-p0+1)
-			for x := range jc {
-				jc[x] = d.JC[p0+x] - b0
-				cp[x+1] = d.CP[p0+x+1] - lo
-			}
-			out[k] = &DCSC{Rows: d.Rows, Cols: b1 - b0, JC: jc, CP: cp, IR: d.IR[lo:hi:hi], Num: d.Num[lo:hi:hi], SortedCols: d.SortedCols}
+		if b0 == 0 && b1 == cols {
+			continue
+		}
+		n := slot(b1) - slot(b0)
+		needPtr += n + 1
+		if !isCSC {
+			needJC += n
 		}
 	}
-	return out
+	ptr, jc = slices.Grow(ptr, needPtr), slices.Grow(jc, needJC)
+	out := make([]Matrix, len(bounds)-1)
+	for k := range out {
+		b0, b1 := bounds[k], bounds[k+1]
+		if b0 == 0 && b1 == cols {
+			out[k] = m
+			continue
+		}
+		start := len(ptr)
+		if isCSC {
+			lo, hi := c.ColPtr[b0], c.ColPtr[b1]
+			for _, x := range c.ColPtr[b0 : b1+1] {
+				ptr = append(ptr, x-lo)
+			}
+			out[k] = &CSC{Rows: c.Rows, Cols: b1 - b0, ColPtr: ptr[start:len(ptr):len(ptr)], RowIdx: c.RowIdx[lo:hi:hi], Val: c.Val[lo:hi:hi], SortedCols: c.SortedCols}
+			continue
+		}
+		p0, p1 := slot(b0), slot(b1)
+		lo, hi := d.CP[p0], d.CP[p1]
+		j0 := len(jc)
+		for _, j := range d.JC[p0:p1] {
+			jc = append(jc, j-b0)
+		}
+		for _, x := range d.CP[p0 : p1+1] {
+			ptr = append(ptr, x-lo)
+		}
+		out[k] = &DCSC{Rows: d.Rows, Cols: b1 - b0, JC: jc[j0:len(jc):len(jc)], CP: ptr[start:len(ptr):len(ptr)], IR: d.IR[lo:hi:hi], Num: d.Num[lo:hi:hi], SortedCols: d.SortedCols}
+	}
+	return out, ptr, jc
 }

@@ -1,7 +1,9 @@
 package spmat
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -183,6 +185,79 @@ func TestMatColRangesMatchColRange(t *testing.T) {
 		}
 		if whole := MatColRanges(src, []int32{0, 400}); whole[0] != src {
 			t.Fatalf("%v: a range covering every column copied the operand", src.Format())
+		}
+	}
+}
+
+// TestMatColRangesIntoCarvesBuffers holds the buffer-carving cut to
+// MatColRanges in both formats, over empty ranges, ranges that cover the
+// matrix and ranges that do not, into buffers that are nil, too short (they
+// grow), long enough (they do not) and reused by a second cut. The pieces are
+// MatColRanges's, and their metadata is carved from the returned buffers back
+// to back after what the buffers held, which stays as it was, each array
+// capped at its own end; a range that covers every column is the operand
+// itself and carves nothing. Pieces of an earlier cut into the same buffers
+// stay as they were.
+func TestMatColRangesIntoCarvesBuffers(t *testing.T) {
+	m := randomNNZCSC(t, 24, 400, 300, 17)
+	for _, src := range []Matrix{m, m.ToDCSC()} {
+		for _, bounds := range [][]int32{{5, 5, 40, 41, 399, 399}, {0, 400}, {0, 0, 400}, {0, 200, 400}, {7, 7}} {
+			want := MatColRanges(src, bounds)
+			for _, buf := range []struct {
+				name string
+				ptr  []int64
+				jc   []int32
+			}{
+				{"nil", nil, nil},
+				{"short", []int64{77, 78}, []int32{79}},
+				{"long", append(make([]int64, 0, 2048), 77, 78), append(make([]int32, 0, 2048), 79)},
+			} {
+				label := fmt.Sprintf("%v %v into %s buffers", src.Format(), bounds, buf.name)
+				held, heldJC := len(buf.ptr), len(buf.jc)
+				pieces, ptr, jc := MatColRangesInto(src, bounds, buf.ptr, buf.jc)
+				if !slices.Equal(ptr[:held], buf.ptr) || !slices.Equal(jc[:heldJC], buf.jc) {
+					t.Fatalf("%s: what the buffers held was overwritten", label)
+				}
+				if buf.name == "long" && (&ptr[0] != &buf.ptr[0] || &jc[0] != &buf.jc[0]) {
+					t.Fatalf("%s: buffers with room were reallocated", label)
+				}
+				off, offJC := held, heldJC
+				for k, piece := range pieces {
+					if piece.Format() != want[k].Format() || !Equal(piece.ToCSC(), want[k].ToCSC()) || piece.Sorted() != want[k].Sorted() {
+						t.Fatalf("%s: piece %d is %v, MatColRanges cuts %v", label, k, piece, want[k])
+					}
+					if bounds[k] == 0 && bounds[k+1] == 400 {
+						if piece != src {
+							t.Fatalf("%s: a range covering every column is not the operand", label)
+						}
+						continue
+					}
+					var cp []int64
+					switch piece := piece.(type) {
+					case *CSC:
+						cp = piece.ColPtr
+					case *DCSC:
+						cp = piece.CP
+						if len(piece.JC) > 0 && &piece.JC[0] != &jc[offJC] || cap(piece.JC) != len(piece.JC) {
+							t.Fatalf("%s: piece %d's stored columns are not carved from the buffer at %d, capped", label, k, offJC)
+						}
+						offJC += len(piece.JC)
+					}
+					if &cp[0] != &ptr[off] || cap(cp) != len(cp) {
+						t.Fatalf("%s: piece %d's pointers are not carved from the buffer at %d, capped", label, k, off)
+					}
+					off += len(cp)
+				}
+				if off != len(ptr) || offJC != len(jc) {
+					t.Fatalf("%s: the pieces carve %d pointers and %d columns, the buffers grew to %d and %d", label, off, offJC, len(ptr), len(jc))
+				}
+				again, _, _ := MatColRangesInto(src, bounds, ptr, jc)
+				for k := range pieces {
+					if !Equal(pieces[k].ToCSC(), want[k].ToCSC()) || !Equal(again[k].ToCSC(), want[k].ToCSC()) {
+						t.Fatalf("%s: a second cut into the same buffers changed piece %d", label, k)
+					}
+				}
+			}
 		}
 	}
 }
