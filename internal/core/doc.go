@@ -50,8 +50,12 @@
 //
 // Every kernel output whose last reader is known is lent, not copied
 // (localmm.Plan.Mul and localmm.MulMerge with lend): its entry
-// arrays are a kernel worker's chunk until the rank hands it back
-// (localmm.Loan.Return). Each loan is returned by exactly one owner, and that
+// arrays are a kernel worker's chunk, and its column metadata the loan's
+// pooled arrays, until the rank hands them back (localmm.Loan.Return). The
+// fiber split's views of a lent output carve their metadata from its loan
+// (localmm.Loan.ColRanges), so they live exactly as long as its entries and
+// the peers read them under the same rule. Each loan is returned by exactly
+// one owner, and that
 // owner is whoever knows the output's last reader. Under the staged schedule
 // no stage product exists to lend: Merge-Layer computes every stage's
 // product inside its merge from the stages' plans (localmm.MulMerge), which

@@ -233,7 +233,8 @@ func returnLoans(loans []localmm.Loan) {
 // Merge-Layer's output is lent whenever its last reader is known (lends).
 // With l > 1 it is read by this rank's Merge-Fiber and, through the
 // by-reference exchange, by the l − 1 fiber peers' — the pieces are views of
-// it — so its loans outlive the batch by one exchange. They are returned after
+// it, whose column metadata, when it is lent, is carved from its loan too
+// (localmm.Loan.ColRanges) — so its loans outlive the batch by one exchange. They are returned after
 // the next batch's exchange is posted: IalltoallvStart returns only once every
 // fiber peer has posted, and a peer posts batch t+1 only after finishing batch
 // t. The last batch's stay in Proc.lent for the launcher (launch) to return
@@ -258,7 +259,8 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	var merged int64
 	var post float64
 	var req *mpi.AllToAllvRequest
-	lent := make([]localmm.Loan, 0, g.L)
+	// One loan per Merge-Layer output, and at q = 1 the stage product's.
+	lent := make([]localmm.Loan, 0, g.L+1)
 	_, width := bBatch.Dims()
 	if !p.Opts.Pipeline {
 		// Every stage only planned (partial is empty): the one pass makes
@@ -278,9 +280,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		own, send[g.K], merged = pieces[g.K], nil, d.NNZ()
 		post, req = led.clock, g.Fiber.IalltoallvStart(send)
 	} else {
-		// The pieces are views of the stage products, lent chunks included;
-		// the last stage's product (q > 1) is made per destination, by the
-		// merge.
+		// The pieces are views of the stage products, lent chunks included,
+		// with a lent product's metadata carved from its loan; the last
+		// stage's product (q > 1) is made per destination, by the merge.
 		perDest := make([][]spmat.Matrix, g.L)
 		bounds := p.bt.LayerBounds(t)
 		packSec := p.measure(func() {

@@ -132,9 +132,10 @@
 // (accumulator, chunk, sort buffers) lives on a free list that survives
 // garbage collection, so a warm call allocates the output and a fixed handful
 // of small objects; a worker returns to the list with no table above
-// maxKeptEntries entries, whichever of its tables grew, and the chunks that
-// come back from loans wait beside it, maxIdleChunkBytes of them at most,
-// for the workers that lent theirs. Sorted
+// maxKeptEntries entries, whichever of its tables grew, and what comes back
+// from loans waits beside it, maxIdleChunkBytes of it at most: the chunks,
+// for the workers that lent theirs, and the loans' shells with their column
+// metadata, for the next lent output. Sorted
 // output that is not walked off a direct table is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.
 //
@@ -150,7 +151,14 @@
 // is the chunk itself, on loan until Loan.Return, and the worker goes back to
 // the free list without it; a multi-range call returns an owned output and an
 // empty Loan, and so does a one-operand merge's pass-through. Nothing else
-// lends.
+// lends. A lent output's column metadata — its pointers, and a DCSC output's
+// stored columns — is the loan's too, off the free list, and so is that of
+// the column-range views the fiber split cuts from it (Loan.ColRanges, over
+// spmat.MatColRangesInto): a warm lending call allocates nothing by the
+// output's size or width, and the metadata goes back with the chunk. A Loan
+// is a handle — the shell it names and the generation it was made in — so
+// copies of it are one claim, and a stale copy returned after the shell went
+// out again does nothing.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already

@@ -42,8 +42,10 @@ func readFails(m spmat.Matrix) (failed bool) {
 // (Loan.ColRanges). While the loan lasts product and views equal the owned
 // product's entry for entry; once it is returned — the poison shows whose
 // memory it is — the entries are all −1 and NaN, every pointer and stored
-// column of product and views −1, and reading a view's column fails. A
-// product two ranges made is placed into arrays of its own, its Loan holds
+// column of product and views −1, and reading a view's column fails.
+// Returning the loan twice, or a copy of it, is returning it once: two loans
+// out at once never share a shell, and a stale copy returned while its shell
+// is out again leaves the new loan alone. A product two ranges made is placed into arrays of its own, its Loan holds
 // nothing, and it reads the same after Return. An owned product is never
 // anybody's but the caller's: later calls, which refill the returned chunks,
 // leave it alone.
@@ -69,8 +71,9 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			}
 			stale := loan
 			loan.Return()
-			loan.Return()  // returning twice is returning once
-			stale.Return() // and so is returning a copy
+			loan.Return() // returning twice is returning once
+			copied := stale
+			copied.Return() // and so is returning a copy
 			v := viewOf(lent)
 			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
 				t.Errorf("%s: the lent product outlived its loan: its arrays are not the returned chunk", label)
@@ -83,10 +86,16 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			}
 			sameEntries(t, label+": owned product after later calls", owned, ownedProduct(pl, k, sr))
 			again, next := pl.Mul(k, sr, true, 4)
+			other, beside := pl.Mul(k, sr, true, 4)
+			if next.s == beside.s {
+				t.Fatalf("%s: two loans out at once share a shell", label)
+			}
 			sameEntries(t, label+": a lent product in the returned arrays", again, owned)
 			stale.Return()
 			sameEntries(t, label+": the next loan after a stale copy's Return", again, owned)
+			sameEntries(t, label+": the loan beside it", other, owned)
 			next.Return()
+			beside.Return()
 
 			pl = PlanMul(heavy, asFormat(heavy, dcsc))
 			if clampThreads(2, pl.bv.n, pl.Flops) != 2 {

@@ -129,15 +129,17 @@ type Plan struct {
 // every B slot, and what a fused merge (MulMerge) needs of the plan for the
 // length of one call, reused by the next window: the window's running flop
 // counts and, for a DCSC B, its columns, the B slot of its first column
-// (p0), and — in the first plan's scratch — the input entries of every
-// output slot and, for a DCSC output, the union of the operands' stored
-// columns. A merge with no plan borrows a scratch for the last two alone.
+// (p0), and — in the first plan's scratch — the merge operands' views, the
+// input entries of every output slot and, for a DCSC output, the union of
+// the operands' stored columns. A merge with no plan borrows a scratch for
+// the last three alone.
 type planScratch struct {
 	slots    []int32
 	sums     []int64
 	colFlops []int64
 	winPtr   []int64
 	winJC    []int32
+	views    []colView
 	colIn    []int64
 	union    []int32
 	p0       int32

@@ -56,10 +56,14 @@ import (
 // dropped — a Merge-Layer output on its way through the fiber exchange, a
 // batch a discarding hook consumes — as Plan.Mul's is for a stage product:
 // when the pass ran one range, the output's entry arrays are the worker's
-// chunk itself, on loan until the caller hands it back with Loan.Return; the
-// caller must be done reading the output, and every view of it, by then. A
-// pass that ran several ranges returns owned arrays and an empty Loan, and so
-// does a lone operand's pass-through. The output shares nothing with the
+// chunk itself and its column pointers and stored columns the loan's pooled
+// metadata, on loan until the caller hands them back with Loan.Return; the
+// caller must be done reading the output, and every view of it
+// (Loan.ColRanges), by then. A pass that ran several ranges returns owned
+// arrays and an empty Loan, and so does a lone operand's pass-through. The
+// per-slot input counts and the union of a DCSC merge's stored columns are
+// worked out in plan scratch: the first plan's, or, with no plan, scratch off
+// the free list for the call. The output shares nothing with the
 // plans, nor with prev unless it is prev's lone operand. The plans stay the
 // caller's: a pipelined Merge-Layer calls this once per destination window,
 // then releases them.
@@ -93,8 +97,20 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 	// A merge of one window alone passes that product through, sorted flag
 	// and all.
 	sorted := sortOutput || len(prev)+len(plans) == 1 && k.sorts()
+	// The operands' views, the input entries of the output's slots and a
+	// doubly-compressed output's union of stored columns are worked out in
+	// plan scratch: a fused merge's first plan's, a merge with no plan's own,
+	// off the free list for the call.
+	var sc *planScratch
+	if len(plans) > 0 {
+		sc = plans[0].scratch
+	} else {
+		sc = getPlanScratch()
+		defer putPlanScratch(sc)
+	}
+	sc.views = slices.Grow(sc.views[:0], len(prev)+len(plans))[:len(prev)+len(plans)]
 	f := &fusedPass{k: k, sr: sr, plusTimes: sr.IsPlusTimes(), sortOutput: sortOutput, rows: rows,
-		views: make([]colView, len(prev)+len(plans)), first: len(prev), plans: plans}
+		views: sc.views, first: len(prev), plans: plans}
 	var entries int64
 	for i, m := range prev {
 		f.views[i] = viewOf(m)
@@ -104,17 +120,6 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 		v := &f.views[f.first+i]
 		*v = pl.stageWindow(lo, hi)
 		entries += v.ptr[v.n]
-	}
-	// The input entries of the output's slots, and a doubly-compressed
-	// output's union of stored columns, are worked out in plan scratch: a
-	// fused merge's first plan's, a merge with no plan's own, off the free
-	// list for the call.
-	var sc *planScratch
-	if len(plans) > 0 {
-		sc = plans[0].scratch
-	} else {
-		sc = getPlanScratch()
-		defer putPlanScratch(sc)
 	}
 	f.slots, sc.colIn = mergeSlots(f.views, cols, sc.colIn, sc.union)
 	slots, colIn := &f.slots, sc.colIn

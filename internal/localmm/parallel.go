@@ -35,8 +35,9 @@ import (
 // what the copy overwrites), exactly sized and owned by the caller like the
 // multi-range one. The exception is Plan.Mul and MulMerge with lend, for an
 // output read once and dropped: its single-range output is the chunk itself,
-// nothing copied, on loan until the caller hands it back (Loan.Return).
-// MulMat, MergeMat, the masked and the sparse×dense kernels never lend.
+// nothing copied, with column metadata off the free list too, all on loan
+// until the caller hands it back (Loan.Return). MulMat, MergeMat, the masked
+// and the sparse×dense kernels never lend.
 //
 // No column is hashed twice: the sizes the output needs fall out of the
 // accumulation itself — each column's entry count is left in the output's own
@@ -196,8 +197,10 @@ func getPlanScratch() *planScratch {
 
 // putPlanScratch returns a plan's arrays to the free list under the workers'
 // bounds: an array above maxKeptEntries is dropped, and the list keeps at
-// most maxIdleWorkers plans' arrays.
+// most maxIdleWorkers plans' arrays. The merge operands' views are dropped
+// first, as a worker's are (putWorker).
 func putPlanScratch(s *planScratch) {
+	clear(s.views[:cap(s.views)])
 	if max(cap(s.slots), cap(s.sums)) > maxKeptEntries {
 		s.slots, s.sums = nil, nil
 	}
