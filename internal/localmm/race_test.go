@@ -107,3 +107,50 @@ func TestDCSCParallelKernelsRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLoansRace lends, cuts views from and returns loans on several
+// goroutines at once, the way ranks do, each goroutine also returning a stale
+// copy of the loan it returned last while its next loan is out — a shell the
+// free list may have handed to any of them. Under poisoned returns every lent
+// product and view must read as the owned product until its own loan ends: a
+// shell two live loans shared, or a stale copy that could end the shell's
+// next loan, shows as a poisoned read. Run under `go test -race`.
+func TestLoansRace(t *testing.T) {
+	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	sr := semiring.PlusTimes()
+	a := uniformMat(t, 200, 200, 6, 71)
+	bounds := []int32{0, 100, 300}
+	var plans []*Plan
+	var owned []spmat.Matrix
+	for r := range 4 {
+		pl := PlanMul(a, asFormat(uniformMat(t, 200, 300, 3, int64(72+r)), r%2 == 1))
+		out, _ := pl.Mul(KernelHashUnsorted, sr, false, 1)
+		plans, owned = append(plans, pl), append(owned, out)
+	}
+	var wg sync.WaitGroup
+	for r := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl, want := plans[r], owned[r].ToCSC()
+			wantViews := spmat.MatColRanges(want, bounds)
+			var stale Loan
+			for range 100 {
+				lent, loan := pl.Mul(KernelHashUnsorted, sr, true, 1)
+				views := loan.ColRanges(lent, bounds)
+				stale.Return()
+				if !spmat.Equal(lent.ToCSC(), want) || !spmat.Equal(views[0].ToCSC(), wantViews[0].(*spmat.CSC)) || !spmat.Equal(views[1].ToCSC(), wantViews[1].(*spmat.CSC)) {
+					t.Errorf("goroutine %d: a lent product or its views changed while its loan was out", r)
+					loan.Return()
+					return
+				}
+				stale = loan
+				loan.Return()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, pl := range plans {
+		pl.Release()
+	}
+}
