@@ -234,21 +234,22 @@ func returnLoans(loans []localmm.Loan) {
 // With l > 1 it is read by this rank's Merge-Fiber and, through the
 // by-reference exchange, by the l − 1 fiber peers' — the pieces are views of
 // it, whose column metadata, when it is lent, is carved from its loan too
-// (localmm.Loan.ColRanges) — so its loans outlive the batch by one exchange. They are returned after
-// the next batch's exchange is posted: IalltoallvStart returns only once every
-// fiber peer has posted, and a peer posts batch t+1 only after finishing batch
-// t. The last batch's stay in Proc.lent for the launcher (launch) to return
-// once the world has ended. With l = 1 there are no peers, and Merge-Fiber
-// passes the output through as the batch output; it is lent only when the
-// batch output is (Proc.lendBatch). The returned loans are the batch
+// (localmm.Loan.ColRanges) — so its loans outlive the batch by one exchange.
+// They are returned after the next batch's exchange is posted:
+// IalltoallvStart returns only once every fiber peer has posted, and a peer
+// posts batch t+1 only after finishing batch t. The last batch's stay in
+// Proc.lent for the launcher (launch) to return once the world has ended.
+// With l = 1 there are no peers, and Merge-Fiber passes the output through as
+// the batch output; it is lent only when the batch output is
+// (Proc.lendBatch). The returned loans are the batch
 // output's, Merge-Layer's on one layer and Merge-Fiber's on more, which the
 // caller returns once the hook has read a discarded batch, or keeps in the
 // Result for its reader to release.
-func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (c spmat.Matrix, loans []localmm.Loan, lo, hi int32) {
+func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, []localmm.Loan, int32, int32) {
 	g := p.G
 	meter := g.World.Meter()
 	led := &p.ledger
-	partial, stageLoans, plans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
+	partial, loans, plans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
 	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is the
@@ -287,7 +288,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		bounds := p.bt.LayerBounds(t)
 		packSec := p.measure(func() {
 			for i, prod := range partial {
-				pieces := stageLoans[i].ColRanges(prod, bounds)
+				pieces := loans[i].ColRanges(prod, bounds)
 				for m := range perDest {
 					perDest[m] = append(perDest[m], pieces[m])
 				}
@@ -320,9 +321,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		// one stage product is Merge-Layer's output, so its loan joins that
 		// output's.
 		if g.Q == 1 {
-			lent = append(lent, stageLoans...)
+			lent = append(lent, loans...)
 		} else {
-			returnLoans(stageLoans)
+			returnLoans(loans)
 		}
 	}
 	res.UnmergedNNZ += unmerged
@@ -349,7 +350,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	recv[g.K] = own
 	c, loan := p.mergeFiber(recv, res)
 	g.Fiber.PutRecv(recv)
-	lo, hi = p.bt.Chunk(t, g.K)
+	lo, hi := p.bt.Chunk(t, g.K)
 	return c, append(batchLoans, loan), lo, hi
 }
 

@@ -228,9 +228,9 @@ func NewBatching(width int32, b, l int) Batching {
 }
 
 // Chunk returns the local column offset range [lo, hi) of the chunk (batch
-// t, layer k) owns. There is exactly one: Blk·B·L ≥ Width, so the block column holds at
-// most B·L chunks and chunk g = k·B + t is the only one with g mod B = t and
-// g div B = k. The range is empty when the block column ends before it.
+// t, layer k) owns. There is exactly one: Blk·B·L ≥ Width, so the block
+// column holds at most B·L chunks and chunk g = k·B + t is the only one with
+// g mod B = t and g div B = k. The range is empty when the block column ends before it.
 func (bt Batching) Chunk(t, k int) (lo, hi int32) {
 	w, blk := int64(bt.Width), int64(bt.Blk)
 	l := min((int64(k)*int64(bt.B)+int64(t))*blk, w)

@@ -288,11 +288,7 @@ func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spm
 // Either way the product shares nothing with the plan, which can be released
 // before the loan is returned.
 func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, lend bool, threads int) (spmat.Matrix, Loan) {
-	mode := ownedOutput
-	if lend {
-		mode = lentOutput
-	}
-	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), mode)
+	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), outputFor(lend))
 }
 
 // multiply runs the multiply on exactly workers ranges of B's slots (some

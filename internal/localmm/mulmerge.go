@@ -61,10 +61,8 @@ import (
 // caller must be done reading the output, and every view of it
 // (Loan.ColRanges), by then. A pass that ran several ranges returns owned
 // arrays and an empty Loan, and so does a lone operand's pass-through. The
-// per-slot input counts and the union of a DCSC merge's stored columns are
-// worked out in plan scratch: the first plan's, or, with no plan, scratch off
-// the free list for the call. The output shares nothing with the
-// plans, nor with prev unless it is prev's lone operand. The plans stay the
+// output shares nothing with the plans, nor with prev unless it is prev's
+// lone operand. The plans stay the
 // caller's: a pipelined Merge-Layer calls this once per destination window,
 // then releases them.
 func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, int64) {
@@ -124,11 +122,7 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 	f.slots, sc.colIn = mergeSlots(f.views, cols, sc.colIn, sc.union)
 	slots, colIn := &f.slots, sc.colIn
 	bounds := flopBounds(colIn, clampThreads(threads, slots.n, entries))
-	mode := ownedOutput
-	if lend {
-		mode = lentOutput
-	}
-	sh := lendShell(mode, bounds)
+	sh := lendShell(outputFor(lend), bounds)
 	if slots.compressed {
 		sc.union, slots.jc = slots.jc, sh.copyColumns(slots.jc)
 	}

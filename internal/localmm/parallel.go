@@ -504,6 +504,14 @@ const (
 	lentOutput                    // the chunk itself when one range ran, owned arrays otherwise
 )
 
+// outputFor is the output a caller's lend asks of a pass.
+func outputFor(lend bool) passOutput {
+	if lend {
+		return lentOutput
+	}
+	return ownedOutput
+}
+
 // runWorkers executes fn once per non-empty column range, each with its own
 // scratch: the last range on the caller's goroutine, the others on theirs.
 func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
