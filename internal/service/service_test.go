@@ -95,6 +95,8 @@ func product(t *testing.T, s *Service, req MultiplyRequest) (*MultiplyResult, *s
 // A request that does not ask for the result back keeps no product — the job
 // never holds one past its run — and the same shape, nonzero count, batch count
 // and counters as the request that does: they come from the ranks' results.
+// One that does, run in process with nobody to hand the product to
+// (Service.Multiply), hands it back before it returns.
 func TestMultiplyWithoutResultReportsTheSame(t *testing.T) {
 	a := genmat.RMAT(genmat.RMATConfig{Scale: 6, EdgeFactor: 8, Seed: 1, Weighted: true})
 	rect := genmat.Hypersparse(64, 700, 2, 9)
@@ -123,9 +125,16 @@ func TestMultiplyWithoutResultReportsTheSame(t *testing.T) {
 			without.Batches != with.Batches || without.PeakMemBytesPerRank != with.PeakMemBytesPerRank {
 			t.Fatalf("%v: response without the result differs: %+v vs %+v", pair, without, with)
 		}
+		inProc, err := s.Multiply(MultiplyRequest{A: pair[0], B: pair[1], ReturnResult: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inProc.ranks != nil || inProc.NNZ != with.NNZ {
+			t.Fatalf("%v: an in-process job kept a product no caller can read (nnz %d, want %d)", pair, inProc.NNZ, with.NNZ)
+		}
 	}
-	if st := s.Stats(); st.Multiplies != 6 || st.JobFailures != 0 {
-		t.Fatalf("6 jobs ran; stats count %d done, %d failed", st.Multiplies, st.JobFailures)
+	if st := s.Stats(); st.Multiplies != 9 || st.JobFailures != 0 {
+		t.Fatalf("9 jobs ran; stats count %d done, %d failed", st.Multiplies, st.JobFailures)
 	}
 }
 
