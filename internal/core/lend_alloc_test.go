@@ -23,9 +23,9 @@ import (
 // is the batch pieces of B, the metadata of outputs two workers made, each
 // call's own small objects (plans, merge passes, output and view headers) and
 // the run's set-up: 3.3 MB staged and 4.6 MB overlapped when this test was
-// written, 2.0 and 4.4 MB once lent outputs' metadata was lent too. Copying
-// any one kind of output shows: with only the stage products lent, as before
-// the merge outputs were, the same multiply allocated 16.4 and 16.5 MB.
+// written, 1.7–1.8 and 3.5–4.0 MB once lent outputs' metadata was lent too.
+// Copying any one kind of output shows: with only the stage products lent, as
+// before the merge outputs were, the same multiply allocated 16.4 and 16.5 MB.
 //
 // The third row is the grid the planner picks for most of the daemon's warm
 // count-only jobs: 16 ranks in 16 layers (q = 1), pipelined, one batch, on
