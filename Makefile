@@ -167,8 +167,10 @@ serve:
 	$(GO) run ./cmd/spgemmd
 
 # soak: the service soak — a spgemmd server under concurrent mixed traffic,
-# asserting bit-identical outputs, zero probe work after warmup, and
-# deadlock-free admission. The nightly workflow runs this; point it at a
+# asserting bit-identical outputs, zero probe work after warmup,
+# deadlock-free admission and, once the in-process server has closed, the
+# goroutine count back at its pre-soak value (within 2): the daemon keeps its
+# built worlds, not their rank goroutines. The nightly workflow runs this; point it at a
 # running daemon with `go run ./cmd/spgemm-bench -server URL` instead to
 # soak over real HTTP.
 soak:

@@ -36,6 +36,7 @@ var testOnlyAllowlist = map[string]string{
 	"mpi.Meter.Step":           "oracle: TestTraceMatchesMeter and TestTraceMatchesMeterDense read each rank's meter; the mpi metering tests",
 	"mpi.Meter.Categories":     "oracle: TestTraceMatchesMeter and TestTraceMatchesMeterDense compare a rank's step set with its spans'",
 	"obs.RankRecorder.Spans":   "oracle: TestTraceMatchesMeter and TestTraceMatchesMeterDense replay each rank's spans; the obs and mpi trace tests",
+	"mpi.RunTraced":            "oracle: TestTraceMatchesMeter and TestTraceMatchesMeterDense trace a one-shot world whose grid they build themselves; the mpi trace tests",
 	"mpi.Summary.TotalSeconds": "oracle: TestSummarizeTakesMaxTimes, TestMultiplyConvenience and overlap's TestDistributedMatchesSerial check a run metered time",
 	// Fixture builders.
 	"spmat.Dense":         "fixture: the spmat, localmm and mcl tests build matrices from dense literals",

@@ -103,14 +103,18 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	// Batch t's piece covers the one chunk of the block column that (t, this
 	// layer) owns, so the rank's global columns are those chunks' in batch
 	// order: written once, into an array of their exact size, which each hook
-	// sees a capped window of.
+	// sees a capped window of. A discarding run no hook sees keeps no piece a
+	// reader could place, so it writes none.
 	res.Pieces = make([]spmat.Matrix, 0, b)
-	width := int32(0)
-	for t := range b {
-		lo, hi := p.bt.Chunk(t, g.K)
-		width += hi - lo
+	keepCols := hook != nil || !p.discard
+	if keepCols {
+		width := int32(0)
+		for t := range b {
+			lo, hi := p.bt.Chunk(t, g.K)
+			width += hi - lo
+		}
+		res.GlobalCols = make([]int32, 0, width)
 	}
-	res.GlobalCols = make([]int32, 0, width)
 	bCur := extract(0)
 	for t := 0; t < b; t++ {
 		var bNext spmat.Matrix
@@ -126,12 +130,14 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			bCur = extract(t + 1)
 		}
 		res.BatchNNZ = append(res.BatchNNZ, cPiece.NNZ())
-		start := len(res.GlobalCols)
-		for o := lo; o < hi; o++ {
-			res.GlobalCols = append(res.GlobalCols, c0+o)
+		if keepCols {
+			for o := lo; o < hi; o++ {
+				res.GlobalCols = append(res.GlobalCols, c0+o)
+			}
 		}
-		globalCols := res.GlobalCols[start:len(res.GlobalCols):len(res.GlobalCols)]
 		if hook != nil {
+			n := len(res.GlobalCols)
+			globalCols := res.GlobalCols[n-int(hi-lo) : n : n]
 			// Hooks see the user-facing CSC form; a hypersparse piece is
 			// inflated only at this boundary (and only when a hook exists).
 			// A piece the hook hands back is kept as it is, so it must cover

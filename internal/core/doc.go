@@ -16,10 +16,15 @@
 // out to all p ranks in one sweep each (Deal → distmat's Split — the only
 // time the engine copies the operands) and then run on the dealt operands
 // (MultiplyDealt, the entry point of a caller that keeps them across runs,
-// as the daemon does for resident matrices). That run is one launch: it
-// checks the dealt operands fit the run, each simulated rank builds its grid
-// coordinates (grid.New), is handed its blocks in place (SetupLocal), and
-// calls BatchedSUMMA3D collectively. A rank's
+// as the daemon does for resident matrices). That run is one launch on a
+// World — a simulated cluster of p ranks in l layers: it checks the world and
+// the dealt operands fit the run, each simulated rank takes its process grid
+// (grid.New in the world's first run, kept for every later one), is handed
+// its blocks in place (SetupLocal), and calls BatchedSUMMA3D collectively.
+// The host entry points launch on a world built for the call; the daemon
+// keeps its worlds across jobs (World.MultiplyDealt), so a warm job builds
+// neither a world nor its communicators. A world whose run failed is broken
+// and refuses every later run. A rank's
 // Result keeps its batch outputs as Pieces, in the format Merge-Fiber made
 // them; nothing on the rank concatenates or inflates them. MultiplyRanks
 // returns the ranks' results as they are, C still distributed; Multiply adds

@@ -79,7 +79,9 @@ type Result struct {
 	// their columns, concatenated, are the ones GlobalCols lists.
 	// AssembleResults and ProductSegments read them in place.
 	Pieces []spmat.Matrix
-	// GlobalCols[x] is the global column of local column x.
+	// GlobalCols[x] is the global column of local column x. A discarding run
+	// no hook sees (MultiplyDiscard with no HookFactory) keeps no piece to
+	// place and leaves it nil.
 	GlobalCols []int32
 	// RowOffset is the global row index of local row 0.
 	RowOffset int32

@@ -119,15 +119,75 @@ func deal(a, b *spmat.CSC, rc RunConfig) (da, db *Dealt, err error) {
 	return da, db, err
 }
 
+// World is a simulated cluster kept across runs: an mpi.World of P ranks
+// charged under one cost model and, from its first run on, every rank's
+// L-layer process grid (grid.New), which later runs use as it is. A run on a
+// kept world therefore builds neither the world nor its row, column, layer
+// and fiber communicators; it starts only the rank goroutines. The host
+// entry points (Multiply, MultiplyDiscard, MultiplyRanks, MultiplyDealt,
+// SymbolicBatches) run on a world built for the call and dropped after it; a
+// caller that serves many runs on one grid — the daemon — keeps its worlds
+// and calls World.MultiplyDealt.
+//
+// A world runs one multiply at a time. A run that fails — a rank error, a
+// panic, an aborted world — breaks it (Broken), and it never runs again.
+type World struct {
+	mw    *mpi.World
+	l     int
+	cost  mpi.CostModel
+	grids []*grid.Grid3D
+}
+
+// NewWorld builds an idle world for rc's grid — P ranks in L layers — and
+// cost model. Nothing else in rc binds the world: every run brings its own
+// options and trace.
+func NewWorld(rc RunConfig) (*World, error) {
+	if _, err := grid.SideFor(rc.P, rc.L); err != nil {
+		return nil, err
+	}
+	return &World{mw: mpi.NewWorld(rc.P, rc.Cost), l: rc.L, cost: rc.Cost, grids: make([]*grid.Grid3D, rc.P)}, nil
+}
+
+// Broken reports whether a run on w failed; a broken world never runs again.
+func (w *World) Broken() bool { return w.mw.Broken() }
+
+// MultiplyDealt is the package-level MultiplyDealt on w: rc must name w's
+// rank count, layer count and cost model.
+func (w *World) MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
+	results := make([]*Result, rc.P)
+	meters, err := launch(w, a, b, rc, func(rank int, p *Proc) error {
+		var hook BatchHook
+		if hooks != nil {
+			hook = hooks(rank)
+		}
+		p.discard = discard
+		res, err := p.BatchedSUMMA3D(hook)
+		results[rank] = res
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, mpi.Summarize(meters), nil
+}
+
 // launch is the one rank-launch body behind every sparse×sparse host entry
-// point: it checks that both operands were dealt for this run — role, grid,
-// layer count, format and inner dimension — and runs body on every rank's
-// wired Proc (runRanks), each handed its two blocks in place. Whether the
+// point: it checks that the world and both operands were made for this run —
+// rank count, layer count, cost model, role, format and inner dimension —
+// and runs body on every rank's wired Proc (runRanks), on the rank's grid as
+// w's first run built it, each handed its two blocks in place. Whether the
 // blocks were dealt for this run or kept from an earlier one (MultiplyDealt)
 // is the caller's business; the ranks only read them. Once the world has
 // ended — aborted or not — no rank reads another's Merge-Layer outputs, so it
 // returns the loans the ranks' last batches left (Proc.lent).
-func launch(a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
+func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
+	if w.Broken() {
+		return nil, errors.New("core: the world's last run failed; it cannot run again")
+	}
+	if w.mw.Size() != rc.P || w.l != rc.L || w.cost != rc.Cost {
+		return nil, fmt.Errorf("core: a world of %d ranks in %d layers charged under %+v cannot run p=%d, l=%d under %+v",
+			w.mw.Size(), w.l, w.cost, rc.P, rc.L, rc.Cost)
+	}
 	q, err := grid.SideFor(rc.P, rc.L)
 	if err != nil {
 		return nil, err
@@ -151,10 +211,14 @@ func launch(a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) ([]*m
 			}
 		}
 	}()
-	return runRanks(rc, func(c *mpi.Comm) error {
-		g, err := grid.New(c, rc.L)
-		if err != nil {
-			return err
+	return runRanks(w.mw, rc.Trace, func(c *mpi.Comm) error {
+		g := w.grids[c.Rank()]
+		if g == nil {
+			var err error
+			if g, err = grid.New(c, rc.L); err != nil {
+				return err
+			}
+			w.grids[c.Rank()] = g
 		}
 		localA, localB := a.blocks[da.Index(g.I, g.J, g.K)], b.blocks[db.Index(g.I, g.J, g.K)]
 		procs[c.Rank()] = SetupLocal(g, da, db, localA, localB, rc.Opts)
@@ -162,19 +226,20 @@ func launch(a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) ([]*m
 	})
 }
 
-// runRanks starts a fresh rc.P-rank world and runs body on every rank. A rank
-// whose body returns an error aborts the world the way a panic does — the
-// other ranks may be waiting for it in a collective — and the first rank
-// error is returned, wrapped with its rank.
-func runRanks(rc RunConfig, body func(c *mpi.Comm) error) (meters []*mpi.Meter, err error) {
-	errs := make([]error, rc.P)
+// runRanks runs body on every rank of w, recording into rec when it is
+// non-nil. A rank whose body returns an error aborts the world the way a
+// panic does — the other ranks may be waiting for it in a collective — and
+// the first rank error is returned, wrapped with its rank; either way w is
+// broken.
+func runRanks(w *mpi.World, rec *obs.Recorder, body func(c *mpi.Comm) error) (meters []*mpi.Meter, err error) {
+	errs := make([]error, w.Size())
 	func() {
 		defer func() {
 			if e := recover(); e != nil && e != errRankFailed {
 				panic(e)
 			}
 		}()
-		meters = mpi.RunTraced(rc.P, rc.Cost, rc.Trace, func(c *mpi.Comm) {
+		meters = w.Run(rec, func(c *mpi.Comm) {
 			if errs[c.Rank()] = body(c); errs[c.Rank()] != nil {
 				panic(errRankFailed)
 			}
@@ -212,25 +277,16 @@ func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result,
 // MultiplyDealt is MultiplyRanks — or, with discard, MultiplyDiscard — on
 // operands already dealt out (Deal): the entry point for a caller that keeps
 // an operand's blocks across runs, as the daemon keeps a resident matrix's.
-// The other entry points are Deal followed by this run. An operand dealt for
-// another role, grid, layer count or format than rc's is an error before any
-// rank starts.
+// The other entry points are Deal followed by this run. It runs on a world
+// built for the call (World.MultiplyDealt is the same on a kept one). An
+// operand dealt for another role, grid, layer count or format than rc's is
+// an error before any rank starts.
 func MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
-	results := make([]*Result, rc.P)
-	meters, err := launch(a, b, rc, func(rank int, p *Proc) error {
-		var hook BatchHook
-		if hooks != nil {
-			hook = hooks(rank)
-		}
-		p.discard = discard
-		res, err := p.BatchedSUMMA3D(hook)
-		results[rank] = res
-		return err
-	})
+	w, err := NewWorld(rc)
 	if err != nil {
 		return nil, nil, err
 	}
-	return results, mpi.Summarize(meters), nil
+	return w.MultiplyDealt(a, b, rc, hooks, discard)
 }
 
 // Multiply runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster and
@@ -262,7 +318,8 @@ func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*
 // the lone stage product's — handed back and refilled as soon as the hook
 // returns, so a hook reads its piece inside the call and keeps neither the
 // piece nor a slice of its arrays. With a nil HookFactory the batches are
-// only counted: Result.BatchNNZ holds their sizes, and no rank keeps an entry.
+// only counted: Result.BatchNNZ holds their sizes, no rank keeps an entry,
+// and Result.GlobalCols is nil.
 func MultiplyDiscard(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
 	da, db, err := deal(a, b, rc)
 	if err != nil {

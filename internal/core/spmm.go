@@ -129,7 +129,7 @@ func MultiplyDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, cfg planner.De
 		return nil, nil, nil, err
 	}
 	results := make([]*DenseResult, rc.P)
-	meters, err := runRanks(rc, func(c *mpi.Comm) error {
+	meters, err := runRanks(mpi.NewWorld(rc.P, rc.Cost), rc.Trace, func(c *mpi.Comm) error {
 		p, err := newDenseProc(c, cfg, opts)
 		if err != nil {
 			return err

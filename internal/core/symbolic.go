@@ -98,8 +98,12 @@ func SymbolicBatches(a, b *spmat.CSC, rc RunConfig) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	w, err := NewWorld(rc)
+	if err != nil {
+		return 0, err
+	}
 	bs := make([]int, rc.P)
-	_, err = launch(da, db, rc, func(rank int, p *Proc) (err error) {
+	_, err = launch(w, da, db, rc, func(rank int, p *Proc) (err error) {
 		bs[rank], _, err = p.Symbolic3D()
 		return err
 	})

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/localmm"
 	"repro/internal/service"
@@ -39,12 +41,20 @@ func serviceShape(sc Scale) (rmatScale int, erN int32, hyperN int32, clients, ro
 	}
 }
 
+// soakGoroutineSlack is how many goroutines more than before the soak the
+// process may run once the soak's server has closed.
+const soakGoroutineSlack = 2
+
 // runServiceExperiment starts an in-process server (the full HTTP path, so
 // the soak covers the wire contract too) on the run's machine as it is (the
 // daemon charges unamplified communication) and drives it: it verifies
 // bit-identical outputs, zero probe work after warmup, and deadlock-free
-// admission under the shared budget.
+// admission under the shared budget. The daemon keeps its built worlds
+// between jobs, but no rank goroutine outlives its job: once the server and
+// its connections have closed, the goroutine count must be back to its
+// pre-soak value within soakGoroutineSlack.
 func runServiceExperiment(r *Report, o RunOpts) error {
+	goroutines := runtime.NumGoroutine()
 	rmatScale, _, _, _, _ := serviceShape(o.Scale)
 	// The budget: tight enough that the biggest self-product batches and
 	// concurrent reservations contend, the same recipe the service tests use.
@@ -60,10 +70,17 @@ func runServiceExperiment(r *Report, o RunOpts) error {
 		return err
 	}
 	srv := httptest.NewServer(service.Handler(svc))
-	defer srv.Close()
 	rep, err := DriveService(&service.Client{Base: srv.URL, HTTP: srv.Client()}, o.Scale)
+	srv.Close()
 	if err != nil {
 		return err
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines+soakGoroutineSlack; {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("service: %d goroutines 5 s after the soak, %d before it (slack %d)",
+				runtime.NumGoroutine(), goroutines, soakGoroutineSlack)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	*r = *rep
 	return nil

@@ -4,6 +4,17 @@
 // AllToAllv, Allreduce) plus MPI_Comm_split-style sub-communicators for
 // process rows, columns, layers, and fibers.
 //
+// A World is a world communicator that outlives a run: World.Run starts one
+// goroutine per rank, and when they have stopped the world keeps everything
+// else — the communicator cores, every rank's Comm handle with its pool, the
+// meters, the pending counters, the compute gate — and resets it at the next
+// run instead of building it again. The communicators a rank split in one run
+// stay usable in the next, so a caller that keeps them (core keeps each
+// rank's process grid) splits once per world. A reset meter is a fresh one:
+// it lists only the categories its run charged, and records into its run's
+// recorder. A world whose run failed never runs again. Run and RunTraced are
+// one run on a world built for it.
+//
 // Data really moves between ranks (receivers observe the sender's payload),
 // so the distributed algorithms are exercised end to end. Because the
 // transport is shared memory, the wall-clock of a collective is meaningless
@@ -47,14 +58,15 @@
 // subset sends and the full tree broadcast, whichever models cheaper.
 //
 // A request that is posted but never completed silently drops its modeled
-// cost from the meters; Run audits a per-rank pending counter (shared across
-// Split-derived communicators) after the ranks stop and panics on a
-// forgotten Wait.
+// cost from the meters; every run audits a per-rank pending counter (shared
+// across Split-derived communicators) after the ranks stop and panics on a
+// forgotten Wait, on a kept world too.
 //
 // # Buffer pool ownership
 //
 // Each Comm handle carries a per-rank free pool (request structs and
-// AllToAllv receive slices) so steady-state send loops allocate nothing. The
+// AllToAllv receive slices) so steady-state send loops allocate nothing; a
+// kept world's handles keep their pools across runs. The
 // rules: pooled objects are owned by exactly one rank's goroutine and never
 // shared; a request pointer dies the moment its Wait/WaitOverlap returns (the
 // struct is recycled — do not retain it); a receive slice belongs to the

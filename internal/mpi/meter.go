@@ -48,8 +48,8 @@ import (
 //
 // Per world, not package-global: a long-running service executes independent
 // multiply jobs concurrently, and a shared gate would make one job's measured
-// times depend on another job's schedule. Each Run creates its own gate;
-// Split children share their world's.
+// times depend on another job's schedule. Each World has its own gate, reset
+// at the start of every run; Split children share their world's.
 type computeGate struct {
 	mu sync.Mutex
 	// freed is signalled once per core returned.
@@ -63,6 +63,14 @@ func newComputeGate() *computeGate {
 	g := &computeGate{free: runtime.GOMAXPROCS(0)}
 	g.freed.L = &g.mu
 	return g
+}
+
+// reset deals the gate out afresh for a world's next run: every core idle,
+// as many as GOMAXPROCS is now. A run that ended clean holds none.
+func (g *computeGate) reset() {
+	g.mu.Lock()
+	g.free, g.waiting = runtime.GOMAXPROCS(0), 0
+	g.mu.Unlock()
 }
 
 // acquire blocks until the caller holds one core.
@@ -114,6 +122,9 @@ type Meter struct {
 	// calls it unconditionally with zero extra allocations when tracing is
 	// off.
 	rec *obs.RankRecorder
+	// spare holds the zeroed stats of categories an earlier run of the
+	// meter's world charged, for get to hand out again (reset).
+	spare []*StepStats
 }
 
 // StepStats is the per-category accumulation.
@@ -151,10 +162,6 @@ func NewMeter() *Meter {
 	return &Meter{cat: "default", stats: make(map[string]*StepStats)}
 }
 
-// SetRecorder attaches a per-rank span recorder (nil detaches, turning
-// tracing off). RunTraced calls this for every rank's meter.
-func (m *Meter) SetRecorder(r *obs.RankRecorder) { m.rec = r }
-
 // Recorder returns the attached span recorder. It is nil when tracing is
 // off; the nil recorder's methods are no-ops, so callers (schedule label and
 // channel-tag sites) use the result unconditionally.
@@ -166,10 +173,27 @@ func (m *Meter) SetCategory(cat string) { m.cat = cat }
 func (m *Meter) get(cat string) *StepStats {
 	s, ok := m.stats[cat]
 	if !ok {
-		s = &StepStats{}
+		if n := len(m.spare); n > 0 {
+			s, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			s = &StepStats{}
+		}
 		m.stats[cat] = s
 	}
 	return s
+}
+
+// reset makes m a fresh meter again for its world's next run — no category
+// charged, "default" current, rec attached — keeping the charged categories'
+// stats, zeroed, for the next charges to reuse.
+func (m *Meter) reset(rec *obs.RankRecorder) {
+	for _, s := range m.stats {
+		*s = StepStats{}
+		m.spare = append(m.spare, s)
+	}
+	clear(m.stats)
+	m.cat = "default"
+	m.rec = rec
 }
 
 func (m *Meter) addComm(msgs, bytes int64, seconds float64) {

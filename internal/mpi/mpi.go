@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -157,6 +158,18 @@ func (c *commCore) fail() {
 	defer c.childMu.Unlock()
 	for _, child := range c.childs {
 		child.fail()
+	}
+}
+
+// clearStaging drops the payloads this communicator and every communicator
+// split from it still reference in their staging areas, once a run has ended.
+func (c *commCore) clearStaging() {
+	clear(c.slots)
+	clear(c.matrix)
+	c.childMu.Lock()
+	defer c.childMu.Unlock()
+	for _, child := range c.childs {
+		child.clearStaging()
 	}
 }
 
@@ -366,7 +379,7 @@ func (c *Comm) Split(color, key int) *Comm {
 // are woken, and Run panics with the first failure after all ranks have
 // stopped.
 func Run(p int, cm CostModel, fn func(c *Comm)) []*Meter {
-	return RunTraced(p, cm, nil, fn)
+	return NewWorld(p, cm).Run(nil, fn)
 }
 
 // RunTraced is Run with a span recorder attached: when rec is non-nil, every
@@ -374,41 +387,114 @@ func Run(p int, cm CostModel, fn func(c *Comm)) []*Meter {
 // rank r), exportable afterwards as a Chrome/Perfetto trace. A nil rec is
 // exactly Run — tracing off, zero extra allocations on the charge paths.
 func RunTraced(p int, cm CostModel, rec *obs.Recorder, fn func(c *Comm)) []*Meter {
+	return NewWorld(p, cm).Run(rec, fn)
+}
+
+// World is a p-rank world communicator that outlives a run. Each Run starts
+// p rank goroutines on it and returns once they have stopped, so an idle
+// world holds no goroutine; what it keeps is everything else: the
+// communicator cores, every rank's Comm handle with its request pool, the
+// meters, the pending-request counters and the compute gate. A run resets
+// them instead of building them again, and the communicators a rank split
+// in an earlier run stay usable in a later one. A caller that keeps them —
+// core keeps each rank's process grid — therefore pays for Split once per
+// world, not once per run. Splits are registered with the world for its
+// lifetime, so a caller that reuses a world keeps what it split rather than
+// splitting again on every run.
+//
+// One run at a time: Run panics when called while the world is running.
+// A world whose run panicked or leaked a request is broken and never runs
+// again (Broken); its communicators may hold a failed barrier or a
+// half-finished exchange.
+type World struct {
+	core     *commCore
+	comms    []*Comm
+	meters   []*Meter
+	pendings []int64
+	cores    []int
+	gate     *computeGate
+	errs     []any
+	wg       sync.WaitGroup
+	running  atomic.Bool
+	broken   bool
+}
+
+// NewWorld builds an idle world of p ranks charged under cost model cm.
+func NewWorld(p int, cm CostModel) *World {
 	if p <= 0 {
-		panic(fmt.Sprintf("mpi: Run with %d ranks", p))
+		panic(fmt.Sprintf("mpi: world of %d ranks", p))
 	}
-	core := newCommCore(p)
-	meters := make([]*Meter, p)
-	errs := make([]any, p)
-	pendings := make([]int64, p)
-	cores := make([]int, p)
-	gate := newComputeGate()
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		meters[r] = NewMeter()
-		meters[r].SetRecorder(rec.Rank(r))
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
+	w := &World{
+		core:     newCommCore(p),
+		comms:    make([]*Comm, p),
+		meters:   make([]*Meter, p),
+		pendings: make([]int64, p),
+		cores:    make([]int, p),
+		gate:     newComputeGate(),
+		errs:     make([]any, p),
+	}
+	for r := range w.comms {
+		w.meters[r] = NewMeter()
+		w.comms[r] = &Comm{
+			rank: r, size: p, core: w.core, cost: cm, meter: w.meters[r],
+			pending: &w.pendings[r], pool: &commPool{}, gate: w.gate, cores: &w.cores[r],
+		}
+	}
+	return w
+}
+
+// Size returns the world's rank count.
+func (w *World) Size() int { return len(w.comms) }
+
+// Broken reports whether a run on w failed, after which it cannot run again.
+// Read it only while no run is in progress.
+func (w *World) Broken() bool { return w.broken }
+
+// Run executes fn on every rank of the world, each on its own goroutine and
+// handed the same Comm as in every other run of w, and returns each rank's
+// meter. The meters start the run as a fresh world's would — no category
+// charged, the category "default" current — and record spans into rec when
+// it is non-nil, as RunTraced's do; they stay readable until w runs again.
+// If any rank panics, the ranks waiting in a collective of the world or of
+// any communicator split from it are woken, w is broken, and Run panics with
+// the first failure after all ranks have stopped. A run that leaves a posted
+// request uncompleted also breaks w and panics.
+func (w *World) Run(rec *obs.Recorder, fn func(c *Comm)) []*Meter {
+	if !w.running.CompareAndSwap(false, true) {
+		panic("mpi: World.Run called while the world is running")
+	}
+	defer w.running.Store(false)
+	if w.broken {
+		panic("mpi: a world whose run failed cannot run again")
+	}
+	// Broken until the run has ended clean: every way out below but the last
+	// is a failure.
+	w.broken = true
+	w.gate.reset()
+	for r, m := range w.meters {
+		m.reset(rec.Rank(r))
+	}
+	clear(w.errs)
+	for r := range w.comms {
+		w.wg.Add(1)
+		go func(c *Comm) {
+			defer w.wg.Done()
 			defer func() {
 				if e := recover(); e != nil {
-					errs[r] = e
-					core.fail()
+					w.errs[c.rank] = e
+					w.core.fail()
 				}
 			}()
-			fn(&Comm{
-				rank: r, size: p, core: core, cost: cm, meter: meters[r],
-				pending: &pendings[r], pool: &commPool{}, gate: gate, cores: &cores[r],
-			})
-		}(r)
+			fn(c)
+		}(w.comms[r])
 	}
-	wg.Wait()
-	for _, e := range errs {
+	w.wg.Wait()
+	for _, e := range w.errs {
 		if e != nil && e != errAborted {
 			panic(e)
 		}
 	}
-	for _, e := range errs {
+	for _, e := range w.errs {
 		if e != nil {
 			panic(e)
 		}
@@ -417,10 +503,16 @@ func RunTraced(p int, cm CostModel, rec *obs.Recorder, fn func(c *Comm)) []*Mete
 	// but never completed silently dropped its modeled cost from the meters,
 	// which is a bug in the caller's schedule — fail loudly instead of
 	// returning quietly wrong numbers.
-	for r := range pendings {
-		if pendings[r] != 0 {
-			panic(fmt.Sprintf("mpi: rank %d leaked %d uncompleted request(s): a posted Ibcast/Ialltoallv was never Waited", r, pendings[r]))
+	for r := range w.pendings {
+		if w.pendings[r] != 0 {
+			panic(fmt.Sprintf("mpi: rank %d leaked %d uncompleted request(s): a posted Ibcast/Ialltoallv was never Waited", r, w.pendings[r]))
 		}
 	}
-	return meters
+	// An idle world keeps no payload and no recorder of the run alive.
+	w.core.clearStaging()
+	for _, m := range w.meters {
+		m.rec = nil
+	}
+	w.broken = false
+	return w.meters
 }

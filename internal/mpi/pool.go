@@ -35,6 +35,7 @@ func (c *Comm) getBcastReq() *BcastRequest {
 }
 
 func (c *Comm) putBcastReq(r *BcastRequest) {
+	r.payload = nil // a pooled request keeps no payload alive
 	if p := c.pool; p != nil && len(p.bcast) < poolCap {
 		p.bcast = append(p.bcast, r)
 	}
@@ -53,6 +54,7 @@ func (c *Comm) getA2AReq() *AllToAllvRequest {
 }
 
 func (c *Comm) putA2AReq(r *AllToAllvRequest) {
+	r.recv = nil // a pooled request keeps no payload alive
 	if p := c.pool; p != nil && len(p.a2a) < poolCap {
 		p.a2a = append(p.a2a, r)
 	}

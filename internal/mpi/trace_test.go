@@ -6,6 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
+// SetRecorder attaches a per-rank span recorder to a meter outside a run (nil
+// detaches, turning tracing off); a World attaches its run's recorder itself.
+func (m *Meter) SetRecorder(r *obs.RankRecorder) { m.rec = r }
+
 // TestTracingDisabledAddsZeroAllocations: with no recorder attached (the
 // default — Run passes a nil *obs.Recorder), every metering charge path must
 // allocate nothing. The nil *obs.RankRecorder's methods are no-ops, so

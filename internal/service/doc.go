@@ -41,9 +41,20 @@
 // Client.Multiply decodes them as they arrive. The pieces are the kernels'
 // chunks on loan: they go back (core.Result.Release) once the product's last
 // byte has been written, still inside the reservation, and the next job's
-// kernels refill them. Every job runs a fresh mpi.Run world with its own
-// compute-measurement gate, so concurrent jobs never share mutable engine
-// state and outputs are bit-identical to one-shot runs.
+// kernels refill them.
+//
+// Jobs run on kept simulated clusters (core.World): p and the cost model are
+// fixed per daemon, so the service keeps an idle pool of built worlds per
+// layer count. A job takes one, or builds one when none is idle, runs on its
+// communicators and process grid as they are, and gives it back once its
+// summary is taken; only its p rank goroutines are new, and they end with
+// the job, so an idle world holds none. A world whose job failed is dropped,
+// never reused. Concurrent jobs hold distinct worlds, each with its own
+// meters and compute-measurement gate, so they never share mutable engine
+// state, and outputs are bit-identical to one-shot runs. The pool has no
+// bound of its own: a layer count never has more worlds than jobs that ran
+// on it at once. /stats and /metrics count the idle worlds, the worlds built
+// and those dropped after a failed job.
 //
 // Handler exposes the whole thing over HTTP (/load, /plan, /multiply, /stats,
 // /matrices, /metrics; see SERVICE.md for the wire contract), and Client is

@@ -185,6 +185,9 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		{"spgemmd_resident_matrices", float64(st.Matrices)},
 		{"spgemmd_traces_captured_total", float64(st.TracesCaptured)},
 		{"spgemmd_ranks", float64(st.P)},
+		{"spgemmd_worlds_idle", float64(st.IdleWorlds)},
+		{"spgemmd_worlds_built_total", float64(st.WorldsBuilt)},
+		{"spgemmd_worlds_dropped_total", float64(st.WorldsDropped)},
 		{`spgemmd_requests_total{endpoint="load"}`, float64(st.Requests["load"])},
 		{`spgemmd_requests_total{endpoint="multiply"}`, float64(st.Requests["multiply"])},
 		{`spgemmd_requests_total{endpoint="metrics"}`, float64(st.Requests["metrics"])},
@@ -203,6 +206,12 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	}
 	if m["spgemmd_jobs_total"] != 3 {
 		t.Errorf("jobs_total %g after 3 multiplies", m["spgemmd_jobs_total"])
+	}
+	// The three jobs ran one after another on one pair, so on one layer
+	// count: the first built a world, the two warm ones ran on it.
+	if st.WorldsBuilt != 1 || st.IdleWorlds != 1 || st.WorldsDropped != 0 {
+		t.Errorf("three jobs on one layer count: %d worlds built, %d idle, %d dropped; want 1, 1, 0",
+			st.WorldsBuilt, st.IdleWorlds, st.WorldsDropped)
 	}
 	if m[`spgemmd_requests_total{endpoint="multiply"}`] != 3 {
 		t.Errorf("multiply request counter %g, want 3", m[`spgemmd_requests_total{endpoint="multiply"}`])

@@ -53,6 +53,11 @@ type Service struct {
 	plans  *PlanCache
 	splits *splitCache
 	sched  *Scheduler
+	worlds worldPool
+
+	// rankHooks, when non-nil, hands every job's ranks their batch hooks. The
+	// daemon leaves it nil; it lets a test fail a job from inside its ranks.
+	rankHooks core.HookFactory
 
 	probes     atomic.Int64 // planner probe+sweep executions (cache misses)
 	multiplies atomic.Int64 // completed multiply jobs
@@ -381,7 +386,10 @@ func (r *MultiplyResult) releaseProduct() {
 }
 
 // run executes one job on its operands as the split cache holds them dealt
-// out for rc's grid and format: only the first job with a key deals one out.
+// out for rc's grid and format — only the first job with a key deals one out
+// — on a world of the pool: only a job that finds none idle for its layer
+// count builds one. The world goes back once the run has ended and its
+// summary is taken; a failed job's is dropped.
 func (s *Service) run(ra, rb *resident, rc core.RunConfig, discard bool) ([]*core.Result, *mpi.Summary, error) {
 	da, err := s.splits.deal(ra, core.RoleA, rc)
 	if err != nil {
@@ -391,7 +399,13 @@ func (s *Service) run(ra, rb *resident, rc core.RunConfig, discard bool) ([]*cor
 	if err != nil {
 		return nil, nil, err
 	}
-	return core.MultiplyDealt(da, db, rc, nil, discard)
+	w, err := s.worlds.take(rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, summary, err := w.MultiplyDealt(da, db, rc, s.rankHooks, discard)
+	s.worlds.give(w, rc, err != nil)
+	return results, summary, err
 }
 
 // jobFailed records and logs a failed job, passing the error through.
@@ -448,6 +462,13 @@ type Stats struct {
 	SplitCacheHits      int64 `json:"split_cache_hits"`
 	SplitCacheMisses    int64 `json:"split_cache_misses"`
 	SplitCacheEvictions int64 `json:"split_cache_evictions"`
+	// IdleWorlds is the number of built simulated clusters waiting for a job
+	// (one rank count, one layer count each), WorldsBuilt how many jobs built
+	// one because none was idle for their layer count, WorldsDropped how
+	// many were dropped because their job failed.
+	IdleWorlds    int   `json:"idle_worlds"`
+	WorldsBuilt   int64 `json:"worlds_built"`
+	WorldsDropped int64 `json:"worlds_dropped"`
 	// MemBytes echoes the shared budget; P and Machine the cluster shape.
 	MemBytes int64  `json:"mem_bytes"`
 	P        int    `json:"p"`
@@ -459,6 +480,7 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	waitTotal, waitMax, engine, rankCompute, failures := s.met.snapshot()
 	splitBytes, splitEntries, splitHits, splitMisses, splitEvictions := s.splits.snapshot()
+	idleWorlds, worldsBuilt, worldsDropped := s.worlds.snapshot()
 	reqs := make(map[string]int64, len(endpointNames))
 	for i, name := range endpointNames {
 		reqs[name] = s.requests[i].Load()
@@ -488,6 +510,10 @@ func (s *Service) Stats() Stats {
 		SplitCacheHits:      splitHits,
 		SplitCacheMisses:    splitMisses,
 		SplitCacheEvictions: splitEvictions,
+
+		IdleWorlds:    idleWorlds,
+		WorldsBuilt:   worldsBuilt,
+		WorldsDropped: worldsDropped,
 
 		MemBytes: s.cfg.MemBytes,
 		P:        s.cfg.P,
