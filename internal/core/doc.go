@@ -44,12 +44,12 @@
 // the staged schedule no stage product is materialized: every stage plans
 // its multiply, and Merge-Layer runs one pass over all q plans that makes
 // each output column's stage contributions in stage order and merges them
-// as it goes. The pipelined schedule does that for the last stage on a grid
-// with q > 1 and makes the earlier stages' products, whose multiplies hide
-// the next stage's broadcasts. Every merge — Merge-Layer on either schedule,
-// Merge-Fiber — is one call of one helper (Proc.merge) into one localmm
-// pass (localmm.MulMerge), with whatever plans it has: all q, the last
-// stage's, or none.
+// as it goes. The pipelined schedule does that for the last stage and makes
+// the earlier stages' products, whose multiplies hide the next stage's
+// broadcasts. Every merge — Merge-Layer on either schedule, Merge-Fiber — is
+// one call of one helper (Proc.merge) into one localmm pass
+// (localmm.MulMerge), with whatever plans it has: all q, the last stage's,
+// or none.
 //
 // # Lent outputs
 //
@@ -64,15 +64,15 @@
 // owner is whoever knows the output's last reader. Under the staged schedule
 // no stage product exists to lend: Merge-Layer computes every stage's
 // product inside its merge from the stages' plans (localmm.MulMerge), which
-// it holds until its merge and then releases. There are six cases:
+// it holds until its merge and then releases. There are five cases:
 //
-//   - A pipelined stage product, on a grid with q > 1 — the q − 1 earlier
-//     ones; the last stage's is never made, Merge-Layer computes it inside
-//     its merges from the stage's plan, which it holds until its last window
-//     and then releases: Merge-Layer accumulates the products into arrays of
-//     its own, and the batch function returns them right after.
-//   - Merge-Layer's output, on a grid with l > 1 (in the pipelined schedule,
-//     each per-destination merge's). This rank's Merge-Fiber reads it and,
+//   - A pipelined stage product — the q − 1 earlier ones; the last stage's is
+//     never made, Merge-Layer computes it inside its merges from the stage's
+//     plan, which it holds until its last window and then releases:
+//     Merge-Layer accumulates the products into arrays of its own, and the
+//     batch function returns them right after.
+//   - Merge-Layer's output, on a grid with l > 1 (pipelined with q > 1, each
+//     per-destination merge's). This rank's Merge-Fiber reads it and,
 //     through the by-reference fiber exchange, so do the l − 1 fiber peers'.
 //     It is returned right after the next batch's exchange is posted, which
 //     returns only once every peer has posted and so has finished this batch;
@@ -89,10 +89,6 @@
 //     Result holds the loans until the pieces' reader calls Result.Release:
 //     Multiply once it has assembled the product, the daemon once it has
 //     streamed it.
-//   - A pipelined stage product on a grid with q = 1, wherever Merge-Layer's
-//     output is lent (l > 1, or wherever the batch output is): a one-operand
-//     merge returns its operand, so the product is that output, and its loan
-//     goes with that output's to the same owner.
 //
 // The rule behind the batch-output cases is one (Proc.lends): the batch
 // output is lent whenever its last reader is known — the hook of a
@@ -106,9 +102,12 @@
 // # Schedules
 //
 // The stage loop and the batch function support two schedules, selected by
-// Options.Pipeline, which differ in exactly two places: whether the next
-// stage is posted before the current one runs, and the order of Merge-Layer
-// against the exchange post.
+// Options.Pipeline, which differ in at most two places: whether the next
+// stage is posted before the current one runs, and, on a grid with q > 1 and
+// l > 1, the order of Merge-Layer against the exchange post. With one stage
+// there is no product to merge before the post, and with one layer no
+// exchange to hide, so there the pipelined Merge-Layer merges once like the
+// staged one and the two schedules differ in the broadcast prefetch alone.
 //
 //   - Staged (default): stage s's A- and B-broadcasts complete before its
 //     local multiply starts, Merge-Layer merges once before the fiber
@@ -118,8 +117,9 @@
 //     before stage s's multiply; the last stage of batch t posts batch t+1's
 //     stage-0 broadcasts (the batch piece is extracted one batch ahead by
 //     BatchedSUMMA3D) so the pipeline never drains at a batch boundary; and
-//     Merge-Layer is partitioned by destination layer so the fiber exchange
-//     (mpi.IalltoallvStart) completes while the own-layer share still runs.
+//     on a grid with q > 1 and l > 1 Merge-Layer is partitioned by
+//     destination layer so the fiber exchange (mpi.IalltoallvStart)
+//     completes while the own-layer share still runs.
 //     An overlap ledger (pipeline.go) converts measured compute between a
 //     collective's post and wait into hiding credit — each compute second
 //     hides at most one collective — and the hidden share is charged to the

@@ -29,13 +29,14 @@ import (
 //
 // The third row is the grid the planner picks for most of the daemon's warm
 // count-only jobs: 16 ranks in 16 layers (q = 1), pipelined, one batch, on
-// an Erdős–Rényi operand of 2048 columns. Its one stage product is
-// Merge-Layer's output and is lent once, whole, and its 16 fiber views carve
-// their column pointers from the same loan: 1.2–1.3 MB a multiply, against
-// 1.9–2.1 MB while the product's and the views' metadata was allocated fresh,
-// which the bound of 1.5 MiB turns away. Planning that stage and merging it per
-// destination, as the staged schedule does, turns the one loan into 16 per
-// rank, and the same multiply allocated 9.3–11.3 MB.
+// an Erdős–Rényi operand of 2048 columns. With one stage nothing overlaps a
+// per-destination merge, so Merge-Layer plans the stage and merges it once,
+// as the staged schedule does: its output is lent once, whole, and its 16
+// fiber views carve their column pointers from the same loan. That read
+// 1.1–1.3 MB a multiply, about what it read while the pipelined run made the
+// stage's product and passed it through as Merge-Layer's output (1.2–1.35
+// MB), against 1.9–2.1 MB while the lent output's and the views' metadata was
+// allocated fresh, which the bound of 1.5 MiB turns away.
 //
 // The fourth row runs the first grid through Multiply with no hook, whose
 // batch outputs are lent to the ranks' Results until the assembly has read

@@ -112,17 +112,17 @@ func poisoned(c *spmat.CSC) bool {
 // is safe: stage products (forEachStage), Merge-Layer outputs on grids with
 // l > 1 — returned after the next batch's exchange post, or by the launcher
 // after the last batch, so b ∈ {1, 3} reaches both — and a discarded batch's
-// output, which is Merge-Fiber's on l > 1, Merge-Layer's on l = 1 and, with
-// q = 1 too, the stage product. The reference is the same run with nothing lent
-// (lendChunks off). Under the poison, every schedule × grid with q ∈ {1, 2, 4}
-// and l ∈ {1, 4, 16} × format × Threads ∈ {1, 4} must reproduce it bit for
-// bit and in stored order: in the pieces a MultiplyRanks hook kept — the very
-// matrices each rank's Merge-Fiber returned, which at q = 1, l = 1 are the
-// stage products themselves — in every rank's Result.CSC(), and in the
-// fingerprint a MultiplyDiscard hook takes of its borrowed piece inside the
-// call, and in the product Multiply assembles from the lent pieces of a run
-// with no hook before it releases them. q = 1 is where a product escapes
-// through a one-operand merge; the
+// output, which is Merge-Fiber's on l > 1 and Merge-Layer's on l = 1. The
+// reference is the same run with nothing lent (lendChunks off). Under the
+// poison, every schedule × grid with q ∈ {1, 2, 4} and l ∈ {1, 4, 16} ×
+// format × Threads ∈ {1, 4} must reproduce it bit for bit and in stored
+// order: in the pieces a MultiplyRanks hook kept — the very matrices each
+// rank's Merge-Fiber returned, which on l = 1 are Merge-Layer's outputs — in
+// every rank's Result.CSC(), and in the fingerprint a MultiplyDiscard hook
+// takes of its borrowed piece inside the call, and in the product Multiply
+// assembles from the lent pieces of a run with no hook before it releases
+// them. q = 1 is where one pass over the stage's plan makes Merge-Layer's
+// output and, at p = 1, the batch output too; the
 // heavy operand's stages pay for a second worker, so wherever the gate grants
 // one (-cpu 4 under make race) a multi-range output comes back owned while
 // its neighbours are lent. Last, a MultiplyDiscard hook that keeps its

@@ -122,7 +122,10 @@ type Options struct {
 	// boundaries, the last stage of batch t posts batch t+1's first
 	// broadcasts so the pipeline never drains; and the fiber AllToAll is
 	// split (mpi.IalltoallvStart) and completed only after the own-layer
-	// share of Merge-Layer ran, hiding the exchange behind that merge. The
+	// share of Merge-Layer ran, hiding the exchange behind that merge. On a
+	// grid with one stage (q = 1) or one layer (l = 1) that merge would
+	// overlap nothing, so Merge-Layer merges once as in the staged schedule
+	// and pipelining is the broadcast prefetch only. The
 	// share of each collective hidden this way is charged to the *-Hidden
 	// meter categories (StepABcastHidden, ...) instead of the paper's step;
 	// output values are bit-identical to the staged schedule. Default off,

@@ -39,7 +39,7 @@ type Proc struct {
 	sc sparseComm
 
 	// lent holds the loans of the last batch's Merge-Layer outputs on a grid
-	// with l > 1 (at q = 1 the stage product each is), which the fiber peers
+	// with l > 1, which the fiber peers
 	// may still be reading: the next batch's exchange post returns them
 	// (summa3DBatch), and after the last batch the launcher does.
 	lent []localmm.Loan

@@ -314,8 +314,8 @@ func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*
 // the paper targets): every batch is replaced by an empty piece once the
 // user's hook has seen it, so no rank ever holds more than one batch of C.
 // The piece a hook is handed is borrowed for the duration of the call: it is
-// a kernel's scratch — Merge-Fiber's, or on a one-layer grid Merge-Layer's or
-// the lone stage product's — handed back and refilled as soon as the hook
+// a kernel's scratch — Merge-Fiber's, or on a one-layer grid Merge-Layer's —
+// handed back and refilled as soon as the hook
 // returns, so a hook reads its piece inside the call and keeps neither the
 // piece nor a slice of its arrays. With a nil HookFactory the batches are
 // only counted: Result.BatchNNZ holds their sizes, no rank keeps an entry,

@@ -10,8 +10,8 @@ import (
 
 // This file holds the paths on which the one sort of an output entry moved —
 // a one-layer grid's Merge-Layer draining in ascending order with Merge-Fiber
-// passing its operand through, a one-operand merge being the operand, a lone
-// unsorted product sorted where it lies — to an oracle that shares no merge
+// passing its operand through, a one-operand merge being the operand — to an
+// oracle that shares no merge
 // with the run under test: the same product computed from the transposed
 // operands, whose blocks, stage products and merge inputs are all different.
 
@@ -32,10 +32,10 @@ func strictlyAscending(m *spmat.CSC) error {
 // TestTransposeIdentityOverMergePaths asserts (A·B)ᵀ == Bᵀ·Aᵀ entry for entry
 // on integer-valued operands — sums are exact, so the two sides may accumulate
 // in any order — over every layer count of a 16-rank grid and the one-rank
-// grid, both schedules and all three formats. l = 1 runs the sorted
-// Merge-Layer and the pass-through Merge-Fiber, l = 16 (q = 1) the
-// pass-through Merge-Layer, p = 1 the lone unsorted operand. Every rank's
-// piece must come out sorted and duplicate-free whatever path sorted it.
+// grid, both schedules and all three formats. l = 1 and p = 1 run the sorted
+// Merge-Layer and the pass-through Merge-Fiber, l = 16 (q = 1) the one-plan
+// Merge-Layer, whose unsorted output Merge-Fiber sorts. Every rank's piece
+// must come out sorted and duplicate-free whatever path sorted it.
 func TestTransposeIdentityOverMergePaths(t *testing.T) {
 	rectA, rectB := randomMat(t, 70, 50, 600, 301), randomMat(t, 50, 90, 700, 302)
 	hyper := genmat.Hypersparse(48, 1024, 2, 303) // DCSC blocks under auto

@@ -112,15 +112,14 @@ var lendChunks = true
 
 // stageProducts runs the stage loop over bBatch and collects what each stage
 // leaves for Merge-Layer: its plan, or its partial product and the loan behind
-// it, which the caller returns once its merges have read the products. Under
-// the staged schedule no stage makes a product: every stage only plans its
-// multiply and hands the plan to Merge-Layer, which computes all q products
-// straight out of the accumulator into the merge (Proc.merge,
-// localmm.MulMerge) and releases the plans. Under the pipelined schedule a
-// stage's multiply is the compute that hides the next stage's broadcasts, so
-// each stage but the last makes its product, and only the last stage's plan
-// goes to Merge-Layer on a grid with q > 1. unmerged counts the entries of
-// the products made here; Merge-Layer adds the planned stages'.
+// it, which the caller returns once its merges have read the products. The
+// last stage always only plans its multiply and hands the plan to
+// Merge-Layer, which computes that product straight out of the accumulator
+// into the merge (Proc.merge, localmm.MulMerge) and releases the plan. Under
+// the staged schedule every stage does. Under the pipelined schedule a stage's
+// multiply is the compute that hides the next stage's broadcasts, so on a grid
+// with q > 1 each stage but the last makes its product. unmerged counts the
+// entries of the products made here; Merge-Layer adds the planned stages'.
 //
 // Local multiply (Alg 1 line 7). One pass over the B block finds each B
 // entry's A column and counts the stage's flops column by column
@@ -143,19 +142,14 @@ var lendChunks = true
 // compute, the paper's 16-threads-per-process configuration, and never as
 // more runnable goroutines than the host has cores.
 //
-// A stage product that is made — only the pipelined schedule makes one — is
-// read by the Merge-Layer that follows and by nothing else. With q > 1 that
-// merge accumulates the products into arrays of its own, so each is only
-// lent (localmm.Plan.Mul with lend): its entries stay in the kernel worker's
-// chunk until the loan is returned, right after Merge-Layer. With q = 1 the one
-// product is the Merge-Layer output (a one-operand merge returns its
-// operand), so it is lent exactly when that output is (lends), and
-// summa3DBatch hands its loan on with that output's. A product more than one
-// worker made is an owned copy either way.
+// A stage product that is made is read by the Merge-Layer that follows and by
+// nothing else. That merge accumulates the products into arrays of its own,
+// so each is only lent (localmm.Plan.Mul with lend): its entries stay in the
+// kernel worker's chunk until the loan is returned, right after Merge-Layer.
+// A product more than one worker made is an owned copy.
 func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, plans []*localmm.Plan, unmerged int64) {
 	meter := p.G.World.Meter()
 	q := p.G.Q
-	lend := lendChunks && (q > 1 || p.lends(false))
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(s int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
@@ -165,11 +159,11 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 		sec := p.measure(func() {
 			plan := localmm.PlanMul(aRecv, bRecv)
 			flops = plan.Flops
-			if !p.Opts.Pipeline || q > 1 && s == q-1 {
+			if !p.Opts.Pipeline || s == q-1 {
 				plans = append(plans, plan)
 				return
 			}
-			prod, loan = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, lend, p.workers(flops))
+			prod, loan = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, lendChunks, p.workers(flops))
 			plan.Release()
 		})
 		res.LocalFlops += flops
@@ -201,34 +195,36 @@ func returnLoans(loans []localmm.Loan) {
 //
 // The ColSplit packing of Alg 2 line 4 is local merge-side work, so it is
 // metered as Merge-Layer compute; the category switches to the exchange's step
-// only at its wait. The schedules order Merge-Layer against the exchange post
-// in two ways and share everything after the post:
+// only at its wait. Merge-Layer is ordered against the exchange post in two
+// ways, which share everything after the post:
 //
-//   - Staged: merge the stages' products once — all q computed inside that
-//     merge from their plans, none of them written — then split the merged
-//     output by owning layer and post. Nothing is measured between post and
-//     wait, so the exchange's credit is zero and it meters exactly like the
-//     blocking AllToAllv.
-//   - Pipelined: split every stage product by owning layer first, merge each
-//     destination's pieces separately — merging is column-independent, so each
-//     merged piece is bit-identical to the staged output's column selection —
-//     and post as soon as the remote destinations are merged. The own-layer
-//     merge then runs while the exchange is in flight: its time is overlap
-//     credit and the hidden share of the AllToAll cost is charged to
-//     StepAllToAllHidden. The split's work units count every stage product's
-//     entries, so they are charged after the merges, which count the last
-//     one's.
+//   - One merge: merge the stage products once, then split the merged output
+//     by owning layer and post. Nothing is measured between post and wait, so
+//     the exchange's credit is zero and it meters exactly like the blocking
+//     AllToAllv. The staged schedule always merges once, and so does the
+//     pipelined one wherever a per-destination merge would overlap nothing:
+//     on a grid with one stage (q = 1) no product is made before the post,
+//     and on one layer (l = 1) there is no exchange to hide.
+//   - Per destination, pipelined on a grid with q > 1 and l > 1: split every
+//     stage product by owning layer first, merge each destination's pieces
+//     separately — merging is column-independent, so each merged piece is
+//     bit-identical to the one merge's column selection — and post as soon as
+//     the remote destinations are merged. The own-layer merge then runs while
+//     the exchange is in flight: its time is overlap credit and the hidden
+//     share of the AllToAll cost is charged to StepAllToAllHidden. The split's
+//     work units count every stage product's entries, so they are charged
+//     after the merges, which count the last one's.
 //
 // Either way the own piece never travels. "The stage products" are the
-// products stageProducts made (pipelined stages but the last, or the one
-// stage at q = 1) and the plans of the rest (every stage when staged, the
-// last on a pipelined grid with q > 1): each merge is one fused pass
-// (Proc.merge) that computes its window of every planned product, column by
-// column in stage order, and merges the made products' window with them, so
-// Merge-Layer's sections time those multiplies too and a planned stage's
-// Local-Multiply section times its plan alone. Every work unit, peak
-// checkpoint, flop and entry count is what it was with the products made
-// first.
+// products stageProducts made (pipelined stages but the last) and the plans
+// of the rest (every stage when staged, the last one always): each merge is
+// one fused pass (Proc.merge) that computes its window of every planned
+// product, column by column in stage order, and merges the made products'
+// window with them, so Merge-Layer's sections time those multiplies too and a
+// planned stage's Local-Multiply section times its plan alone. Every work
+// unit, peak checkpoint, flop and entry count is what it was with the
+// products made first. The made products' loans go back once the merges have
+// read them.
 //
 // Merge-Layer's output is lent whenever its last reader is known (lends).
 // With l > 1 it is read by this rank's Merge-Fiber and, through the
@@ -260,12 +256,11 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	var merged int64
 	var post float64
 	var req *mpi.AllToAllvRequest
-	// One loan per Merge-Layer output, and at q = 1 the stage product's.
-	lent := make([]localmm.Loan, 0, g.L+1)
+	lent := make([]localmm.Loan, 0, g.L)
 	_, width := bBatch.Dims()
-	if !p.Opts.Pipeline {
-		// Every stage only planned (partial is empty): the one pass makes
-		// all q products.
+	if !p.Opts.Pipeline || g.Q == 1 || g.L == 1 {
+		// The one pass makes every planned product and merges the made ones
+		// with them.
 		d, loan, planned, mergeSec := p.merge(partial, plans, 0, width, unmerged, false, true)
 		unmerged += planned
 		lent = append(lent, loan)
@@ -283,7 +278,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	} else {
 		// The pieces are views of the stage products, lent chunks included,
 		// with a lent product's metadata carved from its loan; the last
-		// stage's product (q > 1) is made per destination, by the merge.
+		// stage's product is made per destination, by the merge.
 		perDest := make([][]spmat.Matrix, g.L)
 		bounds := p.bt.LayerBounds(t)
 		packSec := p.measure(func() {
@@ -317,15 +312,9 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		// The split's work counts every stage product's entries, the last
 		// one's included, which only the merges above have counted.
 		meter.AddComputeWork(packSec, unmerged+int64(g.L)+1)
-		// Every merge that reads the stage products is done. With q = 1 the
-		// one stage product is Merge-Layer's output, so its loan joins that
-		// output's.
-		if g.Q == 1 {
-			lent = append(lent, loans...)
-		} else {
-			returnLoans(loans)
-		}
 	}
+	// Every merge that reads the stage products is done.
+	returnLoans(loans)
 	res.UnmergedNNZ += unmerged
 	// Peak: inputs plus all unmerged stage products live simultaneously.
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged)
@@ -406,26 +395,19 @@ func (p *Proc) lastTable() bool { return p.G.L == 1 }
 // operands prev — the stage products' windows at Merge-Layer, the received
 // pieces at Merge-Fiber — and of the windows [lo, hi) of the planned stages'
 // products, which plans compute inside the merge and which never
-// materialize. With no plan (Merge-Fiber, the pipelined schedule at q = 1)
-// it merges prev alone, and lo and hi are not read. entries is prev's; the
-// workers are what entries and the plans' window flops pay for; planned is
-// the planned windows' entry count, which the caller's work units add. The
-// plans are released in the same section once release says this is their
-// last window. fiber says the merge is Merge-Fiber rather than Merge-Layer:
-// Merge-Fiber always sorts, Merge-Layer when it is the last merge to hold the
-// entries in a table (lastTable), and either lends its output when that
-// output's last reader is known (lends). The caller returns a lent output once
-// that reader is done. A lone unsorted operand of a sorted merge on a one-layer
-// grid is a matrix this rank just produced and nobody else holds — a
-// pipelined p = 1 run's only stage product — so it is sorted where it lies
-// instead of on the copy the merge would make.
+// materialize. With no plan (Merge-Fiber) it merges prev alone, and lo and hi
+// are not read. entries is prev's; the workers are what entries and the
+// plans' window flops pay for; planned is the planned windows' entry count,
+// which the caller's work units add. The plans are released in the same
+// section once release says this is their last window. fiber says the merge
+// is Merge-Fiber rather than Merge-Layer: Merge-Fiber always sorts,
+// Merge-Layer when it is the last merge to hold the entries in a table
+// (lastTable), and either lends its output when that output's last reader is
+// known (lends). The caller returns a lent output once that reader is done.
 func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, fiber, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
 	o := &p.Opts
 	sorted, lend := fiber || p.lastTable(), lendChunks && p.lends(fiber)
 	sec = p.measure(func() {
-		if sorted && len(prev) == 1 && len(plans) == 0 && p.G.L == 1 {
-			prev[0].SortColumns()
-		}
 		work := entries
 		for _, pl := range plans {
 			work += pl.WindowFlops(lo, hi)

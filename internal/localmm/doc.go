@@ -50,8 +50,8 @@
 // planned stage's contributions as the kernel would and merges them with
 // the earlier columns in stage order, so every row still sums ((s₁ + s₂) +
 // s₃)…, bit for bit. The staged schedule hands it every stage's plan and no
-// product; the pipelined one its q − 1 products and the last stage's plan, or
-// at q = 1 its one product and no plan. With no plan no column has a planned
+// product; the pipelined one its q − 1 products and the last stage's plan.
+// With no plan no column has a planned
 // part, and the pass is the merge of the earlier operands alone.
 // Where a column has at most one earlier column — a product's part, or an
 // earlier planned stage's column made in the worker's stage scratch — the

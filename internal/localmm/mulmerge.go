@@ -18,8 +18,8 @@ import (
 // the earlier materialized operands, any formats; plans are the stages after
 // them, in stage order, all over A blocks of the same height. The staged
 // schedule passes every stage's plan and no prev; the pipelined one its
-// q − 1 products and the last stage's plan, or at q = 1 its one product and
-// no plan; Merge-Fiber the pieces the fiber exchange brought and no plan.
+// q − 1 products and the last stage's plan; Merge-Fiber the pieces the fiber
+// exchange brought and no plan.
 //
 // With a plan, prev are windows of the same batch, each rows × (hi − lo),
 // each column holding a row at most once, as every kernel's and merge's

@@ -62,11 +62,28 @@ var jobBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// gridKey is the grid a completed job ran on: its layer count and whether it
+// ran the pipelined schedule. A fixed key, so counting a job on a grid seen
+// before allocates nothing.
+type gridKey struct {
+	layers    int
+	pipelined bool
+}
+
+// GridJobs counts the completed jobs that ran on one layer count under one
+// schedule, "staged" or "pipelined".
+type GridJobs struct {
+	Layers   int    `json:"layers"`
+	Schedule string `json:"schedule"`
+	Jobs     int64  `json:"jobs"`
+}
+
 // jobMetrics aggregates per-job wall timings: end-to-end duration (plan +
 // admission wait + run) and admission queue wait, as histograms plus the
 // total/max the Stats snapshot reports, and the two totals that say how many
 // cores the jobs used — wall seconds inside the engine and the compute
-// seconds the ranks measured there — and the wall time cold plans took.
+// seconds the ranks measured there — the wall time cold plans took, and the
+// completed jobs by the grid they ran on.
 type jobMetrics struct {
 	mu             sync.Mutex
 	duration       histogram
@@ -79,20 +96,23 @@ type jobMetrics struct {
 	coldPlan       float64
 	resultBytes    int64
 	encodeSeconds  float64
+	byGrid         map[gridKey]int64
 }
 
 func newJobMetrics() *jobMetrics {
 	return &jobMetrics{
 		duration:  newHistogram(jobBuckets),
 		queueWait: newHistogram(jobBuckets),
+		byGrid:    map[gridKey]int64{},
 	}
 }
 
 // observeJob records one completed job's end-to-end duration, queue wait,
-// engine wall time and summed rank compute seconds.
-func (jm *jobMetrics) observeJob(duration, wait, engine, rankCompute float64) {
+// engine wall time, summed rank compute seconds and grid.
+func (jm *jobMetrics) observeJob(duration, wait, engine, rankCompute float64, grid gridKey) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
+	jm.byGrid[grid]++
 	jm.duration.observe(duration)
 	jm.queueWait.observe(wait)
 	jm.engineTotal += engine
@@ -133,6 +153,28 @@ func (jm *jobMetrics) snapshot() (waitTotal, waitMax, engine, rankCompute float6
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	return jm.queueWaitTotal, jm.queueWaitMax, jm.engineTotal, jm.rankCompute, jm.failures
+}
+
+// jobsByGrid returns the completed jobs by grid, by layer count and then
+// schedule.
+func (jm *jobMetrics) jobsByGrid() []GridJobs {
+	jm.mu.Lock()
+	out := make([]GridJobs, 0, len(jm.byGrid))
+	for g, n := range jm.byGrid {
+		schedule := "staged"
+		if g.pipelined {
+			schedule = "pipelined"
+		}
+		out = append(out, GridJobs{Layers: g.layers, Schedule: schedule, Jobs: n})
+	}
+	jm.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Layers != out[j].Layers {
+			return out[i].Layers < out[j].Layers
+		}
+		return out[i].Schedule < out[j].Schedule
+	})
+	return out
 }
 
 // handlerTotals returns the totals only /metrics renders: the summed wall
@@ -178,6 +220,10 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	}
 
 	counter("spgemmd_jobs_total", "Completed multiply jobs.", float64(st.Multiplies))
+	fmt.Fprintf(w, "# HELP spgemmd_jobs_by_grid_total Completed multiply jobs, by layer count and schedule.\n# TYPE spgemmd_jobs_by_grid_total counter\n")
+	for _, g := range st.JobsByGrid {
+		fmt.Fprintf(w, "spgemmd_jobs_by_grid_total{layers=\"%d\",schedule=%q} %d\n", g.Layers, g.Schedule, g.Jobs)
+	}
 	counter("spgemmd_jobs_failed_total", "Multiply jobs that errored.", float64(st.JobFailures))
 	counter("spgemmd_jobs_queued_total", "Jobs that waited for admission.", float64(st.QueuedJobs))
 	counter("spgemmd_queue_wait_seconds_total", "Total admission queue wait.", st.QueueWaitSeconds)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -212,6 +213,24 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	if st.WorldsBuilt != 1 || st.IdleWorlds != 1 || st.WorldsDropped != 0 {
 		t.Errorf("three jobs on one layer count: %d worlds built, %d idle, %d dropped; want 1, 1, 0",
 			st.WorldsBuilt, st.IdleWorlds, st.WorldsDropped)
+	}
+	// The same jobs by grid: one layer count, one schedule, all three jobs,
+	// in /stats as in the snapshot and in /metrics.
+	if len(st.JobsByGrid) != 1 || st.JobsByGrid[0].Jobs != st.Multiplies {
+		t.Errorf("three jobs on one pair: jobs by grid %+v, want one grid with %d", st.JobsByGrid, st.Multiplies)
+	}
+	served, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(served.JobsByGrid, st.JobsByGrid) {
+		t.Errorf("/stats jobs by grid %+v, the snapshot %+v", served.JobsByGrid, st.JobsByGrid)
+	}
+	for _, g := range st.JobsByGrid {
+		key := fmt.Sprintf("spgemmd_jobs_by_grid_total{layers=\"%d\",schedule=%q}", g.Layers, g.Schedule)
+		if got, ok := m[key]; !ok || got != float64(g.Jobs) {
+			t.Errorf("%s = %g (present %v), /stats says %d", key, got, ok, g.Jobs)
+		}
 	}
 	if m[`spgemmd_requests_total{endpoint="multiply"}`] != 3 {
 		t.Errorf("multiply request counter %g, want 3", m[`spgemmd_requests_total{endpoint="multiply"}`])

@@ -30,7 +30,7 @@ func quantised(m *spmat.CSC) *spmat.CSC {
 // three generated operands and four pairs, and a Markov-clustering iterate
 // times itself. At this size the plans the daemon picks for them cover l = 1
 // (sorted Merge-Layer, pass-through Merge-Fiber) and l = 16, where q = 1
-// (pass-through Merge-Layer); smaller operands all plan to l = 4. On the way
+// (one plan, merged once); smaller operands all plan to l = 4. On the way
 // it pins that a plan names no kernel or merger any more — every plan runs
 // the sort-free hash pair — while a choice an older build serialized with
 // them still decodes and applies, and that the counter of the deleted

@@ -339,7 +339,7 @@ func (s *Service) multiply(req MultiplyRequest, deliver func(*MultiplyResult)) (
 	res.ModelSeconds = res.CommSeconds + res.ComputeSeconds
 
 	duration := time.Since(jobStart).Seconds()
-	s.met.observeJob(duration, wait, engineSec, summary.RankComputeSeconds)
+	s.met.observeJob(duration, wait, engineSec, summary.RankComputeSeconds, gridKey{rc.L, rc.Opts.Pipeline})
 	tracePath := ""
 	if rc.Trace != nil {
 		s.traces.Add(1)
@@ -429,9 +429,12 @@ type Stats struct {
 	Probes int64 `json:"probes"`
 	// Multiplies counts completed jobs; QueuedJobs those that waited for
 	// admission; PeakQueued the deepest the admission queue has been.
-	Multiplies int64 `json:"multiplies"`
-	QueuedJobs int64 `json:"queued_jobs"`
-	PeakQueued int   `json:"peak_queued"`
+	// JobsByGrid splits Multiplies by the layer count and schedule the jobs
+	// ran on.
+	Multiplies int64      `json:"multiplies"`
+	JobsByGrid []GridJobs `json:"jobs_by_grid"`
+	QueuedJobs int64      `json:"queued_jobs"`
+	PeakQueued int        `json:"peak_queued"`
 	// JobFailures counts multiply jobs that errored.
 	JobFailures int64 `json:"job_failures"`
 	// QueueWaitSeconds totals every job's admission wait; QueueWaitMaxSeconds
@@ -492,6 +495,7 @@ func (s *Service) Stats() Stats {
 		PlanMisses: s.plans.Misses(),
 		Probes:     s.probes.Load(),
 		Multiplies: s.multiplies.Load(),
+		JobsByGrid: s.met.jobsByGrid(),
 		QueuedJobs: s.queuedJobs.Load(),
 		PeakQueued: s.sched.PeakQueued(),
 

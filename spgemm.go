@@ -291,7 +291,9 @@ type Options struct {
 	// stage's local multiply (likewise in the symbolic pass), the last stage
 	// of batch t prefetches batch t+1's first broadcasts so the pipeline
 	// never drains at batch boundaries, and the fiber AllToAll completes
-	// while the own-layer share of Merge-Layer still runs. Hidden
+	// while the own-layer share of Merge-Layer still runs — except on a
+	// one-stage (p = l) or one-layer grid, where that merge would overlap
+	// nothing and pipelining is the broadcast prefetch only. Hidden
 	// communication is reported in Stats.HiddenCommSeconds and per step in
 	// StepStat.HiddenCommSeconds; the per-step breakdown keeps only the
 	// exposed remainder. Output is bit-identical to the staged schedule.
