@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/genmat"
+	"repro/internal/localmm"
+	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
 
@@ -104,4 +106,144 @@ func TestLentOutputsAreNotCopied(t *testing.T) {
 			t.Fatalf("the merge outputs come to %d bytes and the stage products to %d: copying them would not show above the constant", 12*handedOn, 12*unmerged)
 		}
 	}
+}
+
+// TestOneShotDealIsLent is the allocation guard of the lent deal. A warm
+// one-shot call deals both operands into arrays the call before gave back,
+// so it allocates what the same run on operands the caller dealt once
+// (MultiplyDealt) allocates, plus the deal's headers — block structs, the
+// grid slices, a few bounds — which do not grow with the operands: at most
+// dealSlack. Two shapes, each at two sizes 4× apart in nonzeros:
+// kmer-hyper's, a hypersparse k-mer matrix times its transpose over 16 ranks
+// in 4 layers, one batch, assembled (Multiply); protein-batched's, a protein
+// similarity matrix squared under bench/'s budget, which batches it,
+// discarded with no hook (MultiplyDiscard). The kmer call allocates at most
+// its assembled product's bytes plus assemblySlack, and what it allocates
+// beyond the product grows by at most growthSlack from the small operand to
+// the large. (The protein call's bytes still grow with nnz apart from its
+// deal: B's batch pieces are copied on every batch, spmat.MatColSelect.)
+//
+// When this test was written a warm call's deal cost 5.6–5.8 KB (kmer) and
+// 4.7–5.0 KB (protein) over the kept-deal run, and the kmer call 0.13 and
+// 0.15 MB beyond its 0.08 and 0.31 MB product. Before the deal was lent it
+// cost 0.55 and 2.2 MB (kmer) and 0.26 and 1.1 MB (protein) —
+// spmat.(*dealer).place and the AUX arrays of DCSC.index, growing with the
+// operands — and the kmer call 0.68 and 2.3 MB beyond its product.
+func TestOneShotDealIsLent(t *testing.T) {
+	const (
+		dealSlack     = 16 << 10
+		assemblySlack = 512 << 10
+		growthSlack   = 64 << 10
+	)
+	kmer := func(reads int32) *spmat.CSC {
+		return genmat.Kmer(genmat.KmerConfig{Reads: reads, Kmers: 64 * reads, KmersPerRead: 24, Overlap: 0.08, Seed: 1})
+	}
+	protein := func(scale int) *spmat.CSC {
+		return genmat.SymmetricPermute(genmat.ProteinSimilarity(scale, 12, 1), 1)
+	}
+	for _, shape := range []struct {
+		name      string
+		operands  [2]*spmat.CSC
+		transpose bool
+		budgeted  bool
+	}{
+		{"kmer", [2]*spmat.CSC{kmer(512), kmer(2048)}, true, false},
+		{"protein", [2]*spmat.CSC{protein(9), protein(11)}, false, true},
+	} {
+		var beyond [2]int64
+		for size, a := range shape.operands {
+			b := a
+			if shape.transpose {
+				b = spmat.Transpose(a)
+			}
+			rc := RunConfig{P: 16, L: 4, Cost: testCM, Opts: Options{ForceBatches: 1, Threads: 1}}
+			if shape.budgeted {
+				// bench/'s budget: the symbolic step must batch.
+				nnzC := localmm.MulMat(localmm.KernelHashUnsorted, a, b, semiring.PlusTimes(), 1).NNZ()
+				rc.Opts = Options{MemBytes: 24 * (2*a.NNZ() + nnzC) / 3, Threads: 1}
+			}
+			da, err := Deal(a, RoleA, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := Deal(b, RoleB, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// product is the assembled C's bytes (0 when discarded).
+			var product int64
+			oneShot := func() {
+				if shape.budgeted {
+					if _, _, err := MultiplyDiscard(a, b, rc, nil); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				c, _, _, err := Multiply(a, b, rc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				product = c.CommBytes()
+			}
+			kept := func() {
+				results, _, err := MultiplyDealt(da, db, rc, nil, shape.budgeted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shape.budgeted {
+					return
+				}
+				if _, err := AssembleResults(results, a.Rows, b.Cols); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range results {
+					r.Release()
+				}
+			}
+			least := leastBytesPerCall(oneShot, kept)
+			deal := least[0] - least[1]
+			beyond[size] = least[0] - product
+			t.Logf("%s nnz=%d: a one-shot call allocates %d bytes, %d beyond its %d-byte product and %d beyond the run on a kept deal (the operands' entries are %d bytes)",
+				shape.name, a.NNZ(), least[0], beyond[size], product, deal, 12*(a.NNZ()+b.NNZ()))
+			if deal > dealSlack {
+				t.Errorf("%s nnz=%d: a warm one-shot call allocates %d bytes more than the run on a kept deal, above the %d of the deal's headers: the deal's arrays are not lent",
+					shape.name, a.NNZ(), deal, dealSlack)
+			}
+			if !shape.budgeted && beyond[size] > assemblySlack {
+				t.Errorf("%s nnz=%d: a warm one-shot call allocates %d bytes beyond its %d-byte product, above the %d slack",
+					shape.name, a.NNZ(), beyond[size], product, assemblySlack)
+			}
+		}
+		if !shape.budgeted && beyond[1]-beyond[0] > growthSlack {
+			t.Errorf("%s: the bytes a call allocates beyond its product grow from %d to %d with 4× the nonzeros, above the %d slack",
+				shape.name, beyond[0], beyond[1], growthSlack)
+		}
+	}
+}
+
+// leastBytesPerCall warms the calls up and returns, for each, the fewest
+// bytes one call of it allocated over five, the calls alternating. The
+// kernels' free lists take a few calls to fill, and a collection between
+// calls empties the sync.Pools (the deal's count-and-place scratch among
+// them); the least of several calls is what a call needs.
+func leastBytesPerCall(calls ...func()) []int64 {
+	const runs = 5
+	for range runs {
+		for _, call := range calls {
+			call()
+		}
+	}
+	least := make([]int64, len(calls))
+	for r := range runs {
+		for i, call := range calls {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			call()
+			runtime.ReadMemStats(&after)
+			if n := int64(after.TotalAlloc - before.TotalAlloc); r == 0 || n < least[i] {
+				least[i] = n
+			}
+		}
+	}
+	return least
 }

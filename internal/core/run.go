@@ -71,6 +71,13 @@ func (r Role) String() string {
 // format they were made for. Nothing writes to a Dealt or its blocks once Deal
 // returns — the ranks read their blocks in place — so one Dealt may serve any
 // number of runs, concurrent or not, on the same grid and format.
+//
+// The blocks' arrays come from spmat's free list of dealt arrays. A Dealt the
+// caller made with Deal is the caller's for as long as it likes: nothing in
+// this package gives its arrays back. The one-shot entry points (Multiply,
+// MultiplyDiscard, MultiplyRanks, SymbolicBatches) lend theirs: they deal
+// for the call and release the deal (release) once the run has ended, so the
+// next call's deal is drawn from the same arrays.
 type Dealt struct {
 	role       Role
 	rows, cols int32
@@ -82,7 +89,8 @@ type Dealt struct {
 // Deal deals m out for role on rc's grid (P ranks, L layers) in
 // rc.Opts.Format: one count-then-place sweep on the host (distmat's Split —
 // the simulated equivalent of reading a pre-distributed matrix, and the only
-// time the engine copies an operand).
+// time the engine copies an operand). The result is the caller's: it is
+// never released behind the caller's back.
 func Deal(m *spmat.CSC, role Role, rc RunConfig) (*Dealt, error) {
 	q, err := grid.SideFor(rc.P, rc.L)
 	if err != nil {
@@ -111,12 +119,27 @@ func (d *Dealt) fits(role Role, q int, rc RunConfig) error {
 	return nil
 }
 
-// deal deals a out as A and b as B on rc's grid.
+// release gives the blocks' arrays back to the free list they were drawn
+// from (spmat.ReleaseGrid): only a one-shot entry point calls it, on the deal
+// it made for its call, once every rank that read the blocks has ended.
+// Releasing twice is releasing once.
+func (d *Dealt) release() {
+	spmat.ReleaseGrid(d.blocks)
+	d.blocks = nil
+}
+
+// deal deals a out as A and b as B on rc's grid, for one call: the caller
+// releases both once its run has ended. When B cannot be dealt, A is
+// released here.
 func deal(a, b *spmat.CSC, rc RunConfig) (da, db *Dealt, err error) {
-	if da, err = Deal(a, RoleA, rc); err == nil {
-		db, err = Deal(b, RoleB, rc)
+	if da, err = Deal(a, RoleA, rc); err != nil {
+		return nil, nil, err
 	}
-	return da, db, err
+	if db, err = Deal(b, RoleB, rc); err != nil {
+		da.release()
+		return nil, nil, err
+	}
+	return da, db, nil
 }
 
 // World is a simulated cluster kept across runs: an mpi.World of P ranks
@@ -265,12 +288,16 @@ var errRankFailed = errors.New("core: rank body failed")
 // seen it. With no hook the results' pieces are the kernels' chunks on loan:
 // the caller calls Release on every result once it is done reading them, or
 // never, which costs only the chunks' reuse. A hook's pieces are the
-// caller's.
+// caller's. The operands are dealt for the call and the deal is released
+// when the run has ended, on every path out: no Result refers to a dealt
+// block.
 func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
 	da, db, err := deal(a, b, rc)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer da.release()
+	defer db.release()
 	return MultiplyDealt(da, db, rc, hooks, false)
 }
 
@@ -280,7 +307,8 @@ func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result,
 // The other entry points are Deal followed by this run. It runs on a world
 // built for the call (World.MultiplyDealt is the same on a kept one). An
 // operand dealt for another role, grid, layer count or format than rc's is
-// an error before any rank starts.
+// an error before any rank starts. The operands stay the caller's: neither
+// MultiplyDealt releases them.
 func MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
 	w, err := NewWorld(rc)
 	if err != nil {
@@ -293,7 +321,8 @@ func MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) (
 // returns the assembled global product, the per-rank results, and the step
 // metering summary. The assembly is the pieces' last reader: every result is
 // released once it is done (Result.Release), so the results hold no Pieces
-// and the product is the only copy of C.
+// and the product is the only copy of C. The deal is MultiplyRanks', released
+// before the assembly starts.
 func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*Result, *mpi.Summary, error) {
 	results, summary, err := MultiplyRanks(a, b, rc, hooks)
 	if err != nil {
@@ -319,11 +348,14 @@ func Multiply(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) (*spmat.CSC, []*
 // returns, so a hook reads its piece inside the call and keeps neither the
 // piece nor a slice of its arrays. With a nil HookFactory the batches are
 // only counted: Result.BatchNNZ holds their sizes, no rank keeps an entry,
-// and Result.GlobalCols is nil.
+// and Result.GlobalCols is nil. The operands are dealt for the call and the
+// deal is released when the run has ended, on every path out.
 func MultiplyDiscard(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result, *mpi.Summary, error) {
 	da, db, err := deal(a, b, rc)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer da.release()
+	defer db.release()
 	return MultiplyDealt(da, db, rc, hooks, true)
 }

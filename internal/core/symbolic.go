@@ -91,13 +91,16 @@ func batchesFor(maxNNZC, maxMemA, maxMemB, memBytes int64, p int) (int, error) {
 // SymbolicBatches runs only the distributed symbolic step (Alg 3) on a
 // fresh simulated cluster and returns the agreed batch count — the host-side
 // entry point for studying the batch decision (e.g. CSC-vs-DCSC footprint
-// ablations) without paying for the numeric phases.
+// ablations) without paying for the numeric phases. The operands are dealt
+// for the call and the deal is released when the run has ended.
 func SymbolicBatches(a, b *spmat.CSC, rc RunConfig) (int, error) {
 	rc.Trace = nil // a symbolic-only study records no spans
 	da, db, err := deal(a, b, rc)
 	if err != nil {
 		return 0, err
 	}
+	defer da.release()
+	defer db.release()
 	w, err := NewWorld(rc)
 	if err != nil {
 		return 0, err

@@ -133,6 +133,14 @@ const (
 	maxIdleChunkBytes = 64 << 20
 )
 
+// IdleLoanBytes is what the free list holds right now of what came back from
+// loans — chunks, and shells with their column metadata — in bytes.
+func IdleLoanBytes() int64 {
+	idleWorkers.Lock()
+	defer idleWorkers.Unlock()
+	return idleWorkers.loanBytes
+}
+
 // getWorker takes scratch off the free list, most recently used first. A
 // worker whose chunk went out on loan gets the most recently returned one.
 func getWorker() *mmWorker {
@@ -391,8 +399,10 @@ func (l *Loan) Return() {
 // and all of the shell's metadata — every pointer and stored column −1 —
 // before the free list sees them, so a product or a view of it still read
 // after its loan ended fails the comparison it takes part in, or its first
-// column read, instead of passing by luck of timing.
-var PoisonReturnedChunks atomic.Bool
+// column read, instead of passing by luck of timing. It is spmat's
+// PoisonReleased, so the same flag poisons a one-shot multiply's released
+// deal (spmat.ReleaseGrid) too.
+var PoisonReturnedChunks = &spmat.PoisonReleased
 
 func (c chunk) poison() {
 	rows, vals := c.rows[:cap(c.rows)], c.vals[:cap(c.vals)]

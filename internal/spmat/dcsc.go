@@ -29,13 +29,16 @@ import (
 // O(log nzc). A multiply with this block as A looks up the column of every B
 // entry's row, and does so once per block pair (Locate, called by the
 // multiply's plan), not once per kernel pass. AUX is 4 bytes per chunk, built
-// in one O(nzc) walk by the first lookup on the block and kept for its life.
-// It depends on JC and Cols only, which nothing changes once a block is
-// built (SortColumns permutes entries inside columns). It is not part of the
-// matrix: the wire format, CommBytes and the modeled footprint
-// (BlockMemBytes) do not know it exists — like the kernels' hash tables and
-// worker scratch it is an accelerator the receiving side builds for itself,
-// and the paper's r-bytes-per-nonzero model counts none of those.
+// in one O(nzc) walk by the first lookup on the block, in an array drawn
+// from the free list of dealt arrays, and kept for the block's life — which
+// for a dealt block ends when its grid is released (ReleaseGrid): AUX goes
+// back with the block's arrays. It depends on JC and Cols only, which
+// nothing changes once a block is built (SortColumns permutes entries inside
+// columns). It is not part of the matrix: the wire format, CommBytes and
+// the modeled footprint (BlockMemBytes) do not know it exists — like the
+// kernels' hash tables and worker scratch it is an accelerator the receiving
+// side builds for itself, and the paper's r-bytes-per-nonzero model counts
+// none of those.
 type DCSC struct {
 	Rows, Cols int32
 	JC         []int32
@@ -68,7 +71,7 @@ func (d *DCSC) index() *colIndex {
 	// column, and at most two expected per chunk keeps the search short.
 	shift := uint(bits.Len64(uint64(d.Cols-1) / uint64(2*len(d.JC))))
 	chunks := int((d.Cols-1)>>shift) + 1
-	ix := &colIndex{shift: shift, start: make([]int32, chunks+1)}
+	ix := &colIndex{shift: shift, start: drawDeal(&idleDeals.i32, chunks+1)}
 	c := 0
 	for p, j := range d.JC {
 		for ; c <= int(j>>shift); c++ {

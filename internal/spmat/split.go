@@ -32,12 +32,15 @@ func PartBounds(n int32, parts int) []int32 {
 // once to find each entry's row part and count the parts' entries and
 // occupied columns (the pass CountGrid runs alone), once, while the range is
 // still in cache, to place — and every entry is copied exactly once,
-// straight into a block allocated at its exact size in its resolved format
-// (f as WithFormat reads it: FormatAuto compresses a block when fewer than
-// half its columns are occupied). This is how a whole operand is distributed
-// over a process grid, and how one block is cut out of it: the bounds need
-// not cover the matrix, and entries outside [rowB[0], rowB[last]) ×
-// [colB[0], colB[last]) are dropped.
+// straight into a block of its exact size in its resolved format (f as
+// WithFormat reads it: FormatAuto compresses a block when fewer than half its
+// columns are occupied). The blocks' arrays are drawn from the free list
+// ReleaseGrid fills, best fit, and allocated when nothing idle fits; a block
+// sees exactly its lengths either way. A caller that is done with the grid
+// may release it (ReleaseGrid) or keep it for as long as it likes. This is
+// how a whole operand is distributed over a process grid, and how one block
+// is cut out of it: the bounds need not cover the matrix, and entries
+// outside [rowB[0], rowB[last]) × [colB[0], colB[last]) are dropped.
 //
 // The deal runs on every core: min(column ranges, GOMAXPROCS) goroutines —
 // the caller's one of them — take the column ranges in order off a shared
@@ -206,8 +209,10 @@ func (d *dealer) count(c int) {
 	}
 }
 
-// place allocates column range c's blocks of out at the sizes count left and
-// copies the range's entries into them, each block in its resolved format.
+// place makes column range c's blocks of out at the sizes count left — every
+// array drawn from the free list of dealt arrays (drawDeal), or allocated
+// when nothing idle fits — and copies the range's entries into them, each
+// block in its resolved format.
 func (d *dealer) place(c int, f Format, out []Matrix) {
 	m, rowB, fills := d.m, d.rowB, d.fills
 	nc := len(d.colB) - 1
@@ -217,12 +222,16 @@ func (d *dealer) place(c int, f Format, out []Matrix) {
 	for r := range fills {
 		st := &fills[r]
 		rows, cols := rowB[r+1]-rowB[r], c1-c0
-		st.rows, st.vals = make([]int32, st.n), make([]float64, st.n)
+		st.rows, st.vals = drawDeal(&idleDeals.i32, int(st.n)), drawDeal(&idleDeals.f64, int(st.n))
 		if st.hyper = f != FormatCSC && (f == FormatDCSC || Hypersparse(int64(st.nj), cols)); st.hyper {
-			st.jc, st.ptr = make([]int32, st.nj), make([]int64, st.nj+1)
+			st.jc, st.ptr = drawDeal(&idleDeals.i32, st.nj), drawDeal(&idleDeals.i64, st.nj+1)
+			st.ptr[0] = 0
 			out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols}
 		} else {
-			st.ptr = make([]int64, cols+1)
+			// The pass below sets only the ends of occupied columns, and the
+			// scan after it relies on zeros everywhere else.
+			st.ptr = drawDeal(&idleDeals.i64, int(cols)+1)
+			clear(st.ptr)
 			out[r*nc+c] = &CSC{Rows: rows, Cols: cols, ColPtr: st.ptr, RowIdx: st.rows, Val: st.vals, SortedCols: m.SortedCols, neCache: int64(st.nj) + 1}
 		}
 		st.n, st.nj, st.col = 0, 0, 0
