@@ -21,8 +21,8 @@
 // and go back to it (spmat.ReleaseGrid, with the DCSC blocks' AUX arrays)
 // once the call's run has ended, clean or aborted — no Result refers to a
 // dealt block — so a warm one-shot call deals into the arrays the call
-// before it gave back. A deal the caller made with Deal is never released:
-// it may serve any number of runs. That run is one launch on a
+// before it gave back. A deal the caller made with Deal is allocated at its
+// exact size and never released: it may serve any number of runs. That run is one launch on a
 // World — a simulated cluster of p ranks in l layers: it checks the world and
 // the dealt operands fit the run, each simulated rank takes its process grid
 // (grid.New in the world's first run, kept for every later one), is handed

@@ -72,12 +72,13 @@ func (r Role) String() string {
 // returns — the ranks read their blocks in place — so one Dealt may serve any
 // number of runs, concurrent or not, on the same grid and format.
 //
-// The blocks' arrays come from spmat's free list of dealt arrays. A Dealt the
-// caller made with Deal is the caller's for as long as it likes: nothing in
-// this package gives its arrays back. The one-shot entry points (Multiply,
-// MultiplyDiscard, MultiplyRanks, SymbolicBatches) lend theirs: they deal
-// for the call and release the deal (release) once the run has ended, so the
-// next call's deal is drawn from the same arrays.
+// A Dealt the caller made with Deal is the caller's for as long as it likes:
+// its arrays are allocated at their exact sizes, and nothing in this package
+// gives them back. The one-shot entry points (Multiply, MultiplyDiscard,
+// MultiplyRanks, SymbolicBatches) lend theirs: they deal for the call with
+// the arrays drawn from spmat's free list of dealt arrays (distmat's Lend)
+// and release the deal once the run has ended, so the next call's deal is
+// drawn from the same arrays.
 type Dealt struct {
 	role       Role
 	rows, cols int32
@@ -92,14 +93,25 @@ type Dealt struct {
 // time the engine copies an operand). The result is the caller's: it is
 // never released behind the caller's back.
 func Deal(m *spmat.CSC, role Role, rc RunConfig) (*Dealt, error) {
+	return dealAs(m, role, rc, false)
+}
+
+// dealAs is Deal, with the blocks' arrays on loan (distmat's Lend) when lend
+// is set: the caller releases the Dealt once its run has ended.
+func dealAs(m *spmat.CSC, role Role, rc RunConfig, lend bool) (*Dealt, error) {
 	q, err := grid.SideFor(rc.P, rc.L)
 	if err != nil {
 		return nil, err
 	}
 	d := &Dealt{role: role, rows: m.Rows, cols: m.Cols, q: q, l: rc.L, format: rc.Opts.Format}
-	if role == RoleA {
+	switch {
+	case role == RoleA && lend:
+		d.blocks = distmat.NewADist(m.Rows, m.Cols, q, rc.L).Lend(m, d.format)
+	case role == RoleA:
 		d.blocks = distmat.NewADist(m.Rows, m.Cols, q, rc.L).Split(m, d.format)
-	} else {
+	case lend:
+		d.blocks = distmat.NewBDist(m.Rows, m.Cols, q, rc.L).Lend(m, d.format)
+	default:
 		d.blocks = distmat.NewBDist(m.Rows, m.Cols, q, rc.L).Split(m, d.format)
 	}
 	return d, nil
@@ -119,27 +131,21 @@ func (d *Dealt) fits(role Role, q int, rc RunConfig) error {
 	return nil
 }
 
-// release gives the blocks' arrays back to the free list they were drawn
-// from (spmat.ReleaseGrid): only a one-shot entry point calls it, on the deal
-// it made for its call, once every rank that read the blocks has ended.
-// Releasing twice is releasing once.
+// release gives the arrays of a deal lent for one call (dealAs) back to the
+// free list they were drawn from (spmat.ReleaseGrid), once every rank that
+// read the blocks has ended. Releasing twice is releasing once.
 func (d *Dealt) release() {
 	spmat.ReleaseGrid(d.blocks)
 	d.blocks = nil
 }
 
-// deal deals a out as A and b as B on rc's grid, for one call: the caller
-// releases both once its run has ended. When B cannot be dealt, A is
-// released here.
+// deal deals a out as A and b as B on rc's grid, lent for one call: the
+// caller releases both once its run has ended.
 func deal(a, b *spmat.CSC, rc RunConfig) (da, db *Dealt, err error) {
-	if da, err = Deal(a, RoleA, rc); err != nil {
-		return nil, nil, err
+	if da, err = dealAs(a, RoleA, rc, true); err == nil {
+		db, err = dealAs(b, RoleB, rc, true)
 	}
-	if db, err = Deal(b, RoleB, rc); err != nil {
-		da.release()
-		return nil, nil, err
-	}
-	return da, db, nil
+	return da, db, err
 }
 
 // World is a simulated cluster kept across runs: an mpi.World of P ranks

@@ -109,6 +109,13 @@ func (d *ADist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
 	return spmat.SplitGrid(global, d.RowB, d.ColSlices(), f)
 }
 
+// Lend is Split with the pieces' arrays on loan (spmat.LendGrid): the caller
+// gives them back with spmat.ReleaseGrid once nothing reads the pieces.
+func (d *ADist) Lend(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
+	checkLayout(global, d.Rows, d.Cols)
+	return spmat.LendGrid(global, d.RowB, d.ColSlices(), f)
+}
+
 // Count counts what Split deals without dealing it: the entries and the
 // occupied columns of every piece, the piece of (i, j, k) at Index(i, j, k)
 // — spmat.CountGrid over Split's own bounds.
@@ -194,6 +201,12 @@ func (d *BDist) LocalMat(global *spmat.CSC, i, j, k int, f spmat.Format) spmat.M
 func (d *BDist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
 	checkLayout(global, d.Rows, d.Cols)
 	return spmat.SplitGrid(global, d.RowSlices(), d.ColB, f)
+}
+
+// Lend is Split with the pieces' arrays on loan (see ADist.Lend).
+func (d *BDist) Lend(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
+	checkLayout(global, d.Rows, d.Cols)
+	return spmat.LendGrid(global, d.RowSlices(), d.ColB, f)
 }
 
 // Count counts what Split deals without dealing it, the piece of (i, j, k)

@@ -215,13 +215,10 @@ func BenchmarkPlanMulHypersparse(b *testing.B) {
 // (MulMerge); fused-all, the staged schedule, plans every stage and merges
 // them all in one pass, with no product written. Each releases its plans and
 // returns its loans; the unsorted hash kernel and merger, and an unsorted
-// merge, as on a grid with l > 1. Two block pairs at q = 1, 2 and 4: kmer
+// merge, as on a grid with l > 1. Two block pairs at q = 2 and q = 4: kmer
 // is BenchmarkPlanMulHypersparse's, a hypersparse DCSC A against the diagonal
 // block of Aᵀ in the last stage and off-diagonal blocks before it; protein
 // is a 1024-row A of 10 entries per column against 64-column B blocks of 4.
-// At q = 1 fused and fused-all both merge the one stage's plan alone — every
-// q = 1 grid's Merge-Layer, whose slots are one operand's stored columns —
-// and materialize passes the one product through.
 func BenchmarkMergeLayer(b *testing.B) {
 	sr := semiring.PlusTimes()
 	kmer := hyperMat(b, 2048, 8192, 1536, 103)
@@ -240,7 +237,7 @@ func BenchmarkMergeLayer(b *testing.B) {
 		{"kmer", kmer.ToDCSC(), kmerB},
 		{"protein", protein, proteinB},
 	} {
-		for _, q := range []int{1, 2, 4} {
+		for _, q := range []int{2, 4} {
 			// Stage order: the off-diagonal blocks, then the last stage's.
 			bs := append(slices.Clone(sh.bs[1:q]), sh.bs[0])
 			_, cols := bs[0].Dims()

@@ -76,3 +76,23 @@ func TestLentOutputAllocatesNothingByWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionColsAllocatesNothingWithRoom: the stored-column union of a merge's
+// doubly-compressed operands writes into the arrays it is handed and keeps
+// its k-way cursors on the stack, so a union whose arrays have room
+// allocates nothing, for one operand up to sixteen (q stages, or l fiber
+// pieces).
+func TestUnionColsAllocatesNothingWithRoom(t *testing.T) {
+	for _, k := range []int{1, 4, 16} {
+		views := make([]colView, k)
+		total := 0
+		for i := range views {
+			views[i] = viewOf(hyperMat(t, 64, 4096, 200, int64(440+i)).ToDCSC())
+			total += int(views[i].n)
+		}
+		buf, cols := make([]int64, total), make([]int32, total)
+		if n := testing.AllocsPerRun(20, func() { unionCols(views, buf, cols) }); n != 0 {
+			t.Errorf("the union of %d operands allocates %.0f times with room in its arrays", k, n)
+		}
+	}
+}

@@ -459,17 +459,8 @@ func (w *mmWorker) mergeColumn(parts []colPart, want int64, rows int32, sr *semi
 
 // unionCols k-way-merges the stored-column lists of doubly-compressed
 // operands into their ascending union, with each union column's total entry
-// count (in the arrays of cols and buf when they have room). One operand's
-// union is its own list, copied: the result never aliases an operand.
+// count (in the arrays of cols and buf when they have room).
 func unionCols(views []colView, buf []int64, cols []int32) (union []int32, colIn []int64) {
-	if len(views) == 1 {
-		v := &views[0]
-		union, colIn = append(cols[:0], v.jc[:v.n]...), slices.Grow(buf[:0], int(v.n))[:v.n]
-		for p := range colIn {
-			colIn[p] = v.ptr[p+1] - v.ptr[p]
-		}
-		return union, colIn
-	}
 	total := 0
 	for i := range views {
 		total += int(views[i].n)

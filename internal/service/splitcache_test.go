@@ -286,6 +286,63 @@ func TestSplitCacheDealsAKeyOnce(t *testing.T) {
 	}
 }
 
+// The split cache keeps its sets and charges each by its blocks' lengths
+// (spmat.BlockMemBytes), so a set must hold no capacity beyond them — even
+// when one-shot multiplies in the same process have just filled the free
+// list of dealt arrays with arrays a best fit would hand it. Every format's
+// set is dealt after a one-shot call on a slightly larger operand released
+// its deal: the set takes nothing from the list, its AUX arrays (built by a
+// lookup) neither, and every array is exactly as long as it is large.
+func TestSplitCacheDealsExactAfterOneShotCalls(t *testing.T) {
+	m, larger := genmat.ER(2048, 8, 71), genmat.ER(2560, 8, 72)
+	s, err := New(Config{P: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Load("m", m); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.reg.get("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC, spmat.FormatAuto} {
+		rc := s.runConfig()
+		rc.Opts.Format = f
+		if _, _, _, err := core.Multiply(larger, larger, rc, nil); err != nil {
+			t.Fatal(err)
+		}
+		before := spmat.IdleDealBytes()
+		if before == 0 {
+			t.Fatalf("format %v: a one-shot multiply left the free list of dealt arrays empty", f)
+		}
+		for _, role := range []core.Role{core.RoleA, core.RoleB} {
+			d, err := s.splits.deal(r, role, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range d.Blocks() {
+				var exact bool
+				switch b := b.(type) {
+				case *spmat.CSC:
+					exact = cap(b.ColPtr) == len(b.ColPtr) && cap(b.RowIdx) == len(b.RowIdx) && cap(b.Val) == len(b.Val)
+				case *spmat.DCSC:
+					exact = cap(b.JC) == len(b.JC) && cap(b.CP) == len(b.CP) && cap(b.IR) == len(b.IR) && cap(b.Num) == len(b.Num)
+					if len(b.JC) > 0 {
+						b.Locate(b.JC[:1], make([]int32, 1))
+					}
+				}
+				if !exact {
+					t.Errorf("format %v: the cached %v set's block %d (%v) holds an array larger than its length", f, role, i, b)
+				}
+			}
+		}
+		if after := spmat.IdleDealBytes(); after != before {
+			t.Errorf("format %v: the split cache took %d bytes from the free list of dealt arrays", f, before-after)
+		}
+	}
+}
+
 // Under a budget that holds one pair's split sets but not two, alternating
 // the pairs evicts the older pair's sets: the cached bytes never exceed the
 // budget, the products stay the one-shot products, and /stats and /metrics

@@ -29,10 +29,10 @@ import (
 // O(log nzc). A multiply with this block as A looks up the column of every B
 // entry's row, and does so once per block pair (Locate, called by the
 // multiply's plan), not once per kernel pass. AUX is 4 bytes per chunk, built
-// in one O(nzc) walk by the first lookup on the block, in an array drawn
-// from the free list of dealt arrays, and kept for the block's life — which
-// for a dealt block ends when its grid is released (ReleaseGrid): AUX goes
-// back with the block's arrays. It depends on JC and Cols only, which
+// in one O(nzc) walk by the first lookup on the block and kept for its life —
+// which for a block of a lent grid (LendGrid) ends when the grid is released
+// (ReleaseGrid): such a block's AUX is drawn from the free list of dealt
+// arrays and goes back with the block's arrays. It depends on JC and Cols only, which
 // nothing changes once a block is built (SortColumns permutes entries inside
 // columns). It is not part of the matrix: the wire format, CommBytes and
 // the modeled footprint (BlockMemBytes) do not know it exists — like the
@@ -47,6 +47,9 @@ type DCSC struct {
 	Num        []float64
 	SortedCols bool
 
+	// lent marks a block of a lent grid (LendGrid), whose AUX array is drawn
+	// from the free list of dealt arrays like the block's own.
+	lent bool
 	// aux is the lazily built column index. Blocks are shared by reference
 	// across rank goroutines, so the first lookups can race: each racer
 	// builds the same index and the stores are atomic, whichever lands last.
@@ -71,7 +74,7 @@ func (d *DCSC) index() *colIndex {
 	// column, and at most two expected per chunk keeps the search short.
 	shift := uint(bits.Len64(uint64(d.Cols-1) / uint64(2*len(d.JC))))
 	chunks := int((d.Cols-1)>>shift) + 1
-	ix := &colIndex{shift: shift, start: drawDeal(&idleDeals.i32, chunks+1)}
+	ix := &colIndex{shift: shift, start: dealtArray(d.lent, &idleDeals.i32, chunks+1)}
 	c := 0
 	for p, j := range d.JC {
 		for ; c <= int(j>>shift); c++ {

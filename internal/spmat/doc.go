@@ -59,7 +59,9 @@
 // a whole operand over a process grid, or one block's window of it — by
 // counting and placing: every entry is copied once, into a block allocated
 // at its exact size in its resolved format, and the column ranges are dealt
-// on every core. CountGrid runs the deal's count pass alone, over the same
+// on every core. LendGrid is the same deal with the blocks' arrays on loan
+// from a bounded free list, which ReleaseGrid refills once nothing reads
+// them — for a grid dealt for one call. CountGrid runs the deal's count pass alone, over the same
 // bounds and goroutines: every block's entries and occupied columns, with
 // nothing copied — how a grid is measured without being dealt. PartBounds,
 // ColRange/RowRange, ColSelect (and its format-preserving MatColSelect),

@@ -9,7 +9,7 @@ import (
 )
 
 // idleDeals is the free list of dealt block arrays: what ReleaseGrid took
-// back from the blocks of a SplitGrid — row indices, values, column pointers
+// back from the blocks of a LendGrid — row indices, values, column pointers
 // and stored columns — and the AUX arrays built on them (DCSC.index). Each
 // kind is kept in ascending order of capacity, so a draw is a binary search
 // for the best fit. It holds strong references on purpose, as localmm's free
@@ -54,10 +54,11 @@ var PoisonReleased atomic.Bool
 // dealArray is the element type of a dealt block's arrays.
 type dealArray interface{ int32 | int64 | float64 }
 
-// drawDeal returns an array of length n whose contents are undefined: the
-// best-fitting idle array of list, or a new one when none fits.
-func drawDeal[T dealArray](list *[][]T, n int) []T {
-	if n > 0 {
+// dealtArray returns an array of length n for a dealt block. When the deal
+// is lent it is the best-fitting idle array of list, contents undefined, or
+// a new one when none fits; otherwise it is allocated at its exact size.
+func dealtArray[T dealArray](lend bool, list *[][]T, n int) []T {
+	if lend && n > 0 {
 		idleDeals.Lock()
 		l := *list
 		i, _ := slices.BinarySearchFunc(l, n, func(a []T, n int) int { return cap(a) - n })
@@ -91,8 +92,8 @@ func arrayBytes[T dealArray](a []T) int64 {
 	return int64(cap(a)) * int64(unsafe.Sizeof(z))
 }
 
-// ReleaseGrid gives the arrays of blocks, which SplitGrid dealt, back to the
-// free list the next SplitGrid draws its blocks' arrays from, and with a
+// ReleaseGrid gives the arrays of blocks, which LendGrid dealt, back to the
+// free list the next LendGrid draws its blocks' arrays from, and with a
 // doubly-compressed block's arrays its AUX array. Nothing may read the
 // blocks afterwards, nor a view of them: the next deal on any goroutine
 // fills the same arrays. The blocks are left as they are — only their

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestReleasedDealReadsPoisoned releases dealt grids, both formats, with
+// TestReleasedDealReadsPoisoned releases lent grids, both formats, with
 // every doubly-compressed block's AUX array built (as a multiply's lookups
 // build it), and holds every array the blocks and their AUX reach — up to its
 // capacity — to the poison: rows, pointers, stored columns and AUX −1, values
@@ -17,7 +17,7 @@ func TestReleasedDealReadsPoisoned(t *testing.T) {
 	m := kmerCSC(t, 256, 8192, 6, 3)
 	rowB, colB := PartBounds(m.Rows, 2), PartBounds(m.Cols, 3)
 	for _, f := range []Format{FormatCSC, FormatDCSC} {
-		blocks := SplitGrid(m, rowB, colB, f)
+		blocks := LendGrid(m, rowB, colB, f)
 		var aux int
 		for _, b := range blocks {
 			if d, ok := b.(*DCSC); ok && len(d.JC) > 0 {
@@ -73,11 +73,11 @@ func TestRedealtArraysHoldOnlyTheNewDeal(t *testing.T) {
 	rowB, colB := PartBounds(300, 3), PartBounds(400, 4)
 	for _, f := range []Format{FormatCSC, FormatDCSC, FormatAuto} {
 		before := IdleDealBytes()
-		ReleaseGrid(SplitGrid(first, rowB, colB, f))
+		ReleaseGrid(LendGrid(first, rowB, colB, f))
 		if IdleDealBytes() < before {
 			t.Fatalf("format %v: dealing and releasing a grid left %d idle bytes, %d before", f, IdleDealBytes(), before)
 		}
-		blocks := SplitGrid(second, rowB, colB, f)
+		blocks := LendGrid(second, rowB, colB, f)
 		for r := range len(rowB) - 1 {
 			for c := range len(colB) - 1 {
 				b := blocks[r*(len(colB)-1)+c]
@@ -116,4 +116,48 @@ func cutBlock(t *testing.T, m *CSC, r0, r1, c0, c1 int32) *CSC {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestSplitGridNeverDraws fills the free list with a lent grid's arrays, AUX
+// built, and then deals the same matrix with SplitGrid, whose grids callers keep: the
+// deal, and the AUX arrays its doubly-compressed blocks build, must take
+// nothing from the list and allocate every array at exactly its length — a
+// drawn array may be up to twice as large, which a kept grid would pin.
+func TestSplitGridNeverDraws(t *testing.T) {
+	m := kmerCSC(t, 256, 8192, 6, 3)
+	larger := kmerCSC(t, 320, 8192, 6, 4)
+	rowB, colB := PartBounds(m.Rows, 2), PartBounds(m.Cols, 3)
+	for _, f := range []Format{FormatCSC, FormatDCSC, FormatAuto} {
+		lent := LendGrid(larger, PartBounds(larger.Rows, 2), colB, f)
+		for _, b := range lent {
+			if d, ok := b.(*DCSC); ok && len(d.JC) > 0 {
+				d.Locate(d.JC[:1], make([]int32, 1))
+			}
+		}
+		ReleaseGrid(lent)
+		before := IdleDealBytes()
+		if before == 0 {
+			t.Fatalf("format %v: a released grid left the free list empty", f)
+		}
+		for i, b := range SplitGrid(m, rowB, colB, f) {
+			var exact bool
+			switch b := b.(type) {
+			case *CSC:
+				exact = cap(b.ColPtr) == len(b.ColPtr) && cap(b.RowIdx) == len(b.RowIdx) && cap(b.Val) == len(b.Val)
+			case *DCSC:
+				exact = cap(b.JC) == len(b.JC) && cap(b.CP) == len(b.CP) && cap(b.IR) == len(b.IR) && cap(b.Num) == len(b.Num)
+				if len(b.JC) > 0 {
+					b.Locate(b.JC[:1], make([]int32, 1))
+					ix := b.aux.Load()
+					exact = exact && cap(ix.start) == len(ix.start)
+				}
+			}
+			if !exact {
+				t.Errorf("format %v: block %d (%v) holds an array larger than its length", f, i, b)
+			}
+		}
+		if after := IdleDealBytes(); after != before {
+			t.Errorf("format %v: SplitGrid took %d bytes from the free list", f, before-after)
+		}
+	}
 }

@@ -32,15 +32,12 @@ func PartBounds(n int32, parts int) []int32 {
 // once to find each entry's row part and count the parts' entries and
 // occupied columns (the pass CountGrid runs alone), once, while the range is
 // still in cache, to place — and every entry is copied exactly once,
-// straight into a block of its exact size in its resolved format (f as
-// WithFormat reads it: FormatAuto compresses a block when fewer than half its
-// columns are occupied). The blocks' arrays are drawn from the free list
-// ReleaseGrid fills, best fit, and allocated when nothing idle fits; a block
-// sees exactly its lengths either way. A caller that is done with the grid
-// may release it (ReleaseGrid) or keep it for as long as it likes. This is
-// how a whole operand is distributed over a process grid, and how one block
-// is cut out of it: the bounds need not cover the matrix, and entries
-// outside [rowB[0], rowB[last]) × [colB[0], colB[last]) are dropped.
+// straight into a block allocated at its exact size in its resolved format
+// (f as WithFormat reads it: FormatAuto compresses a block when fewer than
+// half its columns are occupied). This is how a whole operand is distributed
+// over a process grid, and how one block is cut out of it: the bounds need
+// not cover the matrix, and entries outside [rowB[0], rowB[last]) ×
+// [colB[0], colB[last]) are dropped.
 //
 // The deal runs on every core: min(column ranges, GOMAXPROCS) goroutines —
 // the caller's one of them — take the column ranges in order off a shared
@@ -55,11 +52,26 @@ func PartBounds(n int32, parts int) []int32 {
 // [rowB[r], rowB[r+1]) × columns [colB[c], colB[c+1]) under local indices,
 // entries in m's order within each column, SortedCols as m has it.
 func SplitGrid(m *CSC, rowB, colB []int32, f Format) []Matrix {
+	return splitGrid(m, rowB, colB, f, false)
+}
+
+// LendGrid is SplitGrid for a grid the caller gives back: every block's
+// arrays — and a doubly-compressed block's AUX array, when a lookup builds
+// it — are drawn from the free list of dealt arrays that ReleaseGrid fills,
+// best fit, and allocated when nothing idle fits. A block sees exactly its
+// lengths either way, but a drawn array may have up to twice the capacity,
+// so a grid kept for long is SplitGrid's. The caller releases the grid once
+// nothing reads its blocks, or drops it, which costs only the arrays' reuse.
+func LendGrid(m *CSC, rowB, colB []int32, f Format) []Matrix {
+	return splitGrid(m, rowB, colB, f, true)
+}
+
+func splitGrid(m *CSC, rowB, colB []int32, f Format, lend bool) []Matrix {
 	nr, nc := gridShape(m, rowB, colB)
 	out := make([]Matrix, nr*nc)
 	dealRanges(m, rowB, colB, func(d *dealer, c int) {
 		d.count(c)
-		d.place(c, f, out)
+		d.place(c, f, lend, out)
 	})
 	return out
 }
@@ -209,11 +221,11 @@ func (d *dealer) count(c int) {
 	}
 }
 
-// place makes column range c's blocks of out at the sizes count left — every
-// array drawn from the free list of dealt arrays (drawDeal), or allocated
-// when nothing idle fits — and copies the range's entries into them, each
-// block in its resolved format.
-func (d *dealer) place(c int, f Format, out []Matrix) {
+// place allocates column range c's blocks of out at the sizes count left —
+// drawing every array from the free list of dealt arrays when the deal is
+// lent — and copies the range's entries into them, each block in its
+// resolved format.
+func (d *dealer) place(c int, f Format, lend bool, out []Matrix) {
 	m, rowB, fills := d.m, d.rowB, d.fills
 	nc := len(d.colB) - 1
 	c0, c1 := d.colB[c], d.colB[c+1]
@@ -222,16 +234,19 @@ func (d *dealer) place(c int, f Format, out []Matrix) {
 	for r := range fills {
 		st := &fills[r]
 		rows, cols := rowB[r+1]-rowB[r], c1-c0
-		st.rows, st.vals = drawDeal(&idleDeals.i32, int(st.n)), drawDeal(&idleDeals.f64, int(st.n))
+		st.rows, st.vals = dealtArray(lend, &idleDeals.i32, int(st.n)), dealtArray(lend, &idleDeals.f64, int(st.n))
 		if st.hyper = f != FormatCSC && (f == FormatDCSC || Hypersparse(int64(st.nj), cols)); st.hyper {
-			st.jc, st.ptr = drawDeal(&idleDeals.i32, st.nj), drawDeal(&idleDeals.i64, st.nj+1)
+			st.jc, st.ptr = dealtArray(lend, &idleDeals.i32, st.nj), dealtArray(lend, &idleDeals.i64, st.nj+1)
 			st.ptr[0] = 0
-			out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols}
+			out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols, lent: lend}
 		} else {
-			// The pass below sets only the ends of occupied columns, and the
-			// scan after it relies on zeros everywhere else.
-			st.ptr = drawDeal(&idleDeals.i64, int(cols)+1)
-			clear(st.ptr)
+			st.ptr = dealtArray(lend, &idleDeals.i64, int(cols)+1)
+			if lend {
+				// A drawn array holds a past deal's ends. The pass below sets
+				// only the ends of occupied columns, and the scan after it
+				// relies on zeros everywhere else.
+				clear(st.ptr)
+			}
 			out[r*nc+c] = &CSC{Rows: rows, Cols: cols, ColPtr: st.ptr, RowIdx: st.rows, Val: st.vals, SortedCols: m.SortedCols, neCache: int64(st.nj) + 1}
 		}
 		st.n, st.nj, st.col = 0, 0, 0
