@@ -59,7 +59,10 @@ deadcode:
 # (about 25 s more than spmat once): SplitGrid deals its column ranges on
 # min(ranges, GOMAXPROCS) goroutines, so -cpu 1 is the one-goroutine deal
 # and -cpu 4 the goroutines sharing the grid, which distmat's Split tests
-# and TestSplitGridSameOnEveryCoreCount drive. core's tests
+# and TestSplitGridSameOnEveryCoreCount drive. So does localmm (about 95 s
+# more than once on two cores): lent kernel outputs and lent deals draw from
+# and go back to spmat's one free list under one lock, which
+# TestLoansAndDealsRace drives from both sides at once. core's tests
 # all run with returned chunks poisoned (TestMain), so -cpu 1,4 also covers
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
 # × format × thread count against the run that lends nothing — stage
@@ -86,8 +89,8 @@ deadcode:
 # runs them concurrently, one goroutine per rank, so a hook that shares state
 # across ranks without per-rank slots or a lock fails here.
 race:
-	$(GO) test -race . ./internal/localmm
-	$(GO) test -race -cpu 1,4 ./internal/spmat ./internal/distmat ./internal/mpi ./internal/core ./internal/service ./internal/planner ./internal/apps/...
+	$(GO) test -race .
+	$(GO) test -race -cpu 1,4 ./internal/localmm ./internal/spmat ./internal/distmat ./internal/mpi ./internal/core ./internal/service ./internal/planner ./internal/apps/...
 
 # vet: static analysis over every package.
 vet:

@@ -36,7 +36,7 @@ import (
 // it: two concurrent clients, four warm-plan products each over resident
 // operands, in process (service.Service.Multiply).
 func BenchmarkEngineShapes(b *testing.B) {
-	defer localmm.PoisonReturnedChunks.Store(localmm.PoisonReturnedChunks.Swap(false))
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(false))
 	shapes := []struct {
 		name          string
 		operands      func() (a, bm *spmat.CSC)

@@ -4,25 +4,88 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/genmat"
 	"repro/internal/spmat"
 )
 
 // The one-shot entry points lend their deal: its arrays come from spmat's
-// free list of dealt arrays and go back when the call's run has ended (under
+// free list of arrays and go back when the call's run has ended (under
 // this package's TestMain, poisoned as they go back). These tests hold that
 // nothing a caller keeps refers to a lent deal, that concurrent calls never
 // share one, and that a run that fails still gives its deal back.
 
+// lendDeal deals a as A and as B on rc's grid with the arrays drawn from
+// spmat's free list — the deal a one-shot call makes — and gives them back
+// at once (spmat.ReleaseGrid, not Dealt.release), with nothing run in
+// between. It returns the arrays' identities (arrayIDs).
+func lendDeal(t *testing.T, a *spmat.CSC, rc RunConfig) map[unsafe.Pointer]bool {
+	t.Helper()
+	da, db, err := deal(a, a, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := arrayIDs(da.blocks, db.blocks)
+	spmat.ReleaseGrid(da.blocks)
+	spmat.ReleaseGrid(db.blocks)
+	return ids
+}
+
+// arrayIDs is the set of the arrays the blocks of grids hold — column
+// pointers, stored columns, rows and values — by the address of their
+// memory, which stays theirs whoever holds them next.
+func arrayIDs(grids ...[]spmat.Matrix) map[unsafe.Pointer]bool {
+	ids := map[unsafe.Pointer]bool{}
+	for _, blocks := range grids {
+		for _, m := range blocks {
+			switch b := m.(type) {
+			case *spmat.CSC:
+				addArray(ids, b.ColPtr)
+				addArray(ids, b.RowIdx)
+				addArray(ids, b.Val)
+			case *spmat.DCSC:
+				addArray(ids, b.JC)
+				addArray(ids, b.CP)
+				addArray(ids, b.IR)
+				addArray(ids, b.Num)
+			}
+		}
+	}
+	return ids
+}
+
+func addArray[T any](ids map[unsafe.Pointer]bool, a []T) {
+	if cap(a) > 0 {
+		ids[unsafe.Pointer(unsafe.SliceData(a))] = true
+	}
+}
+
+// cameBack deals a on rc as a one-shot call does and reports whether at
+// least half of the arrays in seed — the arrays of the same deal given back
+// before a call that drew them — are drawn again: whether that call gave its
+// deal back. Loans draw from the same free list, so the idle bytes alone
+// cannot tell a deal that stayed out from loan traffic; the arrays' identity
+// can.
+func cameBack(t *testing.T, a *spmat.CSC, rc RunConfig, seed map[unsafe.Pointer]bool) (shared int, ok bool) {
+	t.Helper()
+	for id := range lendDeal(t, a, rc) {
+		if seed[id] {
+			shared++
+		}
+	}
+	return shared, 2*shared >= len(seed)
+}
+
 // TestRanksPiecesOutliveTheNextDeal keeps every rank's pieces of a
 // MultiplyRanks run — the results are not released — and runs a one-shot
 // multiply of another operand, which deals into the arrays the first call
-// gave back (its hook sees fewer idle bytes than before it dealt). The first
-// run's pieces must read bit-identical afterwards: no Result refers to a
-// dealt block.
+// gave back. That the first call did give them back is seen by identity: the
+// free list is seeded with a deal of the same operand, which the call draws,
+// and a deal made after it, with no multiply in between, draws those arrays
+// again. The first run's pieces must read bit-identical afterwards: no
+// Result refers to a dealt block.
 func TestRanksPiecesOutliveTheNextDeal(t *testing.T) {
 	a := genmat.SymmetricPermute(genmat.ProteinSimilarity(8, 12, 1), 1)
 	other := genmat.SymmetricPermute(genmat.ProteinSimilarity(8, 12, 2), 2)
@@ -37,6 +100,7 @@ func TestRanksPiecesOutliveTheNextDeal(t *testing.T) {
 	} {
 		label := fmt.Sprintf("p=%d l=%d b=%d %v pipeline=%v", cfg.p, cfg.l, cfg.b, cfg.format, cfg.pipeline)
 		rc := RunConfig{P: cfg.p, L: cfg.l, Cost: testCM, Opts: Options{ForceBatches: cfg.b, Format: cfg.format, Pipeline: cfg.pipeline}}
+		seed := lendDeal(t, a, rc)
 		results, _, err := MultiplyRanks(a, a, rc, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -45,23 +109,11 @@ func TestRanksPiecesOutliveTheNextDeal(t *testing.T) {
 		for r, res := range results {
 			fps[r] = spmat.FingerprintOf(res.CSC())
 		}
-		before := spmat.IdleDealBytes()
-		var during atomic.Int64
-		during.Store(before)
-		hooks := func(rank int) BatchHook {
-			if rank != 0 {
-				return nil
-			}
-			return func(_ int, _ []int32, _ *spmat.CSC) *spmat.CSC {
-				during.Store(min(during.Load(), spmat.IdleDealBytes()))
-				return nil
-			}
+		if shared, ok := cameBack(t, a, rc, seed); !ok {
+			t.Fatalf("%s: a deal after the call drew %d of the %d arrays the call drew: its deal was not given back", label, shared, len(seed))
 		}
-		if _, _, err := MultiplyDiscard(other, other, rc, hooks); err != nil {
+		if _, _, err := MultiplyDiscard(other, other, rc, nil); err != nil {
 			t.Fatal(err)
-		}
-		if during.Load() >= before {
-			t.Fatalf("%s: the second call's deal drew nothing from the %d idle bytes the first gave back", label, before)
 		}
 		for r, res := range results {
 			if spmat.FingerprintOf(res.CSC()) != fps[r] {
@@ -155,12 +207,10 @@ func TestConcurrentOneShotCallsKeepTheirDeals(t *testing.T) {
 // TestFailedRunGivesItsDealBack fails a MultiplyRanks run the way
 // TestOneRankHookErrorAbortsTheRun does — rank 0's hook hands back a piece
 // one column too wide, and the world aborts — and holds that the deal still
-// went back: the free list holds more after the call than rank 0's hook saw
-// while the run held the deal. The blocks are CSC, which builds no AUX array
-// during the run, so nothing else draws from the list after the hook has
-// read it. The next call, dealt from the same arrays (poisoned as they came
-// back), must return the product a clean call returned before the failure,
-// exactly.
+// went back, by identity as TestRanksPiecesOutliveTheNextDeal sees it: a
+// deal made after the failed call draws the arrays the call drew. The next
+// call, dealt from the same arrays (poisoned as they came back), must return
+// the product a clean call returned before the failure, exactly.
 func TestFailedRunGivesItsDealBack(t *testing.T) {
 	a := randomMat(t, 48, 48, 500, 23)
 	for _, pipeline := range []bool{false, true} {
@@ -169,21 +219,20 @@ func TestFailedRunGivesItsDealBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var during atomic.Int64
 		hooks := func(rank int) BatchHook {
 			if rank != 0 {
 				return nil
 			}
 			return func(_ int, _ []int32, m *spmat.CSC) *spmat.CSC {
-				during.Store(spmat.IdleDealBytes())
 				return spmat.New(m.Rows, m.Cols+1)
 			}
 		}
+		seed := lendDeal(t, a, rc)
 		if _, _, err := MultiplyRanks(a, a, rc, hooks); err == nil || !strings.HasPrefix(err.Error(), "core: rank 0: core: batch hook changed column count") {
 			t.Fatalf("pipeline=%v: got error %v, want rank 0's hook error", pipeline, err)
 		}
-		if after := spmat.IdleDealBytes(); after <= during.Load() {
-			t.Errorf("pipeline=%v: %d idle deal bytes after the failed call, %d while it ran: the deal was not given back", pipeline, after, during.Load())
+		if shared, ok := cameBack(t, a, rc, seed); !ok {
+			t.Errorf("pipeline=%v: a deal after the failed call drew %d of the %d arrays the call drew: the deal was not given back", pipeline, shared, len(seed))
 		}
 		got, _, _, err := Multiply(a, a, rc, nil)
 		if err != nil {

@@ -7,13 +7,12 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/localmm"
 	"repro/internal/spmat"
 )
 
 // TestMain runs every test of this package — the 72-combination differential
 // and the transpose identity over the merge paths among them — with returned
-// chunks poisoned (localmm.PoisonReturnedChunks): the moment a rank hands a
+// chunks poisoned (spmat.PoisonReleased): the moment a rank hands a
 // lent output's chunk back, every row in it is −1 and every value NaN. An
 // output that is still read after its loan ended, or that escaped into a
 // rank's output, then fails whatever comparison it reaches — NaN equals
@@ -22,7 +21,7 @@ import (
 // releases it (localmm.Plan.Release): a slot or flop count read after its
 // stage is out of range or −1.
 func TestMain(m *testing.M) {
-	localmm.PoisonReturnedChunks.Store(true)
+	spmat.PoisonReleased.Store(true)
 	os.Exit(m.Run())
 }
 

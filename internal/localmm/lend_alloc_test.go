@@ -96,3 +96,60 @@ func TestUnionColsAllocatesNothingWithRoom(t *testing.T) {
 		}
 	}
 }
+
+// TestLentMergeNeverRegrowsItsChunk: a pass that makes output starts each
+// range with a chunk of at least its entry bound (fitChunk), so a warm lent
+// MulMerge whose output is larger than the chunk the previous call returned
+// draws a chunk that fits, best fit from the free list, instead of growing
+// the small one column by column. Small merges are lent and kept out until
+// one holds a chunk an eighth of the large merge's output or less; all go
+// back, that one last. The large merge then allocates at most its two chunk
+// arrays more than it does when its own chunk came back last — not the
+// steps of a regrowth, two or more an array.
+func TestLentMergeNeverRegrowsItsChunk(t *testing.T) {
+	sr := semiring.PlusTimes()
+	small := []spmat.Matrix{uniformMat(t, 256, 8, 2, 451), uniformMat(t, 256, 8, 2, 452)}
+	large := []spmat.Matrix{uniformMat(t, 4096, 256, 32, 453), uniformMat(t, 4096, 256, 32, 454)}
+	lend := func(mats []spmat.Matrix) (spmat.Matrix, Loan) {
+		out, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, false, true, 1)
+		if loan == (Loan{}) {
+			t.Fatal("a single-range merge was not lent")
+		}
+		return out, loan
+	}
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var out spmat.Matrix
+	var loan Loan
+	for range 3 {
+		out, loan = lend(large)
+		loan.Return()
+	}
+	own := mallocs(func() { out, loan = lend(large) })
+	loan.Return()
+	var held []Loan
+	for {
+		_, s := lend(small)
+		held = append(held, s)
+		if int64(cap(s.s.c.rows)) <= out.NNZ()/8 {
+			break
+		}
+		if len(held) > 1<<16 {
+			t.Fatal("no small merge was handed a small chunk")
+		}
+	}
+	for i := range held {
+		held[i].Return()
+	}
+	after := mallocs(func() { _, loan = lend(large) })
+	loan.Return()
+	t.Logf("the large merge (%d entries) allocates %d objects after its own chunk came back, %d after a small one", out.NNZ(), own, after)
+	if after > own+2 {
+		t.Errorf("after a small chunk came back the large merge allocates %d objects, %d after its own: its chunk was regrown", after, own)
+	}
+}

@@ -15,7 +15,7 @@ func (l Loan) chunkBytes() int64 {
 	if l.s == nil {
 		return 0
 	}
-	return l.s.c.bytes()
+	return 4*int64(cap(l.s.c.rows)) + 8*int64(cap(l.s.c.vals))
 }
 
 // poisonedMetadata reports whether every column pointer and stored column of
@@ -50,7 +50,7 @@ func readFails(m spmat.Matrix) (failed bool) {
 // anybody's but the caller's: later calls, which refill the returned chunks,
 // leave it alone.
 func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
-	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
 	light := scrambleColumns(uniformMat(t, 200, 200, 6, 401), 1)
 	heavy := scrambleColumns(uniformMat(t, 256, 256, 16, 402), 2)
@@ -119,7 +119,7 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 // The owned and lent merges share one pass, so each, sorted, is also held to
 // the heap merge of the operands, which does not.
 func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
-	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
 	light := []*spmat.CSC{scrambleColumns(uniformMat(t, 200, 200, 6, 421), 1), scrambleColumns(uniformMat(t, 200, 200, 6, 422), 2)}
 	heavy := []*spmat.CSC{uniformMat(t, 512, 512, 40, 423), uniformMat(t, 512, 512, 40, 424), uniformMat(t, 512, 512, 40, 425), uniformMat(t, 512, 512, 40, 426)}
@@ -245,7 +245,7 @@ func TestStampGenerationWrapsInAccumulator(t *testing.T) {
 // counts ColFlops's, and its products and symbolic count the naive ones,
 // for both of B's formats.
 func TestReleasedPlanIsPoisoned(t *testing.T) {
-	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
 	aCSC := hyperMat(t, 48, 1<<14, 1500, 421)
 	a := aCSC.ToDCSC()

@@ -201,7 +201,7 @@ func (pl *Plan) bVals(p int32) []float64 {
 
 // Release hands the plan's arrays back to the free list. The plan must not be
 // used afterwards — but for Flops, which stays — and releasing twice is
-// releasing once. While PoisonReturnedChunks is set the arrays are poisoned
+// releasing once. While spmat.PoisonReleased is set the arrays are poisoned
 // first: every slot out of range, every flop count and sum −1, so a plan read
 // after its release fails loudly instead of reading the next plan's arrays.
 func (pl *Plan) Release() {
@@ -210,7 +210,7 @@ func (pl *Plan) Release() {
 	if s == nil {
 		return
 	}
-	if PoisonReturnedChunks.Load() {
+	if spmat.PoisonReleased.Load() {
 		s.poison()
 	}
 	putPlanScratch(s)
@@ -309,7 +309,7 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 		jc = sh.copyColumns(bv.jc)
 	}
 	plusTimes := sr.IsPlusTimes()
-	ir, num, lent := onePass(bounds, func(w *mmWorker, lo, hi int32) {
+	ir, num, lent := onePass(bounds, colFlops, func(w *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue

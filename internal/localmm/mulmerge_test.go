@@ -100,7 +100,7 @@ func entryArrays(m spmat.Matrix) ([]int32, []float64) {
 // before they are released, and a lent output and every released plan read
 // poisoned once handed back.
 func TestMulMergeMatchesMergeOfTheProduct(t *testing.T) {
-	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	// One plan on 120-column blocks, lent and owned in every case. Two to
 	// four plans on 48-column blocks, lent for the unsorted drain and owned
 	// for the sorted one, which keeps the run short.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/spmat"
 )
@@ -64,10 +63,11 @@ import (
 // the range (rows, vals).
 // All of it is grown, never re-made, and kept across calls on a free list.
 // Only the chunk can leave: lent out as an output's entry arrays
-// (Plan.Mul, MulMerge), it comes back to a list of its own
+// (Plan.Mul, MulMerge), it goes back to spmat's free list of arrays (Give),
 // while the rest of the worker has long gone back for the next call to find
-// warm. The column metadata of a lent output is no worker's: it comes with
-// the loan's shell (loanShell) and goes back with it.
+// warm; a pass that makes output fits the chunk to its range's entry bound
+// first (fitChunk). The column metadata of a lent output is no worker's: it
+// is drawn for the loan (loanShell) and goes back with it.
 //
 // The inner loops write this struct constantly — every new row moves the
 // accumulator's occupied length, every drained column the chunk's — and
@@ -94,93 +94,82 @@ type chunk struct {
 	vals []float64
 }
 
-// bytes is what the chunk's arrays hold on to.
-func (c chunk) bytes() int64 { return 4*int64(cap(c.rows)) + 8*int64(cap(c.vals)) }
+// fitChunk makes the worker's chunk hold n entries, the entry bound of the
+// range it is about to fill, so no drained column ever grows it: an array
+// that is large enough stays, a smaller one goes back to spmat's free list
+// and the best fit comes from it (spmat.Draw).
+func (w *mmWorker) fitChunk(n int64) {
+	if int64(cap(w.rows)) < n {
+		spmat.Give(w.rows)
+		w.rows = spmat.Draw[int32](int(n))
+	}
+	if int64(cap(w.vals)) < n {
+		spmat.Give(w.vals)
+		w.vals = spmat.Draw[float64](int(n))
+	}
+}
 
-// idleWorkers is the free list of worker scratch and, beside it, of what
-// came back from a loan — the chunks, and the shells with their column
-// metadata — and of released plans' arrays (Plan.Release). It holds strong
-// references on purpose: a
-// distributed multiply makes thousands of small kernel calls between garbage
-// collections, and scratch kept only in a sync.Pool is dropped by every
-// collection and regrown from nothing.
+// idleWorkers is the free list of worker scratch, of the shells of ended
+// loans and of released plans' arrays (Plan.Release). It holds strong
+// references on purpose: a distributed multiply makes thousands of small
+// kernel calls between garbage collections, and scratch kept only in a
+// sync.Pool is dropped by every collection and regrown from nothing. The
+// arrays a loan held are not kept here: they go back to spmat's free list.
 var idleWorkers struct {
 	sync.Mutex
-	ws        []*mmWorker
-	chunks    []chunk
-	shells    []*loanShell
-	loanBytes int64 // Σ bytes() over chunks + Σ bytes() over shells
-	plans     []*planScratch
+	ws     []*mmWorker
+	shells []*loanShell
+	plans  []*planScratch
 }
 
-// The free list keeps at most maxIdleWorkers workers, and a worker keeps no
-// table of more than maxKeptEntries entries — chunk, stage scratch,
-// accumulator, row set, column views: a burst of concurrent callers or
-// one huge product pays for its scratch again next time instead of pinning it
-// for the life of the process. (The direct tables are bounded by
-// directTableBytes already.) What comes back from loans is bounded in bytes,
-// chunks and shells all together: a job on a p-rank grid with q stages and l
-// layers has up to p·(q + 2l + 1) loans out at once — a pipelined batch's
-// stage products, two batches' Merge-Layer outputs, a discarded batch — and
-// a kept run every batch output besides until its reader releases them, not
-// one a core, and the list keeps what fits maxIdleChunkBytes of what comes
-// back, with no array above maxKeptEntries, and drops the rest. Released
-// plans are kept like workers: at most maxIdleWorkers of them, with no array
-// above maxKeptEntries.
+// The free list keeps at most maxIdleWorkers workers and as many released
+// plans, and a worker or a plan keeps no table of more than
+// spmat.MaxKeptEntries entries — chunk, stage scratch, accumulator, row set,
+// column views: a burst of concurrent callers or one huge product pays for
+// its scratch again next time instead of pinning it for the life of the
+// process. (The direct tables are bounded by directTableBytes already.) It
+// keeps at most maxIdleShells shells, which hold no array: a job on a p-rank
+// grid with q stages and l layers has up to p·(q + 2l + 1) loans out at once
+// — a pipelined batch's stage products, two batches' Merge-Layer outputs, a
+// discarded batch — and a kept run every batch output besides until its
+// reader releases them, not one a core.
 const (
-	maxIdleWorkers    = 64
-	maxKeptEntries    = 1 << 22
-	maxIdleChunkBytes = 64 << 20
+	maxIdleWorkers = 64
+	maxIdleShells  = 1 << 13
 )
 
-// IdleLoanBytes is what the free list holds right now of what came back from
-// loans — chunks, and shells with their column metadata — in bytes.
-func IdleLoanBytes() int64 {
-	idleWorkers.Lock()
-	defer idleWorkers.Unlock()
-	return idleWorkers.loanBytes
-}
-
-// getWorker takes scratch off the free list, most recently used first. A
-// worker whose chunk went out on loan gets the most recently returned one.
+// getWorker takes scratch off the free list, most recently used first.
 func getWorker() *mmWorker {
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
-	var w *mmWorker
 	if n := len(idleWorkers.ws); n > 0 {
-		w, idleWorkers.ws = idleWorkers.ws[n-1], idleWorkers.ws[:n-1]
-	} else {
-		w = new(mmWorker)
+		w := idleWorkers.ws[n-1]
+		idleWorkers.ws = idleWorkers.ws[:n-1]
+		return w
 	}
-	if n := len(idleWorkers.chunks); n > 0 && cap(w.rows) == 0 {
-		c := idleWorkers.chunks[n-1]
-		idleWorkers.chunks[n-1], idleWorkers.chunks = chunk{}, idleWorkers.chunks[:n-1]
-		idleWorkers.loanBytes -= c.bytes()
-		w.rows, w.vals = c.rows, c.vals
-	}
-	return w
+	return new(mmWorker)
 }
 
 // putWorker returns scratch to the free list. The column views are dropped
 // first: the other fields own their memory, but a retained view would keep a
 // whole operand matrix reachable across unrelated work. Then every table
-// that grew past maxKeptEntries is dropped; the sorter's buffers are sized
-// by the longest column the chunk held, so they go with the chunk.
+// that grew past spmat.MaxKeptEntries is dropped; the sorter's buffers are
+// sized by the longest column the chunk held, so they go with the chunk.
 func putWorker(w *mmWorker) {
 	clear(w.parts[:cap(w.parts)])
-	if cap(w.parts) > maxKeptEntries {
+	if cap(w.parts) > spmat.MaxKeptEntries {
 		w.parts = nil
 	}
-	if cap(w.rows) > maxKeptEntries {
+	if max(cap(w.rows), cap(w.vals)) > spmat.MaxKeptEntries {
 		w.rows, w.vals, w.sorter = nil, nil, spmat.PairSorter{}
 	}
-	if max(cap(w.stage.rows), cap(w.stage.vals)) > maxKeptEntries {
+	if max(cap(w.stage.rows), cap(w.stage.vals)) > spmat.MaxKeptEntries {
 		w.stage, w.sorter = chunk{}, spmat.PairSorter{}
 	}
-	if max(cap(w.acc.rows), cap(w.acc.vals)) > maxKeptEntries {
+	if max(cap(w.acc.rows), cap(w.acc.vals)) > spmat.MaxKeptEntries {
 		w.acc = hashAccum{}
 	}
-	if cap(w.set.rows) > maxKeptEntries {
+	if cap(w.set.rows) > spmat.MaxKeptEntries {
 		w.set = rowSet{}
 	}
 	idleWorkers.Lock()
@@ -204,15 +193,15 @@ func getPlanScratch() *planScratch {
 }
 
 // putPlanScratch returns a plan's arrays to the free list under the workers'
-// bounds: an array above maxKeptEntries is dropped, and the list keeps at
-// most maxIdleWorkers plans' arrays. The merge operands' views are dropped
+// bounds: an array above spmat.MaxKeptEntries is dropped, and the list keeps
+// at most maxIdleWorkers plans' arrays. The merge operands' views are dropped
 // first, as a worker's are (putWorker).
 func putPlanScratch(s *planScratch) {
 	clear(s.views[:cap(s.views)])
-	if max(cap(s.slots), cap(s.sums)) > maxKeptEntries {
+	if max(cap(s.slots), cap(s.sums)) > spmat.MaxKeptEntries {
 		s.slots, s.sums = nil, nil
 	}
-	if max(cap(s.colFlops), cap(s.winPtr), cap(s.winJC), cap(s.colIn), cap(s.union)) > maxKeptEntries {
+	if max(cap(s.colFlops), cap(s.winPtr), cap(s.winJC), cap(s.colIn), cap(s.union)) > spmat.MaxKeptEntries {
 		s.colFlops, s.winPtr, s.winJC, s.colIn, s.union = nil, nil, nil, nil, nil
 	}
 	idleWorkers.Lock()
@@ -249,14 +238,15 @@ type Loan struct {
 	gen uint64
 }
 
-// loanShell is what one loan holds while it lasts, and what the free list
-// keeps of it between loans: the chunk the output's entry arrays are (given
-// to the list's chunks on return), the output's column pointers (ptr) and, for
-// a doubly-compressed output, its stored columns (jc), and the buffers its
-// column-range views carve their pointers and stored columns from. Every
-// array keeps its capacity from loan to loan. gen counts the loans the shell
-// has ended: a Loan names the generation it was made in, so a stale copy of
-// an ended loan can never end the shell's next one.
+// loanShell is what one loan holds while it lasts: the chunk the output's
+// entry arrays are, the output's column pointers (ptr) and, for a
+// doubly-compressed output, its stored columns (jc), and the buffers its
+// column-range views carve their pointers and stored columns from — every
+// array drawn from spmat's free list and given back to it when the loan
+// ends. Between loans the free list keeps the shell alone, with no array.
+// gen counts the loans the shell has ended: a Loan names the generation it
+// was made in, so a stale copy of an ended loan can never end the shell's
+// next one.
 type loanShell struct {
 	c       chunk
 	ptr     []int64
@@ -264,14 +254,6 @@ type loanShell struct {
 	viewPtr []int64
 	viewJC  []int32
 	gen     atomic.Uint64
-}
-
-// shellSize is what a shell costs the free list beyond its arrays.
-const shellSize = int64(unsafe.Sizeof(loanShell{}))
-
-// bytes is what the shell's metadata arrays, and the shell itself, hold on to.
-func (s *loanShell) bytes() int64 {
-	return shellSize + 8*int64(cap(s.ptr)+cap(s.viewPtr)) + 4*int64(cap(s.jc)+cap(s.viewJC))
 }
 
 // lendShell takes a shell off the free list, most recently returned first,
@@ -293,7 +275,6 @@ func lendShell(out passOutput, bounds []int32) *loanShell {
 	}
 	s := idleWorkers.shells[n-1]
 	idleWorkers.shells[n-1], idleWorkers.shells = nil, idleWorkers.shells[:n-1]
-	idleWorkers.loanBytes -= s.bytes()
 	return s
 }
 
@@ -307,25 +288,26 @@ func (s *loanShell) output() passOutput {
 	return lentOutput
 }
 
-// pointers returns n zeroed column pointers: the shell's when there is one,
-// a new array otherwise.
+// pointers returns n zeroed column pointers: drawn for the shell when there
+// is one, a new array otherwise.
 func (s *loanShell) pointers(n int32) []int64 {
 	if s == nil {
 		return make([]int64, n)
 	}
-	s.ptr = slices.Grow(s.ptr[:0], int(n))[:n]
+	s.ptr = spmat.Draw[int64](int(n))
 	clear(s.ptr)
 	return s.ptr
 }
 
 // copyColumns returns a copy of cols, the stored columns of a
-// doubly-compressed output, for the output to own: in the shell's array when
-// there is a shell, in a new one otherwise.
+// doubly-compressed output, for the output to own: drawn for the shell when
+// there is one, a new array otherwise.
 func (s *loanShell) copyColumns(cols []int32) []int32 {
 	if s == nil {
 		return slices.Clone(cols)
 	}
-	s.jc = append(s.jc[:0], cols...)
+	s.jc = spmat.Draw[int32](len(cols))
+	copy(s.jc, cols)
 	return s.jc
 }
 
@@ -341,89 +323,47 @@ func (s *loanShell) lend(c chunk) Loan {
 }
 
 // ColRanges is spmat.MatColRanges of the lent output m: its pieces' column
-// pointers and stored columns are carved from the loan's buffers, so they
-// live exactly as long as m's entries do and go back to the free list with
-// them. On an empty Loan — an owned m — the pieces own their metadata, as
-// MatColRanges makes them. Views cut from one loan more than once all stay
-// valid until it is returned.
+// pointers and stored columns are carved from the loan's buffers, drawn on
+// the first cut at the most the pieces of m can take, so they live exactly
+// as long as m's entries do and go back to the free list with them. On an
+// empty Loan — an owned m — the pieces own their metadata, as MatColRanges
+// makes them. Views cut from one loan more than once all stay valid until it
+// is returned.
 func (l Loan) ColRanges(m spmat.Matrix, bounds []int32) []spmat.Matrix {
 	s := l.s
 	if s == nil {
 		return spmat.MatColRanges(m, bounds)
+	}
+	if cap(s.viewPtr) == 0 {
+		s.viewPtr = spmat.Draw[int64](len(s.ptr) + len(bounds))[:0]
+		s.viewJC = spmat.Draw[int32](len(s.jc))[:0]
 	}
 	var pieces []spmat.Matrix
 	pieces, s.viewPtr, s.viewJC = spmat.MatColRangesInto(m, bounds, s.viewPtr, s.viewJC)
 	return pieces
 }
 
-// Return ends the loan. The chunk goes back to the free list, which keeps it
-// if it has no array above maxKeptEntries and what came back from loans stays
-// within maxIdleChunkBytes with it, and the shell goes back with its
-// metadata on the same terms (an array above maxKeptEntries is dropped first).
-// The output and every view cut from it must not be read afterwards: the
-// next kernel call on any goroutine fills the same arrays. Returning twice is
-// returning once, and so is returning a copy of a returned Loan.
+// Return ends the loan: every array the shell holds goes back to spmat's
+// free list (spmat.Give), which keeps it within its bounds — poisoned while
+// spmat.PoisonReleased is set — and the shell, with no array, to this
+// package's free list. The output and every view cut from it must not be
+// read afterwards: the next kernel call on any goroutine fills the same
+// arrays. Returning twice is returning once, and so is returning a copy of a
+// returned Loan.
 func (l *Loan) Return() {
 	s, gen := l.s, l.gen
 	*l = Loan{}
 	if s == nil || !s.gen.CompareAndSwap(gen, gen+1) {
 		return
 	}
-	c := s.c
-	s.c = chunk{}
-	if PoisonReturnedChunks.Load() {
-		c.poison()
-		s.poison()
-	}
-	if max(cap(s.ptr), cap(s.viewPtr)) > maxKeptEntries {
-		s.ptr, s.viewPtr = nil, nil
-	}
-	if max(cap(s.jc), cap(s.viewJC)) > maxKeptEntries {
-		s.jc, s.viewJC = nil, nil
-	}
-	s.viewPtr, s.viewJC = s.viewPtr[:0], s.viewJC[:0]
+	spmat.Give(s.c.rows, s.jc, s.viewJC)
+	spmat.Give(s.ptr, s.viewPtr)
+	spmat.Give(s.c.vals)
+	s.c, s.ptr, s.jc, s.viewPtr, s.viewJC = chunk{}, nil, nil, nil, nil
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
-	if n := c.bytes(); n > 0 && max(cap(c.rows), cap(c.vals)) <= maxKeptEntries && idleWorkers.loanBytes+n <= maxIdleChunkBytes {
-		idleWorkers.chunks = append(idleWorkers.chunks, c)
-		idleWorkers.loanBytes += n
-	}
-	if n := s.bytes(); idleWorkers.loanBytes+n <= maxIdleChunkBytes {
+	if len(idleWorkers.shells) < maxIdleShells {
 		idleWorkers.shells = append(idleWorkers.shells, s)
-		idleWorkers.loanBytes += n
-	}
-}
-
-// PoisonReturnedChunks is a hook for tests, here and in core: while it is
-// set, Return overwrites the whole chunk — every row −1, every value NaN —
-// and all of the shell's metadata — every pointer and stored column −1 —
-// before the free list sees them, so a product or a view of it still read
-// after its loan ended fails the comparison it takes part in, or its first
-// column read, instead of passing by luck of timing. It is spmat's
-// PoisonReleased, so the same flag poisons a one-shot multiply's released
-// deal (spmat.ReleaseGrid) too.
-var PoisonReturnedChunks = &spmat.PoisonReleased
-
-func (c chunk) poison() {
-	rows, vals := c.rows[:cap(c.rows)], c.vals[:cap(c.vals)]
-	for i := range rows {
-		rows[i] = -1
-	}
-	for i := range vals {
-		vals[i] = math.NaN()
-	}
-}
-
-func (s *loanShell) poison() {
-	for _, a := range [][]int64{s.ptr[:cap(s.ptr)], s.viewPtr[:cap(s.viewPtr)]} {
-		for i := range a {
-			a[i] = -1
-		}
-	}
-	for _, a := range [][]int32{s.jc[:cap(s.jc)], s.viewJC[:cap(s.viewJC)]} {
-		for i := range a {
-			a[i] = -1
-		}
 	}
 }
 
@@ -525,7 +465,7 @@ func outputFor(lend bool) passOutput {
 // runWorkers executes fn once per non-empty column range, each with its own
 // scratch: the last range on the caller's goroutine, the others on theirs.
 func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
-	onePass(bounds, fn, noOutput)
+	onePass(bounds, nil, fn, noOutput)
 }
 
 // nonEmptyRanges returns the first and the last range of bounds that holds a
@@ -545,24 +485,26 @@ func nonEmptyRanges(bounds []int32) (first, last int) {
 
 // onePass runs the plan described at the top of this file. fill computes
 // the columns [lo, hi) of one range, appending them to w.rows/w.vals, which
-// arrive empty. Unless out is noOutput the pass returns the output's entry
-// arrays, the ranges' chunks back to back in range order: a copy of the chunk
-// when one range ran, an allocation the ranges place their chunks into when
-// several did — or, under lentOutput with one range that filled anything,
-// the chunk itself, which it also returns as lent. One range runs on the
-// caller's goroutine with nothing else to coordinate.
-func onePass(bounds []int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, lent chunk) {
+// arrive empty and, unless out is noOutput, with room for the range's entry
+// bound — its columns' colWork, which no output column exceeds — so no
+// drained column grows them (fillRange). Unless out is noOutput the pass
+// returns the output's entry arrays, the ranges' chunks back to back in range
+// order: a copy of the chunk when one range ran, an allocation the ranges
+// place their chunks into when several did — or, under lentOutput with one
+// range that filled anything, the chunk itself, which it also returns as
+// lent. One range runs on the caller's goroutine with nothing else to
+// coordinate.
+func onePass(bounds []int32, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, lent chunk) {
 	first, last := nonEmptyRanges(bounds)
 	if last < 0 {
 		return []int32{}, []float64{}, chunk{}
 	}
 	if first < last {
-		ir, num = manyRanges(bounds, last, fill, out)
+		ir, num = manyRanges(bounds, last, colWork, fill, out)
 		return ir, num, chunk{}
 	}
 	w := getWorker()
-	w.rows, w.vals = w.rows[:0], w.vals[:0]
-	fill(w, bounds[last], bounds[last+1])
+	w.fillRange(bounds[last], bounds[last+1], colWork, fill, out)
 	switch {
 	case out == noOutput:
 	case out == lentOutput && len(w.rows) > 0:
@@ -576,18 +518,27 @@ func onePass(bounds []int32, fill func(w *mmWorker, lo, hi int32), out passOutpu
 	return ir, num, lent
 }
 
+// fillRange runs fill over the range [lo, hi) on the worker's emptied chunk,
+// fitted first to the range's entry bound unless out is noOutput.
+func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) {
+	if out != noOutput {
+		var bound int64
+		for _, c := range colWork[lo:hi] {
+			bound += c
+		}
+		w.fitChunk(bound)
+	}
+	w.rows, w.vals = w.rows[:0], w.vals[:0]
+	fill(w, lo, hi)
+}
+
 // manyRanges is onePass over two or more non-empty ranges, the last of them
 // last: each range but the last on a goroutine of its own, which waits for the
 // allocation and then places its chunk; the output, unless out is noOutput,
 // is always owned.
-func manyRanges(bounds []int32, last int, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
+func manyRanges(bounds []int32, last int, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
 	ws := make([]*mmWorker, last+1)
 	offs := make([]int, last+1)
-	run := func(t int) {
-		w := ws[t]
-		w.rows, w.vals = w.rows[:0], w.vals[:0]
-		fill(w, bounds[t], bounds[t+1])
-	}
 	place := func(t int) {
 		copy(ir[offs[t]:], ws[t].rows)
 		copy(num[offs[t]:], ws[t].vals)
@@ -606,7 +557,7 @@ func manyRanges(bounds []int32, last int, fill func(w *mmWorker, lo, hi int32), 
 		placed.Add(1)
 		go func(t int) {
 			defer placed.Done()
-			run(t)
+			ws[t].fillRange(bounds[t], bounds[t+1], colWork, fill, out)
 			filled.Done()
 			if out != noOutput {
 				<-allocated
@@ -615,7 +566,7 @@ func manyRanges(bounds []int32, last int, fill func(w *mmWorker, lo, hi int32), 
 		}(t)
 	}
 	ws[last] = getWorker()
-	run(last)
+	ws[last].fillRange(bounds[last], bounds[last+1], colWork, fill, out)
 	filled.Wait()
 	if out != noOutput {
 		total := 0

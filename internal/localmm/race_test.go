@@ -116,7 +116,7 @@ func TestDCSCParallelKernelsRace(t *testing.T) {
 // shell two live loans shared, or a stale copy that could end the shell's
 // next loan, shows as a poisoned read. Run under `go test -race`.
 func TestLoansRace(t *testing.T) {
-	defer PoisonReturnedChunks.Store(PoisonReturnedChunks.Swap(true))
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
 	a := uniformMat(t, 200, 200, 6, 71)
 	bounds := []int32{0, 100, 300}
@@ -153,4 +153,69 @@ func TestLoansRace(t *testing.T) {
 	for _, pl := range plans {
 		pl.Release()
 	}
+}
+
+// TestLoansAndDealsRace is the one free list's race workout: goroutines that
+// lend kernel outputs — Plan.Mul and MulMerge, views cut from them — and
+// return them run beside goroutines that deal grids on loan
+// (spmat.LendGrid) and release them, all drawing from and giving back to
+// spmat's free list at once, with every array poisoned as it goes back.
+// Every lent product must read as its unlent twin, and every lent grid's
+// blocks as the same grid dealt to keep (spmat.SplitGrid), until its own
+// loan or release: an array two holders shared shows as a poisoned or
+// foreign read. Run under `go test -race`.
+func TestLoansAndDealsRace(t *testing.T) {
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
+	sr := semiring.PlusTimes()
+	a := uniformMat(t, 200, 200, 6, 81)
+	bounds := []int32{0, 100, 300}
+	var wg sync.WaitGroup
+	for r := range 2 {
+		pl := PlanMul(a, asFormat(uniformMat(t, 200, 300, 3, int64(82+r)), r == 1))
+		owned, _ := pl.Mul(KernelHashUnsorted, sr, false, 1)
+		prev := []spmat.Matrix{owned, asFormat(uniformMat(t, 200, 300, 4, int64(84+r)), r == 1)}
+		merged := MergeMat(MergerHash, prev, sr, false, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer pl.Release()
+			for range 60 {
+				lent, loan := pl.Mul(KernelHashUnsorted, sr, true, 1)
+				views := loan.ColRanges(lent, bounds)
+				sum, sumLoan, _ := MulMerge(KernelHashUnsorted, prev, nil, 0, 0, sr, false, true, 1)
+				ok := spmat.Equal(lent.ToCSC(), owned.ToCSC()) && spmat.Equal(sum.ToCSC(), merged.ToCSC())
+				for x, v := range spmat.MatColRanges(owned, bounds) {
+					ok = ok && spmat.Equal(views[x].ToCSC(), v.ToCSC())
+				}
+				loan.Return()
+				sumLoan.Return()
+				if !ok {
+					t.Errorf("goroutine %d: a lent product, merge or view differs from its unlent twin", r)
+					return
+				}
+			}
+		}()
+	}
+	for g := range 2 {
+		m := hyperMat(t, 512, 4096, 3000, int64(86+g))
+		rowB, colB := spmat.PartBounds(m.Rows, 2), spmat.PartBounds(m.Cols, 4)
+		f := []spmat.Format{spmat.FormatCSC, spmat.FormatDCSC}[g]
+		want := spmat.SplitGrid(m, rowB, colB, f)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 60 {
+				grid := spmat.LendGrid(m, rowB, colB, f)
+				for x, b := range grid {
+					if !spmat.Equal(b.ToCSC(), want[x].ToCSC()) {
+						t.Errorf("deal %d: lent block %d differs from the block dealt to keep", g, x)
+						spmat.ReleaseGrid(grid)
+						return
+					}
+				}
+				spmat.ReleaseGrid(grid)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -252,9 +252,7 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	gauge("spgemmd_worlds_idle", "Built simulated clusters waiting for a job.", float64(st.IdleWorlds))
 	counter("spgemmd_worlds_built_total", "Simulated clusters built because no idle one had the job's layer count.", float64(st.WorldsBuilt))
 	counter("spgemmd_worlds_dropped_total", "Simulated clusters dropped because their job failed.", float64(st.WorldsDropped))
-	fmt.Fprintf(w, "# HELP spgemmd_free_list_idle_bytes Bytes the process's free lists hold for reuse, by list.\n# TYPE spgemmd_free_list_idle_bytes gauge\n")
-	fmt.Fprintf(w, "spgemmd_free_list_idle_bytes{list=\"loans\"} %d\n", st.FreeListIdleBytes.Loans)
-	fmt.Fprintf(w, "spgemmd_free_list_idle_bytes{list=\"deals\"} %d\n", st.FreeListIdleBytes.Deals)
+	gauge("spgemmd_free_list_idle_bytes", "Bytes the process's free list of arrays holds for reuse.", float64(st.FreeListIdleBytes))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))
 	gauge("spgemmd_ranks", "Simulated rank count per job.", float64(st.P))
 

@@ -232,16 +232,13 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 			t.Errorf("%s = %g (present %v), /stats says %d", key, got, ok, g.Jobs)
 		}
 	}
-	// The free lists' idle bytes: read under their locks, the same in the
+	// The free list's idle bytes: read under its lock, the same in the
 	// snapshot, the served /stats and /metrics — nothing ran in between.
 	if served.FreeListIdleBytes != st.FreeListIdleBytes {
-		t.Errorf("/stats free list idle bytes %+v, the snapshot %+v", served.FreeListIdleBytes, st.FreeListIdleBytes)
+		t.Errorf("/stats free list idle bytes %d, the snapshot %d", served.FreeListIdleBytes, st.FreeListIdleBytes)
 	}
-	for list, want := range map[string]int64{"loans": st.FreeListIdleBytes.Loans, "deals": st.FreeListIdleBytes.Deals} {
-		key := fmt.Sprintf("spgemmd_free_list_idle_bytes{list=%q}", list)
-		if got, ok := m[key]; !ok || got != float64(want) {
-			t.Errorf("%s = %g (present %v), /stats says %d", key, got, ok, want)
-		}
+	if got, ok := m["spgemmd_free_list_idle_bytes"]; !ok || got != float64(st.FreeListIdleBytes) {
+		t.Errorf("spgemmd_free_list_idle_bytes = %g (present %v), /stats says %d", got, ok, st.FreeListIdleBytes)
 	}
 	if m[`spgemmd_requests_total{endpoint="multiply"}`] != 3 {
 		t.Errorf("multiply request counter %g, want 3", m[`spgemmd_requests_total{endpoint="multiply"}`])

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/planner"
@@ -473,23 +472,17 @@ type Stats struct {
 	IdleWorlds    int   `json:"idle_worlds"`
 	WorldsBuilt   int64 `json:"worlds_built"`
 	WorldsDropped int64 `json:"worlds_dropped"`
-	// FreeListIdleBytes is what the process's free lists hold right now,
-	// waiting to be reused.
-	FreeListIdleBytes FreeListBytes `json:"free_list_idle_bytes"`
+	// FreeListIdleBytes is what the process's free list of arrays holds
+	// right now, waiting to be reused (spmat.IdleBytes): what the kernels'
+	// lent outputs gave back — entry chunks and column metadata — and the
+	// block arrays one-shot deals released. The daemon deals through its
+	// split cache and releases no deal, so only loans move it unless the same
+	// process runs one-shot multiplies.
+	FreeListIdleBytes int64 `json:"free_list_idle_bytes"`
 	// MemBytes echoes the shared budget; P and Machine the cluster shape.
 	MemBytes int64  `json:"mem_bytes"`
 	P        int    `json:"p"`
 	Machine  string `json:"machine"`
-}
-
-// FreeListBytes is the idle bytes of the two process-wide free lists: Loans
-// of what the kernels' lent outputs gave back (chunks, and shells with their
-// column metadata), Deals of the block arrays released one-shot deals gave
-// back. The daemon deals through its split cache and releases no deal, so
-// Deals moves only when the same process runs one-shot multiplies.
-type FreeListBytes struct {
-	Loans int64 `json:"loans"`
-	Deals int64 `json:"deals"`
 }
 
 // Stats returns a consistent-enough snapshot for monitoring (counters are
@@ -533,7 +526,7 @@ func (s *Service) Stats() Stats {
 		WorldsBuilt:   worldsBuilt,
 		WorldsDropped: worldsDropped,
 
-		FreeListIdleBytes: FreeListBytes{Loans: localmm.IdleLoanBytes(), Deals: spmat.IdleDealBytes()},
+		FreeListIdleBytes: spmat.IdleBytes(),
 
 		MemBytes: s.cfg.MemBytes,
 		P:        s.cfg.P,

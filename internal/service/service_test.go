@@ -18,12 +18,12 @@ import (
 )
 
 // TestMain runs this package's tests with returned chunks poisoned
-// (localmm.PoisonReturnedChunks). A returned product is streamed, or
+// (spmat.PoisonReleased). A returned product is streamed, or
 // assembled by Product, from the ranks' pieces, which are lent kernel chunks
 // that go back once that reader is done: a product read after they went back
 // is every row −1 and every value NaN, and fails its byte comparison.
 func TestMain(m *testing.M) {
-	localmm.PoisonReturnedChunks.Store(true)
+	spmat.PoisonReleased.Store(true)
 	os.Exit(m.Run())
 }
 

@@ -288,11 +288,12 @@ func TestSplitCacheDealsAKeyOnce(t *testing.T) {
 
 // The split cache keeps its sets and charges each by its blocks' lengths
 // (spmat.BlockMemBytes), so a set must hold no capacity beyond them — even
-// when one-shot multiplies in the same process have just filled the free
-// list of dealt arrays with arrays a best fit would hand it. Every format's
-// set is dealt after a one-shot call on a slightly larger operand released
-// its deal: the set takes nothing from the list, its AUX arrays (built by a
-// lookup) neither, and every array is exactly as long as it is large.
+// when one-shot multiplies in the same process have just filled spmat's free
+// list of arrays with arrays a best fit would hand it. Every format's set is
+// dealt after a one-shot call on a slightly larger operand released its deal
+// and returned its loans, with nothing run in between: the set takes
+// nothing from the list, its AUX arrays (built by a lookup) neither, and
+// every array is exactly as long as it is large.
 func TestSplitCacheDealsExactAfterOneShotCalls(t *testing.T) {
 	m, larger := genmat.ER(2048, 8, 71), genmat.ER(2560, 8, 72)
 	s, err := New(Config{P: 16})
@@ -312,9 +313,9 @@ func TestSplitCacheDealsExactAfterOneShotCalls(t *testing.T) {
 		if _, _, _, err := core.Multiply(larger, larger, rc, nil); err != nil {
 			t.Fatal(err)
 		}
-		before := spmat.IdleDealBytes()
+		before := spmat.IdleBytes()
 		if before == 0 {
-			t.Fatalf("format %v: a one-shot multiply left the free list of dealt arrays empty", f)
+			t.Fatalf("format %v: a one-shot multiply left the free list empty", f)
 		}
 		for _, role := range []core.Role{core.RoleA, core.RoleB} {
 			d, err := s.splits.deal(r, role, rc)
@@ -337,8 +338,8 @@ func TestSplitCacheDealsExactAfterOneShotCalls(t *testing.T) {
 				}
 			}
 		}
-		if after := spmat.IdleDealBytes(); after != before {
-			t.Errorf("format %v: the split cache took %d bytes from the free list of dealt arrays", f, before-after)
+		if after := spmat.IdleBytes(); after != before {
+			t.Errorf("format %v: the split cache took %d bytes from the free list", f, before-after)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (d *DCSC) index() *colIndex {
 	// column, and at most two expected per chunk keeps the search short.
 	shift := uint(bits.Len64(uint64(d.Cols-1) / uint64(2*len(d.JC))))
 	chunks := int((d.Cols-1)>>shift) + 1
-	ix := &colIndex{shift: shift, start: dealtArray(d.lent, &idleDeals.i32, chunks+1)}
+	ix := &colIndex{shift: shift, start: dealtArray[int32](d.lent, chunks+1)}
 	c := 0
 	for p, j := range d.JC {
 		for ; c <= int(j>>shift); c++ {

@@ -8,15 +8,16 @@ import (
 	"unsafe"
 )
 
-// idleDeals is the free list of dealt block arrays: what ReleaseGrid took
+// idle is the process's one free list of arrays: the arrays ReleaseGrid took
 // back from the blocks of a LendGrid — row indices, values, column pointers
-// and stored columns — and the AUX arrays built on them (DCSC.index). Each
-// kind is kept in ascending order of capacity, so a draw is a binary search
-// for the best fit. It holds strong references on purpose, as localmm's free
-// list of kernel scratch does: one-shot multiplies deal their operands on
-// every call, and arrays kept only in a sync.Pool would be dropped by every
-// collection between them.
-var idleDeals struct {
+// and stored columns — with the AUX arrays built on them (DCSC.index), and
+// the arrays localmm's lent kernel outputs gave back (Give): their entry
+// chunks and their column metadata. Each element type is kept in ascending
+// order of capacity, so a draw is a binary search for the best fit. It holds
+// strong references on purpose: one-shot multiplies deal their operands and
+// the kernels lend their outputs on every call, and arrays kept only in a
+// sync.Pool would be dropped by every collection between them.
+var idle struct {
 	sync.Mutex
 	i32   [][]int32
 	i64   [][]int64
@@ -24,70 +25,164 @@ var idleDeals struct {
 	bytes int64 // Σ capacity · element size over the three lists
 }
 
-// The list keeps what fits maxIdleDealBytes of what comes back, the same
-// bound localmm puts on returned loans, no array above maxKeptDealEntries
-// and at most maxIdleDealArrays arrays of a kind (a draw and a return shift
-// the sorted list), and drops the rest. A draw takes the smallest idle array
-// that holds what is asked, and only while its capacity is below twice the
-// length asked: a small block never pins a large array.
+// The list holds at most maxIdleBytes, no array above MaxKeptEntries and at
+// most maxIdleArrays arrays of a type (a draw and a return shift the sorted
+// list). An array that comes back when the list is full displaces the
+// largest idle arrays, of any type, while they are larger than it, and is
+// dropped when they are not: a list filled by one workload makes room for
+// the next one's arrays instead of turning them all away. A draw takes the
+// smallest idle array that holds what is asked, and only while its capacity
+// is below twice the length asked: a small block or output never pins a
+// large array.
 const (
-	maxIdleDealBytes   = 64 << 20
-	maxKeptDealEntries = 1 << 22
-	maxIdleDealArrays  = 1 << 13
+	maxIdleBytes   = 64 << 20
+	MaxKeptEntries = 1 << 22
+	maxIdleArrays  = 1 << 13
 )
 
-// IdleDealBytes is what the free list of dealt block arrays holds right now,
-// in bytes.
-func IdleDealBytes() int64 {
-	idleDeals.Lock()
-	defer idleDeals.Unlock()
-	return idleDeals.bytes
+// IdleBytes is what the free list holds right now, in bytes.
+func IdleBytes() int64 {
+	idle.Lock()
+	defer idle.Unlock()
+	return idle.bytes
 }
 
-// PoisonReleased is a hook for tests: while it is set, ReleaseGrid
-// overwrites every array it takes back — rows, pointers, stored columns and
-// AUX −1, values NaN — before the free list sees it, so a block still read
-// after its deal was released fails the comparison it takes part in instead
-// of passing by luck of timing. localmm's PoisonReturnedChunks is this flag.
+// PoisonReleased is a hook for tests: while it is set, every array given
+// back to the free list — by ReleaseGrid or Give — is overwritten up to its
+// capacity before the list sees it: integers −1, values NaN. A block read
+// after its grid was released, or a lent output read after its loan ended,
+// fails the comparison it takes part in instead of passing by luck of timing.
 var PoisonReleased atomic.Bool
 
-// dealArray is the element type of a dealt block's arrays.
-type dealArray interface{ int32 | int64 | float64 }
+// element is the element type of an array the free list keeps.
+type element interface{ int32 | int64 | float64 }
 
-// dealtArray returns an array of length n for a dealt block. When the deal
-// is lent it is the best-fitting idle array of list, contents undefined, or
-// a new one when none fits; otherwise it is allocated at its exact size.
-func dealtArray[T dealArray](lend bool, list *[][]T, n int) []T {
-	if lend && n > 0 {
-		idleDeals.Lock()
+// listOf is the free list's array list of T.
+func listOf[T element]() *[][]T {
+	var z T
+	switch any(z).(type) {
+	case int32:
+		return any(&idle.i32).(*[][]T)
+	case int64:
+		return any(&idle.i64).(*[][]T)
+	default:
+		return any(&idle.f64).(*[][]T)
+	}
+}
+
+// Draw returns an array of length n, contents undefined, for the caller to
+// give back (Give) once nothing reads it: the best-fitting idle array, or a
+// new one when none fits.
+func Draw[T element](n int) []T {
+	if n > 0 {
+		idle.Lock()
+		list := listOf[T]()
 		l := *list
 		i, _ := slices.BinarySearchFunc(l, n, func(a []T, n int) int { return cap(a) - n })
 		if i < len(l) && cap(l[i]) < 2*n {
 			a := l[i]
 			*list = slices.Delete(l, i, i+1)
-			idleDeals.bytes -= arrayBytes(a)
-			idleDeals.Unlock()
+			idle.bytes -= arrayBytes(a)
+			idle.Unlock()
 			return a[:n]
 		}
-		idleDeals.Unlock()
+		idle.Unlock()
 	}
 	return make([]T, n)
 }
 
-// keepDeal puts a back on list at its capacity's place when it is within
-// the list's bounds; the caller holds the lock.
-func keepDeal[T dealArray](list *[][]T, a []T) {
+// dealtArray returns an array of length n for a dealt block: drawn from the
+// free list when the deal is lent, allocated at its exact size otherwise.
+func dealtArray[T element](lend bool, n int) []T {
+	if lend {
+		return Draw[T](n)
+	}
+	return make([]T, n)
+}
+
+// Give hands arrays back to the free list, which keeps each, up to its
+// capacity, within its bounds. Nothing may read them afterwards, nor any
+// slice of them: the next draw on any goroutine fills the same memory.
+func Give[T element](arrays ...[]T) {
+	idle.Lock()
+	defer idle.Unlock()
+	for _, a := range arrays {
+		keep(a)
+	}
+}
+
+// keep puts a back on its list at its capacity's place when it is within the
+// list's bounds, poisoned first while PoisonReleased is set; the caller holds
+// the lock.
+func keep[T element](a []T) {
 	a = a[:cap(a)]
+	if PoisonReleased.Load() {
+		poison(a)
+	}
+	list := listOf[T]()
 	n := arrayBytes(a)
-	if n == 0 || len(a) > maxKeptDealEntries || len(*list) >= maxIdleDealArrays || idleDeals.bytes+n > maxIdleDealBytes {
+	if n == 0 || len(a) > MaxKeptEntries || len(*list) >= maxIdleArrays {
 		return
+	}
+	for idle.bytes+n > maxIdleBytes {
+		if !dropLargest(n) {
+			return
+		}
 	}
 	i, _ := slices.BinarySearchFunc(*list, len(a), func(b []T, n int) int { return cap(b) - n })
 	*list = slices.Insert(*list, i, a)
-	idleDeals.bytes += n
+	idle.bytes += n
 }
 
-func arrayBytes[T dealArray](a []T) int64 {
+// dropLargest drops the idle array that holds the most bytes when it holds
+// more than n, and reports whether it did; the caller holds the lock.
+func dropLargest(n int64) bool {
+	b32, b64, bf := largest(idle.i32), largest(idle.i64), largest(idle.f64)
+	m := max(b32, b64, bf)
+	if m <= n {
+		return false
+	}
+	switch m {
+	case b32:
+		dropLast(&idle.i32)
+	case b64:
+		dropLast(&idle.i64)
+	default:
+		dropLast(&idle.f64)
+	}
+	return true
+}
+
+// largest is the bytes of list's largest array, 0 for an empty list.
+func largest[T element](list [][]T) int64 {
+	if len(list) == 0 {
+		return 0
+	}
+	return arrayBytes(list[len(list)-1])
+}
+
+// dropLast drops list's largest array.
+func dropLast[T element](list *[][]T) {
+	l := *list
+	idle.bytes -= arrayBytes(l[len(l)-1])
+	l[len(l)-1] = nil
+	*list = l[:len(l)-1]
+}
+
+// poison overwrites a: values NaN, integers −1.
+func poison[T element](a []T) {
+	if f, ok := any(a).([]float64); ok {
+		for i := range f {
+			f[i] = math.NaN()
+		}
+		return
+	}
+	for i := range a {
+		a[i] = -1
+	}
+}
+
+func arrayBytes[T element](a []T) int64 {
 	var z T
 	return int64(cap(a)) * int64(unsafe.Sizeof(z))
 }
@@ -100,48 +195,22 @@ func arrayBytes[T dealArray](a []T) int64 {
 // arrays change hands — so while PoisonReleased is set a late reader meets
 // poison. A grid is released once.
 func ReleaseGrid(blocks []Matrix) {
-	if PoisonReleased.Load() {
-		for _, m := range blocks {
-			switch b := m.(type) {
-			case *CSC:
-				fillDeal(b.ColPtr, -1)
-				fillDeal(b.RowIdx, -1)
-				fillDeal(b.Val, math.NaN())
-			case *DCSC:
-				fillDeal(b.JC, -1)
-				fillDeal(b.CP, -1)
-				fillDeal(b.IR, -1)
-				fillDeal(b.Num, math.NaN())
-				if ix := b.aux.Load(); ix != nil {
-					fillDeal(ix.start, -1)
-				}
-			}
-		}
-	}
-	idleDeals.Lock()
-	defer idleDeals.Unlock()
+	idle.Lock()
+	defer idle.Unlock()
 	for _, m := range blocks {
 		switch b := m.(type) {
 		case *CSC:
-			keepDeal(&idleDeals.i64, b.ColPtr)
-			keepDeal(&idleDeals.i32, b.RowIdx)
-			keepDeal(&idleDeals.f64, b.Val)
+			keep(b.ColPtr)
+			keep(b.RowIdx)
+			keep(b.Val)
 		case *DCSC:
-			keepDeal(&idleDeals.i32, b.JC)
-			keepDeal(&idleDeals.i64, b.CP)
-			keepDeal(&idleDeals.i32, b.IR)
-			keepDeal(&idleDeals.f64, b.Num)
+			keep(b.JC)
+			keep(b.CP)
+			keep(b.IR)
+			keep(b.Num)
 			if ix := b.aux.Load(); ix != nil {
-				keepDeal(&idleDeals.i32, ix.start)
+				keep(ix.start)
 			}
 		}
-	}
-}
-
-// fillDeal overwrites the whole of a, up to its capacity, with v.
-func fillDeal[T dealArray](a []T, v T) {
-	a = a[:cap(a)]
-	for i := range a {
-		a[i] = v
 	}
 }

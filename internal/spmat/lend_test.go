@@ -72,10 +72,10 @@ func TestRedealtArraysHoldOnlyTheNewDeal(t *testing.T) {
 	second := skewedCSC(t, 300, 400, 40, 5000, false, 6)
 	rowB, colB := PartBounds(300, 3), PartBounds(400, 4)
 	for _, f := range []Format{FormatCSC, FormatDCSC, FormatAuto} {
-		before := IdleDealBytes()
+		before := IdleBytes()
 		ReleaseGrid(LendGrid(first, rowB, colB, f))
-		if IdleDealBytes() < before {
-			t.Fatalf("format %v: dealing and releasing a grid left %d idle bytes, %d before", f, IdleDealBytes(), before)
+		if IdleBytes() < before {
+			t.Fatalf("format %v: dealing and releasing a grid left %d idle bytes, %d before", f, IdleBytes(), before)
 		}
 		blocks := LendGrid(second, rowB, colB, f)
 		for r := range len(rowB) - 1 {
@@ -135,7 +135,7 @@ func TestSplitGridNeverDraws(t *testing.T) {
 			}
 		}
 		ReleaseGrid(lent)
-		before := IdleDealBytes()
+		before := IdleBytes()
 		if before == 0 {
 			t.Fatalf("format %v: a released grid left the free list empty", f)
 		}
@@ -156,8 +156,85 @@ func TestSplitGridNeverDraws(t *testing.T) {
 				t.Errorf("format %v: block %d (%v) holds an array larger than its length", f, i, b)
 			}
 		}
-		if after := IdleDealBytes(); after != before {
+		if after := IdleBytes(); after != before {
 			t.Errorf("format %v: SplitGrid took %d bytes from the free list", f, before-after)
+		}
+	}
+}
+
+// TestFreeListKeepsOneBound gives back more than the one free list may keep
+// — the arrays of a released grid and then, as a lent kernel output's Return
+// gives them (Give), entry and metadata arrays of every element type, 96 MiB
+// between them, with one array above MaxKeptEntries — and holds the list to
+// its bounds together: at most maxIdleBytes, no array above MaxKeptEntries,
+// at most maxIdleArrays a type, each type sorted by capacity, its count equal
+// to what the lists hold, and at least half the bound kept. Then it draws
+// everything back out by its exact capacity: every draw is a kept array, and
+// the count falls to zero.
+func TestFreeListKeepsOneBound(t *testing.T) {
+	defer PoisonReleased.Store(PoisonReleased.Swap(false))
+	drain := func() {
+		idle.Lock()
+		defer idle.Unlock()
+		idle.i32, idle.i64, idle.f64, idle.bytes = nil, nil, nil, 0
+	}
+	drain()
+	defer drain()
+	m := kmerCSC(t, 256, 8192, 6, 3)
+	ReleaseGrid(LendGrid(m, PartBounds(m.Rows, 2), PartBounds(m.Cols, 3), FormatDCSC))
+	Give(make([]int32, MaxKeptEntries+1))
+	for range 96 {
+		Give(make([]int32, 1<<17), make([]int32, 1<<15))
+		Give(make([]int64, 1<<15))
+		Give(make([]float64, 1<<17))
+	}
+	idle.Lock()
+	caps32, held32 := idleCaps(t, idle.i32)
+	caps64, held64 := idleCaps(t, idle.i64)
+	capsF, heldF := idleCaps(t, idle.f64)
+	counted := idle.bytes
+	idle.Unlock()
+	if held := held32 + held64 + heldF; counted != held {
+		t.Errorf("the list counts %d bytes and holds %d", counted, held)
+	}
+	if counted > maxIdleBytes || counted < maxIdleBytes/2 {
+		t.Errorf("the list holds %d bytes of the 96 MiB given back, not within [%d, %d]", counted, maxIdleBytes/2, maxIdleBytes)
+	}
+	drawBack[int32](t, caps32)
+	drawBack[int64](t, caps64)
+	drawBack[float64](t, capsF)
+	if left := IdleBytes(); left != 0 {
+		t.Errorf("every idle array drawn back out, the list still counts %d bytes", left)
+	}
+}
+
+// idleCaps holds one type's idle arrays to the list's bounds and returns
+// their capacities and bytes.
+func idleCaps[T element](t *testing.T, list [][]T) (caps []int, bytes int64) {
+	t.Helper()
+	if len(list) > maxIdleArrays {
+		t.Errorf("%T: %d idle arrays, above the cap of %d", list, len(list), maxIdleArrays)
+	}
+	for i, a := range list {
+		if cap(a) > MaxKeptEntries {
+			t.Errorf("%T: an idle array of %d entries, above the cap of %d", list, cap(a), MaxKeptEntries)
+		}
+		if i > 0 && cap(list[i-1]) > cap(a) {
+			t.Errorf("%T: idle arrays out of capacity order at %d", list, i)
+		}
+		caps = append(caps, cap(a))
+		bytes += arrayBytes(a)
+	}
+	return caps, bytes
+}
+
+// drawBack draws an array of every capacity in caps and holds each draw to
+// be an idle array of exactly that capacity.
+func drawBack[T element](t *testing.T, caps []int) {
+	t.Helper()
+	for _, c := range caps {
+		if got := cap(Draw[T](c)); got != c {
+			t.Fatalf("a draw of %d entries got a capacity of %d, not the idle array", c, got)
 		}
 	}
 }

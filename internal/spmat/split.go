@@ -234,13 +234,13 @@ func (d *dealer) place(c int, f Format, lend bool, out []Matrix) {
 	for r := range fills {
 		st := &fills[r]
 		rows, cols := rowB[r+1]-rowB[r], c1-c0
-		st.rows, st.vals = dealtArray(lend, &idleDeals.i32, int(st.n)), dealtArray(lend, &idleDeals.f64, int(st.n))
+		st.rows, st.vals = dealtArray[int32](lend, int(st.n)), dealtArray[float64](lend, int(st.n))
 		if st.hyper = f != FormatCSC && (f == FormatDCSC || Hypersparse(int64(st.nj), cols)); st.hyper {
-			st.jc, st.ptr = dealtArray(lend, &idleDeals.i32, st.nj), dealtArray(lend, &idleDeals.i64, st.nj+1)
+			st.jc, st.ptr = dealtArray[int32](lend, st.nj), dealtArray[int64](lend, st.nj+1)
 			st.ptr[0] = 0
 			out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols, lent: lend}
 		} else {
-			st.ptr = dealtArray(lend, &idleDeals.i64, int(cols)+1)
+			st.ptr = dealtArray[int64](lend, int(cols)+1)
 			if lend {
 				// A drawn array holds a past deal's ends. The pass below sets
 				// only the ends of occupied columns, and the scan after it

@@ -7,18 +7,18 @@ import (
 	"testing"
 
 	spgemm "repro"
-	"repro/internal/localmm"
+	"repro/internal/spmat"
 )
 
 // TestMain runs this package's tests and examples with returned chunks
-// poisoned (localmm.PoisonReturnedChunks): once a lent kernel output goes
+// poisoned (spmat.PoisonReleased): once a lent kernel output goes
 // back — a batch a hook was handed on loan, or the pieces Cluster.Multiply
 // assembles once it has read them — its entries are every row −1 and every
 // value NaN, so a product read after its chunks went back fails its
 // comparison with the serial reference. BenchmarkEngineShapes turns the
 // poison off while it runs: it times the engine, not the overwrite.
 func TestMain(m *testing.M) {
-	localmm.PoisonReturnedChunks.Store(true)
+	spmat.PoisonReleased.Store(true)
 	os.Exit(m.Run())
 }
 
