@@ -17,7 +17,7 @@
 // time the engine copies the operands) and then run on the dealt operands
 // (MultiplyDealt, the entry point of a caller that keeps them across runs,
 // as the daemon does for resident matrices). The host entry points lend
-// their deal: its block arrays come from spmat's free list of dealt arrays
+// their deal: its block arrays come from spmat's free list of arrays
 // and go back to it (spmat.ReleaseGrid, with the DCSC blocks' AUX arrays)
 // once the call's run has ended, clean or aborted — no Result refers to a
 // dealt block — so a warm one-shot call deals into the arrays the call

@@ -76,7 +76,7 @@ func (r Role) String() string {
 // its arrays are allocated at their exact sizes, and nothing in this package
 // gives them back. The one-shot entry points (Multiply, MultiplyDiscard,
 // MultiplyRanks, SymbolicBatches) lend theirs: they deal for the call with
-// the arrays drawn from spmat's free list of dealt arrays (distmat's Lend)
+// the arrays drawn from spmat's free list of arrays (distmat's Lend)
 // and release the deal once the run has ended, so the next call's deal is
 // drawn from the same arrays.
 type Dealt struct {

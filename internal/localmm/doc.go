@@ -132,10 +132,15 @@
 // (accumulator, chunk, sort buffers) lives on a free list that survives
 // garbage collection, so a warm call allocates the output and a fixed handful
 // of small objects; a worker returns to the list with no table above
-// maxKeptEntries entries, whichever of its tables grew, and what comes back
-// from loans waits beside it, maxIdleChunkBytes of it at most: the chunks,
-// for the workers that lent theirs, and the loans' shells with their column
-// metadata, for the next lent output. Sorted
+// spmat.MaxKeptEntries entries, whichever of its tables grew. Before a range
+// that makes output runs, its worker's chunk is fitted to the range's entry
+// bound — its columns' flops or input entries, which no output column
+// exceeds — so no drained column grows it: a chunk too small goes back to
+// spmat's free list and the best fit comes from it (spmat.Draw). That one
+// list, which one-shot deals draw from too, is where what comes back from
+// loans waits — the chunks, and the loans' column metadata — under its one
+// bound; a loan's shell waits here with no array, for the next lent output.
+// Sorted
 // output that is not walked off a direct table is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.
 //
@@ -152,10 +157,12 @@
 // the free list without it; a multi-range call returns an owned output and an
 // empty Loan, and so does a one-operand merge's pass-through. Nothing else
 // lends. A lent output's column metadata — its pointers, and a DCSC output's
-// stored columns — is the loan's too, off the free list, and so is that of
-// the column-range views the fiber split cuts from it (Loan.ColRanges, over
-// spmat.MatColRangesInto): a warm lending call allocates nothing by the
-// output's size or width, and the metadata goes back with the chunk. A Loan
+// stored columns — is the loan's too, drawn from spmat's free list, and so
+// is that of the column-range views the fiber split cuts from it
+// (Loan.ColRanges, over spmat.MatColRangesInto): a warm lending call
+// allocates nothing by the output's size or width, and the metadata goes
+// back with the chunk (spmat.Give), poisoned there while
+// spmat.PoisonReleased is set. A Loan
 // is a handle — the shell it names and the generation it was made in — so
 // copies of it are one claim, and a stale copy returned after the shell went
 // out again does nothing.

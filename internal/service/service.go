@@ -472,12 +472,8 @@ type Stats struct {
 	IdleWorlds    int   `json:"idle_worlds"`
 	WorldsBuilt   int64 `json:"worlds_built"`
 	WorldsDropped int64 `json:"worlds_dropped"`
-	// FreeListIdleBytes is what the process's free list of arrays holds
-	// right now, waiting to be reused (spmat.IdleBytes): what the kernels'
-	// lent outputs gave back — entry chunks and column metadata — and the
-	// block arrays one-shot deals released. The daemon deals through its
-	// split cache and releases no deal, so only loans move it unless the same
-	// process runs one-shot multiplies.
+	// FreeListIdleBytes is what the process's one free list of arrays
+	// holds right now, waiting to be reused (spmat.IdleBytes).
 	FreeListIdleBytes int64 `json:"free_list_idle_bytes"`
 	// MemBytes echoes the shared budget; P and Machine the cluster shape.
 	MemBytes int64  `json:"mem_bytes"`

@@ -31,7 +31,7 @@ import (
 // multiply's plan), not once per kernel pass. AUX is 4 bytes per chunk, built
 // in one O(nzc) walk by the first lookup on the block and kept for its life —
 // which for a block of a lent grid (LendGrid) ends when the grid is released
-// (ReleaseGrid): such a block's AUX is drawn from the free list of dealt
+// (ReleaseGrid): such a block's AUX is drawn from the free list of
 // arrays and goes back with the block's arrays. It depends on JC and Cols only, which
 // nothing changes once a block is built (SortColumns permutes entries inside
 // columns). It is not part of the matrix: the wire format, CommBytes and
@@ -48,7 +48,7 @@ type DCSC struct {
 	SortedCols bool
 
 	// lent marks a block of a lent grid (LendGrid), whose AUX array is drawn
-	// from the free list of dealt arrays like the block's own.
+	// from the free list of arrays like the block's own.
 	lent bool
 	// aux is the lazily built column index. Blocks are shared by reference
 	// across rank goroutines, so the first lookups can race: each racer

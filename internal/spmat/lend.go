@@ -27,13 +27,12 @@ var idle struct {
 
 // The list holds at most maxIdleBytes, no array above MaxKeptEntries and at
 // most maxIdleArrays arrays of a type (a draw and a return shift the sorted
-// list). An array that comes back when the list is full displaces the
-// largest idle arrays, of any type, while they are larger than it, and is
-// dropped when they are not: a list filled by one workload makes room for
-// the next one's arrays instead of turning them all away. A draw takes the
-// smallest idle array that holds what is asked, and only while its capacity
-// is below twice the length asked: a small block or output never pins a
-// large array.
+// list). An array that comes back to a full list displaces the largest idle
+// arrays of its type while they are larger than it, and is dropped when they
+// are not: a list one workload filled makes room for the next one's arrays.
+// A draw takes the smallest idle array that holds what is asked, and only
+// while its capacity is below twice the length asked: a small block or
+// output never pins a large array.
 const (
 	maxIdleBytes   = 64 << 20
 	MaxKeptEntries = 1 << 22
@@ -125,48 +124,17 @@ func keep[T element](a []T) {
 		return
 	}
 	for idle.bytes+n > maxIdleBytes {
-		if !dropLargest(n) {
+		l := *list
+		if len(l) == 0 || cap(l[len(l)-1]) <= len(a) {
 			return
 		}
+		idle.bytes -= arrayBytes(l[len(l)-1])
+		l[len(l)-1] = nil
+		*list = l[:len(l)-1]
 	}
 	i, _ := slices.BinarySearchFunc(*list, len(a), func(b []T, n int) int { return cap(b) - n })
 	*list = slices.Insert(*list, i, a)
 	idle.bytes += n
-}
-
-// dropLargest drops the idle array that holds the most bytes when it holds
-// more than n, and reports whether it did; the caller holds the lock.
-func dropLargest(n int64) bool {
-	b32, b64, bf := largest(idle.i32), largest(idle.i64), largest(idle.f64)
-	m := max(b32, b64, bf)
-	if m <= n {
-		return false
-	}
-	switch m {
-	case b32:
-		dropLast(&idle.i32)
-	case b64:
-		dropLast(&idle.i64)
-	default:
-		dropLast(&idle.f64)
-	}
-	return true
-}
-
-// largest is the bytes of list's largest array, 0 for an empty list.
-func largest[T element](list [][]T) int64 {
-	if len(list) == 0 {
-		return 0
-	}
-	return arrayBytes(list[len(list)-1])
-}
-
-// dropLast drops list's largest array.
-func dropLast[T element](list *[][]T) {
-	l := *list
-	idle.bytes -= arrayBytes(l[len(l)-1])
-	l[len(l)-1] = nil
-	*list = l[:len(l)-1]
 }
 
 // poison overwrites a: values NaN, integers −1.

@@ -57,7 +57,7 @@ func SplitGrid(m *CSC, rowB, colB []int32, f Format) []Matrix {
 
 // LendGrid is SplitGrid for a grid the caller gives back: every block's
 // arrays — and a doubly-compressed block's AUX array, when a lookup builds
-// it — are drawn from the free list of dealt arrays that ReleaseGrid fills,
+// it — are drawn from the free list of arrays that ReleaseGrid fills,
 // best fit, and allocated when nothing idle fits. A block sees exactly its
 // lengths either way, but a drawn array may have up to twice the capacity,
 // so a grid kept for long is SplitGrid's. The caller releases the grid once
@@ -222,7 +222,7 @@ func (d *dealer) count(c int) {
 }
 
 // place allocates column range c's blocks of out at the sizes count left —
-// drawing every array from the free list of dealt arrays when the deal is
+// drawing every array from the free list of arrays (Draw) when the deal is
 // lent — and copies the range's entries into them, each block in its
 // resolved format.
 func (d *dealer) place(c int, f Format, lend bool, out []Matrix) {
