@@ -26,17 +26,19 @@ var idle struct {
 }
 
 // The list holds at most maxIdleBytes, no array above MaxKeptEntries and at
-// most maxIdleArrays arrays of a type (a draw and a return shift the sorted
-// list). An array that comes back to a full list displaces the largest idle
-// arrays of its type while they are larger than it, and is dropped when they
-// are not: a list one workload filled makes room for the next one's arrays.
+// most maxIdleArrays arrays of a type: a draw and a return shift the sorted
+// list, so its length is what each of them costs. What comes back is kept,
+// and a full list makes room for it — the smallest arrays of its type go
+// when the type holds too many, the largest when the list holds too many
+// bytes — so a list one workload filled turns over to the next one's
+// arrays instead of turning them away.
 // A draw takes the smallest idle array that holds what is asked, and only
 // while its capacity is below twice the length asked: a small block or
 // output never pins a large array.
 const (
 	maxIdleBytes   = 64 << 20
 	MaxKeptEntries = 1 << 22
-	maxIdleArrays  = 1 << 13
+	maxIdleArrays  = 1 << 10
 )
 
 // IdleBytes is what the free list holds right now, in bytes.
@@ -100,41 +102,50 @@ func dealtArray[T element](lend bool, n int) []T {
 }
 
 // Give hands arrays back to the free list, which keeps each, up to its
-// capacity, within its bounds. Nothing may read them afterwards, nor any
-// slice of them: the next draw on any goroutine fills the same memory.
+// capacity, within its bounds — poisoned first, outside the lock, while
+// PoisonReleased is set. Nothing may read them afterwards, nor any slice of
+// them: the next draw on any goroutine fills the same memory.
 func Give[T element](arrays ...[]T) {
+	if PoisonReleased.Load() {
+		for _, a := range arrays {
+			poison(a[:cap(a)])
+		}
+	}
 	idle.Lock()
 	defer idle.Unlock()
 	for _, a := range arrays {
-		keep(a)
+		keep(a[:cap(a)])
 	}
 }
 
-// keep puts a back on its list at its capacity's place when it is within the
-// list's bounds, poisoned first while PoisonReleased is set; the caller holds
-// the lock.
+// keep puts a, whole, on its list at its capacity's place, making room for
+// it first: a list at maxIdleArrays drops its smallest arrays, and the free
+// list over maxIdleBytes with a drops the largest arrays of a's type. The
+// caller holds the lock.
 func keep[T element](a []T) {
-	a = a[:cap(a)]
-	if PoisonReleased.Load() {
-		poison(a)
-	}
 	list := listOf[T]()
 	n := arrayBytes(a)
-	if n == 0 || len(a) > MaxKeptEntries || len(*list) >= maxIdleArrays {
+	if n == 0 || len(a) > MaxKeptEntries {
 		return
 	}
-	for idle.bytes+n > maxIdleBytes {
-		l := *list
-		if len(l) == 0 || cap(l[len(l)-1]) <= len(a) {
-			return
-		}
-		idle.bytes -= arrayBytes(l[len(l)-1])
-		l[len(l)-1] = nil
-		*list = l[:len(l)-1]
+	for len(*list) >= maxIdleArrays {
+		drop(list, 0)
+	}
+	for idle.bytes+n > maxIdleBytes && len(*list) > 0 {
+		drop(list, len(*list)-1)
+	}
+	if idle.bytes+n > maxIdleBytes {
+		return
 	}
 	i, _ := slices.BinarySearchFunc(*list, len(a), func(b []T, n int) int { return cap(b) - n })
 	*list = slices.Insert(*list, i, a)
 	idle.bytes += n
+}
+
+// drop takes the i-th array off list; the caller holds the lock.
+func drop[T element](list *[][]T, i int) {
+	idle.bytes -= arrayBytes((*list)[i])
+	*list = slices.Delete(*list, i, i+1)
 }
 
 // poison overwrites a: values NaN, integers −1.
@@ -156,29 +167,27 @@ func arrayBytes[T element](a []T) int64 {
 }
 
 // ReleaseGrid gives the arrays of blocks, which LendGrid dealt, back to the
-// free list the next LendGrid draws its blocks' arrays from, and with a
-// doubly-compressed block's arrays its AUX array. Nothing may read the
+// free list the next LendGrid draws its blocks' arrays from (Give), and with
+// a doubly-compressed block's arrays its AUX array. Nothing may read the
 // blocks afterwards, nor a view of them: the next deal on any goroutine
 // fills the same arrays. The blocks are left as they are — only their
 // arrays change hands — so while PoisonReleased is set a late reader meets
 // poison. A grid is released once.
 func ReleaseGrid(blocks []Matrix) {
-	idle.Lock()
-	defer idle.Unlock()
 	for _, m := range blocks {
 		switch b := m.(type) {
 		case *CSC:
-			keep(b.ColPtr)
-			keep(b.RowIdx)
-			keep(b.Val)
+			Give(b.RowIdx)
+			Give(b.ColPtr)
+			Give(b.Val)
 		case *DCSC:
-			keep(b.JC)
-			keep(b.CP)
-			keep(b.IR)
-			keep(b.Num)
+			var aux []int32
 			if ix := b.aux.Load(); ix != nil {
-				keep(ix.start)
+				aux = ix.start
 			}
+			Give(b.JC, b.IR, aux)
+			Give(b.CP)
+			Give(b.Num)
 		}
 	}
 }
