@@ -132,14 +132,11 @@
 // (accumulator, chunk, sort buffers) lives on a free list that survives
 // garbage collection, so a warm call allocates the output and a fixed handful
 // of small objects; a worker returns to the list with no table above
-// spmat.MaxKeptEntries entries, whichever of its tables grew. Before a range
-// that makes output runs, its worker's chunk is fitted to the range's entry
-// bound — its columns' flops or input entries, which no output column
-// exceeds — so no drained column grows it: a chunk too small goes back to
-// spmat's free list and the best fit comes from it (spmat.Draw). That one
-// list, which one-shot deals draw from too, is where what comes back from
-// loans waits — the chunks, and the loans' column metadata — under its one
-// bound; a loan's shell waits here with no array, for the next lent output.
+// spmat.MaxKeptEntries entries, whichever of its tables grew. A range that
+// makes output starts with a chunk of at least its entry bound (flops or
+// input entries), so no drained column grows it: one too small goes back to
+// spmat's free list, which one-shot deals share, and the best fit comes from
+// it. What loans give back waits there too; their shells wait here, empty.
 // Sorted
 // output that is not walked off a direct table is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.

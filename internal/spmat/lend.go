@@ -2,7 +2,7 @@ package spmat
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -12,29 +12,35 @@ import (
 // back from the blocks of a LendGrid — row indices, values, column pointers
 // and stored columns — with the AUX arrays built on them (DCSC.index), and
 // the arrays localmm's lent kernel outputs gave back (Give): their entry
-// chunks and their column metadata. Each element type is kept in ascending
-// order of capacity, so a draw is a binary search for the best fit. It holds
-// strong references on purpose: one-shot multiplies deal their operands and
+// chunks and their column metadata. Each element type is kept by capacity
+// class, so a draw scans only the two classes the best fit can be in, and a
+// draw or a return moves no other array. It holds strong references on
+// purpose: one-shot multiplies deal their operands and
 // the kernels lend their outputs on every call, and arrays kept only in a
 // sync.Pool would be dropped by every collection between them.
 var idle struct {
 	sync.Mutex
-	i32   [][]int32
-	i64   [][]int64
-	f64   [][]float64
+	i32   classes[int32]
+	i64   classes[int64]
+	f64   classes[float64]
 	bytes int64 // Σ capacity · element size over the three lists
 }
 
+// classes is one element type's idle arrays by capacity class: class k
+// holds the arrays with capacity in [2^k, 2^(k+1)), in no order.
+type classes[T element] struct {
+	by [24][][]T
+	n  int
+}
+
 // The list holds at most maxIdleBytes, no array above MaxKeptEntries and at
-// most maxIdleArrays arrays of a type: a draw and a return shift the sorted
-// list, so its length is what each of them costs. What comes back is kept,
-// and a full list makes room for it — the smallest arrays of its type go
-// when the type holds too many, the largest when the list holds too many
-// bytes — so a list one workload filled turns over to the next one's
-// arrays instead of turning them away.
-// A draw takes the smallest idle array that holds what is asked, and only
-// while its capacity is below twice the length asked: a small block or
-// output never pins a large array.
+// most maxIdleArrays arrays of a type. What comes back is kept, and a full
+// list makes room for it — arrays of the smallest class of its type go when
+// the type holds too many, of the largest when the list holds too many
+// bytes — so a list one workload filled turns over to the next one's arrays
+// instead of turning them away. A draw takes the smallest idle array that
+// holds what is asked, and only while its capacity is below twice the length
+// asked: a small block or output never pins a large array.
 const (
 	maxIdleBytes   = 64 << 20
 	MaxKeptEntries = 1 << 22
@@ -58,38 +64,64 @@ var PoisonReleased atomic.Bool
 // element is the element type of an array the free list keeps.
 type element interface{ int32 | int64 | float64 }
 
-// listOf is the free list's array list of T.
-func listOf[T element]() *[][]T {
+// listOf is the free list's arrays of T.
+func listOf[T element]() *classes[T] {
 	var z T
 	switch any(z).(type) {
 	case int32:
-		return any(&idle.i32).(*[][]T)
+		return any(&idle.i32).(*classes[T])
 	case int64:
-		return any(&idle.i64).(*[][]T)
+		return any(&idle.i64).(*classes[T])
 	default:
-		return any(&idle.f64).(*[][]T)
+		return any(&idle.f64).(*classes[T])
 	}
 }
+
+// class is the capacity class of an array of c > 0 entries.
+func class(c int) int { return bits.Len(uint(c)) - 1 }
 
 // Draw returns an array of length n, contents undefined, for the caller to
 // give back (Give) once nothing reads it: the best-fitting idle array, or a
 // new one when none fits.
 func Draw[T element](n int) []T {
-	if n > 0 {
+	if n > 0 && n <= MaxKeptEntries {
 		idle.Lock()
-		list := listOf[T]()
-		l := *list
-		i, _ := slices.BinarySearchFunc(l, n, func(a []T, n int) int { return cap(a) - n })
-		if i < len(l) && cap(l[i]) < 2*n {
-			a := l[i]
-			*list = slices.Delete(l, i, i+1)
-			idle.bytes -= arrayBytes(a)
-			idle.Unlock()
-			return a[:n]
+		l := listOf[T]()
+		for k := class(n); k <= class(n)+1; k++ {
+			if i := l.bestFit(k, n); i >= 0 {
+				a := l.take(k, i)
+				idle.Unlock()
+				return a[:n]
+			}
 		}
 		idle.Unlock()
 	}
 	return make([]T, n)
+}
+
+// bestFit is the index in class k of the smallest array that holds n and is
+// under 2n, or -1.
+func (l *classes[T]) bestFit(k, n int) int {
+	best := -1
+	for i, a := range l.by[k] {
+		if c := cap(a); c >= n && c < 2*n && (best < 0 || c < cap(l.by[k][best])) {
+			best = i
+		}
+	}
+	return best
+}
+
+// take removes and returns the i-th array of class k; the caller holds the
+// lock.
+func (l *classes[T]) take(k, i int) []T {
+	b := l.by[k]
+	a := b[i]
+	b[i] = b[len(b)-1]
+	b[len(b)-1] = nil
+	l.by[k] = b[:len(b)-1]
+	l.n--
+	idle.bytes -= arrayBytes(a)
+	return a
 }
 
 // dealtArray returns an array of length n for a dealt block: drawn from the
@@ -118,34 +150,33 @@ func Give[T element](arrays ...[]T) {
 	}
 }
 
-// keep puts a, whole, on its list at its capacity's place, making room for
-// it first: a list at maxIdleArrays drops its smallest arrays, and the free
-// list over maxIdleBytes with a drops the largest arrays of a's type. The
-// caller holds the lock.
+// keep puts a, whole, in its capacity class, making room for it first: a
+// type at maxIdleArrays drops an array of its smallest class, and the free
+// list over maxIdleBytes with a drops arrays of the largest class of a's
+// type. The caller holds the lock.
 func keep[T element](a []T) {
-	list := listOf[T]()
+	l := listOf[T]()
 	n := arrayBytes(a)
 	if n == 0 || len(a) > MaxKeptEntries {
 		return
 	}
-	for len(*list) >= maxIdleArrays {
-		drop(list, 0)
+	for k := 0; l.n >= maxIdleArrays; k++ {
+		for len(l.by[k]) > 0 && l.n >= maxIdleArrays {
+			l.take(k, len(l.by[k])-1)
+		}
 	}
-	for idle.bytes+n > maxIdleBytes && len(*list) > 0 {
-		drop(list, len(*list)-1)
+	for k := len(l.by) - 1; idle.bytes+n > maxIdleBytes && k >= 0; k-- {
+		for len(l.by[k]) > 0 && idle.bytes+n > maxIdleBytes {
+			l.take(k, len(l.by[k])-1)
+		}
 	}
 	if idle.bytes+n > maxIdleBytes {
 		return
 	}
-	i, _ := slices.BinarySearchFunc(*list, len(a), func(b []T, n int) int { return cap(b) - n })
-	*list = slices.Insert(*list, i, a)
+	k := class(len(a))
+	l.by[k] = append(l.by[k], a)
+	l.n++
 	idle.bytes += n
-}
-
-// drop takes the i-th array off list; the caller holds the lock.
-func drop[T element](list *[][]T, i int) {
-	idle.bytes -= arrayBytes((*list)[i])
-	*list = slices.Delete(*list, i, i+1)
 }
 
 // poison overwrites a: values NaN, integers −1.

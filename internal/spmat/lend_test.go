@@ -196,8 +196,8 @@ func TestSplitGridNeverDraws(t *testing.T) {
 // gives them (Give), entry and metadata arrays of every element type, 96 MiB
 // between them, with one array above MaxKeptEntries — and holds the list to
 // its bounds together: at most maxIdleBytes, no array above MaxKeptEntries,
-// at most maxIdleArrays a type, each type sorted by capacity, its count equal
-// to what the lists hold, and at least half the bound kept. Then it draws
+// at most maxIdleArrays a type, each array in its capacity class, its count
+// equal to what the lists hold, and at least half the bound kept. Then it draws
 // everything back out by its exact capacity: every draw is a kept array, and
 // the count falls to zero.
 func TestFreeListKeepsOneBound(t *testing.T) {
@@ -205,7 +205,7 @@ func TestFreeListKeepsOneBound(t *testing.T) {
 	drain := func() {
 		idle.Lock()
 		defer idle.Unlock()
-		idle.i32, idle.i64, idle.f64, idle.bytes = nil, nil, nil, 0
+		idle.i32, idle.i64, idle.f64, idle.bytes = classes[int32]{}, classes[int64]{}, classes[float64]{}, 0
 	}
 	drain()
 	defer drain()
@@ -218,9 +218,9 @@ func TestFreeListKeepsOneBound(t *testing.T) {
 		Give(make([]float64, 1<<17))
 	}
 	idle.Lock()
-	caps32, held32 := idleCaps(t, idle.i32)
-	caps64, held64 := idleCaps(t, idle.i64)
-	capsF, heldF := idleCaps(t, idle.f64)
+	caps32, held32 := idleCaps(t, &idle.i32)
+	caps64, held64 := idleCaps(t, &idle.i64)
+	capsF, heldF := idleCaps(t, &idle.f64)
 	counted := idle.bytes
 	idle.Unlock()
 	if held := held32 + held64 + heldF; counted != held {
@@ -237,22 +237,22 @@ func TestFreeListKeepsOneBound(t *testing.T) {
 	}
 }
 
-// idleCaps holds one type's idle arrays to the list's bounds and returns
-// their capacities and bytes.
-func idleCaps[T element](t *testing.T, list [][]T) (caps []int, bytes int64) {
+// idleCaps holds one type's idle arrays to the list's bounds — each in its
+// capacity class, no more than maxIdleArrays, as many as counted — and
+// returns their capacities and bytes.
+func idleCaps[T element](t *testing.T, l *classes[T]) (caps []int, bytes int64) {
 	t.Helper()
-	if len(list) > maxIdleArrays {
-		t.Errorf("%T: %d idle arrays, above the cap of %d", list, len(list), maxIdleArrays)
+	for k, arrays := range l.by {
+		for _, a := range arrays {
+			if cap(a) > MaxKeptEntries || class(cap(a)) != k {
+				t.Errorf("%T: an idle array of %d entries in class %d", a, cap(a), k)
+			}
+			caps = append(caps, cap(a))
+			bytes += arrayBytes(a)
+		}
 	}
-	for i, a := range list {
-		if cap(a) > MaxKeptEntries {
-			t.Errorf("%T: an idle array of %d entries, above the cap of %d", list, cap(a), MaxKeptEntries)
-		}
-		if i > 0 && cap(list[i-1]) > cap(a) {
-			t.Errorf("%T: idle arrays out of capacity order at %d", list, i)
-		}
-		caps = append(caps, cap(a))
-		bytes += arrayBytes(a)
+	if len(caps) != l.n || l.n > maxIdleArrays {
+		t.Errorf("%T: %d idle arrays, counted %d, cap %d", l, len(caps), l.n, maxIdleArrays)
 	}
 	return caps, bytes
 }
