@@ -133,11 +133,9 @@
 // garbage collection, so a warm call allocates the output and a fixed handful
 // of small objects; a worker returns to the list with no table above
 // spmat.MaxKeptEntries entries, whichever of its tables grew. A range that
-// makes output starts with a chunk of at least its entry bound (flops or
-// input entries), so no drained column grows it: one too small goes back to
-// spmat's free list, which one-shot deals share, and the best fit comes from
-// it. What loans give back waits there too; their shells wait here, empty.
-// Sorted
+// makes output starts with a chunk of at least its entry bound, so no
+// drained column grows it: one too small goes back to spmat's free list, with
+// all that loans give back, and the best fit comes from it. Sorted
 // output that is not walked off a direct table is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.
 //
@@ -154,12 +152,10 @@
 // the free list without it; a multi-range call returns an owned output and an
 // empty Loan, and so does a one-operand merge's pass-through. Nothing else
 // lends. A lent output's column metadata — its pointers, and a DCSC output's
-// stored columns — is the loan's too, drawn from spmat's free list, and so
-// is that of the column-range views the fiber split cuts from it
-// (Loan.ColRanges, over spmat.MatColRangesInto): a warm lending call
-// allocates nothing by the output's size or width, and the metadata goes
-// back with the chunk (spmat.Give), poisoned there while
-// spmat.PoisonReleased is set. A Loan
+// stored columns — is the loan's too, off spmat's free list, and so is that
+// of the column-range views the fiber split cuts from it (Loan.ColRanges,
+// over spmat.MatColRangesInto): a warm lending call allocates nothing by the
+// output's size or width, and the metadata goes back with the chunk. A Loan
 // is a handle — the shell it names and the generation it was made in — so
 // copies of it are one claim, and a stale copy returned after the shell went
 // out again does nothing.

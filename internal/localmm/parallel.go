@@ -123,16 +123,13 @@ var idleWorkers struct {
 }
 
 // The free list keeps at most maxIdleWorkers workers and as many released
-// plans, and a worker or a plan keeps no table of more than
-// spmat.MaxKeptEntries entries — chunk, stage scratch, accumulator, row set,
-// column views: a burst of concurrent callers or one huge product pays for
-// its scratch again next time instead of pinning it for the life of the
-// process. (The direct tables are bounded by directTableBytes already.) It
-// keeps at most maxIdleShells shells, which hold no array: a job on a p-rank
-// grid with q stages and l layers has up to p·(q + 2l + 1) loans out at once
-// — a pipelined batch's stage products, two batches' Merge-Layer outputs, a
-// discarded batch — and a kept run every batch output besides until its
-// reader releases them, not one a core.
+// plans, none with a table above spmat.MaxKeptEntries entries: a burst of
+// concurrent callers or one huge product pays for its scratch again next
+// time instead of pinning it for the life of the process. (The direct tables
+// are bounded by directTableBytes already.) It keeps at most maxIdleShells
+// empty shells: a job on a p-rank grid with q stages and l layers has up to
+// p·(q + 2l + 1) loans out at once, and a kept run every batch output
+// besides until its reader releases them.
 const (
 	maxIdleWorkers = 64
 	maxIdleShells  = 1 << 13
@@ -485,15 +482,13 @@ func nonEmptyRanges(bounds []int32) (first, last int) {
 
 // onePass runs the plan described at the top of this file. fill computes
 // the columns [lo, hi) of one range, appending them to w.rows/w.vals, which
-// arrive empty and, unless out is noOutput, with room for the range's entry
-// bound — its columns' colWork, which no output column exceeds — so no
-// drained column grows them (fillRange). Unless out is noOutput the pass
-// returns the output's entry arrays, the ranges' chunks back to back in range
-// order: a copy of the chunk when one range ran, an allocation the ranges
-// place their chunks into when several did — or, under lentOutput with one
-// range that filled anything, the chunk itself, which it also returns as
-// lent. One range runs on the caller's goroutine with nothing else to
-// coordinate.
+// arrive empty and, unless out is noOutput, with room for the range's
+// colWork (fillRange). Unless out is noOutput the pass returns the output's
+// entry arrays, the ranges' chunks back to back in range order: a copy of the
+// chunk when one range ran, an allocation the ranges place their chunks into
+// when several did — or, under lentOutput with one range that filled
+// anything, the chunk itself, which it also returns as lent. One range runs
+// on the caller's goroutine with nothing else to coordinate.
 func onePass(bounds []int32, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, lent chunk) {
 	first, last := nonEmptyRanges(bounds)
 	if last < 0 {
@@ -519,7 +514,8 @@ func onePass(bounds []int32, colWork []int64, fill func(w *mmWorker, lo, hi int3
 }
 
 // fillRange runs fill over the range [lo, hi) on the worker's emptied chunk,
-// fitted first to the range's entry bound unless out is noOutput.
+// fitted first, unless out is noOutput, to the range's entry bound: its
+// columns' colWork, which no output column exceeds.
 func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) {
 	if out != noOutput {
 		var bound int64

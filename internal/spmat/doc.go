@@ -60,12 +60,9 @@
 // counting and placing: every entry is copied once, into a block allocated
 // at its exact size in its resolved format, and the column ranges are dealt
 // on every core. LendGrid is the same deal with the blocks' arrays on loan
-// from the process's one free list of arrays, which ReleaseGrid refills once
-// nothing reads them — for a grid dealt for one call. The same list lends
-// localmm's kernel outputs their entry chunks and column metadata (Draw,
-// Give): one 64 MiB bound on what waits idle, no array above
-// MaxKeptEntries, one lock, one count (IdleBytes), and one poison step for
-// tests (PoisonReleased). CountGrid runs the deal's count pass alone, over the same
+// from the process's one free list of arrays (Draw, Give), which ReleaseGrid
+// refills once nothing reads them — for a grid dealt for one call — and
+// which lends localmm's kernel outputs their arrays too. CountGrid runs the deal's count pass alone, over the same
 // bounds and goroutines: every block's entries and occupied columns, with
 // nothing copied — how a grid is measured without being dealt. PartBounds,
 // ColRange/RowRange, ColSelect (and its format-preserving MatColSelect),

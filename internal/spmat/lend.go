@@ -8,39 +8,35 @@ import (
 	"unsafe"
 )
 
-// idle is the process's one free list of arrays: the arrays ReleaseGrid took
-// back from the blocks of a LendGrid — row indices, values, column pointers
-// and stored columns — with the AUX arrays built on them (DCSC.index), and
-// the arrays localmm's lent kernel outputs gave back (Give): their entry
-// chunks and their column metadata. Each element type is kept by capacity
-// class, so a draw scans only the two classes the best fit can be in, and a
-// draw or a return moves no other array. It holds strong references on
-// purpose: one-shot multiplies deal their operands and
-// the kernels lend their outputs on every call, and arrays kept only in a
+// idle is the process's one free list of arrays: what ReleaseGrid took back
+// from the blocks of a LendGrid, their AUX arrays (DCSC.index) included, and
+// what localmm's lent kernel outputs gave back (Give) — entry chunks and
+// column metadata. It holds strong references on purpose: one-shot calls
+// deal and the kernels lend on every call, and arrays kept only in a
 // sync.Pool would be dropped by every collection between them.
 var idle struct {
 	sync.Mutex
 	i32   classes[int32]
 	i64   classes[int64]
 	f64   classes[float64]
-	bytes int64 // Σ capacity · element size over the three lists
+	bytes int64 // Σ capacity · element size over the three types
 }
 
-// classes is one element type's idle arrays by capacity class: class k
-// holds the arrays with capacity in [2^k, 2^(k+1)), in no order.
+// classes is one element type's idle arrays: by[k] holds those with a
+// capacity in [2^k, 2^(k+1)), in no order, so a draw or a return moves no
+// other array; n counts them all.
 type classes[T element] struct {
 	by [24][][]T
 	n  int
 }
 
 // The list holds at most maxIdleBytes, no array above MaxKeptEntries and at
-// most maxIdleArrays arrays of a type. What comes back is kept, and a full
-// list makes room for it — arrays of the smallest class of its type go when
-// the type holds too many, of the largest when the list holds too many
-// bytes — so a list one workload filled turns over to the next one's arrays
-// instead of turning them away. A draw takes the smallest idle array that
-// holds what is asked, and only while its capacity is below twice the length
-// asked: a small block or output never pins a large array.
+// most maxIdleArrays of a type. What comes back is kept: a full list makes
+// room by dropping arrays of the type's smallest class when it holds too
+// many, of its largest when the list holds too many bytes, so a list one
+// workload filled turns over to the next one's arrays. A draw takes the
+// smallest idle array that holds what is asked, and only while its capacity
+// is below twice that: a small block or output never pins a large array.
 const (
 	maxIdleBytes   = 64 << 20
 	MaxKeptEntries = 1 << 22
@@ -56,9 +52,9 @@ func IdleBytes() int64 {
 
 // PoisonReleased is a hook for tests: while it is set, every array given
 // back to the free list — by ReleaseGrid or Give — is overwritten up to its
-// capacity before the list sees it: integers −1, values NaN. A block read
-// after its grid was released, or a lent output read after its loan ended,
-// fails the comparison it takes part in instead of passing by luck of timing.
+// capacity first: integers −1, values NaN. A block read after its grid was
+// released, or a lent output read after its loan ended, fails the
+// comparison it takes part in instead of passing by luck of timing.
 var PoisonReleased atomic.Bool
 
 // element is the element type of an array the free list keeps.
@@ -81,15 +77,21 @@ func listOf[T element]() *classes[T] {
 func class(c int) int { return bits.Len(uint(c)) - 1 }
 
 // Draw returns an array of length n, contents undefined, for the caller to
-// give back (Give) once nothing reads it: the best-fitting idle array, or a
-// new one when none fits.
+// give back (Give) once nothing reads it: the best-fitting idle array, which
+// is in n's class or the next, or a new one when none fits.
 func Draw[T element](n int) []T {
 	if n > 0 && n <= MaxKeptEntries {
 		idle.Lock()
 		l := listOf[T]()
 		for k := class(n); k <= class(n)+1; k++ {
-			if i := l.bestFit(k, n); i >= 0 {
-				a := l.take(k, i)
+			best := -1
+			for i, a := range l.by[k] {
+				if c := cap(a); c >= n && c < 2*n && (best < 0 || c < cap(l.by[k][best])) {
+					best = i
+				}
+			}
+			if best >= 0 {
+				a := l.take(k, best)
 				idle.Unlock()
 				return a[:n]
 			}
@@ -99,25 +101,12 @@ func Draw[T element](n int) []T {
 	return make([]T, n)
 }
 
-// bestFit is the index in class k of the smallest array that holds n and is
-// under 2n, or -1.
-func (l *classes[T]) bestFit(k, n int) int {
-	best := -1
-	for i, a := range l.by[k] {
-		if c := cap(a); c >= n && c < 2*n && (best < 0 || c < cap(l.by[k][best])) {
-			best = i
-		}
-	}
-	return best
-}
-
 // take removes and returns the i-th array of class k; the caller holds the
 // lock.
 func (l *classes[T]) take(k, i int) []T {
 	b := l.by[k]
 	a := b[i]
-	b[i] = b[len(b)-1]
-	b[len(b)-1] = nil
+	b[i], b[len(b)-1] = b[len(b)-1], nil
 	l.by[k] = b[:len(b)-1]
 	l.n--
 	idle.bytes -= arrayBytes(a)
@@ -133,10 +122,10 @@ func dealtArray[T element](lend bool, n int) []T {
 	return make([]T, n)
 }
 
-// Give hands arrays back to the free list, which keeps each, up to its
-// capacity, within its bounds — poisoned first, outside the lock, while
-// PoisonReleased is set. Nothing may read them afterwards, nor any slice of
-// them: the next draw on any goroutine fills the same memory.
+// Give hands arrays back to the free list, which keeps each whole — poisoned
+// first, outside the lock, while PoisonReleased is set. Nothing may read
+// them afterwards, nor any slice of them: the next draw on any goroutine
+// fills the same memory.
 func Give[T element](arrays ...[]T) {
 	if PoisonReleased.Load() {
 		for _, a := range arrays {
@@ -150,10 +139,8 @@ func Give[T element](arrays ...[]T) {
 	}
 }
 
-// keep puts a, whole, in its capacity class, making room for it first: a
-// type at maxIdleArrays drops an array of its smallest class, and the free
-// list over maxIdleBytes with a drops arrays of the largest class of a's
-// type. The caller holds the lock.
+// keep puts a in its class after making room for it; the caller holds the
+// lock.
 func keep[T element](a []T) {
 	l := listOf[T]()
 	n := arrayBytes(a)
@@ -165,18 +152,17 @@ func keep[T element](a []T) {
 			l.take(k, len(l.by[k])-1)
 		}
 	}
-	for k := len(l.by) - 1; idle.bytes+n > maxIdleBytes && k >= 0; k-- {
+	for k := len(l.by) - 1; k >= 0 && idle.bytes+n > maxIdleBytes; k-- {
 		for len(l.by[k]) > 0 && idle.bytes+n > maxIdleBytes {
 			l.take(k, len(l.by[k])-1)
 		}
 	}
-	if idle.bytes+n > maxIdleBytes {
-		return
+	if idle.bytes+n <= maxIdleBytes {
+		k := class(len(a))
+		l.by[k] = append(l.by[k], a)
+		l.n++
+		idle.bytes += n
 	}
-	k := class(len(a))
-	l.by[k] = append(l.by[k], a)
-	l.n++
-	idle.bytes += n
 }
 
 // poison overwrites a: values NaN, integers −1.
@@ -198,12 +184,10 @@ func arrayBytes[T element](a []T) int64 {
 }
 
 // ReleaseGrid gives the arrays of blocks, which LendGrid dealt, back to the
-// free list the next LendGrid draws its blocks' arrays from (Give), and with
-// a doubly-compressed block's arrays its AUX array. Nothing may read the
-// blocks afterwards, nor a view of them: the next deal on any goroutine
-// fills the same arrays. The blocks are left as they are — only their
-// arrays change hands — so while PoisonReleased is set a late reader meets
-// poison. A grid is released once.
+// free list (Give), a doubly-compressed block's AUX array with them. Nothing
+// may read the blocks afterwards, nor a view of them: the next deal on any
+// goroutine fills the same arrays. The blocks keep their slices, so while
+// PoisonReleased is set a late reader meets poison. A grid is released once.
 func ReleaseGrid(blocks []Matrix) {
 	for _, m := range blocks {
 		switch b := m.(type) {
