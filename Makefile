@@ -67,7 +67,8 @@ deadcode:
 # the poison differential (TestLentProductsNeverEscape: every schedule × grid
 # × format × thread count against the run that lends nothing — stage
 # products, Merge-Layer outputs on l > 1 grids, discarded batches, the kept
-# batch outputs of a run no hook sees, and the
+# batch outputs of a run no hook sees, B's batch pieces (given back a batch
+# after their own, once every column peer has finished with them), and the
 # stages' plans — all q of them on the staged schedule, the last stage's on
 # a pipelined q > 1 grid — which Merge-Layer's fused merge holds until its
 # last window and which are poisoned when released) both

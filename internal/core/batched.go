@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/distmat"
 	"repro/internal/mpi"
@@ -82,6 +83,10 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	// batches the t+1 extraction executes while batch t+1's prefetched
 	// stage-0 broadcasts are already in flight, so its measured compute is
 	// genuine hiding credit instead of serialized schedule time.
+	//
+	// A piece is batch t's l chunks of the block column, copied a chunk at a
+	// time (Batching.Piece) into arrays drawn from spmat's free list, and
+	// given back (Proc.pieces) once no column peer reads it.
 	meter := g.World.Meter()
 	tr := meter.Recorder()
 	extract := func(t int) spmat.Matrix {
@@ -94,9 +99,12 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 		piece := p.LocalB
 		sec := p.measure(func() {
 			if b > 1 {
-				piece = spmat.MatColSelect(p.LocalB, p.bt.BatchCols(t))
+				piece = p.bt.Piece(p.LocalB, t, lendChunks)
 			}
 		})
+		if b > 1 && lendChunks {
+			p.pieces = append(p.pieces, piece)
+		}
 		meter.AddComputeWork(sec, piece.NNZ()+int64(p.bt.BatchWidth(t))+1)
 		return piece
 	}
@@ -123,6 +131,9 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 		}
 		tr.SetBatch(t)
 		cPiece, loans, lo, hi := p.summa3DBatch(t, bCur, bNext, res)
+		if t > 0 {
+			p.givePiece()
+		}
 		switch {
 		case bNext != nil:
 			bCur = bNext
@@ -182,6 +193,16 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	assembleSec := p.measure(func() { totalNNZ = res.NNZ() })
 	meter.AddComputeWork(assembleSec, totalNNZ+int64(len(res.Pieces))+1)
 	return res, nil
+}
+
+// givePiece gives the oldest lent batch piece back to spmat's free list: the
+// previous batch's, once this rank has finished the current batch's
+// Merge-Layer (see Proc.pieces).
+func (p *Proc) givePiece() {
+	if len(p.pieces) > 0 {
+		spmat.ReleaseGrid(p.pieces[:1])
+		p.pieces = slices.Delete(p.pieces, 0, 1)
+	}
 }
 
 // widestBlock returns the widest B block column across the grid (they differ

@@ -102,8 +102,15 @@
 // a hook has seen is not lent, since the hook may hold its piece: every piece
 // a hook outside MultiplyDiscard is handed, and everything the Result of such
 // a run holds, is owned. The hook of a discarding run is handed its piece on
-// loan for the call. Values, entry order, work units, peak checkpoints and
-// spans do not depend on what is lent.
+// loan for the call.
+//
+// The kernels' inputs borrow too. With b > 1 each batch's piece of B is
+// copied from the rank's block into arrays drawn from spmat's free list
+// (distmat.Batching.Piece), broadcast by reference along the process column,
+// and given back once the rank has finished the next batch's Merge-Layer, by
+// which time every column peer has finished this batch's (Proc.pieces); the
+// launcher gives back the last batch's. Values, entry order, work units,
+// peak checkpoints and spans do not depend on what is lent.
 //
 // # Schedules
 //

@@ -21,13 +21,17 @@ import (
 // are lent until Merge-Layer has read them, Merge-Layer's outputs until the
 // next batch's exchange is posted (or the launcher returns them), and each
 // discarded batch until its hook returns. The column metadata of a lent
-// output, and of the fiber views cut from it, is the loan's too. What is left
-// is the batch pieces of B, the metadata of outputs two workers made, each
-// call's own small objects (plans, merge passes, output and view headers) and
-// the run's set-up: 3.3 MB staged and 4.6 MB overlapped when this test was
-// written, 1.7–1.8 and 3.5–4.0 MB once lent outputs' metadata was lent too.
-// Copying any one kind of output shows: with only the stage products lent, as
-// before the merge outputs were, the same multiply allocated 16.4 and 16.5 MB.
+// output, and of the fiber views cut from it, is the loan's too, and B's batch
+// pieces are drawn from the free list until no column peer reads them. What
+// is left is the metadata of outputs two workers made, each call's own small
+// objects (plans, merge passes, piece, output and view headers) and the run's
+// set-up: 3.3 MB staged and 4.6 MB overlapped when this test was written,
+// 1.7–1.8 and 3.5–4.0 MB once lent outputs' metadata was lent too, 0.71 and
+// 1.03 MB while the batch pieces were still copied, and 0.39–0.43 and
+// 0.67–0.73 MB once they were lent, which bounds of 576 and 896 KiB hold
+// with about a quarter to spare and which a copied piece crosses. Copying any
+// one kind of output shows: with only the stage products lent, as before the
+// merge outputs were, the same multiply allocated 16.4 and 16.5 MB.
 //
 // The third row is the grid the planner picks for most of the daemon's warm
 // count-only jobs: 16 ranks in 16 layers (q = 1), pipelined, one batch, on
@@ -56,8 +60,8 @@ func TestLentOutputsAreNotCopied(t *testing.T) {
 		assembled bool
 		metadata  int64
 	}{
-		{protein, 4, 8, false, false, 6 << 20},
-		{protein, 4, 8, true, false, 6 << 20},
+		{protein, 4, 8, false, false, 576 << 10},
+		{protein, 4, 8, true, false, 896 << 10},
 		{genmat.ER(2048, 12, 2), 16, 1, true, false, 6 << 18},
 		{protein, 4, 8, false, true, 4 << 20},
 	} {
@@ -118,17 +122,21 @@ func TestLentOutputsAreNotCopied(t *testing.T) {
 // in 4 layers, one batch, assembled (Multiply); protein-batched's, a protein
 // similarity matrix squared under bench/'s budget, which batches it,
 // discarded with no hook (MultiplyDiscard). The kmer call allocates at most
-// its assembled product's bytes plus assemblySlack, and what it allocates
-// beyond the product grows by at most growthSlack from the small operand to
-// the large. (The protein call's bytes still grow with nnz apart from its
-// deal: B's batch pieces are copied on every batch, spmat.MatColSelect.)
+// its assembled product's bytes plus assemblySlack, and what either call
+// allocates beyond its product grows by at most growthSlack from the small
+// operand to the large: B's batch pieces are drawn from the free list too.
 //
 // When this test was written a warm call's deal cost 5.6–5.8 KB (kmer) and
 // 4.7–5.0 KB (protein) over the kept-deal run, and the kmer call 0.13 and
 // 0.15 MB beyond its 0.08 and 0.31 MB product. Before the deal was lent it
 // cost 0.55 and 2.2 MB (kmer) and 0.26 and 1.1 MB (protein) —
 // spmat.(*dealer).place and the AUX arrays of DCSC.index, growing with the
-// operands — and the kmer call 0.68 and 2.3 MB beyond its product.
+// operands — and the kmer call 0.68 and 2.3 MB beyond its product. The
+// protein call read 1.13 and 1.29 MB while every batch piece of B was
+// copied (+0.16 MB with the operand, above growthSlack), and 0.98 and
+// 0.63 MB once the pieces were lent: the budget batches the small operand 23
+// ways and the large one 14, and what is left grows with b (about 38 KB a
+// batch, the per-batch headers), not with the operand.
 func TestOneShotDealIsLent(t *testing.T) {
 	const (
 		dealSlack     = 16 << 10
@@ -214,9 +222,45 @@ func TestOneShotDealIsLent(t *testing.T) {
 					shape.name, a.NNZ(), beyond[size], product, assemblySlack)
 			}
 		}
-		if !shape.budgeted && beyond[1]-beyond[0] > growthSlack {
+		if beyond[1]-beyond[0] > growthSlack {
 			t.Errorf("%s: the bytes a call allocates beyond its product grow from %d to %d with 4× the nonzeros, above the %d slack",
 				shape.name, beyond[0], beyond[1], growthSlack)
+		}
+	}
+}
+
+// TestBatchesAddOnlyHeaders is the allocation pin of B's batch pieces. A warm
+// discarding multiply of one protein operand over 16 ranks in 4 layers,
+// batched b ways (ForceBatches), allocates beyond the same multiply in one
+// batch only each further batch's headers — plans, merge passes, piece,
+// output and view headers — at most perBatch a batch, under either schedule.
+// The pieces are drawn from the free list and given back a batch later.
+// Copied, they would be the whole of the local B at every b > 1, whatever b,
+// so it is at b = 2 that a copied piece shows, as that one extra batch's
+// cost: 0.37 MB staged and 0.41 MB pipelined while the pieces were copied,
+// against 40 and 78 KB once they were lent (38.6 and 74.5 KB a batch at
+// b = 8; 85 and 121 KB while copied).
+func TestBatchesAddOnlyHeaders(t *testing.T) {
+	const perBatch = 96 << 10
+	a := genmat.SymmetricPermute(genmat.ProteinSimilarity(10, 12, 1), 1)
+	for _, pipeline := range []bool{false, true} {
+		var one int64
+		for _, b := range []int{1, 2, 8} {
+			rc := RunConfig{P: 16, L: 4, Cost: testCM, Opts: Options{ForceBatches: b, Threads: 1, Pipeline: pipeline}}
+			least := leastBytesPerCall(func() {
+				if _, _, err := MultiplyDiscard(a, a, rc, nil); err != nil {
+					t.Fatal(err)
+				}
+			})[0]
+			if b == 1 {
+				one = least
+				continue
+			}
+			extra := (least - one) / int64(b-1)
+			t.Logf("pipeline=%v b=%d: %d bytes a multiply, %d a batch beyond the %d of one batch", pipeline, b, least, extra, one)
+			if extra > perBatch {
+				t.Errorf("pipeline=%v b=%d: each batch past the first allocates %d bytes, above the %d of its headers: B's batch pieces are copied", pipeline, b, extra, perBatch)
+			}
 		}
 	}
 }

@@ -44,6 +44,19 @@ type Proc struct {
 	// (summa3DBatch), and after the last batch the launcher does.
 	lent []localmm.Loan
 
+	// pieces holds the batch pieces of B this rank extracted into arrays
+	// drawn from spmat's free list and has not given back, oldest first. The
+	// column peers read batch t's piece, broadcast by reference, until they
+	// have finished batch t's Merge-Layer, the last reader of its stages'
+	// plans. IbcastStart returns only once every column peer has posted, and
+	// by the end of batch t+1's Merge-Layer this rank has posted a broadcast
+	// of batch t+1 that every peer posts only after finishing batch t (under
+	// either schedule: stage 0 staged, stage 1 pipelined), so batch t's piece
+	// goes back then (BatchedSUMMA3D); at q = 1 the rank is its only reader.
+	// The last batch's, and an aborted run's, go back where the launcher
+	// returns lent.
+	pieces []spmat.Matrix
+
 	// discard marks a rank whose batches are dropped once the hook has seen
 	// them (MultiplyDiscard): the hook is handed each batch output on loan for
 	// the duration of the call.

@@ -207,8 +207,9 @@ func (w *World) MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, disc
 // w's first run built it, each handed its two blocks in place. Whether the
 // blocks were dealt for this run or kept from an earlier one (MultiplyDealt)
 // is the caller's business; the ranks only read them. Once the world has
-// ended — aborted or not — no rank reads another's Merge-Layer outputs, so it
-// returns the loans the ranks' last batches left (Proc.lent).
+// ended — aborted or not — no rank reads another's Merge-Layer outputs or
+// batch pieces, so it returns the loans and gives back the pieces the ranks'
+// last batches left (Proc.lent, Proc.pieces).
 func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
 	if w.Broken() {
 		return nil, errors.New("core: the world's last run failed; it cannot run again")
@@ -237,6 +238,7 @@ func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) er
 		for _, p := range procs {
 			if p != nil {
 				returnLoans(p.lent)
+				spmat.ReleaseGrid(p.pieces)
 			}
 		}
 	}()

@@ -39,9 +39,11 @@
 // them walk an A-style operand q times and a B-style one q·l times. Inside a
 // batch nothing is gathered that need not be: a (batch, layer) pair owns one
 // contiguous chunk of the block column (Chunk), so BatchCols, BatchLayerCols
-// and LayerBounds are arithmetic, and the fiber split cuts a merged batch at
-// LayerBounds into its l pieces as views over the merged entries
-// (spmat.MatColRanges) — with l = 1 the piece is the batch itself.
+// and LayerBounds are arithmetic, a batch's piece of B is copied a chunk at
+// a time (Piece, a bulk copy per chunk, into arrays lent from spmat's free
+// list while the engine multiplies the batch), and the fiber split cuts a
+// merged batch at LayerBounds into its l pieces as views over the merged
+// entries (spmat.MatColRanges) — with l = 1 the piece is the batch itself.
 package distmat
 
 import (
@@ -271,6 +273,15 @@ func (bt Batching) BatchCols(t int) []int32 {
 		}
 	}
 	return out
+}
+
+// Piece copies batch t's piece of the block column m — its l chunks, in layer
+// order, side by side, the columns BatchCols(t) lists — into a matrix of m's
+// format, a bulk copy per chunk (spmat.GatherColRanges). With lend its arrays
+// are drawn from spmat's free list of arrays, for the caller to give back
+// (spmat.ReleaseGrid) once nothing reads the piece.
+func (bt Batching) Piece(m spmat.Matrix, t int, lend bool) spmat.Matrix {
+	return spmat.GatherColRanges(m, bt.L, func(k int) (int32, int32) { return bt.Chunk(t, k) }, lend)
 }
 
 // BatchLayerCols returns the local column offsets owned by (batch t, layer k),

@@ -480,6 +480,34 @@ func TestBatchingArithmeticMatchesDefinition(t *testing.T) {
 	}
 }
 
+// TestPieceMatchesGather holds the batch piece — a bulk copy per chunk — to
+// the gather of the batch's column list (MatColSelect over BatchCols), in
+// both formats, lent or not, including block columns narrower than b·l,
+// whose last batches are empty.
+func TestPieceMatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 120; trial++ {
+		width := int32(rng.Intn(200) + 1)
+		b, l := rng.Intn(6)+1, rng.Intn(5)+1
+		bt := NewBatching(width, b, l)
+		csc := randomMat(t, 11, width, rng.Intn(3*int(width)), int64(trial))
+		for _, m := range []spmat.Matrix{csc, csc.ToDCSC()} {
+			for t2 := 0; t2 < b; t2++ {
+				want := spmat.MatColSelect(m, bt.BatchCols(t2))
+				for _, lend := range []bool{false, true} {
+					piece := bt.Piece(m, t2, lend)
+					if err := sameBlock(piece, want); err != nil {
+						t.Fatalf("%+v batch %d (%v, lend %v): %v", bt, t2, m.Format(), lend, err)
+					}
+					if lend {
+						spmat.ReleaseGrid([]spmat.Matrix{piece})
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSplitByLayerMatMatchesGather holds the fiber split — consecutive column
 // ranges, returned as views — to the gather it replaces: one MatColSelect per
 // layer over the batch columns LayerOf assigns to it, in both formats. With a

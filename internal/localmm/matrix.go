@@ -309,7 +309,7 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 		jc = sh.copyColumns(bv.jc)
 	}
 	plusTimes := sr.IsPlusTimes()
-	ir, num, lent := onePass(bounds, colFlops, func(w *mmWorker, lo, hi int32) {
+	ir, num, lent := onePass(bounds, colFlops, aRows, func(w *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue

@@ -127,7 +127,7 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 		sc.union, slots.jc = slots.jc, sh.copyColumns(slots.jc)
 	}
 	ptr := sh.pointers(slots.n + 1)
-	ir, num, lent := onePass(bounds, colIn, func(w *mmWorker, s0, s1 int32) {
+	ir, num, lent := onePass(bounds, colIn, rows, func(w *mmWorker, s0, s1 int32) {
 		w.seek(f.views, slots.index(s0))
 		w.at = slices.Grow(w.at[:0], len(plans))[:len(plans)]
 		clear(w.at)

@@ -462,7 +462,7 @@ func outputFor(lend bool) passOutput {
 // runWorkers executes fn once per non-empty column range, each with its own
 // scratch: the last range on the caller's goroutine, the others on theirs.
 func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
-	onePass(bounds, nil, fn, noOutput)
+	onePass(bounds, nil, 0, fn, noOutput)
 }
 
 // nonEmptyRanges returns the first and the last range of bounds that holds a
@@ -482,24 +482,25 @@ func nonEmptyRanges(bounds []int32) (first, last int) {
 
 // onePass runs the plan described at the top of this file. fill computes
 // the columns [lo, hi) of one range, appending them to w.rows/w.vals, which
-// arrive empty and, unless out is noOutput, with room for the range's
-// colWork (fillRange). Unless out is noOutput the pass returns the output's
+// arrive empty and, unless out is noOutput, with room for the range's entry
+// bound (fillRange), which rows, the output's row count, caps column by
+// column. Unless out is noOutput the pass returns the output's
 // entry arrays, the ranges' chunks back to back in range order: a copy of the
 // chunk when one range ran, an allocation the ranges place their chunks into
 // when several did — or, under lentOutput with one range that filled
 // anything, the chunk itself, which it also returns as lent. One range runs
 // on the caller's goroutine with nothing else to coordinate.
-func onePass(bounds []int32, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, lent chunk) {
+func onePass(bounds []int32, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, lent chunk) {
 	first, last := nonEmptyRanges(bounds)
 	if last < 0 {
 		return []int32{}, []float64{}, chunk{}
 	}
 	if first < last {
-		ir, num = manyRanges(bounds, last, colWork, fill, out)
+		ir, num = manyRanges(bounds, last, colWork, rows, fill, out)
 		return ir, num, chunk{}
 	}
 	w := getWorker()
-	w.fillRange(bounds[last], bounds[last+1], colWork, fill, out)
+	w.fillRange(bounds[last], bounds[last+1], colWork, rows, fill, out)
 	switch {
 	case out == noOutput:
 	case out == lentOutput && len(w.rows) > 0:
@@ -515,12 +516,13 @@ func onePass(bounds []int32, colWork []int64, fill func(w *mmWorker, lo, hi int3
 
 // fillRange runs fill over the range [lo, hi) on the worker's emptied chunk,
 // fitted first, unless out is noOutput, to the range's entry bound: its
-// columns' colWork, which no output column exceeds.
-func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) {
+// columns' colWork, each capped at the output's row count rows, neither of
+// which an output column exceeds.
+func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) {
 	if out != noOutput {
 		var bound int64
 		for _, c := range colWork[lo:hi] {
-			bound += c
+			bound += min(c, int64(rows))
 		}
 		w.fitChunk(bound)
 	}
@@ -532,7 +534,7 @@ func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, fill func(w *mmWorke
 // last: each range but the last on a goroutine of its own, which waits for the
 // allocation and then places its chunk; the output, unless out is noOutput,
 // is always owned.
-func manyRanges(bounds []int32, last int, colWork []int64, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
+func manyRanges(bounds []int32, last int, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
 	ws := make([]*mmWorker, last+1)
 	offs := make([]int, last+1)
 	place := func(t int) {
@@ -553,7 +555,7 @@ func manyRanges(bounds []int32, last int, colWork []int64, fill func(w *mmWorker
 		placed.Add(1)
 		go func(t int) {
 			defer placed.Done()
-			ws[t].fillRange(bounds[t], bounds[t+1], colWork, fill, out)
+			ws[t].fillRange(bounds[t], bounds[t+1], colWork, rows, fill, out)
 			filled.Done()
 			if out != noOutput {
 				<-allocated
@@ -562,7 +564,7 @@ func manyRanges(bounds []int32, last int, colWork []int64, fill func(w *mmWorker
 		}(t)
 	}
 	ws[last] = getWorker()
-	ws[last].fillRange(bounds[last], bounds[last+1], colWork, fill, out)
+	ws[last].fillRange(bounds[last], bounds[last+1], colWork, rows, fill, out)
 	filled.Wait()
 	if out != noOutput {
 		total := 0

@@ -93,7 +93,7 @@ func (pl *Plan) mulTest(k testKernel, sr *semiring.Semiring, workers int) spmat.
 	_, bCols := pl.b.Dims()
 	ptr := make([]int64, bv.n+1)
 	plusTimes := sr.IsPlusTimes()
-	ir, num, _ := onePass(flopBounds(colFlops, workers), colFlops, func(w *mmWorker, lo, hi int32) {
+	ir, num, _ := onePass(flopBounds(colFlops, workers), colFlops, aRows, func(w *mmWorker, lo, hi int32) {
 		var h rowHeap
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
@@ -174,7 +174,7 @@ func heapMerge(mats []spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Ma
 	slots, colIn := mergeSlots(views, cols, nil, nil)
 	ptr := make([]int64, slots.n+1)
 	plusTimes := sr.IsPlusTimes()
-	ir, num, _ := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), colIn, func(w *mmWorker, lo, hi int32) {
+	ir, num, _ := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), colIn, rows, func(w *mmWorker, lo, hi int32) {
 		var h rowHeap
 		w.seek(views, slots.index(lo))
 		for p := lo; p < hi; p++ {

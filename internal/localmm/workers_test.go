@@ -133,3 +133,38 @@ func TestKernelsAboveWorkerFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestFittedChunkWithinRowsTimesWidth: a range's entry bound caps each
+// column's work — flops, or merge input entries — at the output's row count,
+// which no output column exceeds, so a fresh worker is handed a chunk of at
+// least that bound and, drawn best fit, under twice it: never its flops when
+// they outnumber rows × width, the columns' most entries.
+func TestFittedChunkWithinRowsTimesWidth(t *testing.T) {
+	for _, c := range []struct {
+		rows    int32
+		colWork []int64
+	}{
+		{7, []int64{1 << 20, 3, 1 << 20, 0, 1 << 20}},
+		{16, []int64{1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024}},
+		{1000, []int64{5, 0, 12, 999, 1000, 1001}},
+		{1, []int64{0, 0, 0}},
+	} {
+		width := int32(len(c.colWork))
+		var bound int64
+		for _, n := range c.colWork {
+			bound += min(n, int64(c.rows))
+		}
+		w := &mmWorker{}
+		var fitted [2]int
+		w.fillRange(0, width, c.colWork, c.rows, func(w *mmWorker, lo, hi int32) {
+			fitted = [2]int{cap(w.rows), cap(w.vals)}
+		}, lentOutput)
+		for _, got := range fitted {
+			if int64(got) < bound || int64(got) >= max(2*bound, 1) {
+				t.Errorf("rows %d, work %v: a chunk of %d entries, for a bound of %d within %d × %d", c.rows, c.colWork, got, bound, c.rows, width)
+			}
+		}
+		spmat.Give(w.rows)
+		spmat.Give(w.vals)
+	}
+}

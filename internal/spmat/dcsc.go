@@ -143,22 +143,31 @@ func (d *DCSC) Locate(cols, pos []int32) {
 		if uint32(j) >= n {
 			continue
 		}
-		c := j >> shift
-		lo, hi := int(start[c]), int(start[c+1])
-		for hi-lo > 8 {
-			if mid := int(uint(lo+hi) >> 1); jc[mid] < j {
-				lo = mid + 1
-			} else {
-				hi = mid + 1
-			}
-		}
-		for lo < hi && jc[lo] < j {
-			lo++
-		}
-		if lo < hi && jc[lo] == j {
-			pos[x] = int32(lo)
+		if p := seek(jc, start, shift, j); p < len(jc) && jc[p] == j {
+			pos[x] = int32(p)
 		}
 	}
+}
+
+// seek returns the position in jc of the first stored column at or after
+// column j, which must be one of the block's, under the AUX array (start,
+// shift) of jc's block: j's chunk, then a search among the chunk's stored
+// columns. Past the chunk's last stored column it lands on the next chunk's
+// first, which is the answer there too.
+func seek(jc, start []int32, shift uint, j int32) int {
+	c := j >> shift
+	lo, hi := int(start[c]), int(start[c+1])
+	for hi-lo > 8 {
+		if mid := int(uint(lo+hi) >> 1); jc[mid] < j {
+			lo = mid + 1
+		} else {
+			hi = mid + 1
+		}
+	}
+	for lo < hi && jc[lo] < j {
+		lo++
+	}
+	return lo
 }
 
 // ColNNZ returns the entry count of column j (0 for absent columns); O(1)
@@ -394,6 +403,87 @@ func MatColSelect(m Matrix, cols []int32) Matrix {
 		}
 	}
 	return out
+}
+
+// GatherColRanges copies n column ranges of m side by side into a new matrix
+// of m's concrete format: range k, the columns [lo, hi) that ranges(k) gives,
+// follows range k−1's. Each range is one bulk copy of its entries and a walk
+// over its stored columns, which for DCSC one AUX lookup at either end finds
+// (storedFrom), so the cost is the ranges' entries and stored columns, never
+// a lookup per column. With lend the arrays are drawn from the free list of
+// arrays (Draw), a DCSC result's AUX array too, for the caller to give back
+// (ReleaseGrid) once nothing reads the result; otherwise they are allocated
+// at their exact sizes.
+func GatherColRanges(m Matrix, n int, ranges func(k int) (lo, hi int32), lend bool) Matrix {
+	rows, cols := m.Dims()
+	c, isCSC := m.(*CSC)
+	var d *DCSC
+	var cp []int64
+	var ir []int32
+	var num []float64
+	if isCSC {
+		cp, ir, num = c.ColPtr, c.RowIdx, c.Val
+	} else {
+		d = m.ToDCSC()
+		cp, ir, num = d.CP, d.IR, d.Num
+	}
+	// from returns the first stored column at or after column j: every column
+	// is stored in CSC.
+	from := func(j int32) int {
+		if isCSC {
+			return int(j)
+		}
+		return d.storedFrom(j)
+	}
+	var width int32
+	var stored int
+	var nnz int64
+	for k := range n {
+		lo, hi := ranges(k)
+		if lo < 0 || hi < lo || hi > cols {
+			panic(fmt.Sprintf("spmat: GatherColRanges range [%d,%d) out of range for %d columns", lo, hi, cols))
+		}
+		p0, p1 := from(lo), from(hi)
+		width, stored, nnz = width+hi-lo, stored+p1-p0, nnz+cp[p1]-cp[p0]
+	}
+	var jc []int32
+	if !isCSC {
+		jc = dealtArray[int32](lend, stored)
+	}
+	ptr, outIR, outNum := dealtArray[int64](lend, stored+1), dealtArray[int32](lend, int(nnz)), dealtArray[float64](lend, int(nnz))
+	ptr[0] = 0
+	var at int
+	var off int32
+	var e int64
+	for k := range n {
+		lo, hi := ranges(k)
+		p0, p1 := from(lo), from(hi)
+		base := cp[p0]
+		copy(outIR[e:], ir[base:cp[p1]])
+		copy(outNum[e:], num[base:cp[p1]])
+		for p := p0; p < p1; p++ {
+			if !isCSC {
+				jc[at] = d.JC[p] - lo + off
+			}
+			at++
+			ptr[at] = cp[p+1] - base + e
+		}
+		e, off = e+cp[p1]-base, off+hi-lo
+	}
+	if isCSC {
+		return &CSC{Rows: rows, Cols: width, ColPtr: ptr, RowIdx: outIR, Val: outNum, SortedCols: c.SortedCols}
+	}
+	return &DCSC{Rows: rows, Cols: width, JC: jc, CP: ptr, IR: outIR, Num: outNum, SortedCols: d.SortedCols, lent: lend}
+}
+
+// storedFrom returns the position in JC of the first stored column at or
+// after column j, for 0 ≤ j ≤ Cols: len(JC) when there is none.
+func (d *DCSC) storedFrom(j int32) int {
+	if j >= d.Cols || len(d.JC) == 0 {
+		return len(d.JC)
+	}
+	ix := d.index()
+	return seek(d.JC, ix.start, ix.shift, j)
 }
 
 // MatColRanges cuts m's columns at the ascending bounds into len(bounds)-1

@@ -159,6 +159,68 @@ func TestMatColSelectMatchesColSelect(t *testing.T) {
 	}
 }
 
+// TestGatherColRangesMatchesColSelect holds the range gather to ColSelect
+// over the columns the ranges list, in both formats, lent or not: ranges in
+// any order, empty ones and ones at either end. The result sees exactly its
+// lengths, and a lent result gives its arrays back to the next lent gather.
+func TestGatherColRangesMatchesColSelect(t *testing.T) {
+	defer PoisonReleased.Store(PoisonReleased.Swap(false))
+	m := randomNNZCSC(t, 24, 400, 300, 13)
+	ranges := [][2]int32{{100, 180}, {5, 5}, {0, 3}, {399, 400}, {40, 41}, {180, 399}}
+	var cols []int32
+	for _, r := range ranges {
+		for j := r[0]; j < r[1]; j++ {
+			cols = append(cols, j)
+		}
+	}
+	want := ColSelect(m, cols)
+	at := func(k int) (int32, int32) { return ranges[k][0], ranges[k][1] }
+	for _, src := range []Matrix{m, m.ToDCSC()} {
+		for _, lend := range []bool{false, true} {
+			got := GatherColRanges(src, len(ranges), at, lend)
+			if got.Format() != src.Format() {
+				t.Fatalf("%v, lend %v: the gather is stored %v", src.Format(), lend, got.Format())
+			}
+			if !Equal(want, got.ToCSC()) {
+				t.Fatalf("%v, lend %v: the gather differs from ColSelect", src.Format(), lend)
+			}
+			var lengths bool
+			switch g := got.(type) {
+			case *CSC:
+				lengths = len(g.ColPtr) == len(cols)+1 && int64(len(g.RowIdx)) == want.NNZ() && len(g.Val) == len(g.RowIdx)
+				if err := g.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			case *DCSC:
+				lengths = len(g.CP) == len(g.JC)+1 && int64(len(g.IR)) == want.NNZ() && len(g.Num) == len(g.IR)
+				if err := g.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				checkEveryLookup(t, g)
+			}
+			if !lengths {
+				t.Errorf("%v, lend %v: the gather %v sees other lengths than its own", src.Format(), lend, got)
+			}
+			if !lend {
+				continue
+			}
+			given := gridArrays([]Matrix{got})
+			ReleaseGrid([]Matrix{got})
+			again := GatherColRanges(src, len(ranges), at, true)
+			drawn := 0
+			for id := range gridArrays([]Matrix{again}) {
+				if given[id] {
+					drawn++
+				}
+			}
+			if 2*drawn < len(given) {
+				t.Errorf("%v: a lent gather drew %d of the %d arrays the last one gave back", src.Format(), drawn, len(given))
+			}
+			ReleaseGrid([]Matrix{again})
+		}
+	}
+}
+
 // TestMatColRangesMatchColRange holds the view-returning column cut to the
 // copying ColRange in both formats — empty ranges, ranges that do not start
 // at 0 or end at the last column — and pins what "view" means: entry storage
@@ -472,6 +534,11 @@ func TestDCSCAuxOnEveryConstructor(t *testing.T) {
 		}
 	}
 	checkEveryLookup(t, MatColSelect(d, cyclic).(*DCSC))
+	for _, lend := range []bool{false, true} {
+		// The same runs as ranges, the last one cut short by the matrix's end.
+		runs := func(k int) (int32, int32) { return int32(50 + 150*k), min(int32(100+150*k), d.Cols) }
+		checkEveryLookup(t, GatherColRanges(d, int(d.Cols-50+149)/150, runs, lend).(*DCSC))
+	}
 
 	for _, piece := range MatColRanges(d, []int32{0, 1000, 1000, 3000, 4096}) {
 		checkEveryLookup(t, piece.(*DCSC))

@@ -62,10 +62,14 @@
 // on every core. LendGrid is the same deal with the blocks' arrays on loan
 // from the process's one free list of arrays (Draw, Give), which ReleaseGrid
 // refills once nothing reads them — for a grid dealt for one call — and
-// which lends localmm's kernel outputs their arrays too. CountGrid runs the deal's count pass alone, over the same
+// which lends localmm's kernel outputs and the engine's batch pieces of B
+// (GatherColRanges) their arrays too. CountGrid runs the deal's count pass alone, over the same
 // bounds and goroutines: every block's entries and occupied columns, with
 // nothing copied — how a grid is measured without being dealt. PartBounds,
-// ColRange/RowRange, ColSelect (and its format-preserving MatColSelect),
+// ColRange/RowRange, ColSelect (and its format-preserving MatColSelect, which
+// the benchmark's serial replay gathers batches with), GatherColRanges
+// (column ranges copied side by side, a bulk copy per range, into arrays
+// lent from the free list or exact — the engine's batch pieces of B),
 // MatColRanges (a matrix's consecutive column ranges as views over its
 // entries — the fiber split), HCat, and the cyclic split helpers carve
 // matrices into the block rows, block columns, layer slices, and
