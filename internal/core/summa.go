@@ -106,8 +106,8 @@ func (p *Proc) forEachStage(bOperand, bNext spmat.Matrix, aCat, aHidden, bCat, b
 }
 
 // lendChunks is off only in core's own tests, for the reference a lending
-// run must reproduce bit for bit: every stage product, Merge-Layer output and
-// batch output an owned copy.
+// run must reproduce bit for bit: every stage product, Merge-Layer output,
+// batch output and batch piece of B an owned copy.
 var lendChunks = true
 
 // stageProducts runs the stage loop over bBatch and collects what each stage

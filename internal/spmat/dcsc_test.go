@@ -164,7 +164,6 @@ func TestMatColSelectMatchesColSelect(t *testing.T) {
 // any order, empty ones and ones at either end. The result sees exactly its
 // lengths, and a lent result gives its arrays back to the next lent gather.
 func TestGatherColRangesMatchesColSelect(t *testing.T) {
-	defer PoisonReleased.Store(PoisonReleased.Swap(false))
 	m := randomNNZCSC(t, 24, 400, 300, 13)
 	ranges := [][2]int32{{100, 180}, {5, 5}, {0, 3}, {399, 400}, {40, 41}, {180, 399}}
 	var cols []int32
