@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/distmat"
 	"repro/internal/mpi"
@@ -22,6 +21,7 @@ import (
 func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	g := p.G
 	res := &Result{RowOffset: p.DA.RowB[g.I]}
+	p.res = res
 	p.lendBatch = p.discard || hook == nil
 	p.pipe = pipeState{}
 	p.ledger = overlapLedger{k: p.Opts.Channels}
@@ -86,7 +86,7 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	//
 	// A piece is batch t's l chunks of the block column, copied a chunk at a
 	// time (Batching.Piece) into arrays drawn from spmat's free list, and
-	// given back (Proc.pieces) once no column peer reads it.
+	// given back (Proc.lent) once no column peer reads it.
 	meter := g.World.Meter()
 	tr := meter.Recorder()
 	extract := func(t int) spmat.Matrix {
@@ -102,8 +102,8 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 				piece = p.bt.Piece(p.LocalB, t, lendChunks)
 			}
 		})
-		if b > 1 && lendChunks {
-			p.pieces = append(p.pieces, piece)
+		if b > 1 {
+			p.lent = append(p.lent, lentMatrix{t, piece})
 		}
 		meter.AddComputeWork(sec, piece.NNZ()+int64(p.bt.BatchWidth(t))+1)
 		return piece
@@ -123,6 +123,10 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 		}
 		res.GlobalCols = make([]int32, 0, width)
 	}
+	// A discarded batch leaves an empty piece of its width in its place, one
+	// per width: a rank's batch widths only fall with t — full chunks, at most
+	// one partial, then empty ones — so a run makes at most three.
+	var empty *spmat.DCSC
 	bCur := extract(0)
 	for t := 0; t < b; t++ {
 		var bNext spmat.Matrix
@@ -130,10 +134,8 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			bNext = extract(t + 1)
 		}
 		tr.SetBatch(t)
-		cPiece, loans, lo, hi := p.summa3DBatch(t, bCur, bNext, res)
-		if t > 0 {
-			p.givePiece()
-		}
+		cPiece, lo, hi := p.summa3DBatch(t, bCur, bNext, res)
+		made := cPiece
 		switch {
 		case bNext != nil:
 			bCur = bNext
@@ -165,18 +167,16 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 				cPiece = pruned
 			}
 		}
-		switch {
-		case p.discard:
-			// The hook has read the batch: drop it — the piece left in its
-			// place stores no column, not even a column pointer — and hand
-			// back the chunks it was lent.
-			r, c := cPiece.Dims()
-			cPiece = spmat.NewDCSC(r, c)
-			returnLoans(loans)
-		case p.lendBatch:
-			// No hook saw the batch: the Result keeps it on loan until its
-			// reader releases it.
-			res.loans = append(res.loans, loans...)
+		if p.discard {
+			// The hook has read the batch: give back what Merge-Fiber made and
+			// drop it — the piece left in its place stores no column, not even
+			// a column pointer. A run no hook sees keeps the batch lent in the
+			// Result until its reader releases it (Result.Release).
+			spmat.Release(made)
+			if r, c := made.Dims(); empty == nil || empty.Cols != c {
+				empty = spmat.NewDCSC(r, c)
+			}
+			cPiece = empty
 		}
 		res.Pieces = append(res.Pieces, cPiece)
 	}
@@ -193,16 +193,6 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 	assembleSec := p.measure(func() { totalNNZ = res.NNZ() })
 	meter.AddComputeWork(assembleSec, totalNNZ+int64(len(res.Pieces))+1)
 	return res, nil
-}
-
-// givePiece gives the oldest lent batch piece back to spmat's free list: the
-// previous batch's, once this rank has finished the current batch's
-// Merge-Layer (see Proc.pieces).
-func (p *Proc) givePiece() {
-	if len(p.pieces) > 0 {
-		spmat.ReleaseGrid(p.pieces[:1])
-		p.pieces = slices.Delete(p.pieces, 0, 1)
-	}
 }
 
 // widestBlock returns the widest B block column across the grid (they differ

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ import (
 
 // lendDeal deals a as A and as B on rc's grid with the arrays drawn from
 // spmat's free list — the deal a one-shot call makes — and gives them back
-// at once (spmat.ReleaseGrid, not Dealt.release), with nothing run in
+// at once (spmat.Release, not Dealt.release), with nothing run in
 // between. It returns the arrays' identities (arrayIDs).
 func lendDeal(t *testing.T, a *spmat.CSC, rc RunConfig) map[unsafe.Pointer]bool {
 	t.Helper()
@@ -28,8 +29,9 @@ func lendDeal(t *testing.T, a *spmat.CSC, rc RunConfig) map[unsafe.Pointer]bool 
 		t.Fatal(err)
 	}
 	ids := arrayIDs(da.blocks, db.blocks)
-	spmat.ReleaseGrid(da.blocks)
-	spmat.ReleaseGrid(db.blocks)
+	for _, m := range append(da.blocks, db.blocks...) {
+		spmat.Release(m)
+	}
 	return ids
 }
 
@@ -124,6 +126,63 @@ func TestRanksPiecesOutliveTheNextDeal(t *testing.T) {
 	}
 }
 
+// TestRunsNeverReleaseTheirOperands runs MultiplyDealt twice on one lent
+// deal — the arrays a one-shot call draws, released only by whoever dealt
+// them — with b = 1, where the stages broadcast the B block itself, and
+// b = 3, where the rank copies each batch's piece and gives it back, on both
+// schedules. A run must give back what it made and never a dealt block: after
+// each run every block reads as the block dealt to keep, and the second run
+// returns the first one's product.
+func TestRunsNeverReleaseTheirOperands(t *testing.T) {
+	a := randomMat(t, 64, 64, 700, 29)
+	for _, p := range []struct{ p, l int }{{4, 1}, {16, 4}} {
+		for _, b := range []int{1, 3} {
+			for _, pipeline := range []bool{false, true} {
+				label := fmt.Sprintf("p=%d l=%d b=%d pipeline=%v", p.p, p.l, b, pipeline)
+				rc := RunConfig{P: p.p, L: p.l, Cost: testCM, Opts: Options{ForceBatches: b, Format: spmat.FormatAuto, Pipeline: pipeline}}
+				da, db, err := deal(a, a, rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keptA, err := Deal(a, RoleA, rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keptB, err := Deal(a, RoleB, rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var first *spmat.CSC
+				for run := range 2 {
+					results, _, err := MultiplyDealt(da, db, rc, nil, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := AssembleResults(results, a.Rows, a.Cols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range results {
+						r.Release()
+					}
+					if first == nil {
+						first = c
+					} else if !storedEqual(c, first) {
+						t.Errorf("%s: the second run on the deal returned another product", label)
+					}
+					for x := range da.blocks {
+						if !spmat.Equal(da.blocks[x].ToCSC(), keptA.blocks[x].ToCSC()) || !spmat.Equal(db.blocks[x].ToCSC(), keptB.blocks[x].ToCSC()) {
+							t.Fatalf("%s: run %d released block %d of its operands", label, run, x)
+						}
+					}
+				}
+				da.release()
+				db.release()
+			}
+		}
+	}
+}
+
 // TestConcurrentOneShotCallsKeepTheirDeals runs four goroutines of one-shot
 // multiplies side by side, each on an operand of its own — two assembling
 // through Multiply, two through a budgeted MultiplyDiscard whose hook
@@ -210,7 +269,11 @@ func TestConcurrentOneShotCallsKeepTheirDeals(t *testing.T) {
 // went back, by identity as TestRanksPiecesOutliveTheNextDeal sees it: a
 // deal made after the failed call draws the arrays the call drew. The next
 // call, dealt from the same arrays (poisoned as they came back), must return
-// the product a clean call returned before the failure, exactly.
+// the product a clean call returned before the failure, exactly. Then the
+// same run fails at rank 0's last batch, once ranks 1–3 have finished: they
+// run with no hook, so their batch outputs are lent and kept in their
+// Results, which the failed run returns to nobody and so must release — every
+// non-empty piece they kept reads poisoned once the run is over.
 func TestFailedRunGivesItsDealBack(t *testing.T) {
 	a := randomMat(t, 48, 48, 500, 23)
 	for _, pipeline := range []bool{false, true} {
@@ -240,6 +303,53 @@ func TestFailedRunGivesItsDealBack(t *testing.T) {
 		}
 		if !storedEqual(got, want) {
 			t.Errorf("pipeline=%v: the call after a failed one returned another product", pipeline)
+		}
+
+		da, db, err := deal(a, a, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorld(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := make([][]spmat.Matrix, rc.P)
+		var finished sync.WaitGroup
+		finished.Add(rc.P - 1)
+		_, err = launch(w, da, db, rc, func(rank int, p *Proc) error {
+			if rank != 0 {
+				defer finished.Done()
+				res, err := p.BatchedSUMMA3D(nil)
+				if err == nil {
+					kept[rank] = slices.Clone(res.Pieces)
+				}
+				return err
+			}
+			// Ranks 1–3 need nothing of rank 0 after its last batch's
+			// Merge-Fiber.
+			_, err := p.BatchedSUMMA3D(func(batch int, _ []int32, m *spmat.CSC) *spmat.CSC {
+				if batch == 0 {
+					return nil
+				}
+				finished.Wait()
+				return spmat.New(m.Rows, m.Cols+1)
+			})
+			return err
+		})
+		da.release()
+		db.release()
+		if err == nil {
+			t.Fatalf("pipeline=%v: rank 0's hook did not fail the run", pipeline)
+		}
+		for r, pieces := range kept[1:] {
+			if len(pieces) != 2 {
+				t.Fatalf("pipeline=%v: rank %d kept %d pieces, not its two batches", pipeline, r+1, len(pieces))
+			}
+			for x, piece := range pieces {
+				if piece.NNZ() > 0 && !poisoned(piece.ToCSC()) {
+					t.Errorf("pipeline=%v: rank %d's batch %d does not read poisoned: the failed run kept it", pipeline, r+1, x)
+				}
+			}
 		}
 	}
 }

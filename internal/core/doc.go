@@ -17,8 +17,8 @@
 // time the engine copies the operands) and then run on the dealt operands
 // (MultiplyDealt, the entry point of a caller that keeps them across runs,
 // as the daemon does for resident matrices). The host entry points lend
-// their deal: its block arrays come from spmat's free list of arrays
-// and go back to it (spmat.ReleaseGrid, with the DCSC blocks' AUX arrays)
+// their deal: its blocks are lent, their arrays drawn from spmat's free list
+// of arrays and given back (spmat.Release, with the DCSC blocks' AUX arrays)
 // once the call's run has ended, clean or aborted — no Result refers to a
 // dealt block — so a warm one-shot call deals into the arrays the call
 // before it gave back. A deal the caller made with Deal is allocated at its
@@ -60,14 +60,14 @@
 // # Lent outputs
 //
 // Every kernel output whose last reader is known is lent, not copied
-// (localmm.Plan.Mul and localmm.MulMerge with lend): its entry
-// arrays are a kernel worker's chunk, and its column metadata the loan's
-// pooled arrays, until the rank hands them back (localmm.Loan.Return). The
-// fiber split's views of a lent output carve their metadata from its loan
-// (localmm.Loan.ColRanges), so they live exactly as long as its entries and
-// the peers read them under the same rule. Each loan is returned by exactly
-// one owner, and that
-// owner is whoever knows the output's last reader. Under the staged schedule
+// (localmm.Plan.Mul and localmm.MulMerge with lend): its entry arrays are a
+// kernel worker's chunk, and its column metadata drawn from spmat's free
+// list, until the rank gives them back (spmat.Release). The fiber split's
+// views of a lent output carve their metadata from its shell
+// (spmat.MatColRanges), so they live exactly as long as its entries and the
+// peers read them under the same rule. Each lent output is released by
+// exactly one owner, and that owner is whoever knows the output's last
+// reader. Under the staged schedule
 // no stage product exists to lend: Merge-Layer computes every stage's
 // product inside its merge from the stages' plans (localmm.MulMerge), which
 // it holds until its merge and then releases. There are five cases:
@@ -76,23 +76,24 @@
 //     never made, Merge-Layer computes it inside its merges from the stage's
 //     plan, which it holds until its last window and then releases:
 //     Merge-Layer accumulates the products into arrays of its own, and the
-//     batch function returns them right after.
+//     batch function releases them right after.
 //   - Merge-Layer's output, on a grid with l > 1 (pipelined with q > 1, each
 //     per-destination merge's). This rank's Merge-Fiber reads it and,
 //     through the by-reference fiber exchange, so do the l − 1 fiber peers'.
-//     It is returned right after the next batch's exchange is posted, which
+//     It is released right after the next batch's exchange is posted, which
 //     returns only once every peer has posted and so has finished this batch;
-//     the last batch's are held in the Proc and returned by the launcher once
-//     the world has ended, aborted or not.
+//     the last batch's are held in the Proc (Proc.lent) and released by the
+//     launcher once the world has ended, aborted or not.
 //   - Under MultiplyDiscard, Merge-Layer's output on a grid with l = 1: with
 //     no fiber peers, Merge-Fiber passes it through as the batch output, and
-//     BatchedSUMMA3D returns it once the hook has returned.
+//     BatchedSUMMA3D releases it once the hook has returned.
 //   - Under MultiplyDiscard, Merge-Fiber's output on a grid with l > 1: the
-//     batch output, returned by BatchedSUMMA3D once the hook has returned.
+//     batch output, released by BatchedSUMMA3D once the hook has returned —
+//     the matrix Merge-Fiber made, not one the hook hands back.
 //   - On a run no hook sees (MultiplyRanks or Multiply with no hook, the
 //     daemon's return_result jobs), the kept batch output: Merge-Fiber's on
 //     a grid with l > 1, Merge-Layer's, passed through, on l = 1. The rank's
-//     Result holds the loans until the pieces' reader calls Result.Release:
+//     Result keeps its pieces lent until their reader calls Result.Release:
 //     Multiply once it has assembled the product, the daemon once it has
 //     streamed it.
 //
@@ -101,16 +102,18 @@
 // discarding run, or the Result's reader when no hook sees it. A kept batch
 // a hook has seen is not lent, since the hook may hold its piece: every piece
 // a hook outside MultiplyDiscard is handed, and everything the Result of such
-// a run holds, is owned. The hook of a discarding run is handed its piece on
-// loan for the call.
+// a run holds, is owned. The hook of a discarding run is lent its piece for
+// the call.
 //
-// The kernels' inputs borrow too. With b > 1 each batch's piece of B is
+// The kernels' inputs are lent too. With b > 1 each batch's piece of B is
 // copied from the rank's block into arrays drawn from spmat's free list
 // (distmat.Batching.Piece), broadcast by reference along the process column,
-// and given back once the rank has finished the next batch's Merge-Layer, by
-// which time every column peer has finished this batch's (Proc.pieces); the
-// launcher gives back the last batch's. Values, entry order, work units,
-// peak checkpoints and spans do not depend on what is lent.
+// and released with the batch's Merge-Layer outputs at the next batch's
+// exchange post, by which time every column peer has finished this batch's
+// Merge-Layer (Proc.lent); the launcher releases the last batch's and a
+// prefetched one. With b = 1 the piece is LocalB, which may be a lent deal
+// block and is never released there. Values, entry order, work units, peak
+// checkpoints and spans do not depend on what is lent.
 //
 // # Schedules
 //

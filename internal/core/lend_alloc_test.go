@@ -19,10 +19,10 @@ import (
 // in 4 layers (q = 2), a MultiplyDiscard with the kernels' free list warm
 // allocates no entry arrays at all, under both schedules: the stage products
 // are lent until Merge-Layer has read them, Merge-Layer's outputs until the
-// next batch's exchange is posted (or the launcher returns them), and each
+// next batch's exchange is posted (or the launcher releases them), and each
 // discarded batch until its hook returns. The column metadata of a lent
-// output, and of the fiber views cut from it, is the loan's too, and B's batch
-// pieces are drawn from the free list until no column peer reads them. What
+// output, and of the fiber views cut from it, is drawn from the free list
+// too, and so are B's batch pieces until no column peer reads them. What
 // is left is the metadata of outputs two workers made, each call's own small
 // objects (plans, merge passes, piece, output and view headers) and the run's
 // set-up: 3.3 MB staged and 4.6 MB overlapped when this test was written,

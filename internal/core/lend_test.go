@@ -245,3 +245,44 @@ func TestLentProductsNeverEscape(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscardGivesBackWhatMergeFiberMade: a discarding run whose hook hands
+// back a replacement drops it and still gives back the batch output the
+// merges made, not the hook's matrix. The hook keeps the piece it was lent
+// past the call, as TestLentProductsNeverEscape's keeping hook does, and
+// returns a fresh matrix of the same shape. On CSC grids with one thread —
+// l > 1, l = 1 and q = 1, where every batch output is lent and the hook is
+// handed it itself — no non-empty kept piece may read as it did in the call
+// once the run is over, and some must read poisoned.
+func TestDiscardGivesBackWhatMergeFiberMade(t *testing.T) {
+	a := randomRealMat(t, 96, 96, 2500, 603)
+	for _, g := range []struct{ p, l int }{{16, 4}, {4, 1}, {16, 16}} {
+		rc := RunConfig{P: g.p, L: g.l, Cost: testCM, Opts: Options{ForceBatches: 2, Format: spmat.FormatCSC, Threads: 1}}
+		fps, kept := make([][]spmat.Fingerprint, rc.P), make([][]*spmat.CSC, rc.P)
+		hooks := func(rank int) BatchHook {
+			return func(_ int, _ []int32, c *spmat.CSC) *spmat.CSC {
+				fps[rank] = append(fps[rank], spmat.FingerprintOf(c))
+				kept[rank] = append(kept[rank], c)
+				return spmat.New(c.Rows, c.Cols)
+			}
+		}
+		if _, _, err := MultiplyDiscard(a, a, rc, hooks); err != nil {
+			t.Fatal(err)
+		}
+		released := 0
+		for r := range kept {
+			for x, piece := range kept[r] {
+				switch {
+				case piece.NNZ() == 0:
+				case poisoned(piece):
+					released++
+				case spmat.FingerprintOf(piece) == fps[r][x]:
+					t.Errorf("p=%d l=%d: rank %d's batch %d outlived its call: the run gave back the hook's matrix", g.p, g.l, r, x)
+				}
+			}
+		}
+		if released == 0 {
+			t.Errorf("p=%d l=%d: no kept piece read poisoned", g.p, g.l)
+		}
+	}
+}

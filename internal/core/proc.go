@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/distmat"
 	"repro/internal/grid"
-	"repro/internal/localmm"
 	"repro/internal/spmat"
 )
 
@@ -38,24 +37,25 @@ type Proc struct {
 	// every BatchedSUMMA3D alongside pipe.
 	sc sparseComm
 
-	// lent holds the loans of the last batch's Merge-Layer outputs on a grid
-	// with l > 1, which the fiber peers
-	// may still be reading: the next batch's exchange post returns them
-	// (summa3DBatch), and after the last batch the launcher does.
-	lent []localmm.Loan
+	// lent holds what this rank lent that others may still read, each with
+	// the batch it belongs to: on a grid with l > 1 the batch's Merge-Layer
+	// outputs, which the fiber peers read through the by-reference exchange,
+	// and with b > 1 the batch's piece of B, which the column peers read,
+	// broadcast by reference, until they have finished the batch's
+	// Merge-Layer, the last reader of its stages' plans. Batch t's go back at
+	// batch t+1's exchange post (giveBack): IalltoallvStart returns only once
+	// every fiber peer has posted, and a peer posts batch t+1 only after
+	// finishing batch t; IbcastStart returns only once every column peer has
+	// posted, and by then this rank has posted a broadcast of batch t+1 that
+	// every peer posts only after finishing batch t's Merge-Layer (stage 0
+	// staged, stage 1 pipelined; at q = 1 the rank is the piece's only
+	// reader). The last batch's, a prefetched piece and an aborted run's go
+	// back once the world has ended (launch).
+	lent []lentMatrix
 
-	// pieces holds the batch pieces of B this rank extracted into arrays
-	// drawn from spmat's free list and has not given back, oldest first. The
-	// column peers read batch t's piece, broadcast by reference, until they
-	// have finished batch t's Merge-Layer, the last reader of its stages'
-	// plans. IbcastStart returns only once every column peer has posted, and
-	// by the end of batch t+1's Merge-Layer this rank has posted a broadcast
-	// of batch t+1 that every peer posts only after finishing batch t (under
-	// either schedule: stage 0 staged, stage 1 pipelined), so batch t's piece
-	// goes back then (BatchedSUMMA3D); at q = 1 the rank is its only reader.
-	// The last batch's, and an aborted run's, go back where the launcher
-	// returns lent.
-	pieces []spmat.Matrix
+	// res is the Result BatchedSUMMA3D is filling, which the launcher
+	// releases when the run fails: nobody else will read it.
+	res *Result
 
 	// discard marks a rank whose batches are dropped once the hook has seen
 	// them (MultiplyDiscard): the hook is handed each batch output on loan for
@@ -67,6 +67,27 @@ type Proc struct {
 	// releases the Result (Result.Release) — so each is lent, on every grid
 	// (lends). BatchedSUMMA3D sets it.
 	lendBatch bool
+}
+
+// lentMatrix is a lent matrix of one batch (Proc.lent).
+type lentMatrix struct {
+	batch int
+	m     spmat.Matrix
+}
+
+// giveBack releases the matrices the rank lent for the batches before t
+// (spmat.Release) and keeps the rest.
+func (p *Proc) giveBack(t int) {
+	kept := p.lent[:0]
+	for _, e := range p.lent {
+		if e.batch < t {
+			spmat.Release(e.m)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	clear(p.lent[len(kept):])
+	p.lent = kept
 }
 
 // SetupLocal wires a Proc from already-local pieces (used when a pipeline
@@ -84,8 +105,8 @@ func SetupLocal(g *grid.Grid3D, da *distmat.ADist, db *distmat.BDist, localA, lo
 }
 
 // Result is one rank's output of BatchedSUMMA3D. On a run no hook sees, the
-// pieces are the kernels' chunks on loan (see Release); everywhere else they
-// are the caller's.
+// pieces are lent kernel outputs (see Release); everywhere else they are the
+// caller's.
 type Result struct {
 	// Pieces are the rank's batch outputs in batch order, each as Merge-Fiber
 	// made it — sorted columns, CSC or DCSC — or as a hook handed it back;
@@ -114,24 +135,22 @@ type Result struct {
 	PeakMemBytes int64
 	// BatchNNZ is the per-batch local output size before any hook pruning.
 	BatchNNZ []int64
-
-	// loans are the chunks the pieces were lent, on a run no hook sees.
-	loans []localmm.Loan
 }
 
-// Release hands the kernel chunks the pieces were lent back and empties
-// Pieces. A run no hook sees keeps its batch outputs on loan, so the reader
-// done with them releases them: Multiply once it has assembled the product,
-// the daemon once it has streamed it. Nothing may read the pieces, or keep a
-// slice of them, afterwards; every other field stays. A Result nobody
-// releases costs only the chunks' reuse. Releasing twice, or a nil Result,
-// does nothing.
+// Release gives back the pieces (spmat.Release) and empties Pieces. A run no
+// hook sees keeps its batch outputs lent, so the reader done with them
+// releases them: Multiply once it has assembled the product, the daemon once
+// it has streamed it. Nothing may read the pieces, or keep a slice of them,
+// afterwards; every other field stays. A Result nobody releases costs only
+// the arrays' reuse. Releasing twice, or a nil Result, does nothing.
 func (r *Result) Release() {
 	if r == nil {
 		return
 	}
-	returnLoans(r.loans)
-	r.loans, r.Pieces = nil, nil
+	for _, m := range r.Pieces {
+		spmat.Release(m)
+	}
+	r.Pieces = nil
 }
 
 // NNZ returns the number of entries the rank's pieces hold.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/distmat"
 	"repro/internal/grid"
@@ -131,11 +132,13 @@ func (d *Dealt) fits(role Role, q int, rc RunConfig) error {
 	return nil
 }
 
-// release gives the arrays of a deal lent for one call (dealAs) back to the
-// free list they were drawn from (spmat.ReleaseGrid), once every rank that
-// read the blocks has ended. Releasing twice is releasing once.
+// release gives the blocks of a deal lent for one call (dealAs) back to the
+// free list they were drawn from (spmat.Release), once every rank that read
+// them has ended. Releasing twice is releasing once.
 func (d *Dealt) release() {
-	spmat.ReleaseGrid(d.blocks)
+	for _, m := range d.blocks {
+		spmat.Release(m)
+	}
 	d.blocks = nil
 }
 
@@ -208,9 +211,10 @@ func (w *World) MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, disc
 // blocks were dealt for this run or kept from an earlier one (MultiplyDealt)
 // is the caller's business; the ranks only read them. Once the world has
 // ended — aborted or not — no rank reads another's Merge-Layer outputs or
-// batch pieces, so it returns the loans and gives back the pieces the ranks'
-// last batches left (Proc.lent, Proc.pieces).
-func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) ([]*mpi.Meter, error) {
+// batch pieces, so it gives back what the ranks lent and still hold
+// (Proc.lent): the last batch's, a prefetched piece, an aborted batch's. A
+// failed run returns no Result, so it releases the ranks' too (Proc.res).
+func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) (meters []*mpi.Meter, err error) {
 	if w.Broken() {
 		return nil, errors.New("core: the world's last run failed; it cannot run again")
 	}
@@ -236,9 +240,12 @@ func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) er
 	procs := make([]*Proc, rc.P)
 	defer func() {
 		for _, p := range procs {
-			if p != nil {
-				returnLoans(p.lent)
-				spmat.ReleaseGrid(p.pieces)
+			if p == nil {
+				continue
+			}
+			p.giveBack(math.MaxInt)
+			if err != nil {
+				p.res.Release()
 			}
 		}
 	}()

@@ -111,8 +111,8 @@ func (p *Proc) forEachStage(bOperand, bNext spmat.Matrix, aCat, aHidden, bCat, b
 var lendChunks = true
 
 // stageProducts runs the stage loop over bBatch and collects what each stage
-// leaves for Merge-Layer: its plan, or its partial product and the loan behind
-// it, which the caller returns once its merges have read the products. The
+// leaves for Merge-Layer: its plan, or its partial product, which the caller
+// releases once its merges have read the products. The
 // last stage always only plans its multiply and hands the plan to
 // Merge-Layer, which computes that product straight out of the accumulator
 // into the merge (Proc.merge, localmm.MulMerge) and releases the plan. Under
@@ -145,9 +145,9 @@ var lendChunks = true
 // A stage product that is made is read by the Merge-Layer that follows and by
 // nothing else. That merge accumulates the products into arrays of its own,
 // so each is only lent (localmm.Plan.Mul with lend): its entries stay in the
-// kernel worker's chunk until the loan is returned, right after Merge-Layer.
-// A product more than one worker made is an owned copy.
-func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, loans []localmm.Loan, plans []*localmm.Plan, unmerged int64) {
+// kernel worker's chunk until it is released, right after Merge-Layer. A
+// product more than one worker made is an owned copy.
+func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, plans []*localmm.Plan, unmerged int64) {
 	meter := p.G.World.Meter()
 	q := p.G.Q
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(s int, aRecv, bRecv spmat.Matrix) {
@@ -155,7 +155,6 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 		scanCols := colScanWork(bRecv)
 		var flops int64
 		var prod spmat.Matrix
-		var loan localmm.Loan
 		sec := p.measure(func() {
 			plan := localmm.PlanMul(aRecv, bRecv)
 			flops = plan.Flops
@@ -163,25 +162,17 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 				plans = append(plans, plan)
 				return
 			}
-			prod, loan = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, lendChunks, p.workers(flops))
+			prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, lendChunks, p.workers(flops))
 			plan.Release()
 		})
 		res.LocalFlops += flops
 		meter.AddComputeWork(sec, flops+bRecv.NNZ()+scanCols+1)
 		if prod != nil {
-			partial, loans = append(partial, prod), append(loans, loan)
+			partial = append(partial, prod)
 			unmerged += prod.NNZ()
 		}
 	})
-	return partial, loans, plans, unmerged
-}
-
-// returnLoans hands lent outputs' chunks back to the kernels' free list; the
-// outputs must not be read after it.
-func returnLoans(loans []localmm.Loan) {
-	for i := range loans {
-		loans[i].Return()
-	}
+	return partial, plans, unmerged
 }
 
 // summa3DBatch executes one batch of Alg 2: the per-layer 2D SUMMA (Alg 1),
@@ -223,29 +214,26 @@ func returnLoans(loans []localmm.Loan) {
 // window with them, so Merge-Layer's sections time those multiplies too and a
 // planned stage's Local-Multiply section times its plan alone. Every work
 // unit, peak checkpoint, flop and entry count is what it was with the
-// products made first. The made products' loans go back once the merges have
-// read them.
+// products made first. The made products go back once the merges have read
+// them.
 //
 // Merge-Layer's output is lent whenever its last reader is known (lends).
 // With l > 1 it is read by this rank's Merge-Fiber and, through the
 // by-reference exchange, by the l − 1 fiber peers' — the pieces are views of
-// it, whose column metadata, when it is lent, is carved from its loan too
-// (localmm.Loan.ColRanges) — so its loans outlive the batch by one exchange.
-// They are returned after the next batch's exchange is posted:
-// IalltoallvStart returns only once every fiber peer has posted, and a peer
-// posts batch t+1 only after finishing batch t. The last batch's stay in
-// Proc.lent for the launcher (launch) to return once the world has ended.
-// With l = 1 there are no peers, and Merge-Fiber passes the output through as
-// the batch output; it is lent only when the batch output is
-// (Proc.lendBatch). The returned loans are the batch
-// output's, Merge-Layer's on one layer and Merge-Fiber's on more, which the
-// caller returns once the hook has read a discarded batch, or keeps in the
-// Result for its reader to release.
-func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, []localmm.Loan, int32, int32) {
+// it, whose column metadata, when it is lent, is carved from its shell too
+// (spmat.MatColRanges) — so it outlives the batch by one exchange, in
+// Proc.lent: it goes back at the next batch's exchange post, with this
+// batch's piece of B, or once the world has ended. With l = 1 there are no
+// peers, and Merge-Fiber passes the output through as the batch output; it
+// is lent only when the batch output is (Proc.lendBatch). The batch output —
+// Merge-Layer's on one layer, Merge-Fiber's on more — the caller releases
+// once the hook has read a discarded batch, or keeps in the Result for its
+// reader to release.
+func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result) (spmat.Matrix, int32, int32) {
 	g := p.G
 	meter := g.World.Meter()
 	led := &p.ledger
-	partial, loans, plans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
+	partial, plans, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
 	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is the
@@ -256,18 +244,17 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	var merged int64
 	var post float64
 	var req *mpi.AllToAllvRequest
-	lent := make([]localmm.Loan, 0, g.L)
 	_, width := bBatch.Dims()
 	if !p.Opts.Pipeline || g.Q == 1 || g.L == 1 {
 		// The one pass makes every planned product and merges the made ones
 		// with them.
-		d, loan, planned, mergeSec := p.merge(partial, plans, 0, width, unmerged, false, true)
+		d, planned, mergeSec := p.merge(partial, plans, 0, width, unmerged, false, true)
 		unmerged += planned
-		lent = append(lent, loan)
+		p.lendLayer(t, d)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 		var pieces []spmat.Matrix
 		packSec := p.measure(func() {
-			pieces = loan.ColRanges(d, p.bt.LayerBounds(t))
+			pieces = spmat.MatColRanges(d, p.bt.LayerBounds(t))
 		})
 		meter.AddComputeWork(packSec, d.NNZ()+int64(g.L)+1)
 		for m, piece := range pieces {
@@ -277,13 +264,13 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		post, req = led.clock, g.Fiber.IalltoallvStart(send)
 	} else {
 		// The pieces are views of the stage products, lent chunks included,
-		// with a lent product's metadata carved from its loan; the last
+		// with a lent product's metadata carved from its shell; the last
 		// stage's product is made per destination, by the merge.
 		perDest := make([][]spmat.Matrix, g.L)
 		bounds := p.bt.LayerBounds(t)
 		packSec := p.measure(func() {
-			for i, prod := range partial {
-				pieces := loans[i].ColRanges(prod, bounds)
+			for _, prod := range partial {
+				pieces := spmat.MatColRanges(prod, bounds)
 				for m := range perDest {
 					perDest[m] = append(perDest[m], pieces[m])
 				}
@@ -294,10 +281,10 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 			for _, piece := range perDest[m] {
 				in += piece.NNZ()
 			}
-			out, loan, planned, sec := p.merge(perDest[m], plans, bounds[m], bounds[m+1], in, false, m == g.K)
+			out, planned, sec := p.merge(perDest[m], plans, bounds[m], bounds[m+1], in, false, m == g.K)
 			in += planned
 			unmerged += planned
-			lent = append(lent, loan)
+			p.lendLayer(t, out)
 			meter.AddComputeWork(sec, in+colScanWork(out)+1)
 			merged += out.NNZ()
 			return out
@@ -314,21 +301,15 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		meter.AddComputeWork(packSec, unmerged+int64(g.L)+1)
 	}
 	// Every merge that reads the stage products is done.
-	returnLoans(loans)
+	for _, prod := range partial {
+		spmat.Release(prod)
+	}
 	res.UnmergedNNZ += unmerged
 	// Peak: inputs plus all unmerged stage products live simultaneously.
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged)
-	// Every fiber peer has posted this batch's exchange, so none reads the
-	// previous batch's Merge-Layer outputs any more. With one layer there are
-	// no peers: this batch's go out with the batch output Merge-Fiber passes
-	// them through as.
-	var batchLoans []localmm.Loan
-	if g.L > 1 {
-		returnLoans(p.lent)
-		p.lent = lent
-	} else {
-		batchLoans = lent
-	}
+	// This batch's exchange is posted: no peer reads the previous batch's
+	// Merge-Layer outputs or piece of B any more.
+	p.giveBack(t)
 	res.MergedLayerNNZ += merged
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged+merged)
 
@@ -337,10 +318,19 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	recv, used := req.WaitOverlap(led.creditSince(post), StepAllToAllHidden)
 	meter.Recorder().TagChannel(led.claim(post, used))
 	recv[g.K] = own
-	c, loan := p.mergeFiber(recv, res)
+	c := p.mergeFiber(recv, res)
 	g.Fiber.PutRecv(recv)
 	lo, hi := p.bt.Chunk(t, g.K)
-	return c, append(batchLoans, loan), lo, hi
+	return c, lo, hi
+}
+
+// lendLayer keeps batch t's Merge-Layer output out until no fiber peer reads
+// it (Proc.lent). With one layer there are no peers: the output goes out as
+// the batch output Merge-Fiber passes it through as.
+func (p *Proc) lendLayer(t int, out spmat.Matrix) {
+	if p.G.L > 1 {
+		p.lent = append(p.lent, lentMatrix{t, out})
+	}
 }
 
 // lends reports whether a merge's output is lent: whether its last reader is
@@ -364,8 +354,8 @@ func (p *Proc) lends(fiber bool) bool { return p.lendBatch || !fiber && p.G.L > 
 // Conversion to the user-facing CSC happens once, at hook boundaries and
 // final assembly (BatchedSUMMA3D). The batch output is lent when its last
 // reader is known (lends); on a one-layer grid the lone operand passes
-// through and the loan is empty.
-func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localmm.Loan) {
+// through, lent or not as Merge-Layer made it.
+func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) spmat.Matrix {
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeFiber)
 	mats := make([]spmat.Matrix, len(recv))
@@ -374,10 +364,10 @@ func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) (spmat.Matrix, localm
 		mats[k] = r.(spmat.Matrix)
 		recvNNZ += mats[k].NNZ()
 	}
-	c, loan, _, fiberSec := p.merge(mats, nil, 0, 0, recvNNZ, true, false)
+	c, _, fiberSec := p.merge(mats, nil, 0, 0, recvNNZ, true, false)
 	meter.AddComputeWork(fiberSec, recvNNZ+colScanWork(c)+1)
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+recvNNZ+c.NNZ())
-	return c, loan
+	return c
 }
 
 // lastTable reports whether Merge-Layer is the last merge to hold a batch's
@@ -403,8 +393,8 @@ func (p *Proc) lastTable() bool { return p.G.L == 1 }
 // is Merge-Fiber rather than Merge-Layer: Merge-Fiber always sorts,
 // Merge-Layer when it is the last merge to hold the entries in a table
 // (lastTable), and either lends its output when that output's last reader is
-// known (lends). The caller returns a lent output once that reader is done.
-func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, fiber, release bool) (out spmat.Matrix, loan localmm.Loan, planned int64, sec float64) {
+// known (lends). The caller releases a lent output once that reader is done.
+func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, entries int64, fiber, release bool) (out spmat.Matrix, planned int64, sec float64) {
 	o := &p.Opts
 	sorted, lend := fiber || p.lastTable(), lendChunks && p.lends(fiber)
 	sec = p.measure(func() {
@@ -412,14 +402,14 @@ func (p *Proc) merge(prev []spmat.Matrix, plans []*localmm.Plan, lo, hi int32, e
 		for _, pl := range plans {
 			work += pl.WindowFlops(lo, hi)
 		}
-		out, loan, planned = localmm.MulMerge(o.Kernel, prev, plans, lo, hi, o.Semiring, sorted, lend, p.workers(work))
+		out, planned = localmm.MulMerge(o.Kernel, prev, plans, lo, hi, o.Semiring, sorted, lend, p.workers(work))
 		if release {
 			for _, pl := range plans {
 				pl.Release()
 			}
 		}
 	})
-	return out, loan, planned, sec
+	return out, planned, sec
 }
 
 // trackPeak records a modeled memory checkpoint of live nonzeros.

@@ -111,8 +111,8 @@ func (d *ADist) Split(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
 	return spmat.SplitGrid(global, d.RowB, d.ColSlices(), f)
 }
 
-// Lend is Split with the pieces' arrays on loan (spmat.LendGrid): the caller
-// gives them back with spmat.ReleaseGrid once nothing reads the pieces.
+// Lend is Split with the pieces lent (spmat.LendGrid): the caller gives each
+// back with spmat.Release once nothing reads it.
 func (d *ADist) Lend(global *spmat.CSC, f spmat.Format) []spmat.Matrix {
 	checkLayout(global, d.Rows, d.Cols)
 	return spmat.LendGrid(global, d.RowB, d.ColSlices(), f)
@@ -277,9 +277,9 @@ func (bt Batching) BatchCols(t int) []int32 {
 
 // Piece copies batch t's piece of the block column m — its l chunks, in layer
 // order, side by side, the columns BatchCols(t) lists — into a matrix of m's
-// format, a bulk copy per chunk (spmat.GatherColRanges). With lend its arrays
-// are drawn from spmat's free list of arrays, for the caller to give back
-// (spmat.ReleaseGrid) once nothing reads the piece.
+// format, a bulk copy per chunk (spmat.GatherColRanges). With lend the piece
+// is lent, its arrays drawn from spmat's free list of arrays, for the caller
+// to give back (spmat.Release) once nothing reads it.
 func (bt Batching) Piece(m spmat.Matrix, t int, lend bool) spmat.Matrix {
 	return spmat.GatherColRanges(m, bt.L, func(k int) (int32, int32) { return bt.Chunk(t, k) }, lend)
 }

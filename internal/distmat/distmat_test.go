@@ -499,9 +499,7 @@ func TestPieceMatchesGather(t *testing.T) {
 					if err := sameBlock(piece, want); err != nil {
 						t.Fatalf("%+v batch %d (%v, lend %v): %v", bt, t2, m.Format(), lend, err)
 					}
-					if lend {
-						spmat.ReleaseGrid([]spmat.Matrix{piece})
-					}
+					spmat.Release(piece)
 				}
 			}
 		}

@@ -135,7 +135,7 @@
 // spmat.MaxKeptEntries entries, whichever of its tables grew. A range that
 // makes output starts with a chunk of at least its entry bound, so no
 // drained column grows it: one too small goes back to spmat's free list, with
-// all that loans give back, and the best fit comes from it. Sorted
+// all that lent outputs give back, and the best fit comes from it. Sorted
 // output that is not walked off a direct table is sorted per column by
 // spmat.PairSorter, the repo's one pair sort.
 //
@@ -148,17 +148,14 @@
 // an output that is read once and dropped — a pipelined SUMMA stage product
 // on its way into Merge-Layer, a Merge-Layer output on its way through the
 // fiber exchange, a batch a discarding hook consumes: the single-range output
-// is the chunk itself, on loan until Loan.Return, and the worker goes back to
-// the free list without it; a multi-range call returns an owned output and an
-// empty Loan, and so does a one-operand merge's pass-through. Nothing else
-// lends. A lent output's column metadata — its pointers, and a DCSC output's
-// stored columns — is the loan's too, off spmat's free list, and so is that
-// of the column-range views the fiber split cuts from it (Loan.ColRanges,
-// over spmat.MatColRangesInto): a warm lending call allocates nothing by the
-// output's size or width, and the metadata goes back with the chunk. A Loan
-// is a handle — the shell it names and the generation it was made in — so
-// copies of it are one claim, and a stale copy returned after the shell went
-// out again does nothing.
+// is the chunk itself, lent (spmat.Lend) until the caller releases it
+// (spmat.Release), and the worker goes back to the free list without it; a
+// multi-range call returns an owned output, and a one-operand merge passes
+// its operand through. Nothing else lends. A lent output's column metadata —
+// its pointers, and a DCSC output's stored columns — is drawn from spmat's
+// free list too, and so is that of the column-range views the fiber split
+// cuts from it (spmat.MatColRanges): a warm lending call allocates nothing by
+// the output's size or width, and the metadata goes back with the chunk.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already

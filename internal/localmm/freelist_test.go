@@ -53,15 +53,16 @@ func TestFreeListDropsOversizedTables(t *testing.T) {
 	}
 }
 
-// TestFreeListBoundsLoansAndDeals: loans are out p·q at a time, not one a
-// core, and a one-shot deal holds every block of both operands, so what
-// comes back of both is bounded in bytes by spmat's one free list, all
-// together. Twenty stage products of about 5 MB each are held on loan at
-// once — more than the bound between them — beside a lent grid, and all go
-// back: the list must then hold no more than the bound, which its own test
+// TestFreeListBoundsLoansAndDeals: lent outputs are out p·q at a time, not
+// one a core, and a one-shot deal holds every block of both operands, so
+// what comes back of both is bounded in bytes by spmat's one free list, all
+// together. Twenty stage products of about 5 MB each are held lent at once —
+// more than the bound between them — beside a lent grid, and all go back:
+// the list must then hold no more than the bound, which its own test
 // (spmat's TestFreeListKeepsOneBound) holds to what it counts, and no less
-// than half of it — it kept what fitted, of loans and deal alike. Each
-// array a loan held is poisoned on the way, kept or not.
+// than half of it — it kept what fitted, of outputs and deal alike. Each
+// array a lent output held, entries and column pointers, is poisoned on the
+// way, kept or not.
 func TestFreeListBoundsLoansAndDeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("holds ~120 MB of stage products")
@@ -73,25 +74,22 @@ func TestFreeListBoundsLoansAndDeals(t *testing.T) {
 	b := uniformMat(t, 64, 400, 8, 422)
 	pl := PlanMul(a, b)
 	defer pl.Release()
-	var loans []Loan
 	var products []spmat.Matrix
 	var lentBytes int64
 	for range 20 {
-		m, loan := pl.Mul(KernelHashUnsorted, sr, true, 1)
-		if loan.s == nil || cap(loan.s.ptr) < 401 {
-			t.Fatal("a single-range product's column pointers are not its loan's")
-		}
-		lentBytes += loan.chunkBytes() + 8*int64(cap(loan.s.ptr))
-		loans, products = append(loans, loan), append(products, m)
+		m := pl.Mul(KernelHashUnsorted, sr, true, 1)
+		// A lent output's arrays are whole: its chunk and drawn pointers.
+		v := viewOf(m)
+		lentBytes += 4*int64(cap(v.rows)) + 8*int64(cap(v.vals)) + 8*int64(cap(v.ptr))
+		products = append(products, m)
 	}
 	grid := spmat.LendGrid(uniformMat(t, 2048, 2048, 64, 423), spmat.PartBounds(2048, 4), spmat.PartBounds(2048, 4), spmat.FormatCSC)
 	if lentBytes <= bound {
-		t.Fatalf("the loans hold %d bytes, not beyond the bound of %d", lentBytes, bound)
+		t.Fatalf("the lent products hold %d bytes, not beyond the bound of %d", lentBytes, bound)
 	}
-	for i := range loans {
-		loans[i].Return()
+	for _, m := range append(products, grid...) {
+		spmat.Release(m)
 	}
-	spmat.ReleaseGrid(grid)
 	held := spmat.IdleBytes()
 	if held > bound {
 		t.Errorf("the free list holds %d bytes, above the bound of %d", held, bound)
@@ -100,8 +98,8 @@ func TestFreeListBoundsLoansAndDeals(t *testing.T) {
 		t.Errorf("the free list holds %d bytes: it kept almost nothing of the %d returned", held, lentBytes)
 	}
 	for i, m := range products {
-		if v := viewOf(m); slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) {
-			t.Fatalf("product %d's rows are not poisoned after its loan went back, kept by the list or not", i)
+		if v := viewOf(m); slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || !poisonedMetadata(m) {
+			t.Fatalf("product %d's rows or column pointers are not poisoned after its release, kept by the list or not", i)
 		}
 	}
 }

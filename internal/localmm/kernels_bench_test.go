@@ -214,7 +214,7 @@ func BenchmarkPlanMulHypersparse(b *testing.B) {
 // still does, and merges the last straight out of the accumulator
 // (MulMerge); fused-all, the staged schedule, plans every stage and merges
 // them all in one pass, with no product written. Each releases its plans and
-// returns its loans; the unsorted hash kernel and merger, and an unsorted
+// its lent outputs; the unsorted hash kernel and merger, and an unsorted
 // merge, as on a grid with l > 1. Two block pairs at q = 2 and q = 4: kmer
 // is BenchmarkPlanMulHypersparse's, a hypersparse DCSC A against the diagonal
 // block of Aᵀ in the last stage and off-diagonal blocks before it; protein
@@ -243,36 +243,35 @@ func BenchmarkMergeLayer(b *testing.B) {
 			_, cols := bs[0].Dims()
 			plans := make([]*Plan, q)
 			prods := make([]spmat.Matrix, q)
-			loans := make([]Loan, q)
 			name := fmt.Sprintf("%s/q=%d/", sh.name, q)
 			b.Run(name+"materialize", func(b *testing.B) {
 				for range b.N {
 					for s, bm := range bs {
 						pl := PlanMul(sh.a, bm)
-						prods[s], loans[s] = pl.Mul(KernelHashUnsorted, sr, true, 1)
+						prods[s] = pl.Mul(KernelHashUnsorted, sr, true, 1)
 						pl.Release()
 					}
-					_, merged, _ := MulMerge(KernelHashUnsorted, prods, nil, 0, 0, sr, false, true, 1)
-					for s := range loans {
-						loans[s].Return()
+					merged, _ := MulMerge(KernelHashUnsorted, prods, nil, 0, 0, sr, false, true, 1)
+					for _, m := range prods {
+						spmat.Release(m)
 					}
-					merged.Return()
+					spmat.Release(merged)
 				}
 			})
 			b.Run(name+"fused", func(b *testing.B) {
 				for range b.N {
 					for s, bm := range bs[:q-1] {
 						pl := PlanMul(sh.a, bm)
-						prods[s], loans[s] = pl.Mul(KernelHashUnsorted, sr, true, 1)
+						prods[s] = pl.Mul(KernelHashUnsorted, sr, true, 1)
 						pl.Release()
 					}
 					plans[0] = PlanMul(sh.a, bs[q-1])
-					_, merged, _ := MulMerge(KernelHashUnsorted, prods[:q-1], plans[:1], 0, cols, sr, false, true, 1)
+					merged, _ := MulMerge(KernelHashUnsorted, prods[:q-1], plans[:1], 0, cols, sr, false, true, 1)
 					plans[0].Release()
-					for s := range loans[:q-1] {
-						loans[s].Return()
+					for _, m := range prods[:q-1] {
+						spmat.Release(m)
 					}
-					merged.Return()
+					spmat.Release(merged)
 				}
 			})
 			b.Run(name+"fused-all", func(b *testing.B) {
@@ -280,11 +279,11 @@ func BenchmarkMergeLayer(b *testing.B) {
 					for s, bm := range bs {
 						plans[s] = PlanMul(sh.a, bm)
 					}
-					_, merged, _ := MulMerge(KernelHashUnsorted, nil, plans, 0, cols, sr, false, true, 1)
+					merged, _ := MulMerge(KernelHashUnsorted, nil, plans, 0, cols, sr, false, true, 1)
 					for _, pl := range plans {
 						pl.Release()
 					}
-					merged.Return()
+					spmat.Release(merged)
 				}
 			})
 		}

@@ -14,8 +14,8 @@ import (
 // The race detector's allocator is not the one whose bytes this file counts.
 
 // TestLentOutputAllocatesNothingByWidth: a warm lending call's output is made
-// of its loan's arrays — the entries the worker's chunk, the column pointers
-// and stored columns the shell's — so what a warm lent Plan.Mul or MulMerge
+// of arrays the free lists hold — the entries the worker's chunk, the column
+// pointers and stored columns drawn from spmat's — so what a warm lent Plan.Mul or MulMerge
 // (no plan, and fused with one) allocates does not grow with the output's
 // width: the same bytes a call at 64 columns and at 4096, for CSC and DCSC
 // operands alike. The owned call at 4096 columns must allocate at least its
@@ -28,21 +28,21 @@ func TestLentOutputAllocatesNothingByWidth(t *testing.T) {
 		prev := []spmat.Matrix{b, asFormat(uniformMat(t, 256, cols, 2, 433), dcsc)}
 		pl := PlanMul(a, b)
 		defer pl.Release()
-		run := func() {
-			var loan Loan
+		made := func() (out spmat.Matrix) {
 			switch call {
 			case "Plan.Mul":
-				_, loan = pl.Mul(KernelHashUnsorted, sr, lend, 1)
+				out = pl.Mul(KernelHashUnsorted, sr, lend, 1)
 			case "MulMerge":
-				_, loan, _ = MulMerge(KernelHashUnsorted, prev, nil, 0, 0, sr, true, lend, 1)
+				out, _ = MulMerge(KernelHashUnsorted, prev, nil, 0, 0, sr, true, lend, 1)
 			case "fused MulMerge":
-				_, loan, _ = MulMerge(KernelHashUnsorted, prev[1:], []*Plan{pl}, 0, cols, sr, false, lend, 1)
+				out, _ = MulMerge(KernelHashUnsorted, prev[1:], []*Plan{pl}, 0, cols, sr, false, lend, 1)
 			}
-			if lend && loan == (Loan{}) {
-				t.Fatalf("%s at %d columns (dcsc=%v) was not lent", call, cols, dcsc)
-			}
-			loan.Return()
+			return out
 		}
+		if lend && !releaseLent(made()) {
+			t.Fatalf("%s at %d columns (dcsc=%v) was not lent", call, cols, dcsc)
+		}
+		run := func() { spmat.Release(made()) }
 		const runs = 50
 		least := int64(-1)
 		for range 3 {
@@ -110,12 +110,12 @@ func TestLentMergeNeverRegrowsItsChunk(t *testing.T) {
 	sr := semiring.PlusTimes()
 	small := []spmat.Matrix{uniformMat(t, 256, 8, 2, 451), uniformMat(t, 256, 8, 2, 452)}
 	large := []spmat.Matrix{uniformMat(t, 4096, 256, 32, 453), uniformMat(t, 4096, 256, 32, 454)}
-	lend := func(mats []spmat.Matrix) (spmat.Matrix, Loan) {
-		out, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, false, true, 1)
-		if loan == (Loan{}) {
-			t.Fatal("a single-range merge was not lent")
-		}
-		return out, loan
+	lend := func(mats []spmat.Matrix) spmat.Matrix {
+		out, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, false, true, 1)
+		return out
+	}
+	if !releaseLent(lend(large)) || !releaseLent(lend(small)) {
+		t.Fatal("a single-range merge was not lent")
 	}
 	mallocs := func(f func()) uint64 {
 		var before, after runtime.MemStats
@@ -125,30 +125,30 @@ func TestLentMergeNeverRegrowsItsChunk(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	var out spmat.Matrix
-	var loan Loan
 	for range 3 {
-		out, loan = lend(large)
-		loan.Return()
+		spmat.Release(lend(large))
 	}
-	own := mallocs(func() { out, loan = lend(large) })
-	loan.Return()
-	var held []Loan
+	own := mallocs(func() { out = lend(large) })
+	nnz := out.NNZ()
+	spmat.Release(out)
+	var held []spmat.Matrix
 	for {
-		_, s := lend(small)
+		// A lent output's entry arrays are its whole chunk.
+		s := lend(small)
 		held = append(held, s)
-		if int64(cap(s.s.c.rows)) <= out.NNZ()/8 {
+		if int64(cap(viewOf(s).rows)) <= nnz/8 {
 			break
 		}
 		if len(held) > 1<<16 {
 			t.Fatal("no small merge was handed a small chunk")
 		}
 	}
-	for i := range held {
-		held[i].Return()
+	for _, s := range held {
+		spmat.Release(s)
 	}
-	after := mallocs(func() { _, loan = lend(large) })
-	loan.Return()
-	t.Logf("the large merge (%d entries) allocates %d objects after its own chunk came back, %d after a small one", out.NNZ(), own, after)
+	after := mallocs(func() { out = lend(large) })
+	spmat.Release(out)
+	t.Logf("the large merge (%d entries) allocates %d objects after its own chunk came back, %d after a small one", nnz, own, after)
 	if after > own+2 {
 		t.Errorf("after a small chunk came back the large merge allocates %d objects, %d after its own: its chunk was regrown", after, own)
 	}

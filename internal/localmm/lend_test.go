@@ -10,20 +10,29 @@ import (
 	"repro/internal/spmat"
 )
 
-// chunkBytes is what the chunk a loan holds takes; 0 for the zero Loan.
-func (l Loan) chunkBytes() int64 {
-	if l.s == nil {
-		return 0
-	}
-	return 4*int64(cap(l.s.c.rows)) + 8*int64(cap(l.s.c.vals))
-}
-
 // poisonedMetadata reports whether every column pointer and stored column of
 // m, a lent output or a view of one, is the poison −1.
 func poisonedMetadata(m spmat.Matrix) bool {
 	v := viewOf(m)
 	return !slices.ContainsFunc(v.ptr, func(x int64) bool { return x != -1 }) &&
 		!slices.ContainsFunc(v.jc, func(j int32) bool { return j != -1 })
+}
+
+// poisonedEntries reports whether every row and value of m is the poison: −1
+// and NaN.
+func poisonedEntries(m spmat.Matrix) bool {
+	v := viewOf(m)
+	return !slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) &&
+		!slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) })
+}
+
+// releaseLent releases m with the arrays it gives back poisoned and reports
+// whether it was lent: whether its column pointers now read −1, which no
+// owned matrix's do.
+func releaseLent(m spmat.Matrix) bool {
+	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
+	spmat.Release(m)
+	return poisonedMetadata(m)
 }
 
 // readFails reports whether reading m's first stored column panics, as it
@@ -36,19 +45,19 @@ func readFails(m spmat.Matrix) (failed bool) {
 }
 
 // TestMulLentLendsOnlyTheSingleRangeChunk pins what a lending Plan.Mul
-// shares and what it does not. A product one range made is the loan's: its
-// entry arrays are the worker's chunk and its column metadata the loan's,
-// and so is the metadata of the column-range views cut from it
-// (Loan.ColRanges). While the loan lasts product and views equal the owned
-// product's entry for entry; once it is returned — the poison shows whose
-// memory it is — the entries are all −1 and NaN, every pointer and stored
-// column of product and views −1, and reading a view's column fails.
-// Returning the loan twice, or a copy of it, is returning it once: two loans
-// out at once never share a shell, and a stale copy returned while its shell
-// is out again leaves the new loan alone. A product two ranges made is placed into arrays of its own, its Loan holds
-// nothing, and it reads the same after Return. An owned product is never
-// anybody's but the caller's: later calls, which refill the returned chunks,
-// leave it alone.
+// shares and what it does not. A product one range made is lent: its entry
+// arrays are the worker's chunk and its column metadata drawn for it, and so
+// is the metadata of the column-range views cut from it (spmat.MatColRanges).
+// Until it is released product and views equal the owned product's entry for
+// entry; once it is — the poison shows whose memory it is — the entries are
+// all −1 and NaN, every pointer and stored column of product and views −1,
+// and reading a view's column fails. Releasing the product twice is releasing
+// it once, and releasing a view does nothing: two lent products out at once
+// never share an array, and a stale release of a released product while its
+// arrays are out again leaves the new product alone. A product two ranges
+// made is placed into arrays of its own, is not lent, and reads the same
+// after Release. An owned product is never anybody's but the caller's: later
+// calls, which refill the released chunks, leave it alone.
 func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
@@ -58,66 +67,59 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 		for _, dcsc := range []bool{false, true} {
 			label := fmt.Sprintf("%v/dcsc=%v", k, dcsc)
 			pl := PlanMul(light, asFormat(light, dcsc))
-			owned, _ := pl.Mul(k, sr, false, 4)
-			lent, loan := pl.Mul(k, sr, true, 4)
-			if loan.chunkBytes() == 0 {
-				t.Fatalf("%s: a single-range product was not lent", label)
-			}
+			owned := pl.Mul(k, sr, false, 4)
+			lent := pl.Mul(k, sr, true, 4)
 			sameEntries(t, label+": lent vs owned", lent, owned)
 			bounds := []int32{0, 70, 70, 200}
-			views := loan.ColRanges(lent, bounds)
+			views := spmat.MatColRanges(lent, bounds)
 			for x, view := range views {
 				sameEntries(t, fmt.Sprintf("%s: view %d vs owned", label, x), view, spmat.MatColRanges(owned, bounds)[x])
 			}
-			stale := loan
-			loan.Return()
-			loan.Return() // returning twice is returning once
-			copied := stale
-			copied.Return() // and so is returning a copy
-			v := viewOf(lent)
-			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
-				t.Errorf("%s: the lent product outlived its loan: its arrays are not the returned chunk", label)
+			spmat.Release(lent)
+			spmat.Release(lent)     // releasing twice is releasing once
+			spmat.Release(views[2]) // and releasing a view does nothing
+			if !poisonedEntries(lent) {
+				t.Errorf("%s: a single-range product was not lent: its arrays are not the released chunk", label)
 			}
 			if !poisonedMetadata(lent) || !poisonedMetadata(views[0]) || !poisonedMetadata(views[2]) {
-				t.Errorf("%s: the lent product's column metadata, or its views', outlived the loan", label)
+				t.Errorf("%s: the lent product's column metadata, or its views', outlived its release", label)
 			}
 			if !readFails(views[2]) {
-				t.Errorf("%s: a view of the lent product reads a column after the loan ended", label)
+				t.Errorf("%s: a view of the lent product reads a column after its release", label)
 			}
 			sameEntries(t, label+": owned product after later calls", owned, ownedProduct(pl, k, sr))
-			again, next := pl.Mul(k, sr, true, 4)
-			other, beside := pl.Mul(k, sr, true, 4)
-			if next.s == beside.s {
-				t.Fatalf("%s: two loans out at once share a shell", label)
+			again := pl.Mul(k, sr, true, 4)
+			other := pl.Mul(k, sr, true, 4)
+			if &viewOf(again).rows[0] == &viewOf(other).rows[0] {
+				t.Fatalf("%s: two lent products out at once share an array", label)
 			}
-			sameEntries(t, label+": a lent product in the returned arrays", again, owned)
-			stale.Return()
-			sameEntries(t, label+": the next loan after a stale copy's Return", again, owned)
-			sameEntries(t, label+": the loan beside it", other, owned)
-			next.Return()
-			beside.Return()
+			sameEntries(t, label+": a lent product in the released arrays", again, owned)
+			spmat.Release(lent)
+			sameEntries(t, label+": the next lent product after a stale Release", again, owned)
+			sameEntries(t, label+": the lent product beside it", other, owned)
+			spmat.Release(again)
+			spmat.Release(other)
 
 			pl = PlanMul(heavy, asFormat(heavy, dcsc))
 			if clampThreads(2, pl.bv.n, pl.Flops) != 2 {
 				t.Fatalf("multiply of %d flops is below the worker floor", pl.Flops)
 			}
-			placed, loan := pl.Mul(k, sr, true, 2)
-			if loan != (Loan{}) {
-				t.Errorf("%s: a two-range product came with a loan", label)
+			placed := pl.Mul(k, sr, true, 2)
+			if releaseLent(placed) {
+				t.Errorf("%s: a two-range product was lent", label)
 			}
-			loan.Return()
-			sameEntries(t, label+": two-range product after Return", placed, ownedProduct(pl, k, sr))
+			sameEntries(t, label+": two-range product after Release", placed, ownedProduct(pl, k, sr))
 		}
 	}
 }
 
 // TestMergeLentLendsOnlyTheSingleRangeChunk is the same pin for a lending
 // merge (MulMerge with no plan), sorted or not, CSC or DCSC: a merge one
-// range ran is the worker's chunk until Return and poisoned after it; a merge
-// two ranges ran is owned, with an empty Loan; a one-operand merge is its
-// operand, with an empty Loan, and the operand is untouched by the Return.
-// The owned and lent merges share one pass, so each, sorted, is also held to
-// the heap merge of the operands, which does not.
+// range ran is the worker's chunk until Release and poisoned after it; a
+// merge two ranges ran is owned; a one-operand merge is its operand, and the
+// operand, owned, is untouched by the Release. The owned and lent merges
+// share one pass, so each, sorted, is also held to the heap merge of the
+// operands, which does not.
 func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
@@ -135,19 +137,15 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			label := fmt.Sprintf("sorted=%v/dcsc=%v", sorted, dcsc)
 			mats := asMats(light, dcsc)
 			owned := MergeMat(MergerHash, mats, sr, sorted, 4)
-			lent, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 4)
-			if loan.chunkBytes() == 0 {
-				t.Fatalf("%s: a single-range merge was not lent", label)
-			}
+			lent, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 4)
 			sameEntries(t, label+": lent vs owned", lent, owned)
 			sameAsHeapMerge(t, label+": lent", lent, mats, sr)
-			loan.Return()
-			v := viewOf(lent)
-			if slices.ContainsFunc(v.rows, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v.vals, func(x float64) bool { return !math.IsNaN(x) }) {
-				t.Errorf("%s: the lent merge outlived its loan: its arrays are not the returned chunk", label)
+			spmat.Release(lent)
+			if !poisonedEntries(lent) {
+				t.Errorf("%s: a single-range merge was not lent: its arrays are not the released chunk", label)
 			}
 			if !poisonedMetadata(lent) {
-				t.Errorf("%s: the lent merge's column metadata outlived its loan", label)
+				t.Errorf("%s: the lent merge's column metadata outlived its release", label)
 			}
 			sameEntries(t, label+": owned merge after later calls", owned, MergeMat(MergerHash, mats, sr, sorted, 1))
 
@@ -159,22 +157,21 @@ func TestMergeLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 			if clampThreads(2, 512, entries) != 2 {
 				t.Fatalf("merge of %d entries is below the worker floor", entries)
 			}
-			placed, loan, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 2)
-			if loan != (Loan{}) {
-				t.Errorf("%s: a two-range merge came with a loan", label)
-			}
+			placed, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sorted, true, 2)
 			sameAsHeapMerge(t, label+": two ranges", placed, mats, sr)
-			loan.Return()
-			sameEntries(t, label+": two-range merge after Return", placed, MergeMat(MergerHash, mats, sr, sorted, 1))
+			if releaseLent(placed) {
+				t.Errorf("%s: a two-range merge was lent", label)
+			}
+			sameEntries(t, label+": two-range merge after Release", placed, MergeMat(MergerHash, mats, sr, sorted, 1))
 		}
 	}
 	one := []spmat.Matrix{uniformMat(t, 64, 64, 4, 427)}
-	out, loan, _ := MulMerge(KernelHashUnsorted, one, nil, 0, 0, sr, true, true, 1)
-	if out != one[0] || loan != (Loan{}) {
+	out, _ := MulMerge(KernelHashUnsorted, one, nil, 0, 0, sr, true, true, 1)
+	if out != one[0] {
 		t.Errorf("a one-operand merge lent a chunk instead of passing its operand through")
 	}
-	loan.Return()
-	sameEntries(t, "operand after Return", one[0], uniformMat(t, 64, 64, 4, 427))
+	spmat.Release(out)
+	sameEntries(t, "operand after Release", one[0], uniformMat(t, 64, 64, 4, 427))
 }
 
 // TestStampGenerationWrapsInAccumulator drives one worker's direct table

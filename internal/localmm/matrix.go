@@ -268,48 +268,46 @@ func (pl *Plan) Symbolic(threads int) int64 {
 func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Matrix {
 	pl := PlanMul(a, b)
 	defer pl.Release()
-	out, _ := pl.Mul(k, sr, false, threads)
-	return out
+	return pl.Mul(k, sr, false, threads)
 }
 
 // Mul is MulMat on the planned pair. Without lend the product is the
-// caller's and the Loan holds nothing. lend is for a product that is read
-// once and dropped — a pipelined stage product on its way into a Merge-Layer
-// that accumulates it with others: when the call ran one range (every call
-// too small for a second worker), the product is made of the loan's arrays —
-// its entry arrays the worker's chunk itself, nothing copied, and its column
-// pointers and stored columns the loan's pooled metadata — so a warm call
-// allocates nothing by the product's size or width. The caller must then be
-// done reading the product, and everything that shares its arrays
-// (column-range views, Loan.ColRanges), before it hands them back with
-// Loan.Return, and must not let either escape: no merge of one operand, which
-// returns the operand, and nothing that keeps the product. A lending call that
-// ran several ranges returns an owned product and a Loan that holds nothing.
-// Either way the product shares nothing with the plan, which can be released
-// before the loan is returned.
-func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, lend bool, threads int) (spmat.Matrix, Loan) {
+// caller's. lend is for a product that is read once and dropped — a
+// pipelined stage product on its way into a Merge-Layer that accumulates it
+// with others: when the call ran one range (every call too small for a second
+// worker), the product is lent (spmat.Lend) — its entry arrays the worker's
+// chunk itself, nothing copied, and its column pointers and stored columns
+// drawn from spmat's free list — so a warm call allocates nothing by the
+// product's size or width. The caller must then be done reading the product,
+// and everything that shares its arrays (its column-range views,
+// spmat.MatColRanges), before it gives them back with spmat.Release, and must
+// not let either escape: no merge of one operand, which returns the operand,
+// and nothing that keeps the product. A lending call that ran several ranges
+// returns an owned product, which Release leaves alone. Either way the
+// product shares nothing with the plan, which can be released first.
+func (pl *Plan) Mul(k Kernel, sr *semiring.Semiring, lend bool, threads int) spmat.Matrix {
 	return pl.multiply(k, sr, clampThreads(threads, pl.bv.n, pl.Flops), outputFor(lend))
 }
 
 // multiply runs the multiply on exactly workers ranges of B's slots (some
-// may be empty). Mul decides the count;
-// BenchmarkWorkerSpawnCrossover, which sets the floor they decide by, calls
-// this directly.
-func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode passOutput) (spmat.Matrix, Loan) {
+// may be empty), its output lent only when out asks and one range runs. Mul
+// decides the count; BenchmarkWorkerSpawnCrossover, which sets the floor they
+// decide by, calls this directly.
+func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, out passOutput) spmat.Matrix {
 	bv, colFlops := &pl.bv, pl.colFlops
 	aRows, _ := pl.a.Dims()
 	_, bCols := pl.b.Dims()
 	bounds := flopBounds(colFlops, workers)
-	sh := lendShell(mode, bounds)
-	ptr := sh.pointers(bv.n + 1)
+	out = out.over(bounds)
+	ptr := pointers(out, bv.n+1)
 	// A doubly-compressed product lists its columns in an array of its own,
 	// compacted in place by newOutput: B's is B's.
 	var jc []int32
 	if bv.compressed {
-		jc = sh.copyColumns(bv.jc)
+		jc = copyColumns(out, bv.jc)
 	}
 	plusTimes := sr.IsPlusTimes()
-	ir, num, lent := onePass(bounds, colFlops, aRows, func(w *mmWorker, lo, hi int32) {
+	ir, num := onePass(bounds, colFlops, aRows, func(w *mmWorker, lo, hi int32) {
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
 				continue
@@ -318,8 +316,8 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, mode pass
 			w.mulColumn(pl, p, sr, plusTimes, aRows, k.sorts())
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
-	}, sh.output())
-	return newOutput(aRows, bCols, jc, bv.compressed, ptr, ir, num, k.sorts()), sh.lend(lent)
+	}, out)
+	return newOutput(aRows, bCols, jc, bv.compressed, ptr, ir, num, k.sorts(), out)
 }
 
 // mulColumn appends the product column of B's slot p to the worker's chunk:
@@ -359,8 +357,8 @@ func (w *mmWorker) drain(sorted bool) {
 // prefix sum in place. A CSC output's slots are its columns. Slot p of a DCSC
 // output is column jc[p], and only the slots that received entries keep a
 // JC/CP entry: jc and ptr are compacted where they lie — no O(cols) array
-// exists at any point.
-func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32, num []float64, sorted bool) spmat.Matrix {
+// exists at any point. A lent output (out) is lent with its arrays whole.
+func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32, num []float64, sorted bool, out passOutput) spmat.Matrix {
 	stored := len(ptr) - 1
 	if !dcsc {
 		for p := range stored {
@@ -379,10 +377,16 @@ func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32,
 	if nnz := ptr[stored]; nnz != int64(len(ir)) || nnz != int64(len(num)) {
 		panic(fmt.Sprintf("localmm: columns count %d entries, the ranges filled %d", nnz, len(ir)))
 	}
+	var m spmat.Matrix
 	if !dcsc {
-		return &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
+		m = &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
+	} else {
+		m = &spmat.DCSC{Rows: rows, Cols: cols, JC: jc[:stored], CP: ptr[:stored+1], IR: ir, Num: num, SortedCols: sorted}
 	}
-	return &spmat.DCSC{Rows: rows, Cols: cols, JC: jc[:stored], CP: ptr[:stored+1], IR: ir, Num: num, SortedCols: sorted}
+	if out == lentOutput {
+		spmat.Lend(m, ir, num, ptr, jc)
+	}
+	return m
 }
 
 // checkMergeShapes verifies all operands share one shape and returns it.
@@ -418,7 +422,7 @@ func checkMergeShapes(mats []spmat.Matrix) (rows, cols int32) {
 // shared with whoever holds the operand — unless sorted output is asked of
 // an unsorted one, which is sorted on a copy.
 func MergeMat(_ Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput bool, threads int) spmat.Matrix {
-	out, _, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sortOutput, false, threads)
+	out, _ := MulMerge(KernelHashUnsorted, mats, nil, 0, 0, sr, sortOutput, false, threads)
 	return out
 }
 

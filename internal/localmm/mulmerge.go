@@ -52,20 +52,19 @@ import (
 //
 // It returns the merged output and the number of entries the windows of the
 // planned products would have held together. Without lend the output is the
-// caller's and the Loan holds nothing. lend is for an output that is read and
-// dropped — a Merge-Layer output on its way through the fiber exchange, a
-// batch a discarding hook consumes — as Plan.Mul's is for a stage product:
-// when the pass ran one range, the output's entry arrays are the worker's
-// chunk itself and its column pointers and stored columns the loan's pooled
-// metadata, on loan until the caller hands them back with Loan.Return; the
-// caller must be done reading the output, and every view of it
-// (Loan.ColRanges), by then. A pass that ran several ranges returns owned
-// arrays and an empty Loan, and so does a lone operand's pass-through. The
-// output shares nothing with the plans, nor with prev unless it is prev's
-// lone operand. The plans stay the
-// caller's: a pipelined Merge-Layer calls this once per destination window,
-// then releases them.
-func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, Loan, int64) {
+// caller's. lend is for an output that is read and dropped — a Merge-Layer
+// output on its way through the fiber exchange, a batch a discarding hook
+// consumes — as Plan.Mul's is for a stage product: when the pass ran one
+// range, the output is lent, its entry arrays the worker's chunk itself and
+// its column pointers and stored columns drawn from spmat's free list, until
+// the caller gives them back with spmat.Release; the caller must be done
+// reading the output, and every view of it (spmat.MatColRanges), by then. A
+// pass that ran several ranges returns an owned output; a lone operand's
+// pass-through returns the operand, lent or not as it came. The output shares
+// nothing with the plans, nor with prev unless it is prev's lone operand. The
+// plans stay the caller's: a pipelined Merge-Layer calls this once per
+// destination window, then releases them.
+func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *semiring.Semiring, sortOutput, lend bool, threads int) (spmat.Matrix, int64) {
 	var rows, cols int32
 	if len(plans) == 0 {
 		rows, cols = checkMergeShapes(prev)
@@ -75,7 +74,7 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 				m = m.CloneMat()
 				m.SortColumns()
 			}
-			return m, Loan{}, 0
+			return m, 0
 		}
 	} else {
 		rows, _ = plans[0].a.Dims()
@@ -122,12 +121,12 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 	f.slots, sc.colIn = mergeSlots(f.views, cols, sc.colIn, sc.union)
 	slots, colIn := &f.slots, sc.colIn
 	bounds := flopBounds(colIn, clampThreads(threads, slots.n, entries))
-	sh := lendShell(outputFor(lend), bounds)
+	out := outputFor(lend).over(bounds)
 	if slots.compressed {
-		sc.union, slots.jc = slots.jc, sh.copyColumns(slots.jc)
+		sc.union, slots.jc = slots.jc, copyColumns(out, slots.jc)
 	}
-	ptr := sh.pointers(slots.n + 1)
-	ir, num, lent := onePass(bounds, colIn, rows, func(w *mmWorker, s0, s1 int32) {
+	ptr := pointers(out, slots.n+1)
+	ir, num := onePass(bounds, colIn, rows, func(w *mmWorker, s0, s1 int32) {
 		w.seek(f.views, slots.index(s0))
 		w.at = slices.Grow(w.at[:0], len(plans))[:len(plans)]
 		clear(w.at)
@@ -141,8 +140,8 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 			ptr[s+1] = int64(len(w.rows) - start)
 		}
 		f.made.Add(made)
-	}, sh.output())
-	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted), sh.lend(lent), f.made.Load()
+	}, out)
+	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted, out), f.made.Load()
 }
 
 // fusedPass is what every column of one MulMerge shares: the kernel and the

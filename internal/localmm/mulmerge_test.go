@@ -50,7 +50,7 @@ func window(m spmat.Matrix, lo, hi int32) spmat.Matrix {
 
 // ownedProduct is the planned pair's product on one worker, the caller's.
 func ownedProduct(pl *Plan, k Kernel, sr *semiring.Semiring) spmat.Matrix {
-	out, _ := pl.Mul(k, sr, false, 1)
+	out := pl.Mul(k, sr, false, 1)
 	return out
 }
 
@@ -195,7 +195,7 @@ func checkFusedMerge(t *testing.T, label string, k Kernel, prev []spmat.Matrix, 
 	t.Helper()
 	threads := 1 + 3*b2i(lend)
 	name := fmt.Sprintf("%s/t%d/lend=%v", label, threads, lend)
-	got, loan, nnz := MulMerge(k, prev, plans, lo, hi, sr, sortOut, lend, threads)
+	got, nnz := MulMerge(k, prev, plans, lo, hi, sr, sortOut, lend, threads)
 	if !sameStored(got, want) {
 		t.Fatalf("%s: fused merge differs from the merge of the materialized products", name)
 	}
@@ -210,21 +210,17 @@ func checkFusedMerge(t *testing.T, label string, k Kernel, prev []spmat.Matrix, 
 	if nnz != planned {
 		t.Fatalf("%s: fused merge counts %d planned entries, their windows hold %d", name, nnz, planned)
 	}
-	if lend && got.NNZ() > 0 && loan.chunkBytes() == 0 {
-		t.Fatalf("%s: a single-range output was not lent", name)
+	if lent := releaseLent(got); lent != lend {
+		t.Fatalf("%s: a single-range output asked to lend %v was lent %v", name, lend, lent)
 	}
-	if !lend && loan != (Loan{}) {
-		t.Fatalf("%s: an owned output was lent", name)
-	}
-	loan.Return()
 	if r, v := entryArrays(got); lend && got.NNZ() > 0 &&
 		(slices.ContainsFunc(r, func(r int32) bool { return r != -1 }) || slices.ContainsFunc(v, func(x float64) bool { return !math.IsNaN(x) })) {
-		t.Fatalf("%s: a returned output does not read poisoned", name)
+		t.Fatalf("%s: a released output does not read poisoned", name)
 	}
 }
 
 // TestMulMergeRunsSeveralRanges: a fused merge whose work pays for four
-// workers runs them, returns owned arrays and no loan, lent or not, and is
+// workers runs them, returns owned arrays, lent or not, and is
 // still the merge of the materialized products, bit for bit — under both
 // kernels, sorted or not, with the staged schedule's three plans and no
 // earlier part and the pipelined one's two parts and a plan. MergeMat runs
@@ -254,16 +250,16 @@ func TestMulMergeRunsSeveralRanges(t *testing.T) {
 					mats = append(mats, ownedProduct(pl, k, sr))
 				}
 				want := MergeMat(MergerHash, mats, sr, sortOut, 1)
-				owned, _, _ := MulMerge(k, sh.prev, sh.plans, 0, 400, sr, sortOut, false, 4)
-				got, loan, _ := MulMerge(k, sh.prev, sh.plans, 0, 400, sr, sortOut, true, 4)
+				owned, _ := MulMerge(k, sh.prev, sh.plans, 0, 400, sr, sortOut, false, 4)
+				got, _ := MulMerge(k, sh.prev, sh.plans, 0, 400, sr, sortOut, true, 4)
 				if !sameStored(got, want) || !sameStored(owned, want) {
 					t.Fatalf("%s: four workers' fused merge differs from the merge of the products", label)
 				}
-				if loan != (Loan{}) {
-					t.Fatalf("%s: a multi-range output was lent", label)
-				}
 				sameAsHeapMerge(t, label+"/owned", owned, mats, sr)
 				sameAsHeapMerge(t, label+"/lent", got, mats, sr)
+				if releaseLent(got) {
+					t.Fatalf("%s: a multi-range output was lent", label)
+				}
 			}
 		}
 	}

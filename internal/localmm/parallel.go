@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/spmat"
 )
@@ -34,9 +33,9 @@ import (
 // what the copy overwrites), exactly sized and owned by the caller like the
 // multi-range one. The exception is Plan.Mul and MulMerge with lend, for an
 // output read once and dropped: its single-range output is the chunk itself,
-// nothing copied, with column metadata off the free list too, all on loan
-// until the caller hands it back (Loan.Return). MulMat, MergeMat, the masked
-// and the sparse×dense kernels never lend.
+// nothing copied, with column metadata off the free list too, all lent
+// (spmat.Lend) until the caller gives it back (spmat.Release). MulMat,
+// MergeMat, the masked and the sparse×dense kernels never lend.
 //
 // No column is hashed twice: the sizes the output needs fall out of the
 // accumulation itself — each column's entry count is left in the output's own
@@ -63,11 +62,12 @@ import (
 // the range (rows, vals).
 // All of it is grown, never re-made, and kept across calls on a free list.
 // Only the chunk can leave: lent out as an output's entry arrays
-// (Plan.Mul, MulMerge), it goes back to spmat's free list of arrays (Give),
-// while the rest of the worker has long gone back for the next call to find
-// warm; a pass that makes output fits the chunk to its range's entry bound
-// first (fitChunk). The column metadata of a lent output is no worker's: it
-// is drawn for the loan (loanShell) and goes back with it.
+// (Plan.Mul, MulMerge), it goes back to spmat's free list of arrays with the
+// output (spmat.Release), while the rest of the worker has long gone back for
+// the next call to find warm; a pass that makes output fits the chunk to its
+// range's entry bound first (fitChunk). The column metadata of a lent output
+// is no worker's: it is drawn for the output (pointers, copyColumns) and goes
+// back with it.
 //
 // The inner loops write this struct constantly — every new row moves the
 // accumulator's occupied length, every drained column the chunk's — and
@@ -109,31 +109,24 @@ func (w *mmWorker) fitChunk(n int64) {
 	}
 }
 
-// idleWorkers is the free list of worker scratch, of the shells of ended
-// loans and of released plans' arrays (Plan.Release). It holds strong
-// references on purpose: a distributed multiply makes thousands of small
-// kernel calls between garbage collections, and scratch kept only in a
-// sync.Pool is dropped by every collection and regrown from nothing. The
-// arrays a loan held are not kept here: they go back to spmat's free list.
+// idleWorkers is the free list of worker scratch and of released plans'
+// arrays (Plan.Release). It holds strong references on purpose: a
+// distributed multiply makes thousands of small kernel calls between garbage
+// collections, and scratch kept only in a sync.Pool is dropped by every
+// collection and regrown from nothing. The arrays a lent output held are not
+// kept here: they go back to spmat's free list.
 var idleWorkers struct {
 	sync.Mutex
-	ws     []*mmWorker
-	shells []*loanShell
-	plans  []*planScratch
+	ws    []*mmWorker
+	plans []*planScratch
 }
 
 // The free list keeps at most maxIdleWorkers workers and as many released
 // plans, none with a table above spmat.MaxKeptEntries entries: a burst of
 // concurrent callers or one huge product pays for its scratch again next
 // time instead of pinning it for the life of the process. (The direct tables
-// are bounded by directTableBytes already.) It keeps at most maxIdleShells
-// empty shells: a job on a p-rank grid with q stages and l layers has up to
-// p·(q + 2l + 1) loans out at once, and a kept run every batch output
-// besides until its reader releases them.
-const (
-	maxIdleWorkers = 64
-	maxIdleShells  = 1 << 13
-)
+// are bounded by directTableBytes already.)
+const maxIdleWorkers = 64
 
 // getWorker takes scratch off the free list, most recently used first.
 func getWorker() *mmWorker {
@@ -221,146 +214,6 @@ func (s *planScratch) poison() {
 		for i := range a {
 			a[i] = -1
 		}
-	}
-}
-
-// Loan is a single-range output's claim (Plan.Mul, MulMerge) on the shell
-// that holds what the output is made of: the chunk its entry arrays are, its
-// column metadata, and the metadata of the column-range views cut from it
-// (ColRanges). A Loan is a handle: copies of it name the same claim, and the
-// first of them returned ends it. The zero Loan holds nothing; returning it
-// does nothing.
-type Loan struct {
-	s   *loanShell
-	gen uint64
-}
-
-// loanShell is what one loan holds while it lasts: the chunk the output's
-// entry arrays are, the output's column pointers (ptr) and, for a
-// doubly-compressed output, its stored columns (jc), and the buffers its
-// column-range views carve their pointers and stored columns from — every
-// array drawn from spmat's free list and given back to it when the loan
-// ends. Between loans the free list keeps the shell alone, with no array.
-// gen counts the loans the shell has ended: a Loan names the generation it
-// was made in, so a stale copy of an ended loan can never end the shell's
-// next one.
-type loanShell struct {
-	c       chunk
-	ptr     []int64
-	jc      []int32
-	viewPtr []int64
-	viewJC  []int32
-	gen     atomic.Uint64
-}
-
-// lendShell takes a shell off the free list, most recently returned first,
-// for the output of a pass over bounds that asks to lend (out) — or returns
-// nil when the output will be owned: when out does not ask, or more than
-// one range will run.
-func lendShell(out passOutput, bounds []int32) *loanShell {
-	if out != lentOutput {
-		return nil
-	}
-	if first, last := nonEmptyRanges(bounds); first != last {
-		return nil
-	}
-	idleWorkers.Lock()
-	defer idleWorkers.Unlock()
-	n := len(idleWorkers.shells)
-	if n == 0 {
-		return new(loanShell)
-	}
-	s := idleWorkers.shells[n-1]
-	idleWorkers.shells[n-1], idleWorkers.shells = nil, idleWorkers.shells[:n-1]
-	return s
-}
-
-// output is the pass output the shell asks for: the one range's chunk itself
-// when there is a shell to lend it with, exactly-sized owned arrays
-// otherwise.
-func (s *loanShell) output() passOutput {
-	if s == nil {
-		return ownedOutput
-	}
-	return lentOutput
-}
-
-// pointers returns n zeroed column pointers: drawn for the shell when there
-// is one, a new array otherwise.
-func (s *loanShell) pointers(n int32) []int64 {
-	if s == nil {
-		return make([]int64, n)
-	}
-	s.ptr = spmat.Draw[int64](int(n))
-	clear(s.ptr)
-	return s.ptr
-}
-
-// copyColumns returns a copy of cols, the stored columns of a
-// doubly-compressed output, for the output to own: drawn for the shell when
-// there is one, a new array otherwise.
-func (s *loanShell) copyColumns(cols []int32) []int32 {
-	if s == nil {
-		return slices.Clone(cols)
-	}
-	s.jc = spmat.Draw[int32](len(cols))
-	copy(s.jc, cols)
-	return s.jc
-}
-
-// lend makes the loan of an output whose entry arrays are c (empty when the
-// one range filled nothing) and whose metadata is the shell's; no shell, no
-// loan.
-func (s *loanShell) lend(c chunk) Loan {
-	if s == nil {
-		return Loan{}
-	}
-	s.c = c
-	return Loan{s: s, gen: s.gen.Load()}
-}
-
-// ColRanges is spmat.MatColRanges of the lent output m: its pieces' column
-// pointers and stored columns are carved from the loan's buffers, drawn on
-// the first cut at the most the pieces of m can take, so they live exactly
-// as long as m's entries do and go back to the free list with them. On an
-// empty Loan — an owned m — the pieces own their metadata, as MatColRanges
-// makes them. Views cut from one loan more than once all stay valid until it
-// is returned.
-func (l Loan) ColRanges(m spmat.Matrix, bounds []int32) []spmat.Matrix {
-	s := l.s
-	if s == nil {
-		return spmat.MatColRanges(m, bounds)
-	}
-	if cap(s.viewPtr) == 0 {
-		s.viewPtr = spmat.Draw[int64](len(s.ptr) + len(bounds))[:0]
-		s.viewJC = spmat.Draw[int32](len(s.jc))[:0]
-	}
-	var pieces []spmat.Matrix
-	pieces, s.viewPtr, s.viewJC = spmat.MatColRangesInto(m, bounds, s.viewPtr, s.viewJC)
-	return pieces
-}
-
-// Return ends the loan: every array the shell holds goes back to spmat's
-// free list (spmat.Give), which keeps it within its bounds — poisoned while
-// spmat.PoisonReleased is set — and the shell, with no array, to this
-// package's free list. The output and every view cut from it must not be
-// read afterwards: the next kernel call on any goroutine fills the same
-// arrays. Returning twice is returning once, and so is returning a copy of a
-// returned Loan.
-func (l *Loan) Return() {
-	s, gen := l.s, l.gen
-	*l = Loan{}
-	if s == nil || !s.gen.CompareAndSwap(gen, gen+1) {
-		return
-	}
-	spmat.Give(s.c.rows, s.jc, s.viewJC)
-	spmat.Give(s.ptr, s.viewPtr)
-	spmat.Give(s.c.vals)
-	s.c, s.ptr, s.jc, s.viewPtr, s.viewJC = chunk{}, nil, nil, nil, nil
-	idleWorkers.Lock()
-	defer idleWorkers.Unlock()
-	if len(idleWorkers.shells) < maxIdleShells {
-		idleWorkers.shells = append(idleWorkers.shells, s)
 	}
 }
 
@@ -459,6 +312,38 @@ func outputFor(lend bool) passOutput {
 	return ownedOutput
 }
 
+// over is the output a pass over bounds makes of out: lent only when one
+// range will run.
+func (out passOutput) over(bounds []int32) passOutput {
+	if first, last := nonEmptyRanges(bounds); out == lentOutput && first != last {
+		return ownedOutput
+	}
+	return out
+}
+
+// pointers returns n zeroed column pointers for a pass's output: drawn from
+// spmat's free list when the output is lent, a new array otherwise.
+func pointers(out passOutput, n int32) []int64 {
+	if out != lentOutput {
+		return make([]int64, n)
+	}
+	ptr := spmat.Draw[int64](int(n))
+	clear(ptr)
+	return ptr
+}
+
+// copyColumns returns a copy of cols, the stored columns of a
+// doubly-compressed output: drawn from spmat's free list when the output is
+// lent, a new array otherwise.
+func copyColumns(out passOutput, cols []int32) []int32 {
+	if out != lentOutput {
+		return slices.Clone(cols)
+	}
+	jc := spmat.Draw[int32](len(cols))
+	copy(jc, cols)
+	return jc
+}
+
 // runWorkers executes fn once per non-empty column range, each with its own
 // scratch: the last range on the caller's goroutine, the others on theirs.
 func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
@@ -488,30 +373,28 @@ func nonEmptyRanges(bounds []int32) (first, last int) {
 // entry arrays, the ranges' chunks back to back in range order: a copy of the
 // chunk when one range ran, an allocation the ranges place their chunks into
 // when several did — or, under lentOutput with one range that filled
-// anything, the chunk itself, which it also returns as lent. One range runs
-// on the caller's goroutine with nothing else to coordinate.
-func onePass(bounds []int32, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64, lent chunk) {
+// anything, the chunk itself, its whole capacity. One range runs on the
+// caller's goroutine with nothing else to coordinate.
+func onePass(bounds []int32, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
 	first, last := nonEmptyRanges(bounds)
 	if last < 0 {
-		return []int32{}, []float64{}, chunk{}
+		return []int32{}, []float64{}
 	}
 	if first < last {
-		ir, num = manyRanges(bounds, last, colWork, rows, fill, out)
-		return ir, num, chunk{}
+		return manyRanges(bounds, last, colWork, rows, fill, out)
 	}
 	w := getWorker()
 	w.fillRange(bounds[last], bounds[last+1], colWork, rows, fill, out)
 	switch {
 	case out == noOutput:
 	case out == lentOutput && len(w.rows) > 0:
-		lent = chunk{w.rows, w.vals}
-		ir, num = slices.Clip(w.rows), slices.Clip(w.vals)
+		ir, num = w.rows, w.vals
 		w.rows, w.vals = nil, nil
 	default:
 		ir, num = slices.Clip(append([]int32{}, w.rows...)), slices.Clip(append([]float64{}, w.vals...))
 	}
 	putWorker(w)
-	return ir, num, lent
+	return ir, num
 }
 
 // fillRange runs fill over the range [lo, hi) on the worker's emptied chunk,

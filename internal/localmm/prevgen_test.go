@@ -85,15 +85,14 @@ func spgemmTest(k testKernel, a, b *spmat.CSC, sr *semiring.Semiring, threads in
 // ascending.
 func (pl *Plan) mulTest(k testKernel, sr *semiring.Semiring, workers int) spmat.Matrix {
 	if k < kernelHeap {
-		out, _ := pl.multiply(Kernel(k), sr, workers, ownedOutput)
-		return out
+		return pl.multiply(Kernel(k), sr, workers, ownedOutput)
 	}
 	av, bv, colFlops := pl.sortedView(), &pl.bv, pl.colFlops
 	aRows, _ := pl.a.Dims()
 	_, bCols := pl.b.Dims()
 	ptr := make([]int64, bv.n+1)
 	plusTimes := sr.IsPlusTimes()
-	ir, num, _ := onePass(flopBounds(colFlops, workers), colFlops, aRows, func(w *mmWorker, lo, hi int32) {
+	ir, num := onePass(flopBounds(colFlops, workers), colFlops, aRows, func(w *mmWorker, lo, hi int32) {
 		var h rowHeap
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
@@ -110,7 +109,7 @@ func (pl *Plan) mulTest(k testKernel, sr *semiring.Semiring, workers int) spmat.
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
 	}, ownedOutput)
-	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, true)
+	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, true, ownedOutput)
 }
 
 // sortedView returns the view of A the heap-based kernels read: A's own or,
@@ -174,7 +173,7 @@ func heapMerge(mats []spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Ma
 	slots, colIn := mergeSlots(views, cols, nil, nil)
 	ptr := make([]int64, slots.n+1)
 	plusTimes := sr.IsPlusTimes()
-	ir, num, _ := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), colIn, rows, func(w *mmWorker, lo, hi int32) {
+	ir, num := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), colIn, rows, func(w *mmWorker, lo, hi int32) {
 		var h rowHeap
 		w.seek(views, slots.index(lo))
 		for p := lo; p < hi; p++ {
@@ -186,7 +185,7 @@ func heapMerge(mats []spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Ma
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
 	}, ownedOutput)
-	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, true)
+	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, true, ownedOutput)
 }
 
 // sortedOperands returns mats with every unsorted operand replaced by a

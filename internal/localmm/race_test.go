@@ -108,13 +108,14 @@ func TestDCSCParallelKernelsRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLoansRace lends, cuts views from and returns loans on several
-// goroutines at once, the way ranks do, each goroutine also returning a stale
-// copy of the loan it returned last while its next loan is out — a shell the
-// free list may have handed to any of them. Under poisoned returns every lent
-// product and view must read as the owned product until its own loan ends: a
-// shell two live loans shared, or a stale copy that could end the shell's
-// next loan, shows as a poisoned read. Run under `go test -race`.
+// TestLoansRace lends, cuts views from and releases kernel outputs on
+// several goroutines at once, the way ranks do, each goroutine also releasing
+// again the product it released last while its next one is out — a shell
+// and arrays the free list may have handed to any of them. Under poisoned
+// returns every lent product and view must read as the owned product until
+// it is released itself: arrays two live products shared, or a stale release
+// that could give back the shell's next product, shows as a poisoned read.
+// Run under `go test -race`.
 func TestLoansRace(t *testing.T) {
 	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
@@ -124,8 +125,7 @@ func TestLoansRace(t *testing.T) {
 	var owned []spmat.Matrix
 	for r := range 4 {
 		pl := PlanMul(a, asFormat(uniformMat(t, 200, 300, 3, int64(72+r)), r%2 == 1))
-		out, _ := pl.Mul(KernelHashUnsorted, sr, false, 1)
-		plans, owned = append(plans, pl), append(owned, out)
+		plans, owned = append(plans, pl), append(owned, pl.Mul(KernelHashUnsorted, sr, false, 1))
 	}
 	var wg sync.WaitGroup
 	for r := range plans {
@@ -134,18 +134,18 @@ func TestLoansRace(t *testing.T) {
 			defer wg.Done()
 			pl, want := plans[r], owned[r].ToCSC()
 			wantViews := spmat.MatColRanges(want, bounds)
-			var stale Loan
+			stale := spmat.Matrix(spmat.New(0, 0))
 			for range 100 {
-				lent, loan := pl.Mul(KernelHashUnsorted, sr, true, 1)
-				views := loan.ColRanges(lent, bounds)
-				stale.Return()
+				lent := pl.Mul(KernelHashUnsorted, sr, true, 1)
+				views := spmat.MatColRanges(lent, bounds)
+				spmat.Release(stale)
 				if !spmat.Equal(lent.ToCSC(), want) || !spmat.Equal(views[0].ToCSC(), wantViews[0].(*spmat.CSC)) || !spmat.Equal(views[1].ToCSC(), wantViews[1].(*spmat.CSC)) {
-					t.Errorf("goroutine %d: a lent product or its views changed while its loan was out", r)
-					loan.Return()
+					t.Errorf("goroutine %d: a lent product or its views changed before its release", r)
+					spmat.Release(lent)
 					return
 				}
-				stale = loan
-				loan.Return()
+				stale = lent
+				spmat.Release(lent)
 			}
 		}()
 	}
@@ -157,13 +157,13 @@ func TestLoansRace(t *testing.T) {
 
 // TestLoansAndDealsRace is the one free list's race workout: goroutines that
 // lend kernel outputs — Plan.Mul and MulMerge, views cut from them — and
-// return them run beside goroutines that deal grids on loan
-// (spmat.LendGrid) and release them, all drawing from and giving back to
-// spmat's free list at once, with every array poisoned as it goes back.
-// Every lent product must read as its unlent twin, and every lent grid's
-// blocks as the same grid dealt to keep (spmat.SplitGrid), until its own
-// loan or release: an array two holders shared shows as a poisoned or
-// foreign read. Run under `go test -race`.
+// release them run beside goroutines that deal lent grids (spmat.LendGrid)
+// and release them, all drawing from and giving back to spmat's free list at
+// once, with every array poisoned as it goes back. Every lent product must
+// read as its unlent twin, and every lent grid's blocks as the same grid
+// dealt to keep (spmat.SplitGrid), until its own release: an array two
+// holders shared shows as a poisoned or foreign read. Run under
+// `go test -race`.
 func TestLoansAndDealsRace(t *testing.T) {
 	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
@@ -172,7 +172,7 @@ func TestLoansAndDealsRace(t *testing.T) {
 	var wg sync.WaitGroup
 	for r := range 2 {
 		pl := PlanMul(a, asFormat(uniformMat(t, 200, 300, 3, int64(82+r)), r == 1))
-		owned, _ := pl.Mul(KernelHashUnsorted, sr, false, 1)
+		owned := pl.Mul(KernelHashUnsorted, sr, false, 1)
 		prev := []spmat.Matrix{owned, asFormat(uniformMat(t, 200, 300, 4, int64(84+r)), r == 1)}
 		merged := MergeMat(MergerHash, prev, sr, false, 1)
 		wg.Add(1)
@@ -180,15 +180,15 @@ func TestLoansAndDealsRace(t *testing.T) {
 			defer wg.Done()
 			defer pl.Release()
 			for range 60 {
-				lent, loan := pl.Mul(KernelHashUnsorted, sr, true, 1)
-				views := loan.ColRanges(lent, bounds)
-				sum, sumLoan, _ := MulMerge(KernelHashUnsorted, prev, nil, 0, 0, sr, false, true, 1)
+				lent := pl.Mul(KernelHashUnsorted, sr, true, 1)
+				views := spmat.MatColRanges(lent, bounds)
+				sum, _ := MulMerge(KernelHashUnsorted, prev, nil, 0, 0, sr, false, true, 1)
 				ok := spmat.Equal(lent.ToCSC(), owned.ToCSC()) && spmat.Equal(sum.ToCSC(), merged.ToCSC())
 				for x, v := range spmat.MatColRanges(owned, bounds) {
 					ok = ok && spmat.Equal(views[x].ToCSC(), v.ToCSC())
 				}
-				loan.Return()
-				sumLoan.Return()
+				spmat.Release(lent)
+				spmat.Release(sum)
 				if !ok {
 					t.Errorf("goroutine %d: a lent product, merge or view differs from its unlent twin", r)
 					return
@@ -209,11 +209,12 @@ func TestLoansAndDealsRace(t *testing.T) {
 				for x, b := range grid {
 					if !spmat.Equal(b.ToCSC(), want[x].ToCSC()) {
 						t.Errorf("deal %d: lent block %d differs from the block dealt to keep", g, x)
-						spmat.ReleaseGrid(grid)
 						return
 					}
 				}
-				spmat.ReleaseGrid(grid)
+				for _, b := range grid {
+					spmat.Release(b)
+				}
 			}
 		}()
 	}

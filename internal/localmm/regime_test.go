@@ -24,9 +24,7 @@ const (
 // shared). Declaring more rows than the entries use changes nothing about a
 // product or a merge except the regime its accumulators run in.
 func withRows(m *spmat.CSC, rows int32) *spmat.CSC {
-	u := *m
-	u.Rows = rows
-	return &u
+	return &spmat.CSC{Rows: rows, Cols: m.Cols, ColPtr: m.ColPtr, RowIdx: m.RowIdx, Val: m.Val, SortedCols: m.SortedCols}
 }
 
 // addPlus accumulates one contribution through the plus-times loop the

@@ -291,7 +291,7 @@ func TestSplitCacheDealsAKeyOnce(t *testing.T) {
 // when one-shot multiplies in the same process have just filled spmat's free
 // list of arrays with arrays a best fit would hand it. Every format's set is
 // dealt after a one-shot call on a slightly larger operand released its deal
-// and returned its loans, with nothing run in between: the set takes
+// and its lent outputs, with nothing run in between: the set takes
 // nothing from the list, its AUX arrays (built by a lookup) neither, and
 // every array is exactly as long as it is large.
 func TestSplitCacheDealsExactAfterOneShotCalls(t *testing.T) {

@@ -29,6 +29,8 @@ type CSC struct {
 	// ranks, so concurrent receivers may fill the cache simultaneously (the
 	// computation is idempotent; last write wins with the same value).
 	neCache int64
+	// loan is the shell of a lent matrix (Lend), nil for an owned one.
+	loan atomic.Pointer[shell]
 }
 
 // New returns an empty rows×cols matrix with no nonzeros. The result has
@@ -46,6 +48,8 @@ func New(rows, cols int32) *CSC {
 		SortedCols: true,
 	}
 }
+
+func (m *CSC) shellOf() *atomic.Pointer[shell] { return &m.loan }
 
 // Dims returns the logical shape.
 func (m *CSC) Dims() (int32, int32) { return m.Rows, m.Cols }

@@ -30,9 +30,9 @@ import (
 // entry's row, and does so once per block pair (Locate, called by the
 // multiply's plan), not once per kernel pass. AUX is 4 bytes per chunk, built
 // in one O(nzc) walk by the first lookup on the block and kept for its life —
-// which for a block of a lent grid (LendGrid) ends when the grid is released
-// (ReleaseGrid): such a block's AUX is drawn from the free list of
-// arrays and goes back with the block's arrays. It depends on JC and Cols only, which
+// which for a lent block (Lend) ends when it is released (Release): such a
+// block's AUX is drawn from the free list of arrays and goes back with the
+// block's arrays. It depends on JC and Cols only, which
 // nothing changes once a block is built (SortColumns permutes entries inside
 // columns). It is not part of the matrix: the wire format, CommBytes and
 // the modeled footprint (BlockMemBytes) do not know it exists — like the
@@ -47,12 +47,11 @@ type DCSC struct {
 	Num        []float64
 	SortedCols bool
 
-	// lent marks a block of a lent grid (LendGrid), whose AUX array is drawn
-	// from the free list of arrays like the block's own.
-	lent bool
+	// loan is the shell of a lent matrix (Lend), nil for an owned one.
+	loan atomic.Pointer[shell]
 	// aux is the lazily built column index. Blocks are shared by reference
 	// across rank goroutines, so the first lookups can race: each racer
-	// builds the same index and the stores are atomic, whichever lands last.
+	// builds the same index, and the first to store it wins.
 	aux atomic.Pointer[colIndex]
 }
 
@@ -74,7 +73,8 @@ func (d *DCSC) index() *colIndex {
 	// column, and at most two expected per chunk keeps the search short.
 	shift := uint(bits.Len64(uint64(d.Cols-1) / uint64(2*len(d.JC))))
 	chunks := int((d.Cols-1)>>shift) + 1
-	ix := &colIndex{shift: shift, start: dealtArray[int32](d.lent, chunks+1)}
+	s := d.loan.Load()
+	ix := &colIndex{shift: shift, start: dealtArray[int32](s != nil, chunks+1)}
 	c := 0
 	for p, j := range d.JC {
 		for ; c <= int(j>>shift); c++ {
@@ -84,9 +84,20 @@ func (d *DCSC) index() *colIndex {
 	for ; c <= chunks; c++ {
 		ix.start[c] = int32(len(d.JC))
 	}
-	d.aux.Store(ix)
+	if !d.aux.CompareAndSwap(nil, ix) {
+		// A racing lookup stored the same index first.
+		if s != nil {
+			Give(ix.start)
+		}
+		return d.aux.Load()
+	}
+	if s != nil {
+		s.aux = ix.start
+	}
 	return ix
 }
+
+func (d *DCSC) shellOf() *atomic.Pointer[shell] { return &d.loan }
 
 // NewDCSC returns an empty rows×cols matrix in doubly-compressed form.
 func NewDCSC(rows, cols int32) *DCSC {
@@ -410,10 +421,10 @@ func MatColSelect(m Matrix, cols []int32) Matrix {
 // follows range k−1's. Each range is one bulk copy of its entries and a walk
 // over its stored columns, which for DCSC one AUX lookup at either end finds
 // (storedFrom), so the cost is the ranges' entries and stored columns, never
-// a lookup per column. With lend the arrays are drawn from the free list of
-// arrays (Draw), a DCSC result's AUX array too, for the caller to give back
-// (ReleaseGrid) once nothing reads the result; otherwise they are allocated
-// at their exact sizes.
+// a lookup per column. With lend the result is lent: its arrays are drawn from
+// the free list of arrays (Draw), a DCSC result's AUX array too, for the
+// caller to give back (Release) once nothing reads the result; otherwise they
+// are allocated at their exact sizes.
 func GatherColRanges(m Matrix, n int, ranges func(k int) (lo, hi int32), lend bool) Matrix {
 	rows, cols := m.Dims()
 	c, isCSC := m.(*CSC)
@@ -470,10 +481,16 @@ func GatherColRanges(m Matrix, n int, ranges func(k int) (lo, hi int32), lend bo
 		}
 		e, off = e+cp[p1]-base, off+hi-lo
 	}
+	var out Matrix
 	if isCSC {
-		return &CSC{Rows: rows, Cols: width, ColPtr: ptr, RowIdx: outIR, Val: outNum, SortedCols: c.SortedCols}
+		out = &CSC{Rows: rows, Cols: width, ColPtr: ptr, RowIdx: outIR, Val: outNum, SortedCols: c.SortedCols}
+	} else {
+		out = &DCSC{Rows: rows, Cols: width, JC: jc, CP: ptr, IR: outIR, Num: outNum, SortedCols: d.SortedCols}
 	}
-	return &DCSC{Rows: rows, Cols: width, JC: jc, CP: ptr, IR: outIR, Num: outNum, SortedCols: d.SortedCols, lent: lend}
+	if lend {
+		Lend(out, outIR, outNum, ptr, jc)
+	}
+	return out
 }
 
 // storedFrom returns the position in JC of the first stored column at or
@@ -492,23 +509,15 @@ func (d *DCSC) storedFrom(j int32) int {
 // columns. The pieces are views: each shares m's entry arrays
 // (capacity-capped, so appending to a piece can never run into its
 // neighbour) and has column metadata of its own, the pieces' together in one
-// new array (MatColRangesInto), and a piece that covers every column is m
-// itself. That is what the fiber split wants — the pieces of a merged product
-// are only ever read, by the ranks they are sent to — and nothing that goes on
-// to mutate entries in place should be built from them.
+// array, and a piece that covers every column is m itself. The metadata of
+// the views of a lent m is carved from m's shell, drawn from the free list on
+// the first cut, so it lives exactly as long as m's entries and goes back
+// with them (Release); views cut from one lent matrix more than once all stay
+// valid until then. Only the goroutine that owns a lent m cuts it. That is
+// what the fiber split wants — the pieces of a merged product are only ever
+// read, by the ranks they are sent to — and nothing that goes on to mutate
+// entries in place should be built from them.
 func MatColRanges(m Matrix, bounds []int32) []Matrix {
-	pieces, _, _ := MatColRangesInto(m, bounds, nil, nil)
-	return pieces
-}
-
-// MatColRangesInto is MatColRanges with the pieces' rebased column metadata —
-// their pointers, and for DCSC their stored columns — carved from the spare
-// room of ptr and jc: appended after what the buffers hold, each piece's
-// arrays capacity-capped at its own end. A buffer short of room grows once,
-// to a new array; what it held is left where it was, so pieces cut from the
-// same buffers before stay valid. It returns the pieces and the buffers with
-// their metadata appended, for the next call.
-func MatColRangesInto(m Matrix, bounds []int32, ptr []int64, jc []int32) ([]Matrix, []int64, []int32) {
 	_, cols := m.Dims()
 	c, isCSC := m.(*CSC)
 	var d *DCSC
@@ -538,7 +547,13 @@ func MatColRangesInto(m Matrix, bounds []int32, ptr []int64, jc []int32) ([]Matr
 			needJC += n
 		}
 	}
-	ptr, jc = slices.Grow(ptr, needPtr), slices.Grow(jc, needJC)
+	var ptr []int64
+	var jc []int32
+	s := m.shellOf().Load()
+	if s != nil {
+		ptr, jc = s.viewPtr, s.viewJC
+	}
+	ptr, jc = room(ptr, needPtr, s != nil), room(jc, needJC, s != nil)
 	out := make([]Matrix, len(bounds)-1)
 	for k := range out {
 		b0, b1 := bounds[k], bounds[k+1]
@@ -566,5 +581,8 @@ func MatColRangesInto(m Matrix, bounds []int32, ptr []int64, jc []int32) ([]Matr
 		}
 		out[k] = &DCSC{Rows: d.Rows, Cols: b1 - b0, JC: jc[j0:len(jc):len(jc)], CP: ptr[start:len(ptr):len(ptr)], IR: d.IR[lo:hi:hi], Num: d.Num[lo:hi:hi], SortedCols: d.SortedCols}
 	}
-	return out, ptr, jc
+	if s != nil {
+		s.viewPtr, s.viewJC = ptr, jc
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package spmat
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 )
@@ -204,7 +203,7 @@ func TestGatherColRangesMatchesColSelect(t *testing.T) {
 				continue
 			}
 			given := gridArrays([]Matrix{got})
-			ReleaseGrid([]Matrix{got})
+			Release(got)
 			again := GatherColRanges(src, len(ranges), at, true)
 			drawn := 0
 			for id := range gridArrays([]Matrix{again}) {
@@ -215,7 +214,7 @@ func TestGatherColRangesMatchesColSelect(t *testing.T) {
 			if 2*drawn < len(given) {
 				t.Errorf("%v: a lent gather drew %d of the %d arrays the last one gave back", src.Format(), drawn, len(given))
 			}
-			ReleaseGrid([]Matrix{again})
+			Release(again)
 		}
 	}
 }
@@ -250,77 +249,82 @@ func TestMatColRangesMatchColRange(t *testing.T) {
 	}
 }
 
-// TestMatColRangesIntoCarvesBuffers holds the buffer-carving cut to
-// MatColRanges in both formats, over empty ranges, ranges that cover the
-// matrix and ranges that do not, into buffers that are nil, too short (they
-// grow), long enough (they do not) and reused by a second cut. The pieces are
-// MatColRanges's, and their metadata is carved from the returned buffers back
-// to back after what the buffers held, which stays as it was, each array
-// capped at its own end; a range that covers every column is the operand
-// itself and carves nothing. Pieces of an earlier cut into the same buffers
-// stay as they were.
-func TestMatColRangesIntoCarvesBuffers(t *testing.T) {
+// TestMatColRangesCarvesALentMatrixsShell holds the cut of a lent matrix to
+// the cut of the same matrix owned, in both formats, over empty ranges,
+// ranges that cover the matrix and ranges that do not: the pieces are the
+// same, each piece's metadata is capped at its own end, a range that covers
+// every column is the lent matrix itself, and the pieces of earlier cuts of
+// the same matrix stay as they were. The views' metadata is the lent
+// matrix's: once it is released — poisoned — every pointer and stored column
+// of every view of its cut reads −1, as its entries do, while the views of
+// the owned matrix, which Release leaves alone, read as they did.
+func TestMatColRangesCarvesALentMatrixsShell(t *testing.T) {
+	defer PoisonReleased.Store(PoisonReleased.Swap(true))
 	m := randomNNZCSC(t, 24, 400, 300, 17)
+	whole := func(int) (int32, int32) { return 0, 400 }
+	cuts := [][]int32{{5, 5, 40, 41, 399, 399}, {0, 400}, {0, 0, 400}, {0, 200, 400}, {7, 7}}
 	for _, src := range []Matrix{m, m.ToDCSC()} {
-		for _, bounds := range [][]int32{{5, 5, 40, 41, 399, 399}, {0, 400}, {0, 0, 400}, {0, 200, 400}, {7, 7}} {
+		lent := GatherColRanges(src, 1, whole, true)
+		var earlier [][]Matrix
+		for _, bounds := range cuts {
+			label := fmt.Sprintf("%v %v", src.Format(), bounds)
 			want := MatColRanges(src, bounds)
-			for _, buf := range []struct {
-				name string
-				ptr  []int64
-				jc   []int32
-			}{
-				{"nil", nil, nil},
-				{"short", []int64{77, 78}, []int32{79}},
-				{"long", append(make([]int64, 0, 2048), 77, 78), append(make([]int32, 0, 2048), 79)},
-			} {
-				label := fmt.Sprintf("%v %v into %s buffers", src.Format(), bounds, buf.name)
-				held, heldJC := len(buf.ptr), len(buf.jc)
-				pieces, ptr, jc := MatColRangesInto(src, bounds, buf.ptr, buf.jc)
-				if !slices.Equal(ptr[:held], buf.ptr) || !slices.Equal(jc[:heldJC], buf.jc) {
-					t.Fatalf("%s: what the buffers held was overwritten", label)
+			pieces := MatColRanges(lent, bounds)
+			for k, piece := range pieces {
+				if piece.Format() != want[k].Format() || !Equal(piece.ToCSC(), want[k].ToCSC()) || piece.Sorted() != want[k].Sorted() {
+					t.Fatalf("%s: piece %d is %v, the owned cut %v", label, k, piece, want[k])
 				}
-				if buf.name == "long" && (&ptr[0] != &buf.ptr[0] || &jc[0] != &buf.jc[0]) {
-					t.Fatalf("%s: buffers with room were reallocated", label)
+				if bounds[k] == 0 && bounds[k+1] == 400 {
+					if piece != lent {
+						t.Fatalf("%s: a range covering every column is not the lent matrix", label)
+					}
+					continue
 				}
-				off, offJC := held, heldJC
-				for k, piece := range pieces {
-					if piece.Format() != want[k].Format() || !Equal(piece.ToCSC(), want[k].ToCSC()) || piece.Sorted() != want[k].Sorted() {
-						t.Fatalf("%s: piece %d is %v, MatColRanges cuts %v", label, k, piece, want[k])
-					}
-					if bounds[k] == 0 && bounds[k+1] == 400 {
-						if piece != src {
-							t.Fatalf("%s: a range covering every column is not the operand", label)
-						}
-						continue
-					}
-					var cp []int64
-					switch piece := piece.(type) {
-					case *CSC:
-						cp = piece.ColPtr
-					case *DCSC:
-						cp = piece.CP
-						if len(piece.JC) > 0 && &piece.JC[0] != &jc[offJC] || cap(piece.JC) != len(piece.JC) {
-							t.Fatalf("%s: piece %d's stored columns are not carved from the buffer at %d, capped", label, k, offJC)
-						}
-						offJC += len(piece.JC)
-					}
-					if &cp[0] != &ptr[off] || cap(cp) != len(cp) {
-						t.Fatalf("%s: piece %d's pointers are not carved from the buffer at %d, capped", label, k, off)
-					}
-					off += len(cp)
+				v := viewOf(piece)
+				if cap(v.ptr) != len(v.ptr) || cap(v.jc) != len(v.jc) {
+					t.Fatalf("%s: piece %d's metadata is not capped at its end", label, k)
 				}
-				if off != len(ptr) || offJC != len(jc) {
-					t.Fatalf("%s: the pieces carve %d pointers and %d columns, the buffers grew to %d and %d", label, off, offJC, len(ptr), len(jc))
-				}
-				again, _, _ := MatColRangesInto(src, bounds, ptr, jc)
-				for k := range pieces {
-					if !Equal(pieces[k].ToCSC(), want[k].ToCSC()) || !Equal(again[k].ToCSC(), want[k].ToCSC()) {
-						t.Fatalf("%s: a second cut into the same buffers changed piece %d", label, k)
+			}
+			earlier = append(earlier, pieces)
+			for c, old := range earlier {
+				for k, piece := range old {
+					if !Equal(piece.ToCSC(), MatColRanges(src, cuts[c])[k].ToCSC()) {
+						t.Fatalf("%s: a later cut changed piece %d of cut %v", label, k, cuts[c])
 					}
 				}
 			}
 		}
+		once := GatherColRanges(src, 1, whole, true)
+		views := MatColRanges(once, cuts[0])
+		owned := MatColRanges(src, cuts[0])
+		Release(once)
+		Release(src)
+		for k := range views {
+			v, o := viewOf(views[k]), viewOf(owned[k])
+			if !allOf(v.ptr, -1) || !allOf(v.jc, -1) || !allOf(v.rows, -1) {
+				t.Errorf("%v: view %d of a released matrix reads unpoisoned", src.Format(), k)
+			}
+			if len(o.ptr) == 0 || allOf(o.ptr, -1) || !Equal(owned[k].ToCSC(), ColRange(m, cuts[0][k], cuts[0][k+1])) {
+				t.Errorf("%v: view %d of an owned matrix changed when it was released", src.Format(), k)
+			}
+		}
+		Release(lent)
 	}
+}
+
+// view is a matrix's column metadata and rows, for either format.
+type view struct {
+	ptr  []int64
+	jc   []int32
+	rows []int32
+}
+
+func viewOf(m Matrix) view {
+	if c, ok := m.(*CSC); ok {
+		return view{ptr: c.ColPtr, rows: c.RowIdx}
+	}
+	d := m.(*DCSC)
+	return view{ptr: d.CP, jc: d.JC, rows: d.IR}
 }
 
 // TestSplitGridMatchesRanges cuts windows and grids that do not cover the

@@ -59,11 +59,13 @@
 // a whole operand over a process grid, or one block's window of it — by
 // counting and placing: every entry is copied once, into a block allocated
 // at its exact size in its resolved format, and the column ranges are dealt
-// on every core. LendGrid is the same deal with the blocks' arrays on loan
-// from the process's one free list of arrays (Draw, Give), which ReleaseGrid
-// refills once nothing reads them — for a grid dealt for one call — and
-// which lends localmm's kernel outputs and the engine's batch pieces of B
-// (GatherColRanges) their arrays too. CountGrid runs the deal's count pass alone, over the same
+// on every core. LendGrid is the same deal with every block lent: its arrays
+// drawn from the process's one free list of arrays (Draw, Give), which
+// Release refills once nothing reads the block — for a grid dealt for one
+// call. A lent matrix carries its loan (Lend): its header holds the shell of
+// what it drew, which one Release gives back once, so localmm's lent kernel
+// outputs and the engine's lent batch pieces of B (GatherColRanges) go back
+// the same way. CountGrid runs the deal's count pass alone, over the same
 // bounds and goroutines: every block's entries and occupied columns, with
 // nothing copied — how a grid is measured without being dealt. PartBounds,
 // ColRange/RowRange, ColSelect (and its format-preserving MatColSelect, which

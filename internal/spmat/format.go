@@ -1,6 +1,9 @@
 package spmat
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Format selects the in-memory storage of a sparse matrix block.
 //
@@ -110,6 +113,9 @@ type Matrix interface {
 	// String returns a compact shape summary.
 	String() string
 	wireSource
+	// shellOf is the header's hold on its shell: nil unless the matrix is
+	// lent (Lend, Release).
+	shellOf() *atomic.Pointer[shell]
 }
 
 // Hypersparse reports whether a block with the given shape qualifies for

@@ -3,23 +3,26 @@ package spmat
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// idle is the process's one free list of arrays: what ReleaseGrid took back
-// from the blocks of a LendGrid, their AUX arrays (DCSC.index) included, and
-// what localmm's lent kernel outputs gave back (Give) — entry chunks and
-// column metadata. It holds strong references on purpose: one-shot calls
-// deal and the kernels lend on every call, and arrays kept only in a
-// sync.Pool would be dropped by every collection between them.
+// idle is the process's one free list of arrays: what Release took back
+// from lent matrices — the blocks of a LendGrid with their AUX arrays
+// (DCSC.index), lent gathers, localmm's lent kernel outputs — and what the
+// kernels give back of their own (Give). It holds strong references on
+// purpose: one-shot calls deal and the kernels lend on every call, and arrays
+// kept only in a sync.Pool would be dropped by every collection between them.
+// It keeps the shells of released matrices too, empty, for the next lent one.
 var idle struct {
 	sync.Mutex
-	i32   classes[int32]
-	i64   classes[int64]
-	f64   classes[float64]
-	bytes int64 // Σ capacity · element size over the three types
+	i32    classes[int32]
+	i64    classes[int64]
+	f64    classes[float64]
+	bytes  int64 // Σ capacity · element size over the three types
+	shells []*shell
 }
 
 // classes is one element type's idle arrays: by[k] holds those with a
@@ -31,7 +34,11 @@ type classes[T element] struct {
 }
 
 // The list holds at most maxIdleBytes, no array above MaxKeptEntries and at
-// most maxIdleArrays of a type. What comes back is kept: a full list makes
+// most maxIdleArrays of a type, and at most maxIdleShells empty shells — a job
+// on a p-rank grid with q stages and l layers has its deal, up to
+// p·(q + 2l + 4) stage products, Merge-Layer outputs, batch outputs and
+// pieces of B lent at once, and a kept run every batch output besides until
+// its reader releases them. What comes back is kept: a full list makes
 // room by dropping arrays of the type's smallest class when it holds too
 // many, of its largest when the list holds too many bytes, so a list one
 // workload filled turns over to the next one's arrays. A draw takes the
@@ -41,6 +48,7 @@ const (
 	maxIdleBytes   = 64 << 20
 	MaxKeptEntries = 1 << 22
 	maxIdleArrays  = 1 << 10
+	maxIdleShells  = 1 << 13
 )
 
 // IdleBytes is what the free list holds right now, in bytes.
@@ -51,7 +59,7 @@ func IdleBytes() int64 {
 }
 
 // PoisonReleased is a hook for tests: while it is set, every array given
-// back to the free list — by ReleaseGrid or Give — is overwritten up to its
+// back to the free list — by Release or Give — is overwritten up to its
 // capacity first: integers −1, values NaN. A block read after its grid was
 // released, or a lent output read after its loan ended, fails the
 // comparison it takes part in instead of passing by luck of timing.
@@ -183,26 +191,69 @@ func arrayBytes[T element](a []T) int64 {
 	return int64(cap(a)) * int64(unsafe.Sizeof(z))
 }
 
-// ReleaseGrid gives the arrays of blocks, which LendGrid dealt, back to the
-// free list (Give), a doubly-compressed block's AUX array with them. Nothing
-// may read the blocks afterwards, nor a view of them: the next deal on any
-// goroutine fills the same arrays. The blocks keep their slices, so while
-// PoisonReleased is set a late reader meets poison. A grid is released once.
-func ReleaseGrid(blocks []Matrix) {
-	for _, m := range blocks {
-		switch b := m.(type) {
-		case *CSC:
-			Give(b.RowIdx)
-			Give(b.ColPtr)
-			Give(b.Val)
-		case *DCSC:
-			var aux []int32
-			if ix := b.aux.Load(); ix != nil {
-				aux = ix.start
-			}
-			Give(b.JC, b.IR, aux)
-			Give(b.CP)
-			Give(b.Num)
-		}
+// shell is what a lent matrix holds of the free list: the arrays its own
+// slices are views of, whole — its entries (rows, vals), column pointers
+// (ptr) and, doubly-compressed, stored columns (jc) and AUX array (aux) — and
+// the buffers the column-range views cut from it carve their metadata from
+// (viewPtr, viewJC; MatColRanges). A matrix's header points at its shell
+// (CSC.loan, DCSC.loan) until Release takes it: one header, one shell, so a
+// shell is given back once.
+type shell struct {
+	rows, jc, aux, viewJC []int32
+	ptr, viewPtr          []int64
+	vals                  []float64
+}
+
+// Lend marks m, which nothing else refers to yet, as lent: made of arrays
+// drawn from the free list (Draw) — rows and vals its entries, ptr its column
+// pointers, jc a DCSC's stored columns (nil for CSC) — which m's own slices
+// are views of from their first element on, and which Release gives back,
+// whole. A DCSC's AUX array is drawn from the list too once a lookup builds
+// it.
+func Lend(m Matrix, rows []int32, vals []float64, ptr []int64, jc []int32) {
+	idle.Lock()
+	var s *shell
+	if n := len(idle.shells); n > 0 {
+		s = idle.shells[n-1]
+		idle.shells[n-1], idle.shells = nil, idle.shells[:n-1]
 	}
+	idle.Unlock()
+	if s == nil {
+		s = new(shell)
+	}
+	s.rows, s.vals, s.ptr, s.jc = rows, vals, ptr, jc
+	m.shellOf().Store(s)
+}
+
+// Release gives the arrays of a lent matrix — a block of a LendGrid, a lent
+// gather (GatherColRanges), a lent kernel output (Lend) — back to the free
+// list (Give), with its AUX array and the metadata of the views cut from it,
+// and keeps its shell for the next. Nothing may read m afterwards, nor a view
+// of it: the next draw on any goroutine fills the same arrays. m keeps its
+// slices, so while PoisonReleased is set a late reader meets poison.
+// Releasing an owned matrix, a view (but the whole-matrix piece MatColRanges
+// returns, which is m) or a released matrix does nothing.
+func Release(m Matrix) {
+	s := m.shellOf().Swap(nil)
+	if s == nil {
+		return
+	}
+	Give(s.rows, s.jc, s.aux, s.viewJC)
+	Give(s.ptr, s.viewPtr)
+	Give(s.vals)
+	*s = shell{}
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.shells) < maxIdleShells {
+		idle.shells = append(idle.shells, s)
+	}
+}
+
+// room returns buf with room for n more elements: drawn from the free list
+// on a lent matrix's first cut, grown by append otherwise.
+func room[T element](buf []T, n int, lent bool) []T {
+	if lent && cap(buf) == 0 && n > 0 {
+		return Draw[T](n)[:0]
+	}
+	return slices.Grow(buf, n)
 }

@@ -30,7 +30,7 @@ func TestReleasedDealReadsPoisoned(t *testing.T) {
 			t.Fatal("no doubly-compressed block built an AUX array")
 		}
 		// Checked before the next deal, which may draw the same arrays.
-		ReleaseGrid(blocks)
+		releaseGrid(blocks)
 		for i, b := range blocks {
 			var ok bool
 			switch b := b.(type) {
@@ -46,6 +46,69 @@ func TestReleasedDealReadsPoisoned(t *testing.T) {
 				t.Errorf("format %v: block %d (%v) reads unpoisoned after its grid was released", f, i, b)
 			}
 		}
+	}
+}
+
+// releaseGrid releases every block of a lent grid.
+func releaseGrid(blocks []Matrix) {
+	for _, b := range blocks {
+		Release(b)
+	}
+}
+
+// drainIdle empties the free list of arrays.
+func drainIdle() {
+	idle.Lock()
+	defer idle.Unlock()
+	idle.i32, idle.i64, idle.f64, idle.bytes = classes[int32]{}, classes[int64]{}, classes[float64]{}, 0
+}
+
+// TestReleaseGivesBackOnce: a lent matrix's header holds its shell until
+// Release takes it, so releasing it a second time — after its shell and
+// arrays went to the next lent matrix — gives back nothing, and neither does
+// releasing a view cut from it or an owned matrix. Checked by array identity
+// on an emptied free list, both formats: the next lent gather draws the first
+// one's arrays, and after the releases that must do nothing the list holds
+// the same bytes and a third gather draws none of the second's arrays, which
+// still read the matrix.
+func TestReleaseGivesBackOnce(t *testing.T) {
+	defer PoisonReleased.Store(PoisonReleased.Swap(false))
+	defer drainIdle()
+	m := kmerCSC(t, 64, 2048, 6, 5)
+	whole := func(int) (int32, int32) { return 0, m.Cols }
+	for _, src := range []Matrix{m, m.ToDCSC()} {
+		drainIdle()
+		first := GatherColRanges(src, 1, whole, true)
+		views := MatColRanges(first, []int32{0, 100, m.Cols})
+		// The first view's metadata starts the buffers the views carve.
+		given := gridArrays([]Matrix{first, views[0]})
+		Release(first)
+		second := GatherColRanges(src, 1, whole, true)
+		held := gridArrays([]Matrix{second})
+		for id := range held {
+			if !given[id] {
+				t.Fatalf("%v: the second gather did not draw the arrays the first gave back", src.Format())
+			}
+		}
+		before := IdleBytes()
+		Release(first)
+		Release(views[0])
+		Release(views[1])
+		Release(src)
+		if after := IdleBytes(); after != before {
+			t.Errorf("%v: releasing a released matrix, its views and an owned one gave back %d bytes", src.Format(), after-before)
+		}
+		third := GatherColRanges(src, 1, whole, true)
+		for id := range gridArrays([]Matrix{third}) {
+			if held[id] {
+				t.Errorf("%v: the third gather drew an array the second still holds", src.Format())
+			}
+		}
+		if !Equal(second.ToCSC(), m) || !Equal(third.ToCSC(), m) {
+			t.Errorf("%v: a lent gather no longer reads the matrix", src.Format())
+		}
+		Release(second)
+		Release(third)
 	}
 }
 
@@ -75,7 +138,7 @@ func TestRedealtArraysHoldOnlyTheNewDeal(t *testing.T) {
 	for _, f := range []Format{FormatCSC, FormatDCSC, FormatAuto} {
 		firstGrid := LendGrid(first, rowB, colB, f)
 		given := gridArrays(firstGrid)
-		ReleaseGrid(firstGrid)
+		releaseGrid(firstGrid)
 		blocks := LendGrid(second, rowB, colB, f)
 		drawn := 0
 		for id := range gridArrays(blocks) {
@@ -105,7 +168,7 @@ func TestRedealtArraysHoldOnlyTheNewDeal(t *testing.T) {
 				}
 			}
 		}
-		ReleaseGrid(blocks)
+		releaseGrid(blocks)
 	}
 }
 
@@ -163,7 +226,7 @@ func TestSplitGridNeverDraws(t *testing.T) {
 				d.Locate(d.JC[:1], make([]int32, 1))
 			}
 		}
-		ReleaseGrid(lent)
+		releaseGrid(lent)
 		before := IdleBytes()
 		if before == 0 {
 			t.Fatalf("format %v: a released grid left the free list empty", f)
@@ -192,8 +255,8 @@ func TestSplitGridNeverDraws(t *testing.T) {
 }
 
 // TestFreeListKeepsOneBound gives back more than the one free list may keep
-// — the arrays of a released grid and then, as a lent kernel output's Return
-// gives them (Give), entry and metadata arrays of every element type, 96 MiB
+// — the arrays of a released grid and then, as the kernels give them (Give),
+// entry and metadata arrays of every element type, 96 MiB
 // between them, with one array above MaxKeptEntries — and holds the list to
 // its bounds together: at most maxIdleBytes, no array above MaxKeptEntries,
 // at most maxIdleArrays a type, each array in its capacity class, its count
@@ -202,15 +265,10 @@ func TestSplitGridNeverDraws(t *testing.T) {
 // the count falls to zero.
 func TestFreeListKeepsOneBound(t *testing.T) {
 	defer PoisonReleased.Store(PoisonReleased.Swap(false))
-	drain := func() {
-		idle.Lock()
-		defer idle.Unlock()
-		idle.i32, idle.i64, idle.f64, idle.bytes = classes[int32]{}, classes[int64]{}, classes[float64]{}, 0
-	}
-	drain()
-	defer drain()
+	drainIdle()
+	defer drainIdle()
 	m := kmerCSC(t, 256, 8192, 6, 3)
-	ReleaseGrid(LendGrid(m, PartBounds(m.Rows, 2), PartBounds(m.Cols, 3), FormatDCSC))
+	releaseGrid(LendGrid(m, PartBounds(m.Rows, 2), PartBounds(m.Cols, 3), FormatDCSC))
 	Give(make([]int32, MaxKeptEntries+1))
 	for range 96 {
 		Give(make([]int32, 1<<17), make([]int32, 1<<15))

@@ -55,13 +55,14 @@ func SplitGrid(m *CSC, rowB, colB []int32, f Format) []Matrix {
 	return splitGrid(m, rowB, colB, f, false)
 }
 
-// LendGrid is SplitGrid for a grid the caller gives back: every block's
-// arrays — and a doubly-compressed block's AUX array, when a lookup builds
-// it — are drawn from the free list of arrays that ReleaseGrid fills,
+// LendGrid is SplitGrid for a grid the caller gives back: every block is
+// lent (Lend), its arrays — and a doubly-compressed block's AUX array, when a
+// lookup builds it — drawn from the free list of arrays that Release fills,
 // best fit, and allocated when nothing idle fits. A block sees exactly its
 // lengths either way, but a drawn array may have up to twice the capacity,
-// so a grid kept for long is SplitGrid's. The caller releases the grid once
-// nothing reads its blocks, or drops it, which costs only the arrays' reuse.
+// so a grid kept for long is SplitGrid's. The caller releases every block
+// once nothing reads it, or drops the grid, which costs only the arrays'
+// reuse.
 func LendGrid(m *CSC, rowB, colB []int32, f Format) []Matrix {
 	return splitGrid(m, rowB, colB, f, true)
 }
@@ -235,10 +236,11 @@ func (d *dealer) place(c int, f Format, lend bool, out []Matrix) {
 		st := &fills[r]
 		rows, cols := rowB[r+1]-rowB[r], c1-c0
 		st.rows, st.vals = dealtArray[int32](lend, int(st.n)), dealtArray[float64](lend, int(st.n))
+		var jc []int32
 		if st.hyper = f != FormatCSC && (f == FormatDCSC || Hypersparse(int64(st.nj), cols)); st.hyper {
 			st.jc, st.ptr = dealtArray[int32](lend, st.nj), dealtArray[int64](lend, st.nj+1)
-			st.ptr[0] = 0
-			out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols, lent: lend}
+			st.ptr[0], jc = 0, st.jc
+			out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols}
 		} else {
 			st.ptr = dealtArray[int64](lend, int(cols)+1)
 			if lend {
@@ -248,6 +250,9 @@ func (d *dealer) place(c int, f Format, lend bool, out []Matrix) {
 				clear(st.ptr)
 			}
 			out[r*nc+c] = &CSC{Rows: rows, Cols: cols, ColPtr: st.ptr, RowIdx: st.rows, Val: st.vals, SortedCols: m.SortedCols, neCache: int64(st.nj) + 1}
+		}
+		if lend {
+			Lend(out[r*nc+c], st.rows, st.vals, st.ptr, jc)
 		}
 		st.n, st.nj, st.col = 0, 0, 0
 	}
