@@ -309,14 +309,10 @@ func TestFailedRunGivesItsDealBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewWorld(rc)
-		if err != nil {
-			t.Fatal(err)
-		}
 		kept := make([][]spmat.Matrix, rc.P)
 		var finished sync.WaitGroup
 		finished.Add(rc.P - 1)
-		_, err = launch(w, da, db, rc, func(rank int, p *Proc) error {
+		_, _, err = worlds.launch(da, db, rc, func(rank int, p *Proc) error {
 			if rank != 0 {
 				defer finished.Done()
 				res, err := p.BatchedSUMMA3D(nil)

@@ -23,14 +23,16 @@
 // dealt block — so a warm one-shot call deals into the arrays the call
 // before it gave back. A deal the caller made with Deal is allocated at its
 // exact size and never released: it may serve any number of runs. That run is one launch on a
-// World — a simulated cluster of p ranks in l layers: it checks the world and
-// the dealt operands fit the run, each simulated rank takes its process grid
-// (grid.New in the world's first run, kept for every later one), is handed
-// its blocks in place (SetupLocal), and calls BatchedSUMMA3D collectively.
-// The host entry points launch on a world built for the call; the daemon
-// keeps its worlds across jobs (World.MultiplyDealt), so a warm job builds
-// neither a world nor its communicators. A world whose run failed is broken
-// and refuses every later run. A rank's
+// kept world — a simulated cluster of p ranks in l layers under one cost
+// model, taken from a Worlds: it checks the dealt operands fit the run, each
+// simulated rank takes its process grid (grid.New in the world's first run,
+// kept for every later one), is handed its blocks in place (SetupLocal), and
+// calls BatchedSUMMA3D collectively. One take/give path decides every
+// world's lifetime: the package-level entry points share one process-wide
+// Worlds and the daemon keeps its own (Worlds.MultiplyDealt), so a warm call
+// or job builds neither a world nor its communicators. A world whose run
+// failed is dropped, never run again; the idle worlds of one Worlds hold at
+// most 4096 ranks together, the oldest dropped first. A rank's
 // Result keeps its batch outputs as Pieces, in the format Merge-Fiber made
 // them; nothing on the rank concatenates or inflates them. MultiplyRanks
 // returns the ranks' results as they are, C still distributed; Multiply adds

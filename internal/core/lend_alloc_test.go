@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/genmat"
 	"repro/internal/localmm"
+	"repro/internal/mpi"
 	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
@@ -137,6 +138,11 @@ func TestLentOutputsAreNotCopied(t *testing.T) {
 // 0.63 MB once the pieces were lent: the budget batches the small operand 23
 // ways and the large one 14, and what is left grows with b (about 38 KB a
 // batch, the per-batch headers), not with the operand.
+//
+// The one-shot call is held to the same slack against the kept-deal run on
+// a world the test keeps (Worlds.MultiplyDealt), so a call that builds its
+// world shows: while every one-shot call built one, it cost 63.8–64.4 KB
+// over that run at p = 16, and 5.2–5.8 KB once the calls shared kept worlds.
 func TestOneShotDealIsLent(t *testing.T) {
 	const (
 		dealSlack     = 16 << 10
@@ -193,29 +199,36 @@ func TestOneShotDealIsLent(t *testing.T) {
 				}
 				product = c.CommBytes()
 			}
-			kept := func() {
-				results, _, err := MultiplyDealt(da, db, rc, nil, shape.budgeted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if shape.budgeted {
-					return
-				}
-				if _, err := AssembleResults(results, a.Rows, b.Cols); err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range results {
-					r.Release()
+			var ws Worlds
+			kept := func(multiply func(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error)) func() {
+				return func() {
+					results, _, err := multiply(da, db, rc, nil, shape.budgeted)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shape.budgeted {
+						return
+					}
+					if _, err := AssembleResults(results, a.Rows, b.Cols); err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range results {
+						r.Release()
+					}
 				}
 			}
-			least := leastBytesPerCall(oneShot, kept)
-			deal := least[0] - least[1]
+			least := leastBytesPerCall(oneShot, kept(MultiplyDealt), kept(ws.MultiplyDealt))
+			deal, world := least[0]-least[1], least[0]-least[2]
 			beyond[size] = least[0] - product
-			t.Logf("%s nnz=%d: a one-shot call allocates %d bytes, %d beyond its %d-byte product and %d beyond the run on a kept deal (the operands' entries are %d bytes)",
-				shape.name, a.NNZ(), least[0], beyond[size], product, deal, 12*(a.NNZ()+b.NNZ()))
+			t.Logf("%s nnz=%d: a one-shot call allocates %d bytes, %d beyond its %d-byte product, %d beyond the run on a kept deal and %d beyond it on a world the test keeps (the operands' entries are %d bytes)",
+				shape.name, a.NNZ(), least[0], beyond[size], product, deal, world, 12*(a.NNZ()+b.NNZ()))
 			if deal > dealSlack {
 				t.Errorf("%s nnz=%d: a warm one-shot call allocates %d bytes more than the run on a kept deal, above the %d of the deal's headers: the deal's arrays are not lent",
 					shape.name, a.NNZ(), deal, dealSlack)
+			}
+			if world > dealSlack {
+				t.Errorf("%s nnz=%d: a warm one-shot call allocates %d bytes more than the run on a kept deal and a kept world, above the %d of the deal's headers: the call builds its world",
+					shape.name, a.NNZ(), world, dealSlack)
 			}
 			if !shape.budgeted && beyond[size] > assemblySlack {
 				t.Errorf("%s nnz=%d: a warm one-shot call allocates %d bytes beyond its %d-byte product, above the %d slack",

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/distmat"
 	"repro/internal/grid"
@@ -151,92 +153,148 @@ func deal(a, b *spmat.CSC, rc RunConfig) (da, db *Dealt, err error) {
 	return da, db, err
 }
 
-// World is a simulated cluster kept across runs: an mpi.World of P ranks
+// world is a simulated cluster kept across runs: an mpi.World of P ranks
 // charged under one cost model and, from its first run on, every rank's
 // L-layer process grid (grid.New), which later runs use as it is. A run on a
 // kept world therefore builds neither the world nor its row, column, layer
-// and fiber communicators; it starts only the rank goroutines. The host
-// entry points (Multiply, MultiplyDiscard, MultiplyRanks, MultiplyDealt,
-// SymbolicBatches) run on a world built for the call and dropped after it; a
-// caller that serves many runs on one grid — the daemon — keeps its worlds
-// and calls World.MultiplyDealt.
-//
-// A world runs one multiply at a time. A run that fails — a rank error, a
-// panic, an aborted world — breaks it (Broken), and it never runs again.
-type World struct {
+// and fiber communicators; it starts only the rank goroutines, which end with
+// the run, so an idle world holds none.
+type world struct {
 	mw    *mpi.World
-	l     int
-	cost  mpi.CostModel
+	key   worldKey
 	grids []*grid.Grid3D
 }
 
-// NewWorld builds an idle world for rc's grid — P ranks in L layers — and
-// cost model. Nothing else in rc binds the world: every run brings its own
-// options and trace.
-func NewWorld(rc RunConfig) (*World, error) {
-	if _, err := grid.SideFor(rc.P, rc.L); err != nil {
-		return nil, err
-	}
-	return &World{mw: mpi.NewWorld(rc.P, rc.Cost), l: rc.L, cost: rc.Cost, grids: make([]*grid.Grid3D, rc.P)}, nil
+// worldKey is what binds a world: its rank count, layer count and cost
+// model. Every run brings its own options and trace.
+type worldKey struct {
+	p, l int
+	cost mpi.CostModel
 }
 
-// Broken reports whether a run on w failed; a broken world never runs again.
-func (w *World) Broken() bool { return w.mw.Broken() }
+// maxIdleRanks bounds the ranks of one Worlds' idle worlds together. An idle
+// world keeps about 3 KB a rank, so the bound pins about 12 MB.
+const maxIdleRanks = 4096
 
-// MultiplyDealt is the package-level MultiplyDealt on w: rc must name w's
-// rank count, layer count and cost model.
-func (w *World) MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
-	results := make([]*Result, rc.P)
-	meters, err := launch(w, a, b, rc, func(rank int, p *Proc) error {
+// Worlds keeps the simulated clusters of finished runs for the next run on
+// the same grid and cost model. A run takes an idle world of its key, or
+// builds one when none is idle, and gives it back once it has ended and its
+// summary is taken: kept idle if the run succeeded, dropped if it failed —
+// an aborted world never runs again. Concurrent runs hold distinct worlds,
+// so they share no mutable engine state. The idle worlds hold at most
+// maxIdleRanks ranks together: giving one back past the bound drops the
+// oldest first, and a world larger than the bound is never kept.
+//
+// One process-wide Worlds serves the package-level MultiplyDealt and every
+// entry point built on it; a caller that counts its own worlds — the daemon
+// — keeps its own. The zero Worlds is empty and ready to use.
+type Worlds struct {
+	mu      sync.Mutex
+	idle    []*world // oldest first
+	built   int64
+	dropped int64 // after a failed run, or past the idle bound
+}
+
+// worlds serves the package-level entry points.
+var worlds Worlds
+
+// take returns an idle world of key k, the one given back last, or builds one.
+func (ws *Worlds) take(k worldKey) *world {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	for i := len(ws.idle) - 1; i >= 0; i-- {
+		if w := ws.idle[i]; w.key == k {
+			ws.idle = slices.Delete(ws.idle, i, i+1)
+			return w
+		}
+	}
+	ws.built++
+	return &world{mw: mpi.NewWorld(k.p, k.cost), key: k, grids: make([]*grid.Grid3D, k.p)}
+}
+
+// give returns w once its run has ended: kept idle unless the run broke it or
+// it alone is past the bound, then the oldest idle worlds dropped until the
+// bound holds.
+func (ws *Worlds) give(w *world) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if w.mw.Broken() || w.key.p > maxIdleRanks {
+		ws.dropped++
+		return
+	}
+	ws.idle = append(ws.idle, w)
+	for idleRanks(ws.idle) > maxIdleRanks {
+		ws.idle = slices.Delete(ws.idle, 0, 1)
+		ws.dropped++
+	}
+}
+
+// idleRanks returns the ranks of the worlds in idle together.
+func idleRanks(idle []*world) (n int) {
+	for _, w := range idle {
+		n += w.key.p
+	}
+	return n
+}
+
+// Counts returns the idle worlds, the worlds built and the worlds dropped.
+func (ws *Worlds) Counts() (idle int, built, dropped int64) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return len(ws.idle), ws.built, ws.dropped
+}
+
+// MultiplyDealt is the package-level MultiplyDealt on a world of ws.
+func (ws *Worlds) MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
+	procs, sum, err := ws.launch(a, b, rc, func(rank int, p *Proc) (err error) {
 		var hook BatchHook
 		if hooks != nil {
 			hook = hooks(rank)
 		}
 		p.discard = discard
-		res, err := p.BatchedSUMMA3D(hook)
-		results[rank] = res
+		_, err = p.BatchedSUMMA3D(hook)
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return results, mpi.Summarize(meters), nil
+	results := make([]*Result, len(procs))
+	for r, p := range procs {
+		results[r] = p.res
+	}
+	return results, sum, nil
 }
 
 // launch is the one rank-launch body behind every sparse×sparse host entry
-// point: it checks that the world and both operands were made for this run —
-// rank count, layer count, cost model, role, format and inner dimension —
-// and runs body on every rank's wired Proc (runRanks), on the rank's grid as
-// w's first run built it, each handed its two blocks in place. Whether the
-// blocks were dealt for this run or kept from an earlier one (MultiplyDealt)
-// is the caller's business; the ranks only read them. Once the world has
-// ended — aborted or not — no rank reads another's Merge-Layer outputs or
-// batch pieces, so it gives back what the ranks lent and still hold
-// (Proc.lent): the last batch's, a prefetched piece, an aborted batch's. A
-// failed run returns no Result, so it releases the ranks' too (Proc.res).
-func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) (meters []*mpi.Meter, err error) {
-	if w.Broken() {
-		return nil, errors.New("core: the world's last run failed; it cannot run again")
-	}
-	if w.mw.Size() != rc.P || w.l != rc.L || w.cost != rc.Cost {
-		return nil, fmt.Errorf("core: a world of %d ranks in %d layers charged under %+v cannot run p=%d, l=%d under %+v",
-			w.mw.Size(), w.l, w.cost, rc.P, rc.L, rc.Cost)
-	}
+// point: it checks that both operands were made for this run — role, grid,
+// layer count, format and inner dimension — takes a world of ws for rc's
+// grid and cost model, and runs body on every rank's wired Proc (runRanks),
+// on the rank's grid as the world's first run built it, each handed its two
+// blocks in place. Whether the blocks were dealt for this run or kept from an
+// earlier one (MultiplyDealt) is the caller's business; the ranks only read
+// them. Once the world has ended — aborted or not — no rank reads another's
+// Merge-Layer outputs or batch pieces, so it gives back what the ranks lent
+// and still hold (Proc.lent): the last batch's, a prefetched piece, an
+// aborted batch's. A failed run returns no Result, so it releases the ranks'
+// too (Proc.res). The world goes back to ws last, after the summary is taken.
+func (ws *Worlds) launch(a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) (_ []*Proc, _ *mpi.Summary, err error) {
 	q, err := grid.SideFor(rc.P, rc.L)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := a.fits(RoleA, q, rc); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := b.fits(RoleB, q, rc); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if a.cols != b.rows {
-		return nil, fmt.Errorf("core: inner dimension mismatch: A is %dx%d, B is %dx%d", a.rows, a.cols, b.rows, b.cols)
+		return nil, nil, fmt.Errorf("core: inner dimension mismatch: A is %dx%d, B is %dx%d", a.rows, a.cols, b.rows, b.cols)
 	}
 	da := distmat.NewADist(a.rows, a.cols, q, rc.L)
 	db := distmat.NewBDist(b.rows, b.cols, q, rc.L)
+	w := ws.take(worldKey{rc.P, rc.L, rc.Cost})
+	defer ws.give(w)
 	procs := make([]*Proc, rc.P)
 	defer func() {
 		for _, p := range procs {
@@ -249,7 +307,7 @@ func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) er
 			}
 		}
 	}()
-	return runRanks(w.mw, rc.Trace, func(c *mpi.Comm) error {
+	meters, err := runRanks(w.mw, rc.Trace, func(c *mpi.Comm) error {
 		g := w.grids[c.Rank()]
 		if g == nil {
 			var err error
@@ -262,6 +320,10 @@ func launch(w *World, a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) er
 		procs[c.Rank()] = SetupLocal(g, da, db, localA, localB, rc.Opts)
 		return body(c.Rank(), procs[c.Rank()])
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return procs, mpi.Summarize(meters), nil
 }
 
 // runRanks runs body on every rank of w, recording into rec when it is
@@ -295,9 +357,10 @@ func runRanks(w *mpi.World, rec *obs.Recorder, body func(c *mpi.Comm) error) (me
 // returned an error; runRanks returns the error itself.
 var errRankFailed = errors.New("core: rank body failed")
 
-// MultiplyRanks runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster
-// and returns what the ranks hold when it ends — the per-rank results, C
-// still distributed, and the step metering summary — assembling nothing.
+// MultiplyRanks runs BatchedSUMMA3D for C = A·B on a kept simulated cluster
+// (MultiplyDealt) and returns what the ranks hold when it ends — the per-rank
+// results, C still distributed, and the step metering summary — assembling
+// nothing.
 // Multiply is this run plus the assembly of the global product;
 // MultiplyDiscard is this run with every batch dropped once its hook has
 // seen it. With no hook the results' pieces are the kernels' chunks on loan:
@@ -319,20 +382,16 @@ func MultiplyRanks(a, b *spmat.CSC, rc RunConfig, hooks HookFactory) ([]*Result,
 // MultiplyDealt is MultiplyRanks — or, with discard, MultiplyDiscard — on
 // operands already dealt out (Deal): the entry point for a caller that keeps
 // an operand's blocks across runs, as the daemon keeps a resident matrix's.
-// The other entry points are Deal followed by this run. It runs on a world
-// built for the call (World.MultiplyDealt is the same on a kept one). An
-// operand dealt for another role, grid, layer count or format than rc's is
-// an error before any rank starts. The operands stay the caller's: neither
-// MultiplyDealt releases them.
+// The other entry points are Deal followed by this run. It runs on a kept
+// world of the process-wide Worlds (Worlds.MultiplyDealt is the same on a
+// caller's own). An operand dealt for another role, grid, layer count or
+// format than rc's is an error before any rank starts. The operands stay the
+// caller's: neither MultiplyDealt releases them.
 func MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, discard bool) ([]*Result, *mpi.Summary, error) {
-	w, err := NewWorld(rc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w.MultiplyDealt(a, b, rc, hooks, discard)
+	return worlds.MultiplyDealt(a, b, rc, hooks, discard)
 }
 
-// Multiply runs BatchedSUMMA3D for C = A·B on a fresh simulated cluster and
+// Multiply runs BatchedSUMMA3D for C = A·B on a kept simulated cluster and
 // returns the assembled global product, the per-rank results, and the step
 // metering summary. The assembly is the pieces' last reader: every result is
 // released once it is done (Result.Release), so the results hold no Pieces

@@ -101,16 +101,19 @@ func validateDense(a *spmat.CSC, b *spmat.DenseMat, p int, cfg planner.DenseConf
 	return grid.Valid15(p, cfg.C)
 }
 
-// MultiplyDense runs C = A·B for sparse A and dense B on a fresh simulated
-// cluster of rc.P ranks and returns the assembled global product, the
-// per-rank results, and the step metering summary. cfg alone names the
-// schedule — the family, its layer count or replication factor, the batch
-// count and whether it pipelines — and rc supplies the world (P, Cost,
-// Trace) and the per-rank settings (Threads, Format, Semiring). ColA and
-// InnerABC run the 1.5D algorithms with replication cfg.C. AlgoSUMMA
-// densifies B through the sparse pipeline: Multiply under rc with cfg.L
-// layers, cfg.B batches (below 1, the symbolic step decides under
-// rc.Opts.MemBytes) and cfg's schedule in place of rc's.
+// MultiplyDense runs C = A·B for sparse A and dense B on a simulated cluster
+// of rc.P ranks and returns the assembled global product, the per-rank
+// results, and the step metering summary. cfg alone names the schedule — the
+// family, its layer count or replication factor, the batch count and whether
+// it pipelines — and rc supplies the world (P, Cost, Trace) and the per-rank
+// settings (Threads, Format, Semiring). ColA and InnerABC run the 1.5D
+// algorithms with replication cfg.C on a world built for the call and
+// dropped after it: newDenseProc splits its communicators on every run, and
+// each mpi.Comm.Split registers a new child with its world, so a kept world
+// would grow by a grid every call. AlgoSUMMA densifies B through the sparse
+// pipeline, on a kept world: Multiply under rc with cfg.L layers, cfg.B
+// batches (below 1, the symbolic step decides under rc.Opts.MemBytes) and
+// cfg's schedule in place of rc's.
 func MultiplyDense(a *spmat.CSC, b *spmat.DenseMat, rc RunConfig, cfg planner.DenseConfig) (*spmat.DenseMat, []*DenseResult, *mpi.Summary, error) {
 	opts := rc.Opts.withDefaults()
 	if cfg.Algo == planner.AlgoSUMMA {

@@ -88,11 +88,12 @@ func batchesFor(maxNNZC, maxMemA, maxMemB, memBytes int64, p int) (int, error) {
 	return b, nil
 }
 
-// SymbolicBatches runs only the distributed symbolic step (Alg 3) on a
-// fresh simulated cluster and returns the agreed batch count — the host-side
-// entry point for studying the batch decision (e.g. CSC-vs-DCSC footprint
-// ablations) without paying for the numeric phases. The operands are dealt
-// for the call and the deal is released when the run has ended.
+// SymbolicBatches runs only the distributed symbolic step (Alg 3) on a kept
+// simulated cluster of the process-wide Worlds and returns the agreed batch
+// count — the host-side entry point for studying the batch decision (e.g.
+// CSC-vs-DCSC footprint ablations) without paying for the numeric phases.
+// The operands are dealt for the call and the deal is released when the run
+// has ended.
 func SymbolicBatches(a, b *spmat.CSC, rc RunConfig) (int, error) {
 	rc.Trace = nil // a symbolic-only study records no spans
 	da, db, err := deal(a, b, rc)
@@ -101,12 +102,8 @@ func SymbolicBatches(a, b *spmat.CSC, rc RunConfig) (int, error) {
 	}
 	defer da.release()
 	defer db.release()
-	w, err := NewWorld(rc)
-	if err != nil {
-		return 0, err
-	}
 	bs := make([]int, rc.P)
-	_, err = launch(w, da, db, rc, func(rank int, p *Proc) (err error) {
+	_, _, err = worlds.launch(da, db, rc, func(rank int, p *Proc) (err error) {
 		bs[rank], _, err = p.Symbolic3D()
 		return err
 	})

@@ -43,18 +43,19 @@
 // byte has been written, still inside the reservation, and the next job's
 // kernels refill them.
 //
-// Jobs run on kept simulated clusters (core.World): p and the cost model are
-// fixed per daemon, so the service keeps an idle pool of built worlds per
-// layer count. A job takes one, or builds one when none is idle, runs on its
-// communicators and process grid as they are, and gives it back once its
-// summary is taken; only its p rank goroutines are new, and they end with
+// Jobs run on kept simulated clusters: p and the cost model are fixed per
+// daemon, so the service's own core.Worlds keeps idle built worlds per layer
+// count — the same take/give path core's one-shot entry points share, with
+// counts of its own. A job takes one, or builds one when none is idle, runs
+// on its communicators and process grid as they are, and gives it back once
+// its summary is taken; only its p rank goroutines are new, and they end with
 // the job, so an idle world holds none. A world whose job failed is dropped,
 // never reused. Concurrent jobs hold distinct worlds, each with its own
 // meters and compute-measurement gate, so they never share mutable engine
-// state, and outputs are bit-identical to one-shot runs. The pool has no
-// bound of its own: a layer count never has more worlds than jobs that ran
-// on it at once. /stats and /metrics count the idle worlds, the worlds built
-// and those dropped after a failed job.
+// state, and outputs are bit-identical to one-shot runs. A layer count never
+// has more worlds than jobs that ran on it at once, and the idle worlds hold
+// at most 4096 ranks together, the oldest dropped first. /stats and /metrics
+// count the idle worlds, the worlds built and those dropped.
 //
 // Handler exposes the whole thing over HTTP (/load, /plan, /multiply, /stats,
 // /matrices, /metrics; see SERVICE.md for the wire contract), and Client is

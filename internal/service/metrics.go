@@ -251,7 +251,7 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_split_cache_evictions_total", "Split sets dropped to keep the cache within its bound.", float64(st.SplitCacheEvictions))
 	gauge("spgemmd_worlds_idle", "Built simulated clusters waiting for a job.", float64(st.IdleWorlds))
 	counter("spgemmd_worlds_built_total", "Simulated clusters built because no idle one had the job's layer count.", float64(st.WorldsBuilt))
-	counter("spgemmd_worlds_dropped_total", "Simulated clusters dropped because their job failed.", float64(st.WorldsDropped))
+	counter("spgemmd_worlds_dropped_total", "Simulated clusters dropped because their job failed or the idle ones held over 4096 ranks.", float64(st.WorldsDropped))
 	gauge("spgemmd_free_list_idle_bytes", "Bytes the process's free list of arrays holds for reuse.", float64(st.FreeListIdleBytes))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))
 	gauge("spgemmd_ranks", "Simulated rank count per job.", float64(st.P))

@@ -53,7 +53,7 @@ type Service struct {
 	plans  *PlanCache
 	splits *splitCache
 	sched  *Scheduler
-	worlds worldPool
+	worlds core.Worlds
 
 	// rankHooks, when non-nil, hands every job's ranks their batch hooks. The
 	// daemon leaves it nil; it lets a test fail a job from inside its ranks.
@@ -387,9 +387,8 @@ func (r *MultiplyResult) releaseProduct() {
 
 // run executes one job on its operands as the split cache holds them dealt
 // out for rc's grid and format — only the first job with a key deals one out
-// — on a world of the pool: only a job that finds none idle for its layer
-// count builds one. The world goes back once the run has ended and its
-// summary is taken; a failed job's is dropped.
+// — on a kept world of the service's own core.Worlds: only a job that finds
+// none idle for its layer count builds one, and a failed job's is dropped.
 func (s *Service) run(ra, rb *resident, rc core.RunConfig, discard bool) ([]*core.Result, *mpi.Summary, error) {
 	da, err := s.splits.deal(ra, core.RoleA, rc)
 	if err != nil {
@@ -399,13 +398,7 @@ func (s *Service) run(ra, rb *resident, rc core.RunConfig, discard bool) ([]*cor
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := s.worlds.take(rc)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, summary, err := w.MultiplyDealt(da, db, rc, s.rankHooks, discard)
-	s.worlds.give(w, rc, err != nil)
-	return results, summary, err
+	return s.worlds.MultiplyDealt(da, db, rc, s.rankHooks, discard)
 }
 
 // jobFailed records and logs a failed job, passing the error through.
@@ -468,7 +461,8 @@ type Stats struct {
 	// IdleWorlds is the number of built simulated clusters waiting for a job
 	// (one rank count, one layer count each), WorldsBuilt how many jobs built
 	// one because none was idle for their layer count, WorldsDropped how
-	// many were dropped because their job failed.
+	// many were dropped because their job failed or, oldest first, to keep
+	// the idle worlds within 4096 ranks.
 	IdleWorlds    int   `json:"idle_worlds"`
 	WorldsBuilt   int64 `json:"worlds_built"`
 	WorldsDropped int64 `json:"worlds_dropped"`
@@ -486,7 +480,7 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	waitTotal, waitMax, engine, rankCompute, failures := s.met.snapshot()
 	splitBytes, splitEntries, splitHits, splitMisses, splitEvictions := s.splits.snapshot()
-	idleWorlds, worldsBuilt, worldsDropped := s.worlds.snapshot()
+	idleWorlds, worldsBuilt, worldsDropped := s.worlds.Counts()
 	reqs := make(map[string]int64, len(endpointNames))
 	for i, name := range endpointNames {
 		reqs[name] = s.requests[i].Load()
