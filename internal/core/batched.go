@@ -172,10 +172,10 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 			// drop it — the piece left in its place stores no column, not even
 			// a column pointer. A run no hook sees keeps the batch lent in the
 			// Result until its reader releases it (Result.Release).
-			spmat.Release(made)
 			if r, c := made.Dims(); empty == nil || empty.Cols != c {
 				empty = spmat.NewDCSC(r, c)
 			}
+			spmat.Release(made)
 			cPiece = empty
 		}
 		res.Pieces = append(res.Pieces, cPiece)

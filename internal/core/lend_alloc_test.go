@@ -242,19 +242,26 @@ func TestOneShotDealIsLent(t *testing.T) {
 	}
 }
 
-// TestBatchesAddOnlyHeaders is the allocation pin of B's batch pieces. A warm
-// discarding multiply of one protein operand over 16 ranks in 4 layers,
+// TestBatchesAddOnlyHeaders is the allocation pin of what a batch makes. A
+// warm discarding multiply of one protein operand over 16 ranks in 4 layers,
 // batched b ways (ForceBatches), allocates beyond the same multiply in one
-// batch only each further batch's headers — plans, merge passes, piece,
-// output and view headers — at most perBatch a batch, under either schedule.
-// The pieces are drawn from the free list and given back a batch later.
-// Copied, they would be the whole of the local B at every b > 1, whatever b,
-// so it is at b = 2 that a copied piece shows, as that one extra batch's
-// cost: 0.37 MB staged and 0.41 MB pipelined while the pieces were copied,
-// against 40 and 78 KB once they were lent (38.6 and 74.5 KB a batch at
-// b = 8; 85 and 121 KB while copied).
+// batch at most perBatch a further batch, under either schedule. B's batch
+// pieces are drawn from the free list and given back a batch later; the
+// plans and merge passes live in plan scratch on localmm's free list; the
+// headers of lent outputs and of the views cut from them, and the slices
+// those views come in, live in the outputs' shells; the batch's slices are
+// the rank's (Proc). Copied, the pieces would be the whole of the local B at
+// every b > 1, whatever b, so it is at b = 2 that a copied piece shows, as
+// that one extra batch's cost: 0.37 MB staged and 0.41 MB pipelined while the
+// pieces were copied, against 40 and 78 KB once they were lent (38.6 and
+// 74.5 KB a batch at b = 8; 85 and 121 KB while copied), which a bound of
+// 96 KiB held. With the headers, plans and passes reused a batch reads 0.5–3.0
+// KB staged and 4.3–15.6 KB pipelined (its overlap ledger's claims, the
+// rank's list of loans growing, arrays the free list had no fit for), so
+// the bounds are 8 and 24 KiB: half as much again as the most measured, and
+// below one batch's plans and headers allocated afresh.
 func TestBatchesAddOnlyHeaders(t *testing.T) {
-	const perBatch = 96 << 10
+	perBatch := map[bool]int64{false: 8 << 10, true: 24 << 10}
 	a := genmat.SymmetricPermute(genmat.ProteinSimilarity(10, 12, 1), 1)
 	for _, pipeline := range []bool{false, true} {
 		var one int64
@@ -271,8 +278,8 @@ func TestBatchesAddOnlyHeaders(t *testing.T) {
 			}
 			extra := (least - one) / int64(b-1)
 			t.Logf("pipeline=%v b=%d: %d bytes a multiply, %d a batch beyond the %d of one batch", pipeline, b, least, extra, one)
-			if extra > perBatch {
-				t.Errorf("pipeline=%v b=%d: each batch past the first allocates %d bytes, above the %d of its headers: B's batch pieces are copied", pipeline, b, extra, perBatch)
+			if extra > perBatch[pipeline] {
+				t.Errorf("pipeline=%v b=%d: each batch past the first allocates %d bytes, above the %d bound: a batch's pieces are copied, or its plans, passes or headers allocated", pipeline, b, extra, perBatch[pipeline])
 			}
 		}
 	}

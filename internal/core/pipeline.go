@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/localmm"
 	"repro/internal/mpi"
@@ -119,7 +120,10 @@ func (l *overlapLedger) claim(post, used float64) int {
 // claimOn consumes used seconds on one channel's claim list and returns the
 // updated list.
 func (l *overlapLedger) claimOn(claimed []span, post, used float64) []span {
-	var add []span
+	// At most a span per claimed gap and one after them: room for a few on
+	// the stack.
+	var room [4]span
+	add := room[:0]
 	pos := post
 	for _, s := range claimed {
 		if used <= 0 || pos >= l.clock {
@@ -146,7 +150,7 @@ func (l *overlapLedger) claimOn(claimed []span, post, used float64) []span {
 		return claimed
 	}
 	claimed = append(claimed, add...)
-	sort.Slice(claimed, func(i, j int) bool { return claimed[i].lo < claimed[j].lo })
+	slices.SortFunc(claimed, func(x, y span) int { return cmp.Compare(x.lo, y.lo) })
 	// Coalesce touching intervals so the list stays as short as the number of
 	// genuinely distinct claim regions (usually one or two).
 	merged := claimed[:1]

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/distmat"
 	"repro/internal/grid"
+	"repro/internal/localmm"
+	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
 
@@ -52,6 +54,20 @@ type Proc struct {
 	// reader). The last batch's, a prefetched piece and an aborted run's go
 	// back once the world has ended (launch).
 	lent []lentMatrix
+
+	// stage holds the batch's stage products, lent until its merges have
+	// read them (stageProducts, releaseStage), and plans its planned stages.
+	stage []spmat.Matrix
+	plans []*localmm.Plan
+
+	// send, bounds, dest and mats are summa3DBatch's other per-batch slices,
+	// made once a run: the exchange's payloads and the batch's layer bounds,
+	// the pipelined Merge-Layer's operands by destination, and Merge-Fiber's
+	// operands.
+	send   []mpi.Payload
+	bounds []int32
+	dest   [][]spmat.Matrix
+	mats   []spmat.Matrix
 
 	// res is the Result BatchedSUMMA3D is filling, which the launcher
 	// releases when the run fails: nobody else will read it.

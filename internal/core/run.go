@@ -276,7 +276,8 @@ func (ws *Worlds) MultiplyDealt(a, b *Dealt, rc RunConfig, hooks HookFactory, di
 // Merge-Layer outputs or batch pieces, so it gives back what the ranks lent
 // and still hold (Proc.lent): the last batch's, a prefetched piece, an
 // aborted batch's. A failed run returns no Result, so it releases the ranks'
-// too (Proc.res). The world goes back to ws last, after the summary is taken.
+// too (Proc.res), with the stage products of a batch the abort cut short
+// (Proc.stage). The world goes back to ws last, after the summary is taken.
 func (ws *Worlds) launch(a, b *Dealt, rc RunConfig, body func(rank int, p *Proc) error) (_ []*Proc, _ *mpi.Summary, err error) {
 	q, err := grid.SideFor(rc.P, rc.L)
 	if err != nil {
@@ -303,6 +304,7 @@ func (ws *Worlds) launch(a, b *Dealt, rc RunConfig, body func(rank int, p *Proc)
 			}
 			p.giveBack(math.MaxInt)
 			if err != nil {
+				p.releaseStage()
 				p.res.Release()
 			}
 		}

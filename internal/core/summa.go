@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
@@ -150,6 +152,7 @@ var lendChunks = true
 func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, plans []*localmm.Plan, unmerged int64) {
 	meter := p.G.World.Meter()
 	q := p.G.Q
+	partial, plans = p.stage[:0], p.plans[:0]
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(s int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
@@ -172,6 +175,7 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 			unmerged += prod.NNZ()
 		}
 	})
+	p.stage, p.plans = partial, plans
 	return partial, plans, unmerged
 }
 
@@ -239,7 +243,12 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 	// Merge-Fiber output must be sorted (Sec. IV-D) — unless this merge is the
 	// last to hold the entries in a table (lastTable).
 	meter.SetCategory(StepMergeLayer)
-	send := make([]mpi.Payload, g.L)
+	if len(p.send) != g.L {
+		p.send = make([]mpi.Payload, g.L)
+	}
+	send := p.send
+	p.bounds = p.bt.LayerBounds(t, p.bounds)
+	bounds := p.bounds
 	var own spmat.Matrix
 	var merged int64
 	var post float64
@@ -254,7 +263,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 		var pieces []spmat.Matrix
 		packSec := p.measure(func() {
-			pieces = spmat.MatColRanges(d, p.bt.LayerBounds(t))
+			pieces = spmat.MatColRanges(d, bounds)
 		})
 		meter.AddComputeWork(packSec, d.NNZ()+int64(g.L)+1)
 		for m, piece := range pieces {
@@ -266,8 +275,7 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		// The pieces are views of the stage products, lent chunks included,
 		// with a lent product's metadata carved from its shell; the last
 		// stage's product is made per destination, by the merge.
-		perDest := make([][]spmat.Matrix, g.L)
-		bounds := p.bt.LayerBounds(t)
+		perDest := p.perDest(g.L)
 		packSec := p.measure(func() {
 			for _, prod := range partial {
 				pieces := spmat.MatColRanges(prod, bounds)
@@ -300,10 +308,10 @@ func (p *Proc) summa3DBatch(t int, bBatch, bNextBatch spmat.Matrix, res *Result)
 		// one's included, which only the merges above have counted.
 		meter.AddComputeWork(packSec, unmerged+int64(g.L)+1)
 	}
-	// Every merge that reads the stage products is done.
-	for _, prod := range partial {
-		spmat.Release(prod)
-	}
+	// Every merge that reads the stage products is done, and every plan is
+	// released.
+	p.releaseStage()
+	clear(p.plans)
 	res.UnmergedNNZ += unmerged
 	// Peak: inputs plus all unmerged stage products live simultaneously.
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged)
@@ -333,6 +341,28 @@ func (p *Proc) lendLayer(t int, out spmat.Matrix) {
 	}
 }
 
+// releaseStage gives back the batch's stage products (Proc.stage) once its
+// merges have read them, or once an aborted world has ended (launch).
+func (p *Proc) releaseStage() {
+	for _, prod := range p.stage {
+		spmat.Release(prod)
+	}
+	clear(p.stage)
+	p.stage = p.stage[:0]
+}
+
+// perDest returns the rank's per-destination operand lists, one per layer,
+// emptied for the batch.
+func (p *Proc) perDest(l int) [][]spmat.Matrix {
+	if len(p.dest) != l {
+		p.dest = make([][]spmat.Matrix, l)
+	}
+	for m := range p.dest {
+		p.dest[m] = p.dest[m][:0]
+	}
+	return p.dest
+}
+
 // lends reports whether a merge's output is lent: whether its last reader is
 // known. Merge-Layer's on a grid with l > 1 is read by this rank's Merge-Fiber
 // and, through the exchange, by the fiber peers'. The batch output —
@@ -358,7 +388,8 @@ func (p *Proc) lends(fiber bool) bool { return p.lendBatch || !fiber && p.G.L > 
 func (p *Proc) mergeFiber(recv []mpi.Payload, res *Result) spmat.Matrix {
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeFiber)
-	mats := make([]spmat.Matrix, len(recv))
+	p.mats = slices.Grow(p.mats[:0], len(recv))[:len(recv)]
+	mats := p.mats
 	var recvNNZ int64
 	for k, r := range recv {
 		mats[k] = r.(spmat.Matrix)

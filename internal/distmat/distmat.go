@@ -48,6 +48,7 @@ package distmat
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/spmat"
 )
@@ -298,9 +299,10 @@ func (bt Batching) BatchLayerCols(t, k int) []int32 {
 // LayerBounds returns the l+1 bounds that cut a batch-local matrix of batch t
 // (whose column x corresponds to BatchCols(t)[x]) by owning layer: layer k's
 // columns are one chunk, so they are the consecutive range [bounds[k],
-// bounds[k+1]).
-func (bt Batching) LayerBounds(t int) []int32 {
-	bounds := make([]int32, bt.L+1)
+// bounds[k+1]). They are written into buf's array when it has room.
+func (bt Batching) LayerBounds(t int, buf []int32) []int32 {
+	bounds := slices.Grow(buf[:0], bt.L+1)[:bt.L+1]
+	bounds[0] = 0
 	for k := 0; k < bt.L; k++ {
 		lo, hi := bt.Chunk(t, k)
 		bounds[k+1] = bounds[k] + hi - lo
@@ -317,7 +319,7 @@ func (bt Batching) LayerBounds(t int) []int32 {
 // doubly-compressed Merge-Layer output is split for the fiber AllToAll
 // without inflating dense column metadata.
 func (bt Batching) SplitByLayerMat(m spmat.Matrix, t int) ([]spmat.Matrix, [][]int32) {
-	bounds := bt.LayerBounds(t)
+	bounds := bt.LayerBounds(t, nil)
 	if _, mc := m.Dims(); bounds[bt.L] != mc {
 		panic(fmt.Sprintf("distmat: batch matrix has %d cols, batching expects %d", mc, bounds[bt.L]))
 	}

@@ -464,7 +464,7 @@ func TestBatchingArithmeticMatchesDefinition(t *testing.T) {
 			if !slices.Equal(got, batch) || cap(got) != len(batch) || bt.BatchWidth(t2) != int32(len(batch)) {
 				t.Fatalf("%+v batch %d: BatchCols %v (cap %d, width %d), definition gives %v", bt, t2, got, cap(got), bt.BatchWidth(t2), batch)
 			}
-			bounds := bt.LayerBounds(t2)
+			bounds := bt.LayerBounds(t2, nil)
 			for k := 0; k < l; k++ {
 				if got := bt.BatchLayerCols(t2, k); !slices.Equal(got, perLayer[k]) || cap(got) != len(perLayer[k]) {
 					t.Fatalf("%+v batch %d layer %d: BatchLayerCols %v (cap %d), definition gives %v", bt, t2, k, got, cap(got), perLayer[k])

@@ -131,8 +131,10 @@
 // merge need no symbolic pass to size their output — and worker scratch
 // (accumulator, chunk, sort buffers) lives on a free list that survives
 // garbage collection, so a warm call allocates the output and a fixed handful
-// of small objects; a worker returns to the list with no table above
-// spmat.MaxKeptEntries entries, whichever of its tables grew. A range that
+// of small objects — a warm lent merge, fused or not, allocates none, its
+// range body a method of its pass (a filler, not a closure); a worker
+// returns to the list with no table above spmat.MaxKeptEntries entries,
+// whichever of its tables grew. A range that
 // makes output starts with a chunk of at least its entry bound, so no
 // drained column grows it: one too small goes back to spmat's free list, with
 // all that lent outputs give back, and the best fit comes from it. Sorted
@@ -154,8 +156,9 @@
 // its operand through. Nothing else lends. A lent output's column metadata —
 // its pointers, and a DCSC output's stored columns — is drawn from spmat's
 // free list too, and so is that of the column-range views the fiber split
-// cuts from it (spmat.MatColRanges): a warm lending call allocates nothing by
-// the output's size or width, and the metadata goes back with the chunk.
+// cuts from it (spmat.MatColRanges), and the headers of the output and of
+// its views are its shell's: a warm lending call allocates nothing by the
+// output's size or width, and metadata and headers go back with the chunk.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already
@@ -193,13 +196,16 @@
 // its Plan (PlanMul): the position of each B entry's column among a DCSC
 // A's stored columns, found through the AUX array (spmat.DCSC.Locate), or
 // the row itself for a CSC A. Plan.Symbolic and every kernel read A at
-// those slots. The plan's arrays come from the worker free list and go back
-// on Plan.Release; the one-shot entry points (MulMat, SymbolicMat,
-// MatFlops, SymbolicSpGEMM) release the plans they make, and the
-// distributed stages release theirs when the stage's work is done — a
-// planned stage's once Merge-Layer's fused merge has read its last window. A
-// fused merge keeps each planned window's flop counts and first slot in
-// that plan's arrays too.
+// those slots. A plan lives in plan scratch on the worker free list with its
+// arrays and the passes of its multiply and of a fused merge: PlanMul takes
+// it off the list and Plan.Release puts it back whole, so nothing of the
+// plan — Flops included — is read after its release; the one-shot entry
+// points (MulMat, SymbolicMat, MatFlops, SymbolicSpGEMM) and the distributed
+// stages read Flops first and release the plans they make when the stage's
+// work is done — a planned stage's once Merge-Layer's fused merge has read
+// its last window. A fused merge keeps each planned window's flop counts
+// and first slot in that plan's arrays too, and its pass in the first
+// plan's scratch.
 //
 // # Sparse×dense kernels
 //

@@ -153,3 +153,39 @@ func TestLentMergeNeverRegrowsItsChunk(t *testing.T) {
 		t.Errorf("after a small chunk came back the large merge allocates %d objects, %d after its own: its chunk was regrown", after, own)
 	}
 }
+
+// TestWarmLentMergeAllocatesNothing: a plan and its arrays live in plan
+// scratch on the free list (PlanMul, Plan.Release), a merge's pass in the
+// scratch it borrows — the first plan's, or its own when it has none — with
+// its range body a method, not a closure, and a lent output's arrays and
+// header are the loan's (spmat.Lend). So a warm cycle of planning a stage,
+// merging it lent with an earlier part, and releasing output and plan
+// allocates no object at all, and neither does a lent merge with no plan,
+// for CSC and DCSC operands alike.
+func TestWarmLentMergeAllocatesNothing(t *testing.T) {
+	sr := semiring.PlusTimes()
+	a := uniformMat(t, 256, 256, 4, 461)
+	for _, dcsc := range []bool{false, true} {
+		b := asFormat(uniformMat(t, 256, 512, 2, 462), dcsc)
+		prev := []spmat.Matrix{asFormat(uniformMat(t, 256, 512, 2, 463), dcsc), asFormat(uniformMat(t, 256, 512, 2, 464), dcsc)}
+		plans := make([]*Plan, 1)
+		cycles := map[string]func(){
+			"PlanMul → MulMerge → Release": func() {
+				plans[0] = PlanMul(a, b)
+				out, _ := MulMerge(KernelHashUnsorted, prev[:1], plans, 0, 512, sr, false, true, 1)
+				spmat.Release(out)
+				plans[0].Release()
+			},
+			"MulMerge with no plan → Release": func() {
+				out, _ := MulMerge(KernelHashUnsorted, prev, nil, 0, 0, sr, true, true, 1)
+				spmat.Release(out)
+			},
+		}
+		for name, cycle := range cycles {
+			cycle()
+			if n := testing.AllocsPerRun(100, cycle); n != 0 {
+				t.Errorf("dcsc=%v %s: a warm cycle allocates %v objects, want 0", dcsc, name, n)
+			}
+		}
+	}
+}

@@ -102,10 +102,12 @@ func checkMulShapesMat(a, b spmat.Matrix) {
 // read A's columns through its colView by the slots the plan holds: no
 // column of A is looked up twice.
 //
-// The per-entry and per-slot arrays (the A slots of a DCSC A, the running
-// flop sums, the per-slot counts) come from the kernels' free list and go
-// back on Release. A plan is used until Release and never after; Flops
-// alone stays readable.
+// A plan lives inside its planScratch: the struct and the per-entry and
+// per-slot arrays (the A slots of a DCSC A, the running flop sums, the
+// per-slot counts) are taken off the kernels' free list of plans by PlanMul
+// and go back together on Release, so a warm plan allocates nothing. Its
+// calls share that scratch, so a plan is one goroutine's at a time. A plan is
+// used until Release and never after, Flops included: read it first.
 type Plan struct {
 	// Flops is the multiplication count of A·B (Flops generalized to the
 	// storage interface).
@@ -124,19 +126,24 @@ type Plan struct {
 	scratch  *planScratch
 }
 
-// planScratch is the arrays a plan borrows from the free list: the A slot
-// and running flop sum of every B entry (a DCSC A only), the flop count of
-// every B slot, and what a fused merge (MulMerge) needs of the plan for the
-// length of one call, reused by the next window: the window's running flop
-// counts and, for a DCSC B, its columns, the B slot of its first column
-// (p0), and — in the first plan's scratch — the merge operands' views, the
-// input entries of every output slot and, for a DCSC output, the union of
-// the operands' stored columns. A merge with no plan borrows a scratch for
-// the last three alone.
+// planScratch is a plan and what it borrows from the free list: the plan
+// itself, the pass of its multiply (mulPass), the A slot and running flop
+// sum of every B entry (a DCSC A only), the flop count of every B slot, the
+// bounds of a pass's ranges, and what a fused merge (MulMerge) needs of the
+// plan for the length of one call, reused by the next window: the window's
+// running flop counts and, for a DCSC B, its columns, the B slot of its
+// first column (p0), and — in the first plan's scratch — the merge's pass,
+// the operands' views, the input entries of every output slot and, for a
+// DCSC output, the union of the operands' stored columns. A merge with no
+// plan borrows a scratch for the pass and the last three alone.
 type planScratch struct {
+	plan     Plan
+	mul      mulPass
+	pass     fusedPass
 	slots    []int32
 	sums     []int64
 	colFlops []int64
+	bounds   []int32
 	winPtr   []int64
 	winJC    []int32
 	views    []colView
@@ -151,8 +158,10 @@ type planScratch struct {
 // running sum, and a slot's count is the difference of the sums at its ends.
 func PlanMul(a, b spmat.Matrix) *Plan {
 	checkMulShapesMat(a, b)
-	pl := &Plan{a: a, b: b, av: viewOf(a), bv: viewOf(b), scratch: getPlanScratch()}
-	s, bv, aPtr := pl.scratch, &pl.bv, pl.av.ptr
+	s := getPlanScratch()
+	pl := &s.plan
+	*pl = Plan{a: a, b: b, av: viewOf(a), bv: viewOf(b), scratch: s}
+	bv, aPtr := &pl.bv, pl.av.ptr
 	s.colFlops = slices.Grow(s.colFlops[:0], int(bv.n))[:bv.n]
 	pl.colFlops = s.colFlops
 	if !pl.av.compressed {
@@ -199,21 +208,17 @@ func (pl *Plan) bVals(p int32) []float64 {
 	return pl.bv.vals[pl.bv.ptr[p]:pl.bv.ptr[p+1]]
 }
 
-// Release hands the plan's arrays back to the free list. The plan must not be
-// used afterwards — but for Flops, which stays — and releasing twice is
-// releasing once. While spmat.PoisonReleased is set the arrays are poisoned
-// first: every slot out of range, every flop count and sum −1, so a plan read
-// after its release fails loudly instead of reading the next plan's arrays.
+// Release hands the plan back to the free list of plans, with its arrays.
+// Nothing of the plan may be read afterwards — Flops neither: the next
+// PlanMul on any goroutine fills the same struct. Releasing again before
+// that does nothing. While spmat.PoisonReleased is set the plan is poisoned
+// first: every slot out of range, every flop count and sum −1, Flops too, so
+// a plan read after its release fails loudly instead of reading the next
+// plan's.
 func (pl *Plan) Release() {
-	s := pl.scratch
-	pl.scratch, pl.slots, pl.colFlops = nil, nil, nil
-	if s == nil {
-		return
+	if s := pl.scratch; s != nil {
+		putPlanScratch(s)
 	}
-	if spmat.PoisonReleased.Load() {
-		s.poison()
-	}
-	putPlanScratch(s)
 }
 
 // MatFlops returns the multiplication count of A·B over any format
@@ -249,7 +254,9 @@ func (pl *Plan) Symbolic(threads int) int64 {
 	av, colFlops := &pl.av, pl.colFlops
 	aRows, _ := pl.a.Dims()
 	var total atomic.Int64
-	runWorkers(flopBounds(colFlops, clampThreads(threads, pl.bv.n, pl.Flops)), func(w *mmWorker, lo, hi int32) {
+	s := pl.scratch
+	s.bounds = flopBounds(colFlops, clampThreads(threads, pl.bv.n, pl.Flops), s.bounds)
+	runWorkers(s.bounds, func(w *mmWorker, lo, hi int32) {
 		var n int64
 		for p := lo; p < hi; p++ {
 			if colFlops[p] != 0 {
@@ -297,7 +304,9 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, out passO
 	bv, colFlops := &pl.bv, pl.colFlops
 	aRows, _ := pl.a.Dims()
 	_, bCols := pl.b.Dims()
-	bounds := flopBounds(colFlops, workers)
+	s := pl.scratch
+	s.bounds = flopBounds(colFlops, workers, s.bounds)
+	bounds := s.bounds
 	out = out.over(bounds)
 	ptr := pointers(out, bv.n+1)
 	// A doubly-compressed product lists its columns in an array of its own,
@@ -306,18 +315,37 @@ func (pl *Plan) multiply(k Kernel, sr *semiring.Semiring, workers int, out passO
 	if bv.compressed {
 		jc = copyColumns(out, bv.jc)
 	}
-	plusTimes := sr.IsPlusTimes()
-	ir, num := onePass(bounds, colFlops, aRows, func(w *mmWorker, lo, hi int32) {
-		for p := lo; p < hi; p++ {
-			if colFlops[p] == 0 {
-				continue
-			}
-			start := len(w.rows)
-			w.mulColumn(pl, p, sr, plusTimes, aRows, k.sorts())
-			ptr[p+1] = int64(len(w.rows) - start)
-		}
-	}, out)
+	s.mul = mulPass{pl: pl, sr: sr, plusTimes: sr.IsPlusTimes(), sorted: k.sorts(), rows: aRows, ptr: ptr}
+	ir, num := onePass(bounds, colFlops, aRows, &s.mul, out)
+	s.mul = mulPass{}
 	return newOutput(aRows, bCols, jc, bv.compressed, ptr, ir, num, k.sorts(), out)
+}
+
+// mulPass is what every column of one Plan.multiply shares: the plan, the
+// semiring, whether columns drain sorted, A's height and the output's column
+// pointers, which the ranges fill with the slots' entry counts. It lives in
+// the plan's scratch.
+type mulPass struct {
+	pl        *Plan
+	sr        *semiring.Semiring
+	plusTimes bool
+	sorted    bool
+	rows      int32
+	ptr       []int64
+}
+
+// fill computes the product columns of B's slots [lo, hi) of one range
+// (onePass).
+func (m *mulPass) fill(w *mmWorker, lo, hi int32) {
+	colFlops := m.pl.colFlops
+	for p := lo; p < hi; p++ {
+		if colFlops[p] == 0 {
+			continue
+		}
+		start := len(w.rows)
+		w.mulColumn(m.pl, p, m.sr, m.plusTimes, m.rows, m.sorted)
+		m.ptr[p+1] = int64(len(w.rows) - start)
+	}
 }
 
 // mulColumn appends the product column of B's slot p to the worker's chunk:
@@ -357,7 +385,8 @@ func (w *mmWorker) drain(sorted bool) {
 // prefix sum in place. A CSC output's slots are its columns. Slot p of a DCSC
 // output is column jc[p], and only the slots that received entries keep a
 // JC/CP entry: jc and ptr are compacted where they lie — no O(cols) array
-// exists at any point. A lent output (out) is lent with its arrays whole.
+// exists at any point. A lent output (out) is lent with its arrays whole, its
+// header the loan's (spmat.Lend).
 func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32, num []float64, sorted bool, out passOutput) spmat.Matrix {
 	stored := len(ptr) - 1
 	if !dcsc {
@@ -377,16 +406,16 @@ func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32,
 	if nnz := ptr[stored]; nnz != int64(len(ir)) || nnz != int64(len(num)) {
 		panic(fmt.Sprintf("localmm: columns count %d entries, the ranges filled %d", nnz, len(ir)))
 	}
-	var m spmat.Matrix
-	if !dcsc {
-		m = &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
-	} else {
-		m = &spmat.DCSC{Rows: rows, Cols: cols, JC: jc[:stored], CP: ptr[:stored+1], IR: ir, Num: num, SortedCols: sorted}
+	if dcsc {
+		jc, ptr = jc[:stored], ptr[:stored+1]
 	}
-	if out == lentOutput {
-		spmat.Lend(m, ir, num, ptr, jc)
+	switch {
+	case out == lentOutput:
+		return spmat.Lend(rows, cols, jc, ptr, ir, num, sorted, dcsc)
+	case !dcsc:
+		return &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
 	}
-	return m
+	return &spmat.DCSC{Rows: rows, Cols: cols, JC: jc, CP: ptr, IR: ir, Num: num, SortedCols: sorted}
 }
 
 // checkMergeShapes verifies all operands share one shape and returns it.

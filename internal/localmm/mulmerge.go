@@ -94,10 +94,10 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 	// A merge of one window alone passes that product through, sorted flag
 	// and all.
 	sorted := sortOutput || len(prev)+len(plans) == 1 && k.sorts()
-	// The operands' views, the input entries of the output's slots and a
-	// doubly-compressed output's union of stored columns are worked out in
-	// plan scratch: a fused merge's first plan's, a merge with no plan's own,
-	// off the free list for the call.
+	// The pass, the operands' views, the input entries of the output's slots
+	// and a doubly-compressed output's union of stored columns are worked out
+	// in plan scratch: a fused merge's first plan's, a merge with no plan's
+	// own, off the free list for the call.
 	var sc *planScratch
 	if len(plans) > 0 {
 		sc = plans[0].scratch
@@ -106,8 +106,10 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 		defer putPlanScratch(sc)
 	}
 	sc.views = slices.Grow(sc.views[:0], len(prev)+len(plans))[:len(prev)+len(plans)]
-	f := &fusedPass{k: k, sr: sr, plusTimes: sr.IsPlusTimes(), sortOutput: sortOutput, rows: rows,
-		views: sc.views, first: len(prev), plans: plans}
+	f := &sc.pass
+	f.reset()
+	f.k, f.sr, f.plusTimes, f.sortOutput, f.rows = k, sr, sr.IsPlusTimes(), sortOutput, rows
+	f.views, f.first, f.plans = sc.views, len(prev), plans
 	var entries int64
 	for i, m := range prev {
 		f.views[i] = viewOf(m)
@@ -119,35 +121,24 @@ func MulMerge(k Kernel, prev []spmat.Matrix, plans []*Plan, lo, hi int32, sr *se
 		entries += v.ptr[v.n]
 	}
 	f.slots, sc.colIn = mergeSlots(f.views, cols, sc.colIn, sc.union)
-	slots, colIn := &f.slots, sc.colIn
-	bounds := flopBounds(colIn, clampThreads(threads, slots.n, entries))
-	out := outputFor(lend).over(bounds)
+	f.colIn = sc.colIn
+	slots := &f.slots
+	sc.bounds = flopBounds(f.colIn, clampThreads(threads, slots.n, entries), sc.bounds)
+	out := outputFor(lend).over(sc.bounds)
 	if slots.compressed {
 		sc.union, slots.jc = slots.jc, copyColumns(out, slots.jc)
 	}
-	ptr := pointers(out, slots.n+1)
-	ir, num := onePass(bounds, colIn, rows, func(w *mmWorker, s0, s1 int32) {
-		w.seek(f.views, slots.index(s0))
-		w.at = slices.Grow(w.at[:0], len(plans))[:len(plans)]
-		clear(w.at)
-		var made int64
-		for s := s0; s < s1; s++ {
-			if colIn[s] == 0 {
-				continue
-			}
-			start := len(w.rows)
-			made += f.column(w, slots.index(s), colIn[s])
-			ptr[s+1] = int64(len(w.rows) - start)
-		}
-		f.made.Add(made)
-	}, out)
-	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, sorted, out), f.made.Load()
+	f.ptr = pointers(out, slots.n+1)
+	ir, num := onePass(sc.bounds, f.colIn, rows, f, out)
+	return newOutput(rows, cols, slots.jc, slots.compressed, f.ptr, ir, num, sorted, out), f.made.Load()
 }
 
 // fusedPass is what every column of one MulMerge shares: the kernel and the
 // semiring, the operands' views — prev's, then each planned stage's window
-// from index first on — the output's slots and the stages' plans; made adds
-// up the planned columns' entries over the ranges.
+// from index first on — the output's slots, their input entries (colIn) and
+// the output's column pointers, which the ranges fill with the slots' entry
+// counts, and the stages' plans; made adds up the planned columns' entries
+// over the ranges. It lives in the plan scratch the merge borrows.
 type fusedPass struct {
 	made       atomic.Int64
 	k          Kernel
@@ -158,7 +149,33 @@ type fusedPass struct {
 	views      []colView
 	first      int
 	slots      colView
+	colIn      []int64
+	ptr        []int64
 	plans      []*Plan
+}
+
+// reset readies the pass for the next merge, letting go of what it read.
+func (f *fusedPass) reset() {
+	f.made.Store(0)
+	f.sr, f.views, f.slots, f.colIn, f.ptr, f.plans = nil, nil, colView{}, nil, nil, nil
+}
+
+// fill computes the output slots [s0, s1) of one range (onePass).
+func (f *fusedPass) fill(w *mmWorker, s0, s1 int32) {
+	slots, colIn := &f.slots, f.colIn
+	w.seek(f.views, slots.index(s0))
+	w.at = slices.Grow(w.at[:0], len(f.plans))[:len(f.plans)]
+	clear(w.at)
+	var made int64
+	for s := s0; s < s1; s++ {
+		if colIn[s] == 0 {
+			continue
+		}
+		start := len(w.rows)
+		made += f.column(w, slots.index(s), colIn[s])
+		f.ptr[s+1] = int64(len(w.rows) - start)
+	}
+	f.made.Add(made)
 }
 
 // stageAt is a worker's place in a planned stage: the B slot of the

@@ -135,6 +135,8 @@ func getWorker() *mmWorker {
 	if n := len(idleWorkers.ws); n > 0 {
 		w := idleWorkers.ws[n-1]
 		idleWorkers.ws = idleWorkers.ws[:n-1]
+		spmat.Unpark(w.rows)
+		spmat.Unpark(w.vals)
 		return w
 	}
 	return new(mmWorker)
@@ -144,14 +146,17 @@ func getWorker() *mmWorker {
 // first: the other fields own their memory, but a retained view would keep a
 // whole operand matrix reachable across unrelated work. Then every table
 // that grew past spmat.MaxKeptEntries is dropped; the sorter's buffers are
-// sized by the longest column the chunk held, so they go with the chunk.
+// sized by the longest column the chunk held, so they go with the chunk. The
+// chunk was drawn from spmat's list, so a chunk the worker drops — or that
+// a worker the free list has no room for holds — is given back to it.
 func putWorker(w *mmWorker) {
 	clear(w.parts[:cap(w.parts)])
 	if cap(w.parts) > spmat.MaxKeptEntries {
 		w.parts = nil
 	}
 	if max(cap(w.rows), cap(w.vals)) > spmat.MaxKeptEntries {
-		w.rows, w.vals, w.sorter = nil, nil, spmat.PairSorter{}
+		w.giveChunk()
+		w.sorter = spmat.PairSorter{}
 	}
 	if max(cap(w.stage.rows), cap(w.stage.vals)) > spmat.MaxKeptEntries {
 		w.stage, w.sorter = chunk{}, spmat.PairSorter{}
@@ -163,10 +168,25 @@ func putWorker(w *mmWorker) {
 		w.set = rowSet{}
 	}
 	idleWorkers.Lock()
-	defer idleWorkers.Unlock()
-	if len(idleWorkers.ws) < maxIdleWorkers {
+	kept := len(idleWorkers.ws) < maxIdleWorkers
+	if kept {
+		// An idle worker's chunk is idle, as the list's arrays are: spmat's
+		// ledger counts it given back until the worker is taken again.
+		spmat.Park(w.rows)
+		spmat.Park(w.vals)
 		idleWorkers.ws = append(idleWorkers.ws, w)
 	}
+	idleWorkers.Unlock()
+	if !kept {
+		w.giveChunk()
+	}
+}
+
+// giveChunk gives the worker's chunk back to spmat's list.
+func (w *mmWorker) giveChunk() {
+	spmat.Give(w.rows)
+	spmat.Give(w.vals)
+	w.rows, w.vals = nil, nil
 }
 
 // getPlanScratch takes a plan's arrays off the free list, most recently
@@ -182,17 +202,24 @@ func getPlanScratch() *planScratch {
 	return new(planScratch)
 }
 
-// putPlanScratch returns a plan's arrays to the free list under the workers'
-// bounds: an array above spmat.MaxKeptEntries is dropped, and the list keeps
-// at most maxIdleWorkers plans' arrays. The merge operands' views are dropped
-// first, as a worker's are (putWorker).
+// putPlanScratch returns a plan and its arrays to the free list under the
+// workers' bounds: an array above spmat.MaxKeptEntries is dropped, and the
+// list keeps at most maxIdleWorkers plans. The plan, its merge pass and the
+// merge operands' views let go of the matrices they read first, as a
+// worker's views do (putWorker), and while spmat.PoisonReleased is set the
+// arrays and the flop count are poisoned.
 func putPlanScratch(s *planScratch) {
 	clear(s.views[:cap(s.views)])
+	s.plan = Plan{}
+	s.pass.reset()
+	if spmat.PoisonReleased.Load() {
+		s.poison()
+	}
 	if max(cap(s.slots), cap(s.sums)) > spmat.MaxKeptEntries {
 		s.slots, s.sums = nil, nil
 	}
-	if max(cap(s.colFlops), cap(s.winPtr), cap(s.winJC), cap(s.colIn), cap(s.union)) > spmat.MaxKeptEntries {
-		s.colFlops, s.winPtr, s.winJC, s.colIn, s.union = nil, nil, nil, nil, nil
+	if max(cap(s.colFlops), cap(s.bounds), cap(s.winPtr), cap(s.winJC), cap(s.colIn), cap(s.union)) > spmat.MaxKeptEntries {
+		s.colFlops, s.bounds, s.winPtr, s.winJC, s.colIn, s.union = nil, nil, nil, nil, nil, nil
 	}
 	idleWorkers.Lock()
 	defer idleWorkers.Unlock()
@@ -201,10 +228,11 @@ func putPlanScratch(s *planScratch) {
 	}
 }
 
-// poison overwrites a released plan's arrays: every slot, window column and
-// union column past any column, every running sum, flop count and entry count
-// −1.
+// poison overwrites a released plan: every slot, window column and union
+// column past any column, every running sum, flop count and entry count −1,
+// its Flops too.
 func (s *planScratch) poison() {
+	s.plan.Flops = -1
 	for _, a := range [][]int32{s.slots[:cap(s.slots)], s.winJC[:cap(s.winJC)], s.union[:cap(s.union)]} {
 		for i := range a {
 			a[i] = math.MaxInt32
@@ -219,22 +247,23 @@ func (s *planScratch) poison() {
 
 // flopBounds partitions columns into parts contiguous ranges whose work
 // totals (colWork: flop counts for a multiply, input entries for a merge)
-// are as even as a contiguous split allows. Falls back to a count split
-// when there is no work to balance.
-func flopBounds(colWork []int64, parts int) []int32 {
+// are as even as a contiguous split allows, in buf's array when it has room.
+// Falls back to a count split when there is no work to balance.
+func flopBounds(colWork []int64, parts int, buf []int32) []int32 {
 	n := int32(len(colWork))
 	var total int64
 	for _, f := range colWork {
 		total += f
 	}
-	if total == 0 {
-		return spmat.PartBounds(n, parts)
-	}
-	bounds := make([]int32, parts+1)
-	bounds[parts] = n
+	bounds := slices.Grow(buf[:0], parts+1)[:parts+1]
+	bounds[0], bounds[parts] = 0, n
 	var acc int64
 	j := int32(0)
 	for i := 1; i < parts; i++ {
+		if total == 0 {
+			bounds[i] = bounds[i-1] + n/int32(parts) + int32(b2i(int32(i-1) < n%int32(parts)))
+			continue
+		}
 		target := total * int64(i) / int64(parts)
 		for j < n && acc < target {
 			acc += colWork[j]
@@ -344,10 +373,22 @@ func copyColumns(out passOutput, cols []int32) []int32 {
 	return jc
 }
 
+// filler is a pass's range body: fill computes the columns [lo, hi) of one
+// range on the worker w (onePass). A pass that lives in plan scratch
+// (fusedPass) is its own filler, so a warm call makes no closure.
+type filler interface {
+	fill(w *mmWorker, lo, hi int32)
+}
+
+// fillFunc is a range body written as a function.
+type fillFunc func(w *mmWorker, lo, hi int32)
+
+func (f fillFunc) fill(w *mmWorker, lo, hi int32) { f(w, lo, hi) }
+
 // runWorkers executes fn once per non-empty column range, each with its own
 // scratch: the last range on the caller's goroutine, the others on theirs.
 func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
-	onePass(bounds, nil, 0, fn, noOutput)
+	onePass(bounds, nil, 0, fillFunc(fn), noOutput)
 }
 
 // nonEmptyRanges returns the first and the last range of bounds that holds a
@@ -365,8 +406,8 @@ func nonEmptyRanges(bounds []int32) (first, last int) {
 	return first, last
 }
 
-// onePass runs the plan described at the top of this file. fill computes
-// the columns [lo, hi) of one range, appending them to w.rows/w.vals, which
+// onePass runs the plan described at the top of this file. f computes
+// the columns [lo, hi) of one range (filler.fill), appending them to w.rows/w.vals, which
 // arrive empty and, unless out is noOutput, with room for the range's entry
 // bound (fillRange), which rows, the output's row count, caps column by
 // column. Unless out is noOutput the pass returns the output's
@@ -375,16 +416,16 @@ func nonEmptyRanges(bounds []int32) (first, last int) {
 // when several did — or, under lentOutput with one range that filled
 // anything, the chunk itself, its whole capacity. One range runs on the
 // caller's goroutine with nothing else to coordinate.
-func onePass(bounds []int32, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
+func onePass(bounds []int32, colWork []int64, rows int32, f filler, out passOutput) (ir []int32, num []float64) {
 	first, last := nonEmptyRanges(bounds)
 	if last < 0 {
 		return []int32{}, []float64{}
 	}
 	if first < last {
-		return manyRanges(bounds, last, colWork, rows, fill, out)
+		return manyRanges(bounds, last, colWork, rows, f, out)
 	}
 	w := getWorker()
-	w.fillRange(bounds[last], bounds[last+1], colWork, rows, fill, out)
+	w.fillRange(bounds[last], bounds[last+1], colWork, rows, f, out)
 	switch {
 	case out == noOutput:
 	case out == lentOutput && len(w.rows) > 0:
@@ -397,11 +438,11 @@ func onePass(bounds []int32, colWork []int64, rows int32, fill func(w *mmWorker,
 	return ir, num
 }
 
-// fillRange runs fill over the range [lo, hi) on the worker's emptied chunk,
+// fillRange runs f over the range [lo, hi) on the worker's emptied chunk,
 // fitted first, unless out is noOutput, to the range's entry bound: its
 // columns' colWork, each capped at the output's row count rows, neither of
 // which an output column exceeds.
-func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) {
+func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, rows int32, f filler, out passOutput) {
 	if out != noOutput {
 		var bound int64
 		for _, c := range colWork[lo:hi] {
@@ -410,14 +451,14 @@ func (w *mmWorker) fillRange(lo, hi int32, colWork []int64, rows int32, fill fun
 		w.fitChunk(bound)
 	}
 	w.rows, w.vals = w.rows[:0], w.vals[:0]
-	fill(w, lo, hi)
+	f.fill(w, lo, hi)
 }
 
 // manyRanges is onePass over two or more non-empty ranges, the last of them
 // last: each range but the last on a goroutine of its own, which waits for the
 // allocation and then places its chunk; the output, unless out is noOutput,
 // is always owned.
-func manyRanges(bounds []int32, last int, colWork []int64, rows int32, fill func(w *mmWorker, lo, hi int32), out passOutput) (ir []int32, num []float64) {
+func manyRanges(bounds []int32, last int, colWork []int64, rows int32, f filler, out passOutput) (ir []int32, num []float64) {
 	ws := make([]*mmWorker, last+1)
 	offs := make([]int, last+1)
 	place := func(t int) {
@@ -438,7 +479,7 @@ func manyRanges(bounds []int32, last int, colWork []int64, rows int32, fill func
 		placed.Add(1)
 		go func(t int) {
 			defer placed.Done()
-			ws[t].fillRange(bounds[t], bounds[t+1], colWork, rows, fill, out)
+			ws[t].fillRange(bounds[t], bounds[t+1], colWork, rows, f, out)
 			filled.Done()
 			if out != noOutput {
 				<-allocated
@@ -447,7 +488,7 @@ func manyRanges(bounds []int32, last int, colWork []int64, rows int32, fill func
 		}(t)
 	}
 	ws[last] = getWorker()
-	ws[last].fillRange(bounds[last], bounds[last+1], colWork, rows, fill, out)
+	ws[last].fillRange(bounds[last], bounds[last+1], colWork, rows, f, out)
 	filled.Wait()
 	if out != noOutput {
 		total := 0

@@ -92,7 +92,7 @@ func (pl *Plan) mulTest(k testKernel, sr *semiring.Semiring, workers int) spmat.
 	_, bCols := pl.b.Dims()
 	ptr := make([]int64, bv.n+1)
 	plusTimes := sr.IsPlusTimes()
-	ir, num := onePass(flopBounds(colFlops, workers), colFlops, aRows, func(w *mmWorker, lo, hi int32) {
+	ir, num := onePass(flopBounds(colFlops, workers, nil), colFlops, aRows, fillFunc(func(w *mmWorker, lo, hi int32) {
 		var h rowHeap
 		for p := lo; p < hi; p++ {
 			if colFlops[p] == 0 {
@@ -108,7 +108,7 @@ func (pl *Plan) mulTest(k testKernel, sr *semiring.Semiring, workers int) spmat.
 			}
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
-	}, ownedOutput)
+	}), ownedOutput)
 	return newOutput(aRows, bCols, slices.Clone(bv.jc), bv.compressed, ptr, ir, num, true, ownedOutput)
 }
 
@@ -173,7 +173,7 @@ func heapMerge(mats []spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Ma
 	slots, colIn := mergeSlots(views, cols, nil, nil)
 	ptr := make([]int64, slots.n+1)
 	plusTimes := sr.IsPlusTimes()
-	ir, num := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries)), colIn, rows, func(w *mmWorker, lo, hi int32) {
+	ir, num := onePass(flopBounds(colIn, clampThreads(threads, slots.n, entries), nil), colIn, rows, fillFunc(func(w *mmWorker, lo, hi int32) {
 		var h rowHeap
 		w.seek(views, slots.index(lo))
 		for p := lo; p < hi; p++ {
@@ -184,7 +184,7 @@ func heapMerge(mats []spmat.Matrix, sr *semiring.Semiring, threads int) spmat.Ma
 			w.heapColumn(&h, w.gather(views, slots.index(p)), nil, sr, plusTimes)
 			ptr[p+1] = int64(len(w.rows) - start)
 		}
-	}, ownedOutput)
+	}), ownedOutput)
 	return newOutput(rows, cols, slots.jc, slots.compressed, ptr, ir, num, true, ownedOutput)
 }
 

@@ -156,9 +156,9 @@ func TestFittedChunkWithinRowsTimesWidth(t *testing.T) {
 		}
 		w := &mmWorker{}
 		var fitted [2]int
-		w.fillRange(0, width, c.colWork, c.rows, func(w *mmWorker, lo, hi int32) {
+		w.fillRange(0, width, c.colWork, c.rows, fillFunc(func(w *mmWorker, lo, hi int32) {
 			fitted = [2]int{cap(w.rows), cap(w.vals)}
-		}, lentOutput)
+		}), lentOutput)
 		for _, got := range fitted {
 			if int64(got) < bound || int64(got) >= max(2*bound, 1) {
 				t.Errorf("rows %d, work %v: a chunk of %d entries, for a bound of %d within %d × %d", c.rows, c.colWork, got, bound, c.rows, width)

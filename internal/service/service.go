@@ -469,6 +469,11 @@ type Stats struct {
 	// FreeListIdleBytes is what the process's one free list of arrays
 	// holds right now, waiting to be reused (spmat.IdleBytes).
 	FreeListIdleBytes int64 `json:"free_list_idle_bytes"`
+	// FreeListDrawnBytes is what lent matrices and busy kernel workers hold
+	// of the list right now, FreeListDrawnPeakBytes the most they have held
+	// at once since the process started (spmat.Drawn).
+	FreeListDrawnBytes     int64 `json:"free_list_drawn_bytes"`
+	FreeListDrawnPeakBytes int64 `json:"free_list_drawn_peak_bytes"`
 	// MemBytes echoes the shared budget; P and Machine the cluster shape.
 	MemBytes int64  `json:"mem_bytes"`
 	P        int    `json:"p"`
@@ -481,6 +486,7 @@ func (s *Service) Stats() Stats {
 	waitTotal, waitMax, engine, rankCompute, failures := s.met.snapshot()
 	splitBytes, splitEntries, splitHits, splitMisses, splitEvictions := s.splits.snapshot()
 	idleWorlds, worldsBuilt, worldsDropped := s.worlds.Counts()
+	drawn, drawnPeak := spmat.Drawn(false)
 	reqs := make(map[string]int64, len(endpointNames))
 	for i, name := range endpointNames {
 		reqs[name] = s.requests[i].Load()
@@ -516,7 +522,9 @@ func (s *Service) Stats() Stats {
 		WorldsBuilt:   worldsBuilt,
 		WorldsDropped: worldsDropped,
 
-		FreeListIdleBytes: spmat.IdleBytes(),
+		FreeListIdleBytes:      spmat.IdleBytes(),
+		FreeListDrawnBytes:     drawn,
+		FreeListDrawnPeakBytes: drawnPeak,
 
 		MemBytes: s.cfg.MemBytes,
 		P:        s.cfg.P,

@@ -481,16 +481,7 @@ func GatherColRanges(m Matrix, n int, ranges func(k int) (lo, hi int32), lend bo
 		}
 		e, off = e+cp[p1]-base, off+hi-lo
 	}
-	var out Matrix
-	if isCSC {
-		out = &CSC{Rows: rows, Cols: width, ColPtr: ptr, RowIdx: outIR, Val: outNum, SortedCols: c.SortedCols}
-	} else {
-		out = &DCSC{Rows: rows, Cols: width, JC: jc, CP: ptr, IR: outIR, Num: outNum, SortedCols: d.SortedCols}
-	}
-	if lend {
-		Lend(out, outIR, outNum, ptr, jc)
-	}
-	return out
+	return newMatrix(lend, rows, width, jc, ptr, outIR, outNum, m.Sorted(), !isCSC)
 }
 
 // storedFrom returns the position in JC of the first stored column at or
@@ -509,14 +500,15 @@ func (d *DCSC) storedFrom(j int32) int {
 // columns. The pieces are views: each shares m's entry arrays
 // (capacity-capped, so appending to a piece can never run into its
 // neighbour) and has column metadata of its own, the pieces' together in one
-// array, and a piece that covers every column is m itself. The metadata of
-// the views of a lent m is carved from m's shell, drawn from the free list on
-// the first cut, so it lives exactly as long as m's entries and goes back
-// with them (Release); views cut from one lent matrix more than once all stay
-// valid until then. Only the goroutine that owns a lent m cuts it. That is
-// what the fiber split wants — the pieces of a merged product are only ever
-// read, by the ranks they are sent to — and nothing that goes on to mutate
-// entries in place should be built from them.
+// array, and a piece that covers every column is m itself. The views of a
+// lent m — their metadata, their headers and the slice that holds them —
+// are carved from m's shell, the metadata drawn from the free list on the
+// first cut, so they live exactly as long as m's entries and go back with
+// them (Release), and a warm cut allocates nothing; views cut from one lent
+// matrix more than once all stay valid until then. Only the goroutine that
+// owns a lent m cuts it. That is what the fiber split wants — the pieces of
+// a merged product are only ever read, by the ranks they are sent to — and
+// nothing that goes on to mutate entries in place should be built from them.
 func MatColRanges(m Matrix, bounds []int32) []Matrix {
 	_, cols := m.Dims()
 	c, isCSC := m.(*CSC)
@@ -532,7 +524,7 @@ func MatColRanges(m Matrix, bounds []int32) []Matrix {
 		p, _ := slices.BinarySearch(d.JC, b)
 		return p
 	}
-	needPtr, needJC := 0, 0
+	needPtr, needJC, views := 0, 0, 0
 	for k := 0; k+1 < len(bounds); k++ {
 		b0, b1 := bounds[k], bounds[k+1]
 		if b0 < 0 || b1 < b0 || b1 > cols {
@@ -546,15 +538,27 @@ func MatColRanges(m Matrix, bounds []int32) []Matrix {
 		if !isCSC {
 			needJC += n
 		}
+		views++
 	}
-	var ptr []int64
-	var jc []int32
+	// The views of an owned m get a shell of their own, which nothing
+	// releases.
 	s := m.shellOf().Load()
-	if s != nil {
-		ptr, jc = s.viewPtr, s.viewJC
+	lent := s != nil
+	if !lent {
+		s = new(shell)
 	}
-	ptr, jc = room(ptr, needPtr, s != nil), room(jc, needJC, s != nil)
-	out := make([]Matrix, len(bounds)-1)
+	ptr, jc := room(s.viewPtr, needPtr, lent), room(s.viewJC, needJC, lent)
+	// Headers and pieces go after those of earlier cuts, whose views stay
+	// valid: a buffer that grows leaves them in the old array.
+	out := grow(&s.pieces, len(bounds)-1)
+	var cscViews []CSC
+	var dcscViews []DCSC
+	if isCSC {
+		cscViews = grow(&s.cscViews, views)
+	} else {
+		dcscViews = grow(&s.dcscViews, views)
+	}
+	v := 0
 	for k := range out {
 		b0, b1 := bounds[k], bounds[k+1]
 		if b0 == 0 && b1 == cols {
@@ -567,7 +571,9 @@ func MatColRanges(m Matrix, bounds []int32) []Matrix {
 			for _, x := range c.ColPtr[b0 : b1+1] {
 				ptr = append(ptr, x-lo)
 			}
-			out[k] = &CSC{Rows: c.Rows, Cols: b1 - b0, ColPtr: ptr[start:len(ptr):len(ptr)], RowIdx: c.RowIdx[lo:hi:hi], Val: c.Val[lo:hi:hi], SortedCols: c.SortedCols}
+			view := &cscViews[v]
+			view.set(c.Rows, b1-b0, ptr[start:len(ptr):len(ptr)], c.RowIdx[lo:hi:hi], c.Val[lo:hi:hi], c.SortedCols)
+			out[k], v = view, v+1
 			continue
 		}
 		p0, p1 := slot(b0), slot(b1)
@@ -579,10 +585,10 @@ func MatColRanges(m Matrix, bounds []int32) []Matrix {
 		for _, x := range d.CP[p0 : p1+1] {
 			ptr = append(ptr, x-lo)
 		}
-		out[k] = &DCSC{Rows: d.Rows, Cols: b1 - b0, JC: jc[j0:len(jc):len(jc)], CP: ptr[start:len(ptr):len(ptr)], IR: d.IR[lo:hi:hi], Num: d.Num[lo:hi:hi], SortedCols: d.SortedCols}
+		view := &dcscViews[v]
+		view.set(d.Rows, b1-b0, jc[j0:len(jc):len(jc)], ptr[start:len(ptr):len(ptr)], d.IR[lo:hi:hi], d.Num[lo:hi:hi], d.SortedCols)
+		out[k], v = view, v+1
 	}
-	if s != nil {
-		s.viewPtr, s.viewJC = ptr, jc
-	}
+	s.viewPtr, s.viewJC = ptr, jc
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // The binary wire format used when a matrix crosses the simulated network:
@@ -120,9 +121,11 @@ func encodeInto(h wireHead, src wireSource, dst []byte) []byte {
 }
 
 // encodeTo writes the encoding to w through one buffer of at most wireChunk
-// bytes and returns the bytes w accepted.
+// bytes (streamBufs) and returns the bytes w accepted.
 func encodeTo(h wireHead, src wireSource, w io.Writer) (int64, error) {
-	e := wireEnc{wireOut: wireOut{w: w, buf: make([]byte, min(h.size(), wireChunk))}}
+	buf := streamBufs.Get().(*[]byte)
+	defer streamBufs.Put(buf)
+	e := wireEnc{wireOut: wireOut{w: w, buf: (*buf)[:min(h.size(), wireChunk)]}}
 	e.encode(h, src)
 	e.flush()
 	return e.n, e.err
@@ -311,15 +314,28 @@ func DeserializeFormat(buf []byte, f Format) (Matrix, error) {
 // DeserializeFrom decodes the n-byte wire encoding r yields into the
 // requested format, exactly as DeserializeFormat decodes a slice — it is the
 // same decoder, every check included — reading r through one buffer of at
-// most wireChunk bytes instead of holding the encoding whole. It reads no
-// byte past the encoding; an n that is not the encoding's length is an error
-// before any column or entry is read, and so is a stream that ends early.
+// most wireChunk bytes (streamBufs) instead of holding the encoding whole.
+// It reads no byte past the encoding; an n that is not the encoding's length
+// is an error before any column or entry is read, and so is a stream that
+// ends early.
 func DeserializeFrom(r io.Reader, n int64, f Format) (Matrix, error) {
-	return decode(&wireIn{r: r, chunk: make([]byte, min(max(n, 0), wireChunk))}, n, f, nil)
+	buf := streamBufs.Get().(*[]byte)
+	defer streamBufs.Put(buf)
+	return decode(&wireIn{r: r, chunk: (*buf)[:min(max(n, 0), wireChunk)]}, n, f, nil)
 }
 
 // wireChunk is the buffer a streamed encoding is read or written through.
 const wireChunk = 64 << 10
+
+// streamBufs holds the wireChunk-byte buffers streamed encodings go through
+// (encodeTo, DeserializeFrom) between calls, so a warm call allocates none.
+// Neither side keeps a view of the buffer past its call: the encoder's
+// writer must not retain what it is handed, and the decoder copies what it
+// reads.
+var streamBufs = sync.Pool{New: func() any {
+	buf := make([]byte, wireChunk)
+	return &buf
+}}
 
 // wireIn hands the decoder an encoding's bytes in order: views of the
 // caller's slice, or chunks read from a stream into one buffer.
