@@ -72,9 +72,9 @@ deadcode:
 # stages' plans — all q of them on the staged schedule, the last stage's on
 # a pipelined q > 1 grid — which Merge-Layer's fused merge holds until its
 # last window and which are poisoned when released; plans, merge passes and
-# the headers of lent outputs and their views are reused too, a plan with
-# its pass from plan scratch and a header from its shell, so one read after
-# its release meets poison or the next batch's) both
+# the headers of lent outputs' views are reused too, a plan with its pass
+# from plan scratch and a view header from its shell, so one read after its
+# release meets poison or the next batch's) both
 # where every output is a single-range loan and, on four cores, where
 # a call granted a second worker falls back to an owned output. The planner
 # goes at -cpu 1,4 too: the daemon plans concurrent requests over the same

@@ -15,32 +15,42 @@ import (
 // comes back by the time the reader is done. The readers are Multiply (which
 // releases the ranks' kept outputs after assembling them), MultiplyDiscard,
 // MultiplyRanks with every Result released, a run whose hooks keep every
-// batch (owned outputs, nothing to release) and a run that fails at rank 0's
-// second batch, whose deal, lent outputs and pieces the launcher gives back.
-// Both schedules, on a protein operand batched three ways over 16 ranks in 4
-// layers (q = 2). Each reader is warmed up first, so the kernels' workers
+// batch (owned outputs, nothing to release) and runs that fail at rank 0's
+// second or first batch, whose deal, lent outputs, stage products and pieces
+// the launcher gives back. A run failed at the first batch aborts the other
+// ranks wherever they are — on a pipelined run, often in a later batch's
+// stage loop with a stage product made and a broadcast post still to come —
+// so it is repeated (failedRuns). Both schedules, on a protein operand
+// batched three ways over 16 ranks in 4 layers (q = 2) and over 18 ranks in 2
+// layers (q = 3). Each reader is warmed up first, so the kernels' workers
 // hold the chunks they keep between calls before the count starts; the
 // call's high-water mark must rise above the start, or the ledger would show
 // nothing. The ledger is process-wide: no test of this package runs beside
 // another.
 func TestEveryReaderGivesBackWhatItDrew(t *testing.T) {
+	const failedRuns = 10
 	a := genmat.SymmetricPermute(genmat.ProteinSimilarity(9, 12, 1), 1)
 	keep := func(int) BatchHook {
 		return func(int, []int32, *spmat.CSC) *spmat.CSC { return nil }
 	}
-	fail := func(rank int) BatchHook {
-		if rank != 0 {
-			return nil
-		}
-		return func(batch int, _ []int32, m *spmat.CSC) *spmat.CSC {
-			if batch == 0 {
+	failAt := func(at int) HookFactory {
+		return func(rank int) BatchHook {
+			if rank != 0 {
 				return nil
 			}
-			return spmat.New(m.Rows, m.Cols+1)
+			return func(batch int, _ []int32, m *spmat.CSC) *spmat.CSC {
+				if batch < at {
+					return nil
+				}
+				return spmat.New(m.Rows, m.Cols+1)
+			}
 		}
 	}
-	for _, pipeline := range []bool{false, true} {
-		rc := RunConfig{P: 16, L: 4, Cost: testCM, Opts: Options{ForceBatches: 3, Threads: 1, Pipeline: pipeline}}
+	for _, c := range []struct {
+		p, l     int
+		pipeline bool
+	}{{16, 4, false}, {16, 4, true}, {18, 2, false}, {18, 2, true}} {
+		rc := RunConfig{P: c.p, L: c.l, Cost: testCM, Opts: Options{ForceBatches: 3, Threads: 1, Pipeline: c.pipeline}}
 		readers := []struct {
 			name string
 			call func() error
@@ -64,15 +74,23 @@ func TestEveryReaderGivesBackWhatItDrew(t *testing.T) {
 				_, _, err := MultiplyRanks(a, a, rc, keep)
 				return err
 			}},
-			{"failed run", func() error {
-				if _, _, err := MultiplyRanks(a, a, rc, fail); err == nil {
+			{"run failed at the second batch", func() error {
+				if _, _, err := MultiplyRanks(a, a, rc, failAt(1)); err == nil {
 					return fmt.Errorf("rank 0's hook error did not fail the run")
+				}
+				return nil
+			}},
+			{"runs failed at the first batch", func() error {
+				for range failedRuns {
+					if _, _, err := MultiplyRanks(a, a, rc, failAt(0)); err == nil {
+						return fmt.Errorf("rank 0's hook error did not fail the run")
+					}
 				}
 				return nil
 			}},
 		}
 		for _, r := range readers {
-			label := fmt.Sprintf("pipeline=%v %s", pipeline, r.name)
+			label := fmt.Sprintf("p=%d l=%d pipeline=%v %s", c.p, c.l, c.pipeline, r.name)
 			for range 3 {
 				if err := r.call(); err != nil {
 					t.Fatalf("%s: %v", label, err)

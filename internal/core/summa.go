@@ -152,7 +152,10 @@ var lendChunks = true
 func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (partial []spmat.Matrix, plans []*localmm.Plan, unmerged int64) {
 	meter := p.G.World.Meter()
 	q := p.G.Q
-	partial, plans = p.stage[:0], p.plans[:0]
+	// Each product and plan goes into the rank's lists the moment it is made:
+	// a later stage's broadcast post panics if a peer has failed, and launch
+	// gives back what Proc.stage holds then.
+	p.stage, p.plans = p.stage[:0], p.plans[:0]
 	p.forEachStage(bBatch, bNextBatch, StepABcast, StepABcastHidden, StepBBcast, StepBBcastHidden, func(s int, aRecv, bRecv spmat.Matrix) {
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
@@ -162,7 +165,7 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 			plan := localmm.PlanMul(aRecv, bRecv)
 			flops = plan.Flops
 			if !p.Opts.Pipeline || s == q-1 {
-				plans = append(plans, plan)
+				p.plans = append(p.plans, plan)
 				return
 			}
 			prod = plan.Mul(p.Opts.Kernel, p.Opts.Semiring, lendChunks, p.workers(flops))
@@ -171,12 +174,11 @@ func (p *Proc) stageProducts(bBatch, bNextBatch spmat.Matrix, res *Result) (part
 		res.LocalFlops += flops
 		meter.AddComputeWork(sec, flops+bRecv.NNZ()+scanCols+1)
 		if prod != nil {
-			partial = append(partial, prod)
+			p.stage = append(p.stage, prod)
 			unmerged += prod.NNZ()
 		}
 	})
-	p.stage, p.plans = partial, plans
-	return partial, plans, unmerged
+	return p.stage, p.plans, unmerged
 }
 
 // summa3DBatch executes one batch of Alg 2: the per-layer 2D SUMMA (Alg 1),

@@ -131,8 +131,9 @@
 // merge need no symbolic pass to size their output — and worker scratch
 // (accumulator, chunk, sort buffers) lives on a free list that survives
 // garbage collection, so a warm call allocates the output and a fixed handful
-// of small objects — a warm lent merge, fused or not, allocates none, its
-// range body a method of its pass (a filler, not a closure); a worker
+// of small objects — a warm lent merge, fused or not, allocates only its
+// output's header, its range body a method of its pass (a filler, not a
+// closure); a worker
 // returns to the list with no table above spmat.MaxKeptEntries entries,
 // whichever of its tables grew. A range that
 // makes output starts with a chunk of at least its entry bound, so no
@@ -156,9 +157,10 @@
 // its operand through. Nothing else lends. A lent output's column metadata —
 // its pointers, and a DCSC output's stored columns — is drawn from spmat's
 // free list too, and so is that of the column-range views the fiber split
-// cuts from it (spmat.MatColRanges), and the headers of the output and of
-// its views are its shell's: a warm lending call allocates nothing by the
-// output's size or width, and metadata and headers go back with the chunk.
+// cuts from it (spmat.MatColRanges), and the headers of its views are its
+// shell's: a warm lending call allocates nothing by the output's size or
+// width, and metadata and view headers go back with the chunk. The output's
+// own header is its own, so a stale spmat.Release of it does nothing.
 //
 // The caller's goroutine executes one range itself: one worker — the
 // default for all metered experiments, where rank goroutines are already
@@ -199,7 +201,8 @@
 // those slots. A plan lives in plan scratch on the worker free list with its
 // arrays and the passes of its multiply and of a fused merge: PlanMul takes
 // it off the list and Plan.Release puts it back whole, so nothing of the
-// plan — Flops included — is read after its release; the one-shot entry
+// plan — Flops included — is read after its release, and a plan is released
+// exactly once: the next PlanMul hands the same *Plan out; the one-shot entry
 // points (MulMat, SymbolicMat, MatFlops, SymbolicSpGEMM) and the distributed
 // stages read Flops first and release the plans they make when the stage's
 // work is done — a planned stage's once Merge-Layer's fused merge has read

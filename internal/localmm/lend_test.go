@@ -53,9 +53,10 @@ func readFails(m spmat.Matrix) (failed bool) {
 // all −1 and NaN, every pointer and stored column of product and views −1,
 // and reading a view's column fails. Releasing the product twice is releasing
 // it once, and releasing a view does nothing: two lent products out at once
-// never share an array, and the next lent product, in the released shell and
-// arrays, reads as the owned one. A product two ranges made is placed into
-// arrays of its own, is not lent, and reads the same after Release. An owned product is never anybody's but the caller's: later
+// never share an array, and a stale release of a released product while its
+// arrays are out again leaves the new product alone. A product two ranges
+// made is placed into arrays of its own, is not lent, and reads the same
+// after Release. An owned product is never anybody's but the caller's: later
 // calls, which refill the released chunks, leave it alone.
 func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
@@ -93,6 +94,8 @@ func TestMulLentLendsOnlyTheSingleRangeChunk(t *testing.T) {
 				t.Fatalf("%s: two lent products out at once share an array", label)
 			}
 			sameEntries(t, label+": a lent product in the released arrays", again, owned)
+			spmat.Release(lent)
+			sameEntries(t, label+": the next lent product after a stale Release", again, owned)
 			sameEntries(t, label+": the lent product beside it", other, owned)
 			spmat.Release(again)
 			spmat.Release(other)

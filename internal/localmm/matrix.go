@@ -385,8 +385,7 @@ func (w *mmWorker) drain(sorted bool) {
 // prefix sum in place. A CSC output's slots are its columns. Slot p of a DCSC
 // output is column jc[p], and only the slots that received entries keep a
 // JC/CP entry: jc and ptr are compacted where they lie — no O(cols) array
-// exists at any point. A lent output (out) is lent with its arrays whole, its
-// header the loan's (spmat.Lend).
+// exists at any point. A lent output (out) is lent with its arrays whole.
 func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32, num []float64, sorted bool, out passOutput) spmat.Matrix {
 	stored := len(ptr) - 1
 	if !dcsc {
@@ -406,16 +405,16 @@ func newOutput(rows, cols int32, jc []int32, dcsc bool, ptr []int64, ir []int32,
 	if nnz := ptr[stored]; nnz != int64(len(ir)) || nnz != int64(len(num)) {
 		panic(fmt.Sprintf("localmm: columns count %d entries, the ranges filled %d", nnz, len(ir)))
 	}
-	if dcsc {
-		jc, ptr = jc[:stored], ptr[:stored+1]
+	var m spmat.Matrix
+	if !dcsc {
+		m = &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
+	} else {
+		m = &spmat.DCSC{Rows: rows, Cols: cols, JC: jc[:stored], CP: ptr[:stored+1], IR: ir, Num: num, SortedCols: sorted}
 	}
-	switch {
-	case out == lentOutput:
-		return spmat.Lend(rows, cols, jc, ptr, ir, num, sorted, dcsc)
-	case !dcsc:
-		return &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
+	if out == lentOutput {
+		spmat.Lend(m, ir, num, ptr, jc)
 	}
-	return &spmat.DCSC{Rows: rows, Cols: cols, JC: jc, CP: ptr, IR: ir, Num: num, SortedCols: sorted}
+	return m
 }
 
 // checkMergeShapes verifies all operands share one shape and returns it.

@@ -255,15 +255,14 @@ func flopBounds(colWork []int64, parts int, buf []int32) []int32 {
 	for _, f := range colWork {
 		total += f
 	}
+	if total == 0 {
+		return spmat.PartBoundsInto(buf, n, parts)
+	}
 	bounds := slices.Grow(buf[:0], parts+1)[:parts+1]
 	bounds[0], bounds[parts] = 0, n
 	var acc int64
 	j := int32(0)
 	for i := 1; i < parts; i++ {
-		if total == 0 {
-			bounds[i] = bounds[i-1] + n/int32(parts) + int32(b2i(int32(i-1) < n%int32(parts)))
-			continue
-		}
 		target := total * int64(i) / int64(parts)
 		for j < n && acc < target {
 			acc += colWork[j]

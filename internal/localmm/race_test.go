@@ -109,12 +109,13 @@ func TestDCSCParallelKernelsRace(t *testing.T) {
 }
 
 // TestLoansRace lends, cuts views from and releases kernel outputs on
-// several goroutines at once, the way ranks do: each product's shell,
-// headers and arrays go back to the free list, for any goroutine's next
-// product. Under poisoned returns every lent product and view must read as
-// the owned product until it is released itself: arrays or headers two live
-// products shared show as a poisoned or foreign read. Run under
-// `go test -race`.
+// several goroutines at once, the way ranks do, each goroutine also releasing
+// again the product it released last while its next one is out — a shell
+// and arrays the free list may have handed to any of them. Under poisoned
+// returns every lent product and view must read as the owned product until
+// it is released itself: arrays two live products shared, or a stale release
+// that could give back the shell's next product, shows as a poisoned read.
+// Run under `go test -race`.
 func TestLoansRace(t *testing.T) {
 	defer spmat.PoisonReleased.Store(spmat.PoisonReleased.Swap(true))
 	sr := semiring.PlusTimes()
@@ -133,14 +134,17 @@ func TestLoansRace(t *testing.T) {
 			defer wg.Done()
 			pl, want := plans[r], owned[r].ToCSC()
 			wantViews := spmat.MatColRanges(want, bounds)
+			stale := spmat.Matrix(spmat.New(0, 0))
 			for range 100 {
 				lent := pl.Mul(KernelHashUnsorted, sr, true, 1)
 				views := spmat.MatColRanges(lent, bounds)
+				spmat.Release(stale)
 				if !spmat.Equal(lent.ToCSC(), want) || !spmat.Equal(views[0].ToCSC(), wantViews[0].(*spmat.CSC)) || !spmat.Equal(views[1].ToCSC(), wantViews[1].(*spmat.CSC)) {
 					t.Errorf("goroutine %d: a lent product or its views changed before its release", r)
 					spmat.Release(lent)
 					return
 				}
+				stale = lent
 				spmat.Release(lent)
 			}
 		}()

@@ -253,6 +253,8 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_worlds_built_total", "Simulated clusters built because no idle one had the job's layer count.", float64(st.WorldsBuilt))
 	counter("spgemmd_worlds_dropped_total", "Simulated clusters dropped because their job failed or the idle ones held over 4096 ranks.", float64(st.WorldsDropped))
 	gauge("spgemmd_free_list_idle_bytes", "Bytes the process's free list of arrays holds for reuse.", float64(st.FreeListIdleBytes))
+	gauge("spgemmd_free_list_drawn_bytes", "Bytes drawn from the process's free list of arrays and not given back yet.", float64(st.FreeListDrawnBytes))
+	gauge("spgemmd_free_list_drawn_peak_bytes", "The most bytes out of the process's free list of arrays at once.", float64(st.FreeListDrawnPeakBytes))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))
 	gauge("spgemmd_ranks", "Simulated rank count per job.", float64(st.P))
 

@@ -240,6 +240,19 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	if got, ok := m["spgemmd_free_list_idle_bytes"]; !ok || got != float64(st.FreeListIdleBytes) {
 		t.Errorf("spgemmd_free_list_idle_bytes = %g (present %v), /stats says %d", got, ok, st.FreeListIdleBytes)
 	}
+	// So are its ledger's drawn bytes and their high-water mark, which the
+	// jobs above raised above zero.
+	if served.FreeListDrawnBytes != st.FreeListDrawnBytes || served.FreeListDrawnPeakBytes != st.FreeListDrawnPeakBytes {
+		t.Errorf("/stats free list drawn bytes %d (peak %d), the snapshot %d (peak %d)", served.FreeListDrawnBytes, served.FreeListDrawnPeakBytes, st.FreeListDrawnBytes, st.FreeListDrawnPeakBytes)
+	}
+	if st.FreeListDrawnPeakBytes <= 0 {
+		t.Errorf("/stats free list drawn peak %d after three multiplies: the ledger shows nothing", st.FreeListDrawnPeakBytes)
+	}
+	for name, want := range map[string]int64{"spgemmd_free_list_drawn_bytes": st.FreeListDrawnBytes, "spgemmd_free_list_drawn_peak_bytes": st.FreeListDrawnPeakBytes} {
+		if got, ok := m[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %g (present %v), /stats says %d", name, got, ok, want)
+		}
+	}
 	if m[`spgemmd_requests_total{endpoint="multiply"}`] != 3 {
 		t.Errorf("multiply request counter %g, want 3", m[`spgemmd_requests_total{endpoint="multiply"}`])
 	}

@@ -481,7 +481,16 @@ func GatherColRanges(m Matrix, n int, ranges func(k int) (lo, hi int32), lend bo
 		}
 		e, off = e+cp[p1]-base, off+hi-lo
 	}
-	return newMatrix(lend, rows, width, jc, ptr, outIR, outNum, m.Sorted(), !isCSC)
+	var out Matrix
+	if isCSC {
+		out = &CSC{Rows: rows, Cols: width, ColPtr: ptr, RowIdx: outIR, Val: outNum, SortedCols: c.SortedCols}
+	} else {
+		out = &DCSC{Rows: rows, Cols: width, JC: jc, CP: ptr, IR: outIR, Num: outNum, SortedCols: d.SortedCols}
+	}
+	if lend {
+		Lend(out, outIR, outNum, ptr, jc)
+	}
+	return out
 }
 
 // storedFrom returns the position in JC of the first stored column at or
@@ -504,11 +513,12 @@ func (d *DCSC) storedFrom(j int32) int {
 // lent m — their metadata, their headers and the slice that holds them —
 // are carved from m's shell, the metadata drawn from the free list on the
 // first cut, so they live exactly as long as m's entries and go back with
-// them (Release), and a warm cut allocates nothing; views cut from one lent
-// matrix more than once all stay valid until then. Only the goroutine that
-// owns a lent m cuts it. That is what the fiber split wants — the pieces of
-// a merged product are only ever read, by the ranks they are sent to — and
-// nothing that goes on to mutate entries in place should be built from them.
+// them (Release), and a warm cut allocates nothing; an owned m's are
+// allocated, their headers in one array. Views cut from one lent matrix more
+// than once all stay valid until then. Only the goroutine that owns a lent m
+// cuts it. That is what the fiber split wants — the pieces of a merged
+// product are only ever read, by the ranks they are sent to — and nothing
+// that goes on to mutate entries in place should be built from them.
 func MatColRanges(m Matrix, bounds []int32) []Matrix {
 	_, cols := m.Dims()
 	c, isCSC := m.(*CSC)
@@ -540,23 +550,29 @@ func MatColRanges(m Matrix, bounds []int32) []Matrix {
 		}
 		views++
 	}
-	// The views of an owned m get a shell of their own, which nothing
-	// releases.
-	s := m.shellOf().Load()
-	lent := s != nil
-	if !lent {
-		s = new(shell)
-	}
-	ptr, jc := room(s.viewPtr, needPtr, lent), room(s.viewJC, needJC, lent)
-	// Headers and pieces go after those of earlier cuts, whose views stay
-	// valid: a buffer that grows leaves them in the old array.
-	out := grow(&s.pieces, len(bounds)-1)
+	// The views of a lent m go after those of earlier cuts, whose views stay
+	// valid: a buffer that grows leaves them in the old array. An owned m's
+	// get arrays of their own.
+	var ptr []int64
+	var jc []int32
+	var out []Matrix
 	var cscViews []CSC
 	var dcscViews []DCSC
-	if isCSC {
-		cscViews = grow(&s.cscViews, views)
+	s := m.shellOf().Load()
+	if s != nil {
+		ptr, jc, out = room(s.viewPtr, needPtr), room(s.viewJC, needJC), grow(&s.pieces, len(bounds)-1)
+		if isCSC {
+			cscViews = grow(&s.cscViews, views)
+		} else {
+			dcscViews = grow(&s.dcscViews, views)
+		}
 	} else {
-		dcscViews = grow(&s.dcscViews, views)
+		ptr, jc, out = make([]int64, 0, needPtr), make([]int32, 0, needJC), make([]Matrix, len(bounds)-1)
+		if isCSC {
+			cscViews = make([]CSC, views)
+		} else {
+			dcscViews = make([]DCSC, views)
+		}
 	}
 	v := 0
 	for k := range out {
@@ -589,6 +605,8 @@ func MatColRanges(m Matrix, bounds []int32) []Matrix {
 		view.set(d.Rows, b1-b0, jc[j0:len(jc):len(jc)], ptr[start:len(ptr):len(ptr)], d.IR[lo:hi:hi], d.Num[lo:hi:hi], d.SortedCols)
 		out[k], v = view, v+1
 	}
-	s.viewPtr, s.viewJC = ptr, jc
+	if s != nil {
+		s.viewPtr, s.viewJC = ptr, jc
+	}
 	return out
 }

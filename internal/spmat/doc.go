@@ -62,16 +62,15 @@
 // on every core. LendGrid is the same deal with every block lent: its arrays
 // drawn from the process's one free list of arrays (Draw, Give), which
 // Release refills once nothing reads the block — for a grid dealt for one
-// call. A lent matrix carries its loan (Lend): its header is its shell's and
-// holds the shell of what it drew, which one Release gives back once, so
-// localmm's lent kernel outputs and the engine's lent batch pieces of B
-// (GatherColRanges) go back the same way. The shell also holds the headers
-// and metadata of the views cut from the matrix (MatColRanges) and keeps
-// them all for the next lent matrix, so a warm lend, cut and release
-// allocates nothing; release once, since the next Lend hands the same header
-// out. The list keeps a ledger (Drawn): the bytes drawn and not yet given
-// back — what lent matrices and busy kernel workers hold, a worker's idle
-// chunk parked (Park) — and their high-water mark. CountGrid runs the deal's
+// call. A lent matrix carries its loan (Lend): its header holds the shell of
+// what it drew, which one Release gives back once, so localmm's lent kernel
+// outputs and the engine's lent batch pieces of B (GatherColRanges) go back
+// the same way, and a stale Release does nothing. The shell also holds the
+// headers and metadata of the views cut from the matrix (MatColRanges) and
+// keeps them for the next lent matrix, so a warm cut allocates nothing. The
+// list keeps a ledger (Drawn): the bytes drawn and not yet given back — what
+// lent matrices and busy kernel workers hold, a worker's idle chunk parked
+// (Park) — and their high-water mark. CountGrid runs the deal's
 // count pass alone, over the same bounds and goroutines: every block's
 // entries and occupied columns, with nothing copied — how a grid is measured
 // without being dealt. PartBounds,

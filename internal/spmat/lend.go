@@ -238,32 +238,31 @@ func arrayBytes[T element](a []T) int64 {
 // shell is what a lent matrix holds of the free list: the arrays its own
 // slices are views of, whole — its entries (rows, vals), column pointers
 // (ptr) and, doubly-compressed, stored columns (jc) and AUX array (aux) —
-// the buffers the column-range views cut from it carve their metadata from
-// (viewPtr, viewJC; MatColRanges), and every header: the matrix's own (csc
-// or dcsc), its views' (cscViews, dcscViews) and the slices MatColRanges
-// returns them in (pieces). A matrix's header points at its shell (CSC.loan,
-// DCSC.loan) until Release takes it: one header, one shell, so a shell is
-// given back once. An idle shell keeps its headers and buffers for the next
-// lent matrix, so a warm lend and cut allocate nothing.
+// and what the column-range views cut from it are carved from
+// (MatColRanges): the buffers of their metadata (viewPtr, viewJC), their
+// headers (cscViews, dcscViews) and the slices they are returned in
+// (pieces). A matrix's header points at its shell (CSC.loan, DCSC.loan)
+// until Release takes it: one header, one shell, so a shell is given back
+// once. The header is the matrix's own, never the shell's, so a stale
+// Release finds no shell and does nothing. An idle shell keeps its view
+// headers and buffers for the next lent matrix, so a warm cut allocates
+// nothing.
 type shell struct {
 	rows, jc, aux, viewJC []int32
 	ptr, viewPtr          []int64
 	vals                  []float64
-	csc                   CSC
-	dcsc                  DCSC
 	cscViews              []CSC
 	dcscViews             []DCSC
 	pieces                []Matrix
 }
 
-// Lend returns a lent matrix made of arrays drawn from the free list (Draw):
-// a rows × cols DCSC when dcsc is set — jc its stored columns, ptr their
-// pointers — or else a CSC with column pointers ptr (jc is not read), ir and
-// num its entries, sorted its SortedCols. The slices are the matrix's own
-// and the arrays the shell keeps whole, to give back with Release; the
-// header comes from the shell too. A DCSC's AUX array is drawn from the list
-// once a lookup builds it.
-func Lend(rows, cols int32, jc []int32, ptr []int64, ir []int32, num []float64, sorted, dcsc bool) Matrix {
+// Lend marks m, which nothing else refers to yet, as lent: made of arrays
+// drawn from the free list (Draw) — rows and vals its entries, ptr its column
+// pointers, jc a DCSC's stored columns (nil for CSC) — which m's own slices
+// are views of from their first element on, and which Release gives back,
+// whole. A DCSC's AUX array is drawn from the list too once a lookup builds
+// it.
+func Lend(m Matrix, rows []int32, vals []float64, ptr []int64, jc []int32) {
 	idle.Lock()
 	var s *shell
 	if n := len(idle.shells); n > 0 {
@@ -274,42 +273,19 @@ func Lend(rows, cols int32, jc []int32, ptr []int64, ir []int32, num []float64, 
 	if s == nil {
 		s = new(shell)
 	}
-	s.rows, s.vals, s.ptr = ir, num, ptr
-	if !dcsc {
-		m := &s.csc
-		m.set(rows, cols, ptr, ir, num, sorted)
-		m.loan.Store(s)
-		return m
-	}
-	s.jc = jc
-	d := &s.dcsc
-	d.set(rows, cols, jc, ptr, ir, num, sorted)
-	d.loan.Store(s)
-	return d
-}
-
-// newMatrix returns a rows × cols matrix over the given arrays, DCSC when
-// dcsc is set (jc is not read otherwise): lent (Lend) when lend is set, with
-// a header of its own otherwise.
-func newMatrix(lend bool, rows, cols int32, jc []int32, ptr []int64, ir []int32, num []float64, sorted, dcsc bool) Matrix {
-	switch {
-	case lend:
-		return Lend(rows, cols, jc, ptr, ir, num, sorted, dcsc)
-	case dcsc:
-		return &DCSC{Rows: rows, Cols: cols, JC: jc, CP: ptr, IR: ir, Num: num, SortedCols: sorted}
-	}
-	return &CSC{Rows: rows, Cols: cols, ColPtr: ptr, RowIdx: ir, Val: num, SortedCols: sorted}
+	s.rows, s.vals, s.ptr, s.jc = rows, vals, ptr, jc
+	m.shellOf().Store(s)
 }
 
 // set makes m a rows × cols CSC over the given arrays, with no count of its
-// non-empty columns yet: a header the shell reuses holds a past matrix's.
+// non-empty columns yet: a view header the shell reuses holds a past view's.
 func (m *CSC) set(rows, cols int32, ptr []int64, ir []int32, num []float64, sorted bool) {
 	m.Rows, m.Cols, m.ColPtr, m.RowIdx, m.Val, m.SortedCols = rows, cols, ptr, ir, num, sorted
 	atomic.StoreInt64(&m.neCache, 0)
 }
 
 // set makes d a rows × cols DCSC over the given arrays, with no AUX array
-// yet: a header the shell reuses holds a past matrix's.
+// yet: a view header the shell reuses holds a past view's.
 func (d *DCSC) set(rows, cols int32, jc []int32, ptr []int64, ir []int32, num []float64, sorted bool) {
 	d.Rows, d.Cols, d.JC, d.CP, d.IR, d.Num, d.SortedCols = rows, cols, jc, ptr, ir, num, sorted
 	d.aux.Store(nil)
@@ -318,15 +294,13 @@ func (d *DCSC) set(rows, cols int32, jc []int32, ptr []int64, ir []int32, num []
 // Release gives the arrays of a lent matrix — a block of a LendGrid, a lent
 // gather (GatherColRanges), a lent kernel output (Lend) — back to the free
 // list (Give), with its AUX array and the metadata of the views cut from it,
-// and keeps its shell, with the headers of the matrix and its views and the
-// slices MatColRanges returned them in, for the next lent matrix. Nothing may
-// read m afterwards, nor a view of it: the next Lend on any goroutine fills
-// the same headers and the next draw the same arrays. The headers let go of
-// the arrays, so a late reader fails — but while PoisonReleased is set they
-// keep them, poisoned, and a late reader meets the poison. Releasing an owned
-// matrix or a view (but the whole-matrix piece MatColRanges returns, which
-// is m) does nothing, and so does releasing m again before a Lend hands its
-// header out again: release once.
+// and keeps its shell, with the views' headers, for the next. Nothing may
+// read m afterwards, nor a view of it: the next draw on any goroutine fills
+// the same arrays, and the next cut of a lent matrix the same view headers.
+// m keeps its slices, so while PoisonReleased is set a late reader meets
+// poison; the views let go of theirs unless it is set. Releasing an owned
+// matrix, a view (but the whole-matrix piece MatColRanges returns, which is
+// m) or a released matrix does nothing.
 func Release(m Matrix) {
 	s := m.shellOf().Swap(nil)
 	if s == nil {
@@ -336,11 +310,8 @@ func Release(m Matrix) {
 	Give(s.ptr, s.viewPtr)
 	Give(s.vals)
 	if !PoisonReleased.Load() {
-		letGo(&s.csc)
-		letGo(&s.dcsc)
-		for _, v := range s.pieces {
-			letGo(v)
-		}
+		clear(s.cscViews)
+		clear(s.dcscViews)
 	}
 	s.rows, s.jc, s.aux, s.viewJC, s.ptr, s.viewPtr, s.vals = nil, nil, nil, nil, nil, nil, nil
 	s.cscViews, s.dcscViews, s.pieces = s.cscViews[:0], s.dcscViews[:0], s.pieces[:0]
@@ -351,25 +322,11 @@ func Release(m Matrix) {
 	}
 }
 
-// letGo makes a header whose arrays went back to the list let go of them.
-func letGo(m Matrix) {
-	switch h := m.(type) {
-	case *CSC:
-		h.ColPtr, h.RowIdx, h.Val = nil, nil, nil
-	case *DCSC:
-		h.JC, h.CP, h.IR, h.Num = nil, nil, nil, nil
-		h.aux.Store(nil)
-	}
-}
-
-// room returns a view metadata buffer with room for n more elements: a lent
-// matrix's is drawn from the free list on the first cut that needs any and
+// room returns a lent matrix's view metadata buffer with room for n more
+// elements: drawn from the free list on the first cut that needs any and
 // grown by append after that — the grown array taking the drawn one's place
 // in the ledger, as what Release gives back.
-func room[T element](buf []T, n int, lent bool) []T {
-	if !lent {
-		return slices.Grow(buf, n)
-	}
+func room[T element](buf []T, n int) []T {
 	if cap(buf) == 0 && n > 0 {
 		return Draw[T](n)[:0]
 	}

@@ -11,11 +11,15 @@ import (
 // PartBounds partitions n items into parts nearly-equal contiguous ranges and
 // returns the parts+1 boundaries. The first (n mod parts) ranges get one extra
 // item, matching the block distribution used for process grids.
-func PartBounds(n int32, parts int) []int32 {
+func PartBounds(n int32, parts int) []int32 { return PartBoundsInto(nil, n, parts) }
+
+// PartBoundsInto is PartBounds in buf's array when it has room.
+func PartBoundsInto(buf []int32, n int32, parts int) []int32 {
 	if parts <= 0 {
 		panic(fmt.Sprintf("spmat: PartBounds with %d parts", parts))
 	}
-	bounds := make([]int32, parts+1)
+	bounds := slices.Grow(buf[:0], parts+1)[:parts+1]
+	bounds[0] = 0
 	base := n / int32(parts)
 	extra := n % int32(parts)
 	for i := 0; i < parts; i++ {
@@ -236,18 +240,23 @@ func (d *dealer) place(c int, f Format, lend bool, out []Matrix) {
 		st := &fills[r]
 		rows, cols := rowB[r+1]-rowB[r], c1-c0
 		st.rows, st.vals = dealtArray[int32](lend, int(st.n)), dealtArray[float64](lend, int(st.n))
+		var jc []int32
 		if st.hyper = f != FormatCSC && (f == FormatDCSC || Hypersparse(int64(st.nj), cols)); st.hyper {
 			st.jc, st.ptr = dealtArray[int32](lend, st.nj), dealtArray[int64](lend, st.nj+1)
-			st.ptr[0] = 0
-		} else if st.ptr = dealtArray[int64](lend, int(cols)+1); lend {
-			// A drawn array holds a past deal's ends. The pass below sets only
-			// the ends of occupied columns, and the scan after it relies on
-			// zeros everywhere else.
-			clear(st.ptr)
+			st.ptr[0], jc = 0, st.jc
+			out[r*nc+c] = &DCSC{Rows: rows, Cols: cols, JC: st.jc, CP: st.ptr, IR: st.rows, Num: st.vals, SortedCols: m.SortedCols}
+		} else {
+			st.ptr = dealtArray[int64](lend, int(cols)+1)
+			if lend {
+				// A drawn array holds a past deal's ends. The pass below sets
+				// only the ends of occupied columns, and the scan after it
+				// relies on zeros everywhere else.
+				clear(st.ptr)
+			}
+			out[r*nc+c] = &CSC{Rows: rows, Cols: cols, ColPtr: st.ptr, RowIdx: st.rows, Val: st.vals, SortedCols: m.SortedCols, neCache: int64(st.nj) + 1}
 		}
-		out[r*nc+c] = newMatrix(lend, rows, cols, st.jc, st.ptr, st.rows, st.vals, m.SortedCols, st.hyper)
-		if block, ok := out[r*nc+c].(*CSC); ok {
-			block.neCache = int64(st.nj) + 1
+		if lend {
+			Lend(out[r*nc+c], st.rows, st.vals, st.ptr, jc)
 		}
 		st.n, st.nj, st.col = 0, 0, 0
 	}
