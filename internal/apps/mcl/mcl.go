@@ -158,8 +158,10 @@ func expand(m *spmat.CSC, cfg Config) (*spmat.CSC, int, *mpi.Summary, error) {
 
 // AddSelfLoops returns a + I on the sparsity pattern (existing diagonal
 // entries are kept, missing ones set to the column maximum as HipMCL does).
+// Its entries are gathered in one array of their bound, nnz(a) + one a
+// column.
 func AddSelfLoops(a *spmat.CSC) *spmat.CSC {
-	var ts []spmat.Triple
+	ts := make([]spmat.Triple, 0, a.NNZ()+int64(a.Cols))
 	for j := int32(0); j < a.Cols; j++ {
 		rows, vals := a.Column(j)
 		var maxV float64

@@ -2,9 +2,11 @@ package mcl
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/genmat"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
@@ -189,6 +191,78 @@ func TestAddSelfLoops(t *testing.T) {
 	}
 	if out.At(2, 2) != 1 { // empty column defaults to 1
 		t.Errorf("diag(2)=%v, want 1", out.At(2, 2))
+	}
+}
+
+// addSelfLoopsAppend is AddSelfLoops as it was before it sized its triples:
+// the same walk, growing the triples by append.
+func addSelfLoopsAppend(a *spmat.CSC) *spmat.CSC {
+	var ts []spmat.Triple
+	for j := int32(0); j < a.Cols; j++ {
+		rows, vals := a.Column(j)
+		var maxV float64
+		hasDiag := false
+		for p := range rows {
+			if vals[p] > maxV {
+				maxV = vals[p]
+			}
+			if rows[p] == j {
+				hasDiag = true
+			}
+			ts = append(ts, spmat.Triple{Row: rows[p], Col: j, Val: vals[p]})
+		}
+		if !hasDiag {
+			if maxV == 0 {
+				maxV = 1
+			}
+			ts = append(ts, spmat.Triple{Row: j, Col: j, Val: maxV})
+		}
+	}
+	out, err := spmat.FromTriples(a.Rows, a.Cols, ts, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// TestAddSelfLoopsMatchesAppend holds AddSelfLoops bit for bit to the
+// append-grown version on sorted and unsorted columns, an empty column, a
+// diagonal already present, an all-negative column (whose loop is 1) and a
+// protein-similarity matrix; and it allocates one array of triples beyond
+// what FromTriples allocates for them.
+func TestAddSelfLoopsMatchesAppend(t *testing.T) {
+	// Columns: 0 unsorted without its diagonal, 1 empty, 2 sorted with its
+	// diagonal, 3 all negative, 4 unsorted with its diagonal.
+	hand := &spmat.CSC{
+		Rows: 5, Cols: 5,
+		ColPtr: []int64{0, 3, 3, 5, 7, 10},
+		RowIdx: []int32{4, 1, 2, 0, 2, 1, 4, 4, 0, 3},
+		Val:    []float64{0.5, 2, 0.25, 3, 1.5, -1, -2, 0.75, 0.5, 1},
+	}
+	protein := genmat.SymmetricPermute(genmat.ProteinSimilarity(7, 6, 2), 2)
+	for name, a := range map[string]*spmat.CSC{"by hand": hand, "protein": protein, "no columns": spmat.New(0, 0)} {
+		got, want := AddSelfLoops(a), addSelfLoopsAppend(a)
+		if got.Rows != want.Rows || got.Cols != want.Cols || got.SortedCols != want.SortedCols ||
+			!slices.Equal(got.ColPtr, want.ColPtr) || !slices.Equal(got.RowIdx, want.RowIdx) ||
+			!slices.EqualFunc(got.Val, want.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("%s: AddSelfLoops gives %v, the append-grown version %v", name, got, want)
+		}
+	}
+	if loops := AddSelfLoops(hand); loops.At(3, 3) != 1 || loops.At(1, 1) != 1 || loops.At(2, 2) != 1.5 || loops.At(0, 0) != 2 {
+		t.Fatalf("loops %v %v %v %v, want 2 (column max), 1 (empty), 1.5 (kept), 1 (all negative)", loops.At(0, 0), loops.At(1, 1), loops.At(2, 2), loops.At(3, 3))
+	}
+
+	ts := make([]spmat.Triple, 0, protein.NNZ()+int64(protein.Cols))
+	for j := int32(0); j < protein.Cols; j++ {
+		rows, vals := protein.Column(j)
+		for p := range rows {
+			ts = append(ts, spmat.Triple{Row: rows[p], Col: j, Val: vals[p]})
+		}
+		ts = append(ts, spmat.Triple{Row: j, Col: j, Val: 1})
+	}
+	build := testing.AllocsPerRun(5, func() { _, _ = spmat.FromTriples(protein.Rows, protein.Cols, ts, nil) })
+	if got := testing.AllocsPerRun(5, func() { AddSelfLoops(protein) }); got > build+1 {
+		t.Fatalf("AddSelfLoops made %.0f allocations, FromTriples alone %.0f: the triples are not one array", got, build)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestAssembleResultsRejectsOutOfRange(t *testing.T) {
 		if _, err := AssembleResults([]*Result{r}, 8, 8); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if _, err := ProductSegments([]*Result{r}, 8, 8); err == nil {
+		if err := ProductSegments(&spmat.Segmented{}, []*Result{r}, 8, 8); err == nil {
 			t.Errorf("%s: accepted for streaming", name)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/distmat"
@@ -320,18 +321,24 @@ func AssembleResults(results []*Result, rows, cols int32) (*spmat.CSC, error) {
 	return out, nil
 }
 
-// ProductSegments returns the global C the ranks' results hold without
-// assembling it: every non-empty rank column becomes a segment of its global
-// column, read in place from its piece, and each global column's segments are
-// ordered by row offset (rankOrder). Its WriteTo streams C's wire encoding
-// straight from the pieces, byte for byte
+// ProductSegments refills seg with the global C the ranks' results hold,
+// without assembling it: every non-empty rank column becomes a segment of its
+// global column, read in place from its piece, and each global column's
+// segments are ordered by row offset (rankOrder). seg's arrays are reused
+// where they have the room, and every view it held before is cleared first,
+// so none keeps a released chunk reachable. Its WriteTo then streams C's wire
+// encoding straight from the pieces, byte for byte
 // AssembleResults(results, rows, cols).Serialize().
-func ProductSegments(results []*Result, rows, cols int32) (*spmat.Segmented, error) {
+func ProductSegments(seg *spmat.Segmented, results []*Result, rows, cols int32) error {
+	clear(seg.Segs[:cap(seg.Segs)])
+	seg.Segs = seg.Segs[:0]
 	ranks, err := rankOrder(results, rows, cols)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	seg := &spmat.Segmented{Rows: rows, Cols: cols, SegPtr: make([]int, cols+1), Sorted: true}
+	seg.Rows, seg.Cols, seg.Sorted = rows, cols, true
+	seg.SegPtr = slices.Grow(seg.SegPtr[:0], int(cols)+1)[:cols+1]
+	clear(seg.SegPtr)
 	for _, r := range ranks {
 		seg.Sorted = seg.Sorted && r.sorted()
 		base := 0
@@ -348,8 +355,10 @@ func ProductSegments(results []*Result, rows, cols int32) (*spmat.Segmented, err
 	for j := int32(0); j < cols; j++ {
 		seg.SegPtr[j+1] += seg.SegPtr[j]
 	}
-	seg.Segs = make([]spmat.Segment, seg.SegPtr[cols])
-	next := append([]int(nil), seg.SegPtr[:cols]...)
+	seg.Segs = slices.Grow(seg.Segs, seg.SegPtr[cols])[:seg.SegPtr[cols]]
+	// SegPtr[gc] is the cursor of column gc while the segments are placed,
+	// which leaves it at the column's end; shifting the pointers up one
+	// column makes them the starts again.
 	for _, r := range ranks {
 		base := 0
 		for _, pc := range r.Pieces {
@@ -357,14 +366,16 @@ func ProductSegments(results []*Result, rows, cols int32) (*spmat.Segmented, err
 			for p := range s.n() {
 				if lo, hi := s.cp[p], s.cp[p+1]; hi > lo {
 					gc := r.GlobalCols[base+s.col(p)]
-					seg.Segs[next[gc]] = spmat.Segment{Rows: s.rows[lo:hi], Vals: s.vals[lo:hi], Offset: r.RowOffset}
-					next[gc]++
+					seg.Segs[seg.SegPtr[gc]] = spmat.Segment{Rows: s.rows[lo:hi], Vals: s.vals[lo:hi], Offset: r.RowOffset}
+					seg.SegPtr[gc]++
 				}
 			}
 			base += s.width
 		}
 	}
-	return seg, nil
+	copy(seg.SegPtr[1:], seg.SegPtr[:cols])
+	seg.SegPtr[0] = 0
+	return nil
 }
 
 // colScanWork is the column-metadata share of a block's modeled work: the

@@ -11,12 +11,17 @@ import (
 )
 
 // streamed is what a daemon sends for the product the results hold: the wire
-// encoding ProductSegments writes, checked against the length it announces.
-func streamed(t *testing.T, results []*Result, rows, cols int32) []byte {
+// encoding ProductSegments refills seg with, checked against the length it
+// announces.
+func streamed(t *testing.T, seg *spmat.Segmented, results []*Result, rows, cols int32) []byte {
 	t.Helper()
-	seg, err := ProductSegments(results, rows, cols)
-	if err != nil {
+	if err := ProductSegments(seg, results, rows, cols); err != nil {
 		t.Fatal(err)
+	}
+	for _, sg := range seg.Segs[len(seg.Segs):cap(seg.Segs)] {
+		if sg.Rows != nil || sg.Vals != nil {
+			t.Fatal("the refilled table still holds a view past its segments")
+		}
 	}
 	var buf bytes.Buffer
 	n, err := seg.WriteTo(&buf)
@@ -34,8 +39,11 @@ func streamed(t *testing.T, results []*Result, rows, cols int32) []byte {
 // schedule × format × (p, l) × b, on a k-mer product whose encoding is
 // hypersparse and a protein product whose encoding is dense, with the pieces
 // as the ranks left them, as a hook left them unsorted, and as a discarding
-// hook emptied them — and on an empty product.
+// hook emptied them — and on an empty product. One segment table is refilled
+// for every run, as the daemon refills its pooled ones, so a stale segment or
+// pointer left from a larger product would show.
 func TestStreamedProductIsAssembledBytes(t *testing.T) {
+	var table spmat.Segmented
 	kmer := genmat.Kmer(genmat.KmerConfig{Reads: 256, Kmers: 8192, KmersPerRead: 8, Overlap: 0.08, Seed: 11})
 	protein := genmat.SymmetricPermute(genmat.ProteinSimilarity(8, 8, 12), 12)
 	workloads := []struct {
@@ -81,7 +89,7 @@ func TestStreamedProductIsAssembledBytes(t *testing.T) {
 						if hookName == "no hook" && c.NNZ() > 0 && (want[16]&2 != 0) != wl.hyper {
 							t.Fatalf("%s: the product's encoding is not the one the workload is for", label)
 						}
-						if got := streamed(t, results, wl.a.Rows, wl.b.Cols); !bytes.Equal(got, want) {
+						if got := streamed(t, &table, results, wl.a.Rows, wl.b.Cols); !bytes.Equal(got, want) {
 							t.Fatalf("%s: streamed %d bytes differ from the assembled product's %d", label, len(got), len(want))
 						}
 					}

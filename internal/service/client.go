@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 
 	"repro/internal/spmat"
 )
@@ -40,10 +41,8 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("service: %s (%d %s)", e.Message, e.Status, e.Code)
 }
 
-// send issues one request (body nil: none) and returns the server's 200
-// response for the caller to read and close; any other status is returned as
-// the error its JSON envelope carries.
-func (c *Client) send(method, path, contentType string, body []byte) (*http.Response, error) {
+// newRequest builds a request to the server whose body is body (nil: none).
+func (c *Client) newRequest(method, path, contentType string, body []byte) (*http.Request, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -55,6 +54,13 @@ func (c *Client) send(method, path, contentType string, body []byte) (*http.Resp
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
 	}
+	return req, nil
+}
+
+// send issues req and returns the server's 200 response for the caller to
+// read and close; any other status is returned as the error its JSON envelope
+// carries.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return nil, err
@@ -63,7 +69,7 @@ func (c *Client) send(method, path, contentType string, body []byte) (*http.Resp
 		defer resp.Body.Close()
 		var eb errorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Message == "" {
-			return nil, fmt.Errorf("service: %s %s: HTTP %d", method, path, resp.StatusCode)
+			return nil, fmt.Errorf("service: %s %s: HTTP %d", req.Method, req.URL.RequestURI(), resp.StatusCode)
 		}
 		return nil, &apiError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message}
 	}
@@ -80,7 +86,11 @@ func (c *Client) do(method, path string, in, out any) error {
 			return err
 		}
 	}
-	resp, err := c.send(method, path, "application/json", body)
+	req, err := c.newRequest(method, path, "application/json", body)
+	if err != nil {
+		return err
+	}
+	resp, err := c.send(req)
 	if err != nil {
 		return err
 	}
@@ -90,20 +100,66 @@ func (c *Client) do(method, path string, in, out any) error {
 
 // Load ships m to the server — its exact binary wire format as the request
 // body, the name in the query — and makes it resident under name. Loading
-// identical content twice is a no-op.
+// identical content twice is a no-op. The body is m's encoding streamed as
+// the transport sends it (wireStream), under its exact Content-Length, so the
+// encoding is never held whole; a retry on a dead kept-alive connection gets
+// a fresh stream (GetBody). m is not read once Load has returned.
 func (c *Client) Load(name string, m *spmat.CSC) (LoadResponse, error) {
-	return c.loadWire(name, m.Serialize())
-}
-
-// loadWire is Load for a matrix already serialized.
-func (c *Client) loadWire(name string, wire []byte) (LoadResponse, error) {
 	var out LoadResponse
-	resp, err := c.send("POST", "/load?name="+url.QueryEscape(name), "application/octet-stream", wire)
+	var mu sync.Mutex
+	var streams []*wireStream
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, s := range streams {
+			s.Close()
+		}
+	}()
+	stream := func() (io.ReadCloser, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		streams = append(streams, streamWire(m))
+		return streams[len(streams)-1], nil
+	}
+	body, _ := stream() // a stream is made without error; the signature is GetBody's
+	req, err := http.NewRequest("POST", c.Base+"/load?name="+url.QueryEscape(name), body)
+	if err != nil {
+		return out, err
+	}
+	req.ContentLength, req.GetBody = m.CommBytes(), stream
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := c.send(req)
 	if err != nil {
 		return out, err
 	}
 	defer resp.Body.Close()
 	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
+// wireStream is a request body that is a matrix's wire encoding, written into
+// a pipe by a goroutine of its own as the transport reads it. Close stops the
+// goroutine and waits for it to end, so the matrix is not read once Close has
+// returned; it may be called more than once.
+type wireStream struct {
+	*io.PipeReader
+	done chan struct{}
+}
+
+func streamWire(m *spmat.CSC) *wireStream {
+	pr, pw := io.Pipe()
+	s := &wireStream{pr, make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		_, err := m.WriteTo(pw)
+		pw.CloseWithError(err) // nil: the reader sees the end of the encoding
+	}()
+	return s
+}
+
+func (s *wireStream) Close() error {
+	s.PipeReader.Close()
+	<-s.done
+	return nil
 }
 
 // LoadGenerated asks the server to synthesize and load a workload.
@@ -131,7 +187,11 @@ func (c *Client) Multiply(req MultiplyRequest) (MultiplyResponse, *spmat.CSC, er
 	if err != nil {
 		return out, nil, err
 	}
-	resp, err := c.send("POST", "/multiply", "application/json", body)
+	hreq, err := c.newRequest("POST", "/multiply", "application/json", body)
+	if err != nil {
+		return out, nil, err
+	}
+	resp, err := c.send(hreq)
 	if err != nil {
 		return out, nil, err
 	}
@@ -168,8 +228,9 @@ func (c *Client) Stats() (Stats, error) {
 // makes both operands resident under content-derived names (idempotent — an
 // operand the server already holds is acknowledged, not stored again) and
 // multiplies them under the named semiring, returning the exact output. Each
-// operand is serialized once, for its name and for its upload, and when the
-// two are the same matrix — every MCL expansion — it crosses once. Iterated
+// operand is encoded twice, streamed both times — into its name's hash and
+// into its upload — and never held whole; when the two are the same matrix —
+// every MCL expansion — it crosses once. Iterated
 // apps pointed at one server therefore get resident-matrix reuse and
 // plan-cache hits with no bookkeeping.
 func (c *Client) MultiplyMatrices(a, b *spmat.CSC, semiringName string) (*spmat.CSC, error) {
@@ -194,16 +255,15 @@ func (c *Client) MultiplyMatrices(a, b *spmat.CSC, semiringName string) (*spmat.
 }
 
 // ensureLoaded makes m resident under a name derived from its content hash —
-// the first 16 hex digits of its fingerprint's — so the same matrix maps to
-// the same resident slot across calls and clients. The matrix is serialized
-// once, for the hash and for the upload; content whose name is sent, the one
-// the caller has just made resident, is not uploaded again.
+// the first 16 hex digits of its fingerprint's, the sha256 of its wire bytes —
+// so the same matrix maps to the same resident slot across calls and clients.
+// Content whose name is sent, the one the caller has just made resident, is
+// not uploaded again.
 func (c *Client) ensureLoaded(m *spmat.CSC, sent string) (string, error) {
-	wire := m.Serialize()
-	name := "m-" + spmat.WireHash(wire)[:16]
+	name := "m-" + spmat.FingerprintOf(m).Hash[:16]
 	if name == sent {
 		return name, nil
 	}
-	_, err := c.loadWire(name, wire)
+	_, err := c.Load(name, m)
 	return name, err
 }

@@ -3,11 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
@@ -135,4 +138,70 @@ func (c *Client) Matrices() ([]MatrixInfo, error) {
 	var out []MatrixInfo
 	err := c.do("GET", "/matrices", nil, &out)
 	return out, err
+}
+
+// TestLoadStreamsTheWireBytes: the body Load sends, and the one GetBody makes
+// for a retry, are m.Serialize() byte for byte under its exact
+// Content-Length, in both wire encodings and past one stream buffer; once
+// Load has returned no stream's goroutine is left.
+func TestLoadStreamsTheWireBytes(t *testing.T) {
+	for name, m := range map[string]*spmat.CSC{
+		"dense-encoded":       genmat.ER(48, 5, 4),
+		"hypersparse-encoded": genmat.Hypersparse(64, 700, 2, 9),
+		"past one buffer":     genmat.ER(2048, 8, 5),
+	} {
+		want := m.Serialize()
+		start := runtime.NumGoroutine()
+		cl := &Client{Base: "http://spgemmd", HTTP: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			got, err := io.ReadAll(req.Body)
+			if err != nil {
+				return nil, err
+			}
+			req.Body.Close()
+			again, err := req.GetBody()
+			if err != nil {
+				return nil, err
+			}
+			retry, err := io.ReadAll(again)
+			if err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(retry, want) || req.ContentLength != int64(len(want)) {
+				t.Errorf("%s: sent %d bytes (equal %v), retried %d (equal %v), announced %d; Serialize has %d", name,
+					len(got), bytes.Equal(got, want), len(retry), bytes.Equal(retry, want), req.ContentLength, len(want))
+			}
+			if ct := req.Header.Get("Content-Type"); ct != "application/octet-stream" {
+				t.Errorf("%s: Content-Type %q", name, ct)
+			}
+			return &http.Response{
+				StatusCode: http.StatusOK,
+				Header:     http.Header{"Content-Type": {"application/json"}},
+				Body:       io.NopCloser(strings.NewReader(`{"name":"m"}`)),
+				Request:    req,
+			}, nil
+		})}}
+		if _, err := cl.Load("m", m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		settleGoroutines(t, start)
+	}
+}
+
+// TestRefusedUploadEndsItsStream: a /load whose Content-Length is over the
+// daemon's budget is refused with 413 before its body is read. The client
+// returns the daemon's error, and the goroutine that streamed the body ends
+// with the connection: the goroutine count comes back to where it started.
+func TestRefusedUploadEndsItsStream(t *testing.T) {
+	m := genmat.ER(8192, 32, 6) // 3.2 MB on the wire: more than the sockets buffer
+	cl, s := startServer(t, Config{P: 4, MemBytes: 1 << 20})
+	start := runtime.NumGoroutine()
+	_, err := cl.Load("big", m)
+	var ae *apiError
+	if !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge || ae.Code != "too_large" {
+		t.Fatalf("a %d-byte upload over a 1 MiB budget: %v", m.CommBytes(), err)
+	}
+	settleGoroutines(t, start)
+	if s.reg.Len() != 0 {
+		t.Fatal("the refused matrix is resident")
+	}
 }

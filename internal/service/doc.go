@@ -63,9 +63,12 @@
 // (MCL, BFS, triangle counting) run their inner products against a server.
 // Everything is JSON except the matrices: an upload is the spmat.Serialize
 // bytes as the body of POST /load?name=…, a returned product those bytes after
-// the one-line JSON document of its /multiply response, and the client
-// serializes each operand once and sends it once when it is both sides of a
-// product (see "Who serializes what, once" in ARCHITECTURE.md). The only
+// the one-line JSON document of its /multiply response. The client streams
+// each operand's encoding into its name's hash and into its upload body,
+// never holding it whole, and sends it once when it is both sides of a
+// product; the daemon reads a body into a buffer it reuses and streams a
+// product from a segment table it reuses (see "Who serializes what, once" in
+// ARCHITECTURE.md). The only
 // bound on what an uploaded body may make the daemon allocate is
 // Config.MemBytes: a body, or the CSC form of the matrix it describes, beyond
 // the budget is refused with 413 before it is allocated, and a service

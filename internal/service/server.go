@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -332,8 +333,12 @@ func (s *Service) writeMultiply(w http.ResponseWriter, req MultiplyRequest, res 
 	// from the ranks' pieces under their exact length: the product is
 	// never assembled or encoded whole on this side.
 	start := time.Now()
-	seg, err := core.ProductSegments(res.ranks, res.Rows, res.Cols)
-	if err != nil {
+	seg := segTables.Get().(*spmat.Segmented)
+	defer func() {
+		clear(seg.Segs) // an idle table keeps no view of a released chunk
+		segTables.Put(seg)
+	}()
+	if err := core.ProductSegments(seg, res.ranks, res.Rows, res.Cols); err != nil {
 		writeErr(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
@@ -347,6 +352,10 @@ func (s *Service) writeMultiply(w http.ResponseWriter, req MultiplyRequest, res 
 	n, _ := seg.WriteTo(w) // as above
 	s.met.observeEncode(n, time.Since(start).Seconds())
 }
+
+// segTables holds the segment tables returned products are streamed from
+// between responses, so a warm one refills a table instead of allocating it.
+var segTables = sync.Pool{New: func() any { return new(spmat.Segmented) }}
 
 // errOverBudget marks a /load refused because the matrix — its body, or the
 // CSC form the registry would hold — exceeds the service's MemBytes, or that
@@ -399,8 +408,10 @@ func decodeLoad(w http.ResponseWriter, r *http.Request, budget int64) (string, *
 	// constant times the body, whereas the CSC form of a hypersparse-encoded
 	// matrix is 8·(cols+1) bytes whatever the body's size — a 21-byte body can
 	// claim 2³¹−1 empty columns. An operand that alone exceeds the aggregate
-	// budget could not be multiplied under it anyway.
-	wm, err := spmat.DeserializeMatrix(buf)
+	// budget could not be multiplied under it anyway. The decode copies what
+	// it reads, so the body's buffer goes back as soon as it returns.
+	wm, err := spmat.DeserializeMatrix(buf.Bytes())
+	putBody(buf)
 	if err != nil {
 		return "", nil, err
 	}
@@ -437,11 +448,24 @@ func mtxCols(text string) int32 {
 // arrived.
 const firstRead = 256 << 10
 
-// readBody reads a binary /load body whole. Content-Length is the sender's
-// claim: one over the budget is refused unread, and no buffer is sized by it
-// beyond firstRead — from there the buffer doubles only as bytes actually
-// arrive, up to the budget when there is one.
-func readBody(w http.ResponseWriter, r *http.Request, budget int64) ([]byte, error) {
+// bodyBufs holds /load body buffers between requests. Only a buffer the
+// firstRead rule would have made anyway goes back (putBody), so no
+// budget-sized body sits idle in it.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= firstRead+bytes.MinRead {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}
+}
+
+// readBody reads a binary /load body whole into a buffer from bodyBufs, which
+// the caller gives back with putBody once it has read it. Content-Length is
+// the sender's claim: one over the budget is refused unread, and no buffer is
+// sized by it beyond firstRead — from there the buffer doubles only as bytes
+// actually arrive, up to the budget when there is one.
+func readBody(w http.ResponseWriter, r *http.Request, budget int64) (*bytes.Buffer, error) {
 	body, claimed := io.Reader(r.Body), r.ContentLength
 	if budget > 0 {
 		if claimed > budget {
@@ -449,17 +473,21 @@ func readBody(w http.ResponseWriter, r *http.Request, budget int64) ([]byte, err
 		}
 		body = http.MaxBytesReader(w, r.Body, budget)
 	}
-	var buf bytes.Buffer
-	if claimed > 0 {
-		buf.Grow(int(min(claimed, firstRead)) + bytes.MinRead) // an honest body up to firstRead is read without regrowing
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	if want := int(min(claimed, firstRead)) + bytes.MinRead; claimed > 0 && buf.Cap() < want {
+		// An honest body up to firstRead is read without regrowing. A pooled
+		// buffer too small for it is replaced by one of twice its size, or
+		// the body's if that is more, never past what putBody keeps: bytes.
+		// Buffer's own growth would double it and add the claim.
+		buf = bytes.NewBuffer(make([]byte, 0, max(want, min(2*buf.Cap(), firstRead+bytes.MinRead))))
 	}
-	_, err := buf.ReadFrom(body)
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return nil, fmt.Errorf("service: /load body exceeds the %d-byte memory budget: %w", budget, errOverBudget)
-	}
-	if err != nil {
+	if _, err := buf.ReadFrom(body); err != nil {
+		putBody(buf)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, fmt.Errorf("service: /load body exceeds the %d-byte memory budget: %w", budget, errOverBudget)
+		}
 		return nil, fmt.Errorf("service: reading /load body: %w", err)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }

@@ -721,8 +721,11 @@ func TestClientConcurrentMultiplyMatrices(t *testing.T) {
 // itself: one upload, one multiply and one download over HTTP against the
 // same job through Service.Multiply in process, each on a fresh service after
 // one warm-up job. The matrix crosses as its bytes, so the difference is a
-// small multiple of the bytes that crossed (serialize, receive, decode on each
-// side) — base64 inside JSON cost about twice that. TotalAlloc is the whole
+// small multiple of the bytes that crossed — base64 inside JSON cost about
+// twice that. Both ways a matrix is now streamed and decoded once: the
+// boundary read 0.15–0.46x (median 0.22x) when the bound was tightened from
+// 6x to 2x, and 0.21–0.55x (median 0.49x) while the client serialized its
+// upload whole and the daemon read it into a fresh buffer. TotalAlloc is the whole
 // process's, so a measurement in which the job's own variation swallows the
 // boundary is taken again; one that never shows a boundary cost fails.
 func TestServiceRoundTripBytesBudget(t *testing.T) {
@@ -765,8 +768,8 @@ func TestServiceRoundTripBytesBudget(t *testing.T) {
 		}
 		extra := overHTTP - direct
 		t.Logf("boundary cost %d bytes for %d bytes crossed (%.1fx); in-process job %d bytes", extra, crossed, float64(extra)/float64(crossed), direct)
-		if extra > 6*crossed {
-			t.Fatalf("crossing the daemon boundary allocated %d bytes for %d bytes of matrices (%.1fx, budget 6x)", extra, crossed, float64(extra)/float64(crossed))
+		if extra > 2*crossed {
+			t.Fatalf("crossing the daemon boundary allocated %d bytes for %d bytes of matrices (%.1fx, budget 2x)", extra, crossed, float64(extra)/float64(crossed))
 		}
 		return
 	}

@@ -44,14 +44,6 @@ func FingerprintOf(m Matrix) Fingerprint {
 	}
 }
 
-// WireHash is the Hash of the fingerprint of the matrix whose Serialize
-// output is wire, for a caller that holds those bytes already (the service
-// client names an upload by it and then sends the same bytes).
-func WireHash(wire []byte) string {
-	sum := sha256.Sum256(wire)
-	return hex.EncodeToString(sum[:])
-}
-
 // Key renders the fingerprint as a stable, human-readable string suitable
 // for composing cache keys.
 func (f Fingerprint) Key() string {

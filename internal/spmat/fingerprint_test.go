@@ -1,6 +1,10 @@
 package spmat
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+)
 
 // A fingerprint must be format-independent in content (hash, dims, nnz) and
 // must change when the values change.
@@ -39,5 +43,16 @@ func TestFingerprintFormatIndependentContent(t *testing.T) {
 	}
 	if fc.Key() == fd.Key() {
 		t.Fatalf("Key must include the format")
+	}
+}
+
+// The fingerprint's hash is the sha256 of Serialize's bytes, streamed: what
+// names a matrix is the hash of the exact bytes that carry it.
+func TestFingerprintHashesTheWireBytes(t *testing.T) {
+	for _, m := range []*CSC{randomNNZCSC(t, 40, 40, 500, 3), randomNNZCSC(t, 4000, 40000, 12000, 4), New(3, 0)} {
+		sum := sha256.Sum256(m.Serialize())
+		if got, want := FingerprintOf(m).Hash, hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("%v: fingerprint hash %s, sha256 of the wire %s", m, got, want)
+		}
 	}
 }

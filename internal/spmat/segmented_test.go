@@ -71,6 +71,31 @@ func TestSegmentedWritesSerializeBytes(t *testing.T) {
 	}
 }
 
+// TestCSCWriteToIsSerialize: a CSC streamed by WriteTo is its Serialize,
+// byte for byte and at its CommBytes, in both wire encodings and across the
+// stream buffer's boundary; a writer that fails ends it with that error.
+func TestCSCWriteToIsSerialize(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, sh := range []struct {
+		rows, cols int32
+		nnz        int
+	}{{0, 0, 0}, {12, 40, 0}, {30, 500, 60}, {40, 40, 500}, {900, 300, 40000}, {4000, 40000, 12000}} {
+		m := randomNNZCSC(t, sh.rows, sh.cols, sh.nnz, rng.Int63())
+		var buf bytes.Buffer
+		n, err := m.WriteTo(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := m.Serialize(); !bytes.Equal(buf.Bytes(), want) || n != int64(len(want)) || n != m.CommBytes() {
+			t.Fatalf("%v: streamed %d bytes (equal %v), Serialize has %d, CommBytes %d", m, n, bytes.Equal(buf.Bytes(), want), len(want), m.CommBytes())
+		}
+	}
+	m := randomNNZCSC(t, 900, 300, 40000, 9)
+	if n, err := m.WriteTo(&failAfter{limit: wireChunk + 3}); !errors.Is(err, errWriteFailed) || n != wireChunk+3 {
+		t.Fatalf("wrote %d, error %v", n, err)
+	}
+}
+
 // failAfter accepts limit bytes, then fails.
 type failAfter struct{ limit int }
 

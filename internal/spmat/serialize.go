@@ -76,6 +76,11 @@ func (m *CSC) Serialize() []byte { return encodeInto(matrixHead(m), m, nil) }
 // to serializing its CSC form.
 func (d *DCSC) Serialize() []byte { return encodeInto(matrixHead(d), d, nil) }
 
+// WriteTo streams the matrix's wire encoding — byte for byte Serialize's —
+// to w through one buffer of at most wireChunk bytes, and returns the bytes
+// w accepted: the encoding is never held whole.
+func (m *CSC) WriteTo(w io.Writer) (int64, error) { return encodeTo(matrixHead(m), m, w) }
+
 // wireHead is what the header and the encoding's length follow from.
 type wireHead struct {
 	rows, cols int32
