@@ -13,7 +13,7 @@ package mcl
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -158,34 +158,56 @@ func expand(m *spmat.CSC, cfg Config) (*spmat.CSC, int, *mpi.Summary, error) {
 
 // AddSelfLoops returns a + I on the sparsity pattern (existing diagonal
 // entries are kept, missing ones set to the column maximum as HipMCL does).
-// Its entries are gathered in one array of their bound, nnz(a) + one a
-// column.
+// It builds the CSC form in one pass over a's columns, into arrays of their
+// bound, nnz(a) + one a column: each column is copied with a missing
+// diagonal merged in at its row, sorted only when a's columns are not, and
+// its duplicate rows summed — what spmat.FromTriples makes of the same
+// entries, array for array.
 func AddSelfLoops(a *spmat.CSC) *spmat.CSC {
-	ts := make([]spmat.Triple, 0, a.NNZ()+int64(a.Cols))
+	out := &spmat.CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: make([]int64, a.Cols+1), SortedCols: true}
+	rows := make([]int32, 0, a.NNZ()+int64(a.Cols))
+	vals := make([]float64, 0, cap(rows))
+	var sorter spmat.PairSorter
 	for j := int32(0); j < a.Cols; j++ {
-		rows, vals := a.Column(j)
+		cr, cv := a.Column(j)
 		var maxV float64
 		hasDiag := false
-		for p := range rows {
-			if vals[p] > maxV {
-				maxV = vals[p]
+		for p := range cr {
+			if cv[p] > maxV {
+				maxV = cv[p]
 			}
-			if rows[p] == j {
+			if cr[p] == j {
 				hasDiag = true
 			}
-			ts = append(ts, spmat.Triple{Row: rows[p], Col: j, Val: vals[p]})
 		}
+		start, at := len(rows), len(cr)
+		if !hasDiag && a.SortedCols {
+			at, _ = slices.BinarySearch(cr, j)
+		}
+		rows, vals = append(rows, cr[:at]...), append(vals, cv[:at]...)
 		if !hasDiag {
 			if maxV == 0 {
 				maxV = 1
 			}
-			ts = append(ts, spmat.Triple{Row: j, Col: j, Val: maxV})
+			rows, vals = append(rows, j), append(vals, maxV)
 		}
+		rows, vals = append(rows, cr[at:]...), append(vals, cv[at:]...)
+		if !a.SortedCols {
+			sorter.Sort(rows[start:], vals[start:])
+		}
+		w := start
+		for p := start; p < len(rows); {
+			r, v := rows[p], vals[p]
+			for p++; p < len(rows) && rows[p] == r; p++ {
+				v += vals[p]
+			}
+			rows[w], vals[w] = r, v
+			w++
+		}
+		rows, vals = rows[:w], vals[:w]
+		out.ColPtr[j+1] = int64(w)
 	}
-	out, err := spmat.FromTriples(a.Rows, a.Cols, ts, nil)
-	if err != nil {
-		panic(err)
-	}
+	out.RowIdx, out.Val = rows, vals
 	return out
 }
 
@@ -232,53 +254,62 @@ func pow(v, p float64) float64 {
 }
 
 // Prune drops entries below threshold and keeps at most topK entries per
-// column (the largest ones, ties broken by lower row index), in place.
+// column (the largest ones, ties broken by lower row index), in place: the
+// column pointers too, so the only array it allocates is the scratch a
+// column's values are sorted in to find its cut.
 func Prune(m *spmat.CSC, threshold float64, topK int) {
 	m.Filter(func(_, _ int32, v float64) bool { return v >= threshold })
 	if topK <= 0 {
 		return
 	}
-	newPtr := make([]int64, m.Cols+1)
-	w := int64(0)
-	var tmp []float64
+	var longest int64
 	for j := int32(0); j < m.Cols; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		newPtr[j] = w
+		longest = max(longest, m.ColPtr[j+1]-m.ColPtr[j])
+	}
+	if longest <= int64(topK) {
+		return
+	}
+	tmp := make([]float64, longest)
+	w, lo := int64(0), m.ColPtr[0]
+	for j := int32(0); j < m.Cols; j++ {
+		// Column j's end is read before its slot takes the compacted end.
+		hi := m.ColPtr[j+1]
 		n := int(hi - lo)
 		if n <= topK {
 			copy(m.RowIdx[w:], m.RowIdx[lo:hi])
 			copy(m.Val[w:], m.Val[lo:hi])
 			w += int64(n)
-			continue
-		}
-		// cut = topK-th largest value in the column.
-		tmp = append(tmp[:0], m.Val[lo:hi]...)
-		sort.Float64s(tmp)
-		cut := tmp[n-topK]
-		// Entries equal to the cut may exceed the budget; admit them in
-		// stored order until topK is reached.
-		atCutBudget := topK
-		for _, v := range tmp[n-topK:] {
-			if v > cut {
-				atCutBudget--
+		} else {
+			// cut = topK-th largest value in the column.
+			sorted := tmp[:n]
+			copy(sorted, m.Val[lo:hi])
+			slices.Sort(sorted)
+			cut := sorted[n-topK]
+			// Entries equal to the cut may exceed the budget; admit them in
+			// stored order until topK is reached.
+			atCutBudget := topK
+			for _, v := range sorted[n-topK:] {
+				if v > cut {
+					atCutBudget--
+				}
+			}
+			for p := lo; p < hi; p++ {
+				v := m.Val[p]
+				if v > cut {
+					m.RowIdx[w] = m.RowIdx[p]
+					m.Val[w] = v
+					w++
+				} else if v == cut && atCutBudget > 0 {
+					m.RowIdx[w] = m.RowIdx[p]
+					m.Val[w] = v
+					w++
+					atCutBudget--
+				}
 			}
 		}
-		for p := lo; p < hi; p++ {
-			v := m.Val[p]
-			if v > cut {
-				m.RowIdx[w] = m.RowIdx[p]
-				m.Val[w] = v
-				w++
-			} else if v == cut && atCutBudget > 0 {
-				m.RowIdx[w] = m.RowIdx[p]
-				m.Val[w] = v
-				w++
-				atCutBudget--
-			}
-		}
+		m.ColPtr[j+1] = w
+		lo = hi
 	}
-	newPtr[m.Cols] = w
-	m.ColPtr = newPtr
 	m.RowIdx = m.RowIdx[:w]
 	m.Val = m.Val[:w]
 }

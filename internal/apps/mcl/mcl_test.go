@@ -2,6 +2,7 @@ package mcl
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -252,17 +253,79 @@ func TestAddSelfLoopsMatchesAppend(t *testing.T) {
 		t.Fatalf("loops %v %v %v %v, want 2 (column max), 1 (empty), 1.5 (kept), 1 (all negative)", loops.At(0, 0), loops.At(1, 1), loops.At(2, 2), loops.At(3, 3))
 	}
 
-	ts := make([]spmat.Triple, 0, protein.NNZ()+int64(protein.Cols))
-	for j := int32(0); j < protein.Cols; j++ {
-		rows, vals := protein.Column(j)
-		for p := range rows {
-			ts = append(ts, spmat.Triple{Row: rows[p], Col: j, Val: vals[p]})
-		}
-		ts = append(ts, spmat.Triple{Row: j, Col: j, Val: 1})
+	if got := testing.AllocsPerRun(5, func() { AddSelfLoops(protein) }); got > 4 {
+		t.Fatalf("AddSelfLoops made %.0f allocations, more than the output's header and three arrays", got)
 	}
-	build := testing.AllocsPerRun(5, func() { _, _ = spmat.FromTriples(protein.Rows, protein.Cols, ts, nil) })
-	if got := testing.AllocsPerRun(5, func() { AddSelfLoops(protein) }); got > build+1 {
-		t.Fatalf("AddSelfLoops made %.0f allocations, FromTriples alone %.0f: the triples are not one array", got, build)
+}
+
+// A column holding a row twice has it summed, in FromTriples' order, whether
+// a's columns are flagged sorted (the diagonal merged in at its row) or not
+// (the column sorted after the diagonal is appended).
+func TestAddSelfLoopsSumsDuplicates(t *testing.T) {
+	for _, sorted := range []bool{true, false} {
+		rows := []int32{0, 2, 2, 3, 1, 1, 4}
+		if !sorted {
+			rows = []int32{3, 2, 0, 2, 4, 1, 1}
+		}
+		a := &spmat.CSC{
+			Rows: 5, Cols: 3,
+			ColPtr:     []int64{0, 4, 4, 7},
+			RowIdx:     rows,
+			Val:        []float64{0.1, 0.7, 0.3, 0.2, 1e16, 1, -1e16},
+			SortedCols: sorted,
+		}
+		got, want := AddSelfLoops(a), addSelfLoopsAppend(a)
+		if got.SortedCols != want.SortedCols || !slices.Equal(got.ColPtr, want.ColPtr) || !slices.Equal(got.RowIdx, want.RowIdx) ||
+			!slices.EqualFunc(got.Val, want.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("sorted %v: AddSelfLoops gives %v %v %v, FromTriples %v %v %v", sorted, got.ColPtr, got.RowIdx, got.Val, want.ColPtr, want.RowIdx, want.Val)
+		}
+	}
+}
+
+// Filter compacts a matrix in place, column pointers included, and allocates
+// nothing; Prune with a top-K cut allocates only the scratch it sorts a
+// column's values in. Both give what they gave with fresh column pointers.
+func TestPruneCompactsInPlace(t *testing.T) {
+	protein := genmat.SymmetricPermute(genmat.ProteinSimilarity(7, 6, 2), 2)
+	mallocs := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	thr := protein.Val[len(protein.Val)/2]
+	m := protein.Clone()
+	if n := mallocs(func() { m.Filter(func(_, _ int32, v float64) bool { return v >= thr }) }); n != 0 {
+		t.Errorf("Filter made %d allocations", n)
+	}
+	var ts []spmat.Triple
+	for _, tr := range protein.Triples() {
+		if tr.Val >= thr {
+			ts = append(ts, tr)
+		}
+	}
+	if w, err := spmat.FromTriples(protein.Rows, protein.Cols, ts, nil); err != nil || !spmat.Equal(m, w) {
+		t.Fatalf("Filter kept %v, want %v (%v)", m, w, err)
+	}
+
+	m = protein.Clone()
+	if n := mallocs(func() { Prune(m, 0, 3) }); n != 1 {
+		t.Errorf("Prune with top-3 made %d allocations, want 1 (its sort scratch)", n)
+	}
+	for j := int32(0); j < m.Cols; j++ {
+		rows, vals := m.Column(j)
+		full, fullVals := protein.Column(j)
+		if len(rows) != min(3, len(full)) {
+			t.Fatalf("column %d keeps %d of %d entries under top-3", j, len(rows), len(full))
+		}
+		sorted := slices.Clone(fullVals)
+		slices.Sort(sorted)
+		for p := range rows {
+			if vals[p] < sorted[len(sorted)-len(rows)] {
+				t.Fatalf("column %d keeps %v, below its top-3", j, vals[p])
+			}
+		}
 	}
 }
 

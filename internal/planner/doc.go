@@ -49,14 +49,23 @@
 // block by block, and csc or dcsc beats it in 312 of those 1008 candidates.
 //
 // A daemon pays a cold plan on the request path for every new operand pair,
-// so the probe and the grid statistics do the least work that gives the
-// same numbers: a sampled column dedupes through a presence bitmap only
-// when that costs at most one word per flop (never a buffer sized by a row
-// count a header merely claims), row-block counts and block lookups are
-// closure-free binary searches, and the slice model reuses its powers. Each such
-// rewrite keeps the older code's expressions and their association, and
-// reorders only sums of integer-valued floats, so every candidate is
-// bit-identical to the older statistics reference_test.go keeps as an oracle
+// before admission, so a cold plan costs O(nnz) and is sized by nothing
+// else a header can claim: no pass or buffer is sized by a dimension. The
+// probe folds B's entries into every candidate grid's slice flops in one
+// pass (no per-inner-index array), and each sampled column's distinct rows
+// into every grid's output partition while they sit in scratch (the plan
+// keeps no sampled rows); a sampled column dedupes through a presence bitmap
+// only when that costs at most one word per flop. The sparse-comm statistics
+// gather, per receiver block column, the inner indices B's entries touch,
+// radix-sort and walk them, so they cost O(nnz(B)) per grid, not q²·n. A
+// plan's allocation is O(nnz + sample + q³·l) — its candidates and their
+// step breakdowns sized once — and its scratch comes from a sync.Pool, one
+// per call, so concurrent plans share none. Block lookups guess from the
+// bounds' mean spacing (partition.index) and row-block counts are binary
+// searches, and the slice model reuses its powers. Each such rewrite keeps
+// the older code's expressions and their association, and reorders only sums
+// of integers or integer-valued floats, so every candidate is bit-identical
+// to the older statistics reference_test.go keeps as an oracle
 // (TestPlannerMatchesReference). Measuring the layer counts' grids on
 // parallel goroutines saved under 3 % of a daemon expansion on two cores and
 // was left out: New is serial.

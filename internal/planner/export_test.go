@@ -8,22 +8,22 @@ import (
 	"repro/internal/spmat"
 )
 
-// PredictUnmemoized recomputes candidate c with the two sampled-output passes
-// taken from the probe here, for the grid side the candidate's own (p, l)
-// gives — the calls predict made at their use sites before gridStat
-// remembered them — in place of whatever the grid's memo holds.
+// PredictUnmemoized recomputes candidate c with the two sampled-output
+// estimates taken from the probe here, for the grid side the candidate's own
+// (p, l) gives, in place of whatever the grid's memo holds.
 func (pl *Plan) PredictUnmemoized(c Candidate) Candidate {
 	gs := pl.stats[c.L]
 	q, err := grid.SideFor(pl.In.P, c.L)
 	if err != nil {
 		panic(err)
 	}
-	gs.outImbalance, gs.fiberCells = pl.Probe.outputImbalance(q), pl.Probe.fiberOccupied(q)
-	staged := pl.predict(gs, c.Format, 0, c.SparseComm)
+	g := pl.Probe.grid(q, c.L)
+	gs.outImbalance, gs.fiberCells = g.imbalance, g.cells
+	staged := pl.predict(gs, c.Format, 0, c.SparseComm, make([]StepCost, 0, len(Steps)))
 	if !c.Pipeline {
 		return staged
 	}
-	return pl.applyOverlap(staged, c.Channels)
+	return pl.applyOverlap(staged, c.Channels, nil)
 }
 
 // NewReference plans like New from the reference statistics of
@@ -36,21 +36,27 @@ func (pl *Plan) PredictUnmemoized(c Candidate) Candidate {
 // the ones a plan computed to refSubsetStat.
 func NewReference(a, b *spmat.CSC, in Input) (*Plan, error) {
 	in = in.withDefaults()
-	pr, err := ProbePair(a, b, 0)
-	if err != nil {
-		return nil, err
-	}
-	pr.sampleFlops, pr.sampleNNZ, pr.sampleColID, pr.sampleRows = sampleOracle(a, b, pr.SampledCols)
-	pl := &Plan{In: in, Probe: pr, qOf: make(map[int]int), stats: make(map[int]*gridStat), a: a, b: b}
-	for _, l := range LayersFor(in.P) {
+	layers := LayersFor(in.P)
+	grids := make([]probedGrid, len(layers))
+	for x, l := range layers {
 		q, err := grid.SideFor(in.P, l)
 		if err != nil {
 			return nil, err
 		}
-		gs := refGridStat(a, b, q, l)
-		refSliceModel(gs, pr)
-		pl.qOf[l], pl.stats[l] = q, gs
-		pl.enumerate(gs)
+		grids[x].q, grids[x].l = q, l
+	}
+	pr, err := probe(a, b, 0, grids)
+	if err != nil {
+		return nil, err
+	}
+	var rows [][]int32
+	pr.sampleFlops, pr.sampleNNZ, pr.sampleColID, rows = sampleOracle(a, b, pr.SampledCols)
+	pl := &Plan{In: in, Probe: pr, qOf: make(map[int]int), stats: make(map[int]*gridStat)}
+	for _, g := range grids {
+		gs := refGridStat(a, b, g.q, g.l)
+		refSliceModel(gs, pr, rows)
+		pl.qOf[g.l], pl.stats[g.l] = g.q, gs
+		pl.enumerate(gs, new(stepArena))
 	}
 	pl.rank()
 	return pl, nil
@@ -69,7 +75,7 @@ func (pr *Probe) SampledColumns() []*Probe {
 	for k := range out {
 		c := *pr
 		c.sampleFlops, c.sampleNNZ = pr.sampleFlops[k:k+1], pr.sampleNNZ[k:k+1]
-		c.sampleColID, c.sampleRows = pr.sampleColID[k:k+1], pr.sampleRows[k:k+1]
+		c.sampleColID = pr.sampleColID[k : k+1]
 		out[k] = &c
 	}
 	return out
@@ -111,7 +117,7 @@ func (pl *Plan) InternalsDiff(ref *Plan) string {
 		}
 		if g.subStatDone {
 			s := &gridStat{q: g.q, l: g.l}
-			refSubsetStat(s, pl.a, pl.b)
+			refSubsetStat(s, pl.Probe.a, pl.Probe.b)
 			if !reflect.DeepEqual(g.aSubNE, s.aSubNE) || !reflect.DeepEqual(g.aSubNNZ, s.aSubNNZ) || !reflect.DeepEqual(g.bRowSup, s.bRowSup) {
 				return fmt.Sprintf("l = %d: subset statistics", l)
 			}

@@ -78,9 +78,6 @@ type Plan struct {
 
 	qOf   map[int]int
 	stats map[int]*gridStat
-	// a, b are retained for the lazily-computed sparse-comm statistics
-	// (computeSubsetStat) — only candidates with SparseComm != off need them.
-	a, b *spmat.CSC
 }
 
 // LayersFor returns every layer count l for which p ranks form a grid with
@@ -105,36 +102,63 @@ func New(a, b *spmat.CSC, in Input) (*Plan, error) {
 	if in.P <= 0 {
 		return nil, fmt.Errorf("planner: rank count %d", in.P)
 	}
-	pr, err := ProbePair(a, b, 0)
-	if err != nil {
-		return nil, err
-	}
-	pl := &Plan{In: in, Probe: pr, qOf: make(map[int]int), stats: make(map[int]*gridStat), a: a, b: b}
-	for _, l := range LayersFor(in.P) {
+	layers := LayersFor(in.P)
+	grids := make([]probedGrid, len(layers))
+	for x, l := range layers {
 		q, err := grid.SideFor(in.P, l)
 		if err != nil {
 			return nil, fmt.Errorf("planner: layer count %d: %w", l, err)
 		}
-		gs := computeGridStat(a, b, q, l)
-		pl.qOf[l], pl.stats[l] = q, gs
-		pl.enumerate(gs)
+		grids[x].q, grids[x].l = q, l
+	}
+	pr, err := probe(a, b, 0, grids)
+	if err != nil {
+		return nil, err
+	}
+	pl := &Plan{In: in, Probe: pr, qOf: make(map[int]int, len(layers)), stats: make(map[int]*gridStat, len(layers))}
+	// At most every (format, sparse mode) point of every grid is feasible,
+	// with one pipelined variant per channel count: the candidates and their
+	// step breakdowns are sized once for that.
+	most := len(layers) * len(Formats) * len(SparseModes) * (1 + len(Channels))
+	pl.Candidates = make([]Candidate, 0, most)
+	steps := make(stepArena, most*len(Steps))
+	for _, g := range grids {
+		gs := computeGridStat(a, b, g.q, g.l)
+		pl.qOf[g.l], pl.stats[g.l] = g.q, gs
+		pl.enumerate(gs, &steps)
 	}
 	pl.rank()
 	return pl, nil
 }
 
+// stepArena is the array New cuts every candidate's step breakdown from.
+type stepArena []StepCost
+
+// next cuts the next breakdown: empty, with room for every step and no more,
+// so an append past it cannot reach the next candidate's. An exhausted arena
+// makes a new array.
+func (sa *stepArena) next() []StepCost {
+	n := len(Steps)
+	if len(*sa) < n {
+		return make([]StepCost, 0, n)
+	}
+	s := (*sa)[:0:n]
+	*sa = (*sa)[n:]
+	return s
+}
+
 // enumerate appends gs's candidates in sweep order: format, then sparse
 // mode, then the staged candidate and its pipelined variants.
-func (pl *Plan) enumerate(gs *gridStat) {
+func (pl *Plan) enumerate(gs *gridStat, steps *stepArena) {
 	for _, f := range Formats {
 		for _, sm := range SparseModes {
-			staged := pl.predict(gs, f, 0, sm)
+			staged := pl.predict(gs, f, 0, sm, steps.next())
 			pl.Candidates = append(pl.Candidates, staged)
 			if !staged.Feasible {
 				continue
 			}
 			for _, k := range Channels {
-				pl.Candidates = append(pl.Candidates, pl.applyOverlap(staged, k))
+				pl.Candidates = append(pl.Candidates, pl.applyOverlap(staged, k, steps.next()))
 			}
 		}
 	}
@@ -198,9 +222,9 @@ func (pl *Plan) Evaluate(cfg Config) (Candidate, error) {
 	if !ok {
 		return Candidate{}, fmt.Errorf("planner: layer count %d was not enumerated", cfg.L)
 	}
-	c := pl.predict(gs, cfg.Format, cfg.B, cfg.SparseComm)
+	c := pl.predict(gs, cfg.Format, cfg.B, cfg.SparseComm, make([]StepCost, 0, len(Steps)))
 	if cfg.Pipeline {
-		c = pl.applyOverlap(c, cfg.Channels)
+		c = pl.applyOverlap(c, cfg.Channels, nil)
 	}
 	return c, nil
 }

@@ -110,10 +110,10 @@ func (c *Candidate) Step(name string) StepCost {
 }
 
 // predict evaluates one (l, format, sparse) point of the space: it derives
-// the induced batch count (unless forceB pins one), predicts every step, and
-// returns the staged candidate. Pipelined variants are derived from it with
-// applyOverlap.
-func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mpi.SparseMode) Candidate {
+// the induced batch count (unless forceB pins one), predicts every step into
+// steps (empty, with room for every step), and returns the staged candidate. Pipelined
+// variants are derived from it with applyOverlap.
+func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mpi.SparseMode, steps []StepCost) Candidate {
 	in, pr := pl.In, pl.Probe
 	q, l := gs.q, gs.l
 	p := in.P
@@ -276,7 +276,6 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 	}
 
 	p64, q64, l64, b64 := int64(p), int64(q), int64(l), int64(b)
-	steps := make([]StepCost, 0, len(Steps))
 
 	// Symbolic (Alg 3): the same q broadcast stages as one un-batched SUMMA
 	// pass — full A and B blocks, charged to Symbolic — plus the three
@@ -461,8 +460,9 @@ func (o Overlap) Hidden() (sym, a, b, fiber float64) {
 // collective into HiddenSeconds, with per-rank compute valued at
 // DefaultSecPerWork over the candidate's own work predictions. k ≤ 1 is the
 // single-injection model and leaves Config.Channels at its zero value
-// (pre-knob spelling).
-func (pl *Plan) applyOverlap(staged Candidate, k int) Candidate {
+// (pre-knob spelling). The variant's steps are copied into steps (nil: a new
+// array).
+func (pl *Plan) applyOverlap(staged Candidate, k int, steps []StepCost) Candidate {
 	p := float64(pl.In.P)
 	perRank := func(step string) float64 {
 		return float64(staged.Step(step).WorkUnits) * DefaultSecPerWork / p
@@ -491,13 +491,20 @@ func (pl *Plan) applyOverlap(staged Candidate, k int) Candidate {
 	if k >= 2 {
 		out.Channels = k
 	}
-	out.Steps = append([]StepCost(nil), staged.Steps...)
-	hide := map[string]float64{
-		StepSymbolic: hSym, StepABcast: hA, StepBBcast: hB, StepAllToAll: hFiber,
-	}
+	out.Steps = append(steps[:0], staged.Steps...)
 	out.CommSeconds, out.HiddenSeconds = 0, 0
 	for i := range out.Steps {
-		h := hide[out.Steps[i].Step]
+		var h float64
+		switch out.Steps[i].Step {
+		case StepSymbolic:
+			h = hSym
+		case StepABcast:
+			h = hA
+		case StepBBcast:
+			h = hB
+		case StepAllToAll:
+			h = hFiber
+		}
 		if h > out.Steps[i].CommSeconds {
 			h = out.Steps[i].CommSeconds
 		}

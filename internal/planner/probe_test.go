@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 // slow. Kept here as the reference for the sample's exact contents.
 func sampleOracle(a, b *spmat.CSC, sample int) (flops, nnz []int64, colID []int32, rows [][]int32) {
 	cols := int(b.Cols)
+	flops, nnz, colID = make([]int64, 0, sample), make([]int64, 0, sample), make([]int32, 0, sample)
 	var scratch []int32
 	for k := 0; k < sample; k++ {
 		j := int32(int64(k) * int64(cols) / int64(sample))
@@ -44,10 +46,14 @@ func sampleOracle(a, b *spmat.CSC, sample int) (flops, nnz []int64, colID []int3
 }
 
 // Every plan pick and plan-cache key derives from the probe's sample, so
-// ProbePair must reproduce the first implementation's exactly: on the
+// the probe must reproduce the first implementation's exactly: on the
 // planner tests' two fixtures, a hypersparse pair, an A far taller than it has
 // entries, an operand with unsorted columns, empty operands, and a pair whose
-// sampled columns dedupe through both the bitmap and the hash set.
+// sampled columns dedupe through both the bitmap and the hash set. The probe
+// keeps no sampled rows, so every sampled column's distinct rows, as the
+// probe finds them (scratch.distinctRows), are held to the oracle's, and so
+// is what the probe folds them into on every grid side: the output imbalance
+// and occupied cells.
 func TestProbeSampleMatchesSortOracle(t *testing.T) {
 	friendster := genmat.SymmetricPermute(genmat.RMAT(genmat.RMATConfig{
 		Scale: 8, EdgeFactor: 10, Symmetrize: true, Seed: 102,
@@ -88,7 +94,11 @@ func TestProbeSampleMatchesSortOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pr, err := ProbePair(tc.a, tc.b, tc.sample)
+			pr, err := probe(tc.a, tc.b, tc.sample, probedGrids())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := ProbePair(tc.a, tc.b, tc.sample)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,8 +124,22 @@ func TestProbeSampleMatchesSortOracle(t *testing.T) {
 			if !reflect.DeepEqual(pr.sampleColID, colID) {
 				t.Errorf("sampleColID differ from the oracle")
 			}
-			if !reflect.DeepEqual(pr.sampleRows, rows) {
-				t.Errorf("sampleRows differ from the oracle")
+			checkSampledRows(t, tc.a, tc.b, colID, flops, rows)
+			for _, g := range probedGrids() {
+				got := pr.grid(g.q, g.l)
+				if want := refOutputImbalance(pr, rows, g.q); got.imbalance != want {
+					t.Errorf("q = %d: output imbalance %v, oracle %v", g.q, got.imbalance, want)
+				}
+				if want := refFiberOccupied(pr, rows, g.q); got.cells != want {
+					t.Errorf("q = %d: occupied cells %v, oracle %v", g.q, got.cells, want)
+				}
+				want := refSliceWeights(pr, g.q, g.l)
+				if w := pr.SliceWeights(g.q, g.l); !slices.Equal(w, want) {
+					t.Errorf("q = %d, l = %d: slice weights %v, oracle %v", g.q, g.l, w, want)
+				}
+				if w := plain.SliceWeights(g.q, g.l); !slices.Equal(w, want) {
+					t.Errorf("q = %d, l = %d: unmeasured grid's slice weights %v, oracle %v", g.q, g.l, w, want)
+				}
 			}
 			var sum, occupied int64
 			for _, c := range nnz {
@@ -134,7 +158,29 @@ func TestProbeSampleMatchesSortOracle(t *testing.T) {
 	}
 }
 
-// partIndex must return what sort.Search over "bounds[i+1] > v" returns, for
+// probedGrids are the grids TestProbeSampleMatchesSortOracle has the probe
+// measure: every side of 1, 16, 64 and 1024 ranks, one no rank count gives,
+// and layer counts up to 64.
+func probedGrids() []probedGrid {
+	return []probedGrid{{q: 1, l: 64}, {q: 2, l: 16}, {q: 3, l: 2}, {q: 4, l: 4}, {q: 8, l: 1}, {q: 16, l: 4}, {q: 32, l: 1}}
+}
+
+// checkSampledRows holds the distinct rows of every sampled column, as the
+// probe finds them, and the column's flops to the oracle's.
+func checkSampledRows(t *testing.T, a, b *spmat.CSC, colID []int32, flops []int64, rows [][]int32) {
+	t.Helper()
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	for k, j := range colID {
+		bRows, _ := b.Column(j)
+		f, got := sc.distinctRows(a, bRows)
+		if f != flops[k] || !slices.Equal(got, rows[k]) {
+			t.Fatalf("sampled column %d (B column %d): %d flops, rows %v; oracle %d, %v", k, j, f, got, flops[k], rows[k])
+		}
+	}
+}
+
+// partition.index must return what sort.Search over "bounds[i+1] > v" returns, for
 // every split of n into parts — including n < parts, where some parts are
 // empty — and for v past the last bound.
 func TestPartIndexMatchesSearch(t *testing.T) {
@@ -143,8 +189,8 @@ func TestPartIndexMatchesSearch(t *testing.T) {
 			bounds := spmat.PartBounds(n, parts)
 			for v := int32(0); v < n+2; v++ {
 				want := sort.Search(parts, func(i int) bool { return bounds[i+1] > v })
-				if got := partIndex(bounds, v); got != want {
-					t.Fatalf("n = %d, %d parts, v = %d: partIndex %d, sort.Search %d", n, parts, v, got, want)
+				if got := partitionOf(bounds).index(v); got != want {
+					t.Fatalf("n = %d, %d parts, v = %d: index %d, sort.Search %d", n, parts, v, got, want)
 				}
 			}
 		}
@@ -179,8 +225,6 @@ func TestProbeIgnoresClaimedRows(t *testing.T) {
 			t.Fatalf("sampled column %d (%d flops) would take a %d-row bitmap", k, f, a.Rows)
 		}
 	}
-	_, _, _, rows := sampleOracle(a, b, pr.SampledCols)
-	if !reflect.DeepEqual(pr.sampleRows, rows) {
-		t.Fatalf("sampleRows differ from the oracle")
-	}
+	flops, _, colID, rows := sampleOracle(a, b, pr.SampledCols)
+	checkSampledRows(t, a, b, colID, flops, rows)
 }

@@ -3,6 +3,7 @@ package planner_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apps/mcl"
@@ -46,7 +47,8 @@ func mclOperands(tb testing.TB) ([]*spmat.CSC, planner.Input) {
 // planner fixtures, the k-mer one on 1024 ranks too (whose grids include a
 // q = 2 one of 256 layers over an 8192-wide inner dimension), the eight
 // operands of one clustering (under the daemon's own Input too), a 64-rank
-// k-mer A·Aᵀ and an R-MAT pair, with and without a budget, over the
+// k-mer A·Aᵀ, an R-MAT pair and the same pair with unsorted columns, with
+// and without a budget, over the
 // planner's whole space, and the forced sparse mode of every sparse-auto
 // candidate through Evaluate.
 func TestPlannerMatchesReference(t *testing.T) {
@@ -59,9 +61,18 @@ func TestPlannerMatchesReference(t *testing.T) {
 	ka, kb := pairFor(kmersTiny())
 	big := genmat.Kmer(genmat.KmerConfig{Reads: 512, Kmers: 32768, KmersPerRead: 24, Overlap: 0.08, Seed: 7})
 	rmat := genmat.RMAT(genmat.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 5, Weighted: true})
+	// The R-MAT operand again with every column's entries reversed and the
+	// matrix flagged unsorted: the statistics must not lean on sorted columns.
+	unsorted := rmat.Clone()
+	for j := int32(0); j < unsorted.Cols; j++ {
+		slices.Reverse(unsorted.RowIdx[unsorted.ColPtr[j]:unsorted.ColPtr[j+1]])
+		slices.Reverse(unsorted.Val[unsorted.ColPtr[j]:unsorted.ColPtr[j+1]])
+	}
+	unsorted.SortedCols = false
 	pairs := []pair{
 		{"friendster", fa, fb, 64}, {"kmers", ka, kb, 64}, {"kmers-1024", ka, kb, 1024},
 		{"kmers-512", big, spmat.Transpose(big), 64}, {"rmat", rmat, rmat, 16},
+		{"rmat-unsorted", unsorted, unsorted, 64},
 	}
 	ops, daemon := mclOperands(t)
 	for i, m := range ops {

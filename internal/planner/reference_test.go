@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/distmat"
 	"repro/internal/spmat"
 )
 
@@ -13,7 +14,7 @@ import (
 // its clamp rescale. Kept as the reference the cheaper code must reproduce
 // to the last bit (TestPlannerMatchesReference, through NewReference).
 
-// refPartIndex is partIndex by sort.Search.
+// refPartIndex is partition.index by sort.Search.
 func refPartIndex(bounds []int32, v int32) int {
 	return sort.Search(len(bounds)-1, func(i int) bool { return bounds[i+1] > v })
 }
@@ -55,15 +56,17 @@ func refUnmergedW(pr *Probe, weights []float64) (float64, []float64) {
 	return pr.scale * total, perSlice
 }
 
-// refOutputImbalance is outputImbalance with one block lookup per row.
-func refOutputImbalance(pr *Probe, q int) float64 {
-	if q <= 1 || len(pr.sampleRows) == 0 {
+// refOutputImbalance is the output imbalance of the sampled rows on a q×q
+// grid with one block lookup per row; rows[k] holds sample k's sorted
+// distinct output rows.
+func refOutputImbalance(pr *Probe, sampleRows [][]int32, q int) float64 {
+	if q <= 1 || len(sampleRows) == 0 {
 		return 1
 	}
 	rowB := spmat.PartBounds(pr.RowsA, q)
 	colB := spmat.PartBounds(pr.ColsB, q)
 	w := make([]float64, q*q)
-	for k, rows := range pr.sampleRows {
+	for k, rows := range sampleRows {
 		j := refPartIndex(colB, pr.sampleColID[k])
 		for _, r := range rows {
 			w[refPartIndex(rowB, r)*q+j]++
@@ -82,14 +85,15 @@ func refOutputImbalance(pr *Probe, q int) float64 {
 	return max * float64(len(w)) / sum
 }
 
-// refFiberOccupied is fiberOccupied with one block lookup per row.
-func refFiberOccupied(pr *Probe, q int) float64 {
-	if q < 1 || len(pr.sampleRows) == 0 {
+// refFiberOccupied is the sampled rows' occupied (row block, column) cells
+// on a q-way row partition with one block lookup per row.
+func refFiberOccupied(pr *Probe, sampleRows [][]int32, q int) float64 {
+	if q < 1 || len(sampleRows) == 0 {
 		return 0
 	}
 	rowB := spmat.PartBounds(pr.RowsA, q)
 	var cells int64
-	for _, rows := range pr.sampleRows {
+	for _, rows := range sampleRows {
 		last := -1
 		for _, r := range rows {
 			if i := refPartIndex(rowB, r); i != last {
@@ -101,10 +105,45 @@ func refFiberOccupied(pr *Probe, q int) float64 {
 	return pr.scale * float64(cells)
 }
 
-// refSliceModel is sliceModel running the slice model twice at q = 1 too.
-func refSliceModel(gs *gridStat, pr *Probe) {
-	gs.uQL, gs.perSliceQL = refUnmergedW(pr, pr.SliceWeights(gs.q, gs.l))
-	gs.uL, gs.perLayerL = refUnmergedW(pr, pr.LayerWeights(gs.q, gs.l))
+// refSliceWeights is SliceWeights as it was: the exact flops of every inner
+// index in an array as long as the inner dimension, summed slice by slice.
+func refSliceWeights(pr *Probe, q, l int) []float64 {
+	flopsByInner := make([]int64, pr.Inner)
+	pr.b.EnumCols(func(_ int32, rows []int32, _ []float64) {
+		for _, r := range rows {
+			flopsByInner[r] += pr.a.ColNNZ(r)
+		}
+	})
+	w := make([]float64, q*l)
+	sb := distmat.NewADist(pr.RowsA, pr.Inner, q, l).ColSlices()
+	var total float64
+	for x := range w {
+		var sum int64
+		for _, f := range flopsByInner[sb[x]:sb[x+1]] {
+			sum += f
+		}
+		w[x] = float64(sum)
+		total += float64(sum)
+	}
+	if total == 0 {
+		for i := range w {
+			w[i] = 1 / float64(len(w))
+		}
+		return w
+	}
+	for i := range w {
+		w[i] /= total
+	}
+	return w
+}
+
+// refSliceModel is sliceModel running the slice model twice at q = 1 too,
+// over the reference slice weights, with the sampled-output passes over the
+// sample's rows.
+func refSliceModel(gs *gridStat, pr *Probe, rows [][]int32) {
+	sw := refSliceWeights(pr, gs.q, gs.l)
+	gs.uQL, gs.perSliceQL = refUnmergedW(pr, sw)
+	gs.uL, gs.perLayerL = refUnmergedW(pr, foldLayers(sw, gs.q, gs.l))
 	for k := 0; k < gs.l; k++ {
 		var s float64
 		for st := 0; st < gs.q; st++ {
@@ -117,7 +156,7 @@ func refSliceModel(gs *gridStat, pr *Probe) {
 			gs.maxLayerL = gs.perLayerL[k]
 		}
 	}
-	gs.outImbalance, gs.fiberCells = refOutputImbalance(pr, gs.q), refFiberOccupied(pr, gs.q)
+	gs.outImbalance, gs.fiberCells = refOutputImbalance(pr, rows, gs.q), refFiberOccupied(pr, rows, gs.q)
 	gs.sliceModelDone = true
 }
 
@@ -187,7 +226,9 @@ func refGridStat(a, b *spmat.CSC, q, l int) *gridStat {
 	return gs
 }
 
-// refSubsetStat is computeSubsetStat with sort.Search block lookups.
+// refSubsetStat is computeSubsetStat as it was, over every inner index: per
+// A column its entries per row block (q·n counts), per receiver a touched
+// flag per inner index, with sort.Search block lookups.
 func refSubsetStat(gs *gridStat, a, b *spmat.CSC) {
 	q, l := gs.q, gs.l
 	gs.aSubNE = make([]int64, q*q*l*q)

@@ -17,7 +17,7 @@ import (
 // A-Broadcast; that term joins each rank's total before the max so the
 // critical-path rank is the right one.
 func (pl *Plan) sparseABcast(gs *gridStat, cm mpi.CostModel, b int, force bool, wireA func(i, s, k int) int64) float64 {
-	computeSubsetStat(gs, pl.a, pl.b)
+	computeSubsetStat(gs, pl.Probe.a, pl.Probe.b)
 	q, l := gs.q, gs.l
 	var worst float64
 	nSub := make([]int64, q)

@@ -206,23 +206,25 @@ func (m *CSC) Sum() float64 {
 	return s
 }
 
-// Filter removes entries for which keep returns false, in place, preserving
-// within-column order (and thus the SortedCols flag).
+// Filter removes entries for which keep returns false, in place — the
+// column pointers too, so it allocates nothing — preserving within-column
+// order (and thus the SortedCols flag).
 func (m *CSC) Filter(keep func(row, col int32, v float64) bool) {
-	w := int64(0)
-	newPtr := make([]int64, m.Cols+1)
+	w, lo := int64(0), m.ColPtr[0]
+	m.ColPtr[0] = 0
 	for j := int32(0); j < m.Cols; j++ {
-		newPtr[j] = w
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+		// Column j's end is read before its slot takes the compacted end.
+		hi := m.ColPtr[j+1]
+		for p := lo; p < hi; p++ {
 			if keep(m.RowIdx[p], j, m.Val[p]) {
 				m.RowIdx[w] = m.RowIdx[p]
 				m.Val[w] = m.Val[p]
 				w++
 			}
 		}
+		m.ColPtr[j+1] = w
+		lo = hi
 	}
-	newPtr[m.Cols] = w
-	m.ColPtr = newPtr
 	m.RowIdx = m.RowIdx[:w]
 	m.Val = m.Val[:w]
 	m.InvalidateNonEmptyCols() // filtering can empty columns
